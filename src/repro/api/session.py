@@ -890,10 +890,11 @@ class Session:
         auto-tuner's knob updates feed straight into the next query.
 
         On a deployment configured for concurrency (``HailConfig.max_concurrent_jobs > 1``)
-        each system's share of the batch runs through the JobTracker's concurrent scheduler
-        — map phases interleave over the shared slots, handles resolve as their jobs finish,
-        and every ``runtime_s`` is a latency on the shared timeline.  By default execution
-        is strictly serial, in submission order, exactly as before.
+        each system's share of the batch is submitted to the JobTracker as one batch — map
+        phases interleave over the shared slots, handles resolve as their jobs finish, and
+        every ``runtime_s`` is a latency on the shared timeline.  By default jobs run
+        back-to-back in submission order, each as a single-job phase of the same
+        scheduling loop.
 
         A query that raises mid-batch aborts the drain with a
         :class:`BatchExecutionError` carrying the completed results, so the session
@@ -910,13 +911,17 @@ class Session:
         policies = {name: self.system(name).concurrency_policy() for name in groups}
         results: list[Optional[QueryResult]] = [None] * len(items)
 
-        if not any(policies.values()):
-            # The classic serial drain: one job at a time, strict submission order.
-            for position, item in enumerate(items):
+        def _run_serially(serial_positions: Sequence[int]) -> None:
+            """One job at a time, in the given order; a failure aborts the whole drain."""
+            for position in serial_positions:
                 try:
-                    results[position] = self.run(item, system=system, path=path)
+                    results[position] = self.run(items[position], system=system, path=path)
                 except Exception as error:
                     raise self._batch_error(items, results, position, error) from error
+
+        if not any(policies.values()):
+            # The classic serial drain: strict submission order.
+            _run_serially(range(len(items)))
             return BatchResult(results=list(results))
 
         for target_name, positions in groups.items():
@@ -926,20 +931,10 @@ class Session:
             operator_positions = [
                 p for p in positions if isinstance(resolved[p][0], _OPERATOR_QUERIES)
             ]
-            for position in operator_positions:
-                try:
-                    results[position] = self.run(items[position], system=system, path=path)
-                except Exception as error:
-                    raise self._batch_error(items, results, position, error) from error
+            _run_serially(operator_positions)
             positions = [p for p in positions if p not in set(operator_positions)]
-            if not positions:
-                continue
             if policy is None or len(positions) <= 1:
-                for position in positions:
-                    try:
-                        results[position] = self.run(items[position], system=system, path=path)
-                    except Exception as error:
-                        raise self._batch_error(items, results, position, error) from error
+                _run_serially(positions)
                 continue
             target = self.system(target_name)
             group_items = [(resolved[p][0], resolved[p][1]) for p in positions]

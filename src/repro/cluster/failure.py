@@ -4,12 +4,14 @@ The paper kills all Java processes on one randomly chosen node after 50% of job 
 sets the TaskTracker/datanode expiry interval to 30 seconds.  :class:`FailureInjector`
 reproduces that protocol against the simulated cluster.
 
-For *concurrent* batches (the multi-tenant service layer), :class:`ConcurrentChaos` bundles
-the faults one interleaved map phase can suffer at once: a node death at an absolute batch
-time, individual task-attempt failures, and straggler nodes whose attempts run slower by a
-constant factor (timeline only — functional output is never altered).  The concurrent
-scheduler (:meth:`~repro.mapreduce.job_tracker.JobTracker.run_concurrent_map_phases`)
-consumes it directly; see ``docs/scheduling.md``.
+:class:`ConcurrentChaos` bundles the faults one map phase can suffer at once: a node death at
+an absolute phase time, individual task-attempt failures, and straggler nodes whose attempts
+run slower by a constant factor (timeline only — functional output is never altered).  It is
+the only fault plan the JobTracker's scheduling loop understands: a multi-tenant batch
+(:meth:`~repro.mapreduce.job_tracker.JobTracker.run_concurrent_map_phases`) passes one in
+directly, and the single-job Figure 8 run
+(:meth:`~repro.mapreduce.job_tracker.JobTracker.run_map_phase`) wraps its
+:class:`FailureEvent` and kill time in one; see ``docs/scheduling.md``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class FailureEvent:
 
 @dataclass(frozen=True)
 class TaskFailureSpec:
-    """One injected map-task failure inside a concurrent batch.
+    """One injected map-task failure inside a map phase.
 
     The targeted attempt runs to its natural finish, then *fails*: its output and counters
     are discarded and the task is requeued (counted in ``RESCHEDULED_MAP_TASKS``).  The
@@ -77,15 +79,16 @@ class TaskFailureSpec:
 
 @dataclass
 class ConcurrentChaos:
-    """The fault plan one concurrent map phase runs under.
+    """The fault plan one map phase (a single job or an interleaved batch) runs under.
 
     Attributes
     ----------
     node_failure:
-        A node death; ``kill_time_s`` places it on the batch's absolute simulated timeline
+        A node death; ``kill_time_s`` places it on the phase's absolute simulated timeline
         (the event's own ``at_progress`` is ignored here — a batch has no single job-progress
-        fraction to anchor it to).  Attempts running on the node at the kill are lost and
-        requeued after the event's expiry interval, exactly like the serial Figure 8 path.
+        fraction to anchor it to; the single-job runner converts it to a kill time first).
+        Attempts running on the node at the kill are lost and requeued after the event's
+        expiry interval — this is the Figure 8 path.
     kill_time_s:
         Absolute batch time at which ``node_failure`` strikes.  Required iff a
         ``node_failure`` is given.

@@ -10,9 +10,7 @@ module replaces that pipeline with two interchangeable backends behind one dispa
   every later clause refines that position list by probing only the survivors.  This is the
   bytearray-mask pipeline collapsed to its support: representing the mask by the positions of
   its set bits both tracks the surviving-row count for free (``len(positions)``, no ``any``
-  scan) and makes each subsequent clause O(survivors) instead of O(window).  The explicit
-  bytearray form is kept as :func:`clause_mask_bytes` for callers that want a materialized
-  mask.
+  scan) and makes each subsequent clause O(survivors) instead of O(window).
 - **numpy** — an optional fast path used when numpy is importable and every filter column of
   the block has a typed ``array`` representation (:meth:`repro.layouts.pax.PaxBlock.typed_column_at`).
   Columns are wrapped zero-copy via ``numpy.frombuffer`` over the array's ``memoryview``,
@@ -94,33 +92,6 @@ def use_backend(name: str) -> Iterator[None]:
 
 
 set_backend(_default_backend())
-
-
-# --------------------------------------------------------------------------- mask kernels
-def clause_mask_bytes(clause: "Comparison", values: Sequence) -> bytearray:
-    """One comparison clause over a column slice as a bytearray mask (1 = match).
-
-    The materialized-mask form of the reference backend: a ``bytearray`` is the densest
-    mutable mask Python offers (one byte per row, C-speed ``bytes`` conversion), and callers
-    can AND masks in place.  The position-list pipeline below is this mask collapsed to its
-    set bits; both views are kept so tests can cross-check them.
-    """
-    op = clause.op.value
-    if op == "between":
-        low, high = clause.operands
-        return bytearray(low <= value <= high for value in values)
-    operand = clause.operands[0]
-    if op == "=":
-        return bytearray(value == operand for value in values)
-    if op == "<":
-        return bytearray(value < operand for value in values)
-    if op == "<=":
-        return bytearray(value <= operand for value in values)
-    if op == ">":
-        return bytearray(value > operand for value in values)
-    if op == ">=":
-        return bytearray(value >= operand for value in values)
-    raise ValueError(f"unsupported operator {clause.op!r} in vectorized evaluation")
 
 
 # --------------------------------------------------------------------------- dispatch

@@ -133,8 +133,8 @@ class HailSystem(BaseSystem):
     def concurrency_policy(self):
         """Batch drains interleave jobs once ``HailConfig.max_concurrent_jobs`` exceeds 1.
 
-        ``None`` at the default of 1, so every existing entry point (and the pinned figure
-        goldens) keeps strictly serial execution.
+        ``None`` at the default of 1: batches then run back-to-back, one single-job map
+        phase after another (which is what the pinned figure goldens measure).
         """
         if self.config.max_concurrent_jobs <= 1:
             return None

@@ -13,25 +13,35 @@ paper's results:
   that re-execute may have to fall back to another replica — possibly one without the matching
   index, which is exactly the HAIL vs. HAIL-1Idx difference in Figure 8.
 
-Beyond the single-job phase the paper measures, :meth:`JobTracker.run_concurrent_map_phases`
-interleaves map tasks from **multiple in-flight jobs** over the same slot pool — the service
-side of HAIL's "aggressive elephants" story, where indexing piggybacks on heavy multi-tenant
-traffic.  A :class:`ConcurrencyPolicy` bounds how many jobs are in flight (admission control),
-caps each tenant's simultaneously running map tasks (slot quotas), and picks the next job to
-serve either fairly or strictly FIFO.  The concurrent path is additionally hardened for the
-Figure 8 robustness story (all knobs default off, so the pinned Figure 6/7 goldens stay
-bit-identical):
+There is exactly **one** scheduling loop.  :meth:`JobTracker.run_map_phase` (the single-job
+phase the paper measures, including the Figure 8 node kill) wraps its tasks in one
+:class:`ConcurrentJob` and runs the same private event loop that
+:meth:`JobTracker.run_concurrent_map_phases` uses to interleave map tasks from **multiple
+in-flight jobs** over the slot pool — the service side of HAIL's "aggressive elephants"
+story, where indexing piggybacks on heavy multi-tenant traffic.  A serial job is the
+one-job, ``max_concurrent_jobs=1`` case: it is admitted at time 0 (``TENANT_JOBS_ADMITTED``
+= 1, ``SCHED_QUEUE_WAIT_SECONDS`` = 0.0), nothing competes with it, and a job with no map
+tasks at all (every split zone-pruned) simply finishes at admission.
 
+A :class:`ConcurrencyPolicy` bounds how many jobs are in flight (admission control), caps
+each tenant's simultaneously running map tasks (slot quotas), and picks the next job to
+serve either fairly or strictly FIFO.  The remaining decision points are inline in that one
+loop (all knobs default off, so the pinned Figure 6/7/8 goldens stay bit-identical):
+
+- **attempt isolation** — every attempt runs against a private scratch counter bag that is
+  merged into the job's bag only if the attempt is *accepted*, so a node-death casualty, a
+  discarded speculative loser or a preempted attempt never double-counts functional
+  counters or double-commits adaptive builds; accepted attempts are handed back in
+  *launch* order;
 - **speculative execution** — when a freed slot finds no regular work, the scheduler may
   re-launch the slowest running attempt of a job whose projected duration exceeds a
   configurable percentile of the job's completed attempts; the first finisher wins and the
-  loser's attempt is discarded without double-counting counters or double-committing
-  adaptive builds (every attempt runs against a private scratch counter bag that is merged
-  into the job's bag only if the attempt is *accepted*);
-- **failure injection inside concurrent batches** — a
-  :class:`~repro.cluster.failure.ConcurrentChaos` plan can kill a node at an absolute batch
-  time, fail individual task attempts, and slow straggler nodes down; rescheduling respects
-  tenant quotas because requeued tasks re-enter the same eligibility gate;
+  loser's attempt is discarded;
+- **failure injection** — a :class:`~repro.cluster.failure.ConcurrentChaos` plan can kill
+  a node at an absolute phase time (``run_map_phase`` builds one from its
+  ``failure``/``kill_time_s``), fail individual task attempts, and slow straggler nodes
+  down; rescheduling respects tenant quotas because requeued tasks re-enter the same
+  eligibility gate;
 - **preemption** — with competition between tenants, a tenant running beyond its weighted
   slot entitlement has its newest attempts revoked (kill + requeue, bounded per job by
   ``max_preemptions_per_job``) instead of merely deferring new launches;
@@ -39,9 +49,6 @@ bit-identical):
   notion of "fewest running tasks", and jobs carrying a ``deadline_s`` are admitted and
   served earliest-deadline-first among otherwise tied candidates, with met/missed deadlines
   counted in ``DEADLINE_JOBS_MET``/``DEADLINE_JOBS_MISSED``.
-
-Serial failure experiments (Figure 8) still run jobs one at a time through
-:meth:`run_map_phase`, which is untouched by all of the above.
 """
 
 from __future__ import annotations
@@ -181,17 +188,18 @@ class ScheduledTask:
 
 @dataclass
 class ScheduleOutcome:
-    """Result of simulating the map phase.
+    """Result of simulating one job's map phase.
 
-    ``num_slots`` is the number of slots still *alive* when the phase ended — after a node
-    failure it counts only surviving slots, and a phase that somehow ends with every slot
-    dead reports 0 (consumers computing per-slot averages must guard, as the runner does).
+    ``scheduled`` holds the *accepted* attempts — lost, failed, preempted and discarded
+    speculative attempts are excluded — in launch order.  ``num_slots`` is the number of
+    slots still *alive* when the phase ended — after a node failure it counts only surviving
+    slots, and a phase that somehow ends with every slot dead reports 0 (consumers computing
+    per-slot averages must guard, as the runner does).
 
-    The audit tail (``rescheduled``, ``speculative_launched``, ``speculative_discarded``,
-    ``preempted``) reconciles the job's counter bag: every launch recorded in
-    ``LAUNCHED_MAP_TASKS`` is either an accepted attempt in ``scheduled`` or exactly one of
-    a speculative discard, a preemption kill, or a reschedule (task failure / node death) —
-    ``tests/test_multi_tenant.py`` pins this identity.
+    Every launch recorded in the job's ``LAUNCHED_MAP_TASKS`` is either an accepted attempt
+    in ``scheduled`` or exactly one of a speculative discard, a preemption kill, or a
+    reschedule (task failure / node death; ``rescheduled`` counts those) —
+    ``tests/test_multi_tenant.py`` pins this identity on the counters.
     """
 
     scheduled: list[ScheduledTask]
@@ -199,14 +207,6 @@ class ScheduleOutcome:
     num_slots: int
     rescheduled: int = 0
     failure_node: Optional[int] = None
-    speculative_launched: int = 0
-    speculative_discarded: int = 0
-    preempted: int = 0
-
-    @property
-    def successful(self) -> list[ScheduledTask]:
-        """Attempts whose output counts (lost attempts are excluded)."""
-        return self.scheduled
 
 
 @dataclass
@@ -268,19 +268,18 @@ class _JobState:
     durations: list[float] = field(default_factory=list)
     preemptions: int = 0
     rescheduled: int = 0
-    speculative_launched: int = 0
-    speculative_discarded: int = 0
-    preempted: int = 0
-    scheduled: list[ScheduledTask] = field(default_factory=list)
+    #: Accepted attempts by launch number: settled in finish order, handed back in launch
+    #: order.
+    scheduled: dict[int, ScheduledTask] = field(default_factory=dict)
     admission_blocked: bool = False
     quota_deferred: bool = False
 
-    def in_flight(self, now: float) -> bool:
-        """Whether the job still occupies an admission token at time ``now``.
+    def in_flight(self) -> bool:
+        """Whether the job still occupies an admission token.
 
         ``active`` counts unsettled attempts, which (settlement runs before every decision)
-        all finish strictly after ``now`` — the same predicate the launch-time
-        ``max_finish_s > now`` check expressed before attempts could be killed mid-flight.
+        all finish strictly after the current scheduling instant.  A job with no tasks is
+        never in flight: it finishes the moment it is admitted.
         """
         return bool(self.queue) or self.active > 0
 
@@ -294,7 +293,6 @@ class _Slot:
     node_id: int
     slot_index: int
     available_s: float = 0.0
-    dead: bool = False
 
 
 @dataclass
@@ -304,9 +302,9 @@ class _QueuedTask:
     not_before_s: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class _Running:
-    """One in-flight attempt in a concurrent phase, pending settlement.
+    """One in-flight attempt, pending settlement.
 
     Every attempt runs against a private ``scratch`` counter bag; settlement merges it into
     the job's bag only when the attempt is *accepted* — a discarded speculative loser, a
@@ -322,6 +320,8 @@ class _Running:
     finish_s: float
     result: MapTaskResult
     scratch: Counters
+    #: Position among the job's launches (the order accepted attempts are handed back in).
+    launch_no: int
     speculative: bool = False
     #: The other half of a speculative race (original <-> backup), if any.
     rival: Optional["_Running"] = None
@@ -329,13 +329,16 @@ class _Running:
     doomed: bool = False
     #: Absolute time the attempt is killed (speculation loss, preemption, node death).
     kill_s: Optional[float] = None
-    kill_reason: Optional[str] = None
     settled: bool = False
 
     @property
     def end_s(self) -> float:
         """When the attempt leaves its slot: its kill time if killed, else its finish."""
         return self.kill_s if self.kill_s is not None else self.finish_s
+
+    def retry(self, not_before_s: float) -> _QueuedTask:
+        """The same task queued again as its next attempt, launchable from ``not_before_s``."""
+        return _QueuedTask(self.queued.task, self.queued.attempt + 1, not_before_s)
 
 
 def _percentile(values: list[float], fraction: float) -> float:
@@ -366,102 +369,18 @@ class JobTracker:
         failure: Optional[FailureEvent] = None,
         kill_time_s: Optional[float] = None,
     ) -> ScheduleOutcome:
-        """Functionally execute and temporally schedule all map tasks.
+        """Functionally execute and temporally schedule all map tasks of one job.
 
-        ``failure``/``kill_time_s`` inject a node failure at an absolute map-phase time; the
-        caller (the runner) derives ``kill_time_s`` from the job progress fraction.
+        The single-job case of the scheduling loop: the tasks run as one
+        :class:`ConcurrentJob` that owns the whole slot pool.  ``failure``/``kill_time_s``
+        inject a node failure at an absolute map-phase time; the caller (the runner) derives
+        ``kill_time_s`` from the job progress fraction.
         """
-        slots = [
-            _Slot(node_id=tracker.node_id, slot_index=slot_index)
-            for tracker in self.task_trackers()
-            for slot_index in tracker.slot_ids()
-        ]
-        if not slots:
-            raise RuntimeError("no alive TaskTracker slots available")
-        policy: Optional[SchedulingPolicy] = (
-            tasks[0].jobconf.properties.get(SCHEDULING_PROPERTY) if tasks else None
-        )
-        queue: Deque[_QueuedTask] = deque(_QueuedTask(task) for task in tasks)
-        scheduled: list[ScheduledTask] = []
-        lost: list[ScheduledTask] = []
-        failure_node = failure.node_id if failure is not None else None
-        failure_handled = failure is None
-        rescheduled = 0
-
-        while queue:
-            slot = self._next_slot(slots)
-            if slot is None:
-                raise RuntimeError("scheduler ran out of usable slots with tasks still queued")
-            queued = self._pick_task(queue, slot, policy)
-            start = max(slot.available_s, queued.not_before_s)
-
-            if not failure_handled and kill_time_s is not None and start >= kill_time_s:
-                # The failure strikes before this assignment: kill the node, requeue its losses.
-                rescheduled += self._apply_failure(
-                    failure, kill_time_s, slots, scheduled, lost, queue, counters
-                )
-                failure_handled = True
-                if slot.dead:
-                    queue.appendleft(queued)
-                    continue
-                start = max(slot.available_s, queued.not_before_s)
-
-            result = queued.task.run(self.hdfs, self.cost, slot.node_id, counters)
-            duration = self.cost.task_overhead() + result.compute_seconds
-            finish = start + duration
-            slot.available_s = finish
-            counters.increment(Counters.LAUNCHED_MAP_TASKS)
-            self._count_assignment(policy, counters, queued.task.split, slot.node_id)
-            scheduled.append(
-                ScheduledTask(
-                    task=queued.task,
-                    node_id=slot.node_id,
-                    start_s=start,
-                    finish_s=finish,
-                    result=result,
-                    attempt=queued.attempt,
-                )
-            )
-
-        makespan = max((st.finish_s for st in scheduled), default=0.0)
-
-        if not failure_handled and kill_time_s is not None and kill_time_s < makespan:
-            # The failure strikes while the last wave is running: requeue and drain once more.
-            rescheduled += self._apply_failure(
-                failure, kill_time_s, slots, scheduled, lost, queue, counters
-            )
-            failure_handled = True
-            while queue:
-                slot = self._next_slot(slots)
-                if slot is None:
-                    raise RuntimeError("no usable slots left to re-execute lost tasks")
-                queued = self._pick_task(queue, slot, policy)
-                start = max(slot.available_s, queued.not_before_s)
-                result = queued.task.run(self.hdfs, self.cost, slot.node_id, counters)
-                duration = self.cost.task_overhead() + result.compute_seconds
-                finish = start + duration
-                slot.available_s = finish
-                counters.increment(Counters.LAUNCHED_MAP_TASKS)
-                self._count_assignment(policy, counters, queued.task.split, slot.node_id)
-                scheduled.append(
-                    ScheduledTask(
-                        task=queued.task,
-                        node_id=slot.node_id,
-                        start_s=start,
-                        finish_s=finish,
-                        result=result,
-                        attempt=queued.attempt,
-                    )
-                )
-            makespan = max((st.finish_s for st in scheduled), default=0.0)
-
-        return ScheduleOutcome(
-            scheduled=scheduled,
-            makespan_s=makespan,
-            num_slots=len([slot for slot in slots if not slot.dead]),
-            rescheduled=rescheduled,
-            failure_node=failure_node,
-        )
+        chaos = None
+        if failure is not None and kill_time_s is not None:
+            chaos = ConcurrentChaos(node_failure=failure, kill_time_s=kill_time_s)
+        job = ConcurrentJob(tasks=tasks, counters=counters)
+        return self._schedule([job], ConcurrencyPolicy(), chaos)[0].outcome
 
     def run_concurrent_map_phases(
         self,
@@ -473,24 +392,38 @@ class JobTracker:
 
         Jobs enter the admission queue at their ``submit_s`` (default 0) in list order; the
         admission gate, per-tenant quotas, weights, speculation and preemption are governed
-        by ``policy`` (defaults allow one job in flight, which reproduces serial
-        back-to-back execution on a shared timeline).  Each job's functional work and
-        counters stay fully isolated — every attempt runs against a scratch counter bag
-        merged into the job's bag only on acceptance, so only the *timeline* is shared.
-        ``chaos`` optionally injects a node death, task failures and stragglers
+        by ``policy`` (defaults allow one job in flight: back-to-back single-job phases on a
+        shared timeline).  Each job's functional work and counters stay fully isolated —
+        every attempt runs against a scratch counter bag merged into the job's bag only on
+        acceptance, so only the *timeline* is shared.  ``chaos`` optionally injects a node
+        death, task failures and stragglers
         (:class:`~repro.cluster.failure.ConcurrentChaos`); the caller is responsible for
         reviving the killed node afterwards, as with :meth:`run_map_phase`.
         """
-        policy = policy or ConcurrencyPolicy()
+        return self._schedule(jobs, policy or ConcurrencyPolicy(), chaos)
+
+    # ------------------------------------------------------------------ the one loop
+    def _schedule(
+        self,
+        jobs: list[ConcurrentJob],
+        policy: ConcurrencyPolicy,
+        chaos: Optional[ConcurrentChaos],
+    ) -> list[ConcurrentJobOutcome]:
+        """The slot-driven event loop behind both public entry points.
+
+        Each iteration takes the earliest-free slot, settles every attempt that ended by
+        then, admits arrived jobs, and launches (or speculates, or parks the slot).  The
+        bookkeeping is incremental: ``running`` holds only the *unsettled* attempts (at most
+        one per slot) in launch order, ``by_tenant`` their per-tenant count, ``slots`` only
+        the alive slots and ``admitted`` only the jobs still in flight.
+        """
         states = [
             _JobState(
                 index=index,
                 job=job,
                 queue=deque(_QueuedTask(task) for task in job.tasks),
                 policy=(
-                    job.tasks[0].jobconf.properties.get(SCHEDULING_PROPERTY)
-                    if job.tasks
-                    else None
+                    job.tasks[0].jobconf.properties.get(SCHEDULING_PROPERTY) if job.tasks else None
                 ),
             )
             for index, job in enumerate(jobs)
@@ -507,115 +440,88 @@ class JobTracker:
 
         pending: Deque[_JobState] = deque(states)
         admitted: list[_JobState] = []
-        registry: list[_Running] = []
+        running: list[_Running] = []
+        by_tenant: dict[str, int] = {}
+        #: When the planned node death is still due (``None``: no plan, or already struck).
         kill_time = chaos.kill_time_s if chaos is not None else None
-        failure_handled = chaos is None or chaos.node_failure is None
-        failure_struck = False
+        failure_node: Optional[int] = None
+
+        def strike() -> None:
+            """The node dies now: settle up to the kill, revoke and requeue its attempts."""
+            nonlocal kill_time, failure_node
+            self._settle_until(kill_time, running, by_tenant)
+            self._strike_node(chaos.node_failure, kill_time, slots, running, by_tenant)
+            failure_node = chaos.node_failure.node_id
+            kill_time = None
 
         while True:
             if not pending and not any(state.queue for state in admitted):
-                unsettled = [r for r in registry if not r.settled]
-                if not failure_handled and any(r.end_s > kill_time for r in unsettled):
+                if kill_time is not None and any(r.end_s > kill_time for r in running):
                     # The node dies while the last attempts drain: revoke and requeue.
-                    self._settle_until(kill_time, registry)
-                    self._strike_node(chaos, kill_time, slots, registry)
-                    failure_handled = failure_struck = True
+                    strike()
                     continue
-                doomed = [r for r in unsettled if r.doomed and r.kill_s is None]
+                doomed = [r for r in running if r.doomed and r.kill_s is None]
                 if doomed:
                     # An injected task failure still has to fail and requeue its task.
-                    self._settle_until(min(r.finish_s for r in doomed), registry)
+                    self._settle_until(min(r.finish_s for r in doomed), running, by_tenant)
                     continue
-                if policy.speculative_execution and unsettled:
+                if policy.speculative_execution and running and slots:
                     # The final drain is where stragglers hurt most: every queue is empty,
                     # so idle slots would otherwise just park while the tail attempt runs.
-                    drain_slot = self._next_slot(slots)
-                    if drain_slot is not None:
-                        drain_now = drain_slot.available_s
-                        self._settle_until(drain_now, registry)
-                        drain_running: dict[str, int] = {}
-                        for running in registry:
-                            if not running.settled:
-                                tenant = running.state.job.tenant
-                                drain_running[tenant] = drain_running.get(tenant, 0) + 1
-                        drain_allowance = self._tenant_allowance(
-                            policy, admitted, slots, drain_now
-                        )
-                        if self._speculate(
-                            drain_slot,
-                            drain_now,
-                            policy,
-                            chaos,
-                            registry,
-                            drain_running,
-                            drain_allowance,
-                        ):
-                            continue
-                        # No backup launchable from this slot at this instant (it shares
-                        # the straggler's node, the tenant is quota-bound, or nothing is
-                        # slow enough yet): park the slot at the next settlement and look
-                        # again instead of abandoning the drain.
-                        horizon = [
-                            r.end_s
-                            for r in registry
-                            if not r.settled and r.end_s > drain_now
-                        ]
-                        if horizon:
-                            drain_slot.available_s = min(horizon)
-                            continue
+                    slot = self._next_slot(slots)
+                    now = slot.available_s
+                    self._settle_until(now, running, by_tenant)
+                    allowance = self._tenant_allowance(policy, admitted, slots)
+                    if self._speculate(slot, now, policy, chaos, running, by_tenant, allowance):
+                        continue
+                    # No backup launchable from this slot at this instant (it shares
+                    # the straggler's node, the tenant is quota-bound, or nothing is
+                    # slow enough yet): park the slot at the next settlement and look
+                    # again instead of abandoning the drain.
+                    horizon = [r.end_s for r in running if r.end_s > now]
+                    if horizon:
+                        slot.available_s = min(horizon)
+                        continue
                 break
-            slot = self._next_slot(slots)
-            if slot is None:
+            if not slots:
                 raise RuntimeError("scheduler ran out of usable slots with tasks still queued")
+            slot = self._next_slot(slots)
             now = slot.available_s
-            if not failure_handled and now >= kill_time:
-                self._settle_until(kill_time, registry)
-                self._strike_node(chaos, kill_time, slots, registry)
-                failure_handled = failure_struck = True
+            if kill_time is not None and now >= kill_time:
+                strike()
                 continue
-            self._settle_until(now, registry)
+            self._settle_until(now, running, by_tenant)
             self._admit(pending, admitted, policy, now)
-            allowance = self._tenant_allowance(policy, admitted, slots, now)
-            self._preempt(policy, registry, now, allowance)
-            running_by_tenant: dict[str, int] = {}
-            for running in registry:
-                if not running.settled:
-                    tenant = running.state.job.tenant
-                    running_by_tenant[tenant] = running_by_tenant.get(tenant, 0) + 1
-            eligible = self._eligible_jobs(admitted, policy, running_by_tenant, allowance)
+            allowance = self._tenant_allowance(policy, admitted, slots)
+            self._preempt(policy, running, by_tenant, now, allowance)
+            eligible = self._eligible_jobs(admitted, policy, by_tenant, allowance)
             if not eligible:
                 # Nothing regular is runnable at `now` (quota/admission/arrival-bound):
                 # an idle slot is speculation's opportunity before parking at the next
                 # attempt completion or job arrival.
                 if policy.speculative_execution and self._speculate(
-                    slot, now, policy, chaos, registry, running_by_tenant, allowance
+                    slot, now, policy, chaos, running, by_tenant, allowance
                 ):
                     continue
-                horizon_candidates = [r.end_s for r in registry if not r.settled]
-                horizon_candidates += [
-                    state.job.submit_s for state in pending if state.job.submit_s > now
-                ]
-                if not horizon_candidates:
-                    raise RuntimeError("concurrent scheduler stalled with tasks still queued")
-                slot.available_s = min(horizon_candidates)
+                horizon = [r.end_s for r in running]
+                horizon += [s.job.submit_s for s in pending if s.job.submit_s > now]
+                if horizon:
+                    slot.available_s = min(horizon)
+                elif pending or any(state.queue for state in admitted):
+                    raise RuntimeError("scheduler stalled with tasks still queued")
+                # Otherwise only task-less jobs were admitted: the drain check ends the phase.
                 continue
-            state = self._choose_job(eligible, policy, running_by_tenant)
+            state = self._choose_job(eligible, policy, by_tenant)
             queued = self._pick_task(state.queue, slot, state.policy)
-            start = max(now, queued.not_before_s)
-            if not failure_handled and start >= kill_time:
-                # The failure strikes before this assignment (mirrors the serial path).
+            if kill_time is not None and max(now, queued.not_before_s) >= kill_time:
+                # The failure strikes before this assignment: put the task back first.
                 state.queue.appendleft(queued)
-                self._settle_until(kill_time, registry)
-                self._strike_node(chaos, kill_time, slots, registry)
-                failure_handled = failure_struck = True
+                strike()
                 continue
-            self._launch(state, queued, slot, now, chaos, registry, speculative=False)
+            self._launch(state, queued, slot, now, chaos, running, by_tenant, speculative=False)
 
-        self._settle_until(math.inf, registry)
-        failure_node = (
-            chaos.node_failure.node_id if failure_struck and chaos is not None else None
-        )
-        return self._concurrent_outcomes(states, slots, failure_node)
+        self._settle_until(math.inf, running, by_tenant)
+        return self._outcomes(states, len(slots), failure_node)
 
     # ------------------------------------------------------------------ internals
     @staticmethod
@@ -631,20 +537,22 @@ class JobTracker:
         deadline first (ties: submission order, which reproduces the old strict submission
         order for deadline-less batches).  A job held back by its tenant's
         ``tenant_admission_limit`` does not block later jobs from *other* tenants — they
-        overtake it (no head-of-line blocking across tenants).
+        overtake it (no head-of-line blocking across tenants).  Jobs that finished since the
+        last admission leave ``admitted`` here, and a job with no map tasks finishes on the
+        spot (it never holds an admission token).
         """
         while pending:
             arrived = [state for state in pending if state.job.submit_s <= now]
             if not arrived:
                 return
-            inflight = [state for state in admitted if state.in_flight(now)]
-            if len(inflight) >= policy.max_concurrent_jobs:
+            admitted[:] = [state for state in admitted if state.in_flight()]
+            if len(admitted) >= policy.max_concurrent_jobs:
                 return
             chosen = None
             for state in sorted(arrived, key=lambda s: (s.deadline_key(), s.index)):
                 if policy.tenant_admission_limit is not None:
                     tenant_inflight = sum(
-                        1 for other in inflight if other.job.tenant == state.job.tenant
+                        1 for other in admitted if other.job.tenant == state.job.tenant
                     )
                     if tenant_inflight >= policy.tenant_admission_limit:
                         state.admission_blocked = True
@@ -655,33 +563,42 @@ class JobTracker:
                 return
             pending.remove(chosen)
             chosen.admitted_s = now
+            if not chosen.queue:
+                chosen.max_finish_s = now
             admitted.append(chosen)
             chosen.job.counters.increment(Counters.TENANT_JOBS_ADMITTED)
             if chosen.admission_blocked:
                 chosen.job.counters.increment(Counters.TENANT_ADMISSION_WAITS)
 
     @staticmethod
-    def _eligible_jobs(
-        admitted: list[_JobState],
-        policy: ConcurrencyPolicy,
-        running_by_tenant: dict[str, int],
-        allowance: Optional[dict[str, int]] = None,
-    ) -> list[_JobState]:
-        """Admitted jobs with queued tasks whose tenant is under its slot limit.
+    def _tenant_limit(
+        policy: ConcurrencyPolicy, allowance: Optional[dict[str, int]], tenant: str
+    ) -> Optional[int]:
+        """Cap on the tenant's simultaneously running attempts (``None``: uncapped).
 
         The limit is the static ``tenant_slot_quota`` unless preemption computed a tighter
         weighted ``allowance`` for the tenant — gating launches by the same entitlement the
         preemptor enforces keeps a just-preempted tenant from immediately relaunching.
         """
+        if allowance is not None and tenant in allowance:
+            return allowance[tenant]
+        return policy.tenant_slot_quota
+
+    @staticmethod
+    def _eligible_jobs(
+        admitted: list[_JobState],
+        policy: ConcurrencyPolicy,
+        by_tenant: dict[str, int],
+        allowance: Optional[dict[str, int]],
+    ) -> list[_JobState]:
+        """Admitted jobs with queued tasks whose tenant is under its slot limit."""
         eligible: list[_JobState] = []
         for state in admitted:
             if not state.queue:
                 continue
             tenant = state.job.tenant
-            limit = policy.tenant_slot_quota
-            if allowance is not None and tenant in allowance:
-                limit = allowance[tenant]
-            if limit is not None and running_by_tenant.get(tenant, 0) >= limit:
+            limit = JobTracker._tenant_limit(policy, allowance, tenant)
+            if limit is not None and by_tenant.get(tenant, 0) >= limit:
                 if not state.quota_deferred:
                     state.quota_deferred = True
                     state.job.counters.increment(Counters.TENANT_QUOTA_DEFERRALS)
@@ -693,7 +610,7 @@ class JobTracker:
     def _choose_job(
         eligible: list[_JobState],
         policy: ConcurrencyPolicy,
-        running_by_tenant: dict[str, int],
+        by_tenant: dict[str, int],
     ) -> _JobState:
         """Pick the job the freed slot serves next (see :class:`ConcurrencyPolicy`).
 
@@ -701,13 +618,14 @@ class JobTracker:
         reproduces the unweighted order exactly) and breaks ties earliest-deadline-first
         before falling back to least-served job and submission order.
         """
+        if len(eligible) == 1:
+            return eligible[0]
         if policy.queue_policy == "fifo":
             return min(eligible, key=lambda state: state.index)
         return min(
             eligible,
             key=lambda state: (
-                running_by_tenant.get(state.job.tenant, 0)
-                / policy.weight(state.job.tenant),
+                by_tenant.get(state.job.tenant, 0) / policy.weight(state.job.tenant),
                 state.deadline_key(),
                 state.launched,
                 state.index,
@@ -721,7 +639,8 @@ class JobTracker:
         slot: _Slot,
         now: float,
         chaos: Optional[ConcurrentChaos],
-        registry: list[_Running],
+        running: list[_Running],
+        by_tenant: dict[str, int],
         speculative: bool,
     ) -> _Running:
         """Run one attempt on ``slot`` and register it for settlement.
@@ -741,7 +660,7 @@ class JobTracker:
         counters = state.job.counters
         counters.increment(Counters.LAUNCHED_MAP_TASKS)
         self._count_assignment(state.policy, counters, queued.task.split, slot.node_id)
-        running = _Running(
+        attempt = _Running(
             state=state,
             queued=queued,
             slot=slot,
@@ -749,6 +668,7 @@ class JobTracker:
             finish_s=finish,
             result=result,
             scratch=scratch,
+            launch_no=state.launched,
             speculative=speculative,
         )
         if (
@@ -756,137 +676,118 @@ class JobTracker:
             and chaos is not None
             and chaos.dooms(state.index, queued.task.task_id, queued.attempt)
         ):
-            running.doomed = True
-        registry.append(running)
+            attempt.doomed = True
+        running.append(attempt)
+        tenant = state.job.tenant
+        by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
         state.active += 1
         state.launched += 1
         state.quota_deferred = False
         if state.first_launch_s is None:
             state.first_launch_s = start
-            counters.increment(
-                Counters.SCHED_QUEUE_WAIT_SECONDS, start - state.job.submit_s
-            )
-        return running
+            counters.increment(Counters.SCHED_QUEUE_WAIT_SECONDS, start - state.job.submit_s)
+        return attempt
 
     @staticmethod
-    def _settle_until(deadline: float, registry: list[_Running]) -> None:
+    def _retire(attempt: _Running, running: list[_Running], by_tenant: dict[str, int]) -> None:
+        """Take one attempt out of the unsettled set — every settle/kill site ends here."""
+        attempt.settled = True
+        running.remove(attempt)
+        attempt.state.active -= 1
+        by_tenant[attempt.state.job.tenant] -= 1
+
+    @staticmethod
+    def _settle_until(
+        deadline: float, running: list[_Running], by_tenant: dict[str, int]
+    ) -> None:
         """Settle every unsettled attempt whose slot occupancy ends by ``deadline``."""
-        due = [r for r in registry if not r.settled and r.end_s <= deadline]
-        due.sort(
-            key=lambda r: (
-                r.end_s,
-                r.state.index,
-                r.queued.task.task_id,
-                r.start_s,
-                r.speculative,
+        due = [r for r in running if r.end_s <= deadline]
+        if len(due) > 1:
+            due.sort(
+                key=lambda r: (
+                    r.end_s,
+                    r.state.index,
+                    r.queued.task.task_id,
+                    r.start_s,
+                    r.speculative,
+                )
             )
-        )
-        for running in due:
-            JobTracker._settle(running)
+        for attempt in due:
+            JobTracker._settle(attempt, running, by_tenant)
 
     @staticmethod
-    def _settle(running: _Running) -> None:
+    def _settle(attempt: _Running, running: list[_Running], by_tenant: dict[str, int]) -> None:
         """Resolve one finished (or killed) attempt: accept, discard, or fail-and-requeue."""
-        running.settled = True
-        state = running.state
-        state.active -= 1
+        JobTracker._retire(attempt, running, by_tenant)
+        state = attempt.state
         counters = state.job.counters
-        if running.kill_s is not None:
+        if attempt.kill_s is not None:
             # Only speculative losers settle lazily with a kill time (preemption and node
             # death settle their victims eagerly at the kill site); the winner finished
             # first, so this attempt's work is discarded — scratch counters and all.
             counters.increment(Counters.SPEC_ATTEMPTS_DISCARDED)
-            counters.increment(
-                Counters.SPEC_WASTED_SECONDS, running.kill_s - running.start_s
-            )
-            state.speculative_discarded += 1
+            counters.increment(Counters.SPEC_WASTED_SECONDS, attempt.kill_s - attempt.start_s)
             return
-        if running.doomed:
+        if attempt.doomed:
             # Injected task failure: the attempt ran, failed at the end, and retries.
             counters.increment(Counters.RESCHEDULED_MAP_TASKS)
             state.rescheduled += 1
-            state.queue.append(
-                _QueuedTask(
-                    running.queued.task,
-                    attempt=running.queued.attempt + 1,
-                    not_before_s=running.finish_s,
-                )
-            )
+            state.queue.append(attempt.retry(attempt.finish_s))
             return
-        counters.merge(running.scratch)
-        state.scheduled.append(
-            ScheduledTask(
-                task=running.queued.task,
-                node_id=running.slot.node_id,
-                start_s=running.start_s,
-                finish_s=running.finish_s,
-                result=running.result,
-                attempt=running.queued.attempt,
-            )
+        counters.merge(attempt.scratch)
+        state.scheduled[attempt.launch_no] = ScheduledTask(
+            task=attempt.queued.task,
+            node_id=attempt.slot.node_id,
+            start_s=attempt.start_s,
+            finish_s=attempt.finish_s,
+            result=attempt.result,
+            attempt=attempt.queued.attempt,
         )
-        state.durations.append(running.finish_s - running.start_s)
-        state.max_finish_s = max(state.max_finish_s, running.finish_s)
-        if running.rival is not None:
+        state.durations.append(attempt.finish_s - attempt.start_s)
+        state.max_finish_s = max(state.max_finish_s, attempt.finish_s)
+        if attempt.rival is not None:
             counters.increment(Counters.SPEC_ATTEMPTS_WON)
 
     def _strike_node(
         self,
-        chaos: ConcurrentChaos,
+        failure: FailureEvent,
         kill_time: float,
         slots: list[_Slot],
-        registry: list[_Running],
+        running: list[_Running],
+        by_tenant: dict[str, int],
     ) -> None:
-        """Kill the chaos plan's node mid-batch: revoke its attempts, requeue after expiry.
+        """Kill ``failure``'s node mid-phase: revoke its attempts, requeue after expiry.
 
-        A revoked attempt whose speculative rival survives on an alive node is *not*
-        requeued — the rival completes the task alone (resurrected first if it had already
-        lost the race), which is exactly why speculation bounds tail latency under node
-        loss.
+        The node's slots leave the pool.  A revoked attempt whose speculative rival survives
+        on an alive node is *not* requeued — the rival completes the task alone (resurrected
+        first if it had already lost the race), which is exactly why speculation bounds tail
+        latency under node loss.
         """
-        failure = chaos.node_failure
         if self.cluster.node(failure.node_id).is_alive:
             self.cluster.kill_node(failure.node_id)
-        for slot in slots:
-            if slot.node_id == failure.node_id:
-                slot.dead = True
-        not_before = kill_time + failure.expiry_interval_s
-        for running in registry:
-            if running.settled or running.slot.node_id != failure.node_id:
-                continue
-            running.settled = True
-            running.kill_s = kill_time
-            running.kill_reason = "node"
-            state = running.state
-            state.active -= 1
+        slots[:] = [slot for slot in slots if slot.node_id != failure.node_id]
+        for attempt in [r for r in running if r.slot.node_id == failure.node_id]:
+            self._retire(attempt, running, by_tenant)
+            attempt.kill_s = kill_time
+            state = attempt.state
             counters = state.job.counters
-            rival = running.rival
-            if rival is not None and not rival.settled and not rival.slot.dead:
+            rival = attempt.rival
+            if rival is not None and not rival.settled and rival.slot.node_id != failure.node_id:
                 if rival.kill_s is not None:
                     rival.kill_s = None
-                    rival.kill_reason = None
                     rival.slot.available_s = rival.finish_s
                 counters.increment(Counters.SPEC_ATTEMPTS_DISCARDED)
-                counters.increment(
-                    Counters.SPEC_WASTED_SECONDS, kill_time - running.start_s
-                )
-                state.speculative_discarded += 1
+                counters.increment(Counters.SPEC_WASTED_SECONDS, kill_time - attempt.start_s)
                 continue
             counters.increment(Counters.RESCHEDULED_MAP_TASKS)
             state.rescheduled += 1
-            state.queue.append(
-                _QueuedTask(
-                    running.queued.task,
-                    attempt=running.queued.attempt + 1,
-                    not_before_s=not_before,
-                )
-            )
+            state.queue.append(attempt.retry(kill_time + failure.expiry_interval_s))
 
     @staticmethod
     def _tenant_allowance(
         policy: ConcurrencyPolicy,
         admitted: list[_JobState],
         slots: list[_Slot],
-        now: float,
     ) -> Optional[dict[str, int]]:
         """Weighted slot entitlement per tenant with in-flight work, or ``None``.
 
@@ -898,15 +799,14 @@ class JobTracker:
             return None
         demand: dict[str, float] = {}
         for state in admitted:
-            if state.in_flight(now):
+            if state.in_flight():
                 demand.setdefault(state.job.tenant, policy.weight(state.job.tenant))
         if len(demand) <= 1:
             return None
-        alive = sum(1 for slot in slots if not slot.dead)
         total = sum(demand.values())
         allowance: dict[str, int] = {}
         for tenant, weight in demand.items():
-            share = max(1, int(alive * weight / total))
+            share = max(1, int(len(slots) * weight / total))
             if policy.tenant_slot_quota is not None:
                 share = min(share, policy.tenant_slot_quota)
             allowance[tenant] = share
@@ -915,7 +815,8 @@ class JobTracker:
     @staticmethod
     def _preempt(
         policy: ConcurrencyPolicy,
-        registry: list[_Running],
+        running: list[_Running],
+        by_tenant: dict[str, int],
         now: float,
         allowance: Optional[dict[str, int]],
     ) -> None:
@@ -929,20 +830,12 @@ class JobTracker:
         """
         if allowance is None:
             return
-        by_tenant: dict[str, list[_Running]] = {}
-        for running in registry:
-            if not running.settled:
-                by_tenant.setdefault(running.state.job.tenant, []).append(running)
-        for tenant in sorted(by_tenant):
-            allowed = allowance.get(tenant)
-            if allowed is None:
-                continue
-            attempts = by_tenant[tenant]
-            excess = len(attempts) - allowed
+        for tenant in sorted(allowance):
+            excess = by_tenant.get(tenant, 0) - allowance[tenant]
             if excess <= 0:
                 continue
             victims = sorted(
-                attempts,
+                (r for r in running if r.state.job.tenant == tenant),
                 key=lambda r: (
                     r.kill_s is None,
                     -r.start_s,
@@ -950,39 +843,28 @@ class JobTracker:
                     r.queued.task.task_id,
                 ),
             )
-            for running in victims:
+            for attempt in victims:
                 if excess <= 0:
                     break
                 if (
-                    running.kill_s is None
-                    and running.rival is not None
-                    and not running.rival.settled
+                    attempt.kill_s is None
+                    and attempt.rival is not None
+                    and not attempt.rival.settled
                 ):
                     continue
-                state = running.state
+                state = attempt.state
                 if state.preemptions >= policy.max_preemptions_per_job:
                     continue
-                was_loser = running.kill_s is not None
+                was_loser = attempt.kill_s is not None
                 state.preemptions += 1
-                running.settled = True
-                running.kill_s = now
-                running.kill_reason = "preempt"
-                state.active -= 1
-                running.slot.available_s = now
+                JobTracker._retire(attempt, running, by_tenant)
+                attempt.kill_s = now
+                attempt.slot.available_s = now
                 counters = state.job.counters
                 counters.increment(Counters.PREEMPT_ATTEMPTS_KILLED)
-                counters.increment(
-                    Counters.PREEMPT_WASTED_SECONDS, now - running.start_s
-                )
-                state.preempted += 1
+                counters.increment(Counters.PREEMPT_WASTED_SECONDS, now - attempt.start_s)
                 if not was_loser:
-                    state.queue.append(
-                        _QueuedTask(
-                            running.queued.task,
-                            attempt=running.queued.attempt + 1,
-                            not_before_s=now,
-                        )
-                    )
+                    state.queue.append(attempt.retry(now))
                 excess -= 1
 
     def _speculate(
@@ -991,8 +873,8 @@ class JobTracker:
         now: float,
         policy: ConcurrencyPolicy,
         chaos: Optional[ConcurrentChaos],
-        registry: list[_Running],
-        running_by_tenant: dict[str, int],
+        running: list[_Running],
+        by_tenant: dict[str, int],
         allowance: Optional[dict[str, int]],
     ) -> bool:
         """Try to launch a backup attempt for the worst straggler on the idle ``slot``.
@@ -1006,53 +888,46 @@ class JobTracker:
         """
         best: Optional[_Running] = None
         best_key: Optional[tuple] = None
-        for running in registry:
-            if running.settled or running.speculative or running.rival is not None:
+        for attempt in running:
+            if attempt.speculative or attempt.rival is not None:
                 continue
-            if running.doomed or running.kill_s is not None:
+            if attempt.doomed or attempt.kill_s is not None:
                 continue
-            if running.finish_s <= now or running.slot.node_id == slot.node_id:
+            if attempt.finish_s <= now or attempt.slot.node_id == slot.node_id:
                 continue
-            state = running.state
+            state = attempt.state
             if not state.durations:
                 continue
             typical = _percentile(state.durations, policy.speculative_percentile)
-            if (running.finish_s - running.start_s) <= policy.speculative_slowdown * typical:
+            if (attempt.finish_s - attempt.start_s) <= policy.speculative_slowdown * typical:
                 continue
             tenant = state.job.tenant
-            limit = policy.tenant_slot_quota
-            if allowance is not None and tenant in allowance:
-                limit = allowance[tenant]
-            if limit is not None and running_by_tenant.get(tenant, 0) >= limit:
+            limit = self._tenant_limit(policy, allowance, tenant)
+            if limit is not None and by_tenant.get(tenant, 0) >= limit:
                 continue
-            key = (-running.finish_s, state.index, running.queued.task.task_id)
+            key = (-attempt.finish_s, state.index, attempt.queued.task.task_id)
             if best is None or key < best_key:
-                best, best_key = running, key
+                best, best_key = attempt, key
         if best is None:
             return False
-        state = best.state
-        backup_queued = _QueuedTask(
-            best.queued.task, attempt=best.queued.attempt + 1, not_before_s=now
+        backup = self._launch(
+            best.state, best.retry(now), slot, now, chaos, running, by_tenant, speculative=True
         )
-        backup = self._launch(state, backup_queued, slot, now, chaos, registry, speculative=True)
-        state.job.counters.increment(Counters.SPEC_ATTEMPTS_LAUNCHED)
-        state.speculative_launched += 1
+        best.state.job.counters.increment(Counters.SPEC_ATTEMPTS_LAUNCHED)
         backup.rival = best
         best.rival = backup
         loser = backup if backup.finish_s >= best.finish_s else best
         winner = best if loser is backup else backup
         loser.kill_s = winner.finish_s
-        loser.kill_reason = "speculation"
         loser.slot.available_s = winner.finish_s
         return True
 
     @staticmethod
-    def _concurrent_outcomes(
-        states: list[_JobState], slots: list[_Slot], failure_node: Optional[int] = None
+    def _outcomes(
+        states: list[_JobState], alive_slots: int, failure_node: Optional[int]
     ) -> list[ConcurrentJobOutcome]:
         """Wrap per-job results, flagging interleaving and settling deadlines."""
         outcomes: list[ConcurrentJobOutcome] = []
-        alive = len([slot for slot in slots if not slot.dead])
         for state in states:
             window_open = state.first_launch_s
             interleaved = window_open is not None and any(
@@ -1068,22 +943,17 @@ class JobTracker:
             if state.job.deadline_s is not None:
                 deadline_met = state.max_finish_s <= state.job.deadline_s
                 state.job.counters.increment(
-                    Counters.DEADLINE_JOBS_MET
-                    if deadline_met
-                    else Counters.DEADLINE_JOBS_MISSED
+                    Counters.DEADLINE_JOBS_MET if deadline_met else Counters.DEADLINE_JOBS_MISSED
                 )
             admitted_s = state.admitted_s if state.admitted_s is not None else 0.0
             outcomes.append(
                 ConcurrentJobOutcome(
                     outcome=ScheduleOutcome(
-                        scheduled=state.scheduled,
+                        scheduled=[state.scheduled[n] for n in sorted(state.scheduled)],
                         makespan_s=state.max_finish_s,
-                        num_slots=alive,
+                        num_slots=alive_slots,
                         rescheduled=state.rescheduled,
                         failure_node=failure_node,
-                        speculative_launched=state.speculative_launched,
-                        speculative_discarded=state.speculative_discarded,
-                        preempted=state.preempted,
                     ),
                     tenant=state.job.tenant,
                     admitted_s=admitted_s,
@@ -1096,11 +966,9 @@ class JobTracker:
         return outcomes
 
     @staticmethod
-    def _next_slot(slots: list[_Slot]) -> Optional[_Slot]:
-        usable = [slot for slot in slots if not slot.dead]
-        if not usable:
-            return None
-        return min(usable, key=lambda slot: slot.available_s)
+    def _next_slot(slots: list[_Slot]) -> _Slot:
+        """The alive slot that frees up first (ties: pool order)."""
+        return min(slots, key=lambda slot: slot.available_s)
 
     @staticmethod
     def _pick_task(
@@ -1147,35 +1015,3 @@ class JobTracker:
             counters.increment(Counters.SCHED_PLAIN_LOCAL)
         else:
             counters.increment(Counters.SCHED_REMOTE)
-
-    def _apply_failure(
-        self,
-        failure: FailureEvent,
-        kill_time_s: float,
-        slots: list[_Slot],
-        scheduled: list[ScheduledTask],
-        lost: list[ScheduledTask],
-        queue: Deque[_QueuedTask],
-        counters: Counters,
-    ) -> int:
-        """Kill the failure node, discard its in-flight attempts, requeue them after expiry."""
-        if self.cluster.node(failure.node_id).is_alive:
-            self.cluster.kill_node(failure.node_id)
-        for slot in slots:
-            if slot.node_id == failure.node_id:
-                slot.dead = True
-        not_before = kill_time_s + failure.expiry_interval_s
-        still_valid: list[ScheduledTask] = []
-        requeued = 0
-        for attempt in scheduled:
-            if attempt.node_id == failure.node_id and attempt.finish_s > kill_time_s:
-                lost.append(attempt)
-                queue.append(
-                    _QueuedTask(task=attempt.task, attempt=attempt.attempt + 1, not_before_s=not_before)
-                )
-                counters.increment(Counters.RESCHEDULED_MAP_TASKS)
-                requeued += 1
-            else:
-                still_valid.append(attempt)
-        scheduled[:] = still_valid
-        return requeued

@@ -12,10 +12,14 @@ with both the functional output and the paper's timing decomposition:
   surviving parallelism, not the configured one,
 - ``overhead_s``      — ``runtime - ideal``, the framework overhead (Figures 6(c), 7(c)).
 
-:meth:`MapReduceRunner.run_concurrent` executes a *batch* of jobs whose map phases share the
-JobTracker's slot pool (see :class:`~repro.mapreduce.job_tracker.ConcurrencyPolicy`); each
-job still yields its own :class:`JobResult`, whose ``runtime_s`` is then an end-to-end
-*latency* on the shared timeline — it includes time spent queued behind other tenants.
+:meth:`MapReduceRunner.run` executes one job; :meth:`MapReduceRunner.run_concurrent` executes a
+*batch* of jobs whose map phases share the JobTracker's slot pool (see
+:class:`~repro.mapreduce.job_tracker.ConcurrencyPolicy`).  Both prepare jobs the same way
+(splits → map tasks → a :class:`~repro.mapreduce.job_tracker.ConcurrentJob`), schedule them
+through the JobTracker's one map-phase loop, and finish them in :meth:`_complete_job` — a
+serial run is the single-job case.  In a batch each job still yields its own
+:class:`JobResult`, whose ``runtime_s`` is then an end-to-end *latency* on the shared timeline
+— it includes time spent queued behind other tenants.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.cluster.topology import Cluster
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import PRUNED_BLOCKS_PROPERTY, JobConf, JobResult
-from repro.mapreduce.job_client import JobClient
+from repro.mapreduce.job_client import JobClient, SplitPlan
 from repro.mapreduce.job_tracker import (
     ConcurrencyPolicy,
     ConcurrentJob,
@@ -105,7 +109,7 @@ class MapReduceRunner:
         arrivals on the batch timeline (default: all at 0) and ``deadlines`` attaches
         per-job soft deadlines (EDF tie-breaks + ``DEADLINE_*`` accounting).  ``chaos``
         injects faults into the interleaved phase — a node death (the node is revived
-        before returning, mirroring the serial failure runner), task-attempt failures,
+        before returning, as :meth:`run` does after its node kill), task-attempt failures,
         and straggler slow-downs; see :class:`~repro.cluster.failure.ConcurrentChaos`.
 
         Results align with ``jobconfs``; each ``JobResult.runtime_s`` is the job's
@@ -120,31 +124,19 @@ class MapReduceRunner:
         """
         if tenants is None:
             tenants = ["default"] * len(jobconfs)
-        if len(tenants) != len(jobconfs):
-            raise ValueError("tenants must align one-to-one with jobconfs")
-        if submit_times is not None and len(submit_times) != len(jobconfs):
-            raise ValueError("submit_times must align one-to-one with jobconfs")
-        if deadlines is not None and len(deadlines) != len(jobconfs):
-            raise ValueError("deadlines must align one-to-one with jobconfs")
+        aligned = {"tenants": tenants, "submit_times": submit_times, "deadlines": deadlines}
+        for name, values in aligned.items():
+            if values is not None and len(values) != len(jobconfs):
+                raise ValueError(f"{name} must align one-to-one with jobconfs")
         jobs: list[ConcurrentJob] = []
         plans = []
         for i, (jobconf, tenant) in enumerate(zip(jobconfs, tenants)):
-            counters = Counters()
-            self._set_usage_recording(jobconf, record=True)
-            plan = self.job_client.compute_splits(jobconf)
-            tasks = [
-                MapTask(task_id=i, split=split, jobconf=jobconf)
-                for i, split in enumerate(plan.splits)
-            ]
-            jobs.append(
-                ConcurrentJob(
-                    tasks=tasks,
-                    counters=counters,
-                    tenant=tenant,
-                    submit_s=submit_times[i] if submit_times is not None else 0.0,
-                    deadline_s=deadlines[i] if deadlines is not None else None,
-                )
-            )
+            plan, job = self._prepare_job(jobconf, tenant=tenant)
+            if submit_times is not None:
+                job.submit_s = submit_times[i]
+            if deadlines is not None:
+                job.deadline_s = deadlines[i]
+            jobs.append(job)
             plans.append(plan)
         try:
             outcomes = self.job_tracker.run_concurrent_map_phases(jobs, policy, chaos=chaos)
@@ -181,6 +173,22 @@ class MapReduceRunner:
         return results
 
     # ------------------------------------------------------------------ internals
+    def _prepare_job(
+        self, jobconf: JobConf, tenant: str = "default", record_usage: bool = True
+    ) -> tuple[SplitPlan, ConcurrentJob]:
+        """Split phase of one job: its split plan plus the map tasks as a ``ConcurrentJob``.
+
+        Every job — serial or batched — enters the JobTracker's scheduling loop in this
+        shape, with a fresh counter bag of its own.
+        """
+        self._set_usage_recording(jobconf, record=record_usage)
+        plan = self.job_client.compute_splits(jobconf)
+        tasks = [
+            MapTask(task_id=i, split=split, jobconf=jobconf)
+            for i, split in enumerate(plan.splits)
+        ]
+        return plan, ConcurrentJob(tasks=tasks, counters=Counters(), tenant=tenant)
+
     def _run_once(
         self,
         jobconf: JobConf,
@@ -188,16 +196,13 @@ class MapReduceRunner:
         kill_time_s: Optional[float],
         commit_adaptive: bool = True,
     ) -> JobResult:
-        counters = Counters()
-        self._set_usage_recording(jobconf, record=commit_adaptive)
-        plan = self.job_client.compute_splits(jobconf)
-        tasks = [MapTask(task_id=i, split=split, jobconf=jobconf) for i, split in enumerate(plan.splits)]
-
+        """One single-job map phase (optionally with the node kill) and its completion."""
+        plan, job = self._prepare_job(jobconf, record_usage=commit_adaptive)
         outcome = self.job_tracker.run_map_phase(
-            tasks, counters, failure=failure, kill_time_s=kill_time_s
+            job.tasks, job.counters, failure=failure, kill_time_s=kill_time_s
         )
         return self._complete_job(
-            jobconf, plan, tasks, outcome, counters, commit_adaptive=commit_adaptive
+            jobconf, plan, job.tasks, outcome, job.counters, commit_adaptive=commit_adaptive
         )
 
     def _complete_job(
@@ -213,7 +218,7 @@ class MapReduceRunner:
     ) -> JobResult:
         """Everything after the map phase: commits, reduce, lifecycle, timing decomposition.
 
-        Shared by the serial path and :meth:`run_concurrent`; for concurrent jobs
+        Shared by :meth:`run` and :meth:`run_concurrent`; for batched jobs
         ``outcome.makespan_s`` is absolute on the batch timeline, so the returned
         ``runtime_s`` is the job's latency including queueing.
         """

@@ -123,19 +123,6 @@ def test_numpy_backend_exactness_boundaries():
     )
 
 
-# --------------------------------------------------------------------------- mask form
-def test_clause_mask_bytes_agrees_with_clause_matches():
-    rng = random.Random(604)
-    for _ in range(40):
-        pax = _random_block(rng, 50)
-        predicate = _random_predicate(rng)
-        for clause in predicate.clauses:
-            column = pax.columns[clause.attribute_index(_SCHEMA)]
-            mask = kernels.clause_mask_bytes(clause, column)
-            assert isinstance(mask, bytearray)
-            assert list(mask) == [int(clause.matches(value)) for value in column]
-
-
 def test_filter_ranges_concatenates_windows_in_order():
     pax = _random_block(random.Random(605), 90)
     predicate = Predicate.comparison("k", Operator.GE, 0)

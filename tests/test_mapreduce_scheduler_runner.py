@@ -174,6 +174,17 @@ def test_runner_failover_preserves_results(loaded_hdfs, cost_model, simple_recor
     assert failed.failure_node == 1
 
 
+def test_failure_after_the_last_attempt_never_strikes(loaded_hdfs, cost_model):
+    """A kill scheduled at 100% progress finds nothing running: no node dies, none is reported."""
+    runner = MapReduceRunner(loaded_hdfs, cost_model)
+    baseline = runner.run(_scan_job())
+    failure = FailureInjector(loaded_hdfs.cluster, seed=2).node_failure(1, at_progress=1.0)
+    late = runner.run(_scan_job(), failure=failure)
+    assert late.runtime_s == baseline.runtime_s
+    assert late.rescheduled_tasks == 0 and late.failure_node is None
+    assert late.counters.as_dict() == baseline.counters.as_dict()
+
+
 def test_runner_failover_near_end_of_job(loaded_hdfs, cost_model):
     runner = MapReduceRunner(loaded_hdfs, cost_model)
     injector = FailureInjector(loaded_hdfs.cluster, seed=2)

@@ -157,6 +157,32 @@ def test_admission_limit_prevents_tenant_monopoly(loaded_hdfs, cost_model):
     assert alice_waits >= 1
 
 
+def test_zero_task_job_finishes_at_admission(loaded_hdfs, cost_model):
+    """A job with no map tasks (every split pruned) is a normal job, not a scheduler stall."""
+    tracker = JobTracker(loaded_hdfs.cluster, loaded_hdfs, cost_model)
+    lone = ConcurrentJob(tasks=[], counters=Counters(), tenant="a")
+    [outcome] = tracker.run_concurrent_map_phases([lone])
+    assert outcome.outcome.scheduled == []
+    assert outcome.outcome.makespan_s == outcome.finish_s == 0.0
+    assert lone.counters.value(Counters.TENANT_JOBS_ADMITTED) == 1
+    assert lone.counters.value(Counters.LAUNCHED_MAP_TASKS) == 0
+    assert tracker.run_map_phase([], Counters()).makespan_s == 0.0
+
+    # Behind a real job at the default one-job gate it is admitted — and done — the moment
+    # the gate opens; it never holds the token, so the job after it is admitted then too.
+    jobs = [
+        _make_job(loaded_hdfs, cost_model, "real", "a"),
+        ConcurrentJob(tasks=[], counters=Counters(), tenant="b"),
+        _make_job(loaded_hdfs, cost_model, "after", "a"),
+    ]
+    real, empty, after = tracker.run_concurrent_map_phases(jobs)
+    assert empty.outcome.scheduled == []
+    assert empty.admitted_s == empty.finish_s == real.finish_s > 0.0
+    assert not empty.interleaved
+    assert after.admitted_s == real.finish_s
+    assert _sorted_output(after.outcome) == _sorted_output(real.outcome) != []
+
+
 # --------------------------------------------------------------------------- session layer
 _PATH = "/data/synthetic"
 
@@ -350,3 +376,27 @@ def test_operator_counters_stay_per_tenant():
     # And the isolation is symmetric: alice's plain-scan-only sibling view stays coherent —
     # her queries_run counts the three operator queries, bob's counts his single scan.
     assert a.queries_run == 3 and b.queries_run == 1
+
+
+def test_all_pruned_batch_drains_through_the_session_layer():
+    """A concurrent drain whose every job is zone-pruned to zero tasks returns empty results."""
+    config = (
+        HailConfig.for_attributes(("f1",), functional_partition_size=1)
+        .with_zone_maps(True, split_pruning=True)
+        .with_concurrency(max_jobs=2)
+    )
+    alice = Session.deploy(nodes=4, hail_config=config, tenant="alice")
+    generator = SyntheticGenerator(seed=7)
+    alice.upload(_PATH, generator.generate(800), generator.schema, rows_per_block=100)
+    bob = alice.attach("bob")
+    for i, session in enumerate((alice, bob, alice, bob)):
+        session.dataset(_PATH).where(col("f2") < -1).named(f"never-{i}").submit()
+    batches = run_multi_tenant_batch([alice, bob])
+    num_blocks = len(alice.system("HAIL").hdfs.namenode.file_blocks(_PATH))
+    for tenant in ("alice", "bob"):
+        assert len(batches[tenant]) == 2
+        for result in batches[tenant]:
+            assert result.records == []
+            assert result.job.num_map_tasks == 0
+            assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == num_blocks
+    assert alice.pending == () and bob.pending == ()

@@ -10,10 +10,12 @@ from datetime import date
 import pytest
 
 from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
-from repro.cluster import Cluster, CostModel, CostParameters, FailureInjector
+from repro.cluster import Cluster, CostModel, CostParameters, FailureEvent, FailureInjector
 from repro.datagen import SYNTHETIC_SCHEMA, USERVISITS_SCHEMA, SyntheticGenerator, UserVisitsGenerator
 from repro.hail import HailConfig, HailSystem
+from repro.mapreduce.counters import Counters
 from repro.workloads import bob_queries, synthetic_queries
+from repro.workloads.query import Query
 
 
 def _cost():
@@ -118,6 +120,38 @@ def test_hail_query_correct_under_node_failure(uservisits_deployment):
     hail.cluster.revive_all()
     assert result.sorted_records() == expected
     assert result.job.rescheduled_tasks >= 0
+
+
+@pytest.mark.parametrize("system_name", ["Hadoop", "HAIL"])
+def test_failure_run_ledger_charges_only_accepted_attempts(uservisits_deployment, system_name):
+    """A node kill changes the timeline, not the functional counters.
+
+    The attempts lost with the node leave launch bookkeeping behind (``LAUNCHED_MAP_TASKS``,
+    ``RESCHEDULED_MAP_TASKS``) but none of their functional counters — the serial fork this
+    pins against used to keep them in the job's bag (no double-charge, ROADMAP §3).
+    """
+    rows, systems = uservisits_deployment
+    system = systems[system_name]
+    query = Query(name="full", predicate=bob_queries()[0].predicate, projection=None)
+    healthy = system.run_query(query, "/uv")
+    result = system.run_query(query, "/uv", failure=FailureEvent(node_id=1, at_progress=0.5))
+    system.cluster.revive_all()
+    assert result.sorted_records() == _brute_force(rows, USERVISITS_SCHEMA, query)
+    assert result.job.failure_node == 1
+    assert result.job.rescheduled_tasks > 0, "degenerate test: the kill lost no attempt"
+    assert result.runtime_s > healthy.runtime_s
+    counters = result.job.counters
+    assert counters.value(Counters.MAP_OUTPUT_RECORDS) == len(result.records) > 0
+    if system_name == "Hadoop":
+        # Text replicas are interchangeable, so re-execution reads exactly the same bytes
+        # (HAIL's re-executed tasks may fall back to a scan on a differently-indexed replica).
+        for name in (Counters.MAP_INPUT_RECORDS, Counters.BYTES_READ):
+            assert counters.value(name) == healthy.job.counters.value(name)
+    # The launch audit, on the serial entry point: every launch is accepted or rescheduled.
+    assert counters.value(Counters.RESCHEDULED_MAP_TASKS) == result.job.rescheduled_tasks
+    assert counters.value(Counters.LAUNCHED_MAP_TASKS) == (
+        len(result.job.task_results) + counters.value(Counters.RESCHEDULED_MAP_TASKS)
+    )
 
 
 def test_hail_falls_back_to_scan_when_indexed_replicas_lost(uservisits_deployment):

@@ -23,7 +23,7 @@ _ROWS_PER_BLOCK = 40
 _NUM_RECORDS = 320  # 8 blocks
 
 
-def _system(zone_maps: bool = True, split_pruning: bool = True) -> HailSystem:
+def _system(zone_maps: bool = True, split_pruning: bool = True, max_jobs: int = 1) -> HailSystem:
     system = HailSystem(
         Cluster.homogeneous(3, seed=2),
         config=HailConfig(
@@ -31,7 +31,7 @@ def _system(zone_maps: bool = True, split_pruning: bool = True) -> HailSystem:
             functional_partition_size=1,
             zone_maps=zone_maps,
             zone_split_pruning=split_pruning,
-        ),
+        ).with_concurrency(max_jobs=max_jobs),
         cost=CostModel(CostParameters(enable_variance=False, data_scale=50.0)),
     )
     # Sorted on f2 so per-block f2 zone ranges are disjoint: range predicates prune cleanly.
@@ -61,6 +61,20 @@ def test_impossible_predicate_schedules_zero_map_tasks():
     num_blocks = len(system.hdfs.namenode.file_blocks(_PATH))
     assert counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == num_blocks
     assert counters.value(Counters.ZONE_MAP_PRUNED_BYTES) > 0
+
+
+def test_all_pruned_concurrent_batch_returns_empty_results():
+    """Zero map tasks is a normal job for the concurrent drain too (it used to stall)."""
+    system = _system(max_jobs=2)
+    never = Query(name="never", predicate=Predicate.comparison("f2", Operator.LT, -1), projection=None)
+    results = system.run_queries([(never, _PATH), (never, _PATH)])
+    num_blocks = len(system.hdfs.namenode.file_blocks(_PATH))
+    assert len(results) == 2
+    for result in results:
+        assert result.records == []
+        assert result.job.num_map_tasks == 0
+        assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == num_blocks
+        assert result.job.counters.value(Counters.LAUNCHED_MAP_TASKS) == 0
 
 
 def test_selective_range_prunes_most_splits_and_answers_exactly():
