@@ -8,84 +8,15 @@ output is the simulated-seconds table, which is also attached to the benchmark's
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import pathlib
-
 import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.report import FigureResult
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Emit the pinned perf records after a green benchmark session.
-
-    Opt-in: set ``REPRO_BENCH_RECORD=<output path>`` for the engine record (the CI smoke
-    step sets it to ``BENCH_6.json``), ``REPRO_BENCH_SATURATION=<output path>`` for
-    the multi-tenant concurrency record (``BENCH_7.json``), and/or
-    ``REPRO_BENCH_RECOVERY=<output path>`` for the crash-recovery record
-    (``BENCH_8.json``), and/or ``REPRO_BENCH_OPERATORS=<output path>`` for the relational
-    operator record (``BENCH_9.json``), and/or ``REPRO_BENCH_CHAOS=<output path>`` for
-    the concurrency-stress record (``BENCH_10.json``).  The engine recorder lives in
-    :mod:`benchmarks.bench_record`, which is not a package module, so it is loaded by file
-    path; quick mode keeps the hook cheap.
-    """
-    if exitstatus != 0:
-        return
-    out_path = os.environ.get("REPRO_BENCH_RECORD", "").strip()
-    if out_path:
-        recorder_path = pathlib.Path(__file__).with_name("bench_record.py")
-        spec = importlib.util.spec_from_file_location("bench_record", recorder_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        payload = module.write_record(out_path, repeats=2)
-        print(f"\nwrote {out_path}: combined_speedup={payload['combined_speedup']:.2f}x")
-    saturation_path = os.environ.get("REPRO_BENCH_SATURATION", "").strip()
-    if saturation_path:
-        # The saturation recorder is a package module (repro.experiments.saturation), so no
-        # file-path loading is needed; the CI smoke step sets the env var to BENCH_7.json.
-        from repro.experiments.saturation import write_record as write_saturation
-
-        payload = write_saturation(saturation_path)
-        print(
-            f"\nwrote {saturation_path}: best_speedup_vs_serial="
-            f"{payload['best_speedup_vs_serial']:.2f}x"
-        )
-    recovery_path = os.environ.get("REPRO_BENCH_RECOVERY", "").strip()
-    if recovery_path:
-        from repro.experiments.recovery import write_record as write_recovery
-
-        payload = write_recovery(recovery_path)
-        print(
-            f"\nwrote {recovery_path}: recovery_speedup="
-            f"{payload['recovery_speedup']:.2f}x"
-        )
-    operators_path = os.environ.get("REPRO_BENCH_OPERATORS", "").strip()
-    if operators_path:
-        from repro.experiments.operators import write_record as write_operators
-
-        payload = write_operators(operators_path)
-        print(
-            f"\nwrote {operators_path}: combiner_reduction="
-            f"{payload['combiner']['pair_reduction']:.2f}x, "
-            f"topk_read_fraction={payload['topk']['read_fraction']:.2f}"
-        )
-    chaos_path = os.environ.get("REPRO_BENCH_CHAOS", "").strip()
-    if chaos_path:
-        from repro.experiments.saturation import write_chaos_record
-
-        payload = write_chaos_record(chaos_path)
-        print(
-            f"\nwrote {chaos_path}: spec_speedup={payload['spec_speedup']:.2f}x, "
-            f"p99_ratio={payload['p99_ratio']:.2f}x, "
-            f"preempt_kills={payload['preempt_kills']}"
-        )
-
-
 @pytest.fixture(scope="session")
 def config() -> ExperimentConfig:
-    """The benchmark-scale experiment configuration (see DESIGN.md, scaling section)."""
+    """The benchmark-scale experiment configuration."""
     return ExperimentConfig(nodes=4, blocks_per_node=8, rows_per_block=100, seed=7)
 
 

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for HAIL's individual design choices (see DESIGN.md, Section 6)."""
+"""Ablation benchmarks for HAIL's individual design choices."""
 
 from conftest import run_figure
 

@@ -3,10 +3,10 @@
 Pins the acceptance properties of the hardened concurrent scheduler: on a saturated
 two-tenant backlog, (a) every fault scenario answers bit-identically to the failure-free
 run — faults move work on the timeline, never across answers; (b) speculation beats the
-speculation-off straggler makespan by at least the 1.3x record floor; (c) p99 latency
+speculation-off straggler makespan by at least 1.3x; (c) p99 latency
 under an injected mid-batch node death stays within 2x the failure-free p99; and
 (d) preemption fires at least once while every tenant's peak running attempts stay
-inside the slot quota.
+inside the slot quota.  The assertions below are the floors.
 """
 
 from conftest import run_figure
@@ -39,7 +39,7 @@ def test_chaos_curve(benchmark, config):
     # The straggler node genuinely hurts without speculation...
     assert rows["straggler"]["makespan_s"] > failure_free["makespan_s"]
     assert rows["straggler"]["spec_launched"] == 0
-    # ...and speculation claws the makespan back past the record floor.
+    # ...and speculation claws the makespan back past the 1.3x floor.
     speculation = rows["straggler_speculation"]
     assert speculation["spec_launched"] > 0
     assert speculation["spec_won"] > 0

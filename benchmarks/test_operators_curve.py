@@ -1,12 +1,11 @@
 """Operator benchmark: what the HAIL layout buys grouped aggregation, joins and top-k.
 
 Pins the acceptance properties of :mod:`repro.engine.operators` end to end on a
-benchmark-scale deployment: the map-side combiner must cut shuffled pairs by the pinned
-``BENCH_9`` floor (≥2x), the planner must pick the shuffle-free merge join on co-partitioned
-sides without it ever costing more than the forced hash fallback, and ranked top-k must open
-fewer than half the file's blocks (see ``tools/check_bench.py``).  Every variant's rows are
-cross-checked against brute force inside the curve — a single ``results_identical=False``
-fails here before it can fail in CI.
+benchmark-scale deployment: the map-side combiner must cut shuffled pairs ≥2x, the planner
+must pick the shuffle-free merge join on co-partitioned sides without it ever costing more
+than the forced hash fallback, and ranked top-k must open fewer than half the file's blocks
+— the assertions below are the floors.  Every variant's rows are cross-checked against brute
+force inside the curve, and a single ``results_identical=False`` fails here.
 """
 
 from conftest import run_figure
@@ -25,7 +24,7 @@ def test_operators_curve(benchmark, config):
     combined = result.row_for("variant", "combiner-on")
     uncombined = result.row_for("variant", "combiner-off")
     assert combined["output_rows"] == uncombined["output_rows"]
-    # The record floor holds at benchmark scale: combining shrinks the shuffle ≥2x.
+    # This assertion is the combiner floor: combining shrinks the shuffle ≥2x.
     assert uncombined["shuffled_pairs"] >= 2 * combined["shuffled_pairs"] > 0
 
     merge = result.row_for("variant", "merge")

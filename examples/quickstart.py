@@ -27,7 +27,7 @@ def main() -> None:
     schema = generator.schema
 
     # Scale the cost model so every functional block of 250 rows stands in for a 64 MB HDFS
-    # block (see DESIGN.md): simulated times then resemble the paper's cluster-scale numbers.
+    # block: simulated times then resemble the paper's cluster-scale numbers.
     block_bytes = sum(schema.text_size(r) for r in rows[:ROWS_PER_BLOCK])
     data_scale = 64 * 1024 * 1024 / block_bytes
 

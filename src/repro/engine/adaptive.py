@@ -117,7 +117,7 @@ class AdaptiveJobContext:
             budget=config.adaptive_budget_per_job,
             salt=salt,
             verify_checksums=config.verify_checksums,
-            multi_attribute=getattr(config, "adaptive_multi_attribute", False),
+            multi_attribute=config.adaptive_multi_attribute,
         )
 
     def begin_run(self) -> None:

@@ -1089,8 +1089,9 @@ class AdaptiveLifecycleManager:
         """
         if not config.adaptive_indexing:
             return None
-        balancer_on = getattr(config, "placement_balancer", False)
-        if not (config.adaptive_eviction or config.adaptive_auto_tune or balancer_on):
+        if not (
+            config.adaptive_eviction or config.adaptive_auto_tune or config.placement_balancer
+        ):
             return None
         pressure = DiskPressurePolicy(
             capacity_bytes=config.adaptive_disk_capacity_bytes if config.adaptive_eviction else None,
@@ -1103,18 +1104,18 @@ class AdaptiveLifecycleManager:
                 offer_rate=config.adaptive_offer_rate,
                 budget=config.adaptive_budget_per_job,
                 overhead_fraction=config.adaptive_overhead_fraction,
-                per_attribute=getattr(config, "adaptive_per_attribute_tune", False),
+                per_attribute=config.adaptive_per_attribute_tune,
             )
         balancer = None
-        if balancer_on:
+        if config.placement_balancer:
             # The balancer shares the eviction budget, so its placements and the evictor's
             # reclamations bound the same per-node adaptive footprint.
             balancer = PlacementBalancer(
                 pressure=pressure,
-                skew_high=getattr(config, "placement_skew_high", 2.0),
-                skew_low=getattr(config, "placement_skew_low", 1.5),
-                rebuilds_per_pass=getattr(config, "placement_rebuilds_per_job", 2),
-                migrations_per_pass=getattr(config, "placement_migrations_per_job", 4),
+                skew_high=config.placement_skew_high,
+                skew_low=config.placement_skew_low,
+                rebuilds_per_pass=config.placement_rebuilds_per_job,
+                migrations_per_pass=config.placement_migrations_per_job,
             )
         return cls(pressure=pressure, tuner=tuner, balancer=balancer)
 

@@ -6,7 +6,7 @@ scaled-down simulated cluster, runs the experiment, and returns a
 Absolute numbers are simulated seconds at a reduced scale; the *shapes* (which system wins, by
 roughly which factor, where crossovers happen) are the reproduction target.
 
-Overview (see DESIGN.md for the full per-experiment index):
+Overview (the README's "Reproducing the paper's figures" table maps each to its benchmark):
 
 - :mod:`repro.experiments.upload`     — Figure 4(a)/(b)/(c) and the Section 5 full-text micro-benchmark
 - :mod:`repro.experiments.scaleup`    — Table 2(a)/(b)

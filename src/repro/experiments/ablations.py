@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for HAIL's individual design choices.
 
 These experiments are not figures of the paper; they isolate individual HAIL design decisions:
 

@@ -6,30 +6,25 @@ different piece of what the paper's storage layer already maintains:
 1. **combiner** — grouped aggregation with the map-side combiner installed shuffles one
    partial pair per (map task, group) instead of one pair per record.  Both variants run the
    same ``GROUP BY`` on the same HAIL deployment; the curve reports the shuffled-pair counts
-   and the pinned record requires the reduction to clear
-   :data:`tools.check_bench.MIN_COMBINER_REDUCTION` (2x).
+   and ``benchmarks/test_operators_curve.py`` requires the reduction to clear 2x.
 2. **join** — on co-partitioned sides (every block of both paths carries a replica indexed on
    the join key) the planner picks the shuffle-free merge join; the same query forced to
-   ``strategy="hash"`` pays the full shuffle.  The record carries both simulated runtimes and
-   their ratio.
+   ``strategy="hash"`` pays the full shuffle.  The curve carries both simulated runtimes.
 3. **topk** — ``ORDER BY ... LIMIT k`` visits blocks best-first by their ``Dir_rep`` zone
    ranges and stops opening payloads once the running k-th value proves the rest empty.  On
-   rank-sorted data most blocks are skipped; the record requires the blocks-read fraction to
-   stay under :data:`tools.check_bench.MAX_TOPK_READ_FRACTION` (50%).
+   rank-sorted data most blocks are skipped; the same test requires the blocks-read fraction
+   to stay under 50%.
 
 Every variant is cross-checked against an independent brute-force evaluation of the same
 operator in plain Python — a speedup that changes the answer is a bug, not a win — and the
-verdicts travel in the record as ``results_identical`` flags the CI gate refuses.
+verdicts travel in the rows as ``results_identical`` flags the test refuses.
 """
 
 from __future__ import annotations
 
 import collections
-import json
-from pathlib import Path
 from typing import Optional
 
-from repro._version import __version__
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, SyntheticGenerator
 from repro.engine.operators import (
@@ -221,58 +216,3 @@ def operators_curve(config: Optional[ExperimentConfig] = None) -> FigureResult:
         results_identical=run.records == expected_top,
     )
     return result
-
-
-# --------------------------------------------------------------------------- pinned record
-def write_record(path: str, result: Optional[FigureResult] = None) -> dict:
-    """Emit the pinned BENCH_9 operator record (validated by ``tools/check_bench.py``)."""
-    if result is None:
-        result = operators_curve()
-    combined = result.row_for("variant", "combiner-on")
-    uncombined = result.row_for("variant", "combiner-off")
-    merge = result.row_for("variant", "merge")
-    hash_row = result.row_for("variant", "hash")
-    topk = result.row_for("operator", "topk")
-    blocks_total = topk["blocks_read"] + topk["blocks_skipped"]
-    payload = {
-        "bench_id": "BENCH_9",
-        "kind": "operators",
-        "schema_version": 1,
-        "version": __version__,
-        "combiner": {
-            "pairs_shuffled_without": uncombined["shuffled_pairs"],
-            "pairs_shuffled_with": combined["shuffled_pairs"],
-            "pair_reduction": (
-                uncombined["shuffled_pairs"] / combined["shuffled_pairs"]
-                if combined["shuffled_pairs"]
-                else 0.0
-            ),
-            "results_identical": bool(
-                combined["results_identical"] and uncombined["results_identical"]
-            ),
-        },
-        "join": {
-            "strategy_auto": "merge",
-            "merge_runtime_s": merge["runtime_s"],
-            "hash_runtime_s": hash_row["runtime_s"],
-            "merge_speedup": (
-                hash_row["runtime_s"] / merge["runtime_s"] if merge["runtime_s"] else 0.0
-            ),
-            "output_rows": merge["output_rows"],
-            "results_identical": bool(
-                merge["results_identical"] and hash_row["results_identical"]
-            ),
-        },
-        "topk": {
-            "k": _TOP_K,
-            "blocks_read": topk["blocks_read"],
-            "blocks_skipped": topk["blocks_skipped"],
-            "blocks_total": blocks_total,
-            "read_fraction": (
-                topk["blocks_read"] / blocks_total if blocks_total else 1.0
-            ),
-            "results_identical": bool(topk["results_identical"]),
-        },
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload

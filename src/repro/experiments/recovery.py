@@ -18,24 +18,20 @@ tuner has re-converged.  This experiment pins what :mod:`repro.persist` changes 
    re-upload the dataset, then run the probe (a full scan that also re-pays the adaptive
    builds).  ``recovery_speedup`` compares **time to first answer** from a dead cluster —
    the classic recovery-time objective: the cold restart pays re-ingest plus the un-learned
-   first query, the restored deployment only pays the (index-served) probe.  The pinned
-   ``BENCH_8`` floor is 2x (:data:`tools.check_bench.MIN_RECOVERY_SPEEDUP`); the record also
-   carries the query-only ratio separately.
+   first query, the restored deployment only pays the (index-served) probe.  The floor is
+   2x, asserted by ``benchmarks/test_recovery_curve.py``.
 
 The curve rows show the three phases side by side (one row per warm query, then the restored
 probe, then the cold restart), so the convergence the journal preserves is visible in the
-table, not just the summary record.
+table.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
-from pathlib import Path
 from typing import Optional
 
-from repro._version import __version__
 from repro.api import Session, col
 from repro.datagen.synthetic import VALUE_RANGE, SyntheticGenerator
 from repro.experiments.config import ExperimentConfig
@@ -192,50 +188,3 @@ def recovery_curve(
         "measured against."
     )
     return result
-
-
-# --------------------------------------------------------------------------- pinned record
-def write_record(path: str, result: Optional[FigureResult] = None) -> dict:
-    """Emit the pinned BENCH_8 recovery record (validated by ``tools/check_bench.py``)."""
-    if result is None:
-        result = recovery_curve()
-    warm_rows = [row for row in result.rows if row["phase"] == "warm"]
-    steady = warm_rows[-1]
-    restored = result.row_for("phase", "restored")
-    cold = result.row_for("phase", "cold-restart")
-    payload = {
-        "bench_id": "BENCH_8",
-        "kind": "recovery",
-        "schema_version": 1,
-        "version": __version__,
-        "warm_queries": len(warm_rows),
-        "warm_steady_runtime_s": steady["runtime_s"],
-        "restored_runtime_s": restored["runtime_s"],
-        "cold_query_runtime_s": cold["runtime_s"],
-        "cold_ingest_s": cold["restart_ingest_s"],
-        "cold_restart_runtime_s": cold["restart_ingest_s"] + cold["runtime_s"],
-        # Time to first answer from a dead cluster: the cold restart pays re-ingest plus
-        # the un-learned first query; the restored deployment only pays the probe.
-        "recovery_speedup": (
-            (cold["restart_ingest_s"] + cold["runtime_s"]) / restored["runtime_s"]
-            if restored["runtime_s"] > 0
-            else 0.0
-        ),
-        "query_only_speedup": (
-            cold["runtime_s"] / restored["runtime_s"] if restored["runtime_s"] > 0 else 0.0
-        ),
-        "runtime_bit_identical": restored["runtime_s"] == steady["runtime_s"],
-        "results_identical": bool(
-            restored["results_identical"] and cold["results_identical"]
-        ),
-        "adaptive_replicas_checkpoint": steady["adaptive_replicas"],
-        "adaptive_replicas_restored": restored["adaptive_replicas"],
-        "zone_synopses_checkpoint": steady["zone_synopses"],
-        "zone_synopses_restored": restored["zone_synopses"],
-        "counts_match": (
-            restored["adaptive_replicas"] == steady["adaptive_replicas"]
-            and restored["zone_synopses"] == steady["zone_synopses"]
-        ),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload

@@ -27,12 +27,9 @@ adaptive tuner — not just the scheduler in isolation.
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro._version import __version__
 from repro.api import Session, col, run_multi_tenant_batch
 from repro.cluster.failure import ConcurrentChaos, FailureEvent
 from repro.datagen.synthetic import VALUE_RANGE, SyntheticGenerator
@@ -303,7 +300,7 @@ def chaos_curve(
     - ``straggler``: node :data:`_STRAGGLER_NODE` runs every attempt
       :data:`_STRAGGLER_FACTOR`× slower; speculation off, so the tail attempt dominates.
     - ``straggler_speculation``: same straggler, speculation on — backup attempts on idle
-      fast slots must beat the tail (the bench floor pins the makespan ratio at >= 1.3).
+      fast slots must beat the tail (the benchmark test pins the makespan ratio at >= 1.3).
     - ``node_death``: node :data:`_CHAOS_DEATH_NODE` dies mid-batch (at
       :data:`_CHAOS_KILL_FRACTION` of the failure-free makespan); lost attempts reschedule
       on surviving replicas, and p99 latency must stay within 2x failure-free.
@@ -410,80 +407,3 @@ def chaos_curve(
         "weighted fair sharing."
     )
     return result
-
-
-# --------------------------------------------------------------------------- pinned record
-def write_record(path: str, result: Optional[FigureResult] = None) -> dict:
-    """Emit the pinned BENCH_7 saturation record (validated by ``tools/check_bench.py``)."""
-    if result is None:
-        result = saturation_curve()
-    serial = result.row_for("max_concurrent_jobs", 1)
-    concurrent = result.rows[-1]
-    payload = {
-        "bench_id": "BENCH_7",
-        "kind": "saturation",
-        "schema_version": 1,
-        "version": __version__,
-        "tenants": len(TENANTS),
-        "num_queries": serial["jobs"],
-        "levels": [
-            {
-                "max_concurrent_jobs": row["max_concurrent_jobs"],
-                "throughput_qps": row["throughput_qps"],
-                "latency_p50_s": row["latency_p50_s"],
-                "latency_p99_s": row["latency_p99_s"],
-                "makespan_s": row["makespan_s"],
-                "speedup_vs_serial": row["speedup_vs_serial"],
-                "interleaved_jobs": row["interleaved_jobs"],
-                "tenants_interleaved": row["tenants_interleaved"],
-                "results_identical": row["results_identical"],
-            }
-            for row in result.rows
-        ],
-        "best_speedup_vs_serial": max(row["speedup_vs_serial"] for row in result.rows),
-        "best_throughput_qps": max(row["throughput_qps"] for row in result.rows),
-        "serial_throughput_qps": serial["throughput_qps"],
-        "results_identical": all(row["results_identical"] for row in result.rows),
-        "saturated_tenants_interleaved": concurrent["tenants_interleaved"],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
-
-
-def write_chaos_record(path: str, result: Optional[FigureResult] = None) -> dict:
-    """Emit the pinned BENCH_10 chaos record (validated by ``tools/check_bench.py``)."""
-    if result is None:
-        result = chaos_curve()
-    rows = {row["scenario"]: row for row in result.rows}
-    failure_free = rows["failure_free"]
-    straggler = rows["straggler"]
-    speculation = rows["straggler_speculation"]
-    node_death = rows["node_death"]
-    preemption = rows["preemption"]
-    payload = {
-        "bench_id": "BENCH_10",
-        "kind": "chaos",
-        "schema_version": 1,
-        "version": __version__,
-        "tenants": len(TENANTS),
-        "num_queries": failure_free["jobs"],
-        "scenarios": [
-            {key: row[key] for key in _CHAOS_COLUMNS} for row in result.rows
-        ],
-        "spec_speedup": (
-            straggler["makespan_s"] / speculation["makespan_s"]
-            if speculation["makespan_s"] > 0
-            else 0.0
-        ),
-        "p99_ratio": (
-            node_death["latency_p99_s"] / failure_free["latency_p99_s"]
-            if failure_free["latency_p99_s"] > 0
-            else 0.0
-        ),
-        "preempt_kills": preemption["preempt_kills"],
-        "rescheduled_under_node_death": node_death["rescheduled"],
-        "quota_respected": all(row["quota_respected"] for row in result.rows),
-        "results_identical": all(row["results_identical"] for row in result.rows),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload
