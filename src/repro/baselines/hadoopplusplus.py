@@ -25,8 +25,6 @@ from repro.cluster.ledger import TransferLedger
 from repro.hail.annotation import JOB_PROPERTY, HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.record_reader import HailRecordReader
-from repro.hail.replica_info import HailBlockReplicaInfo
-from repro.hdfs.block import Replica
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.pipeline import StandardUploadPipeline
@@ -205,27 +203,9 @@ class HadoopPlusPlusSystem(BaseSystem):
         )
         trojan_block.pax_layout = False
         for datanode_id in hosts:
-            datanode = self.hdfs.datanode(datanode_id)
-            datanode.delete_replica(block_id)
-            replica = Replica(
-                block_id=block_id,
-                datanode_id=datanode_id,
-                payload=trojan_block,
-                sort_attribute=self.trojan_attribute,
-                indexed_attribute=self.trojan_attribute,
-            )
-            datanode.store_replica(replica)
-            info = HailBlockReplicaInfo(
-                datanode_id=datanode_id,
-                sort_attribute=self.trojan_attribute,
-                indexed_attribute=self.trojan_attribute,
-                index_type="trojan",
-                index_size_bytes=trojan_block.index_size_bytes(),
-                block_size_bytes=trojan_block.size_bytes(),
-                num_records=trojan_block.num_records,
-                pax_layout=False,
-            )
-            self.hdfs.namenode.register_replica_info(block_id, datanode_id, info)
+            # No zone synopsis for trojan blocks: Hadoop++ has none to skip or rank by.
+            info = trojan_block.replica_info(datanode_id, index_type="trojan", zone_ranges=None)
+            self.hdfs.install_replica(block_id, datanode_id, trojan_block, info)
 
     # ------------------------------------------------------------------ queries
     def _make_jobconf(self, query, path: str, schema: Schema) -> JobConf:

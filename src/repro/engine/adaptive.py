@@ -249,32 +249,24 @@ def commit_adaptive_builds(hdfs: "Hdfs", attempts: Iterable[Any]) -> AdaptiveCom
             # cannot resurrect a duplicate (block, attribute) index.  Only now that a target
             # exists — dropping first could destroy the index's last copy.
             _drop_stale_adaptive_replicas(hdfs, build.block_id, build.attribute)
-            datanode = hdfs.datanode(target)
-            displaced = datanode.has_replica(build.block_id)
-            if displaced:
-                # The target holds an *unindexed* replica (placement guarantees it): the
-                # sorted + indexed replica replaces it — HAIL replicas differ physically
-                # anyway, and the logical content is unchanged.  Otherwise the build adds a
-                # brand-new replica to Dir_block.
-                datanode.delete_replica(build.block_id)
-            replica = build.replica
-            # Remember the displacement so a later disk-pressure eviction downgrades this
-            # replica back to a plain one instead of deleting the block's copy outright.
-            info = replace(build.info, displaced_plain_replica=displaced)
-            if target != build.datanode_id:
-                replica = replace(replica, datanode_id=target)
-                info = replace(info, datanode_id=target)
-            datanode.store_replica(replica)
-            namenode.register_replica(build.block_id, target, replica_info=info)
-            # Creation counts as a use for the LRU statistics: a just-built index has no scan
-            # behind it yet, and without this touch it would look like the *coldest* entry and
-            # be the first thing disk-pressure eviction throws away — before ever paying off.
-            namenode.touch_index_usage(build.block_id, target)
-            if hdfs.persist is not None:
-                # Per-build journal sync: the new adaptive replica is durable the moment it
-                # is registered, so a crash between builds loses later builds wholesale
-                # but never leaves this one half-registered.
-                hdfs.persist.sync_block(hdfs, build.block_id, site="mid_adaptive_commit")
+            # A target that already holds the block holds an *unindexed* replica (placement
+            # guarantees it), which the sorted + indexed replica replaces — same logical
+            # content.  Remember the displacement so a later disk-pressure eviction downgrades
+            # this replica back to a plain one instead of deleting the block's copy outright.
+            displaced = hdfs.datanode(target).has_replica(build.block_id)
+            # Creation counts as a use (``touch``): untouched, a just-built index would be the
+            # *coldest* LRU entry and the first thing eviction throws away, before ever paying
+            # off.  With the per-build journal sync, a crash between builds loses later builds
+            # wholesale but never leaves this one half-registered.
+            hdfs.install_replica(
+                build.block_id,
+                target,
+                build.replica.payload,
+                replace(build.info, datanode_id=target, displaced_plain_replica=displaced),
+                checksums=build.replica.checksums,
+                touch=True,
+                site="mid_adaptive_commit",
+            )
             committed_keys.add(key)
             report.committed.append(build)
     return report
@@ -294,7 +286,7 @@ def _drop_stale_adaptive_replicas(hdfs: "Hdfs", block_id: int, attribute: str) -
         if hdfs.cluster.node(datanode_id).is_alive:
             continue
         info = namenode.replica_info(block_id, datanode_id)
-        if info is not None and getattr(info, "is_adaptive", False):
+        if info is not None and info.is_adaptive:
             namenode.unregister_replica(block_id, datanode_id)
             hdfs.datanode(datanode_id).delete_replica(block_id)
 
@@ -314,7 +306,7 @@ def _placement(hdfs: "Hdfs", build: PendingIndexBuild) -> Optional[int]:
 
     def holds_indexed_replica(datanode_id: int) -> bool:
         info = namenode.replica_info(build.block_id, datanode_id)
-        return info is not None and getattr(info, "indexed_attribute", None) is not None
+        return info is not None and info.indexed_attribute is not None
 
     if not holds_indexed_replica(build.datanode_id):
         return build.datanode_id

@@ -233,7 +233,7 @@ class VectorizedExecutor:
         used_adaptive_index = False
         if used_index and adaptive is not None and adaptive.measure_savings:
             info = self.hdfs.namenode.replica_info(plan.block_id, plan.datanode_id)
-            if info is not None and getattr(info, "is_adaptive", False):
+            if info is not None and info.is_adaptive:
                 # The block was answered by a previously built adaptive index: measure what a
                 # scan of the same replica would have cost (pure cost-model arithmetic over a
                 # whole-block lookup) and credit the difference to the tuner's ledger.
@@ -411,26 +411,11 @@ class VectorizedExecutor:
         has to be fetched — an index scan touched only the qualifying partitions, unlike the
         full/projection scans of the classic pay-forward path.
         """
-        from repro.hail.hail_block import HailBlock
-        from repro.hail.index import HailIndex
-        from repro.hail.replica_info import HailBlockReplicaInfo
-
         attribute = plan.build_attribute
-        index, permutation = HailIndex.from_unsorted(
-            attribute, payload.pax.column(attribute), partition_size=payload.partition_size
-        )
-        block = HailBlock(
-            payload.pax.reorder(permutation),
-            attribute,
-            index,
-            bad_lines=payload.bad_lines,
-            partition_size=payload.partition_size,
-            logical_partition_size=payload.logical_partition_size,
-        )
         # The staged replica keeps the source replica's physical layout: under the "no PAX
         # conversion" ablation an adaptive rebuild stays row-wise, so the ablation's cost
         # shape is preserved instead of silently converging to PAX behaviour.
-        block.pax_layout = payload.pax_layout
+        block = payload.resorted(attribute)
         if plan.access_path is AccessPath.ADAPTIVE_INDEX_BUILD:
             remaining_bytes = self._build_read_bytes(payload, predicate, projection)
         else:
@@ -455,23 +440,12 @@ class VectorizedExecutor:
             sort_attribute=attribute,
             indexed_attribute=attribute,
         )
-        info = HailBlockReplicaInfo(
-            datanode_id=self.node_id,
-            sort_attribute=attribute,
-            indexed_attribute=attribute,
-            index_size_bytes=block.index_size_bytes(),
-            block_size_bytes=block.size_bytes(),
-            num_records=block.num_records,
-            pax_layout=payload.pax_layout,
-            origin="adaptive",
-            zone_ranges=block.zone_ranges(),
-        )
         return PendingIndexBuild(
             block_id=plan.block_id,
             datanode_id=self.node_id,
             attribute=attribute,
             replica=replica,
-            info=info,
+            info=block.replica_info(self.node_id, origin="adaptive"),
             build_seconds=seconds,
             bytes_written=float(write_bytes),
             bytes_read=remaining_bytes,

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.disk import DiskPressurePolicy
+from repro.engine.adaptive import _drop_stale_adaptive_replicas
 
 if TYPE_CHECKING:  # only for annotations: keep this module import-light
     from repro.cluster.costmodel import CostModel
@@ -417,19 +418,12 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Evict
             continue
         to_free = policy.bytes_to_free(used)
         datanode = hdfs.datanode(node.node_id)
-        candidates = []
-        for block_id in datanode.block_ids():
-            info = namenode.replica_info(block_id, node.node_id)
-            if info is None or not getattr(info, "is_adaptive", False):
-                continue
-            use_count, last_tick = namenode.index_usage(block_id, node.node_id)
-            candidates.append((last_tick, use_count, block_id, info))
-        candidates.sort()
+        candidates = sorted(_adaptive_replicas_on(hdfs, node.node_id))
         freed = 0.0
         for last_tick, use_count, block_id, info in candidates:
             if freed >= to_free:
                 break
-            downgrade = getattr(info, "displaced_plain_replica", False)
+            downgrade = info.displaced_plain_replica
             if not downgrade:
                 other_alive = [
                     datanode_id
@@ -441,7 +435,7 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Evict
             freed_bytes = float(info.size_on_disk_bytes)
             namenode.record_index_eviction(block_id, info.indexed_attribute, node.node_id)
             if downgrade:
-                _downgrade_replica(hdfs, node.node_id, block_id, info)
+                _downgrade_replica(hdfs, node.node_id, block_id)
             else:
                 namenode.unregister_replica(block_id, node.node_id)
                 datanode.delete_replica(block_id)
@@ -464,7 +458,7 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Evict
     return records
 
 
-def _downgrade_replica(hdfs: "Hdfs", datanode_id: int, block_id: int, info) -> None:
+def _downgrade_replica(hdfs: "Hdfs", datanode_id: int, block_id: int) -> None:
     """Strip the adaptive index off a replica, leaving a plain copy of the block's data.
 
     The replica's PAX data is kept (it displaced the node's plain replica at commit time, so
@@ -472,68 +466,47 @@ def _downgrade_replica(hdfs: "Hdfs", datanode_id: int, block_id: int, info) -> N
     ``Dir_rep`` index metadata are dropped, and the entry's origin becomes ``"evicted"`` so
     the replica no longer counts against (or can be reclaimed from) the adaptive byte budget.
     """
-    from repro.hail.hail_block import HailBlock
-    from repro.hail.replica_info import HailBlockReplicaInfo
-    from repro.hdfs.block import Replica
-
-    datanode = hdfs.datanode(datanode_id)
     hdfs.namenode.reset_index_usage(block_id, datanode_id)
-    payload = datanode.replica(block_id).payload
-    plain_block = HailBlock(
-        payload.pax,
-        None,
-        None,
-        bad_lines=payload.bad_lines,
-        partition_size=payload.partition_size,
-        logical_partition_size=payload.logical_partition_size,
+    plain_block = hdfs.read_replica(block_id, datanode_id).payload.resorted(None)
+    hdfs.install_replica(
+        block_id, datanode_id, plain_block, plain_block.replica_info(datanode_id, origin="evicted")
     )
-    plain_block.pax_layout = payload.pax_layout
-    datanode.delete_replica(block_id)
-    datanode.store_replica(
-        Replica(block_id=block_id, datanode_id=datanode_id, payload=plain_block)
-    )
-    hdfs.namenode.register_replica_info(
-        block_id,
-        datanode_id,
-        HailBlockReplicaInfo(
-            datanode_id=datanode_id,
-            sort_attribute=None,
-            indexed_attribute=None,
-            index_size_bytes=0,
-            block_size_bytes=plain_block.size_bytes(),
-            num_records=info.num_records,
-            pax_layout=info.pax_layout,
-            origin="evicted",
-            zone_ranges=plain_block.zone_ranges(),
-        ),
-    )
+
+
+def _adaptive_replicas_on(hdfs: "Hdfs", node_id: int) -> list[tuple]:
+    """One node's adaptive replicas as ``(last_used_tick, use_count, block_id, info)``.
+
+    What counts as "adaptive" (``Dir_rep`` ``origin="adaptive"``) is decided here exactly
+    once; the tuple sorts least-recently-used first, the order eviction and byte-skew repair
+    reclaim in.
+    """
+    namenode = hdfs.namenode
+    replicas = []
+    for block_id in hdfs.datanode(node_id).block_ids():
+        info = namenode.replica_info(block_id, node_id)
+        if info is None or not info.is_adaptive:
+            continue
+        use_count, last_tick = namenode.index_usage(block_id, node_id)
+        replicas.append((last_tick, use_count, block_id, info))
+    return replicas
 
 
 # --------------------------------------------------------------------------- placement
 def adaptive_placement_stats(hdfs: "Hdfs") -> dict[int, dict]:
     """Per alive node: adaptive byte footprint, index-use total, and the replicas behind them.
 
-    The single namenode walk both the balancer's skew repair and the reporting helper
-    :func:`repro.hail.scheduler.adaptive_placement_by_node` are built on — what counts as
-    "adaptive" (``Dir_rep`` ``origin="adaptive"``) is decided here exactly once.  Each node's
-    ``"replicas"`` list holds ``(last_used_tick, use_count, block_id, info)`` tuples, the LRU
-    ordering key shared with eviction.
+    What both the balancer's skew repair and the reporting helper
+    :func:`repro.hail.scheduler.adaptive_placement_by_node` are built on; each node's
+    ``"replicas"`` list is its :func:`_adaptive_replicas_on` walk.
     """
-    namenode = hdfs.namenode
-    stats: dict[int, dict] = {
-        node.node_id: {"bytes": 0.0, "uses": 0.0, "replicas": []}
-        for node in hdfs.cluster.alive_nodes
-    }
-    for node_id, entry in stats.items():
-        datanode = hdfs.datanode(node_id)
-        for block_id in datanode.block_ids():
-            info = namenode.replica_info(block_id, node_id)
-            if info is None or not getattr(info, "is_adaptive", False):
-                continue
-            use_count, last_tick = namenode.index_usage(block_id, node_id)
-            entry["bytes"] += float(info.size_on_disk_bytes)
-            entry["uses"] += float(use_count)
-            entry["replicas"].append((last_tick, use_count, block_id, info))
+    stats: dict[int, dict] = {}
+    for node in hdfs.cluster.alive_nodes:
+        replicas = _adaptive_replicas_on(hdfs, node.node_id)
+        stats[node.node_id] = {
+            "bytes": sum(float(info.size_on_disk_bytes) for _, _, _, info in replicas),
+            "uses": sum(float(use_count) for _, use_count, _, _ in replicas),
+            "replicas": replicas,
+        }
     return stats
 
 
@@ -668,75 +641,36 @@ class PlacementBalancer:
         ``None`` when no source payload, schema attribute, or budget-respecting target
         exists; the next pass retries with whatever changed.
         """
-        from repro.hail.hail_block import HailBlock
-        from repro.hail.index import HailIndex
-        from repro.hail.replica_info import HailBlockReplicaInfo
-        from repro.hdfs.block import Replica
-
-        namenode = hdfs.namenode
         source_id, payload = self._source_payload(hdfs, block_id)
-        if payload is None:
+        if payload is None or attribute not in payload.schema.field_names:
             return None
-        if attribute not in payload.schema.field_names:
-            return None
-        index, permutation = HailIndex.from_unsorted(
-            attribute, payload.pax.column(attribute), partition_size=payload.partition_size
-        )
-        block = HailBlock(
-            payload.pax.reorder(permutation),
-            attribute,
-            index,
-            bad_lines=payload.bad_lines,
-            partition_size=payload.partition_size,
-            logical_partition_size=payload.logical_partition_size,
-        )
-        block.pax_layout = payload.pax_layout
-        info = HailBlockReplicaInfo(
-            datanode_id=-1,  # rewritten below once the target is chosen
-            sort_attribute=attribute,
-            indexed_attribute=attribute,
-            index_size_bytes=block.index_size_bytes(),
-            block_size_bytes=block.size_bytes(),
-            num_records=block.num_records,
-            pax_layout=payload.pax_layout,
-            origin="adaptive",
-            zone_ranges=block.zone_ranges(),
-        )
-        target_id = self._choose_target(
-            hdfs, block_id, float(info.size_on_disk_bytes), footprints
-        )
+        block = payload.resorted(attribute)
+        info = block.replica_info(-1, origin="adaptive")  # datanode set once the target is chosen
+        replica_bytes = float(info.size_on_disk_bytes)
+        target_id = self._choose_target(hdfs, block_id, replica_bytes, footprints)
         displaced = False
         if target_id is None:
             # Every alive node already holds a replica: displace an *unindexed* copy in
             # place, exactly like commit-time placement — the indexed replica replaces the
             # plain one, the replication factor is untouched, and ``displaced_plain_replica``
             # makes a later eviction downgrade it back instead of deleting the copy.
-            target_id = self._choose_displacement_target(
-                hdfs, block_id, float(info.size_on_disk_bytes), footprints
-            )
+            target_id = self._choose_displacement_target(hdfs, block_id, replica_bytes, footprints)
             if target_id is None:
                 return None
             displaced = True
-        self._drop_stale_adaptive(hdfs, block_id, attribute)
-        info = replace(info, datanode_id=target_id, displaced_plain_replica=displaced)
-        if displaced:
-            hdfs.datanode(target_id).delete_replica(block_id)
-        hdfs.datanode(target_id).store_replica(
-            Replica(
-                block_id=block_id,
-                datanode_id=target_id,
-                payload=block,
-                sort_attribute=attribute,
-                indexed_attribute=attribute,
-            )
+        # Garbage-collect dead adaptive replicas first (no duplicate on the node's revival).
+        _drop_stale_adaptive_replicas(hdfs, block_id, attribute)
+        # A fresh rebuild starts its LRU life warm (``touch``), exactly like a committed build
+        # would, and is journaled as soon as it is registered.
+        hdfs.install_replica(
+            block_id,
+            target_id,
+            block,
+            replace(info, datanode_id=target_id, displaced_plain_replica=displaced),
+            touch=True,
+            site="mid_rebalance",
         )
-        namenode.register_replica(block_id, target_id, replica_info=info)
-        # A fresh rebuild starts its LRU life warm, exactly like a committed build would.
-        namenode.touch_index_usage(block_id, target_id)
-        footprints[target_id] = footprints.get(target_id, 0.0) + info.size_on_disk_bytes
-        if hdfs.persist is not None:
-            # Journal the re-replicated coverage as soon as it is registered.
-            hdfs.persist.sync_block(hdfs, block_id, site="mid_rebalance")
+        footprints[target_id] = footprints.get(target_id, 0.0) + replica_bytes
         seconds = self._charge_copy(hdfs, cost, source_id, target_id, payload, block, sort=True)
         return PlacementAction(
             kind="rebuild",
@@ -744,7 +678,7 @@ class PlacementBalancer:
             attribute=attribute,
             source_datanode=source_id,
             target_datanode=target_id,
-            bytes_moved=float(info.size_on_disk_bytes),
+            bytes_moved=replica_bytes,
             seconds=seconds,
             reason="coverage lost (evicted or host died)",
         )
@@ -758,13 +692,6 @@ class PlacementBalancer:
                 return host, payload
         return None, None
 
-    @staticmethod
-    def _drop_stale_adaptive(hdfs: "Hdfs", block_id: int, attribute: str) -> None:
-        """Garbage-collect dead adaptive replicas before a rebuild (no duplicate on revival)."""
-        from repro.engine.adaptive import _drop_stale_adaptive_replicas
-
-        _drop_stale_adaptive_replicas(hdfs, block_id, attribute)
-
     def _choose_target(
         self,
         hdfs: "Hdfs",
@@ -777,11 +704,7 @@ class PlacementBalancer:
         candidates = [
             node.node_id for node in hdfs.cluster.alive_nodes if node.node_id not in holders
         ]
-        candidates.sort(key=lambda node_id: (footprints.get(node_id, 0.0), node_id))
-        for node_id in candidates:
-            if self._within_budget(footprints.get(node_id, 0.0) + replica_bytes):
-                return node_id
-        return None
+        return self._least_loaded_within_budget(candidates, replica_bytes, footprints)
 
     def _choose_displacement_target(
         self,
@@ -800,11 +723,16 @@ class PlacementBalancer:
         candidates = []
         for node_id in namenode.block_datanodes(block_id, alive_only=True):
             info = namenode.replica_info(block_id, node_id)
-            if info is not None and getattr(info, "indexed_attribute", None) is not None:
+            if info is not None and info.indexed_attribute is not None:
                 continue
             candidates.append(node_id)
-        candidates.sort(key=lambda node_id: (footprints.get(node_id, 0.0), node_id))
-        for node_id in candidates:
+        return self._least_loaded_within_budget(candidates, replica_bytes, footprints)
+
+    def _least_loaded_within_budget(
+        self, candidates: list[int], replica_bytes: float, footprints: dict[int, float]
+    ) -> Optional[int]:
+        """The least-loaded candidate the replica fits on under the placement budget."""
+        for node_id in sorted(candidates, key=lambda n: (footprints.get(n, 0.0), n)):
             if self._within_budget(footprints.get(node_id, 0.0) + replica_bytes):
                 return node_id
         return None
@@ -838,7 +766,7 @@ class PlacementBalancer:
             draining: set[int] = set()
             exhausted: set[int] = set()
             while quota > 0:
-                stats = self._adaptive_stats(hdfs)
+                stats = adaptive_placement_stats(hdfs)
                 if len(stats) < 2:
                     break
                 values = {node_id: entry[metric] for node_id, entry in stats.items()}
@@ -921,7 +849,7 @@ class PlacementBalancer:
                 return PlacementAction(
                     kind="migrate",
                     block_id=block_id,
-                    attribute=getattr(info, "indexed_attribute", None),
+                    attribute=info.indexed_attribute,
                     source_datanode=hot_id,
                     target_datanode=target_id,
                     bytes_moved=float(info.size_on_disk_bytes),
@@ -929,11 +857,6 @@ class PlacementBalancer:
                     reason=f"{metric} skew on dn{hot_id}",
                 )
         return None
-
-    @staticmethod
-    def _adaptive_stats(hdfs: "Hdfs") -> dict[int, dict]:
-        """Per alive node: adaptive byte footprint, adaptive index-use total, and replicas."""
-        return adaptive_placement_stats(hdfs)
 
     def _migrate(
         self,
@@ -948,9 +871,12 @@ class PlacementBalancer:
         namenode = hdfs.namenode
         source = hdfs.datanode(source_id)
         replica = source.replica(block_id)
-        hdfs.datanode(target_id).store_replica(replace(replica, datanode_id=target_id))
-        namenode.register_replica(
-            block_id, target_id, replica_info=replace(info, datanode_id=target_id)
+        hdfs.install_replica(
+            block_id,
+            target_id,
+            replica.payload,
+            replace(info, datanode_id=target_id),
+            checksums=replica.checksums,
         )
         namenode.transfer_index_usage(block_id, source_id, target_id)
         namenode.unregister_replica(block_id, source_id)
@@ -1115,7 +1041,6 @@ class AdaptiveLifecycleManager:
                 skew_high=config.placement_skew_high,
                 skew_low=config.placement_skew_low,
                 rebuilds_per_pass=config.placement_rebuilds_per_job,
-                migrations_per_pass=config.placement_migrations_per_job,
             )
         return cls(pressure=pressure, tuner=tuner, balancer=balancer)
 

@@ -104,7 +104,7 @@ def _block_bound(system: "BaseSystem", block_id: int, attribute: str):
     entry, or ``None`` when no replica carries a synopsis for it (the block is unskippable)."""
     namenode = system.hdfs.namenode
     for info in namenode.replica_infos(block_id, alive_only=True).values():
-        for name, low, high in getattr(info, "zone_ranges", None) or ():
+        for name, low, high in info.zone_ranges or ():
             if name == attribute:
                 return (low, high)
     return None

@@ -321,10 +321,9 @@ class PhysicalPlanner:
         map, so a stale entry here can cost a scan but never a row.
         """
         info = self.hdfs.namenode.replica_info(block_id, datanode_id)
-        ranges = getattr(info, "zone_ranges", None)
-        if not ranges:
+        if info is None or not info.zone_ranges:
             return None
-        zones = {name: (low, high) for name, low, high in ranges}
+        zones = {name: (low, high) for name, low, high in info.zone_ranges}
         for clause in predicate.clauses:
             try:
                 name = schema.fields[clause.attribute_index(schema)].name
@@ -431,12 +430,13 @@ class PhysicalPlanner:
         namenode = self.hdfs.namenode
         info = namenode.replica_info(block_id, datanode_id)
         logical = namenode.logical_block(block_id)
-        num_records = getattr(info, "num_records", None) or len(logical.records)
-        block_bytes = getattr(info, "block_size_bytes", None) or logical.text_size_bytes
-
-        indexed_attribute = getattr(info, "indexed_attribute", None)
-        index_type = getattr(info, "index_type", None)
-        pax_layout = getattr(info, "pax_layout", info is not None)
+        # Stock text replicas register no Dir_rep entry: sizes come from the logical block.
+        has_info = info is not None
+        num_records = (has_info and info.num_records) or len(logical.records)
+        block_bytes = (has_info and info.block_size_bytes) or logical.text_size_bytes
+        indexed_attribute = info.indexed_attribute if has_info else None
+        index_type = info.index_type if has_info else None
+        pax_layout = has_info and info.pax_layout
 
         attribute: Optional[str] = None
         if (

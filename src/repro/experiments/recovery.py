@@ -65,7 +65,7 @@ def _zone_synopsis_count(namenode) -> int:
     for path in namenode.list_files():
         for block_id in namenode.file_blocks(path):
             for info in namenode.replica_infos(block_id, alive_only=False).values():
-                if info is not None and getattr(info, "zone_ranges", None):
+                if info.zone_ranges:
                     count += 1
     return count
 

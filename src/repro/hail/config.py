@@ -106,9 +106,9 @@ class HailConfig:
         Skew trigger and drain target, as multiples of the alive-node mean: a node above
         ``high × mean`` sheds adaptive replicas until back under ``low × mean``
         (hysteresis, like the disk watermarks).
-    placement_rebuilds_per_job / placement_migrations_per_job:
-        Per-job work bounds of the balancer — how many re-replications and migrations one
-        post-job pass may perform (background work is budgeted, never bursty).
+    placement_rebuilds_per_job:
+        Per-job work bound of the balancer — how many re-replications one post-job pass may
+        perform (background work is budgeted, never bursty).
     zone_maps:
         Enable zone-map data skipping (off by default, keeping the default cost trajectory and
         the Figure 6/7 baselines bit-identical): the planner skips blocks whose registered
@@ -144,14 +144,9 @@ class HailConfig:
     speculative_execution:
         Straggler defence of the concurrent service layer (off by default): when a freed
         slot finds no regular work, launch a backup attempt for the slowest running attempt
-        whose projected duration exceeds ``speculative_slowdown`` times the
-        ``speculative_percentile``-th percentile of its job's completed attempts — first
-        finisher wins, the loser's work is discarded without double-counting
-        (``SPEC_*`` counters).
-    speculative_percentile / speculative_slowdown:
-        The straggler detector's two dials: which completed-duration percentile is
-        "typical", and how many times over it an attempt must project before a backup is
-        justified.
+        whose projected duration exceeds 1.5 times the 75th percentile of its job's
+        completed attempts — first finisher wins, the loser's work is discarded without
+        double-counting (``SPEC_*`` counters).
     preemption:
         Revoke running attempts (kill + requeue) from a tenant exceeding its weighted slot
         entitlement, instead of only deferring its new launches; bounded per victim job by
@@ -201,7 +196,6 @@ class HailConfig:
     placement_skew_high: float = 2.0
     placement_skew_low: float = 1.5
     placement_rebuilds_per_job: int = 2
-    placement_migrations_per_job: int = 4
     zone_maps: bool = False
     zone_split_pruning: bool = False
     max_concurrent_jobs: int = 1
@@ -209,8 +203,6 @@ class HailConfig:
     tenant_slot_quota: Optional[int] = None
     tenant_admission_limit: Optional[int] = None
     speculative_execution: bool = False
-    speculative_percentile: float = 0.75
-    speculative_slowdown: float = 1.5
     preemption: bool = False
     max_preemptions_per_job: int = 2
     tenant_weights: Optional[tuple[tuple[str, float], ...]] = None
@@ -254,8 +246,8 @@ class HailConfig:
                 "zone_split_pruning drops splits based on Dir_rep zone synopses; "
                 "enable zone_maps as well"
             )
-        if self.placement_rebuilds_per_job < 0 or self.placement_migrations_per_job < 0:
-            raise ValueError("placement per-job work bounds must be non-negative")
+        if self.placement_rebuilds_per_job < 0:
+            raise ValueError("placement_rebuilds_per_job must be non-negative")
         # Concurrency knob validation lives in ConcurrencyPolicy (the class that enforces
         # them at scheduling time); constructing a throwaway policy keeps the rule in one
         # place — exactly the DiskPressurePolicy idiom above.  The policy also normalizes
@@ -306,8 +298,6 @@ class HailConfig:
             tenant_slot_quota=self.tenant_slot_quota,
             tenant_admission_limit=self.tenant_admission_limit,
             speculative_execution=self.speculative_execution,
-            speculative_percentile=self.speculative_percentile,
-            speculative_slowdown=self.speculative_slowdown,
             preemption=self.preemption,
             max_preemptions_per_job=self.max_preemptions_per_job,
             tenant_weights=self.tenant_weights,
@@ -329,6 +319,12 @@ class HailConfig:
         """Copy of this configuration with HailSplitting toggled."""
         return replace(self, splitting_policy=enabled)
 
+    def _with(self, **given) -> "HailConfig":
+        """Copy of this configuration with every argument that is not ``None`` replaced."""
+        return replace(
+            self, **{name: value for name, value in given.items() if value is not None}
+        )
+
     def with_adaptive(
         self,
         enabled: bool = True,
@@ -336,12 +332,11 @@ class HailConfig:
         budget_per_job: Optional[int] = None,
     ) -> "HailConfig":
         """Copy of this configuration with adaptive indexing toggled/tuned."""
-        overrides: dict = {"adaptive_indexing": enabled}
-        if offer_rate is not None:
-            overrides["adaptive_offer_rate"] = offer_rate
-        if budget_per_job is not None:
-            overrides["adaptive_budget_per_job"] = budget_per_job
-        return replace(self, **overrides)
+        return self._with(
+            adaptive_indexing=enabled,
+            adaptive_offer_rate=offer_rate,
+            adaptive_budget_per_job=budget_per_job,
+        )
 
     def with_lifecycle(
         self,
@@ -359,24 +354,16 @@ class HailConfig:
         Only the arguments given are changed; ``adaptive_indexing`` itself is left untouched
         (combine with :meth:`with_adaptive` to switch the whole subsystem on).
         """
-        overrides: dict = {}
-        if eviction is not None:
-            overrides["adaptive_eviction"] = eviction
-        if capacity_bytes is not None:
-            overrides["adaptive_disk_capacity_bytes"] = capacity_bytes
-        if high_watermark is not None:
-            overrides["adaptive_disk_high_watermark"] = high_watermark
-        if low_watermark is not None:
-            overrides["adaptive_disk_low_watermark"] = low_watermark
-        if auto_tune is not None:
-            overrides["adaptive_auto_tune"] = auto_tune
-        if overhead_fraction is not None:
-            overrides["adaptive_overhead_fraction"] = overhead_fraction
-        if multi_attribute is not None:
-            overrides["adaptive_multi_attribute"] = multi_attribute
-        if per_attribute_tune is not None:
-            overrides["adaptive_per_attribute_tune"] = per_attribute_tune
-        return replace(self, **overrides)
+        return self._with(
+            adaptive_eviction=eviction,
+            adaptive_disk_capacity_bytes=capacity_bytes,
+            adaptive_disk_high_watermark=high_watermark,
+            adaptive_disk_low_watermark=low_watermark,
+            adaptive_auto_tune=auto_tune,
+            adaptive_overhead_fraction=overhead_fraction,
+            adaptive_multi_attribute=multi_attribute,
+            adaptive_per_attribute_tune=per_attribute_tune,
+        )
 
     def with_placement(
         self,
@@ -385,28 +372,20 @@ class HailConfig:
         skew_high: Optional[float] = None,
         skew_low: Optional[float] = None,
         rebuilds_per_job: Optional[int] = None,
-        migrations_per_job: Optional[int] = None,
     ) -> "HailConfig":
         """Copy of this configuration with placement-layer knobs toggled/tuned.
 
         ``scheduling`` toggles index-aware task scheduling, ``balancer`` the post-job
         re-replication/skew-repair pass; the remaining arguments tune the balancer's
-        watermarks and per-job work bounds.  Only the arguments given are changed.
+        watermarks and per-job rebuild bound.  Only the arguments given are changed.
         """
-        overrides: dict = {}
-        if scheduling is not None:
-            overrides["index_aware_scheduling"] = scheduling
-        if balancer is not None:
-            overrides["placement_balancer"] = balancer
-        if skew_high is not None:
-            overrides["placement_skew_high"] = skew_high
-        if skew_low is not None:
-            overrides["placement_skew_low"] = skew_low
-        if rebuilds_per_job is not None:
-            overrides["placement_rebuilds_per_job"] = rebuilds_per_job
-        if migrations_per_job is not None:
-            overrides["placement_migrations_per_job"] = migrations_per_job
-        return replace(self, **overrides)
+        return self._with(
+            index_aware_scheduling=scheduling,
+            placement_balancer=balancer,
+            placement_skew_high=skew_high,
+            placement_skew_low=skew_low,
+            placement_rebuilds_per_job=rebuilds_per_job,
+        )
 
     def with_zone_maps(
         self, enabled: bool = True, split_pruning: Optional[bool] = None
@@ -418,10 +397,7 @@ class HailConfig:
         never schedules their map tasks (counted as ``ZONE_MAP_SKIPPED_BLOCKS``); it
         requires ``zone_maps`` and is left unchanged when not given.
         """
-        overrides: dict = {"zone_maps": enabled}
-        if split_pruning is not None:
-            overrides["zone_split_pruning"] = split_pruning
-        return replace(self, **overrides)
+        return self._with(zone_maps=enabled, zone_split_pruning=split_pruning)
 
     def with_concurrency(
         self,
@@ -430,8 +406,6 @@ class HailConfig:
         slot_quota: Optional[int] = None,
         admission_limit: Optional[int] = None,
         speculation: Optional[bool] = None,
-        speculative_percentile: Optional[float] = None,
-        speculative_slowdown: Optional[float] = None,
         preemption: Optional[bool] = None,
         max_preemptions_per_job: Optional[int] = None,
         tenant_weights=None,
@@ -443,28 +417,16 @@ class HailConfig:
         or a tuple of ``(tenant, weight)`` pairs; the constructor normalizes either to a
         sorted tuple.
         """
-        overrides: dict = {}
-        if max_jobs is not None:
-            overrides["max_concurrent_jobs"] = max_jobs
-        if queue_policy is not None:
-            overrides["scheduler_queue_policy"] = queue_policy
-        if slot_quota is not None:
-            overrides["tenant_slot_quota"] = slot_quota
-        if admission_limit is not None:
-            overrides["tenant_admission_limit"] = admission_limit
-        if speculation is not None:
-            overrides["speculative_execution"] = speculation
-        if speculative_percentile is not None:
-            overrides["speculative_percentile"] = speculative_percentile
-        if speculative_slowdown is not None:
-            overrides["speculative_slowdown"] = speculative_slowdown
-        if preemption is not None:
-            overrides["preemption"] = preemption
-        if max_preemptions_per_job is not None:
-            overrides["max_preemptions_per_job"] = max_preemptions_per_job
-        if tenant_weights is not None:
-            overrides["tenant_weights"] = tenant_weights
-        return replace(self, **overrides)
+        return self._with(
+            max_concurrent_jobs=max_jobs,
+            scheduler_queue_policy=queue_policy,
+            tenant_slot_quota=slot_quota,
+            tenant_admission_limit=admission_limit,
+            speculative_execution=speculation,
+            preemption=preemption,
+            max_preemptions_per_job=max_preemptions_per_job,
+            tenant_weights=tenant_weights,
+        )
 
     def with_persistence(
         self, backend: str = "sqlite", directory: Optional[str] = None

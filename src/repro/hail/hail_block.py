@@ -17,6 +17,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.hail.index import HailIndex, IndexLookup
 from repro.hail.predicate import Predicate
+from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.hdfs.block import BlockPayload
 from repro.layouts import serialization
 from repro.layouts.pax import PaxBlock
@@ -77,29 +78,66 @@ class HailBlock(BlockPayload):
         This is the datanode-side work of the HAIL upload pipeline (Section 3.2, step 7): sort
         in main memory, reorganise all columns, create the sparse clustered index.
         """
-        pax = PaxBlock.from_records(schema, records)
-        if sort_attribute is None:
-            return cls(
-                pax,
-                None,
-                None,
-                bad_lines=bad_lines,
-                partition_size=partition_size,
-                logical_partition_size=logical_partition_size,
-            )
-        # One shared sort-and-index entry point for upload-time and adaptive builds: the index
-        # is created over the sorted column and its permutation reorders all other minipages.
-        index, permutation = HailIndex.from_unsorted(
-            sort_attribute, pax.column(sort_attribute), partition_size=partition_size
-        )
-        sorted_pax = pax.reorder(permutation)
-        return cls(
-            sorted_pax,
+        return cls._sorted_and_indexed(
+            PaxBlock.from_records(schema, records),
             sort_attribute,
-            index,
+            partition_size,
             bad_lines=bad_lines,
-            partition_size=partition_size,
             logical_partition_size=logical_partition_size,
+        )
+
+    def resorted(self, attribute: Optional[str]) -> "HailBlock":
+        """A new payload over the same rows, sorted and indexed on ``attribute``.
+
+        ``None`` strips the index and keeps the current row order (the eviction downgrade).
+        Bad records, both partition sizes and the physical layout carry over, so adaptive
+        builds, balancer rebuilds and downgrades keep the source replica's shape — under the
+        "no PAX conversion" ablation a rebuilt replica stays row-wise.
+        """
+        block = self._sorted_and_indexed(
+            self.pax,
+            attribute,
+            self.partition_size,
+            bad_lines=self.bad_lines,
+            logical_partition_size=self.logical_partition_size,
+        )
+        block.pax_layout = self.pax_layout
+        return block
+
+    @classmethod
+    def _sorted_and_indexed(
+        cls, pax: PaxBlock, sort_attribute: Optional[str], partition_size: int, **block_args
+    ) -> "HailBlock":
+        """The one sort-and-index step behind :meth:`build` and :meth:`resorted`: the index is
+        created over the sorted column and its permutation reorders all other minipages."""
+        index = None
+        if sort_attribute is not None:
+            index, permutation = HailIndex.from_unsorted(
+                sort_attribute, pax.column(sort_attribute), partition_size=partition_size
+            )
+            pax = pax.reorder(permutation)
+        return cls(pax, sort_attribute, index, partition_size=partition_size, **block_args)
+
+    def replica_info(self, datanode_id: int, **overrides: Any) -> HailBlockReplicaInfo:
+        """The ``Dir_rep`` entry describing this payload as stored on ``datanode_id``.
+
+        Sort/indexed attribute, sizes, record count, layout and the block-level zone synopsis
+        all come from the payload itself, so a registered entry cannot disagree with the
+        replica it describes; ``overrides`` carries what the payload cannot know (``origin``,
+        ``index_type``, ``displaced_plain_replica``) or an explicit ``zone_ranges=None`` for
+        systems that register no synopsis.
+        """
+        if "zone_ranges" not in overrides:
+            overrides["zone_ranges"] = self.zone_ranges()
+        return HailBlockReplicaInfo(
+            datanode_id=datanode_id,
+            sort_attribute=self.sort_attribute,
+            indexed_attribute=self.sort_attribute,
+            index_size_bytes=self.index_size_bytes(),
+            block_size_bytes=self.size_bytes(),
+            num_records=self.num_records,
+            pax_layout=self.pax_layout,
+            **overrides,
         )
 
     # ------------------------------------------------------------------ BlockPayload interface

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.engine.adaptive import commit_adaptive_builds  # noqa: F401  (re-export)
 from repro.engine.planner import choose_indexed_host  # noqa: F401  (re-export)
+from repro.hail.hail_block import HailBlock
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.counters import Counters
@@ -64,7 +65,7 @@ def replica_distribution(namenode: NameNode, path: str) -> dict[str, int]:
     for block_id in namenode.file_blocks(path):
         for datanode_id in namenode.block_datanodes(block_id, alive_only=False):
             info = namenode.replica_info(block_id, datanode_id)
-            key = getattr(info, "indexed_attribute", None) if info is not None else None
+            key = info.indexed_attribute if info is not None else None
             histogram[str(key)] = histogram.get(str(key), 0) + 1
     return histogram
 
@@ -138,14 +139,22 @@ def index_local_task_fraction(counters) -> float:
     return index_local / total
 
 
+#: ``Dir_rep`` fields a HAIL payload determines by itself (see :meth:`HailBlock.replica_info`).
+_PAYLOAD_DERIVED_FIELDS = (
+    "sort_attribute", "index_size_bytes", "block_size_bytes", "num_records", "pax_layout",
+    "zone_ranges",
+)
+
+
 def check_dir_rep_consistency(hdfs: Hdfs, path: str) -> list[str]:
     """Invariants tying ``Dir_rep`` to the physically stored replicas; returns violations.
 
     Used by the failure-injection tests: after any sequence of adaptive builds, node deaths and
     reschedules there must be (1) no ``Dir_rep`` entry without a matching stored replica, (2) no
-    entry whose indexed attribute disagrees with the replica's payload, and (3) at most one
-    adaptive index per ``(block, attribute)`` — a rescheduled task must not have built the same
-    block index twice.
+    entry whose indexed attribute, sort attribute, sizes, record count, layout or registered
+    zone synopsis disagrees with what the stored payload says about itself
+    (:meth:`HailBlock.replica_info`), and (3) at most one adaptive index per
+    ``(block, attribute)`` — a rescheduled task must not have built the same block index twice.
     """
     violations: list[str] = []
     namenode = hdfs.namenode
@@ -163,12 +172,23 @@ def check_dir_rep_consistency(hdfs: Hdfs, path: str) -> list[str]:
                 )
                 continue
             replica = datanode.replica(block_id)
-            if getattr(info, "indexed_attribute", None) != replica.indexed_attribute:
+            if info.indexed_attribute != replica.indexed_attribute:
                 violations.append(
                     f"block {block_id}: Dir_rep says index on "
                     f"{info.indexed_attribute!r} but replica on dn{datanode_id} carries "
                     f"{replica.indexed_attribute!r}"
                 )
+            if isinstance(replica.payload, HailBlock):
+                described = replica.payload.replica_info(datanode_id)
+                for name in _PAYLOAD_DERIVED_FIELDS:
+                    if name == "zone_ranges" and info.zone_ranges is None:
+                        continue  # no synopsis registered (Hadoop++): nothing to contradict
+                    if getattr(info, name) != getattr(described, name):
+                        violations.append(
+                            f"block {block_id}: Dir_rep {name} on dn{datanode_id} is "
+                            f"{getattr(info, name)!r} but the stored payload says "
+                            f"{getattr(described, name)!r}"
+                        )
             if info.is_adaptive:
                 attribute = str(info.indexed_attribute)
                 adaptive_attributes[attribute] = adaptive_attributes.get(attribute, 0) + 1

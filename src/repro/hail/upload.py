@@ -27,8 +27,7 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.ledger import TransferLedger
 from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.replica_info import HailBlockReplicaInfo
-from repro.hdfs.block import LogicalBlock, Replica
+from repro.hdfs.block import LogicalBlock
 from repro.hdfs.checksum import checksum_file_size, chunk_checksums
 from repro.hdfs.chunk import num_packets
 from repro.hdfs.errors import UploadFailedError
@@ -122,12 +121,22 @@ class HailUploadPipeline:
         for position, datanode_id in enumerate(pipeline):
             ledger.record_transfer(previous, datanode_id, wire_bytes)
             sort_attribute = self.config.attribute_for_replica(position)
-            replica, info = self._build_replica(
-                block_id, datanode_id, schema, records, bad_lines, sort_attribute
+            block = HailBlock.build(
+                schema=schema,
+                records=records,
+                sort_attribute=sort_attribute,
+                partition_size=self.config.effective_functional_partition_size,
+                bad_lines=bad_lines,
+                logical_partition_size=self.config.partition_size,
             )
-            self._charge_datanode(datanode_id, replica, pax_bytes, ledger)
-            self.hdfs.datanode(datanode_id).store_replica(replica)
-            self.hdfs.namenode.register_replica(block_id, datanode_id, replica_info=info)
+            block.pax_layout = self.config.convert_to_pax
+            checksums: tuple[int, ...] = ()
+            if self.config.verify_checksums:
+                checksums = tuple(chunk_checksums(block.pax.to_bytes()))
+            self._charge_datanode(datanode_id, block, pax_bytes, ledger)
+            self.hdfs.install_replica(
+                block_id, datanode_id, block, block.replica_info(datanode_id), checksums
+            )
             if sort_attribute is not None:
                 indexes_created.append(sort_attribute)
             previous = datanode_id
@@ -152,48 +161,6 @@ class HailUploadPipeline:
         )
 
     # ------------------------------------------------------------------ internals
-    def _build_replica(
-        self,
-        block_id: int,
-        datanode_id: int,
-        schema: Schema,
-        records: Sequence[tuple],
-        bad_lines: Sequence[str],
-        sort_attribute: Optional[str],
-    ) -> tuple[Replica, HailBlockReplicaInfo]:
-        block = HailBlock.build(
-            schema=schema,
-            records=records,
-            sort_attribute=sort_attribute,
-            partition_size=self.config.effective_functional_partition_size,
-            bad_lines=bad_lines,
-            logical_partition_size=self.config.partition_size,
-        )
-        if not self.config.convert_to_pax:
-            block.pax_layout = False
-        checksums: tuple[int, ...] = ()
-        if self.config.verify_checksums:
-            checksums = tuple(chunk_checksums(block.pax.to_bytes()))
-        replica = Replica(
-            block_id=block_id,
-            datanode_id=datanode_id,
-            payload=block,
-            checksums=checksums,
-            sort_attribute=sort_attribute,
-            indexed_attribute=sort_attribute,
-        )
-        info = HailBlockReplicaInfo(
-            datanode_id=datanode_id,
-            sort_attribute=sort_attribute,
-            indexed_attribute=sort_attribute,
-            index_size_bytes=block.index_size_bytes(),
-            block_size_bytes=block.size_bytes(),
-            num_records=block.num_records,
-            pax_layout=self.config.convert_to_pax,
-            zone_ranges=block.zone_ranges(),
-        )
-        return replica, info
-
     def _charge_client(
         self,
         client_node: int,
@@ -219,16 +186,15 @@ class HailUploadPipeline:
         ledger.record_cpu(client_node, client_cpu)
 
     def _charge_datanode(
-        self, datanode_id: int, replica: Replica, pax_bytes: int, ledger: TransferLedger
+        self, datanode_id: int, block: HailBlock, pax_bytes: int, ledger: TransferLedger
     ) -> None:
         cost = self.cost
         node = self.hdfs.cluster.node(datanode_id)
         cpu = cost.cpu(node)
         cores = node.hardware.cores
-        block: HailBlock = replica.payload  # type: ignore[assignment]
         scaled_pax = cost.scale_bytes(pax_bytes)
         cpu_seconds = 0.0
-        if replica.sort_attribute is not None:
+        if block.sort_attribute is not None:
             logical_values = int(cost.scale_count(block.num_records))
             cpu_seconds += cpu.sort_block(logical_values, scaled_pax, cores=cores)
             cpu_seconds += cpu.build_index(logical_values, cores=cores)

@@ -9,11 +9,11 @@ interesting behaviour lives in the upload pipelines (:mod:`repro.hdfs.pipeline`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
-from repro.hdfs.block import LogicalBlock, Replica
+from repro.hdfs.block import BlockPayload, LogicalBlock, Replica
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.namenode import NameNode
@@ -89,6 +89,44 @@ class Hdfs:
     def alive_datanodes(self) -> list[DataNode]:
         """All datanodes whose host node is alive."""
         return [dn for dn in self.datanodes.values() if dn.is_alive]
+
+    # ------------------------------------------------------------------ the replica writer
+    def install_replica(
+        self,
+        block_id: int,
+        datanode_id: int,
+        payload: BlockPayload,
+        info: Optional[Any] = None,
+        checksums: tuple[int, ...] = (),
+        touch: bool = False,
+        site: Optional[str] = None,
+    ) -> None:
+        """Store ``payload`` as ``datanode_id``'s replica of ``block_id`` and register it.
+
+        The single write path behind upload, index rewrites, adaptive commits, eviction
+        downgrades, balancer rebuilds/migrations and journal restore: a replica of the block
+        the node already holds is dropped first (its disk charge released), then the stored
+        replica, ``Dir_block`` and the ``Dir_rep`` entry ``info`` change together.  ``touch``
+        records a first index use; ``site`` journals the block right away under that
+        crash-site name — callers whose mutation spans several steps sync once themselves.
+        """
+        datanode = self.datanode(datanode_id)
+        datanode.delete_replica(block_id)
+        datanode.store_replica(
+            Replica(
+                block_id=block_id,
+                datanode_id=datanode_id,
+                payload=payload,
+                checksums=checksums,
+                sort_attribute=getattr(info, "sort_attribute", None),
+                indexed_attribute=getattr(info, "indexed_attribute", None),
+            )
+        )
+        self.namenode.register_replica(block_id, datanode_id, replica_info=info)
+        if touch:
+            self.namenode.touch_index_usage(block_id, datanode_id)
+        if site is not None and self.persist is not None:
+            self.persist.sync_block(self, block_id, site=site)
 
     # ------------------------------------------------------------------ replica access
     def read_replica(self, block_id: int, datanode_id: int) -> Replica:

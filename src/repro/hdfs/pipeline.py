@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.ledger import TransferLedger
-from repro.hdfs.block import LogicalBlock, Replica, TextBlockPayload
+from repro.hdfs.block import LogicalBlock, TextBlockPayload
 from repro.hdfs.checksum import checksum_file_size, chunk_checksums
 from repro.hdfs.chunk import num_packets
 from repro.hdfs.errors import UploadFailedError
@@ -101,14 +101,7 @@ class StandardUploadPipeline:
         self._charge_costs(payload_size, client_node, pipeline, ledger)
 
         for datanode_id in pipeline:
-            replica = Replica(
-                block_id=block_id,
-                datanode_id=datanode_id,
-                payload=payload,
-                checksums=checksums,
-            )
-            self.hdfs.datanode(datanode_id).store_replica(replica)
-            self.hdfs.namenode.register_replica(block_id, datanode_id)
+            self.hdfs.install_replica(block_id, datanode_id, payload, checksums=checksums)
 
         return BlockUploadResult(
             block_id=block_id,

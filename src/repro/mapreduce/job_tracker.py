@@ -110,7 +110,7 @@ class ConcurrencyPolicy:
 
     - ``speculative_execution`` launches a backup attempt for a suspected straggler when a
       freed slot has no regular work; an attempt is a straggler candidate when its projected
-      duration exceeds ``speculative_slowdown`` times the ``speculative_percentile``-th
+      duration exceeds :data:`SPECULATIVE_SLOWDOWN` times the :data:`SPECULATIVE_PERCENTILE`
       percentile of the job's *completed* attempt durations.  Backups obey tenant quotas and
       never land on the node already running the original.
     - ``preemption`` revokes running attempts from a tenant exceeding its weighted slot
@@ -127,8 +127,6 @@ class ConcurrencyPolicy:
     tenant_slot_quota: Optional[int] = None
     tenant_admission_limit: Optional[int] = None
     speculative_execution: bool = False
-    speculative_percentile: float = 0.75
-    speculative_slowdown: float = 1.5
     preemption: bool = False
     max_preemptions_per_job: int = 2
     tenant_weights: Optional[tuple[tuple[str, float], ...]] = None
@@ -142,10 +140,6 @@ class ConcurrencyPolicy:
             raise ValueError("tenant_slot_quota must be >= 1 when set")
         if self.tenant_admission_limit is not None and self.tenant_admission_limit < 1:
             raise ValueError("tenant_admission_limit must be >= 1 when set")
-        if not 0.0 < self.speculative_percentile <= 1.0:
-            raise ValueError("speculative_percentile must lie in (0, 1]")
-        if self.speculative_slowdown < 1.0:
-            raise ValueError("speculative_slowdown must be >= 1")
         if self.max_preemptions_per_job < 0:
             raise ValueError("max_preemptions_per_job must be non-negative")
         if self.tenant_weights is not None:
@@ -339,6 +333,13 @@ class _Running:
     def retry(self, not_before_s: float) -> _QueuedTask:
         """The same task queued again as its next attempt, launchable from ``not_before_s``."""
         return _QueuedTask(self.queued.task, self.queued.attempt + 1, not_before_s)
+
+
+#: The straggler test of :meth:`JobTracker._speculate`: which completed-duration percentile of
+#: a job counts as "typical", and how many times over it a running attempt must project
+#: before a backup attempt is justified.
+SPECULATIVE_PERCENTILE = 0.75
+SPECULATIVE_SLOWDOWN = 1.5
 
 
 def _percentile(values: list[float], fraction: float) -> float:
@@ -880,7 +881,7 @@ class JobTracker:
         """Try to launch a backup attempt for the worst straggler on the idle ``slot``.
 
         Candidates are running, un-raced, un-killed regular attempts of jobs with at least
-        one completed attempt, projected to run longer than ``speculative_slowdown`` times
+        one completed attempt, projected to run longer than :data:`SPECULATIVE_SLOWDOWN` times
         the job's completed-duration percentile, on a *different* node than ``slot``, and
         whose tenant has headroom under its slot limit.  Durations are deterministic at
         launch, so the race resolves eagerly: the loser is killed the instant the winner
@@ -898,8 +899,8 @@ class JobTracker:
             state = attempt.state
             if not state.durations:
                 continue
-            typical = _percentile(state.durations, policy.speculative_percentile)
-            if (attempt.finish_s - attempt.start_s) <= policy.speculative_slowdown * typical:
+            typical = _percentile(state.durations, SPECULATIVE_PERCENTILE)
+            if (attempt.finish_s - attempt.start_s) <= SPECULATIVE_SLOWDOWN * typical:
                 continue
             tenant = state.job.tenant
             limit = self._tenant_limit(policy, allowance, tenant)

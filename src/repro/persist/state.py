@@ -150,7 +150,7 @@ def restore_system(system, state: dict) -> None:
     captured from a live system never contain both, so restore must not re-trigger that rule.
     """
     from repro.hail.hail_block import HailBlock
-    from repro.hdfs.block import LogicalBlock, Replica
+    from repro.hdfs.block import LogicalBlock
     from repro.hdfs.checksum import chunk_checksums
     from repro.layouts.pax import PaxBlock
 
@@ -200,16 +200,7 @@ def restore_system(system, state: dict) -> None:
                 if stored["info"] is not None
                 else None
             )
-            replica = Replica(
-                block_id=block_id,
-                datanode_id=datanode_id,
-                payload=block,
-                checksums=checksums,
-                sort_attribute=info.sort_attribute if info is not None else None,
-                indexed_attribute=info.indexed_attribute if info is not None else None,
-            )
-            hdfs.datanode(datanode_id).store_replica(replica)
-            namenode.register_replica(block_id, datanode_id, replica_info=info)
+            hdfs.install_replica(block_id, datanode_id, block, info, checksums)
         for datanode_id, (use_count, last_tick) in entry["usage"].items():
             namenode.set_index_usage(block_id, int(datanode_id), use_count, last_tick)
         for attribute, datanode_id in entry["evictions"].items():

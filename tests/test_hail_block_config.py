@@ -82,6 +82,42 @@ def test_build_without_sort_attribute(uservisits_sample):
     assert block.index_size_bytes() == 0
 
 
+@pytest.mark.parametrize("attribute", ["sourceIP", "adRevenue", "visitDate"])
+def test_resorted_equals_build_over_the_same_rows(uservisits_block, attribute):
+    """One sort-and-index step: re-sorting a payload is byte-identical to building it anew."""
+    uservisits_block.bad_lines.append("not|a|row")
+    uservisits_block.pax_layout = False
+    resorted = uservisits_block.resorted(attribute)
+    built = HailBlock.build(
+        USERVISITS_SCHEMA,
+        uservisits_block.pax.records(),
+        attribute,
+        partition_size=8,
+        bad_lines=["not|a|row"],
+        logical_partition_size=1024,
+    )
+    assert resorted.pax.to_bytes() == built.pax.to_bytes()
+    assert resorted.index.partition_keys == built.index.partition_keys
+    assert resorted.index.describe() == built.index.describe()
+    assert resorted.zone_ranges() == built.zone_ranges()
+    assert resorted.size_bytes() == built.size_bytes()
+    assert resorted.bad_lines == ["not|a|row"]
+    assert (resorted.partition_size, resorted.logical_partition_size) == (8, 1024)
+    assert resorted.pax_layout is False  # carried over from the source payload
+    built.pax_layout = False
+    assert resorted.replica_info(2) == built.replica_info(2)
+
+
+def test_resorted_none_strips_the_index_in_place(uservisits_block):
+    plain = uservisits_block.resorted(None)
+    assert plain.index is None and plain.sort_attribute is None
+    assert plain.pax.records() == uservisits_block.pax.records()  # row order kept
+    info = plain.replica_info(1, origin="evicted")
+    assert (info.indexed_attribute, info.index_size_bytes, info.origin) == (None, 0, "evicted")
+    assert info.block_size_bytes == plain.size_bytes()
+    assert info.zone_ranges == uservisits_block.zone_ranges()
+
+
 def test_block_requires_consistent_index_and_sort_attribute(uservisits_sample):
     from repro.layouts.pax import PaxBlock
 

@@ -155,3 +155,35 @@ def test_datanode_delete_replica_releases_disk(small_cluster, simple_schema, sim
     assert node.disk_used_bytes == 0
     # Deleting twice is a no-op.
     datanode.delete_replica(5)
+
+
+# --------------------------------------------------------------------------- the replica writer
+def test_install_replica_over_an_existing_one_leaks_no_disk_charge(
+    hdfs, simple_schema, simple_records
+):
+    from repro.hail import HailBlock
+    from repro.hdfs.checksum import checksum_file_size
+
+    hdfs.namenode.create_file("/f")
+    block_id, pipeline = hdfs.namenode.allocate_block(
+        "/f", _block(simple_schema, simple_records), client_node=0
+    )
+    text = TextBlockPayload([simple_schema.format_record(r) for r in simple_records])
+    for datanode_id in pipeline:
+        hdfs.install_replica(block_id, datanode_id, text, checksums=(1, 2))
+    assert hdfs.namenode.block_datanodes(block_id) == pipeline
+    assert hdfs.namenode.replica_info(block_id, pipeline[1]) is None
+
+    indexed = HailBlock.build(simple_schema, simple_records, "id", partition_size=8)
+    target = pipeline[1]
+    hdfs.install_replica(block_id, target, indexed, indexed.replica_info(target), touch=True)
+
+    # Only the new replica's data + checksum files are charged: the text replica's are gone.
+    footprint = indexed.size_bytes() + checksum_file_size(indexed.size_bytes())
+    assert hdfs.cluster.node(target).disk_used_bytes == footprint
+    assert hdfs.namenode.block_datanodes(block_id) == pipeline  # Dir_block order unchanged
+    stored = hdfs.read_replica(block_id, target)
+    assert stored.payload is indexed and stored.indexed_attribute == "id"
+    assert stored.checksums == ()
+    assert hdfs.namenode.hosts_with_index(block_id, "id") == [target]
+    assert hdfs.namenode.index_usage(block_id, target) == (1, 1)

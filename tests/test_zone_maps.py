@@ -28,7 +28,7 @@ from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGene
 from repro.engine import kernels
 from repro.engine.access_path import AccessPath
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
-from repro.hail import HailConfig, HailSystem
+from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
 from repro.hail.predicate import Operator, Predicate
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import FieldType, Schema
@@ -224,6 +224,26 @@ def test_stale_dir_rep_synopsis_fails_closed_to_full_scan():
     assert any(
         block_plan.fallback_reason == "stale zone map synopsis" for block_plan in executed
     )
+
+
+def test_forged_dir_rep_entry_is_reported_by_the_consistency_invariant():
+    """``check_dir_rep_consistency`` holds every entry against its payload's own description."""
+    system = _hail(zone_maps=True)
+    records = SyntheticGenerator(seed=23).generate(120)
+    system.upload(_PATH, records, SYNTHETIC_SCHEMA, rows_per_block=40)
+    assert check_dir_rep_consistency(system.hdfs, _PATH) == []
+    _forge_dir_rep_zone_ranges(system, _PATH, "f2")
+    namenode = system.hdfs.namenode
+    block_id = namenode.file_blocks(_PATH)[0]
+    datanode_id, info = next(iter(namenode.replica_infos(block_id).items()))
+    namenode.register_replica_info(
+        block_id, datanode_id, dc_replace(info, num_records=info.num_records + 1)
+    )
+    violations = check_dir_rep_consistency(system.hdfs, _PATH)
+    assert sum("zone_ranges" in violation for violation in violations) == sum(
+        len(namenode.replica_infos(b)) for b in namenode.file_blocks(_PATH)
+    )
+    assert sum("num_records" in violation for violation in violations) == 1
 
 
 def test_stale_payload_synopsis_disables_pruning():
