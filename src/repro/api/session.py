@@ -289,11 +289,12 @@ class Dataset:
     ) -> "QueryHandle":
         """Defer execution: enqueue on the session and return a handle.
 
-        The handle resolves when :meth:`Session.run_batch` drains the queue; batching lets
-        adaptive indexing, the lifecycle manager and the auto-tuner work across the whole
-        workload instead of one query at a time.  ``deadline_s`` attaches a soft completion
-        deadline for the concurrent scheduler (EDF tie-breaks + ``DEADLINE_*`` accounting);
-        it is ignored on serial drains.
+        The handle resolves when a batch drain (:meth:`Session.run_batch` or
+        :func:`run_multi_tenant_batch`) completes its job; batching lets adaptive indexing,
+        the lifecycle manager and the auto-tuner work across the whole workload instead of
+        one query at a time.  ``deadline_s`` attaches a soft completion deadline for the
+        concurrent scheduler (EDF tie-breaks + ``DEADLINE_*`` accounting); it only matters
+        on interleaved batches and is ignored wherever jobs run back-to-back.
         """
         return self.session._enqueue(self.to_query(), self.path, system, deadline_s)
 
@@ -305,7 +306,7 @@ class Dataset:
 # --------------------------------------------------------------------------- deferred queries
 @dataclass
 class QueryHandle:
-    """A submitted-but-not-yet-executed query (created by :meth:`Dataset.submit`)."""
+    """A query deferred by :meth:`Dataset.submit`; resolves the moment a drain completes it."""
 
     query: Query
     path: str
@@ -316,7 +317,7 @@ class QueryHandle:
 
     @property
     def done(self) -> bool:
-        """Has :meth:`Session.run_batch` executed this query yet?"""
+        """Has a batch drain (or an explicit ``session.run(handle)``) executed this query?"""
         return self._result is not None
 
     def result(self) -> QueryResult:
@@ -358,11 +359,13 @@ class BatchResult:
 class BatchExecutionError(RuntimeError):
     """A mid-batch failure that *preserves* the work already completed.
 
-    ``Session.run_batch`` records every finished query into the session statistics as it
-    goes, so silently dropping the :class:`BatchResult` under construction on an exception
-    would let stats and results diverge.  Instead the partial batch travels on the error:
-    ``partial`` holds the completed results (in submission order), ``failed_index`` the
-    position of the item whose execution raised, and ``__cause__`` the original exception.
+    Raised by both batch drains (:meth:`Session.run_batch`, :func:`run_multi_tenant_batch`).
+    The drain folds every finished query into its owning session's statistics and resolves
+    its handle as it goes, so the partial batch travels on the error instead of being
+    dropped: ``partial`` holds the completed results in entry order (submission order, or
+    the round-robin merge order of a multi-tenant drain), ``failed_index`` the entry
+    position whose execution raised, and ``__cause__`` the original exception.  Unfinished
+    handles stay pending, so statistics, handles and ``partial`` always agree.
     """
 
     def __init__(self, message: str, partial: BatchResult, failed_index: int) -> None:
@@ -858,20 +861,8 @@ class Session:
         uploaded path to default to).
         """
         query, query_path, target_name = self._resolve(item, system, path)
-        target = self.system(target_name)
-        if isinstance(query, _OPERATOR_QUERIES):
-            if failure is not None:
-                raise ValueError(
-                    "failure injection is not supported for relational-operator queries; "
-                    "run the failure experiment on a plain selection query"
-                )
-            result = execute_operator(target, query, query_path)
-        else:
-            result = target.run_query(query, query_path, failure=failure)
-        self._record(target_name, result)
-        if isinstance(item, QueryHandle):
-            item._result = result
-            self._discard_pending(item)
+        result = _execute(self.system(target_name), query, query_path, failure)
+        self._accept(target_name, result, item)
         return result
 
     def run_batch(
@@ -889,89 +880,14 @@ class Session:
         index scans for query *k+1*, the lifecycle manager runs after every job, and the
         auto-tuner's knob updates feed straight into the next query.
 
-        On a deployment configured for concurrency (``HailConfig.max_concurrent_jobs > 1``)
-        each system's share of the batch is submitted to the JobTracker as one batch — map
-        phases interleave over the shared slots, handles resolve as their jobs finish, and
-        every ``runtime_s`` is a latency on the shared timeline.  By default jobs run
-        back-to-back in submission order, each as a single-job phase of the same
-        scheduling loop.
-
-        A query that raises mid-batch aborts the drain with a
-        :class:`BatchExecutionError` carrying the completed results, so the session
-        statistics (already updated per finished query) and the returned results can never
-        diverge.
+        This is the one-session case of the drain :func:`run_multi_tenant_batch` runs for
+        several tenants; ``docs/api.md`` (§ Batch drains) holds the shared contract —
+        per-system entry order, back-to-back vs. interleaved execution, and the
+        :class:`BatchExecutionError` a mid-batch failure surfaces as.
         """
         if items is None:
-            items = list(self.pending)
-        items = list(items)
-        resolved = [self._resolve(item, system, path) for item in items]
-        groups: dict[str, list[int]] = {}
-        for position, (_, _, target_name) in enumerate(resolved):
-            groups.setdefault(target_name, []).append(position)
-        policies = {name: self.system(name).concurrency_policy() for name in groups}
-        results: list[Optional[QueryResult]] = [None] * len(items)
-
-        def _run_serially(serial_positions: Sequence[int]) -> None:
-            """One job at a time, in the given order; a failure aborts the whole drain."""
-            for position in serial_positions:
-                try:
-                    results[position] = self.run(items[position], system=system, path=path)
-                except Exception as error:
-                    raise self._batch_error(items, results, position, error) from error
-
-        if not any(policies.values()):
-            # The classic serial drain: strict submission order.
-            _run_serially(range(len(items)))
-            return BatchResult(results=list(results))
-
-        for target_name, positions in groups.items():
-            policy = policies[target_name]
-            # Operator queries run through the operator dispatch, not the concurrent
-            # JobTracker drain — execute them serially (in submission order) up front.
-            operator_positions = [
-                p for p in positions if isinstance(resolved[p][0], _OPERATOR_QUERIES)
-            ]
-            _run_serially(operator_positions)
-            positions = [p for p in positions if p not in set(operator_positions)]
-            if policy is None or len(positions) <= 1:
-                _run_serially(positions)
-                continue
-            target = self.system(target_name)
-            group_items = [(resolved[p][0], resolved[p][1]) for p in positions]
-            deadlines = [
-                items[p].deadline_s if isinstance(items[p], QueryHandle) else None
-                for p in positions
-            ]
-            if not any(d is not None for d in deadlines):
-                deadlines = None
-
-            def _accept(position: int, result: QueryResult) -> None:
-                results[position] = result
-                self._record(target_name, result)
-                item = items[position]
-                if isinstance(item, QueryHandle):
-                    item._result = result
-                    self._discard_pending(item)
-
-            try:
-                group_results = target.run_queries(
-                    group_items,
-                    tenants=[self.tenant] * len(group_items),
-                    deadlines=deadlines,
-                )
-            except ConcurrentBatchError as error:
-                # The batch died partway through its completions (e.g. an armed
-                # mid_concurrent_batch crash point): record and resolve what finished, so
-                # session stats and the error's .partial agree, then surface the rest.
-                for group_position, result in error.completed.items():
-                    _accept(positions[group_position], result)
-                failed = positions[error.failed_index]
-                raise self._batch_error(items, results, failed, error) from error
-            except Exception as error:
-                raise self._batch_error(items, results, positions[0], error) from error
-            for position, result in zip(positions, group_results):
-                _accept(position, result)
-        return BatchResult(results=list(results))
+            items = self.pending
+        return BatchResult(results=_drain([(self, item) for item in items], system, path))
 
     def explain(
         self, item: Runnable, system: Optional[str] = None, path: Optional[str] = None
@@ -1044,34 +960,17 @@ class Session:
         self._pending.append(handle)
         return handle
 
-    def _discard_pending(self, handle: QueryHandle) -> None:
-        """Drop a resolved handle from the pending queue (the unbounded-growth fix)."""
-        try:
-            self._pending.remove(handle)
-        except ValueError:
-            pass  # ran ad hoc, never enqueued (e.g. a handle passed to run() twice)
-
-    def _batch_error(
-        self,
-        items: Sequence[Runnable],
-        results: Sequence[Optional[QueryResult]],
-        position: int,
-        error: Exception,
-    ) -> BatchExecutionError:
-        """Wrap a mid-batch failure so the completed results travel with the exception."""
-        completed = [result for result in results if result is not None]
-        return BatchExecutionError(
-            f"run_batch failed on item {position} ({error}); {len(completed)} of "
-            f"{len(items)} queries completed — see .partial for their results",
-            partial=BatchResult(results=completed),
-            failed_index=position,
-        )
-
-    def _record(self, system: str, result: QueryResult) -> None:
-        """Fold one query result into the per-system session statistics."""
+    def _accept(self, system: str, result: QueryResult, item: Runnable) -> None:
+        """Fold one finished query into the statistics; resolve and dequeue its handle."""
         self._queries_run[system] += 1
         self._runtime_s[system] += result.runtime_s
         self._counters[system].merge(result.job.counters)
+        if isinstance(item, QueryHandle):
+            item._result = result
+            try:
+                self._pending.remove(item)
+            except ValueError:
+                pass  # ran ad hoc, never enqueued (e.g. a handle passed to run() twice)
 
     def _resolve(
         self, item: Runnable, system: Optional[str], path: Optional[str]
@@ -1117,73 +1016,119 @@ class Session:
         )
 
 
-# --------------------------------------------------------------------------- multi-tenant
+# --------------------------------------------------------------------------- batch drains
+def _execute(
+    target: BaseSystem, query, path: str, failure: Optional[FailureEvent] = None
+) -> QueryResult:
+    """Run one compiled query now: operator dispatch for operator queries, else a scan job."""
+    if not isinstance(query, _OPERATOR_QUERIES):
+        return target.run_query(query, path, failure=failure)
+    if failure is not None:
+        raise ValueError(
+            "failure injection is not supported for relational-operator queries; "
+            "run the failure experiment on a plain selection query"
+        )
+    return execute_operator(target, query, path)
+
+
+def _drain(
+    entries: Sequence[tuple[Session, Runnable]],
+    system: Optional[str],
+    path: Optional[str],
+    chaos=None,
+) -> list[QueryResult]:
+    """The one batch drain: run ``(owning session, item)`` entries, results in entry order.
+
+    Entries are grouped per target system *object* (attached sessions share it, so one
+    group = one deployment) and each group is walked in entry order: consecutive scan
+    queries go to :meth:`BaseSystem.run_queries` as one batch — which alone decides
+    back-to-back vs. interleaved — and a relational-operator query runs by itself at its
+    position.  Every result is accepted by its owning session the moment its job
+    completes; any failure surfaces as a :class:`BatchExecutionError` over what finished.
+    """
+    # One row per entry: (owning session, item, compiled query, path, system name).
+    jobs = [(session, item, *session._resolve(item, system, path)) for session, item in entries]
+    results: list[Optional[QueryResult]] = [None] * len(jobs)
+    groups: dict[BaseSystem, list[int]] = {}
+    for position, (session, _, _, _, name) in enumerate(jobs):
+        groups.setdefault(session.system(name), []).append(position)
+
+    def _accept(position: int, result: QueryResult) -> None:
+        session, item, _, _, name = jobs[position]
+        session._accept(name, result, item)
+        results[position] = result
+
+    for target, positions in groups.items():
+        for is_operator, run in itertools.groupby(
+            positions, key=lambda p: isinstance(jobs[p][2], _OPERATOR_QUERIES)
+        ):
+            batch = list(run)
+            sessions, items, queries, paths, _ = zip(*(jobs[p] for p in batch))
+            try:
+                if is_operator:
+                    for position, query, query_path in zip(batch, queries, paths):
+                        _accept(position, _execute(target, query, query_path))
+                else:
+                    target.run_queries(
+                        list(zip(queries, paths)),
+                        tenants=[session.tenant for session in sessions],
+                        chaos=chaos,
+                        deadlines=[
+                            item.deadline_s if isinstance(item, QueryHandle) else None
+                            for item in items
+                        ],
+                        on_result=lambda index, result: _accept(batch[index], result),
+                    )
+            except Exception as error:
+                if isinstance(error, ConcurrentBatchError):
+                    failed = batch[error.failed_index]
+                else:
+                    failed = next(p for p in batch if results[p] is None)
+                completed = [result for result in results if result is not None]
+                raise BatchExecutionError(
+                    f"batch drain failed on item {failed} ({error}); {len(completed)} of "
+                    f"{len(jobs)} queries completed — see .partial for their results",
+                    partial=BatchResult(results=completed),
+                    failed_index=failed,
+                ) from error
+    return results
+
+
 def run_multi_tenant_batch(
     sessions: Sequence[Session], system: Optional[str] = None, chaos=None
 ) -> dict[str, BatchResult]:
     """Drain several tenants' pending queries through one shared deployment, interleaved.
 
     ``sessions`` are sibling sessions of one deployment (built with :meth:`Session.attach`)
-    carrying distinct tenant names; every query previously deferred via
-    :meth:`Dataset.submit` is collected — round-robin across the tenants, modelling
-    simultaneous arrival — and executed as **one** concurrent batch per shared system, so
-    the JobTracker's admission control, slot quotas and queue policy arbitrate between the
-    tenants for real.  Each handle resolves as its job finishes, its result is recorded into
-    the *owning* session's statistics (isolation), and the deployment's shared tuner
-    observes every tenant's jobs (cooperation).  Returns the per-tenant batches, each in its
-    session's submission order.
+    carrying distinct tenant names; their pending handles are merged round-robin (modelling
+    simultaneous arrival) and drained exactly like :meth:`Session.run_batch` drains one
+    session's queue (``docs/api.md`` § Batch drains).  An all-scan backlog is **one**
+    concurrent batch per shared system, so the JobTracker's admission control, slot quotas
+    and queue policy arbitrate between the tenants for real; each result lands in its
+    *owning* session's statistics (isolation) while the shared tuner observes every
+    tenant's jobs (cooperation).  Returns the per-tenant batches, each in its session's
+    submission order.  Without concurrency configured the merged backlog runs back-to-back.
 
     ``chaos`` (:class:`~repro.cluster.failure.ConcurrentChaos`) injects faults — a node
-    death, task failures, straggler nodes — into each concurrent batch, exercising the
-    hardened scheduler (speculation, preemption, quota-respecting rescheduling) under the
-    multi-tenant interleave; it requires the deployment to be concurrency-configured.
-
-    On a deployment without concurrency configured the same call degrades gracefully to
-    serial execution — results and statistics are identical to per-session drains.
+    death, task failures, straggler nodes — into each concurrent batch to exercise the
+    hardened scheduler; it requires the deployment to be concurrency-configured.
     """
     sessions = list(sessions)
     tenants = [session.tenant for session in sessions]
     if len(set(tenants)) != len(tenants):
         raise ValueError(f"sessions must carry distinct tenant names, got {tenants}")
-    per_session: dict[str, list[QueryHandle]] = {
-        session.tenant: list(session.pending) for session in sessions
-    }
     # Round-robin merge: tenant A's first query, tenant B's first, A's second, ... so no
     # tenant's whole backlog is "first" — arrival order is what quotas should arbitrate.
-    entries: list[tuple[Session, QueryHandle]] = []
-    for rank in range(max((len(v) for v in per_session.values()), default=0)):
-        for session in sessions:
-            handles = per_session[session.tenant]
-            if rank < len(handles):
-                entries.append((session, handles[rank]))
-    # Group per shared system *object*: attached sessions hand out the same instance, so
-    # one group = one deployment = one concurrent scheduler invocation.
-    groups: dict[int, list[tuple[Session, QueryHandle]]] = {}
-    targets: dict[int, tuple[BaseSystem, str]] = {}
-    for session, handle in entries:
-        target_name = handle.system if system is None else system
-        target = session.system(target_name)
-        key = id(target)
-        targets[key] = (target, target_name)
-        groups.setdefault(key, []).append((session, handle))
-    for key, group in groups.items():
-        target, target_name = targets[key]
-        items = [(handle.query, handle.path) for _, handle in group]
-        labels = [session.tenant for session, _ in group]
-        deadlines = [handle.deadline_s for _, handle in group]
-        group_results = target.run_queries(
-            items,
-            tenants=labels,
-            chaos=chaos,
-            deadlines=deadlines if any(d is not None for d in deadlines) else None,
-        )
-        for (session, handle), result in zip(group, group_results):
-            session._record(target_name, result)
-            handle._result = result
-            session._discard_pending(handle)
+    entries = [
+        (session, handle)
+        for rank in itertools.zip_longest(*(session.pending for session in sessions))
+        for session, handle in zip(sessions, rank)
+        if handle is not None
+    ]
+    results = _drain(entries, system, None, chaos)
     return {
         session.tenant: BatchResult(
-            results=[handle.result() for handle in per_session[session.tenant]]
+            results=[result for (owner, _), result in zip(entries, results) if owner is session]
         )
         for session in sessions
     }

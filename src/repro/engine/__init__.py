@@ -56,7 +56,6 @@ from repro.engine.operators import (
     JoinQuery,
     OperatorQuery,
     TopKQuery,
-    execute_operator_query,
     explain_operator,
 )
 from repro.engine.planner import PhysicalPlanner, QueryPlan, choose_indexed_host
@@ -67,7 +66,6 @@ __all__ = [
     "JoinQuery",
     "OperatorQuery",
     "TopKQuery",
-    "execute_operator_query",
     "explain_operator",
     "AccessPath",
     "ADAPTIVE_PROPERTY",

@@ -48,7 +48,6 @@ __all__ = [
     "choose_strategy",
     "co_partitioned",
     "execute",
-    "execute_operator_query",
     "execute_group_by",
     "execute_join",
     "execute_top_k",
@@ -79,8 +78,3 @@ def explain_operator(system: "BaseSystem", query: OperatorQuery, path: str) -> s
     if isinstance(query, TopKQuery):
         return explain_top_k(system, query, path)
     raise TypeError(f"not an operator query: {query!r}")
-
-
-#: Qualified alias for re-export from ``repro.engine`` (where a bare ``execute`` would read
-#: ambiguously next to the executor's entry points).
-execute_operator_query = execute

@@ -24,7 +24,7 @@ serial run is the single-job case.  In a batch each job still yields its own
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.failure import ConcurrentChaos, FailureEvent
@@ -46,17 +46,15 @@ from repro.mapreduce.task import MapTask
 class ConcurrentBatchError(RuntimeError):
     """A concurrent batch died partway through its post-map completions.
 
-    ``completed`` maps job *index* (position in the submitted ``jobconfs`` list) to the
-    :class:`~repro.mapreduce.job.JobResult` of every job that fully completed before the
-    failure, so callers (the session layer) can surface partial results; ``failed_index``
-    is the job whose completion raised ``cause``.
+    Every job that fully completed before the failure was already reported through
+    ``run_concurrent``'s ``on_result`` callback; ``failed_index`` is the job (position in
+    the submitted ``jobconfs`` list) whose completion raised ``cause``.
     """
 
-    def __init__(self, completed: dict, failed_index: int, cause: BaseException) -> None:
+    def __init__(self, failed_index: int, cause: BaseException) -> None:
         super().__init__(
             f"concurrent batch failed completing job {failed_index}: {cause}"
         )
-        self.completed = completed
         self.failed_index = failed_index
         self.cause = cause
 
@@ -99,15 +97,14 @@ class MapReduceRunner:
         tenants: Optional[list[str]] = None,
         policy: Optional[ConcurrencyPolicy] = None,
         chaos: Optional[ConcurrentChaos] = None,
-        submit_times: Optional[list[float]] = None,
         deadlines: Optional[list[Optional[float]]] = None,
+        on_result: Optional[Callable[[int, JobResult], None]] = None,
     ) -> list[JobResult]:
         """Execute a batch of jobs with interleaved map phases over shared slots.
 
         ``tenants`` labels each job for admission control, quotas and fair queueing
-        (defaults to a single ``"default"`` tenant).  ``submit_times`` staggers job
-        arrivals on the batch timeline (default: all at 0) and ``deadlines`` attaches
-        per-job soft deadlines (EDF tie-breaks + ``DEADLINE_*`` accounting).  ``chaos``
+        (defaults to a single ``"default"`` tenant) and ``deadlines`` attaches per-job
+        soft deadlines (EDF tie-breaks + ``DEADLINE_*`` accounting).  ``chaos``
         injects faults into the interleaved phase — a node death (the node is revived
         before returning, as :meth:`run` does after its node kill), task-attempt failures,
         and straggler slow-downs; see :class:`~repro.cluster.failure.ConcurrentChaos`.
@@ -118,22 +115,20 @@ class MapReduceRunner:
         behind other in-flight work.  Reduce phases, adaptive commits and lifecycle passes
         run in map-completion order, so a shared
         :class:`~repro.engine.lifecycle.AdaptiveTuner` observes jobs in the same causal
-        order the timeline produced.  If a completion dies partway (e.g. an armed
-        ``mid_concurrent_batch`` crash point), the already-completed jobs survive inside
-        the raised :class:`ConcurrentBatchError`.
+        order the timeline produced.  ``on_result(index, result)`` is called the moment
+        each job completes, so if a later completion dies partway (e.g. an armed
+        ``mid_concurrent_batch`` crash point) the caller already holds every finished job
+        when the :class:`ConcurrentBatchError` arrives.
         """
         if tenants is None:
             tenants = ["default"] * len(jobconfs)
-        aligned = {"tenants": tenants, "submit_times": submit_times, "deadlines": deadlines}
-        for name, values in aligned.items():
+        for name, values in (("tenants", tenants), ("deadlines", deadlines)):
             if values is not None and len(values) != len(jobconfs):
                 raise ValueError(f"{name} must align one-to-one with jobconfs")
         jobs: list[ConcurrentJob] = []
         plans = []
         for i, (jobconf, tenant) in enumerate(zip(jobconfs, tenants)):
             plan, job = self._prepare_job(jobconf, tenant=tenant)
-            if submit_times is not None:
-                job.submit_s = submit_times[i]
             if deadlines is not None:
                 job.deadline_s = deadlines[i]
             jobs.append(job)
@@ -149,13 +144,12 @@ class MapReduceRunner:
             range(len(jobs)), key=lambda i: (outcomes[i].finish_s, i)
         )
         results: list[Optional[JobResult]] = [None] * len(jobs)
-        completed: dict[int, JobResult] = {}
         persist = getattr(self.hdfs, "persist", None)
         for i in completion_order:
             try:
-                if persist is not None and completed:
-                    # A named crash site *between* job completions: everything already in
-                    # `completed` is journaled, the rest of the batch dies with the process.
+                if persist is not None and i != completion_order[0]:
+                    # A named crash site *between* job completions: everything already
+                    # reported is journaled, the rest of the batch dies with the process.
                     persist.barrier("mid_concurrent_batch")
                 results[i] = self._complete_job(
                     jobconfs[i],
@@ -168,8 +162,9 @@ class MapReduceRunner:
                     deadline_met=outcomes[i].deadline_met,
                 )
             except Exception as exc:
-                raise ConcurrentBatchError(completed, failed_index=i, cause=exc) from exc
-            completed[i] = results[i]
+                raise ConcurrentBatchError(failed_index=i, cause=exc) from exc
+            if on_result is not None:
+                on_result(i, results[i])
         return results
 
     # ------------------------------------------------------------------ internals

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cluster.costmodel import CostModel, CostParameters
 from repro.cluster.failure import FailureEvent
@@ -27,7 +27,7 @@ from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.runner import ConcurrentBatchError, MapReduceRunner
+from repro.mapreduce.runner import MapReduceRunner
 
 
 @dataclass
@@ -200,62 +200,66 @@ class BaseSystem(abc.ABC):
         items: Sequence[tuple],
         tenants: Optional[Sequence[str]] = None,
         chaos=None,
-        submit_times: Optional[Sequence[float]] = None,
         deadlines: Optional[Sequence[Optional[float]]] = None,
+        on_result: Optional[Callable[[int, QueryResult], None]] = None,
     ) -> list[QueryResult]:
         """Run several ``(query, path)`` pairs as one batch, concurrently when configured.
 
-        When :meth:`concurrency_policy` returns a policy (HAIL with
-        ``max_concurrent_jobs > 1``), the jobs' map phases interleave over the shared
-        TaskTracker slots via :meth:`MapReduceRunner.run_concurrent`; otherwise the batch
-        falls back to serial :meth:`run_query` calls.  ``tenants`` labels each job for
-        admission control/quotas/fair queueing; ``chaos``
-        (:class:`~repro.cluster.failure.ConcurrentChaos`), ``submit_times`` and
-        ``deadlines`` feed the hardened concurrent path and require a concurrent-capable
-        deployment (they are rejected on the serial fallback rather than silently ignored).
-        Results align with ``items``; if the batch dies partway the completed prefix
-        travels inside :class:`~repro.mapreduce.runner.ConcurrentBatchError` (re-raised
-        with job results converted to :class:`QueryResult`).
+        This is the one place that chooses between the two batch shapes.  When
+        :meth:`concurrency_policy` returns a policy (HAIL with ``max_concurrent_jobs > 1``)
+        and the batch holds at least two jobs, their map phases interleave over the shared
+        TaskTracker slots via :meth:`MapReduceRunner.run_concurrent`: ``tenants`` labels
+        each job for admission control/quotas/fair queueing, ``deadlines`` attaches soft
+        deadlines and ``chaos`` (:class:`~repro.cluster.failure.ConcurrentChaos`) injects
+        faults.  Otherwise the jobs run back-to-back through :meth:`run_query`, where
+        tenants and deadlines have nothing to arbitrate and are ignored; only ``chaos`` is
+        rejected rather than silently dropped.
+
+        ``on_result(position, result)`` is called the moment each job completes (in
+        completion order on interleaved batches), so a caller keeps every finished result
+        even when a later job raises.  Results align with ``items``.
         """
         items = list(items)
+        results: list[Optional[QueryResult]] = [None] * len(items)
+
+        def _deliver(position: int, result: QueryResult) -> None:
+            results[position] = result
+            if on_result is not None:
+                on_result(position, result)
+
         policy = self.concurrency_policy()
         if policy is None or policy.max_concurrent_jobs <= 1 or len(items) <= 1:
-            if chaos is not None or submit_times is not None or deadlines is not None:
+            if chaos is not None:
                 raise ValueError(
-                    "chaos/submit_times/deadlines need the concurrent batch path; "
-                    "configure max_concurrent_jobs > 1 and submit at least two queries"
+                    "chaos needs the concurrent batch path; configure "
+                    "max_concurrent_jobs > 1 and submit at least two queries"
                 )
-            return [self.run_query(query, path) for query, path in items]
-        jobconfs = [
-            self._make_jobconf(query, path, self.schema_of(path)) for query, path in items
-        ]
-        tenant_labels = list(tenants) if tenants is not None else None
+            for position, (query, path) in enumerate(items):
+                _deliver(position, self.run_query(query, path))
+            return results
 
-        def _wrap(position: int, job: JobResult) -> QueryResult:
+        def _wrap(position: int, job: JobResult) -> None:
             query, path = items[position]
-            return QueryResult(
-                system=self.name,
-                query_name=query.name,
-                records=job.records,
-                job=job,
-                plan=self._executed_plan(query, path, job),
+            _deliver(
+                position,
+                QueryResult(
+                    system=self.name,
+                    query_name=query.name,
+                    records=job.records,
+                    job=job,
+                    plan=self._executed_plan(query, path, job),
+                ),
             )
 
-        try:
-            jobs = self.runner.run_concurrent(
-                jobconfs,
-                tenants=tenant_labels,
-                policy=policy,
-                chaos=chaos,
-                submit_times=list(submit_times) if submit_times is not None else None,
-                deadlines=list(deadlines) if deadlines is not None else None,
-            )
-        except ConcurrentBatchError as exc:
-            exc.completed = {
-                position: _wrap(position, job) for position, job in exc.completed.items()
-            }
-            raise
-        return [_wrap(position, job) for position, job in enumerate(jobs)]
+        self.runner.run_concurrent(
+            [self._make_jobconf(query, path, self.schema_of(path)) for query, path in items],
+            tenants=list(tenants) if tenants is not None else None,
+            policy=policy,
+            chaos=chaos,
+            deadlines=list(deadlines) if deadlines is not None else None,
+            on_result=_wrap,
+        )
+        return results
 
     def concurrency_policy(self):
         """The batch-drain :class:`~repro.mapreduce.job_tracker.ConcurrencyPolicy`.

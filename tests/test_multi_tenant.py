@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Session, col, run_multi_tenant_batch
+from repro.api import BatchExecutionError, Session, col, run_multi_tenant_batch
 from repro.cluster.failure import ConcurrentChaos
 from repro.datagen.synthetic import VALUE_RANGE, SyntheticGenerator
 from repro.hail import HailConfig
@@ -23,6 +23,7 @@ from repro.hdfs import DataFile, HdfsClient, StandardUploadPipeline
 from repro.mapreduce import Counters, JobConf, TextInputFormat
 from repro.mapreduce.job_tracker import ConcurrencyPolicy, ConcurrentJob, JobTracker
 from repro.mapreduce.task import MapTask
+from repro.persist import CrashInjected, CrashPoint
 
 
 @pytest.fixture
@@ -400,3 +401,150 @@ def test_all_pruned_batch_drains_through_the_session_layer():
             assert result.job.num_map_tasks == 0
             assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == num_blocks
     assert alice.pending == () and bob.pending == ()
+
+
+# --------------------------------------------------------------------------- the one drain
+@pytest.mark.parametrize("max_jobs", [1, 4])
+def test_operator_query_drains_through_the_multi_tenant_batch(max_jobs):
+    """A deferred relational-operator query runs at its position and lands in its owner's stats."""
+    alice, bob = _tenant_sessions(max_jobs=max_jobs)
+    grouped = alice.dataset(_PATH).group_by("f3").agg("count(*)").named("a-group").submit()
+    scan = bob.dataset(_PATH).where(col("f1") <= VALUE_RANGE // 2).named("b-scan").submit()
+    batches = run_multi_tenant_batch([alice, bob])
+    assert batches["alice"].results == [grouped.result()]
+    assert batches["bob"].results == [scan.result()]
+    fresh = _tenant_sessions(max_jobs=max_jobs)[0]
+    expected = fresh.dataset(_PATH).group_by("f3").agg("count(*)").collect()
+    assert grouped.result().sorted_records() == expected.sorted_records() != []
+    a, b = alice.stats(), bob.stats()
+    assert a.queries_run == 1 and b.queries_run == 1
+    assert a.combine_input_records > 0 and b.combine_input_records == 0
+    assert alice.pending == () and bob.pending == ()
+
+
+def test_mid_batch_crash_keeps_stats_handles_and_partial_in_step(tmp_path):
+    """A kill between completions surfaces as BatchExecutionError; finished work is kept."""
+    config = (
+        HailConfig.for_attributes(("f1", "f2"), functional_partition_size=1)
+        .with_concurrency(max_jobs=2)
+        .with_persistence("memory", directory=str(tmp_path))
+    )
+    alice = Session.deploy(nodes=4, hail_config=config, tenant="alice")
+    generator = SyntheticGenerator(seed=7)
+    alice.upload(_PATH, generator.generate(800), generator.schema, rows_per_block=100)
+    bob = alice.attach("bob")
+    _submit_mixed([alice, bob], 4)
+    handles = {session.tenant: list(session.pending) for session in (alice, bob)}
+    persist = alice.system("HAIL").hdfs.persist
+    persist.crash_point = CrashPoint("mid_concurrent_batch", after=0)
+    with pytest.raises(BatchExecutionError) as excinfo:
+        run_multi_tenant_batch([alice, bob])
+    error = excinfo.value
+    assert isinstance(error.__cause__.__cause__, CrashInjected)
+    assert 0 < len(error.partial) < 4
+    assert alice.stats().queries_run + bob.stats().queries_run == len(error.partial)
+    done = [h for session in (alice, bob) for h in handles[session.tenant] if h.done]
+    assert sorted(h.result().query_name for h in done) == sorted(
+        result.query_name for result in error.partial
+    )
+    for session in (alice, bob):
+        assert list(session.pending) == [h for h in handles[session.tenant] if not h.done]
+    # The failed entry is one of the unfinished ones, addressed in round-robin entry order.
+    merged = [handles[tenant][i] for i in range(2) for tenant in ("alice", "bob")]
+    assert not merged[error.failed_index].done
+
+    # Retry with the crash point disarmed: only the unfinished handles run.
+    persist.crash_point = None
+    finished = {id(h): h.result() for h in done}
+    batches = run_multi_tenant_batch([alice, bob])
+    assert sum(len(batch) for batch in batches.values()) == 4 - len(done)
+    assert alice.stats().queries_run + bob.stats().queries_run == 4
+    assert all(h.result() is finished[id(h)] for h in done)
+    assert alice.pending == () and bob.pending == ()
+
+
+def _deadlined(session: Session, count: int) -> list:
+    return [
+        session.dataset(_PATH)
+        .where(col("f1") <= VALUE_RANGE // (i + 2))
+        .named(f"dl-{i}")
+        .submit(deadline_s=1e9)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("multi_tenant", [False, True])
+def test_deadlines_are_ignored_where_nothing_interleaves(multi_tenant):
+    """deadline_s only matters on interleaved batches — on both entry points alike."""
+
+    def drain(session: Session) -> None:
+        if multi_tenant:
+            run_multi_tenant_batch([session])
+        else:
+            session.run_batch()
+
+    # Back-to-back deployment, and a lone query of its system group on a concurrent one.
+    for max_jobs, count in ((1, 2), (4, 1)):
+        session = _tenant_sessions(max_jobs=max_jobs)[0]
+        handles = _deadlined(session, count)
+        drain(session)
+        assert [h.result().job.deadline_met for h in handles] == [None] * count
+        assert session.stats().deadline_jobs_met == 0
+    # Two deadlined queries interleave on max_jobs=4: honest verdicts, counted.
+    session = _tenant_sessions(max_jobs=4)[0]
+    handles = _deadlined(session, 2)
+    drain(session)
+    assert [h.result().job.deadline_met for h in handles] == [True, True]
+    assert session.stats().deadline_jobs_met == 2
+
+
+def _backlog_session(kind: str) -> Session:
+    generator = SyntheticGenerator(seed=7)
+    rows = generator.generate(800)
+    if kind == "tri":
+        session = Session.deploy(
+            nodes=4,
+            systems=("HAIL", "Hadoop++", "Hadoop"),
+            index_attributes=("f1", "f2"),
+            trojan_attribute="f1",
+        )
+    elif kind == "adaptive":
+        config = HailConfig(
+            index_attributes=(),
+            functional_partition_size=1,
+            splitting_policy=False,
+            adaptive_indexing=True,
+            adaptive_offer_rate=1.0,
+        )
+        session = Session.deploy(nodes=4, hail_config=config, data_scale=5000.0)
+    else:
+        return _tenant_sessions(max_jobs=4)[0]
+    session.upload(_PATH, rows, generator.schema, rows_per_block=100)
+    return session
+
+
+@pytest.mark.parametrize("kind", ["tri", "adaptive", "concurrent"])
+def test_run_batch_is_the_one_session_case_of_the_multi_tenant_drain(kind):
+    """Same backlog, twin deployments: run_batch() ≡ run_multi_tenant_batch([session])."""
+    twins = [_backlog_session(kind), _backlog_session(kind)]
+    for session in twins:
+        data = session.dataset(_PATH)
+        for i, name in enumerate(session.system_names * 2):
+            # Repeating one selective filter is what makes adaptive convergence order-sensitive.
+            data.where(col("f1") < VALUE_RANGE // 10).named(f"eq-{i}").submit(system=name)
+        data.group_by("f3").agg("count(*)").named("eq-group").submit()
+        data.where(col("f2") < VALUE_RANGE // 10).named("eq-last").submit()
+    single = twins[0].run_batch().results
+    multi = run_multi_tenant_batch([twins[1]])[twins[1].tenant].results
+    assert len(single) == len(multi) == 2 * len(twins[0].system_names) + 2
+    for ours, theirs in zip(single, multi):
+        assert ours.query_name == theirs.query_name and ours.system == theirs.system
+        assert ours.records == theirs.records
+        assert ours.runtime_s == theirs.runtime_s
+        assert ours.job.counters.as_dict() == theirs.job.counters.as_dict()
+    for name in twins[0].system_names:
+        ours, theirs = twins[0].stats(name), twins[1].stats(name)
+        assert ours.queries_run == theirs.queries_run > 0
+        assert ours.counters == theirs.counters
+    if kind == "adaptive":
+        assert single[1].runtime_s < single[0].runtime_s  # convergence really happened
