@@ -207,9 +207,7 @@ class VectorizedExecutor:
                 )
                 if zone_pruned_rows:
                     columns = payload.columns_to_read(predicate, projection)
-                    column_bytes = sum(
-                        payload.pax.column_size_bytes(name) for name in columns
-                    )
+                    column_bytes = payload.pax.projected_size_bytes(columns)
                     zone_pruned_bytes = (
                         zone_pruned_rows / max(1, payload.num_records)
                     ) * column_bytes
@@ -313,9 +311,7 @@ class VectorizedExecutor:
         bad_bytes = payload.bad_records_size_bytes()
         seconds = self.cost.reader_setup() + self._charge_transfer(replica, bad_bytes)
         columns = payload.columns_to_read(predicate, projection)
-        pruned_bytes = float(
-            sum(payload.pax.column_size_bytes(name) for name in columns)
-        )
+        pruned_bytes = float(payload.pax.projected_size_bytes(columns))
         plan.estimated_rows = 0
         plan.estimated_bytes = bad_bytes
         return BlockScanResult(
@@ -490,10 +486,8 @@ class VectorizedExecutor:
         """Bytes of the columns an adaptive build must fetch beyond what the scan read."""
         already_read = set(payload.columns_to_read(predicate, projection))
         return float(
-            sum(
-                payload.pax.column_size_bytes(name)
-                for name in payload.schema.field_names
-                if name not in already_read
+            payload.pax.projected_size_bytes(
+                [name for name in payload.schema.field_names if name not in already_read]
             )
         )
 
@@ -525,7 +519,7 @@ class VectorizedExecutor:
         qualifying_rows = qualifying_fraction * logical_rows
 
         columns = payload.columns_to_read(predicate, projection)
-        column_bytes = sum(payload.pax.column_size_bytes(name) for name in columns)
+        column_bytes = payload.pax.projected_size_bytes(columns)
         candidate_bytes = candidate_fraction * column_bytes
         bad_bytes = payload.bad_records_size_bytes()
         read_bytes = candidate_bytes + bad_bytes
@@ -544,8 +538,8 @@ class VectorizedExecutor:
             # Post-filter only the candidate partitions.
             if predicate is not None:
                 filter_columns = predicate.attributes(payload.schema)
-                filter_bytes = candidate_fraction * sum(
-                    payload.pax.column_size_bytes(name) for name in filter_columns
+                filter_bytes = candidate_fraction * payload.pax.projected_size_bytes(
+                    filter_columns
                 )
                 seconds += cpu.post_filter(self.cost.scale_bytes(filter_bytes), candidate_rows)
         else:
@@ -553,9 +547,9 @@ class VectorizedExecutor:
             # and every record is examined.
             seconds += disk.sequential_read(self.cost.scale_bytes(read_bytes))
             if payload.pax_layout:
-                filter_bytes = candidate_bytes if predicate is None else candidate_fraction * sum(
-                    payload.pax.column_size_bytes(name)
-                    for name in predicate.attributes(payload.schema)
+                filter_bytes = candidate_bytes if predicate is None else (
+                    candidate_fraction
+                    * payload.pax.projected_size_bytes(predicate.attributes(payload.schema))
                 )
                 seconds += cpu.post_filter(self.cost.scale_bytes(filter_bytes), candidate_rows)
             else:
@@ -570,8 +564,8 @@ class VectorizedExecutor:
 
         # Reconstruct the projected attributes of the qualifying tuples (PAX to row layout).
         projection_names = projection if projection is not None else payload.schema.field_names
-        projected_bytes = qualifying_fraction * sum(
-            payload.pax.column_size_bytes(name) for name in projection_names
+        projected_bytes = qualifying_fraction * payload.pax.projected_size_bytes(
+            projection_names
         )
         if payload.pax_layout:
             seconds += cpu.reconstruct_tuples(self.cost.scale_bytes(projected_bytes), qualifying_rows)

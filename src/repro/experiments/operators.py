@@ -143,7 +143,7 @@ def operators_curve(config: Optional[ExperimentConfig] = None) -> FigureResult:
     right = _records(config.seed + 1, rows // 2)
 
     result = FigureResult(
-        figure="BENCH_9 operators",
+        figure="Operators curve",
         description="Relational operators on the HAIL layout: combiner, join strategy, top-k",
         columns=_OPERATOR_COLUMNS,
     )

@@ -19,7 +19,6 @@ from repro.hail.index import HailIndex, IndexLookup
 from repro.hail.predicate import Predicate
 from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.hdfs.block import BlockPayload
-from repro.layouts import serialization
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import Schema
 from repro.layouts.zonemap import ZoneMap, ZoneRanges, block_zone_ranges
@@ -48,6 +47,7 @@ class HailBlock(BlockPayload):
         self.sort_attribute = sort_attribute
         self.index = index
         self.bad_lines: list[str] = list(bad_lines or [])
+        self._bad_records_bytes = sum(len(line.encode("utf-8")) + 1 for line in self.bad_lines)
         self.partition_size = partition_size
         #: Partition size assumed for the *logical* (paper-scale) index; the cost model sizes
         #: index reads with it, while ``partition_size`` governs the functional miniature index.
@@ -161,7 +161,7 @@ class HailBlock(BlockPayload):
 
     def bad_records_size_bytes(self) -> int:
         """Size of the bad-record section."""
-        return sum(len(line.encode("utf-8")) + 1 for line in self.bad_lines)
+        return self._bad_records_bytes
 
     def size_bytes(self) -> int:
         """Physical size of the replica's data file."""
@@ -293,9 +293,7 @@ class HailBlock(BlockPayload):
         offsets: dict[str, list[int]] = {}
         for f in self.schema.fields:
             if not f.ftype.is_fixed:
-                offsets[f.name] = serialization.variable_offsets(
-                    f, self.pax.column(f.name), self.logical_partition_size
-                )
+                offsets[f.name] = self.pax.variable_offsets(f.name, self.logical_partition_size)
         return offsets
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -37,10 +37,19 @@ class PaxBlock:
     ``memoryview``/``numpy.frombuffer`` at zero copy cost.
 
     Blocks are treated as immutable after construction (reorders build new blocks), which is
-    what makes the typed-column cache and the zone-map synopses derived from a block safe to
-    reuse.  Internal construction paths that just pivoted or decoded fresh lists pass
-    ``copy_columns=False`` to adopt them directly; the defensive copy remains the default for
-    external callers handing in lists they may still mutate.
+    what makes the typed-column cache, the zone-map synopses derived from a block and the
+    carried column sizes safe to reuse.  Internal construction paths that just pivoted or
+    decoded fresh lists pass ``copy_columns=False`` to adopt them directly; the defensive copy
+    remains the default for external callers handing in lists they may still mutate.
+
+    **Size accounting.**  A block measures each column at most once per *row set*: the first
+    :meth:`column_size_bytes` request (or the :meth:`variable_offsets` walk, which ends on the
+    column's size anyway) fills one per-column table, and :meth:`reorder` hands the same table
+    to the block it returns — a permutation changes no value, so every differently-sorted
+    replica of one block shares one measurement.  The table is only ever filled from the
+    block's own values or inherited from a block with the same rows; no constructor accepts
+    sizes from a caller.  Sizes are exact Python ``int`` sums, so every cost formula reading
+    them is unchanged.
     """
 
     def __init__(
@@ -72,6 +81,9 @@ class PaxBlock:
         # typed representation (non-numeric type, or a BIGINT value outside int64).
         self._typed_columns: dict[int, Optional[array]] = {}
         self._int_fits_float: dict[int, bool] = {}
+        # Byte size per column (None = not measured yet); the same list object is shared
+        # with every reorder of this block, whichever of them measures a column first.
+        self._column_sizes: list[Optional[int]] = [None] * len(self.columns)
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -127,7 +139,9 @@ class PaxBlock:
         if len(permutation) != self.num_rows:
             raise ValueError("permutation length must equal the number of rows")
         new_columns = [[column[i] for i in permutation] for column in self.columns]
-        return PaxBlock(self.schema, new_columns, self.num_rows, copy_columns=False)
+        block = PaxBlock(self.schema, new_columns, self.num_rows, copy_columns=False)
+        block._column_sizes = self._column_sizes  # same values per column, same sizes
+        return block
 
     # ------------------------------------------------------------------ typed column views
     def typed_column_at(self, index: int) -> Optional[array]:
@@ -173,22 +187,42 @@ class PaxBlock:
         return fits
 
     # ------------------------------------------------------------------ size accounting
+    def _column_size_at(self, index: int) -> int:
+        """The carried size of one column, measuring it on first request."""
+        size = self._column_sizes[index]
+        if size is None:
+            field = self.schema.fields[index]
+            fixed = field.ftype.fixed_size
+            if fixed is not None:
+                size = fixed * self.num_rows
+            else:
+                size = sum(map(field.binary_size, self.columns[index]))
+            self._column_sizes[index] = size
+        return size
+
     def column_size_bytes(self, name: str) -> int:
-        """Binary size of one column's minipage."""
-        field = self.schema.field(name)
-        column = self.column(name)
-        fixed = field.ftype.fixed_size
-        if fixed is not None:
-            return fixed * self.num_rows
-        return sum(field.binary_size(value) for value in column)
+        """Binary size of one column's minipage (measured once, then carried)."""
+        return self._column_size_at(self.schema.index_of(name))
 
     def size_bytes(self) -> int:
         """Binary size of all minipages (the PAX payload of the block)."""
-        return sum(self.column_size_bytes(field.name) for field in self.schema.fields)
+        return sum(map(self._column_size_at, range(len(self.columns))))
 
     def projected_size_bytes(self, attribute_names: Sequence[str]) -> int:
         """Binary size of just the named columns (what a projection must read)."""
-        return sum(self.column_size_bytes(name) for name in attribute_names)
+        return sum(map(self._column_size_at, map(self.schema.index_of, attribute_names)))
+
+    def variable_offsets(self, name: str, partition_size: int) -> list[int]:
+        """Byte offset of every ``partition_size``-th value of a variable-size column.
+
+        The offsets depend on the row order, so every ``HailBlock`` walks its own; the walk
+        ends on the column's byte size, which is recorded so nothing measures it again.
+        """
+        index = self.schema.index_of(name)
+        offsets, self._column_sizes[index] = serialization.variable_offsets_and_size(
+            self.schema.fields[index], self.columns[index], partition_size
+        )
+        return offsets
 
     # ------------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:

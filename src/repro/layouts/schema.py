@@ -17,6 +17,17 @@ class BadRecordError(ValueError):
     """Raised when a text row cannot be parsed according to the schema."""
 
 
+#: Fixed binary width per type tag (``None`` = variable size).
+_FIXED_SIZES: dict[str, int | None] = {
+    "int": 4,
+    "bigint": 8,
+    "float": 4,
+    "double": 8,
+    "date": 4,
+    "string": None,
+}
+
+
 class FieldType(enum.Enum):
     """Supported attribute types and their fixed binary widths (None = variable size)."""
 
@@ -27,25 +38,12 @@ class FieldType(enum.Enum):
     DATE = "date"
     STRING = "string"
 
-    @property
-    def fixed_size(self) -> int | None:
-        """Binary width in bytes, or ``None`` for variable-size types."""
-        return _FIXED_SIZES[self]
-
-    @property
-    def is_fixed(self) -> bool:
-        """True for fixed-width types."""
-        return self.fixed_size is not None
-
-
-_FIXED_SIZES: dict[FieldType, int | None] = {
-    FieldType.INT: 4,
-    FieldType.BIGINT: 8,
-    FieldType.FLOAT: 4,
-    FieldType.DOUBLE: 8,
-    FieldType.DATE: 4,
-    FieldType.STRING: None,
-}
+    def __init__(self, tag: str) -> None:
+        # Plain attributes bound once per member: size accounting reads them once per value.
+        #: Binary width in bytes, or ``None`` for variable-size types.
+        self.fixed_size: int | None = _FIXED_SIZES[tag]
+        #: True for fixed-width types.
+        self.is_fixed: bool = self.fixed_size is not None
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,17 @@ def variable_offsets(field: Field, values: Sequence[Any], partition_size: int) -
     qualifying partition can be located without scanning the whole column (Section 3.5,
     "Accessing Variable-size Attributes").
     """
+    return variable_offsets_and_size(field, values, partition_size)[0]
+
+
+def variable_offsets_and_size(
+    field: Field, values: Sequence[Any], partition_size: int
+) -> tuple[list[int], int]:
+    """:func:`variable_offsets` plus the encoded size of the whole column.
+
+    The walk that places the offsets ends on the column's byte size, so a block that needs
+    both (every ``HailBlock``) visits its variable-size values once.
+    """
     if partition_size <= 0:
         raise ValueError("partition_size must be positive")
     offsets: list[int] = []
@@ -115,4 +126,4 @@ def variable_offsets(field: Field, values: Sequence[Any], partition_size: int) -
         if i % partition_size == 0:
             offsets.append(position)
         position += field.binary_size(value)
-    return offsets
+    return offsets, position

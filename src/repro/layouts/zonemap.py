@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 if TYPE_CHECKING:
-    from repro.hail.predicate import Comparison, Predicate
+    from repro.hail.predicate import Predicate
     from repro.layouts.pax import PaxBlock
     from repro.layouts.schema import Schema
 
@@ -156,21 +156,6 @@ class ZoneMap:
         return may_match_ranges(self.block_ranges(), predicate, schema)
 
     # ------------------------------------------------------------------ partition pruning
-    def _clause_may_match_partition(
-        self, clause: "Comparison", schema: "Schema", partition: int
-    ) -> bool:
-        """Fail-closed per-partition test for one clause."""
-        try:
-            name = schema.fields[clause.attribute_index(schema)].name
-        except (KeyError, IndexError):
-            return True
-        zones = self.partition_zones.get(name)
-        if zones is None or partition >= len(zones):
-            return True
-        low, high = clause.value_range()
-        zone_low, zone_high = zones[partition]
-        return not ranges_disjoint(low, high, zone_low, zone_high)
-
     def prune_ranges(
         self, predicate: Optional["Predicate"], schema: "Schema", start: int, end: int
     ) -> list[tuple[int, int]]:
@@ -189,10 +174,22 @@ class ZoneMap:
         windows: list[tuple[int, int]] = []
         first = start // size
         last = (end - 1) // size
+        # Each clause resolves to (partition zones, low, high) once per call.  Fail-closed: a
+        # clause on an unknown attribute or without a zone column prunes nothing, and a zone
+        # tuple shorter than the partition count prunes nothing beyond its end.
+        resolved = []
+        for clause in predicate.clauses:
+            try:
+                name = schema.fields[clause.attribute_index(schema)].name
+            except (KeyError, IndexError):
+                continue
+            zones = self.partition_zones.get(name)
+            if zones is not None:
+                resolved.append((zones, *clause.value_range()))
         for partition in range(first, last + 1):
-            if not all(
-                self._clause_may_match_partition(clause, schema, partition)
-                for clause in predicate.clauses
+            if any(
+                partition < len(zones) and ranges_disjoint(low, high, *zones[partition])
+                for zones, low, high in resolved
             ):
                 continue
             window_start = max(start, partition * size)

@@ -2,6 +2,8 @@
 
 from datetime import date, timedelta
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.hail.hail_block import HailBlock
@@ -85,3 +87,71 @@ def test_text_size_accounts_every_record(records):
     assert sum(_SCHEMA.text_size(r) for r in records) == len(
         ("\n".join(_SCHEMA.format_record(r) for r in records) + "\n").encode("utf-8")
     ) if records else True
+
+
+# ------------------------------------------------------------------ carried sizes cannot drift
+_VALUES = {
+    FieldType.INT: st.integers(min_value=-2**31, max_value=2**31 - 1),
+    FieldType.BIGINT: st.integers(min_value=-2**63, max_value=2**63 - 1),
+    FieldType.FLOAT: st.floats(allow_nan=False, allow_infinity=False, width=32),
+    FieldType.DOUBLE: st.floats(allow_nan=False, allow_infinity=False),
+    FieldType.DATE: st.builds(
+        lambda days: date(1990, 1, 1) + timedelta(days=days), st.integers(0, 20000)
+    ),
+    # Empty, ASCII and multi-byte strings: the size is in encoded bytes, not characters.
+    FieldType.STRING: st.text(
+        alphabet=st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+        max_size=8,
+    ),
+}
+
+
+@st.composite
+def _schema_and_rows(draw):
+    ftypes = draw(st.lists(st.sampled_from(list(FieldType)), min_size=1, max_size=5))
+    schema = Schema.of(*((f"f{i}", ftype) for i, ftype in enumerate(ftypes)), name="sized")
+    rows = draw(st.lists(st.tuples(*(_VALUES[ftype] for ftype in ftypes)), max_size=30))
+    return schema, rows
+
+
+def _assert_sizes_exact(block: PaxBlock) -> None:
+    """Every carried size equals an independent encode of the block's own values."""
+    for f, column in zip(block.schema.fields, block.columns):
+        assert block.column_size_bytes(f.name) == len(serialization.encode_column(f, column))
+    assert block.size_bytes() == len(block.to_bytes())
+    names = block.schema.field_names
+    assert block.projected_size_bytes(names[::2]) == sum(map(block.column_size_bytes, names[::2]))
+    assert block.projected_size_bytes([]) == 0
+    fresh = PaxBlock(block.schema, block.columns, block.num_rows)
+    assert fresh.size_bytes() == block.size_bytes()
+
+
+@given(
+    schema_and_rows=_schema_and_rows(),
+    seed=st.integers(0, 2**16),
+    measure_source_first=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_carried_sizes_equal_an_independent_encode_on_every_construction_path(
+    schema_and_rows, seed, measure_source_first
+):
+    schema, rows = schema_and_rows
+    source = PaxBlock.from_records(schema, rows)
+    if measure_source_first:  # the table is shared: either side may be the one that fills it
+        _assert_sizes_exact(source)
+    permutation = list(range(len(rows)))
+    random.Random(seed).shuffle(permutation)
+    _assert_sizes_exact(source.reorder(permutation))
+    _assert_sizes_exact(source)
+    _assert_sizes_exact(PaxBlock.from_bytes(schema, source.to_bytes(), len(rows)))
+    _assert_sizes_exact(PaxBlock(schema, source.columns, len(rows)))
+    assert PaxBlock.empty(schema).size_bytes() == 0
+
+    sort_attribute = schema.field_names[seed % len(schema.fields)]
+    built = HailBlock.build(
+        schema, rows, sort_attribute, partition_size=4, logical_partition_size=3
+    )
+    for block in (built, built.resorted(schema.field_names[0]), built.resorted(None)):
+        _assert_sizes_exact(block.pax)
+        assert block.data_size_bytes() == source.size_bytes()
+        assert block.size_bytes() == block.replica_info(0).block_size_bytes
