@@ -467,10 +467,20 @@ def _downgrade_replica(hdfs: "Hdfs", datanode_id: int, block_id: int) -> None:
     the replica no longer counts against (or can be reclaimed from) the adaptive byte budget.
     """
     hdfs.namenode.reset_index_usage(block_id, datanode_id)
-    plain_block = hdfs.read_replica(block_id, datanode_id).payload.resorted(None)
-    hdfs.install_replica(
-        block_id, datanode_id, plain_block, plain_block.replica_info(datanode_id, origin="evicted")
-    )
+    replica = hdfs.read_replica(block_id, datanode_id)
+    plain_block = replica.payload.resorted(None)
+    info = plain_block.replica_info(datanode_id, origin="evicted")
+    checksums = _derived_checksums(replica, plain_block)
+    hdfs.install_replica(block_id, datanode_id, plain_block, info, checksums)
+
+
+def _derived_checksums(source, block) -> tuple[int, ...]:
+    """Chunk checksums for ``block``, derived from replica ``source``, iff ``source`` has them."""
+    if not source.checksums:
+        return ()
+    from repro.hdfs.checksum import chunk_checksums
+
+    return tuple(chunk_checksums(block.pax.to_bytes()))
 
 
 def _adaptive_replicas_on(hdfs: "Hdfs", node_id: int) -> list[tuple]:
@@ -667,6 +677,7 @@ class PlacementBalancer:
             target_id,
             block,
             replace(info, datanode_id=target_id, displaced_plain_replica=displaced),
+            _derived_checksums(hdfs.read_replica(block_id, source_id), block),
             touch=True,
             site="mid_rebalance",
         )

@@ -226,26 +226,21 @@ class PaxBlock:
 
     # ------------------------------------------------------------------ serialization
     def to_bytes(self) -> bytes:
-        """Serialize all minipages (column after column) to bytes.
+        """Serialize all minipages (column after column) to bytes, one codec call per column.
 
-        Used by serialization round-trip tests; the simulators normally keep blocks as Python
-        objects and only account their sizes.
+        This is the block's wire and journal form: upload and adaptive commits checksum it,
+        the persistence backends store it, restore decodes and re-checksums it.  Nothing is
+        cached — a block holds its columns, never a second copy of them as bytes.
         """
-        parts = []
-        for field, column in zip(self.schema.fields, self.columns):
-            parts.append(serialization.encode_column(field, column))
-        return b"".join(parts)
+        return b"".join(map(serialization.encode_column, self.schema.fields, self.columns))
 
     @classmethod
     def from_bytes(cls, schema: Schema, payload: bytes, num_rows: int) -> "PaxBlock":
-        """Deserialize a block written by :meth:`to_bytes`."""
+        """Deserialize a block written by :meth:`to_bytes` (raises on a payload too short)."""
         columns: list[list] = []
         offset = 0
         for field in schema.fields:
-            column = []
-            for _ in range(num_rows):
-                value, offset = serialization.decode_value(field, payload, offset)
-                column.append(value)
+            column, offset = serialization.decode_column_at(field, payload, num_rows, offset)
             columns.append(column)
         return cls(schema, columns, num_rows, copy_columns=False)
 

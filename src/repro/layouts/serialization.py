@@ -4,6 +4,12 @@ The HAIL client converts text rows to a binary representation before upload.  Th
 implement the value-level encoding: fixed-size types use native ``struct`` packing, variable
 size values (strings) are stored zero-terminated, exactly as described in Section 3.5
 ("we store variable-sized attributes as a sequence of zero-terminated values").
+
+Two codecs share the one byte format.  The per-value one (:func:`encode_value` /
+:func:`decode_value`) is the reference and what the row layout uses; the column one
+(:func:`encode_column` / :func:`decode_column_at`) moves a whole PAX minipage per call — one
+``struct`` pack per fixed-width column, one join and one UTF-8 pass per string column — with
+bit-identical bytes (``tests/test_property_layouts.py``).  Checksums, journal and restore use it.
 """
 
 from __future__ import annotations
@@ -16,13 +22,15 @@ from repro.layouts.schema import Field, FieldType, Schema
 
 _EPOCH = date(1970, 1, 1)
 
-_STRUCT_FORMATS: dict[FieldType, str] = {
-    FieldType.INT: "<i",
-    FieldType.BIGINT: "<q",
-    FieldType.FLOAT: "<f",
-    FieldType.DOUBLE: "<d",
-    FieldType.DATE: "<i",
+#: ``struct`` type code per fixed-width type; a column of ``n`` values packs as ``<{n}{code}``.
+_STRUCT_CODES: dict[FieldType, str] = {
+    FieldType.INT: "i",
+    FieldType.BIGINT: "q",
+    FieldType.FLOAT: "f",
+    FieldType.DOUBLE: "d",
+    FieldType.DATE: "i",
 }
+_STRUCT_FORMATS: dict[FieldType, str] = {ftype: "<" + code for ftype, code in _STRUCT_CODES.items()}
 
 
 def encode_value(field: Field, value: Any) -> bytes:
@@ -74,18 +82,52 @@ def decode_record(schema: Schema, payload: bytes, offset: int = 0) -> tuple[tupl
 
 
 def encode_column(field: Field, values: Iterable[Any]) -> bytes:
-    """Encode a whole column (used by the PAX minipage serialization)."""
-    return b"".join(encode_value(field, v) for v in values)
+    """Encode a whole column (one PAX minipage), byte-identical to joining :func:`encode_value`.
+
+    A value the batch pack rejects sends the column through the per-value reference, which
+    raises its own exception naming the field and the value.
+    """
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    ftype = field.ftype
+    try:
+        if ftype is FieldType.STRING:
+            return ("\x00".join(map(str, values)) + "\x00").encode("utf-8") if values else b""
+        if ftype is FieldType.DATE:
+            values = list(map(date_to_days, values))
+        return struct.pack(f"<{len(values)}{_STRUCT_CODES[ftype]}", *values)
+    except (struct.error, OverflowError, TypeError, ValueError):
+        return b"".join(encode_value(field, v) for v in values)
+
+
+def decode_column_at(
+    field: Field, payload: bytes, count: int, offset: int
+) -> tuple[list[Any], int]:
+    """Decode ``count`` values of one column starting at ``offset``.
+
+    Returns the values and the offset just past them, like :func:`decode_value`.  A payload
+    too short for ``count`` values raises (``struct.error`` for a fixed-width column,
+    ``ValueError`` for a string column), exactly where the per-value decoder would.
+    """
+    ftype = field.ftype
+    if ftype is FieldType.STRING:
+        if count == 0:
+            return [], offset
+        parts = payload[offset:].split(b"\x00", count)
+        if len(parts) <= count:
+            raise ValueError(f"payload ends inside column {field.name!r} ({count} values)")
+        end = len(payload) - len(parts[count])
+        return payload[offset : end - 1].decode("utf-8").split("\x00"), end
+    fmt = f"<{count}{_STRUCT_CODES[ftype]}"
+    values = list(struct.unpack_from(fmt, payload, offset))
+    if ftype is FieldType.DATE:
+        values = list(map(days_to_date, values))
+    return values, offset + struct.calcsize(fmt)
 
 
 def decode_column(field: Field, payload: bytes, count: int) -> list[Any]:
     """Decode ``count`` values of one column from ``payload``."""
-    values = []
-    offset = 0
-    for _ in range(count):
-        value, offset = decode_value(field, payload, offset)
-        values.append(value)
-    return values
+    return decode_column_at(field, payload, count, 0)[0]
 
 
 def date_to_days(value: Any) -> int:

@@ -28,11 +28,12 @@ from repro.persist.backend import (
     reset_memory_stores,
 )
 from repro.persist.sqlite_backend import SqliteBackend
-from repro.persist.state import checkpoint_state, restore_system
+from repro.persist.state import JournalCorruptError, checkpoint_state, restore_system
 
 __all__ = [
     "CrashInjected",
     "CrashPoint",
+    "JournalCorruptError",
     "MemoryBackend",
     "PersistenceBackend",
     "SqliteBackend",

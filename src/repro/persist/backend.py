@@ -7,8 +7,9 @@ balancer rebuild/migrate).  The hooks all funnel through three calls:
 
 - :meth:`PersistenceBackend.sync_path` — a new file entered the namespace (upload start);
 - :meth:`PersistenceBackend.sync_block` — one block's state changed; the backend
-  re-captures that block *from the authoritative in-memory namenode* and replaces its
-  journal entry in a single transaction (no incremental diffing, no drift);
+  re-captures that block's directory state *from the authoritative in-memory namenode* and
+  replaces it in a single transaction (no incremental diffing, no drift); byte blobs are
+  written only for objects it has not committed yet ("Delta syncs" below);
 - :meth:`PersistenceBackend.sync_control` — scalar control state changed (adaptive salt,
   tuner knobs, balancer demand).
 
@@ -27,6 +28,15 @@ durable state survives restore.  Crash semantics per backend:
   payload commits and the namenode-DB commit — the node DBs hold orphan rows the namenode
   journal does not reference, modelling the worst-case multi-file crash window.  Restore
   treats the namenode DB as the single source of truth and ignores orphans.
+
+**Delta syncs.**  A backend instance remembers, per block, the *blob sources* of the entry
+it last committed (:func:`repro.persist.state.capture_block`: the replicas' ``PaxBlock``
+objects and the ``LogicalBlock`` — references to objects the deployment holds anyway, never
+bytes).  Blocks are immutable, so a source that is still the same object is neither
+re-encoded nor re-written: an adaptive commit writes one payload, not four blobs.  The
+record is updated only after the journal write succeeded, starts empty in every new backend
+(the first sync of a block writes everything) and is re-seeded by ``checkpoint()``.  A miss
+costs one redundant write; a hit can only name bytes this instance itself committed.
 
 Backends default off (``HailConfig.persistence == "off"``); see ``docs/persistence.md``.
 """
@@ -82,6 +92,8 @@ class PersistenceBackend:
     def __init__(self) -> None:
         #: Armed fault-injection point, or ``None`` for normal operation.
         self.crash_point: Optional[CrashPoint] = None
+        #: ``{block_id: blob sources}`` of the entries this instance committed (module doc).
+        self._committed: dict[int, dict] = {}
 
     # ------------------------------------------------------------------ crash injection
     def _maybe_crash(self, site: str) -> None:
@@ -104,11 +116,11 @@ class PersistenceBackend:
         raise NotImplementedError
 
     def sync_block(self, hdfs, block_id: int, site: str) -> None:
-        """Re-journal one block's full state from the in-memory namenode.
+        """Re-journal one block's state from the in-memory namenode.
 
         ``site`` names the mutation point for crash injection; the capture itself is
         site-independent — whatever the namenode currently says about the block is what
-        gets journaled, wholesale.
+        gets journaled: directory state wholesale, blobs unless already committed.
         """
         raise NotImplementedError
 
@@ -118,8 +130,10 @@ class PersistenceBackend:
 
     # ------------------------------------------------------------------ checkpoint/restore
     def checkpoint(self, system) -> None:
-        """Replace the whole journal with a fresh capture of ``system``'s durable state."""
-        self._store_state(state_mod.checkpoint_state(system))
+        """Replace the whole journal with a fresh full capture of ``system``'s durable state."""
+        state, sources = state_mod.capture_system(system)
+        self._store_state(state)
+        self._committed = sources
 
     def load_state(self) -> dict:
         """The journaled state in the encoded form :func:`repro.persist.state.restore_system` takes."""
@@ -159,13 +173,23 @@ class MemoryBackend(PersistenceBackend):
 
     def sync_block(self, hdfs, block_id: int, site: str) -> None:
         """Capture the block from the namenode and replace its store entry atomically."""
-        captured = state_mod.capture_block(hdfs, block_id)
+        captured, sources = state_mod.capture_block(
+            hdfs, block_id, self._committed.get(block_id, {})
+        )
         control = state_mod.capture_namenode_control(hdfs.namenode)
         # Crash *before* applying: the journal keeps the pre-mutation state, as if the
         # process died before the write reached the store.
         self._maybe_crash(site)
+        # A blob the capture left out is one this instance stored from the same object.
+        previous = self._store["blocks"].get(block_id)
+        if "records_blob" not in captured:
+            captured["records_blob"] = previous["records_blob"]
+        for datanode_id, stored in captured["replicas"].items():
+            if "payload_blob" not in stored:
+                stored["payload_blob"] = previous["replicas"][datanode_id]["payload_blob"]
         self._store["blocks"][block_id] = captured
         self._store["control"].update(control)
+        self._committed[block_id] = sources
 
     def sync_control(self, control: dict) -> None:
         """Merge the control scalars into the store's control map."""

@@ -11,17 +11,24 @@ Layout under ``persistence_dir``:
 
 Every database runs ``journal_mode=WAL`` (readers never block the journal writer, and a
 torn process leaves a WAL SQLite replays on next open) with ``foreign_keys=ON`` so a
-block's dependent rows (hosts, infos, usage, tombstones) can never outlive the block row.
+block's dependent rows (hosts, infos, usage, tombstones) can never outlive the block row,
+and SQLite's default ``synchronous`` level.
 
-**Commit ordering is the crash-safety contract**: a ``sync_block`` first upserts the
-payload bytes into each holding node's database (one commit per node, upsert-only — rows
-for replicas that disappeared are left behind as orphans), *then* replaces the block's
+**Commit ordering is the crash-safety contract**: a ``sync_block`` first upserts payload
+bytes into the holding nodes' databases (one commit per node, upsert-only — rows for
+replicas that disappeared are left behind as orphans), *then* replaces the block's
 directory rows in ``namenode.db`` in a single transaction.  A crash between the two (where
 :class:`~repro.persist.backend.CrashPoint` fires) leaves node databases strictly ahead of
 the directory; restore drives entirely off ``namenode.db`` and ignores payload rows it does
-not reference, so any interrupted mutation atomically either happened or did not.  Orphans
-are garbage-collected by the next :meth:`~repro.persist.backend.PersistenceBackend.checkpoint`,
-which rewrites every database from a full capture.  See ``docs/persistence.md``.
+not reference, so any interrupted mutation atomically either happened or did not.
+
+**Only changed blobs are written** (delta syncs, :mod:`repro.persist.backend`): a node
+whose replica is still the object this instance committed gets no transaction, and the
+``blocks`` row stays while the ``LogicalBlock`` is the committed one.  The directory then
+points at rows an earlier sync wrote, so :meth:`load_state` raises a
+:class:`~repro.persist.state.JournalCorruptError` naming the replica when one is missing.
+Orphans are garbage-collected by the next ``checkpoint()``, which rewrites every database
+from a full capture and then truncates every WAL.  See ``docs/persistence.md``.
 """
 
 from __future__ import annotations
@@ -134,22 +141,28 @@ class SqliteBackend(PersistenceBackend):
 
     def sync_block(self, hdfs, block_id: int, site: str) -> None:
         """Journal one block: node payload commits first, namenode directory commit last."""
-        entry = state_mod.capture_block(hdfs, block_id)
+        entry, sources = state_mod.capture_block(
+            hdfs, block_id, self._committed.get(block_id, {})
+        )
         control = state_mod.capture_namenode_control(hdfs.namenode)
-        # Payload bytes first, one commit per holding node.  Upsert-only: rows for replicas
-        # that moved or died stay behind as orphans the directory no longer references.
+        # Payload bytes first, one commit per node whose payload is not committed yet.
+        # Upsert-only: rows for replicas that moved or died stay behind as orphans the
+        # directory no longer references.
         for datanode_id, stored in entry["replicas"].items():
-            with self._node(datanode_id) as conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO replicas (block_id, payload_blob) VALUES (?, ?)",
-                    (block_id, stored["payload_blob"]),
-                )
+            if "payload_blob" in stored:
+                with self._node(datanode_id) as conn:
+                    conn.execute(
+                        "INSERT OR REPLACE INTO replicas (block_id, payload_blob)"
+                        " VALUES (?, ?)",
+                        (block_id, stored["payload_blob"]),
+                    )
         # The crash window: payloads are on disk, the directory commit has not happened.
         self._maybe_crash(site)
         # Directory last, in one transaction — the block either fully appears or does not.
         with self._namenode as conn:
             self._write_block_entry(conn, block_id, entry)
             self._write_control(conn, control)
+        self._committed[block_id] = sources
 
     def sync_control(self, control: dict) -> None:
         """Upsert the control scalars into the namenode DB in one transaction."""
@@ -168,19 +181,27 @@ class SqliteBackend(PersistenceBackend):
 
     @staticmethod
     def _write_block_entry(conn: sqlite3.Connection, block_id: int, entry: dict) -> None:
-        conn.execute("DELETE FROM blocks WHERE block_id = ?", (block_id,))
-        conn.execute(
-            "INSERT INTO blocks (block_id, path, num_records, records_blob, bad_lines_json,"
-            " text_size_bytes) VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                block_id,
-                entry["path"],
-                entry["num_records"],
-                entry["records_blob"],
-                json.dumps(entry["bad_lines"]),
-                entry["text_size_bytes"],
-            ),
-        )
+        # Dependent rows are replaced wholesale and explicitly; the ``blocks`` row (the
+        # logical records) is upserted in place, and only when the entry carries the blob.
+        for table in ("evictions", "usage", "dir_rep", "dir_block"):
+            conn.execute(f"DELETE FROM {table} WHERE block_id = ?", (block_id,))
+        if "records_blob" in entry:
+            conn.execute(
+                "INSERT INTO blocks (block_id, path, num_records, records_blob,"
+                " bad_lines_json, text_size_bytes) VALUES (?, ?, ?, ?, ?, ?)"
+                " ON CONFLICT (block_id) DO UPDATE SET path = excluded.path,"
+                " num_records = excluded.num_records, records_blob = excluded.records_blob,"
+                " bad_lines_json = excluded.bad_lines_json,"
+                " text_size_bytes = excluded.text_size_bytes",
+                (
+                    block_id,
+                    entry["path"],
+                    entry["num_records"],
+                    entry["records_blob"],
+                    json.dumps(entry["bad_lines"]),
+                    entry["text_size_bytes"],
+                ),
+            )
         for position, datanode_id in enumerate(entry["dir_block"]):
             conn.execute(
                 "INSERT INTO dir_block (block_id, position, datanode_id) VALUES (?, ?, ?)",
@@ -207,7 +228,7 @@ class SqliteBackend(PersistenceBackend):
 
     # ------------------------------------------------------------------ checkpoint/restore
     def _store_state(self, state: dict) -> None:
-        """Rewrite every database from a full capture (also garbage-collects orphans)."""
+        """Rewrite every database from a full capture: orphans go, WALs are truncated."""
         per_node: dict[int, list[tuple[int, bytes]]] = {}
         for block_id, entry in state["blocks"].items():
             for datanode_id, stored in entry["replicas"].items():
@@ -232,6 +253,9 @@ class SqliteBackend(PersistenceBackend):
             for block_id, entry in state["blocks"].items():
                 self._write_block_entry(conn, block_id, entry)
             self._write_control(conn, state["control"])
+        # Compact: fold every write-ahead log into its database and cut it to zero bytes.
+        for conn in (self._namenode, *self._nodes.values()):
+            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def load_state(self) -> dict:
         """Read the whole journal back into the encoded-state dict ``restore_system`` takes.
@@ -271,6 +295,12 @@ class SqliteBackend(PersistenceBackend):
             payload_row = self._node(datanode_id).execute(
                 "SELECT payload_blob FROM replicas WHERE block_id = ?", (block_id,)
             ).fetchone()
+            if payload_row is None:
+                raise state_mod.JournalCorruptError(
+                    f"namenode.db references a replica of block {block_id} on datanode"
+                    f" {datanode_id}, but {self.directory / f'node_{datanode_id}.db'}"
+                    " holds no payload row for it"
+                )
             state["blocks"][block_id]["replicas"][datanode_id] = {
                 "info": None if info_json is None else json.loads(info_json),
                 "payload_blob": payload_row[0],

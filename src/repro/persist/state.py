@@ -14,9 +14,14 @@ deployment needs to come back with its learned index pool intact::
       "control": {"next_block_id", "usage_tick", "adaptive_salt", "tuner", "demand"},
     }
 
-Capture reads only public namenode/datanode accessors and is *wholesale per block*: a
-journal write replaces the block's whole entry with whatever the in-memory directories
-currently say, so the journal can never drift from the authority it mirrors.
+Capture reads only public namenode/datanode accessors.  A block's *directory* state (hosts,
+infos, metas, zone synopses, usage, tombstones) is captured wholesale: every journal write
+replaces it with whatever the in-memory directories currently say, so the journal can never
+drift from the authority it mirrors.  Its *blobs* go by identity: :func:`capture_block` also
+returns the block's *blob sources* — ``{datanode_id: the replica's PaxBlock, None: the
+LogicalBlock}`` — and leaves out every blob whose source is still the object the caller last
+committed.  Blocks are immutable (``layouts/pax.py``): same object, same bytes; an equal
+copy merely costs a redundant write.  :func:`checkpoint_state` is the full capture.
 
 Restore (:func:`restore_system`) rebuilds a **fresh** deployment from that state.  Replica
 payloads come back by re-running the shared sort-and-index entry point
@@ -30,13 +35,18 @@ verbatim, is what makes post-restore query answers bit-identical to an uninterru
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import struct
+from typing import TYPE_CHECKING, Mapping
 
 from repro.persist import codec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hdfs.filesystem import Hdfs
     from repro.hdfs.namenode import NameNode
+
+
+class JournalCorruptError(RuntimeError):
+    """The journal references a payload that is missing or does not decode; names it."""
 
 
 def empty_state() -> dict:
@@ -53,17 +63,20 @@ def apply_path(state: dict, path: str, schema) -> None:
     }
 
 
-def capture_block(hdfs: "Hdfs", block_id: int) -> dict:
-    """One block's full journal entry, read from the authoritative in-memory state.
+def capture_block(hdfs: "Hdfs", block_id: int, committed: Mapping) -> tuple[dict, dict]:
+    """One block's journal entry and its blob sources, read from the in-memory state.
 
     Covers the logical block (records as PAX bytes, bad lines), the ``Dir_block`` host list
     in registration order, every replica's payload bytes + physical metadata + ``Dir_rep``
     info (zone-map synopsis included), the per-replica LRU statistics, and the block's
-    eviction tombstones.
+    eviction tombstones.  ``committed`` is the sources of the entry the caller last
+    committed for this block (``{}`` for none): a ``records_blob`` / ``payload_blob`` whose
+    source is still that object is left out — the committed bytes stand.
     """
     namenode = hdfs.namenode
     logical = namenode.logical_block(block_id)
     hosts = namenode.block_datanodes(block_id, alive_only=False)
+    sources: dict = {None: logical}
     replicas: dict[int, dict] = {}
     usage: dict[int, list[int]] = {}
     for datanode_id in hosts:
@@ -71,9 +84,9 @@ def capture_block(hdfs: "Hdfs", block_id: int) -> dict:
         replica = datanode.replica(block_id)
         payload = replica.payload
         info = namenode.replica_info(block_id, datanode_id)
+        sources[datanode_id] = payload.pax
         replicas[datanode_id] = {
             "info": codec.encode_replica_info(info) if info is not None else None,
-            "payload_blob": payload.pax.to_bytes(),
             "meta": {
                 "num_rows": payload.pax.num_rows,
                 "sort_attribute": payload.sort_attribute,
@@ -85,13 +98,14 @@ def capture_block(hdfs: "Hdfs", block_id: int) -> dict:
                 "checksummed": bool(replica.checksums),
             },
         }
+        if committed.get(datanode_id) is not payload.pax:
+            replicas[datanode_id]["payload_blob"] = payload.pax.to_bytes()
         use_count, last_tick = namenode.index_usage(block_id, datanode_id)
         if (use_count, last_tick) != (0, 0):
             usage[datanode_id] = [use_count, last_tick]
-    return {
+    entry = {
         "path": logical.path,
         "num_records": logical.num_records,
-        "records_blob": codec.encode_records(logical.schema, logical.records),
         "bad_lines": list(logical.bad_lines),
         "text_size_bytes": logical.text_size_bytes,
         "dir_block": hosts,
@@ -99,6 +113,9 @@ def capture_block(hdfs: "Hdfs", block_id: int) -> dict:
         "usage": usage,
         "evictions": namenode.block_eviction_tombstones(block_id),
     }
+    if committed.get(None) is not logical:
+        entry["records_blob"] = codec.encode_records(logical.schema, logical.records)
+    return entry, sources
 
 
 def capture_namenode_control(namenode: "NameNode") -> dict:
@@ -117,18 +134,24 @@ def capture_system_control(system) -> dict:
     return control
 
 
-def checkpoint_state(system) -> dict:
-    """A full capture of one system's durable state (the ``checkpoint()`` payload)."""
+def capture_system(system) -> tuple[dict, dict]:
+    """A full capture plus every block's blob sources: what ``checkpoint()`` stores and keeps."""
     hdfs = system.hdfs
     state = empty_state()
+    sources: dict[int, dict] = {}
     for path in sorted(hdfs.namenode.list_files(), key=_path_order(system)):
         apply_path(state, path, system.schema_of(path))
     for path in state["paths"]:
         for block_id in hdfs.namenode.file_blocks(path):
-            state["blocks"][block_id] = capture_block(hdfs, block_id)
+            state["blocks"][block_id], sources[block_id] = capture_block(hdfs, block_id, {})
     state["control"].update(capture_namenode_control(hdfs.namenode))
     state["control"].update(capture_system_control(system))
-    return state
+    return state, sources
+
+
+def checkpoint_state(system) -> dict:
+    """A full capture of one system's durable state (the ``checkpoint()`` payload)."""
+    return capture_system(system)[0]
 
 
 def _path_order(system):
@@ -179,7 +202,13 @@ def restore_system(system, state: dict) -> None:
         for datanode_id in entry["dir_block"]:
             stored = entry["replicas"][datanode_id]
             meta = stored["meta"]
-            pax = PaxBlock.from_bytes(schema, stored["payload_blob"], meta["num_rows"])
+            try:
+                pax = PaxBlock.from_bytes(schema, stored["payload_blob"], meta["num_rows"])
+            except (struct.error, ValueError) as exc:
+                raise JournalCorruptError(
+                    f"replica of block {block_id} on datanode {datanode_id}: the journaled"
+                    f" payload does not decode as {meta['num_rows']} rows"
+                ) from exc
             # Re-run the shared sort-and-index path over the already-sorted rows: the
             # stable sort yields the identity permutation, so the rebuilt replica is
             # byte-identical to the journaled one, index included.
