@@ -116,13 +116,23 @@ class HadoopPlusPlusSystem(BaseSystem):
             hosts = self.hdfs.namenode.block_datanodes(block_id, alive_only=True)
             if not hosts:
                 continue
+            # One pivot serves the cost and the replicas.  It is measured before the sort: the
+            # string share is sampled over the first rows in upload order.
+            unsorted_block = HailBlock.build(
+                schema=schema,
+                records=logical.records,
+                sort_attribute=None,
+                partition_size=self.functional_partition_size,
+                bad_lines=logical.bad_lines,
+                logical_partition_size=self.partition_size,
+            )
             text_bytes = logical.text_size_bytes
-            binary_bytes = sum(schema.binary_size(record) for record in logical.records)
-            string_fraction = schema.string_byte_fraction(logical.records[:64])
+            binary_bytes = unsorted_block.data_size_bytes()
+            string_fraction = unsorted_block.pax.sample_string_share()
             self._charge_index_jobs(
                 ledger, hosts, text_bytes, binary_bytes, string_fraction, num_jobs
             )
-            self._replace_replicas(block_id, logical, schema, hosts)
+            self._replace_replicas(block_id, unsorted_block, hosts)
 
         framework_s = self._framework_overhead(len(block_ids), num_jobs)
         return ledger.makespan() + framework_s
@@ -192,15 +202,8 @@ class HadoopPlusPlusSystem(BaseSystem):
         per_job = self.cost.job_startup() + waves * self.cost.task_overhead()
         return num_jobs * per_job
 
-    def _replace_replicas(self, block_id: int, logical, schema: Schema, hosts: list[int]) -> None:
-        trojan_block = HailBlock.build(
-            schema=schema,
-            records=logical.records,
-            sort_attribute=self.trojan_attribute,
-            partition_size=self.functional_partition_size,
-            bad_lines=logical.bad_lines,
-            logical_partition_size=self.partition_size,
-        )
+    def _replace_replicas(self, block_id: int, unsorted_block: HailBlock, hosts: list[int]) -> None:
+        trojan_block = unsorted_block.resorted(self.trojan_attribute)
         trojan_block.pax_layout = False
         for datanode_id in hosts:
             # No zone synopsis for trojan blocks: Hadoop++ has none to skip or rank by.

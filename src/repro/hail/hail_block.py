@@ -73,10 +73,11 @@ class HailBlock(BlockPayload):
         bad_lines: Optional[Sequence[str]] = None,
         logical_partition_size: Optional[int] = None,
     ) -> "HailBlock":
-        """Sort ``records`` by ``sort_attribute`` (if any), build PAX data and the index.
+        """Pivot ``records`` to PAX, sort by ``sort_attribute`` (if any) and build the index.
 
-        This is the datanode-side work of the HAIL upload pipeline (Section 3.2, step 7): sort
-        in main memory, reorganise all columns, create the sparse clustered index.
+        With ``sort_attribute=None`` this is the HAIL client's conversion (Section 3.1): the
+        upload pipeline calls it once per block and derives every replica with
+        :meth:`resorted`, so the rows are pivoted and measured once.
         """
         return cls._sorted_and_indexed(
             PaxBlock.from_records(schema, records),
@@ -89,10 +90,13 @@ class HailBlock(BlockPayload):
     def resorted(self, attribute: Optional[str]) -> "HailBlock":
         """A new payload over the same rows, sorted and indexed on ``attribute``.
 
-        ``None`` strips the index and keeps the current row order (the eviction downgrade).
-        Bad records, both partition sizes and the physical layout carry over, so adaptive
-        builds, balancer rebuilds and downgrades keep the source replica's shape — under the
-        "no PAX conversion" ablation a rebuilt replica stays row-wise.
+        This is the datanode-side work of the HAIL upload pipeline (Section 3.2, step 7): sort
+        in main memory, reorganise all columns, create the sparse clustered index.  ``None``
+        strips the index and keeps the current row order and ``PaxBlock`` (an unsorted upload
+        position, the eviction downgrade).  Bad records, both partition sizes and the physical
+        layout carry over, so uploaded replicas, adaptive builds, balancer rebuilds and
+        downgrades keep the source block's shape — under the "no PAX conversion" ablation a
+        rebuilt replica stays row-wise.
         """
         block = self._sorted_and_indexed(
             self.pax,

@@ -3,7 +3,9 @@
 Differences to the stock HDFS pipeline, all reproduced here:
 
 1. the HAIL client parses each block's rows against the user schema, separates bad records, and
-   converts the block to binary PAX *before* cutting it into packets (steps 1–4 in Figure 1);
+   converts the block to binary PAX *before* cutting it into packets (steps 1–4 in Figure 1) —
+   once per block: its text and binary sizes are read off that one PAX block by the column,
+   and every datanode below reorders the block it received instead of pivoting the rows again;
 2. datanodes do **not** flush packets as they arrive; they forward them immediately, reassemble
    the block in main memory, sort it by their replica's sort attribute, build the clustered
    index, recompute the chunk checksums (each replica has different bytes now) and only then
@@ -83,7 +85,8 @@ class HailUploadPipeline:
         """Upload one block: client-side PAX conversion, per-datanode sort + index + flush."""
         replication = replication if replication is not None else self.config.replication
 
-        # 1. The HAIL client parses rows against the schema and separates bad records.
+        # 1. The HAIL client parses rows against the schema, separates bad records and converts
+        #    the block to binary PAX — once; everything below measures or reorders this block.
         if raw_lines is not None:
             codec = TextRowCodec(schema)
             parsed, bad_lines = codec.decode_lenient("\n".join(raw_lines))
@@ -91,10 +94,19 @@ class HailUploadPipeline:
         else:
             records = list(records)
             bad_lines = []
-        text_bytes = sum(schema.text_size(record) for record in records) + sum(
-            len(line.encode("utf-8")) + 1 for line in bad_lines
+        client_block = HailBlock.build(
+            schema=schema,
+            records=records,
+            sort_attribute=None,
+            partition_size=self.config.effective_functional_partition_size,
+            bad_lines=bad_lines,
+            logical_partition_size=self.config.partition_size,
         )
-        pax_bytes = sum(schema.binary_size(record) for record in records)
+        client_block.pax_layout = self.config.convert_to_pax
+        # Both in upload order: the string share is sampled over the first rows as they arrived.
+        text_bytes = client_block.pax.text_size_bytes() + client_block.bad_records_size_bytes()
+        string_fraction = client_block.pax.sample_string_share()
+        pax_bytes = client_block.data_size_bytes()
 
         logical = LogicalBlock(
             block_id=-1,
@@ -111,25 +123,17 @@ class HailUploadPipeline:
             raise UploadFailedError("namenode returned an empty pipeline")
 
         # 2. Client-side costs: read source text, parse to binary, build PAX, checksum, send.
-        string_fraction = schema.string_byte_fraction(records[:64])
         self._charge_client(client_node, text_bytes, pax_bytes, string_fraction, ledger)
 
-        # 3. Network hops and per-datanode sort/index/flush.
+        # 3. Network hops and per-datanode sort/index/flush: each datanode reorders the block it
+        #    received by its own attribute (an unsorted position keeps the client's minipages).
         indexes_created: list[str] = []
         wire_bytes = pax_bytes + checksum_file_size(pax_bytes)
         previous = client_node
         for position, datanode_id in enumerate(pipeline):
             ledger.record_transfer(previous, datanode_id, wire_bytes)
             sort_attribute = self.config.attribute_for_replica(position)
-            block = HailBlock.build(
-                schema=schema,
-                records=records,
-                sort_attribute=sort_attribute,
-                partition_size=self.config.effective_functional_partition_size,
-                bad_lines=bad_lines,
-                logical_partition_size=self.config.partition_size,
-            )
-            block.pax_layout = self.config.convert_to_pax
+            block = client_block.resorted(sort_attribute)
             checksums: tuple[int, ...] = ()
             if self.config.verify_checksums:
                 checksums = tuple(chunk_checksums(block.pax.to_bytes()))

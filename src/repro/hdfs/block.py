@@ -39,12 +39,16 @@ class BlockPayload(abc.ABC):
 
 
 class TextBlockPayload(BlockPayload):
-    """Stock HDFS replica content: the uploaded text lines, byte-identical on every replica."""
+    """Stock HDFS replica content: the uploaded text lines, byte-identical on every replica.
+
+    The size is the length of :meth:`to_bytes`, taken once at construction (one join and one
+    UTF-8 pass over the block); the bytes themselves are not kept.
+    """
 
     def __init__(self, lines: Sequence[str], schema: Optional[Schema] = None) -> None:
         self.lines: list[str] = list(lines)
         self.schema = schema
-        self._size = sum(len(line.encode("utf-8")) + 1 for line in self.lines)
+        self._size = len(self.to_bytes())
 
     def size_bytes(self) -> int:
         return self._size

@@ -118,9 +118,8 @@ class HdfsClient:
                     replication=replication,
                 )
                 block_results.append(result)
-                source_bytes += sum(
-                    datafile.schema.text_size(record) for record in block_records
-                )
+                # The pipeline measured the block's text when it registered it; no second pass.
+                source_bytes += self.hdfs.namenode.logical_block(result.block_id).text_size_bytes
 
         stored_bytes = self.hdfs.total_stored_bytes() - stored_bytes_before
         effective_replication = (

@@ -16,6 +16,7 @@ class DataNode:
     def __init__(self, node: Node) -> None:
         self.node = node
         self._replicas: Dict[int, Replica] = {}
+        self._used_bytes = 0
 
     @property
     def node_id(self) -> int:
@@ -29,13 +30,19 @@ class DataNode:
 
     # ------------------------------------------------------------------ storage
     def store_replica(self, replica: Replica) -> None:
-        """Flush a replica's data file and checksum file to local disk."""
+        """Flush a replica's data file and checksum file to local disk.
+
+        A replica of the same block already stored here is overwritten: its bytes and disk
+        charge are released first.
+        """
         if replica.datanode_id != self.node_id:
             raise ValueError(
                 f"replica for datanode {replica.datanode_id} stored on datanode {self.node_id}"
             )
+        self.delete_replica(replica.block_id)
         self._replicas[replica.block_id] = replica
         data_bytes = replica.size_bytes
+        self._used_bytes += data_bytes
         self.node.charge_disk(data_bytes + checksum_file_size(data_bytes))
 
     def has_replica(self, block_id: int) -> bool:
@@ -62,6 +69,7 @@ class DataNode:
         replica = self._replicas.pop(block_id, None)
         if replica is not None:
             data_bytes = replica.size_bytes
+            self._used_bytes -= data_bytes
             self.node.release_disk(data_bytes + checksum_file_size(data_bytes))
 
     def block_ids(self) -> list[int]:
@@ -70,8 +78,12 @@ class DataNode:
 
     @property
     def used_bytes(self) -> int:
-        """Total bytes of replica data files stored here (excluding checksum files)."""
-        return sum(replica.size_bytes for replica in self._replicas.values())
+        """Total bytes of replica data files stored here (excluding checksum files).
+
+        A running total kept by :meth:`store_replica` / :meth:`delete_replica` — payloads are
+        immutable once stored — so reading it does not grow with the number of replicas.
+        """
+        return self._used_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataNode(node={self.node_id}, replicas={len(self._replicas)})"

@@ -105,14 +105,13 @@ class Hdfs:
 
         The single write path behind upload, index rewrites, adaptive commits, eviction
         downgrades, balancer rebuilds/migrations and journal restore: a replica of the block
-        the node already holds is dropped first (its disk charge released), then the stored
-        replica, ``Dir_block`` and the ``Dir_rep`` entry ``info`` change together.  ``touch``
-        records a first index use; ``site`` journals the block right away under that
-        crash-site name — callers whose mutation spans several steps sync once themselves.
+        the node already holds is dropped first (``store_replica`` releases its disk charge),
+        then the stored replica, ``Dir_block`` and the ``Dir_rep`` entry ``info`` change
+        together.  ``touch`` records a first index use; ``site`` journals the block right away
+        under that crash-site name — callers whose mutation spans several steps sync once
+        themselves.
         """
-        datanode = self.datanode(datanode_id)
-        datanode.delete_replica(block_id)
-        datanode.store_replica(
+        self.datanode(datanode_id).store_replica(
             Replica(
                 block_id=block_id,
                 datanode_id=datanode_id,

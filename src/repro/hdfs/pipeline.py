@@ -73,7 +73,7 @@ class StandardUploadPipeline:
 
                 records, bad_lines = TextRowCodec(schema).decode_lenient("\n".join(lines))
         else:
-            lines = [schema.format_record(record) for record in records]
+            lines = list(map(schema.format_record, records))
         payload = TextBlockPayload(lines, schema=schema)
         payload_size = payload.size_bytes()
 

@@ -26,6 +26,9 @@ _TYPED_CODES: dict[FieldType, str] = {
 #: Largest integer magnitude float64 represents exactly (int/float cross-comparison bound).
 _EXACT_FLOAT_INT = 2**53
 
+#: Rows, from the top of a block, over which :meth:`PaxBlock.sample_string_share` is taken.
+_STRING_SAMPLE_ROWS = 64
+
 
 class PaxBlock:
     """A block of records stored column-wise.
@@ -90,14 +93,12 @@ class PaxBlock:
     def from_records(cls, schema: Schema, records: Sequence[Sequence[Any]]) -> "PaxBlock":
         """Pivot row-wise records into a PAX block."""
         num_fields = len(schema.fields)
-        columns: list[list] = [[] for _ in range(num_fields)]
         for record in records:
             if len(record) != num_fields:
                 raise ValueError(
                     f"record arity {len(record)} does not match schema {schema.name!r}"
                 )
-            for i, value in enumerate(record):
-                columns[i].append(value)
+        columns = list(map(list, zip(*records))) or [[] for _ in range(num_fields)]
         return cls(schema, columns, len(records), copy_columns=False)
 
     @classmethod
@@ -196,7 +197,9 @@ class PaxBlock:
             if fixed is not None:
                 size = fixed * self.num_rows
             else:
-                size = sum(map(field.binary_size, self.columns[index]))
+                _, size = serialization.variable_offsets_and_size(
+                    field, self.columns[index], self.num_rows or 1
+                )
             self._column_sizes[index] = size
         return size
 
@@ -211,6 +214,36 @@ class PaxBlock:
     def projected_size_bytes(self, attribute_names: Sequence[str]) -> int:
         """Binary size of just the named columns (what a projection must read)."""
         return sum(map(self._column_size_at, map(self.schema.index_of, attribute_names)))
+
+    def _token_bytes(self, index: int, rows: Optional[int] = None) -> int:
+        """UTF-8 bytes of one column's text tokens (of its first ``rows`` values, if given):
+        one format, one join and one encode pass over the column."""
+        column = self.columns[index] if rows is None else self.columns[index][:rows]
+        tokens = map(self.schema.fields[index].ftype.format_value, column)
+        return len("".join(tokens).encode("utf-8"))
+
+    def text_size_bytes(self) -> int:
+        """Text bytes of all rows: ``sum(map(schema.text_size, records))``, by the column."""
+        schema = self.schema
+        row_overhead = (len(schema.fields) - 1) * len(schema.delimiter.encode("utf-8")) + 1
+        return sum(map(self._token_bytes, range(len(self.columns)))) + self.num_rows * row_overhead
+
+    def sample_string_share(self) -> float:
+        """String share of the first 64 rows' text, for the cost model's parsing split.
+
+        ``schema.string_byte_fraction(records[:64])`` by the column — the same two integers,
+        hence the same float.  The sample is positional, so an upload takes it from the
+        client's block before any sort.
+        """
+        rows = min(_STRING_SAMPLE_ROWS, self.num_rows)
+        string_bytes = total_bytes = 0
+        for index, field in enumerate(self.schema.fields):
+            # As the reference counts them: every sampled token plus its one separator byte.
+            in_sample = self._token_bytes(index, rows) + rows
+            total_bytes += in_sample
+            if not field.ftype.is_fixed:
+                string_bytes += in_sample
+        return string_bytes / total_bytes if total_bytes else 0.0
 
     def variable_offsets(self, name: str, partition_size: int) -> list[int]:
         """Byte offset of every ``partition_size``-th value of a variable-size column.

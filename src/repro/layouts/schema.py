@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 
 class BadRecordError(ValueError):
@@ -25,6 +25,26 @@ _FIXED_SIZES: dict[str, int | None] = {
     "double": 8,
     "date": 4,
     "string": None,
+}
+
+
+def _format_float(value: Any) -> str:
+    # repr round-trips exactly, so text-uploaded and binary-uploaded replicas agree.
+    return repr(float(value))
+
+
+def _format_date(value: Any) -> str:
+    return value.isoformat() if isinstance(value, date) else str(value)
+
+
+#: Text formatter per type tag: what :meth:`Field.format` does, without the per-value dispatch.
+_FORMATTERS: dict[str, Callable[[Any], str]] = {
+    "int": str,
+    "bigint": str,
+    "float": _format_float,
+    "double": _format_float,
+    "date": _format_date,
+    "string": str,
 }
 
 
@@ -44,6 +64,8 @@ class FieldType(enum.Enum):
         self.fixed_size: int | None = _FIXED_SIZES[tag]
         #: True for fixed-width types.
         self.is_fixed: bool = self.fixed_size is not None
+        #: Typed value → text token, equal to :meth:`Field.format` for a field of this type.
+        self.format_value: Callable[[Any], str] = _FORMATTERS[tag]
 
 
 @dataclass(frozen=True)
@@ -120,6 +142,7 @@ class Schema:
         self.fields: tuple[Field, ...] = tuple(fields)
         self.delimiter = delimiter
         self._index = {f.name: i for i, f in enumerate(self.fields)}
+        self._formatters = tuple(f.ftype.format_value for f in self.fields)
 
     # ------------------------------------------------------------------ construction helpers
     @classmethod
@@ -181,12 +204,16 @@ class Schema:
         return tuple(f.parse(token) for f, token in zip(self.fields, tokens))
 
     def format_record(self, record: Sequence[Any]) -> str:
-        """Format a typed record back into its text-row representation."""
+        """Format a typed record back into its text-row representation.
+
+        One formatter call per value, bound per type on :class:`FieldType`; the result equals
+        joining :meth:`Field.format` over the record (``tests/test_property_layouts.py``).
+        """
         if len(record) != len(self.fields):
             raise ValueError(
                 f"record has {len(record)} values but schema {self.name!r} has {len(self.fields)} fields"
             )
-        return self.delimiter.join(f.format(value) for f, value in zip(self.fields, record))
+        return self.delimiter.join([fmt(value) for fmt, value in zip(self._formatters, record)])
 
     def validate(self, record: Sequence[Any]) -> bool:
         """Light-weight structural validation: arity only (types are trusted)."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from datetime import date
+from itertools import accumulate
 from typing import Any, Iterable, Sequence
 
 from repro.layouts.schema import Field, FieldType, Schema
@@ -158,14 +159,16 @@ def variable_offsets_and_size(
     """:func:`variable_offsets` plus the encoded size of the whole column.
 
     The walk that places the offsets ends on the column's byte size, so a block that needs
-    both (every ``HailBlock``) visits its variable-size values once.
+    both (every ``HailBlock``) visits its variable-size values once — as one C-level pass
+    (``str`` → UTF-8 → ``len`` → running sum), equal to summing :meth:`Field.binary_size`.
     """
     if partition_size <= 0:
         raise ValueError("partition_size must be positive")
-    offsets: list[int] = []
-    position = 0
-    for i, value in enumerate(values):
-        if i % partition_size == 0:
-            offsets.append(position)
-        position += field.binary_size(value)
-    return offsets, position
+    count = len(values)
+    starts = range(0, count, partition_size)
+    fixed = field.ftype.fixed_size
+    if fixed is not None:
+        return [fixed * start for start in starts], fixed * count
+    # before[i] = encoded bytes of values[:i] without their terminating zeros (one per value).
+    before = list(accumulate(map(len, map(str.encode, map(str, values))), initial=0))
+    return [before[start] + start for start in starts], before[-1] + count

@@ -157,6 +157,35 @@ def test_datanode_delete_replica_releases_disk(small_cluster, simple_schema, sim
     datanode.delete_replica(5)
 
 
+def test_datanode_store_over_an_existing_replica_releases_what_it_replaces(small_cluster):
+    node = small_cluster.node(0)
+    datanode = DataNode(node)
+
+    def replica(block_id, *lines):
+        return Replica(block_id=block_id, datanode_id=0, payload=TextBlockPayload(lines))
+
+    datanode.store_replica(replica(1, "a|b|1.0", "c|d|2.0"))
+    datanode.store_replica(replica(1, "a|b|1.0", "c|d|2.0"))  # overwrite, same size
+    assert datanode.used_bytes == datanode.replica(1).size_bytes
+    datanode.delete_replica(1)
+    assert node.disk_used_bytes == 0 and datanode.used_bytes == 0
+
+    # The running total is the sum over what is stored, after any store/overwrite/delete mix.
+    datanode.store_replica(replica(1, "x|y|1.0"))
+    datanode.store_replica(replica(2, "long-line|" * 40 + "|2.0"))
+    datanode.store_replica(replica(1, "x|y|1.0", "grown|z|3.0"))
+    datanode.delete_replica(7)  # never stored
+    datanode.store_replica(replica(3, ""))
+    datanode.delete_replica(2)
+    datanode.store_replica(replica(3, "shrunk"))
+    stored = [datanode.replica(block_id) for block_id in datanode.block_ids()]
+    assert datanode.block_ids() == [1, 3]
+    assert datanode.used_bytes == sum(r.size_bytes for r in stored)
+    for block_id in datanode.block_ids():
+        datanode.delete_replica(block_id)
+    assert node.disk_used_bytes == 0 and datanode.used_bytes == 0
+
+
 # --------------------------------------------------------------------------- the replica writer
 def test_install_replica_over_an_existing_one_leaks_no_disk_charge(
     hdfs, simple_schema, simple_records

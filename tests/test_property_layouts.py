@@ -272,3 +272,123 @@ def test_column_decoder_raises_on_a_truncated_payload(ftype, values):
     assert PaxBlock.from_bytes(schema, wire, 2).columns == block.columns
     with pytest.raises((struct.error, ValueError)):
         PaxBlock.from_bytes(schema, wire[:5] + wire[6:], 2)  # second terminator cut out
+
+
+# ------------------------------------------------------------------ column measure == row-wise measure
+_MIXED_TEXT = st.text(
+    alphabet=st.characters(blacklist_characters="\n\x00", blacklist_categories=("Cs",)),
+    max_size=8,
+)
+#: Well-typed values plus what the formatters also accept: ints in FLOAT/DOUBLE columns,
+#: non-``date`` values in DATE columns, non-``str`` values in STRING columns, and strings that
+#: are empty, multi-byte or contain the delimiter.
+_TEXT_VALUES = {
+    FieldType.INT: _VALUES[FieldType.INT],
+    FieldType.BIGINT: _VALUES[FieldType.BIGINT],
+    FieldType.FLOAT: st.one_of(_VALUES[FieldType.FLOAT], st.integers(-10**6, 10**6)),
+    FieldType.DOUBLE: st.one_of(st.floats(), st.integers(-10**12, 10**12)),
+    FieldType.DATE: st.one_of(st.dates(), st.integers(0, 20000), st.just("2011-09-17")),
+    FieldType.STRING: st.one_of(
+        st.sampled_from(("", "é", "日本語", "a|b", "x::y", "||")),
+        _MIXED_TEXT,
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.none(),
+        st.dates(),
+    ),
+}
+
+
+@st.composite
+def _text_schema_and_rows(draw):
+    ftypes = draw(st.lists(st.sampled_from(list(FieldType)), min_size=1, max_size=6))
+    delimiter = draw(st.sampled_from(("|", ",", "::", "→|")))
+    schema = Schema.of(
+        *((f"f{i}", ftype) for i, ftype in enumerate(ftypes)), name="text", delimiter=delimiter
+    )
+    rows = draw(st.lists(st.tuples(*(_TEXT_VALUES[ftype] for ftype in ftypes)), max_size=12))
+    # Fewer and more rows than the 64-row sample, from few drawn rows: the sample is positional.
+    return schema, rows * draw(st.sampled_from((1, 1, 7, 30)))
+
+
+@given(schema_and_rows=_text_schema_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_column_text_measure_is_the_row_wise_measure(schema_and_rows):
+    from repro.hdfs import TextBlockPayload
+
+    schema, rows = schema_and_rows
+    block = PaxBlock.from_records(schema, rows)
+    text_bytes = block.text_size_bytes()
+    assert text_bytes == sum(schema.text_size(row) for row in rows)
+    string_share, reference = block.sample_string_share(), schema.string_byte_fraction(rows[:64])
+    assert string_share == reference and repr(string_share) == repr(reference)  # same bits
+    lines = [schema.format_record(row) for row in rows]
+    assert lines == [
+        schema.delimiter.join(f.format(value) for f, value in zip(schema.fields, row))
+        for row in rows
+    ]
+    payload = TextBlockPayload(lines)
+    assert payload.size_bytes() == len(payload.to_bytes()) == text_bytes
+
+
+def _offsets_and_size_by_value(f, values, partition_size):
+    offsets, position = [], 0
+    for i, value in enumerate(values):
+        if i % partition_size == 0:
+            offsets.append(position)
+        position += f.binary_size(value)
+    return offsets, position
+
+
+@given(
+    ftype=st.sampled_from((FieldType.STRING, FieldType.STRING, FieldType.INT, FieldType.DOUBLE)),
+    values=st.lists(_TEXT_VALUES[FieldType.STRING], max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_offsets_walk_equals_the_per_value_reference(ftype, values):
+    f = Field("v", ftype)
+    for partition_size in {1, 7, max(1, len(values)), len(values) + 1}:
+        expected = _offsets_and_size_by_value(f, values, partition_size)
+        assert serialization.variable_offsets_and_size(f, values, partition_size) == expected
+        assert serialization.variable_offsets(f, values, partition_size) == expected[0]
+    with pytest.raises(ValueError):
+        serialization.variable_offsets_and_size(f, values, 0)
+
+
+def test_offsets_walk_on_an_empty_and_on_a_multi_byte_column():
+    f = Field("v", FieldType.STRING)
+    assert serialization.variable_offsets_and_size(f, [], 3) == ([], 0)
+    # "é" is 2 bytes, "日本語" 9, "" 0 — each plus its terminating zero.
+    assert serialization.variable_offsets_and_size(f, ["é", "日本語", "", "ab"], 2) == ([0, 13], 17)
+    block = PaxBlock.from_records(Schema([f], name="one"), [("é",), ("日本語",), ("",), ("ab",)])
+    assert block.size_bytes() == 17 == len(block.to_bytes())
+
+
+@pytest.mark.parametrize(
+    "bad_record, error",
+    [
+        ((1, "short"), ValueError),  # wrong arity
+        ((1, "long", 1.0, "extra"), ValueError),
+        ((1, "name", "not-a-number"), ValueError),  # non-numeric value in a DOUBLE column
+        ((1, "name", None), TypeError),
+    ],
+)
+@pytest.mark.parametrize("system_name", ["HAIL", "Hadoop"])
+def test_upload_still_raises_the_row_wise_measures_error(system_name, bad_record, error):
+    from repro.baselines import HadoopSystem
+    from repro.cluster import Cluster
+    from repro.hail import HailSystem
+
+    schema = Schema.of(
+        ("id", FieldType.INT), ("name", FieldType.STRING), ("score", FieldType.DOUBLE), name="s"
+    )
+    with pytest.raises(error):  # the reference: what measuring this record row-wise raises
+        schema.text_size(bad_record)
+    cluster = Cluster.homogeneous(4, seed=1)
+    system = HailSystem(cluster, ["id"]) if system_name == "HAIL" else HadoopSystem(cluster)
+    rows = [(0, "ok", 0.5), bad_record, (2, "ok", 1.5)]
+    with pytest.raises(error):
+        system.upload("/bad", rows, schema, rows_per_block=10, client_nodes=[0])
+    # Raised on the client, before the block was registered anywhere.
+    assert system.hdfs.namenode.file_blocks("/bad") == []
+    assert system.hdfs.total_stored_bytes() == 0
