@@ -51,7 +51,7 @@ from repro.engine.operators import (
 )
 from repro.hail import HailConfig, HailSystem
 from repro.layouts.schema import Schema
-from repro.mapreduce.counters import Counters
+from repro.mapreduce.counters import DECLARED as DECLARED_COUNTERS, Counters
 from repro.mapreduce.runner import ConcurrentBatchError
 from repro.systems.base import BaseSystem, QueryResult, SystemUploadReport
 from repro.workloads.query import Query
@@ -375,14 +375,27 @@ class BatchExecutionError(RuntimeError):
 
 
 # --------------------------------------------------------------------------- session stats
+#: Historical ``SessionStats`` accessor spellings that are not the lower-cased counter name.
+STATS_ALIASES = {
+    "adaptive_builds_committed": Counters.ADAPTIVE_INDEXES_COMMITTED,
+    "placement_rebuilds": Counters.PLACEMENT_REREPLICATED,
+    "placement_migrations": Counters.PLACEMENT_MIGRATED,
+    "sched_jobs_interleaved": Counters.SCHED_QUEUE_JOBS_INTERLEAVED,
+}
+
+
 @dataclass(frozen=True)
 class SessionStats:
     """Per-system session statistics: counters, adaptive footprint, tuner state.
 
     A snapshot, not a live view — take one before and after a batch to difference them.
     Counter totals accumulate over every query the session ran on the system, including the
-    ``ADAPTIVE_*`` counters the lifecycle tuner itself consumes (the ROADMAP's per-attribute
-    visibility follow-up hangs off this surface).
+    ``ADAPTIVE_*`` counters the lifecycle tuner itself consumes.
+
+    Every counter declared in :data:`repro.mapreduce.counters.DECLARED` answers as an
+    attribute under its lower-cased name (``stats.zone_map_pruned_bytes``): an ``int`` for
+    unit ``count``, a ``float`` for ``seconds`` and ``bytes``; :data:`STATS_ALIASES` keeps the
+    four historical spellings.  ``docs/api.md`` lists them all.
     """
 
     system: str
@@ -414,61 +427,6 @@ class SessionStats:
         return attribute_slices(self.counters, name)
 
     @property
-    def adaptive_builds_committed(self) -> int:
-        """Adaptive index builds registered across the session."""
-        return int(self.counter(Counters.ADAPTIVE_INDEXES_COMMITTED))
-
-    @property
-    def adaptive_build_seconds(self) -> float:
-        """Simulated seconds those builds charged on top of their scans (cost side)."""
-        return self.counter(Counters.ADAPTIVE_BUILD_SECONDS)
-
-    @property
-    def adaptive_index_uses(self) -> int:
-        """Blocks answered via a previously built adaptive index."""
-        return int(self.counter(Counters.ADAPTIVE_INDEX_USES))
-
-    @property
-    def adaptive_saved_seconds(self) -> float:
-        """Measured counterfactual scan savings of those uses (benefit side)."""
-        return self.counter(Counters.ADAPTIVE_SAVED_SECONDS)
-
-    @property
-    def scan_fallback_blocks(self) -> int:
-        """Blocks answered without any index — the pool future builds could convert."""
-        return int(self.counter(Counters.SCAN_FALLBACK_BLOCKS))
-
-    @property
-    def zone_map_skipped_blocks(self) -> int:
-        """Blocks answered by a verified zone-map skip — no data column was read at all."""
-        return int(self.counter(Counters.ZONE_MAP_SKIPPED_BLOCKS))
-
-    @property
-    def zone_map_pruned_bytes(self) -> float:
-        """Data-column bytes zone-map skipping and partition pruning saved from being read."""
-        return self.counter(Counters.ZONE_MAP_PRUNED_BYTES)
-
-    @property
-    def adaptive_indexes_evicted(self) -> int:
-        """Adaptive replicas dropped by disk-pressure eviction across the session."""
-        return int(self.counter(Counters.ADAPTIVE_INDEXES_EVICTED))
-
-    @property
-    def sched_index_local(self) -> int:
-        """Map tasks launched on a node holding an index covering the query's filter."""
-        return int(self.counter(Counters.SCHED_INDEX_LOCAL))
-
-    @property
-    def sched_plain_local(self) -> int:
-        """Map tasks launched on a node holding only a plain replica of their split."""
-        return int(self.counter(Counters.SCHED_PLAIN_LOCAL))
-
-    @property
-    def sched_remote(self) -> int:
-        """Map tasks launched on a node holding no replica of their split at all."""
-        return int(self.counter(Counters.SCHED_REMOTE))
-
-    @property
     def index_local_task_fraction(self) -> float:
         """Fraction of classified launches that were index-local (0.0 without the policy).
 
@@ -480,120 +438,21 @@ class SessionStats:
 
         return index_local_task_fraction(self.counters)
 
-    @property
-    def placement_rebuilds(self) -> int:
-        """Adaptive replicas the placement balancer re-created across the session."""
-        return int(self.counter(Counters.PLACEMENT_REREPLICATED))
+    def __getattr__(self, name: str) -> Union[int, float]:
+        """The session total of a declared counter, under its lower-cased name or alias.
 
-    @property
-    def placement_migrations(self) -> int:
-        """Adaptive replicas the balancer's skew repair moved across the session."""
-        return int(self.counter(Counters.PLACEMENT_MIGRATED))
+        Only reached for names that are neither fields nor methods.  The name is resolved
+        against the declaration table *before* ``self`` is touched, so copying or unpickling
+        (which probe dunders on a not-yet-initialised instance) cannot recurse.
+        """
+        counter = STATS_ALIASES.get(name, name.upper() if name == name.lower() else None)
+        spec = DECLARED_COUNTERS.get(counter)
+        if spec is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return (int if spec.unit == "count" else float)(self.counter(counter))
 
-    @property
-    def tenant_jobs_admitted(self) -> int:
-        """Jobs of this tenant the concurrent scheduler admitted into the in-flight set."""
-        return int(self.counter(Counters.TENANT_JOBS_ADMITTED))
-
-    @property
-    def tenant_admission_waits(self) -> int:
-        """Jobs held at the admission gate because the tenant was at its in-flight limit."""
-        return int(self.counter(Counters.TENANT_ADMISSION_WAITS))
-
-    @property
-    def tenant_quota_deferrals(self) -> int:
-        """Episodes where a job's next task waited for the tenant's slot quota to free up."""
-        return int(self.counter(Counters.TENANT_QUOTA_DEFERRALS))
-
-    @property
-    def sched_queue_wait_seconds(self) -> float:
-        """Summed simulated seconds this tenant's jobs queued before their first launch."""
-        return self.counter(Counters.SCHED_QUEUE_WAIT_SECONDS)
-
-    @property
-    def sched_jobs_interleaved(self) -> int:
-        """Jobs whose map phase overlapped another in-flight job on the shared slots."""
-        return int(self.counter(Counters.SCHED_QUEUE_JOBS_INTERLEAVED))
-
-    @property
-    def spec_attempts_launched(self) -> int:
-        """Speculative backup attempts the concurrent scheduler launched for stragglers."""
-        return int(self.counter(Counters.SPEC_ATTEMPTS_LAUNCHED))
-
-    @property
-    def spec_attempts_won(self) -> int:
-        """Task completions where a speculative race had a winner (one per resolved race)."""
-        return int(self.counter(Counters.SPEC_ATTEMPTS_WON))
-
-    @property
-    def spec_attempts_discarded(self) -> int:
-        """Attempts killed because their speculative rival finished first."""
-        return int(self.counter(Counters.SPEC_ATTEMPTS_DISCARDED))
-
-    @property
-    def spec_wasted_seconds(self) -> float:
-        """Simulated seconds discarded speculative attempts burned before their kill."""
-        return self.counter(Counters.SPEC_WASTED_SECONDS)
-
-    @property
-    def preempt_attempts_killed(self) -> int:
-        """Running attempts revoked because the tenant exceeded its weighted entitlement."""
-        return int(self.counter(Counters.PREEMPT_ATTEMPTS_KILLED))
-
-    @property
-    def preempt_wasted_seconds(self) -> float:
-        """Simulated seconds preempted attempts burned before their kill."""
-        return self.counter(Counters.PREEMPT_WASTED_SECONDS)
-
-    @property
-    def deadline_jobs_met(self) -> int:
-        """Jobs submitted with a deadline whose map phase finished in time."""
-        return int(self.counter(Counters.DEADLINE_JOBS_MET))
-
-    @property
-    def deadline_jobs_missed(self) -> int:
-        """Jobs submitted with a deadline whose map phase overran it."""
-        return int(self.counter(Counters.DEADLINE_JOBS_MISSED))
-
-    @property
-    def combine_input_records(self) -> int:
-        """Map-output pairs fed into map-side combiners across the session."""
-        return int(self.counter(Counters.COMBINE_INPUT_RECORDS))
-
-    @property
-    def combine_output_records(self) -> int:
-        """Pairs map-side combiners emitted (what actually crossed the shuffle)."""
-        return int(self.counter(Counters.COMBINE_OUTPUT_RECORDS))
-
-    @property
-    def shuffle_bytes_saved(self) -> float:
-        """Simulated shuffle bytes map-side combining kept off the network."""
-        return self.counter(Counters.SHUFFLE_BYTES_SAVED)
-
-    @property
-    def join_merge_joins(self) -> int:
-        """Joins executed shuffle-free via the co-partitioned merge strategy."""
-        return int(self.counter(Counters.JOIN_MERGE_JOINS))
-
-    @property
-    def join_hash_joins(self) -> int:
-        """Joins that fell back to (or forced) the shuffle hash strategy."""
-        return int(self.counter(Counters.JOIN_HASH_JOINS))
-
-    @property
-    def join_output_records(self) -> int:
-        """Rows produced by equi-joins across the session."""
-        return int(self.counter(Counters.JOIN_OUTPUT_RECORDS))
-
-    @property
-    def topk_blocks_read(self) -> int:
-        """Blocks whose payload a top-k query actually opened."""
-        return int(self.counter(Counters.TOPK_BLOCKS_READ))
-
-    @property
-    def topk_blocks_skipped(self) -> int:
-        """Blocks top-k early termination pruned without opening their payload."""
-        return int(self.counter(Counters.TOPK_BLOCKS_SKIPPED))
+    def __dir__(self) -> list[str]:
+        return [*super().__dir__(), *map(str.lower, DECLARED_COUNTERS), *STATS_ALIASES]
 
 
 # --------------------------------------------------------------------------- the session
@@ -751,7 +610,7 @@ class Session:
         deployed without persistence.
         """
         target = self.system(system)
-        backend = getattr(target.hdfs, "persist", None)
+        backend = target.hdfs.persist
         if backend is None:
             raise RuntimeError(
                 f"system {target.name!r} was deployed without persistence; "

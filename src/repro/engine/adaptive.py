@@ -196,11 +196,6 @@ class AdaptiveCommitReport:
         return len(self.committed)
 
     @property
-    def total_build_seconds(self) -> float:
-        """Simulated seconds the committed builds charged their scans (the tuner's cost side)."""
-        return sum(build.build_seconds for build in self.committed)
-
-    @property
     def total_bytes_written(self) -> float:
         """Replica bytes the committed builds flushed (disk-pressure bookkeeping)."""
         return sum(build.bytes_written for build in self.committed)
@@ -224,7 +219,7 @@ def commit_adaptive_builds(hdfs: "Hdfs", attempts: Iterable[Any]) -> AdaptiveCom
     committed_keys: set[tuple[int, str]] = set()
     namenode = hdfs.namenode
     for attempt in attempts:
-        for build in getattr(attempt.result, "adaptive_builds", ()):
+        for build in attempt.result.adaptive_builds:
             key = (build.block_id, build.attribute)
             if key in committed_keys:
                 report.skipped_duplicate += 1

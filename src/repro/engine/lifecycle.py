@@ -143,6 +143,16 @@ class JobObservation:
             },
         )
 
+    def for_attribute(self, attribute: str) -> "JobObservation":
+        """This job as one attribute's ledger sees it: its five slices as the totals."""
+        return JobObservation(
+            builds_committed=self.builds_by_attribute.get(attribute, 0),
+            build_seconds=self.build_seconds_by_attribute.get(attribute, 0.0),
+            adaptive_uses=self.uses_by_attribute.get(attribute, 0),
+            saved_seconds=self.saved_seconds_by_attribute.get(attribute, 0.0),
+            fallback_blocks=self.fallbacks_by_attribute.get(attribute, 0),
+        )
+
     @property
     def active_attributes(self) -> set:
         """Attributes this job touched adaptively (built, used an index, or fell back)."""
@@ -159,10 +169,10 @@ class AttributeLedger:
     """One attribute's slice of the tuner state: its own offer rate and payback ledger.
 
     With per-attribute tuning enabled, every filter attribute the workload touches gets one of
-    these, updated from the ``COUNTER[attr]`` slices of each :class:`JobObservation` under the
-    same raise/decay/probe control law the global tuner applies — so an attribute whose
-    adaptive indexes save scan seconds converges at full speed while a hostile attribute's
-    rate decays to zero without dragging the profitable one down with it.
+    these, fed the ``COUNTER[attr]`` slices of each :class:`JobObservation` — so an attribute
+    whose adaptive indexes save scan seconds converges at full speed while a hostile
+    attribute's rate decays to zero without dragging the profitable one down with it.  The
+    five fields carry the names of the tuner's own ledger fields: one law serves both.
     """
 
     offer_rate: float = 0.5
@@ -176,7 +186,10 @@ class AttributeLedger:
 class AdaptiveTuner:
     """Feedback controller for ``adaptive_offer_rate`` and ``adaptive_budget_per_job``.
 
-    The control law works off one :class:`JobObservation` per job:
+    One law, two kinds of ledger: :meth:`_apply_law` folds each :class:`JobObservation` into
+    the tuner's own five ledger fields (the global rate) and, with ``per_attribute``, each
+    attribute's slice of it into that attribute's :class:`AttributeLedger` — one method, so
+    the global and per-attribute rates cannot drift apart.  The law, per job and ledger:
 
     - **raise** — when the job's measured savings exceed its build cost (adaptive indexes are
       paying for themselves), the offer rate grows multiplicatively toward 1.0 so convergence
@@ -231,15 +244,8 @@ class AdaptiveTuner:
     ledgers: dict = field(default_factory=dict)
 
     def observe(self, observation: JobObservation) -> None:
-        """Fold one finished job into the ledger and update both knobs."""
-        self.jobs_observed += 1
-        self.jobs_since_build = 0 if observation.builds_committed else self.jobs_since_build + 1
-        self.total_build_seconds = (
-            self.ledger_decay * self.total_build_seconds + observation.build_seconds
-        )
-        self.total_saved_seconds = (
-            self.ledger_decay * self.total_saved_seconds + observation.saved_seconds
-        )
+        """Fold one finished job into the ledger(s) and update both knobs."""
+        self._apply_law(self, observation)
         if observation.builds_committed:
             per_build = observation.build_seconds / observation.builds_committed
             self.build_cost_ema = self._blend(self.build_cost_ema, per_build)
@@ -247,10 +253,15 @@ class AdaptiveTuner:
             self.reader_seconds_ema = self._blend(
                 self.reader_seconds_ema, observation.record_reader_seconds
             )
-        self._update_offer_rate(observation)
         self._update_budget()
         if self.per_attribute:
-            self._update_ledgers(observation)
+            # An attribute the job did not touch at all counts as *idle* for its ledger (its
+            # rate decays), which is what retargets the offer budget after a workload shift:
+            # the old attribute's rate sinks while the newly filtered attribute's rate climbs
+            # on its own savings.  Attributes never seen before start from the global rate.
+            for attribute in sorted(observation.active_attributes | set(self.ledgers)):
+                ledger = self.ledgers.setdefault(attribute, AttributeLedger(self.offer_rate))
+                self._apply_law(ledger, observation.for_attribute(attribute))
 
     def attribute_rates(self) -> dict[str, float]:
         """The live per-attribute offer rates (empty unless ``per_attribute`` tuning is on)."""
@@ -262,43 +273,55 @@ class AdaptiveTuner:
             return sample
         return (1.0 - self.ema_alpha) * ema + self.ema_alpha * sample
 
+    def _paid_back(self, ledger: "AdaptiveTuner | AttributeLedger") -> bool:
+        """True while recent savings keep up with recent build cost (decayed-window totals)."""
+        if ledger.total_build_seconds <= 0.0:
+            return True
+        return ledger.total_saved_seconds >= self.payback_fraction * ledger.total_build_seconds
+
     @property
     def _payback_ok(self) -> bool:
-        """True while recent savings keep up with recent build cost (decayed-window totals)."""
-        if self.total_build_seconds <= 0.0:
-            return True
-        return self.total_saved_seconds >= self.payback_fraction * self.total_build_seconds
+        """:meth:`_paid_back` of the tuner's own (global) ledger."""
+        return self._paid_back(self)
 
-    def _update_offer_rate(self, observation: JobObservation) -> None:
-        if observation.saved_seconds > observation.build_seconds and observation.saved_seconds > 0:
-            self.offer_rate = min(
-                1.0, max(self.offer_rate, self.min_offer_rate) * self.increase_factor
-            )
-            return
-        idle = (
-            observation.builds_committed == 0
-            and observation.adaptive_uses == 0
-            and observation.fallback_blocks == 0
+    def _apply_law(self, ledger: "AdaptiveTuner | AttributeLedger", job: JobObservation) -> None:
+        """Fold one job into ``ledger`` and move its offer rate: raise, decay or probe.
+
+        ``ledger`` is the tuner itself (global rate; ``job`` is the whole observation) or an
+        :class:`AttributeLedger` (``job`` is its :meth:`JobObservation.for_attribute` slice).
+        """
+        ledger.jobs_observed += 1
+        ledger.jobs_since_build = 0 if job.builds_committed else ledger.jobs_since_build + 1
+        ledger.total_build_seconds = (
+            self.ledger_decay * ledger.total_build_seconds + job.build_seconds
         )
+        ledger.total_saved_seconds = (
+            self.ledger_decay * ledger.total_saved_seconds + job.saved_seconds
+        )
+        idle = job.builds_committed == 0 and job.adaptive_uses == 0 and job.fallback_blocks == 0
         unpaid = (
-            observation.builds_committed > 0
-            and not self._payback_ok
-            and self.jobs_observed > self.grace_jobs
+            job.builds_committed > 0
+            and not self._paid_back(ledger)
+            and ledger.jobs_observed > self.grace_jobs
         )
-        if idle or unpaid:
-            self.offer_rate *= self.decay_factor
-            if self.offer_rate < self.offer_floor:
-                self.offer_rate = 0.0
+        if job.saved_seconds > job.build_seconds and job.saved_seconds > 0:
+            ledger.offer_rate = min(
+                1.0, max(ledger.offer_rate, self.min_offer_rate) * self.increase_factor
+            )
+        elif idle or unpaid:
+            ledger.offer_rate *= self.decay_factor
+            if ledger.offer_rate < self.offer_floor:
+                ledger.offer_rate = 0.0
         elif (
-            observation.fallback_blocks > 0
-            and self.offer_rate < self.min_offer_rate
-            and (self._payback_ok or self.jobs_since_build >= self.probe_cooldown)
+            job.fallback_blocks > 0
+            and ledger.offer_rate < self.min_offer_rate
+            and (self._paid_back(ledger) or ledger.jobs_since_build >= self.probe_cooldown)
         ):
             # Scans reappeared: probe cheaply.  An unpaid ledger delays the probe by
             # ``probe_cooldown`` build-free jobs but never blocks it forever — with the rate
             # at zero no builds ever run, so the debt would otherwise be frozen stale and
             # the controller stuck in an absorbing state.
-            self.offer_rate = self.min_offer_rate
+            ledger.offer_rate = self.min_offer_rate
 
     def _update_budget(self) -> None:
         if self.build_cost_ema is None or self.build_cost_ema <= 0.0:
@@ -307,57 +330,6 @@ class AdaptiveTuner:
             return
         tolerated = self.overhead_fraction * self.reader_seconds_ema
         self.budget = max(self.min_budget, int(tolerated / self.build_cost_ema))
-
-    def _update_ledgers(self, observation: JobObservation) -> None:
-        """Apply the raise/decay/probe law per attribute, on that attribute's counter slice.
-
-        An attribute the job did not touch at all counts as *idle* for its ledger (its rate
-        decays), which is what retargets the offer budget after a workload shift: the old
-        attribute's rate sinks while the newly filtered attribute's rate climbs on its own
-        savings.  Attributes never seen before start from the tuner's current global rate.
-        """
-        for attribute in sorted(observation.active_attributes | set(self.ledgers)):
-            ledger = self.ledgers.get(attribute)
-            if ledger is None:
-                ledger = AttributeLedger(offer_rate=self.offer_rate)
-                self.ledgers[attribute] = ledger
-            builds = observation.builds_by_attribute.get(attribute, 0)
-            build_seconds = observation.build_seconds_by_attribute.get(attribute, 0.0)
-            uses = observation.uses_by_attribute.get(attribute, 0)
-            saved_seconds = observation.saved_seconds_by_attribute.get(attribute, 0.0)
-            fallbacks = observation.fallbacks_by_attribute.get(attribute, 0)
-
-            ledger.jobs_observed += 1
-            ledger.jobs_since_build = 0 if builds else ledger.jobs_since_build + 1
-            ledger.total_build_seconds = (
-                self.ledger_decay * ledger.total_build_seconds + build_seconds
-            )
-            ledger.total_saved_seconds = (
-                self.ledger_decay * ledger.total_saved_seconds + saved_seconds
-            )
-            payback_ok = (
-                ledger.total_build_seconds <= 0.0
-                or ledger.total_saved_seconds
-                >= self.payback_fraction * ledger.total_build_seconds
-            )
-
-            if saved_seconds > build_seconds and saved_seconds > 0:
-                ledger.offer_rate = min(
-                    1.0, max(ledger.offer_rate, self.min_offer_rate) * self.increase_factor
-                )
-                continue
-            idle = builds == 0 and uses == 0 and fallbacks == 0
-            unpaid = builds > 0 and not payback_ok and ledger.jobs_observed > self.grace_jobs
-            if idle or unpaid:
-                ledger.offer_rate *= self.decay_factor
-                if ledger.offer_rate < self.offer_floor:
-                    ledger.offer_rate = 0.0
-            elif (
-                fallbacks > 0
-                and ledger.offer_rate < self.min_offer_rate
-                and (payback_ok or ledger.jobs_since_build >= self.probe_cooldown)
-            ):
-                ledger.offer_rate = self.min_offer_rate
 
 
 # --------------------------------------------------------------------------- eviction

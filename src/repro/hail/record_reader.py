@@ -22,19 +22,25 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.cluster.costmodel import CostModel
-from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext, PendingIndexBuild
+from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import ZONE_MAP_PROPERTY, PhysicalPlanner
 from repro.hail.annotation import HailQuery, resolve_annotation
 from repro.hail.record import HailRecord
 from repro.hdfs.filesystem import Hdfs
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
 
 
 class HailRecordReader(RecordReader):
-    """Index scan (or PAX scan fallback) over HAIL replicas, with selection and projection."""
+    """Index scan (or PAX scan fallback) over HAIL replicas, with selection and projection.
+
+    Counts each executed block into ``self.counters`` straight from its ``BlockScanResult``:
+    adaptive index uses and their measured savings, zone-map skips and pruned bytes, scan
+    fallbacks — the sliced ones also under ``NAME[attribute]``.  The task merges the bag.
+    """
 
     def __init__(
         self, split: InputSplit, hdfs: Hdfs, cost: CostModel, node_id: int, jobconf: JobConf
@@ -48,27 +54,6 @@ class HailRecordReader(RecordReader):
         #: The job's adaptive-indexing policy (installed by HailSystem/HailInputFormat when
         #: ``HailConfig.adaptive_indexing`` is on; ``None`` keeps the reader purely read-only).
         self.adaptive: Optional[AdaptiveJobContext] = jobconf.properties.get(ADAPTIVE_PROPERTY)
-        #: Adaptive index builds staged by this task's scans, committed (failure-safely,
-        #: deduplicated) by the scheduler only if this attempt survives the job.
-        self.adaptive_builds: list[PendingIndexBuild] = []
-        #: Number of blocks answered by index scan vs. full scan (for reports/tests).
-        self.index_scans = 0
-        self.full_scans = 0
-        #: Zone-map telemetry: blocks answered by a verified skip (no data columns read) and
-        #: data-column bytes pruning saved across all scans of this reader.
-        self.zone_map_skipped_blocks = 0
-        self.zone_map_pruned_bytes = 0.0
-        #: Lifecycle-tuner telemetry: blocks answered via a previously built adaptive index,
-        #: and the measured scan savings those uses realised (executor counterfactuals).
-        self.adaptive_index_uses = 0
-        self.adaptive_saved_seconds = 0.0
-        #: Per-attribute slices of the telemetry above plus the scan fallbacks (fallbacks are
-        #: attributed to the query's *first* filter attribute — the same attribute an adaptive
-        #: build of the block would target).  Feed the split tuner ledgers and the placement
-        #: balancer's demand tracking.
-        self.adaptive_uses_by_attribute: dict[str, int] = {}
-        self.adaptive_saved_by_attribute: dict[str, float] = {}
-        self.fallbacks_by_attribute: dict[str, int] = {}
 
     # ------------------------------------------------------------------ iteration
     def __iter__(self) -> Iterator[tuple]:
@@ -86,33 +71,30 @@ class HailRecordReader(RecordReader):
             self.bytes_read += scan.bytes_read
             if scan.pending_build is not None:
                 self.adaptive_builds.append(scan.pending_build)
+            counters = self.counters
             if scan.used_adaptive_index:
-                self.adaptive_index_uses += 1
-                self.adaptive_saved_seconds += scan.saved_seconds
-                attribute = scan.plan.attribute
-                if attribute is not None:
-                    self.adaptive_uses_by_attribute[attribute] = (
-                        self.adaptive_uses_by_attribute.get(attribute, 0) + 1
-                    )
-                    self.adaptive_saved_by_attribute[attribute] = (
-                        self.adaptive_saved_by_attribute.get(attribute, 0.0)
-                        + scan.saved_seconds
-                    )
-            self.zone_map_pruned_bytes += scan.zone_map_pruned_bytes
+                # Lifecycle-tuner telemetry: the use and the scan savings it realised (the
+                # executor's counterfactual), sliced by the index's attribute.
+                counters.increment(Counters.ADAPTIVE_INDEX_USES, attribute=scan.plan.attribute)
+                counters.increment(
+                    Counters.ADAPTIVE_SAVED_SECONDS, scan.saved_seconds, scan.plan.attribute
+                )
+            if scan.zone_map_pruned_bytes:
+                counters.increment(Counters.ZONE_MAP_PRUNED_BYTES, scan.zone_map_pruned_bytes)
             if scan.used_index:
-                self.index_scans += 1
                 self.used_index = True
             elif scan.zone_map_skipped:
                 # A verified skip is neither an index scan nor a fallback: no data was read,
                 # so it must not count as a full scan nor feed the adaptive tuner's ledgers.
-                self.zone_map_skipped_blocks += 1
+                counters.increment(Counters.ZONE_MAP_SKIPPED_BLOCKS)
             else:
-                self.full_scans += 1
-                attribute = self._first_filter_attribute(scan.schema)
-                if attribute is not None:
-                    self.fallbacks_by_attribute[attribute] = (
-                        self.fallbacks_by_attribute.get(attribute, 0) + 1
-                    )
+                # Fallbacks are attributed to the query's *first* filter attribute — the same
+                # attribute an adaptive build of the block would target.  The slices feed the
+                # split tuner ledgers and the placement balancer's demand tracking.
+                counters.increment(
+                    Counters.SCAN_FALLBACK_BLOCKS,
+                    attribute=self._first_filter_attribute(scan.schema),
+                )
 
             for row_id, values in zip(scan.rows, scan.projected):
                 self.records_emitted += 1

@@ -26,11 +26,19 @@ from repro.cluster.costmodel import CostModel
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import PhysicalPlanner
 from repro.hdfs.filesystem import Hdfs
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.split import InputSplit
 
 
 class RecordReader(abc.ABC):
-    """Iterates the records of one split and accounts the simulated cost of doing so."""
+    """Iterates the records of one split and accounts the simulated cost of doing so.
+
+    A reader hands two things back to its task: the contract fields below (cost, volume,
+    executed plans, staged adaptive builds) and ``counters``, a bag of its own that per-block
+    telemetry is counted straight into — nothing for the stock text reader; index uses,
+    savings, zone-map skips and fallbacks for HAIL's.  ``MapTask.run`` merges the bag into
+    the attempt's counters, so a reader that counts something new needs no second edit there.
+    """
 
     def __init__(self, split: InputSplit, hdfs: Hdfs, cost: CostModel, node_id: int) -> None:
         self.split = split
@@ -47,6 +55,12 @@ class RecordReader(abc.ABC):
         self.used_index: bool = False
         #: The executed per-block plans, in split order (assembled into QueryResult.plan).
         self.block_plans: list = []
+        #: Adaptive index builds staged by this task's scans (engine ``PendingIndexBuild``
+        #: objects), committed (failure-safely, deduplicated) by the scheduler only if this
+        #: attempt survives the job.
+        self.adaptive_builds: list = []
+        #: Per-block telemetry of this reader, merged into the attempt's counters by the task.
+        self.counters = Counters()
 
     @abc.abstractmethod
     def __iter__(self) -> Iterator[tuple]:

@@ -144,7 +144,7 @@ class MapReduceRunner:
             range(len(jobs)), key=lambda i: (outcomes[i].finish_s, i)
         )
         results: list[Optional[JobResult]] = [None] * len(jobs)
-        persist = getattr(self.hdfs, "persist", None)
+        persist = self.hdfs.persist
         for i in completion_order:
             try:
                 if persist is not None and i != completion_order[0]:
@@ -241,7 +241,7 @@ class MapReduceRunner:
             staged_build_s = sum(
                 build.build_seconds
                 for attempt in outcome.scheduled
-                for build in getattr(attempt.result, "adaptive_builds", ())
+                for build in attempt.result.adaptive_builds
             )
             self._run_adaptive_lifecycle(
                 jobconf, counters, max(0.0, sum(rr_times) - staged_build_s), tenant=tenant
@@ -303,25 +303,16 @@ class MapReduceRunner:
         never ends up half-registered.  Deduplication of rescheduled/speculative attempts
         happens inside :func:`repro.engine.adaptive.commit_adaptive_builds`.
         """
-        if not any(
-            getattr(attempt.result, "adaptive_builds", ()) for attempt in outcome.scheduled
-        ):
+        if not any(attempt.result.adaptive_builds for attempt in outcome.scheduled):
             return
         from repro.engine.adaptive import commit_adaptive_builds
 
-        report = commit_adaptive_builds(self.hdfs, outcome.scheduled)
-        if report.num_committed:
-            counters.increment(Counters.ADAPTIVE_INDEXES_COMMITTED, report.num_committed)
-            counters.increment(Counters.ADAPTIVE_BUILD_SECONDS, report.total_build_seconds)
-            for build in report.committed:
-                # Per-attribute slices: what the split tuner ledgers steer the offer rates by.
-                counters.increment(
-                    Counters.per_attribute(Counters.ADAPTIVE_INDEXES_COMMITTED, build.attribute)
-                )
-                counters.increment(
-                    Counters.per_attribute(Counters.ADAPTIVE_BUILD_SECONDS, build.attribute),
-                    build.build_seconds,
-                )
+        for build in commit_adaptive_builds(self.hdfs, outcome.scheduled).committed:
+            # Sliced per attribute: what the split tuner ledgers steer the offer rates by.
+            counters.increment(Counters.ADAPTIVE_INDEXES_COMMITTED, attribute=build.attribute)
+            counters.increment(
+                Counters.ADAPTIVE_BUILD_SECONDS, build.build_seconds, build.attribute
+            )
 
     @staticmethod
     def _set_usage_recording(jobconf: JobConf, record: bool) -> None:

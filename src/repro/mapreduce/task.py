@@ -45,7 +45,13 @@ class MapTask:
     jobconf: JobConf
 
     def run(self, hdfs: Hdfs, cost: CostModel, node_id: int, counters: Counters) -> MapTaskResult:
-        """Execute the task on ``node_id``: read the split, call the mapper for every record."""
+        """Execute the task on ``node_id``: read the split, call the mapper for every record.
+
+        ``counters`` is the attempt's private scratch bag (the scheduler merges it into the
+        job's only if the attempt is accepted).  The task counts what it sees itself —
+        records in and out, bytes, whether any block was index-scanned, staged builds — and
+        merges in whatever the reader counted per block (``reader.counters``).
+        """
         reader = self.jobconf.input_format.create_record_reader(
             self.split, hdfs, self.jobconf, cost, node_id
         )
@@ -61,38 +67,9 @@ class MapTask:
         counters.increment(
             Counters.INDEX_SCANS if reader.used_index else Counters.FULL_SCANS
         )
-        adaptive_builds = list(getattr(reader, "adaptive_builds", ()))
-        if adaptive_builds:
-            counters.increment(Counters.ADAPTIVE_INDEX_BUILDS, len(adaptive_builds))
-        # Lifecycle-tuner telemetry (readers without adaptive support contribute zeros).
-        adaptive_uses = getattr(reader, "adaptive_index_uses", 0)
-        if adaptive_uses:
-            counters.increment(Counters.ADAPTIVE_INDEX_USES, adaptive_uses)
-            counters.increment(
-                Counters.ADAPTIVE_SAVED_SECONDS, getattr(reader, "adaptive_saved_seconds", 0.0)
-            )
-            for attribute, count in getattr(reader, "adaptive_uses_by_attribute", {}).items():
-                counters.increment(
-                    Counters.per_attribute(Counters.ADAPTIVE_INDEX_USES, attribute), count
-                )
-            for attribute, saved in getattr(reader, "adaptive_saved_by_attribute", {}).items():
-                counters.increment(
-                    Counters.per_attribute(Counters.ADAPTIVE_SAVED_SECONDS, attribute), saved
-                )
-        # Zone-map telemetry (readers without zone-map support contribute zeros).
-        zone_skips = getattr(reader, "zone_map_skipped_blocks", 0)
-        if zone_skips:
-            counters.increment(Counters.ZONE_MAP_SKIPPED_BLOCKS, zone_skips)
-        zone_pruned = getattr(reader, "zone_map_pruned_bytes", 0.0)
-        if zone_pruned:
-            counters.increment(Counters.ZONE_MAP_PRUNED_BYTES, zone_pruned)
-        fallback_blocks = getattr(reader, "full_scans", 0)
-        if fallback_blocks:
-            counters.increment(Counters.SCAN_FALLBACK_BLOCKS, fallback_blocks)
-            for attribute, count in getattr(reader, "fallbacks_by_attribute", {}).items():
-                counters.increment(
-                    Counters.per_attribute(Counters.SCAN_FALLBACK_BLOCKS, attribute), count
-                )
+        if reader.adaptive_builds:
+            counters.increment(Counters.ADAPTIVE_INDEX_BUILDS, len(reader.adaptive_builds))
+        counters.merge(reader.counters)
         # The map function body itself (emitting projected values) is a tiny constant per record.
         map_function_s = 2.0e-8 * reader.records_emitted * cost.params.data_scale
         return MapTaskResult(
@@ -104,6 +81,6 @@ class MapTask:
             records_read=reader.records_emitted,
             bytes_read=reader.bytes_read,
             used_index=reader.used_index,
-            block_plans=list(getattr(reader, "block_plans", ())),
-            adaptive_builds=adaptive_builds,
+            block_plans=list(reader.block_plans),
+            adaptive_builds=list(reader.adaptive_builds),
         )

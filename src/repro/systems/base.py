@@ -281,7 +281,7 @@ class BaseSystem(abc.ABC):
         """Assemble the executed :class:`QueryPlan` from the job's map-task results."""
         executed = {}
         for attempt in job.task_results:
-            for block_plan in getattr(attempt.result, "block_plans", ()):
+            for block_plan in attempt.result.block_plans:
                 executed[block_plan.block_id] = block_plan
         plan = self._planner().query_frame(path, self._annotation_for(query))
         plan.block_plans = [executed[block_id] for block_id in sorted(executed)]

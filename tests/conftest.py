@@ -61,3 +61,46 @@ def uservisits_sample() -> list[tuple]:
 def synthetic_sample() -> list[tuple]:
     """A small deterministic Synthetic sample."""
     return SyntheticGenerator(seed=5).generate(400)
+
+
+@pytest.fixture(scope="session")
+def busy_session():
+    """``(session, jobs)`` of one HAIL session that exercised most of the counter table.
+
+    Everything that feeds a counter is on: adaptive indexing with multi-attribute builds, the
+    auto-tuner with per-attribute ledgers, zone maps with split pruning, two concurrent jobs.
+    The session ran 18 two-attribute conjunctive scans, an interleaved batch, a group-by and
+    a top-k; ``jobs`` holds ``(filter attributes, result)`` per finished query, in order.
+    """
+    from repro.api import Session, col
+    from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE
+    from repro.hail import HailConfig, HailSystem
+
+    config = (
+        HailConfig(functional_partition_size=1, splitting_policy=False)
+        .with_adaptive(True, offer_rate=0.6)
+        .with_lifecycle(auto_tune=True, multi_attribute=True, per_attribute_tune=True)
+        .with_zone_maps(True, split_pruning=True)
+        .with_concurrency(max_jobs=2)
+    )
+    rows = sorted(SyntheticGenerator(seed=3).generate(1200))  # clustered on f1: zones can skip
+    block_bytes = sum(SYNTHETIC_SCHEMA.text_size(row) for row in rows[:100])
+    cost = CostModel(
+        CostParameters(enable_variance=False, data_scale=64 * 1024 * 1024 / block_bytes)
+    )
+    session = Session(HailSystem(Cluster.homogeneous(4, seed=7), config=config, cost=cost))
+    data = session.upload("/busy/synthetic", rows, SYNTHETIC_SCHEMA, rows_per_block=100)
+
+    def scan(i: int):
+        first, second = (("f1", "f2"), ("f2", "f3"), ("f3", "f1"))[i % 3]
+        bound = VALUE_RANGE // (2 + i % 4)
+        query = data.where((col(first) < bound) & (col(second) < VALUE_RANGE // 2))
+        return {first, second}, query.select(first, second)
+
+    jobs = [(attributes, query.collect()) for attributes, query in map(scan, range(18))]
+    batch = [scan(i) for i in range(4)]
+    results = session.run_batch([query for _, query in batch])
+    jobs.extend((attributes, result) for (attributes, _), result in zip(batch, results))
+    jobs.append((set(), data.group_by("f3").agg("count(*)", "sum(f2)").collect()))
+    jobs.append((set(), data.order_by("f1", descending=True).limit(5).collect()))
+    return session, jobs

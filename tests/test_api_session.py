@@ -354,3 +354,101 @@ def test_stats_without_adaptivity_report_empty_footprint(tri_session):
     assert stats.tuner_offer_rate is None
     hail_stats = tri_session.stats()  # default system is HAIL
     assert hail_stats.adaptive_replicas.get(_PATH, 0) == 0  # upload-time indexes only
+
+
+# --------------------------------------------------------------------------- stats surface
+#: Every counter accessor ``SessionStats`` had as a hand-written property (commit c1d19fc),
+#: with the type it returned and the counter it read.  The accessors are now answered from
+#: the counter declaration table; a rename or a unit slip there fails here by name.
+_PINNED_ACCESSORS = [
+    ("adaptive_builds_committed", int, "ADAPTIVE_INDEXES_COMMITTED"),
+    ("adaptive_build_seconds", float, "ADAPTIVE_BUILD_SECONDS"),
+    ("adaptive_index_uses", int, "ADAPTIVE_INDEX_USES"),
+    ("adaptive_saved_seconds", float, "ADAPTIVE_SAVED_SECONDS"),
+    ("scan_fallback_blocks", int, "SCAN_FALLBACK_BLOCKS"),
+    ("zone_map_skipped_blocks", int, "ZONE_MAP_SKIPPED_BLOCKS"),
+    ("zone_map_pruned_bytes", float, "ZONE_MAP_PRUNED_BYTES"),
+    ("adaptive_indexes_evicted", int, "ADAPTIVE_INDEXES_EVICTED"),
+    ("sched_index_local", int, "SCHED_INDEX_LOCAL"),
+    ("sched_plain_local", int, "SCHED_PLAIN_LOCAL"),
+    ("sched_remote", int, "SCHED_REMOTE"),
+    ("placement_rebuilds", int, "PLACEMENT_REREPLICATED"),
+    ("placement_migrations", int, "PLACEMENT_MIGRATED"),
+    ("tenant_jobs_admitted", int, "TENANT_JOBS_ADMITTED"),
+    ("tenant_admission_waits", int, "TENANT_ADMISSION_WAITS"),
+    ("tenant_quota_deferrals", int, "TENANT_QUOTA_DEFERRALS"),
+    ("sched_queue_wait_seconds", float, "SCHED_QUEUE_WAIT_SECONDS"),
+    ("sched_jobs_interleaved", int, "SCHED_QUEUE_JOBS_INTERLEAVED"),
+    ("spec_attempts_launched", int, "SPEC_ATTEMPTS_LAUNCHED"),
+    ("spec_attempts_won", int, "SPEC_ATTEMPTS_WON"),
+    ("spec_attempts_discarded", int, "SPEC_ATTEMPTS_DISCARDED"),
+    ("spec_wasted_seconds", float, "SPEC_WASTED_SECONDS"),
+    ("preempt_attempts_killed", int, "PREEMPT_ATTEMPTS_KILLED"),
+    ("preempt_wasted_seconds", float, "PREEMPT_WASTED_SECONDS"),
+    ("deadline_jobs_met", int, "DEADLINE_JOBS_MET"),
+    ("deadline_jobs_missed", int, "DEADLINE_JOBS_MISSED"),
+    ("combine_input_records", int, "COMBINE_INPUT_RECORDS"),
+    ("combine_output_records", int, "COMBINE_OUTPUT_RECORDS"),
+    ("shuffle_bytes_saved", float, "SHUFFLE_BYTES_SAVED"),
+    ("join_merge_joins", int, "JOIN_MERGE_JOINS"),
+    ("join_hash_joins", int, "JOIN_HASH_JOINS"),
+    ("join_output_records", int, "JOIN_OUTPUT_RECORDS"),
+    ("topk_blocks_read", int, "TOPK_BLOCKS_READ"),
+    ("topk_blocks_skipped", int, "TOPK_BLOCKS_SKIPPED"),
+]
+
+
+@pytest.mark.parametrize("accessor, kind, counter", _PINNED_ACCESSORS)
+def test_stats_accessors_keep_their_names_types_and_counters(busy_session, accessor, kind, counter):
+    stats = busy_session[0].stats()
+    value = getattr(stats, accessor)
+    assert type(value) is kind and value == kind(stats.counter(counter))
+
+
+def test_stats_accessors_cover_what_the_busy_session_did(busy_session):
+    """The pinned comparison above is not 0 == 0 all the way down."""
+    stats = busy_session[0].stats()
+    assert stats.adaptive_builds_committed > 0 and stats.adaptive_saved_seconds > 0.0
+    assert stats.zone_map_skipped_blocks > 0 and stats.zone_map_pruned_bytes > 0.0
+    assert stats.sched_jobs_interleaved > 0 and stats.sched_queue_wait_seconds > 0.0
+    assert stats.combine_input_records > 0 and stats.topk_blocks_skipped > 0
+    # Counters that never had a hand-written accessor answer by the same rule.
+    assert type(stats.bytes_read) is float and stats.bytes_read == stats.counter("BYTES_READ")
+    assert type(stats.launched_map_tasks) is int and stats.launched_map_tasks > 0
+    assert stats.adaptive_indexes_committed == stats.adaptive_builds_committed
+
+
+@pytest.mark.parametrize(
+    "name", ["nope", "Adaptive_Index_Uses", "ADAPTIVE_INDEX_USES", "__nope__", "_bytes_read"]
+)
+def test_stats_unknown_attributes_raise_naming_the_attribute(busy_session, name):
+    stats = busy_session[0].stats()
+    assert not hasattr(stats, name)
+    with pytest.raises(AttributeError, match=f"'SessionStats' object has no attribute '{name}'"):
+        getattr(stats, name)
+
+
+def test_stats_dir_lists_every_accessor_once(busy_session):
+    from repro.mapreduce.counters import DECLARED
+
+    listed = dir(busy_session[0].stats())
+    assert {accessor for accessor, _, _ in _PINNED_ACCESSORS} <= set(listed)
+    assert {name.lower() for name in DECLARED} <= set(listed)
+    assert {"counters", "counter", "index_local_task_fraction", "tenant"} <= set(listed)
+    # No accessor shadows (or is shadowed by) a field, method or another accessor.
+    assert len(listed) == len(set(listed))
+
+
+def test_stats_snapshots_copy_pickle_and_stay_frozen(busy_session):
+    import copy
+    import dataclasses
+    import pickle
+
+    stats = busy_session[0].stats()
+    # __getattr__ is probed on not-yet-initialised instances here: must not recurse.
+    for clone in (copy.copy(stats), copy.deepcopy(stats), pickle.loads(pickle.dumps(stats))):
+        assert clone == stats and clone is not stats
+        assert clone.adaptive_index_uses == stats.adaptive_index_uses
+    for name in ("queries_run", "adaptive_index_uses", "brand_new"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(stats, name, 1)

@@ -84,3 +84,37 @@ def test_link_checker_resolves_links_relative_to_the_document(tmp_path):
     document.write_text("[up](../README.md#section)\n")
     assert lint_docs.broken_links(document) == []
     assert lint_docs.check_links(tmp_path, ("README.md", "docs")) == []
+
+
+def test_counter_reference_has_one_row_per_declared_counter():
+    from repro.mapreduce.counters import DECLARED
+
+    rendered = lint_docs.render_counter_reference().splitlines()
+    assert len(rendered) == 2 + len(DECLARED)
+    assert rendered[0].count("|") == rendered[-1].count("|") == 5
+    row = next(line for line in rendered if line.startswith("| `PLACEMENT_MIGRATED`"))
+    assert "`placement_migrated` (alias `placement_migrations`) | count |" in row
+    assert lint_docs.check_counter_reference(REPO_ROOT) == []
+
+
+def test_counter_reference_checker_flags_a_stale_block_and_rewrites_it(tmp_path):
+    document = tmp_path / "api.md"
+    document.write_text(
+        f"intro\n\n{lint_docs.COUNTERS_BEGIN}\n| stale |\n{lint_docs.COUNTERS_END}\n\noutro\n"
+    )
+    problems = lint_docs.check_counter_reference(tmp_path, "api.md")
+    assert len(problems) == 1 and "--write-counters" in problems[0]
+    assert lint_docs.render_counter_reference() in problems[0]  # the expected block is printed
+    lint_docs.write_counter_reference(tmp_path, "api.md")
+    assert lint_docs.check_counter_reference(tmp_path, "api.md") == []
+    rewritten = document.read_text()
+    assert rewritten.startswith("intro\n\n") and rewritten.endswith("\n\noutro\n")
+    assert "| stale |" not in rewritten
+
+
+def test_counter_reference_checker_reports_missing_markers(tmp_path):
+    (tmp_path / "api.md").write_text("no markers here\n")
+    problems = lint_docs.check_counter_reference(tmp_path, "api.md")
+    assert problems == [
+        "api.md: missing the <!-- counters:begin --> ... <!-- counters:end --> markers"
+    ]

@@ -42,6 +42,44 @@ def test_counters_increment_and_merge():
     assert dict(a) == {"X": 8, "Y": 1}
 
 
+def test_counters_increment_with_attribute_adds_the_slice_too():
+    counters = Counters()
+    counters.increment("X", 2.5, attribute="f1")
+    counters.increment("X", attribute="f2")
+    counters.increment("X", 4, attribute=None)
+    assert dict(counters) == {"X": 7.5, "X[f1]": 2.5, "X[f2]": 1}
+    assert counters.by_attribute("X") == {"f1": 2.5, "f2": 1}
+    assert Counters.per_attribute("X", "f1") == "X[f1]"
+
+
+def test_every_counter_constant_is_declared_exactly_once():
+    from repro.mapreduce.counters import DECLARED
+
+    constants = {name: value for name, value in vars(Counters).items() if name.isupper()}
+    assert set(constants) == set(DECLARED)
+    assert all(value == name for name, value in constants.items())
+    assert all(spec.name == name and spec.doc.endswith(".") for name, spec in DECLARED.items())
+    assert {spec.unit for spec in DECLARED.values()} == {"count", "seconds", "bytes"}
+    for name, spec in DECLARED.items():
+        if name.endswith("_SECONDS"):
+            assert spec.unit == "seconds", name
+        elif "BYTES" in name:
+            assert spec.unit == "bytes", name
+        else:
+            assert spec.unit == "count", name
+    assert not hasattr(Counters, "BAD_RECORDS")  # declared, never counted: deleted
+
+
+def test_every_counter_a_busy_session_produced_is_declared(busy_session):
+    from repro.mapreduce.counters import DECLARED
+
+    _, jobs = busy_session
+    seen = {name for _, result in jobs for name, _ in result.job.counters}
+    assert len(seen) > 20
+    assert {name for name in seen if not name.endswith("]")} <= set(DECLARED)
+    assert {name.partition("[")[0] for name in seen if name.endswith("]")} <= set(DECLARED)
+
+
 # --------------------------------------------------------------------------- job conf
 def test_jobconf_properties_chainable():
     conf = JobConf(name="j", input_path="/p").with_property("a", 1).with_property("b", 2)

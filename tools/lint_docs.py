@@ -11,11 +11,15 @@ operator documentation cannot rot silently:
   existing file or directory (external ``http(s)``/``mailto`` targets and pure in-page
   anchors are skipped — CI must not depend on network access);
 - **required guides** — the operator guides the documentation map (``docs/index.md``) names
-  must exist, so a renamed or deleted guide fails loudly.
+  must exist, so a renamed or deleted guide fails loudly;
+- **counter reference** — the table between the ``counters:begin`` / ``counters:end`` markers
+  of ``docs/api.md`` must equal the rendering of the counter declaration table
+  (``repro.mapreduce.counters.DECLARED``), so a declared counter cannot go undocumented.
 
 Usage::
 
-    python tools/lint_docs.py            # lint the repository with the default settings
+    python tools/lint_docs.py                   # lint the repository with the default settings
+    python tools/lint_docs.py --write-counters  # rewrite the counter reference in place
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ REQUIRED_DOCUMENTS: tuple[str, ...] = (
     "docs/persistence.md",
     "docs/queries.md",
 )
+
+#: The document holding the generated counter reference, and the markers around it.
+COUNTER_REFERENCE_DOCUMENT = "docs/api.md"
+COUNTERS_BEGIN = "<!-- counters:begin -->"
+COUNTERS_END = "<!-- counters:end -->"
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
@@ -159,6 +168,58 @@ def check_required_documents(
     ]
 
 
+# --------------------------------------------------------------------------- counter reference
+def render_counter_reference() -> str:
+    """The counter reference table: one row per declared counter, in declaration order."""
+    from repro.api.session import STATS_ALIASES
+    from repro.mapreduce.counters import DECLARED
+
+    aliases = {counter: alias for alias, counter in STATS_ALIASES.items()}
+    rows = ["| counter | `stats()` accessor | unit | meaning |", "| --- | --- | --- | --- |"]
+    for spec in DECLARED.values():
+        accessor = f"`{spec.name.lower()}`"
+        if spec.name in aliases:
+            accessor += f" (alias `{aliases[spec.name]}`)"
+        rows.append(f"| `{spec.name}` | {accessor} | {spec.unit} | {spec.doc} |")
+    return "\n".join(rows)
+
+
+def _split_at_counter_markers(document: str, text: str) -> tuple[str, str, str]:
+    """``(head, body, tail)`` of ``text`` around the two markers, which stay in head and tail."""
+    head, begin, rest = text.partition(COUNTERS_BEGIN)
+    body, end, tail = rest.partition(COUNTERS_END)
+    if not (begin and end):
+        raise ValueError(f"{document}: missing the {COUNTERS_BEGIN} ... {COUNTERS_END} markers")
+    return head + begin, body, end + tail
+
+
+def check_counter_reference(
+    repo_root: Path, document: str = COUNTER_REFERENCE_DOCUMENT
+) -> list[str]:
+    """Problems with the generated counter reference (empty when it matches the table)."""
+    try:
+        _, body, _ = _split_at_counter_markers(
+            document, (repo_root / document).read_text(encoding="utf-8")
+        )
+    except ValueError as missing:
+        return [str(missing)]
+    expected = render_counter_reference()
+    if body.strip() == expected:
+        return []
+    return [
+        f"{document}: the counter reference is not the rendering of "
+        "repro.mapreduce.counters.DECLARED; run 'python tools/lint_docs.py --write-counters' "
+        f"or paste the expected block:\n{expected}"
+    ]
+
+
+def write_counter_reference(repo_root: Path, document: str = COUNTER_REFERENCE_DOCUMENT) -> None:
+    """Rewrite the text between the markers from the declaration table."""
+    path = repo_root / document
+    head, _, tail = _split_at_counter_markers(document, path.read_text(encoding="utf-8"))
+    path.write_text(f"{head}\n{render_counter_reference()}\n{tail}", encoding="utf-8")
+
+
 # --------------------------------------------------------------------------- entry point
 def run(repo_root: Path) -> list[str]:
     """All lint problems for the repository (empty when clean)."""
@@ -166,12 +227,22 @@ def run(repo_root: Path) -> list[str]:
         check_docstrings(repo_root, DOCSTRING_FLOORS)
         + check_links(repo_root)
         + check_required_documents(repo_root)
+        + check_counter_reference(repo_root)
     )
 
 
-def main() -> int:
-    """Lint the repository this file lives in; 0 on success, 1 with a report otherwise."""
+def main(argv: list[str]) -> int:
+    """Lint the repository this file lives in; 0 on success, 1 with a report otherwise.
+
+    ``--write-counters`` rewrites the counter reference instead (the deliberate-change path,
+    like ``tools/lint_api.py --update``).
+    """
     repo_root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(repo_root / "src"))
+    if "--write-counters" in argv:
+        write_counter_reference(repo_root)
+        print(f"lint_docs: wrote the counter reference in {COUNTER_REFERENCE_DOCUMENT}")
+        return 0
     problems = run(repo_root)
     if problems:
         for problem in problems:
@@ -179,9 +250,9 @@ def main() -> int:
         return 1
     floors = ", ".join(f"{tree} >= {floor:.0%}" for tree, floor in DOCSTRING_FLOORS.items())
     print(f"lint_docs: ok (docstring floors: {floors}; links checked in "
-          f"{len(markdown_files(repo_root))} markdown files)")
+          f"{len(markdown_files(repo_root))} markdown files; counter reference current)")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
