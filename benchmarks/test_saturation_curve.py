@@ -1,8 +1,8 @@
 """Saturation benchmark: mixed-tenant throughput/latency vs. the concurrency knob.
 
 Pins the acceptance properties of the concurrent service layer: sweeping
-``HailConfig.max_concurrent_jobs`` over a saturated two-tenant backlog on one shared
-deployment must (a) leave every query's answer bit-identical to the serial baseline,
+``HailConfig.concurrency.max_concurrent_jobs`` over a saturated two-tenant backlog on one
+shared deployment must (a) leave every query's answer bit-identical to the serial baseline,
 (b) genuinely interleave both tenants' jobs at every concurrent level, and (c) beat the
 serial makespan — interleaved map phases fill the slots a narrow job leaves idle.
 """

@@ -137,6 +137,33 @@ class Dataset:
         return replace(self, _selectivity=selectivity)
 
     # ------------------------------------------------------------------ operator builders
+    def _reject_stacking(self, adding: str, side: str = "") -> None:
+        """Refuse builder ``adding`` on a dataset already carrying an operator it excludes.
+
+        The engine implements one relational operator per query: grouping excludes joins and
+        rankings, ranking excludes joins and grouping, and a join side may carry no operator
+        at all (``side`` names it in the message).
+        """
+        joined = self._join is not None
+        grouped = self._group_keys is not None or self._aggregates is not None
+        ranked = self._order_attr is not None or self._limit is not None
+        if adding == "join":
+            if joined or grouped or ranked:
+                raise UnsupportedExpressionError(
+                    f"join() {side} side already carries another operator; joins compose "
+                    "only with where()/select() per side"
+                )
+            return
+        if adding in ("group_by", "agg"):
+            excluded = (("join()", joined), ("order_by()/limit()", ranked))
+        else:
+            excluded = (("join()/group_by()", joined or grouped),)
+        for label, present in excluded:
+            if present:
+                raise UnsupportedExpressionError(
+                    f"{adding}() cannot be combined with {label}: one operator per query"
+                )
+
     def group_by(self, *keys: str) -> "Dataset":
         """Group the output by the named attributes; follow with :meth:`agg`.
 
@@ -145,28 +172,14 @@ class Dataset:
         """
         if not keys:
             raise ValueError("group_by() needs at least one key attribute")
-        if self._join is not None:
-            raise UnsupportedExpressionError(
-                "group_by() cannot be combined with join(): one operator per query"
-            )
-        if self._order_attr is not None or self._limit is not None:
-            raise UnsupportedExpressionError(
-                "group_by() cannot be combined with order_by()/limit(): one operator per query"
-            )
+        self._reject_stacking("group_by")
         return replace(self, _group_keys=tuple(keys))
 
     def agg(self, *specs) -> "Dataset":
         """Set the aggregate columns (``"count(*)"``, ``"sum(f2)"``, or ``AggregateSpec``)."""
         if not specs:
             raise ValueError("agg() needs at least one aggregate spec")
-        if self._join is not None:
-            raise UnsupportedExpressionError(
-                "agg() cannot be combined with join(): one operator per query"
-            )
-        if self._order_attr is not None or self._limit is not None:
-            raise UnsupportedExpressionError(
-                "agg() cannot be combined with order_by()/limit(): one operator per query"
-            )
+        self._reject_stacking("agg")
         return replace(self, _aggregates=tuple(specs))
 
     def with_combiner(self, enabled: bool = True) -> "Dataset":
@@ -188,34 +201,18 @@ class Dataset:
             raise TypeError(f"join() expects a Dataset, got {other!r}")
         if other.session is not self.session:
             raise ValueError("join() requires both datasets to belong to the same session")
-        for side, label in ((self, "left"), (other, "right")):
-            if (
-                side._join is not None
-                or side._group_keys is not None
-                or side._aggregates is not None
-                or side._order_attr is not None
-                or side._limit is not None
-            ):
-                raise UnsupportedExpressionError(
-                    f"join() {label} side already carries another operator; joins compose "
-                    "only with where()/select() per side"
-                )
+        self._reject_stacking("join", side="left")
+        other._reject_stacking("join", side="right")
         return replace(self, _join=(other, on, strategy))
 
     def order_by(self, attribute: str, descending: bool = False) -> "Dataset":
         """Rank the output by one attribute; must be followed by :meth:`limit`."""
-        if self._join is not None or self._group_keys is not None or self._aggregates is not None:
-            raise UnsupportedExpressionError(
-                "order_by() cannot be combined with join()/group_by(): one operator per query"
-            )
+        self._reject_stacking("order_by")
         return replace(self, _order_attr=attribute, _descending=descending)
 
     def limit(self, k: int) -> "Dataset":
         """Keep the top ``k`` rows of an :meth:`order_by` ranking (``LIMIT k``)."""
-        if self._join is not None or self._group_keys is not None or self._aggregates is not None:
-            raise UnsupportedExpressionError(
-                "limit() cannot be combined with join()/group_by(): one operator per query"
-            )
+        self._reject_stacking("limit")
         return replace(self, _limit=k)
 
     # ------------------------------------------------------------------ lowering
@@ -523,25 +520,26 @@ class Session:
 
         Every system gets its own simulated cluster (same size and hardware profile) and a
         cost model scaled by ``data_scale``, mirroring how the paper's experiments deploy the
-        three systems side by side.  ``hail_config`` overrides ``index_attributes`` for full
-        control of the HAIL deployment (adaptive knobs, splitting policy, ...).
+        three systems side by side.  ``replication`` applies to every system (HAIL raises it
+        to one replica per index attribute when more are named); ``hail_config`` overrides
+        ``index_attributes`` and ``replication`` for full control of the HAIL deployment
+        (adaptive knobs, splitting policy, ...).
         """
         profile = HardwareProfile.by_name(hardware)
         built: list[BaseSystem] = []
         for name in systems:
             cluster = Cluster.homogeneous(nodes, profile)
+            cost = CostModel(CostParameters(data_scale=data_scale))
             if name == "HAIL":
                 config = hail_config
                 if config is None:
                     config = HailConfig.for_attributes(
-                        tuple(index_attributes), functional_partition_size=1
+                        tuple(index_attributes),
+                        functional_partition_size=1,
+                        replication=max(replication, len(index_attributes)),
                     )
-                cost = CostModel(
-                    CostParameters(data_scale=data_scale, replication=config.replication)
-                )
                 built.append(HailSystem(cluster, config=config, cost=cost))
             elif name == "Hadoop++":
-                cost = CostModel(CostParameters(data_scale=data_scale, replication=replication))
                 built.append(
                     HadoopPlusPlusSystem(
                         cluster,
@@ -552,7 +550,6 @@ class Session:
                     )
                 )
             elif name == "Hadoop":
-                cost = CostModel(CostParameters(data_scale=data_scale, replication=replication))
                 built.append(HadoopSystem(cluster, cost=cost, replication=replication))
             else:
                 raise KeyError(f"unknown system {name!r}; known: HAIL, Hadoop++, Hadoop")

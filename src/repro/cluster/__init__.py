@@ -13,7 +13,6 @@ from repro.cluster.disk import DiskModel, DiskPressurePolicy
 from repro.cluster.network import NetworkModel
 from repro.cluster.cpu import CpuModel
 from repro.cluster.costmodel import CostModel, CostParameters
-from repro.cluster.simclock import SimClock, ParallelTimeline
 from repro.cluster.ledger import TransferLedger, NodeUsage
 from repro.cluster.failure import FailureInjector, FailureEvent
 
@@ -28,8 +27,6 @@ __all__ = [
     "CpuModel",
     "CostModel",
     "CostParameters",
-    "SimClock",
-    "ParallelTimeline",
     "TransferLedger",
     "NodeUsage",
     "FailureInjector",

@@ -33,13 +33,13 @@ class CostParameters:
     """Calibration knobs of the cost model.
 
     The HDFS and MapReduce constants follow Hadoop 0.20 defaults (the version the paper uses):
-    64 MB blocks, 512 B chunks, 64 KB packets, replication factor three, two map slots per
-    TaskTracker.  The scheduling overheads reproduce the paper's observation (Section 6.4.1)
-    that Hadoop "spends several seconds" to schedule and start a single short task.
+    64 MB blocks, 512 B chunks, 64 KB packets, two map slots per TaskTracker (the replication
+    factor belongs to the system storing the replicas, not to the cost model).  The scheduling
+    overheads reproduce the paper's observation (Section 6.4.1) that Hadoop "spends several
+    seconds" to schedule and start a single short task.
     """
 
     # ---- HDFS constants -------------------------------------------------------------
-    replication: int = 3
     chunk_size: int = 512
     packet_size: int = 64 * 1024
     block_size: int = 64 * 1024 * 1024
@@ -77,12 +77,6 @@ class CostParameters:
         if data_scale <= 0:
             raise ValueError("data_scale must be positive")
         return replace(self, data_scale=data_scale)
-
-    def with_replication(self, replication: int) -> "CostParameters":
-        """Return a copy with a different replication factor."""
-        if replication < 1:
-            raise ValueError("replication factor must be at least one")
-        return replace(self, replication=replication)
 
 
 class CostModel:
@@ -194,7 +188,6 @@ class CostModel:
     def describe(self) -> dict:
         """Expose the calibration (used by experiment reports and EXPERIMENTS.md)."""
         return {
-            "replication": self.params.replication,
             "block_size": self.params.block_size,
             "data_scale": self.params.data_scale,
             "map_slots_per_node": self.params.map_slots_per_node,

@@ -15,11 +15,6 @@ from repro.cluster.hardware import HardwareProfile
 
 _MB = 1024.0 * 1024.0
 
-#: Default pressure trigger / drain target, shared with ``HailConfig``'s lifecycle knobs so
-#: the two declarations cannot drift apart.
-DEFAULT_HIGH_WATERMARK = 0.85
-DEFAULT_LOW_WATERMARK = 0.70
-
 
 @dataclass(frozen=True)
 class DiskPressurePolicy:
@@ -45,8 +40,8 @@ class DiskPressurePolicy:
     """
 
     capacity_bytes: Optional[float] = None
-    high_watermark: float = DEFAULT_HIGH_WATERMARK
-    low_watermark: float = DEFAULT_LOW_WATERMARK
+    high_watermark: float = 0.85
+    low_watermark: float = 0.70
 
     def __post_init__(self) -> None:
         if self.capacity_bytes is not None and self.capacity_bytes <= 0:

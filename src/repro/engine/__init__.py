@@ -9,7 +9,7 @@ privately inside their record readers:
 - :mod:`repro.engine.executor`    — :class:`VectorizedExecutor` evaluating predicates
   column-at-a-time over PAX partitions and charging the simulated RecordReader cost;
 - :mod:`repro.engine.kernels`     — the columnar filter kernels the executor dispatches to:
-  a pure-Python reference backend and an optional numpy fast path (``REPRO_KERNELS``);
+  a pure-Python reference backend and an optional numpy fast path (``set_backend``);
 - :mod:`repro.engine.adaptive`    — LIAH-style adaptive indexing: full scans stage indexed
   replicas as a by-product (:class:`PendingIndexBuild`), which the scheduler registers
   failure-safely after the map phase (:func:`commit_adaptive_builds`);

@@ -22,13 +22,12 @@ module replaces that pipeline with two interchangeable backends behind one dispa
 Both backends are bit-for-bit equivalent by construction and by test
 (``tests/test_engine_kernels.py`` cross-checks them against each other and against the
 row-at-a-time evaluation on randomized blocks).  Select the backend globally with
-:func:`set_backend` / the ``REPRO_KERNELS`` environment variable, or temporarily with
-:func:`use_backend`; the default is numpy when available.
+:func:`set_backend` or temporarily with :func:`use_backend`; the default is numpy when
+available.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -50,15 +49,8 @@ HAVE_NUMPY: bool = _np is not None
 _EXACT_FLOAT_INT = 2**53
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-_backend: str = "python"
-
-
-def _default_backend() -> str:
-    """The backend this process starts with: ``REPRO_KERNELS`` or numpy-if-available."""
-    requested = os.environ.get("REPRO_KERNELS", "").strip().lower()
-    if requested in ("python", "numpy"):
-        return requested
-    return "numpy" if HAVE_NUMPY else "python"
+#: The backend :func:`filter_range` dispatches to; a process starts on numpy when available.
+_backend: str = "numpy" if HAVE_NUMPY else "python"
 
 
 def active_backend() -> str:
@@ -89,9 +81,6 @@ def use_backend(name: str) -> Iterator[None]:
         yield
     finally:
         set_backend(previous)
-
-
-set_backend(_default_backend())
 
 
 # --------------------------------------------------------------------------- dispatch

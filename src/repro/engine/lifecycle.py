@@ -1002,17 +1002,14 @@ class AdaptiveLifecycleManager:
             config.adaptive_eviction or config.adaptive_auto_tune or config.placement_balancer
         ):
             return None
-        pressure = DiskPressurePolicy(
-            capacity_bytes=config.adaptive_disk_capacity_bytes if config.adaptive_eviction else None,
-            high_watermark=config.adaptive_disk_high_watermark,
-            low_watermark=config.adaptive_disk_low_watermark,
-        )
+        pressure = config.disk_pressure
+        if not config.adaptive_eviction:
+            pressure = replace(pressure, capacity_bytes=None)
         tuner = None
         if config.adaptive_auto_tune:
             tuner = AdaptiveTuner(
                 offer_rate=config.adaptive_offer_rate,
                 budget=config.adaptive_budget_per_job,
-                overhead_fraction=config.adaptive_overhead_fraction,
                 per_attribute=config.adaptive_per_attribute_tune,
             )
         balancer = None
@@ -1020,10 +1017,7 @@ class AdaptiveLifecycleManager:
             # The balancer shares the eviction budget, so its placements and the evictor's
             # reclamations bound the same per-node adaptive footprint.
             balancer = PlacementBalancer(
-                pressure=pressure,
-                skew_high=config.placement_skew_high,
-                skew_low=config.placement_skew_low,
-                rebuilds_per_pass=config.placement_rebuilds_per_job,
+                pressure=pressure, rebuilds_per_pass=config.placement_rebuilds_per_job
             )
         return cls(pressure=pressure, tuner=tuner, balancer=balancer)
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.deployments import DatasetSpec
+from repro.experiments.deployments import DatasetSpec, deploy_hail
 from repro.experiments.report import FigureResult
-from repro.hail import HailConfig, HailSystem
 from repro.mapreduce.counters import Counters
 from repro.workloads.synthetic_queries import SYNTHETIC_FILTER_ATTRIBUTE
 
@@ -58,34 +57,19 @@ def adaptive_convergence(
 ) -> FigureResult:
     """Per-round runtimes of a repeated single-attribute workload under adaptive indexing."""
     config = config or ExperimentConfig.small()
-    spec = DatasetSpec.by_name("synthetic")
-    workload = spec.workload
-    records = workload.generate(config.num_records, seed=config.seed)
-    schema = workload.schema
-    scale = config.data_scale(schema, records)
+    workload = DatasetSpec.by_name("synthetic").workload
     path = workload.path
     query = next(q for q in workload.queries if q.name == query_name)
 
-    def deploy(index_attributes: tuple[str, ...], adaptive: bool) -> HailSystem:
-        hail_config = HailConfig(
-            index_attributes=index_attributes,
-            replication=config.replication,
-            functional_partition_size=1,
-            splitting_policy=False,
-            verify_checksums=config.verify_checksums,
-            adaptive_indexing=adaptive,
-            adaptive_offer_rate=offer_rate,
-            adaptive_budget_per_job=budget_per_job,
-        )
-        system = HailSystem(
-            config.cluster(), config=hail_config, cost=config.cost_model(scale)
-        )
-        system.upload(path, records, schema, rows_per_block=config.rows_per_block)
-        return system
-
-    adaptive_system = deploy((), adaptive=True)
-    indexed_system = deploy((SYNTHETIC_FILTER_ATTRIBUTE,), adaptive=False)
-    scan_system = deploy((), adaptive=False)
+    scan_config = config.hail_config(splitting=False)
+    adaptive_system = deploy_hail(
+        config,
+        scan_config.with_adaptive(True, offer_rate=offer_rate, budget_per_job=budget_per_job),
+    )
+    indexed_system = deploy_hail(
+        config, config.hail_config((SYNTHETIC_FILTER_ATTRIBUTE,), splitting=False)
+    )
+    scan_system = deploy_hail(config, scan_config)
 
     # The indexed and scan deployments carry no state across rounds and the simulation is
     # deterministic, so one run per deployment yields their flat reference lines.

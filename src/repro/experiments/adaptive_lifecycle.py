@@ -29,9 +29,8 @@ from typing import Optional
 
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.deployments import DatasetSpec
+from repro.experiments.deployments import DatasetSpec, deploy_hail
 from repro.experiments.report import FigureResult
-from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
 from repro.workloads.query import Query
@@ -101,48 +100,21 @@ def adaptive_lifecycle_curve(
     the cold pool is the operator guidance the accompanying guide spells out.
     """
     config = config or ExperimentConfig.small()
-    spec = DatasetSpec.by_name("synthetic")
-    workload = spec.workload
-    records = workload.generate(config.num_records, seed=config.seed)
-    schema = workload.schema
-    scale = config.data_scale(schema, records)
+    workload = DatasetSpec.by_name("synthetic").workload
     path = workload.path
     queries = {
-        attribute: _phase_query(attribute, schema, VALUE_RANGE, selectivity)
+        attribute: _phase_query(attribute, workload.schema, VALUE_RANGE, selectivity)
         for attribute in PHASE_ATTRIBUTES
     }
 
-    def deploy(index_attributes: tuple[str, ...], hail_config: Optional[HailConfig] = None) -> HailSystem:
-        if hail_config is None:
-            hail_config = HailConfig(
-                index_attributes=index_attributes,
-                replication=config.replication,
-                functional_partition_size=1,
-                splitting_policy=False,
-                verify_checksums=config.verify_checksums,
-            )
-        system = HailSystem(
-            config.cluster(), config=hail_config, cost=config.cost_model(scale)
-        )
-        system.upload(path, records, schema, rows_per_block=config.rows_per_block)
-        return system
-
-    adaptive_base = HailConfig(
-        index_attributes=(),
-        replication=config.replication,
-        functional_partition_size=1,
-        splitting_policy=False,
-        verify_checksums=config.verify_checksums,
-        adaptive_indexing=True,
-        adaptive_offer_rate=offer_rate,
-    )
+    adaptive_base = config.hail_config(splitting=False).with_adaptive(True, offer_rate=offer_rate)
 
     # ------------------------------------------------------------------ probe: size the budget
     # A throwaway deployment converges phase A eagerly (offer rate 1.0); its per-node adaptive
     # footprint calibrates the budget: `headroom` times one attribute's worth of adaptive
     # replicas per node — room for the converged attribute plus in-flight builds of the next,
     # but never for two full attributes.
-    probe = deploy((), adaptive_base.with_adaptive(True, offer_rate=1.0))
+    probe = deploy_hail(config, adaptive_base.with_adaptive(True, offer_rate=1.0))
     probe.run_query(queries[PHASE_ATTRIBUTES[0]], path)
     probe.run_query(queries[PHASE_ATTRIBUTES[0]], path)
     node_footprint_max = max(
@@ -156,8 +128,8 @@ def adaptive_lifecycle_curve(
     bytes_ceiling = len(probe.cluster) * capacity
 
     # ------------------------------------------------------------------ the four deployments
-    managed = deploy(
-        (),
+    managed = deploy_hail(
+        config,
         adaptive_base.with_lifecycle(
             eviction=True,
             capacity_bytes=capacity,
@@ -166,8 +138,12 @@ def adaptive_lifecycle_curve(
             auto_tune=True,
         ),
     )
-    control = deploy((), adaptive_base)  # static knobs, no eviction: unbounded accumulation
-    indexed = {attribute: deploy((attribute,)) for attribute in PHASE_ATTRIBUTES}
+    # static knobs, no eviction: unbounded accumulation
+    control = deploy_hail(config, adaptive_base)
+    indexed = {
+        attribute: deploy_hail(config, config.hail_config((attribute,), splitting=False))
+        for attribute in PHASE_ATTRIBUTES
+    }
     indexed_results = {
         attribute: indexed[attribute].run_query(queries[attribute], path)
         for attribute in PHASE_ATTRIBUTES

@@ -16,6 +16,7 @@ from typing import Sequence
 from repro.cluster.costmodel import CostModel, CostParameters
 from repro.cluster.hardware import HardwareProfile
 from repro.cluster.topology import Cluster
+from repro.hail.config import HailConfig
 from repro.layouts.schema import Schema
 
 
@@ -79,10 +80,25 @@ class ExperimentConfig:
             return 1.0
         return (self.logical_block_mb * 1024.0 * 1024.0) / functional_block_bytes
 
-    def cost_model(self, data_scale: float, replication: int | None = None) -> CostModel:
+    def cost_model(self, data_scale: float) -> CostModel:
         """A cost model calibrated for this configuration."""
-        params = CostParameters(
+        return CostModel(CostParameters(data_scale=data_scale))
+
+    def hail_config(
+        self,
+        index_attributes: Sequence[str] = (),
+        splitting: bool = True,
+        replication: int | None = None,
+    ) -> HailConfig:
+        """The HAIL configuration every experiment deployment starts from.
+
+        ``functional_partition_size=1`` gives the miniature blocks realistic index precision;
+        experiments layer their own knobs on top with the ``with_*`` builders.
+        """
+        return HailConfig(
+            index_attributes=tuple(index_attributes),
             replication=replication if replication is not None else self.replication,
-            data_scale=data_scale,
+            functional_partition_size=1,
+            splitting_policy=splitting,
+            verify_checksums=self.verify_checksums,
         )
-        return CostModel(params)

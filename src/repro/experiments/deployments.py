@@ -71,6 +71,7 @@ def build_deployment(
     index_attributes: Optional[Sequence[str]] = None,
     trojan_attribute: Optional[str] = "__workload__",
     upload: bool = True,
+    hail_config: Optional[HailConfig] = None,
 ) -> Deployment:
     """Generate the dataset, build the requested systems and (optionally) upload into each.
 
@@ -79,7 +80,9 @@ def build_deployment(
     (Figure 4(c)), ``splitting`` toggles HailSplitting (Figures 6/7 vs Figure 9), and
     ``index_attributes`` overrides the per-replica index configuration (HAIL-1Idx in Figure 8).
     ``trojan_attribute=None`` builds Hadoop++ without any trojan index (its "0 indexes" upload
-    configuration); the default uses the workload's single trojan attribute.
+    configuration); the default uses the workload's single trojan attribute.  ``hail_config``
+    deploys HAIL with exactly that configuration (the extension experiments' adaptive,
+    lifecycle and placement knobs) instead of the one the four HAIL parameters describe.
     """
     spec = DatasetSpec.by_name(dataset)
     workload = spec.workload
@@ -104,16 +107,29 @@ def build_deployment(
         data_scale=scale,
     )
 
+    if hail_config is None:
+        hail_config = config.hail_config(hail_attributes, splitting, replication)
     for name in systems:
-        system = _build_system(
-            name, config, scale, replication, hail_attributes, trojan, splitting
-        )
+        system = _build_system(name, config, scale, hail_config, trojan)
         deployment.systems[name] = system
         if upload:
             deployment.upload_reports[name] = system.upload(
                 path, records, schema, rows_per_block=config.rows_per_block
             )
     return deployment
+
+
+def deploy_hail(
+    config: ExperimentConfig, hail_config: HailConfig, dataset: str = "synthetic"
+) -> HailSystem:
+    """One HAIL system with ``dataset`` uploaded, configured exactly by ``hail_config``.
+
+    What the extension experiments (adaptive, lifecycle, placement) stand up several of,
+    each on its own fresh cluster, differing only in the knobs of ``hail_config``.
+    """
+    return build_deployment(
+        config, dataset, systems=("HAIL",), hail_config=hail_config
+    ).system("HAIL")
 
 
 # --------------------------------------------------------------------------- internals
@@ -135,10 +151,8 @@ def _build_system(
     name: str,
     config: ExperimentConfig,
     scale: float,
-    replication: int,
-    hail_attributes: tuple[str, ...],
+    hail_config: HailConfig,
     trojan_attribute: Optional[str],
-    splitting: bool,
 ) -> BaseSystem:
     if name == "Hadoop":
         return HadoopSystem(
@@ -153,16 +167,5 @@ def _build_system(
             functional_partition_size=1,
         )
     if name == "HAIL":
-        hail_config = HailConfig(
-            index_attributes=hail_attributes,
-            replication=replication,
-            functional_partition_size=1,
-            splitting_policy=splitting,
-            verify_checksums=config.verify_checksums,
-        )
-        return HailSystem(
-            config.cluster(),
-            config=hail_config,
-            cost=config.cost_model(scale, replication=replication),
-        )
+        return HailSystem(config.cluster(), config=hail_config, cost=config.cost_model(scale))
     raise KeyError(f"unknown system {name!r}; known: {SYSTEM_NAMES}")

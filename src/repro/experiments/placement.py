@@ -37,9 +37,9 @@ from repro.cluster.disk import DiskPressurePolicy
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.engine.lifecycle import evict_under_pressure
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.deployments import DatasetSpec
+from repro.experiments.deployments import DatasetSpec, deploy_hail
 from repro.experiments.report import FigureResult
-from repro.hail import HailConfig, HailSystem
+from repro.hail import HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.hail.scheduler import index_local_task_fraction
 from repro.workloads.query import Query
@@ -116,35 +116,19 @@ def placement_recovery_curve(
     rebuild quota time to re-cover every lost block (quota × rounds ≥ blocks lost).
     """
     config = config or ExperimentConfig.small()
-    spec = DatasetSpec.by_name("synthetic")
-    workload = spec.workload
-    records = workload.generate(config.num_records, seed=config.seed)
-    schema = workload.schema
-    scale = config.data_scale(schema, records)
+    workload = DatasetSpec.by_name("synthetic").workload
     path = workload.path
-    query = _query(schema, selectivity)
+    query = _query(workload.schema, selectivity)
 
     def deploy(balancer: bool) -> HailSystem:
-        hail_config = HailConfig(
-            index_attributes=(),
-            replication=config.replication,
-            functional_partition_size=1,
-            splitting_policy=False,
-            verify_checksums=config.verify_checksums,
-            adaptive_indexing=True,
-            adaptive_offer_rate=1.0,
-            index_aware_scheduling=True,
-            placement_balancer=balancer,
-            placement_rebuilds_per_job=6,
-            adaptive_eviction=True,
+        hail_config = (
+            config.hail_config(splitting=False)
+            .with_adaptive(True, offer_rate=1.0)
             # Generous budget: natural pressure never fires; the storm is applied explicitly.
-            adaptive_disk_capacity_bytes=float(10**12),
+            .with_lifecycle(eviction=True, capacity_bytes=float(10**12))
+            .with_placement(scheduling=True, balancer=balancer, rebuilds_per_job=6)
         )
-        system = HailSystem(
-            config.cluster(), config=hail_config, cost=config.cost_model(scale)
-        )
-        system.upload(path, records, schema, rows_per_block=config.rows_per_block)
-        return system
+        return deploy_hail(config, hail_config)
 
     managed = deploy(balancer=True)
     control = deploy(balancer=False)

@@ -2,8 +2,8 @@
 
 The paper evaluates HAIL one job at a time; a shared deployment is never idle like that.  This
 experiment queues a few hundred mixed-tenant queries against **one** HAIL deployment and sweeps
-``HailConfig.max_concurrent_jobs`` — the only knob that differs between sweep points — to
-measure what the concurrent JobTracker scheduler buys under saturation:
+``HailConfig.concurrency.max_concurrent_jobs`` — the only knob that differs between sweep
+points — to measure what the concurrent JobTracker scheduler buys under saturation:
 
 - **throughput** (queries per simulated second): completed jobs over the batch makespan.
   Serial execution pays one full map phase after another; interleaving fills the slots a
@@ -323,7 +323,7 @@ def chaos_curve(
 
     base = HailConfig.for_attributes(
         SATURATION_ATTRIBUTES, functional_partition_size=1
-    ).with_concurrency(max_jobs=4, slot_quota=_CHAOS_QUOTA)
+    ).with_concurrency(max_jobs=4, tenant_slot_quota=_CHAOS_QUOTA)
     straggler = ConcurrentChaos(slow_nodes={_STRAGGLER_NODE: _STRAGGLER_FACTOR})
 
     result = FigureResult(
@@ -377,7 +377,7 @@ def chaos_curve(
 
     failure_free = run("failure_free", base, None)
     run("straggler", base, straggler)
-    run("straggler_speculation", base.with_concurrency(speculation=True), straggler)
+    run("straggler_speculation", base.with_concurrency(speculative_execution=True), straggler)
     run(
         "node_death",
         base,

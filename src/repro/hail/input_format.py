@@ -48,21 +48,26 @@ class HailInputFormat(InputFormat):
         if not locations:
             return []
 
-        annotation = resolve_annotation(jobconf)
-        if self.config.zone_split_pruning:
-            locations = self._prune_skippable_blocks(hdfs, jobconf, locations, annotation)
-            if not locations:
-                return []
-
-        planner = PhysicalPlanner(hdfs)
-        query_plan = planner.plan_query(jobconf.input_path, annotation)
+        # One planner pass serves both the replica choices and (with ``zone_split_pruning``)
+        # the split-phase pruning: a block that is not skipped plans identically with zone
+        # maps on or off.
+        planner = PhysicalPlanner(hdfs, zone_maps=self.config.zone_split_pruning)
+        query_plan = planner.plan_query(jobconf.input_path, resolve_annotation(jobconf))
         filter_attributes = query_plan.filter_attributes
         block_choices: dict[int, Optional[tuple[int, str]]] = {}
+        skippable: set[int] = set()
         for block_plan in query_plan.block_plans:
+            if block_plan.access_path is AccessPath.ZONE_MAP_SKIP:
+                skippable.add(block_plan.block_id)
+                continue
             choice = None
             if block_plan.uses_index:
                 choice = (block_plan.datanode_id, block_plan.attribute)
             block_choices[block_plan.block_id] = choice
+        if skippable:
+            locations = self._prune_skippable_blocks(jobconf, locations, skippable)
+            if not locations:
+                return []
         index_hosts = self._index_hosts(hdfs, locations, filter_attributes)
 
         index_scan_possible = any(choice is not None for choice in block_choices.values())
@@ -73,33 +78,20 @@ class HailInputFormat(InputFormat):
         return self._default_splitting(jobconf, locations, block_choices, index_hosts)
 
     @staticmethod
-    def _prune_skippable_blocks(
-        hdfs: Hdfs, jobconf: JobConf, locations, annotation
-    ) -> list:
+    def _prune_skippable_blocks(jobconf: JobConf, locations, skippable: set[int]) -> list:
         """Zone-aware split pruning: drop blocks the ``Dir_rep`` synopses prove empty.
 
-        A zone-map-enabled planner pass classifies each block; blocks planned as
-        ``ZONE_MAP_SKIP`` never become part of any input split, so the JobTracker schedules
-        no map task for them at all — the per-task overhead is saved on top of the data
-        bytes.  The pruned counts are stashed under ``PRUNED_BLOCKS_PROPERTY`` for the
-        runner to fold into ``ZONE_MAP_SKIPPED_BLOCKS``/``ZONE_MAP_PRUNED_BYTES``.
+        Blocks the zone-map-enabled planner pass classified as ``ZONE_MAP_SKIP`` never become
+        part of any input split, so the JobTracker schedules no map task for them at all —
+        the per-task overhead is saved on top of the data bytes.  The pruned counts are
+        stashed under ``PRUNED_BLOCKS_PROPERTY`` for the runner to fold into
+        ``ZONE_MAP_SKIPPED_BLOCKS``/``ZONE_MAP_PRUNED_BYTES``.
 
         Split-phase pruning trusts the registered synopses without the executor's payload
         re-verification (there is no task left to verify in); the synopses are written from
         the payload itself at replica-registration time, so this stays a metadata-consistency
         trade the ``zone_split_pruning`` knob makes explicit.
         """
-        if annotation is None or annotation.filter is None:
-            return locations
-        planner = PhysicalPlanner(hdfs, zone_maps=True)
-        plan = planner.plan_query(jobconf.input_path, annotation)
-        skippable = {
-            block_plan.block_id
-            for block_plan in plan.block_plans
-            if block_plan.access_path is AccessPath.ZONE_MAP_SKIP
-        }
-        if not skippable:
-            return locations
         kept = [location for location in locations if location.block_id not in skippable]
         pruned = [location for location in locations if location.block_id in skippable]
         jobconf.properties[PRUNED_BLOCKS_PROPERTY] = {

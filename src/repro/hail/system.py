@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.cluster.costmodel import CostModel, CostParameters
+from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
 from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext
 from repro.engine.lifecycle import LIFECYCLE_PROPERTY, AdaptiveLifecycleManager
@@ -38,8 +38,7 @@ class HailSystem(BaseSystem):
     config:
         Full :class:`~repro.hail.config.HailConfig`.
     cost:
-        Shared cost model; a fresh one calibrated to the config's replication factor is created
-        when omitted.
+        Shared cost model; a fresh default one is created when omitted.
     """
 
     name = "HAIL"
@@ -54,8 +53,6 @@ class HailSystem(BaseSystem):
         if config is None:
             config = HailConfig.for_attributes(tuple(index_attributes or ()))
         self.config = config
-        if cost is None:
-            cost = CostModel(CostParameters(replication=config.replication))
         super().__init__(cluster, cost=cost, replication=config.replication)
         #: Monotone per-job salt for adaptive indexing offers: repeating the same query gives
         #: each run a fresh set of offered blocks, so low offer rates still converge.
@@ -131,14 +128,12 @@ class HailSystem(BaseSystem):
         return PhysicalPlanner(self.hdfs, zone_maps=self.config.zone_maps)
 
     def concurrency_policy(self):
-        """Batch drains interleave jobs once ``HailConfig.max_concurrent_jobs`` exceeds 1.
+        """Batch drains interleave jobs once ``config.concurrency`` admits more than one.
 
-        ``None`` at the default of 1: batches then run back-to-back, one single-job map
+        At the default ``max_concurrent_jobs=1`` batches run back-to-back, one single-job map
         phase after another (which is what the pinned figure goldens measure).
         """
-        if self.config.max_concurrent_jobs <= 1:
-            return None
-        return self.config.concurrency_policy()
+        return self.config.concurrency
 
     # ------------------------------------------------------------------ introspection
     def index_coverage(self, path: str, attribute: str) -> float:

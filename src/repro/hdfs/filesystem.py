@@ -68,10 +68,9 @@ class DataFile:
 class Hdfs:
     """A simulated HDFS deployment: cluster + namenode + datanodes."""
 
-    def __init__(self, cluster: Cluster, cost: CostModel, replication: Optional[int] = None) -> None:
+    def __init__(self, cluster: Cluster, cost: CostModel, replication: int = 3) -> None:
         self.cluster = cluster
         self.cost = cost
-        replication = replication if replication is not None else cost.params.replication
         self.namenode = NameNode(cluster, replication=replication)
         self.datanodes: Dict[int, DataNode] = {
             node.node_id: DataNode(node) for node in cluster.nodes

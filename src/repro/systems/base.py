@@ -18,7 +18,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.cluster.costmodel import CostModel, CostParameters
+from repro.cluster.costmodel import CostModel
 from repro.cluster.failure import FailureEvent
 from repro.cluster.ledger import TransferLedger
 from repro.cluster.topology import Cluster
@@ -110,7 +110,7 @@ class BaseSystem(abc.ABC):
     ) -> None:
         self.cluster = cluster
         if cost is None:
-            cost = CostModel(CostParameters(replication=replication))
+            cost = CostModel()
         self.cost = cost
         self.hdfs = Hdfs(cluster, cost, replication=replication)
         self.runner = MapReduceRunner(self.hdfs, cost)
@@ -265,7 +265,7 @@ class BaseSystem(abc.ABC):
         """The batch-drain :class:`~repro.mapreduce.job_tracker.ConcurrencyPolicy`.
 
         ``None`` (the default for every system) means batches run strictly serially; HAIL
-        overrides this to honour ``HailConfig.max_concurrent_jobs`` and friends.
+        overrides this with its ``HailConfig.concurrency``.
         """
         return None
 

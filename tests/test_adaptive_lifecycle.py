@@ -88,17 +88,15 @@ def test_disk_pressure_policy_disabled_and_validation():
 
 def test_config_validates_lifecycle_knobs():
     with pytest.raises(ValueError):
-        HailConfig(adaptive_disk_capacity_bytes=0)
+        HailConfig(disk_pressure=DiskPressurePolicy(capacity_bytes=0))
     with pytest.raises(ValueError):
-        HailConfig(adaptive_disk_low_watermark=0.9, adaptive_disk_high_watermark=0.5)
-    with pytest.raises(ValueError):
-        HailConfig(adaptive_overhead_fraction=0.0)
+        HailConfig().with_lifecycle(low_watermark=0.9, high_watermark=0.5)
     config = HailConfig().with_adaptive(True).with_lifecycle(
         eviction=True, capacity_bytes=4096.0, auto_tune=True, multi_attribute=True
     )
     assert config.adaptive_eviction and config.adaptive_auto_tune
     assert config.adaptive_multi_attribute
-    assert config.adaptive_disk_capacity_bytes == 4096.0
+    assert config.disk_pressure.capacity_bytes == 4096.0
 
 
 def test_lifecycle_manager_only_created_when_asked():
@@ -411,9 +409,9 @@ def test_lifecycle_manager_enforces_node_budget_through_jobs():
     )
     system = _system(
         adaptive_eviction=True,
-        adaptive_disk_capacity_bytes=budget * 1.2,
-        adaptive_disk_high_watermark=0.9,
-        adaptive_disk_low_watermark=0.75,
+        disk_pressure=DiskPressurePolicy(
+            capacity_bytes=budget * 1.2, high_watermark=0.9, low_watermark=0.75
+        ),
     )
     for attribute in ("f1", "f3", "f1", "f3"):
         result = system.run_query(_query(attribute, f"shift-{attribute}"), _PATH)

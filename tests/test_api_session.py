@@ -132,6 +132,29 @@ def test_deploy_builds_named_systems_with_own_clusters():
         Session.deploy(systems=("Spark",))
 
 
+@pytest.mark.parametrize(
+    "deploy_kwargs, expected",
+    [
+        ({"replication": 2}, 2),
+        ({}, 3),
+        # More index attributes than replicas still raises HAIL (alone) to one replica each.
+        ({"replication": 2, "index_attributes": ("f1", "f2", "f3")}, 3),
+    ],
+)
+def test_deploy_replication_reaches_every_system(deploy_kwargs, expected):
+    """``Session.deploy(replication=N)`` used to build an N-replica Hadoop beside a 3-replica HAIL."""
+    kwargs = {"index_attributes": ("f1",), **deploy_kwargs}
+    session = Session.deploy(nodes=3, systems=("HAIL", "Hadoop"), **kwargs)
+    assert session.system("HAIL").config.replication == expected
+    assert session.system("HAIL").hdfs.namenode.replication == expected
+    assert session.system("Hadoop").hdfs.namenode.replication == kwargs.get("replication", 3)
+    session.upload(_PATH, SyntheticGenerator(seed=2).generate(60), SYNTHETIC_SCHEMA, rows_per_block=30)
+    for name in ("HAIL", "Hadoop"):
+        namenode = session.system(name).hdfs.namenode
+        for block_id in namenode.file_blocks(_PATH):
+            assert len(namenode.block_datanodes(block_id)) == namenode.replication
+
+
 def test_upload_returns_dataset_and_reports(tri_session):
     assert tri_session.paths == (_PATH,)
     reports = tri_session.upload_reports[_PATH]

@@ -7,7 +7,6 @@ from repro.cluster import Cluster, CostModel, CostParameters, HardwareProfile
 
 def test_default_parameters_follow_hadoop_defaults():
     params = CostParameters()
-    assert params.replication == 3
     assert params.block_size == 64 * 1024 * 1024
     assert params.chunk_size == 512
     assert params.map_slots_per_node == 2
@@ -18,12 +17,12 @@ def test_with_scale_and_with_replication():
     scaled = params.with_scale(1000.0)
     assert scaled.data_scale == pytest.approx(1000.0)
     assert params.data_scale == pytest.approx(1.0)
-    replicated = params.with_replication(5)
-    assert replicated.replication == 5
     with pytest.raises(ValueError):
         params.with_scale(0)
-    with pytest.raises(ValueError):
-        params.with_replication(0)
+    # Replication is declared by the system/Hdfs that stores the replicas, nowhere else.
+    assert not hasattr(params, "with_replication")
+    with pytest.raises(TypeError):
+        CostParameters(replication=5)
 
 
 def test_scale_bytes_and_counts():
@@ -81,5 +80,5 @@ def test_replace_params_returns_new_model():
 
 def test_describe_exposes_key_calibration():
     info = CostModel().describe()
-    assert info["replication"] == 3
+    assert info["block_size"] == 64 * 1024 * 1024
     assert "task_scheduling_overhead_s" in info

@@ -1,4 +1,4 @@
-"""Tests for simulated time accounting: SimClock, ParallelTimeline, TransferLedger."""
+"""Tests for simulated time accounting: the per-node TransferLedger."""
 
 import pytest
 
@@ -6,61 +6,10 @@ from repro.cluster import (
     Cluster,
     CostModel,
     CostParameters,
-    ParallelTimeline,
-    SimClock,
     TransferLedger,
 )
 
 _MB = 1024.0 * 1024.0
-
-
-# --------------------------------------------------------------------------- SimClock
-def test_clock_advances_and_rejects_negative():
-    clock = SimClock()
-    clock.advance(5.0)
-    clock.advance(2.5)
-    assert clock.now == pytest.approx(7.5)
-    with pytest.raises(ValueError):
-        clock.advance(-1.0)
-
-
-def test_clock_advance_to_only_moves_forward():
-    clock = SimClock(start=10.0)
-    clock.advance_to(8.0)
-    assert clock.now == pytest.approx(10.0)
-    clock.advance_to(12.0)
-    assert clock.now == pytest.approx(12.0)
-    clock.reset()
-    assert clock.now == 0.0
-
-
-def test_clock_negative_start_rejected():
-    with pytest.raises(ValueError):
-        SimClock(start=-1.0)
-
-
-# --------------------------------------------------------------------------- ParallelTimeline
-def test_parallel_timeline_makespan_is_slowest_participant():
-    timeline = ParallelTimeline()
-    timeline.add("node-0", 3.0)
-    timeline.add("node-1", 5.0)
-    timeline.add("node-0", 1.0)
-    assert timeline.makespan == pytest.approx(5.0)
-    assert timeline.total_work == pytest.approx(9.0)
-    assert timeline.slowest() == ("node-1", 5.0)
-    assert timeline.duration_of("node-0") == pytest.approx(4.0)
-
-
-def test_parallel_timeline_empty():
-    timeline = ParallelTimeline()
-    assert timeline.makespan == 0.0
-    assert timeline.slowest() is None
-
-
-def test_parallel_timeline_rejects_negative_durations():
-    timeline = ParallelTimeline()
-    with pytest.raises(ValueError):
-        timeline.add("x", -0.1)
 
 
 # --------------------------------------------------------------------------- TransferLedger

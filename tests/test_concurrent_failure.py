@@ -312,7 +312,7 @@ def _tenant_sessions(**concurrency) -> list[Session]:
 
 def test_speculation_does_not_double_commit_adaptive_builds():
     """The shared tuner sees each job exactly once even when backups race its attempts."""
-    sessions = _tenant_sessions(max_jobs=4, speculation=True)
+    sessions = _tenant_sessions(max_jobs=4, speculative_execution=True)
     chaos = ConcurrentChaos(slow_nodes={1: 10.0})
     for i in range(8):
         session = sessions[i % 2]

@@ -77,6 +77,15 @@ def test_every_required_guide_exists_in_this_repository():
     assert lint_docs.check_required_documents(REPO_ROOT) == []
 
 
+def test_fast_fail_order_names_existing_test_files():
+    """A renamed test file must not silently drop out of the ``pytest -x`` fast-fail order."""
+    spec = importlib.util.spec_from_file_location("root_conftest", REPO_ROOT / "conftest.py")
+    root_conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(root_conftest)
+    assert len(set(root_conftest.SMOKE_FIRST)) == len(root_conftest.SMOKE_FIRST)
+    assert [p for p in root_conftest.SMOKE_FIRST if not (REPO_ROOT / p).is_file()] == []
+
+
 def test_link_checker_resolves_links_relative_to_the_document(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text("readme\n")

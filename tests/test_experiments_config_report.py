@@ -25,8 +25,7 @@ def test_config_data_scale_targets_logical_block_size():
     block_bytes = sum(USERVISITS_SCHEMA.text_size(r) for r in rows)
     assert scale * block_bytes == pytest.approx(64 * 1024 * 1024)
     assert config.data_scale(USERVISITS_SCHEMA, []) == 1.0
-    cost = config.cost_model(scale, replication=5)
-    assert cost.params.replication == 5
+    cost = config.cost_model(scale)
     assert cost.params.data_scale == pytest.approx(scale)
 
 

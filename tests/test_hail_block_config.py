@@ -1,11 +1,16 @@
 """Tests for HailConfig and HailBlock."""
 
+import inspect
+from dataclasses import fields, replace
 from datetime import date
 
 import pytest
 
+from repro.cluster import CostParameters, DiskPressurePolicy
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.hail import HailBlock, HailConfig
+from repro.mapreduce.job_tracker import ConcurrencyPolicy
 from repro.hail.predicate import Predicate
 from repro.hail.sortindex import is_sorted
 
@@ -48,6 +53,139 @@ def test_config_toggles():
     assert config.splitting_policy is False
     assert config.replication == 4
     assert HailConfig(functional_partition_size=4).effective_functional_partition_size == 4
+
+
+# --------------------------------------------------------------------------- one spelling
+def test_knob_census():
+    """Adding a knob is a deliberate one-line edit here, so the reviewer sees the count move."""
+    assert len(fields(HailConfig)) == 23
+    assert len(fields(ConcurrencyPolicy)) == 8
+    assert len(fields(DiskPressurePolicy)) == 3
+    assert len(fields(CostParameters)) == 13
+
+
+#: Per builder: the policy whose own field names its keywords are (if it sets one), and the
+#: prefix under which its remaining keywords are ``HailConfig`` fields.
+_BUILDER_TARGETS = {
+    "with_splitting": (None, ""),
+    "with_replication": (None, ""),
+    "with_adaptive": (None, "adaptive_"),
+    "with_lifecycle": (DiskPressurePolicy, "adaptive_"),
+    "with_placement": (None, "placement_"),
+    "with_zone_maps": (None, "zone_"),
+    "with_concurrency": (ConcurrencyPolicy, ""),
+    "with_persistence": (None, ""),
+}
+#: The one surviving alias, the positional on/off and backend arguments, and the switch whose
+#: field (``index_aware_scheduling``) predates the ``placement_`` prefix.
+_EXEMPT_KEYWORDS = {"max_jobs", "enabled", "backend", "directory", "scheduling"}
+
+
+def test_builder_keywords_are_field_names_of_what_they_set():
+    builders = {
+        name: member
+        for name, member in inspect.getmembers(HailConfig, inspect.isfunction)
+        if name.startswith("with_")
+    }
+    assert set(builders) == set(_BUILDER_TARGETS)
+    config_fields = {f.name for f in fields(HailConfig)}
+    for name, builder in builders.items():
+        policy, prefix = _BUILDER_TARGETS[name]
+        policy_fields = {f.name for f in fields(policy)} if policy is not None else set()
+        for keyword in list(inspect.signature(builder).parameters)[1:]:
+            if keyword in _EXEMPT_KEYWORDS:
+                continue
+            assert keyword in policy_fields or prefix + keyword in config_fields, (name, keyword)
+
+
+def test_builders_and_constructor_agree_and_stay_hashable():
+    built = (
+        HailConfig.for_attributes(("a",), functional_partition_size=1)
+        .with_adaptive(True, offer_rate=0.5)
+        .with_lifecycle(
+            eviction=True,
+            capacity_bytes=4096.0,
+            high_watermark=0.9,
+            low_watermark=0.75,
+            auto_tune=True,
+        )
+        .with_concurrency(
+            max_jobs=3, tenant_slot_quota=2, tenant_weights={"bob": 1, "alice": 2.0}
+        )
+    )
+    direct = HailConfig(
+        index_attributes=("a",),
+        functional_partition_size=1,
+        adaptive_indexing=True,
+        adaptive_offer_rate=0.5,
+        adaptive_eviction=True,
+        disk_pressure=DiskPressurePolicy(4096.0, high_watermark=0.9, low_watermark=0.75),
+        adaptive_auto_tune=True,
+        concurrency=ConcurrencyPolicy(
+            max_concurrent_jobs=3,
+            tenant_slot_quota=2,
+            tenant_weights={"alice": 2.0, "bob": 1.0},
+        ),
+    )
+    assert built == direct
+    assert hash(built) == hash(direct)
+    assert built.concurrency.tenant_weights == (("alice", 2.0), ("bob", 1.0))
+
+
+@pytest.mark.parametrize(
+    "by_constructor, by_builder, message",
+    [
+        (
+            lambda: HailConfig(
+                disk_pressure=DiskPressurePolicy(low_watermark=0.9, high_watermark=0.5)
+            ),
+            lambda: HailConfig().with_lifecycle(low_watermark=0.9, high_watermark=0.5),
+            "watermarks must satisfy",
+        ),
+        (
+            lambda: HailConfig(concurrency=ConcurrencyPolicy(max_concurrent_jobs=0)),
+            lambda: HailConfig().with_concurrency(max_jobs=0),
+            "max_concurrent_jobs must be >= 1",
+        ),
+        (
+            lambda: HailConfig(concurrency=ConcurrencyPolicy(tenant_weights={"alice": 0.0})),
+            lambda: HailConfig().with_concurrency(tenant_weights={"alice": 0.0}),
+            "tenant weight for 'alice' must be > 0",
+        ),
+    ],
+)
+def test_bad_values_raise_the_enforcing_policys_own_error(by_constructor, by_builder, message):
+    with pytest.raises(ValueError, match=message):
+        by_constructor()
+    with pytest.raises(ValueError, match=message):
+        by_builder()
+
+
+def test_flat_mirrors_are_gone_not_aliased():
+    with pytest.raises(TypeError):
+        HailConfig(max_concurrent_jobs=2)
+    with pytest.raises(TypeError):
+        HailConfig(adaptive_disk_capacity_bytes=1.0)
+    with pytest.raises(TypeError):
+        HailConfig().with_concurrency(slot_quota=2)
+    assert not hasattr(HailConfig, "concurrency_policy")
+    assert not hasattr(HailConfig(), "max_concurrent_jobs")
+
+
+def test_from_config_hands_over_the_configs_own_pressure_policy():
+    config = (
+        HailConfig()
+        .with_adaptive(True)
+        .with_lifecycle(eviction=True, capacity_bytes=4096.0)
+        .with_placement(balancer=True)
+    )
+    manager = AdaptiveLifecycleManager.from_config(config)
+    assert manager.pressure is config.disk_pressure
+    assert manager.balancer.pressure is config.disk_pressure
+    # Eviction is the on/off switch: off, the manager sees the same watermarks, no capacity.
+    off = AdaptiveLifecycleManager.from_config(config.with_lifecycle(eviction=False))
+    assert off.pressure == replace(config.disk_pressure, capacity_bytes=None)
+    assert not off.pressure.enabled
 
 
 # --------------------------------------------------------------------------- block

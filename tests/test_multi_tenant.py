@@ -253,7 +253,7 @@ def test_multi_tenant_drain_identical_to_serial_baseline():
 
 def test_quota_holds_through_the_session_layer():
     """tenant_slot_quota configured on HailConfig reaches the scheduler and is respected."""
-    sessions = _tenant_sessions(max_jobs=4, slot_quota=2)
+    sessions = _tenant_sessions(max_jobs=4, tenant_slot_quota=2)
     _submit_mixed(sessions, 8)
     batches = run_multi_tenant_batch(sessions)
     for tenant, batch in batches.items():
@@ -309,7 +309,7 @@ def test_scheduler_counters_audit_per_job_and_sum_to_global():
     )
     sessions = _tenant_sessions(
         max_jobs=4,
-        speculation=True,
+        speculative_execution=True,
         preemption=True,
         tenant_weights={"alice": 1.0, "bob": 1.0},
     )

@@ -115,6 +115,30 @@ def test_operator_stacking_rejected_at_builder_time(session):
         session.dataset(_PATH).join(session.dataset(_PATH), on="f1").agg("count(*)")
 
 
+_ONE_OPERATOR = ": one operator per query"
+_JOIN_SIDE = " side already carries another operator; joins compose only with where()/select() per side"
+
+
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        (lambda d: d.join(d, on="f1").group_by("f3"), "group_by() cannot be combined with join()" + _ONE_OPERATOR),
+        (lambda d: d.limit(3).group_by("f3"), "group_by() cannot be combined with order_by()/limit()" + _ONE_OPERATOR),
+        (lambda d: d.join(d, on="f1").agg("count(*)"), "agg() cannot be combined with join()" + _ONE_OPERATOR),
+        (lambda d: d.order_by("f2").agg("count(*)"), "agg() cannot be combined with order_by()/limit()" + _ONE_OPERATOR),
+        (lambda d: d.agg("count(*)").join(d, on="f1"), "join() left" + _JOIN_SIDE),
+        (lambda d: d.join(d.limit(2), on="f1"), "join() right" + _JOIN_SIDE),
+        (lambda d: d.agg("count(*)").order_by("f2"), "order_by() cannot be combined with join()/group_by()" + _ONE_OPERATOR),
+        (lambda d: d.join(d, on="f1").limit(2), "limit() cannot be combined with join()/group_by()" + _ONE_OPERATOR),
+    ],
+)
+def test_operator_stacking_messages(session, stack, message):
+    """The eight rejections, byte for byte (captured before they shared one helper)."""
+    with pytest.raises(UnsupportedExpressionError) as raised:
+        stack(session.dataset(_PATH))
+    assert str(raised.value) == message
+
+
 def test_bad_aggregate_spellings_raise(session):
     with pytest.raises(ValueError, match="cannot parse"):
         session.dataset(_PATH).group_by("f3").agg("median(f2)x").named("bad").to_query()

@@ -318,9 +318,9 @@ def test_session_stats_surface_scheduling_and_tuner_ledgers():
 # --------------------------------------------------------------------------- config + manager
 def test_config_validates_placement_knobs():
     with pytest.raises(ValueError):
-        HailConfig(placement_skew_high=1.2, placement_skew_low=1.5)
+        PlacementBalancer(skew_high=1.2, skew_low=1.5)  # the balancer owns the skew rule
     with pytest.raises(ValueError):
-        HailConfig(placement_skew_low=0.5)
+        PlacementBalancer(skew_low=0.5)
     with pytest.raises(ValueError):
         HailConfig(placement_rebuilds_per_job=-1)
     with pytest.raises(ValueError):
@@ -329,11 +329,10 @@ def test_config_validates_placement_knobs():
         HailConfig()
         .with_adaptive(True)
         .with_lifecycle(auto_tune=True, per_attribute_tune=True)
-        .with_placement(scheduling=True, balancer=True, skew_high=3.0, skew_low=2.0)
+        .with_placement(scheduling=True, balancer=True)
     )
     assert config.index_aware_scheduling and config.placement_balancer
     assert config.adaptive_per_attribute_tune
-    assert (config.placement_skew_high, config.placement_skew_low) == (3.0, 2.0)
 
 
 def test_manager_created_for_balancer_alone():

@@ -105,6 +105,21 @@ def test_upload_with_explicit_client_nodes_and_empty_shares():
         system.upload("/uv2", rows, USERVISITS_SCHEMA, client_nodes=[])
 
 
+def test_system_without_a_cost_model_gets_a_default_one():
+    """No ``cost=``: system, HDFS and runner share one fresh default model, at replication 2."""
+    from repro.hail import HailConfig
+
+    system = HailSystem(
+        Cluster.homogeneous(4, seed=2),
+        config=HailConfig.for_attributes(["visitDate"], replication=2),
+    )
+    assert system.cost is system.hdfs.cost is system.runner.cost
+    assert system.hdfs.namenode.replication == 2
+    rows = UserVisitsGenerator(seed=31).generate(120)
+    system.upload("/uv", rows, USERVISITS_SCHEMA, rows_per_block=40)
+    assert system.run_query(bob_queries()[0], "/uv").runtime_s > 0
+
+
 def test_run_query_requires_uploaded_path():
     system = HailSystem(Cluster.homogeneous(4), index_attributes=["visitDate"])
     with pytest.raises(KeyError):

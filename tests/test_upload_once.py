@@ -32,7 +32,7 @@ def _rows(count: int, seed: int = 13) -> list[tuple]:
 
 
 def _hail(config: HailConfig, nodes: int = 6) -> HailSystem:
-    cost = CostModel(CostParameters(replication=config.replication, enable_variance=False))
+    cost = CostModel(CostParameters(enable_variance=False))
     return HailSystem(Cluster.homogeneous(nodes, seed=2), config=config, cost=cost)
 
 

@@ -13,9 +13,11 @@ import pytest
 
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
+from repro.engine.planner import PhysicalPlanner
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import PRUNED_BLOCKS_PROPERTY
 from repro.workloads.query import Query
 
 _PATH = "/prune/synthetic"
@@ -48,6 +50,31 @@ def test_knob_requires_zone_maps():
         HailConfig(zone_split_pruning=True)
     config = HailConfig().with_zone_maps(True, split_pruning=True)
     assert config.zone_maps and config.zone_split_pruning
+
+
+@pytest.mark.parametrize("split_pruning", [True, False])
+def test_get_splits_plans_the_file_once(monkeypatch, split_pruning):
+    """One planner pass supplies both the pruned set and the replica choices."""
+    system = _system(split_pruning=split_pruning)
+    query = Query(
+        name="narrow",
+        predicate=Predicate.comparison("f2", Operator.LT, VALUE_RANGE // 16),
+        projection=None,
+    )
+    jobconf = system._make_jobconf(query, _PATH, SYNTHETIC_SCHEMA)
+    calls = []
+    plan_query = PhysicalPlanner.plan_query
+    monkeypatch.setattr(
+        PhysicalPlanner,
+        "plan_query",
+        lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_query(self, *args, **kwargs),
+    )
+    splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
+    assert calls == [split_pruning]
+    num_blocks = len(system.hdfs.namenode.file_blocks(_PATH))
+    pruned = jobconf.properties.get(PRUNED_BLOCKS_PROPERTY, {"blocks": 0})["blocks"]
+    assert (pruned > 0) == split_pruning
+    assert sum(len(split.block_ids) for split in splits) == num_blocks - pruned
 
 
 def test_impossible_predicate_schedules_zero_map_tasks():
