@@ -14,6 +14,7 @@ SMOKE_FIRST = (
     "benchmarks/test_engine_filter.py",
     "tests/test_size_accounting.py",
     "tests/test_upload_once.py",
+    "tests/test_block_batches.py",
     # The one map-phase loop every workload runs through, and the goldens pinned on it.
     "tests/test_golden_figures.py",
     "tests/test_mapreduce_scheduler_runner.py",

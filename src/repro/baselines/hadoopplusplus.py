@@ -24,7 +24,7 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.ledger import TransferLedger
 from repro.hail.annotation import JOB_PROPERTY, HailQuery
 from repro.hail.hail_block import HailBlock
-from repro.hail.record_reader import HailRecordReader
+from repro.hail.record_reader import HailRecordReader, emit_projected, emit_projected_batch
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.pipeline import StandardUploadPipeline
@@ -217,15 +217,11 @@ class HadoopPlusPlusSystem(BaseSystem):
             projection=tuple(query.projection) if query.projection is not None else None,
         )
 
-        def mapper(key, record):
-            if record.bad:
-                return None
-            return [(None, record.as_tuple())]
-
         jobconf = JobConf(
             name=f"hadoop++-{query.name}",
             input_path=path,
-            mapper=mapper,
+            mapper=emit_projected,
+            map_batch=emit_projected_batch,
             input_format=TrojanInputFormat(),
         )
         jobconf.properties[JOB_PROPERTY] = annotation

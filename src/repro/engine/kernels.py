@@ -117,7 +117,22 @@ def filter_ranges(
     The zone-map pruning entry point: the executor hands over only the windows whose
     partitions may match, and the concatenation of per-window results is in ascending row
     order because the windows are.
+
+    On the numpy backend a multi-window block is **one** kernel call: the predicate runs over
+    the hull ``[windows[0].start, windows[-1].end)`` with the windows as a boolean keep-mask
+    seeded into the clause masks, so a row in a gap is never reported whatever its values (a
+    stale synopsis cannot leak a pruned row back in).  Whenever that call declines — or the
+    python backend is active — the per-window loop over :func:`filter_range` runs instead and
+    is the reference the hull path is tested against.
     """
+    if len(windows) > 1 and predicate is not None and _backend == "numpy":
+        hull_start, hull_end = windows[0][0], windows[-1][1]
+        keep = _np.zeros(hull_end - hull_start, dtype=bool)
+        for start, end in windows:
+            keep[start - hull_start : end - hull_start] = True
+        result = _filter_range_numpy(pax, predicate, schema, hull_start, hull_end, keep)
+        if result is not None:
+            return result
     matching: list[int] = []
     for start, end in windows:
         matching.extend(filter_range(pax, predicate, schema, start, end))
@@ -203,11 +218,20 @@ def _operand_exact(operand, typecode: str) -> bool:
 
 
 def _filter_range_numpy(
-    pax: "PaxBlock", predicate: "Predicate", schema: "Schema", start: int, end: int
+    pax: "PaxBlock",
+    predicate: "Predicate",
+    schema: "Schema",
+    start: int,
+    end: int,
+    keep=None,
 ) -> Optional[list[int]]:
-    """Numpy fast path, or ``None`` when exact agreement with Python cannot be guaranteed."""
+    """Numpy fast path, or ``None`` when exact agreement with Python cannot be guaranteed.
+
+    ``keep`` (a boolean array over ``[start, end)``) seeds the mask the clauses AND into:
+    rows where it is False are never returned.
+    """
     np = _np
-    mask = None
+    mask = keep
     for clause in predicate.clauses:
         typed = pax.typed_column_at(clause.attribute_index(schema))
         if typed is None:

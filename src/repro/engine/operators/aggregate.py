@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
@@ -131,6 +132,36 @@ def _initial_partial(spec: AggregateSpec, value: Any) -> Any:
     return value
 
 
+def _make_regroup(query: GroupByQuery, projection: tuple[str, ...]):
+    """``rows -> [(group key, partials), ...]`` for scan rows laid out as ``projection``.
+
+    One pair per row, in row order, built by the column: the rows are transposed once, the
+    key columns are ``zip``-ped back into key tuples, and each aggregate contributes one
+    column of :func:`_initial_partial` values whose shape is resolved here, once per
+    aggregate, not per value.
+    """
+    key_positions = [projection.index(key) for key in query.keys]
+    partial_columns = [
+        (spec.func, projection.index(spec.attribute) if spec.attribute is not None else None)
+        for spec in query.aggregates
+    ]
+
+    def regroup(rows: list[tuple]) -> list[tuple]:
+        if not rows:
+            return []
+        columns = list(zip(*rows))
+        partials = [
+            repeat(1) if func == "count"
+            else zip(columns[position], repeat(1)) if func == "avg"
+            else columns[position]
+            for func, position in partial_columns
+        ]
+        keys = zip(*[columns[position] for position in key_positions])
+        return list(zip(keys, zip(*partials)))
+
+    return regroup
+
+
 def _merge_partials(spec: AggregateSpec, partials: list) -> Any:
     """Merge partial aggregates (associative and commutative — the combiner contract)."""
     if spec.func == "count":
@@ -195,29 +226,25 @@ def execute_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Q
     base = query.base_query()
     jobconf = system._make_jobconf(base, path, schema)
 
-    projection = base.projection or tuple(schema.field_names)
-    key_positions = [projection.index(key) for key in query.keys]
-    value_positions = [
-        projection.index(spec.attribute) if spec.attribute is not None else None
-        for spec in query.aggregates
-    ]
+    regroup = _make_regroup(query, base.projection or tuple(schema.field_names))
     scan_mapper = jobconf.mapper
+    scan_map_batch = jobconf.map_batch
 
     def mapper(key, record):
+        """The scan's map function, its rows regrouped into ``(group key, partial)`` pairs."""
         pairs = scan_mapper(key, record)
         if not pairs:
             return None
-        out = []
-        for _, row in pairs:
-            group_key = tuple(row[position] for position in key_positions)
-            partial = tuple(
-                _initial_partial(spec, row[position] if position is not None else None)
-                for spec, position in zip(query.aggregates, value_positions)
-            )
-            out.append((group_key, partial))
-        return out
+        return regroup([row for _, row in pairs])
 
     jobconf.mapper = mapper
+    if scan_map_batch is not None:
+
+        def map_batch(batch) -> list:
+            """The scan's ``map_batch``, regrouped the same way: one pair per row, in order."""
+            return regroup([row for _, row in scan_map_batch(batch)])
+
+        jobconf.map_batch = map_batch
     jobconf.reducer = make_reducer(query.aggregates)
     if query.combiner:
         jobconf.combiner = make_combiner(query.aggregates)

@@ -12,8 +12,10 @@ use) and hands the plan to the :class:`~repro.engine.executor.VectorizedExecutor
    column-at-a-time with the full predicate, and reconstructs the projected attributes from PAX
    to row layout.
 
-The reader only wraps qualifying tuples as :class:`~repro.hail.record.HailRecord`\\ s for the map
-function; bad records are passed through flagged as bad.  The simulated RecordReader time
+The reader hands each block's result on whole (``batches()``, what the systems' own
+``map_batch`` consumes); only the per-record view wraps qualifying tuples as
+:class:`~repro.hail.record.HailRecord`\\ s for a user's map function, with bad records passed
+through flagged as bad.  The simulated RecordReader time
 charged by the executor is what Figures 6(b) and 7(b) report.
 """
 
@@ -23,7 +25,7 @@ from typing import Iterator, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext
-from repro.engine.executor import VectorizedExecutor
+from repro.engine.executor import BlockScanResult, VectorizedExecutor
 from repro.engine.planner import ZONE_MAP_PROPERTY, PhysicalPlanner
 from repro.hail.annotation import HailQuery, resolve_annotation
 from repro.hail.record import HailRecord
@@ -32,6 +34,23 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
+
+
+def emit_projected(key, record: HailRecord) -> Optional[list]:
+    """The selection/projection map function: emit a record's projected tuple, drop bad ones.
+
+    HAIL and Hadoop++ queries are filtered and projected by the reader, so this is all their
+    map function does (``output(v, null)``, Section 4.1).  The per-record reference form of
+    :func:`emit_projected_batch`.
+    """
+    if record.bad:
+        return None
+    return [(None, record.as_tuple())]
+
+
+def emit_projected_batch(scan: BlockScanResult) -> list:
+    """:func:`emit_projected` over one block: a pair per qualifying row, none for bad lines."""
+    return [(None, values) for values in scan.projected]
 
 
 class HailRecordReader(RecordReader):
@@ -56,7 +75,8 @@ class HailRecordReader(RecordReader):
         self.adaptive: Optional[AdaptiveJobContext] = jobconf.properties.get(ADAPTIVE_PROPERTY)
 
     # ------------------------------------------------------------------ iteration
-    def __iter__(self) -> Iterator[tuple]:
+    def batches(self) -> Iterator[BlockScanResult]:
+        """One :class:`~repro.engine.executor.BlockScanResult` per block: plan, execute, count."""
         for block_id in self.split.block_ids:
             plan = self.planner.plan_block(
                 block_id,
@@ -96,13 +116,18 @@ class HailRecordReader(RecordReader):
                     attribute=self._first_filter_attribute(scan.schema),
                 )
 
-            for row_id, values in zip(scan.rows, scan.projected):
-                self.records_emitted += 1
-                yield row_id, HailRecord(scan.schema, values, scan.positions)
-            # Bad records are handed to the map function unchanged, flagged as bad (Section 4.3).
-            for line in scan.bad_lines:
-                self.records_emitted += 1
-                yield -1, HailRecord(scan.schema, (), positions=(), bad=True, raw_line=line)
+            self.records_emitted += len(scan.rows) + len(scan.bad_lines)
+            yield scan
+
+    @staticmethod
+    def records_of(batch: BlockScanResult) -> Iterator[tuple]:
+        """``(row id, HailRecord)`` per qualifying row, then the block's bad records."""
+        schema, positions = batch.schema, batch.positions
+        for row_id, values in zip(batch.rows, batch.projected):
+            yield row_id, HailRecord(schema, values, positions)
+        # Bad records are handed to the map function unchanged, flagged as bad (Section 4.3).
+        for line in batch.bad_lines:
+            yield -1, HailRecord(schema, (), positions=(), bad=True, raw_line=line)
 
     def _first_filter_attribute(self, schema) -> Optional[str]:
         """The query's first filter attribute (fallback attribution), or ``None`` for scans."""

@@ -11,6 +11,7 @@ from repro.engine.lifecycle import LIFECYCLE_PROPERTY, AdaptiveLifecycleManager
 from repro.hail.annotation import JOB_PROPERTY, HailQuery
 from repro.hail.config import HailConfig
 from repro.hail.input_format import HailInputFormat
+from repro.hail.record_reader import emit_projected, emit_projected_batch
 from repro.hail.scheduler import (
     adaptive_replica_bytes,
     adaptive_replica_count,
@@ -84,15 +85,11 @@ class HailSystem(BaseSystem):
             projection=tuple(query.projection) if query.projection is not None else None,
         )
 
-        def mapper(key, record):
-            if record.bad:
-                return None
-            return [(None, record.as_tuple())]
-
         jobconf = JobConf(
             name=f"hail-{query.name}",
             input_path=path,
-            mapper=mapper,
+            mapper=emit_projected,
+            map_batch=emit_projected_batch,
             input_format=HailInputFormat(self.config),
         )
         jobconf.properties[JOB_PROPERTY] = annotation

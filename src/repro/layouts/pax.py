@@ -131,9 +131,15 @@ class PaxBlock:
         return [self.record(row) for row in rows]
 
     def project(self, rows: Iterable[int], attribute_indexes: Sequence[int]) -> list[tuple]:
-        """Reconstruct only the projected attributes (0-based indexes) of the given rows."""
-        columns = [self.columns[i] for i in attribute_indexes]
-        return [tuple(column[row] for column in columns) for row in rows]
+        """Reconstruct only the projected attributes (0-based indexes) of the given rows.
+
+        One C-level gather per column, ``zip``-ped into row tuples — no generator per row.
+        """
+        if not isinstance(rows, Sequence):
+            rows = list(rows)
+        if not attribute_indexes:
+            return [()] * len(rows)
+        return list(zip(*[map(self.columns[i].__getitem__, rows) for i in attribute_indexes]))
 
     def reorder(self, permutation: Sequence[int]) -> "PaxBlock":
         """Return a new block whose rows follow ``permutation`` (the HAIL sort step)."""

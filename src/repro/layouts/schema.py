@@ -48,6 +48,32 @@ _FORMATTERS: dict[str, Callable[[Any], str]] = {
 }
 
 
+def _parse_date(token: str) -> date:
+    """Parse ``YYYY-MM-DD`` into a :class:`datetime.date`."""
+    parts = token.split("-")
+    if len(parts) != 3:
+        raise ValueError(f"not an ISO date: {token!r}")
+    year, month, day = (int(part) for part in parts)
+    return date(year, month, day)
+
+
+def _parse_string(token: str) -> str:
+    return token
+
+
+#: Text parser per type tag: what :meth:`Field.parse` does, raising the converter's own
+#: ``ValueError``/``TypeError`` (no :class:`BadRecordError` wrapping), so a column of tokens can
+#: be parsed with one ``map``.
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "bigint": int,
+    "float": float,
+    "double": float,
+    "date": _parse_date,
+    "string": _parse_string,
+}
+
+
 class FieldType(enum.Enum):
     """Supported attribute types and their fixed binary widths (None = variable size)."""
 
@@ -66,6 +92,8 @@ class FieldType(enum.Enum):
         self.is_fixed: bool = self.fixed_size is not None
         #: Typed value → text token, equal to :meth:`Field.format` for a field of this type.
         self.format_value: Callable[[Any], str] = _FORMATTERS[tag]
+        #: Text token → typed value, equal to :meth:`Field.parse` wherever that succeeds.
+        self.parse_value: Callable[[str], Any] = _PARSERS[tag]
 
 
 @dataclass(frozen=True)
@@ -84,13 +112,7 @@ class Field:
             If the token cannot be converted to the field's type.
         """
         try:
-            if self.ftype in (FieldType.INT, FieldType.BIGINT):
-                return int(token)
-            if self.ftype in (FieldType.FLOAT, FieldType.DOUBLE):
-                return float(token)
-            if self.ftype == FieldType.DATE:
-                return _parse_date(token)
-            return token
+            return self.ftype.parse_value(token)
         except (ValueError, TypeError) as exc:
             raise BadRecordError(
                 f"cannot parse {token!r} as {self.ftype.value} for field {self.name!r}"
@@ -113,15 +135,6 @@ class Field:
         if fixed is not None:
             return fixed
         return len(str(value).encode("utf-8")) + 1
-
-
-def _parse_date(token: str) -> date:
-    """Parse ``YYYY-MM-DD`` into a :class:`datetime.date`."""
-    parts = token.split("-")
-    if len(parts) != 3:
-        raise ValueError(f"not an ISO date: {token!r}")
-    year, month, day = (int(part) for part in parts)
-    return date(year, month, day)
 
 
 class Schema:

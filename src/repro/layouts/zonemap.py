@@ -171,34 +171,63 @@ class ZoneMap:
         if predicate is None or not self.partition_zones:
             return [(start, end)]
         size = self.partition_size
-        windows: list[tuple[int, int]] = []
         first = start // size
         last = (end - 1) // size
-        # Each clause resolves to (partition zones, low, high) once per call.  Fail-closed: a
-        # clause on an unknown attribute or without a zone column prunes nothing, and a zone
-        # tuple shorter than the partition count prunes nothing beyond its end.
-        resolved = []
+        count = last - first + 1
+        # One pass per *clause* over its zone slice, OR-ed into one byte per partition (1 =
+        # some clause proves the partition empty).  Fail-closed: a clause on an unknown
+        # attribute or without a zone column prunes nothing, and a zone tuple shorter than
+        # the partition count prunes nothing beyond its end (the slice is padded with 0).
+        dropped = bytes(count)
         for clause in predicate.clauses:
             try:
                 name = schema.fields[clause.attribute_index(schema)].name
             except (KeyError, IndexError):
                 continue
             zones = self.partition_zones.get(name)
-            if zones is not None:
-                resolved.append((zones, *clause.value_range()))
-        for partition in range(first, last + 1):
-            if any(
-                partition < len(zones) and ranges_disjoint(low, high, *zones[partition])
-                for zones, low, high in resolved
-            ):
+            if zones is None:
                 continue
-            window_start = max(start, partition * size)
-            window_end = min(end, (partition + 1) * size)
-            if windows and windows[-1][1] == window_start:
-                windows[-1] = (windows[-1][0], window_end)
-            else:
-                windows.append((window_start, window_end))
+            low, high = clause.value_range()
+            hits = bytes(_disjoint_flags(low, high, zones[first : last + 1])).ljust(count, b"\0")
+            # Every byte is 0 or 1, so the bytewise OR is one big-integer OR.
+            merged = int.from_bytes(dropped, "big") | int.from_bytes(hits, "big")
+            dropped = merged.to_bytes(count, "big")
+        # Maximal runs of surviving partitions become the windows; only the first and the
+        # last partition can stick out of ``[start, end)``, so clipping the run is enough.
+        windows: list[tuple[int, int]] = []
+        run = dropped.find(0)
+        while run >= 0:
+            run_end = dropped.find(1, run)
+            if run_end < 0:
+                run_end = count
+            windows.append(
+                (max(start, (first + run) * size), min(end, (first + run_end) * size))
+            )
+            run = dropped.find(0, run_end)
         return windows
+
+
+def _disjoint_flags(
+    clause_low: Any, clause_high: Any, zones: Sequence[tuple[Any, Any]]
+) -> list[bool]:
+    """:func:`ranges_disjoint` of one clause range against each zone, in one comprehension.
+
+    The comprehension has no per-zone ``try``: any ``TypeError`` (a ``None`` bound, mixed
+    types in one zone column) re-runs the slice through :func:`ranges_disjoint` itself, whose
+    per-zone fail-closed answer is the definition of the result.
+    """
+    try:
+        if clause_low is None:
+            if clause_high is None:
+                return []
+            return [clause_high < zone_low for zone_low, _ in zones]
+        if clause_high is None:
+            return [clause_low > zone_high for _, zone_high in zones]
+        return [
+            clause_high < zone_low or clause_low > zone_high for zone_low, zone_high in zones
+        ]
+    except TypeError:
+        return [ranges_disjoint(clause_low, clause_high, *zone) for zone in zones]
 
 
 def pruned_row_count(windows: Sequence[tuple[int, int]], start: int, end: int) -> int:

@@ -9,6 +9,11 @@ from repro.mapreduce.counters import Counters
 
 #: A map function: ``mapper(key, value) -> iterable of (key, value) pairs`` (or ``None``).
 Mapper = Callable[[Any, Any], Optional[Iterable[tuple]]]
+#: The block form of a map function: ``map_batch(batch) -> list of (key, value) pairs``, where
+#: ``batch`` is one item of the job's ``RecordReader.batches()``.  It must return a list —
+#: empty when nothing qualifies, never ``None`` — holding exactly the pairs, in the order, that
+#: calling the job's ``mapper`` on every record of the batch would have produced.
+MapBatch = Callable[[Any], list]
 #: A reduce function: ``reducer(key, values) -> iterable of (key, value) pairs`` (or ``None``).
 Reducer = Callable[[Any, list], Optional[Iterable[tuple]]]
 
@@ -33,11 +38,19 @@ class JobConf:
     carries free-form configuration, notably the ``hail.query`` annotation when the selection
     predicate and projection are given through the job configuration instead of the map-function
     annotation.
+
+    ``mapper`` is the map function — the public, per-record contract, and the reference.
+    ``map_batch`` is an optional block form of the *same* function that the systems install
+    beside the mappers they build themselves; when present the map task calls it once per
+    block instead of ``mapper`` once per record.  The two must stay in step: code that
+    replaces ``mapper`` on a system-built jobconf replaces or clears ``map_batch`` as well.
     """
 
     name: str
     input_path: str
     mapper: Mapper = identity_mapper
+    #: Block form of ``mapper`` (see :data:`MapBatch`); ``None`` runs ``mapper`` per record.
+    map_batch: Optional[MapBatch] = None
     reducer: Optional[Reducer] = None
     #: Optional map-side combiner (same signature as the reducer): applied to every map
     #: task's output before the shuffle, so commutative/associative aggregations pay the

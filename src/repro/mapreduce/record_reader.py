@@ -9,7 +9,8 @@ Replica selection and predicate evaluation live in the unified engine
 (:class:`~repro.engine.planner.PhysicalPlanner` /
 :class:`~repro.engine.executor.VectorizedExecutor`); readers are thin shells that ask the
 planner for a per-block :class:`~repro.engine.access_path.BlockPlan`, hand it to the executor,
-and adapt the result to the ``(key, value)`` iterator contract of the map function.
+and hand the per-block result on — whole, to a job's ``map_batch``, or unpacked into the
+``(key, value)`` iterator contract of a per-record map function.
 
 :class:`TextRecordReader` is the stock Hadoop reader: it always reads the whole block from the
 closest replica and emits ``(byte offset, text line)`` pairs; splitting the line into attributes
@@ -23,7 +24,7 @@ import abc
 from typing import Iterator
 
 from repro.cluster.costmodel import CostModel
-from repro.engine.executor import VectorizedExecutor
+from repro.engine.executor import TextScanResult, VectorizedExecutor
 from repro.engine.planner import PhysicalPlanner
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
@@ -31,7 +32,14 @@ from repro.mapreduce.split import InputSplit
 
 
 class RecordReader(abc.ABC):
-    """Iterates the records of one split and accounts the simulated cost of doing so.
+    """Reads the blocks of one split and accounts the simulated cost of doing so.
+
+    The unit of work is the **block**: :meth:`batches` yields one executor result per block
+    and does all the bookkeeping below while it does.  Iterating the reader is the per-record
+    *view* of the same loop — ``(key, value)`` pairs unpacked from each batch by
+    :meth:`records_of` — and is the reference contract: a job with only a per-record
+    ``mapper`` iterates the reader and sees exactly the records, order and counts the batch
+    path is held to (``tests/test_block_batches.py``).
 
     A reader hands two things back to its task: the contract fields below (cost, volume,
     executed plans, staged adaptive builds) and ``counters``, a bag of its own that per-block
@@ -49,7 +57,7 @@ class RecordReader(abc.ABC):
         self.read_seconds: float = 0.0
         #: Functional bytes read from disk (scaled by the cost model when charged).
         self.bytes_read: float = 0.0
-        #: Records handed to the map function.
+        #: Records handed to the map function (bumped once per block, as the block is read).
         self.records_emitted: int = 0
         #: True when at least one block was answered with an index scan (HAIL / Hadoop++).
         self.used_index: bool = False
@@ -63,8 +71,24 @@ class RecordReader(abc.ABC):
         self.counters = Counters()
 
     @abc.abstractmethod
+    def batches(self) -> Iterator:
+        """Yield one executor result per block of the split, in split order.
+
+        This is the reader's only block loop: plans, seconds, bytes, ``records_emitted`` and
+        the telemetry bag are all updated here, before the batch is handed out, so a batch
+        consumer (``JobConf.map_batch``) and a record consumer leave the reader in the same
+        state.
+        """
+
+    @staticmethod
+    @abc.abstractmethod
+    def records_of(batch) -> Iterator[tuple]:
+        """The ``(key, value)`` records of one batch, in the order the mapper sees them."""
+
     def __iter__(self) -> Iterator[tuple]:
-        """Yield ``(key, value)`` records of the split."""
+        """The per-record view: every batch of :meth:`batches`, unpacked by :meth:`records_of`."""
+        for batch in self.batches():
+            yield from self.records_of(batch)
 
 
 class TextRecordReader(RecordReader):
@@ -75,7 +99,8 @@ class TextRecordReader(RecordReader):
         self.planner = PhysicalPlanner(hdfs)
         self.executor = VectorizedExecutor(hdfs, cost, node_id)
 
-    def __iter__(self) -> Iterator[tuple]:
+    def batches(self) -> Iterator[TextScanResult]:
+        """One :class:`~repro.engine.executor.TextScanResult` (all lines) per block."""
         for block_id in self.split.block_ids:
             plan = self.planner.plan_block(
                 block_id,
@@ -86,8 +111,13 @@ class TextRecordReader(RecordReader):
             self.block_plans.append(scan.plan)
             self.read_seconds += scan.seconds
             self.bytes_read += scan.bytes_read
-            offset = 0
-            for line in scan.lines:
-                self.records_emitted += 1
-                yield offset, line
-                offset += len(line) + 1
+            self.records_emitted += len(scan.lines)
+            yield scan
+
+    @staticmethod
+    def records_of(batch: TextScanResult) -> Iterator[tuple]:
+        """``(byte offset, line)`` per line; offsets count UTF-8 bytes plus the newline."""
+        offset = 0
+        for line in batch.lines:
+            yield offset, line
+            offset += (len(line) if line.isascii() else len(line.encode("utf-8"))) + 1

@@ -45,7 +45,12 @@ class MapTask:
     jobconf: JobConf
 
     def run(self, hdfs: Hdfs, cost: CostModel, node_id: int, counters: Counters) -> MapTaskResult:
-        """Execute the task on ``node_id``: read the split, call the mapper for every record.
+        """Execute the task on ``node_id``: read the split, map every block.
+
+        A jobconf with a ``map_batch`` (the systems' own scan and group-by jobs) is mapped
+        one call per block over ``reader.batches()``.  Any other job — user code — runs the
+        reference form: ``mapper(key, value)`` for every record of the reader's per-record
+        view.  Both leave the same output, in the same order, and the same reader state.
 
         ``counters`` is the attempt's private scratch bag (the scheduler merges it into the
         job's only if the attempt is accepted).  The task counts what it sees itself —
@@ -56,11 +61,16 @@ class MapTask:
             self.split, hdfs, self.jobconf, cost, node_id
         )
         output: list[tuple] = []
-        mapper = self.jobconf.mapper
-        for key, value in reader:
-            pairs = mapper(key, value)
-            if pairs:
-                output.extend(pairs)
+        map_batch = self.jobconf.map_batch
+        if map_batch is not None:
+            for batch in reader.batches():
+                output.extend(map_batch(batch))
+        else:
+            mapper = self.jobconf.mapper
+            for key, value in reader:
+                pairs = mapper(key, value)
+                if pairs:
+                    output.extend(pairs)
         counters.increment(Counters.MAP_INPUT_RECORDS, reader.records_emitted)
         counters.increment(Counters.MAP_OUTPUT_RECORDS, len(output))
         counters.increment(Counters.BYTES_READ, reader.bytes_read)
