@@ -42,12 +42,11 @@ from repro.cluster.costmodel import CostModel, CostParameters
 from repro.cluster.failure import FailureEvent
 from repro.cluster.hardware import HardwareProfile
 from repro.cluster.topology import Cluster
-from repro.engine.operators import (
+from repro.engine.operators import (  # noqa: F401 - execute_operator is pinned by bench/
     GroupByQuery,
     JoinQuery,
     TopKQuery,
     execute as execute_operator,
-    explain_operator,
 )
 from repro.hail import HailConfig, HailSystem
 from repro.layouts.schema import Schema
@@ -56,26 +55,14 @@ from repro.mapreduce.runner import ConcurrentBatchError
 from repro.systems.base import BaseSystem, QueryResult, SystemUploadReport
 from repro.workloads.query import Query
 
-#: The compiled relational-operator query forms (executed via the operator dispatch, not
-#: ``system.run_query``).
-_OPERATOR_QUERIES = (GroupByQuery, JoinQuery, TopKQuery)
-#: The operator IR nodes (lowered by ``compile()`` like ``LogicalQuery``).
-_OPERATOR_IR = (LogicalAggregate, LogicalJoin, LogicalTopK)
+#: The IR nodes (lowered by ``compile()`` to the compiled forms below).
+_LOGICAL_IR = (LogicalQuery, LogicalAggregate, LogicalJoin, LogicalTopK)
+#: The compiled forms a system runs: a scan/selection ``Query`` or one relational operator.
+_COMPILED = (Query, GroupByQuery, JoinQuery, TopKQuery)
 
-#: Anything the session can execute: a lazy dataset, the IR, or a compiled form
-#: (scan/selection ``Query`` or one of the relational-operator query objects).
-Runnable = Union[
-    "Dataset",
-    "QueryHandle",
-    LogicalQuery,
-    LogicalAggregate,
-    LogicalJoin,
-    LogicalTopK,
-    Query,
-    GroupByQuery,
-    JoinQuery,
-    TopKQuery,
-]
+#: Anything the session can execute: a lazy dataset, a deferred handle, the IR, or a
+#: compiled form.
+Runnable = Union[("Dataset", "QueryHandle") + _LOGICAL_IR + _COMPILED]
 
 
 # --------------------------------------------------------------------------- lazy datasets
@@ -216,7 +203,7 @@ class Dataset:
         return replace(self, _limit=k)
 
     # ------------------------------------------------------------------ lowering
-    def logical(self) -> Union[LogicalQuery, LogicalAggregate, LogicalJoin, LogicalTopK]:
+    def logical(self) -> Union[_LOGICAL_IR]:
         """The dataset's current state as IR: a scan, or one relational-operator node."""
         name = self._name or self.session._next_query_name(self.path)
         scan = LogicalQuery(
@@ -258,7 +245,7 @@ class Dataset:
             )
         return scan
 
-    def to_query(self) -> Union[Query, GroupByQuery, JoinQuery, TopKQuery]:
+    def to_query(self) -> Union[_COMPILED]:
         """Compile to the stable form the engine executes (scan or operator query)."""
         return self.logical().compile()
 
@@ -717,7 +704,7 @@ class Session:
         uploaded path to default to).
         """
         query, query_path, target_name = self._resolve(item, system, path)
-        result = _execute(self.system(target_name), query, query_path, failure)
+        result = self.system(target_name).run_query(query, query_path, failure=failure)
         self._accept(target_name, result, item)
         return result
 
@@ -750,8 +737,6 @@ class Session:
     ) -> str:
         """``EXPLAIN`` the plan the (default) system would choose for ``item`` right now."""
         query, query_path, target_name = self._resolve(item, system, path)
-        if isinstance(query, _OPERATOR_QUERIES):
-            return explain_operator(self.system(target_name), query, query_path)
         return self.system(target_name).explain(query, query_path)
 
     # ------------------------------------------------------------------ statistics
@@ -837,15 +822,14 @@ class Session:
         if isinstance(item, QueryHandle):
             # An explicit system= wins over the one recorded at submit time.
             return item.query, item.path, system if system is not None else item.system
-        if isinstance(item, (LogicalQuery,) + _OPERATOR_IR):
+        if isinstance(item, _LOGICAL_IR):
             item = item.compile()
+        target = system if system is not None else self._default
         if isinstance(item, JoinQuery):
             # Joins carry their own paths; the left side anchors the resolution.
-            return item, item.left_path, system if system is not None else self._default
-        if isinstance(item, (Query,) + _OPERATOR_QUERIES):
-            return item, self._require_path(path), (
-                system if system is not None else self._default
-            )
+            return item, item.left_path, target
+        if isinstance(item, _COMPILED):
+            return item, self._require_path(path), target
         raise TypeError(
             f"cannot run {item!r}; expected a Dataset, QueryHandle, a Logical* IR node, "
             "a compiled Query, or an operator query (GroupByQuery/JoinQuery/TopKQuery)"
@@ -873,20 +857,6 @@ class Session:
 
 
 # --------------------------------------------------------------------------- batch drains
-def _execute(
-    target: BaseSystem, query, path: str, failure: Optional[FailureEvent] = None
-) -> QueryResult:
-    """Run one compiled query now: operator dispatch for operator queries, else a scan job."""
-    if not isinstance(query, _OPERATOR_QUERIES):
-        return target.run_query(query, path, failure=failure)
-    if failure is not None:
-        raise ValueError(
-            "failure injection is not supported for relational-operator queries; "
-            "run the failure experiment on a plain selection query"
-        )
-    return execute_operator(target, query, path)
-
-
 def _drain(
     entries: Sequence[tuple[Session, Runnable]],
     system: Optional[str],
@@ -896,11 +866,11 @@ def _drain(
     """The one batch drain: run ``(owning session, item)`` entries, results in entry order.
 
     Entries are grouped per target system *object* (attached sessions share it, so one
-    group = one deployment) and each group is walked in entry order: consecutive scan
-    queries go to :meth:`BaseSystem.run_queries` as one batch — which alone decides
-    back-to-back vs. interleaved — and a relational-operator query runs by itself at its
-    position.  Every result is accepted by its owning session the moment its job
-    completes; any failure surfaces as a :class:`BatchExecutionError` over what finished.
+    group = one deployment) and each group goes to :meth:`BaseSystem.run_queries` as one
+    batch in entry order, whatever kinds of query it holds — the system alone decides
+    back-to-back vs. interleaved.  Every result is accepted by its owning session the
+    moment its query completes; any failure surfaces as a :class:`BatchExecutionError` over
+    what finished.
     """
     # One row per entry: (owning session, item, compiled query, path, system name).
     jobs = [(session, item, *session._resolve(item, system, path)) for session, item in entries]
@@ -914,39 +884,31 @@ def _drain(
         session._accept(name, result, item)
         results[position] = result
 
-    for target, positions in groups.items():
-        for is_operator, run in itertools.groupby(
-            positions, key=lambda p: isinstance(jobs[p][2], _OPERATOR_QUERIES)
-        ):
-            batch = list(run)
-            sessions, items, queries, paths, _ = zip(*(jobs[p] for p in batch))
-            try:
-                if is_operator:
-                    for position, query, query_path in zip(batch, queries, paths):
-                        _accept(position, _execute(target, query, query_path))
-                else:
-                    target.run_queries(
-                        list(zip(queries, paths)),
-                        tenants=[session.tenant for session in sessions],
-                        chaos=chaos,
-                        deadlines=[
-                            item.deadline_s if isinstance(item, QueryHandle) else None
-                            for item in items
-                        ],
-                        on_result=lambda index, result: _accept(batch[index], result),
-                    )
-            except Exception as error:
-                if isinstance(error, ConcurrentBatchError):
-                    failed = batch[error.failed_index]
-                else:
-                    failed = next(p for p in batch if results[p] is None)
-                completed = [result for result in results if result is not None]
-                raise BatchExecutionError(
-                    f"batch drain failed on item {failed} ({error}); {len(completed)} of "
-                    f"{len(jobs)} queries completed — see .partial for their results",
-                    partial=BatchResult(results=completed),
-                    failed_index=failed,
-                ) from error
+    for target, batch in groups.items():
+        sessions, items, queries, paths, _ = zip(*(jobs[p] for p in batch))
+        try:
+            target.run_queries(
+                list(zip(queries, paths)),
+                tenants=[session.tenant for session in sessions],
+                chaos=chaos,
+                deadlines=[
+                    item.deadline_s if isinstance(item, QueryHandle) else None
+                    for item in items
+                ],
+                on_result=lambda index, result: _accept(batch[index], result),
+            )
+        except Exception as error:
+            if isinstance(error, ConcurrentBatchError):
+                failed = batch[error.failed_index]
+            else:
+                failed = next(p for p in batch if results[p] is None)
+            completed = [result for result in results if result is not None]
+            raise BatchExecutionError(
+                f"batch drain failed on item {failed} ({error}); {len(completed)} of "
+                f"{len(jobs)} queries completed — see .partial for their results",
+                partial=BatchResult(results=completed),
+                failed_index=failed,
+            ) from error
     return results
 
 
@@ -958,8 +920,8 @@ def run_multi_tenant_batch(
     ``sessions`` are sibling sessions of one deployment (built with :meth:`Session.attach`)
     carrying distinct tenant names; their pending handles are merged round-robin (modelling
     simultaneous arrival) and drained exactly like :meth:`Session.run_batch` drains one
-    session's queue (``docs/api.md`` § Batch drains).  An all-scan backlog is **one**
-    concurrent batch per shared system, so the JobTracker's admission control, slot quotas
+    session's queue (``docs/api.md`` § Batch drains).  The backlog is **one** concurrent
+    batch per shared system, so the JobTracker's admission control, slot quotas
     and queue policy arbitrate between the tenants for real; each result lands in its
     *owning* session's statistics (isolation) while the shared tuner observes every
     tenant's jobs (cooperation).  Returns the per-tenant batches, each in its session's

@@ -1,13 +1,14 @@
 """Relational operators on top of the scan engine: group-by, equi-join, ranked top-k.
 
 Each operator compiles to a frozen query object (:class:`GroupByQuery`, :class:`JoinQuery`,
-:class:`TopKQuery`) that any system — stock Hadoop, Hadoop++ or HAIL — can execute through
-the shared :func:`execute`/:func:`explain_operator` dispatch.  The operators push work into
-the layers below instead of post-processing scan output: aggregation rides the map/reduce
-shuffle with a map-side combiner, joins pick a shuffle-free merge strategy when ``Dir_rep``
-proves both sides co-partitioned, and top-k terminates early on zone-range bounds.  All
-operator output is deterministic (canonical ordering, explicit tie-breaks) so differential
-tests can compare systems bit-for-bit.
+:class:`TopKQuery`) that any system — stock Hadoop, Hadoop++ or HAIL — runs like a scan: the
+operator *lowers* the query to the scans it needs plus a finish step over their job results
+(:data:`LOWERINGS`), and the system alone runs that, serially or inside an interleaved batch.
+The operators push work into the layers below instead of post-processing scan output:
+aggregation rides the map/reduce shuffle with a map-side combiner, joins pick a shuffle-free
+merge strategy when ``Dir_rep`` proves both sides co-partitioned, and top-k terminates early
+on zone-range bounds.  All operator output is deterministic (canonical ordering, explicit
+tie-breaks) so differential tests can compare systems bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,28 +19,37 @@ from repro.engine.operators.aggregate import (
     SUPPORTED_FUNCTIONS,
     AggregateSpec,
     GroupByQuery,
-    execute_group_by,
     explain_group_by,
+    lower_group_by,
 )
 from repro.engine.operators.join import (
     STRATEGIES,
     JoinQuery,
     choose_strategy,
     co_partitioned,
-    execute_join,
     explain_join,
+    lower_join,
 )
-from repro.engine.operators.topk import TopKQuery, execute_top_k, explain_top_k
+from repro.engine.operators.topk import TopKQuery, explain_top_k, lower_top_k
 
 if TYPE_CHECKING:  # only for annotations: systems import the engine back
     from repro.systems.base import BaseSystem, QueryResult
 
-#: Any compiled relational-operator query the dispatch functions accept.
+#: Any compiled relational-operator query.
 OperatorQuery = Union[GroupByQuery, JoinQuery, TopKQuery]
+
+
+#: The one dispatch from query kind to its :class:`~repro.systems.base.Lowering` and the one
+#: to its ``EXPLAIN`` rendering, both ``(system, query, path) -> ...``.  ``BaseSystem`` consults
+#: them for every query it runs or explains; a kind that is not listed is a plain scan.
+LOWERINGS = {GroupByQuery: lower_group_by, JoinQuery: lower_join, TopKQuery: lower_top_k}
+EXPLAINS = {GroupByQuery: explain_group_by, JoinQuery: explain_join, TopKQuery: explain_top_k}
 
 __all__ = [
     "SUPPORTED_FUNCTIONS",
     "STRATEGIES",
+    "LOWERINGS",
+    "EXPLAINS",
     "AggregateSpec",
     "GroupByQuery",
     "JoinQuery",
@@ -48,33 +58,15 @@ __all__ = [
     "choose_strategy",
     "co_partitioned",
     "execute",
-    "execute_group_by",
-    "execute_join",
-    "execute_top_k",
     "explain_operator",
-    "explain_group_by",
-    "explain_join",
-    "explain_top_k",
 ]
 
 
 def execute(system: "BaseSystem", query: OperatorQuery, path: str) -> "QueryResult":
-    """Run any relational-operator query on ``system`` against the dataset at ``path``."""
-    if isinstance(query, GroupByQuery):
-        return execute_group_by(system, query, path)
-    if isinstance(query, JoinQuery):
-        return execute_join(system, query, path)
-    if isinstance(query, TopKQuery):
-        return execute_top_k(system, query, path)
-    raise TypeError(f"not an operator query: {query!r}")
+    """Run any compiled query on ``system`` against the dataset at ``path``, in one call."""
+    return system.run_query(query, path)
 
 
 def explain_operator(system: "BaseSystem", query: OperatorQuery, path: str) -> str:
-    """``EXPLAIN`` rendering of any relational-operator query without executing it."""
-    if isinstance(query, GroupByQuery):
-        return explain_group_by(system, query, path)
-    if isinstance(query, JoinQuery):
-        return explain_join(system, query, path)
-    if isinstance(query, TopKQuery):
-        return explain_top_k(system, query, path)
-    raise TypeError(f"not an operator query: {query!r}")
+    """``EXPLAIN`` rendering of any compiled query without executing it."""
+    return system.explain(query, path)

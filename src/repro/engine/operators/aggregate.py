@@ -1,10 +1,10 @@
 """Grouped aggregation pushed into map/reduce with map-side combiners.
 
-The operator compiles a :class:`GroupByQuery` onto the owning system's *existing* scan
+The operator lowers a :class:`GroupByQuery` onto the owning system's *existing* scan
 machinery: the system builds its normal selection/projection job (index-aware splits, PAX
-projection, zone maps — whatever the deployment configures), and this module wraps the map
-function to emit ``(group key, partial aggregate)`` pairs, installs a merging combiner and a
-finalizing reducer, and routes the job through the shared MapReduce runner.  The map-side
+projection, zone maps — whatever the deployment configures) and runs it like any other; this
+module only decorates that job — it wraps the map function to emit ``(group key, partial
+aggregate)`` pairs and installs a merging combiner and a finalizing reducer.  The map-side
 combiner (``mapreduce.shuffle.combine_map_output``) is what makes aggregation cheap on the
 substrate: one partial pair per (map task, group) crosses the shuffle instead of one pair per
 input record, observable via the ``COMBINE_*``/``SHUFFLE_BYTES_SAVED`` counters.
@@ -19,10 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
-    from repro.systems.base import BaseSystem, QueryResult
+    from repro.systems.base import BaseSystem, Lowering
     from repro.workloads.query import Query
 
 #: Aggregate functions the operator supports (the classic SQL five).
@@ -212,50 +213,52 @@ def make_reducer(aggregates: tuple[AggregateSpec, ...]):
     return reducer
 
 
-# --------------------------------------------------------------------------- execution
-def execute_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "QueryResult":
-    """Run a grouped aggregation on ``system``: scan → map-side combine → shuffle → reduce.
+# --------------------------------------------------------------------------- lowering
+def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Lowering":
+    """A grouped aggregation as one decorated scan: map-side combine → shuffle → reduce.
 
-    The scan half reuses the system's own jobconf (mapper, input format, annotations), so an
+    The scan half is the system's own jobconf (mapper, input format, annotations), so an
     indexed HAIL deployment aggregates over index-narrowed candidate rows exactly like a
-    plain query would; only the emitted pairs change shape.
+    plain query would; the decoration only changes the shape of the emitted pairs and adds
+    the combiner and reducer.  The finish step puts the groups in canonical order.
     """
-    from repro.systems.base import QueryResult
+    from repro.systems.base import Lowering
 
-    schema = system.schema_of(path)
     base = query.base_query()
-    jobconf = system._make_jobconf(base, path, schema)
+    regroup = _make_regroup(query, base.projection)
 
-    regroup = _make_regroup(query, base.projection or tuple(schema.field_names))
-    scan_mapper = jobconf.mapper
-    scan_map_batch = jobconf.map_batch
+    def decorate(jobconf) -> None:
+        """Turn the system's scan job into the aggregation job, in place."""
+        scan_mapper = jobconf.mapper
+        scan_map_batch = jobconf.map_batch
 
-    def mapper(key, record):
-        """The scan's map function, its rows regrouped into ``(group key, partial)`` pairs."""
-        pairs = scan_mapper(key, record)
-        if not pairs:
-            return None
-        return regroup([row for _, row in pairs])
+        def mapper(key, record):
+            """The scan's map function, its rows regrouped into ``(group key, partial)`` pairs."""
+            pairs = scan_mapper(key, record)
+            if not pairs:
+                return None
+            return regroup([row for _, row in pairs])
 
-    jobconf.mapper = mapper
-    if scan_map_batch is not None:
+        jobconf.mapper = mapper
+        if scan_map_batch is not None:
 
-        def map_batch(batch) -> list:
-            """The scan's ``map_batch``, regrouped the same way: one pair per row, in order."""
-            return regroup([row for _, row in scan_map_batch(batch)])
+            def map_batch(batch) -> list:
+                """The scan's ``map_batch``, regrouped the same way: one pair per row, in order."""
+                return regroup([row for _, row in scan_map_batch(batch)])
 
-        jobconf.map_batch = map_batch
-    jobconf.reducer = make_reducer(query.aggregates)
-    if query.combiner:
-        jobconf.combiner = make_combiner(query.aggregates)
-    jobconf.num_reduce_tasks = max(1, len(system.cluster.alive_nodes))
-    job = system.run_job(jobconf)
-    # Canonical output order: group keys sorted by repr, independent of the shuffle's hash
-    # partitioning, so combined/uncombined and cross-system runs compare bit-identically.
-    records = sorted(job.records, key=repr)
-    return QueryResult(
-        system=system.name, query_name=query.name, records=records, job=job, plan=None
-    )
+            jobconf.map_batch = map_batch
+        jobconf.reducer = make_reducer(query.aggregates)
+        if query.combiner:
+            jobconf.combiner = make_combiner(query.aggregates)
+        jobconf.num_reduce_tasks = max(1, len(system.cluster.alive_nodes))
+
+    def finish(jobs, _scans_s) -> tuple:
+        """Canonical output order: group keys sorted by ``repr``, independent of the shuffle's
+        hash partitioning, so combined/uncombined and cross-system runs compare bit-identically."""
+        (job,) = jobs
+        return sorted(job.records, key=repr), job
+
+    return Lowering([(base, path, decorate)], finish)
 
 
 def explain_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> str:
@@ -268,9 +271,4 @@ def explain_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> st
         f"  map-side combiner: {'on' if query.combiner else 'off'}",
         f"  reduce tasks: {max(1, len(system.cluster.alive_nodes))}",
     ]
-    plan = system.plan_query(base, path).explain()
-    return "\n".join(header) + "\n" + _indent(plan)
-
-
-def _indent(text: str, prefix: str = "  ") -> str:
-    return "\n".join(prefix + line for line in text.splitlines())
+    return "\n".join(header + [indent(system.plan_query(base, path).explain(), "  ")])

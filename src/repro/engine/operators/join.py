@@ -15,6 +15,7 @@ output rows ``(key, *left non-key columns, *right non-key columns)`` in canonica
 from __future__ import annotations
 
 from dataclasses import dataclass
+from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
 from repro.mapreduce.counters import Counters
@@ -22,7 +23,7 @@ from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.shuffle import run_reduce_phase
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
-    from repro.systems.base import BaseSystem, QueryResult
+    from repro.systems.base import BaseSystem, Lowering
     from repro.workloads.query import Query
 
 #: The two join strategies (``JoinQuery.strategy=None`` lets the planner choose).
@@ -131,14 +132,16 @@ def choose_strategy(system: "BaseSystem", query: JoinQuery) -> str:
     return "merge" if eligible else "hash"
 
 
-# --------------------------------------------------------------------------- execution
-def execute_join(system: "BaseSystem", query: JoinQuery, path: str) -> "QueryResult":
-    """Run the equi-join: scan both sides through the system, then merge or shuffle-join.
+# --------------------------------------------------------------------------- lowering
+def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
+    """An equi-join as two scans — one per side — finished by a merge or a shuffle-hash step.
 
-    ``path`` must match ``query.left_path`` (the session resolves operator queries against
-    one path; the right side is carried by the query itself).
+    The strategy is chosen here, from ``Dir_rep`` as it stands before either scan runs.
+    ``path`` must match ``query.left_path`` (a query resolves against one path; the right
+    side is carried by the query itself).  The finish step's :class:`JobResult` adds the two
+    scan jobs up and books the join step's seconds as the reduce phase.
     """
-    from repro.systems.base import QueryResult
+    from repro.systems.base import Lowering
 
     if path != query.left_path:
         raise ValueError(
@@ -146,46 +149,57 @@ def execute_join(system: "BaseSystem", query: JoinQuery, path: str) -> "QueryRes
             f"got {path!r}"
         )
     strategy = choose_strategy(system, query)
-    left_scan = system.run_query(
-        query.side_query("left", system.schema_of(query.left_path)), query.left_path
-    )
-    right_scan = system.run_query(
-        query.side_query("right", system.schema_of(query.right_path)), query.right_path
-    )
 
-    counters = Counters()
-    counters.merge(left_scan.job.counters)
-    counters.merge(right_scan.job.counters)
+    def finish(jobs, scans_s: float) -> tuple:
+        """Join the two sides' rows and add their jobs up into the join's own ``JobResult``."""
+        left_rows, right_rows = (job.records for job in jobs)
+        counters = Counters()
+        for job in jobs:
+            counters.merge(job.counters)
+        if strategy == "merge":
+            records, join_s = _merge_join(system, left_rows, right_rows)
+            counters.increment(Counters.JOIN_MERGE_JOINS)
+        else:
+            records, join_s = _hash_join(system, query, left_rows, right_rows, counters)
+            counters.increment(Counters.JOIN_HASH_JOINS)
+        counters.increment(Counters.JOIN_OUTPUT_RECORDS, len(records))
+        records = sorted(records, key=repr)
 
-    if strategy == "merge":
-        records, join_s = _merge_join(system, left_scan.records, right_scan.records, counters)
-        counters.increment(Counters.JOIN_MERGE_JOINS)
-    else:
-        records, join_s = _hash_join(system, query, left_scan.records, right_scan.records, counters)
-        counters.increment(Counters.JOIN_HASH_JOINS)
-    counters.increment(Counters.JOIN_OUTPUT_RECORDS, len(records))
-    records = sorted(records, key=repr)
+        def total(field: str):
+            """One ``JobResult`` field summed over both scan jobs."""
+            return sum(getattr(job, field) for job in jobs)
 
-    left_job, right_job = left_scan.job, right_scan.job
-    job = JobResult(
-        job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
-        output=[(None, row) for row in records],
-        runtime_s=left_job.runtime_s + right_job.runtime_s + join_s,
-        ideal_time_s=left_job.ideal_time_s + right_job.ideal_time_s,
-        num_map_tasks=left_job.num_map_tasks + right_job.num_map_tasks,
-        num_waves=left_job.num_waves + right_job.num_waves,
-        avg_record_reader_s=(left_job.avg_record_reader_s + right_job.avg_record_reader_s) / 2,
-        max_record_reader_s=max(left_job.max_record_reader_s, right_job.max_record_reader_s),
-        total_record_reader_s=left_job.total_record_reader_s + right_job.total_record_reader_s,
-        map_phase_s=left_job.map_phase_s + right_job.map_phase_s,
-        reduce_phase_s=join_s,
-        split_phase_s=left_job.split_phase_s + right_job.split_phase_s,
-        counters=counters,
-        task_results=list(left_job.task_results) + list(right_job.task_results),
-    )
-    return QueryResult(
-        system=system.name, query_name=query.name, records=records, job=job, plan=None
-    )
+        num_map_tasks, reader_s = total("num_map_tasks"), total("total_record_reader_s")
+        deadlines = [job.deadline_met for job in jobs if job.deadline_met is not None]
+        return records, JobResult(
+            job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
+            output=[(None, row) for row in records],
+            runtime_s=scans_s + join_s,
+            ideal_time_s=total("ideal_time_s"),
+            num_map_tasks=num_map_tasks,
+            num_waves=total("num_waves"),
+            avg_record_reader_s=reader_s / num_map_tasks if num_map_tasks else 0.0,
+            max_record_reader_s=max(job.max_record_reader_s for job in jobs),
+            total_record_reader_s=reader_s,
+            map_phase_s=total("map_phase_s"),
+            reduce_phase_s=join_s,
+            split_phase_s=total("split_phase_s"),
+            counters=counters,
+            task_results=[attempt for job in jobs for attempt in job.task_results],
+            failure_node=jobs[0].failure_node,
+            rescheduled_tasks=total("rescheduled_tasks"),
+            deadline_met=all(deadlines) if deadlines else None,
+        )
+
+    return Lowering(_side_scans(system, query), finish)
+
+
+def _side_scans(system: "BaseSystem", query: JoinQuery) -> list[tuple]:
+    """The join's two scans, left then right, as ``(side query, path)`` pairs."""
+    return [
+        (query.side_query(side, system.schema_of(side_path)), side_path)
+        for side, side_path in (("left", query.left_path), ("right", query.right_path))
+    ]
 
 
 def _join_rows(left_rows: list[tuple], right_rows: list[tuple]) -> list[tuple]:
@@ -201,7 +215,7 @@ def _join_rows(left_rows: list[tuple], right_rows: list[tuple]) -> list[tuple]:
 
 
 def _merge_join(
-    system: "BaseSystem", left_rows: list[tuple], right_rows: list[tuple], counters: Counters
+    system: "BaseSystem", left_rows: list[tuple], right_rows: list[tuple]
 ) -> tuple[list[tuple], float]:
     """Map-side merge join: no shuffle, CPU-only merge of the two sorted streams."""
     rows = _join_rows(left_rows, right_rows)
@@ -263,20 +277,7 @@ def explain_join(system: "BaseSystem", query: JoinQuery, path: str) -> str:
             f"{query.key!r} (tagged pairs shuffle to {max(1, len(system.cluster.alive_nodes))} "
             "reducers)"
         )
-    header = [
-        f"Join {query.name!r}: {query.description}",
-        f"  strategy: {strategy} ({reason})",
-    ]
-    left = system.plan_query(
-        query.side_query("left", system.schema_of(query.left_path)), query.left_path
-    ).explain()
-    right = system.plan_query(
-        query.side_query("right", system.schema_of(query.right_path)), query.right_path
-    ).explain()
-    return "\n".join(
-        header
-        + ["  left side:"]
-        + ["    " + line for line in left.splitlines()]
-        + ["  right side:"]
-        + ["    " + line for line in right.splitlines()]
-    )
+    lines = [f"Join {query.name!r}: {query.description}", f"  strategy: {strategy} ({reason})"]
+    for side, (scan, side_path) in zip(("left", "right"), _side_scans(system, query)):
+        lines += [f"  {side} side:", indent(system.plan_query(scan, side_path).explain(), "    ")]
+    return "\n".join(lines)

@@ -19,6 +19,7 @@ result is bit-identical, only the blocks-read fraction differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.hail.annotation import HailQuery
@@ -27,7 +28,7 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobResult
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
-    from repro.systems.base import BaseSystem, QueryResult
+    from repro.systems.base import BaseSystem, Lowering
     from repro.workloads.query import Query
 
 
@@ -164,16 +165,49 @@ def _threshold_annotation(query: TopKQuery, kth_value: Any) -> HailQuery:
     return HailQuery(filter=Predicate(clauses), projection=None)
 
 
-# --------------------------------------------------------------------------- execution
-def execute_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "QueryResult":
-    """Run the top-k: best-first block visits with zone-range early termination.
+# --------------------------------------------------------------------------- lowering
+def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "Lowering":
+    """A ranked top-k as one unranked scan (text payloads) or as no scan at all (columnar).
 
-    Block payloads are executed through the system's own planner/executor pair, so sorted
-    replicas, PAX projection and zone maps all apply per block; text payloads (stock Hadoop)
-    raise inside the executor and divert to :func:`_execute_top_k_fullscan`.
+    The first block's payload decides — an upload never mixes layouts.  Text blocks (stock
+    Hadoop) have no block-wise path: every block is scanned as one ordinary job and the
+    finish step ranks and projects its rows, which is exactly the baseline the benchmark
+    compares early termination against (``TOPK_BLOCKS_READ`` counts them all).  Columnar
+    blocks go to :func:`_ranked_probe`, the whole finish step of a scan-less lowering.
+    """
+    from repro.hail.hail_block import HailBlock  # local: hail_block imports our kernels
+    from repro.systems.base import Lowering
+
+    block_ids = system.hdfs.namenode.file_blocks(path)
+    if not block_ids or isinstance(system.hdfs.any_replica(block_ids[0]).payload, HailBlock):
+        return Lowering([], lambda _jobs, _scans_s: _ranked_probe(system, query, path))
+
+    def finish(jobs, _scans_s) -> tuple:
+        """Rank the full scan's rows client-side and project the best ``k``."""
+        (job,) = jobs
+        schema = system.schema_of(path)
+        top = job.records
+        _trim_top(top, schema.index_of(query.order_by), query.k, query.descending)
+        records = _project(top, schema, query.projection)
+        job.counters.increment(Counters.TOPK_BLOCKS_READ, len(block_ids))
+        job.output = [(None, row) for row in records]
+        return records, job
+
+    return Lowering([(query.scan_query(), path)], finish)
+
+
+def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
+    """Best-first block visits with zone-range early termination — a driver, not a job.
+
+    This is the one operator step that runs blocks itself instead of handing scans to the
+    MapReduce runner: each probe's result tightens the running ``k``-th threshold, which
+    decides whether the *next* block is read at all and which clause is pushed into it, so
+    the visits cannot be declared up front as the splits of a job.  Every block is executed
+    through the system's own planner/executor pair (sorted replicas, PAX projection and zone
+    maps all apply per block).  The reported job is what a sequential driver costs: the job
+    startup plus the sum of the per-block probe seconds — one wave, no reduce phase.
     """
     from repro.engine.executor import VectorizedExecutor
-    from repro.systems.base import QueryResult
 
     schema = system.schema_of(path)
     order_index = schema.index_of(query.order_by)
@@ -184,7 +218,7 @@ def execute_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "QueryRe
     base_annotation = HailQuery(filter=query.predicate, projection=None)
     counters = Counters()
     top: list[tuple] = []
-    seconds = 0.0
+    seconds = slowest = 0.0
     blocks_read = 0
     blocks_skipped = 0
 
@@ -203,12 +237,9 @@ def execute_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "QueryRe
         executor = VectorizedExecutor(
             system.hdfs, system.cost, node_id=plan.datanode_id, zone_maps=planner.zone_maps
         )
-        try:
-            result = executor.execute(plan, annotation)
-        except TypeError:
-            # Text payload (stock Hadoop): no block-wise path; rank over a full scan.
-            return _execute_top_k_fullscan(system, query, path)
+        result = executor.execute(plan, annotation)
         seconds += result.seconds
+        slowest = max(slowest, result.seconds)
         counters.increment(Counters.BYTES_READ, result.bytes_read)
         if result.zone_map_skipped:
             blocks_skipped += 1
@@ -220,37 +251,20 @@ def execute_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "QueryRe
     counters.increment(Counters.TOPK_BLOCKS_READ, blocks_read)
     counters.increment(Counters.TOPK_BLOCKS_SKIPPED, blocks_skipped)
     records = _project(top, schema, query.projection)
-    job = _synthesize_job(system, query, records, seconds, blocks_read, counters)
-    return QueryResult(
-        system=system.name, query_name=query.name, records=records, job=job, plan=None
-    )
-
-
-def _execute_top_k_fullscan(
-    system: "BaseSystem", query: TopKQuery, path: str
-) -> "QueryResult":
-    """Fallback for systems without block-wise columnar payloads: scan all, rank client-side.
-
-    Bit-identical result; every block is read (``TOPK_BLOCKS_READ`` counts them all), which
-    is exactly the baseline the benchmark compares HAIL's early termination against.
-    """
-    from repro.systems.base import QueryResult
-
-    schema = system.schema_of(path)
-    order_index = schema.index_of(query.order_by)
-    scan = system.run_query(query.scan_query(), path)
-    top = list(scan.records)
-    _trim_top(top, order_index, query.k, query.descending)
-    records = _project(top, schema, query.projection)
-
-    counters = scan.job.counters
-    counters.increment(
-        Counters.TOPK_BLOCKS_READ, len(system.hdfs.namenode.file_blocks(path))
-    )
-    job = scan.job
-    job.output = [(None, row) for row in records]
-    return QueryResult(
-        system=system.name, query_name=query.name, records=records, job=job, plan=None
+    return records, JobResult(
+        job_name=f"{system.name.lower()}-{query.name}[topk]",
+        output=[(None, row) for row in records],
+        runtime_s=system.cost.job_startup() + seconds,
+        ideal_time_s=seconds,
+        num_map_tasks=blocks_read,
+        num_waves=1,
+        avg_record_reader_s=seconds / blocks_read if blocks_read else 0.0,
+        max_record_reader_s=slowest,
+        total_record_reader_s=seconds,
+        map_phase_s=seconds,
+        reduce_phase_s=0.0,
+        split_phase_s=0.0,
+        counters=counters,
     )
 
 
@@ -262,38 +276,6 @@ def _project(
         return list(rows)
     positions = [schema.index_of(name) for name in projection]
     return [tuple(row[position] for position in positions) for row in rows]
-
-
-def _synthesize_job(
-    system: "BaseSystem",
-    query: TopKQuery,
-    records: list[tuple],
-    scan_seconds: float,
-    blocks_read: int,
-    counters: Counters,
-) -> JobResult:
-    """Assemble the :class:`JobResult` of a block-wise top-k run.
-
-    The driver visits blocks sequentially (each probe's result decides whether the next block
-    is skippable), so the runtime is the job startup plus the sum of per-block scan seconds —
-    one wave, no reduce phase.
-    """
-    runtime = system.cost.job_startup() + scan_seconds
-    return JobResult(
-        job_name=f"{system.name.lower()}-{query.name}[topk]",
-        output=[(None, row) for row in records],
-        runtime_s=runtime,
-        ideal_time_s=scan_seconds,
-        num_map_tasks=blocks_read,
-        num_waves=1,
-        avg_record_reader_s=scan_seconds / blocks_read if blocks_read else 0.0,
-        max_record_reader_s=0.0,
-        total_record_reader_s=scan_seconds,
-        map_phase_s=scan_seconds,
-        reduce_phase_s=0.0,
-        split_phase_s=0.0,
-        counters=counters,
-    )
 
 
 def explain_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> str:
@@ -311,6 +293,4 @@ def explain_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> str:
         f"{'>=' if query.descending else '<='} <running k-th value>",
     ]
     plan = system.plan_query(query.scan_query(), path).explain()
-    return "\n".join(header) + "\n" + "\n".join(
-        "  " + line for line in plan.splitlines()
-    )
+    return "\n".join(header + [indent(plan, "  ")])

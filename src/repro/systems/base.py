@@ -5,8 +5,9 @@ A system owns a simulated HDFS deployment plus a MapReduce runner and offers:
 - :meth:`BaseSystem.upload` — upload a dataset, with every (alive) node acting as a client for
   its share of the data, exactly like the paper's upload experiments where each node uploads
   20 GB/13 GB of locally generated data; and
-- :meth:`BaseSystem.run_query` — run one selection/projection query as a MapReduce job and
-  return both the functional result records and the simulated timing decomposition.
+- :meth:`BaseSystem.run_query` — run one compiled query (a selection/projection scan or a
+  relational operator) as MapReduce jobs and return both the functional result records and
+  the simulated timing decomposition.
 
 Subclasses only provide their upload pipeline, their input format/mapper wiring, and (for
 Hadoop++) the post-upload index-creation jobs.
@@ -27,7 +28,7 @@ from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.runner import MapReduceRunner
+from repro.mapreduce.runner import ConcurrentBatchError, MapReduceRunner
 
 
 @dataclass
@@ -94,6 +95,23 @@ class QueryResult:
         if self.plan is None:
             return f"QueryPlan for {self.query_name!r}: not captured"
         return self.plan.explain()
+
+
+@dataclass
+class Lowering:
+    """A compiled query as ordinary MapReduce work: the scans it needs plus a finish step.
+
+    ``scans`` are ``(Query, path)`` pairs, each run as the system's own scan job for that
+    query; a third element ``decorate(jobconf)`` adjusts the job in place right after it is
+    built (group-by installs its regrouping mapper, combiner and reducer there).
+    ``finish(jobs, scans_s)`` turns the scans' :class:`JobResult` s, aligned with ``scans``,
+    into the answer — ``(records, job)`` plus, for a plain scan, the executed plan;
+    ``scans_s`` is what the scans took end to end: back-to-back the sum of their runtimes,
+    on an interleaved batch the latest finish.
+    """
+
+    scans: list[tuple]
+    finish: Callable[[list[JobResult], float], tuple]
 
 
 class BaseSystem(abc.ABC):
@@ -181,19 +199,24 @@ class BaseSystem(abc.ABC):
 
     # ------------------------------------------------------------------ queries
     def run_query(self, query, path: str, failure: Optional[FailureEvent] = None) -> QueryResult:
-        """Run one workload query (``repro.workloads.Query``) as a MapReduce job.
+        """Run one compiled query — a scan ``Query`` or an operator query — as MapReduce jobs.
 
-        The returned :class:`QueryResult` carries the plan the job *executed*, assembled from
-        the per-block plans of the surviving map-task attempts — so under failure injection it
+        The scans of the query's :class:`Lowering` run back-to-back, each ``JobConf`` built
+        immediately before its job (a HAIL jobconf reads the tuner's live knobs and takes the
+        next adaptive salt), and the finish step turns their results into the answer.
+        ``failure`` strikes every scan job at the same progress fraction.  A scan's
+        :class:`QueryResult` carries the plan the job *executed*, assembled from the
+        per-block plans of the surviving map-task attempts — so under failure injection it
         reflects the fallbacks that actually happened, not a re-plan of a healthy cluster.
         """
-        schema = self.schema_of(path)
-        jobconf = self._make_jobconf(query, path, schema)
-        job = self.runner.run(jobconf, failure=failure)
-        plan = self._executed_plan(query, path, job)
-        return QueryResult(
-            system=self.name, query_name=query.name, records=job.records, job=job, plan=plan
-        )
+        lowering = self._lower(query, path)
+        if failure is not None and not lowering.scans:
+            raise ValueError(
+                f"query {query.name!r} runs no MapReduce job on {self.name} (it probes its "
+                "blocks one at a time), so there is no job for failure injection to fail"
+            )
+        jobs = [self.run_job(self._scan_jobconf(*scan), failure) for scan in lowering.scans]
+        return self._finish(query, lowering, jobs, sum(job.runtime_s for job in jobs))
 
     def run_queries(
         self,
@@ -207,17 +230,20 @@ class BaseSystem(abc.ABC):
 
         This is the one place that chooses between the two batch shapes.  When
         :meth:`concurrency_policy` returns a policy (HAIL with ``max_concurrent_jobs > 1``)
-        and the batch holds at least two jobs, their map phases interleave over the shared
-        TaskTracker slots via :meth:`MapReduceRunner.run_concurrent`: ``tenants`` labels
-        each job for admission control/quotas/fair queueing, ``deadlines`` attaches soft
+        and the batch holds at least two items, every item contributes the scans of its
+        :class:`Lowering` to one :meth:`MapReduceRunner.run_concurrent` call, where their map
+        phases interleave over the shared TaskTracker slots: ``tenants`` labels each item's
+        jobs for admission control/quotas/fair queueing, ``deadlines`` attaches soft
         deadlines and ``chaos`` (:class:`~repro.cluster.failure.ConcurrentChaos`) injects
-        faults.  Otherwise the jobs run back-to-back through :meth:`run_query`, where
+        faults.  An item finishes when its last scan does, and one without scans at
+        admission.  Otherwise the items run back-to-back through :meth:`run_query`, where
         tenants and deadlines have nothing to arbitrate and are ignored; only ``chaos`` is
         rejected rather than silently dropped.
 
-        ``on_result(position, result)`` is called the moment each job completes (in
+        ``on_result(position, result)`` is called the moment each item completes (in
         completion order on interleaved batches), so a caller keeps every finished result
-        even when a later job raises.  Results align with ``items``.
+        even when a later one raises; an interleaved batch's ``ConcurrentBatchError`` names
+        the failed *item's* position.  Results align with ``items``.
         """
         items = list(items)
         results: list[Optional[QueryResult]] = [None] * len(items)
@@ -238,27 +264,37 @@ class BaseSystem(abc.ABC):
                 _deliver(position, self.run_query(query, path))
             return results
 
-        def _wrap(position: int, job: JobResult) -> None:
-            query, path = items[position]
-            _deliver(
-                position,
-                QueryResult(
-                    system=self.name,
-                    query_name=query.name,
-                    records=job.records,
-                    job=job,
-                    plan=self._executed_plan(query, path, job),
-                ),
-            )
+        lowered = [(query, self._lower(query, path)) for query, path in items]
+        scan_jobs: list[list] = [[None] * len(lowering.scans) for _, lowering in lowered]
+        # One (item position, scan number) per job of the batch, in submission order.
+        slots = [(p, k) for p, jobs in enumerate(scan_jobs) for k in range(len(jobs))]
 
-        self.runner.run_concurrent(
-            [self._make_jobconf(query, path, self.schema_of(path)) for query, path in items],
-            tenants=list(tenants) if tenants is not None else None,
-            policy=policy,
-            chaos=chaos,
-            deadlines=list(deadlines) if deadlines is not None else None,
-            on_result=_wrap,
-        )
+        def _scan_done(index: int, job: JobResult) -> None:
+            position, k = slots[index]
+            mine = scan_jobs[position]
+            mine[k] = job
+            if None not in mine:
+                # Runtimes are latencies on the shared timeline: the item took its latest scan.
+                latest = max(job.runtime_s for job in mine)
+                _deliver(position, self._finish(*lowered[position], mine, latest))
+
+        for position, (query, lowering) in enumerate(lowered):
+            if not lowering.scans:  # nothing to schedule: the item is done at admission
+                try:
+                    _deliver(position, self._finish(query, lowering, [], 0.0))
+                except Exception as exc:
+                    raise ConcurrentBatchError(position, exc) from exc
+        try:
+            self.runner.run_concurrent(
+                [self._scan_jobconf(*lowered[p][1].scans[k]) for p, k in slots],
+                tenants=[tenants[p] for p, _ in slots] if tenants is not None else None,
+                policy=policy,
+                chaos=chaos,
+                deadlines=[deadlines[p] for p, _ in slots] if deadlines is not None else None,
+                on_result=_scan_done,
+            )
+        except ConcurrentBatchError as error:
+            raise ConcurrentBatchError(slots[error.failed_index][0], error.cause) from error.cause
         return results
 
     def concurrency_policy(self):
@@ -274,8 +310,36 @@ class BaseSystem(abc.ABC):
         return self._planner().plan_query(path, self._annotation_for(query))
 
     def explain(self, query, path: str) -> str:
-        """``EXPLAIN``-style rendering of :meth:`plan_query`."""
+        """``EXPLAIN``-style rendering of any compiled query, executing nothing: a scan
+        renders :meth:`plan_query`, an operator renders itself above its scans' plans."""
+        from repro.engine.operators import EXPLAINS  # local: the operators import us back
+
+        if type(query) in EXPLAINS:
+            return EXPLAINS[type(query)](self, query, path)
         return self.plan_query(query, path).explain()
+
+    def _lower(self, query, path: str) -> Lowering:
+        """The scans ``query`` needs plus the finish step over their jobs: an operator kind
+        brings its own; a plain ``Query`` is one undecorated scan whose job is the answer."""
+        from repro.engine.operators import LOWERINGS  # local: the operators import us back
+
+        if type(query) in LOWERINGS:
+            return LOWERINGS[type(query)](self, query, path)
+        return Lowering(
+            [(query, path)],
+            lambda jobs, _: (jobs[0].records, jobs[0], self._executed_plan(query, path, jobs[0])),
+        )
+
+    def _finish(self, query, lowering: Lowering, jobs: list, scans_s: float) -> QueryResult:
+        """Run the finish step of ``query`` over its scans' jobs; wrap the answer as ours."""
+        return QueryResult(self.name, query.name, *lowering.finish(jobs, scans_s))
+
+    def _scan_jobconf(self, query, path: str, decorate=None) -> JobConf:
+        """The job of one lowered scan: this system's jobconf for it, decorated when asked."""
+        jobconf = self._make_jobconf(query, path, self.schema_of(path))
+        if decorate is not None:
+            decorate(jobconf)
+        return jobconf
 
     def _executed_plan(self, query, path: str, job: JobResult) -> QueryPlan:
         """Assemble the executed :class:`QueryPlan` from the job's map-task results."""

@@ -188,12 +188,3 @@ def test_operators_run_through_the_session(session):
     )
     # A self-join returns at least the diagonal (every row matches itself on f1).
     assert len(joined.records) >= 200
-
-
-def test_operator_failure_injection_rejected(session):
-    """Failure events only compose with plain scans; operator queries refuse them."""
-    from repro.cluster import FailureEvent
-
-    dataset = session.dataset(_PATH).group_by("f3").agg("count(*)").named("g-fail")
-    with pytest.raises(ValueError, match="failure"):
-        session.run(dataset, failure=FailureEvent(node_id=1, at_progress=0.5))
