@@ -228,25 +228,9 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Low
     regroup = _make_regroup(query, base.projection)
 
     def decorate(jobconf) -> None:
-        """Turn the system's scan job into the aggregation job, in place."""
-        scan_mapper = jobconf.mapper
-        scan_map_batch = jobconf.map_batch
-
-        def mapper(key, record):
-            """The scan's map function, its rows regrouped into ``(group key, partial)`` pairs."""
-            pairs = scan_mapper(key, record)
-            if not pairs:
-                return None
-            return regroup([row for _, row in pairs])
-
-        jobconf.mapper = mapper
-        if scan_map_batch is not None:
-
-            def map_batch(batch) -> list:
-                """The scan's ``map_batch``, regrouped the same way: one pair per row, in order."""
-                return regroup([row for _, row in scan_map_batch(batch)])
-
-            jobconf.map_batch = map_batch
+        """Turn the system's scan job into the aggregation job, in place: the scan's rows
+        regrouped into ``(group key, partial)`` pairs, one per row, in order."""
+        jobconf.pipe_map_output(lambda pairs: regroup([row for _, row in pairs]))
         jobconf.reducer = make_reducer(query.aggregates)
         if query.combiner:
             jobconf.combiner = make_combiner(query.aggregates)

@@ -5,22 +5,28 @@ HAIL's per-replica clustered indexes give the planner a free co-partitioning sig
 key, the two scans' outputs can be merged map-side without a shuffle — the paper's layout
 makes the classic sort-merge join's expensive phase a property of the storage.  When the
 signal is absent (stock Hadoop, a missing index, a dead replica), the operator falls back to
-the textbook shuffle hash join, routing tagged ``(key, (side, row))`` pairs through the real
-shuffle machinery (:func:`repro.mapreduce.shuffle.run_reduce_phase`) so the fallback pays the
-network cost the merge join avoids.  The chosen strategy is visible in ``explain()`` and in
-the ``JOIN_MERGE_JOINS``/``JOIN_HASH_JOINS`` counters; both strategies produce bit-identical
-output rows ``(key, *left non-key columns, *right non-key columns)`` in canonical order.
+the textbook shuffle hash join.  Either way the two side scans emit ``(join key, row)`` pairs
+and the finish step works on key groups, never on single rows: the hash strategy hands both
+scans' outputs to the real shuffle (:func:`repro.mapreduce.shuffle.run_reduce_phase`), which
+cogroups them and pays the network cost the merge join avoids; the merge strategy runs the same
+:func:`~repro.mapreduce.shuffle.cogroup` without the shuffle.  The chosen strategy is visible
+in ``explain()`` and in the ``JOIN_MERGE_JOINS``/``JOIN_HASH_JOINS`` counters; both strategies
+feed one emission (:class:`_JoinedGroups`) and so produce bit-identical output rows ``(key,
+*left non-key columns, *right non-key columns)`` in canonical order — an order the emission
+builds from sorted inputs instead of sorting the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
+from operator import itemgetter, methodcaller
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.shuffle import run_reduce_phase
+from repro.mapreduce.shuffle import cogroup, run_reduce_phase
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
     from repro.systems.base import BaseSystem, Lowering
@@ -29,13 +35,17 @@ if TYPE_CHECKING:  # only for annotations: systems and workloads import the engi
 #: The two join strategies (``JoinQuery.strategy=None`` lets the planner choose).
 STRATEGIES = ("merge", "hash")
 
+_FIRST, _SECOND, _REST = itemgetter(0), itemgetter(1), itemgetter(slice(1, None))
+
 
 @dataclass(frozen=True)
 class JoinQuery:
     """A compiled equi-join between two uploaded datasets.
 
     Output rows are ``(key value, *left non-key columns, *right non-key columns)`` with each
-    side's columns in its declared projection order, canonically sorted.  ``strategy`` forces
+    side's columns in its declared projection order, canonically sorted.  The key value is the
+    *left* row's: where equal keys print differently (``0.0 == -0.0``) every joined row
+    carries its left row's spelling, whatever the strategy or system.  ``strategy`` forces
     a physical strategy (``"hash"`` is always legal; forcing ``"merge"`` on sides that are
     not co-partitioned raises), ``None`` lets the planner decide from ``Dir_rep``.
 
@@ -151,19 +161,20 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
     strategy = choose_strategy(system, query)
 
     def finish(jobs, scans_s: float) -> tuple:
-        """Join the two sides' rows and add their jobs up into the join's own ``JobResult``."""
-        left_rows, right_rows = (job.records for job in jobs)
+        """Join the two sides' keyed pairs; add their jobs up into the join's own ``JobResult``."""
+        left, right = (job.output for job in jobs)
         counters = Counters()
         for job in jobs:
             counters.merge(job.counters)
+        joined = _JoinedGroups()
         if strategy == "merge":
-            records, join_s = _merge_join(system, left_rows, right_rows)
+            join_s = _merge_join(system, left, right, joined)
             counters.increment(Counters.JOIN_MERGE_JOINS)
         else:
-            records, join_s = _hash_join(system, query, left_rows, right_rows, counters)
+            join_s = _hash_join(system, query, left, right, counters, joined)
             counters.increment(Counters.JOIN_HASH_JOINS)
+        records = joined.rows()
         counters.increment(Counters.JOIN_OUTPUT_RECORDS, len(records))
-        records = sorted(records, key=repr)
 
         def total(field: str):
             """One ``JobResult`` field summed over both scan jobs."""
@@ -173,7 +184,8 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
         deadlines = [job.deadline_met for job in jobs if job.deadline_met is not None]
         return records, JobResult(
             job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
-            output=[(None, row) for row in records],
+            # Built after the rows, so that no pair keeps a fresh row tracked by the collector.
+            output=list(zip(repeat(None), records)),
             runtime_s=scans_s + join_s,
             ideal_time_s=total("ideal_time_s"),
             num_map_tasks=num_map_tasks,
@@ -195,67 +207,119 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
 
 
 def _side_scans(system: "BaseSystem", query: JoinQuery) -> list[tuple]:
-    """The join's two scans, left then right, as ``(side query, path)`` pairs."""
+    """The join's two scans, left then right, as ``(side query, path, decorate)`` triples.
+
+    The decoration re-keys a scan's ``(None, row)`` pairs by the join key, which leads the side
+    query's projection — still one pair per row, whichever form of the map function runs.
+    """
     return [
-        (query.side_query(side, system.schema_of(side_path)), side_path)
-        for side, side_path in (("left", query.left_path), ("right", query.right_path))
+        (
+            query.side_query(side, system.schema_of(side_path)),
+            side_path,
+            methodcaller("pipe_map_output", rekey),
+        )
+        for side, side_path, rekey in (
+            ("left", query.left_path, _left_pairs),
+            ("right", query.right_path, _right_pairs),
+        )
     ]
 
 
-def _join_rows(left_rows: list[tuple], right_rows: list[tuple]) -> list[tuple]:
-    """The joined rows (side scans emit the key first, so ``row[0]`` is the join key)."""
-    by_key: dict = {}
-    for row in left_rows:
-        by_key.setdefault(row[0], []).append(row[1:])
-    joined: list[tuple] = []
-    for row in right_rows:
-        for left_rest in by_key.get(row[0], ()):
-            joined.append((row[0],) + left_rest + row[1:])
-    return joined
+def _left_pairs(pairs: list) -> list:
+    """A left scan's pairs as ``(join key, row)``, by the column."""
+    rows = list(map(_SECOND, pairs))
+    return list(zip(map(_FIRST, rows), rows))
+
+
+def _right_pairs(pairs: list) -> list:
+    """A right scan's pairs as ``(join key, row[1:])``: the left row brings the key along."""
+    rows = list(map(_SECOND, pairs))
+    return list(zip(map(_FIRST, rows), map(_REST, rows)))
+
+
+class _JoinedGroups:
+    """The join's output rows, taken one key group at a time, handed back in canonical order.
+
+    An instance is called like a reducer over the cogrouped sides — ``(key, left rows, right
+    rests)`` — and appends the group's joined rows ``left row + right rest`` as a chunk that is
+    already in order; :meth:`rows` strings the chunks together.  The result is exactly
+    ``sorted(all joined rows, key=repr)``, for one ``repr`` per input row instead of one per
+    output row and no sort of the output, because a joined row prints as its left row's text
+    (less the closing parenthesis) followed by its right rest's:
+
+    - rows order by left text first and right text second, so a group whose left rows and
+      right rests are each sorted by ``repr`` emits its product left-major — except that copies
+      of one left row (equal *text*: ``0.0 == -0.0`` are not copies) tie, and then the right
+      text decides: ``L, L x R1, R2`` is ``LR1, LR1, LR2, LR2``;
+    - left rows printing the same key are contiguous in that order, so a group is one chunk
+      placed by its first left text — unless its equal keys print differently (``0.0`` and
+      ``-0.0`` are one group, other keys sort between them), when every run of copies becomes
+      its own chunk.
+    """
+
+    def __init__(self) -> None:
+        #: ``(text of the chunk's first left row, joined rows)``, in arrival order.
+        self.chunks: list[tuple] = []
+
+    def __call__(self, _key, lefts: list[tuple], rights: list[tuple]) -> list[tuple]:
+        """Append one key group's joined rows; return them (the shuffle counts what it gets)."""
+        if not lefts or not rights:
+            return []
+        if len(rights) > 1:
+            rights = sorted(rights, key=repr)
+        texts = list(map(repr, lefts))
+        ranked = sorted(zip(texts, lefts), key=_FIRST)
+        copies = len(rights) > 1 and len(set(texts)) < len(texts)
+        if not copies and repr(ranked[0][1][0]) == repr(ranked[-1][1][0]):
+            rows = [left + rest for _, left in ranked for rest in rights]
+            self.chunks.append((ranked[0][0], rows))
+            return rows
+        emitted: list[tuple] = []
+        for text, run in groupby(ranked, key=_FIRST):
+            run = list(run)
+            rows = [left + rest for rest in rights for _, left in run]
+            self.chunks.append((text, rows))
+            emitted += rows
+        return emitted
+
+    def rows(self) -> list[tuple]:
+        """Every joined row so far, in canonical order."""
+        self.chunks.sort(key=_FIRST)
+        return list(chain.from_iterable(map(_SECOND, self.chunks)))
 
 
 def _merge_join(
-    system: "BaseSystem", left_rows: list[tuple], right_rows: list[tuple]
-) -> tuple[list[tuple], float]:
-    """Map-side merge join: no shuffle, CPU-only merge of the two sorted streams."""
-    rows = _join_rows(left_rows, right_rows)
+    system: "BaseSystem", left: list[tuple], right: list[tuple], joined: _JoinedGroups
+) -> float:
+    """Map-side merge join: the cogroup without the shuffle, charged as a CPU-only merge."""
+    for lefts, rights in cogroup(left, right).values():
+        joined(None, lefts, rights)
     nodes = system.cluster.alive_nodes
     if not nodes:
-        return rows, 0.0
+        return 0.0
     cost = system.cost
-    merged_bytes = cost.scale_bytes((len(left_rows) + len(right_rows)) * 64.0)
-    seconds = cost.task_overhead() + cost.cpu(nodes[0]).evaluate_predicate(merged_bytes)
-    return rows, seconds
+    merged_bytes = cost.scale_bytes((len(left) + len(right)) * 64.0)
+    return cost.task_overhead() + cost.cpu(nodes[0]).evaluate_predicate(merged_bytes)
 
 
 def _hash_join(
     system: "BaseSystem",
     query: JoinQuery,
-    left_rows: list[tuple],
-    right_rows: list[tuple],
+    left: list[tuple],
+    right: list[tuple],
     counters: Counters,
-) -> tuple[list[tuple], float]:
-    """Shuffle hash join: tagged pairs travel through the real shuffle/reduce machinery."""
-    tagged = [(row[0], ("L", row[1:])) for row in left_rows]
-    tagged += [(row[0], ("R", row[1:])) for row in right_rows]
-
-    def join_reducer(key, values):
-        lefts = [rest for side, rest in values if side == "L"]
-        rights = [rest for side, rest in values if side == "R"]
-        return [
-            (key, (key,) + left_rest + right_rest)
-            for left_rest in lefts
-            for right_rest in rights
-        ]
-
+    joined: _JoinedGroups,
+) -> float:
+    """Shuffle hash join: both sides' pairs go through the real shuffle, which cogroups them
+    and calls ``joined`` as the reducer of every key group."""
     shuffle_conf = JobConf(
         name=f"{query.name}-shuffle",
         input_path=query.left_path,
-        reducer=join_reducer,
+        reducer=joined,
         num_reduce_tasks=max(1, len(system.cluster.alive_nodes)),
     )
-    result = run_reduce_phase(tagged, shuffle_conf, system.cluster, system.cost, counters)
-    return [row for _, row in result.output], result.duration_s
+    phase = run_reduce_phase(left, shuffle_conf, system.cluster, system.cost, counters, right)
+    return phase.duration_s
 
 
 def explain_join(system: "BaseSystem", query: JoinQuery, path: str) -> str:
@@ -274,10 +338,10 @@ def explain_join(system: "BaseSystem", query: JoinQuery, path: str) -> str:
     else:
         reason = (
             f"fallback: at least one block lacks an alive replica indexed on "
-            f"{query.key!r} (tagged pairs shuffle to {max(1, len(system.cluster.alive_nodes))} "
-            "reducers)"
+            f"{query.key!r} (both sides' keyed pairs shuffle to "
+            f"{max(1, len(system.cluster.alive_nodes))} reducers, which cogroup them)"
         )
     lines = [f"Join {query.name!r}: {query.description}", f"  strategy: {strategy} ({reason})"]
-    for side, (scan, side_path) in zip(("left", "right"), _side_scans(system, query)):
+    for side, (scan, side_path, _) in zip(("left", "right"), _side_scans(system, query)):
         lines += [f"  {side} side:", indent(system.plan_query(scan, side_path).explain(), "    ")]
     return "\n".join(lines)

@@ -65,6 +65,23 @@ class JobConf:
         self.properties[key] = value
         return self
 
+    def pipe_map_output(self, transform: Callable[[list], list]) -> None:
+        """Pass every pair list the map function emits through ``transform(pairs) -> pairs``.
+
+        Wraps ``mapper`` and ``map_batch`` in step, which is how an operator reshapes the
+        pairs of a system-built scan (group-by's partials, a join's keyed rows).  ``transform``
+        is given one record's pairs — never none — or one block's, where no pairs give none.
+        """
+        scan_mapper, scan_map_batch = self.mapper, self.map_batch
+
+        def mapper(key, record):
+            pairs = scan_mapper(key, record)
+            return transform(pairs) if pairs else None
+
+        self.mapper = mapper
+        if scan_map_batch is not None:
+            self.map_batch = lambda batch: transform(scan_map_batch(batch))
+
 
 @dataclass
 class JobResult:

@@ -68,39 +68,69 @@ def combine_map_output(
     return combined
 
 
+def cogroup(*inputs: list[tuple]) -> dict:
+    """Group several map outputs by key at once: ``{key: [input 0's values, input 1's, ...]}``.
+
+    Keys stand in first-seen order (input 0's, then those only input 1 has, ...) and a key
+    that several objects equal keeps the first of them, as in any ``dict``; an input without
+    the key contributes an empty sequence.  A pair costs one dict operation, a distinct key
+    one more per input.
+    """
+    groups: dict = {}
+    for position, pairs in enumerate(inputs):
+        mine: dict = defaultdict(list)
+        for key, value in pairs:
+            mine[key].append(value)
+        for key, values in mine.items():
+            slots = groups.get(key)
+            if slots is None:
+                groups[key] = slots = [()] * len(inputs)
+            slots[position] = values
+    return groups
+
+
 def run_reduce_phase(
     map_output: list[tuple],
     jobconf: JobConf,
     cluster: Cluster,
     cost: CostModel,
     counters: Counters,
+    *more_outputs: list[tuple],
 ) -> ReducePhaseResult:
-    """Partition map output by key, sort, group and apply the reducer.
+    """Group the map output by key, partition and sort the keys, apply the reducer per group.
 
-    The simulated duration covers shuffling the intermediate pairs across the network, the
-    merge sort on the reduce side and the reducer CPU, executed by ``num_reduce_tasks`` tasks in
-    parallel (plus one task-scheduling overhead per reduce wave).
+    ``more_outputs`` are further jobs' map outputs shuffled to the same reducers (a reduce-side
+    join): the pairs are cogrouped, and the reducer is called as ``reducer(key, values,
+    *more_values)`` with one value sequence per input — with none it is the plain
+    ``reducer(key, values)``.  A key is hashed, assigned to its partition and ``repr``-ed once,
+    not once per pair.
+
+    The simulated duration covers shuffling the intermediate pairs of every input across the
+    network, the merge sort on the reduce side and the reducer CPU, executed by
+    ``num_reduce_tasks`` tasks in parallel (plus one task-scheduling overhead per reduce wave).
     """
     reducer = jobconf.reducer
-    if reducer is None or not map_output:
+    if reducer is None or not (map_output or any(more_outputs)):
         return ReducePhaseResult(output=list(map_output), duration_s=0.0, num_reduce_tasks=0)
 
     num_reducers = max(1, jobconf.num_reduce_tasks or 1)
-    partitions: dict[int, dict] = {i: defaultdict(list) for i in range(num_reducers)}
-    for key, value in map_output:
-        partitions[hash(key) % num_reducers][key].append(value)
+    groups = cogroup(map_output, *more_outputs)
+    partitions: list[list] = [[] for _ in range(num_reducers)]
+    for key in groups:
+        partitions[hash(key) % num_reducers].append(key)
 
     output: list[tuple] = []
-    for partition in partitions.values():
-        for key in sorted(partition, key=repr):
-            counters.increment(Counters.REDUCE_INPUT_RECORDS, len(partition[key]))
-            pairs = reducer(key, partition[key])
-            if pairs:
-                pairs = list(pairs)
-                counters.increment(Counters.REDUCE_OUTPUT_RECORDS, len(pairs))
-                output.extend(pairs)
+    for keys in partitions:
+        for key in sorted(keys, key=repr):
+            emitted = reducer(key, *groups[key])
+            if emitted:
+                output.extend(emitted)
 
-    duration = _reduce_phase_seconds(len(map_output), num_reducers, cluster, cost)
+    num_pairs = len(map_output) + sum(map(len, more_outputs))
+    counters.increment(Counters.REDUCE_INPUT_RECORDS, num_pairs)
+    if output:
+        counters.increment(Counters.REDUCE_OUTPUT_RECORDS, len(output))
+    duration = _reduce_phase_seconds(num_pairs, num_reducers, cluster, cost)
     return ReducePhaseResult(output=output, duration_s=duration, num_reduce_tasks=num_reducers)
 
 

@@ -11,7 +11,8 @@ the same block handled record by record gave:
   their row-at-a-time forms, under both kernel backends;
 - **differential, end to end** — the same jobs on two identical deployments, one running the
   systems' ``map_batch`` and one with it cleared (the public per-record ``mapper`` contract),
-  must agree on output *order*, counter bags, every ``MapTaskResult`` field and ``runtime_s``.
+  must agree on output *order*, counter bags, every ``MapTaskResult`` field (so the join's
+  keyed pairs, task by task) and ``runtime_s``.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def _per_record(session: Session) -> Session:
 
 
 def _workload(session: Session):
-    """``(label, system, dataset)``: scans that hit every reader path, then the group-bys."""
+    """``(label, system, dataset)``: scans that hit every reader path, then the group-bys and
+    joins, whose decorations wrap ``mapper`` and ``map_batch`` in step."""
     data = session.dataset(_PATH)
     narrow = (col("f1") < VALUE_RANGE // 20) & (col("f4") >= 0)
     datasets = {
@@ -131,6 +133,11 @@ def _workload(session: Session):
         )
         yield "group-by", name, grouped.named(f"gb-{name}")
         yield "group-by, no combiner", name, grouped.with_combiner(False).named(f"gbn-{name}")
+        # A join re-keys both side scans' pairs on top of the system's own map function.
+        left = data.where(col("f1") < VALUE_RANGE // 4).select("f2", "f1")
+        right = data.where(col("f1") < VALUE_RANGE // 2).select("f3", "f2")
+        yield "join", name, left.join(right, on="f2").named(f"join-{name}")
+        yield "hash join", name, left.join(right, on="f2", strategy="hash").named(f"hjoin-{name}")
 
 
 def _task_fields(scheduled) -> tuple:
