@@ -210,7 +210,7 @@ class HailBlock(BlockPayload):
     # ------------------------------------------------------------------ zone maps
     @property
     def zone_map(self) -> ZoneMap:
-        """The per-partition min-max synopsis of this payload, built lazily from the data.
+        """The per-partition min-max synopsis of this payload, filled per attribute on use.
 
         Because it is derived from the payload itself, the synopsis is consistent with the
         rows by construction; executors still gate every use behind
@@ -222,9 +222,9 @@ class HailBlock(BlockPayload):
         return self._zone_map
 
     def zone_ranges(self) -> ZoneRanges:
-        """Block-level min/max triples for ``Dir_rep`` registration (cheap, no partitions)."""
-        if self._zone_map is not None:
-            return self._zone_map.block_ranges()
+        """Block-level min/max triples for ``Dir_rep`` registration (no partitions): computed
+        once per row set and shared by every replica sorted from it, FLOAT/DOUBLE columns
+        excepted (:func:`~repro.layouts.zonemap.block_zone_ranges`)."""
         return block_zone_ranges(self.pax)
 
     # ------------------------------------------------------------------ query support

@@ -41,9 +41,10 @@ class PaxBlock:
 
     Blocks are treated as immutable after construction (reorders build new blocks), which is
     what makes the typed-column cache, the zone-map synopses derived from a block and the
-    carried column sizes safe to reuse.  Internal construction paths that just pivoted or
-    decoded fresh lists pass ``copy_columns=False`` to adopt them directly; the defensive copy
-    remains the default for external callers handing in lists they may still mutate.
+    carried column sizes and block-level zone ranges safe to reuse.  Internal construction
+    paths that just pivoted or decoded fresh lists pass ``copy_columns=False`` to adopt them
+    directly; the defensive copy remains the default for external callers handing in lists
+    they may still mutate.
 
     **Size accounting.**  A block measures each column at most once per *row set*: the first
     :meth:`column_size_bytes` request (or the :meth:`variable_offsets` walk, which ends on the
@@ -87,6 +88,9 @@ class PaxBlock:
         # Byte size per column (None = not measured yet); the same list object is shared
         # with every reorder of this block, whichever of them measures a column first.
         self._column_sizes: list[Optional[int]] = [None] * len(self.columns)
+        # Block-level ``(name, min, max)`` per column, filled and shared the same way by
+        # ``zonemap.block_zone_ranges`` (which never stores an order-dependent float column).
+        self._zone_triples: list[Optional[tuple]] = [None] * len(self.columns)
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -148,6 +152,7 @@ class PaxBlock:
         new_columns = [[column[i] for i in permutation] for column in self.columns]
         block = PaxBlock(self.schema, new_columns, self.num_rows, copy_columns=False)
         block._column_sizes = self._column_sizes  # same values per column, same sizes
+        block._zone_triples = self._zone_triples  # ... and the same min/max
         return block
 
     # ------------------------------------------------------------------ typed column views

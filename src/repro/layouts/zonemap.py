@@ -1,6 +1,6 @@
 """Zone maps: per-block and per-partition min-max synopses for data skipping.
 
-A zone map records, for every attribute of a PAX block, the minimum and maximum value stored
+A zone map records, for an attribute of a PAX block, the minimum and maximum value stored
 — once at block granularity and once per index partition.  A selection clause whose value
 range is provably disjoint from a zone cannot match any row inside it, so
 
@@ -16,12 +16,20 @@ synopsis whose row count disagrees with the payload — disables skipping for th
 the scan proceeds in full.  The executor additionally re-verifies every planner-ordered skip
 against the payload's own (freshly derivable) synopsis, so a stale ``Dir_rep`` entry degrades
 to a full scan rather than a wrong answer.
+
+Both granularities cost what a query names.  Per-partition zones are computed one attribute
+at a time, the first time a clause filters on it; block-level zones are computed once per
+*row set* and carried by :meth:`PaxBlock.reorder`, so every differently-sorted replica of a
+block shares them — except FLOAT/DOUBLE columns, whose ``min``/``max`` depend on the row
+order (NaN, ``-0.0`` vs ``0.0``) and are recomputed for every block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
+
+from repro.layouts.schema import FieldType
 
 if TYPE_CHECKING:
     from repro.hail.predicate import Predicate
@@ -31,20 +39,34 @@ if TYPE_CHECKING:
 #: ``Dir_rep`` zone ranges: one ``(attribute, min, max)`` triple per attribute with data.
 ZoneRanges = tuple[tuple[str, Any, Any], ...]
 
+#: Types whose ``min``/``max`` may differ between two orders of the same values.
+_ORDER_DEPENDENT = (FieldType.FLOAT, FieldType.DOUBLE)
+
+
+def _column_zone(pax: "PaxBlock", index: int) -> tuple[str, Any, Any]:
+    """One column's ``(name, min, max)``, from the block's per-row-set memo when it may be."""
+    triple = pax._zone_triples[index]
+    if triple is None:
+        column_field = pax.schema.fields[index]
+        column = pax.columns[index]
+        triple = (column_field.name, min(column), max(column))
+        if column_field.ftype not in _ORDER_DEPENDENT:
+            pax._zone_triples[index] = triple
+    return triple
+
 
 def block_zone_ranges(pax: "PaxBlock") -> ZoneRanges:
     """Block-level min/max per attribute, in the ``Dir_rep`` triple form.
 
     This is the cheap synopsis registered with the namenode at replica-creation time (upload,
-    adaptive build commit, eviction downgrade, balancer re-replication): two ``min``/``max``
-    passes per column, no per-partition breakdown.  Empty blocks yield an empty tuple.
+    adaptive build commit, eviction downgrade, balancer re-replication), with no per-partition
+    breakdown.  Each column's triple is computed once per row set and carried to every reorder
+    of the block; FLOAT/DOUBLE columns are recomputed per block.  Empty blocks yield an empty
+    tuple.
     """
     if pax.num_rows == 0:
         return ()
-    return tuple(
-        (field.name, min(column), max(column))
-        for field, column in zip(pax.schema.fields, pax.columns)
-    )
+    return tuple(_column_zone(pax, index) for index in range(len(pax.columns)))
 
 
 def ranges_disjoint(
@@ -95,46 +117,37 @@ def may_match_ranges(
 
 @dataclass(frozen=True)
 class ZoneMap:
-    """Per-partition min-max synopsis of one PAX block payload.
+    """Per-partition min-max synopsis of one PAX block payload, filled per attribute.
 
-    Built lazily from the payload itself (``HailBlock.zone_map``), so it is consistent with
+    :meth:`build` records the payload and computes nothing; the first clause naming an
+    attribute fills that attribute's zones — its ``(min, max)`` pair per partition for
+    :meth:`prune_ranges`, its block-level pair for :meth:`may_match` — and the map keeps them,
+    so a query pays for the columns it filters on, not for every column of the schema.
+    Derived from the payload itself (``HailBlock.zone_map``), the synopsis is consistent with
     the data by construction; :meth:`matches` is the staleness guard executors check before
     trusting it (a payload mutated after the synopsis was built fails the row-count check and
-    the scan falls back to reading everything).
+    the scan falls back to reading everything).  A map built by hand, without ``pax``, knows
+    exactly the zones it was given.
     """
 
     #: Number of rows the synopsis was built over (staleness guard).
     num_rows: int
     #: Partition width in rows the per-partition zones are aligned to.
     partition_size: int
-    #: Block-level ``attribute -> (min, max)``.
-    block_zones: dict[str, tuple[Any, Any]]
-    #: Per-partition ``attribute -> ((min, max), ...)``, one pair per partition.
-    partition_zones: dict[str, tuple[tuple[Any, Any], ...]]
+    #: Block-level ``attribute -> (min, max)``, filled on first use.
+    block_zones: dict[str, tuple[Any, Any]] = field(default_factory=dict)
+    #: Per-partition ``attribute -> ((min, max), ...)``, one pair per partition, filled on
+    #: first use.
+    partition_zones: dict[str, tuple[tuple[Any, Any], ...]] = field(default_factory=dict)
+    #: The block the zones are computed from.
+    pax: Optional["PaxBlock"] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(cls, pax: "PaxBlock", partition_size: int) -> "ZoneMap":
-        """Compute the synopsis of ``pax`` at ``partition_size``-row granularity."""
+        """The synopsis of ``pax`` at ``partition_size``-row granularity (zones filled on use)."""
         if partition_size <= 0:
             raise ValueError("partition_size must be positive")
-        block_zones: dict[str, tuple[Any, Any]] = {}
-        partition_zones: dict[str, tuple[tuple[Any, Any], ...]] = {}
-        if pax.num_rows:
-            for field, column in zip(pax.schema.fields, pax.columns):
-                block_zones[field.name] = (min(column), max(column))
-                partition_zones[field.name] = tuple(
-                    (min(window), max(window))
-                    for window in (
-                        column[start : start + partition_size]
-                        for start in range(0, pax.num_rows, partition_size)
-                    )
-                )
-        return cls(
-            num_rows=pax.num_rows,
-            partition_size=partition_size,
-            block_zones=block_zones,
-            partition_zones=partition_zones,
-        )
+        return cls(num_rows=pax.num_rows, partition_size=partition_size, pax=pax)
 
     def matches(self, num_rows: int) -> bool:
         """Staleness guard: is this synopsis sized for a payload of ``num_rows`` rows?"""
@@ -146,14 +159,59 @@ class ZoneMap:
             return 0
         return (self.num_rows + self.partition_size - 1) // self.partition_size
 
-    # ------------------------------------------------------------------ block-level checks
-    def block_ranges(self) -> ZoneRanges:
-        """The block-level synopsis in the ``Dir_rep`` triple form."""
-        return tuple((name, low, high) for name, (low, high) in self.block_zones.items())
+    def _source_index(self, name: str) -> Optional[int]:
+        """Column of ``name`` in the source block; ``None`` when there is nothing to read."""
+        pax = self.pax
+        if pax is None or not pax.num_rows or not pax.schema.has_field(name):
+            return None
+        return pax.schema.index_of(name)
 
+    def _block_zone(self, name: str) -> Optional[tuple[Any, Any]]:
+        """``name``'s block-level ``(min, max)``, computed on first use."""
+        zone = self.block_zones.get(name)
+        if zone is None:
+            index = self._source_index(name)
+            if index is not None:
+                _, low, high = _column_zone(self.pax, index)
+                zone = self.block_zones[name] = (low, high)
+        return zone
+
+    def _partition_zones(self, name: str) -> Optional[tuple[tuple[Any, Any], ...]]:
+        """``name``'s ``(min, max)`` pair per partition, computed on first use."""
+        zones = self.partition_zones.get(name)
+        if zones is None:
+            index = self._source_index(name)
+            if index is not None:
+                column = self.pax.columns[index]
+                size = self.partition_size
+                if size == 1:
+                    zones = tuple(zip(column, column))
+                else:
+                    zones = tuple(
+                        (min(window), max(window))
+                        for window in (
+                            column[start : start + size] for start in range(0, len(column), size)
+                        )
+                    )
+                self.partition_zones[name] = zones
+        return zones
+
+    # ------------------------------------------------------------------ block-level checks
     def may_match(self, predicate: Optional["Predicate"], schema: "Schema") -> bool:
-        """Whether any row of the block may satisfy ``predicate`` (block-level zones only)."""
-        return may_match_ranges(self.block_ranges(), predicate, schema)
+        """Whether any row of the block may satisfy ``predicate`` (block-level zones of the
+        clause attributes only)."""
+        if predicate is None:
+            return True
+        ranges = []
+        for clause in predicate.clauses:
+            try:
+                name = schema.fields[clause.attribute_index(schema)].name
+            except (KeyError, IndexError):
+                continue  # may_match_ranges answers "may match" at this clause
+            zone = self._block_zone(name)
+            if zone is not None:
+                ranges.append((name, *zone))
+        return may_match_ranges(tuple(ranges), predicate, schema)
 
     # ------------------------------------------------------------------ partition pruning
     def prune_ranges(
@@ -168,7 +226,7 @@ class ZoneMap:
         """
         if start >= end:
             return []
-        if predicate is None or not self.partition_zones:
+        if predicate is None:
             return [(start, end)]
         size = self.partition_size
         first = start // size
@@ -184,7 +242,7 @@ class ZoneMap:
                 name = schema.fields[clause.attribute_index(schema)].name
             except (KeyError, IndexError):
                 continue
-            zones = self.partition_zones.get(name)
+            zones = self._partition_zones(name)
             if zones is None:
                 continue
             low, high = clause.value_range()
