@@ -21,6 +21,7 @@ SMOKE_FIRST = (
     "tests/test_golden_figures.py",
     "tests/test_mapreduce_scheduler_runner.py",
     "tests/test_multi_tenant.py",
+    "tests/test_scheduler_timeline.py",
     "tests/test_operator_jobs.py",
     "tests/test_api_session.py",
     "tests/test_concurrent_failure.py",
