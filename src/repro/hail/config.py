@@ -62,7 +62,7 @@ class HailConfig:
 
     **Placement.**  ``index_aware_scheduling`` makes a free slot prefer a task with an
     *indexed* local replica, then a data-local one, then the queue head
-    (:class:`~repro.mapreduce.job_tracker.SchedulingPolicy`).  ``placement_balancer`` runs
+    (:data:`~repro.mapreduce.job_tracker.SCHEDULING_PROPERTY`).  ``placement_balancer`` runs
     the :class:`~repro.engine.lifecycle.PlacementBalancer` after every job — re-creating
     coverage lost to eviction or node death and migrating replicas off skewed nodes — doing
     at most ``placement_rebuilds_per_job`` re-replications per pass.

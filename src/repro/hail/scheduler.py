@@ -24,16 +24,10 @@ from repro.hail.hail_block import HailBlock
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job_tracker import (  # noqa: F401  (re-export)
-    SCHEDULING_PROPERTY,
-    SchedulingPolicy,
-)
 
 __all__ = [
     "choose_indexed_host",
     "commit_adaptive_builds",
-    "SchedulingPolicy",
-    "SCHEDULING_PROPERTY",
     "index_coverage",
     "replica_distribution",
     "adaptive_replica_count",

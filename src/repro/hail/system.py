@@ -22,7 +22,7 @@ from repro.hail.upload import HailUploadPipeline
 from repro.engine.planner import ZONE_MAP_PROPERTY, PhysicalPlanner
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf
-from repro.mapreduce.job_tracker import SCHEDULING_PROPERTY, SchedulingPolicy
+from repro.mapreduce.job_tracker import SCHEDULING_PROPERTY
 from repro.systems.base import BaseSystem
 
 
@@ -96,7 +96,7 @@ class HailSystem(BaseSystem):
         if self.config.zone_maps:
             jobconf.properties[ZONE_MAP_PROPERTY] = True
         if self.config.index_aware_scheduling:
-            jobconf.properties[SCHEDULING_PROPERTY] = SchedulingPolicy()
+            jobconf.properties[SCHEDULING_PROPERTY] = True
         if self.config.adaptive_indexing:
             context = AdaptiveJobContext.from_config(self.config, salt=self._adaptive_salt)
             if self.lifecycle is not None:

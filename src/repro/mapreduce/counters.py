@@ -63,7 +63,7 @@ _TABLE = (
     ("ADAPTIVE_BYTES_EVICTED", "bytes",
      "Bytes that left the per-node adaptive byte budgets (budget accounting — downgraded "
      "replicas keep their plain copy on disk, so physical reclamation can be smaller)."),
-    # Index-aware scheduling tiers (only tracked when a ``SchedulingPolicy`` is installed).
+    # Index-aware scheduling tiers (only tracked for jobs flagged ``SCHEDULING_PROPERTY``).
     ("SCHED_INDEX_LOCAL", "count",
      "Map tasks launched on a node holding an index covering the query's filter attribute."),
     ("SCHED_PLAIN_LOCAL", "count",

@@ -13,9 +13,9 @@ paper's results:
   that re-execute may have to fall back to another replica — possibly one without the matching
   index, which is exactly the HAIL vs. HAIL-1Idx difference in Figure 8.
 
-There is exactly **one** scheduling loop.  :meth:`JobTracker.run_map_phase` (the single-job
-phase the paper measures, including the Figure 8 node kill) wraps its tasks in one
-:class:`ConcurrentJob` and runs the same private event loop that
+There is exactly **one** scheduling loop, :meth:`_MapPhase.run`.
+:meth:`JobTracker.run_map_phase` (the single-job phase the paper measures, including the
+Figure 8 node kill) wraps its tasks in one :class:`ConcurrentJob` and runs the same loop that
 :meth:`JobTracker.run_concurrent_map_phases` uses to interleave map tasks from **multiple
 in-flight jobs** over the slot pool — the service side of HAIL's "aggressive elephants"
 story, where indexing piggybacks on heavy multi-tenant traffic.  A serial job is the
@@ -23,32 +23,35 @@ one-job, ``max_concurrent_jobs=1`` case: it is admitted at time 0 (``TENANT_JOBS
 = 1, ``SCHED_QUEUE_WAIT_SECONDS`` = 0.0), nothing competes with it, and a job with no map
 tasks at all (every split zone-pruned) simply finishes at admission.
 
-A :class:`ConcurrencyPolicy` bounds how many jobs are in flight (admission control), caps
-each tenant's simultaneously running map tasks (slot quotas), and picks the next job to
-serve either fairly or strictly FIFO.  The remaining decision points are inline in that one
-loop (all knobs default off, so the pinned Figure 6/7/8 goldens stay bit-identical):
+Each turn of the loop takes the earliest-free slot and passes five decision points, each one
+:class:`_MapPhase` method (a mechanism that is switched off costs one test at its own site;
+all default off, so the pinned Figure 6/7/8 goldens stay bit-identical):
 
-- **attempt isolation** — every attempt runs against a private scratch counter bag that is
-  merged into the job's bag only if the attempt is *accepted*, so a node-death casualty, a
-  discarded speculative loser or a preempted attempt never double-counts functional
-  counters or double-commits adaptive builds; accepted attempts are handed back in
-  *launch* order;
-- **speculative execution** — when a freed slot finds no regular work, the scheduler may
-  re-launch the slowest running attempt of a job whose projected duration exceeds a
-  configurable percentile of the job's completed attempts; the first finisher wins and the
-  loser's attempt is discarded;
-- **failure injection** — a :class:`~repro.cluster.failure.ConcurrentChaos` plan can kill
-  a node at an absolute phase time (``run_map_phase`` builds one from its
-  ``failure``/``kill_time_s``), fail individual task attempts, and slow straggler nodes
-  down; rescheduling respects tenant quotas because requeued tasks re-enter the same
-  eligibility gate;
-- **preemption** — with competition between tenants, a tenant running beyond its weighted
-  slot entitlement has its newest attempts revoked (kill + requeue, bounded per job by
-  ``max_preemptions_per_job``) instead of merely deferring new launches;
-- **weighted fair sharing and deadlines** — ``tenant_weights`` scale the fair queue's
-  notion of "fewest running tasks", and jobs carrying a ``deadline_s`` are admitted and
-  served earliest-deadline-first among otherwise tied candidates, with met/missed deadlines
-  counted in ``DEADLINE_JOBS_MET``/``DEADLINE_JOBS_MISSED``.
+- **admit** — :meth:`~_MapPhase.admit` lets arrived jobs past the :class:`ConcurrencyPolicy`
+  admission gate (``max_concurrent_jobs``, ``tenant_admission_limit``), earliest deadline
+  first; with ``preemption``, :meth:`~_MapPhase.tenant_allowance` then re-divides the pool
+  into weighted per-tenant entitlements and :meth:`~_MapPhase.preempt` revokes the newest
+  attempts of a tenant above its share (kill + requeue, at most ``max_preemptions_per_job``
+  per job);
+- **pick-next** — :meth:`~_MapPhase.eligible` keeps the jobs whose tenant is not
+  :meth:`~_MapPhase.at_limit` (``tenant_slot_quota`` or the preemption entitlement),
+  :meth:`~_MapPhase.choose` serves one fairly (weighted by ``tenant_weights``, ties earliest
+  deadline first) or FIFO, and :meth:`~_MapPhase.pick_task` takes its index-local, then
+  data-local, then head-of-queue task;
+- **on-finish** — :meth:`~_MapPhase.settle_until` resolves every attempt that ended by the
+  slot's instant: :meth:`~_MapPhase.settle` accepts it (merging its private scratch counters
+  into the job's bag, so a node-death casualty, a discarded speculative loser or a preempted
+  attempt never double-counts), discards a speculative loser, or requeues an injected task
+  failure; accepted attempts are handed back in *launch* order;
+- **on-idle** — when nothing regular is runnable, :meth:`~_MapPhase.idle` launches a
+  speculative backup of the worst straggler (``speculative_execution``; first finisher wins)
+  or else parks the slot at the next settlement or arrival;
+- **on-node-death** — :meth:`~_MapPhase.strike` kills the
+  :class:`~repro.cluster.failure.ConcurrentChaos` node at its ``kill_time_s``
+  (``run_map_phase`` builds the plan from its ``failure``/``kill_time_s``), removes its slots
+  and requeues its attempts after the expiry interval; requeued tasks re-enter the same
+  eligibility gate, so rescheduling respects tenant quotas.  The plan's ``task_failures``
+  and ``slow_nodes`` act at launch (:meth:`~_MapPhase.launch`).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Deque, Mapping, Optional
 
 from repro.cluster.costmodel import CostModel
@@ -69,25 +73,13 @@ from repro.mapreduce.task_tracker import TaskTracker
 #: How many queued tasks the scheduler inspects when looking for a node-local task.
 _LOCALITY_SEARCH_WINDOW = 256
 
-#: Key under which a job's :class:`SchedulingPolicy` travels in ``JobConf.properties``
-#: (installed by ``HailSystem`` when ``HailConfig.index_aware_scheduling`` is on).
+#: ``JobConf.properties`` flag for index-aware scheduling (Section 4.3 extension), set to
+#: ``True`` by ``HailSystem`` when ``HailConfig.index_aware_scheduling`` is on.  Without it
+#: the scheduler is stock Hadoop: a free slot takes a *data-local* task, else the queue head.
+#: With it, a task with an **indexed** replica on the slot's node
+#: (``InputSplit.index_locations``) comes first, and every launch is classified into the
+#: ``SCHED_INDEX_LOCAL`` / ``SCHED_PLAIN_LOCAL`` / ``SCHED_REMOTE`` counters.
 SCHEDULING_PROPERTY = "hail.scheduling"
-
-
-@dataclass(frozen=True)
-class SchedulingPolicy:
-    """How the JobTracker matches queued tasks to free slots (Section 4.3 extension).
-
-    Without a policy the scheduler reproduces stock Hadoop: prefer a task whose split is
-    *data-local* to the free slot, otherwise take the queue head.  With ``index_aware`` the
-    preference becomes three-tiered — a task whose split has an **indexed** replica on the
-    slot's node (``InputSplit.index_locations``) beats a merely data-local task, which beats a
-    remote assignment — and every launch is classified into the ``SCHED_INDEX_LOCAL`` /
-    ``SCHED_PLAIN_LOCAL`` / ``SCHED_REMOTE`` counters so operators can read the achieved
-    index locality off ``session.stats()``.
-    """
-
-    index_aware: bool = True
 
 
 @dataclass(frozen=True)
@@ -228,10 +220,11 @@ class ConcurrentJobOutcome:
 
     Unlike a solo :class:`ScheduleOutcome` (whose makespan starts at 0), every time here is
     absolute on the batch timeline: ``admitted_s`` is when the admission gate let the job in,
-    ``first_launch_s`` when its first map task started (their difference plus ``admitted_s``
-    is the queueing delay recorded in ``SCHED_QUEUE_WAIT_SECONDS``), and ``finish_s`` when
-    its last map attempt completed — so the embedded ``outcome.makespan_s`` equals
-    ``finish_s`` and *includes* time spent waiting behind other tenants' work.
+    ``first_launch_s`` when its first map task started (``first_launch_s`` minus the job's
+    ``submit_s`` is the queueing delay recorded in ``SCHED_QUEUE_WAIT_SECONDS``, admission
+    wait included), and ``finish_s`` when its last map attempt completed — so the embedded
+    ``outcome.makespan_s`` equals ``finish_s`` and *includes* time spent waiting behind
+    other tenants' work.
     """
 
     outcome: ScheduleOutcome
@@ -251,7 +244,8 @@ class _JobState:
     index: int
     job: ConcurrentJob
     queue: Deque[_QueuedTask]
-    policy: Optional[SchedulingPolicy]
+    #: Whether the job's conf carries :data:`SCHEDULING_PROPERTY`.
+    index_aware: bool
     admitted_s: Optional[float] = None
     first_launch_s: Optional[float] = None
     max_finish_s: float = 0.0
@@ -335,7 +329,7 @@ class _Running:
         return _QueuedTask(self.queued.task, self.queued.attempt + 1, not_before_s)
 
 
-#: The straggler test of :meth:`JobTracker._speculate`: which completed-duration percentile of
+#: The straggler test of :meth:`_MapPhase.speculate`: which completed-duration percentile of
 #: a job counts as "typical", and how many times over it a running attempt must project
 #: before a backup attempt is justified.
 SPECULATIVE_PERCENTILE = 0.75
@@ -375,13 +369,14 @@ class JobTracker:
         The single-job case of the scheduling loop: the tasks run as one
         :class:`ConcurrentJob` that owns the whole slot pool.  ``failure``/``kill_time_s``
         inject a node failure at an absolute map-phase time; the caller (the runner) derives
-        ``kill_time_s`` from the job progress fraction.
+        ``kill_time_s`` from the job progress fraction.  Giving only one of the two raises
+        ``ValueError`` rather than silently running fault-free.
         """
         chaos = None
-        if failure is not None and kill_time_s is not None:
+        if failure is not None or kill_time_s is not None:
             chaos = ConcurrentChaos(node_failure=failure, kill_time_s=kill_time_s)
         job = ConcurrentJob(tasks=tasks, counters=counters)
-        return self._schedule([job], ConcurrencyPolicy(), chaos)[0].outcome
+        return _MapPhase(self, [job], ConcurrencyPolicy(), chaos).run()[0].outcome
 
     def run_concurrent_map_phases(
         self,
@@ -401,137 +396,121 @@ class JobTracker:
         (:class:`~repro.cluster.failure.ConcurrentChaos`); the caller is responsible for
         reviving the killed node afterwards, as with :meth:`run_map_phase`.
         """
-        return self._schedule(jobs, policy or ConcurrencyPolicy(), chaos)
+        return _MapPhase(self, jobs, policy or ConcurrencyPolicy(), chaos).run()
 
-    # ------------------------------------------------------------------ the one loop
-    def _schedule(
+
+class _MapPhase:
+    """One run of the scheduling loop: the slot pool, the job queues and every attempt.
+
+    The bookkeeping is incremental: ``running`` holds only the *unsettled* attempts (at most
+    one per slot) in launch order, ``by_tenant`` their per-tenant count, ``slots`` only the
+    alive slots, ``admitted`` only the jobs still in flight (refreshed at admission), and
+    ``allowance`` the preemption entitlements of the current turn (``None``: only the static
+    quota applies).  ``kill_time`` is when the planned node death is still due (``None``: no
+    plan, or already struck) and ``failure_node`` the node it took down.
+    """
+
+    def __init__(
         self,
+        tracker: JobTracker,
         jobs: list[ConcurrentJob],
         policy: ConcurrencyPolicy,
         chaos: Optional[ConcurrentChaos],
-    ) -> list[ConcurrentJobOutcome]:
-        """The slot-driven event loop behind both public entry points.
-
-        Each iteration takes the earliest-free slot, settles every attempt that ended by
-        then, admits arrived jobs, and launches (or speculates, or parks the slot).  The
-        bookkeeping is incremental: ``running`` holds only the *unsettled* attempts (at most
-        one per slot) in launch order, ``by_tenant`` their per-tenant count, ``slots`` only
-        the alive slots and ``admitted`` only the jobs still in flight.
-        """
-        states = [
+    ) -> None:
+        self.tracker = tracker
+        self.policy = policy
+        self.chaos = chaos
+        self.states = [
             _JobState(
                 index=index,
                 job=job,
                 queue=deque(_QueuedTask(task) for task in job.tasks),
-                policy=(
-                    job.tasks[0].jobconf.properties.get(SCHEDULING_PROPERTY) if job.tasks else None
+                index_aware=bool(
+                    job.tasks and job.tasks[0].jobconf.properties.get(SCHEDULING_PROPERTY)
                 ),
             )
             for index, job in enumerate(jobs)
         ]
-        if not states:
-            return []
-        slots = [
-            _Slot(node_id=tracker.node_id, slot_index=slot_index)
-            for tracker in self.task_trackers()
-            for slot_index in tracker.slot_ids()
+        self.slots = [
+            _Slot(node_id=task_tracker.node_id, slot_index=slot_index)
+            for task_tracker in tracker.task_trackers()
+            for slot_index in task_tracker.slot_ids()
         ]
-        if not slots:
+        self.pending: Deque[_JobState] = deque(self.states)
+        self.admitted: list[_JobState] = []
+        self.running: list[_Running] = []
+        self.by_tenant: dict[str, int] = {}
+        self.allowance: Optional[dict[str, int]] = None
+        self.kill_time = chaos.kill_time_s if chaos is not None else None
+        self.failure_node: Optional[int] = None
+
+    # ------------------------------------------------------------------ the one loop
+    def run(self) -> list[ConcurrentJobOutcome]:
+        """Take the earliest-free slot, settle, admit, then launch, speculate or park it."""
+        if not self.states:
+            return []
+        if not self.slots:
             raise RuntimeError("no alive TaskTracker slots available")
-
-        pending: Deque[_JobState] = deque(states)
-        admitted: list[_JobState] = []
-        running: list[_Running] = []
-        by_tenant: dict[str, int] = {}
-        #: When the planned node death is still due (``None``: no plan, or already struck).
-        kill_time = chaos.kill_time_s if chaos is not None else None
-        failure_node: Optional[int] = None
-
-        def strike() -> None:
-            """The node dies now: settle up to the kill, revoke and requeue its attempts."""
-            nonlocal kill_time, failure_node
-            self._settle_until(kill_time, running, by_tenant)
-            self._strike_node(chaos.node_failure, kill_time, slots, running, by_tenant)
-            failure_node = chaos.node_failure.node_id
-            kill_time = None
-
         while True:
-            if not pending and not any(state.queue for state in admitted):
-                if kill_time is not None and any(r.end_s > kill_time for r in running):
+            if not self.pending and not any(state.queue for state in self.admitted):
+                if self.kill_time is not None and any(
+                    r.end_s > self.kill_time for r in self.running
+                ):
                     # The node dies while the last attempts drain: revoke and requeue.
-                    strike()
+                    self.strike()
                     continue
-                doomed = [r for r in running if r.doomed and r.kill_s is None]
+                doomed = [r.finish_s for r in self.running if r.doomed and r.kill_s is None]
                 if doomed:
                     # An injected task failure still has to fail and requeue its task.
-                    self._settle_until(min(r.finish_s for r in doomed), running, by_tenant)
+                    self.settle_until(min(doomed))
                     continue
-                if policy.speculative_execution and running and slots:
+                if self.policy.speculative_execution and self.running and self.slots:
                     # The final drain is where stragglers hurt most: every queue is empty,
                     # so idle slots would otherwise just park while the tail attempt runs.
-                    slot = self._next_slot(slots)
+                    slot = self.next_slot()
                     now = slot.available_s
-                    self._settle_until(now, running, by_tenant)
-                    allowance = self._tenant_allowance(policy, admitted, slots)
-                    if self._speculate(slot, now, policy, chaos, running, by_tenant, allowance):
-                        continue
-                    # No backup launchable from this slot at this instant (it shares
-                    # the straggler's node, the tenant is quota-bound, or nothing is
-                    # slow enough yet): park the slot at the next settlement and look
-                    # again instead of abandoning the drain.
-                    horizon = [r.end_s for r in running if r.end_s > now]
-                    if horizon:
-                        slot.available_s = min(horizon)
+                    self.settle_until(now)
+                    self.allowance = self.tenant_allowance()
+                    if self.idle(slot, now):
                         continue
                 break
-            if not slots:
+            if not self.slots:
                 raise RuntimeError("scheduler ran out of usable slots with tasks still queued")
-            slot = self._next_slot(slots)
+            slot = self.next_slot()
             now = slot.available_s
-            if kill_time is not None and now >= kill_time:
-                strike()
+            if self.kill_time is not None and now >= self.kill_time:
+                self.strike()
                 continue
-            self._settle_until(now, running, by_tenant)
-            self._admit(pending, admitted, policy, now)
-            allowance = self._tenant_allowance(policy, admitted, slots)
-            self._preempt(policy, running, by_tenant, now, allowance)
-            eligible = self._eligible_jobs(admitted, policy, by_tenant, allowance)
+            self.settle_until(now)
+            self.admit(now)
+            self.allowance = self.tenant_allowance()
+            self.preempt(now)
+            eligible = self.eligible()
             if not eligible:
-                # Nothing regular is runnable at `now` (quota/admission/arrival-bound):
-                # an idle slot is speculation's opportunity before parking at the next
-                # attempt completion or job arrival.
-                if policy.speculative_execution and self._speculate(
-                    slot, now, policy, chaos, running, by_tenant, allowance
+                # Nothing regular is runnable at `now` (quota/admission/arrival-bound).
+                if not self.idle(slot, now) and (
+                    self.pending or any(state.queue for state in self.admitted)
                 ):
-                    continue
-                horizon = [r.end_s for r in running]
-                horizon += [s.job.submit_s for s in pending if s.job.submit_s > now]
-                if horizon:
-                    slot.available_s = min(horizon)
-                elif pending or any(state.queue for state in admitted):
                     raise RuntimeError("scheduler stalled with tasks still queued")
                 # Otherwise only task-less jobs were admitted: the drain check ends the phase.
                 continue
-            state = self._choose_job(eligible, policy, by_tenant)
-            queued = self._pick_task(state.queue, slot, state.policy)
-            if kill_time is not None and max(now, queued.not_before_s) >= kill_time:
+            state = self.choose(eligible)
+            queued = self.pick_task(state, slot)
+            if self.kill_time is not None and max(now, queued.not_before_s) >= self.kill_time:
                 # The failure strikes before this assignment: put the task back first.
                 state.queue.appendleft(queued)
-                strike()
+                self.strike()
                 continue
-            self._launch(state, queued, slot, now, chaos, running, by_tenant, speculative=False)
+            self.launch(state, queued, slot, now)
+        self.settle_until(math.inf)
+        return self.outcomes()
 
-        self._settle_until(math.inf, running, by_tenant)
-        return self._outcomes(states, len(slots), failure_node)
+    def next_slot(self) -> _Slot:
+        """The alive slot that frees up first (ties: pool order)."""
+        return min(self.slots, key=lambda slot: slot.available_s)
 
-    # ------------------------------------------------------------------ internals
-    @staticmethod
-    def _admit(
-        pending: Deque[_JobState],
-        admitted: list[_JobState],
-        policy: ConcurrencyPolicy,
-        now: float,
-    ) -> None:
+    # ------------------------------------------------------------------ admit
+    def admit(self, now: float) -> None:
         """Move pending jobs into the in-flight set while the admission gate allows.
 
         Only jobs that have *arrived* (``submit_s <= now``) are considered, earliest
@@ -542,64 +521,117 @@ class JobTracker:
         last admission leave ``admitted`` here, and a job with no map tasks finishes on the
         spot (it never holds an admission token).
         """
-        while pending:
-            arrived = [state for state in pending if state.job.submit_s <= now]
+        limit = self.policy.tenant_admission_limit
+        while self.pending:
+            arrived = [state for state in self.pending if state.job.submit_s <= now]
             if not arrived:
                 return
-            admitted[:] = [state for state in admitted if state.in_flight()]
-            if len(admitted) >= policy.max_concurrent_jobs:
+            self.admitted = [state for state in self.admitted if state.in_flight()]
+            if len(self.admitted) >= self.policy.max_concurrent_jobs:
                 return
             chosen = None
             for state in sorted(arrived, key=lambda s: (s.deadline_key(), s.index)):
-                if policy.tenant_admission_limit is not None:
-                    tenant_inflight = sum(
-                        1 for other in admitted if other.job.tenant == state.job.tenant
-                    )
-                    if tenant_inflight >= policy.tenant_admission_limit:
-                        state.admission_blocked = True
-                        continue
+                tenant = state.job.tenant
+                if limit is not None and (
+                    sum(1 for other in self.admitted if other.job.tenant == tenant) >= limit
+                ):
+                    state.admission_blocked = True
+                    continue
                 chosen = state
                 break
             if chosen is None:
                 return
-            pending.remove(chosen)
+            self.pending.remove(chosen)
             chosen.admitted_s = now
             if not chosen.queue:
                 chosen.max_finish_s = now
-            admitted.append(chosen)
+            self.admitted.append(chosen)
             chosen.job.counters.increment(Counters.TENANT_JOBS_ADMITTED)
             if chosen.admission_blocked:
                 chosen.job.counters.increment(Counters.TENANT_ADMISSION_WAITS)
 
-    @staticmethod
-    def _tenant_limit(
-        policy: ConcurrencyPolicy, allowance: Optional[dict[str, int]], tenant: str
-    ) -> Optional[int]:
-        """Cap on the tenant's simultaneously running attempts (``None``: uncapped).
+    def tenant_allowance(self) -> Optional[dict[str, int]]:
+        """Weighted slot entitlement per tenant with in-flight work, or ``None``.
+
+        ``None`` (preemption off, or no competition) means only the static quota applies.
+        Entitlements shrink when a new tenant's job arrives or a node death shrinks the
+        pool — which is precisely when preemption has revocation work to do.
+        """
+        policy = self.policy
+        if not policy.preemption:
+            return None
+        demand: dict[str, float] = {}
+        for state in self.admitted:
+            if state.in_flight():
+                demand.setdefault(state.job.tenant, policy.weight(state.job.tenant))
+        if len(demand) <= 1:
+            return None
+        total = sum(demand.values())
+        allowance: dict[str, int] = {}
+        for tenant, weight in demand.items():
+            share = max(1, int(len(self.slots) * weight / total))
+            if policy.tenant_slot_quota is not None:
+                share = min(share, policy.tenant_slot_quota)
+            allowance[tenant] = share
+        return allowance
+
+    def preempt(self, now: float) -> None:
+        """Revoke running attempts from tenants above their weighted entitlement.
+
+        Victims are picked cheapest-first: speculative losers (already doomed to discard)
+        before live attempts, newest launch first among those.  The surviving side of a
+        race whose loser still runs is never preempted — killing it would only resurrect
+        the loser, freeing nothing.  Each kill counts against the victim job's
+        ``max_preemptions_per_job``.
+        """
+        if self.allowance is None:
+            return
+        for tenant in sorted(self.allowance):
+            excess = self.by_tenant.get(tenant, 0) - self.allowance[tenant]
+            if excess <= 0:
+                continue
+            victims = sorted(
+                (r for r in self.running if r.state.job.tenant == tenant),
+                key=lambda r: (r.kill_s is None, -r.start_s, r.state.index, r.queued.task.task_id),
+            )
+            for attempt in victims:
+                if excess <= 0:
+                    break
+                if attempt.kill_s is None and attempt.rival is not None and not attempt.rival.settled:
+                    continue
+                state = attempt.state
+                if state.preemptions >= self.policy.max_preemptions_per_job:
+                    continue
+                was_loser = attempt.kill_s is not None
+                state.preemptions += 1
+                self.retire(attempt)
+                attempt.kill_s = now
+                attempt.slot.available_s = now
+                counters = state.job.counters
+                counters.increment(Counters.PREEMPT_ATTEMPTS_KILLED)
+                counters.increment(Counters.PREEMPT_WASTED_SECONDS, now - attempt.start_s)
+                if not was_loser:
+                    state.queue.append(attempt.retry(now))
+                excess -= 1
+
+    # ------------------------------------------------------------------ pick-next
+    def at_limit(self, tenant: str) -> bool:
+        """Whether ``tenant`` already runs as many attempts as it may.
 
         The limit is the static ``tenant_slot_quota`` unless preemption computed a tighter
         weighted ``allowance`` for the tenant — gating launches by the same entitlement the
         preemptor enforces keeps a just-preempted tenant from immediately relaunching.
         """
-        if allowance is not None and tenant in allowance:
-            return allowance[tenant]
-        return policy.tenant_slot_quota
+        limit = (self.allowance or {}).get(tenant, self.policy.tenant_slot_quota)
+        return limit is not None and self.by_tenant.get(tenant, 0) >= limit
 
-    @staticmethod
-    def _eligible_jobs(
-        admitted: list[_JobState],
-        policy: ConcurrencyPolicy,
-        by_tenant: dict[str, int],
-        allowance: Optional[dict[str, int]],
-    ) -> list[_JobState]:
+    def eligible(self) -> list[_JobState]:
         """Admitted jobs with queued tasks whose tenant is under its slot limit."""
         eligible: list[_JobState] = []
-        for state in admitted:
+        for state in self.admitted:
             if not state.queue:
                 continue
-            tenant = state.job.tenant
-            limit = JobTracker._tenant_limit(policy, allowance, tenant)
-            if limit is not None and by_tenant.get(tenant, 0) >= limit:
+            if self.at_limit(state.job.tenant):
                 if not state.quota_deferred:
                     state.quota_deferred = True
                     state.job.counters.increment(Counters.TENANT_QUOTA_DEFERRALS)
@@ -607,12 +639,7 @@ class JobTracker:
             eligible.append(state)
         return eligible
 
-    @staticmethod
-    def _choose_job(
-        eligible: list[_JobState],
-        policy: ConcurrencyPolicy,
-        by_tenant: dict[str, int],
-    ) -> _JobState:
+    def choose(self, eligible: list[_JobState]) -> _JobState:
         """Pick the job the freed slot serves next (see :class:`ConcurrencyPolicy`).
 
         The fair key divides each tenant's running count by its weight (weight 1.0
@@ -621,46 +648,73 @@ class JobTracker:
         """
         if len(eligible) == 1:
             return eligible[0]
+        policy = self.policy
         if policy.queue_policy == "fifo":
             return min(eligible, key=lambda state: state.index)
         return min(
             eligible,
             key=lambda state: (
-                by_tenant.get(state.job.tenant, 0) / policy.weight(state.job.tenant),
+                self.by_tenant.get(state.job.tenant, 0) / policy.weight(state.job.tenant),
                 state.deadline_key(),
                 state.launched,
                 state.index,
             ),
         )
 
-    def _launch(
+    @staticmethod
+    def pick_task(state: _JobState, slot: _Slot) -> _QueuedTask:
+        """Take the job's best task for ``slot`` (data-locality scheduling).
+
+        Stock Hadoop prefers a task whose split is local to the slot's node, else the queue
+        head (a remote assignment).  An index-aware job first looks for a task with an
+        *indexed* replica on the node.  Every pass searches the same bounded window stock
+        Hadoop's locality search uses.
+        """
+        queue = state.queue
+        tiers = ("index_locations", "locations") if state.index_aware else ("locations",)
+        for tier in tiers:
+            for position, queued in enumerate(islice(queue, _LOCALITY_SEARCH_WINDOW)):
+                if slot.node_id in getattr(queued.task.split, tier):
+                    del queue[position]
+                    return queued
+        return queue.popleft()
+
+    def launch(
         self,
         state: _JobState,
         queued: _QueuedTask,
         slot: _Slot,
         now: float,
-        chaos: Optional[ConcurrentChaos],
-        running: list[_Running],
-        by_tenant: dict[str, int],
-        speculative: bool,
+        speculative: bool = False,
     ) -> _Running:
         """Run one attempt on ``slot`` and register it for settlement.
 
         The functional execution happens here (durations are deterministic given the
         replica the reader picks), but the attempt's counters land in a private scratch bag
-        and its output is published only when :meth:`_settle` accepts it.
+        and its output is published only when :meth:`settle` accepts it.  An index-aware
+        launch is classified by its *achieved* placement (a task that reached its indexed
+        node through the plain-locality pass still counts as ``SCHED_INDEX_LOCAL``); stock
+        jobs, and the pinned Figure 6/7 golden runs, record no tier counters.
         """
+        chaos = self.chaos
         start = max(now, queued.not_before_s)
         scratch = Counters()
-        result = queued.task.run(self.hdfs, self.cost, slot.node_id, scratch)
-        duration = self.cost.task_overhead() + result.compute_seconds
+        result = queued.task.run(self.tracker.hdfs, self.tracker.cost, slot.node_id, scratch)
+        duration = self.tracker.cost.task_overhead() + result.compute_seconds
         if chaos is not None:
             duration *= chaos.slow_factor(slot.node_id)
         finish = start + duration
         slot.available_s = finish
         counters = state.job.counters
         counters.increment(Counters.LAUNCHED_MAP_TASKS)
-        self._count_assignment(state.policy, counters, queued.task.split, slot.node_id)
+        if state.index_aware:
+            split = queued.task.split
+            if slot.node_id in split.index_locations:
+                counters.increment(Counters.SCHED_INDEX_LOCAL)
+            elif slot.node_id in split.locations:
+                counters.increment(Counters.SCHED_PLAIN_LOCAL)
+            else:
+                counters.increment(Counters.SCHED_REMOTE)
         attempt = _Running(
             state=state,
             queued=queued,
@@ -671,16 +725,15 @@ class JobTracker:
             scratch=scratch,
             launch_no=state.launched,
             speculative=speculative,
+            doomed=(
+                not speculative
+                and chaos is not None
+                and chaos.dooms(state.index, queued.task.task_id, queued.attempt)
+            ),
         )
-        if (
-            not speculative
-            and chaos is not None
-            and chaos.dooms(state.index, queued.task.task_id, queued.attempt)
-        ):
-            attempt.doomed = True
-        running.append(attempt)
+        self.running.append(attempt)
         tenant = state.job.tenant
-        by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
+        self.by_tenant[tenant] = self.by_tenant.get(tenant, 0) + 1
         state.active += 1
         state.launched += 1
         state.quota_deferred = False
@@ -689,37 +742,22 @@ class JobTracker:
             counters.increment(Counters.SCHED_QUEUE_WAIT_SECONDS, start - state.job.submit_s)
         return attempt
 
-    @staticmethod
-    def _retire(attempt: _Running, running: list[_Running], by_tenant: dict[str, int]) -> None:
-        """Take one attempt out of the unsettled set — every settle/kill site ends here."""
-        attempt.settled = True
-        running.remove(attempt)
-        attempt.state.active -= 1
-        by_tenant[attempt.state.job.tenant] -= 1
-
-    @staticmethod
-    def _settle_until(
-        deadline: float, running: list[_Running], by_tenant: dict[str, int]
-    ) -> None:
+    # ------------------------------------------------------------------ on-finish
+    def settle_until(self, deadline: float) -> None:
         """Settle every unsettled attempt whose slot occupancy ends by ``deadline``."""
-        due = [r for r in running if r.end_s <= deadline]
+        due = [r for r in self.running if r.end_s <= deadline]
         if len(due) > 1:
             due.sort(
                 key=lambda r: (
-                    r.end_s,
-                    r.state.index,
-                    r.queued.task.task_id,
-                    r.start_s,
-                    r.speculative,
+                    r.end_s, r.state.index, r.queued.task.task_id, r.start_s, r.speculative
                 )
             )
         for attempt in due:
-            JobTracker._settle(attempt, running, by_tenant)
+            self.settle(attempt)
 
-    @staticmethod
-    def _settle(attempt: _Running, running: list[_Running], by_tenant: dict[str, int]) -> None:
+    def settle(self, attempt: _Running) -> None:
         """Resolve one finished (or killed) attempt: accept, discard, or fail-and-requeue."""
-        JobTracker._retire(attempt, running, by_tenant)
+        self.retire(attempt)
         state = attempt.state
         counters = state.job.counters
         if attempt.kill_s is not None:
@@ -749,171 +787,56 @@ class JobTracker:
         if attempt.rival is not None:
             counters.increment(Counters.SPEC_ATTEMPTS_WON)
 
-    def _strike_node(
-        self,
-        failure: FailureEvent,
-        kill_time: float,
-        slots: list[_Slot],
-        running: list[_Running],
-        by_tenant: dict[str, int],
-    ) -> None:
-        """Kill ``failure``'s node mid-phase: revoke its attempts, requeue after expiry.
+    def retire(self, attempt: _Running) -> None:
+        """Take one attempt out of the unsettled set — every settle/kill site ends here."""
+        attempt.settled = True
+        self.running.remove(attempt)
+        attempt.state.active -= 1
+        self.by_tenant[attempt.state.job.tenant] -= 1
 
-        The node's slots leave the pool.  A revoked attempt whose speculative rival survives
-        on an alive node is *not* requeued — the rival completes the task alone (resurrected
-        first if it had already lost the race), which is exactly why speculation bounds tail
-        latency under node loss.
+    # ------------------------------------------------------------------ on-idle
+    def idle(self, slot: _Slot, now: float) -> bool:
+        """Use a slot that has no regular work: speculate, else park it; ``False`` if neither.
+
+        The slot is parked at the next attempt settlement or job arrival after ``now``.
         """
-        if self.cluster.node(failure.node_id).is_alive:
-            self.cluster.kill_node(failure.node_id)
-        slots[:] = [slot for slot in slots if slot.node_id != failure.node_id]
-        for attempt in [r for r in running if r.slot.node_id == failure.node_id]:
-            self._retire(attempt, running, by_tenant)
-            attempt.kill_s = kill_time
-            state = attempt.state
-            counters = state.job.counters
-            rival = attempt.rival
-            if rival is not None and not rival.settled and rival.slot.node_id != failure.node_id:
-                if rival.kill_s is not None:
-                    rival.kill_s = None
-                    rival.slot.available_s = rival.finish_s
-                counters.increment(Counters.SPEC_ATTEMPTS_DISCARDED)
-                counters.increment(Counters.SPEC_WASTED_SECONDS, kill_time - attempt.start_s)
-                continue
-            counters.increment(Counters.RESCHEDULED_MAP_TASKS)
-            state.rescheduled += 1
-            state.queue.append(attempt.retry(kill_time + failure.expiry_interval_s))
+        if self.policy.speculative_execution and self.speculate(slot, now):
+            return True
+        horizon = [r.end_s for r in self.running if r.end_s > now]
+        horizon += [s.job.submit_s for s in self.pending if s.job.submit_s > now]
+        if not horizon:
+            return False
+        slot.available_s = min(horizon)
+        return True
 
-    @staticmethod
-    def _tenant_allowance(
-        policy: ConcurrencyPolicy,
-        admitted: list[_JobState],
-        slots: list[_Slot],
-    ) -> Optional[dict[str, int]]:
-        """Weighted slot entitlement per tenant with in-flight work, or ``None``.
-
-        ``None`` (preemption off, or no competition) means only the static quota applies.
-        Entitlements shrink when a new tenant's job arrives or a node death shrinks the
-        pool — which is precisely when preemption has revocation work to do.
-        """
-        if not policy.preemption:
-            return None
-        demand: dict[str, float] = {}
-        for state in admitted:
-            if state.in_flight():
-                demand.setdefault(state.job.tenant, policy.weight(state.job.tenant))
-        if len(demand) <= 1:
-            return None
-        total = sum(demand.values())
-        allowance: dict[str, int] = {}
-        for tenant, weight in demand.items():
-            share = max(1, int(len(slots) * weight / total))
-            if policy.tenant_slot_quota is not None:
-                share = min(share, policy.tenant_slot_quota)
-            allowance[tenant] = share
-        return allowance
-
-    @staticmethod
-    def _preempt(
-        policy: ConcurrencyPolicy,
-        running: list[_Running],
-        by_tenant: dict[str, int],
-        now: float,
-        allowance: Optional[dict[str, int]],
-    ) -> None:
-        """Revoke running attempts from tenants above their weighted entitlement.
-
-        Victims are picked cheapest-first: speculative losers (already doomed to discard)
-        before live attempts, newest launch first among those.  The surviving side of a
-        race whose loser still runs is never preempted — killing it would only resurrect
-        the loser, freeing nothing.  Each kill counts against the victim job's
-        ``max_preemptions_per_job``.
-        """
-        if allowance is None:
-            return
-        for tenant in sorted(allowance):
-            excess = by_tenant.get(tenant, 0) - allowance[tenant]
-            if excess <= 0:
-                continue
-            victims = sorted(
-                (r for r in running if r.state.job.tenant == tenant),
-                key=lambda r: (
-                    r.kill_s is None,
-                    -r.start_s,
-                    r.state.index,
-                    r.queued.task.task_id,
-                ),
-            )
-            for attempt in victims:
-                if excess <= 0:
-                    break
-                if (
-                    attempt.kill_s is None
-                    and attempt.rival is not None
-                    and not attempt.rival.settled
-                ):
-                    continue
-                state = attempt.state
-                if state.preemptions >= policy.max_preemptions_per_job:
-                    continue
-                was_loser = attempt.kill_s is not None
-                state.preemptions += 1
-                JobTracker._retire(attempt, running, by_tenant)
-                attempt.kill_s = now
-                attempt.slot.available_s = now
-                counters = state.job.counters
-                counters.increment(Counters.PREEMPT_ATTEMPTS_KILLED)
-                counters.increment(Counters.PREEMPT_WASTED_SECONDS, now - attempt.start_s)
-                if not was_loser:
-                    state.queue.append(attempt.retry(now))
-                excess -= 1
-
-    def _speculate(
-        self,
-        slot: _Slot,
-        now: float,
-        policy: ConcurrencyPolicy,
-        chaos: Optional[ConcurrentChaos],
-        running: list[_Running],
-        by_tenant: dict[str, int],
-        allowance: Optional[dict[str, int]],
-    ) -> bool:
+    def speculate(self, slot: _Slot, now: float) -> bool:
         """Try to launch a backup attempt for the worst straggler on the idle ``slot``.
 
         Candidates are running, un-raced, un-killed regular attempts of jobs with at least
         one completed attempt, projected to run longer than :data:`SPECULATIVE_SLOWDOWN` times
         the job's completed-duration percentile, on a *different* node than ``slot``, and
-        whose tenant has headroom under its slot limit.  Durations are deterministic at
-        launch, so the race resolves eagerly: the loser is killed the instant the winner
-        finishes (ties favour the original), and its slot frees at that moment.
+        whose tenant is not :meth:`at_limit`.  Durations are deterministic at launch, so the
+        race resolves eagerly: the loser is killed the instant the winner finishes (ties
+        favour the original), and its slot frees at that moment.
         """
-        best: Optional[_Running] = None
-        best_key: Optional[tuple] = None
-        for attempt in running:
-            if attempt.speculative or attempt.rival is not None:
-                continue
-            if attempt.doomed or attempt.kill_s is not None:
-                continue
-            if attempt.finish_s <= now or attempt.slot.node_id == slot.node_id:
-                continue
-            state = attempt.state
-            if not state.durations:
-                continue
-            typical = _percentile(state.durations, SPECULATIVE_PERCENTILE)
-            if (attempt.finish_s - attempt.start_s) <= SPECULATIVE_SLOWDOWN * typical:
-                continue
-            tenant = state.job.tenant
-            limit = self._tenant_limit(policy, allowance, tenant)
-            if limit is not None and by_tenant.get(tenant, 0) >= limit:
-                continue
-            key = (-attempt.finish_s, state.index, attempt.queued.task.task_id)
-            if best is None or key < best_key:
-                best, best_key = attempt, key
-        if best is None:
+        candidates = [
+            attempt
+            for attempt in self.running
+            if not (attempt.speculative or attempt.rival is not None or attempt.doomed)
+            and attempt.kill_s is None
+            and attempt.finish_s > now
+            and attempt.slot.node_id != slot.node_id
+            and attempt.state.durations
+            and attempt.finish_s - attempt.start_s
+            > SPECULATIVE_SLOWDOWN * _percentile(attempt.state.durations, SPECULATIVE_PERCENTILE)
+            and not self.at_limit(attempt.state.job.tenant)
+        ]
+        if not candidates:
             return False
-        backup = self._launch(
-            best.state, best.retry(now), slot, now, chaos, running, by_tenant, speculative=True
+        best = min(
+            candidates, key=lambda a: (-a.finish_s, a.state.index, a.queued.task.task_id)
         )
+        backup = self.launch(best.state, best.retry(now), slot, now, speculative=True)
         best.state.job.counters.increment(Counters.SPEC_ATTEMPTS_LAUNCHED)
         backup.rival = best
         best.rival = backup
@@ -923,20 +846,53 @@ class JobTracker:
         loser.slot.available_s = winner.finish_s
         return True
 
-    @staticmethod
-    def _outcomes(
-        states: list[_JobState], alive_slots: int, failure_node: Optional[int]
-    ) -> list[ConcurrentJobOutcome]:
+    # ------------------------------------------------------------------ on-node-death
+    def strike(self) -> None:
+        """Kill the planned node now: settle up to the kill, revoke and requeue its attempts.
+
+        The node's slots leave the pool.  A revoked attempt whose speculative rival survives
+        on an alive node is *not* requeued — the rival completes the task alone (resurrected
+        first if it had already lost the race), which is exactly why speculation bounds tail
+        latency under node loss.
+        """
+        failure, kill_time = self.chaos.node_failure, self.kill_time
+        node_id = failure.node_id
+        self.settle_until(kill_time)
+        cluster = self.tracker.cluster
+        if cluster.node(node_id).is_alive:
+            cluster.kill_node(node_id)
+        self.slots = [slot for slot in self.slots if slot.node_id != node_id]
+        for attempt in [r for r in self.running if r.slot.node_id == node_id]:
+            self.retire(attempt)
+            attempt.kill_s = kill_time
+            state = attempt.state
+            counters = state.job.counters
+            rival = attempt.rival
+            if rival is not None and not rival.settled and rival.slot.node_id != node_id:
+                if rival.kill_s is not None:
+                    rival.kill_s = None
+                    rival.slot.available_s = rival.finish_s
+                counters.increment(Counters.SPEC_ATTEMPTS_DISCARDED)
+                counters.increment(Counters.SPEC_WASTED_SECONDS, kill_time - attempt.start_s)
+                continue
+            counters.increment(Counters.RESCHEDULED_MAP_TASKS)
+            state.rescheduled += 1
+            state.queue.append(attempt.retry(kill_time + failure.expiry_interval_s))
+        self.failure_node = node_id
+        self.kill_time = None
+
+    # ------------------------------------------------------------------ outcomes
+    def outcomes(self) -> list[ConcurrentJobOutcome]:
         """Wrap per-job results, flagging interleaving and settling deadlines."""
         outcomes: list[ConcurrentJobOutcome] = []
-        for state in states:
+        for state in self.states:
             window_open = state.first_launch_s
             interleaved = window_open is not None and any(
                 other is not state
                 and other.first_launch_s is not None
                 and other.first_launch_s < state.max_finish_s
                 and window_open < other.max_finish_s
-                for other in states
+                for other in self.states
             )
             if interleaved:
                 state.job.counters.increment(Counters.SCHED_QUEUE_JOBS_INTERLEAVED)
@@ -952,9 +908,9 @@ class JobTracker:
                     outcome=ScheduleOutcome(
                         scheduled=[state.scheduled[n] for n in sorted(state.scheduled)],
                         makespan_s=state.max_finish_s,
-                        num_slots=alive_slots,
+                        num_slots=len(self.slots),
                         rescheduled=state.rescheduled,
-                        failure_node=failure_node,
+                        failure_node=self.failure_node,
                     ),
                     tenant=state.job.tenant,
                     admitted_s=admitted_s,
@@ -965,54 +921,3 @@ class JobTracker:
                 )
             )
         return outcomes
-
-    @staticmethod
-    def _next_slot(slots: list[_Slot]) -> _Slot:
-        """The alive slot that frees up first (ties: pool order)."""
-        return min(slots, key=lambda slot: slot.available_s)
-
-    @staticmethod
-    def _pick_task(
-        queue: Deque[_QueuedTask], slot: _Slot, policy: Optional[SchedulingPolicy] = None
-    ) -> _QueuedTask:
-        """Prefer a task whose split is local to the slot's node (data-locality scheduling).
-
-        Under an index-aware :class:`SchedulingPolicy` the search is three-tiered: first a
-        task with an *indexed* replica on the slot's node, then a plain data-local task, then
-        the queue head (a remote assignment).  Both passes share the same bounded search
-        window stock Hadoop's locality search uses.
-        """
-        if policy is not None and policy.index_aware:
-            for position, queued in enumerate(queue):
-                if position >= _LOCALITY_SEARCH_WINDOW:
-                    break
-                if slot.node_id in queued.task.split.index_locations:
-                    del queue[position]
-                    return queued
-        for position, queued in enumerate(queue):
-            if position >= _LOCALITY_SEARCH_WINDOW:
-                break
-            if slot.node_id in queued.task.split.locations:
-                del queue[position]
-                return queued
-        return queue.popleft()
-
-    @staticmethod
-    def _count_assignment(
-        policy: Optional[SchedulingPolicy], counters: Counters, split, node_id: int
-    ) -> None:
-        """Classify one launch into the scheduling-tier counters (policy-gated).
-
-        Only recorded when a :class:`SchedulingPolicy` is installed, so stock jobs (and the
-        pinned Figure 6/7 golden runs) observe no new counters.  Classification looks at the
-        *achieved* placement, not at how the task was picked: a task that reached its indexed
-        node via the plain-locality pass still counts as ``SCHED_INDEX_LOCAL``.
-        """
-        if policy is None:
-            return
-        if node_id in split.index_locations:
-            counters.increment(Counters.SCHED_INDEX_LOCAL)
-        elif node_id in split.locations:
-            counters.increment(Counters.SCHED_PLAIN_LOCAL)
-        else:
-            counters.increment(Counters.SCHED_REMOTE)

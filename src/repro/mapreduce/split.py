@@ -35,7 +35,7 @@ class InputSplit:
     index_locations:
         Datanodes holding, for at least one block of the split, a replica whose clustered
         index covers one of the job's filter attributes.  Empty for scan jobs and for input
-        formats that do not compute it; the index-aware scheduler (``SchedulingPolicy``)
+        formats that do not compute it; the index-aware scheduler (``SCHEDULING_PROPERTY``)
         prefers these nodes over plain data locality.
     """
 

@@ -102,6 +102,20 @@ def test_num_slots_counts_only_alive_slots(loaded_hdfs, cost_model):
     assert failed.num_slots == 3 * slots_per_node
 
 
+def test_half_specified_node_kill_fails_closed(loaded_hdfs, cost_model):
+    """A failure without a kill time (or the reverse) raises instead of running fault-free."""
+    conf = _scan_job()
+    splits = conf.input_format.get_splits(loaded_hdfs, conf, cost_model)
+    tasks = [MapTask(i, split, conf) for i, split in enumerate(splits)]
+    tracker = JobTracker(loaded_hdfs.cluster, loaded_hdfs, cost_model)
+    failure = FailureInjector(loaded_hdfs.cluster, seed=2).node_failure(1, at_progress=0.5)
+    with pytest.raises(ValueError, match="given together"):
+        tracker.run_map_phase(tasks, Counters(), failure=failure)
+    with pytest.raises(ValueError, match="given together"):
+        tracker.run_map_phase(tasks, Counters(), kill_time_s=1.0)
+    assert loaded_hdfs.cluster.node(1).is_alive
+
+
 # --------------------------------------------------------------------------- shuffle / reduce
 def test_reduce_phase_groups_and_sorts(loaded_hdfs, cost_model):
     def reducer(key, values):
