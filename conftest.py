@@ -31,6 +31,7 @@ SMOKE_FIRST = (
     "tests/test_journal_writes.py",
     "tests/test_adaptive_failure.py",
     "tests/test_adaptive_lifecycle.py",
+    "tests/test_lifecycle_fingerprint.py",
     "tests/test_placement_balancer.py",
     # The extension experiments' acceptance floors.
     "benchmarks/test_saturation_curve.py",
