@@ -762,12 +762,12 @@ class Session:
         tuner_offer_rate: Optional[float] = None
         tuner_budget: Optional[int] = None
         tuner_attribute_rates: Optional[dict[str, float]] = None
-        lifecycle = getattr(target, "lifecycle", None)
-        if lifecycle is not None and lifecycle.auto_tunes:
-            tuner_offer_rate = lifecycle.offer_rate
-            tuner_budget = lifecycle.budget
-            if lifecycle.tuner.per_attribute:
-                tuner_attribute_rates = lifecycle.tuner.attribute_rates()
+        tuner = getattr(getattr(target, "lifecycle", None), "tuner", None)
+        if tuner is not None:
+            tuner_offer_rate = tuner.offer_rate
+            tuner_budget = tuner.budget
+            if tuner.per_attribute:
+                tuner_attribute_rates = tuner.attribute_rates()
         return SessionStats(
             system=name,
             queries_run=self._queries_run[name],

@@ -13,10 +13,11 @@ privately inside their record readers:
 - :mod:`repro.engine.adaptive`    — LIAH-style adaptive indexing: full scans stage indexed
   replicas as a by-product (:class:`PendingIndexBuild`), which the scheduler registers
   failure-safely after the map phase (:func:`commit_adaptive_builds`);
-- :mod:`repro.engine.lifecycle`   — adaptive-index lifecycle management:
-  :class:`AdaptiveLifecycleManager` runs disk-pressure LRU eviction
-  (:func:`evict_under_pressure`) and the :class:`AdaptiveTuner` feedback controller that
-  replaces the static offer-rate/budget knobs;
+- :mod:`repro.engine.lifecycle`   — adaptive-index lifecycle management: one post-job pass
+  of :class:`AdaptiveLifecycleManager` runs the :class:`AdaptiveTuner` feedback controller
+  that replaces the static offer-rate/budget knobs, disk-pressure LRU eviction
+  (:func:`evict_under_pressure`) and the placement balancer, and reports every replica it
+  evicted, downgraded, rebuilt or migrated as one :class:`LifecycleAction`;
 - :mod:`repro.engine.operators`   — relational operators on top of the scan engine: grouped
   aggregation with map-side combiners, co-partitioned merge / shuffle hash equi-joins, and
   ranked top-k with zone-range early termination.
@@ -37,8 +38,8 @@ from repro.engine.lifecycle import (
     LIFECYCLE_PROPERTY,
     AdaptiveLifecycleManager,
     AdaptiveTuner,
-    EvictionRecord,
     JobObservation,
+    LifecycleAction,
     LifecycleReport,
     evict_under_pressure,
 )
@@ -73,9 +74,9 @@ __all__ = [
     "AdaptiveJobContext",
     "AdaptiveLifecycleManager",
     "AdaptiveTuner",
-    "EvictionRecord",
     "JobObservation",
     "LIFECYCLE_PROPERTY",
+    "LifecycleAction",
     "LifecycleReport",
     "evict_under_pressure",
     "BlockPlan",

@@ -1,39 +1,23 @@
-"""Adaptive-index lifecycle management: eviction, budget auto-tuning, steady state.
+"""Adaptive-index lifecycle: one post-job pass that tunes, evicts and rebalances.
 
 Adaptive (lazy) indexing (:mod:`repro.engine.adaptive`) converges a deployment to the indexes
 its workload actually needs — but left alone, adaptive replicas accumulate forever and the
 ``adaptive_offer_rate`` / ``adaptive_budget_per_job`` knobs stay whatever the operator guessed.
-This module closes both loops:
+:meth:`AdaptiveLifecycleManager.after_job` closes both loops.  The MapReduce runner calls it
+once per measured job, after the failure-safe commit of staged builds, and it runs one pass in
+this order:
 
-- :class:`AdaptiveTuner` — a feedback controller replacing the static knobs.  It keeps a running
-  ledger of observed per-build cost (from the executor's charged build seconds) versus measured
-  scan savings (the executor's counterfactual "what would this block have cost as a scan?"),
-  raises the offer rate while adaptive indexes pay for themselves, decays it to zero on
-  index-hostile workloads, and sizes the per-job build budget so indexing overhead stays below a
-  configured fraction of a job's useful work.
-- :func:`evict_under_pressure` — the eviction policy.  Every node gets a byte budget for the
-  *adaptive* replicas it hosts (primary, upload-time data never counts): a node whose adaptive
-  footprint — measured from the namenode's ``Dir_rep`` — exceeds the
-  :class:`~repro.cluster.disk.DiskPressurePolicy` high watermark drops its least-recently-used
-  adaptive replicas (ordered by the planner's per-replica index-usage statistics kept in the
-  namenode) until the footprint falls below the low watermark.  Upload-time indexes are never
-  evicted, a block's last alive replica is never dropped, and ``Dir_rep`` entry + stored
-  replica are removed together, so eviction can never leave half-removed metadata behind.
-- :class:`PlacementBalancer` — the cluster-wide placement repair loop.  Eviction and node
-  failures leave *coverage holes* (blocks whose only adaptive index was reclaimed or died with
-  its host) and *placement skew* (adaptive replicas and their index traffic piling up on a few
-  nodes).  The balancer re-creates adaptive copies for demanded attributes whose coverage was
-  lost, and migrates adaptive replicas off hot nodes when per-node adaptive-byte or index-use
-  skew exceeds a watermark — never violating replication floors (it only adds, or moves
-  add-before-remove) nor disk budgets (placements stay under the pressure policy's low
-  watermark, so they can never trigger the evictor they feed).
-- :class:`AdaptiveLifecycleManager` — the per-deployment owner of all three, invoked by the
-  MapReduce runner once per job (after the failure-safe commit of staged builds).
-
-The tuner optionally keeps **per-attribute ledgers** (:class:`AttributeLedger`): instead of one
-global offer rate, each filter attribute earns its own rate from its own cost/benefit slice, so
-offers are steered toward the attributes actually saving scan seconds while index-hostile
-attributes decay to zero individually.
+1. build the job's :class:`JobObservation` from its counters;
+2. :class:`AdaptiveTuner` folds it into its payback ledger (one global ledger, plus one
+   :class:`AttributeLedger` per filter attribute when tuning per attribute) and moves the
+   offer rate and the per-job build budget;
+3. :func:`evict_under_pressure` drops least-recently-used adaptive replicas from every node
+   over its :class:`~repro.cluster.disk.DiskPressurePolicy` budget;
+4. :class:`PlacementBalancer` re-creates index coverage that eviction or a dead node took from
+   a demanded attribute, then migrates adaptive replicas off skewed nodes;
+5. every replica the pass evicted, downgraded, rebuilt or migrated is one
+   :class:`LifecycleAction`, written into the job's counters from one kind → counters table;
+   the learned control state is journaled once.
 
 All of this is opt-in: without the :class:`~repro.hail.config.HailConfig` lifecycle knobs the
 manager is never created and behaviour is bit-identical to plain adaptive indexing.
@@ -41,16 +25,17 @@ manager is never created and behaviour is bit-identical to plain adaptive indexi
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.disk import DiskPressurePolicy
 from repro.engine.adaptive import _drop_stale_adaptive_replicas
+from repro.mapreduce.counters import Counters
 
 if TYPE_CHECKING:  # only for annotations: keep this module import-light
     from repro.cluster.costmodel import CostModel
     from repro.hdfs.filesystem import Hdfs
-    from repro.mapreduce.counters import Counters
 
 #: Key under which the deployment's :class:`AdaptiveLifecycleManager` travels in
 #: ``JobConf.properties`` (installed by ``HailSystem``, consulted by the runner post-job).
@@ -58,6 +43,17 @@ LIFECYCLE_PROPERTY = "hail.adaptive.lifecycle"
 
 
 # --------------------------------------------------------------------------- observations
+#: ``(total field, per-attribute field, counter, type)``: what :class:`JobObservation` reads
+#: from a job's counters.  The per-attribute field holds the ``COUNTER[attr]`` slices.
+_OBSERVED = (
+    ("builds_committed", "builds_by_attribute", Counters.ADAPTIVE_INDEXES_COMMITTED, int),
+    ("build_seconds", "build_seconds_by_attribute", Counters.ADAPTIVE_BUILD_SECONDS, float),
+    ("adaptive_uses", "uses_by_attribute", Counters.ADAPTIVE_INDEX_USES, int),
+    ("saved_seconds", "saved_seconds_by_attribute", Counters.ADAPTIVE_SAVED_SECONDS, float),
+    ("fallback_blocks", "fallbacks_by_attribute", Counters.SCAN_FALLBACK_BLOCKS, int),
+)
+
+
 @dataclass(frozen=True)
 class JobObservation:
     """What one finished job tells the tuner, assembled from the job's counters.
@@ -106,52 +102,33 @@ class JobObservation:
     @classmethod
     def from_counters(
         cls,
-        counters: "Counters",
+        counters: Counters,
         useful_reader_seconds: float,
         tenant: Optional[str] = None,
     ) -> "JobObservation":
         """Snapshot the adaptive-indexing counters of one job.
 
         ``useful_reader_seconds`` is build-free by contract: the runner already subtracted
-        the staged builds' seconds from the surviving attempts' RecordReader time.
+        the staged builds' seconds from the surviving attempts' RecordReader time.  It is
+        clamped at zero here.
         """
-        from repro.mapreduce.counters import Counters
-
-        return cls(
-            tenant=tenant,
-            builds_committed=int(counters.value(Counters.ADAPTIVE_INDEXES_COMMITTED)),
-            build_seconds=counters.value(Counters.ADAPTIVE_BUILD_SECONDS),
-            adaptive_uses=int(counters.value(Counters.ADAPTIVE_INDEX_USES)),
-            saved_seconds=counters.value(Counters.ADAPTIVE_SAVED_SECONDS),
-            fallback_blocks=int(counters.value(Counters.SCAN_FALLBACK_BLOCKS)),
-            record_reader_seconds=max(0.0, useful_reader_seconds),
-            builds_by_attribute={
-                attr: int(count)
-                for attr, count in counters.by_attribute(
-                    Counters.ADAPTIVE_INDEXES_COMMITTED
-                ).items()
-            },
-            build_seconds_by_attribute=counters.by_attribute(Counters.ADAPTIVE_BUILD_SECONDS),
-            uses_by_attribute={
-                attr: int(count)
-                for attr, count in counters.by_attribute(Counters.ADAPTIVE_INDEX_USES).items()
-            },
-            saved_seconds_by_attribute=counters.by_attribute(Counters.ADAPTIVE_SAVED_SECONDS),
-            fallbacks_by_attribute={
-                attr: int(count)
-                for attr, count in counters.by_attribute(Counters.SCAN_FALLBACK_BLOCKS).items()
-            },
-        )
+        fields: dict = {
+            "tenant": tenant,
+            "record_reader_seconds": max(0.0, useful_reader_seconds),
+        }
+        for total, sliced, counter, kind in _OBSERVED:
+            fields[total] = kind(counters.value(counter))
+            fields[sliced] = {
+                attr: kind(value) for attr, value in counters.by_attribute(counter).items()
+            }
+        return cls(**fields)
 
     def for_attribute(self, attribute: str) -> "JobObservation":
         """This job as one attribute's ledger sees it: its five slices as the totals."""
-        return JobObservation(
-            builds_committed=self.builds_by_attribute.get(attribute, 0),
-            build_seconds=self.build_seconds_by_attribute.get(attribute, 0.0),
-            adaptive_uses=self.uses_by_attribute.get(attribute, 0),
-            saved_seconds=self.saved_seconds_by_attribute.get(attribute, 0.0),
-            fallback_blocks=self.fallbacks_by_attribute.get(attribute, 0),
-        )
+        return JobObservation(**{
+            total: getattr(self, sliced).get(attribute, kind())
+            for total, sliced, _, kind in _OBSERVED
+        })
 
     @property
     def active_attributes(self) -> set:
@@ -279,11 +256,6 @@ class AdaptiveTuner:
             return True
         return ledger.total_saved_seconds >= self.payback_fraction * ledger.total_build_seconds
 
-    @property
-    def _payback_ok(self) -> bool:
-        """:meth:`_paid_back` of the tuner's own (global) ledger."""
-        return self._paid_back(self)
-
     def _apply_law(self, ledger: "AdaptiveTuner | AttributeLedger", job: JobObservation) -> None:
         """Fold one job into ``ledger`` and move its offer rate: raise, decay or probe.
 
@@ -332,28 +304,42 @@ class AdaptiveTuner:
         self.budget = max(self.min_budget, int(tolerated / self.build_cost_ema))
 
 
-# --------------------------------------------------------------------------- eviction
+# --------------------------------------------------------------------------- actions
 @dataclass(frozen=True)
-class EvictionRecord:
-    """One adaptive replica reclaimed by disk-pressure eviction.
+class LifecycleAction:
+    """One adaptive replica the lifecycle pass evicted, downgraded, rebuilt or migrated.
 
-    ``downgraded`` tells the two reclamation modes apart: an adaptive replica that displaced a
-    plain replica at commit time is *downgraded* back to a plain, unindexed replica (the block
-    keeps its copy on the node, only the index is reclaimed), whereas a replica that was added
-    as an extra copy is deleted outright.  ``freed_bytes`` is the replica's footprint leaving
-    the node's *adaptive* byte budget in both cases.
+    ``kind`` is ``"evict"`` (an extra adaptive copy deleted), ``"downgrade"`` (a replica that
+    displaced a plain one at commit time, stripped back to a plain copy), ``"rebuild"``
+    (coverage lost to eviction or a node death, re-created) or ``"migrate"`` (moved off a
+    skewed node).  ``datanode_id`` is the node acted on (evicted from, rebuilt on, migrated
+    to); ``source_datanode`` is a placement's copy source.  ``bytes`` is the replica's
+    footprint — for evictions, what leaves the node's adaptive byte budget (a downgrade's
+    plain copy stays on disk).  ``seconds`` prices a placement's background I/O: reported,
+    never added to a job's runtime, since balancer work runs off the critical path.
     """
 
+    kind: str
     block_id: int
-    datanode_id: int
     attribute: str
-    freed_bytes: float
-    use_count: int
-    last_used_tick: int
-    downgraded: bool = False
+    datanode_id: int
+    bytes: float
+    reason: str
+    source_datanode: Optional[int] = None
+    seconds: float = 0.0
 
 
-def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[EvictionRecord]:
+#: Action kind -> ``(count counter, bytes counter)`` the post-job pass writes it into.
+_ACTION_COUNTERS = {
+    "evict": (Counters.ADAPTIVE_INDEXES_EVICTED, Counters.ADAPTIVE_BYTES_EVICTED),
+    "downgrade": (Counters.ADAPTIVE_INDEXES_EVICTED, Counters.ADAPTIVE_BYTES_EVICTED),
+    "rebuild": (Counters.PLACEMENT_REREPLICATED, Counters.PLACEMENT_BYTES_MOVED),
+    "migrate": (Counters.PLACEMENT_MIGRATED, Counters.PLACEMENT_BYTES_MOVED),
+}
+
+
+# --------------------------------------------------------------------------- eviction
+def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[LifecycleAction]:
     """Evict least-recently-used adaptive replicas from every node over its high watermark.
 
     Pressure is measured against each node's **adaptive footprint** — the on-disk bytes of the
@@ -375,11 +361,12 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Evict
       can explain the resulting fallbacks as "evicted (disk pressure on dnN)";
     - candidates are ordered least-recently-used first (by the namenode's planner-maintained
       index-usage ticks, ties broken by lower use count, then block id for determinism), and
-      eviction stops as soon as the node is back under its low watermark.
+      eviction stops as soon as the node is back under its low watermark.  Each action's
+      ``reason`` names the tick and use count it was ordered by.
     """
-    records: list[EvictionRecord] = []
+    actions: list[LifecycleAction] = []
     if not policy.enabled:
-        return records
+        return actions
     namenode = hdfs.namenode
     # One Dir_rep pass for every node's footprint: this hook runs after every job, so it must
     # cost next to nothing when nothing is under pressure (or nothing is adaptive at all).
@@ -412,22 +399,24 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Evict
                 namenode.unregister_replica(block_id, node.node_id)
                 datanode.delete_replica(block_id)
             freed += freed_bytes
-            records.append(
-                EvictionRecord(
+            actions.append(
+                LifecycleAction(
+                    kind="downgrade" if downgrade else "evict",
                     block_id=block_id,
-                    datanode_id=node.node_id,
                     attribute=info.indexed_attribute,
-                    freed_bytes=freed_bytes,
-                    use_count=use_count,
-                    last_used_tick=last_tick,
-                    downgraded=downgrade,
+                    datanode_id=node.node_id,
+                    bytes=freed_bytes,
+                    reason=(
+                        f"disk pressure on dn{node.node_id}: last used at tick {last_tick},"
+                        f" {use_count} uses"
+                    ),
                 )
             )
             if hdfs.persist is not None:
                 # Per-eviction journal sync: the downgrade/delete and its tombstone become
                 # durable together; a crash mid-pass loses later evictions wholesale.
                 hdfs.persist.sync_block(hdfs, block_id, site="mid_eviction")
-    return records
+    return actions
 
 
 def _downgrade_replica(hdfs: "Hdfs", datanode_id: int, block_id: int) -> None:
@@ -492,27 +481,6 @@ def adaptive_placement_stats(hdfs: "Hdfs") -> dict[int, dict]:
     return stats
 
 
-@dataclass(frozen=True)
-class PlacementAction:
-    """One repair the :class:`PlacementBalancer` performed after a job.
-
-    ``kind`` is ``"rebuild"`` (an adaptive replica re-created for a block whose index
-    coverage was lost to eviction or a node death) or ``"migrate"`` (an adaptive replica
-    moved off a hot node by skew repair).  ``seconds`` is the simulated background I/O/CPU
-    cost of the action — balancer work runs off the job's critical path, so it is reported
-    but never added to a job's runtime.
-    """
-
-    kind: str
-    block_id: int
-    attribute: Optional[str]
-    source_datanode: Optional[int]
-    target_datanode: int
-    bytes_moved: float
-    seconds: float
-    reason: str = ""
-
-
 @dataclass
 class PlacementBalancer:
     """Cluster-wide repair of adaptive-replica placement: re-replication plus skew repair.
@@ -567,15 +535,15 @@ class PlacementBalancer:
             self.demand[attribute] = self.demand_window
 
     # ------------------------------------------------------------------ the per-job pass
-    def run(self, hdfs: "Hdfs", cost: Optional["CostModel"] = None) -> list[PlacementAction]:
+    def run(self, hdfs: "Hdfs", cost: Optional["CostModel"] = None) -> list[LifecycleAction]:
         """One bounded balancing pass: re-replicate lost coverage, then repair skew."""
         actions = self._re_replicate(hdfs, cost)
         actions.extend(self._repair_skew(hdfs, cost))
         return actions
 
     # ------------------------------------------------------------------ re-replication
-    def _re_replicate(self, hdfs: "Hdfs", cost: Optional["CostModel"]) -> list[PlacementAction]:
-        actions: list[PlacementAction] = []
+    def _re_replicate(self, hdfs: "Hdfs", cost: Optional["CostModel"]) -> list[LifecycleAction]:
+        actions: list[LifecycleAction] = []
         if not self.demand:
             return actions
         namenode = hdfs.namenode
@@ -613,7 +581,7 @@ class PlacementBalancer:
         block_id: int,
         attribute: str,
         footprints: dict[int, float],
-    ) -> Optional[PlacementAction]:
+    ) -> Optional[LifecycleAction]:
         """Re-create one adaptive replica of ``block_id`` indexed on ``attribute``.
 
         The index is rebuilt from an alive copy of the block's data (HAIL replicas share
@@ -629,17 +597,27 @@ class PlacementBalancer:
         block = payload.resorted(attribute)
         info = block.replica_info(-1, origin="adaptive")  # datanode set once the target is chosen
         replica_bytes = float(info.size_on_disk_bytes)
-        target_id = self._choose_target(hdfs, block_id, replica_bytes, footprints)
-        displaced = False
-        if target_id is None:
+        namenode = hdfs.namenode
+        holders = set(namenode.block_datanodes(block_id, alive_only=False))
+        fresh = [node.node_id for node in hdfs.cluster.alive_nodes if node.node_id not in holders]
+        target_id = self._least_loaded_within_budget(fresh, replica_bytes, footprints)
+        displaced = target_id is None
+        if displaced:
             # Every alive node already holds a replica: displace an *unindexed* copy in
             # place, exactly like commit-time placement — the indexed replica replaces the
             # plain one, the replication factor is untouched, and ``displaced_plain_replica``
-            # makes a later eviction downgrade it back instead of deleting the copy.
-            target_id = self._choose_displacement_target(hdfs, block_id, replica_bytes, footprints)
+            # makes a later eviction downgrade it back instead of deleting the copy.  Never a
+            # host carrying an index (on any attribute): that would trade one index for
+            # another, the destruction commit-time placement also refuses.
+            plain = [
+                node_id
+                for node_id in namenode.block_datanodes(block_id, alive_only=True)
+                if (held := namenode.replica_info(block_id, node_id)) is None
+                or held.indexed_attribute is None
+            ]
+            target_id = self._least_loaded_within_budget(plain, replica_bytes, footprints)
             if target_id is None:
                 return None
-            displaced = True
         # Garbage-collect dead adaptive replicas first (no duplicate on the node's revival).
         _drop_stale_adaptive_replicas(hdfs, block_id, attribute)
         # A fresh rebuild starts its LRU life warm (``touch``), exactly like a committed build
@@ -655,15 +633,15 @@ class PlacementBalancer:
         )
         footprints[target_id] = footprints.get(target_id, 0.0) + replica_bytes
         seconds = self._charge_copy(hdfs, cost, source_id, target_id, payload, block, sort=True)
-        return PlacementAction(
+        return LifecycleAction(
             kind="rebuild",
             block_id=block_id,
             attribute=attribute,
-            source_datanode=source_id,
-            target_datanode=target_id,
-            bytes_moved=replica_bytes,
-            seconds=seconds,
+            datanode_id=target_id,
+            bytes=replica_bytes,
             reason="coverage lost (evicted or host died)",
+            source_datanode=source_id,
+            seconds=seconds,
         )
 
     @staticmethod
@@ -674,42 +652,6 @@ class PlacementBalancer:
             if hasattr(payload, "pax"):
                 return host, payload
         return None, None
-
-    def _choose_target(
-        self,
-        hdfs: "Hdfs",
-        block_id: int,
-        replica_bytes: float,
-        footprints: dict[int, float],
-    ) -> Optional[int]:
-        """Least-loaded alive node without a replica of the block and with budget headroom."""
-        holders = set(hdfs.namenode.block_datanodes(block_id, alive_only=False))
-        candidates = [
-            node.node_id for node in hdfs.cluster.alive_nodes if node.node_id not in holders
-        ]
-        return self._least_loaded_within_budget(candidates, replica_bytes, footprints)
-
-    def _choose_displacement_target(
-        self,
-        hdfs: "Hdfs",
-        block_id: int,
-        replica_bytes: float,
-        footprints: dict[int, float],
-    ) -> Optional[int]:
-        """Least-loaded alive holder whose replica of the block is *unindexed*.
-
-        The displacement fallback of :meth:`_rebuild` — never a host carrying an index (on
-        any attribute): replacing it would trade one index for another, the destruction
-        commit-time placement also refuses.
-        """
-        namenode = hdfs.namenode
-        candidates = []
-        for node_id in namenode.block_datanodes(block_id, alive_only=True):
-            info = namenode.replica_info(block_id, node_id)
-            if info is not None and info.indexed_attribute is not None:
-                continue
-            candidates.append(node_id)
-        return self._least_loaded_within_budget(candidates, replica_bytes, footprints)
 
     def _least_loaded_within_budget(
         self, candidates: list[int], replica_bytes: float, footprints: dict[int, float]
@@ -732,7 +674,7 @@ class PlacementBalancer:
         return projected_bytes <= self.pressure.low_watermark * self.pressure.capacity_bytes
 
     # ------------------------------------------------------------------ skew repair
-    def _repair_skew(self, hdfs: "Hdfs", cost: Optional["CostModel"]) -> list[PlacementAction]:
+    def _repair_skew(self, hdfs: "Hdfs", cost: Optional["CostModel"]) -> list[LifecycleAction]:
         """Drain skewed nodes: triggered above ``skew_high × mean``, drained to ``skew_low``.
 
         The watermark pair is real hysteresis: crossing the *high* mark starts a node's
@@ -743,7 +685,7 @@ class PlacementBalancer:
         on the placement the previous one actually produced, and the strict-improvement
         condition inside :meth:`_one_migration` guarantees termination without oscillation.
         """
-        actions: list[PlacementAction] = []
+        actions: list[LifecycleAction] = []
         quota = self.migrations_per_pass
         for metric in ("bytes", "uses"):
             draining: set[int] = set()
@@ -797,7 +739,7 @@ class PlacementBalancer:
         hot_id: int,
         stats: dict[int, dict],
         values: dict[int, float],
-    ) -> Optional[PlacementAction]:
+    ) -> Optional[LifecycleAction]:
         """Migrate one adaptive replica off ``hot_id``, or ``None`` when nothing qualifies.
 
         The strict-improvement condition (``target + m ≤ source − m``) guarantees each move
@@ -829,15 +771,15 @@ class PlacementBalancer:
                 if not self._within_budget(projected):
                     continue
                 seconds = self._migrate(hdfs, cost, block_id, hot_id, target_id, info)
-                return PlacementAction(
+                return LifecycleAction(
                     kind="migrate",
                     block_id=block_id,
                     attribute=info.indexed_attribute,
-                    source_datanode=hot_id,
-                    target_datanode=target_id,
-                    bytes_moved=float(info.size_on_disk_bytes),
-                    seconds=seconds,
+                    datanode_id=target_id,
+                    bytes=float(info.size_on_disk_bytes),
                     reason=f"{metric} skew on dn{hot_id}",
+                    source_datanode=hot_id,
+                    seconds=seconds,
                 )
         return None
 
@@ -876,7 +818,7 @@ class PlacementBalancer:
     def _charge_copy(
         hdfs: "Hdfs",
         cost: Optional["CostModel"],
-        source_id: Optional[int],
+        source_id: int,
         target_id: int,
         payload,
         new_block,
@@ -888,7 +830,7 @@ class PlacementBalancer:
         balancer's I/O, never charged to a job's runtime (the work is off the critical path,
         like HDFS re-replication).
         """
-        if cost is None or source_id is None:
+        if cost is None:
             return 0.0
         from repro.hdfs.checksum import checksum_file_size
 
@@ -918,61 +860,30 @@ class PlacementBalancer:
 # --------------------------------------------------------------------------- the manager
 @dataclass
 class LifecycleReport:
-    """What the lifecycle manager did after one job."""
+    """One post-job pass: the observation it acted on, its actions, the knobs it left.
+
+    ``offer_rate`` / ``budget`` / ``attribute_offer_rates`` are the tuner's knobs after the
+    pass, what the next job runs with (``0.0`` / ``None`` / ``{}`` without a tuner).
+    """
 
     observation: JobObservation
-    evicted: list[EvictionRecord] = field(default_factory=list)
+    actions: list[LifecycleAction] = field(default_factory=list)
     offer_rate: float = 0.0
     budget: Optional[int] = None
-    placement: list[PlacementAction] = field(default_factory=list)
     attribute_offer_rates: dict = field(default_factory=dict)
-
-    @property
-    def num_evicted(self) -> int:
-        """Number of adaptive replicas dropped after this job."""
-        return len(self.evicted)
-
-    @property
-    def num_rebuilt(self) -> int:
-        """Adaptive replicas the placement balancer re-created after this job."""
-        return sum(1 for action in self.placement if action.kind == "rebuild")
-
-    @property
-    def num_migrated(self) -> int:
-        """Adaptive replicas the balancer's skew repair moved after this job."""
-        return sum(1 for action in self.placement if action.kind == "migrate")
-
-    @property
-    def placement_bytes_moved(self) -> float:
-        """Replica bytes the balancer re-created or moved after this job."""
-        return sum(action.bytes_moved for action in self.placement)
-
-    @property
-    def freed_bytes(self) -> float:
-        """Bytes that left the nodes' *adaptive byte budgets* after this job.
-
-        Note this is budget accounting, not physical disk reclaimed: a downgraded replica's
-        full footprint leaves the budget while its plain copy stays on disk (only the index
-        bytes are physically freed); deleted extra copies free their full footprint.
-        """
-        return sum(record.freed_bytes for record in self.evicted)
 
 
 class AdaptiveLifecycleManager:
-    """Per-deployment owner of the eviction policy and the knob tuner.
+    """Per-deployment owner of the tuner, the eviction policy and the placement balancer.
 
-    ``HailSystem`` creates one manager when the config enables eviction and/or auto-tuning,
-    installs it into every job's ``JobConf.properties`` under :data:`LIFECYCLE_PROPERTY`, and
-    reads :attr:`offer_rate` / :attr:`budget` back when stamping each job's
-    :class:`~repro.engine.adaptive.AdaptiveJobContext`.  The MapReduce runner calls
-    :meth:`after_job` once per measured job, after the staged builds were committed — so the
-    tuner sees exactly what reached the namenode, and eviction acts on post-commit disk usage.
+    ``HailSystem`` creates one manager when the config enables eviction, auto-tuning and/or
+    the balancer, installs it into every job's ``JobConf.properties`` under
+    :data:`LIFECYCLE_PROPERTY`, and stamps each job's
+    :class:`~repro.engine.adaptive.AdaptiveJobContext` with :attr:`tuner`'s knobs.  The
+    MapReduce runner calls :meth:`after_job` once per measured job, after the staged builds
+    were committed — so the tuner sees exactly what reached the namenode, and eviction acts on
+    post-commit disk usage.
     """
-
-    #: How many of the most recent per-job :class:`LifecycleReport`\ s to retain for
-    #: monitoring (``manager.reports``); older reports are discarded so a long-lived
-    #: deployment does not grow without bound.
-    MAX_REPORTS = 128
 
     def __init__(
         self,
@@ -983,7 +894,9 @@ class AdaptiveLifecycleManager:
         self.pressure = pressure if pressure is not None else DiskPressurePolicy()
         self.tuner = tuner
         self.balancer = balancer
-        self.reports: list[LifecycleReport] = []
+        #: The most recent per-job :class:`LifecycleReport`\ s, for monitoring; older ones
+        #: are discarded so a long-lived deployment does not grow without bound.
+        self.reports: deque[LifecycleReport] = deque(maxlen=128)
         #: Jobs observed per tenant (tagged observations only — serial runs stay untagged).
         #: A deployment shared by several sessions shows here which tenants fed the tuner.
         self.tenant_jobs: dict[str, int] = {}
@@ -1021,73 +934,49 @@ class AdaptiveLifecycleManager:
             )
         return cls(pressure=pressure, tuner=tuner, balancer=balancer)
 
-    # ------------------------------------------------------------------ knob views
-    @property
-    def offer_rate(self) -> float:
-        """The offer rate jobs should run with right now (tuned, or the static config value)."""
-        if self.tuner is None:
-            raise AttributeError("auto-tuning is off: read the static config knob instead")
-        return self.tuner.offer_rate
-
-    @property
-    def budget(self) -> Optional[int]:
-        """The per-job build budget jobs should run with right now."""
-        if self.tuner is None:
-            raise AttributeError("auto-tuning is off: read the static config knob instead")
-        return self.tuner.budget
-
-    @property
-    def auto_tunes(self) -> bool:
-        """True when this manager replaces the static offer/budget knobs with the tuner's."""
-        return self.tuner is not None
-
-    # ------------------------------------------------------------------ the per-job hook
+    # ------------------------------------------------------------------ the per-job pass
     def after_job(
         self,
         hdfs: "Hdfs",
-        observation: JobObservation,
+        counters: Counters,
+        useful_reader_seconds: float,
+        tenant: Optional[str] = None,
         cost: Optional["CostModel"] = None,
     ) -> LifecycleReport:
-        """Run the post-job lifecycle pass: tuner, disk pressure, then placement repair.
+        """Run the post-job lifecycle pass over one finished job's ``counters``.
 
-        The balancer runs *after* eviction on purpose: it sees the holes eviction just tore
-        (and the tombstones it left) and repairs within the same job boundary, so coverage
-        gaps live for at most one job.  ``cost`` (the runner's cost model) only prices the
-        balancer's background I/O for reporting; it never changes what the balancer does.
+        Observe the job, tune, evict under disk pressure, rebalance, write every action into
+        ``counters``, journal the control state.  The balancer runs *after* eviction on
+        purpose: it sees the holes eviction just tore (and the tombstones it left) and
+        repairs within the same job boundary, so coverage gaps live for at most one job.
+        ``useful_reader_seconds`` is the job's build-free RecordReader time (it sizes the
+        tuner's budget), ``tenant`` tags the observation, and ``cost`` (the runner's cost
+        model) only prices the balancer's background I/O; it never changes what it does.
         """
-        if observation.tenant is not None:
-            self.tenant_jobs[observation.tenant] = (
-                self.tenant_jobs.get(observation.tenant, 0) + 1
-            )
-        if self.tuner is not None:
-            self.tuner.observe(observation)
-        evicted = evict_under_pressure(hdfs, self.pressure)
-        placement: list[PlacementAction] = []
+        observation = JobObservation.from_counters(counters, useful_reader_seconds, tenant)
+        if tenant is not None:
+            self.tenant_jobs[tenant] = self.tenant_jobs.get(tenant, 0) + 1
+        tuner = self.tuner
+        if tuner is not None:
+            tuner.observe(observation)
+        actions = evict_under_pressure(hdfs, self.pressure)
         if self.balancer is not None:
             self.balancer.observe(observation)
-            placement = self.balancer.run(hdfs, cost)
-        report = LifecycleReport(
-            observation=observation,
-            evicted=evicted,
-            offer_rate=self.tuner.offer_rate if self.tuner is not None else 0.0,
-            budget=self.tuner.budget if self.tuner is not None else None,
-            placement=placement,
-            attribute_offer_rates=(
-                self.tuner.attribute_rates() if self.tuner is not None else {}
-            ),
-        )
+            actions += self.balancer.run(hdfs, cost)
+        for action in actions:
+            count, moved = _ACTION_COUNTERS[action.kind]
+            counters.increment(count)
+            counters.increment(moved, action.bytes)
+        report = LifecycleReport(observation, actions)
+        if tuner is not None:
+            report.offer_rate, report.budget = tuner.offer_rate, tuner.budget
+            report.attribute_offer_rates = tuner.attribute_rates()
         self.reports.append(report)
-        if len(self.reports) > self.MAX_REPORTS:
-            del self.reports[: -self.MAX_REPORTS]
         if hdfs.persist is not None:
-            # Journal the learned control state the pass just updated — tuner ledgers and
-            # balancer demand — so a restored deployment's feedback loops resume from the
-            # same knobs instead of re-learning.  Local import: repro.persist imports this
-            # module for the tuner dataclasses.
-            from repro.persist import codec
+            # Journal what the pass just learned — tuner ledgers and balancer demand — so a
+            # restored deployment's feedback loops resume instead of re-learning.  Local
+            # import: repro.persist imports this module for the tuner dataclasses.
+            from repro.persist.state import capture_lifecycle_control
 
-            control: dict = {"tuner": codec.encode_tuner(self.tuner)}
-            if self.balancer is not None:
-                control["demand"] = dict(self.balancer.demand)
-            hdfs.persist.sync_control(control)
+            hdfs.persist.sync_control(capture_lifecycle_control(self))
         return report

@@ -194,8 +194,8 @@ def adaptive_lifecycle_curve(
                 ),
                 node_budget_bytes=capacity,
                 evictions_total=evictions_total,
-                offer_rate=managed.lifecycle.offer_rate,
-                budget=managed.lifecycle.budget,
+                offer_rate=managed.lifecycle.tuner.offer_rate,
+                budget=managed.lifecycle.tuner.budget,
                 results_agree=agree,
             )
             round_number += 1

@@ -157,9 +157,7 @@ def placement_recovery_curve(
             managed_result.sorted_records() == reference
             and control_result.sorted_records() == reference
         )
-        lifecycle = managed.lifecycle
-        rebuilds = sum(report.num_rebuilt for report in lifecycle.reports)
-        migrations = sum(report.num_migrated for report in lifecycle.reports)
+        kinds = [action.kind for report in managed.lifecycle.reports for action in report.actions]
         result.add_row(
             round=round_number,
             phase=phase,
@@ -172,8 +170,8 @@ def placement_recovery_curve(
             pre_failure_fraction=pre_failure_fraction,
             managed_coverage=managed.index_coverage(path, PLACEMENT_ATTRIBUTE),
             control_coverage=control.index_coverage(path, PLACEMENT_ATTRIBUTE),
-            managed_rebuilds_total=rebuilds,
-            managed_migrations_total=migrations,
+            managed_rebuilds_total=kinds.count("rebuild"),
+            managed_migrations_total=kinds.count("migrate"),
             managed_adaptive_bytes=managed.adaptive_replica_bytes(path),
             results_agree=agree,
         )

@@ -100,16 +100,17 @@ class HailSystem(BaseSystem):
         if self.config.adaptive_indexing:
             context = AdaptiveJobContext.from_config(self.config, salt=self._adaptive_salt)
             if self.lifecycle is not None:
-                if self.lifecycle.auto_tunes:
+                tuner = self.lifecycle.tuner
+                if tuner is not None:
                     # The feedback controller's current knobs replace the static config values,
                     # and the executor measures counterfactual scan savings to feed its ledger.
-                    context.offer_rate = self.lifecycle.offer_rate
-                    context.budget = self.lifecycle.budget
+                    context.offer_rate = tuner.offer_rate
+                    context.budget = tuner.budget
                     context.measure_savings = True
-                    if self.lifecycle.tuner.per_attribute:
+                    if tuner.per_attribute:
                         # Snapshot of the split ledgers' live per-attribute rates; unseen
                         # attributes keep falling back to the scalar rate above.
-                        context.attribute_offer_rates = self.lifecycle.tuner.attribute_rates()
+                        context.attribute_offer_rates = tuner.attribute_rates()
                 jobconf.properties[LIFECYCLE_PROPERTY] = self.lifecycle
             jobconf.properties[ADAPTIVE_PROPERTY] = context
             self._adaptive_salt += 1

@@ -243,9 +243,7 @@ class MapReduceRunner:
                 for attempt in outcome.scheduled
                 for build in attempt.result.adaptive_builds
             )
-            self._run_adaptive_lifecycle(
-                jobconf, counters, max(0.0, sum(rr_times) - staged_build_s), tenant=tenant
-            )
+            self._run_adaptive_lifecycle(jobconf, counters, sum(rr_times) - staged_build_s, tenant)
         avg_rr = sum(rr_times) / len(rr_times) if rr_times else 0.0
         max_rr = max(rr_times) if rr_times else 0.0
         num_slots = max(1, outcome.num_slots)
@@ -332,28 +330,21 @@ class MapReduceRunner:
         self,
         jobconf: JobConf,
         counters: Counters,
-        total_rr_s: float,
+        useful_rr_s: float,
         tenant: Optional[str] = None,
     ) -> None:
-        """Post-job lifecycle pass: feed the knob tuner, evict under disk pressure.
+        """Post-job lifecycle pass: tune the knobs, evict under disk pressure, rebalance.
 
         Runs only for measured runs (never for the failure runner's baseline probe, which must
         not publish side effects) and only when the deployment installed an
         ``AdaptiveLifecycleManager`` into the job's properties — stock jobs skip this entirely.
-        Concurrent jobs tag their observation with the submitting ``tenant``, so a shared
-        tuner's report history shows which tenants drove convergence.
+        The manager's :meth:`~repro.engine.lifecycle.AdaptiveLifecycleManager.after_job`
+        observes the job from ``counters`` and writes its evictions, rebuilds and migrations
+        back into them.  Concurrent jobs tag the pass with the submitting ``tenant``, so a
+        shared tuner's report history shows which tenants drove convergence.
         """
-        from repro.engine.lifecycle import LIFECYCLE_PROPERTY, JobObservation
+        from repro.engine.lifecycle import LIFECYCLE_PROPERTY
 
         manager = jobconf.properties.get(LIFECYCLE_PROPERTY)
-        if manager is None:
-            return
-        observation = JobObservation.from_counters(counters, total_rr_s, tenant=tenant)
-        report = manager.after_job(self.hdfs, observation, cost=self.cost)
-        if report.num_evicted:
-            counters.increment(Counters.ADAPTIVE_INDEXES_EVICTED, report.num_evicted)
-            counters.increment(Counters.ADAPTIVE_BYTES_EVICTED, report.freed_bytes)
-        if report.placement:
-            counters.increment(Counters.PLACEMENT_REREPLICATED, report.num_rebuilt)
-            counters.increment(Counters.PLACEMENT_MIGRATED, report.num_migrated)
-            counters.increment(Counters.PLACEMENT_BYTES_MOVED, report.placement_bytes_moved)
+        if manager is not None:
+            manager.after_job(self.hdfs, counters, useful_rr_s, tenant, self.cost)

@@ -123,14 +123,24 @@ def capture_namenode_control(namenode: "NameNode") -> dict:
     return {"next_block_id": namenode.next_block_id, "usage_tick": namenode.usage_tick}
 
 
+def capture_lifecycle_control(lifecycle) -> dict:
+    """The lifecycle manager's learned control state: tuner feedback and balancer demand.
+
+    Journaled after every post-job lifecycle pass and by every full capture; the last block
+    of :func:`restore_system` is its inverse.
+    """
+    control: dict = {"tuner": codec.encode_tuner(lifecycle.tuner)}
+    if lifecycle.balancer is not None:
+        control["demand"] = dict(lifecycle.balancer.demand)
+    return control
+
+
 def capture_system_control(system) -> dict:
     """The system-owned control state: adaptive salt, tuner feedback, balancer demand."""
     control: dict = {"adaptive_salt": getattr(system, "_adaptive_salt", 0)}
     lifecycle = getattr(system, "lifecycle", None)
     if lifecycle is not None:
-        control["tuner"] = codec.encode_tuner(lifecycle.tuner)
-        if lifecycle.balancer is not None:
-            control["demand"] = dict(lifecycle.balancer.demand)
+        control.update(capture_lifecycle_control(lifecycle))
     return control
 
 

@@ -105,7 +105,7 @@ def test_lifecycle_manager_only_created_when_asked():
     manager = AdaptiveLifecycleManager.from_config(
         HailConfig().with_adaptive(True).with_lifecycle(auto_tune=True)
     )
-    assert manager is not None and manager.auto_tunes
+    assert manager is not None and manager.tuner is not None
 
 
 # --------------------------------------------------------------------------- the tuner (units)
@@ -171,7 +171,7 @@ def test_tuner_zero_rate_with_unpaid_ledger_is_not_an_absorbing_state():
                  record_reader_seconds=10.0)
         )
     assert tuner.offer_rate == 0.0
-    assert not tuner._payback_ok
+    assert not tuner._paid_back(tuner)
     for _ in range(tuner.probe_cooldown):
         tuner.observe(_obs(fallback_blocks=6, record_reader_seconds=10.0))
     assert tuner.offer_rate == pytest.approx(tuner.min_offer_rate)
@@ -216,8 +216,9 @@ def test_auto_tune_raises_offer_rate_on_a_convergent_workload():
     system = _system(adaptive_auto_tune=True, adaptive_offer_rate=0.5)
     for round_number in range(4):
         system.run_query(_query("f1", f"rise-{round_number}"), _PATH)
-    assert system.lifecycle.offer_rate > 0.5
-    assert system.lifecycle.budget is not None and system.lifecycle.budget >= 1
+    tuner = system.lifecycle.tuner
+    assert tuner.offer_rate > 0.5
+    assert tuner.budget is not None and tuner.budget >= 1
 
 
 def test_auto_tune_decays_to_zero_on_index_hostile_workload():
@@ -234,7 +235,7 @@ def test_auto_tune_decays_to_zero_on_index_hostile_workload():
         )
         result = system.run_query(query, _PATH)
         assert result.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) == 0
-    assert system.lifecycle.offer_rate == 0.0
+    assert system.lifecycle.tuner.offer_rate == 0.0
 
 
 # --------------------------------------------------------------------------- eviction invariants
@@ -266,7 +267,7 @@ def test_eviction_is_failure_safe_no_half_removed_entries():
     for record in evicted:
         info = namenode.replica_info(record.block_id, record.datanode_id)
         stored = system.hdfs.datanode(record.datanode_id).has_replica(record.block_id)
-        if record.downgraded:
+        if record.kind == "downgrade":
             # The index is gone but the displaced copy survives as a plain replica:
             # Dir_rep says unindexed, the replica is stored, Dir_block keeps the node.
             assert info is not None and info.indexed_attribute is None
@@ -294,7 +295,7 @@ def test_eviction_downgrades_displaced_replicas_and_keeps_replication():
     _converge(system, "f1")
     assert system.adaptive_replica_count(_PATH) > 0
     evicted = _evict_all_pressure(system)
-    assert evicted and all(record.downgraded for record in evicted)
+    assert evicted and all(record.kind == "downgrade" for record in evicted)
     assert system.adaptive_replica_count(_PATH) == 0
     namenode = system.hdfs.namenode
     for block_id in namenode.file_blocks(_PATH):
@@ -364,17 +365,25 @@ def test_eviction_is_least_recently_used_first():
     policy = DiskPressurePolicy(
         capacity_bytes=max(footprints), high_watermark=0.9, low_watermark=0.8
     )
+    # Every adaptive replica's LRU tick before the pass (a downgrade resets the evicted one's).
+    ticks = {
+        (block_id, node.node_id): namenode.index_usage(block_id, node.node_id)[1]
+        for node in system.cluster.nodes
+        for block_id in system.hdfs.datanode(node.node_id).block_ids()
+        if (info := namenode.replica_info(block_id, node.node_id)) is not None
+        and info.is_adaptive
+    }
     evicted = evict_under_pressure(system.hdfs, policy)
     assert evicted
     # LRU, node-locally: nothing evicted was more recently used than any survivor.
     for record in evicted:
         survivor_ticks = [
-            namenode.index_usage(block_id, record.datanode_id)[1]
+            ticks[block_id, record.datanode_id]
             for block_id in system.hdfs.datanode(record.datanode_id).block_ids()
             if (info := namenode.replica_info(block_id, record.datanode_id)) is not None
             and info.is_adaptive
         ]
-        assert all(record.last_used_tick <= tick for tick in survivor_ticks)
+        assert all(ticks[record.block_id, record.datanode_id] <= tick for tick in survivor_ticks)
     # The cold attribute is what pressure reclaims.
     assert any(record.attribute == "f1" for record in evicted)
     assert all(record.attribute == "f1" for record in evicted)

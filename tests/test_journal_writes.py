@@ -102,6 +102,13 @@ def _plain(value):
     return value
 
 
+def _count(system: HailSystem, kind: str) -> int:
+    """Lifecycle actions of ``kind`` across every retained post-job report."""
+    return sum(
+        action.kind == kind for report in system.lifecycle.reports for action in report.actions
+    )
+
+
 def _without_usage(blocks: dict) -> dict:
     return {block_id: {**entry, "usage": None} for block_id, entry in blocks.items()}
 
@@ -178,18 +185,18 @@ def test_journal_equals_a_full_capture_after_every_mutation(backend, tmp_path):
     assert [action.kind for action in moves].count("migrate") > 0
     # An eviction storm downgrades the scan-built replicas (each displaced a plain copy) ...
     evicted = evict_under_pressure(system.hdfs, _STORM)
-    assert evicted and all(record.downgraded for record in evicted)
+    assert evicted and all(record.kind == "downgrade" for record in evicted)
     # ... with scan builds switched off, the balancer rebuilds the lost coverage, on nodes
     # that held no copy where it can ...
     system.config = dataclasses.replace(system.config, adaptive_offer_rate=0.0)
     system.cluster.kill_node(1)
     for _ in range(4):
         result = system.run_query(_query(), _PATH)
-    assert sum(report.num_rebuilt for report in system.lifecycle.reports) > 0
+    assert _count(system, "rebuild") > 0
     assert result.sorted_records() == _expected(system)
     # ... and a second storm deletes those additional replicas outright.
     evicted += evict_under_pressure(system.hdfs, _STORM)
-    assert {record.downgraded for record in evicted} == {True, False}
+    assert {record.kind for record in evicted} == {"downgrade", "evict"}
     assert sites.count("mid_eviction") == len(evicted)
 
     # At rest, the learned control state (salt, tuner, demand) is in the journal as well.
@@ -226,7 +233,7 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     # replica's PaxBlock, so today only its checksums are re-derived and no payload moves).
     probe.reset()
     evicted = evict_under_pressure(system.hdfs, _STORM)
-    downgrades = sum(record.downgraded for record in evicted)
+    downgrades = sum(record.kind == "downgrade" for record in evicted)
     assert downgrades > 0
     assert probe.encodes <= 2 * downgrades
     if backend == "sqlite":
@@ -386,12 +393,12 @@ def test_downgrades_and_rebuilds_carry_checksums_iff_their_source_does(verify, t
         system.run_query(_query(), _PATH)
     stored_before = system.hdfs.total_stored_bytes()
     evicted = evict_under_pressure(system.hdfs, _STORM)
-    assert any(record.downgraded for record in evicted)
+    assert any(record.kind == "downgrade" for record in evicted)
     assert system.hdfs.total_stored_bytes() < stored_before
     system.config = dataclasses.replace(system.config, adaptive_offer_rate=0.0)
     for _ in range(4):
         system.run_query(_query(), _PATH)
-    assert sum(report.num_rebuilt for report in system.lifecycle.reports) > 0
+    assert _count(system, "rebuild") > 0
 
     for block_id, entry in checkpoint_state(system)["blocks"].items():
         for datanode_id, stored in entry["replicas"].items():

@@ -331,7 +331,7 @@ def test_eviction_downgrade_registers_zone_ranges():
     assert system.adaptive_replica_count(_PATH) > 0
     policy = DiskPressurePolicy(capacity_bytes=1.0, high_watermark=0.9, low_watermark=0.5)
     evicted = evict_under_pressure(system.hdfs, policy)
-    assert any(record.downgraded for record in evicted)
+    assert any(record.kind == "downgrade" for record in evicted)
     origins = _assert_registered_synopses_consistent(system, _PATH)
     assert origins.get("evicted", 0) > 0
 
