@@ -125,7 +125,7 @@ class TextScanResult:
     """Result of a full text-block scan (stock Hadoop's access path)."""
 
     plan: BlockPlan
-    lines: list[str]
+    lines: Sequence[str]
     seconds: float
     bytes_read: float
 
@@ -378,7 +378,7 @@ class VectorizedExecutor:
         plan.estimated_rows = len(payload.lines)
         plan.estimated_bytes = block_bytes
         return TextScanResult(
-            plan=plan, lines=list(payload.lines), seconds=seconds, bytes_read=block_bytes
+            plan=plan, lines=payload.lines, seconds=seconds, bytes_read=block_bytes
         )
 
     # ------------------------------------------------------------------ adaptive index builds

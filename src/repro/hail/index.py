@@ -19,6 +19,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
+from repro.layouts.pax import gatherer
+
 #: Bytes per directory entry: one key (up to 4–8 B for fixed types) plus bookkeeping.
 _BYTES_PER_ENTRY = 8
 
@@ -59,10 +61,9 @@ class HailIndex:
         self.attribute = attribute
         self.partition_size = partition_size
         self.num_values = len(sorted_values)
-        #: First key of every partition (the single large root directory of Figure 2).
-        self.partition_keys: list[Any] = [
-            sorted_values[start] for start in range(0, self.num_values, partition_size)
-        ]
+        #: First key of every partition (the single large root directory of Figure 2), as a
+        #: tuple like the minipage it indexes: at partition size 1 it holds one key per row.
+        self.partition_keys: tuple[Any, ...] = tuple(sorted_values[::partition_size])
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -117,9 +118,7 @@ class HailIndex:
         permutation = sort_permutation(values)
         index = cls(attribute, (), partition_size)
         index.num_values = len(values)
-        index.partition_keys = [
-            values[permutation[start]] for start in range(0, len(values), partition_size)
-        ]
+        index.partition_keys = gatherer(permutation[::partition_size])(values)
         return index, permutation
 
     # ------------------------------------------------------------------ lookups

@@ -42,11 +42,12 @@ class TextBlockPayload(BlockPayload):
     """Stock HDFS replica content: the uploaded text lines, byte-identical on every replica.
 
     The size is the length of :meth:`to_bytes`, taken once at construction (one join and one
-    UTF-8 pass over the block); the bytes themselves are not kept.
+    UTF-8 pass over the block); the bytes themselves are not kept.  The lines are a tuple, so
+    a scan can hand them out without a copy (a tuple handed in is adopted as is).
     """
 
     def __init__(self, lines: Sequence[str], schema: Optional[Schema] = None) -> None:
-        self.lines: list[str] = list(lines)
+        self.lines: tuple[str, ...] = tuple(lines)
         self.schema = schema
         self._size = len(self.to_bytes())
 

@@ -65,7 +65,7 @@ class StandardUploadPipeline:
         records = list(records)
         bad_lines: list[str] = []
         if raw_lines is not None:
-            lines = list(raw_lines)
+            lines = tuple(raw_lines)
             if not records:
                 # Stock HDFS stores the text verbatim; the logical-block record list (used as
                 # ground truth by tests and reports) is the best-effort parse of those lines.
@@ -73,7 +73,7 @@ class StandardUploadPipeline:
 
                 records, bad_lines = TextRowCodec(schema).decode_lenient("\n".join(lines))
         else:
-            lines = list(map(schema.format_record, records))
+            lines = tuple(map(schema.format_record, records))
         payload = TextBlockPayload(lines, schema=schema)
         payload_size = payload.size_bytes()
 

@@ -9,7 +9,8 @@ needs to touch only that attribute's minipage, and projections read only the req
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.layouts import serialization
 from repro.layouts.schema import FieldType, Schema
@@ -30,21 +31,39 @@ _EXACT_FLOAT_INT = 2**53
 _STRING_SAMPLE_ROWS = 64
 
 
+def gatherer(rows: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
+    """One C-level gather of ``rows`` (in order, repeats allowed) out of any column, as a tuple.
+
+    Build it once and apply it to every column: ``operator.itemgetter`` indexes a tuple as fast
+    as a list, where mapping the column's bound indexing method over ``rows`` is about twice
+    as slow on a tuple as on a list (``docs/performance.md``).  ``itemgetter`` returns a bare
+    value for one index and cannot be built from none, so those two lengths get their own
+    closures.
+    """
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    if rows:
+        (row,) = rows
+        return lambda column: (column[row],)
+    return lambda column: ()
+
+
 class PaxBlock:
     """A block of records stored column-wise.
 
-    The functional representation keeps each column as a Python list; byte sizes are computed
-    from the schema so the cost model can charge realistic I/O volumes without materialising
+    The functional representation keeps each column as a tuple; byte sizes are computed from
+    the schema so the cost model can charge realistic I/O volumes without materialising
     hundreds of megabytes.  Numeric columns additionally expose a lazily built typed
     ``array`` view (:meth:`typed_column_at`) whose buffer the kernel fast path wraps with
     ``memoryview``/``numpy.frombuffer`` at zero copy cost.
 
-    Blocks are treated as immutable after construction (reorders build new blocks), which is
-    what makes the typed-column cache, the zone-map synopses derived from a block and the
-    carried column sizes and block-level zone ranges safe to reuse.  Internal construction
-    paths that just pivoted or decoded fresh lists pass ``copy_columns=False`` to adopt them
-    directly; the defensive copy remains the default for external callers handing in lists
-    they may still mutate.
+    Blocks are immutable after construction (reorders build new blocks), which is what makes
+    the typed-column cache, the zone-map synopses derived from a block and the carried column
+    sizes and block-level zone ranges safe to reuse.  Columns are tuples because a stored
+    block is the bulk of the process's live objects: a tuple of plain values leaves the
+    cyclic garbage collector's working set after the first collection that visits it, a list
+    never does.  A tuple handed in is adopted as is (nothing can mutate it); any other
+    sequence is copied into one.
 
     **Size accounting.**  A block measures each column at most once per *row set*: the first
     :meth:`column_size_bytes` request (or the :meth:`variable_offsets` walk, which ends on the
@@ -56,14 +75,7 @@ class PaxBlock:
     them is unchanged.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        columns: Sequence[list],
-        num_rows: int,
-        *,
-        copy_columns: bool = True,
-    ) -> None:
+    def __init__(self, schema: Schema, columns: Sequence[Sequence[Any]], num_rows: int) -> None:
         if len(columns) != len(schema.fields):
             raise ValueError(
                 f"expected {len(schema.fields)} columns for schema {schema.name!r}, got {len(columns)}"
@@ -74,12 +86,9 @@ class PaxBlock:
                     f"column {field.name!r} has {len(column)} values but the block has {num_rows} rows"
                 )
         self.schema = schema
-        if copy_columns:
-            self.columns: list[list] = [list(column) for column in columns]
-        else:
-            self.columns = [
-                column if isinstance(column, list) else list(column) for column in columns
-            ]
+        # ``tuple()`` of an exact tuple returns that tuple: pivoted, decoded and gathered
+        # columns are adopted without a copy.
+        self.columns: tuple[tuple, ...] = tuple(map(tuple, columns))
         self.num_rows = num_rows
         # Lazily built per-column typed views; a cached None marks a column that has no exact
         # typed representation (non-numeric type, or a BIGINT value outside int64).
@@ -102,23 +111,23 @@ class PaxBlock:
                 raise ValueError(
                     f"record arity {len(record)} does not match schema {schema.name!r}"
                 )
-        columns = list(map(list, zip(*records))) or [[] for _ in range(num_fields)]
-        return cls(schema, columns, len(records), copy_columns=False)
+        columns = list(zip(*records)) or [()] * num_fields
+        return cls(schema, columns, len(records))
 
     @classmethod
     def empty(cls, schema: Schema) -> "PaxBlock":
         """An empty PAX block (used for blocks that contain only bad records)."""
-        return cls(schema, [[] for _ in schema.fields], 0, copy_columns=False)
+        return cls(schema, [()] * len(schema.fields), 0)
 
     # ------------------------------------------------------------------ access
     def __len__(self) -> int:
         return self.num_rows
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> tuple:
         """The full column (minipage) for attribute ``name``."""
         return self.columns[self.schema.index_of(name)]
 
-    def column_at(self, index: int) -> list:
+    def column_at(self, index: int) -> tuple:
         """The full column at a 0-based attribute index."""
         return self.columns[index]
 
@@ -137,20 +146,22 @@ class PaxBlock:
     def project(self, rows: Iterable[int], attribute_indexes: Sequence[int]) -> list[tuple]:
         """Reconstruct only the projected attributes (0-based indexes) of the given rows.
 
-        One C-level gather per column, ``zip``-ped into row tuples — no generator per row.
+        One C-level gather per column (:func:`gatherer`), ``zip``-ped into row tuples — no
+        generator per row.
         """
         if not isinstance(rows, Sequence):
             rows = list(rows)
         if not attribute_indexes:
             return [()] * len(rows)
-        return list(zip(*[map(self.columns[i].__getitem__, rows) for i in attribute_indexes]))
+        gather = gatherer(rows)
+        return list(zip(*[gather(self.columns[i]) for i in attribute_indexes]))
 
     def reorder(self, permutation: Sequence[int]) -> "PaxBlock":
         """Return a new block whose rows follow ``permutation`` (the HAIL sort step)."""
         if len(permutation) != self.num_rows:
             raise ValueError("permutation length must equal the number of rows")
-        new_columns = [[column[i] for i in permutation] for column in self.columns]
-        block = PaxBlock(self.schema, new_columns, self.num_rows, copy_columns=False)
+        gather = gatherer(permutation)
+        block = PaxBlock(self.schema, list(map(gather, self.columns)), self.num_rows)
         block._column_sizes = self._column_sizes  # same values per column, same sizes
         block._zone_triples = self._zone_triples  # ... and the same min/max
         return block
@@ -281,12 +292,12 @@ class PaxBlock:
     @classmethod
     def from_bytes(cls, schema: Schema, payload: bytes, num_rows: int) -> "PaxBlock":
         """Deserialize a block written by :meth:`to_bytes` (raises on a payload too short)."""
-        columns: list[list] = []
+        columns: list[tuple] = []
         offset = 0
         for field in schema.fields:
             column, offset = serialization.decode_column_at(field, payload, num_rows, offset)
             columns.append(column)
-        return cls(schema, columns, num_rows, copy_columns=False)
+        return cls(schema, columns, num_rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PaxBlock(schema={self.schema.name!r}, rows={self.num_rows})"

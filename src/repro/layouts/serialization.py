@@ -103,30 +103,31 @@ def encode_column(field: Field, values: Iterable[Any]) -> bytes:
 
 def decode_column_at(
     field: Field, payload: bytes, count: int, offset: int
-) -> tuple[list[Any], int]:
+) -> tuple[tuple[Any, ...], int]:
     """Decode ``count`` values of one column starting at ``offset``.
 
-    Returns the values and the offset just past them, like :func:`decode_value`.  A payload
-    too short for ``count`` values raises (``struct.error`` for a fixed-width column,
-    ``ValueError`` for a string column), exactly where the per-value decoder would.
+    Returns the values, as the tuple a ``PaxBlock`` adopts, and the offset just past them,
+    like :func:`decode_value`.  A payload too short for ``count`` values raises
+    (``struct.error`` for a fixed-width column, ``ValueError`` for a string column), exactly
+    where the per-value decoder would.
     """
     ftype = field.ftype
     if ftype is FieldType.STRING:
         if count == 0:
-            return [], offset
+            return (), offset
         parts = payload[offset:].split(b"\x00", count)
         if len(parts) <= count:
             raise ValueError(f"payload ends inside column {field.name!r} ({count} values)")
         end = len(payload) - len(parts[count])
-        return payload[offset : end - 1].decode("utf-8").split("\x00"), end
+        return tuple(payload[offset : end - 1].decode("utf-8").split("\x00")), end
     fmt = f"<{count}{_STRUCT_CODES[ftype]}"
-    values = list(struct.unpack_from(fmt, payload, offset))
+    values = struct.unpack_from(fmt, payload, offset)
     if ftype is FieldType.DATE:
-        values = list(map(days_to_date, values))
+        values = tuple(map(days_to_date, values))
     return values, offset + struct.calcsize(fmt)
 
 
-def decode_column(field: Field, payload: bytes, count: int) -> list[Any]:
+def decode_column(field: Field, payload: bytes, count: int) -> tuple[Any, ...]:
     """Decode ``count`` values of one column from ``payload``."""
     return decode_column_at(field, payload, count, 0)[0]
 

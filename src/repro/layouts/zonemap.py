@@ -124,10 +124,11 @@ class ZoneMap:
     :meth:`prune_ranges`, its block-level pair for :meth:`may_match` — and the map keeps them,
     so a query pays for the columns it filters on, not for every column of the schema.
     Derived from the payload itself (``HailBlock.zone_map``), the synopsis is consistent with
-    the data by construction; :meth:`matches` is the staleness guard executors check before
-    trusting it (a payload mutated after the synopsis was built fails the row-count check and
-    the scan falls back to reading everything).  A map built by hand, without ``pax``, knows
-    exactly the zones it was given.
+    the data by construction, and a ``PaxBlock``'s tuple columns cannot change under it.
+    :meth:`matches` is the staleness guard executors check before trusting a map (one
+    injected or built for another payload fails the row-count check and the scan falls back
+    to reading everything).  A map built by hand, without ``pax``, knows exactly the zones it
+    was given.
     """
 
     #: Number of rows the synopsis was built over (staleness guard).

@@ -17,6 +17,7 @@ the same block handled record by record gave:
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -448,6 +449,34 @@ def test_project_equals_row_at_a_time_reconstruction(records, data):
     want = [tuple(pax.columns[i][row] for i in indexes) for row in rows]
     assert pax.project(rows, indexes) == want
     assert pax.project(iter(rows), indexes) == want  # any iterable, as before
+
+
+#: ``itemgetter`` returns a bare value for one index and raises for none: the gather's edges.
+_EDGE_RECORDS = [(3, 0.5, "c"), (1, -0.0, "a"), (2, 1.5, "b")]
+
+
+@pytest.mark.parametrize(
+    "rows", [[], [1], [0, 2], [2, 0], [1, 1], [2, 2, 0], [2, 0, 1, 0]],
+    ids=["none", "one", "two", "two-unsorted", "duplicate", "duplicate-unsorted", "mixed"],
+)
+@pytest.mark.parametrize("indexes", [[0], [2, 0], [1, 1, 2]])
+def test_project_gathers_zero_one_two_duplicate_and_unsorted_rows(rows, indexes):
+    pax = PaxBlock.from_records(_KERNEL_SCHEMA, _EDGE_RECORDS)
+    want = [tuple(_EDGE_RECORDS[row][i] for i in indexes) for row in rows]
+    assert pax.project(rows, indexes) == want
+    assert pax.project(iter(rows), indexes) == want
+    assert pax.project(rows, []) == [()] * len(rows)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3])
+def test_reorder_follows_every_short_permutation(size):
+    records = _EDGE_RECORDS[:size]
+    pax = PaxBlock.from_records(_KERNEL_SCHEMA, records)
+    for permutation in itertools.permutations(range(size)):
+        for form in (permutation, list(permutation)):
+            reordered = pax.reorder(form)
+            assert reordered.records() == [records[i] for i in permutation]
+            assert all(type(column) is tuple for column in reordered.columns)
 
 
 _AGGREGATES = ("count(*)", "count(f2)", "sum(f2)", "min(f3)", "max(f3)", "avg(f2)")

@@ -147,12 +147,13 @@ def test_backend_selection_guards():
 
 # --------------------------------------------------------------------------- no-copy blocks
 def test_pax_no_copy_construction_and_typed_views():
-    columns = [[3, 1, 2], [1.0, 2.0, 3.0], ["a", "b", "c"]]
-    adopted = PaxBlock(_SCHEMA, columns, 3, copy_columns=False)
-    assert adopted.columns[0] is columns[0]  # adopted, not copied
-    copied = PaxBlock(_SCHEMA, columns, 3)
-    assert copied.columns[0] is not columns[0]  # default stays defensive
-    assert copied.columns[0] == columns[0]
+    columns = [(3, 1, 2), (1.0, 2.0, 3.0), ("a", "b", "c")]
+    adopted = PaxBlock(_SCHEMA, columns, 3)
+    assert adopted.columns[0] is columns[0]  # a tuple is adopted, not copied
+    lists = [list(column) for column in columns]
+    copied = PaxBlock(_SCHEMA, lists, 3)
+    assert copied.columns[0] is not lists[0]  # any other sequence becomes a tuple
+    assert copied.columns[0] == tuple(lists[0])
     typed = adopted.typed_column_at(0)
     assert typed is not None and list(typed) == [3, 1, 2]
     assert adopted.typed_column_at(0) is typed  # cached

@@ -32,7 +32,7 @@ def test_build_rejects_bad_partition_size():
 def test_partition_keys_are_first_values(sorted_values):
     index = HailIndex.build("a", sorted_values, partition_size=64)
     assert index.num_partitions == -(-len(sorted_values) // 64)
-    assert index.partition_keys == [sorted_values[i] for i in range(0, len(sorted_values), 64)]
+    assert index.partition_keys == tuple(sorted_values[i] for i in range(0, len(sorted_values), 64))
     assert index.size_bytes() == 8 * index.num_partitions
 
 

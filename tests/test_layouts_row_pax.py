@@ -48,8 +48,8 @@ def test_pax_from_records_and_reconstruct(simple_schema, simple_records):
     assert len(block) == len(simple_records)
     assert block.records() == simple_records
     assert block.record(3) == simple_records[3]
-    assert block.column("id") == [r[0] for r in simple_records]
-    assert block.column_at(1) == [r[1] for r in simple_records]
+    assert block.column("id") == tuple(r[0] for r in simple_records)
+    assert block.column_at(1) == tuple(r[1] for r in simple_records)
 
 
 def test_pax_projection(simple_schema, simple_records):

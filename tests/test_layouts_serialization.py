@@ -73,7 +73,7 @@ def test_column_round_trip():
     f = Field("name", FieldType.STRING)
     values = ["a", "bb", "ccc", ""]
     payload = serialization.encode_column(f, values)
-    assert serialization.decode_column(f, payload, len(values)) == values
+    assert serialization.decode_column(f, payload, len(values)) == tuple(values)
 
 
 def test_variable_offsets_every_nth_value():
