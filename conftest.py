@@ -15,6 +15,7 @@ SMOKE_FIRST = (
     "tests/test_size_accounting.py",
     "tests/test_upload_once.py",
     "tests/test_block_batches.py",
+    "tests/test_map_output_fingerprint.py",
     "tests/test_immutable_storage.py",
     "tests/test_zone_columns.py",
     "tests/test_join_groups.py",
