@@ -16,7 +16,7 @@ from repro.hdfs.pipeline import StandardUploadPipeline
 from repro.layouts.schema import BadRecordError, Schema
 from repro.mapreduce.input_format import TextInputFormat
 from repro.mapreduce.job import JobConf
-from repro.systems.base import BaseSystem
+from repro.systems.base import BaseSystem, scan_job
 
 
 class HadoopSystem(BaseSystem):
@@ -27,32 +27,30 @@ class HadoopSystem(BaseSystem):
     def _upload_pipeline(self) -> StandardUploadPipeline:
         return StandardUploadPipeline(self.hdfs, self.cost)
 
-    def _make_jobconf(self, query, path: str, schema: Schema) -> JobConf:
-        mapper = make_scan_mapper(query, schema)
-        return JobConf(
-            name=f"hadoop-{query.name}",
-            input_path=path,
-            mapper=mapper,
-            map_batch=make_scan_map_batch(query, schema, mapper),
-            input_format=TextInputFormat(),
+    def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
+        parse_line = make_line_parser(query, schema)
+        return scan_job(
+            f"hadoop-{query.name}", path, TextInputFormat(),
+            make_block_parser(query, schema, parse_line), parse_line, emit,
         )
 
 
-def make_scan_mapper(query, schema: Schema):
-    """Build the classic Hadoop map function for a selection/projection query.
+def make_line_parser(query, schema: Schema):
+    """The classic Hadoop map function's work on one text line, as ``parse(line) -> row``.
 
-    The function receives ``(byte offset, text line)``, splits the line at the schema delimiter,
-    parses the attributes it needs, applies the predicate and emits the projected attribute
-    values as a typed tuple (so results are comparable across systems).  Rows that do not match
-    the schema are skipped, mirroring what Bob's hand-written parser would do.
+    The line is split at the schema delimiter, the attributes the query needs are parsed, the
+    predicate is applied, and the projected attribute values come back as a typed tuple (so
+    results are comparable across systems).  ``None`` means the row is dropped: it does not
+    qualify or does not match the schema, as Bob's hand-written parser would skip it.
 
-    This per-record form is the reference; :func:`make_scan_map_batch` is its block form.
+    This per-line form is the reference and the bad-record fallback of
+    :func:`make_block_parser`.
     """
     clause_info, projection_info = _scan_columns(query, schema)
     delimiter = schema.delimiter
     expected_arity = len(schema.fields)
 
-    def mapper(key, line: str):
+    def parse(line: str):
         parts = line.split(delimiter)
         if len(parts) != expected_arity:
             return None
@@ -60,23 +58,22 @@ def make_scan_mapper(query, schema: Schema):
             for clause, index, field in clause_info:
                 if not clause.matches(field.parse(parts[index])):
                     return None
-            projected = tuple(field.parse(parts[index]) for index, field in projection_info)
+            return tuple(field.parse(parts[index]) for index, field in projection_info)
         except BadRecordError:
             return None
-        return [(None, projected)]
 
-    return mapper
+    return parse
 
 
-def make_scan_map_batch(query, schema: Schema, mapper):
-    """The block form of :func:`make_scan_mapper`'s ``mapper``: one text block per call.
+def make_block_parser(query, schema: Schema, parse_line):
+    """The block form of ``parse_line`` (:func:`make_line_parser`): one text block's rows.
 
     Column at a time: split the lines of the right arity, then per clause parse that one
     column of the surviving rows and filter them with one comprehension
     (:func:`~repro.engine.executor.clause_mask`), then parse each projected column of the
     survivors and ``zip`` the columns into tuples.  A token that does not parse (or compare)
-    raises out of whichever column pass met it; the whole block then goes through ``mapper``
-    line by line, which drops exactly the rows it always dropped.
+    raises out of whichever column pass met it; the whole block then goes through
+    ``parse_line`` line by line, which drops exactly the rows it always dropped.
     """
     clause_info, projection_info = _scan_columns(query, schema)
     delimiter = schema.delimiter
@@ -88,7 +85,7 @@ def make_scan_map_batch(query, schema: Schema, mapper):
         default=-1,
     )
 
-    def map_batch(scan: TextScanResult) -> list:
+    def parse(scan: TextScanResult) -> list:
         rows = [
             line.split(delimiter, last_read + 1)
             for line in scan.lines
@@ -102,12 +99,11 @@ def make_scan_map_batch(query, schema: Schema, mapper):
                 map(field.ftype.parse_value, map(itemgetter(index), rows))
                 for index, field in projection_info
             ]
-            projected = list(zip(*columns)) if columns else [()] * len(rows)
+            return list(zip(*columns)) if columns else [()] * len(rows)
         except (ValueError, TypeError):
-            return [pair for line in scan.lines for pair in mapper(None, line) or ()]
-        return [(None, values) for values in projected]
+            return [row for row in map(parse_line, scan.lines) if row is not None]
 
-    return map_batch
+    return parse
 
 
 def _scan_columns(query, schema: Schema) -> tuple[list, list]:

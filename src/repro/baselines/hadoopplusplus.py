@@ -22,9 +22,9 @@ from typing import Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.ledger import TransferLedger
-from repro.hail.annotation import JOB_PROPERTY, HailQuery
+from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.hail_block import HailBlock
-from repro.hail.record_reader import HailRecordReader, emit_projected, emit_projected_batch
+from repro.hail.record_reader import HailRecordReader, projected_row, projected_rows
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.pipeline import StandardUploadPipeline
@@ -33,7 +33,7 @@ from repro.mapreduce.input_format import InputFormat
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
-from repro.systems.base import BaseSystem
+from repro.systems.base import BaseSystem, scan_job
 
 #: Values per trojan-index partition; much denser than HAIL's 1,024, hence the larger index.
 TROJAN_PARTITION_SIZE = 8
@@ -211,18 +211,9 @@ class HadoopPlusPlusSystem(BaseSystem):
             self.hdfs.install_replica(block_id, datanode_id, trojan_block, info)
 
     # ------------------------------------------------------------------ queries
-    def _make_jobconf(self, query, path: str, schema: Schema) -> JobConf:
-        annotation = HailQuery(
-            filter=query.predicate,
-            projection=tuple(query.projection) if query.projection is not None else None,
+    def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
+        jobconf = scan_job(
+            f"hadoop++-{query.name}", path, TrojanInputFormat(), projected_rows, projected_row, emit
         )
-
-        jobconf = JobConf(
-            name=f"hadoop++-{query.name}",
-            input_path=path,
-            mapper=emit_projected,
-            map_batch=emit_projected_batch,
-            input_format=TrojanInputFormat(),
-        )
-        jobconf.properties[JOB_PROPERTY] = annotation
+        jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
         return jobconf

@@ -3,8 +3,8 @@
 The operator lowers a :class:`GroupByQuery` onto the owning system's *existing* scan
 machinery: the system builds its normal selection/projection job (index-aware splits, PAX
 projection, zone maps — whatever the deployment configures) and runs it like any other; this
-module only decorates that job — it wraps the map function to emit ``(group key, partial
-aggregate)`` pairs and installs a merging combiner and a finalizing reducer.  The map-side
+module only hands the scan's rows to a regroup that emits ``(group key, partial aggregate)``
+pairs and installs a merging combiner and a finalizing reducer.  The map-side
 combiner (``mapreduce.shuffle.combine_map_output``) is what makes aggregation cheap on the
 substrate: one partial pair per (map task, group) crosses the shuffle instead of one pair per
 input record, observable via the ``COMBINE_*``/``SHUFFLE_BYTES_SAVED`` counters.
@@ -217,10 +217,11 @@ def make_reducer(aggregates: tuple[AggregateSpec, ...]):
 def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Lowering":
     """A grouped aggregation as one decorated scan: map-side combine → shuffle → reduce.
 
-    The scan half is the system's own jobconf (mapper, input format, annotations), so an
+    The scan half is the system's own jobconf (map function, input format, annotations), so an
     indexed HAIL deployment aggregates over index-narrowed candidate rows exactly like a
-    plain query would; the decoration only changes the shape of the emitted pairs and adds
-    the combiner and reducer.  The finish step puts the groups in canonical order.
+    plain query would; the scan hands its rows to ``regroup`` instead of pairing them, and
+    the decoration adds the combiner and reducer.  The finish step puts the groups in
+    canonical order.
     """
     from repro.systems.base import Lowering
 
@@ -228,9 +229,8 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Low
     regroup = _make_regroup(query, base.projection)
 
     def decorate(jobconf) -> None:
-        """Turn the system's scan job into the aggregation job, in place: the scan's rows
-        regrouped into ``(group key, partial)`` pairs, one per row, in order."""
-        jobconf.pipe_map_output(lambda pairs: regroup([row for _, row in pairs]))
+        """Turn the system's scan job, whose rows ``regroup`` already maps to ``(group key,
+        partial)`` pairs, into the aggregation job, in place."""
         jobconf.reducer = make_reducer(query.aggregates)
         if query.combiner:
             jobconf.combiner = make_combiner(query.aggregates)
@@ -242,7 +242,7 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Low
         (job,) = jobs
         return sorted(job.records, key=repr), job
 
-    return Lowering([(base, path, decorate)], finish)
+    return Lowering([(base, path, regroup, decorate)], finish)
 
 
 def explain_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> str:

@@ -19,13 +19,13 @@ builds from sorted inputs instead of sorting the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
-from operator import itemgetter, methodcaller
+from itertools import chain, groupby
+from operator import itemgetter
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, JobResult
+from repro.mapreduce.job import JobConf, JobResult, unkeyed
 from repro.mapreduce.shuffle import cogroup, run_reduce_phase
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
@@ -185,7 +185,7 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
         return records, JobResult(
             job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
             # Built after the rows, so that no pair keeps a fresh row tracked by the collector.
-            output=list(zip(repeat(None), records)),
+            output=unkeyed(records),
             runtime_s=scans_s + join_s,
             ideal_time_s=total("ideal_time_s"),
             num_map_tasks=num_map_tasks,
@@ -207,33 +207,27 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
 
 
 def _side_scans(system: "BaseSystem", query: JoinQuery) -> list[tuple]:
-    """The join's two scans, left then right, as ``(side query, path, decorate)`` triples.
+    """The join's two scans, left then right, as ``(side query, path, emit)`` triples.
 
-    The decoration re-keys a scan's ``(None, row)`` pairs by the join key, which leads the side
-    query's projection — still one pair per row, whichever form of the map function runs.
+    ``emit`` keys a scan's rows by the join key, which leads the side query's projection —
+    one pair per row, whichever form of the map function runs.
     """
     return [
-        (
-            query.side_query(side, system.schema_of(side_path)),
-            side_path,
-            methodcaller("pipe_map_output", rekey),
-        )
-        for side, side_path, rekey in (
+        (query.side_query(side, system.schema_of(side_path)), side_path, keying)
+        for side, side_path, keying in (
             ("left", query.left_path, _left_pairs),
             ("right", query.right_path, _right_pairs),
         )
     ]
 
 
-def _left_pairs(pairs: list) -> list:
-    """A left scan's pairs as ``(join key, row)``, by the column."""
-    rows = list(map(_SECOND, pairs))
+def _left_pairs(rows: list) -> list:
+    """A left scan's rows as ``(join key, row)``, by the column."""
     return list(zip(map(_FIRST, rows), rows))
 
 
-def _right_pairs(pairs: list) -> list:
-    """A right scan's pairs as ``(join key, row[1:])``: the left row brings the key along."""
-    rows = list(map(_SECOND, pairs))
+def _right_pairs(rows: list) -> list:
+    """A right scan's rows as ``(join key, row[1:])``: the left row brings the key along."""
     return list(zip(map(_FIRST, rows), map(_REST, rows)))
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.hail.annotation import HailQuery
 from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobResult
+from repro.mapreduce.job import JobResult, unkeyed
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
     from repro.systems.base import BaseSystem, Lowering
@@ -190,7 +190,7 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "Lowering"
         _trim_top(top, schema.index_of(query.order_by), query.k, query.descending)
         records = _project(top, schema, query.projection)
         job.counters.increment(Counters.TOPK_BLOCKS_READ, len(block_ids))
-        job.output = [(None, row) for row in records]
+        job.output = unkeyed(records)
         return records, job
 
     return Lowering([(query.scan_query(), path)], finish)
@@ -253,7 +253,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     records = _project(top, schema, query.projection)
     return records, JobResult(
         job_name=f"{system.name.lower()}-{query.name}[topk]",
-        output=[(None, row) for row in records],
+        output=unkeyed(records),
         runtime_s=system.cost.job_startup() + seconds,
         ideal_time_s=seconds,
         num_map_tasks=blocks_read,

@@ -12,8 +12,8 @@ use) and hands the plan to the :class:`~repro.engine.executor.VectorizedExecutor
    column-at-a-time with the full predicate, and reconstructs the projected attributes from PAX
    to row layout.
 
-The reader hands each block's result on whole (``batches()``, what the systems' own
-``map_batch`` consumes); only the per-record view wraps qualifying tuples as
+The reader hands each block's result on whole (``batches()``; the systems' scans take its
+:data:`projected_rows`); only the per-record view wraps qualifying tuples as
 :class:`~repro.hail.record.HailRecord`\\ s for a user's map function, with bad records passed
 through flagged as bad.  The simulated RecordReader time
 charged by the executor is what Figures 6(b) and 7(b) report.
@@ -21,6 +21,7 @@ charged by the executor is what Figures 6(b) and 7(b) report.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.cluster.costmodel import CostModel
@@ -36,21 +37,14 @@ from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
 
 
-def emit_projected(key, record: HailRecord) -> Optional[list]:
-    """The selection/projection map function: emit a record's projected tuple, drop bad ones.
-
-    HAIL and Hadoop++ queries are filtered and projected by the reader, so this is all their
-    map function does (``output(v, null)``, Section 4.1).  The per-record reference form of
-    :func:`emit_projected_batch`.
-    """
-    if record.bad:
-        return None
-    return [(None, record.as_tuple())]
+#: A block's rows: the reader has selected and projected them already, so passing them on
+#: (``output(v, null)``, Section 4.1) is all a HAIL or Hadoop++ scan's map function does.
+projected_rows = attrgetter("projected")
 
 
-def emit_projected_batch(scan: BlockScanResult) -> list:
-    """:func:`emit_projected` over one block: a pair per qualifying row, none for bad lines."""
-    return [(None, values) for values in scan.projected]
+def projected_row(record: HailRecord) -> Optional[tuple]:
+    """One record's row, the per-record twin of :data:`projected_rows`: ``None`` if bad."""
+    return None if record.bad else record.as_tuple()
 
 
 class HailRecordReader(RecordReader):

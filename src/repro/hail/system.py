@@ -8,10 +8,10 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
 from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext
 from repro.engine.lifecycle import LIFECYCLE_PROPERTY, AdaptiveLifecycleManager
-from repro.hail.annotation import JOB_PROPERTY, HailQuery
+from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.config import HailConfig
 from repro.hail.input_format import HailInputFormat
-from repro.hail.record_reader import emit_projected, emit_projected_batch
+from repro.hail.record_reader import projected_row, projected_rows
 from repro.hail.scheduler import (
     adaptive_replica_bytes,
     adaptive_replica_count,
@@ -23,7 +23,7 @@ from repro.engine.planner import ZONE_MAP_PROPERTY, PhysicalPlanner
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.job_tracker import SCHEDULING_PROPERTY
-from repro.systems.base import BaseSystem
+from repro.systems.base import BaseSystem, scan_job
 
 
 class HailSystem(BaseSystem):
@@ -79,20 +79,12 @@ class HailSystem(BaseSystem):
         return self.config.num_indexes
 
     # ------------------------------------------------------------------ queries
-    def _make_jobconf(self, query, path: str, schema: Schema) -> JobConf:
-        annotation = HailQuery(
-            filter=query.predicate,
-            projection=tuple(query.projection) if query.projection is not None else None,
+    def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
+        jobconf = scan_job(
+            f"hail-{query.name}", path, HailInputFormat(self.config),
+            projected_rows, projected_row, emit,
         )
-
-        jobconf = JobConf(
-            name=f"hail-{query.name}",
-            input_path=path,
-            mapper=emit_projected,
-            map_batch=emit_projected_batch,
-            input_format=HailInputFormat(self.config),
-        )
-        jobconf.properties[JOB_PROPERTY] = annotation
+        jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
         if self.config.zone_maps:
             jobconf.properties[ZONE_MAP_PROPERTY] = True
         if self.config.index_aware_scheduling:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Iterable, Optional
 
 from repro.mapreduce.counters import Counters
@@ -10,13 +11,11 @@ from repro.mapreduce.counters import Counters
 #: A map function: ``mapper(key, value) -> iterable of (key, value) pairs`` (or ``None``).
 Mapper = Callable[[Any, Any], Optional[Iterable[tuple]]]
 #: The block form of a map function: ``map_batch(batch) -> list of (key, value) pairs``, where
-#: ``batch`` is one item of the job's ``RecordReader.batches()``.  It must return a list —
-#: empty when nothing qualifies, never ``None`` — holding exactly the pairs, in the order, that
-#: calling the job's ``mapper`` on every record of the batch would have produced.
+#: ``batch`` is one item of the job's ``RecordReader.batches()``.  It must return a list (empty,
+#: never ``None``) of exactly the pairs, in order, that ``mapper`` gives the batch's records.
 MapBatch = Callable[[Any], list]
 #: A reduce function: ``reducer(key, values) -> iterable of (key, value) pairs`` (or ``None``).
 Reducer = Callable[[Any, list], Optional[Iterable[tuple]]]
-
 
 #: Property under which an input format reports blocks it pruned during the split phase
 #: (``{"blocks": int, "bytes": int}``); the runner pops it into the job's counters, so the
@@ -29,6 +28,12 @@ def identity_mapper(key: Any, value: Any) -> Iterable[tuple]:
     return [(key, value)]
 
 
+def unkeyed(rows) -> list:
+    """``(None, row)`` per row: what a map function that only passes rows on emits (HAIL's
+    ``output(v, null)``, Section 4.1).  The one builder of such pairs, and a scan's ``emit``."""
+    return list(zip(repeat(None), rows))
+
+
 @dataclass
 class JobConf:
     """Configuration of one MapReduce job.
@@ -36,14 +41,14 @@ class JobConf:
     ``input_format`` is an instance of :class:`~repro.mapreduce.input_format.InputFormat`; Bob
     switches it to ``HailInputFormat`` to run on HAIL (Section 4.1, change 1).  ``properties``
     carries free-form configuration, notably the ``hail.query`` annotation when the selection
-    predicate and projection are given through the job configuration instead of the map-function
-    annotation.
+    predicate and projection come through the job configuration, not the map function.
 
     ``mapper`` is the map function — the public, per-record contract, and the reference.
-    ``map_batch`` is an optional block form of the *same* function that the systems install
-    beside the mappers they build themselves; when present the map task calls it once per
-    block instead of ``mapper`` once per record.  The two must stay in step: code that
-    replaces ``mapper`` on a system-built jobconf replaces or clears ``map_batch`` as well.
+    ``map_batch`` is an optional block form of the *same* function; the systems compose both
+    from a scan's row functions and its consumer's ``emit(rows) -> pairs``
+    (:func:`repro.systems.base.scan_job`).  When present the map task calls it once per block
+    instead of ``mapper`` once per record, so code that replaces ``mapper`` on a system-built
+    jobconf replaces or clears ``map_batch`` as well.
     """
 
     name: str
@@ -64,23 +69,6 @@ class JobConf:
         """Set a configuration property and return ``self`` (chaining helper)."""
         self.properties[key] = value
         return self
-
-    def pipe_map_output(self, transform: Callable[[list], list]) -> None:
-        """Pass every pair list the map function emits through ``transform(pairs) -> pairs``.
-
-        Wraps ``mapper`` and ``map_batch`` in step, which is how an operator reshapes the
-        pairs of a system-built scan (group-by's partials, a join's keyed rows).  ``transform``
-        is given one record's pairs — never none — or one block's, where no pairs give none.
-        """
-        scan_mapper, scan_map_batch = self.mapper, self.map_batch
-
-        def mapper(key, record):
-            pairs = scan_mapper(key, record)
-            return transform(pairs) if pairs else None
-
-        self.mapper = mapper
-        if scan_map_batch is not None:
-            self.map_batch = lambda batch: transform(scan_map_batch(batch))
 
 
 @dataclass

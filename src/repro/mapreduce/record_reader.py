@@ -9,8 +9,8 @@ Replica selection and predicate evaluation live in the unified engine
 (:class:`~repro.engine.planner.PhysicalPlanner` /
 :class:`~repro.engine.executor.VectorizedExecutor`); readers are thin shells that ask the
 planner for a per-block :class:`~repro.engine.access_path.BlockPlan`, hand it to the executor,
-and hand the per-block result on — whole, to a job's ``map_batch``, or unpacked into the
-``(key, value)`` iterator contract of a per-record map function.
+and hand the per-block result on — whole, to a job's ``map_batch`` (a system's scan takes its
+rows from it), or unpacked into the ``(key, value)`` records of a per-record map function.
 
 :class:`TextRecordReader` is the stock Hadoop reader: it always reads the whole block from the
 closest replica and emits ``(byte offset, text line)`` pairs; splitting the line into attributes
@@ -37,9 +37,8 @@ class RecordReader(abc.ABC):
     The unit of work is the **block**: :meth:`batches` yields one executor result per block
     and does all the bookkeeping below while it does.  Iterating the reader is the per-record
     *view* of the same loop — ``(key, value)`` pairs unpacked from each batch by
-    :meth:`records_of` — and is the reference contract: a job with only a per-record
-    ``mapper`` iterates the reader and sees exactly the records, order and counts the batch
-    path is held to (``tests/test_block_batches.py``).
+    :meth:`records_of` — and is the contract user-written jobs map over: a job with only a
+    ``mapper`` sees exactly the records, order and counts the batch path is held to.
 
     A reader hands two things back to its task: the contract fields below (cost, volume,
     executed plans, staged adaptive builds) and ``counters``, a bag of its own that per-block

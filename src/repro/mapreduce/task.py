@@ -47,10 +47,10 @@ class MapTask:
     def run(self, hdfs: Hdfs, cost: CostModel, node_id: int, counters: Counters) -> MapTaskResult:
         """Execute the task on ``node_id``: read the split, map every block.
 
-        A jobconf with a ``map_batch`` (the systems' own scan and group-by jobs) is mapped
-        one call per block over ``reader.batches()``.  Any other job — user code — runs the
-        reference form: ``mapper(key, value)`` for every record of the reader's per-record
-        view.  Both leave the same output, in the same order, and the same reader state.
+        A jobconf with a ``map_batch`` (every job a system builds: plain scans and the scans
+        under group-bys and joins) is mapped one call per block over ``reader.batches()``.
+        Any other job — user code — runs ``mapper(key, value)`` per record of the reader's
+        per-record view.  Both leave the same output, in order, and the same reader state.
 
         ``counters`` is the attempt's private scratch bag (the scheduler merges it into the
         job's only if the attempt is accepted).  The task counts what it sees itself —

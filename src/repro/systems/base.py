@@ -9,8 +9,9 @@ A system owns a simulated HDFS deployment plus a MapReduce runner and offers:
   relational operator) as MapReduce jobs and return both the functional result records and
   the simulated timing decomposition.
 
-Subclasses only provide their upload pipeline, their input format/mapper wiring, and (for
-Hadoop++) the post-upload index-creation jobs.
+Subclasses only provide their upload pipeline, their scan job (input format plus the row
+functions :func:`scan_job` composes into its map function), and (for Hadoop++) the
+post-upload index-creation jobs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.engine.planner import PhysicalPlanner, QueryPlan
 from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
 from repro.layouts.schema import Schema
-from repro.mapreduce.job import JobConf, JobResult
+from repro.mapreduce.job import JobConf, JobResult, unkeyed
 from repro.mapreduce.runner import ConcurrentBatchError, MapReduceRunner
 
 
@@ -101,9 +102,11 @@ class QueryResult:
 class Lowering:
     """A compiled query as ordinary MapReduce work: the scans it needs plus a finish step.
 
-    ``scans`` are ``(Query, path)`` pairs, each run as the system's own scan job for that
-    query; a third element ``decorate(jobconf)`` adjusts the job in place right after it is
-    built (group-by installs its regrouping mapper, combiner and reducer there).
+    ``scans`` are ``(Query, path[, emit[, decorate]])`` entries, each run as the system's own
+    scan job for that query.  ``emit(rows) -> pairs`` is what the scan's map function hands its
+    rows to (:func:`~repro.mapreduce.job.unkeyed` when omitted; group-by's regroup, a join
+    side's keying), and ``decorate(jobconf)`` adjusts the job in place right after it is built
+    (group-by installs its combiner, reducer and reduce-task count there).
     ``finish(jobs, scans_s)`` turns the scans' :class:`JobResult` s, aligned with ``scans``,
     into the answer — ``(records, job)`` plus, for a plain scan, the executed plan;
     ``scans_s`` is what the scans took end to end: back-to-back the sum of their runtimes,
@@ -334,9 +337,10 @@ class BaseSystem(abc.ABC):
         """Run the finish step of ``query`` over its scans' jobs; wrap the answer as ours."""
         return QueryResult(self.name, query.name, *lowering.finish(jobs, scans_s))
 
-    def _scan_jobconf(self, query, path: str, decorate=None) -> JobConf:
-        """The job of one lowered scan: this system's jobconf for it, decorated when asked."""
-        jobconf = self._make_jobconf(query, path, self.schema_of(path))
+    def _scan_jobconf(self, query, path: str, emit=None, decorate=None) -> JobConf:
+        """The job of one lowered scan: this system's jobconf for it, its rows handed to
+        ``emit`` (:func:`~repro.mapreduce.job.unkeyed` by default), decorated when asked."""
+        jobconf = self._make_jobconf(query, path, self.schema_of(path), emit or unkeyed)
         if decorate is not None:
             decorate(jobconf)
         return jobconf
@@ -391,8 +395,8 @@ class BaseSystem(abc.ABC):
         """The per-block upload pipeline this system uses."""
 
     @abc.abstractmethod
-    def _make_jobconf(self, query, path: str, schema: Schema) -> JobConf:
-        """Build the MapReduce job that evaluates ``query`` on this system."""
+    def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
+        """Build the MapReduce job that scans ``query`` on this system (see :func:`scan_job`)."""
 
     def _post_upload(self, path: str, schema: Schema) -> float:
         """Extra seconds of post-upload work (Hadoop++ index-creation jobs); default none."""
@@ -400,6 +404,29 @@ class BaseSystem(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.__class__.__name__}(nodes={len(self.cluster)})"
+
+
+def scan_job(name: str, path: str, input_format, rows, row, emit) -> JobConf:
+    """A system's scan job: its map function composed from the scan's row functions and the
+    consumer's ``emit(rows) -> pairs``.
+
+    ``rows(batch)`` is one block's qualifying rows, ``row(value)`` one record's (``None`` drops
+    the record, as a bad one is dropped).  ``map_batch`` is ``emit(rows(batch))`` and ``mapper``
+    its per-record twin, ``emit([row(value)])``: every ``emit`` maps row by row, so the two
+    leave the same pairs in the same order.
+    """
+
+    def mapper(_key, value):
+        found = row(value)
+        return None if found is None else emit([found])
+
+    return JobConf(
+        name=name,
+        input_path=path,
+        mapper=mapper,
+        map_batch=lambda batch: emit(rows(batch)),
+        input_format=input_format,
+    )
 
 
 def _partition(items: list, parts: int) -> list[list]:

@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
-from repro.baselines.hadoop import make_scan_mapper
+from repro.baselines.hadoop import make_line_parser
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.hail.hail_block import HailBlock
@@ -70,10 +70,13 @@ def test_hadoop_schema_lookup(hadoop):
         hadoop.schema_of("/missing")
 
 
-def test_scan_mapper_skips_malformed_lines():
-    mapper = make_scan_mapper(bob_queries()[0], USERVISITS_SCHEMA)
-    assert mapper(0, "malformed line without delimiters") is None
-    assert mapper(0, "|".join(["x"] * 9)) is None  # bad date field
+def test_scan_mapper_skips_malformed_lines(uservisits_rows):
+    parse = make_line_parser(bob_queries()[0], USERVISITS_SCHEMA)
+    assert parse("malformed line without delimiters") is None
+    assert parse("|".join(["x"] * 9)) is None  # bad date field
+    # A well-formed line that qualifies comes back as its projected tuple.
+    row = next(r for r in uservisits_rows if date(1999, 1, 1) <= r[2] <= date(2000, 1, 1))
+    assert parse(USERVISITS_SCHEMA.format_record(row)) == (row[0],)
 
 
 # --------------------------------------------------------------------------- Hadoop++

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 import repro.baselines.hadoop as hadoop_module
 import repro.hail.record_reader as hail_reader_module
+import repro.mapreduce.job as job_module
 from repro.api import Session, col
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import SYNTHETIC_SCHEMA, SyntheticGenerator
@@ -45,6 +47,7 @@ from repro.layouts.schema import FieldType, Schema
 from repro.layouts.zonemap import ZoneMap, ranges_disjoint
 from repro.mapreduce import JobConf, TextInputFormat
 from repro.mapreduce.record_reader import TextRecordReader
+from repro.mapreduce.task import MapTask
 
 _BACKENDS = ["python"] + (["numpy"] if kernels.HAVE_NUMPY else [])
 _needs_numpy = pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy backend not importable")
@@ -99,8 +102,8 @@ def _per_record(session: Session) -> Session:
     for name in session.system_names:
         system = session.system(name)
 
-        def without_batch(query, path, schema, make=system._make_jobconf):
-            jobconf = make(query, path, schema)
+        def without_batch(query, path, schema, emit, make=system._make_jobconf):
+            jobconf = make(query, path, schema, emit)
             assert jobconf.map_batch is not None, "the systems install a map_batch themselves"
             jobconf.map_batch = None
             return jobconf
@@ -111,7 +114,7 @@ def _per_record(session: Session) -> Session:
 
 def _workload(session: Session):
     """``(label, system, dataset)``: scans that hit every reader path, then the group-bys and
-    joins, whose decorations wrap ``mapper`` and ``map_batch`` in step."""
+    joins, whose scans hand their rows to the operator's ``emit`` in both map forms."""
     data = session.dataset(_PATH)
     narrow = (col("f1") < VALUE_RANGE // 20) & (col("f4") >= 0)
     datasets = {
@@ -134,7 +137,7 @@ def _workload(session: Session):
         )
         yield "group-by", name, grouped.named(f"gb-{name}")
         yield "group-by, no combiner", name, grouped.with_combiner(False).named(f"gbn-{name}")
-        # A join re-keys both side scans' pairs on top of the system's own map function.
+        # A join keys both side scans' rows on top of the system's own row functions.
         left = data.where(col("f1") < VALUE_RANGE // 4).select("f2", "f1")
         right = data.where(col("f1") < VALUE_RANGE // 2).select("f3", "f2")
         yield "join", name, left.join(right, on="f2").named(f"join-{name}")
@@ -198,7 +201,7 @@ def test_malformed_lines_drop_exactly_the_rows_the_per_record_mapper_drops():
         .select("f1", "f3", "f5")
         .to_query()
     )
-    jobconf = session.system("Hadoop")._make_jobconf(query, _PATH, SYNTHETIC_SCHEMA)
+    jobconf = session.system("Hadoop")._scan_jobconf(query, _PATH)
     dropped = 0
     for lines in ([line] for line in _lines()[:80]):
         scan = _text_scan(lines)
@@ -235,8 +238,8 @@ def test_a_hail_collect_builds_no_hail_record_and_never_calls_the_per_record_map
     system = session.system("HAIL")
     mappers = []
 
-    def counting(query, path, schema, make=system._make_jobconf):
-        jobconf = make(query, path, schema)
+    def counting(query, path, schema, emit, make=system._make_jobconf):
+        jobconf = make(query, path, schema, emit)
         jobconf.mapper = _Calls(jobconf.mapper)
         mappers.append(jobconf.mapper)
         return jobconf
@@ -249,6 +252,38 @@ def test_a_hail_collect_builds_no_hail_record_and_never_calls_the_per_record_map
     assert result.job.counters.value("MAP_INPUT_RECORDS") > len(result.records)  # bad lines too
     assert records.count == 0
     assert [mapper.count for mapper in mappers] == [0]
+
+
+def test_only_a_plain_scan_pairs_its_rows_with_the_null_key(monkeypatch):
+    """``unkeyed`` builds every ``(None, row)`` pair: once per block inside a plain HAIL scan's
+    map tasks, never inside a group-by's (its rows go to the regroup) or a join's (to the
+    keying); the join's finish step pairs its joined rows with it once."""
+    helper, running, calls = job_module.unkeyed, [False], []
+
+    def counting(rows):
+        calls.extend(running)
+        return helper(rows)
+
+    def run(self, *args, run=MapTask.run):
+        running[0] = True
+        try:
+            return run(self, *args)
+        finally:
+            running[0] = False
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("repro") and getattr(module, "unkeyed", None) is helper:
+            monkeypatch.setattr(module, "unkeyed", counting)
+    monkeypatch.setattr(MapTask, "run", run)
+    session = _deploy(systems=("HAIL",), adaptive=False)
+    data = session.dataset(_PATH)
+    scan = data.where(col("f1") < VALUE_RANGE // 2).select("f1", "f6").collect()
+    blocks = sum(len(attempt.result.block_plans) for attempt in scan.job.task_results)
+    assert blocks > 1 and calls == [True] * blocks
+    calls.clear()
+    data.where(col("f1") < VALUE_RANGE // 2).group_by("f6").agg("count(*)").collect()
+    joined = data.select("f2", "f1").join(data.select("f3", "f2"), on="f2").collect()
+    assert joined.records and calls == [False]
 
 
 @_needs_numpy
@@ -275,11 +310,11 @@ def test_a_zone_pruned_block_is_one_numpy_kernel_call(monkeypatch):
 def test_the_per_line_text_mapper_is_not_called_on_a_well_formed_block(monkeypatch):
     mappers = []
 
-    def counting_factory(query, schema, make=hadoop_module.make_scan_mapper):
+    def counting_factory(query, schema, make=hadoop_module.make_line_parser):
         mappers.append(_Calls(make(query, schema)))
         return mappers[-1]
 
-    monkeypatch.setattr(hadoop_module, "make_scan_mapper", counting_factory)
+    monkeypatch.setattr(hadoop_module, "make_line_parser", counting_factory)
     session = Session.deploy(nodes=4, systems=("Hadoop",))
     rows = SyntheticGenerator(seed=3).generate(400)
     data = session.upload(_PATH, rows, SYNTHETIC_SCHEMA, rows_per_block=50)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from repro.api import col
-from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE
+from repro.datagen.synthetic import VALUE_RANGE
 from repro.engine.access_path import AccessPath
 from repro.hail.record_reader import HailRecordReader
 from repro.mapreduce.counters import Counters
@@ -70,7 +70,7 @@ def test_a_hand_driven_reader_counts_exactly_what_its_block_plans_say(busy_sessi
         .select("f1")
         .to_query()
     )
-    jobconf = system._make_jobconf(query, _PATH, SYNTHETIC_SCHEMA)
+    jobconf = system._scan_jobconf(query, _PATH)
     split = InputSplit(0, _PATH, blocks, (0,))
     reader = HailRecordReader(split, system.hdfs, system.cost, 0, jobconf)
     emitted = sum(1 for _ in reader)
@@ -119,7 +119,7 @@ def test_an_unfiltered_scan_counts_fallbacks_without_a_slice(busy_session):
     system = session.system()
     blocks = tuple(system.hdfs.namenode.file_blocks(_PATH))[:2]
     query = session.dataset(_PATH).select("f4").to_query()
-    jobconf = system._make_jobconf(query, _PATH, SYNTHETIC_SCHEMA)
+    jobconf = system._scan_jobconf(query, _PATH)
     split = InputSplit(0, _PATH, blocks, (0,))
     reader = HailRecordReader(split, system.hdfs, system.cost, 0, jobconf)
     assert sum(1 for _ in reader) == 200

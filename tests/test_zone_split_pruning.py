@@ -61,7 +61,7 @@ def test_get_splits_plans_the_file_once(monkeypatch, split_pruning):
         predicate=Predicate.comparison("f2", Operator.LT, VALUE_RANGE // 16),
         projection=None,
     )
-    jobconf = system._make_jobconf(query, _PATH, SYNTHETIC_SCHEMA)
+    jobconf = system._scan_jobconf(query, _PATH)
     calls = []
     plan_query = PhysicalPlanner.plan_query
     monkeypatch.setattr(
