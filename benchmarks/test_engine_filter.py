@@ -52,7 +52,7 @@ def block() -> HailBlock:
 
 @pytest.fixture(scope="module")
 def full_lookup(block) -> IndexLookup:
-    return IndexLookup(0, block._num_partitions() - 1, 0, block.num_records)
+    return block.whole_block_lookup()
 
 
 def _row_at_a_time(block: HailBlock, predicate: Predicate, lookup: IndexLookup) -> list[int]:

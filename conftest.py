@@ -31,6 +31,7 @@ SMOKE_FIRST = (
     # The one replica write path (Hdfs.install_replica) and the journal that follows it.
     "tests/test_persist_crash_matrix.py",
     "tests/test_journal_writes.py",
+    "tests/test_persist_recovery.py",
     "tests/test_adaptive_failure.py",
     "tests/test_adaptive_lifecycle.py",
     "tests/test_lifecycle_fingerprint.py",

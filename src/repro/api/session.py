@@ -554,8 +554,8 @@ class Session:
     ) -> "Session":
         """Reopen a killed HAIL deployment from its persistence journal.
 
-        ``hail_config`` must carry the same persistence backend and directory the dead
-        deployment journaled into (``HailConfig.with_persistence(...)``); a fresh deployment
+        ``hail_config`` must carry the ``persistence_dir`` the dead deployment journaled
+        into (``HailConfig.with_persistence(...)``); a fresh deployment
         of the same shape is built and every journaled dataset, replica (adaptive index
         pool included), zone-map synopsis, LRU statistic, eviction tombstone, tuner ledger
         and the adaptive salt are put back, so convergence *resumes* — the first query after
@@ -564,7 +564,7 @@ class Session:
         """
         from repro.persist import restore_system
 
-        if hail_config.persistence == "off":
+        if hail_config.persistence_dir is None:
             raise ValueError(
                 "Session.restore needs a persistence-enabled HailConfig "
                 "(use config.with_persistence(...))"

@@ -60,8 +60,6 @@ class CostParameters:
     split_header_read_s: float = 0.012
     #: Fixed per-block RecordReader setup cost (opening streams, allocating buffers).
     record_reader_setup_s: float = 0.05
-    #: TaskTracker/datanode expiry interval for the failover experiment.
-    expiry_interval_s: float = 30.0
 
     # ---- upload pipeline ------------------------------------------------------------
     #: Per-block fixed overhead on the client (namenode round trip, pipeline setup).
@@ -143,10 +141,6 @@ class CostModel:
         factor = self._rng.gauss(1.0, hardware.io_variance)
         return seconds * max(0.5, factor)
 
-    def reseed(self, seed: int) -> None:
-        """Reset the variance random stream (used to make experiment trials reproducible)."""
-        self._rng = random.Random(seed)
-
     # ------------------------------------------------------------------ framework events
     def job_startup(self) -> float:
         """Fixed cost of submitting a MapReduce job (JobClient, split phase, setup task)."""
@@ -166,10 +160,6 @@ class CostModel:
         if not reads_block_headers:
             return 0.0
         return num_blocks * self.params.split_header_read_s
-
-    def expiry_interval(self) -> float:
-        """Seconds before a dead TaskTracker/datanode is noticed."""
-        return self.params.expiry_interval_s
 
     def block_setup(self) -> float:
         """Per-block pipeline setup cost during upload."""
@@ -193,5 +183,4 @@ class CostModel:
             "map_slots_per_node": self.params.map_slots_per_node,
             "job_startup_s": self.params.job_startup_s,
             "task_scheduling_overhead_s": self.params.task_scheduling_overhead_s,
-            "expiry_interval_s": self.params.expiry_interval_s,
         }

@@ -47,11 +47,6 @@ class Node:
         """True while the node has not been killed."""
         return self.state == NodeState.ALIVE
 
-    @property
-    def hostname(self) -> str:
-        """Synthetic host name, e.g. ``node-03``."""
-        return f"node-{self.node_id:02d}"
-
     def kill(self) -> None:
         """Mark the node as failed (all Java processes killed, in the paper's phrasing)."""
         self.state = NodeState.DEAD

@@ -157,7 +157,6 @@ class VectorizedExecutor:
         The *decision* to build was already made by the planner via the plan's access path.
         """
         from repro.hail.hail_block import HailBlock  # local: hail_block imports our kernels
-        from repro.hail.index import IndexLookup
 
         replica = self._open(plan)
         payload = replica.payload
@@ -189,7 +188,7 @@ class VectorizedExecutor:
             lookup, used_index = payload.candidate_rows(predicate)
         else:
             # No filter: the whole block qualifies (a plain PAX scan).
-            lookup = self._whole_block_lookup(payload)
+            lookup = payload.whole_block_lookup()
             used_index = False
 
         windows = [(lookup.start_row, lookup.end_row)]
@@ -239,7 +238,7 @@ class VectorizedExecutor:
                 scan_seconds, _ = self._charge_block(
                     replica,
                     payload,
-                    self._whole_block_lookup(payload),
+                    payload.whole_block_lookup(),
                     len(matching_rows),
                     predicate,
                     projection,
@@ -326,18 +325,6 @@ class VectorizedExecutor:
             used_index=False,
             zone_map_skipped=True,
             zone_map_pruned_bytes=pruned_bytes,
-        )
-
-    @staticmethod
-    def _whole_block_lookup(payload) -> "IndexLookup":
-        """An :class:`IndexLookup` spanning the entire block (every partition, every row)."""
-        from repro.hail.index import IndexLookup
-
-        return IndexLookup(
-            first_partition=0,
-            last_partition=max(0, -(-payload.num_records // payload.partition_size) - 1),
-            start_row=0,
-            end_row=payload.num_records,
         )
 
     @staticmethod

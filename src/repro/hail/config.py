@@ -80,12 +80,10 @@ class HailConfig:
     default ``max_concurrent_jobs=1`` batches run back-to-back; single ``session.run`` calls
     are always serial.
 
-    **Persistence.**  ``persistence`` picks the durable-state backend: ``"off"`` keeps all
-    state in process memory, ``"memory"`` journals into a process-global store (for
-    crash-semantics tests), ``"sqlite"`` into one WAL-mode database per node plus the
-    namenode's (``docs/persistence.md``).  ``persistence_dir`` is where the journal lives
-    (a directory, or a store key for ``"memory"``); required unless the backend is off, and
-    what ``Session.restore`` reopens.
+    **Persistence.**  ``persistence_dir`` is the directory of the durable-state journal, one
+    WAL-mode SQLite database per node plus the namenode's (``docs/persistence.md``), and
+    what ``Session.restore`` reopens.  Journaling is on exactly when it is set; ``None``
+    keeps all state in process memory.
     """
 
     index_attributes: tuple[str, ...] = ()
@@ -109,7 +107,6 @@ class HailConfig:
     zone_maps: bool = False
     zone_split_pruning: bool = False
     concurrency: ConcurrencyPolicy = ConcurrencyPolicy()
-    persistence: str = "off"
     persistence_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -140,14 +137,8 @@ class HailConfig:
             )
         if self.placement_rebuilds_per_job < 0:
             raise ValueError("placement_rebuilds_per_job must be non-negative")
-        if self.persistence not in ("off", "memory", "sqlite"):
-            raise ValueError(
-                f"unknown persistence backend {self.persistence!r}; known: off, memory, sqlite"
-            )
-        if self.persistence != "off" and not self.persistence_dir:
-            raise ValueError(
-                "persistence backends need a persistence_dir (journal location/store key)"
-            )
+        if self.persistence_dir == "":
+            raise ValueError("persistence_dir must name a directory (None switches it off)")
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -298,14 +289,19 @@ class HailConfig:
     def with_persistence(
         self, backend: str = "sqlite", directory: Optional[str] = None
     ) -> "HailConfig":
-        """Copy of this configuration with the durable-state backend switched on.
+        """Copy of this configuration with the journal switched on (or off).
 
-        ``backend`` selects the journal implementation (``"sqlite"`` or ``"memory"``;
-        ``"off"`` switches persistence back off), ``directory`` where it lives.  A
-        deployment built with the same backend and directory a killed one used is what
-        ``Session.restore`` reopens — see ``docs/persistence.md`` for the walkthrough.
+        ``"sqlite"`` journals into ``directory``, which it requires; ``"off"`` clears
+        ``persistence_dir``.  A deployment built with the directory a killed one used is
+        what ``Session.restore`` reopens — see ``docs/persistence.md`` for the walkthrough.
         """
-        return replace(self, persistence=backend, persistence_dir=directory)
+        if backend == "off":
+            return replace(self, persistence_dir=None)
+        if backend != "sqlite":
+            raise ValueError(f"unknown persistence backend {backend!r}; accepted: sqlite, off")
+        if directory is None:
+            raise ValueError("the sqlite journal needs a directory")
+        return replace(self, persistence_dir=directory)
 
     def with_replication(self, replication: int) -> "HailConfig":
         """Copy of this configuration with a different replication factor."""

@@ -240,14 +240,15 @@ class HailBlock(BlockPayload):
             if clause is not None:
                 low, high = clause.value_range()
                 return self.index.lookup_range(low, high), True
-        return (
-            IndexLookup(
-                first_partition=0,
-                last_partition=max(0, self._num_partitions() - 1),
-                start_row=0,
-                end_row=self.num_records,
-            ),
-            False,
+        return self.whole_block_lookup(), False
+
+    def whole_block_lookup(self) -> IndexLookup:
+        """The :class:`IndexLookup` spanning every partition and every row (a block scan)."""
+        return IndexLookup(
+            first_partition=0,
+            last_partition=max(0, -(-self.num_records // self.partition_size) - 1),
+            start_row=0,
+            end_row=self.num_records,
         )
 
     def filter_rows(self, predicate: Optional[Predicate], lookup: IndexLookup) -> list[int]:
@@ -285,11 +286,6 @@ class HailBlock(BlockPayload):
         return names
 
     # ------------------------------------------------------------------ internals
-    def _num_partitions(self) -> int:
-        if self.num_records == 0:
-            return 0
-        return -(-self.num_records // self.partition_size)
-
     def _build_variable_offsets(self) -> dict[str, list[int]]:
         # One offset per *logical* index partition (Section 3.5): the offset lists stay tiny
         # relative to the block, which matters when miniature functional blocks stand in for

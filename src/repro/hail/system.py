@@ -64,12 +64,12 @@ class HailSystem(BaseSystem):
         self.lifecycle: Optional[AdaptiveLifecycleManager] = (
             AdaptiveLifecycleManager.from_config(config)
         )
-        if config.persistence != "off":
-            from repro.persist import create_backend
+        if config.persistence_dir is not None:
+            from repro.persist import SqliteBackend
 
             # Attached on the Hdfs facade so every mutation-point hook (upload, adaptive
             # commit, eviction, balancer) can reach the journal without new plumbing.
-            self.hdfs.persist = create_backend(config.persistence, config.persistence_dir)
+            self.hdfs.persist = SqliteBackend(config.persistence_dir)
 
     # ------------------------------------------------------------------ upload
     def _upload_pipeline(self) -> HailUploadPipeline:

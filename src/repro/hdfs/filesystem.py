@@ -75,19 +75,15 @@ class Hdfs:
         self.datanodes: Dict[int, DataNode] = {
             node.node_id: DataNode(node) for node in cluster.nodes
         }
-        #: Optional persistence backend (see :mod:`repro.persist`); ``None`` keeps every
+        #: The journal (:class:`repro.persist.SqliteBackend`), or ``None`` to keep every
         #: journal write out of the path.  Attached by the owning system when its config
-        #: enables persistence — the mutation-point hooks all read it via this slot.
+        #: sets ``persistence_dir`` — the mutation-point hooks all read it via this slot.
         self.persist = None
 
     # ------------------------------------------------------------------ datanode access
     def datanode(self, node_id: int) -> DataNode:
         """The datanode running on ``node_id``."""
         return self.datanodes[node_id]
-
-    def alive_datanodes(self) -> list[DataNode]:
-        """All datanodes whose host node is alive."""
-        return [dn for dn in self.datanodes.values() if dn.is_alive]
 
     # ------------------------------------------------------------------ the replica writer
     def install_replica(

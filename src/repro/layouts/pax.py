@@ -284,7 +284,7 @@ class PaxBlock:
         """Serialize all minipages (column after column) to bytes, one codec call per column.
 
         This is the block's wire and journal form: upload and adaptive commits checksum it,
-        the persistence backends store it, restore decodes and re-checksums it.  Nothing is
+        the persistence journal stores it, restore decodes and re-checksums it.  Nothing is
         cached — a block holds its columns, never a second copy of them as bytes.
         """
         return b"".join(map(serialization.encode_column, self.schema.fields, self.columns))

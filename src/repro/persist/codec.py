@@ -1,6 +1,6 @@
-"""Serialization codec for every record the persistence backends journal.
+"""Serialization codec for every record the persistence journal holds.
 
-The durable backends (see :mod:`repro.persist.sqlite_backend`) store two kinds of payload:
+The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payload:
 
 - **JSON-friendly metadata** — replica infos (:class:`~repro.hail.replica_info.HailBlockReplicaInfo`),
   zone-map synopses (:data:`~repro.layouts.zonemap.ZoneRanges`), schemas, tuner state

@@ -1,4 +1,13 @@
-"""The durable SQLite backend: one WAL-mode database per node, namenode DB as authority.
+"""The journal: one WAL-mode SQLite database per node, the namenode's as authority.
+
+The journal holds the deployment's durable state — Dir_block/Dir_rep, block payloads,
+zone-map synopses, usage statistics, eviction tombstones and the adaptive tuner's control
+state — and is written at every mutation point (upload, adaptive commit, eviction
+downgrade, balancer rebuild/migrate) through three calls: :meth:`SqliteBackend.sync_path`
+(a new file at upload start), :meth:`SqliteBackend.sync_block` (one block changed: its
+directory state is re-captured *from the authoritative in-memory namenode* and replaced in
+one transaction) and :meth:`SqliteBackend.sync_control` (adaptive salt, tuner knobs,
+balancer demand).  Each call is a crash site (:mod:`repro.persist.backend`).
 
 Layout under ``persistence_dir``:
 
@@ -22,10 +31,14 @@ directory rows in ``namenode.db`` in a single transaction.  A crash between the 
 the directory; restore drives entirely off ``namenode.db`` and ignores payload rows it does
 not reference, so any interrupted mutation atomically either happened or did not.
 
-**Only changed blobs are written** (delta syncs, :mod:`repro.persist.backend`): a node
-whose replica is still the object this instance committed gets no transaction, and the
-``blocks`` row stays while the ``LogicalBlock`` is the committed one.  The directory then
-points at rows an earlier sync wrote, so :meth:`load_state` raises a
+**Only changed blobs are written** (delta syncs).  An instance remembers, per block, the
+*blob sources* of the entry it last committed (:func:`repro.persist.state.capture_block`:
+the replicas' ``PaxBlock`` objects and the ``LogicalBlock``, never bytes).  Blocks are
+immutable, so a node whose replica is still the committed object gets no transaction, and
+the ``blocks`` row stays while the ``LogicalBlock`` is the committed one: an adaptive commit
+writes one payload, not four blobs.  The record is updated only after the namenode commit,
+starts empty in every new instance and is re-seeded by ``checkpoint()``.  The directory
+then points at rows an earlier sync wrote, so :meth:`load_state` raises a
 :class:`~repro.persist.state.JournalCorruptError` naming the replica when one is missing.
 Orphans are garbage-collected by the next ``checkpoint()``, which rewrites every database
 from a full capture and then truncates every WAL.  See ``docs/persistence.md``.
@@ -36,9 +49,10 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
+from typing import Optional
 
 from repro.persist import state as state_mod
-from repro.persist.backend import PersistenceBackend
+from repro.persist.backend import Checkpointing, CrashPoint
 
 _NAMENODE_SCHEMA = """
 CREATE TABLE IF NOT EXISTS paths (
@@ -94,15 +108,29 @@ CREATE TABLE IF NOT EXISTS replicas (
 """
 
 
-class SqliteBackend(PersistenceBackend):
+class SqliteBackend(Checkpointing):
     """Journal the deployment into SQLite files under ``persistence_dir`` (see module doc)."""
 
     def __init__(self, directory: str) -> None:
-        super().__init__()
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._namenode = self._open(self.directory / "namenode.db", _NAMENODE_SCHEMA)
         self._nodes: dict[int, sqlite3.Connection] = {}
+        #: Armed fault-injection point, or ``None`` for normal operation.
+        self.crash_point: Optional[CrashPoint] = None
+        #: ``{block_id: blob sources}`` of the entries this instance committed (module doc).
+        self._committed: dict[int, dict] = {}
+
+    # ------------------------------------------------------------------ crash injection
+    def _maybe_crash(self, site: str) -> None:
+        """Fire the armed crash point, if any, for a journal write at ``site``."""
+        if self.crash_point is not None:
+            self.crash_point.check(site)
+
+    def barrier(self, site: str) -> None:
+        """A crash site that journals nothing (``"mid_concurrent_batch"``): a named point
+        between two journaled operations at which an armed :class:`CrashPoint` can kill."""
+        self._maybe_crash(site)
 
     # ------------------------------------------------------------------ connections
     @staticmethod

@@ -1,6 +1,6 @@
 """Capture and restore of a deployment's durable state.
 
-This module defines the *encoded state* both backends journal: a plain dict (JSON metadata
+This module defines the *encoded state* the journal holds: a plain dict (JSON metadata
 plus PAX byte blobs, via :mod:`repro.persist.codec`) describing everything a killed HAIL
 deployment needs to come back with its learned index pool intact::
 

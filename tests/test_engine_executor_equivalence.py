@@ -83,7 +83,7 @@ def test_planned_scan_equals_brute_force_full_scan(
     if predicate is not None:
         lookup, _used_index = block.candidate_rows(predicate)
     else:
-        lookup = IndexLookup(0, max(0, -(-block.num_records // partition_size) - 1), 0, block.num_records)
+        lookup = block.whole_block_lookup()
     rows = vectorized_filter(block.pax, predicate, block.schema, lookup)
     projected = block.project_rows(rows, projection)
 

@@ -2,8 +2,7 @@
 
 A ``sync_block`` re-captures the block's *directory* state wholesale but writes a byte blob
 (replica payload, logical records) only when its source object is not the one the backend
-last committed (`src/repro/persist/state.py`).  Four things are pinned here, for both
-backends:
+last committed (`src/repro/persist/state.py`).  Four things are pinned here:
 
 - **differential** — after every journaled mutation (upload, adaptive commit, migration,
   eviction downgrade/delete, balancer rebuild, with node kills in between) the journal read
@@ -44,7 +43,8 @@ from repro.persist.state import capture_block
 from repro.workloads.query import Query
 
 _PATH = "/journal/synthetic"
-BACKENDS = ("sqlite", "memory")
+#: The journal's one backend, named in every test id.
+BACKENDS = ("sqlite",)
 _STORM = DiskPressurePolicy(capacity_bytes=1.0, high_watermark=0.9, low_watermark=0.5)
 
 
@@ -114,7 +114,7 @@ def _without_usage(blocks: dict) -> dict:
 
 
 class WriteProbe:
-    """Counts ``PaxBlock.to_bytes`` calls and, on SQLite, the rows written per table."""
+    """Counts ``PaxBlock.to_bytes`` calls and the SQLite rows written per table."""
 
     def __init__(self, monkeypatch) -> None:
         self.encodes = 0
@@ -128,10 +128,9 @@ class WriteProbe:
         monkeypatch.setattr(PaxBlock, "to_bytes", counting_to_bytes)
 
     def watch(self, backend) -> None:
-        """Trace every SQLite connection the backend has open (no-op for memory)."""
-        for conn in (getattr(backend, "_namenode", None), *getattr(backend, "_nodes", {}).values()):
-            if conn is not None:
-                conn.set_trace_callback(self.statements.append)
+        """Trace every SQLite connection the backend has open."""
+        for conn in (backend._namenode, *backend._nodes.values()):
+            conn.set_trace_callback(self.statements.append)
 
     def reset(self) -> None:
         self.encodes = 0
@@ -224,10 +223,9 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     commits = int(result.job.counters.value(Counters.ADAPTIVE_INDEXES_COMMITTED))
     assert commits > 0
     assert commits <= probe.encodes <= 2 * commits
-    if backend == "sqlite":
-        assert probe.rows("replicas") == commits
-        assert probe.rows("blocks") == 0
-        assert probe.rows("dir_rep") == 3 * commits  # the directory is still wholesale
+    assert probe.rows("replicas") == commits
+    assert probe.rows("blocks") == 0
+    assert probe.rows("dir_rep") == 3 * commits  # the directory is still wholesale
 
     # Eviction downgrades: at most the same (a downgrade strips the index and keeps the
     # replica's PaxBlock, so today only its checksums are re-derived and no payload moves).
@@ -236,10 +234,9 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     downgrades = sum(record.kind == "downgrade" for record in evicted)
     assert downgrades > 0
     assert probe.encodes <= 2 * downgrades
-    if backend == "sqlite":
-        assert probe.rows("replicas") <= downgrades
-        assert probe.rows("blocks") == 0
-        assert probe.rows("evictions") == downgrades
+    assert probe.rows("replicas") <= downgrades
+    assert probe.rows("blocks") == 0
+    assert probe.rows("evictions") == downgrades
 
     # Right after a checkpoint nothing is new: a sync of an untouched block writes no blob.
     block_id = system.hdfs.namenode.file_blocks(_PATH)[0]
@@ -258,8 +255,7 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     probe.reset()
     restored.hdfs.persist.sync_block(restored.hdfs, block_id, site="mid_upload")
     assert probe.encodes == 4  # three replicas + the logical records
-    if backend == "sqlite":
-        assert probe.rows("replicas") == 3 and probe.rows("blocks") == 1
+    assert probe.rows("replicas") == 3 and probe.rows("blocks") == 1
     probe.reset()
     restored.hdfs.persist.sync_block(restored.hdfs, block_id, site="mid_upload")
     assert probe.encodes == 0 and probe.rows("replicas") == 0
@@ -380,7 +376,7 @@ def test_short_payload_refuses_by_name(backend, tmp_path):
 @pytest.mark.parametrize("verify", (True, False))
 def test_downgrades_and_rebuilds_carry_checksums_iff_their_source_does(verify, tmp_path):
     config = _config(
-        "memory",
+        "sqlite",
         tmp_path,
         verify_checksums=verify,
         index_aware_scheduling=True,

@@ -3,7 +3,7 @@
 Four scenarios drive the lifecycle manager through real jobs:
 
 - **(a)** eviction under a tight per-node budget plus per-attribute auto-tuning, journaled to
-  the in-memory backend, while the workload cycles over three filter attributes;
+  SQLite, while the workload cycles over three filter attributes;
 - **(b)** convergence, the heaviest node killed, an eviction storm, recovery by the placement
   balancer's re-replication (four rebuilds per job, scan builds frozen), then a second storm
   that deletes the rebuilt extra copies;
@@ -137,7 +137,7 @@ def _plain(value):
 
 
 def _eviction_tuning(record: _Recorder, directory: str) -> None:
-    """(a) Eviction + per-attribute auto-tune + memory journal, three attributes cycling."""
+    """(a) Eviction + per-attribute auto-tune + SQLite journal, three attributes cycling."""
     system = _system(
         adaptive_offer_rate=1.0,
         adaptive_eviction=True,
@@ -146,7 +146,6 @@ def _eviction_tuning(record: _Recorder, directory: str) -> None:
         ),
         adaptive_auto_tune=True,
         adaptive_per_attribute_tune=True,
-        persistence="memory",
         persistence_dir=directory,
     )
     for number, attribute in enumerate(("f1", "f2", "f3") * 4):

@@ -427,7 +427,7 @@ def test_mid_batch_crash_keeps_stats_handles_and_partial_in_step(tmp_path):
     config = (
         HailConfig.for_attributes(("f1", "f2"), functional_partition_size=1)
         .with_concurrency(max_jobs=2)
-        .with_persistence("memory", directory=str(tmp_path))
+        .with_persistence("sqlite", directory=str(tmp_path))
     )
     alice = Session.deploy(nodes=4, hail_config=config, tenant="alice")
     generator = SyntheticGenerator(seed=7)

@@ -5,7 +5,7 @@ Every journal write site (`mid_upload`, `mid_adaptive_commit`, `mid_eviction`,
 — plus the `mid_concurrent_batch` barrier, which kills the deployment *between* job
 completions of an interleaved concurrent batch — the dead deployment's process state is
 discarded, and a brand-new deployment restores from the journal.  The matrix pins the
-crash-safety contract for both backends:
+crash-safety contract:
 
 - ``Dir_rep`` is consistent after every restore — no half-registered replicas
   (:func:`~repro.hail.scheduler.check_dir_rep_consistency`), every ``Dir_block`` host
@@ -14,9 +14,8 @@ crash-safety contract for both backends:
   coexists with no replica indexed on that attribute;
 - queries on the restored deployment answer exactly the records the journal holds.
 
-The sites crash *between* the node-journal commits and the namenode-journal transaction
-(SQLite) or *before* the journal applies the mutation at all (memory), so each test
-exercises the worst ordering its backend can produce.
+The sites crash *between* the node-journal commits and the namenode-journal transaction,
+so each test exercises the worst ordering the journal can produce.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from repro.workloads.query import Query
 
 _PATH = "/crash/synthetic"
 
-#: Both durable backends run the whole matrix; their crash orderings differ (see module doc).
-BACKENDS = ("sqlite", "memory")
+#: The journal's one backend, named in every test id.
+BACKENDS = ("sqlite",)
 
 
 def _cost() -> CostModel:

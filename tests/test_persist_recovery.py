@@ -12,8 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Session
+from repro.cluster import Cluster
 from repro.datagen.uservisits import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.hail import HailSystem
 from repro.hail.config import HailConfig
+from repro.persist import SqliteBackend
 from repro.workloads.bob import bob_logical_queries
 
 _PATH = "/data/uservisits"
@@ -43,7 +46,7 @@ def _run_workload(session: Session, queries) -> list[tuple[list[tuple], float]]:
     return outcomes
 
 
-@pytest.mark.parametrize("backend", ("sqlite", "memory"))
+@pytest.mark.parametrize("backend", ("sqlite",))
 def test_restored_session_continues_bob_workload_bit_identically(backend, tmp_path):
     queries = bob_logical_queries()
     records = _records()
@@ -88,7 +91,7 @@ def _replica_sizes(session: Session) -> dict[tuple[int, int], int]:
     }
 
 
-@pytest.mark.parametrize("backend", ("sqlite", "memory"))
+@pytest.mark.parametrize("backend", ("sqlite",))
 def test_restored_replicas_carry_their_pre_crash_sizes(backend, tmp_path):
     """Sizes travel with the block, so ``replica_info()`` and the payload read one table and
     a Dir_rep consistency check cannot see it go stale: compare every restored replica with
@@ -107,6 +110,27 @@ def test_restored_replicas_carry_their_pre_crash_sizes(backend, tmp_path):
         for block_id in datanode.block_ids():
             payload = datanode.replica(block_id).payload
             assert payload.data_size_bytes() == len(payload.pax.to_bytes())
+
+
+def test_with_persistence_accepts_sqlite_with_a_directory_and_off(tmp_path):
+    # The removed in-process backend is refused by name, with the accepted values.
+    with pytest.raises(ValueError, match="sqlite"):
+        HailConfig().with_persistence('memory', directory=str(tmp_path))
+    with pytest.raises(ValueError, match="directory"):
+        HailConfig().with_persistence("sqlite")
+    on = HailConfig().with_persistence("sqlite", directory=str(tmp_path))
+    assert on.persistence_dir == str(tmp_path)
+    assert on.with_persistence("off").persistence_dir is None
+
+
+def test_persistence_dir_alone_switches_the_journal_on(tmp_path):
+    config = HailConfig(persistence_dir=str(tmp_path))
+    journaled = HailSystem(Cluster.homogeneous(2, seed=1), config=config)
+    assert isinstance(journaled.hdfs.persist, SqliteBackend)
+    assert (tmp_path / "namenode.db").exists()
+    journaled.hdfs.persist.close()
+    plain = HailSystem(Cluster.homogeneous(2, seed=1), config=HailConfig())
+    assert plain.hdfs.persist is None
 
 
 def test_restore_requires_a_persistence_backend():
