@@ -26,6 +26,8 @@ SMOKE_FIRST = (
     "tests/test_scheduler_timeline.py",
     "tests/test_operator_jobs.py",
     "tests/test_api_session.py",
+    "tests/test_dataset_ir_fingerprint.py",
+    "tests/test_operator_api.py",
     "tests/test_concurrent_failure.py",
     "tests/test_scheduler_properties.py",
     # The one replica write path (Hdfs.install_replica) and the journal that follows it.

@@ -181,8 +181,8 @@ class LogicalAggregate:
 
     name: str
     source: LogicalQuery
-    keys: tuple[str, ...]
-    aggregates: tuple[Any, ...]
+    keys: tuple[str, ...] = ()
+    aggregates: tuple[Any, ...] = ()
     combiner: bool = True
 
     def compile(self):
@@ -221,9 +221,9 @@ class LogicalAggregate:
 class LogicalJoin:
     """Equi-join IR node: two scan sources joined on one attribute.
 
-    Joins compose with per-side ``where``/``select`` but not with ``group_by``/``order_by``/
-    ``limit`` on top (no operator tree beyond one join is expressible; violations raise
-    :class:`UnsupportedExpressionError` at the ``Dataset`` layer before this node is built).
+    Joins compose with per-side ``where``/``select``.  Both inputs are scan leaves, and no
+    operator takes a join as its input yet: the ``Dataset`` builders raise
+    :class:`UnsupportedExpressionError` for either stack before a node is built.
     """
 
     name: str
@@ -260,8 +260,8 @@ class LogicalTopK:
 
     name: str
     source: LogicalQuery
-    order_by: Optional[str]
-    k: Optional[int]
+    order_by: Optional[str] = None
+    k: Optional[int] = None
     descending: bool = False
 
     def compile(self):

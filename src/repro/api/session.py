@@ -65,35 +65,42 @@ _COMPILED = (Query, GroupByQuery, JoinQuery, TopKQuery)
 Runnable = Union[("Dataset", "QueryHandle") + _LOGICAL_IR + _COMPILED]
 
 
+#: The operator a builder names when refusing to stack on it (top-k refuses both others).
+_STACKED = {LogicalJoin: "join()", LogicalTopK: "order_by()/limit()"}
+
+
 # --------------------------------------------------------------------------- lazy datasets
 @dataclass(frozen=True)
 class Dataset:
     """A lazy query builder over one uploaded path.
 
-    Datasets are immutable: every ``where``/``select``/``named`` call returns a new one, so
-    partial queries can be shared and refined without aliasing surprises.  Nothing executes
-    until :meth:`collect` (immediate) or :meth:`submit` (deferred, drained by
-    :meth:`Session.run_batch`).
+    Datasets are immutable: every builder call returns a new one, so partial queries can be
+    shared and refined without aliasing surprises.  The query is held as IR: a
+    :class:`~repro.api.logical.LogicalQuery` scan leaf, or one operator node whose input is
+    that leaf; :meth:`logical` names the nodes.  Nothing executes until :meth:`collect`
+    (immediate) or :meth:`submit` (deferred, drained by :meth:`Session.run_batch`).
     """
 
     session: "Session"
     path: str
-    _where: Optional[Expr] = None
-    _select: Optional[tuple[str, ...]] = None
+    _node: Union[_LOGICAL_IR] = LogicalQuery(name="")
     _name: Optional[str] = None
-    _description: str = ""
-    _selectivity: Optional[float] = None
-    # Relational-operator state (one operator per dataset; incompatible combinations are
-    # rejected by the builders or at compile time, never silently mis-planned).
-    _group_keys: Optional[tuple[str, ...]] = None
-    _aggregates: Optional[tuple] = None
-    _combiner: bool = True
-    _order_attr: Optional[str] = None
-    _descending: bool = False
-    _limit: Optional[int] = None
-    _join: Optional[tuple] = None
 
-    # ------------------------------------------------------------------ builders
+    # ------------------------------------------------------------------ scan builders
+    @property
+    def _leaf(self) -> LogicalQuery:
+        """The scan leaf: the node itself, an operator's ``source`` or a join's ``left``."""
+        node = self._node
+        return node.left if isinstance(node, LogicalJoin) else getattr(node, "source", node)
+
+    def _scan(self, **changes) -> "Dataset":
+        """Replace fields of the scan leaf wherever it sits under the node."""
+        leaf, node = replace(self._leaf, **changes), self._node
+        if isinstance(node, LogicalQuery):
+            return replace(self, _node=leaf)
+        side = "left" if isinstance(node, LogicalJoin) else "source"
+        return replace(self, _node=replace(node, **{side: leaf}))
+
     def where(self, expression: Expr) -> "Dataset":
         """Narrow the selection; repeated calls conjoin (``a.where(x).where(y)`` is ``x & y``)."""
         if isinstance(expression, ColumnExpr):
@@ -102,14 +109,14 @@ class Dataset:
             )
         if not isinstance(expression, Expr):
             raise TypeError(f"where() expects a DSL expression, got {expression!r}")
-        combined = expression if self._where is None else (self._where & expression)
-        return replace(self, _where=combined)
+        current = self._leaf.where
+        return self._scan(where=expression if current is None else (current & expression))
 
     def select(self, *attributes: str) -> "Dataset":
         """Project the named attributes, in output order (replaces any earlier projection)."""
         if not attributes:
             raise ValueError("select() needs at least one attribute name")
-        return replace(self, _select=tuple(attributes))
+        return self._scan(select=tuple(attributes))
 
     def named(self, name: str) -> "Dataset":
         """Set the query name used in figures and reports."""
@@ -117,65 +124,52 @@ class Dataset:
 
     def described(self, description: str) -> "Dataset":
         """Set an explicit figure label (otherwise one is rendered from the compiled query)."""
-        return replace(self, _description=description)
+        return self._scan(description=description)
 
     def with_selectivity(self, selectivity: float) -> "Dataset":
         """Attach the paper's stated selectivity (reporting only)."""
-        return replace(self, _selectivity=selectivity)
+        return self._scan(selectivity=selectivity)
 
     # ------------------------------------------------------------------ operator builders
-    def _reject_stacking(self, adding: str, side: str = "") -> None:
-        """Refuse builder ``adding`` on a dataset already carrying an operator it excludes.
+    def _operator(self, kind: type, adding: str, **changes) -> "Dataset":
+        """Set fields of the ``kind`` operator node, wrapping the scan leaf on first use.
 
-        The engine implements one relational operator per query: grouping excludes joins and
-        rankings, ranking excludes joins and grouping, and a join side may carry no operator
-        at all (``side`` names it in the message).
+        The engine implements one relational operator per query, so builder ``adding`` is
+        refused on a dataset that carries another operator, never silently mis-planned.
         """
-        joined = self._join is not None
-        grouped = self._group_keys is not None or self._aggregates is not None
-        ranked = self._order_attr is not None or self._limit is not None
-        if adding == "join":
-            if joined or grouped or ranked:
-                raise UnsupportedExpressionError(
-                    f"join() {side} side already carries another operator; joins compose "
-                    "only with where()/select() per side"
-                )
-            return
-        if adding in ("group_by", "agg"):
-            excluded = (("join()", joined), ("order_by()/limit()", ranked))
-        else:
-            excluded = (("join()/group_by()", joined or grouped),)
-        for label, present in excluded:
-            if present:
-                raise UnsupportedExpressionError(
-                    f"{adding}() cannot be combined with {label}: one operator per query"
-                )
+        node = self._node
+        if isinstance(node, kind):
+            return replace(self, _node=replace(node, **changes))
+        if isinstance(node, LogicalQuery):
+            return replace(self, _node=kind(name="", source=node, **changes))
+        label = "join()/group_by()" if kind is LogicalTopK else _STACKED[type(node)]
+        raise UnsupportedExpressionError(
+            f"{adding}() cannot be combined with {label}: one operator per query"
+        )
 
     def group_by(self, *keys: str) -> "Dataset":
         """Group the output by the named attributes; follow with :meth:`agg`.
 
-        Grouping cannot be combined with :meth:`join`, :meth:`order_by` or :meth:`limit`
-        (the engine implements one relational operator per query, never a silent mis-plan).
+        Grouping cannot be combined with :meth:`join`, :meth:`order_by` or :meth:`limit`.
         """
         if not keys:
             raise ValueError("group_by() needs at least one key attribute")
-        self._reject_stacking("group_by")
-        return replace(self, _group_keys=tuple(keys))
+        return self._operator(LogicalAggregate, "group_by", keys=tuple(keys))
 
     def agg(self, *specs) -> "Dataset":
         """Set the aggregate columns (``"count(*)"``, ``"sum(f2)"``, or ``AggregateSpec``)."""
         if not specs:
             raise ValueError("agg() needs at least one aggregate spec")
-        self._reject_stacking("agg")
-        return replace(self, _aggregates=tuple(specs))
+        return self._operator(LogicalAggregate, "agg", aggregates=tuple(specs))
 
     def with_combiner(self, enabled: bool = True) -> "Dataset":
         """Switch the map-side combiner of a grouped aggregation (on by default).
 
         Results are bit-identical either way; only the shuffled pair volume (visible in the
         ``COMBINE_*``/``SHUFFLE_BYTES_SAVED`` counters) changes — the benchmark's A/B knob.
+        Like :meth:`agg`, it makes the dataset a grouping, so it needs :meth:`group_by`.
         """
-        return replace(self, _combiner=enabled)
+        return self._operator(LogicalAggregate, "with_combiner", combiner=enabled)
 
     def join(self, other: "Dataset", on: str, strategy: Optional[str] = None) -> "Dataset":
         """Equi-join with another dataset of the same session on one attribute.
@@ -188,62 +182,36 @@ class Dataset:
             raise TypeError(f"join() expects a Dataset, got {other!r}")
         if other.session is not self.session:
             raise ValueError("join() requires both datasets to belong to the same session")
-        self._reject_stacking("join", side="left")
-        other._reject_stacking("join", side="right")
-        return replace(self, _join=(other, on, strategy))
+        for side, dataset in (("left", self), ("right", other)):
+            if not isinstance(dataset._node, LogicalQuery):
+                raise UnsupportedExpressionError(
+                    f"join() {side} side already carries another operator; joins compose "
+                    "only with where()/select() per side"
+                )
+        right = LogicalQuery(name="", where=other._node.where, select=other._node.select)
+        node = LogicalJoin("", on, self._node, right, self.path, other.path, strategy)
+        return replace(self, _node=node)
 
     def order_by(self, attribute: str, descending: bool = False) -> "Dataset":
         """Rank the output by one attribute; must be followed by :meth:`limit`."""
-        self._reject_stacking("order_by")
-        return replace(self, _order_attr=attribute, _descending=descending)
+        return self._operator(LogicalTopK, "order_by", order_by=attribute, descending=descending)
 
     def limit(self, k: int) -> "Dataset":
         """Keep the top ``k`` rows of an :meth:`order_by` ranking (``LIMIT k``)."""
-        self._reject_stacking("limit")
-        return replace(self, _limit=k)
+        return self._operator(LogicalTopK, "limit", k=k)
 
     # ------------------------------------------------------------------ lowering
     def logical(self) -> Union[_LOGICAL_IR]:
-        """The dataset's current state as IR: a scan, or one relational-operator node."""
+        """The dataset's query as IR with its nodes named: a scan, or one operator over it.
+
+        Unnamed datasets take the session's next auto-name on every call; the scan leaf
+        shares the top node's name and a join's right scan is ``"<name>-right"``.
+        """
         name = self._name or self.session._next_query_name(self.path)
-        scan = LogicalQuery(
-            name=name,
-            where=self._where,
-            select=self._select,
-            description=self._description,
-            selectivity=self._selectivity,
-        )
-        if self._join is not None:
-            other, key, strategy = self._join
-            right = LogicalQuery(
-                name=f"{name}-right", where=other._where, select=other._select
-            )
-            return LogicalJoin(
-                name=name,
-                key=key,
-                left=scan,
-                right=right,
-                left_path=self.path,
-                right_path=other.path,
-                strategy=strategy,
-            )
-        if self._group_keys is not None or self._aggregates is not None:
-            return LogicalAggregate(
-                name=name,
-                source=scan,
-                keys=self._group_keys or (),
-                aggregates=self._aggregates or (),
-                combiner=self._combiner,
-            )
-        if self._order_attr is not None or self._limit is not None:
-            return LogicalTopK(
-                name=name,
-                source=scan,
-                order_by=self._order_attr,
-                k=self._limit,
-                descending=self._descending,
-            )
-        return scan
+        node = self._scan(name=name)._node
+        if isinstance(node, LogicalJoin):
+            node = replace(node, right=replace(node.right, name=f"{name}-right"))
+        return replace(node, name=name)
 
     def to_query(self) -> Union[_COMPILED]:
         """Compile to the stable form the engine executes (scan or operator query)."""
@@ -283,8 +251,9 @@ class Dataset:
         return self.session._enqueue(self.to_query(), self.path, system, deadline_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = self._where.describe() if self._where is not None else "*"
-        return f"Dataset({self.path!r}, where={where}, select={self._select})"
+        leaf = self._leaf
+        where = leaf.where.describe() if leaf.where is not None else "*"
+        return f"Dataset({self.path!r}, where={where}, select={leaf.select})"
 
 
 # --------------------------------------------------------------------------- deferred queries
@@ -292,7 +261,7 @@ class Dataset:
 class QueryHandle:
     """A query deferred by :meth:`Dataset.submit`; resolves the moment a drain completes it."""
 
-    query: Query
+    query: Union[_COMPILED]
     path: str
     system: str
     #: Soft completion deadline on the concurrent batch timeline (``None`` = none).
@@ -322,7 +291,7 @@ class BatchResult:
 
     @property
     def runtimes(self) -> list[float]:
-        """End-to-end runtime of every query, in execution order (convergence curves)."""
+        """End-to-end runtime of every query, in submission order (convergence curves)."""
         return [result.runtime_s for result in self.results]
 
     @property
@@ -698,10 +667,11 @@ class Session:
     ) -> QueryResult:
         """Execute one query now and record it in the session statistics.
 
-        ``item`` may be a :class:`Dataset`, a :class:`QueryHandle`, a
-        :class:`~repro.api.logical.LogicalQuery`, or a compiled
-        :class:`~repro.workloads.query.Query`; the latter two need ``path`` (or a single
-        uploaded path to default to).
+        ``item`` may be a :class:`Dataset`, a :class:`QueryHandle`, any ``Logical*`` IR node
+        (:mod:`repro.api.logical`), or a compiled form — a
+        :class:`~repro.workloads.query.Query` or an operator query (``GroupByQuery``,
+        ``JoinQuery``, ``TopKQuery``).  IR and compiled forms need ``path`` (or a single
+        uploaded path to default to), except a join, which carries both of its paths.
         """
         query, query_path, target_name = self._resolve(item, system, path)
         result = self.system(target_name).run_query(query, query_path, failure=failure)
@@ -789,7 +759,7 @@ class Session:
 
     def _enqueue(
         self,
-        query: Query,
+        query: Union[_COMPILED],
         path: str,
         system: Optional[str],
         deadline_s: Optional[float] = None,
@@ -815,7 +785,7 @@ class Session:
 
     def _resolve(
         self, item: Runnable, system: Optional[str], path: Optional[str]
-    ) -> tuple[Query, str, str]:
+    ) -> tuple[Union[_COMPILED], str, str]:
         """Normalize any runnable into ``(compiled query, path, system name)``."""
         if isinstance(item, Dataset):
             return item.to_query(), item.path, system if system is not None else self._default

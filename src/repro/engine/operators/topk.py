@@ -48,7 +48,7 @@ class TopKQuery:
     order_by:
         The ranking attribute.
     k:
-        Number of rows to return (``LIMIT``); must be >= 1.
+        Number of rows to return (``LIMIT``); an ``int`` >= 1 (not a ``bool``).
     descending:
         Rank by largest-first when True (``ORDER BY ... DESC``).
     predicate:
@@ -70,6 +70,8 @@ class TopKQuery:
     def __post_init__(self) -> None:
         from repro.workloads.query import render_sql  # lazy: workloads imports us back
 
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"top-k needs an integer k >= 1, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"top-k needs k >= 1, got {self.k}")
         if not self.description:

@@ -8,11 +8,12 @@ counters of a batch.
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import date
 
 import pytest
 
-from repro.api import Session, col
+from repro.api import Dataset, Session, UnsupportedExpressionError, col
 from repro.api.logical import LogicalQuery
 from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters
@@ -168,7 +169,7 @@ def test_dataset_builders_are_immutable(tri_session):
     base = tri_session.dataset(_PATH)
     narrowed = base.where(col("adRevenue") >= 1.0)
     named = narrowed.named("q-name").described("label").with_selectivity(0.5)
-    assert base._where is None  # the original is untouched
+    assert base.logical().where is None  # the original is untouched
     query = named.select("sourceIP").to_query()
     assert query.name == "q-name" and query.description == "label"
     assert query.selectivity == 0.5 and query.projection == ("sourceIP",)
@@ -185,6 +186,35 @@ def test_unnamed_datasets_get_stable_auto_names(tri_session):
     second = tri_session.dataset(_PATH).where(col("adRevenue") >= 1.0).to_query()
     assert first.name != second.name
     assert _PATH in first.name
+
+
+def test_a_dataset_holds_its_query_as_one_ir_node():
+    fields = [field.name for field in dataclasses.fields(Dataset)]
+    assert fields == ["session", "path", "_node", "_name"]
+
+
+def test_with_combiner_only_switches_a_grouping(tri_session):
+    data = tri_session.dataset(_PATH)
+    grouped = data.with_combiner(False).group_by("sourceIP").agg("count(*)").to_query()
+    assert grouped.combiner is False
+    with pytest.raises(UnsupportedExpressionError, match="group_by"):
+        data.with_combiner(False).to_query()  # a plain scan has no combiner to switch
+    stacked = (
+        (data.order_by("adRevenue").limit(3), "order_by()/limit()"),
+        (data.join(data, on="sourceIP"), "join()"),
+    )
+    for dataset, label in stacked:
+        with pytest.raises(UnsupportedExpressionError) as raised:
+            dataset.with_combiner(False)
+        assert str(raised.value) == (
+            f"with_combiner() cannot be combined with {label}: one operator per query"
+        )
+
+
+@pytest.mark.parametrize("k", [2.5, True, 3.0, "3"])
+def test_limit_takes_only_an_integer(tri_session, k):
+    with pytest.raises(ValueError, match="k >= 1"):
+        tri_session.dataset(_PATH).order_by("adRevenue").limit(k).to_query()
 
 
 def test_run_rejects_unknown_items_and_missing_paths(tri_session):
