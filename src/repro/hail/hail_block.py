@@ -57,7 +57,13 @@ class HailBlock(BlockPayload):
         #: False when the ablation "no PAX conversion" stores the block row-wise: the data is
         #: still sorted and indexed, but a scan can no longer prune unneeded columns.
         self.pax_layout: bool = True
-        self.variable_offsets: dict[str, list[int]] = self._build_variable_offsets()
+        # Built on first read (see the ``variable_offsets`` property): the offsets depend on
+        # the row order, but nothing on the upload or query path reads more than their count —
+        # one 4-byte offset per logical partition of every variable-size column.
+        self._variable_offsets: Optional[dict[str, list[int]]] = None
+        variable_columns = sum(not f.ftype.is_fixed for f in pax.schema.fields)
+        partitions = len(range(0, pax.num_rows, self.logical_partition_size))
+        self._offsets_bytes = 4 * variable_columns * partitions
         # Lazily built per-partition zone map (see the ``zone_map`` property); kept as an
         # attribute so tests can inject a stale synopsis and assert the fail-closed path.
         self._zone_map: Optional[ZoneMap] = None
@@ -77,10 +83,13 @@ class HailBlock(BlockPayload):
 
         With ``sort_attribute=None`` this is the HAIL client's conversion (Section 3.1): the
         upload pipeline calls it once per block and derives every replica with
-        :meth:`resorted`, so the rows are pivoted and measured once.
+        :meth:`resorted`, so the rows are pivoted and measured once — here, one walk per
+        variable-size column, whose sizes every reorder of the block then shares.
         """
+        pax = PaxBlock.from_records(schema, records)
+        pax.size_bytes()  # the row set's one measurement, filling the table reorders share
         return cls._sorted_and_indexed(
-            PaxBlock.from_records(schema, records),
+            pax,
             sort_attribute,
             partition_size,
             bad_lines=bad_lines,
@@ -168,15 +177,14 @@ class HailBlock(BlockPayload):
         return self._bad_records_bytes
 
     def size_bytes(self) -> int:
-        """Physical size of the replica's data file."""
-        offsets_bytes = 4 * sum(len(offsets) for offsets in self.variable_offsets.values())
+        """Physical size of the replica's data file (the offset lists counted, not built)."""
         return (
             _BLOCK_METADATA_BYTES
             + _INDEX_METADATA_BYTES
             + self.data_size_bytes()
             + self.index_size_bytes()
             + self.bad_records_size_bytes()
-            + offsets_bytes
+            + self._offsets_bytes
         )
 
     def describe(self) -> dict:
@@ -285,16 +293,23 @@ class HailBlock(BlockPayload):
                 names.append(name)
         return names
 
-    # ------------------------------------------------------------------ internals
-    def _build_variable_offsets(self) -> dict[str, list[int]]:
-        # One offset per *logical* index partition (Section 3.5): the offset lists stay tiny
-        # relative to the block, which matters when miniature functional blocks stand in for
-        # 64 MB logical blocks.
-        offsets: dict[str, list[int]] = {}
-        for f in self.schema.fields:
-            if not f.ftype.is_fixed:
-                offsets[f.name] = self.pax.variable_offsets(f.name, self.logical_partition_size)
-        return offsets
+    # ------------------------------------------------------------------ variable-size access
+    @property
+    def variable_offsets(self) -> dict[str, list[int]]:
+        """Per variable-size column, the byte offset of every logical partition's first value.
+
+        One offset per *logical* index partition (Section 3.5): the lists stay tiny relative
+        to the block, which matters when miniature functional blocks stand in for 64 MB
+        logical blocks.  They depend on the row order, so each replica walks its own columns —
+        on the first read, not at construction.
+        """
+        if self._variable_offsets is None:
+            self._variable_offsets = {
+                f.name: self.pax.variable_offsets(f.name, self.logical_partition_size)
+                for f in self.schema.fields
+                if not f.ftype.is_fixed
+            }
+        return self._variable_offsets
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

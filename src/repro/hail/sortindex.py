@@ -16,7 +16,14 @@ def sort_permutation(values: Sequence[Any]) -> list[int]:
     Values must be mutually comparable (ints, floats, strings, dates — whatever the sort-key
     column holds).  ``None`` values sort first so that blocks with missing keys still sort
     deterministically.
+
+    Without a ``None`` the key is the column's own C-level ``__getitem__``: the keyed form
+    compares ``(True, a) < (True, b)``, which reduces to ``a < b`` (ties, ``-0.0``/``0.0`` and
+    NaN included), so both stable sorts return the same permutation.
     """
+    if None not in values:
+        return sorted(range(len(values)), key=values.__getitem__)
+
     def key(position: int):
         value = values[position]
         return (value is not None, value)

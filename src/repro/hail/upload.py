@@ -103,9 +103,10 @@ class HailUploadPipeline:
             logical_partition_size=self.config.partition_size,
         )
         client_block.pax_layout = self.config.convert_to_pax
-        # Both in upload order: the string share is sampled over the first rows as they arrived.
-        text_bytes = client_block.pax.text_size_bytes() + client_block.bad_records_size_bytes()
-        string_fraction = client_block.pax.sample_string_share()
+        # One text pass, in upload order: the string share is sampled over the first rows as
+        # they arrived.
+        text_bytes, string_fraction = client_block.pax.text_size_and_string_share()
+        text_bytes += client_block.bad_records_size_bytes()
         pax_bytes = client_block.data_size_bytes()
 
         logical = LogicalBlock(
@@ -127,7 +128,10 @@ class HailUploadPipeline:
 
         # 3. Network hops and per-datanode sort/index/flush: each datanode reorders the block it
         #    received by its own attribute (an unsorted position keeps the client's minipages).
+        #    Replicas sorted alike hold equal bytes, so they share one encode and one checksum
+        #    list; each datanode is still charged for its own checksum pass.
         indexes_created: list[str] = []
+        checksums_by_order: dict[Optional[str], tuple[int, ...]] = {}
         wire_bytes = pax_bytes + checksum_file_size(pax_bytes)
         previous = client_node
         for position, datanode_id in enumerate(pipeline):
@@ -136,7 +140,10 @@ class HailUploadPipeline:
             block = client_block.resorted(sort_attribute)
             checksums: tuple[int, ...] = ()
             if self.config.verify_checksums:
-                checksums = tuple(chunk_checksums(block.pax.to_bytes()))
+                if sort_attribute not in checksums_by_order:
+                    encoded = block.pax.to_bytes()
+                    checksums_by_order[sort_attribute] = tuple(chunk_checksums(encoded))
+                checksums = checksums_by_order[sort_attribute]
             self._charge_datanode(datanode_id, block, pax_bytes, ledger)
             self.hdfs.install_replica(
                 block_id, datanode_id, block, block.replica_info(datanode_id), checksums

@@ -237,41 +237,62 @@ class PaxBlock:
         """Binary size of just the named columns (what a projection must read)."""
         return sum(map(self._column_size_at, map(self.schema.index_of, attribute_names)))
 
-    def _token_bytes(self, index: int, rows: Optional[int] = None) -> int:
-        """UTF-8 bytes of one column's text tokens (of its first ``rows`` values, if given):
-        one format, one join and one encode pass over the column."""
-        column = self.columns[index] if rows is None else self.columns[index][:rows]
-        tokens = map(self.schema.fields[index].ftype.format_value, column)
-        return len("".join(tokens).encode("utf-8"))
+    def _token_bytes(self, index: int, rows: int, sample: int) -> tuple[int, int]:
+        """UTF-8 bytes of one column's first ``rows`` text tokens, and of the first ``sample``
+        of them: one format pass over the column, one join per count, and no encode when the
+        text is ASCII (one character, one byte)."""
+        column = self.columns[index]
+        if rows < len(column):
+            column = column[:rows]
+        tokens = list(map(self.schema.fields[index].ftype.format_value, column))
+        text = "".join(tokens)
+        head = text if sample >= rows else "".join(tokens[:sample])
+        if text.isascii():
+            return len(text), len(head)
+        return len(text.encode("utf-8")), len(head.encode("utf-8"))
+
+    def _text_measures(self, rows: int) -> tuple[int, float]:
+        """Text bytes of the first ``rows`` rows and the string share of the first 64 of them,
+        from one :meth:`_token_bytes` pass per column."""
+        schema = self.schema
+        sample = min(_STRING_SAMPLE_ROWS, rows)
+        token_bytes = string_bytes = sample_bytes = 0
+        for index, field in enumerate(schema.fields):
+            column_bytes, in_sample = self._token_bytes(index, rows, sample)
+            token_bytes += column_bytes
+            # As the reference counts them: every sampled token plus its one separator byte.
+            in_sample += sample
+            sample_bytes += in_sample
+            if not field.ftype.is_fixed:
+                string_bytes += in_sample
+        row_overhead = (len(schema.fields) - 1) * len(schema.delimiter.encode("utf-8")) + 1
+        share = string_bytes / sample_bytes if sample_bytes else 0.0
+        return token_bytes + rows * row_overhead, share
+
+    def text_size_and_string_share(self) -> tuple[int, float]:
+        """``(text_size_bytes(), sample_string_share())``, formatting each column once: what
+        an upload's client charges for a block."""
+        return self._text_measures(self.num_rows)
 
     def text_size_bytes(self) -> int:
         """Text bytes of all rows: ``sum(map(schema.text_size, records))``, by the column."""
-        schema = self.schema
-        row_overhead = (len(schema.fields) - 1) * len(schema.delimiter.encode("utf-8")) + 1
-        return sum(map(self._token_bytes, range(len(self.columns)))) + self.num_rows * row_overhead
+        return self.text_size_and_string_share()[0]
 
     def sample_string_share(self) -> float:
         """String share of the first 64 rows' text, for the cost model's parsing split.
 
         ``schema.string_byte_fraction(records[:64])`` by the column — the same two integers,
-        hence the same float.  The sample is positional, so an upload takes it from the
-        client's block before any sort.
+        hence the same float — formatting only those 64 values per column.  The sample is
+        positional, so an upload takes it from the client's block before any sort.
         """
-        rows = min(_STRING_SAMPLE_ROWS, self.num_rows)
-        string_bytes = total_bytes = 0
-        for index, field in enumerate(self.schema.fields):
-            # As the reference counts them: every sampled token plus its one separator byte.
-            in_sample = self._token_bytes(index, rows) + rows
-            total_bytes += in_sample
-            if not field.ftype.is_fixed:
-                string_bytes += in_sample
-        return string_bytes / total_bytes if total_bytes else 0.0
+        return self._text_measures(min(_STRING_SAMPLE_ROWS, self.num_rows))[1]
 
     def variable_offsets(self, name: str, partition_size: int) -> list[int]:
         """Byte offset of every ``partition_size``-th value of a variable-size column.
 
-        The offsets depend on the row order, so every ``HailBlock`` walks its own; the walk
-        ends on the column's byte size, which is recorded so nothing measures it again.
+        The offsets depend on the row order, so every ``HailBlock`` that reads them walks its
+        own; the walk ends on the column's byte size, which is recorded so nothing measures it
+        again.
         """
         index = self.schema.index_of(name)
         offsets, self._column_sizes[index] = serialization.variable_offsets_and_size(

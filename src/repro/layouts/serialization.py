@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import struct
 from datetime import date
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Any, Iterable, Sequence
 
 from repro.layouts.schema import Field, FieldType, Schema
 
 _EPOCH = date(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
 
 #: ``struct`` type code per fixed-width type; a column of ``n`` values packs as ``<{n}{code}``.
 _STRUCT_CODES: dict[FieldType, str] = {
@@ -85,8 +87,11 @@ def decode_record(schema: Schema, payload: bytes, offset: int = 0) -> tuple[tupl
 def encode_column(field: Field, values: Iterable[Any]) -> bytes:
     """Encode a whole column (one PAX minipage), byte-identical to joining :func:`encode_value`.
 
-    A value the batch pack rejects sends the column through the per-value reference, which
-    raises its own exception naming the field and the value.
+    Dates become day numbers without a Python call per value (ordinal minus the epoch's).
+    A value the batch pack rejects — or, in a DATE column, a value that is not a ``date``,
+    such as a pre-converted day number — sends the column through the per-value reference,
+    which converts it or raises its own exception naming the field and the value.  (A
+    ``datetime``, a ``date`` the reference rejects, encodes as its date.)
     """
     if not isinstance(values, (list, tuple)):
         values = list(values)
@@ -95,7 +100,7 @@ def encode_column(field: Field, values: Iterable[Any]) -> bytes:
         if ftype is FieldType.STRING:
             return ("\x00".join(map(str, values)) + "\x00").encode("utf-8") if values else b""
         if ftype is FieldType.DATE:
-            values = list(map(date_to_days, values))
+            values = list(map(sub, map(date.toordinal, values), repeat(_EPOCH_ORDINAL)))
         return struct.pack(f"<{len(values)}{_STRUCT_CODES[ftype]}", *values)
     except (struct.error, OverflowError, TypeError, ValueError):
         return b"".join(encode_value(field, v) for v in values)

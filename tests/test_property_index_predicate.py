@@ -157,6 +157,41 @@ def test_sort_permutation_works_for_strings(values):
     assert apply_permutation(values, permutation) == sorted(values)
 
 
+def _keyed_reference(values):
+    """The keyed sort every column used to take: ``None`` first, then by value, stable."""
+    return sorted(range(len(values)), key=lambda i: (values[i] is not None, values[i]))
+
+
+_NAN = float("nan")
+_SORT_KEY_COLUMNS = st.one_of(
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=200),  # many ties
+    # Duplicates, both zeros (equal, so stability decides) and NaN (as one shared object and
+    # as distinct ones): the order comes from ``<`` alone, so it must match pairwise.
+    st.lists(
+        st.one_of(st.sampled_from((0.0, -0.0, 1.5, -1.5, _NAN)), st.floats()), max_size=200
+    ),
+    st.lists(st.text(max_size=3), max_size=200),
+    st.lists(st.dates(), max_size=200),
+)
+
+
+@given(values=_SORT_KEY_COLUMNS, as_tuple=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_sort_permutation_without_none_is_the_keyed_permutation(values, as_tuple):
+    column = tuple(values) if as_tuple else values
+    assert sort_permutation(column) == _keyed_reference(values)
+
+
+@given(values=st.lists(st.one_of(st.none(), _INTS, st.floats(allow_nan=False)), max_size=200))
+@settings(max_examples=150, deadline=None)
+def test_sort_permutation_still_sorts_none_first(values):
+    permutation = sort_permutation(tuple(values))
+    assert permutation == _keyed_reference(values)
+    nones = values.count(None)
+    assert all(values[i] is None for i in permutation[:nones])
+    assert is_sorted(apply_permutation(values, permutation)[nones:])
+
+
 # --------------------------------------------------------------------------- predicates
 _SCHEMA = Schema.of(("a", FieldType.INT), ("b", FieldType.INT))
 

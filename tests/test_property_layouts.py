@@ -225,6 +225,31 @@ def test_column_codec_is_bit_identical_to_the_per_value_codec(schema_and_rows):
             PaxBlock.from_bytes(schema, wire[:-1], len(rows))
 
 
+#: Day numbers of ``date.min`` and ``date.max``: the range a DATE column decodes back.
+_MIN_DAY, _MAX_DAY = (serialization.date_to_days(day) for day in (date.min, date.max))
+
+
+@given(
+    days=st.lists(
+        st.one_of(st.dates(), st.integers(min_value=_MIN_DAY, max_value=_MAX_DAY)), max_size=30
+    ),
+    pre_converted=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_date_column_of_day_numbers_encodes_like_the_per_value_codec(days, pre_converted):
+    # A DATE column may hold day numbers already converted (``date_to_days`` accepts them):
+    # the ordinal fast path rejects them and the per-value path encodes them.
+    f = Field("day", FieldType.DATE)
+    values = [serialization.date_to_days(day) for day in days] if pre_converted else days
+    reference = b"".join(serialization.encode_value(f, value) for value in values)
+    assert serialization.encode_column(f, values) == reference
+    assert serialization.encode_column(f, tuple(values)) == reference
+    decoded = serialization.decode_column(f, reference, len(values))
+    assert tuple(map(serialization.date_to_days, decoded)) == tuple(
+        map(serialization.date_to_days, values)
+    )
+
+
 @given(values=st.lists(st.floats(min_value=-3e38, max_value=3e38), max_size=20))
 @settings(max_examples=60, deadline=None)
 def test_float_column_rounds_exactly_like_the_per_value_codec(values):

@@ -5,7 +5,8 @@ once per row set and shared with every reorder.  These tests count measurements 
 (``serialization.variable_offsets_and_size`` calls, the only way a string column is measured
 now) and per-value ``Field.binary_size`` calls (the public row-wise reference, which nothing on
 these paths may go back to) — around the operations that used to re-measure every immutable
-block on every query and every upload.
+block on every query and every upload.  A ``HailBlock``'s variable-size offsets are walked only
+when read: its size counts them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.api import Session
 from repro.datagen.uservisits import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.hail import hail_block
 from repro.hail.hail_block import HailBlock
 from repro.layouts import Field, PaxBlock, serialization
 from repro.workloads.bob import bob_logical_queries
@@ -101,14 +103,59 @@ def test_reorders_and_resorts_inherit_the_measurement(measurements):
 
     block = HailBlock.build(USERVISITS_SCHEMA, rows, "visitDate", partition_size=16)
     for attribute in ("sourceIP", None):
-        resorted = block.resorted(attribute)  # construction walks the offsets: order-dependent
+        resorted = block.resorted(attribute)  # shares the table ``build`` filled
         before = measurements[0]
         assert resorted.data_size_bytes() == expected
         assert resorted.size_bytes() == resorted.replica_info(0).block_size_bytes
         assert measurements[0] == before
-    # The offsets walk is the only per-replica visit: one walk per variable-size column, and
-    # no per-value call.
-    string_columns = sum(not f.ftype.is_fixed for f in USERVISITS_SCHEMA.fields)
+    # A replica's size counts its offsets instead of walking them: no column walk and no
+    # per-value call per replica.
     before = measurements[0]
     block.resorted("adRevenue").size_bytes()
-    assert measurements[0] - before == string_columns
+    assert measurements[0] - before == 0
+
+
+_STRING_COLUMNS = [f for f in USERVISITS_SCHEMA.fields if not f.ftype.is_fixed]
+
+
+def test_constructing_a_hail_block_walks_no_column(measurements):
+    rows = _rows(120)
+    pax = PaxBlock.from_records(USERVISITS_SCHEMA, rows)  # unmeasured
+    before = measurements[0]
+    block = HailBlock(pax, None, None, partition_size=16)
+    replicas = [block.resorted(attribute) for attribute in (*_BOB_INDEXES, None)]
+    assert measurements[0] == before
+    # ``build`` is the client's conversion: the row set's one measurement, then no more.
+    built = HailBlock.build(USERVISITS_SCHEMA, rows, None, partition_size=16)
+    assert measurements[0] - before == len(_STRING_COLUMNS)
+    before = measurements[0]
+    for replica in [built.resorted(attribute) for attribute in _BOB_INDEXES] + replicas:
+        replica.replica_info(0)
+    assert measurements[0] - before == len(_STRING_COLUMNS)  # ``pax``'s own, once
+
+
+@pytest.mark.parametrize("partition_size", [1024, 16], ids=["one-partition", "16-row-partitions"])
+@pytest.mark.parametrize("attribute", [None, "sourceIP", "adRevenue"])
+def test_offsets_built_on_read_are_the_eager_offsets(measurements, partition_size, attribute):
+    block = HailBlock.build(USERVISITS_SCHEMA, _rows(120), attribute, partition_size=partition_size)
+    expected_partitions = -(-120 // partition_size)
+    size = block.size_bytes()
+    before = measurements[0]
+    offsets = block.variable_offsets
+    assert measurements[0] - before == len(_STRING_COLUMNS)  # one walk per string column
+    assert block.variable_offsets is offsets and measurements[0] - before == len(_STRING_COLUMNS)
+    assert list(offsets) == [f.name for f in _STRING_COLUMNS]
+    for f in _STRING_COLUMNS:
+        assert offsets[f.name] == serialization.variable_offsets(
+            f, block.pax.column(f.name), partition_size
+        )
+        assert len(offsets[f.name]) == expected_partitions
+    # The counted size is the size the eager offsets gave.
+    assert size == block.size_bytes() == (
+        hail_block._BLOCK_METADATA_BYTES
+        + hail_block._INDEX_METADATA_BYTES
+        + block.data_size_bytes()
+        + block.index_size_bytes()
+        + block.bad_records_size_bytes()
+        + 4 * sum(len(column_offsets) for column_offsets in offsets.values())
+    )

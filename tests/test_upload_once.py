@@ -201,6 +201,41 @@ def test_a_hail_block_is_pivoted_once_and_no_value_is_measured_row_wise(monkeypa
     assert formats[0] == 0 and binary_sizes[0] == 0
 
 
+def test_a_hail_upload_formats_each_column_once(monkeypatch):
+    # Text bytes and the 64-row string share come from one format pass over each column.
+    system = _hail(HailConfig.for_attributes(_BOB_INDEXES), nodes=4)
+    formatted = [0]
+    for ftype in FieldType:
+        format_value = ftype.format_value
+
+        def counting(value, format_value=format_value):
+            formatted[0] += 1
+            return format_value(value)
+
+        monkeypatch.setattr(ftype, "format_value", counting)
+    rows = _rows(400)
+    report = system.upload("/uv", rows, USERVISITS_SCHEMA, rows_per_block=100)
+    assert report.num_blocks == 4
+    assert formatted[0] == len(rows) * len(USERVISITS_SCHEMA.fields)
+
+
+def test_replicas_sorted_alike_share_one_encode_and_one_checksum_list(monkeypatch):
+    system = _hail(HailConfig.for_attributes(["sourceIP"]), nodes=4)
+    assert system.config.replication == 3
+    encodes = _counted(monkeypatch, PaxBlock, "to_bytes")
+    report = system.upload("/uv", _rows(400), USERVISITS_SCHEMA, rows_per_block=100)
+    assert encodes[0] == 2 * report.num_blocks  # the sourceIP order and the upload order
+    for block_id in system.hdfs.namenode.file_blocks("/uv"):
+        replicas = [
+            system.hdfs.read_replica(block_id, datanode_id)
+            for datanode_id in system.hdfs.namenode.block_datanodes(block_id)
+        ]
+        unsorted = [r for r in replicas if r.payload.sort_attribute is None]
+        assert len(unsorted) == 2
+        expected = tuple(chunk_checksums(unsorted[0].payload.pax.to_bytes()))
+        assert unsorted[0].checksums == unsorted[1].checksums == expected
+
+
 def test_a_stock_upload_formats_each_record_once(monkeypatch):
     system = HadoopSystem(Cluster.homogeneous(4, seed=2))
     formatted = _counted(monkeypatch, Schema, "format_record")
