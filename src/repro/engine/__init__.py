@@ -11,7 +11,7 @@ privately inside their record readers:
 - :mod:`repro.engine.kernels`     — the columnar filter kernels the executor dispatches to:
   a pure-Python reference backend and an optional numpy fast path (``set_backend``);
 - :mod:`repro.engine.adaptive`    — LIAH-style adaptive indexing: full scans stage indexed
-  replicas as a by-product (:class:`PendingIndexBuild`), which the scheduler registers
+  replicas as a by-product (:class:`PendingIndexBuild`), which HAIL's input format registers
   failure-safely after the map phase (:func:`commit_adaptive_builds`);
 - :mod:`repro.engine.lifecycle`   — adaptive-index lifecycle management: one post-job pass
   of :class:`AdaptiveLifecycleManager` runs the :class:`AdaptiveTuner` feedback controller
@@ -28,14 +28,12 @@ Record readers are thin shells over ``planner.plan_block()`` + ``executor.execut
 
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import (
-    ADAPTIVE_PROPERTY,
     AdaptiveCommitReport,
     AdaptiveJobContext,
     PendingIndexBuild,
     commit_adaptive_builds,
 )
 from repro.engine.lifecycle import (
-    LIFECYCLE_PROPERTY,
     AdaptiveLifecycleManager,
     AdaptiveTuner,
     JobObservation,
@@ -69,13 +67,11 @@ __all__ = [
     "TopKQuery",
     "explain_operator",
     "AccessPath",
-    "ADAPTIVE_PROPERTY",
     "AdaptiveCommitReport",
     "AdaptiveJobContext",
     "AdaptiveLifecycleManager",
     "AdaptiveTuner",
     "JobObservation",
-    "LIFECYCLE_PROPERTY",
     "LifecycleAction",
     "LifecycleReport",
     "evict_under_pressure",

@@ -16,8 +16,9 @@ This module carries the pieces of that feedback loop that are *not* tied to the 
   applied to HDFS while the map phase runs: a speculative or soon-to-be-killed attempt must not
   leave half-registered state behind, so the replica and its ``Dir_rep`` entry travel with the
   task result instead;
-- :func:`commit_adaptive_builds` — the failure-safe registration step.  The scheduler calls it
-  once per job with the *surviving* attempts only; builds of lost attempts simply never reach
+- :func:`commit_adaptive_builds` — the failure-safe registration step.  HAIL's input format
+  calls it once per measured job (``HailInputFormat.finish_run``) with the *surviving*
+  attempts only; builds of lost attempts simply never reach
   the namenode, duplicate builds of rescheduled/speculative attempts are deduplicated, and the
   replica store + ``Dir_rep`` registration happen together so the directory can never point at
   a replica that was not flushed.  Placement never evicts an existing index: when the executing
@@ -28,27 +29,12 @@ This module carries the pieces of that feedback loop that are *not* tied to the 
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:  # only for annotations: keep this module import-light
     from repro.hdfs.filesystem import Hdfs
-
-#: Key under which the per-job :class:`AdaptiveJobContext` travels in ``JobConf.properties``.
-ADAPTIVE_PROPERTY = "hail.adaptive"
-
-#: Process-wide salt source for fallback contexts (jobs built without ``HailSystem``): every
-#: fallback context gets a fresh salt even when each job constructs its own input format, so
-#: low offer rates still converge.  Deterministic for a fixed sequence of jobs in a process.
-_FALLBACK_SALTS = itertools.count()
-
-
-def next_fallback_salt() -> int:
-    """The next unused salt for a fallback :class:`AdaptiveJobContext`."""
-    return next(_FALLBACK_SALTS)
-
 
 def offer_draw(salt: int, block_id: int, attribute: str) -> float:
     """Deterministic uniform draw in ``[0, 1)`` for one ``(job, block, attribute)`` offer.
@@ -67,12 +53,12 @@ def offer_draw(salt: int, block_id: int, attribute: str) -> float:
 class AdaptiveJobContext:
     """Per-job adaptive-indexing policy: offer rate plus an indexing budget.
 
-    One context is installed into ``JobConf.properties[ADAPTIVE_PROPERTY]`` per job (the HAIL
-    system gives every job a fresh ``salt``); record readers hand it to the planner, which asks
-    :meth:`offers` before upgrading a scan to an :attr:`ADAPTIVE_INDEX_BUILD`.  Because the
-    simulated map phase may run twice for one job (the failure runner probes an undisturbed
-    baseline first), :meth:`begin_run` resets the budget at the start of every run — both runs
-    then make identical offers.
+    The HAIL system builds one context per job, with a fresh ``salt``, and hands it to the
+    job's ``HailInputFormat``; the format gives it to every record reader, which hands it to
+    the planner, which asks :meth:`offers` before upgrading a scan to an
+    :attr:`ADAPTIVE_INDEX_BUILD`.  Because the simulated map phase may run twice for one job
+    (the failure runner probes an undisturbed baseline first), the format calls
+    :meth:`begin_run` at the start of every run — both runs then make identical offers.
     """
 
     offer_rate: float = 1.0
@@ -93,8 +79,9 @@ class AdaptiveJobContext:
     #: cost-model evaluation per adaptive-index scan, wasted when nothing consumes it.
     measure_savings: bool = False
     #: Record per-replica index uses in the namenode (the LRU statistics eviction orders by).
-    #: The runner flips this off for the failure runner's baseline probe, whose side effects
-    #: are discarded — otherwise every use would be double-counted by the probe+measured pair.
+    #: The input format flips this off for the failure runner's baseline probe, whose side
+    #: effects are discarded — otherwise every use would be double-counted by the probe+measured
+    #: pair.
     record_usage: bool = True
     #: Functionally compute chunk checksums for staged replicas (mirrors the upload pipeline's
     #: ``HailConfig.verify_checksums``; the checksum *cost* is charged either way).

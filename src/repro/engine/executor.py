@@ -102,7 +102,7 @@ class BlockScanResult:
     bytes_read: float
     used_index: bool
     #: Adaptive index staged as a by-product of this scan (``None`` for plain scans); the
-    #: scheduler commits it after the map phase via ``commit_adaptive_builds``.
+    #: input format commits it after the map phase via ``commit_adaptive_builds``.
     pending_build: Optional[PendingIndexBuild] = None
     #: True when the block was answered via a replica whose index was built *adaptively* —
     #: the lifecycle tuner counts these as uses of past builds.

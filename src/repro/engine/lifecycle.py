@@ -3,9 +3,9 @@
 Adaptive (lazy) indexing (:mod:`repro.engine.adaptive`) converges a deployment to the indexes
 its workload actually needs — but left alone, adaptive replicas accumulate forever and the
 ``adaptive_offer_rate`` / ``adaptive_budget_per_job`` knobs stay whatever the operator guessed.
-:meth:`AdaptiveLifecycleManager.after_job` closes both loops.  The MapReduce runner calls it
-once per measured job, after the failure-safe commit of staged builds, and it runs one pass in
-this order:
+:meth:`AdaptiveLifecycleManager.after_job` closes both loops.  HAIL's input format calls it
+once per measured job (``HailInputFormat.finish_run``), after the failure-safe commit of staged
+builds, and it runs one pass in this order:
 
 1. build the job's :class:`JobObservation` from its counters;
 2. :class:`AdaptiveTuner` folds it into its payback ledger (one global ledger, plus one
@@ -36,11 +36,6 @@ from repro.mapreduce.counters import Counters
 if TYPE_CHECKING:  # only for annotations: keep this module import-light
     from repro.cluster.costmodel import CostModel
     from repro.hdfs.filesystem import Hdfs
-
-#: Key under which the deployment's :class:`AdaptiveLifecycleManager` travels in
-#: ``JobConf.properties`` (installed by ``HailSystem``, consulted by the runner post-job).
-LIFECYCLE_PROPERTY = "hail.adaptive.lifecycle"
-
 
 # --------------------------------------------------------------------------- observations
 #: ``(total field, per-attribute field, counter, type)``: what :class:`JobObservation` reads
@@ -877,12 +872,11 @@ class AdaptiveLifecycleManager:
     """Per-deployment owner of the tuner, the eviction policy and the placement balancer.
 
     ``HailSystem`` creates one manager when the config enables eviction, auto-tuning and/or
-    the balancer, installs it into every job's ``JobConf.properties`` under
-    :data:`LIFECYCLE_PROPERTY`, and stamps each job's
+    the balancer, hands it to every job's ``HailInputFormat``, and stamps each job's
     :class:`~repro.engine.adaptive.AdaptiveJobContext` with :attr:`tuner`'s knobs.  The
-    MapReduce runner calls :meth:`after_job` once per measured job, after the staged builds
-    were committed — so the tuner sees exactly what reached the namenode, and eviction acts on
-    post-commit disk usage.
+    format's ``finish_run`` calls :meth:`after_job` once per measured job, after the staged
+    builds were committed — so the tuner sees exactly what reached the namenode, and eviction
+    acts on post-commit disk usage.
     """
 
     def __init__(

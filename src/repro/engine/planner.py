@@ -23,9 +23,6 @@ from repro.hdfs.namenode import NameNode
 from repro.layouts.schema import Schema
 from repro.layouts.zonemap import ranges_disjoint
 
-#: Jobconf property that switches zone-map data skipping on for a job's readers.
-ZONE_MAP_PROPERTY = "hail.zone.maps"
-
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports us back
     from repro.hail.annotation import HailQuery
     from repro.hail.predicate import Predicate

@@ -3,7 +3,9 @@
 The decision which clustered index to create on which replica "can either be done by a user
 through a configuration file or by a physical design algorithm" (Section 1.1).  In this
 reproduction the configuration file is :class:`HailConfig`; the physical design algorithm lives
-in :mod:`repro.design.advisor`.
+in :mod:`repro.design.advisor`.  A job's queries read the deployment's config through their
+input format: ``HailSystem`` builds one :class:`~repro.hail.input_format.HailInputFormat` per
+job from it, and that format is the only path HAIL settings take into the MapReduce layer.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class HailConfig:
     per filter attribute (requires ``adaptive_auto_tune``).
 
     **Placement.**  ``index_aware_scheduling`` makes a free slot prefer a task with an
-    *indexed* local replica, then a data-local one, then the queue head
-    (:data:`~repro.mapreduce.job_tracker.SCHEDULING_PROPERTY`).  ``placement_balancer`` runs
+    *indexed* local replica, then a data-local one, then the queue head (the job's input
+    format carries it as ``InputFormat.index_aware_scheduling``).  ``placement_balancer`` runs
     the :class:`~repro.engine.lifecycle.PlacementBalancer` after every job — re-creating
     coverage lost to eviction or node death and migrating replicas off skewed nodes — doing
     at most ``placement_rebuilds_per_job`` re-replications per pass.

@@ -13,6 +13,14 @@ index scan actually needs (Figures 6(c) and 7(c)).  HailSplitting instead
 The result is a handful of map tasks (e.g. 20 instead of 3,200) that each index-scan many
 blocks, which is what produces the Figure 9 speedups.  Jobs without a usable index keep the
 default one-split-per-block policy, so failover characteristics of scan jobs are unchanged.
+
+The format is also the one object holding a job's HAIL state, so the rest of Hadoop needs no
+HAIL knowledge: the deployment's :class:`~repro.hail.config.HailConfig` (zone maps, split
+policy, index-aware scheduling), the job's
+:class:`~repro.engine.adaptive.AdaptiveJobContext` (handed to every record reader) and the
+deployment's :class:`~repro.engine.lifecycle.AdaptiveLifecycleManager`.  The runner starts
+each run (:meth:`HailInputFormat.start_run`) and finishes each measured one
+(:meth:`HailInputFormat.finish_run`: commit the staged builds, then the lifecycle pass).
 """
 
 from __future__ import annotations
@@ -22,28 +30,86 @@ from typing import Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.engine.access_path import AccessPath
-from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext, next_fallback_salt
+from repro.engine.adaptive import AdaptiveJobContext, commit_adaptive_builds
+from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.engine.planner import PhysicalPlanner
 from repro.hail.annotation import resolve_annotation
 from repro.hail.config import HailConfig
 from repro.hail.record_reader import HailRecordReader
 from repro.hdfs.filesystem import Hdfs
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.input_format import InputFormat
-from repro.mapreduce.job import PRUNED_BLOCKS_PROPERTY, JobConf
+from repro.mapreduce.job import JobConf
+from repro.mapreduce.job_tracker import ScheduleOutcome
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
 
 
 class HailInputFormat(InputFormat):
-    """Input format routing map tasks to indexed replicas, with the HailSplitting policy."""
+    """Input format routing map tasks to indexed replicas, with the HailSplitting policy.
 
-    def __init__(self, config: Optional[HailConfig] = None) -> None:
+    ``adaptive`` is the job's adaptive-indexing context, required exactly when
+    ``config.adaptive_indexing`` is on (``HailSystem`` builds one per job, with a fresh
+    salt); ``lifecycle`` is the deployment's lifecycle manager, or ``None``.
+    """
+
+    def __init__(
+        self,
+        config: Optional[HailConfig] = None,
+        adaptive: Optional[AdaptiveJobContext] = None,
+        lifecycle: Optional[AdaptiveLifecycleManager] = None,
+    ) -> None:
         self.config = config if config is not None else HailConfig()
+        if self.config.adaptive_indexing and adaptive is None:
+            raise ValueError("adaptive_indexing needs the job's AdaptiveJobContext")
+        self.adaptive = adaptive
+        self.lifecycle = lifecycle
+        self.index_aware_scheduling = self.config.index_aware_scheduling
+
+    # ------------------------------------------------------------------ the run
+    def start_run(self, measured: bool) -> None:
+        """Reset the adaptive context's per-run budget and decisions for a (re-)run.
+
+        The failure runner's baseline probe and its measured run then offer the same builds;
+        the probe (``measured=False``) also leaves the namenode's index-usage statistics alone,
+        which would otherwise count every use twice and skew the eviction order.
+        """
+        if self.adaptive is not None:
+            self.adaptive.record_usage = measured
+            self.adaptive.begin_run()
+
+    def finish_run(
+        self, hdfs: Hdfs, cost: CostModel, outcome: ScheduleOutcome, counters: Counters,
+        tenant: Optional[str],
+    ) -> None:
+        """Commit the builds the surviving attempts staged, then run the lifecycle pass.
+
+        Runs while a killed node is still dead, so builds targeting it are dropped and
+        ``Dir_rep`` never ends up half-registered (deduplication of rescheduled and
+        speculative attempts happens in :func:`~repro.engine.adaptive.commit_adaptive_builds`).
+        The lifecycle manager then observes the job — after the commit, so the tuner sees what
+        reached the namenode and eviction acts on post-commit disk usage.
+        """
+        scheduled = outcome.scheduled
+        if any(attempt.result.adaptive_builds for attempt in scheduled):
+            for build in commit_adaptive_builds(hdfs, scheduled).committed:
+                # Sliced per attribute: what the split tuner ledgers steer the offer rates by.
+                counters.increment(Counters.ADAPTIVE_INDEXES_COMMITTED, attribute=build.attribute)
+                counters.increment(
+                    Counters.ADAPTIVE_BUILD_SECONDS, build.build_seconds, build.attribute
+                )
+        if self.lifecycle is not None:
+            # "Useful work" for the budget tuner: the surviving attempts' RecordReader time
+            # minus every build those same attempts staged (not just the committed subset —
+            # builds dropped at commit time still spent their seconds reading).
+            staged = [build for attempt in scheduled for build in attempt.result.adaptive_builds]
+            staged_build_s = sum(build.build_seconds for build in staged)
+            reader_s = sum(attempt.result.record_reader_s for attempt in scheduled)
+            self.lifecycle.after_job(hdfs, counters, reader_s - staged_build_s, tenant, cost)
 
     # ------------------------------------------------------------------ splits
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
         """Compute the job's input splits (HailSplitting or one-per-block, index-routed)."""
-        self._prepare_adaptive_context(jobconf)
         locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
         if not locations:
             return []
@@ -65,7 +131,7 @@ class HailInputFormat(InputFormat):
                 choice = (block_plan.datanode_id, block_plan.attribute)
             block_choices[block_plan.block_id] = choice
         if skippable:
-            locations = self._prune_skippable_blocks(jobconf, locations, skippable)
+            locations = self._prune_skippable_blocks(locations, skippable)
             if not locations:
                 return []
         index_hosts = self._index_hosts(hdfs, locations, filter_attributes)
@@ -78,13 +144,13 @@ class HailInputFormat(InputFormat):
         return self._default_splitting(jobconf, locations, block_choices, index_hosts)
 
     @staticmethod
-    def _prune_skippable_blocks(jobconf: JobConf, locations, skippable: set[int]) -> list:
+    def _prune_skippable_blocks(locations, skippable: set[int]) -> list:
         """Zone-aware split pruning: drop blocks the ``Dir_rep`` synopses prove empty.
 
         Blocks the zone-map-enabled planner pass classified as ``ZONE_MAP_SKIP`` never become
         part of any input split, so the JobTracker schedules no map task for them at all —
-        the per-task overhead is saved on top of the data bytes.  The pruned counts are
-        stashed under ``PRUNED_BLOCKS_PROPERTY`` for the runner to fold into
+        the per-task overhead is saved on top of the data bytes.  The JobClient reports the
+        blocks no split covers (``SplitPlan.skipped_blocks``) and the runner counts them into
         ``ZONE_MAP_SKIPPED_BLOCKS``/``ZONE_MAP_PRUNED_BYTES``.
 
         Split-phase pruning trusts the registered synopses without the executor's payload
@@ -92,13 +158,7 @@ class HailInputFormat(InputFormat):
         the payload itself at replica-registration time, so this stays a metadata-consistency
         trade the ``zone_split_pruning`` knob makes explicit.
         """
-        kept = [location for location in locations if location.block_id not in skippable]
-        pruned = [location for location in locations if location.block_id in skippable]
-        jobconf.properties[PRUNED_BLOCKS_PROPERTY] = {
-            "blocks": len(pruned),
-            "bytes": sum(location.length_bytes for location in pruned),
-        }
-        return kept
+        return [location for location in locations if location.block_id not in skippable]
 
     @staticmethod
     def _index_hosts(
@@ -136,30 +196,14 @@ class HailInputFormat(InputFormat):
         node_id: int,
     ) -> RecordReader:
         """A :class:`~repro.hail.record_reader.HailRecordReader` over ``split`` on ``node_id``."""
-        return HailRecordReader(split, hdfs, cost, node_id, jobconf)
+        return HailRecordReader(
+            split, hdfs, cost, node_id, jobconf,
+            zone_maps=self.config.zone_maps, adaptive=self.adaptive,
+        )
 
     def split_phase_cost(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel, num_blocks: int) -> float:
         """HAIL keeps index metadata in the namenode, so no block headers are read here."""
         return cost.split_phase(num_blocks, reads_block_headers=False)
-
-    def _prepare_adaptive_context(self, jobconf: JobConf) -> None:
-        """Install/reset the job's adaptive-indexing context at job (re-)start.
-
-        ``get_splits`` runs exactly once per simulated map phase, so resetting the context's
-        build budget here makes the failure runner's baseline probe and the measured run offer
-        the same builds.  Jobs built outside :class:`~repro.hail.system.HailSystem` get a
-        fallback context when the config enables adaptivity, with a process-wide fresh salt so
-        repeated queries draw fresh offers even when every job constructs its own input format
-        (the system facade threads its own monotone salt instead).
-        """
-        context = jobconf.properties.get(ADAPTIVE_PROPERTY)
-        if context is None:
-            if self.config.adaptive_indexing:
-                jobconf.properties[ADAPTIVE_PROPERTY] = AdaptiveJobContext.from_config(
-                    self.config, salt=next_fallback_salt()
-                )
-        else:
-            context.begin_run()
 
     # ------------------------------------------------------------------ policies
     def _default_splitting(

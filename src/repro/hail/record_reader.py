@@ -25,9 +25,9 @@ from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.cluster.costmodel import CostModel
-from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext
+from repro.engine.adaptive import AdaptiveJobContext
 from repro.engine.executor import BlockScanResult, VectorizedExecutor
-from repro.engine.planner import ZONE_MAP_PROPERTY, PhysicalPlanner
+from repro.engine.planner import PhysicalPlanner
 from repro.hail.annotation import HailQuery, resolve_annotation
 from repro.hail.record import HailRecord
 from repro.hdfs.filesystem import Hdfs
@@ -53,20 +53,23 @@ class HailRecordReader(RecordReader):
     Counts each executed block into ``self.counters`` straight from its ``BlockScanResult``:
     adaptive index uses and their measured savings, zone-map skips and pruned bytes, scan
     fallbacks — the sliced ones also under ``NAME[attribute]``.  The task merges the bag.
+
+    ``zone_maps`` and ``adaptive`` come from the job's input format: HAIL's passes its
+    config's zone-map switch and the job's adaptive-indexing context, Hadoop++'s trojan
+    format passes neither (no synopses to skip by, nothing to build).
     """
 
     def __init__(
-        self, split: InputSplit, hdfs: Hdfs, cost: CostModel, node_id: int, jobconf: JobConf
+        self, split: InputSplit, hdfs: Hdfs, cost: CostModel, node_id: int, jobconf: JobConf,
+        zone_maps: bool = False, adaptive: Optional[AdaptiveJobContext] = None,
     ) -> None:
         super().__init__(split, hdfs, cost, node_id)
         self.jobconf = jobconf
         self.annotation: Optional[HailQuery] = resolve_annotation(jobconf)
-        zone_maps = bool(jobconf.properties.get(ZONE_MAP_PROPERTY, False))
         self.planner = PhysicalPlanner(hdfs, zone_maps=zone_maps)
         self.executor = VectorizedExecutor(hdfs, cost, node_id, zone_maps=zone_maps)
-        #: The job's adaptive-indexing policy (installed by HailSystem/HailInputFormat when
-        #: ``HailConfig.adaptive_indexing`` is on; ``None`` keeps the reader purely read-only).
-        self.adaptive: Optional[AdaptiveJobContext] = jobconf.properties.get(ADAPTIVE_PROPERTY)
+        #: The job's adaptive-indexing policy; ``None`` keeps the reader purely read-only.
+        self.adaptive = adaptive
 
     # ------------------------------------------------------------------ iteration
     def batches(self) -> Iterator[BlockScanResult]:

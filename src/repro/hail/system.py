@@ -6,8 +6,8 @@ from typing import Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
-from repro.engine.adaptive import ADAPTIVE_PROPERTY, AdaptiveJobContext
-from repro.engine.lifecycle import LIFECYCLE_PROPERTY, AdaptiveLifecycleManager
+from repro.engine.adaptive import AdaptiveJobContext
+from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.config import HailConfig
 from repro.hail.input_format import HailInputFormat
@@ -19,10 +19,9 @@ from repro.hail.scheduler import (
     replica_distribution,
 )
 from repro.hail.upload import HailUploadPipeline
-from repro.engine.planner import ZONE_MAP_PROPERTY, PhysicalPlanner
+from repro.engine.planner import PhysicalPlanner
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf
-from repro.mapreduce.job_tracker import SCHEDULING_PROPERTY
 from repro.systems.base import BaseSystem, scan_job
 
 
@@ -80,38 +79,37 @@ class HailSystem(BaseSystem):
 
     # ------------------------------------------------------------------ queries
     def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
+        input_format = HailInputFormat(
+            self.config, adaptive=self._adaptive_context(), lifecycle=self.lifecycle
+        )
         jobconf = scan_job(
-            f"hail-{query.name}", path, HailInputFormat(self.config),
-            projected_rows, projected_row, emit,
+            f"hail-{query.name}", path, input_format, projected_rows, projected_row, emit
         )
         jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
-        if self.config.zone_maps:
-            jobconf.properties[ZONE_MAP_PROPERTY] = True
-        if self.config.index_aware_scheduling:
-            jobconf.properties[SCHEDULING_PROPERTY] = True
-        if self.config.adaptive_indexing:
-            context = AdaptiveJobContext.from_config(self.config, salt=self._adaptive_salt)
-            if self.lifecycle is not None:
-                tuner = self.lifecycle.tuner
-                if tuner is not None:
-                    # The feedback controller's current knobs replace the static config values,
-                    # and the executor measures counterfactual scan savings to feed its ledger.
-                    context.offer_rate = tuner.offer_rate
-                    context.budget = tuner.budget
-                    context.measure_savings = True
-                    if tuner.per_attribute:
-                        # Snapshot of the split ledgers' live per-attribute rates; unseen
-                        # attributes keep falling back to the scalar rate above.
-                        context.attribute_offer_rates = tuner.attribute_rates()
-                jobconf.properties[LIFECYCLE_PROPERTY] = self.lifecycle
-            jobconf.properties[ADAPTIVE_PROPERTY] = context
-            self._adaptive_salt += 1
-            if self.hdfs.persist is not None:
-                # The salt decides which blocks future jobs offer builds on; journaling it
-                # per job is what makes post-restore offer draws bit-identical to an
-                # uninterrupted run.
-                self.hdfs.persist.sync_control({"adaptive_salt": self._adaptive_salt})
         return jobconf
+
+    def _adaptive_context(self) -> Optional[AdaptiveJobContext]:
+        """The next job's adaptive-indexing context (``None`` without adaptive indexing)."""
+        if not self.config.adaptive_indexing:
+            return None
+        context = AdaptiveJobContext.from_config(self.config, salt=self._adaptive_salt)
+        tuner = self.lifecycle.tuner if self.lifecycle is not None else None
+        if tuner is not None:
+            # The feedback controller's current knobs replace the static config values, and
+            # the executor measures counterfactual scan savings to feed its ledger.
+            context.offer_rate = tuner.offer_rate
+            context.budget = tuner.budget
+            context.measure_savings = True
+            if tuner.per_attribute:
+                # Snapshot of the split ledgers' live per-attribute rates; unseen attributes
+                # keep falling back to the scalar rate above.
+                context.attribute_offer_rates = tuner.attribute_rates()
+        self._adaptive_salt += 1
+        if self.hdfs.persist is not None:
+            # The salt decides which blocks future jobs offer builds on; journaling it per
+            # job is what makes post-restore offer draws bit-identical to an uninterrupted run.
+            self.hdfs.persist.sync_control({"adaptive_salt": self._adaptive_salt})
+        return context
 
     def _planner(self) -> PhysicalPlanner:
         """Planner matching this deployment's jobs: zone-map skipping follows the config."""

@@ -2,23 +2,36 @@
 
 The input format is the user-defined function (UDF) that computes input splits in the JobClient
 and creates record readers in the map tasks.  Keeping both behind a UDF is what lets HAIL change
-the splitting policy and the reader without touching the rest of Hadoop (Section 4.3).
+the splitting policy and the reader without touching the rest of Hadoop (Section 4.3).  It is
+also the one object that carries a job's HAIL state: the format holds what its readers need,
+asks the JobTracker for index-aware scheduling (:attr:`InputFormat.index_aware_scheduling`),
+and publishes what its runs leave behind (:meth:`InputFormat.finish_run`) — the runner and the
+JobTracker only ever call the three defaults below, which stock formats leave alone.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.hdfs.filesystem import Hdfs
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.record_reader import RecordReader, TextRecordReader
 from repro.mapreduce.split import InputSplit
 
+if TYPE_CHECKING:  # only for annotations: the JobTracker imports the tasks, which import us
+    from repro.mapreduce.job_tracker import ScheduleOutcome
+
 
 class InputFormat(abc.ABC):
     """Computes input splits and creates record readers."""
+
+    #: Whether the JobTracker should launch this format's tasks on a node holding an indexed
+    #: replica (``InputSplit.index_locations``) before plain data locality, and count every
+    #: launch into the ``SCHED_*`` tiers.  Stock Hadoop does not.
+    index_aware_scheduling: bool = False
 
     @abc.abstractmethod
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
@@ -42,6 +55,25 @@ class InputFormat(abc.ABC):
         every block, which it pays here (Section 6.4.1 explains why HAIL starts earlier).
         """
         return cost.split_phase(num_blocks, reads_block_headers=False)
+
+    def start_run(self, measured: bool) -> None:
+        """Called once per simulated map phase, after the split phase and before any task.
+
+        ``measured`` is ``False`` only for the failure runner's undisturbed probe, whose
+        attempts are discarded: a format must then publish nothing.  Stock formats keep no
+        per-run state.
+        """
+
+    def finish_run(
+        self, hdfs: Hdfs, cost: CostModel, outcome: "ScheduleOutcome", counters: Counters,
+        tenant: Optional[str],
+    ) -> None:
+        """Called after the reduce phase of a *measured* run, with its accepted attempts.
+
+        The place to publish what the run staged (and count it into ``counters``) while a
+        node the run lost is still dead.  ``tenant`` is the submitting tenant of a batched
+        job, ``None`` for a serial one.  Stock formats stage nothing.
+        """
 
 
 class TextInputFormat(InputFormat):

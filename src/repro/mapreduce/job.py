@@ -17,11 +17,6 @@ MapBatch = Callable[[Any], list]
 #: A reduce function: ``reducer(key, values) -> iterable of (key, value) pairs`` (or ``None``).
 Reducer = Callable[[Any, list], Optional[Iterable[tuple]]]
 
-#: Property under which an input format reports blocks it pruned during the split phase
-#: (``{"blocks": int, "bytes": int}``); the runner pops it into the job's counters, so the
-#: stash never leaks into a later run of the same ``JobConf``.
-PRUNED_BLOCKS_PROPERTY = "mapreduce.split.pruned"
-
 
 def identity_mapper(key: Any, value: Any) -> Iterable[tuple]:
     """Default mapper: pass the record through unchanged."""
@@ -39,9 +34,10 @@ class JobConf:
     """Configuration of one MapReduce job.
 
     ``input_format`` is an instance of :class:`~repro.mapreduce.input_format.InputFormat`; Bob
-    switches it to ``HailInputFormat`` to run on HAIL (Section 4.1, change 1).  ``properties``
-    carries free-form configuration, notably the ``hail.query`` annotation when the selection
-    predicate and projection come through the job configuration, not the map function.
+    switches it to ``HailInputFormat`` to run on HAIL (Section 4.1, change 1), and that format
+    carries the job's HAIL state.  ``properties`` carries free-form configuration, notably the
+    ``hail.query`` annotation when the selection predicate and projection come through the job
+    configuration, not the map function.
 
     ``mapper`` is the map function — the public, per-record contract, and the reference.
     ``map_batch`` is an optional block form of the *same* function; the systems compose both

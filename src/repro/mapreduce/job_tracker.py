@@ -73,14 +73,6 @@ from repro.mapreduce.task_tracker import TaskTracker
 #: How many queued tasks the scheduler inspects when looking for a node-local task.
 _LOCALITY_SEARCH_WINDOW = 256
 
-#: ``JobConf.properties`` flag for index-aware scheduling (Section 4.3 extension), set to
-#: ``True`` by ``HailSystem`` when ``HailConfig.index_aware_scheduling`` is on.  Without it
-#: the scheduler is stock Hadoop: a free slot takes a *data-local* task, else the queue head.
-#: With it, a task with an **indexed** replica on the slot's node
-#: (``InputSplit.index_locations``) comes first, and every launch is classified into the
-#: ``SCHED_INDEX_LOCAL`` / ``SCHED_PLAIN_LOCAL`` / ``SCHED_REMOTE`` counters.
-SCHEDULING_PROPERTY = "hail.scheduling"
-
 
 @dataclass(frozen=True)
 class ConcurrencyPolicy:
@@ -244,7 +236,12 @@ class _JobState:
     index: int
     job: ConcurrentJob
     queue: Deque[_QueuedTask]
-    #: Whether the job's conf carries :data:`SCHEDULING_PROPERTY`.
+    #: The job's ``InputFormat.index_aware_scheduling`` (Section 4.3 extension; HAIL's
+    #: format sets it from ``HailConfig.index_aware_scheduling``).  Without it the scheduler
+    #: is stock Hadoop: a free slot takes a *data-local* task, else the queue head.  With it,
+    #: a task with an **indexed** replica on the slot's node (``InputSplit.index_locations``)
+    #: comes first, and every launch is classified into the ``SCHED_INDEX_LOCAL`` /
+    #: ``SCHED_PLAIN_LOCAL`` / ``SCHED_REMOTE`` counters.
     index_aware: bool
     admitted_s: Optional[float] = None
     first_launch_s: Optional[float] = None
@@ -426,7 +423,7 @@ class _MapPhase:
                 job=job,
                 queue=deque(_QueuedTask(task) for task in job.tasks),
                 index_aware=bool(
-                    job.tasks and job.tasks[0].jobconf.properties.get(SCHEDULING_PROPERTY)
+                    job.tasks and job.tasks[0].jobconf.input_format.index_aware_scheduling
                 ),
             )
             for index, job in enumerate(jobs)

@@ -28,10 +28,9 @@ from typing import Callable, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.failure import ConcurrentChaos, FailureEvent
-from repro.cluster.topology import Cluster
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import PRUNED_BLOCKS_PROPERTY, JobConf, JobResult
+from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.job_client import JobClient, SplitPlan
 from repro.mapreduce.job_tracker import (
     ConcurrencyPolicy,
@@ -62,12 +61,11 @@ class ConcurrentBatchError(RuntimeError):
 class MapReduceRunner:
     """Runs MapReduce jobs against a simulated HDFS deployment."""
 
-    def __init__(self, hdfs: Hdfs, cost: CostModel, cluster: Optional[Cluster] = None) -> None:
+    def __init__(self, hdfs: Hdfs, cost: CostModel) -> None:
         self.hdfs = hdfs
         self.cost = cost
-        self.cluster = cluster if cluster is not None else hdfs.cluster
         self.job_client = JobClient(hdfs, cost)
-        self.job_tracker = JobTracker(self.cluster, hdfs, cost)
+        self.job_tracker = JobTracker(hdfs.cluster, hdfs, cost)
 
     def run(self, jobconf: JobConf, failure: Optional[FailureEvent] = None) -> JobResult:
         """Execute ``jobconf``; optionally inject a node failure at a job-progress fraction.
@@ -80,16 +78,14 @@ class MapReduceRunner:
             return self._run_once(jobconf, failure=None, kill_time_s=None)
 
         # The undisturbed probe must not publish side effects (its attempts are discarded),
-        # so adaptive index builds are only committed by the measured run below — and there
-        # only for attempts that survived the failure, while the dead node is still dead.
-        baseline = self._run_once(
-            jobconf, failure=None, kill_time_s=None, commit_adaptive=False
-        )
+        # so only the measured run below finishes its input format's run — and there only
+        # with the attempts that survived the failure, while the dead node is still dead.
+        baseline = self._run_once(jobconf, failure=None, kill_time_s=None, measured=False)
         kill_time = failure.at_progress * baseline.map_phase_s
         try:
             return self._run_once(jobconf, failure=failure, kill_time_s=kill_time)
         finally:
-            self.cluster.node(failure.node_id).revive()
+            self.hdfs.cluster.node(failure.node_id).revive()
 
     def run_concurrent(
         self,
@@ -112,8 +108,9 @@ class MapReduceRunner:
         Results align with ``jobconfs``; each ``JobResult.runtime_s`` is the job's
         end-to-end latency on the shared batch timeline — client-side startup and split
         phases overlap across jobs, but the map makespan is absolute and includes queueing
-        behind other in-flight work.  Reduce phases, adaptive commits and lifecycle passes
-        run in map-completion order, so a shared
+        behind other in-flight work.  Reduce phases and the input formats'
+        :meth:`~repro.mapreduce.input_format.InputFormat.finish_run` (HAIL's adaptive
+        commits and lifecycle passes) run in map-completion order, so a shared
         :class:`~repro.engine.lifecycle.AdaptiveTuner` observes jobs in the same causal
         order the timeline produced.  ``on_result(index, result)`` is called the moment
         each job completes, so if a later completion dies partway (e.g. an armed
@@ -137,7 +134,7 @@ class MapReduceRunner:
             outcomes = self.job_tracker.run_concurrent_map_phases(jobs, policy, chaos=chaos)
         finally:
             if chaos is not None and chaos.node_failure is not None:
-                node = self.cluster.node(chaos.node_failure.node_id)
+                node = self.hdfs.cluster.node(chaos.node_failure.node_id)
                 if not node.is_alive:
                     node.revive()
         completion_order = sorted(
@@ -157,7 +154,7 @@ class MapReduceRunner:
                     jobs[i].tasks,
                     outcomes[i].outcome,
                     jobs[i].counters,
-                    commit_adaptive=True,
+                    measured=True,
                     tenant=tenants[i],
                     deadline_met=outcomes[i].deadline_met,
                 )
@@ -169,15 +166,15 @@ class MapReduceRunner:
 
     # ------------------------------------------------------------------ internals
     def _prepare_job(
-        self, jobconf: JobConf, tenant: str = "default", record_usage: bool = True
+        self, jobconf: JobConf, tenant: str = "default", measured: bool = True
     ) -> tuple[SplitPlan, ConcurrentJob]:
         """Split phase of one job: its split plan plus the map tasks as a ``ConcurrentJob``.
 
         Every job — serial or batched — enters the JobTracker's scheduling loop in this
-        shape, with a fresh counter bag of its own.
+        shape, with a fresh counter bag of its own.  The input format's run starts here.
         """
-        self._set_usage_recording(jobconf, record=record_usage)
         plan = self.job_client.compute_splits(jobconf)
+        jobconf.input_format.start_run(measured)
         tasks = [
             MapTask(task_id=i, split=split, jobconf=jobconf)
             for i, split in enumerate(plan.splits)
@@ -189,38 +186,37 @@ class MapReduceRunner:
         jobconf: JobConf,
         failure: Optional[FailureEvent],
         kill_time_s: Optional[float],
-        commit_adaptive: bool = True,
+        measured: bool = True,
     ) -> JobResult:
         """One single-job map phase (optionally with the node kill) and its completion."""
-        plan, job = self._prepare_job(jobconf, record_usage=commit_adaptive)
+        plan, job = self._prepare_job(jobconf, measured=measured)
         outcome = self.job_tracker.run_map_phase(
             job.tasks, job.counters, failure=failure, kill_time_s=kill_time_s
         )
-        return self._complete_job(
-            jobconf, plan, job.tasks, outcome, job.counters, commit_adaptive=commit_adaptive
-        )
+        return self._complete_job(jobconf, plan, job.tasks, outcome, job.counters, measured)
 
     def _complete_job(
         self,
         jobconf: JobConf,
-        plan,
+        plan: SplitPlan,
         tasks: list[MapTask],
         outcome: ScheduleOutcome,
         counters: Counters,
-        commit_adaptive: bool,
+        measured: bool,
         tenant: Optional[str] = None,
         deadline_met: Optional[bool] = None,
     ) -> JobResult:
-        """Everything after the map phase: commits, reduce, lifecycle, timing decomposition.
+        """Everything after the map phase: reduce, the format's finish, timing decomposition.
 
         Shared by :meth:`run` and :meth:`run_concurrent`; for batched jobs
         ``outcome.makespan_s`` is absolute on the batch timeline, so the returned
         ``runtime_s`` is the job's latency including queueing.
         """
-        if commit_adaptive:
-            self._commit_adaptive_builds(outcome, counters)
-
-        self._count_pruned_splits(jobconf, counters)
+        if plan.skipped_blocks:
+            # Blocks pruned in the split phase were answered by their zone synopses: the
+            # same counters the executor's per-block skips use.
+            counters.increment(Counters.ZONE_MAP_SKIPPED_BLOCKS, len(plan.skipped_blocks))
+            counters.increment(Counters.ZONE_MAP_PRUNED_BYTES, plan.skipped_bytes)
 
         map_output: list[tuple] = []
         for attempt in outcome.scheduled:
@@ -230,20 +226,14 @@ class MapReduceRunner:
                 combine_map_output(attempt.result.output, jobconf, self.cost, counters)
             )
 
-        reduce_result = run_reduce_phase(map_output, jobconf, self.cluster, self.cost, counters)
+        reduce_result = run_reduce_phase(
+            map_output, jobconf, self.hdfs.cluster, self.cost, counters
+        )
         output = reduce_result.output if jobconf.reducer is not None else map_output
 
+        if measured:
+            jobconf.input_format.finish_run(self.hdfs, self.cost, outcome, counters, tenant)
         rr_times = [attempt.result.record_reader_s for attempt in outcome.scheduled]
-        if commit_adaptive:
-            # "Useful work" for the budget tuner: the surviving attempts' RecordReader time
-            # minus every build those same attempts staged (not just the committed subset —
-            # builds dropped at commit time still spent their seconds inside rr_times).
-            staged_build_s = sum(
-                build.build_seconds
-                for attempt in outcome.scheduled
-                for build in attempt.result.adaptive_builds
-            )
-            self._run_adaptive_lifecycle(jobconf, counters, sum(rr_times) - staged_build_s, tenant)
         avg_rr = sum(rr_times) / len(rr_times) if rr_times else 0.0
         max_rr = max(rr_times) if rr_times else 0.0
         num_slots = max(1, outcome.num_slots)
@@ -277,74 +267,3 @@ class MapReduceRunner:
             rescheduled_tasks=outcome.rescheduled,
             deadline_met=deadline_met,
         )
-
-    @staticmethod
-    def _count_pruned_splits(jobconf: JobConf, counters: Counters) -> None:
-        """Fold the split phase's zone-pruning report (if any) into the job's counters.
-
-        Zone-aware split pruning happens inside the input format, before any map task
-        exists; the format stashes what it dropped under ``PRUNED_BLOCKS_PROPERTY`` and this
-        pops it (so a re-run of the same ``JobConf`` cannot double-count) into the same
-        ``ZONE_MAP_*`` counters the executor's per-block skips use.
-        """
-        report = jobconf.properties.pop(PRUNED_BLOCKS_PROPERTY, None)
-        if not report:
-            return
-        counters.increment(Counters.ZONE_MAP_SKIPPED_BLOCKS, report.get("blocks", 0))
-        counters.increment(Counters.ZONE_MAP_PRUNED_BYTES, report.get("bytes", 0))
-
-    def _commit_adaptive_builds(self, outcome: ScheduleOutcome, counters: Counters) -> None:
-        """Register adaptive index builds staged by the *surviving* map-task attempts.
-
-        Runs while a killed node is still dead (the failure runner revives it only after the
-        measured run returns), so builds targeting the dead node are dropped — ``Dir_rep``
-        never ends up half-registered.  Deduplication of rescheduled/speculative attempts
-        happens inside :func:`repro.engine.adaptive.commit_adaptive_builds`.
-        """
-        if not any(attempt.result.adaptive_builds for attempt in outcome.scheduled):
-            return
-        from repro.engine.adaptive import commit_adaptive_builds
-
-        for build in commit_adaptive_builds(self.hdfs, outcome.scheduled).committed:
-            # Sliced per attribute: what the split tuner ledgers steer the offer rates by.
-            counters.increment(Counters.ADAPTIVE_INDEXES_COMMITTED, attribute=build.attribute)
-            counters.increment(
-                Counters.ADAPTIVE_BUILD_SECONDS, build.build_seconds, build.attribute
-            )
-
-    @staticmethod
-    def _set_usage_recording(jobconf: JobConf, record: bool) -> None:
-        """Silence the planner's index-usage bookkeeping for the baseline probe.
-
-        The failure runner's undisturbed probe must not publish side effects; its plans would
-        otherwise touch the namenode's LRU statistics a second time per use (and for replicas
-        the measured run, with the node dead, never opens), skewing the eviction order.
-        """
-        from repro.engine.adaptive import ADAPTIVE_PROPERTY
-
-        context = jobconf.properties.get(ADAPTIVE_PROPERTY)
-        if context is not None:
-            context.record_usage = record
-
-    def _run_adaptive_lifecycle(
-        self,
-        jobconf: JobConf,
-        counters: Counters,
-        useful_rr_s: float,
-        tenant: Optional[str] = None,
-    ) -> None:
-        """Post-job lifecycle pass: tune the knobs, evict under disk pressure, rebalance.
-
-        Runs only for measured runs (never for the failure runner's baseline probe, which must
-        not publish side effects) and only when the deployment installed an
-        ``AdaptiveLifecycleManager`` into the job's properties — stock jobs skip this entirely.
-        The manager's :meth:`~repro.engine.lifecycle.AdaptiveLifecycleManager.after_job`
-        observes the job from ``counters`` and writes its evictions, rebuilds and migrations
-        back into them.  Concurrent jobs tag the pass with the submitting ``tenant``, so a
-        shared tuner's report history shows which tenants drove convergence.
-        """
-        from repro.engine.lifecycle import LIFECYCLE_PROPERTY
-
-        manager = jobconf.properties.get(LIFECYCLE_PROPERTY)
-        if manager is not None:
-            manager.after_job(self.hdfs, counters, useful_rr_s, tenant, self.cost)

@@ -35,8 +35,9 @@ class InputSplit:
     index_locations:
         Datanodes holding, for at least one block of the split, a replica whose clustered
         index covers one of the job's filter attributes.  Empty for scan jobs and for input
-        formats that do not compute it; the index-aware scheduler (``SCHEDULING_PROPERTY``)
-        prefers these nodes over plain data locality.
+        formats that do not compute it; when the job's input format asks for
+        ``index_aware_scheduling``, the JobTracker prefers these nodes over plain data
+        locality.
     """
 
     split_id: int

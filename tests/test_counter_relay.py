@@ -15,7 +15,6 @@ import math
 from repro.api import col
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.engine.access_path import AccessPath
-from repro.hail.record_reader import HailRecordReader
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.split import InputSplit
 
@@ -72,7 +71,7 @@ def test_a_hand_driven_reader_counts_exactly_what_its_block_plans_say(busy_sessi
     )
     jobconf = system._scan_jobconf(query, _PATH)
     split = InputSplit(0, _PATH, blocks, (0,))
-    reader = HailRecordReader(split, system.hdfs, system.cost, 0, jobconf)
+    reader = jobconf.input_format.create_record_reader(split, system.hdfs, jobconf, system.cost, 0)
     emitted = sum(1 for _ in reader)
 
     plans = reader.block_plans
@@ -121,6 +120,6 @@ def test_an_unfiltered_scan_counts_fallbacks_without_a_slice(busy_session):
     query = session.dataset(_PATH).select("f4").to_query()
     jobconf = system._scan_jobconf(query, _PATH)
     split = InputSplit(0, _PATH, blocks, (0,))
-    reader = HailRecordReader(split, system.hdfs, system.cost, 0, jobconf)
+    reader = jobconf.input_format.create_record_reader(split, system.hdfs, jobconf, system.cost, 0)
     assert sum(1 for _ in reader) == 200
     assert dict(reader.counters) == {Counters.SCAN_FALLBACK_BLOCKS: 2}

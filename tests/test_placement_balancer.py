@@ -284,9 +284,7 @@ def test_per_attribute_rates_reach_the_offer_policy():
     assert rates["f1"] > 0.5
     # The next job's context carries the per-attribute snapshot.
     jobconf = system._scan_jobconf(_query("f1"), _PATH)
-    from repro.engine.adaptive import ADAPTIVE_PROPERTY
-
-    assert jobconf.properties[ADAPTIVE_PROPERTY].attribute_offer_rates == rates
+    assert jobconf.input_format.adaptive.attribute_offer_rates == rates
 
 
 # --------------------------------------------------------------------------- session surface

@@ -17,7 +17,6 @@ from repro.engine.planner import PhysicalPlanner
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import PRUNED_BLOCKS_PROPERTY
 from repro.workloads.query import Query
 
 _PATH = "/prune/synthetic"
@@ -72,7 +71,7 @@ def test_get_splits_plans_the_file_once(monkeypatch, split_pruning):
     splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
     assert calls == [split_pruning]
     num_blocks = len(system.hdfs.namenode.file_blocks(_PATH))
-    pruned = jobconf.properties.get(PRUNED_BLOCKS_PROPERTY, {"blocks": 0})["blocks"]
+    pruned = num_blocks - len({block_id for split in splits for block_id in split.block_ids})
     assert (pruned > 0) == split_pruning
     assert sum(len(split.block_ids) for split in splits) == num_blocks - pruned
 
