@@ -1,9 +1,12 @@
 """Shared configuration of the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper on the scaled-down simulated
-cluster and prints the resulting table (run pytest with ``-s`` to see them); the recorded
-benchmark time is the wall-clock cost of the reproduction harness itself, while the scientific
-output is the simulated-seconds table, which is also attached to the benchmark's ``extra_info``.
+A figure benchmark regenerates one table or figure of the paper on the scaled-down simulated
+cluster through :func:`run_figure` and prints the resulting table (run pytest with ``-s`` to
+see them); the recorded benchmark time is the wall-clock cost of the reproduction harness
+itself, while the scientific output is the simulated-seconds table, which is also attached to
+the benchmark's ``extra_info``.  The ablation, adaptive-convergence, operator and placement
+tests instead build their scenario directly on the ``config`` fixture and assert their floors
+on the query results and counters.
 """
 
 from __future__ import annotations

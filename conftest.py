@@ -45,6 +45,8 @@ SMOKE_FIRST = (
     "benchmarks/test_placement_curve.py",
     "benchmarks/test_recovery_curve.py",
     "benchmarks/test_operators_curve.py",
+    "benchmarks/test_ablations.py",
+    "benchmarks/test_adaptive_convergence.py",
     "benchmarks/test_chaos_curve.py",
 )
 

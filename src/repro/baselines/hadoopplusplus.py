@@ -42,21 +42,6 @@ TROJAN_PARTITION_SIZE = 8
 class TrojanInputFormat(InputFormat):
     """One split per block; reads per-block headers during the split phase."""
 
-    def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
-        locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
-        splits = []
-        for i, location in enumerate(locations):
-            splits.append(
-                InputSplit(
-                    split_id=i,
-                    path=jobconf.input_path,
-                    block_ids=(location.block_id,),
-                    locations=location.get_hosts(),
-                    length_bytes=location.length_bytes,
-                )
-            )
-        return splits
-
     def create_record_reader(
         self, split: InputSplit, hdfs: Hdfs, jobconf: JobConf, cost: CostModel, node_id: int
     ) -> RecordReader:

@@ -225,17 +225,6 @@ class PhysicalPlanner:
             adaptive=adaptive,
         )
 
-    def filter_attributes(self, path: str, annotation: Optional[HailQuery]) -> list[str]:
-        """The query's filter attribute names (empty for jobs without a selection predicate)."""
-        block_ids = self.hdfs.namenode.file_blocks(path)
-        if not block_ids:
-            return []
-        schema = self.hdfs.namenode.logical_block(block_ids[0]).schema
-        predicate = self._bound_predicate(annotation, schema)
-        if predicate is None:
-            return []
-        return predicate.attributes(schema)
-
     # ------------------------------------------------------------------ internals
     def _plan_block(
         self,

@@ -1,10 +1,11 @@
 """Adaptive-index lifecycle under disk pressure — convergence, then managed steady state.
 
-The plain convergence experiment (:mod:`repro.experiments.adaptive`) shows adaptive indexing
-reaching fully indexed performance, but it also shows the problem the lifecycle manager solves:
-adaptive replicas accumulate forever and the offer/budget knobs are hand-set.  This experiment
-runs a *workload shift* against a deployment with the full lifecycle enabled (auto-tuned knobs
-plus disk-pressure eviction) and records the convergence-then-steady-state curve:
+The plain convergence benchmark (``benchmarks/test_adaptive_convergence.py``) shows adaptive
+indexing reaching fully indexed performance, but it also shows the problem the lifecycle
+manager solves: adaptive replicas accumulate forever and the offer/budget knobs are hand-set.
+This experiment runs a *workload shift* against a deployment with the full lifecycle enabled
+(auto-tuned knobs plus disk-pressure eviction) and records the convergence-then-steady-state
+curve:
 
 - **phase A** — a query filtering on ``f1`` repeats until the deployment converges toward
   f1-indexed performance (adaptive builds, auto-raised offer rate, auto-sized budget);

@@ -81,8 +81,8 @@ def build_deployment(
     ``index_attributes`` overrides the per-replica index configuration (HAIL-1Idx in Figure 8).
     ``trojan_attribute=None`` builds Hadoop++ without any trojan index (its "0 indexes" upload
     configuration); the default uses the workload's single trojan attribute.  ``hail_config``
-    deploys HAIL with exactly that configuration (the extension experiments' adaptive,
-    lifecycle and placement knobs) instead of the one the four HAIL parameters describe.
+    deploys HAIL with exactly that configuration (adaptive, lifecycle and placement knobs, or
+    the row-layout ablation) instead of the one the four HAIL parameters describe.
     """
     spec = DatasetSpec.by_name(dataset)
     workload = spec.workload
@@ -124,8 +124,9 @@ def deploy_hail(
 ) -> HailSystem:
     """One HAIL system with ``dataset`` uploaded, configured exactly by ``hail_config``.
 
-    What the extension experiments (adaptive, lifecycle, placement) stand up several of,
-    each on its own fresh cluster, differing only in the knobs of ``hail_config``.
+    What the lifecycle experiment and the adaptive-convergence and placement benchmarks
+    stand up several of, each on its own fresh cluster, differing only in the knobs of
+    ``hail_config``.
     """
     return build_deployment(
         config, dataset, systems=("HAIL",), hail_config=hail_config

@@ -13,11 +13,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.experiments import (
-    adaptive,
     adaptive_lifecycle,
     failover,
-    operators,
-    placement,
     queries,
     scaleout,
     scaleup,
@@ -55,10 +52,7 @@ def run_all(
     run("fig6", lambda: queries.fig6(config))
     run("fig7", lambda: queries.fig7(config))
     run("fig8", lambda: failover.fig8(config))
-    run("adaptive", lambda: adaptive.adaptive_convergence(config))
     run("adaptive_lifecycle", lambda: adaptive_lifecycle.adaptive_lifecycle_curve(config))
-    run("placement", lambda: placement.placement_recovery_curve(config))
-    run("operators", lambda: operators.operators_curve(config))
 
     if progress is not None:
         progress("fig9")

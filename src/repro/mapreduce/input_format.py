@@ -33,9 +33,23 @@ class InputFormat(abc.ABC):
     #: launch into the ``SCHED_*`` tiers.  Stock Hadoop does not.
     index_aware_scheduling: bool = False
 
-    @abc.abstractmethod
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
-        """Logical division of the job's input into per-map-task splits."""
+        """Logical division of the job's input into per-map-task splits.
+
+        One split per HDFS block, located at the block's alive replica hosts, as Hadoop's
+        ``FileInputFormat`` does; HAIL overrides it with HailSplitting.
+        """
+        locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
+        return [
+            InputSplit(
+                split_id=i,
+                path=jobconf.input_path,
+                block_ids=(location.block_id,),
+                locations=location.get_hosts(),
+                length_bytes=location.length_bytes,
+            )
+            for i, location in enumerate(locations)
+        ]
 
     @abc.abstractmethod
     def create_record_reader(
@@ -78,22 +92,6 @@ class InputFormat(abc.ABC):
 
 class TextInputFormat(InputFormat):
     """Stock Hadoop input format: one split per block, full-scan text record reader."""
-
-    def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
-        """One split per HDFS block, located at the block's alive replica hosts."""
-        locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
-        splits = []
-        for i, location in enumerate(locations):
-            splits.append(
-                InputSplit(
-                    split_id=i,
-                    path=jobconf.input_path,
-                    block_ids=(location.block_id,),
-                    locations=location.get_hosts(),
-                    length_bytes=location.length_bytes,
-                )
-            )
-        return splits
 
     def create_record_reader(
         self,

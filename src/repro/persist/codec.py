@@ -5,10 +5,10 @@ The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payloa
 - **JSON-friendly metadata** — replica infos (:class:`~repro.hail.replica_info.HailBlockReplicaInfo`),
   zone-map synopses (:data:`~repro.layouts.zonemap.ZoneRanges`), schemas, tuner state
   (:class:`~repro.engine.lifecycle.AdaptiveTuner` and its per-attribute
-  :class:`~repro.engine.lifecycle.AttributeLedger` entries), and eviction tombstones.  These
-  travel as plain dict/list structures produced by the ``encode_*`` functions here, ready for
-  ``json.dumps``; dates (the one non-JSON scalar the schemas allow) are wrapped in a
-  ``{"__date__": "YYYY-MM-DD"}`` tag so round-trips are type-exact.
+  :class:`~repro.engine.lifecycle.AttributeLedger` entries).  These travel as plain dict/list
+  structures produced by the ``encode_*`` functions here, ready for ``json.dumps``; dates
+  (the one non-JSON scalar the schemas allow) are wrapped in a ``{"__date__": "YYYY-MM-DD"}``
+  tag so round-trips are type-exact.
 - **Column data** — logical block records and replica payloads, which reuse the existing PAX
   wire format (:meth:`~repro.layouts.pax.PaxBlock.to_bytes`), so a persisted block is
   byte-identical to what the simulated datanodes already account for.
@@ -141,26 +141,6 @@ def decode_tuner(encoded: Optional[dict]) -> Optional[AdaptiveTuner]:
     tuner = AdaptiveTuner(**kwargs)
     tuner.ledgers = {attr: decode_ledger(ledger) for attr, ledger in ledgers.items()}
     return tuner
-
-
-# --------------------------------------------------------------------------- tombstones
-def encode_tombstones(evictions: dict) -> dict:
-    """The namenode's eviction-tombstone map → ``{"block_id|attribute": datanode_id}``.
-
-    The in-memory keys are ``(block_id, attribute)`` tuples, which JSON objects cannot key
-    by, so they flatten to a ``|``-joined string (attribute names never contain ``|`` — it
-    is the schemas' field delimiter).
-    """
-    return {f"{block_id}|{attribute}": dn for (block_id, attribute), dn in evictions.items()}
-
-
-def decode_tombstones(encoded: dict) -> dict:
-    """Inverse of :func:`encode_tombstones`."""
-    decoded = {}
-    for key, dn in encoded.items():
-        block_id, _, attribute = key.partition("|")
-        decoded[(int(block_id), attribute)] = dn
-    return decoded
 
 
 # --------------------------------------------------------------------------- column data

@@ -79,9 +79,6 @@ _tuner = st.builds(
     reader_seconds_ema=st.one_of(st.none(), st.floats(0.0, 1e3, allow_nan=False)),
     ledgers=st.dictionaries(_attribute, _ledger, max_size=4),
 )
-_tombstones = st.dictionaries(
-    st.tuples(st.integers(0, 10**6), _attribute), st.integers(0, 64), max_size=8
-)
 _record = st.tuples(
     st.integers(min_value=-(2**31), max_value=2**31 - 1),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -123,13 +120,6 @@ def test_attribute_ledger_round_trip(ledger):
 def test_tuner_round_trip_including_nested_ledgers(tuner):
     decoded = codec.decode_tuner(_through_json(codec.encode_tuner(tuner)))
     assert decoded == tuner
-
-
-@given(evictions=_tombstones)
-@settings(max_examples=100, deadline=None)
-def test_tombstone_round_trip(evictions):
-    decoded = codec.decode_tombstones(_through_json(codec.encode_tombstones(evictions)))
-    assert decoded == evictions
 
 
 @given(
