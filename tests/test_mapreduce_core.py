@@ -107,6 +107,25 @@ def test_text_input_format_one_split_per_block(loaded_hdfs, cost_model):
     assert conf.input_format.split_phase_cost(loaded_hdfs, conf, cost_model, 3) == 0.0
 
 
+def test_stock_formats_share_the_default_split_policy(loaded_hdfs, cost_model):
+    """Text and Hadoop++ formats inherit one split per block at the alive replica hosts."""
+    from repro.baselines.hadoopplusplus import TrojanInputFormat
+
+    formats = (TextInputFormat(), TrojanInputFormat())
+    assert all("get_splits" not in vars(type(fmt)) for fmt in formats)
+    loaded_hdfs.cluster.kill_node(1)
+    try:
+        text, trojan = (
+            fmt.get_splits(loaded_hdfs, JobConf(name="j", input_path="/data/simple"), cost_model)
+            for fmt in formats
+        )
+    finally:
+        loaded_hdfs.cluster.revive_all()
+    assert text == trojan
+    assert [split.split_id for split in text] == [0, 1, 2]
+    assert all(split.num_blocks == 1 and 1 not in split.locations for split in text)
+
+
 def test_job_client_defaults_to_text_input_format(loaded_hdfs, cost_model):
     conf = JobConf(name="j", input_path="/data/simple")
     plan = JobClient(loaded_hdfs, cost_model).compute_splits(conf)
