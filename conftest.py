@@ -29,6 +29,7 @@ SMOKE_FIRST = (
     "tests/test_operator_jobs.py",
     "tests/test_api_session.py",
     "tests/test_dataset_ir_fingerprint.py",
+    "tests/test_normalize_fingerprint.py",
     "tests/test_operator_api.py",
     "tests/test_concurrent_failure.py",
     "tests/test_scheduler_properties.py",
