@@ -3,7 +3,7 @@
 The package is organised as a stack of subsystems, mirroring the paper:
 
 - :mod:`repro.cluster`    -- cluster hardware profiles, cost model and simulated clock.
-- :mod:`repro.layouts`    -- record schemas and physical layouts (text row, binary row, PAX).
+- :mod:`repro.layouts`    -- record schemas and physical layouts (text row, PAX).
 - :mod:`repro.hdfs`       -- a functional HDFS substrate (namenode, datanodes, upload pipeline).
 - :mod:`repro.mapreduce`  -- a functional Hadoop MapReduce substrate (splits, scheduling, tasks).
 - :mod:`repro.engine`     -- the unified query-execution engine: access-path planner

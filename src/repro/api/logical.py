@@ -27,6 +27,7 @@ The resulting clause tuple feeds :class:`LogicalQuery.compile`, which emits the 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.api.expressions import (
@@ -391,18 +392,8 @@ class _Interval:
 
 
 def _interval_of(clause: Comparison) -> _Interval:
-    if clause.op is Operator.EQ:
-        return _Interval(low=clause.operands[0], high=clause.operands[0])
-    if clause.op is Operator.LT:
-        return _Interval(high=clause.operands[0], high_strict=True)
-    if clause.op is Operator.LE:
-        return _Interval(high=clause.operands[0])
-    if clause.op is Operator.GT:
-        return _Interval(low=clause.operands[0], low_strict=True)
-    if clause.op is Operator.GE:
-        return _Interval(low=clause.operands[0])
-    low, high = clause.operands
-    return _Interval(low=low, high=high)
+    low, high = clause.value_range()
+    return _Interval(low, clause.op is Operator.GT, high, clause.op is Operator.LT)
 
 
 def _union_intervals(intervals: list[_Interval]) -> Optional[_Interval]:
@@ -434,8 +425,8 @@ def _try_merge(a: _Interval, b: _Interval) -> Optional[_Interval]:
     if _bound_below(b.low, b.low_strict, a.high, a.high_strict) and _bound_below(
         a.low, a.low_strict, b.high, b.high_strict
     ):
-        low, low_strict = _min_low(a, b)
-        high, high_strict = _max_high(a, b)
+        low, low_strict = _pick((a.low, a.low_strict), (b.low, b.low_strict), lt, union=True)
+        high, high_strict = _pick((a.high, a.high_strict), (b.high, b.high_strict), gt, union=True)
         return _Interval(low, low_strict, high, high_strict)
     return None
 
@@ -446,60 +437,33 @@ def _bound_below(
     """Does the region above ``low`` reach the region below ``high`` (overlap or touch)?"""
     if low is None or high is None:
         return True
-    if low < high:
-        return True
-    if low == high:
-        return not (low_strict and high_strict)
-    return False
-
-
-def _min_low(a: _Interval, b: _Interval) -> tuple[Optional[Any], bool]:
-    if a.low is None or b.low is None:
-        return None, False
-    if a.low < b.low:
-        return a.low, a.low_strict
-    if b.low < a.low:
-        return b.low, b.low_strict
-    return a.low, a.low_strict and b.low_strict
-
-
-def _max_high(a: _Interval, b: _Interval) -> tuple[Optional[Any], bool]:
-    if a.high is None or b.high is None:
-        return None, False
-    if a.high > b.high:
-        return a.high, a.high_strict
-    if b.high > a.high:
-        return b.high, b.high_strict
-    return a.high, a.high_strict and b.high_strict
+    return low < high or (low == high and not (low_strict and high_strict))
 
 
 def _intersect(a: _Interval, b: _Interval) -> _Interval:
-    low, low_strict = _max_low(a, b)
-    high, high_strict = _min_high(a, b)
+    low, low_strict = _pick((a.low, a.low_strict), (b.low, b.low_strict), gt, union=False)
+    high, high_strict = _pick((a.high, a.high_strict), (b.high, b.high_strict), lt, union=False)
     return _Interval(low, low_strict, high, high_strict)
 
 
-def _max_low(a: _Interval, b: _Interval) -> tuple[Optional[Any], bool]:
-    if a.low is None:
-        return b.low, b.low_strict
-    if b.low is None:
-        return a.low, a.low_strict
-    if a.low > b.low:
-        return a.low, a.low_strict
-    if b.low > a.low:
-        return b.low, b.low_strict
-    return a.low, a.low_strict or b.low_strict
+def _pick(a: tuple, b: tuple, wins, union: bool) -> tuple[Optional[Any], bool]:
+    """The ``(bound, strict)`` of one side of a union or intersection of two intervals.
 
-def _min_high(a: _Interval, b: _Interval) -> tuple[Optional[Any], bool]:
-    if a.high is None:
-        return b.high, b.high_strict
-    if b.high is None:
-        return a.high, a.high_strict
-    if a.high < b.high:
-        return a.high, a.high_strict
-    if b.high < a.high:
-        return b.high, b.high_strict
-    return a.high, a.high_strict or b.high_strict
+    ``wins(x, y)`` says bound ``x`` is the one to keep over ``y`` (``lt`` for a union's low
+    side and an intersection's high side, ``gt`` for the other two).  An open (``None``) bound
+    opens a union's side and leaves an intersection's side to the other interval.  On equal
+    bounds a union's side is strict only if both are, an intersection's if either is.
+    """
+    (a_bound, a_strict), (b_bound, b_strict) = a, b
+    if a_bound is None or b_bound is None:
+        if union:
+            return None, False
+        return b if a_bound is None else a
+    if wins(a_bound, b_bound):
+        return a
+    if wins(b_bound, a_bound):
+        return b
+    return a_bound, (a_strict and b_strict) if union else (a_strict or b_strict)
 
 
 def _interval_to_clauses(attribute: AttributeRef, interval: _Interval) -> list[Comparison]:

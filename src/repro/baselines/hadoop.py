@@ -8,11 +8,12 @@ i.e. the "MAP FUNCTION FOR HADOOP MAPREDUCE" pseudo-code of Section 4.1.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import itemgetter
 
-from repro.engine.executor import TextScanResult, clause_mask
+from repro.engine.executor import TextScanResult
+from repro.engine.kernels import clause_positions
 from repro.hdfs.pipeline import StandardUploadPipeline
+from repro.layouts.pax import gatherer
 from repro.layouts.schema import BadRecordError, Schema
 from repro.mapreduce.input_format import TextInputFormat
 from repro.mapreduce.job import JobConf
@@ -69,8 +70,8 @@ def make_block_parser(query, schema: Schema, parse_line):
     """The block form of ``parse_line`` (:func:`make_line_parser`): one text block's rows.
 
     Column at a time: split the lines of the right arity, then per clause parse that one
-    column of the surviving rows and filter them with one comprehension
-    (:func:`~repro.engine.executor.clause_mask`), then parse each projected column of the
+    column of the surviving rows and keep the ones the kernels' scan table selects
+    (:func:`~repro.engine.kernels.clause_positions`), then parse each projected column of the
     survivors and ``zip`` the columns into tuples.  A token that does not parse (or compare)
     raises out of whichever column pass met it; the whole block then goes through
     ``parse_line`` line by line, which drops exactly the rows it always dropped.
@@ -94,7 +95,7 @@ def make_block_parser(query, schema: Schema, parse_line):
         try:
             for clause, index, field in clause_info:
                 values = list(map(field.ftype.parse_value, map(itemgetter(index), rows)))
-                rows = list(compress(rows, clause_mask(clause, values)))
+                rows = gatherer(clause_positions(clause, values))(rows)
             columns = [
                 map(field.ftype.parse_value, map(itemgetter(index), rows))
                 for index, field in projection_info

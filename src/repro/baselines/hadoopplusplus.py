@@ -140,44 +140,27 @@ class HadoopPlusPlusSystem(BaseSystem):
         scaled_binary = cost.scale_bytes(binary_bytes)
         checksum_bytes = checksum_file_size(binary_bytes)
 
-        # --- Job 1: parse text to binary, co-partition via shuffle, write with replication.
-        ledger.record_disk_read(home, text_bytes)
-        ledger.record_cpu(
-            home,
-            cost.cpu(home_node).parse_to_binary(
-                scaled_text, cores=home_node.hardware.cores, string_fraction=string_fraction
-            ),
-        )
-        ledger.record_disk_write(home, binary_bytes)          # map output spill
-        ledger.record_transfer(home, reducer, binary_bytes)   # shuffle
-        # Reduce side: spill, external-merge pass, then the replicated output write.
-        ledger.record_disk_write(reducer, binary_bytes)
-        ledger.record_disk_read(reducer, 2 * binary_bytes)
-        ledger.record_cpu(reducer, cost.cpu(reducer_node).sort_block(
-            max(1, int(cost.scale_count(binary_bytes / 64.0))), scaled_binary))
-        for position, datanode_id in enumerate(hosts):
-            ledger.record_disk_write(datanode_id, binary_bytes + checksum_bytes)
-            if position > 0:
-                ledger.record_transfer(reducer, datanode_id, binary_bytes)
-
-        if num_jobs < 2:
-            return
-
-        # --- Job 2: read the binary data back, sort by the trojan attribute, build the index,
-        #            and rewrite everything with replication again (with its own spill/merge).
-        ledger.record_disk_read(home, binary_bytes)
-        ledger.record_disk_write(home, binary_bytes)
-        ledger.record_transfer(home, reducer, binary_bytes)
-        ledger.record_disk_write(reducer, binary_bytes)
-        ledger.record_disk_read(reducer, 2 * binary_bytes)
-        ledger.record_cpu(reducer, cost.cpu(reducer_node).sort_block(
-            max(1, int(cost.scale_count(binary_bytes / 64.0))), scaled_binary))
-        ledger.record_cpu(reducer, cost.cpu(reducer_node).build_index(
-            max(1, int(cost.scale_count(binary_bytes / 64.0)))))
-        for position, datanode_id in enumerate(hosts):
-            ledger.record_disk_write(datanode_id, binary_bytes + checksum_bytes)
-            if position > 0:
-                ledger.record_transfer(reducer, datanode_id, binary_bytes)
+        # Job 0 parses the text to binary; job 1 reads the binary data back, sorts it by the
+        # trojan attribute and builds the index.  Each co-partitions via a shuffle and rewrites
+        # everything with replication, with its own spill and merge.
+        sort_rows = max(1, int(cost.scale_count(binary_bytes / 64.0)))
+        for job in range(num_jobs):
+            ledger.record_disk_read(home, binary_bytes if job else text_bytes)
+            if not job:
+                ledger.record_cpu(home, cost.cpu(home_node).parse_to_binary(
+                    scaled_text, cores=home_node.hardware.cores, string_fraction=string_fraction))
+            ledger.record_disk_write(home, binary_bytes)          # map output spill
+            ledger.record_transfer(home, reducer, binary_bytes)   # shuffle
+            # Reduce side: spill, external-merge pass, then the replicated output write.
+            ledger.record_disk_write(reducer, binary_bytes)
+            ledger.record_disk_read(reducer, 2 * binary_bytes)
+            ledger.record_cpu(reducer, cost.cpu(reducer_node).sort_block(sort_rows, scaled_binary))
+            if job:
+                ledger.record_cpu(reducer, cost.cpu(reducer_node).build_index(sort_rows))
+            for position, datanode_id in enumerate(hosts):
+                ledger.record_disk_write(datanode_id, binary_bytes + checksum_bytes)
+                if position > 0:
+                    ledger.record_transfer(reducer, datanode_id, binary_bytes)
 
     def _framework_overhead(self, num_blocks: int, num_jobs: int) -> float:
         total_slots = max(

@@ -46,7 +46,6 @@ from repro.engine.executor import (
     BlockScanResult,
     TextScanResult,
     VectorizedExecutor,
-    clause_mask,
     vectorized_filter,
 )
 from repro.engine.operators import (
@@ -80,7 +79,6 @@ __all__ = [
     "PendingIndexBuild",
     "TextScanResult",
     "VectorizedExecutor",
-    "clause_mask",
     "commit_adaptive_builds",
     "kernels",
     "vectorized_filter",

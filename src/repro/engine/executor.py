@@ -7,7 +7,8 @@ projected attributes only for qualifying positions, and charges the exact same s
 the readers charged before the refactor — the "RecordReader time" of Figures 6(b) and 7(b).
 
 The predicate kernels live in :mod:`repro.engine.kernels` (a dispatch module with a pure-Python
-reference backend and an optional numpy fast path); :func:`vectorized_filter` is the executor's
+reference backend built on per-operator comprehension tables and an optional numpy fast path
+reading :data:`repro.hail.predicate.COMPARE`); :func:`vectorized_filter` is the executor's
 entry point into them and is shared with :meth:`repro.hail.hail_block.HailBlock.filter_rows`,
 so the block-level API and the engine cannot drift apart.  With zone maps enabled the executor
 additionally prunes candidate partitions against the payload's min-max synopsis and executes
@@ -36,42 +37,10 @@ if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports u
     from repro.engine.adaptive import AdaptiveJobContext
     from repro.hail.annotation import HailQuery
     from repro.hail.index import IndexLookup
-    from repro.hail.predicate import Comparison, Predicate
+    from repro.hail.predicate import Predicate
 
 
 # --------------------------------------------------------------------------- predicate kernels
-def clause_mask(clause: Comparison, values: Sequence) -> list[bool]:
-    """Evaluate one comparison clause over a column slice, column-at-a-time.
-
-    The operator is resolved *once* per column instead of once per value, which is what makes
-    the columnar evaluation measurably faster than row-at-a-time dispatch (see
-    ``benchmarks/test_engine_filter.py``).  This is the reference mask kernel; the execution
-    path itself dispatches through :mod:`repro.engine.kernels`, whose backends collapse the
-    mask pipeline into survivor-position refinement (Python) or packed boolean arrays (numpy)
-    while preserving exactly these semantics.
-    """
-    op = clause.op.value
-    if op == "=":
-        operand = clause.operands[0]
-        return [value == operand for value in values]
-    if op == "<":
-        operand = clause.operands[0]
-        return [value < operand for value in values]
-    if op == "<=":
-        operand = clause.operands[0]
-        return [value <= operand for value in values]
-    if op == ">":
-        operand = clause.operands[0]
-        return [value > operand for value in values]
-    if op == ">=":
-        operand = clause.operands[0]
-        return [value >= operand for value in values]
-    if op == "between":
-        low, high = clause.operands
-        return [low <= value <= high for value in values]
-    raise ValueError(f"unsupported operator {clause.op!r} in vectorized evaluation")
-
-
 def vectorized_filter(
     pax: PaxBlock, predicate: Optional[Predicate], schema: Schema, lookup: IndexLookup
 ) -> list[int]:

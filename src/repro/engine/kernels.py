@@ -6,22 +6,25 @@ module replaces that pipeline with two interchangeable backends behind one dispa
 (:func:`filter_range`):
 
 - **python** — the reference backend, pure stdlib.  The first clause is evaluated over the
-  candidate window in a single comprehension that emits *surviving row positions* directly;
-  every later clause refines that position list by probing only the survivors.  This is the
-  bytearray-mask pipeline collapsed to its support: representing the mask by the positions of
-  its set bits both tracks the surviving-row count for free (``len(positions)``, no ``any``
-  scan) and makes each subsequent clause O(survivors) instead of O(window).
+  candidate window in a single comprehension that emits *surviving row positions* directly
+  (the per-operator :data:`_SCAN` table); every later clause refines that position list by
+  probing only the survivors (the :data:`_REFINE` table).  This is the bytearray-mask
+  pipeline collapsed to its support: representing the mask by the positions of its set bits
+  both tracks the surviving-row count for free (``len(positions)``, no ``any`` scan) and
+  makes each subsequent clause O(survivors) instead of O(window).
 - **numpy** — an optional fast path used when numpy is importable and every filter column of
   the block has a typed ``array`` representation (:meth:`repro.layouts.pax.PaxBlock.typed_column_at`).
   Columns are wrapped zero-copy via ``numpy.frombuffer`` over the array's ``memoryview``,
-  clauses become vectorized comparisons, and masks are AND-ed as boolean arrays.  The backend
-  refuses (falls back to the reference backend) whenever exact agreement with Python
-  comparison semantics is not guaranteed — non-numeric columns, operands outside the int64
-  range, or int/float cross-comparisons past 2**53 where float64 rounding could flip a bound.
+  clauses become vectorized comparisons (:data:`repro.hail.predicate.COMPARE` applied to the
+  whole column), and masks are AND-ed as boolean arrays.  The backend refuses (falls back to
+  the reference backend) whenever exact agreement with Python comparison semantics is not
+  guaranteed — non-numeric columns, operands outside the int64 range, or int/float
+  cross-comparisons past 2**53 where float64 rounding could flip a bound.
 
-Both backends are bit-for-bit equivalent by construction and by test
-(``tests/test_engine_kernels.py`` cross-checks them against each other and against the
-row-at-a-time evaluation on randomized blocks).  Select the backend globally with
+The Hadoop baseline's text block parser filters its parsed columns through the same scan
+table (:func:`clause_positions`).  Both backends are bit-for-bit equivalent by construction
+and by test (``tests/test_engine_kernels.py`` cross-checks them against each other and
+against the row-at-a-time evaluation on randomized blocks).  Select the backend globally with
 :func:`set_backend` or temporarily with :func:`use_backend`; the default is numpy when
 available.
 """
@@ -31,7 +34,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-if TYPE_CHECKING:  # imported lazily at runtime to keep this module import-light
+from repro.hail.predicate import COMPARE, Operator
+
+if TYPE_CHECKING:
     from repro.hail.predicate import Comparison, Predicate
     from repro.layouts.pax import PaxBlock
     from repro.layouts.schema import Schema
@@ -140,66 +145,57 @@ def filter_ranges(
 
 
 # --------------------------------------------------------------------------- python backend
+#: Clause one over a window: the row ids (numbered from ``start``) whose value satisfies the
+#: operator.  One comprehension per operator with its comparison inline: mapping
+#: :data:`~repro.hail.predicate.COMPARE`'s function over the column is slower on int columns.
+_SCAN = {
+    Operator.EQ: lambda window, start, x: [i for i, v in enumerate(window, start) if v == x],
+    Operator.LT: lambda window, start, x: [i for i, v in enumerate(window, start) if v < x],
+    Operator.LE: lambda window, start, x: [i for i, v in enumerate(window, start) if v <= x],
+    Operator.GT: lambda window, start, x: [i for i, v in enumerate(window, start) if v > x],
+    Operator.GE: lambda window, start, x: [i for i, v in enumerate(window, start) if v >= x],
+    Operator.BETWEEN: lambda window, start, low, high: [
+        i for i, v in enumerate(window, start) if low <= v <= high
+    ],
+}
+
+#: A later clause: the surviving row ids whose ``column`` value satisfies the operator.
+_REFINE = {
+    Operator.EQ: lambda column, rows, x: [i for i in rows if column[i] == x],
+    Operator.LT: lambda column, rows, x: [i for i in rows if column[i] < x],
+    Operator.LE: lambda column, rows, x: [i for i in rows if column[i] <= x],
+    Operator.GT: lambda column, rows, x: [i for i in rows if column[i] > x],
+    Operator.GE: lambda column, rows, x: [i for i in rows if column[i] >= x],
+    Operator.BETWEEN: lambda column, rows, low, high: [
+        i for i in rows if low <= column[i] <= high
+    ],
+}
+
+
+def clause_positions(clause: "Comparison", values: Sequence) -> list[int]:
+    """Positions in ``values`` that satisfy ``clause`` (the scan table over a whole column)."""
+    return _SCAN[clause.op](values, 0, *clause.operands)
+
+
 def _filter_range_python(
     pax: "PaxBlock", predicate: "Predicate", schema: "Schema", start: int, end: int
 ) -> list[int]:
-    """Reference backend: survivor-position refinement, operators resolved once per clause.
+    """Reference backend: survivor-position refinement, one table lookup per clause.
 
-    Clause one scans its window exactly once and emits absolute row ids; clause k probes only
-    the rows that survived clauses 1..k-1.  The surviving-row count is ``len(positions)`` —
-    no separate ``any(mask)`` pass — and an empty survivor list short-circuits the remaining
-    clauses.
+    Clause one scans its window exactly once and emits absolute row ids (:data:`_SCAN`);
+    clause k probes only the rows that survived clauses 1..k-1 (:data:`_REFINE`).  The
+    surviving-row count is ``len(positions)`` — no separate ``any(mask)`` pass — and an empty
+    survivor list short-circuits the remaining clauses.
     """
-    positions: Optional[list[int]] = None
-    for clause in predicate.clauses:
-        column = pax.columns[clause.attribute_index(schema)]
-        op = clause.op.value
-        if positions is None:
-            window = column[start:end]
-            if op == "between":
-                low, high = clause.operands
-                positions = [i for i, v in enumerate(window, start) if low <= v <= high]
-            elif op == "=":
-                x = clause.operands[0]
-                positions = [i for i, v in enumerate(window, start) if v == x]
-            elif op == "<":
-                x = clause.operands[0]
-                positions = [i for i, v in enumerate(window, start) if v < x]
-            elif op == "<=":
-                x = clause.operands[0]
-                positions = [i for i, v in enumerate(window, start) if v <= x]
-            elif op == ">":
-                x = clause.operands[0]
-                positions = [i for i, v in enumerate(window, start) if v > x]
-            elif op == ">=":
-                x = clause.operands[0]
-                positions = [i for i, v in enumerate(window, start) if v >= x]
-            else:
-                raise ValueError(f"unsupported operator {clause.op!r} in vectorized evaluation")
-        else:
-            if op == "between":
-                low, high = clause.operands
-                positions = [i for i in positions if low <= column[i] <= high]
-            elif op == "=":
-                x = clause.operands[0]
-                positions = [i for i in positions if column[i] == x]
-            elif op == "<":
-                x = clause.operands[0]
-                positions = [i for i in positions if column[i] < x]
-            elif op == "<=":
-                x = clause.operands[0]
-                positions = [i for i in positions if column[i] <= x]
-            elif op == ">":
-                x = clause.operands[0]
-                positions = [i for i in positions if column[i] > x]
-            elif op == ">=":
-                x = clause.operands[0]
-                positions = [i for i in positions if column[i] >= x]
-            else:
-                raise ValueError(f"unsupported operator {clause.op!r} in vectorized evaluation")
+    first, *rest = predicate.clauses
+    column = pax.columns[first.attribute_index(schema)]
+    positions = _SCAN[first.op](column[start:end], start, *first.operands)
+    for clause in rest:
         if not positions:
             return []
-    return positions if positions is not None else list(range(start, end))
+        column = pax.columns[clause.attribute_index(schema)]
+        positions = _REFINE[clause.op](column, positions, *clause.operands)
+    return positions
 
 
 # --------------------------------------------------------------------------- numpy backend
@@ -247,25 +243,12 @@ def _filter_range_numpy(
                 return None
         dtype = np.int64 if typecode == "q" else np.float64
         column = np.frombuffer(typed, dtype=dtype)[start:end]
-        op = clause.op.value
-        if op == "between":
+        if clause.op is Operator.BETWEEN:
             low, high = operands
             bits = (column >= low) & (column <= high)
-        elif op == "=":
-            bits = column == operands[0]
-        elif op == "<":
-            bits = column < operands[0]
-        elif op == "<=":
-            bits = column <= operands[0]
-        elif op == ">":
-            bits = column > operands[0]
-        elif op == ">=":
-            bits = column >= operands[0]
         else:
-            raise ValueError(f"unsupported operator {clause.op!r} in vectorized evaluation")
+            bits = COMPARE[clause.op](column, operands[0])
         mask = bits if mask is None else (mask & bits)
         if not mask.any():
             return []
-    if mask is None:
-        return list(range(start, end))
     return (np.flatnonzero(mask) + start).tolist()

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.hail.annotation import HailQuery
 from repro.hail.predicate import Comparison, Operator, Predicate
+from repro.layouts.zonemap import ranges_disjoint
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobResult, unkeyed
 
@@ -134,37 +135,19 @@ def _visit_order(
     return bounded + sorted(unbounded)
 
 
-def _can_skip(
-    bound: Optional[tuple], kth_value: Any, descending: bool
-) -> bool:
-    """True when the block's entire zone range is strictly worse than the ``k``-th value.
+def _threshold_clause(query: TopKQuery, kth_value: Any) -> Comparison:
+    """The clause pushed down once ``k`` rows are held: ``order_by >= kth`` (descending) /
+    ``<= kth`` (ascending).
 
-    Ties are never skipped (a tied row may displace a held row under the ``repr``
-    tie-break), and uncomparable types fail closed to "read the block".
-    """
-    if bound is None:
-        return False
-    low, high = bound
-    try:
-        if descending:
-            return high < kth_value
-        return low > kth_value
-    except TypeError:
-        return False
-
-
-def _threshold_annotation(query: TopKQuery, kth_value: Any) -> HailQuery:
-    """The per-block scan annotation once ``k`` rows are held: base predicate plus a
-    ``order_by >= kth`` (descending) / ``<= kth`` (ascending) clause.
-
-    The extra clause lets a replica sorted on ``order_by`` index-narrow the candidate window
-    and lets per-partition zone maps prune inside the block; it is inclusive, so boundary
-    ties still surface and the ``repr`` tie-break stays correct.
+    A block whose zone range is disjoint from it is skipped unread
+    (:func:`~repro.layouts.zonemap.ranges_disjoint`, which fails closed on uncomparable
+    types).  A block that is read gets it appended to the base predicate, so a replica sorted
+    on ``order_by`` index-narrows the candidate window and per-partition zone maps prune
+    inside the block.  It is inclusive, so ties are never skipped and boundary ties still
+    surface: a tied row may displace a held row under the ``repr`` tie-break.
     """
     operator = Operator.GE if query.descending else Operator.LE
-    clauses = tuple(query.predicate.clauses) if query.predicate is not None else ()
-    clauses = clauses + (Comparison(query.order_by, operator, (kth_value,)),)
-    return HailQuery(filter=Predicate(clauses), projection=None)
+    return Comparison(query.order_by, operator, (kth_value,))
 
 
 # --------------------------------------------------------------------------- lowering
@@ -218,6 +201,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
 
     planner = system._planner()
     base_annotation = HailQuery(filter=query.predicate, projection=None)
+    base_clauses = tuple(query.predicate.clauses) if query.predicate is not None else ()
     counters = Counters()
     top: list[tuple] = []
     seconds = slowest = 0.0
@@ -225,15 +209,14 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     blocks_skipped = 0
 
     for block_id in _visit_order(bounds, query.descending):
-        threshold = top[query.k - 1][order_index] if len(top) >= query.k else None
-        if threshold is not None and _can_skip(bounds[block_id], threshold, query.descending):
-            blocks_skipped += 1
-            continue
-        annotation = (
-            _threshold_annotation(query, threshold)
-            if threshold is not None
-            else base_annotation
-        )
+        annotation = base_annotation
+        if len(top) >= query.k:
+            threshold = _threshold_clause(query, top[query.k - 1][order_index])
+            bound = bounds[block_id]
+            if bound is not None and ranges_disjoint(*threshold.value_range(), *bound):
+                blocks_skipped += 1
+                continue
+            annotation = HailQuery(filter=Predicate(base_clauses + (threshold,)), projection=None)
         # adaptive=None: top-k probes must not stage index builds as a side effect.
         plan = planner.plan_block(block_id, annotation=annotation)
         executor = VectorizedExecutor(

@@ -21,7 +21,7 @@ from repro.engine.adaptive import AdaptiveJobContext
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
 from repro.layouts.schema import Schema
-from repro.layouts.zonemap import ranges_disjoint
+from repro.layouts.zonemap import disjoint_attribute
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports us back
     from repro.hail.annotation import HailQuery
@@ -162,13 +162,20 @@ class PhysicalPlanner:
         Used both by :meth:`plan_query` and by callers that fill ``block_plans`` with the
         plans a job actually executed (``BaseSystem.run_query``).
         """
+        return self._bind(path, annotation)[0]
+
+    def _bind(
+        self, path: str, annotation: Optional[HailQuery]
+    ) -> tuple[QueryPlan, list[int], Optional[Schema], Optional[Predicate]]:
+        """:meth:`query_frame` plus what it was bound from: block ids, schema, predicate."""
         namenode = self.hdfs.namenode
         block_ids = namenode.file_blocks(path)
         schema = namenode.logical_block(block_ids[0]).schema if block_ids else None
         predicate = self._bound_predicate(annotation, schema)
         projection = self._bound_projection(annotation, schema)
         attributes = tuple(predicate.attributes(schema)) if predicate is not None else ()
-        return QueryPlan(path=path, filter_attributes=attributes, projection=projection)
+        frame = QueryPlan(path=path, filter_attributes=attributes, projection=projection)
+        return frame, block_ids, schema, predicate
 
     def plan_query(
         self,
@@ -178,12 +185,7 @@ class PhysicalPlanner:
         preferred_replicas: Optional[dict[int, int]] = None,
     ) -> QueryPlan:
         """Plan every block of ``path`` for the query described by ``annotation``."""
-        namenode = self.hdfs.namenode
-        block_ids = namenode.file_blocks(path)
-        schema = namenode.logical_block(block_ids[0]).schema if block_ids else None
-        predicate = self._bound_predicate(annotation, schema)
-        projection = self._bound_projection(annotation, schema)
-        plan = self.query_frame(path, annotation)
+        plan, block_ids, schema, predicate = self._bind(path, annotation)
         preferred_replicas = preferred_replicas or {}
         for block_id in block_ids:
             plan.block_plans.append(
@@ -191,7 +193,7 @@ class PhysicalPlanner:
                     block_id,
                     schema,
                     predicate,
-                    projection,
+                    plan.projection,
                     preferred=preferred_replicas.get(block_id),
                     prefer_node=prefer_node,
                 )
@@ -302,26 +304,16 @@ class PhysicalPlanner:
         """The attribute whose ``Dir_rep`` zone proves the block cannot match, or ``None``.
 
         Pure metadata: only the registered block-level ranges are consulted.  Every doubt —
-        no synopsis, an uncovered attribute, uncomparable operands — answers ``None`` (scan),
-        and the executor independently re-verifies any skip against the payload's own zone
-        map, so a stale entry here can cost a scan but never a row.
+        no synopsis, an uncovered attribute, uncomparable operands — proves nothing (a clause
+        that has one cannot skip), and the executor independently re-verifies any skip
+        against the payload's own zone map with the same test, so a stale entry here can cost
+        a scan but never a row.
         """
         info = self.hdfs.namenode.replica_info(block_id, datanode_id)
         if info is None or not info.zone_ranges:
             return None
         zones = {name: (low, high) for name, low, high in info.zone_ranges}
-        for clause in predicate.clauses:
-            try:
-                name = schema.fields[clause.attribute_index(schema)].name
-            except (KeyError, IndexError):
-                continue
-            zone = zones.get(name)
-            if zone is None:
-                continue
-            low, high = clause.value_range()
-            if ranges_disjoint(low, high, zone[0], zone[1]):
-                return name
-        return None
+        return disjoint_attribute(zones.get, predicate, schema)
 
     def _fallback_reason(self, block_id: int, attributes: Sequence[str]) -> str:
         """Why no index scan was possible: never indexed, lost to a failure, or evicted.

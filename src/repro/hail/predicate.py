@@ -5,14 +5,20 @@ Bob annotates his map function with a filter such as
 :class:`Comparison` clauses over attributes addressed either by name or by 1-based position
 (``@1`` is the first attribute of the schema).  The predicate both drives index selection (which
 replica to read) and is applied during post-filtering.
+
+What each operator means is written down once: :data:`COMPARE` maps the one-operand operators
+to ``operator.eq/lt/le/gt/ge`` and ``BETWEEN`` is the one two-operand case.
+:meth:`Comparison.matches` and the numpy kernel read that table; the normalizer's intervals and
+every zone-map check derive from :meth:`Comparison.value_range`.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.layouts.schema import Field, Schema
 
@@ -30,6 +36,20 @@ class Operator(enum.Enum):
     BETWEEN = "between"
 
 
+#: ``value op operand`` for every one-operand operator; ``BETWEEN`` is the two-operand case.
+COMPARE = {
+    Operator.EQ: operator.eq,
+    Operator.LT: operator.lt,
+    Operator.LE: operator.le,
+    Operator.GT: operator.gt,
+    Operator.GE: operator.ge,
+}
+
+#: One-operand operators that leave the value range open below (resp. above).
+_OPEN_BELOW = (Operator.LT, Operator.LE)
+_OPEN_ABOVE = (Operator.GT, Operator.GE)
+
+
 @dataclass(frozen=True)
 class Comparison:
     """One clause: ``attribute op operand(s)``.
@@ -42,7 +62,7 @@ class Comparison:
     operands: tuple
 
     def __post_init__(self) -> None:
-        expected = 2 if self.op == Operator.BETWEEN else 1
+        expected = 2 if self.op is Operator.BETWEEN else 1
         if len(self.operands) != expected:
             raise ValueError(
                 f"operator {self.op.value!r} needs {expected} operand(s), got {len(self.operands)}"
@@ -66,33 +86,23 @@ class Comparison:
     # ------------------------------------------------------------------ evaluation
     def matches(self, value: Any) -> bool:
         """True when ``value`` satisfies this clause."""
-        if self.op == Operator.EQ:
-            return value == self.operands[0]
-        if self.op == Operator.LT:
-            return value < self.operands[0]
-        if self.op == Operator.LE:
-            return value <= self.operands[0]
-        if self.op == Operator.GT:
-            return value > self.operands[0]
-        if self.op == Operator.GE:
-            return value >= self.operands[0]
-        low, high = self.operands
-        return low <= value <= high
+        if self.op is Operator.BETWEEN:
+            low, high = self.operands
+            return low <= value <= high
+        return COMPARE[self.op](value, self.operands[0])
 
     def value_range(self) -> tuple[Optional[Any], Optional[Any]]:
-        """``(low, high)`` bounds usable for a clustered-index range lookup (None = open)."""
-        if self.op == Operator.EQ:
-            return self.operands[0], self.operands[0]
-        if self.op in (Operator.LT, Operator.LE):
-            return None, self.operands[0]
-        if self.op in (Operator.GT, Operator.GE):
-            return self.operands[0], None
-        return self.operands[0], self.operands[1]
+        """``(low, high)`` bounds usable for a clustered-index range lookup (None = open).
+
+        The range is closed: a strict operator (``<``, ``>``) keeps its operand as the bound.
+        """
+        low, high = self.operands[0], self.operands[-1]
+        return None if self.op in _OPEN_BELOW else low, None if self.op in _OPEN_ABOVE else high
 
     def describe(self, schema: Optional[Schema] = None) -> str:
         """Human-readable form, e.g. ``visitDate between(1999-01-01, 2000-01-01)``."""
         name = self.attribute_name(schema) if schema is not None else f"@{self.attribute}"
-        if self.op == Operator.BETWEEN:
+        if self.op is Operator.BETWEEN:
             return f"{name} between({self.operands[0]}, {self.operands[1]})"
         return f"{name} {self.op.value} {self.operands[0]}"
 
@@ -145,10 +155,9 @@ class Predicate:
     # ------------------------------------------------------------------ evaluation
     def matches(self, record: Sequence[Any], schema: Schema) -> bool:
         """True when the full record satisfies every clause."""
-        for clause in self.clauses:
-            if not clause.matches(record[clause.attribute_index(schema)]):
-                return False
-        return True
+        return all(
+            clause.matches(record[clause.attribute_index(schema)]) for clause in self.clauses
+        )
 
     def describe(self, schema: Optional[Schema] = None) -> str:
         """Human-readable conjunction."""
@@ -198,10 +207,10 @@ def parse_predicate(text: str, schema: Schema) -> Predicate:
         attribute: AttributeRef = match.group("attr")
         if isinstance(attribute, str) and attribute.startswith("@"):
             attribute = int(attribute[1:])
-        op_text = match.group("op").lower()
+        op = Operator(match.group("op").lower())
         rest = match.group("rest").strip()
         field = _resolve_field(attribute, schema)
-        if op_text == "between":
+        if op is Operator.BETWEEN:
             inner = rest.strip()
             if inner.startswith("(") and inner.endswith(")"):
                 inner = inner[1:-1]
@@ -209,17 +218,9 @@ def parse_predicate(text: str, schema: Schema) -> Predicate:
             if len(parts) != 2:
                 raise ValueError(f"between needs two operands: {raw!r}")
             operands = tuple(field.parse(part) for part in parts)
-            clauses.append(Comparison(attribute, Operator.BETWEEN, operands))
         else:
-            op = {
-                "=": Operator.EQ,
-                "<": Operator.LT,
-                "<=": Operator.LE,
-                ">": Operator.GT,
-                ">=": Operator.GE,
-            }[op_text]
-            value = field.parse(rest.strip("'\""))
-            clauses.append(Comparison(attribute, op, (value,)))
+            operands = (field.parse(rest.strip("'\"")),)
+        clauses.append(Comparison(attribute, op, operands))
     return Predicate(clauses)
 
 

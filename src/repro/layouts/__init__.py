@@ -1,13 +1,13 @@
-"""Record schemas and physical data layouts (text row, binary row, PAX).
+"""Record schemas and physical data layouts (text row, PAX).
 
 HAIL converts each HDFS block from the uploaded text representation to a binary PAX layout
 (Ailamaki et al., VLDB 2001) on the client, before the block enters the upload pipeline.  This
-package provides the schema machinery, the codecs for the row representations and the PAX block
-used by HAIL and by the Trojan-index baseline.
+package provides the schema machinery, the text row codec of stock uploads, the binary value
+and column serialization, and the PAX block used by HAIL and by the Trojan-index baseline.
 """
 
 from repro.layouts.schema import Field, FieldType, Schema, BadRecordError
-from repro.layouts.row import TextRowCodec, BinaryRowCodec
+from repro.layouts.row import TextRowCodec
 from repro.layouts.pax import PaxBlock
 from repro.layouts.zonemap import ZoneMap, block_zone_ranges
 from repro.layouts import serialization
@@ -18,7 +18,6 @@ __all__ = [
     "Schema",
     "BadRecordError",
     "TextRowCodec",
-    "BinaryRowCodec",
     "PaxBlock",
     "ZoneMap",
     "block_zone_ranges",

@@ -1,15 +1,15 @@
-"""Row-oriented layouts: the text layout of stock HDFS uploads and a binary row layout.
+"""The row-oriented text layout of stock HDFS uploads.
 
 Stock Hadoop stores uploaded files verbatim as text; its RecordReader later splits lines and
-attributes at query time.  Hadoop++ converts blocks to a binary *row* layout during its index
-creation job.  HAIL uses the PAX layout in :mod:`repro.layouts.pax` instead.
+attributes at query time.  HAIL and the Hadoop++ baseline both store the binary PAX blocks of
+:mod:`repro.layouts.pax`; Hadoop++ marks its blocks ``pax_layout=False``, so a scan reads whole
+rows (every column) as a binary row layout would.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from repro.layouts import serialization
 from repro.layouts.schema import BadRecordError, Schema
 
 
@@ -54,29 +54,3 @@ class TextRowCodec:
     def size_bytes(self, records: Iterable[Sequence]) -> int:
         """Total text size (bytes, including newlines) of the given records."""
         return sum(self.schema.text_size(record) for record in records)
-
-
-class BinaryRowCodec:
-    """Encode/decode records in a packed binary row layout (used by the Hadoop++ baseline)."""
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-
-    def encode(self, records: Iterable[Sequence]) -> bytes:
-        """Concatenate the binary encodings of all records."""
-        return b"".join(serialization.encode_record(self.schema, record) for record in records)
-
-    def decode(self, payload: bytes, count: int | None = None) -> list[tuple]:
-        """Decode records until ``count`` records were read or the payload is exhausted."""
-        records: list[tuple] = []
-        offset = 0
-        while offset < len(payload):
-            if count is not None and len(records) >= count:
-                break
-            record, offset = serialization.decode_record(self.schema, payload, offset)
-            records.append(record)
-        return records
-
-    def size_bytes(self, records: Iterable[Sequence]) -> int:
-        """Total binary size of the given records."""
-        return sum(self.schema.binary_size(record) for record in records)

@@ -6,7 +6,7 @@ size values (strings) are stored zero-terminated, exactly as described in Sectio
 ("we store variable-sized attributes as a sequence of zero-terminated values").
 
 Two codecs share the one byte format.  The per-value one (:func:`encode_value` /
-:func:`decode_value`) is the reference and what the row layout uses; the column one
+:func:`decode_value`) is the reference and the column codec's fallback; the column one
 (:func:`encode_column` / :func:`decode_column_at`) moves a whole PAX minipage per call — one
 ``struct`` pack per fixed-width column, one join and one UTF-8 pass per string column — with
 bit-identical bytes (``tests/test_property_layouts.py``).  Checksums, journal and restore use it.
@@ -20,7 +20,7 @@ from itertools import accumulate, repeat
 from operator import sub
 from typing import Any, Iterable, Sequence
 
-from repro.layouts.schema import Field, FieldType, Schema
+from repro.layouts.schema import Field, FieldType
 
 _EPOCH = date(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
@@ -64,24 +64,6 @@ def decode_value(field: Field, payload: bytes, offset: int = 0) -> tuple[Any, in
     if ftype == FieldType.DATE:
         return days_to_date(raw), offset + size
     return raw, offset + size
-
-
-def encode_record(schema: Schema, record: Sequence[Any]) -> bytes:
-    """Encode one record as a concatenation of its encoded values (binary row layout)."""
-    if len(record) != len(schema.fields):
-        raise ValueError(
-            f"record arity {len(record)} does not match schema {schema.name!r} ({len(schema.fields)})"
-        )
-    return b"".join(encode_value(f, v) for f, v in zip(schema.fields, record))
-
-
-def decode_record(schema: Schema, payload: bytes, offset: int = 0) -> tuple[tuple, int]:
-    """Decode one record from ``payload`` starting at ``offset``."""
-    values = []
-    for field in schema.fields:
-        value, offset = decode_value(field, payload, offset)
-        values.append(value)
-    return tuple(values), offset
 
 
 def encode_column(field: Field, values: Iterable[Any]) -> bytes:

@@ -10,10 +10,12 @@ range is provably disjoint from a zone cannot match any row inside it, so
 - the **executor** consults the payload's own per-partition zone map to prune the candidate
   window down to the partitions that may match.
 
+Every block-level decision (the planner's skip, the executor's re-verification of it, top-k's
+early termination) is one test, :func:`disjoint_attribute` over :func:`ranges_disjoint`.
 Correctness is fail-closed throughout: a zone map can only ever *widen* the set of rows read,
-never narrow the result.  Any doubt — unknown attribute, uncomparable operand types, a
-synopsis whose row count disagrees with the payload — disables skipping for that block and
-the scan proceeds in full.  The executor additionally re-verifies every planner-ordered skip
+never narrow the result.  Any doubt — an unknown attribute or uncomparable operand types,
+which leave a clause proving nothing, or a synopsis whose row count disagrees with the
+payload, which disables skipping for that block — lets the scan proceed.  The executor additionally re-verifies every planner-ordered skip
 against the payload's own (freshly derivable) synopsis, so a stale ``Dir_rep`` entry degrades
 to a full scan rather than a wrong answer.
 
@@ -27,7 +29,7 @@ order (NaN, ``-0.0`` vs ``0.0``) and are recomputed for every block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.layouts.schema import FieldType
 
@@ -80,13 +82,36 @@ def ranges_disjoint(
     intersect".
     """
     try:
-        if clause_high is not None and clause_high < zone_low:
-            return True
-        if clause_low is not None and clause_low > zone_high:
-            return True
+        return (clause_high is not None and clause_high < zone_low) or (
+            clause_low is not None and clause_low > zone_high
+        )
     except TypeError:
         return False
-    return False
+
+
+def disjoint_attribute(
+    zone_of: Callable[[str], Optional[tuple[Any, Any]]],
+    predicate: "Predicate",
+    schema: "Schema",
+) -> Optional[str]:
+    """The attribute of the first clause whose value range is provably outside its zone.
+
+    This is the one clause-vs-zone test: the planner's ``Dir_rep`` skip, the executor's
+    re-verification against the payload and :func:`may_match_ranges` all ask it.
+    ``zone_of(name)`` is an attribute's ``(min, max)`` zone, or ``None`` without one.  A
+    clause whose attribute does not resolve against ``schema`` or has no zone proves nothing
+    and is passed over — one disjoint clause is enough for a conjunction.  ``None`` means no
+    clause proves the block empty.
+    """
+    for clause in predicate.clauses:
+        try:
+            name = schema.fields[clause.attribute_index(schema)].name
+        except (KeyError, IndexError):
+            continue
+        zone = zone_of(name)
+        if zone is not None and ranges_disjoint(*clause.value_range(), *zone):
+            return name
+    return None
 
 
 def may_match_ranges(
@@ -94,25 +119,14 @@ def may_match_ranges(
 ) -> bool:
     """Whether a block with ``Dir_rep`` zone ``ranges`` may hold rows matching ``predicate``.
 
-    ``True`` (may match → must scan) is the fail-closed default: missing synopsis, missing
-    predicate, or an attribute the synopsis does not cover all answer ``True``.  Only a
-    clause whose value range is provably disjoint from the recorded zone justifies a skip.
+    ``True`` (may match → must scan) is the fail-closed default: missing synopsis or missing
+    predicate answer ``True``.  Only a clause whose value range is provably disjoint from the
+    recorded zone justifies a skip (:func:`disjoint_attribute`).
     """
     if not ranges or predicate is None:
         return True
     zones = {name: (low, high) for name, low, high in ranges}
-    for clause in predicate.clauses:
-        try:
-            name = schema.fields[clause.attribute_index(schema)].name
-        except (KeyError, IndexError):
-            return True
-        zone = zones.get(name)
-        if zone is None:
-            return True
-        clause_low, clause_high = clause.value_range()
-        if ranges_disjoint(clause_low, clause_high, zone[0], zone[1]):
-            return False
-    return True
+    return disjoint_attribute(zones.get, predicate, schema) is None
 
 
 @dataclass(frozen=True)
@@ -200,19 +214,8 @@ class ZoneMap:
     # ------------------------------------------------------------------ block-level checks
     def may_match(self, predicate: Optional["Predicate"], schema: "Schema") -> bool:
         """Whether any row of the block may satisfy ``predicate`` (block-level zones of the
-        clause attributes only)."""
-        if predicate is None:
-            return True
-        ranges = []
-        for clause in predicate.clauses:
-            try:
-                name = schema.fields[clause.attribute_index(schema)].name
-            except (KeyError, IndexError):
-                continue  # may_match_ranges answers "may match" at this clause
-            zone = self._block_zone(name)
-            if zone is not None:
-                ranges.append((name, *zone))
-        return may_match_ranges(tuple(ranges), predicate, schema)
+        clause attributes only, computed up to the first disjoint clause)."""
+        return predicate is None or disjoint_attribute(self._block_zone, predicate, schema) is None
 
     # ------------------------------------------------------------------ partition pruning
     def prune_ranges(

@@ -1,16 +1,17 @@
 """Property-based tests: the vectorized executor is byte-identical to a brute-force full scan.
 
-The engine's columnar kernels (``clause_mask`` / ``vectorized_filter``) plus the clustered-index
-candidate pruning must return exactly the rows and projected tuples a naive row-at-a-time full
-scan over the whole block returns, for arbitrary predicates, projections and block shapes —
-including empty blocks and empty candidate ranges.
+The engine's columnar kernels (``clause_positions`` / ``vectorized_filter``) plus the
+clustered-index candidate pruning must return exactly the rows and projected tuples a naive
+row-at-a-time full scan over the whole block returns, for arbitrary predicates, projections
+and block shapes — including empty blocks and empty candidate ranges.
 """
 
 import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.executor import clause_mask, vectorized_filter
+from repro.engine.executor import vectorized_filter
+from repro.engine.kernels import clause_positions
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import IndexLookup
 from repro.hail.predicate import Comparison, Operator, Predicate
@@ -109,9 +110,11 @@ def test_filter_rows_matches_vectorized_kernel(records, predicate, projection):
 
 @given(clause=_CLAUSES, values=st.lists(st.one_of(_KEYS, _WORDS), min_size=0, max_size=60))
 @settings(max_examples=150, deadline=None)
-def test_clause_mask_agrees_with_row_at_a_time_matches(clause, values):
+def test_clause_positions_agree_with_row_at_a_time_matches(clause, values):
     comparable = [v for v in values if isinstance(v, type(clause.operands[0]))]
-    assert clause_mask(clause, comparable) == [clause.matches(v) for v in comparable]
+    assert clause_positions(clause, comparable) == [
+        i for i, v in enumerate(comparable) if clause.matches(v)
+    ]
 
 
 def test_empty_block_yields_no_rows():

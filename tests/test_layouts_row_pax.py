@@ -1,8 +1,8 @@
-"""Tests for the text/binary row codecs and the PAX block layout."""
+"""Tests for the text row codec and the PAX block layout."""
 
 import pytest
 
-from repro.layouts import BinaryRowCodec, PaxBlock, TextRowCodec
+from repro.layouts import PaxBlock, TextRowCodec
 
 
 # --------------------------------------------------------------------------- text codec
@@ -26,20 +26,6 @@ def test_text_codec_size_accounts_newlines(simple_schema, simple_records):
     codec = TextRowCodec(simple_schema)
     size = codec.size_bytes(simple_records)
     assert size == sum(simple_schema.text_size(r) for r in simple_records)
-
-
-# --------------------------------------------------------------------------- binary codec
-def test_binary_codec_round_trip(simple_schema, simple_records):
-    codec = BinaryRowCodec(simple_schema)
-    payload = codec.encode(simple_records)
-    assert codec.decode(payload) == simple_records
-    assert codec.size_bytes(simple_records) == len(payload)
-
-
-def test_binary_codec_decode_with_count(simple_schema, simple_records):
-    codec = BinaryRowCodec(simple_schema)
-    payload = codec.encode(simple_records)
-    assert codec.decode(payload, count=3) == simple_records[:3]
 
 
 # --------------------------------------------------------------------------- PAX

@@ -1,23 +1,11 @@
-"""Tests for binary value/record/column serialization."""
+"""Tests for binary value/column serialization."""
 
 from datetime import date
 
 import pytest
 
-from repro.layouts import FieldType, Schema, serialization
+from repro.layouts import FieldType, serialization
 from repro.layouts.schema import Field
-
-
-@pytest.fixture
-def schema() -> Schema:
-    return Schema.of(
-        ("id", FieldType.INT),
-        ("big", FieldType.BIGINT),
-        ("ratio", FieldType.DOUBLE),
-        ("when", FieldType.DATE),
-        ("name", FieldType.STRING),
-        name="ser",
-    )
 
 
 def test_encode_decode_fixed_values():
@@ -54,19 +42,6 @@ def test_encode_value_rejects_bad_fixed_value():
     f = Field("id", FieldType.INT)
     with pytest.raises(ValueError):
         serialization.encode_value(f, "not-an-int")
-
-
-def test_record_round_trip(schema):
-    record = (1, 2**40, 3.25, date(1992, 12, 22), "aggressive elephant")
-    payload = serialization.encode_record(schema, record)
-    decoded, offset = serialization.decode_record(schema, payload)
-    assert decoded == record
-    assert offset == len(payload)
-
-
-def test_encode_record_arity_mismatch(schema):
-    with pytest.raises(ValueError):
-        serialization.encode_record(schema, (1, 2, 3))
 
 
 def test_column_round_trip():

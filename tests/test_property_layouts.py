@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hail.hail_block import HailBlock
 from repro.hail.sortindex import is_sorted
-from repro.layouts import BinaryRowCodec, FieldType, PaxBlock, Schema, TextRowCodec, serialization
+from repro.layouts import FieldType, PaxBlock, Schema, TextRowCodec, serialization
 from repro.layouts.schema import Field
 
 _SCHEMA = Schema.of(
@@ -50,29 +50,12 @@ def test_text_codec_round_trip(records):
 
 @given(records=_records)
 @settings(max_examples=100, deadline=None)
-def test_binary_codec_round_trip(records):
-    codec = BinaryRowCodec(_SCHEMA)
-    assert codec.decode(codec.encode(records)) == list(records)
-
-
-@given(records=_records)
-@settings(max_examples=100, deadline=None)
 def test_pax_round_trip_and_sizes(records):
     block = PaxBlock.from_records(_SCHEMA, records)
     assert block.records() == list(records)
     assert block.size_bytes() == sum(_SCHEMA.binary_size(r) for r in records)
     restored = PaxBlock.from_bytes(_SCHEMA, block.to_bytes(), len(records))
     assert restored.records() == list(records)
-
-
-@given(record=_record)
-@settings(max_examples=150, deadline=None)
-def test_record_serialization_round_trip(record):
-    payload = serialization.encode_record(_SCHEMA, record)
-    decoded, consumed = serialization.decode_record(_SCHEMA, payload)
-    assert decoded == record
-    assert consumed == len(payload)
-    assert len(payload) == _SCHEMA.binary_size(record)
 
 
 @given(records=st.lists(_record, min_size=1, max_size=60))

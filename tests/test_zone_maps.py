@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace as dc_replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGene
 from repro.engine import kernels
 from repro.engine.access_path import AccessPath
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
+from repro.engine.planner import PhysicalPlanner
 from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
 from repro.hail.predicate import Operator, Predicate
 from repro.layouts.pax import PaxBlock
@@ -76,6 +78,33 @@ def test_may_match_ranges_fails_closed():
     assert may_match_ranges(None, predicate, schema)
     assert may_match_ranges(ranges, None, schema)  # no predicate
     assert may_match_ranges((("other", 5, 9),), predicate, schema)  # attribute not covered
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        Predicate.equals("f1", 3),  # resolves, but no zone covers f1
+        Predicate.equals("missing", 3),  # no such field
+        Predicate.equals(9, 3),  # position past the schema
+    ],
+)
+def test_zone_consumers_agree_past_an_uncovered_clause(first):
+    """Planner, ``Dir_rep`` check and payload zone map all skip on the one disjoint clause.
+
+    A clause without a zone proves nothing, so every consumer moves on to the next clause
+    instead of answering "may match" there; a conjunction needs only one disjoint clause.
+    """
+    schema = Schema.of(("f1", FieldType.INT), ("f2", FieldType.INT), name="zm")
+    predicate = first.and_(Predicate.equals("f2", 20))
+    ranges = (("f2", 5, 9),)
+    info = SimpleNamespace(zone_ranges=ranges)
+    hdfs = SimpleNamespace(namenode=SimpleNamespace(replica_info=lambda block, node: info))
+    planner = PhysicalPlanner(hdfs, zone_maps=True)
+    payload_zones = ZoneMap(num_rows=4, partition_size=2, block_zones={"f2": (5, 9)})
+
+    assert planner._zone_map_skip(0, 0, predicate, schema) == "f2"
+    assert not may_match_ranges(ranges, predicate, schema)
+    assert not payload_zones.may_match(predicate, schema)
 
 
 def test_zone_map_partition_pruning_matches_brute_force():
