@@ -5,7 +5,7 @@ from datetime import date
 import pytest
 
 from repro.datagen import USERVISITS_SCHEMA
-from repro.hail.predicate import Comparison, Operator, Predicate, parse_predicate
+from repro.hail.predicate import COMPARE, Comparison, Operator, Predicate, parse_predicate
 from repro.layouts import FieldType, Schema
 
 
@@ -31,6 +31,22 @@ def test_comparison_matching_all_operators():
     assert Comparison("a", Operator.BETWEEN, (1, 3)).matches(1)
     assert Comparison("a", Operator.BETWEEN, (1, 3)).matches(3)
     assert not Comparison("a", Operator.BETWEEN, (1, 3)).matches(4)
+
+
+def test_compare_table_defines_every_one_operand_operator():
+    """``BETWEEN`` is the one operator without a ``COMPARE`` entry; each entry is its text."""
+    assert set(COMPARE) == set(Operator) - {Operator.BETWEEN}
+    # value 4, 5, 6 against operand 5
+    truth = {
+        "=": (False, True, False),
+        "<": (True, False, False),
+        "<=": (True, True, False),
+        ">": (False, False, True),
+        ">=": (False, True, True),
+    }
+    for op, compare in COMPARE.items():
+        assert tuple(compare(value, 5) for value in (4, 5, 6)) == truth[op.value]
+        assert tuple(Comparison("a", op, (5,)).matches(v) for v in (4, 5, 6)) == truth[op.value]
 
 
 def test_comparison_value_ranges():

@@ -4,8 +4,20 @@ from datetime import date
 
 import pytest
 
-from repro.layouts import FieldType, serialization
+from repro.layouts import FieldType, Schema, serialization
 from repro.layouts.schema import Field
+
+
+@pytest.fixture
+def schema() -> Schema:
+    return Schema.of(
+        ("id", FieldType.INT),
+        ("big", FieldType.BIGINT),
+        ("ratio", FieldType.DOUBLE),
+        ("when", FieldType.DATE),
+        ("name", FieldType.STRING),
+        name="ser",
+    )
 
 
 def test_encode_decode_fixed_values():
@@ -42,6 +54,19 @@ def test_encode_value_rejects_bad_fixed_value():
     f = Field("id", FieldType.INT)
     with pytest.raises(ValueError):
         serialization.encode_value(f, "not-an-int")
+
+
+def test_record_round_trip(schema):
+    """A row of every type, value by value, decodes back at the offsets it was written to."""
+    record = (1, 2**40, 3.25, date(1992, 12, 22), "aggressive elephant")
+    payload = b"".join(map(serialization.encode_value, schema.fields, record))
+    assert len(payload) == schema.binary_size(record)
+    decoded, offset = [], 0
+    for f in schema.fields:
+        value, offset = serialization.decode_value(f, payload, offset)
+        decoded.append(value)
+    assert tuple(decoded) == record
+    assert offset == len(payload)
 
 
 def test_column_round_trip():

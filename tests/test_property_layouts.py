@@ -58,6 +58,19 @@ def test_pax_round_trip_and_sizes(records):
     assert restored.records() == list(records)
 
 
+@given(record=_record)
+@settings(max_examples=150, deadline=None)
+def test_record_serialization_round_trip(record):
+    payload = b"".join(map(serialization.encode_value, _SCHEMA.fields, record))
+    decoded, consumed = [], 0
+    for f in _SCHEMA.fields:
+        value, consumed = serialization.decode_value(f, payload, consumed)
+        decoded.append(value)
+    assert tuple(decoded) == record
+    assert consumed == len(payload)
+    assert len(payload) == _SCHEMA.binary_size(record)
+
+
 @given(records=st.lists(_record, min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_hail_block_preserves_record_multiset_under_any_sort_attribute(records):

@@ -31,10 +31,16 @@ from repro.engine.access_path import AccessPath
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
 from repro.engine.planner import PhysicalPlanner
 from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import FieldType, Schema
-from repro.layouts.zonemap import ZoneMap, block_zone_ranges, may_match_ranges, ranges_disjoint
+from repro.layouts.zonemap import (
+    ZoneMap,
+    block_zone_ranges,
+    disjoint_attribute,
+    may_match_ranges,
+    ranges_disjoint,
+)
 from repro.mapreduce.counters import Counters
 from repro.workloads.query import Query
 
@@ -105,6 +111,52 @@ def test_zone_consumers_agree_past_an_uncovered_clause(first):
     assert planner._zone_map_skip(0, 0, predicate, schema) == "f2"
     assert not may_match_ranges(ranges, predicate, schema)
     assert not payload_zones.may_match(predicate, schema)
+
+
+def _random_clause(rng: random.Random) -> Comparison:
+    attribute = rng.choice(["f1", "f2", 1, 2, "missing", 9])
+    op = rng.choice(list(Operator))
+    if op is Operator.BETWEEN:
+        return Comparison(attribute, op, tuple(sorted((rng.randint(-3, 12), rng.randint(-3, 12)))))
+    return Comparison(attribute, op, (rng.randint(-3, 12),))
+
+
+def test_disjoint_attribute_names_the_first_clause_outside_its_zone():
+    """Against brute force over every integer in each zone, on 3000 seeded conjunctions.
+
+    The answer is the first clause with a zone whose closed value range holds no value of
+    that zone (unresolvable or unzoned clauses are passed over), and that clause matches
+    no value of its zone under its real, possibly strict, operator.
+    """
+    rng = random.Random(35)
+    schema = Schema.of(("f1", FieldType.INT), ("f2", FieldType.INT), name="zm")
+    skipped = 0
+    for _ in range(3000):
+        clauses = [_random_clause(rng) for _ in range(rng.randint(1, 4))]
+        zones = {
+            name: tuple(sorted((rng.randint(-3, 12), rng.randint(-3, 12))))
+            for name in ("f1", "f2")
+            if rng.random() < 0.7
+        }
+        expected = None
+        for clause in clauses:
+            if clause.attribute in ("missing", 9):
+                continue
+            name = clause.attribute_name(schema)
+            if name not in zones:
+                continue
+            low, high = clause.value_range()
+            inside = range(zones[name][0], zones[name][1] + 1)
+            if not any((low is None or low <= v) and (high is None or v <= high) for v in inside):
+                assert not any(map(clause.matches, inside))
+                expected = name
+                break
+        predicate = Predicate(clauses)
+        assert disjoint_attribute(zones.get, predicate, schema) == expected
+        ranges = tuple((name, low, high) for name, (low, high) in zones.items())
+        assert may_match_ranges(ranges, predicate, schema) == (expected is None)
+        skipped += expected is not None
+    assert 300 < skipped < 2700  # both answers are well exercised
 
 
 def test_zone_map_partition_pruning_matches_brute_force():
