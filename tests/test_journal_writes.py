@@ -7,8 +7,9 @@ last committed (`src/repro/persist/state.py`).  Four things are pinned here:
 - **differential** — after every journaled mutation (upload, adaptive commit, migration,
   eviction downgrade/delete, balancer rebuild, with node kills in between) the journal read
   back equals a fresh full capture (``checkpoint_state``, the reference implementation),
-  blob for blob and row for row.  ``check_dir_rep_consistency`` cannot catch a wrongly
-  skipped write: it never reads the journal;
+  blob for blob and row for row, and the ``(site, block)`` sequence of those syncs is pinned
+  by a digest.  ``check_dir_rep_consistency`` cannot catch a wrongly skipped write: it never
+  reads the journal;
 - **counts** — one changed replica costs one encode and one payload row, not four;
 - **crash** — a kill inside a delta sync leaves the backend's record of what it committed
   untouched, and the journal restores;
@@ -19,6 +20,7 @@ last committed (`src/repro/persist/state.py`).  Four things are pinned here:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import sqlite3
 
 import pytest
@@ -46,6 +48,9 @@ _PATH = "/journal/synthetic"
 #: The journal's one backend, named in every test id.
 BACKENDS = ("sqlite",)
 _STORM = DiskPressurePolicy(capacity_bytes=1.0, high_watermark=0.9, low_watermark=0.5)
+#: ``(site, block_id)`` of every sync the differential scenario makes: count and digest.
+SYNC_COUNT = 41
+SYNC_DIGEST = "1d63db23ebdc8c9c"
 
 
 def _config(backend: str, directory, **overrides) -> HailConfig:
@@ -156,11 +161,11 @@ def test_journal_equals_a_full_capture_after_every_mutation(backend, tmp_path):
     system = _fresh(config)
     persist = system.hdfs.persist
     real_sync = persist.sync_block
-    sites: list[str] = []
+    syncs: list[tuple[str, int]] = []
 
     def checked_sync(hdfs, block_id, site):
         real_sync(hdfs, block_id, site=site)
-        sites.append(site)
+        syncs.append((site, block_id))
         journal, capture = _plain(persist.load_state()), _plain(checkpoint_state(system))
         assert journal["paths"] == capture["paths"]
         # Index-use statistics are exact for the block just synced; for the others a plain
@@ -173,12 +178,12 @@ def test_journal_equals_a_full_capture_after_every_mutation(backend, tmp_path):
     persist.sync_block = checked_sync
 
     _upload(system)
-    assert sites.count("mid_upload") == 8
+    assert [site for site, _ in syncs].count("mid_upload") == 8
     # Converge with one node dead, then revive it: adaptive bytes are skewed away from it.
     system.cluster.kill_node(0)
     for _ in range(3):
         system.run_query(_query(), _PATH)
-    assert "mid_adaptive_commit" in sites
+    assert "mid_adaptive_commit" in {site for site, _ in syncs}
     system.cluster.node(0).revive()
     moves = PlacementBalancer(skew_high=1.2, skew_low=1.05, migrations_per_pass=4).run(system.hdfs)
     assert [action.kind for action in moves].count("migrate") > 0
@@ -196,7 +201,7 @@ def test_journal_equals_a_full_capture_after_every_mutation(backend, tmp_path):
     # ... and a second storm deletes those additional replicas outright.
     evicted += evict_under_pressure(system.hdfs, _STORM)
     assert {record.kind for record in evicted} == {"downgrade", "evict"}
-    assert sites.count("mid_eviction") == len(evicted)
+    assert [site for site, _ in syncs].count("mid_eviction") == len(evicted)
 
     # At rest, the learned control state (salt, tuner, demand) is in the journal as well.
     journal, capture = _plain(persist.load_state()), _plain(checkpoint_state(system))
@@ -205,6 +210,10 @@ def test_journal_equals_a_full_capture_after_every_mutation(backend, tmp_path):
         assert journal["control"][key] == capture["control"][key], key
     assert check_dir_rep_consistency(system.hdfs, _PATH) == []
     persist.close()
+    # Which block each mutation journaled, in order: a refactor of the mutation paths must
+    # sync the same blocks under the same crash sites, no more and no fewer.
+    assert len(syncs) == SYNC_COUNT
+    assert hashlib.sha256(repr(syncs).encode()).hexdigest()[:16] == SYNC_DIGEST
 
 
 # --------------------------------------------------------------------------- counts
