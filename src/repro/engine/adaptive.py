@@ -226,29 +226,31 @@ def commit_adaptive_builds(hdfs: "Hdfs", attempts: Iterable[Any]) -> AdaptiveCom
                 # (block, attribute) — the node's revival restores it (Figure 8 semantics).
                 report.skipped_no_placement += 1
                 continue
-            # This build replaces an adaptive index lost to a node failure (that is why the
-            # alive check above came up empty): drop the stale entry so the node's revival
-            # cannot resurrect a duplicate (block, attribute) index.  Only now that a target
-            # exists — dropping first could destroy the index's last copy.
-            _drop_stale_adaptive_replicas(hdfs, build.block_id, build.attribute)
-            # A target that already holds the block holds an *unindexed* replica (placement
-            # guarantees it), which the sorted + indexed replica replaces — same logical
-            # content.  Remember the displacement so a later disk-pressure eviction downgrades
-            # this replica back to a plain one instead of deleting the block's copy outright.
-            displaced = hdfs.datanode(target).has_replica(build.block_id)
-            # Creation counts as a use (``touch``): untouched, a just-built index would be the
-            # *coldest* LRU entry and the first thing eviction throws away, before ever paying
-            # off.  With the per-build journal sync, a crash between builds loses later builds
-            # wholesale but never leaves this one half-registered.
-            hdfs.install_replica(
-                build.block_id,
-                target,
-                build.replica.payload,
-                replace(build.info, datanode_id=target, displaced_plain_replica=displaced),
-                checksums=build.replica.checksums,
-                touch=True,
-                site="mid_adaptive_commit",
-            )
+            # One journal sync per build: a crash between builds loses later builds wholesale
+            # but never leaves this one half-registered.
+            with hdfs.mutating(build.block_id, "mid_adaptive_commit"):
+                # This build replaces an adaptive index lost to a node failure (that is why the
+                # alive check above came up empty): drop the stale entry so the node's revival
+                # cannot resurrect a duplicate (block, attribute) index.  Only now that a
+                # target exists — dropping first could destroy the index's last copy.
+                _drop_stale_adaptive_replicas(hdfs, build.block_id, build.attribute)
+                # A target that already holds the block holds an *unindexed* replica
+                # (placement guarantees it), which the sorted + indexed replica replaces — same
+                # logical content.  Remember the displacement so a later disk-pressure eviction
+                # downgrades this replica back to a plain one instead of deleting the block's
+                # copy outright.
+                displaced = hdfs.datanode(target).has_replica(build.block_id)
+                # Creation counts as a use (``touch``): untouched, a just-built index would be
+                # the *coldest* LRU entry and the first thing eviction throws away, before ever
+                # paying off.
+                hdfs.install_replica(
+                    build.block_id,
+                    target,
+                    build.replica.payload,
+                    replace(build.info, datanode_id=target, displaced_plain_replica=displaced),
+                    checksums=build.replica.checksums,
+                    touch=True,
+                )
             committed_keys.add(key)
             report.committed.append(build)
     return report
@@ -269,34 +271,39 @@ def _drop_stale_adaptive_replicas(hdfs: "Hdfs", block_id: int, attribute: str) -
             continue
         info = namenode.replica_info(block_id, datanode_id)
         if info is not None and info.is_adaptive:
-            namenode.unregister_replica(block_id, datanode_id)
-            hdfs.datanode(datanode_id).delete_replica(block_id)
+            hdfs.remove_replica(block_id, datanode_id)
+
+
+def placement_candidates(hdfs: "Hdfs", block_id: int) -> tuple[list[int], list[int]]:
+    """Where an adaptive replica of ``block_id`` may land without evicting an index.
+
+    The one placement rule of commit and rebuild: ``(fresh, plain)``, the alive nodes holding
+    no copy of the block (in ``cluster.alive_nodes`` order) and the alive holders whose replica
+    is unindexed (in ``Dir_block`` order).  A plain holder's replica is *displaced* by the
+    indexed one; a host carrying an index on any attribute is never a candidate, since
+    replacing it would trade one index for another and destroy upload-time work.  Each caller
+    orders the two lists its own way.
+    """
+    namenode = hdfs.namenode
+    holders = set(namenode.block_datanodes(block_id, alive_only=False))
+    fresh = [node.node_id for node in hdfs.cluster.alive_nodes if node.node_id not in holders]
+    plain = [
+        node_id
+        for node_id in namenode.block_datanodes(block_id, alive_only=True)
+        if (info := namenode.replica_info(block_id, node_id)) is None
+        or info.indexed_attribute is None
+    ]
+    return fresh, plain
 
 
 def _placement(hdfs: "Hdfs", build: PendingIndexBuild) -> Optional[int]:
-    """The datanode the adaptive replica lands on — never evicting an existing index.
+    """The datanode a committed build lands on, ``None`` when every placement evicts an index.
 
-    The executing node is preferred (the build was flushed there), but only when its replica of
-    the block is unindexed (or it holds none): replacing the cluster's only replica indexed on
-    a *different* attribute would trade one index for another and permanently destroy
-    upload-time work.  In that case the replica is registered on another alive host with an
-    unindexed replica, or on a node without any replica of the block (the shipping is
-    metadata-level in this simulation; see the module docstring).  ``None`` when every
-    placement would evict an index.
+    The executing node is preferred (the build was flushed there), then a plain holder, then
+    a node without the block (the shipping is metadata-level in this simulation; see the
+    module docstring).
     """
-    namenode = hdfs.namenode
-
-    def holds_indexed_replica(datanode_id: int) -> bool:
-        info = namenode.replica_info(build.block_id, datanode_id)
-        return info is not None and info.indexed_attribute is not None
-
-    if not holds_indexed_replica(build.datanode_id):
+    fresh, plain = placement_candidates(hdfs, build.block_id)
+    if build.datanode_id in fresh or build.datanode_id in plain:
         return build.datanode_id
-    for host in namenode.block_datanodes(build.block_id, alive_only=True):
-        if not holds_indexed_replica(host):
-            return host
-    replica_hosts = set(namenode.block_datanodes(build.block_id, alive_only=False))
-    for node in hdfs.cluster.alive_nodes:
-        if node.node_id not in replica_hosts:
-            return node.node_id
-    return None
+    return next(iter(plain + fresh), None)

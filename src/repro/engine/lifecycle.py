@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.disk import DiskPressurePolicy
-from repro.engine.adaptive import _drop_stale_adaptive_replicas
+from repro.engine.adaptive import _drop_stale_adaptive_replicas, placement_candidates
 from repro.mapreduce.counters import Counters
 
 if TYPE_CHECKING:  # only for annotations: keep this module import-light
@@ -371,7 +371,6 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Lifec
         if not policy.under_pressure(used):
             continue
         to_free = policy.bytes_to_free(used)
-        datanode = hdfs.datanode(node.node_id)
         candidates = sorted(_adaptive_replicas_on(hdfs, node.node_id))
         freed = 0.0
         for last_tick, use_count, block_id, info in candidates:
@@ -387,12 +386,14 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Lifec
                 if not other_alive:
                     continue  # never drop the block's last alive replica
             freed_bytes = float(info.size_on_disk_bytes)
-            namenode.record_index_eviction(block_id, info.indexed_attribute, node.node_id)
-            if downgrade:
-                _downgrade_replica(hdfs, node.node_id, block_id)
-            else:
-                namenode.unregister_replica(block_id, node.node_id)
-                datanode.delete_replica(block_id)
+            # One journal sync per eviction: the downgrade/delete and its tombstone become
+            # durable together; a crash mid-pass loses later evictions wholesale.
+            with hdfs.mutating(block_id, "mid_eviction"):
+                namenode.record_index_eviction(block_id, info.indexed_attribute, node.node_id)
+                if downgrade:
+                    _downgrade_replica(hdfs, node.node_id, block_id)
+                else:
+                    hdfs.remove_replica(block_id, node.node_id)
             freed += freed_bytes
             actions.append(
                 LifecycleAction(
@@ -407,10 +408,6 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Lifec
                     ),
                 )
             )
-            if hdfs.persist is not None:
-                # Per-eviction journal sync: the downgrade/delete and its tombstone become
-                # durable together; a crash mid-pass loses later evictions wholesale.
-                hdfs.persist.sync_block(hdfs, block_id, site="mid_eviction")
     return actions
 
 
@@ -592,40 +589,30 @@ class PlacementBalancer:
         block = payload.resorted(attribute)
         info = block.replica_info(-1, origin="adaptive")  # datanode set once the target is chosen
         replica_bytes = float(info.size_on_disk_bytes)
-        namenode = hdfs.namenode
-        holders = set(namenode.block_datanodes(block_id, alive_only=False))
-        fresh = [node.node_id for node in hdfs.cluster.alive_nodes if node.node_id not in holders]
+        fresh, plain = placement_candidates(hdfs, block_id)
         target_id = self._least_loaded_within_budget(fresh, replica_bytes, footprints)
         displaced = target_id is None
         if displaced:
             # Every alive node already holds a replica: displace an *unindexed* copy in
-            # place, exactly like commit-time placement — the indexed replica replaces the
-            # plain one, the replication factor is untouched, and ``displaced_plain_replica``
-            # makes a later eviction downgrade it back instead of deleting the copy.  Never a
-            # host carrying an index (on any attribute): that would trade one index for
-            # another, the destruction commit-time placement also refuses.
-            plain = [
-                node_id
-                for node_id in namenode.block_datanodes(block_id, alive_only=True)
-                if (held := namenode.replica_info(block_id, node_id)) is None
-                or held.indexed_attribute is None
-            ]
+            # place, exactly like commit-time placement — the replication factor is untouched,
+            # and ``displaced_plain_replica`` makes a later eviction downgrade it back instead
+            # of deleting the copy.
             target_id = self._least_loaded_within_budget(plain, replica_bytes, footprints)
             if target_id is None:
                 return None
-        # Garbage-collect dead adaptive replicas first (no duplicate on the node's revival).
-        _drop_stale_adaptive_replicas(hdfs, block_id, attribute)
-        # A fresh rebuild starts its LRU life warm (``touch``), exactly like a committed build
-        # would, and is journaled as soon as it is registered.
-        hdfs.install_replica(
-            block_id,
-            target_id,
-            block,
-            replace(info, datanode_id=target_id, displaced_plain_replica=displaced),
-            _derived_checksums(hdfs.read_replica(block_id, source_id), block),
-            touch=True,
-            site="mid_rebalance",
-        )
+        # One journal sync for the rebuild, stale-replica collection included.
+        with hdfs.mutating(block_id, "mid_rebalance"):
+            # Garbage-collect dead adaptive replicas first (no duplicate on the node's revival).
+            _drop_stale_adaptive_replicas(hdfs, block_id, attribute)
+            # A fresh rebuild starts its LRU life warm (``touch``), like a committed build.
+            hdfs.install_replica(
+                block_id,
+                target_id,
+                block,
+                replace(info, datanode_id=target_id, displaced_plain_replica=displaced),
+                _derived_checksums(hdfs.read_replica(block_id, source_id), block),
+                touch=True,
+            )
         footprints[target_id] = footprints.get(target_id, 0.0) + replica_bytes
         seconds = self._charge_copy(hdfs, cost, source_id, target_id, payload, block, sort=True)
         return LifecycleAction(
@@ -788,23 +775,19 @@ class PlacementBalancer:
         info,
     ) -> float:
         """Move one adaptive replica, add-before-remove, LRU history travelling along."""
-        namenode = hdfs.namenode
-        source = hdfs.datanode(source_id)
-        replica = source.replica(block_id)
-        hdfs.install_replica(
-            block_id,
-            target_id,
-            replica.payload,
-            replace(info, datanode_id=target_id),
-            checksums=replica.checksums,
-        )
-        namenode.transfer_index_usage(block_id, source_id, target_id)
-        namenode.unregister_replica(block_id, source_id)
-        source.delete_replica(block_id)
-        if hdfs.persist is not None:
-            # Journal the whole add-before-remove move in one sync: a crash before this
-            # point leaves the journal at the pre-migration state, never half-moved.
-            hdfs.persist.sync_block(hdfs, block_id, site="mid_rebalance")
+        replica = hdfs.read_replica(block_id, source_id)
+        # The whole add-before-remove move is one journal sync: a crash before it leaves the
+        # journal at the pre-migration state, never half-moved.
+        with hdfs.mutating(block_id, "mid_rebalance"):
+            hdfs.install_replica(
+                block_id,
+                target_id,
+                replica.payload,
+                replace(info, datanode_id=target_id),
+                checksums=replica.checksums,
+            )
+            hdfs.namenode.transfer_index_usage(block_id, source_id, target_id)
+            hdfs.remove_replica(block_id, source_id)
         return self._charge_copy(
             hdfs, cost, source_id, target_id, replica.payload, replica.payload, sort=False
         )

@@ -133,33 +133,32 @@ class HailUploadPipeline:
         indexes_created: list[str] = []
         checksums_by_order: dict[Optional[str], tuple[int, ...]] = {}
         wire_bytes = pax_bytes + checksum_file_size(pax_bytes)
-        previous = client_node
-        for position, datanode_id in enumerate(pipeline):
-            ledger.record_transfer(previous, datanode_id, wire_bytes)
-            sort_attribute = self.config.attribute_for_replica(position)
-            block = client_block.resorted(sort_attribute)
-            checksums: tuple[int, ...] = ()
-            if self.config.verify_checksums:
-                if sort_attribute not in checksums_by_order:
-                    encoded = block.pax.to_bytes()
-                    checksums_by_order[sort_attribute] = tuple(chunk_checksums(encoded))
-                checksums = checksums_by_order[sort_attribute]
-            self._charge_datanode(datanode_id, block, pax_bytes, ledger)
-            self.hdfs.install_replica(
-                block_id, datanode_id, block, block.replica_info(datanode_id), checksums
-            )
-            if sort_attribute is not None:
-                indexes_created.append(sort_attribute)
-            previous = datanode_id
+        # Steps 3 and 4 are one journaled mutation: the block is synced once, fully registered
+        # (all replicas + Dir_rep infos), so a crash loses it wholesale, never partially.
+        with self.hdfs.mutating(block_id, "mid_upload"):
+            previous = client_node
+            for position, datanode_id in enumerate(pipeline):
+                ledger.record_transfer(previous, datanode_id, wire_bytes)
+                sort_attribute = self.config.attribute_for_replica(position)
+                block = client_block.resorted(sort_attribute)
+                checksums: tuple[int, ...] = ()
+                if self.config.verify_checksums:
+                    if sort_attribute not in checksums_by_order:
+                        encoded = block.pax.to_bytes()
+                        checksums_by_order[sort_attribute] = tuple(chunk_checksums(encoded))
+                    checksums = checksums_by_order[sort_attribute]
+                self._charge_datanode(datanode_id, block, pax_bytes, ledger)
+                self.hdfs.install_replica(
+                    block_id, datanode_id, block, block.replica_info(datanode_id), checksums
+                )
+                if sort_attribute is not None:
+                    indexes_created.append(sort_attribute)
+                previous = datanode_id
 
-        # 4. ACK chain: one round trip per stage; the last ACK waits for the flush (charged above).
-        ledger.record_fixed(client_node, self.cost.network.round_trip() * len(pipeline))
-        ledger.record_fixed(client_node, self.cost.block_setup())
-
-        if self.hdfs.persist is not None:
-            # Journal the fully registered block (all replicas + Dir_rep infos) in one sync;
-            # a crash before this point loses the block wholesale, never partially.
-            self.hdfs.persist.sync_block(self.hdfs, block_id, site="mid_upload")
+            # 4. ACK chain: one round trip per stage; the last ACK waits for the flush (charged
+            #    above).
+            ledger.record_fixed(client_node, self.cost.network.round_trip() * len(pipeline))
+            ledger.record_fixed(client_node, self.cost.block_setup())
 
         return HailBlockUploadResult(
             block_id=block_id,

@@ -65,7 +65,11 @@ class DataNode:
             ) from None
 
     def delete_replica(self, block_id: int) -> None:
-        """Drop a replica (block deletion / rebalancing)."""
+        """Drop the replica of ``block_id`` and release its disk charge; a no-op if none is held.
+
+        Storage only: :meth:`repro.hdfs.filesystem.Hdfs.remove_replica` pairs it with the
+        namenode's directory update, and :meth:`store_replica` with an overwrite.
+        """
         replica = self._replicas.pop(block_id, None)
         if replica is not None:
             data_bytes = replica.size_bytes

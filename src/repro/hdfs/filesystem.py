@@ -1,15 +1,19 @@
 """The HDFS facade: one namenode plus one datanode per cluster node.
 
 `Hdfs` wires the namenode and datanodes to a :class:`~repro.cluster.topology.Cluster` and gives
-uploaders and record readers a single object to talk to.  It is deliberately thin — the
-interesting behaviour lives in the upload pipelines (:mod:`repro.hdfs.pipeline`,
-:mod:`repro.hail.upload`) and in the MapReduce substrate.
+uploaders and record readers a single object to talk to.  It owns the one replica-mutation
+edge — :meth:`Hdfs.install_replica`, :meth:`Hdfs.remove_replica` and the journaled
+:meth:`Hdfs.mutating` scope — so a replica's bytes, its ``Dir_block``/``Dir_rep`` entries and
+the journal change together.  Otherwise it is deliberately thin: the interesting behaviour
+lives in the upload pipelines (:mod:`repro.hdfs.pipeline`, :mod:`repro.hail.upload`) and in
+the MapReduce substrate.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
@@ -77,7 +81,7 @@ class Hdfs:
         }
         #: The journal (:class:`repro.persist.SqliteBackend`), or ``None`` to keep every
         #: journal write out of the path.  Attached by the owning system when its config
-        #: sets ``persistence_dir`` — the mutation-point hooks all read it via this slot.
+        #: sets ``persistence_dir``.  Replica mutations reach it only through :meth:`mutating`.
         self.persist = None
 
     # ------------------------------------------------------------------ datanode access
@@ -86,6 +90,18 @@ class Hdfs:
         return self.datanodes[node_id]
 
     # ------------------------------------------------------------------ the replica writer
+    @contextmanager
+    def mutating(self, block_id: int, site: str) -> Iterator[None]:
+        """Journal one replica mutation of ``block_id`` under the crash-site name ``site``.
+
+        The body's installs and removals become durable together: one ``sync_block`` on normal
+        exit, none if the body raises (a crash mid-mutation loses it wholesale, never
+        partially) and none without a journal attached.
+        """
+        yield
+        if self.persist is not None:
+            self.persist.sync_block(self, block_id, site=site)
+
     def install_replica(
         self,
         block_id: int,
@@ -94,7 +110,6 @@ class Hdfs:
         info: Optional[Any] = None,
         checksums: tuple[int, ...] = (),
         touch: bool = False,
-        site: Optional[str] = None,
     ) -> None:
         """Store ``payload`` as ``datanode_id``'s replica of ``block_id`` and register it.
 
@@ -102,9 +117,8 @@ class Hdfs:
         downgrades, balancer rebuilds/migrations and journal restore: a replica of the block
         the node already holds is dropped first (``store_replica`` releases its disk charge),
         then the stored replica, ``Dir_block`` and the ``Dir_rep`` entry ``info`` change
-        together.  ``touch`` records a first index use; ``site`` journals the block right away
-        under that crash-site name — callers whose mutation spans several steps sync once
-        themselves.
+        together.  ``touch`` records a first index use.  A journaled caller installs inside a
+        :meth:`mutating` scope.
         """
         self.datanode(datanode_id).store_replica(
             Replica(
@@ -119,8 +133,15 @@ class Hdfs:
         self.namenode.register_replica(block_id, datanode_id, replica_info=info)
         if touch:
             self.namenode.touch_index_usage(block_id, datanode_id)
-        if site is not None and self.persist is not None:
-            self.persist.sync_block(self, block_id, site=site)
+
+    def remove_replica(self, block_id: int, datanode_id: int) -> None:
+        """Drop ``datanode_id``'s replica of ``block_id``: the single removal path.
+
+        ``Dir_block``, the ``Dir_rep`` entry, its index-usage statistics and the stored replica
+        (with its disk charge) go together; a replica the node does not hold is a no-op.
+        """
+        self.namenode.unregister_replica(block_id, datanode_id)
+        self.datanode(datanode_id).delete_replica(block_id)
 
     # ------------------------------------------------------------------ replica access
     def read_replica(self, block_id: int, datanode_id: int) -> Replica:

@@ -136,11 +136,12 @@ class NameNode:
                 self._evictions.pop((block_id, indexed_attribute), None)
 
     def unregister_replica(self, block_id: int, datanode_id: int) -> None:
-        """Remove one replica from ``Dir_block``/``Dir_rep`` (lost-replica reconciliation).
+        """Remove one replica from ``Dir_block``/``Dir_rep`` and forget its index usage.
 
-        Used when a replica is known to be superseded — e.g. an adaptive index rebuilt on
-        another node after its original host died; real HDFS drops such stale replicas when
-        the revived datanode's block report arrives.
+        Directory half only: :meth:`repro.hdfs.filesystem.Hdfs.remove_replica` pairs it with
+        the datanode's delete (an evicted or migrated adaptive replica, or a stale one
+        superseded by a rebuild — real HDFS drops those when the revived datanode's block
+        report arrives).
         """
         datanodes = self._dir_block.get(block_id)
         if datanodes is not None and datanode_id in datanodes:

@@ -187,25 +187,48 @@ def test_datanode_store_over_an_existing_replica_releases_what_it_replaces(small
 
 
 # --------------------------------------------------------------------------- the replica writer
+def _text_block(hdfs, schema, records) -> tuple[int, list[int]]:
+    """One block of ``/f`` with a text replica on every pipeline node."""
+    hdfs.namenode.create_file("/f")
+    block_id, pipeline = hdfs.namenode.allocate_block(
+        "/f", _block(schema, records), client_node=0
+    )
+    text = TextBlockPayload([schema.format_record(r) for r in records])
+    for datanode_id in pipeline:
+        hdfs.install_replica(block_id, datanode_id, text, checksums=(1, 2))
+    return block_id, pipeline
+
+
+def _indexed(hdfs, block_id, target, schema, records):
+    """Replace ``target``'s replica with one indexed on ``id``, its first index use recorded."""
+    from repro.hail import HailBlock
+
+    indexed = HailBlock.build(schema, records, "id", partition_size=8)
+    hdfs.install_replica(block_id, target, indexed, indexed.replica_info(target), touch=True)
+    return indexed
+
+
+class _RecordingJournal:
+    """A stand-in journal: records each ``sync_block`` call."""
+
+    def __init__(self) -> None:
+        self.syncs: list[tuple[int, str]] = []
+
+    def sync_block(self, hdfs, block_id: int, site: str) -> None:
+        self.syncs.append((block_id, site))
+
+
 def test_install_replica_over_an_existing_one_leaks_no_disk_charge(
     hdfs, simple_schema, simple_records
 ):
-    from repro.hail import HailBlock
     from repro.hdfs.checksum import checksum_file_size
 
-    hdfs.namenode.create_file("/f")
-    block_id, pipeline = hdfs.namenode.allocate_block(
-        "/f", _block(simple_schema, simple_records), client_node=0
-    )
-    text = TextBlockPayload([simple_schema.format_record(r) for r in simple_records])
-    for datanode_id in pipeline:
-        hdfs.install_replica(block_id, datanode_id, text, checksums=(1, 2))
+    block_id, pipeline = _text_block(hdfs, simple_schema, simple_records)
     assert hdfs.namenode.block_datanodes(block_id) == pipeline
     assert hdfs.namenode.replica_info(block_id, pipeline[1]) is None
 
-    indexed = HailBlock.build(simple_schema, simple_records, "id", partition_size=8)
     target = pipeline[1]
-    hdfs.install_replica(block_id, target, indexed, indexed.replica_info(target), touch=True)
+    indexed = _indexed(hdfs, block_id, target, simple_schema, simple_records)
 
     # Only the new replica's data + checksum files are charged: the text replica's are gone.
     footprint = indexed.size_bytes() + checksum_file_size(indexed.size_bytes())
@@ -216,3 +239,100 @@ def test_install_replica_over_an_existing_one_leaks_no_disk_charge(
     assert stored.checksums == ()
     assert hdfs.namenode.hosts_with_index(block_id, "id") == [target]
     assert hdfs.namenode.index_usage(block_id, target) == (1, 1)
+
+
+def test_remove_replica_clears_both_directories_and_the_stored_bytes(
+    hdfs, simple_schema, simple_records
+):
+    block_id, pipeline = _text_block(hdfs, simple_schema, simple_records)
+    target = pipeline[1]
+    _indexed(hdfs, block_id, target, simple_schema, simple_records)
+    kept = hdfs.read_replica(block_id, pipeline[0])
+
+    hdfs.remove_replica(block_id, target)
+
+    namenode = hdfs.namenode
+    assert namenode.block_datanodes(block_id) == [pipeline[0], pipeline[2]]
+    assert namenode.replica_info(block_id, target) is None
+    assert namenode.hosts_with_index(block_id, "id", alive_only=False) == []
+    assert namenode.index_usage(block_id, target) == (0, 0)
+    assert not hdfs.datanode(target).has_replica(block_id)
+    assert hdfs.datanode(target).used_bytes == 0
+    assert hdfs.cluster.node(target).disk_used_bytes == 0
+    assert hdfs.read_replica(block_id, pipeline[0]) is kept
+
+
+def test_removing_a_replica_the_node_does_not_hold_is_a_no_op(
+    hdfs, simple_schema, simple_records
+):
+    block_id, pipeline = _text_block(hdfs, simple_schema, simple_records)
+    outsider = next(n.node_id for n in hdfs.cluster.nodes if n.node_id not in pipeline)
+    stored = hdfs.total_stored_bytes()
+
+    hdfs.remove_replica(block_id, outsider)
+    hdfs.remove_replica(block_id, pipeline[0])
+    hdfs.remove_replica(block_id, pipeline[0])  # a second time: already gone
+
+    assert hdfs.namenode.block_datanodes(block_id) == pipeline[1:]
+    assert hdfs.total_stored_bytes() == stored * 2 // 3
+    assert hdfs.cluster.node(outsider).disk_used_bytes == 0
+
+
+def test_a_mutation_scope_journals_its_block_once_and_only_on_normal_exit(
+    hdfs, simple_schema, simple_records
+):
+    block_id, pipeline = _text_block(hdfs, simple_schema, simple_records)
+    journal = hdfs.persist = _RecordingJournal()
+
+    with hdfs.mutating(block_id, "mid_rebalance"):
+        _indexed(hdfs, block_id, pipeline[0], simple_schema, simple_records)
+        hdfs.remove_replica(block_id, pipeline[1])
+    assert journal.syncs == [(block_id, "mid_rebalance")]
+
+    with pytest.raises(RuntimeError):
+        with hdfs.mutating(block_id, "mid_eviction"):
+            hdfs.remove_replica(block_id, pipeline[2])
+            raise RuntimeError("crash mid-mutation")
+    assert journal.syncs == [(block_id, "mid_rebalance")]
+
+
+def test_a_mutation_scope_without_a_journal_touches_no_backend(
+    hdfs, simple_schema, simple_records
+):
+    block_id, pipeline = _text_block(hdfs, simple_schema, simple_records)
+    detached = hdfs.persist = _RecordingJournal()
+    hdfs.persist = None
+
+    with hdfs.mutating(block_id, "mid_upload"):
+        hdfs.remove_replica(block_id, pipeline[0])
+
+    assert detached.syncs == [] and hdfs.persist is None
+    assert hdfs.namenode.block_datanodes(block_id) == pipeline[1:]
+
+
+def test_only_hdfs_and_the_journal_mutate_replicas_or_sync_them():
+    """Replica removal and journal syncs go through ``Hdfs`` (``remove_replica``, ``mutating``).
+
+    Anything else pairing ``unregister_replica`` with ``delete_replica``, or syncing a block
+    itself, could change a replica's bytes and its ``Dir_rep`` entry apart, or journal half a
+    mutation.
+    """
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    package = Path(repro.__file__).parent
+    edges = {"unregister_replica", "delete_replica", "sync_block"}
+    owners = {package / "hdfs", package / "persist"}
+    sources = [path for path in sorted(package.rglob("*.py")) if path.parent not in owners]
+    assert len(sources) > 50
+    calls = [
+        f"{path.relative_to(package)}:{node.lineno} {node.func.attr}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in edges
+    ]
+    assert calls == []
