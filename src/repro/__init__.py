@@ -12,7 +12,6 @@ The package is organised as a stack of subsystems, mirroring the paper:
 - :mod:`repro.baselines`  -- stock Hadoop and Hadoop++ (trojan index) baselines.
 - :mod:`repro.datagen`    -- UserVisits and Synthetic dataset generators.
 - :mod:`repro.workloads`  -- Bob's query workload and the Synthetic query workload.
-- :mod:`repro.design`     -- per-replica index selection (physical design advisor).
 - :mod:`repro.api`        -- the declarative client layer: :class:`Session`, lazy
   :class:`Dataset`, the typed expression DSL (``col``), and batched workload execution.
 - :mod:`repro.experiments` -- harnesses regenerating every table and figure of the paper.

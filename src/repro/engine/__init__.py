@@ -22,8 +22,14 @@ privately inside their record readers:
   aggregation with map-side combiners, co-partitioned merge / shuffle hash equi-joins, and
   ranked top-k with zone-range early termination.
 
-Record readers are thin shells over ``planner.plan_block()`` + ``executor.execute()``; every
-:class:`~repro.systems.base.QueryResult` carries the :class:`QueryPlan` that produced it.
+Record readers are thin shells over the planner and ``executor.execute()``.  HAIL plans each
+block once: its input format's split phase runs ``planner.plan_query()`` and its readers
+execute that plan (``planner.for_execution()`` copies a block's plan and adds the execution's
+adaptive marks).  A block is re-planned (``planner.plan_block()``) only when the split did
+not pin it, when its pinned host died, or when its pinned replica's ``Dir_rep`` entry changed
+since; stock Hadoop's and Hadoop++'s readers plan every block.  ``explain()`` renders the same
+split-phase plan, and every :class:`~repro.systems.base.QueryResult` carries the
+:class:`QueryPlan` that was executed.
 """
 
 from repro.engine.access_path import AccessPath, BlockPlan

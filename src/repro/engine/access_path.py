@@ -11,8 +11,8 @@ show what a query will actually do before it runs).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 
 class AccessPath(enum.Enum):
@@ -83,6 +83,14 @@ class BlockPlan:
         Simulated seconds the adaptive build added on top of the plain scan (sort, index
         construction, replica write) — the incremental "indexing penalty" of LIAH's Figure-style
         convergence curves.
+    index_hosts:
+        Every alive datanode whose replica is indexed on one of the query's filter attributes,
+        in filter-attribute order (the planner's ``getHostsWithIndex`` walk); HAIL's split
+        phase turns it into ``InputSplit.index_locations``.  Split-phase metadata: not compared,
+        since it does not change how the block is read.
+    replica_info:
+        The ``Dir_rep`` entry the plan was classified from.  A reader executes a carried plan
+        only while this is still the registered entry of its replica (compared by identity).
     """
 
     block_id: int
@@ -94,6 +102,8 @@ class BlockPlan:
     fallback_reason: Optional[str] = None
     build_attribute: Optional[str] = None
     build_seconds: float = 0.0
+    index_hosts: tuple[int, ...] = field(default=(), compare=False)
+    replica_info: Any = field(default=None, compare=False, repr=False)
 
     @property
     def uses_index(self) -> bool:

@@ -6,15 +6,19 @@ block and a :class:`QueryPlan` per query.  It is purely a metadata consumer: eve
 answered from the namenode's directories (``Dir_block`` for replica placement, ``Dir_rep`` for
 per-replica sort order and index, Section 3.3 of the paper), never by opening block payloads.
 
-The planner absorbs the ``getHostsWithIndex`` logic of Section 4.3
-(:func:`choose_indexed_host`, formerly ``repro.hail.scheduler``): both the JobTracker-facing
-split computation and the record readers now share one implementation of the replica choice.
+The planner absorbs the ``getHostsWithIndex`` logic of Section 4.3: one walk per block over the
+query's filter attributes yields both the replica choice (:func:`choose_indexed_host`) and
+every alive indexed host (``BlockPlan.index_hosts``, which HAIL's split phase turns into
+``InputSplit.index_locations``).  HAIL plans each block once, in
+the split phase; its record readers execute that plan (:meth:`PhysicalPlanner.for_execution`)
+and re-plan only a block whose pinned replica died or changed since.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext
@@ -26,6 +30,26 @@ from repro.layouts.zonemap import disjoint_attribute
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports us back
     from repro.hail.annotation import HailQuery
     from repro.hail.predicate import Predicate
+
+
+def _index_walk(
+    namenode: NameNode, block_id: int, attributes: Sequence[str]
+) -> list[tuple[str, list[int]]]:
+    """``getHostsWithIndex`` per attribute, in order: ``(attribute, alive indexed hosts)``."""
+    return [
+        (attribute, namenode.hosts_with_index(block_id, attribute, alive_only=True))
+        for attribute in attributes
+    ]
+
+
+def _pick(
+    walk: list[tuple[str, list[int]]], prefer_node: Optional[int]
+) -> Optional[tuple[int, str]]:
+    """The first attribute with an indexed host; ``prefer_node`` among its hosts, else the first."""
+    for attribute, hosts in walk:
+        if hosts:
+            return (prefer_node if prefer_node in hosts else hosts[0]), attribute
+    return None
 
 
 def choose_indexed_host(
@@ -44,14 +68,7 @@ def choose_indexed_host(
     Returns ``(datanode_id, attribute)`` or ``None`` when no alive replica has a matching index
     — in which case HAIL falls back to standard scanning and scheduling.
     """
-    for attribute in attributes:
-        hosts = namenode.hosts_with_index(block_id, attribute, alive_only=True)
-        if not hosts:
-            continue
-        if prefer_node is not None and prefer_node in hosts:
-            return prefer_node, attribute
-        return hosts[0], attribute
-    return None
+    return _pick(_index_walk(namenode, block_id, attributes), prefer_node)
 
 
 @dataclass
@@ -86,11 +103,16 @@ class QueryPlan:
         return self.num_index_scans / len(self.block_plans)
 
     def plan_for(self, block_id: int) -> Optional[BlockPlan]:
-        """The per-block plan for ``block_id``, or ``None``."""
-        for plan in self.block_plans:
-            if plan.block_id == block_id:
-                return plan
-        return None
+        """The per-block plan for ``block_id``, or ``None``.
+
+        Indexed by block id on the first call, so ``block_plans`` must be complete by then (it
+        is for every plan :meth:`PhysicalPlanner.plan_query` returns).
+        """
+        return self._by_block.get(block_id)
+
+    @cached_property
+    def _by_block(self) -> dict[int, BlockPlan]:
+        return {plan.block_id: plan for plan in self.block_plans}
 
     # ------------------------------------------------------------------ rendering
     def explain(self) -> str:
@@ -208,24 +230,39 @@ class PhysicalPlanner:
         prefer_node: Optional[int] = None,
         adaptive: Optional[AdaptiveJobContext] = None,
     ) -> BlockPlan:
-        """Plan a single block (the record readers' entry point).
+        """Plan a single block (the record readers' re-planning entry point).
 
         ``adaptive`` is the job's adaptive-indexing policy; asking it charges the job's build
-        budget, which is why only the record readers (which execute what they plan) pass it —
+        budget, so only a plan that will execute may pass it (see :meth:`for_execution`) —
         the split-phase :meth:`plan_query` pass never does.
         """
         schema = self.hdfs.namenode.logical_block(block_id).schema
         predicate = self._bound_predicate(annotation, schema)
         projection = self._bound_projection(annotation, schema)
-        return self._plan_block(
-            block_id,
-            schema,
-            predicate,
-            projection,
-            preferred=preferred,
-            prefer_node=prefer_node,
-            adaptive=adaptive,
+        plan = self._plan_block(
+            block_id, schema, predicate, projection, preferred=preferred, prefer_node=prefer_node
         )
+        if adaptive is not None:
+            self._mark_execution(plan, schema, predicate, adaptive)
+        return plan
+
+    def for_execution(
+        self,
+        plan: BlockPlan,
+        annotation: Optional[HailQuery],
+        adaptive: Optional[AdaptiveJobContext],
+    ) -> BlockPlan:
+        """A copy of ``plan`` to execute, carrying this execution's adaptive marks.
+
+        The executor relabels the plan it runs in place, so a plan shared by several attempts
+        (the split phase's) is never handed to it; the marks — index-usage touch, adaptive and
+        piggyback build offers — belong to one execution, not to the plan.
+        """
+        plan = replace(plan)
+        if adaptive is not None:
+            schema = self.hdfs.namenode.logical_block(plan.block_id).schema
+            self._mark_execution(plan, schema, self._bound_predicate(annotation, schema), adaptive)
+        return plan
 
     # ------------------------------------------------------------------ internals
     def _plan_block(
@@ -236,7 +273,6 @@ class PhysicalPlanner:
         projection: Optional[tuple[str, ...]],
         preferred: Optional[int],
         prefer_node: Optional[int],
-        adaptive: Optional[AdaptiveJobContext] = None,
     ) -> BlockPlan:
         namenode = self.hdfs.namenode
         hosts = namenode.block_datanodes(block_id, alive_only=True)
@@ -248,55 +284,68 @@ class PhysicalPlanner:
                 fallback_reason="no alive replica",
             )
 
-        if preferred is not None and preferred in hosts:
+        attributes = predicate.attributes(schema) if predicate is not None else ()
+        walk = _index_walk(namenode, block_id, attributes)
+        index_hosts = tuple(dict.fromkeys(host for _, indexed in walk for host in indexed))
+        choice = _pick(walk, prefer_node)
+        if preferred in hosts:
             datanode_id = preferred
+        elif choice is not None:
+            datanode_id = choice[0]
+        elif prefer_node in hosts:
+            datanode_id = prefer_node
         else:
-            choice = None
-            if predicate is not None:
-                choice = choose_indexed_host(
-                    namenode, block_id, predicate.attributes(schema), prefer_node=prefer_node
-                )
-            if choice is not None:
-                datanode_id = choice[0]
-            elif prefer_node is not None and prefer_node in hosts:
-                datanode_id = prefer_node
-            else:
-                datanode_id = hosts[0]
+            datanode_id = hosts[0]
 
+        info = namenode.replica_info(block_id, datanode_id)
+        skip_attribute = None
         if self.zone_maps and predicate is not None and schema is not None:
             skip_attribute = self._zone_map_skip(block_id, datanode_id, predicate, schema)
-            if skip_attribute is not None:
-                # Classified before any adaptive-build marking: a block no row of which can
-                # match must neither stage a build nor count as an index-scan fallback.
-                return BlockPlan(
-                    block_id=block_id,
-                    access_path=AccessPath.ZONE_MAP_SKIP,
-                    datanode_id=datanode_id,
-                    attribute=skip_attribute,
-                    estimated_rows=0,
-                    estimated_bytes=0,
-                )
+        if skip_attribute is not None:
+            # A block no row of which can match neither stages a build (see _mark_execution)
+            # nor counts as an index-scan fallback.
+            plan = BlockPlan(
+                block_id=block_id,
+                access_path=AccessPath.ZONE_MAP_SKIP,
+                datanode_id=datanode_id,
+                attribute=skip_attribute,
+                estimated_rows=0,
+                estimated_bytes=0,
+            )
+        else:
+            plan = self._classify(block_id, datanode_id, info, schema, predicate, projection)
+            if predicate is not None and schema is not None and not plan.uses_index:
+                plan.fallback_reason = self._fallback_reason(block_id, attributes)
+        plan.index_hosts = index_hosts
+        plan.replica_info = info
+        return plan
 
-        plan = self._classify(block_id, datanode_id, schema, predicate, projection, None)
-        if plan.uses_index and adaptive is not None and adaptive.record_usage:
-            # LRU bookkeeping for the lifecycle manager: this replica's index was chosen by a
-            # plan that will actually execute.  ``adaptive`` marks the execution path (only
-            # record readers pass it), so read-only passes — ``explain()``, the split-phase
-            # ``plan_query`` — never skew the eviction order; ``record_usage`` is off during
+    def _mark_execution(
+        self,
+        plan: BlockPlan,
+        schema: Optional[Schema],
+        predicate: Optional[Predicate],
+        adaptive: AdaptiveJobContext,
+    ) -> None:
+        """The execution-only step of a plan: index-usage touch, then the build offers."""
+        if plan.datanode_id < 0 or plan.access_path is AccessPath.ZONE_MAP_SKIP:
+            return
+        if plan.uses_index and adaptive.record_usage:
+            # LRU bookkeeping for the lifecycle manager: this replica's index serves a plan
+            # that executes now.  Read-only passes — ``explain()``, the split phase — never
+            # get here, so they never skew the eviction order; ``record_usage`` is off during
             # the failure runner's discarded baseline probe; and the per-run memo keeps
             # rescheduled/speculative attempts from double-counting a use.
-            if (block_id, datanode_id) not in adaptive.usage_touches:
-                adaptive.usage_touches.add((block_id, datanode_id))
-                namenode.touch_index_usage(block_id, datanode_id)
-        if predicate is not None and schema is not None:
-            if not plan.uses_index:
-                plan.fallback_reason = self._fallback_reason(
-                    block_id, predicate.attributes(schema)
-                )
-                self._mark_adaptive_build(plan, predicate, schema, adaptive)
-            else:
-                self._mark_secondary_build(plan, predicate, schema, adaptive)
-        return plan
+            key = (plan.block_id, plan.datanode_id)
+            if key not in adaptive.usage_touches:
+                adaptive.usage_touches.add(key)
+                self.hdfs.namenode.touch_index_usage(*key)
+        if predicate is None or schema is None:
+            return
+        if plan.uses_index:
+            self._mark_secondary_build(plan, predicate, schema, adaptive)
+        else:
+            self._mark_adaptive_build(plan, predicate, schema, adaptive)
 
     def _zone_map_skip(
         self, block_id: int, datanode_id: int, predicate: Predicate, schema: Schema
@@ -347,7 +396,7 @@ class PhysicalPlanner:
         plan: BlockPlan,
         predicate: Predicate,
         schema: Schema,
-        adaptive: Optional[AdaptiveJobContext],
+        adaptive: AdaptiveJobContext,
     ) -> None:
         """Upgrade an index-less scan to an :attr:`ADAPTIVE_INDEX_BUILD` when the policy offers.
 
@@ -355,8 +404,6 @@ class PhysicalPlanner:
         :func:`choose_indexed_host` uses — so repeated queries converge on the attribute the
         workload actually filters by.
         """
-        if adaptive is None or plan.datanode_id < 0:
-            return
         if plan.access_path not in (AccessPath.FULL_SCAN, AccessPath.PAX_PROJECTION_SCAN):
             return
         attributes = predicate.attributes(schema)
@@ -372,7 +419,7 @@ class PhysicalPlanner:
         plan: BlockPlan,
         predicate: Predicate,
         schema: Schema,
-        adaptive: Optional[AdaptiveJobContext],
+        adaptive: AdaptiveJobContext,
     ) -> None:
         """Offer a *piggyback* build on the next uncovered filter attribute (multi-attribute).
 
@@ -383,7 +430,7 @@ class PhysicalPlanner:
         multi-index coverage instead of forever index-scanning on one attribute.  The plan's
         access path stays an index scan; only ``build_attribute`` marks the piggyback work.
         """
-        if adaptive is None or not adaptive.multi_attribute or plan.datanode_id < 0:
+        if not adaptive.multi_attribute:
             return
         namenode = self.hdfs.namenode
         for attribute in predicate.attributes(schema):
@@ -399,15 +446,13 @@ class PhysicalPlanner:
         self,
         block_id: int,
         datanode_id: int,
+        info: Any,
         schema: Optional[Schema],
         predicate: Optional[Predicate],
         projection: Optional[tuple[str, ...]],
-        fallback_reason: Optional[str],
     ) -> BlockPlan:
-        """Derive the access path of the chosen replica from the namenode's ``Dir_rep``."""
-        namenode = self.hdfs.namenode
-        info = namenode.replica_info(block_id, datanode_id)
-        logical = namenode.logical_block(block_id)
+        """Derive the access path of the chosen replica from its ``Dir_rep`` entry ``info``."""
+        logical = self.hdfs.namenode.logical_block(block_id)
         # Stock text replicas register no Dir_rep entry: sizes come from the logical block.
         has_info = info is not None
         num_records = (has_info and info.num_records) or len(logical.records)
@@ -427,7 +472,6 @@ class PhysicalPlanner:
             access_path = (
                 AccessPath.TROJAN_INDEX_SCAN if index_type == "trojan" else AccessPath.INDEX_SCAN
             )
-            fallback_reason = None
         elif pax_layout and projection is not None:
             # Only a projection prunes minipages: a predicate-only scan must still read every
             # column to reconstruct the full tuples it emits.
@@ -442,7 +486,6 @@ class PhysicalPlanner:
             attribute=attribute,
             estimated_rows=num_records,
             estimated_bytes=block_bytes,
-            fallback_reason=fallback_reason,
         )
 
     @staticmethod

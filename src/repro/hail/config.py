@@ -2,10 +2,11 @@
 
 The decision which clustered index to create on which replica "can either be done by a user
 through a configuration file or by a physical design algorithm" (Section 1.1).  In this
-reproduction the configuration file is :class:`HailConfig`; the physical design algorithm lives
-in :mod:`repro.design.advisor`.  A job's queries read the deployment's config through their
-input format: ``HailSystem`` builds one :class:`~repro.hail.input_format.HailInputFormat` per
-job from it, and that format is the only path HAIL settings take into the MapReduce layer.
+reproduction it is the configuration file, :class:`HailConfig`; adaptive indexing
+(``adaptive_indexing``) adds the indexes the workload asks for at query time.  A job's queries
+read the deployment's config through their input format: ``HailSystem`` builds one
+:class:`~repro.hail.input_format.HailInputFormat` per job from it, and that format is the only
+path HAIL settings take into the MapReduce layer.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Stock Hadoop creates one input split per HDFS block, so a 200 GB input means 3,2
 each paying the framework's multi-second scheduling overhead, which dwarfs the milliseconds an
 index scan actually needs (Figures 6(c) and 7(c)).  HailSplitting instead
 
-1. asks the :class:`~repro.engine.planner.PhysicalPlanner` which datanode holds, per block, the
-   replica whose clustered index matches the job's filter attribute (``getHostsWithIndex``),
+1. plans the file once with the :class:`~repro.engine.planner.PhysicalPlanner`: per block, one
+   ``getHostsWithIndex`` walk names the replica whose clustered index matches the job's filter
+   attribute and every alive indexed host (``InputSplit.index_locations``),
 2. clusters the blocks of the input by that datanode (locality clustering), and
 3. creates, per datanode collection, as many input splits as the TaskTracker has map slots,
    assigning the collection's blocks round-robin to them.
@@ -13,6 +14,13 @@ index scan actually needs (Figures 6(c) and 7(c)).  HailSplitting instead
 The result is a handful of map tasks (e.g. 20 instead of 3,200) that each index-scan many
 blocks, which is what produces the Figure 9 speedups.  Jobs without a usable index keep the
 default one-split-per-block policy, so failover characteristics of scan jobs are unchanged.
+
+That plan is the one the job executes: the format keeps it (:attr:`HailInputFormat.plan`) and
+hands it to every :class:`~repro.hail.record_reader.HailRecordReader`, which re-plans a block
+only when the split did not pin it, its pinned host died, or its pinned replica's ``Dir_rep``
+entry changed since.  ``HailSystem.explain`` renders the same plan: both use the deployment's
+``zone_maps``, and ``zone_split_pruning`` only decides whether ``ZONE_MAP_SKIP`` blocks are
+dropped from the splits or carried into them.
 
 The format is also the one object holding a job's HAIL state, so the rest of Hadoop needs no
 HAIL knowledge: the deployment's :class:`~repro.hail.config.HailConfig` (zone maps, split
@@ -32,7 +40,7 @@ from repro.cluster.costmodel import CostModel
 from repro.engine.access_path import AccessPath
 from repro.engine.adaptive import AdaptiveJobContext, commit_adaptive_builds
 from repro.engine.lifecycle import AdaptiveLifecycleManager
-from repro.engine.planner import PhysicalPlanner
+from repro.engine.planner import PhysicalPlanner, QueryPlan
 from repro.hail.annotation import resolve_annotation
 from repro.hail.config import HailConfig
 from repro.hail.record_reader import HailRecordReader
@@ -65,6 +73,8 @@ class HailInputFormat(InputFormat):
         self.adaptive = adaptive
         self.lifecycle = lifecycle
         self.index_aware_scheduling = self.config.index_aware_scheduling
+        #: The latest :meth:`get_splits` plan, which the job's record readers execute.
+        self.plan: Optional[QueryPlan] = None
 
     # ------------------------------------------------------------------ the run
     def start_run(self, measured: bool) -> None:
@@ -109,83 +119,29 @@ class HailInputFormat(InputFormat):
 
     # ------------------------------------------------------------------ splits
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
-        """Compute the job's input splits (HailSplitting or one-per-block, index-routed)."""
+        """Plan the file once and cut its splits from that plan (HailSplitting or one per block).
+
+        The plan is kept as :attr:`plan` and handed to every record reader of the job.  Under
+        ``zone_split_pruning`` the blocks it plans as ``ZONE_MAP_SKIP`` never become part of
+        any split, so the JobTracker schedules no map task for them at all — the per-task
+        overhead is saved on top of the data bytes (the JobClient reports the blocks no split
+        covers, and the runner counts them into ``ZONE_MAP_SKIPPED_BLOCKS``/
+        ``ZONE_MAP_PRUNED_BYTES``).  Split-phase pruning trusts the registered synopses without
+        the executor's payload re-verification (there is no task left to verify in); the
+        synopses are written from the payload itself at replica-registration time, so this
+        stays a metadata-consistency trade the knob makes explicit.  Without it, skip plans
+        ride along in the splits and their readers verify them.
+        """
+        planner = PhysicalPlanner(hdfs, zone_maps=self.config.zone_maps)
+        self.plan = planner.plan_query(jobconf.input_path, resolve_annotation(jobconf))
         locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
-        if not locations:
-            return []
-
-        # One planner pass serves both the replica choices and (with ``zone_split_pruning``)
-        # the split-phase pruning: a block that is not skipped plans identically with zone
-        # maps on or off.
-        planner = PhysicalPlanner(hdfs, zone_maps=self.config.zone_split_pruning)
-        query_plan = planner.plan_query(jobconf.input_path, resolve_annotation(jobconf))
-        filter_attributes = query_plan.filter_attributes
-        block_choices: dict[int, Optional[tuple[int, str]]] = {}
-        skippable: set[int] = set()
-        for block_plan in query_plan.block_plans:
-            if block_plan.access_path is AccessPath.ZONE_MAP_SKIP:
-                skippable.add(block_plan.block_id)
-                continue
-            choice = None
-            if block_plan.uses_index:
-                choice = (block_plan.datanode_id, block_plan.attribute)
-            block_choices[block_plan.block_id] = choice
-        if skippable:
-            locations = self._prune_skippable_blocks(locations, skippable)
-            if not locations:
-                return []
-        index_hosts = self._index_hosts(hdfs, locations, filter_attributes)
-
-        index_scan_possible = any(choice is not None for choice in block_choices.values())
-        if self.config.splitting_policy and filter_attributes and index_scan_possible:
-            return self._hail_splitting(
-                hdfs, jobconf, cost, locations, block_choices, index_hosts
-            )
-        return self._default_splitting(jobconf, locations, block_choices, index_hosts)
-
-    @staticmethod
-    def _prune_skippable_blocks(locations, skippable: set[int]) -> list:
-        """Zone-aware split pruning: drop blocks the ``Dir_rep`` synopses prove empty.
-
-        Blocks the zone-map-enabled planner pass classified as ``ZONE_MAP_SKIP`` never become
-        part of any input split, so the JobTracker schedules no map task for them at all —
-        the per-task overhead is saved on top of the data bytes.  The JobClient reports the
-        blocks no split covers (``SplitPlan.skipped_blocks``) and the runner counts them into
-        ``ZONE_MAP_SKIPPED_BLOCKS``/``ZONE_MAP_PRUNED_BYTES``.
-
-        Split-phase pruning trusts the registered synopses without the executor's payload
-        re-verification (there is no task left to verify in); the synopses are written from
-        the payload itself at replica-registration time, so this stays a metadata-consistency
-        trade the ``zone_split_pruning`` knob makes explicit.
-        """
-        return [location for location in locations if location.block_id not in skippable]
-
-    @staticmethod
-    def _index_hosts(
-        hdfs: Hdfs, locations, filter_attributes: tuple[str, ...]
-    ) -> dict[int, tuple[int, ...]]:
-        """Per block: every alive datanode indexed on *any* of the query's filter attributes.
-
-        This is the scheduler-facing superset of the planner's single replica choice — the
-        index-aware JobTracker can place a task well on any of these nodes, so splits carry
-        all of them (``InputSplit.index_locations``), not just the replica the reader will
-        prefer to open.
-        """
-        if not filter_attributes:
-            return {}
-        namenode = hdfs.namenode
-        hosts_by_block: dict[int, tuple[int, ...]] = {}
-        for location in locations:
-            hosts: list[int] = []
-            for attribute in filter_attributes:
-                for host in namenode.hosts_with_index(
-                    location.block_id, attribute, alive_only=True
-                ):
-                    if host not in hosts:
-                        hosts.append(host)
-            if hosts:
-                hosts_by_block[location.block_id] = tuple(hosts)
-        return hosts_by_block
+        blocks = list(zip(locations, self.plan.block_plans))
+        if self.config.zone_split_pruning:
+            skip = AccessPath.ZONE_MAP_SKIP
+            blocks = [block for block in blocks if block[1].access_path is not skip]
+        if self.config.splitting_policy and any(plan.index_hosts for _, plan in blocks):
+            return self._hail_splitting(jobconf, cost, blocks)
+        return self._default_splitting(jobconf, blocks)
 
     def create_record_reader(
         self,
@@ -198,7 +154,7 @@ class HailInputFormat(InputFormat):
         """A :class:`~repro.hail.record_reader.HailRecordReader` over ``split`` on ``node_id``."""
         return HailRecordReader(
             split, hdfs, cost, node_id, jobconf,
-            zone_maps=self.config.zone_maps, adaptive=self.adaptive,
+            zone_maps=self.config.zone_maps, adaptive=self.adaptive, plan=self.plan,
         )
 
     def split_phase_cost(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel, num_blocks: int) -> float:
@@ -206,95 +162,62 @@ class HailInputFormat(InputFormat):
         return cost.split_phase(num_blocks, reads_block_headers=False)
 
     # ------------------------------------------------------------------ policies
-    def _default_splitting(
-        self,
-        jobconf: JobConf,
-        locations,
-        block_choices: dict[int, Optional[tuple[int, str]]],
-        index_hosts: Optional[dict[int, tuple[int, ...]]] = None,
-    ) -> list[InputSplit]:
+    # ``blocks`` pairs each BlockLocation with its plan.  A block with an indexed replica is
+    # pinned to the replica its plan reads (``preferred_replicas``); its reader executes that
+    # plan unless the replica died or changed since.
+    @staticmethod
+    def _default_splitting(jobconf: JobConf, blocks: list) -> list[InputSplit]:
         """One split per block; indexed replicas still steer locations and replica choice."""
-        index_hosts = index_hosts or {}
         splits = []
-        for i, location in enumerate(locations):
-            choice = block_choices.get(location.block_id)
+        for split_id, (location, plan) in enumerate(blocks):
+            hosts = location.get_hosts()
             preferred: dict[int, int] = {}
-            hosts = list(location.get_hosts())
-            if choice is not None:
-                datanode_id, _attribute = choice
-                preferred[location.block_id] = datanode_id
+            if plan.index_hosts:
+                preferred[location.block_id] = plan.datanode_id
                 # Put the indexed replica's datanode first so the scheduler favours it.
-                if datanode_id in hosts:
-                    hosts.remove(datanode_id)
-                hosts.insert(0, datanode_id)
+                hosts = (plan.datanode_id,) + tuple(h for h in hosts if h != plan.datanode_id)
             splits.append(
                 InputSplit(
-                    split_id=i,
+                    split_id=split_id,
                     path=jobconf.input_path,
                     block_ids=(location.block_id,),
                     locations=tuple(hosts),
                     length_bytes=location.length_bytes,
                     preferred_replicas=preferred,
-                    index_locations=index_hosts.get(location.block_id, ()),
+                    index_locations=plan.index_hosts,
                 )
             )
         return splits
 
-    def _hail_splitting(
-        self,
-        hdfs: Hdfs,
-        jobconf: JobConf,
-        cost: CostModel,
-        locations,
-        block_choices: dict[int, Optional[tuple[int, str]]],
-        index_hosts: Optional[dict[int, tuple[int, ...]]] = None,
-    ) -> list[InputSplit]:
-        """Cluster blocks by indexed datanode; emit ``map_slots`` splits per datanode group."""
-        index_hosts = index_hosts or {}
+    @staticmethod
+    def _hail_splitting(jobconf: JobConf, cost: CostModel, blocks: list) -> list[InputSplit]:
+        """Cluster blocks by planned datanode; emit ``map_slots`` splits per datanode group.
+
+        A block's planned datanode is its indexed replica's or — without a matching index —
+        its first alive replica's, so index-less blocks still ride along locally.
+        """
         groups: dict[int, list] = defaultdict(list)
-        for location in locations:
-            choice = block_choices.get(location.block_id)
-            if choice is not None:
-                datanode_id = choice[0]
-            else:
-                # Blocks without a matching index fall back to scanning a local replica; group
-                # them with their first alive host so they still ride along locally.
-                hosts = location.get_hosts()
-                datanode_id = hosts[0] if hosts else -1
-            groups[datanode_id].append(location)
+        for block in blocks:
+            groups[block[1].datanode_id].append(block)
 
         slots_per_node = max(1, cost.params.map_slots_per_node)
         splits: list[InputSplit] = []
-        split_id = 0
         for datanode_id in sorted(groups):
             group = groups[datanode_id]
             num_splits = min(slots_per_node, len(group))
-            buckets: list[list] = [[] for _ in range(num_splits)]
-            for position, location in enumerate(group):
-                buckets[position % num_splits].append(location)
-            for bucket in buckets:
-                if not bucket:
-                    continue
-                preferred = {}
-                bucket_index_hosts: list[int] = []
-                for location in bucket:
-                    choice = block_choices.get(location.block_id)
-                    preferred[location.block_id] = (
-                        choice[0] if choice is not None else datanode_id
-                    )
-                    for host in index_hosts.get(location.block_id, ()):
-                        if host not in bucket_index_hosts:
-                            bucket_index_hosts.append(host)
+            for bucket in (group[k::num_splits] for k in range(num_splits)):
+                block_ids = tuple(location.block_id for location, _ in bucket)
                 splits.append(
                     InputSplit(
-                        split_id=split_id,
+                        split_id=len(splits),
                         path=jobconf.input_path,
-                        block_ids=tuple(location.block_id for location in bucket),
+                        block_ids=block_ids,
                         locations=(datanode_id,) if datanode_id >= 0 else (),
-                        length_bytes=sum(location.length_bytes for location in bucket),
-                        preferred_replicas=preferred,
-                        index_locations=tuple(bucket_index_hosts),
+                        length_bytes=sum(location.length_bytes for location, _ in bucket),
+                        preferred_replicas=dict.fromkeys(block_ids, datanode_id),
+                        index_locations=tuple(
+                            dict.fromkeys(host for _, plan in bucket for host in plan.index_hosts)
+                        ),
                     )
                 )
-                split_id += 1
         return splits

@@ -1,12 +1,24 @@
 """The HailRecordReader (Section 4.3).
 
 Since the unified query-execution engine (:mod:`repro.engine`) was extracted, this reader is a
-thin shell: for every block of its split it asks the :class:`~repro.engine.planner.PhysicalPlanner`
-for a :class:`~repro.engine.access_path.BlockPlan` (which replica to open, which access path to
-use) and hands the plan to the :class:`~repro.engine.executor.VectorizedExecutor`, which
+thin shell.  It executes the plan the split phase made: the job's
+:class:`~repro.hail.input_format.HailInputFormat` plans the whole file once
+(``getHostsWithIndex`` per block, Section 4.3) and hands that
+:class:`~repro.engine.planner.QueryPlan` to every reader of the job.  A block's carried
+:class:`~repro.engine.access_path.BlockPlan` runs as is when
 
-1. opens an input stream to the planned replica (preferring the one carrying the matching
-   clustered index; falling back to standard scanning when no matching index is alive),
+- the split pinned the block to the plan's replica (``InputSplit.preferred_replicas``),
+- that replica's datanode is still alive, and
+- its ``Dir_rep`` entry is still the one the plan was classified from.
+
+Every other block is re-planned by the :class:`~repro.engine.planner.PhysicalPlanner`: an
+unpinned block (default splitting without an index chooses the local replica), the Figure 8
+failover (pinned host dead), a replica a concurrent job's commit, eviction or migration
+replaced (fail closed), and every block of Hadoop++'s trojan format (no plan).  Either way a
+copy of the plan goes to the :class:`~repro.engine.executor.VectorizedExecutor`, which
+
+1. opens an input stream to the planned replica (the one carrying the matching clustered index;
+   standard scanning when no matching index is alive),
 2. reads the index directory into main memory (a few KB) and looks up the qualifying partitions,
 3. reads exactly those partitions of the needed columns from disk, post-filters them
    column-at-a-time with the full predicate, and reconstructs the projected attributes from PAX
@@ -25,9 +37,10 @@ from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.cluster.costmodel import CostModel
+from repro.engine.access_path import BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext
 from repro.engine.executor import BlockScanResult, VectorizedExecutor
-from repro.engine.planner import PhysicalPlanner
+from repro.engine.planner import PhysicalPlanner, QueryPlan
 from repro.hail.annotation import HailQuery, resolve_annotation
 from repro.hail.record import HailRecord
 from repro.hdfs.filesystem import Hdfs
@@ -54,14 +67,16 @@ class HailRecordReader(RecordReader):
     adaptive index uses and their measured savings, zone-map skips and pruned bytes, scan
     fallbacks — the sliced ones also under ``NAME[attribute]``.  The task merges the bag.
 
-    ``zone_maps`` and ``adaptive`` come from the job's input format: HAIL's passes its
-    config's zone-map switch and the job's adaptive-indexing context, Hadoop++'s trojan
-    format passes neither (no synopses to skip by, nothing to build).
+    ``zone_maps``, ``adaptive`` and ``plan`` come from the job's input format: HAIL's passes
+    its config's zone-map switch, the job's adaptive-indexing context and its split phase's
+    :class:`~repro.engine.planner.QueryPlan`; Hadoop++'s trojan format passes none of them
+    (no synopses to skip by, nothing to build, every block planned here).
     """
 
     def __init__(
         self, split: InputSplit, hdfs: Hdfs, cost: CostModel, node_id: int, jobconf: JobConf,
         zone_maps: bool = False, adaptive: Optional[AdaptiveJobContext] = None,
+        plan: Optional[QueryPlan] = None,
     ) -> None:
         super().__init__(split, hdfs, cost, node_id)
         self.jobconf = jobconf
@@ -70,18 +85,29 @@ class HailRecordReader(RecordReader):
         self.executor = VectorizedExecutor(hdfs, cost, node_id, zone_maps=zone_maps)
         #: The job's adaptive-indexing policy; ``None`` keeps the reader purely read-only.
         self.adaptive = adaptive
+        #: The split phase's plan, or an empty frame of it when the format carries none.
+        if plan is None:
+            plan = self.planner.query_frame(split.path, self.annotation)
+        self.plan = plan
 
     # ------------------------------------------------------------------ iteration
     def batches(self) -> Iterator[BlockScanResult]:
         """One :class:`~repro.engine.executor.BlockScanResult` per block: plan, execute, count."""
+        attributes = self.plan.filter_attributes
+        # Fallbacks are attributed to the query's *first* filter attribute — the same
+        # attribute an adaptive build of the block would target.  The slices feed the split
+        # tuner ledgers and the placement balancer's demand tracking.
+        fallback_attribute = attributes[0] if attributes else None
         for block_id in self.split.block_ids:
-            plan = self.planner.plan_block(
-                block_id,
-                annotation=self.annotation,
-                preferred=self.split.preferred_replicas.get(block_id),
-                prefer_node=self.node_id,
-                adaptive=self.adaptive,
-            )
+            plan = self._carried(block_id)
+            if plan is None:
+                plan = self.planner.plan_block(
+                    block_id,
+                    annotation=self.annotation,
+                    preferred=self.split.preferred_replicas.get(block_id),
+                    prefer_node=self.node_id,
+                )
+            plan = self.planner.for_execution(plan, self.annotation, self.adaptive)
             scan = self.executor.execute(plan, self.annotation, adaptive=self.adaptive)
             self.block_plans.append(scan.plan)
             self.read_seconds += scan.seconds
@@ -105,16 +131,29 @@ class HailRecordReader(RecordReader):
                 # so it must not count as a full scan nor feed the adaptive tuner's ledgers.
                 counters.increment(Counters.ZONE_MAP_SKIPPED_BLOCKS)
             else:
-                # Fallbacks are attributed to the query's *first* filter attribute — the same
-                # attribute an adaptive build of the block would target.  The slices feed the
-                # split tuner ledgers and the placement balancer's demand tracking.
-                counters.increment(
-                    Counters.SCAN_FALLBACK_BLOCKS,
-                    attribute=self._first_filter_attribute(scan.schema),
-                )
+                counters.increment(Counters.SCAN_FALLBACK_BLOCKS, attribute=fallback_attribute)
 
             self.records_emitted += len(scan.rows) + len(scan.bad_lines)
             yield scan
+
+    def _carried(self, block_id: int) -> Optional[BlockPlan]:
+        """The split phase's plan of ``block_id`` if it still holds here, else ``None``.
+
+        It holds when the split pinned the block to the plan's replica, that replica's
+        datanode is alive (the Figure 8 failover re-plans), and its ``Dir_rep`` entry is still
+        the one the plan was classified from (a concurrent job's commit, eviction or migration
+        re-plans: the one replica-mutation edge, ``Hdfs.install_replica``/``remove_replica``,
+        registers a new entry).
+        """
+        plan = self.plan.plan_for(block_id)
+        if plan is None or self.split.preferred_replicas.get(block_id) != plan.datanode_id:
+            return None
+        namenode = self.hdfs.namenode
+        if plan.datanode_id not in namenode.block_datanodes(block_id, alive_only=True):
+            return None
+        if namenode.replica_info(block_id, plan.datanode_id) is not plan.replica_info:
+            return None
+        return plan
 
     @staticmethod
     def records_of(batch: BlockScanResult) -> Iterator[tuple]:
@@ -125,15 +164,3 @@ class HailRecordReader(RecordReader):
         # Bad records are handed to the map function unchanged, flagged as bad (Section 4.3).
         for line in batch.bad_lines:
             yield -1, HailRecord(schema, (), positions=(), bad=True, raw_line=line)
-
-    def _first_filter_attribute(self, schema) -> Optional[str]:
-        """The query's first filter attribute (fallback attribution), or ``None`` for scans."""
-        if not hasattr(self, "_filter_attribute"):
-            attribute = None
-            if self.annotation is not None and self.annotation.filter is not None:
-                predicate = self.annotation.bound_filter(schema)
-                if predicate is not None:
-                    attributes = predicate.attributes(schema)
-                    attribute = attributes[0] if attributes else None
-            self._filter_attribute = attribute
-        return self._filter_attribute

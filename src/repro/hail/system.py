@@ -112,7 +112,9 @@ class HailSystem(BaseSystem):
         return context
 
     def _planner(self) -> PhysicalPlanner:
-        """Planner matching this deployment's jobs: zone-map skipping follows the config."""
+        """The planner of this deployment's jobs: the one ``HailInputFormat.get_splits`` plans
+        with (zone-map skipping follows ``config.zone_maps``), so ``explain()`` renders the
+        plan a job executes."""
         return PhysicalPlanner(self.hdfs, zone_maps=self.config.zone_maps)
 
     def concurrency_policy(self):

@@ -69,7 +69,7 @@ def test_get_splits_plans_the_file_once(monkeypatch, split_pruning):
         lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_query(self, *args, **kwargs),
     )
     splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
-    assert calls == [split_pruning]
+    assert calls == [system.config.zone_maps]
     num_blocks = len(system.hdfs.namenode.file_blocks(_PATH))
     pruned = num_blocks - len({block_id for split in splits for block_id in split.block_ids})
     assert (pruned > 0) == split_pruning
