@@ -19,6 +19,7 @@ SMOKE_FIRST = (
     "tests/test_immutable_storage.py",
     "tests/test_zone_columns.py",
     "tests/test_join_groups.py",
+    "tests/test_join_containers.py",
     "tests/test_plan_once.py",
     # The one map-phase loop every workload runs through, and the goldens pinned on it.
     "tests/test_golden_figures.py",

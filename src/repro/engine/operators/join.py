@@ -6,27 +6,27 @@ key, the two scans' outputs can be merged map-side without a shuffle — the pap
 makes the classic sort-merge join's expensive phase a property of the storage.  When the
 signal is absent (stock Hadoop, a missing index, a dead replica), the operator falls back to
 the textbook shuffle hash join.  Either way the two side scans emit ``(join key, row)`` pairs
-and the finish step works on key groups, never on single rows: the hash strategy hands both
-scans' outputs to the real shuffle (:func:`repro.mapreduce.shuffle.run_reduce_phase`), which
-cogroups them and pays the network cost the merge join avoids; the merge strategy runs the same
-:func:`~repro.mapreduce.shuffle.cogroup` without the shuffle.  The chosen strategy is visible
-in ``explain()`` and in the ``JOIN_MERGE_JOINS``/``JOIN_HASH_JOINS`` counters; both strategies
-feed one emission (:class:`_JoinedGroups`) and so produce bit-identical output rows ``(key,
-*left non-key columns, *right non-key columns)`` in canonical order — an order the emission
-builds from sorted inputs instead of sorting the output.
+and one collector (:class:`_JoinedGroups`) takes them: the hash strategy hands both scans'
+outputs to the real shuffle (:func:`repro.mapreduce.shuffle.run_reduce_phase`), which groups
+them, pays the network cost the merge join avoids and calls the collector once per key group;
+the merge strategy hands the collector both outputs at once.  The strategies differ only in
+that cost accounting.  The chosen strategy is visible in ``explain()`` and in the
+``JOIN_MERGE_JOINS``/``JOIN_HASH_JOINS`` counters; the collector's one global emission gives
+both bit-identical output rows ``(key, *left non-key columns, *right non-key columns)`` in
+canonical order — an order it builds from sorted inputs instead of sorting the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf, JobResult, unkeyed
-from repro.mapreduce.shuffle import cogroup, run_reduce_phase
+from repro.mapreduce.shuffle import key_runs, numbered, run_reduce_phase
 
 if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
     from repro.systems.base import BaseSystem, Lowering
@@ -232,62 +232,71 @@ def _right_pairs(rows: list) -> list:
 
 
 class _JoinedGroups:
-    """The join's output rows, taken one key group at a time, handed back in canonical order.
+    """The join's output rows, collected key group by key group, emitted once in canonical order.
 
-    An instance is called like a reducer over the cogrouped sides — ``(key, left rows, right
-    rests)`` — and appends the group's joined rows ``left row + right rest`` as a chunk that is
-    already in order; :meth:`rows` strings the chunks together.  The result is exactly
-    ``sorted(all joined rows, key=repr)``, for one ``repr`` per input row instead of one per
-    output row and no sort of the output, because a joined row prints as its left row's text
-    (less the closing parenthesis) followed by its right rest's:
-
-    - rows order by left text first and right text second, so a group whose left rows and
-      right rests are each sorted by ``repr`` emits its product left-major — except that copies
-      of one left row (equal *text*: ``0.0 == -0.0`` are not copies) tie, and then the right
-      text decides: ``L, L x R1, R2`` is ``LR1, LR1, LR2, LR2``;
-    - left rows printing the same key are contiguous in that order, so a group is one chunk
-      placed by its first left text — unless its equal keys print differently (``0.0`` and
-      ``-0.0`` are one group, other keys sort between them), when every run of copies becomes
-      its own chunk.
+    The collector keeps two flat lists: every left row that has a match, and beside each the
+    right rests of its key — one tuple per key, sorted by ``repr`` and shared by that key's
+    left rows.  A hash join calls it like a reducer over each shuffled group, ``(key, left
+    rows, right rests)``; a merge join hands it both sides' keyed pairs at once
+    (:meth:`extend`).  :meth:`rows` is exactly ``sorted(all joined rows, key=repr)``, for one
+    ``repr`` per input row instead of one per output row and no sort of the output, because a
+    joined row prints as its left row's text (less the closing parenthesis) followed by its
+    right rest's: rows order by left text first and right text second.  So one sort of the left
+    rows by text, each followed by its key's sorted rests, is the order — except that copies of
+    one left row (equal *text*: ``0.0 == -0.0`` are not copies) tie, and then the right text
+    decides: ``L, L x R1, R2`` is ``LR1, LR1, LR2, LR2``.
     """
 
     def __init__(self) -> None:
-        #: ``(text of the chunk's first left row, joined rows)``, in arrival order.
-        self.chunks: list[tuple] = []
+        #: Left rows with a match, in arrival order.
+        self.lefts: list[tuple] = []
+        #: Per left row, its key's right rests sorted by ``repr`` (one tuple per key).
+        self.rests: list[tuple] = []
 
-    def __call__(self, _key, lefts: list[tuple], rights: list[tuple]) -> list[tuple]:
-        """Append one key group's joined rows; return them (the shuffle counts what it gets)."""
-        if not lefts or not rights:
-            return []
-        if len(rights) > 1:
-            rights = sorted(rights, key=repr)
-        texts = list(map(repr, lefts))
-        ranked = sorted(zip(texts, lefts), key=_FIRST)
-        copies = len(rights) > 1 and len(set(texts)) < len(texts)
-        if not copies and repr(ranked[0][1][0]) == repr(ranked[-1][1][0]):
-            rows = [left + rest for _, left in ranked for rest in rights]
-            self.chunks.append((ranked[0][0], rows))
-            return rows
-        emitted: list[tuple] = []
-        for text, run in groupby(ranked, key=_FIRST):
-            run = list(run)
-            rows = [left + rest for rest in rights for _, left in run]
-            self.chunks.append((text, rows))
-            emitted += rows
-        return emitted
+    def __call__(self, _key, lefts: list[tuple], rights: list[tuple]) -> None:
+        """Collect one key group; emit nothing (the hash join counts :attr:`count` itself)."""
+        if lefts and rights:
+            self.lefts += lefts
+            self.rests += [tuple(sorted(rights, key=repr))] * len(lefts)
+
+    def extend(self, left: list[tuple], right: list[tuple]) -> None:
+        """Collect both sides' keyed pairs: ``(key, left row)`` and ``(key, right rest)``."""
+        rests = list(map(_SECOND, right))
+        texts = list(map(repr, rests))
+        order = sorted(range(len(rests)), key=texts.__getitem__)
+        keys = list(map(_FIRST, right))
+        numbers = numbered(keys)
+        starts = key_runs(keys, numbers, order)
+        ranked = tuple(map(rests.__getitem__, order))
+        by_key = dict(zip(numbers, map(ranked.__getitem__, map(slice, starts, starts[1:]))))
+        matched = list(map(by_key.get, map(_FIRST, left)))
+        self.lefts += compress(map(_SECOND, left), matched)
+        self.rests += filter(None, matched)
+
+    @property
+    def count(self) -> int:
+        """How many joined rows :meth:`rows` will emit."""
+        return sum(map(len, self.rests))
 
     def rows(self) -> list[tuple]:
         """Every joined row so far, in canonical order."""
-        self.chunks.sort(key=_FIRST)
-        return list(chain.from_iterable(map(_SECOND, self.chunks)))
+        lefts, rests = self.lefts, self.rests
+        texts = list(map(repr, lefts))
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        if len(set(texts)) == len(texts):
+            return [lefts[i] + rest for i in order for rest in rests[i]]
+        # Copies: a run of equal-text left rows emits rest-major.  The run also shares its
+        # rests tuple, so that rows printing alike but matched apart (NaN keys) never mix.
+        runs = (list(run) for _, run in groupby(order, key=lambda i: (texts[i], id(rests[i]))))
+        return [lefts[i] + rest for run in runs for rest in rests[run[0]] for i in run]
 
 
 def _merge_join(
     system: "BaseSystem", left: list[tuple], right: list[tuple], joined: _JoinedGroups
 ) -> float:
-    """Map-side merge join: the cogroup without the shuffle, charged as a CPU-only merge."""
-    for lefts, rights in cogroup(left, right).values():
-        joined(None, lefts, rights)
+    """Map-side merge join: both sides' pairs straight into ``joined``, charged as a CPU-only
+    merge."""
+    joined.extend(left, right)
     nodes = system.cluster.alive_nodes
     if not nodes:
         return 0.0
@@ -304,8 +313,8 @@ def _hash_join(
     counters: Counters,
     joined: _JoinedGroups,
 ) -> float:
-    """Shuffle hash join: both sides' pairs go through the real shuffle, which cogroups them
-    and calls ``joined`` as the reducer of every key group."""
+    """Shuffle hash join: both sides' pairs go through the real shuffle, which calls ``joined``
+    as the reducer of every key group; the joined rows are booked as the reduce output."""
     shuffle_conf = JobConf(
         name=f"{query.name}-shuffle",
         input_path=query.left_path,
@@ -313,6 +322,9 @@ def _hash_join(
         num_reduce_tasks=max(1, len(system.cluster.alive_nodes)),
     )
     phase = run_reduce_phase(left, shuffle_conf, system.cluster, system.cost, counters, right)
+    joined_rows = joined.count
+    if joined_rows:
+        counters.increment(Counters.REDUCE_OUTPUT_RECORDS, joined_rows)
     return phase.duration_s
 
 
@@ -333,7 +345,7 @@ def explain_join(system: "BaseSystem", query: JoinQuery, path: str) -> str:
         reason = (
             f"fallback: at least one block lacks an alive replica indexed on "
             f"{query.key!r} (both sides' keyed pairs shuffle to "
-            f"{max(1, len(system.cluster.alive_nodes))} reducers, which cogroup them)"
+            f"{max(1, len(system.cluster.alive_nodes))} reducers, which group them)"
         )
     lines = [f"Join {query.name!r}: {query.description}", f"  strategy: {strategy} ({reason})"]
     for side, (scan, side_path, _) in zip(("left", "right"), _side_scans(system, query)):

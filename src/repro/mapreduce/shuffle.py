@@ -2,14 +2,19 @@
 
 The paper's evaluation queries are map-only jobs (selections with projections), but the
 substrate supports a reduce phase so that general MapReduce programs — for example the
-aggregation examples shipped with this reproduction — run end to end.
+aggregation examples shipped with this reproduction — run end to end, and so that a hash join
+can shuffle both of its scans' outputs to one set of reducers.  The reduce side groups each
+input's pairs by one stable sort of key numbers, not by a list per key: a key's group is a run
+of that order, sliced only for the reducer call that takes it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+from typing import Iterable
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
@@ -18,6 +23,8 @@ from repro.mapreduce.job import JobConf
 
 #: Rough per-pair byte footprint used to charge shuffle network traffic.
 _BYTES_PER_PAIR = 64.0
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 @dataclass
@@ -68,25 +75,23 @@ def combine_map_output(
     return combined
 
 
-def cogroup(*inputs: list[tuple]) -> dict:
-    """Group several map outputs by key at once: ``{key: [input 0's values, input 1's, ...]}``.
+def numbered(keys: Iterable) -> dict:
+    """``{key: number}`` in first-seen order; a key that several objects equal is the first."""
+    return {key: number for number, key in enumerate(dict.fromkeys(keys))}
 
-    Keys stand in first-seen order (input 0's, then those only input 1 has, ...) and a key
-    that several objects equal keeps the first of them, as in any ``dict``; an input without
-    the key contributes an empty sequence.  A pair costs one dict operation, a distinct key
-    one more per input.
+
+def key_runs(keys: list, numbers: dict, order: list[int]) -> list[int]:
+    """Group positions by key with one sort; return where each key's run starts.
+
+    ``order`` holds positions into ``keys``; it is stably sorted in place by the number
+    ``numbers`` gives each position's key, so key ``n``'s positions become the run
+    ``order[starts[n]:starts[n + 1]]``, in their former relative order (empty where ``keys``
+    lacks the key).
     """
-    groups: dict = {}
-    for position, pairs in enumerate(inputs):
-        mine: dict = defaultdict(list)
-        for key, value in pairs:
-            mine[key].append(value)
-        for key, values in mine.items():
-            slots = groups.get(key)
-            if slots is None:
-                groups[key] = slots = [()] * len(inputs)
-            slots[position] = values
-    return groups
+    ids = list(map(numbers.__getitem__, keys))
+    order.sort(key=ids.__getitem__)
+    counts = Counter(ids)
+    return list(accumulate(map(counts.get, range(len(numbers)), repeat(0)), initial=0))
 
 
 def run_reduce_phase(
@@ -100,33 +105,52 @@ def run_reduce_phase(
     """Group the map output by key, partition and sort the keys, apply the reducer per group.
 
     ``more_outputs`` are further jobs' map outputs shuffled to the same reducers (a reduce-side
-    join): the pairs are cogrouped, and the reducer is called as ``reducer(key, values,
-    *more_values)`` with one value sequence per input — with none it is the plain
-    ``reducer(key, values)``.  A key is hashed, assigned to its partition and ``repr``-ed once,
-    not once per pair.
+    join): the reducer is called as ``reducer(key, values, *more_values)`` with one value
+    sequence per input — with none it is the plain ``reducer(key, values)``.  A job without a
+    reducer passes its one map output through and refuses further ones.
+
+    The grouping is one sort per input, not one list per key (:func:`key_runs`): keys are
+    numbered in first-seen order — input 0's, then those only input 1 has, ... — and each
+    input's values are stably sorted by their key's number.  A reducer call gets its key's run
+    sliced from each input — a list of that input's values in arrival order, ``()`` where the
+    input lacks the key — so a per-key list lives for one call.  A key is hashed, assigned to
+    its partition and ``repr``-ed once, not once per pair.
 
     The simulated duration covers shuffling the intermediate pairs of every input across the
     network, the merge sort on the reduce side and the reducer CPU, executed by
     ``num_reduce_tasks`` tasks in parallel (plus one task-scheduling overhead per reduce wave).
     """
     reducer = jobconf.reducer
+    if reducer is None and more_outputs:
+        raise ValueError(
+            f"job {jobconf.name!r} has no reducer to join {1 + len(more_outputs)} map outputs"
+        )
     if reducer is None or not (map_output or any(more_outputs)):
         return ReducePhaseResult(output=list(map_output), duration_s=0.0, num_reduce_tasks=0)
 
     num_reducers = max(1, jobconf.num_reduce_tasks or 1)
-    groups = cogroup(map_output, *more_outputs)
+    inputs = (map_output, *more_outputs)
+    numbers = numbered(chain.from_iterable(map(_FIRST, pairs) for pairs in inputs))
+    runs = []  # per input: its values sorted into key runs, and where the runs start
+    for pairs in inputs:
+        order = list(range(len(pairs)))
+        starts = key_runs(list(map(_FIRST, pairs)), numbers, order)
+        runs.append((list(map(_SECOND, map(pairs.__getitem__, order))), starts))
+    distinct = list(numbers)
+    texts = list(map(repr, distinct))
     partitions: list[list] = [[] for _ in range(num_reducers)]
-    for key in groups:
-        partitions[hash(key) % num_reducers].append(key)
+    for number, key in enumerate(distinct):
+        partitions[hash(key) % num_reducers].append(number)
 
     output: list[tuple] = []
-    for keys in partitions:
-        for key in sorted(keys, key=repr):
-            emitted = reducer(key, *groups[key])
+    for partition in partitions:
+        for number in sorted(partition, key=texts.__getitem__):
+            groups = [values[s[number] : s[number + 1]] or () for values, s in runs]
+            emitted = reducer(distinct[number], *groups)
             if emitted:
                 output.extend(emitted)
 
-    num_pairs = len(map_output) + sum(map(len, more_outputs))
+    num_pairs = sum(map(len, inputs))
     counters.increment(Counters.REDUCE_INPUT_RECORDS, num_pairs)
     if output:
         counters.increment(Counters.REDUCE_OUTPUT_RECORDS, len(output))

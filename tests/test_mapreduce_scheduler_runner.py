@@ -139,6 +139,43 @@ def test_reduce_phase_noop_without_reducer(loaded_hdfs, cost_model):
     assert result.duration_s == 0.0
 
 
+def test_reduce_phase_without_reducer_refuses_further_map_outputs(loaded_hdfs, cost_model):
+    """Without a reducer there is nothing to join the inputs with: the second one used to be
+    dropped without a word, and the first passed through as if it were the whole answer."""
+    conf = JobConf(name="maponly", input_path="/data/simple")
+    counters = Counters()
+    for more in ([("b", 2)], []):
+        with pytest.raises(ValueError, match="no reducer"):
+            run_reduce_phase([("a", 1)], conf, loaded_hdfs.cluster, cost_model, counters, more)
+    assert counters.as_dict() == {}
+
+
+def test_reduce_phase_hands_each_key_one_run_per_input(loaded_hdfs, cost_model):
+    """Arrival order within an input, ``()`` where an input lacks the key, the first of equal
+    key objects, one call per distinct key — in partition, then ``repr`` order."""
+    calls = []
+
+    def reducer(key, *values):
+        calls.append((repr(key), values))
+        return [key]
+
+    conf = JobConf(name="join", input_path="/data/simple", reducer=reducer, num_reduce_tasks=1)
+    first = [(2, "a"), (0.0, "b"), (2, "c")]
+    second = [(-0.0, "x"), (3, "y"), (2, "z"), (0.0, "w")]
+    third = [(3, "q")]
+    counters = Counters()
+    result = run_reduce_phase(
+        first, conf, loaded_hdfs.cluster, cost_model, counters, second, third
+    )
+    assert calls == [
+        ("0.0", (["b"], ["x", "w"], ())),
+        ("2", (["a", "c"], ["z"], ())),
+        ("3", ((), ["y"], ["q"])),
+    ]
+    assert result.output == [0.0, 2, 3]
+    assert counters.as_dict() == {"REDUCE_INPUT_RECORDS": 8, "REDUCE_OUTPUT_RECORDS": 3}
+
+
 # --------------------------------------------------------------------------- runner
 def test_runner_end_to_end_map_only(loaded_hdfs, cost_model, simple_records):
     runner = MapReduceRunner(loaded_hdfs, cost_model)
