@@ -1,29 +1,31 @@
 """Micro-benchmark: the join's ordered emission vs. sorting the materialised join.
 
 The join's finish step used to build every joined row and then ``sorted(rows, key=repr)`` the
-lot; it now cogroups the two sides' keyed pairs and emits each key group's product from sorted
-*inputs* (:class:`repro.engine.operators.join._JoinedGroups`), so ``repr`` runs once per input
-row instead of once per joined row and nothing the size of the output is ever sorted.  This
-file pits the two against each other on plain lists (no deployment), asserts they return the
-very same list, and holds the wall-clock floor next to the kernel floor of
+lot.  Now its collector (:class:`repro.engine.operators.join._JoinedGroups`) keeps the matched
+left rows in one flat list, beside each its key's right rests as one ``repr``-sorted tuple, and
+emits once: one ``repr`` per left row, one sort of the row indices by that text, one
+``row + rest`` comprehension (docs/performance.md § "Join: groups, not rows").  ``repr`` runs
+once per input row instead of once per joined row, and nothing the size of the output is ever
+sorted.  This file pits the two against each other on plain lists (no deployment), asserts
+they return the very same list, and holds the wall-clock floor next to the kernel floor of
 ``test_engine_filter.py``.
 
-Both shapes produce 16 000 joined ``(key, left value, right value)`` rows.  Measured on the
-sandbox in its quiet state (``timeit``, best of 5, collector off as ``timeit`` leaves it):
+Both shapes produce 16 000 joined ``(key, left value, right value)`` rows.  Measured with
+``timeit`` (best of 5, collector off as ``timeit`` leaves it; the median of three runs) on an
+Intel Xeon under CPython 3.11:
 
 ====================================  =================  ================  =======
 shape                                 sort the output    ordered emission  ratio
 ====================================  =================  ================  =======
-8 000 x 2 000 rows, 1 000 keys (8x2)  10.3 ms            8.9 ms            1.16x
-2 000 x 2 000 rows,   250 keys (8x8)   9.6 ms            3.6 ms            2.63x
+8 000 x 2 000 rows, 1 000 keys (8x2)  10.2 ms            8.2 ms            1.25x
+2 000 x 2 000 rows,   250 keys (8x8)   9.8 ms            3.6 ms            2.72x
 ====================================  =================  ================  =======
 
-The first shape is the ``operators`` workload's join: with two right rows per key the ~4 us of
-per-group work (two small sorts, the copy and key-spelling checks) nearly eats what the 6 000
-saved ``repr`` calls and the unsorted output buy, so the floor there is only "not slower"; the
-emission's cost follows the inputs and the sort's the output, which is what the second shape
-pins.  (The workload's gain comes from the containers the new finish step no longer builds:
-tag tuples, per-row pairs through the shuffle, the re-listed sides.)
+The first shape is the ``operators`` workload's join: with two right rows per key the output
+is barely larger than the inputs, so the saved ``repr`` calls and the unsorted output buy
+little and the floor there is only "not slower"; the emission's cost follows the inputs and
+the sort's the output, which is what the second shape pins.  (The workload's gain comes from
+the containers the finish step no longer builds; see the performance guide.)
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _sorted_nested_loop(left_rows: list[tuple], right_rows: list[tuple]) -> list
 
 
 def _ordered_emission(left_pairs: list[tuple], right_pairs: list[tuple]) -> list[tuple]:
-    """The merge strategy's finish: cogroup the keyed pairs, emit every group in order."""
+    """The merge strategy's finish: collect both sides' keyed pairs, emit once in order."""
     joined = _JoinedGroups()
     _merge_join(_NO_CLUSTER, left_pairs, right_pairs, joined)
     return joined.rows()

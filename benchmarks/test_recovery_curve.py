@@ -1,48 +1,110 @@
 """Recovery benchmark: what the durable persistence journal buys after a kill.
 
-Pins the acceptance properties of :mod:`repro.persist` end to end: warm a persistent
-deployment until the adaptive index pool converges, kill it, restore from the SQLite
-journal into a brand-new deployment, and compare against an honest persistence-off cold
-restart.  The restore must be *exact* — same learned index pool, same runtime, same
-answers, bit for bit — and the time to first answer must beat the cold restart by 2x;
-the assertions below are the floor.
+Three phases run one selective probe (``f1 <= VALUE_RANGE // 10``) on the synthetic dataset,
+every deployment normalised by ``config.data_scale`` so blocks stand in for full-size HDFS
+blocks:
+
+1. **warm** — a deployment journaling into SQLite, with adaptive indexing on
+   (``offer_rate=1.0``, no upload-time indexes), repeats the probe until the adaptive index
+   pool stops growing; the last warm runtime is the converged steady state.
+2. **restored** — the deployment is checkpointed and "killed" (the journal handle is closed,
+   every in-memory structure dropped); :meth:`~repro.api.Session.restore` reopens the journal
+   into a brand-new deployment and the probe runs again.
+3. **cold restart** — the same deployment *without* persistence restarts the honest way:
+   re-upload, then the probe (a full scan that also re-pays the adaptive builds).
+
+The restore must be *exact* — same learned index pool, same runtime, same answers, bit for
+bit — and the time to first answer from a dead cluster (re-ingest plus the cold probe against
+the restored probe alone) must beat the cold restart by 2x; the assertions below are the floor.
 """
 
-from conftest import run_figure
+from repro.api import Session, col
+from repro.datagen.synthetic import VALUE_RANGE, SyntheticGenerator
+from repro.hail.config import HailConfig
 
-from repro.experiments import recovery
+#: Upper bound on warm probes; convergence always stops the loop well before this.
+MAX_WARM_QUERIES = 12
 
 
-def test_recovery_curve(benchmark, config):
+def _zone_synopsis_count(system) -> int:
+    """Dir_rep entries carrying a zone-map synopsis (the planner's skipping metadata)."""
+    namenode = system.hdfs.namenode
+    return sum(
+        1
+        for path in namenode.list_files()
+        for block_id in namenode.file_blocks(path)
+        for info in namenode.replica_infos(block_id, alive_only=False).values()
+        if info.zone_ranges
+    )
+
+
+def _probe(session):
+    return (
+        session.dataset("/data/recovery")
+        .where(col("f1") <= VALUE_RANGE // 10)
+        .named("recovery-probe")
+        .collect()
+    )
+
+
+def test_recovery_curve(config, tmp_path):
     """Restore is bit-identical to the warm steady state and ≥2x a cold restart."""
-    result = run_figure(benchmark, recovery.recovery_curve, config)
-    rows = result.rows
-    warm_rows = [row for row in rows if row["phase"] == "warm"]
-    steady = warm_rows[-1]
-    restored = result.row_for("phase", "restored")
-    cold = result.row_for("phase", "cold-restart")
+    generator = SyntheticGenerator(seed=config.seed)
+    records, schema = generator.generate(config.num_records), generator.schema
+    data_scale = config.data_scale(schema, records)
+    cold_config = HailConfig.for_attributes((), functional_partition_size=1).with_adaptive(
+        True, offer_rate=1.0
+    )
+    hail_config = cold_config.with_persistence("sqlite", directory=str(tmp_path))
 
-    # Fidelity: every phase answers the probe identically — restore that changes an
-    # answer is corruption, and so is a cold restart that does.
-    for row in rows:
-        assert row["results_identical"]
+    warm = Session.deploy(nodes=config.nodes, hail_config=hail_config, data_scale=data_scale)
+    warm.upload("/data/recovery", records, schema, rows_per_block=config.rows_per_block)
+    system = warm.system()
+    probes = []
+    for index in range(MAX_WARM_QUERIES):
+        before = system.adaptive_replica_count("/data/recovery")
+        probes.append(_probe(warm))
+        if index > 0 and system.adaptive_replica_count("/data/recovery") == before:
+            break
+    steady = probes[-1]
+    steady_replicas = system.adaptive_replica_count("/data/recovery")
+    steady_synopses = _zone_synopsis_count(system)
+    # Convergence happened during the warm phase.
+    assert steady_replicas > 0
+    warm.checkpoint()
+    system.hdfs.persist.close()
 
-    # Convergence happened during the warm phase and the journal preserved all of it:
-    # the adaptive-replica pool and the zone-map synopses survive the kill exactly.
-    assert steady["adaptive_replicas"] > 0
-    assert restored["adaptive_replicas"] == steady["adaptive_replicas"]
-    assert restored["zone_synopses"] == steady["zone_synopses"]
-
-    # The restored probe costs exactly the warm steady state — not "about the same",
+    restored_session = Session.restore(hail_config, nodes=config.nodes, data_scale=data_scale)
+    restored_system = restored_session.system()
+    restored = _probe(restored_session)
+    probes.append(restored)
+    # The journal preserved all of it: the adaptive-replica pool and the zone-map synopses
+    # survive the kill exactly ...
+    assert restored_system.adaptive_replica_count("/data/recovery") == steady_replicas
+    assert _zone_synopsis_count(restored_system) == steady_synopses
+    # ... and the restored probe costs exactly the warm steady state — not "about the same",
     # bit-identical: the journal reproduced every replica's bytes and every knob.
-    assert restored["runtime_s"] == steady["runtime_s"]
+    assert restored.runtime_s == steady.runtime_s
+    restored_system.hdfs.persist.close()
+
+    cold_session = Session.deploy(
+        nodes=config.nodes, hail_config=cold_config, data_scale=data_scale
+    )
+    cold_session.upload("/data/recovery", records, schema, rows_per_block=config.rows_per_block)
+    cold_ingest_s = cold_session.upload_reports["/data/recovery"]["HAIL"].total_s
+    cold = _probe(cold_session)
+    probes.append(cold)
+
+    # Fidelity: every phase answers the probe identically — restore that changes an answer
+    # is corruption, and so is a cold restart that does.
+    assert all(probe.sorted_records() == steady.sorted_records() for probe in probes)
 
     # The cold control re-learns from scratch: its first probe is the un-indexed scan
-    # (same cost as the warm deployment's own first query) plus the re-ingest.
-    assert cold["runtime_s"] > restored["runtime_s"]
-    assert cold["restart_ingest_s"] > 0.0
-    assert restored["restart_ingest_s"] == 0.0
+    # (same cost as the warm deployment's own first query) plus the re-ingest, while the
+    # restored deployment ingested nothing.
+    assert cold.runtime_s > restored.runtime_s
+    assert cold_ingest_s > 0.0
+    assert not restored_session.upload_reports
 
     # This assertion is the recovery floor: time to first answer >= 2x a cold restart.
-    time_to_first_answer = cold["restart_ingest_s"] + cold["runtime_s"]
-    assert time_to_first_answer / restored["runtime_s"] >= 2.0
+    assert (cold_ingest_s + cold.runtime_s) / restored.runtime_s >= 2.0

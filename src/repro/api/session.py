@@ -528,8 +528,9 @@ class Session:
         of the same shape is built and every journaled dataset, replica (adaptive index
         pool included), zone-map synopsis, LRU statistic, eviction tombstone, tuner ledger
         and the adaptive salt are put back, so convergence *resumes* — the first query after
-        a restore runs at warm steady-state, not cold full-scan (``experiments/recovery.py``
-        pins this).  See ``docs/persistence.md`` for the walkthrough.
+        a restore runs at warm steady-state, not cold full-scan
+        (``benchmarks/test_recovery_curve.py`` pins this).  See ``docs/persistence.md`` for
+        the walkthrough.
         """
         from repro.persist import restore_system
 

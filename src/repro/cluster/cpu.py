@@ -151,7 +151,6 @@ class CpuModel:
             num_bytes, self.rates.tuple_reconstruction_mb_s, cores
         ) + self._per_rows(num_rows, self.rates.qualifying_row_seconds, cores)
 
-    # ------------------------------------------------------------------ backwards-compatible aliases
     def evaluate_predicate(self, num_bytes: float, cores: int = 1) -> float:
         """Per-byte predicate evaluation (no per-row term); used for coarse charges."""
         return self._per_bytes(num_bytes, self.rates.predicate_eval_mb_s, cores)

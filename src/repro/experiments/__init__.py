@@ -14,30 +14,18 @@ Overview (the README's "Reproducing the paper's figures" table maps each to its 
 - :mod:`repro.experiments.queries`    — Figures 6 and 7 (HailSplitting disabled)
 - :mod:`repro.experiments.failover`   — Figure 8
 - :mod:`repro.experiments.splitting`  — Figure 9 (HailSplitting enabled)
-- :mod:`repro.experiments.adaptive_lifecycle` — lifecycle-managed adaptivity under disk
-  pressure: eviction + auto-tuned knobs through a workload shift (extension)
-- :mod:`repro.experiments.saturation` — multi-tenant saturation: throughput and latency
-  percentiles vs. ``max_concurrent_jobs`` on one shared deployment (extension)
-- :mod:`repro.experiments.recovery`   — crash recovery: kill a persistent deployment after
-  adaptive convergence, restore from the journal, and compare the time to first answer
-  against a persistence-off cold restart (extension)
 - :mod:`repro.experiments.runner`     — run everything and print a report
+
+The extension experiments (ablations, adaptive convergence and lifecycle, operators,
+placement, saturation, chaos and crash recovery) have no harness here: each is a
+``benchmarks/test_*_curve.py`` (or ``test_ablations.py``, ``test_adaptive_convergence.py``)
+that builds its scenario and asserts its floors inline.
 """
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.experiments.deployments import DatasetSpec, Deployment, build_deployment
-from repro.experiments import (
-    adaptive_lifecycle,
-    failover,
-    queries,
-    recovery,
-    saturation,
-    scaleout,
-    scaleup,
-    splitting,
-    upload,
-)
+from repro.experiments import failover, queries, scaleout, scaleup, splitting, upload
 from repro.experiments.runner import run_all
 
 __all__ = [
@@ -46,11 +34,8 @@ __all__ = [
     "DatasetSpec",
     "Deployment",
     "build_deployment",
-    "adaptive_lifecycle",
     "failover",
     "queries",
-    "recovery",
-    "saturation",
     "scaleout",
     "scaleup",
     "splitting",

@@ -32,7 +32,6 @@ class ExperimentConfig:
     logical_block_mb: int = 64
     seed: int = 7
     verify_checksums: bool = False
-    trials: int = 1
 
     # ------------------------------------------------------------------ presets
     @classmethod

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.experiments import (
-    adaptive_lifecycle,
-    failover,
-    queries,
-    scaleout,
-    scaleup,
-    splitting,
-    upload,
-)
+from repro.experiments import failover, queries, scaleout, scaleup, splitting, upload
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 
@@ -52,7 +44,6 @@ def run_all(
     run("fig6", lambda: queries.fig6(config))
     run("fig7", lambda: queries.fig7(config))
     run("fig8", lambda: failover.fig8(config))
-    run("adaptive_lifecycle", lambda: adaptive_lifecycle.adaptive_lifecycle_curve(config))
 
     if progress is not None:
         progress("fig9")

@@ -23,8 +23,6 @@ from repro.hail.input_format import HailInputFormat
 from repro.hail.scheduler import (
     adaptive_replica_count,
     check_dir_rep_consistency,
-    choose_indexed_host,
-    commit_adaptive_builds,
     index_coverage,
 )
 from repro.hail.system import HailSystem
@@ -47,8 +45,6 @@ __all__ = [
     "HailInputFormat",
     "adaptive_replica_count",
     "check_dir_rep_consistency",
-    "choose_indexed_host",
-    "commit_adaptive_builds",
     "index_coverage",
     "HailSystem",
 ]

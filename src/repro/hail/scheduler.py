@@ -5,29 +5,24 @@ HAIL changes two decisions that stock Hadoop makes purely on data locality and a
 - which datanode a map task should be scheduled *close to* (the JobTracker's decision), and
 - which replica the record reader should actually *open* (the HDFS client's decision).
 
-Both decisions live in the unified engine now — see
-:func:`repro.engine.planner.choose_indexed_host` (re-exported here for backwards compatibility)
-and :class:`repro.engine.planner.PhysicalPlanner`.  This module keeps the namenode-level
-reporting helpers used by experiments and tests, plus the scheduling side of adaptive (lazy)
-indexing: :func:`commit_adaptive_builds` (re-exported from the engine) registers the indexed
-replicas that scans staged as a by-product — only for surviving attempts, deduplicated across
-speculative/rescheduled tasks, and never against a dead datanode — and
-:func:`check_dir_rep_consistency` lets tests assert that no failure leaves ``Dir_rep`` pointing
-at replicas that were never flushed.
+Both decisions live in the unified engine — see
+:func:`repro.engine.planner.choose_indexed_host` and
+:class:`repro.engine.planner.PhysicalPlanner` — and so does the registration of the indexed
+replicas that scans stage as a by-product (:func:`repro.engine.adaptive.commit_adaptive_builds`).
+This module keeps the namenode-level reporting helpers used by experiments and tests:
+coverage, replica and adaptive-replica statistics, the index-local task fraction, and
+:func:`check_dir_rep_consistency`, which lets tests assert that no failure leaves ``Dir_rep``
+pointing at replicas that were never flushed.
 """
 
 from __future__ import annotations
 
-from repro.engine.adaptive import commit_adaptive_builds  # noqa: F401  (re-export)
-from repro.engine.planner import choose_indexed_host  # noqa: F401  (re-export)
 from repro.hail.hail_block import HailBlock
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.counters import Counters
 
 __all__ = [
-    "choose_indexed_host",
-    "commit_adaptive_builds",
     "index_coverage",
     "replica_distribution",
     "adaptive_replica_count",

@@ -1,7 +1,12 @@
 """Tests for the experiment configuration, report tables and deployment builder."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
+import repro.experiments
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.experiments import DatasetSpec, ExperimentConfig, FigureResult, build_deployment
 from repro.hail import HailSystem
@@ -95,3 +100,34 @@ def test_build_deployment_trojan_attribute_override():
     assert deployment.system("Hadoop++").num_indexes() == 0
     with pytest.raises(KeyError):
         build_deployment(config, dataset="uservisits", systems=("Spark",))
+
+
+# --------------------------------------------------------------------------- layering
+def test_the_library_does_not_import_the_experiments():
+    """``repro.experiments`` sits on top of the library: nothing below it imports it back."""
+    package = Path(repro.__file__).parent
+    sources = [
+        path for path in sorted(package.rglob("*.py")) if "experiments" not in path.parts
+    ]
+    assert len(sources) > 50
+    for source in sources:
+        imported = set()
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        assert not {
+            module for module in imported if module.split(".")[:2] == ["repro", "experiments"]
+        }, source.relative_to(package)
+
+
+def test_the_experiments_are_the_papers_harnesses_only():
+    """Extension curves are benchmark tests, not harnesses: the package exports the paper."""
+    harnesses = {"upload", "scaleup", "scaleout", "queries", "failover", "splitting"}
+    helpers = {
+        "ExperimentConfig", "FigureResult", "DatasetSpec", "Deployment", "build_deployment",
+        "run_all",
+    }
+    assert set(repro.experiments.__all__) == harnesses | helpers

@@ -4,9 +4,10 @@ import pytest
 
 from repro.cluster import Cluster, CostModel, CostParameters, TransferLedger
 from repro.datagen import USERVISITS_SCHEMA, WebLogGenerator
+from repro.engine.planner import choose_indexed_host
 from repro.hail import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.scheduler import choose_indexed_host, index_coverage, replica_distribution
+from repro.hail.scheduler import index_coverage, replica_distribution
 from repro.hail.sortindex import is_sorted
 from repro.hail.upload import HailUploadPipeline
 from repro.hdfs import Hdfs
