@@ -27,7 +27,11 @@ block once: its input format's split phase runs ``planner.plan_query()`` and its
 execute that plan (``planner.for_execution()`` copies a block's plan and adds the execution's
 adaptive marks).  A block is re-planned (``planner.plan_block()``) only when the split did
 not pin it, when its pinned host died, or when its pinned replica's ``Dir_rep`` entry changed
-since; stock Hadoop's and Hadoop++'s readers plan every block.  ``explain()`` renders the same
+since; stock Hadoop's and Hadoop++'s readers plan every block.  The query is bound once per
+job, too: the plan carries a ``BoundQuery`` (the ``@HailQuery`` bound to the file's schema:
+predicate, projection and the column indexes every block reads and reconstructs), and the
+reader hands that bound query to ``executor.execute()`` — per block, only per-block work
+remains (the index lookup, the qualifying partitions, the payload's own column sizes).  ``explain()`` renders the same
 split-phase plan, and every :class:`~repro.systems.base.QueryResult` carries the
 :class:`QueryPlan` that was executed.
 """

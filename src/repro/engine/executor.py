@@ -14,17 +14,25 @@ so the block-level API and the engine cannot drift apart.  With zone maps enable
 additionally prunes candidate partitions against the payload's min-max synopsis and executes
 planner-ordered ``ZONE_MAP_SKIP`` blocks — after re-verifying the synopsis against the payload,
 failing closed to a full scan on any mismatch.
+
+The record reader hands the executor the query its plan carries: a
+:class:`~repro.engine.planner.BoundQuery`, bound once per job.  Per block the executor reads
+its predicate, projection and column indexes and sums the opened payload's carried column
+sizes over them; it trusts those fields only while the payload's schema is the very object
+they were bound to, and rebinds from the annotation otherwise (fail closed).  The executing
+node's disk and CPU models are resolved once per executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.cluster.costmodel import CostModel
 from repro.engine import kernels
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import PendingIndexBuild
+from repro.engine.planner import BoundQuery
 from repro.hdfs.block import Replica, TextBlockPayload
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.errors import ReplicaNotFoundError
@@ -111,19 +119,27 @@ class VectorizedExecutor:
         #: When True, candidate windows are pruned against the payload's per-partition zone
         #: map and planner-ordered ZONE_MAP_SKIP plans are executed (after verification).
         self.zone_maps = zone_maps
+        # The executing node and its cost models, resolved once per executor.
+        self._node = hdfs.cluster.node(node_id)
+        self._disk = cost.disk(self._node)
+        self._cpu = cost.cpu(self._node)
 
     # ------------------------------------------------------------------ PAX / HAIL blocks
     def execute(
         self,
         plan: BlockPlan,
-        annotation: Optional[HailQuery],
+        annotation: Union[HailQuery, BoundQuery, None],
         adaptive: Optional[AdaptiveJobContext] = None,
     ) -> BlockScanResult:
         """Run one planned block: candidate lookup, vectorized filter, projection, cost.
 
-        ``adaptive`` carries the job's adaptive-indexing context: staged replicas honour its
-        checksum option, and a cancelled build (stale ``Dir_rep``) refunds its budget slot.
-        The *decision* to build was already made by the planner via the plan's access path.
+        ``annotation`` is the query: the :class:`~repro.engine.planner.BoundQuery` the job's
+        plan carries, used as is while the payload's schema is the very object it was bound
+        to and rebound from its annotation otherwise (fail closed), or a ``@HailQuery`` to
+        bind here.  ``adaptive`` carries the job's adaptive-indexing context: staged replicas
+        honour its checksum option, and a cancelled build (stale ``Dir_rep``) refunds its
+        budget slot.  The *decision* to build was already made by the planner via the plan's
+        access path.
         """
         from repro.hail.hail_block import HailBlock  # local: hail_block imports our kernels
 
@@ -135,15 +151,14 @@ class VectorizedExecutor:
                 "was the file uploaded with the HAIL pipeline?"
             )
         schema = payload.schema
-        predicate: Optional[Predicate] = None
-        projection: Optional[list[str]] = None
-        if annotation is not None:
-            predicate = annotation.bound_filter(schema)
-            projection = annotation.projection_names(schema)
+        bound = BoundQuery.of(annotation, schema)
+        predicate = bound.predicate
+        pax = payload.pax
+        read_indexes = bound.read_indexes(payload.pax_layout)
 
         pruning_allowed = self.zone_maps
         if plan.access_path is AccessPath.ZONE_MAP_SKIP:
-            skip = self._execute_zone_map_skip(plan, replica, payload, predicate, projection)
+            skip = self._execute_zone_map_skip(plan, replica, payload, bound, read_indexes)
             if skip is not None:
                 return skip
             # Verification failed: the Dir_rep synopsis was stale.  Fail closed — run the
@@ -174,23 +189,21 @@ class VectorizedExecutor:
                     windows, lookup.start_row, lookup.end_row
                 )
                 if zone_pruned_rows:
-                    columns = payload.columns_to_read(predicate, projection)
-                    column_bytes = payload.pax.projected_size_bytes(columns)
+                    column_bytes = pax.indexed_size_bytes(read_indexes)
                     zone_pruned_bytes = (
                         zone_pruned_rows / max(1, payload.num_records)
                     ) * column_bytes
 
-        matching_rows = kernels.filter_ranges(payload.pax, predicate, schema, windows)
-        projected = payload.project_rows(matching_rows, projection)
-        positions = self._projection_positions(schema, projection)
+        matching_rows = kernels.filter_ranges(pax, predicate, schema, windows)
+        projected = pax.project(matching_rows, bound.projection_indexes)
 
         seconds, read_bytes = self._charge_block(
             replica,
             payload,
             lookup,
             len(matching_rows),
-            predicate,
-            projection,
+            bound,
+            read_indexes,
             used_index,
             num_candidate_rows=lookup.num_rows - zone_pruned_rows,
         )
@@ -209,8 +222,8 @@ class VectorizedExecutor:
                     payload,
                     payload.whole_block_lookup(),
                     len(matching_rows),
-                    predicate,
-                    projection,
+                    bound,
+                    read_indexes,
                     used_index=False,
                 )
                 saved_seconds = max(0.0, scan_seconds - seconds)
@@ -226,21 +239,20 @@ class VectorizedExecutor:
                 plan.build_attribute = None
             else:
                 pending_build = self._build_adaptive(
-                    plan, replica, payload, predicate, projection, adaptive,
-                    scanned_bytes=read_bytes,
+                    plan, replica, payload, read_indexes, adaptive, scanned_bytes=read_bytes
                 )
                 seconds += plan.build_seconds
                 # The build fetched the columns the scan skipped: account those reads so
                 # BYTES_READ stays consistent with the charged I/O time.
                 read_bytes += pending_build.bytes_read
 
-        self._reconcile(plan, payload, used_index, projection, lookup, read_bytes)
+        self._reconcile(plan, payload, used_index, bound.projection, lookup, read_bytes)
         return BlockScanResult(
             plan=plan,
             schema=schema,
             rows=matching_rows,
             projected=projected,
-            positions=positions,
+            positions=bound.positions,
             bad_lines=list(payload.bad_lines),
             seconds=seconds,
             bytes_read=read_bytes,
@@ -256,8 +268,8 @@ class VectorizedExecutor:
         plan: BlockPlan,
         replica: Replica,
         payload,
-        predicate: Optional[Predicate],
-        projection: Optional[list[str]],
+        bound: BoundQuery,
+        read_indexes: Sequence[int],
     ) -> Optional[BlockScanResult]:
         """Execute a planner-ordered skip, or ``None`` when verification fails (fail closed).
 
@@ -268,6 +280,7 @@ class VectorizedExecutor:
         are always surfaced — skipping changes what is read, never what is returned).
         """
         schema = payload.schema
+        predicate = bound.predicate
         zone_map = payload.zone_map
         confirmed = (
             predicate is not None
@@ -278,8 +291,7 @@ class VectorizedExecutor:
             return None
         bad_bytes = payload.bad_records_size_bytes()
         seconds = self.cost.reader_setup() + self._charge_transfer(replica, bad_bytes)
-        columns = payload.columns_to_read(predicate, projection)
-        pruned_bytes = float(payload.pax.projected_size_bytes(columns))
+        pruned_bytes = float(payload.pax.indexed_size_bytes(read_indexes))
         plan.estimated_rows = 0
         plan.estimated_bytes = bad_bytes
         return BlockScanResult(
@@ -287,7 +299,7 @@ class VectorizedExecutor:
             schema=schema,
             rows=[],
             projected=[],
-            positions=self._projection_positions(schema, projection),
+            positions=bound.positions,
             bad_lines=list(payload.bad_lines),
             seconds=seconds,
             bytes_read=float(bad_bytes),
@@ -321,14 +333,12 @@ class VectorizedExecutor:
             raise TypeError(
                 f"TextRecordReader expects text replicas, found {payload.layout!r}"
             )
-        node = self.hdfs.cluster.node(self.node_id)
-        cpu = self.cost.cpu(node)
         block_bytes = payload.size_bytes()
         seconds = self.cost.reader_setup()
         seconds += self._charge_transfer(replica, block_bytes)
         # Finding line boundaries, splitting attributes and building per-row objects is the
         # CPU side of the full scan.
-        seconds += cpu.scan_text(
+        seconds += self._cpu.scan_text(
             self.cost.scale_bytes(block_bytes), self.cost.scale_count(len(payload.lines))
         )
         plan.estimated_rows = len(payload.lines)
@@ -343,8 +353,7 @@ class VectorizedExecutor:
         plan: BlockPlan,
         replica: Replica,
         payload,
-        predicate: Predicate,
-        projection: Optional[list[str]],
+        read_indexes: Sequence[int],
         adaptive: Optional[AdaptiveJobContext],
         scanned_bytes: float = 0.0,
     ) -> PendingIndexBuild:
@@ -369,7 +378,7 @@ class VectorizedExecutor:
         # shape is preserved instead of silently converging to PAX behaviour.
         block = payload.resorted(attribute)
         if plan.access_path is AccessPath.ADAPTIVE_INDEX_BUILD:
-            remaining_bytes = self._build_read_bytes(payload, predicate, projection)
+            remaining_bytes = self._build_read_bytes(payload, read_indexes)
         else:
             # Piggyback on an index scan: the scan read only the qualifying partitions of the
             # needed columns, so the build fetches the rest of the block's data.
@@ -416,10 +425,7 @@ class VectorizedExecutor:
         map task is single-threaded, unlike the upload pipeline which spreads this work over
         all cores of a datanode.
         """
-        node = self.hdfs.cluster.node(self.node_id)
-        disk = self.cost.disk(node)
-        cpu = self.cost.cpu(node)
-
+        cpu = self._cpu
         seconds = 0.0
         if remaining_bytes:
             seconds += self._charge_transfer(replica, remaining_bytes)
@@ -432,18 +438,16 @@ class VectorizedExecutor:
 
         replica_bytes = new_block.size_bytes()
         write_bytes = replica_bytes + checksum_file_size(replica_bytes)
-        seconds += disk.sequential_write(self.cost.scale_bytes(write_bytes))
+        seconds += self._disk.sequential_write(self.cost.scale_bytes(write_bytes))
         return seconds, float(write_bytes)
 
     @staticmethod
-    def _build_read_bytes(
-        payload, predicate: Optional[Predicate], projection: Optional[list[str]]
-    ) -> float:
+    def _build_read_bytes(payload, read_indexes: Sequence[int]) -> float:
         """Bytes of the columns an adaptive build must fetch beyond what the scan read."""
-        already_read = set(payload.columns_to_read(predicate, projection))
+        already_read = set(read_indexes)
         return float(
-            payload.pax.projected_size_bytes(
-                [name for name in payload.schema.field_names if name not in already_read]
+            payload.pax.indexed_size_bytes(
+                [index for index in range(len(payload.schema)) if index not in already_read]
             )
         )
 
@@ -454,16 +458,17 @@ class VectorizedExecutor:
         payload,
         lookup: IndexLookup,
         num_matching: int,
-        predicate: Optional[Predicate],
-        projection: Optional[list[str]],
+        bound: BoundQuery,
+        read_indexes: Sequence[int],
         used_index: bool,
         num_candidate_rows: Optional[int] = None,
     ) -> tuple[float, float]:
         from repro.hail.index import logical_index_size_bytes
 
-        node = self.hdfs.cluster.node(self.node_id)
-        disk = self.cost.disk(node)
-        cpu = self.cost.cpu(node)
+        disk = self._disk
+        cpu = self._cpu
+        pax = payload.pax
+        predicate = bound.predicate
         num_records = max(1, payload.num_records)
         # Zone-map partition pruning shrinks the candidate set below the lookup's row range;
         # callers pass the post-pruning count so the charged I/O matches what was read.
@@ -474,8 +479,7 @@ class VectorizedExecutor:
         candidate_rows = candidate_fraction * logical_rows
         qualifying_rows = qualifying_fraction * logical_rows
 
-        columns = payload.columns_to_read(predicate, projection)
-        column_bytes = payload.pax.projected_size_bytes(columns)
+        column_bytes = pax.indexed_size_bytes(read_indexes)
         candidate_bytes = candidate_fraction * column_bytes
         bad_bytes = payload.bad_records_size_bytes()
         read_bytes = candidate_bytes + bad_bytes
@@ -489,14 +493,11 @@ class VectorizedExecutor:
             seconds += disk.random_read(logical_index_bytes, num_seeks=1)
             # Read only the qualifying partitions: one seek per column minipage in PAX layout,
             # a single contiguous range in row layout (the Hadoop++ trojan blocks).
-            data_seeks = len(columns) if payload.pax_layout else 1
+            data_seeks = len(read_indexes) if payload.pax_layout else 1
             seconds += disk.random_read(self.cost.scale_bytes(read_bytes), num_seeks=data_seeks)
             # Post-filter only the candidate partitions.
             if predicate is not None:
-                filter_columns = predicate.attributes(payload.schema)
-                filter_bytes = candidate_fraction * payload.pax.projected_size_bytes(
-                    filter_columns
-                )
+                filter_bytes = candidate_fraction * pax.indexed_size_bytes(bound.filter_indexes)
                 seconds += cpu.post_filter(self.cost.scale_bytes(filter_bytes), candidate_rows)
         else:
             # Scan fallback: the needed columns (or whole rows) are read sequentially in full
@@ -504,26 +505,20 @@ class VectorizedExecutor:
             seconds += disk.sequential_read(self.cost.scale_bytes(read_bytes))
             if payload.pax_layout:
                 filter_bytes = candidate_bytes if predicate is None else (
-                    candidate_fraction
-                    * payload.pax.projected_size_bytes(predicate.attributes(payload.schema))
+                    candidate_fraction * pax.indexed_size_bytes(bound.filter_indexes)
                 )
                 seconds += cpu.post_filter(self.cost.scale_bytes(filter_bytes), candidate_rows)
             else:
                 seconds += cpu.scan_binary_rows(self.cost.scale_bytes(read_bytes), candidate_rows)
 
         if replica.datanode_id != self.node_id:
-            source = self.hdfs.cluster.node(replica.datanode_id)
-            locality = self.hdfs.cluster.locality(replica.datanode_id, self.node_id)
-            seconds += self.cost.network.transfer(
-                self.cost.scale_bytes(read_bytes), source.hardware, node.hardware, locality
-            )
+            seconds += self._network_seconds(replica, self.cost.scale_bytes(read_bytes))
 
         # Reconstruct the projected attributes of the qualifying tuples (PAX to row layout).
-        projection_names = projection if projection is not None else payload.schema.field_names
-        projected_bytes = qualifying_fraction * payload.pax.projected_size_bytes(
-            projection_names
-        )
         if payload.pax_layout:
+            projected_bytes = qualifying_fraction * pax.indexed_size_bytes(
+                bound.projection_indexes
+            )
             seconds += cpu.reconstruct_tuples(self.cost.scale_bytes(projected_bytes), qualifying_rows)
         else:
             # Row layout: qualifying tuples are already contiguous rows; only the per-record
@@ -534,14 +529,19 @@ class VectorizedExecutor:
 
     def _charge_transfer(self, replica: Replica, num_bytes: float) -> float:
         """Charge a sequential read of ``num_bytes`` from ``replica`` (remote adds network)."""
-        node = self.hdfs.cluster.node(self.node_id)
         scaled = self.cost.scale_bytes(num_bytes)
-        seconds = self.cost.disk(node).sequential_read(scaled)
+        seconds = self._disk.sequential_read(scaled)
         if replica.datanode_id != self.node_id:
-            source = self.hdfs.cluster.node(replica.datanode_id)
-            locality = self.hdfs.cluster.locality(replica.datanode_id, self.node_id)
-            seconds += self.cost.network.transfer(scaled, source.hardware, node.hardware, locality)
+            seconds += self._network_seconds(replica, scaled)
         return seconds
+
+    def _network_seconds(self, replica: Replica, scaled_bytes: float) -> float:
+        """Shipping ``scaled_bytes`` from ``replica``'s datanode to the executing node."""
+        source = self.hdfs.cluster.node(replica.datanode_id)
+        locality = self.hdfs.cluster.locality(replica.datanode_id, self.node_id)
+        return self.cost.network.transfer(
+            scaled_bytes, source.hardware, self._node.hardware, locality
+        )
 
     # ------------------------------------------------------------------ helpers
     def _open(self, plan: BlockPlan) -> Replica:
@@ -554,7 +554,7 @@ class VectorizedExecutor:
         plan: BlockPlan,
         payload,
         used_index: bool,
-        projection: Optional[list[str]],
+        projection: Optional[tuple[str, ...]],
         lookup: IndexLookup,
         read_bytes: float,
     ) -> None:
@@ -583,9 +583,3 @@ class VectorizedExecutor:
             plan.fallback_reason = plan.fallback_reason or "replica payload disagreed with Dir_rep"
         plan.estimated_rows = lookup.num_rows
         plan.estimated_bytes = read_bytes
-
-    @staticmethod
-    def _projection_positions(schema: Schema, projection: Optional[list[str]]) -> tuple[int, ...]:
-        if projection is None:
-            return tuple(range(1, len(schema) + 1))
-        return tuple(schema.position_of(name) for name in projection)

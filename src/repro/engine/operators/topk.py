@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.engine.planner import BoundQuery
 from repro.hail.annotation import HailQuery
 from repro.hail.predicate import Comparison, Operator, Predicate
+from repro.hdfs.errors import ReplicaNotFoundError
 from repro.layouts.zonemap import ranges_disjoint
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobResult, unkeyed
@@ -200,7 +202,8 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     bounds = {bid: _block_bound(system, bid, query.order_by) for bid in block_ids}
 
     planner = system._planner()
-    base_annotation = HailQuery(filter=query.predicate, projection=None)
+    # Bound once: a block probed without a threshold clause reuses it as is.
+    base_query = BoundQuery.bind(HailQuery(filter=query.predicate, projection=None), schema)
     base_clauses = tuple(query.predicate.clauses) if query.predicate is not None else ()
     counters = Counters()
     top: list[tuple] = []
@@ -209,20 +212,24 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     blocks_skipped = 0
 
     for block_id in _visit_order(bounds, query.descending):
-        annotation = base_annotation
+        probe = base_query
         if len(top) >= query.k:
             threshold = _threshold_clause(query, top[query.k - 1][order_index])
             bound = bounds[block_id]
             if bound is not None and ranges_disjoint(*threshold.value_range(), *bound):
                 blocks_skipped += 1
                 continue
-            annotation = HailQuery(filter=Predicate(base_clauses + (threshold,)), projection=None)
+            probe = BoundQuery.bind(
+                HailQuery(filter=Predicate(base_clauses + (threshold,)), projection=None), schema
+            )
         # adaptive=None: top-k probes must not stage index builds as a side effect.
-        plan = planner.plan_block(block_id, annotation=annotation)
+        plan = planner.plan_block(block_id, annotation=probe)
+        if plan.datanode_id < 0:  # the probe runs on the replica's node: there is none
+            raise ReplicaNotFoundError(f"no alive replica of block {block_id}")
         executor = VectorizedExecutor(
             system.hdfs, system.cost, node_id=plan.datanode_id, zone_maps=planner.zone_maps
         )
-        result = executor.execute(plan, annotation)
+        result = executor.execute(plan, probe)
         seconds += result.seconds
         slowest = max(slowest, result.seconds)
         counters.increment(Counters.BYTES_READ, result.bytes_read)

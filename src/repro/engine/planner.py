@@ -12,13 +12,18 @@ every alive indexed host (``BlockPlan.index_hosts``, which HAIL's split phase tu
 ``InputSplit.index_locations``).  HAIL plans each block once, in
 the split phase; its record readers execute that plan (:meth:`PhysicalPlanner.for_execution`)
 and re-plan only a block whose pinned replica died or changed since.
+
+The job's ``@HailQuery`` is bound to the file's schema once, too: :meth:`PhysicalPlanner._bind`
+turns it into one immutable :class:`BoundQuery` (typed predicate, projection names, the column
+indexes every block's reads and reconstruction use) that the :class:`QueryPlan` carries, so
+the per-block planning steps and the executor read bound fields instead of re-deriving them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext
@@ -71,14 +76,90 @@ def choose_indexed_host(
     return _pick(_index_walk(namenode, block_id, attributes), prefer_node)
 
 
+@dataclass(frozen=True)
+class BoundQuery:
+    """A job's ``@HailQuery`` bound to one schema: everything per-block work reads of the query.
+
+    Built once per job (:meth:`PhysicalPlanner._bind`) and carried by its :class:`QueryPlan`.
+    Column indexes are 0-based; ``positions`` are the 1-based ``HailRecord`` positions of the
+    projected attributes.  Without a projection every attribute is projected (and read).
+    """
+
+    schema: Optional[Schema]
+    annotation: Optional[HailQuery]
+    predicate: Optional[Predicate]
+    #: Projected attribute names, or ``None`` for "all attributes".
+    projection: Optional[tuple[str, ...]]
+    #: Filter attribute names in clause order, duplicates removed.
+    filter_attributes: tuple[str, ...]
+    filter_indexes: tuple[int, ...]
+    projection_indexes: tuple[int, ...]
+    positions: tuple[int, ...]
+    #: Columns a scan of a PAX replica fetches (see :meth:`read_indexes`).
+    pax_read_indexes: tuple[int, ...]
+
+    @classmethod
+    def bind(cls, annotation: Optional[HailQuery], schema: Optional[Schema]) -> BoundQuery:
+        """Bind ``annotation`` to ``schema`` (no filter and no projection without a schema)."""
+        predicate = projection = None
+        if annotation is not None and schema is not None:
+            predicate = annotation.bound_filter(schema)
+            names = annotation.projection_names(schema)
+            projection = tuple(names) if names is not None else None
+        attributes = tuple(predicate.attributes(schema)) if predicate is not None else ()
+        every_column = tuple(range(len(schema))) if schema is not None else ()
+        if projection is None:
+            projection_indexes = read_indexes = every_column
+        else:
+            projection_indexes = tuple(map(schema.index_of, projection))
+            read_indexes = tuple(map(schema.index_of, dict.fromkeys(attributes + projection)))
+        return cls(
+            schema=schema,
+            annotation=annotation,
+            predicate=predicate,
+            projection=projection,
+            filter_attributes=attributes,
+            filter_indexes=tuple(map(schema.index_of, attributes)) if attributes else (),
+            projection_indexes=projection_indexes,
+            positions=tuple(index + 1 for index in projection_indexes),
+            pax_read_indexes=read_indexes,
+        )
+
+    @classmethod
+    def of(cls, query: Union[HailQuery, BoundQuery, None], schema: Schema) -> BoundQuery:
+        """``query`` bound to ``schema``: a :class:`BoundQuery` bound to this very schema object
+        as is; one bound to any other schema is rebound from its annotation (fail closed), and
+        an annotation (or ``None``) is bound now."""
+        if isinstance(query, BoundQuery):
+            if query.schema is schema:
+                return query
+            query = query.annotation
+        return cls.bind(query, schema)
+
+    def read_indexes(self, pax_layout: bool) -> Sequence[int]:
+        """The columns an index or PAX scan fetches: the filter columns, then the projected ones
+        (every column without a projection).  A row-layout replica stores whole rows, so a scan
+        of one reads every column."""
+        return self.pax_read_indexes if pax_layout else range(len(self.schema))
+
+
 @dataclass
 class QueryPlan:
     """The physical plan of one query over one file: one :class:`BlockPlan` per block."""
 
     path: str
-    filter_attributes: tuple[str, ...]
-    projection: Optional[tuple[str, ...]]
+    bound: BoundQuery
     block_plans: list[BlockPlan] = field(default_factory=list)
+
+    @property
+    def filter_attributes(self) -> tuple[str, ...]:
+        """The query's filter attribute names, in clause order."""
+        return self.bound.filter_attributes
+
+    @property
+    def projection(self) -> Optional[tuple[str, ...]]:
+        """The projected attribute names, or ``None`` for all attributes."""
+        return self.bound.projection
 
     # ------------------------------------------------------------------ aggregates
     @property
@@ -186,18 +267,15 @@ class PhysicalPlanner:
         """
         return self._bind(path, annotation)[0]
 
-    def _bind(
-        self, path: str, annotation: Optional[HailQuery]
-    ) -> tuple[QueryPlan, list[int], Optional[Schema], Optional[Predicate]]:
-        """:meth:`query_frame` plus what it was bound from: block ids, schema, predicate."""
+    def _bind(self, path: str, annotation: Optional[HailQuery]) -> tuple[QueryPlan, list[int]]:
+        """:meth:`query_frame` plus the block ids it was bound for.
+
+        The query is bound once, to the schema of the file's first block (a file has one).
+        """
         namenode = self.hdfs.namenode
         block_ids = namenode.file_blocks(path)
         schema = namenode.logical_block(block_ids[0]).schema if block_ids else None
-        predicate = self._bound_predicate(annotation, schema)
-        projection = self._bound_projection(annotation, schema)
-        attributes = tuple(predicate.attributes(schema)) if predicate is not None else ()
-        frame = QueryPlan(path=path, filter_attributes=attributes, projection=projection)
-        return frame, block_ids, schema, predicate
+        return QueryPlan(path=path, bound=BoundQuery.bind(annotation, schema)), block_ids
 
     def plan_query(
         self,
@@ -207,15 +285,13 @@ class PhysicalPlanner:
         preferred_replicas: Optional[dict[int, int]] = None,
     ) -> QueryPlan:
         """Plan every block of ``path`` for the query described by ``annotation``."""
-        plan, block_ids, schema, predicate = self._bind(path, annotation)
+        plan, block_ids = self._bind(path, annotation)
         preferred_replicas = preferred_replicas or {}
         for block_id in block_ids:
             plan.block_plans.append(
                 self._plan_block(
                     block_id,
-                    schema,
-                    predicate,
-                    plan.projection,
+                    plan.bound,
                     preferred=preferred_replicas.get(block_id),
                     prefer_node=prefer_node,
                 )
@@ -225,31 +301,29 @@ class PhysicalPlanner:
     def plan_block(
         self,
         block_id: int,
-        annotation: Optional[HailQuery] = None,
+        annotation: Union[HailQuery, BoundQuery, None] = None,
         preferred: Optional[int] = None,
         prefer_node: Optional[int] = None,
         adaptive: Optional[AdaptiveJobContext] = None,
     ) -> BlockPlan:
         """Plan a single block (the record readers' re-planning entry point).
 
-        ``adaptive`` is the job's adaptive-indexing policy; asking it charges the job's build
-        budget, so only a plan that will execute may pass it (see :meth:`for_execution`) —
-        the split-phase :meth:`plan_query` pass never does.
+        ``annotation`` is the job's ``@HailQuery`` (bound here, once per call) or the
+        :class:`BoundQuery` its plan carries (used as is while the block's schema is the one it
+        was bound to).  ``adaptive`` is the job's adaptive-indexing policy; asking it charges
+        the job's build budget, so only a plan that will execute may pass it (see
+        :meth:`for_execution`) — the split-phase :meth:`plan_query` pass never does.
         """
-        schema = self.hdfs.namenode.logical_block(block_id).schema
-        predicate = self._bound_predicate(annotation, schema)
-        projection = self._bound_projection(annotation, schema)
-        plan = self._plan_block(
-            block_id, schema, predicate, projection, preferred=preferred, prefer_node=prefer_node
-        )
+        bound = BoundQuery.of(annotation, self.hdfs.namenode.logical_block(block_id).schema)
+        plan = self._plan_block(block_id, bound, preferred=preferred, prefer_node=prefer_node)
         if adaptive is not None:
-            self._mark_execution(plan, schema, predicate, adaptive)
+            self._mark_execution(plan, bound, adaptive)
         return plan
 
     def for_execution(
         self,
         plan: BlockPlan,
-        annotation: Optional[HailQuery],
+        bound: BoundQuery,
         adaptive: Optional[AdaptiveJobContext],
     ) -> BlockPlan:
         """A copy of ``plan`` to execute, carrying this execution's adaptive marks.
@@ -261,16 +335,14 @@ class PhysicalPlanner:
         plan = replace(plan)
         if adaptive is not None:
             schema = self.hdfs.namenode.logical_block(plan.block_id).schema
-            self._mark_execution(plan, schema, self._bound_predicate(annotation, schema), adaptive)
+            self._mark_execution(plan, BoundQuery.of(bound, schema), adaptive)
         return plan
 
     # ------------------------------------------------------------------ internals
     def _plan_block(
         self,
         block_id: int,
-        schema: Optional[Schema],
-        predicate: Optional[Predicate],
-        projection: Optional[tuple[str, ...]],
+        bound: BoundQuery,
         preferred: Optional[int],
         prefer_node: Optional[int],
     ) -> BlockPlan:
@@ -284,7 +356,7 @@ class PhysicalPlanner:
                 fallback_reason="no alive replica",
             )
 
-        attributes = predicate.attributes(schema) if predicate is not None else ()
+        attributes = bound.filter_attributes
         walk = _index_walk(namenode, block_id, attributes)
         index_hosts = tuple(dict.fromkeys(host for _, indexed in walk for host in indexed))
         choice = _pick(walk, prefer_node)
@@ -299,8 +371,10 @@ class PhysicalPlanner:
 
         info = namenode.replica_info(block_id, datanode_id)
         skip_attribute = None
-        if self.zone_maps and predicate is not None and schema is not None:
-            skip_attribute = self._zone_map_skip(block_id, datanode_id, predicate, schema)
+        if self.zone_maps and bound.predicate is not None:
+            skip_attribute = self._zone_map_skip(
+                block_id, datanode_id, bound.predicate, bound.schema
+            )
         if skip_attribute is not None:
             # A block no row of which can match neither stages a build (see _mark_execution)
             # nor counts as an index-scan fallback.
@@ -313,19 +387,15 @@ class PhysicalPlanner:
                 estimated_bytes=0,
             )
         else:
-            plan = self._classify(block_id, datanode_id, info, schema, predicate, projection)
-            if predicate is not None and schema is not None and not plan.uses_index:
+            plan = self._classify(block_id, datanode_id, info, bound)
+            if bound.predicate is not None and not plan.uses_index:
                 plan.fallback_reason = self._fallback_reason(block_id, attributes)
         plan.index_hosts = index_hosts
         plan.replica_info = info
         return plan
 
     def _mark_execution(
-        self,
-        plan: BlockPlan,
-        schema: Optional[Schema],
-        predicate: Optional[Predicate],
-        adaptive: AdaptiveJobContext,
+        self, plan: BlockPlan, bound: BoundQuery, adaptive: AdaptiveJobContext
     ) -> None:
         """The execution-only step of a plan: index-usage touch, then the build offers."""
         if plan.datanode_id < 0 or plan.access_path is AccessPath.ZONE_MAP_SKIP:
@@ -340,12 +410,12 @@ class PhysicalPlanner:
             if key not in adaptive.usage_touches:
                 adaptive.usage_touches.add(key)
                 self.hdfs.namenode.touch_index_usage(*key)
-        if predicate is None or schema is None:
+        if bound.predicate is None:
             return
         if plan.uses_index:
-            self._mark_secondary_build(plan, predicate, schema, adaptive)
+            self._mark_secondary_build(plan, bound.filter_attributes, adaptive)
         else:
-            self._mark_adaptive_build(plan, predicate, schema, adaptive)
+            self._mark_adaptive_build(plan, bound.filter_attributes, adaptive)
 
     def _zone_map_skip(
         self, block_id: int, datanode_id: int, predicate: Predicate, schema: Schema
@@ -393,10 +463,7 @@ class PhysicalPlanner:
 
     @staticmethod
     def _mark_adaptive_build(
-        plan: BlockPlan,
-        predicate: Predicate,
-        schema: Schema,
-        adaptive: AdaptiveJobContext,
+        plan: BlockPlan, attributes: tuple[str, ...], adaptive: AdaptiveJobContext
     ) -> None:
         """Upgrade an index-less scan to an :attr:`ADAPTIVE_INDEX_BUILD` when the policy offers.
 
@@ -406,7 +473,6 @@ class PhysicalPlanner:
         """
         if plan.access_path not in (AccessPath.FULL_SCAN, AccessPath.PAX_PROJECTION_SCAN):
             return
-        attributes = predicate.attributes(schema)
         if not attributes:
             return
         attribute = attributes[0]
@@ -415,11 +481,7 @@ class PhysicalPlanner:
             plan.build_attribute = attribute
 
     def _mark_secondary_build(
-        self,
-        plan: BlockPlan,
-        predicate: Predicate,
-        schema: Schema,
-        adaptive: AdaptiveJobContext,
+        self, plan: BlockPlan, attributes: tuple[str, ...], adaptive: AdaptiveJobContext
     ) -> None:
         """Offer a *piggyback* build on the next uncovered filter attribute (multi-attribute).
 
@@ -433,7 +495,7 @@ class PhysicalPlanner:
         if not adaptive.multi_attribute:
             return
         namenode = self.hdfs.namenode
-        for attribute in predicate.attributes(schema):
+        for attribute in attributes:
             if attribute == plan.attribute:
                 continue
             if namenode.hosts_with_index(plan.block_id, attribute, alive_only=True):
@@ -447,9 +509,7 @@ class PhysicalPlanner:
         block_id: int,
         datanode_id: int,
         info: Any,
-        schema: Optional[Schema],
-        predicate: Optional[Predicate],
-        projection: Optional[tuple[str, ...]],
+        bound: BoundQuery,
     ) -> BlockPlan:
         """Derive the access path of the chosen replica from its ``Dir_rep`` entry ``info``."""
         logical = self.hdfs.namenode.logical_block(block_id)
@@ -462,17 +522,12 @@ class PhysicalPlanner:
         pax_layout = has_info and info.pax_layout
 
         attribute: Optional[str] = None
-        if (
-            predicate is not None
-            and indexed_attribute is not None
-            and schema is not None
-            and predicate.clause_for(indexed_attribute, schema) is not None
-        ):
+        if indexed_attribute is not None and indexed_attribute in bound.filter_attributes:
             attribute = indexed_attribute
             access_path = (
                 AccessPath.TROJAN_INDEX_SCAN if index_type == "trojan" else AccessPath.INDEX_SCAN
             )
-        elif pax_layout and projection is not None:
+        elif pax_layout and bound.projection is not None:
             # Only a projection prunes minipages: a predicate-only scan must still read every
             # column to reconstruct the full tuples it emits.
             access_path = AccessPath.PAX_PROJECTION_SCAN
@@ -487,20 +542,3 @@ class PhysicalPlanner:
             estimated_rows=num_records,
             estimated_bytes=block_bytes,
         )
-
-    @staticmethod
-    def _bound_predicate(
-        annotation: Optional[HailQuery], schema: Optional[Schema]
-    ) -> Optional[Predicate]:
-        if annotation is None or annotation.filter is None or schema is None:
-            return None
-        return annotation.bound_filter(schema)
-
-    @staticmethod
-    def _bound_projection(
-        annotation: Optional[HailQuery], schema: Optional[Schema]
-    ) -> Optional[tuple[str, ...]]:
-        if annotation is None or annotation.projection is None or schema is None:
-            return None
-        names = annotation.projection_names(schema)
-        return tuple(names) if names is not None else None

@@ -276,23 +276,6 @@ class HailBlock(BlockPayload):
         indexes = [self.schema.index_of(name) for name in attribute_names]
         return self.pax.project(rows, indexes)
 
-    def columns_to_read(self, predicate: Optional[Predicate], projection: Optional[Sequence[str]]) -> list[str]:
-        """Attribute columns an index scan or PAX scan must fetch from disk."""
-        if not self.pax_layout:
-            # Row layout: every qualifying byte range contains whole rows, all attributes.
-            return self.schema.field_names
-        names: list[str] = []
-        if predicate is not None:
-            for name in predicate.attributes(self.schema):
-                if name not in names:
-                    names.append(name)
-        if projection is None:
-            return self.schema.field_names
-        for name in projection:
-            if name not in names:
-                names.append(name)
-        return names
-
     # ------------------------------------------------------------------ variable-size access
     @property
     def variable_offsets(self) -> dict[str, list[int]]:

@@ -15,7 +15,9 @@ Every other block is re-planned by the :class:`~repro.engine.planner.PhysicalPla
 unpinned block (default splitting without an index chooses the local replica), the Figure 8
 failover (pinned host dead), a replica a concurrent job's commit, eviction or migration
 replaced (fail closed), and every block of Hadoop++'s trojan format (no plan).  Either way a
-copy of the plan goes to the :class:`~repro.engine.executor.VectorizedExecutor`, which
+copy of the plan goes to the :class:`~repro.engine.executor.VectorizedExecutor`, together with
+the plan's :class:`~repro.engine.planner.BoundQuery` — the job's ``@HailQuery`` bound to the
+file's schema once, in the split phase (a reader handed no plan binds it once, itself) — which
 
 1. opens an input stream to the planned replica (the one carrying the matching clustered index;
    standard scanning when no matching index is alive),
@@ -41,7 +43,7 @@ from repro.engine.access_path import BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext
 from repro.engine.executor import BlockScanResult, VectorizedExecutor
 from repro.engine.planner import PhysicalPlanner, QueryPlan
-from repro.hail.annotation import HailQuery, resolve_annotation
+from repro.hail.annotation import resolve_annotation
 from repro.hail.record import HailRecord
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
@@ -80,20 +82,21 @@ class HailRecordReader(RecordReader):
     ) -> None:
         super().__init__(split, hdfs, cost, node_id)
         self.jobconf = jobconf
-        self.annotation: Optional[HailQuery] = resolve_annotation(jobconf)
         self.planner = PhysicalPlanner(hdfs, zone_maps=zone_maps)
         self.executor = VectorizedExecutor(hdfs, cost, node_id, zone_maps=zone_maps)
         #: The job's adaptive-indexing policy; ``None`` keeps the reader purely read-only.
         self.adaptive = adaptive
-        #: The split phase's plan, or an empty frame of it when the format carries none.
+        #: The split phase's plan, or an empty frame of it (the job's query bound here) when
+        #: the format carries none.
         if plan is None:
-            plan = self.planner.query_frame(split.path, self.annotation)
+            plan = self.planner.query_frame(split.path, resolve_annotation(jobconf))
         self.plan = plan
 
     # ------------------------------------------------------------------ iteration
     def batches(self) -> Iterator[BlockScanResult]:
         """One :class:`~repro.engine.executor.BlockScanResult` per block: plan, execute, count."""
-        attributes = self.plan.filter_attributes
+        bound = self.plan.bound
+        attributes = bound.filter_attributes
         # Fallbacks are attributed to the query's *first* filter attribute — the same
         # attribute an adaptive build of the block would target.  The slices feed the split
         # tuner ledgers and the placement balancer's demand tracking.
@@ -103,12 +106,12 @@ class HailRecordReader(RecordReader):
             if plan is None:
                 plan = self.planner.plan_block(
                     block_id,
-                    annotation=self.annotation,
+                    annotation=bound,
                     preferred=self.split.preferred_replicas.get(block_id),
                     prefer_node=self.node_id,
                 )
-            plan = self.planner.for_execution(plan, self.annotation, self.adaptive)
-            scan = self.executor.execute(plan, self.annotation, adaptive=self.adaptive)
+            plan = self.planner.for_execution(plan, bound, self.adaptive)
+            scan = self.executor.execute(plan, bound, adaptive=self.adaptive)
             self.block_plans.append(scan.plan)
             self.read_seconds += scan.seconds
             self.bytes_read += scan.bytes_read
@@ -149,7 +152,10 @@ class HailRecordReader(RecordReader):
         if plan is None or self.split.preferred_replicas.get(block_id) != plan.datanode_id:
             return None
         namenode = self.hdfs.namenode
-        if plan.datanode_id not in namenode.block_datanodes(block_id, alive_only=True):
+        if not (
+            self.hdfs.cluster.node(plan.datanode_id).is_alive
+            and namenode.has_replica(block_id, plan.datanode_id)
+        ):
             return None
         if namenode.replica_info(block_id, plan.datanode_id) is not plan.replica_info:
             return None

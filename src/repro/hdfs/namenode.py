@@ -167,6 +167,10 @@ class NameNode:
             return list(datanodes)
         return [nid for nid in datanodes if self._cluster.node(nid).is_alive]
 
+    def has_replica(self, block_id: int, datanode_id: int) -> bool:
+        """True when ``Dir_block[block_id]`` lists ``datanode_id`` (alive or not)."""
+        return datanode_id in self._dir_block.get(block_id, ())
+
     def block_locations(self, path: str, alive_only: bool = True) -> list[BlockLocation]:
         """``BlockLocation[]`` for every block of ``path`` (what the JobClient fetches)."""
         locations = []

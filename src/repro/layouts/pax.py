@@ -235,7 +235,11 @@ class PaxBlock:
 
     def projected_size_bytes(self, attribute_names: Sequence[str]) -> int:
         """Binary size of just the named columns (what a projection must read)."""
-        return sum(map(self._column_size_at, map(self.schema.index_of, attribute_names)))
+        return self.indexed_size_bytes(map(self.schema.index_of, attribute_names))
+
+    def indexed_size_bytes(self, indexes: Iterable[int]) -> int:
+        """Binary size of the columns at ``indexes`` (0-based), from their carried sizes."""
+        return sum(map(self._column_size_at, indexes))
 
     def _token_bytes(self, index: int, rows: int, sample: int) -> tuple[int, int]:
         """UTF-8 bytes of one column's first ``rows`` text tokens, and of the first ``sample``

@@ -9,8 +9,10 @@ import pytest
 from repro.cluster import CostParameters, DiskPressurePolicy
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine.lifecycle import AdaptiveLifecycleManager
+from repro.engine.planner import BoundQuery
 from repro.hail import HailBlock, HailConfig
 from repro.mapreduce.job_tracker import ConcurrencyPolicy
+from repro.hail.annotation import HailQuery
 from repro.hail.predicate import Predicate
 from repro.hail.sortindex import is_sorted
 
@@ -299,16 +301,25 @@ def test_project_rows_and_columns_to_read(uservisits_block):
     assert all(len(p) == 1 for p in projected)
     all_attrs = uservisits_block.project_rows(rows[:1], None)
     assert len(all_attrs[0]) == len(USERVISITS_SCHEMA)
-    columns = uservisits_block.columns_to_read(predicate, ["sourceIP"])
+    columns = _columns_to_read(uservisits_block, predicate, ["sourceIP"])
     assert columns == ["visitDate", "sourceIP"]
-    assert uservisits_block.columns_to_read(None, None) == USERVISITS_SCHEMA.field_names
+    assert _columns_to_read(uservisits_block, None, None) == USERVISITS_SCHEMA.field_names
 
 
 def test_columns_to_read_row_layout_returns_all(uservisits_block):
     uservisits_block.pax_layout = False
     predicate = Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1))
-    assert uservisits_block.columns_to_read(predicate, ["sourceIP"]) == USERVISITS_SCHEMA.field_names
+    assert _columns_to_read(uservisits_block, predicate, ["sourceIP"]) == USERVISITS_SCHEMA.field_names
     uservisits_block.pax_layout = True
+
+
+def _columns_to_read(block, predicate, projection):
+    """The column names a scan of ``block`` fetches for the query, by the bound query's rule."""
+    annotation = HailQuery(
+        filter=predicate, projection=tuple(projection) if projection is not None else None
+    )
+    bound = BoundQuery.bind(annotation, block.schema)
+    return [block.schema.fields[index].name for index in bound.read_indexes(block.pax_layout)]
 
 
 def test_bad_records_kept_in_block(uservisits_sample):
