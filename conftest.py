@@ -12,6 +12,8 @@ from __future__ import annotations
 SMOKE_FIRST = (
     # Call-count guards and the kernel wall-clock floor: fail as a count before any stopwatch.
     "benchmarks/test_engine_filter.py",
+    "tests/test_engine_kernels.py",
+    "tests/test_block_leftovers.py",
     "tests/test_size_accounting.py",
     "tests/test_upload_once.py",
     "tests/test_block_batches.py",

@@ -9,7 +9,8 @@ privately inside their record readers:
 - :mod:`repro.engine.executor`    — :class:`VectorizedExecutor` evaluating predicates
   column-at-a-time over PAX partitions and charging the simulated RecordReader cost;
 - :mod:`repro.engine.kernels`     — the columnar filter kernels the executor dispatches to:
-  a pure-Python reference backend and an optional numpy fast path (``set_backend``);
+  a pure-Python reference backend and an optional numpy fast path (``set_backend``) that
+  runs only on windows wide enough for it to win;
 - :mod:`repro.engine.adaptive`    — LIAH-style adaptive indexing: full scans stage indexed
   replicas as a by-product (:class:`PendingIndexBuild`), which HAIL's input format registers
   failure-safely after the map phase (:func:`commit_adaptive_builds`);

@@ -21,6 +21,13 @@ module replaces that pipeline with two interchangeable backends behind one dispa
   guaranteed — non-numeric columns, operands outside the int64 range, or int/float
   cross-comparisons past 2**53 where float64 rounding could flip a bound.
 
+Which kernel runs is decided by the window, not by a setting: numpy pays a fixed cost of
+about ten microseconds per clause per call, which the reference backend's scan beats on
+narrow windows — and the windows an index scan hands over are narrow (a clustered index keeps
+a few partitions of a block).  So on the numpy backend a window (or, for
+:func:`filter_ranges`, the hull of its windows) narrower than :data:`_NUMPY_MIN_ROWS` runs the
+reference backend; "numpy" means "numpy where it wins".
+
 The Hadoop baseline's text block parser filters its parsed columns through the same scan
 table (:func:`clause_positions`).  Both backends are bit-for-bit equivalent by construction
 and by test (``tests/test_engine_kernels.py`` cross-checks them against each other and
@@ -53,6 +60,12 @@ HAVE_NUMPY: bool = _np is not None
 #: this bound may round differently under numpy than under Python and force the fallback.
 _EXACT_FLOAT_INT = 2**53
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: Narrowest window (rows) the numpy backend evaluates.  Below it the reference backend is
+#: faster: numpy's fixed cost per clause per call (``frombuffer``, comparisons, mask AND,
+#: ``flatnonzero``) outweighs its per-row saving up to about 250 rows, for one clause and
+#: for two (see docs/performance.md, "Kernel dispatch by window size").
+_NUMPY_MIN_ROWS = 224
 
 #: The backend :func:`filter_range` dispatches to; a process starts on numpy when available.
 _backend: str = "numpy" if HAVE_NUMPY else "python"
@@ -98,13 +111,15 @@ def filter_range(
 ) -> list[int]:
     """Row ids in ``[start, end)`` satisfying ``predicate``, via the active backend.
 
-    ``predicate=None`` selects the whole window.  The numpy backend silently defers to the
-    reference backend for windows it cannot evaluate with guaranteed-identical semantics
-    (non-numeric columns, out-of-range operands); results are backend-independent either way.
+    ``predicate=None`` selects the whole window.  The numpy backend evaluates only windows of
+    at least :data:`_NUMPY_MIN_ROWS` rows; a narrower one runs the reference backend, which
+    is faster there.  It also silently defers to the reference backend for windows it cannot
+    evaluate with guaranteed-identical semantics (non-numeric columns, out-of-range
+    operands); results are backend-independent either way.
     """
     if predicate is None or start >= end:
         return list(range(start, end))
-    if _backend == "numpy":
+    if _backend == "numpy" and end - start >= _NUMPY_MIN_ROWS:
         result = _filter_range_numpy(pax, predicate, schema, start, end)
         if result is not None:
             return result
@@ -123,19 +138,19 @@ def filter_ranges(
     partitions may match, and the concatenation of per-window results is in ascending row
     order because the windows are.
 
-    On the numpy backend a multi-window block is **one** kernel call: the predicate runs over
-    the hull ``[windows[0].start, windows[-1].end)`` with the windows as a boolean keep-mask
-    seeded into the clause masks, so a row in a gap is never reported whatever its values (a
-    stale synopsis cannot leak a pruned row back in).  Whenever that call declines — or the
-    python backend is active — the per-window loop over :func:`filter_range` runs instead and
-    is the reference the hull path is tested against.
+    On the numpy backend a multi-window block whose hull ``[windows[0].start,
+    windows[-1].end)`` spans at least :data:`_NUMPY_MIN_ROWS` rows is **one** kernel call
+    (:func:`_filter_ranges_numpy`).  Whenever that call declines — or the hull is narrower,
+    or the python backend is active — the per-window loop over :func:`filter_range` runs
+    instead and is the reference the hull path is tested against.
     """
-    if len(windows) > 1 and predicate is not None and _backend == "numpy":
-        hull_start, hull_end = windows[0][0], windows[-1][1]
-        keep = _np.zeros(hull_end - hull_start, dtype=bool)
-        for start, end in windows:
-            keep[start - hull_start : end - hull_start] = True
-        result = _filter_range_numpy(pax, predicate, schema, hull_start, hull_end, keep)
+    if (
+        len(windows) > 1
+        and predicate is not None
+        and _backend == "numpy"
+        and windows[-1][1] - windows[0][0] >= _NUMPY_MIN_ROWS
+    ):
+        result = _filter_ranges_numpy(pax, predicate, schema, windows)
         if result is not None:
             return result
     matching: list[int] = []
@@ -252,3 +267,22 @@ def _filter_range_numpy(
         if not mask.any():
             return []
     return (np.flatnonzero(mask) + start).tolist()
+
+
+def _filter_ranges_numpy(
+    pax: "PaxBlock",
+    predicate: "Predicate",
+    schema: "Schema",
+    windows: Sequence[tuple[int, int]],
+) -> Optional[list[int]]:
+    """The numpy hull path of :func:`filter_ranges`, or ``None`` when numpy declines.
+
+    The predicate runs over the hull of ``windows`` with the windows as a boolean keep-mask
+    seeded into the clause masks, so a row in a gap is never reported whatever its values (a
+    stale synopsis cannot leak a pruned row back in).
+    """
+    hull_start, hull_end = windows[0][0], windows[-1][1]
+    keep = _np.zeros(hull_end - hull_start, dtype=bool)
+    for start, end in windows:
+        keep[start - hull_start : end - hull_start] = True
+    return _filter_range_numpy(pax, predicate, schema, hull_start, hull_end, keep)

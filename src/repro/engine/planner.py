@@ -21,7 +21,8 @@ the per-block planning steps and the executor read bound fields instead of re-de
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
@@ -38,11 +39,12 @@ if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports u
 
 
 def _index_walk(
-    namenode: NameNode, block_id: int, attributes: Sequence[str]
+    namenode: NameNode, block_id: int, attributes: Sequence[str], hosts: Sequence[int]
 ) -> list[tuple[str, list[int]]]:
-    """``getHostsWithIndex`` per attribute, in order: ``(attribute, alive indexed hosts)``."""
+    """``getHostsWithIndex`` per attribute, in order, over ``hosts`` (the block's alive
+    holders): ``(attribute, alive indexed hosts)``."""
     return [
-        (attribute, namenode.hosts_with_index(block_id, attribute, alive_only=True))
+        (attribute, namenode.indexed_among(block_id, attribute, hosts))
         for attribute in attributes
     ]
 
@@ -73,7 +75,8 @@ def choose_indexed_host(
     Returns ``(datanode_id, attribute)`` or ``None`` when no alive replica has a matching index
     — in which case HAIL falls back to standard scanning and scheduling.
     """
-    return _pick(_index_walk(namenode, block_id, attributes), prefer_node)
+    hosts = namenode.block_datanodes(block_id, alive_only=True)
+    return _pick(_index_walk(namenode, block_id, attributes, hosts), prefer_node)
 
 
 @dataclass(frozen=True)
@@ -332,7 +335,7 @@ class PhysicalPlanner:
         (the split phase's) is never handed to it; the marks — index-usage touch, adaptive and
         piggyback build offers — belong to one execution, not to the plan.
         """
-        plan = replace(plan)
+        plan = copy(plan)
         if adaptive is not None:
             schema = self.hdfs.namenode.logical_block(plan.block_id).schema
             self._mark_execution(plan, BoundQuery.of(bound, schema), adaptive)
@@ -357,7 +360,7 @@ class PhysicalPlanner:
             )
 
         attributes = bound.filter_attributes
-        walk = _index_walk(namenode, block_id, attributes)
+        walk = _index_walk(namenode, block_id, attributes, hosts)
         index_hosts = tuple(dict.fromkeys(host for _, indexed in walk for host in indexed))
         choice = _pick(walk, prefer_node)
         if preferred in hosts:

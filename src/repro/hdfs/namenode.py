@@ -10,7 +10,7 @@ matching index.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.cluster.topology import Cluster
 from repro.hdfs.block import BlockLocation, LogicalBlock
@@ -215,12 +215,22 @@ class NameNode:
         This is the namenode side of the ``getHostsWithIndex`` call HAIL adds to
         ``BlockLocation`` (Section 4.3).
         """
-        hosts = []
-        for datanode_id in self.block_datanodes(block_id, alive_only=alive_only):
+        return self.indexed_among(
+            block_id, attribute, self.block_datanodes(block_id, alive_only=alive_only)
+        )
+
+    def indexed_among(self, block_id: int, attribute: str, hosts: Sequence[int]) -> list[int]:
+        """The datanodes of ``hosts`` whose replica of ``block_id`` is indexed on ``attribute``.
+
+        :meth:`hosts_with_index` over a host list the caller already holds (the planner's
+        alive holders of the block), in that list's order.
+        """
+        indexed = []
+        for datanode_id in hosts:
             info = self._dir_rep.get((block_id, datanode_id))
             if info is not None and getattr(info, "indexed_attribute", None) == attribute:
-                hosts.append(datanode_id)
-        return hosts
+                indexed.append(datanode_id)
+        return indexed
 
     # ------------------------------------------------------------------ index usage & evictions
     def touch_index_usage(self, block_id: int, datanode_id: int) -> None:

@@ -167,7 +167,8 @@ def _task_fields(scheduled) -> tuple:
 
 # --------------------------------------------------------------------------- end to end
 @pytest.mark.parametrize("backend", _BACKENDS)
-def test_batch_and_per_record_jobs_agree_on_everything(backend):
+def test_batch_and_per_record_jobs_agree_on_everything(backend, monkeypatch):
+    monkeypatch.setattr(kernels, "_NUMPY_MIN_ROWS", 0)  # numpy on every window, narrow ones too
     with kernels.use_backend(backend):
         batch, reference = _deploy(), _per_record(_deploy())
         emitted = 0
@@ -453,6 +454,10 @@ def test_filter_ranges_equals_per_window_filter_range(case):
                 for row in kernels.filter_range(pax, predicate, _KERNEL_SCHEMA, start, end)
             ]
             assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, windows) == want, backend
+    # Hulls this narrow run the reference backend even on numpy: check the hull path directly.
+    if kernels.HAVE_NUMPY and predicate is not None and len(windows) > 1:
+        fast = kernels._filter_ranges_numpy(pax, predicate, _KERNEL_SCHEMA, windows)
+        assert fast is None or fast == want
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -462,10 +467,15 @@ def test_a_matching_row_in_a_gap_is_never_reported(backend):
     predicate = Predicate.comparison("k", Operator.EQ, 1).and_(
         Predicate.comparison("v", Operator.LE, 0.0)
     )
+    windows = [(1, 3), (6, 7), (9, 12)]
     with kernels.use_backend(backend):
-        assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, [(1, 3), (6, 7), (9, 12)]) == [
+        assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, windows) == [
             1, 2, 6, 9, 10, 11,
         ]
+        if backend == "numpy":  # the hull path itself; this hull is below its minimum
+            assert kernels._filter_ranges_numpy(pax, predicate, _KERNEL_SCHEMA, windows) == [
+                1, 2, 6, 9, 10, 11,
+            ]
 
 
 # --------------------------------------------------------------------------- row rebuilds

@@ -73,7 +73,11 @@ def test_python_backend_matches_row_at_a_time():
 
 @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
 def test_numpy_backend_bit_identical_to_python():
+    """The numpy kernels themselves, called directly: on windows this narrow the dispatcher
+    runs the reference backend, so ``use_backend("numpy")`` alone would compare it with
+    itself.  Covers the single-window kernel and the multi-window hull path (gaps included)."""
     rng = random.Random(602)
+    compared = hulls = 0
     for _ in range(80):
         pax = _random_block(rng, rng.randrange(0, 120))
         predicate = _random_predicate(rng)
@@ -81,9 +85,51 @@ def test_numpy_backend_bit_identical_to_python():
         end = rng.randrange(start, pax.num_rows + 1)
         with kernels.use_backend("python"):
             reference = kernels.filter_range(pax, predicate, _SCHEMA, start, end)
-        with kernels.use_backend("numpy"):
-            fast = kernels.filter_range(pax, predicate, _SCHEMA, start, end)
-        assert fast == reference
+        fast = kernels._filter_range_numpy(pax, predicate, _SCHEMA, start, end)
+        if fast is not None:
+            compared += 1
+            assert fast == reference
+        cuts = sorted(rng.randrange(0, pax.num_rows + 1) for _ in range(2 * rng.randrange(2, 6)))
+        windows = list(zip(cuts[::2], cuts[1::2]))
+        with kernels.use_backend("python"):
+            reference = kernels.filter_ranges(pax, predicate, _SCHEMA, windows)
+        fast = kernels._filter_ranges_numpy(pax, predicate, _SCHEMA, windows)
+        if fast is not None:
+            hulls += 1
+            assert fast == reference
+    assert compared > 40 and hulls > 40
+
+
+@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize("ranges", [False, True])
+def test_numpy_runs_only_from_its_minimum_window(monkeypatch, ranges):
+    """On the numpy backend, a window (or a multi-window hull) narrower than
+    ``_NUMPY_MIN_ROWS`` never reaches the numpy kernel; one at least that wide does."""
+    rng = random.Random(606)
+    pax = _random_block(rng, 2 * kernels._NUMPY_MIN_ROWS)
+    predicate = Predicate.comparison("k", Operator.GE, 0)
+    calls = []
+    numpy_kernel = kernels._filter_range_numpy
+
+    def counting(*args):
+        calls.append(args[3:5])
+        return numpy_kernel(*args)
+
+    monkeypatch.setattr(kernels, "_filter_range_numpy", counting)
+    with kernels.use_backend("numpy"):
+        for width in (2, 9, kernels._NUMPY_MIN_ROWS - 1, kernels._NUMPY_MIN_ROWS, pax.num_rows):
+            calls.clear()
+            start = pax.num_rows - width
+            if ranges:  # two windows whose hull is [start, num_rows)
+                windows = [(start, start + 1), (pax.num_rows - 1, pax.num_rows)]
+                result = kernels.filter_ranges(pax, predicate, _SCHEMA, windows)
+                expected = [r for a, b in windows for r in _brute_force(pax, predicate, a, b)]
+            else:
+                result = kernels.filter_range(pax, predicate, _SCHEMA, start, pax.num_rows)
+                expected = _brute_force(pax, predicate, start, pax.num_rows)
+            assert result == expected
+            wide = width >= kernels._NUMPY_MIN_ROWS
+            assert calls == ([(start, pax.num_rows)] if wide else []), width
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
@@ -100,7 +146,10 @@ def test_numpy_backend_refuses_string_columns():
 
 @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
 def test_numpy_backend_exactness_boundaries():
-    """Operands past int64/2**53 force the fallback; answers stay identical anyway."""
+    """Operands past int64/2**53 force the fallback; answers stay identical anyway.
+
+    The block is far narrower than ``_NUMPY_MIN_ROWS``, so the refusals are asserted on the
+    numpy kernel itself; the dispatcher's answers are checked besides."""
     big = Schema.of(("b", FieldType.BIGINT), name="big")
     pax = PaxBlock.from_records(big, [(2**53 + 1,), (2**53,), (-(2**53) - 1,), (7,)])
     cases = [
@@ -109,6 +158,7 @@ def test_numpy_backend_exactness_boundaries():
         Predicate.comparison("b", Operator.EQ, True),  # bool operand: never vectorized
     ]
     for predicate in cases:
+        assert kernels._filter_range_numpy(pax, predicate, big, 0, pax.num_rows) is None
         with kernels.use_backend("python"):
             reference = kernels.filter_range(pax, predicate, big, 0, pax.num_rows)
         with kernels.use_backend("numpy"):

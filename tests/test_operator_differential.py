@@ -135,8 +135,9 @@ def _brute_top_k(records, order_by, k, descending, predicate=None, projection=No
 
 
 # --------------------------------------------------------------------------- group by
-def test_group_by_agrees_across_systems_and_backends(deployments):
+def test_group_by_agrees_across_systems_and_backends(deployments, monkeypatch):
     """Grouped aggregation (all five functions) is bit-identical everywhere."""
+    monkeypatch.setattr(kernels, "_NUMPY_MIN_ROWS", 0)  # numpy on every window, narrow ones too
     systems, left, _ = deployments
     specs = tuple(
         AggregateSpec.parse(s) for s in ("count(*)", "sum(f2)", "min(f2)", "max(f2)", "avg(f2)")
@@ -242,8 +243,9 @@ def test_join_explain_names_strategy(deployments):
 
 
 # --------------------------------------------------------------------------- top-k
-def test_top_k_agrees_across_systems_and_backends(deployments):
+def test_top_k_agrees_across_systems_and_backends(deployments, monkeypatch):
     """Ascending/descending ranked top-k matches brute force on every system and backend."""
+    monkeypatch.setattr(kernels, "_NUMPY_MIN_ROWS", 0)  # numpy on every window, narrow ones too
     systems, left, _ = deployments
     predicate = Predicate.comparison("f4", Operator.GE, VALUE_RANGE // 4)
     for descending in (True, False):

@@ -117,18 +117,18 @@ def test_each_block_is_planned_once_and_walked_once(monkeypatch):
     num_blocks = len(system.hdfs.namenode.file_blocks(_PATH))
     counts = {"plan": 0, "walk": 0}
     plan_block = PhysicalPlanner._plan_block
-    hosts_with_index = NameNode.hosts_with_index
+    indexed_among = NameNode.indexed_among
 
     def counting_plan(self, *args, **kwargs):
         counts["plan"] += 1
         return plan_block(self, *args, **kwargs)
 
-    def counting_walk(self, block_id, attribute, alive_only=True):
-        counts["walk"] += alive_only
-        return hosts_with_index(self, block_id, attribute, alive_only)
+    def counting_walk(self, block_id, attribute, hosts):
+        counts["walk"] += 1
+        return indexed_among(self, block_id, attribute, hosts)
 
     monkeypatch.setattr(PhysicalPlanner, "_plan_block", counting_plan)
-    monkeypatch.setattr(NameNode, "hosts_with_index", counting_walk)
+    monkeypatch.setattr(NameNode, "indexed_among", counting_walk)
     for query in bob_queries():
         counts.update(plan=0, walk=0)
         result = system.run_query(query, _PATH)
