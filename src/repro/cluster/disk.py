@@ -8,6 +8,7 @@ pressure?" and "how many bytes must eviction free?" (see :mod:`repro.engine.life
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,8 +32,8 @@ class DiskPressurePolicy:
     Attributes
     ----------
     capacity_bytes:
-        Per-node ceiling in bytes for the tracked usage; ``None`` disables pressure entirely
-        (nothing is ever evicted, the pre-lifecycle behaviour).
+        Per-node ceiling in bytes for the tracked usage, positive and finite; ``None``
+        disables pressure entirely (nothing is ever evicted, the pre-lifecycle behaviour).
     high_watermark:
         Fraction of ``capacity_bytes`` above which the node counts as under pressure.
     low_watermark:
@@ -44,8 +45,10 @@ class DiskPressurePolicy:
     low_watermark: float = 0.70
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes is not None and self.capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive (or None to disable pressure)")
+        if self.capacity_bytes is not None and not 0 < self.capacity_bytes < math.inf:
+            raise ValueError(
+                "capacity_bytes must be positive and finite (or None to disable pressure)"
+            )
         if not 0.0 < self.low_watermark <= self.high_watermark <= 1.0:
             raise ValueError("watermarks must satisfy 0 < low <= high <= 1")
 

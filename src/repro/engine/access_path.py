@@ -76,9 +76,8 @@ class BlockPlan:
         but sits on a dead datanode — ``"indexed replica of visitDate lost (dn2 dead)"``.
     build_attribute:
         The attribute whose clustered index this block's execution builds as a by-product
-        (``None`` when nothing is built).  Set for :attr:`AccessPath.ADAPTIVE_INDEX_BUILD`
-        plans, and — under multi-attribute convergence — for index scans that *piggyback* a
-        build on a second, still-uncovered filter attribute.
+        (``None`` when nothing is built).  Set only for :attr:`AccessPath.ADAPTIVE_INDEX_BUILD`
+        plans.
     build_seconds:
         Simulated seconds the adaptive build added on top of the plain scan (sort, index
         construction, replica write) — the incremental "indexing penalty" of LIAH's Figure-style
@@ -112,16 +111,8 @@ class BlockPlan:
 
     @property
     def builds_index(self) -> bool:
-        """True when this plan builds an adaptive index as a by-product of its execution.
-
-        Either the access path itself is :attr:`AccessPath.ADAPTIVE_INDEX_BUILD` (a scan that
-        pays forward), or an index scan carries a piggyback ``build_attribute`` (multi-attribute
-        convergence).
-        """
-        return (
-            self.access_path is AccessPath.ADAPTIVE_INDEX_BUILD
-            or self.build_attribute is not None
-        )
+        """True when this plan is a scan that pays forward: an adaptive index build."""
+        return self.access_path is AccessPath.ADAPTIVE_INDEX_BUILD
 
     def __copy__(self) -> "BlockPlan":
         # For speed: the planner copies the plan of every block it executes
@@ -139,7 +130,7 @@ class BlockPlan:
         if self.attribute is not None:
             parts.append(f"on {self.attribute}")
         parts.append(f"~{int(self.estimated_rows)} rows, ~{int(self.estimated_bytes)} B")
-        if self.builds_index and self.build_attribute is not None:
+        if self.build_attribute is not None:
             parts.append(f"+build({self.build_attribute})")
         if self.fallback_reason:
             parts.append(f"[{self.fallback_reason}]")

@@ -69,11 +69,6 @@ class AdaptiveJobContext:
     #: tunes per attribute, :meth:`offers` looks the build attribute up here and falls back
     #: to the scalar ``offer_rate`` only for attributes the tuner has no ledger for yet.
     attribute_offer_rates: dict = field(default_factory=dict)
-    #: Multi-attribute convergence: when a block is already answered via an index on one filter
-    #: attribute, the planner may additionally offer a *piggyback* build on the query's next
-    #: uncovered filter attribute, so mixed-predicate workloads converge to multi-index
-    #: coverage (see :meth:`PhysicalPlanner._mark_secondary_build`).
-    multi_attribute: bool = False
     #: Measure counterfactual scan savings for adaptive-index scans (the lifecycle tuner's
     #: benefit ledger).  Off unless the deployment auto-tunes: the measurement costs a second
     #: cost-model evaluation per adaptive-index scan, wasted when nothing consumes it.
@@ -101,10 +96,8 @@ class AdaptiveJobContext:
         """Context snapshotting the adaptivity knobs of a ``HailConfig``."""
         return cls(
             offer_rate=config.adaptive_offer_rate,
-            budget=config.adaptive_budget_per_job,
             salt=salt,
             verify_checksums=config.verify_checksums,
-            multi_attribute=config.adaptive_multi_attribute,
         )
 
     def begin_run(self) -> None:

@@ -230,17 +230,15 @@ class VectorizedExecutor:
 
         pending_build: Optional[PendingIndexBuild] = None
         if plan.build_attribute is not None:
-            if self._cancel_build(plan, payload, predicate, used_index):
-                # Dir_rep was stale: the opened payload already answers (or carries) the index
-                # this build would create, so there is nothing to pay forward; the charged
-                # budget slot goes back to the job and _reconcile relabels the plan below.
+            if predicate is None or used_index:
+                # Dir_rep was stale: the opened payload already answers via an index, so
+                # there is nothing to pay forward; the charged budget slot goes back to the
+                # job and _reconcile relabels the plan below.
                 if adaptive is not None:
                     adaptive.refund(plan.block_id, plan.build_attribute)
                 plan.build_attribute = None
             else:
-                pending_build = self._build_adaptive(
-                    plan, replica, payload, read_indexes, adaptive, scanned_bytes=read_bytes
-                )
+                pending_build = self._build_adaptive(plan, replica, payload, read_indexes, adaptive)
                 seconds += plan.build_seconds
                 # The build fetched the columns the scan skipped: account those reads so
                 # BYTES_READ stays consistent with the charged I/O time.
@@ -308,22 +306,6 @@ class VectorizedExecutor:
             zone_map_pruned_bytes=pruned_bytes,
         )
 
-    @staticmethod
-    def _cancel_build(plan: BlockPlan, payload, predicate, used_index: bool) -> bool:
-        """Should the staged build be cancelled because ``Dir_rep`` was stale?
-
-        A pay-forward scan (:attr:`AccessPath.ADAPTIVE_INDEX_BUILD`) is pointless as soon as
-        the opened payload answered via *any* index; a piggyback build on an index scan
-        (multi-attribute convergence) is only pointless when the opened replica turns out to
-        be sorted on the build attribute itself — being answered via an index on a different
-        attribute is exactly the situation the piggyback exists for.
-        """
-        if predicate is None:
-            return True
-        if plan.access_path is AccessPath.ADAPTIVE_INDEX_BUILD:
-            return used_index
-        return payload.sort_attribute == plan.build_attribute
-
     # ------------------------------------------------------------------ text blocks
     def execute_text(self, plan: BlockPlan) -> TextScanResult:
         """Run one planned text block: full sequential scan, one record per line."""
@@ -355,7 +337,6 @@ class VectorizedExecutor:
         payload,
         read_indexes: Sequence[int],
         adaptive: Optional[AdaptiveJobContext],
-        scanned_bytes: float = 0.0,
     ) -> PendingIndexBuild:
         """Stage an indexed replica of the just-scanned block (LIAH's piggybacked build).
 
@@ -366,24 +347,13 @@ class VectorizedExecutor:
         the PAX minipages (sort-permute + reorder) instead of round-tripping through row
         tuples.  Nothing touches HDFS metadata here — the staged build is only committed (by
         ``commit_adaptive_builds``) if this task attempt survives the job.
-
-        ``scanned_bytes`` is what the scan already read; for a piggyback build riding on an
-        *index scan* (multi-attribute convergence) it determines how much of the block still
-        has to be fetched — an index scan touched only the qualifying partitions, unlike the
-        full/projection scans of the classic pay-forward path.
         """
         attribute = plan.build_attribute
         # The staged replica keeps the source replica's physical layout: under the "no PAX
         # conversion" ablation an adaptive rebuild stays row-wise, so the ablation's cost
         # shape is preserved instead of silently converging to PAX behaviour.
         block = payload.resorted(attribute)
-        if plan.access_path is AccessPath.ADAPTIVE_INDEX_BUILD:
-            remaining_bytes = self._build_read_bytes(payload, read_indexes)
-        else:
-            # Piggyback on an index scan: the scan read only the qualifying partitions of the
-            # needed columns, so the build fetches the rest of the block's data.
-            data_read = max(0.0, scanned_bytes - payload.bad_records_size_bytes())
-            remaining_bytes = max(0.0, float(payload.data_size_bytes()) - data_read)
+        remaining_bytes = self._build_read_bytes(payload, read_indexes)
         seconds, write_bytes = self._charge_adaptive_build(
             replica, payload, block, remaining_bytes
         )

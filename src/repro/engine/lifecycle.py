@@ -1,8 +1,8 @@
 """Adaptive-index lifecycle: one post-job pass that tunes, evicts and rebalances.
 
 Adaptive (lazy) indexing (:mod:`repro.engine.adaptive`) converges a deployment to the indexes
-its workload actually needs — but left alone, adaptive replicas accumulate forever and the
-``adaptive_offer_rate`` / ``adaptive_budget_per_job`` knobs stay whatever the operator guessed.
+its workload actually needs — but left alone, adaptive replicas accumulate forever, the
+``adaptive_offer_rate`` knob stays whatever the operator guessed, and no job's builds are capped.
 :meth:`AdaptiveLifecycleManager.after_job` closes both loops.  HAIL's input format calls it
 once per measured job (``HailInputFormat.finish_run``), after the failure-safe commit of staged
 builds, and it runs one pass in this order:
@@ -156,7 +156,7 @@ class AttributeLedger:
 
 @dataclass
 class AdaptiveTuner:
-    """Feedback controller for ``adaptive_offer_rate`` and ``adaptive_budget_per_job``.
+    """Feedback controller for ``adaptive_offer_rate`` and the per-job build budget.
 
     One law, two kinds of ledger: :meth:`_apply_law` folds each :class:`JobObservation` into
     the tuner's own five ledger fields (the global rate) and, with ``per_attribute``, each
@@ -899,7 +899,6 @@ class AdaptiveLifecycleManager:
         if config.adaptive_auto_tune:
             tuner = AdaptiveTuner(
                 offer_rate=config.adaptive_offer_rate,
-                budget=config.adaptive_budget_per_job,
                 per_attribute=config.adaptive_per_attribute_tune,
             )
         balancer = None

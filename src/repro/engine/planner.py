@@ -226,9 +226,8 @@ class QueryPlan:
             "trojan_index_scans": self.count(AccessPath.TROJAN_INDEX_SCAN),
             "pax_projection_scans": self.count(AccessPath.PAX_PROJECTION_SCAN),
             "full_scans": self.count(AccessPath.FULL_SCAN),
-            # Counts every plan that stages a build — pay-forward scans *and* piggyback
-            # builds riding on index scans — matching describe()'s "+build(...)" markers
-            # and the ADAPTIVE_INDEX_BUILDS job counter.
+            # Counts every plan that stages a build, matching describe()'s "+build(...)"
+            # markers and the ADAPTIVE_INDEX_BUILDS job counter.
             "adaptive_index_builds": sum(1 for plan in self.block_plans if plan.builds_index),
             "zone_map_skips": self.count(AccessPath.ZONE_MAP_SKIP),
             "index_coverage": self.index_coverage,
@@ -332,8 +331,8 @@ class PhysicalPlanner:
         """A copy of ``plan`` to execute, carrying this execution's adaptive marks.
 
         The executor relabels the plan it runs in place, so a plan shared by several attempts
-        (the split phase's) is never handed to it; the marks — index-usage touch, adaptive and
-        piggyback build offers — belong to one execution, not to the plan.
+        (the split phase's) is never handed to it; the marks — index-usage touch and adaptive
+        build offer — belong to one execution, not to the plan.
         """
         plan = copy(plan)
         if adaptive is not None:
@@ -400,7 +399,7 @@ class PhysicalPlanner:
     def _mark_execution(
         self, plan: BlockPlan, bound: BoundQuery, adaptive: AdaptiveJobContext
     ) -> None:
-        """The execution-only step of a plan: index-usage touch, then the build offers."""
+        """The execution-only step of a plan: index-usage touch, then the build offer."""
         if plan.datanode_id < 0 or plan.access_path is AccessPath.ZONE_MAP_SKIP:
             return
         if plan.uses_index and adaptive.record_usage:
@@ -413,11 +412,7 @@ class PhysicalPlanner:
             if key not in adaptive.usage_touches:
                 adaptive.usage_touches.add(key)
                 self.hdfs.namenode.touch_index_usage(*key)
-        if bound.predicate is None:
-            return
-        if plan.uses_index:
-            self._mark_secondary_build(plan, bound.filter_attributes, adaptive)
-        else:
+        if bound.predicate is not None:
             self._mark_adaptive_build(plan, bound.filter_attributes, adaptive)
 
     def _zone_map_skip(
@@ -482,30 +477,6 @@ class PhysicalPlanner:
         if adaptive.offers(plan.block_id, attribute):
             plan.access_path = AccessPath.ADAPTIVE_INDEX_BUILD
             plan.build_attribute = attribute
-
-    def _mark_secondary_build(
-        self, plan: BlockPlan, attributes: tuple[str, ...], adaptive: AdaptiveJobContext
-    ) -> None:
-        """Offer a *piggyback* build on the next uncovered filter attribute (multi-attribute).
-
-        The block is already answered via an index on one of the query's filter attributes; a
-        conjunctive predicate may still carry attributes no replica is indexed on.  Under
-        ``adaptive_multi_attribute`` the scan's executor — which holds the block anyway —
-        builds the missing index as a by-product, so mixed-predicate workloads converge to
-        multi-index coverage instead of forever index-scanning on one attribute.  The plan's
-        access path stays an index scan; only ``build_attribute`` marks the piggyback work.
-        """
-        if not adaptive.multi_attribute:
-            return
-        namenode = self.hdfs.namenode
-        for attribute in attributes:
-            if attribute == plan.attribute:
-                continue
-            if namenode.hosts_with_index(plan.block_id, attribute, alive_only=True):
-                continue
-            if adaptive.offers(plan.block_id, attribute):
-                plan.build_attribute = attribute
-            return  # at most one piggyback build per block scan
 
     def _classify(
         self,

@@ -7,6 +7,10 @@ reproduction it is the configuration file, :class:`HailConfig`; adaptive indexin
 read the deployment's config through their input format: ``HailSystem`` builds one
 :class:`~repro.hail.input_format.HailInputFormat` per job from it, and that format is the only
 path HAIL settings take into the MapReduce layer.
+
+The other fields are switches.  A switch with a single value in use does not stay a field: it
+becomes a constant where it is enforced (the JobTracker's ``MAX_PREEMPTIONS_PER_JOB``), or the
+code for its other value goes.
 """
 
 from __future__ import annotations
@@ -49,19 +53,18 @@ class HailConfig:
     **Adaptive indexing** (LIAH-style).  With ``adaptive_indexing`` a query that falls back
     to scanning a block may sort what it read, build a clustered index on the filter
     attribute and register an indexed replica for later queries.  ``adaptive_offer_rate`` is
-    the fraction of index-less scans that pay forward per job, ``adaptive_budget_per_job`` a
-    hard cap on builds per job (``None`` = unlimited).  ``adaptive_multi_attribute`` also
-    offers a piggyback build on the next *uncovered* filter attribute of a block already
-    answered through an index.
+    the fraction of index-less scans that pay forward per job; builds per job are unlimited
+    unless the tuner below caps them.
 
     **Lifecycle.**  ``adaptive_eviction`` switches on LRU eviction of adaptive replicas
     (upload-time indexes are never evicted) against ``disk_pressure``, a
     :class:`~repro.cluster.disk.DiskPressurePolicy` bounding each node's adaptive-replica
     bytes; with the switch off the manager sees the same policy without a capacity, so
-    nothing is evicted.  ``adaptive_auto_tune`` replaces the static offer rate and budget
-    with the feedback controller (:class:`~repro.engine.lifecycle.AdaptiveTuner`; the static
-    values become its starting point), and ``adaptive_per_attribute_tune`` splits its ledger
-    per filter attribute (requires ``adaptive_auto_tune``).
+    nothing is evicted.  ``adaptive_auto_tune`` replaces the static offer rate with the
+    feedback controller (:class:`~repro.engine.lifecycle.AdaptiveTuner`; the static rate
+    becomes its starting point), which also sizes a per-job build budget from its
+    measurements, and ``adaptive_per_attribute_tune`` splits its ledger per filter attribute
+    (requires ``adaptive_auto_tune``).
 
     **Placement.**  ``index_aware_scheduling`` makes a free slot prefer a task with an
     *indexed* local replica, then a data-local one, then the queue head (the job's input
@@ -72,14 +75,14 @@ class HailConfig:
 
     **Zone maps.**  ``zone_maps`` lets the planner skip blocks whose ``Dir_rep`` min-max
     synopsis proves the predicate matches no row and the executor prune partitions the same
-    way; ``zone_split_pruning`` (requires ``zone_maps``) drops whole input splits before
-    scheduling.  Both fail closed: any synopsis doubt degrades to a full scan, and skipping
-    changes what is *read*, never what is returned.
+    way.  Every skip is re-checked against the opened payload inside its map task and fails
+    closed: any synopsis doubt degrades to a full scan, and skipping changes what is *read*,
+    never what is returned.
 
     **Concurrency.**  ``concurrency`` is the
     :class:`~repro.mapreduce.job_tracker.ConcurrencyPolicy` batch drains
     (``Session.run_batch``, ``run_multi_tenant_batch``) hand to the JobTracker: admission
-    gate, tenant quotas, queue policy, speculation, preemption and tenant weights.  At its
+    gate, tenant quotas, speculation, preemption and tenant weights.  At its
     default ``max_concurrent_jobs=1`` batches run back-to-back; single ``session.run`` calls
     are always serial.
 
@@ -98,17 +101,14 @@ class HailConfig:
     verify_checksums: bool = True
     adaptive_indexing: bool = False
     adaptive_offer_rate: float = 1.0
-    adaptive_budget_per_job: Optional[int] = None
     adaptive_eviction: bool = False
     disk_pressure: DiskPressurePolicy = DiskPressurePolicy()
     adaptive_auto_tune: bool = False
-    adaptive_multi_attribute: bool = False
     adaptive_per_attribute_tune: bool = False
     index_aware_scheduling: bool = False
     placement_balancer: bool = False
     placement_rebuilds_per_job: int = 2
     zone_maps: bool = False
-    zone_split_pruning: bool = False
     concurrency: ConcurrencyPolicy = ConcurrencyPolicy()
     persistence_dir: Optional[str] = None
 
@@ -126,17 +126,10 @@ class HailConfig:
             )
         if not 0.0 <= self.adaptive_offer_rate <= 1.0:
             raise ValueError("adaptive_offer_rate must lie in [0, 1]")
-        if self.adaptive_budget_per_job is not None and self.adaptive_budget_per_job < 0:
-            raise ValueError("adaptive_budget_per_job must be non-negative")
         if self.adaptive_per_attribute_tune and not self.adaptive_auto_tune:
             raise ValueError(
                 "adaptive_per_attribute_tune splits the auto-tuner's ledger; "
                 "enable adaptive_auto_tune as well"
-            )
-        if self.zone_split_pruning and not self.zone_maps:
-            raise ValueError(
-                "zone_split_pruning drops splits based on Dir_rep zone synopses; "
-                "enable zone_maps as well"
             )
         if self.placement_rebuilds_per_job < 0:
             raise ValueError("placement_rebuilds_per_job must be non-negative")
@@ -183,17 +176,10 @@ class HailConfig:
         return replace(self, **_given(given))
 
     def with_adaptive(
-        self,
-        enabled: bool = True,
-        offer_rate: Optional[float] = None,
-        budget_per_job: Optional[int] = None,
+        self, enabled: bool = True, offer_rate: Optional[float] = None
     ) -> "HailConfig":
         """Copy of this configuration with adaptive indexing toggled/tuned."""
-        return self._with(
-            adaptive_indexing=enabled,
-            adaptive_offer_rate=offer_rate,
-            adaptive_budget_per_job=budget_per_job,
-        )
+        return self._with(adaptive_indexing=enabled, adaptive_offer_rate=offer_rate)
 
     def with_lifecycle(
         self,
@@ -202,7 +188,6 @@ class HailConfig:
         high_watermark: Optional[float] = None,
         low_watermark: Optional[float] = None,
         auto_tune: Optional[bool] = None,
-        multi_attribute: Optional[bool] = None,
         per_attribute_tune: Optional[bool] = None,
     ) -> "HailConfig":
         """Copy of this configuration with adaptive-lifecycle knobs toggled/tuned.
@@ -223,7 +208,6 @@ class HailConfig:
             adaptive_eviction=eviction,
             disk_pressure=replace(self.disk_pressure, **pressure),
             adaptive_auto_tune=auto_tune,
-            adaptive_multi_attribute=multi_attribute,
             adaptive_per_attribute_tune=per_attribute_tune,
         )
 
@@ -245,27 +229,16 @@ class HailConfig:
             placement_rebuilds_per_job=rebuilds_per_job,
         )
 
-    def with_zone_maps(
-        self, enabled: bool = True, split_pruning: Optional[bool] = None
-    ) -> "HailConfig":
-        """Copy of this configuration with zone-map data skipping toggled.
-
-        ``split_pruning`` additionally lets :class:`~repro.hail.input_format.HailInputFormat`
-        drop whole input splits whose every block is provably skippable, so the JobTracker
-        never schedules their map tasks (counted as ``ZONE_MAP_SKIPPED_BLOCKS``); it
-        requires ``zone_maps`` and is left unchanged when not given.
-        """
-        return self._with(zone_maps=enabled, zone_split_pruning=split_pruning)
+    def with_zone_maps(self, enabled: bool = True) -> "HailConfig":
+        """Copy of this configuration with zone-map data skipping toggled."""
+        return replace(self, zone_maps=enabled)
 
     def with_concurrency(
         self,
         max_jobs: Optional[int] = None,
-        queue_policy: Optional[str] = None,
         tenant_slot_quota: Optional[int] = None,
-        tenant_admission_limit: Optional[int] = None,
         speculative_execution: Optional[bool] = None,
         preemption: Optional[bool] = None,
-        max_preemptions_per_job: Optional[int] = None,
         tenant_weights=None,
     ) -> "HailConfig":
         """Copy of this configuration with fields of its ``concurrency`` policy replaced.
@@ -278,12 +251,9 @@ class HailConfig:
         given = _given(
             dict(
                 max_concurrent_jobs=max_jobs,
-                queue_policy=queue_policy,
                 tenant_slot_quota=tenant_slot_quota,
-                tenant_admission_limit=tenant_admission_limit,
                 speculative_execution=speculative_execution,
                 preemption=preemption,
-                max_preemptions_per_job=max_preemptions_per_job,
                 tenant_weights=tenant_weights,
             )
         )

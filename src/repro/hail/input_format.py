@@ -19,8 +19,9 @@ That plan is the one the job executes: the format keeps it (:attr:`HailInputForm
 hands it to every :class:`~repro.hail.record_reader.HailRecordReader`, which re-plans a block
 only when the split did not pin it, its pinned host died, or its pinned replica's ``Dir_rep``
 entry changed since.  ``HailSystem.explain`` renders the same plan: both use the deployment's
-``zone_maps``, and ``zone_split_pruning`` only decides whether ``ZONE_MAP_SKIP`` blocks are
-dropped from the splits or carried into them.
+``zone_maps``.  Every split-phase plan is carried into a split, ``ZONE_MAP_SKIP`` blocks
+included, so a block is skipped only inside its map task, after the reader has checked the
+replica it opened.
 
 The format is also the one object holding a job's HAIL state, so the rest of Hadoop needs no
 HAIL knowledge: the deployment's :class:`~repro.hail.config.HailConfig` (zone maps, split
@@ -37,7 +38,6 @@ from collections import defaultdict
 from typing import Optional
 
 from repro.cluster.costmodel import CostModel
-from repro.engine.access_path import AccessPath
 from repro.engine.adaptive import AdaptiveJobContext, commit_adaptive_builds
 from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.engine.planner import PhysicalPlanner, QueryPlan
@@ -121,24 +121,14 @@ class HailInputFormat(InputFormat):
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
         """Plan the file once and cut its splits from that plan (HailSplitting or one per block).
 
-        The plan is kept as :attr:`plan` and handed to every record reader of the job.  Under
-        ``zone_split_pruning`` the blocks it plans as ``ZONE_MAP_SKIP`` never become part of
-        any split, so the JobTracker schedules no map task for them at all — the per-task
-        overhead is saved on top of the data bytes (the JobClient reports the blocks no split
-        covers, and the runner counts them into ``ZONE_MAP_SKIPPED_BLOCKS``/
-        ``ZONE_MAP_PRUNED_BYTES``).  Split-phase pruning trusts the registered synopses without
-        the executor's payload re-verification (there is no task left to verify in); the
-        synopses are written from the payload itself at replica-registration time, so this
-        stays a metadata-consistency trade the knob makes explicit.  Without it, skip plans
-        ride along in the splits and their readers verify them.
+        The plan is kept as :attr:`plan` and handed to every record reader of the job.  Every
+        block lands in a split, ``ZONE_MAP_SKIP`` plans included: their readers verify the
+        skip against the payload before they trust the registered synopses.
         """
         planner = PhysicalPlanner(hdfs, zone_maps=self.config.zone_maps)
         self.plan = planner.plan_query(jobconf.input_path, resolve_annotation(jobconf))
         locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
         blocks = list(zip(locations, self.plan.block_plans))
-        if self.config.zone_split_pruning:
-            skip = AccessPath.ZONE_MAP_SKIP
-            blocks = [block for block in blocks if block[1].access_path is not skip]
         if self.config.splitting_policy and any(plan.index_hosts for _, plan in blocks):
             return self._hail_splitting(jobconf, cost, blocks)
         return self._default_splitting(jobconf, blocks)

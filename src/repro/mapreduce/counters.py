@@ -80,9 +80,6 @@ _TABLE = (
     # Tenancy and queueing, counted by the one scheduling loop (a serial job is its single-job
     # case: admitted once, 0.0 seconds of queue wait).
     ("TENANT_JOBS_ADMITTED", "count", "Jobs of this tenant admitted into the in-flight set."),
-    ("TENANT_ADMISSION_WAITS", "count",
-     "Jobs held at the admission gate because the tenant already had `tenant_admission_limit` "
-     "jobs in flight (one increment per held-back job)."),
     ("TENANT_QUOTA_DEFERRALS", "count",
      "Episodes where an admitted job's next task was deferred because the tenant was already "
      "running `tenant_slot_quota` map tasks (one increment per episode)."),

@@ -13,18 +13,11 @@ from repro.mapreduce.split import InputSplit
 
 @dataclass
 class SplitPlan:
-    """Result of the split phase: the splits plus the time the phase itself took.
-
-    ``skipped_blocks`` are the file's blocks no split covers, in file order: blocks the input
-    format pruned before any map task existed (HAIL's zone-aware split pruning), and
-    ``skipped_bytes`` their length.  Together with the splits they name every block of the file.
-    """
+    """Result of the split phase: the splits plus the time the phase itself took."""
 
     splits: list[InputSplit]
     num_blocks: int
     split_phase_s: float
-    skipped_blocks: tuple[int, ...] = ()
-    skipped_bytes: int = 0
 
 
 class JobClient:
@@ -44,11 +37,7 @@ class JobClient:
             raise TypeError(
                 f"jobconf.input_format must be an InputFormat, got {type(input_format)!r}"
             )
-        namenode = self.hdfs.namenode
-        block_ids = namenode.file_blocks(jobconf.input_path)
+        num_blocks = len(self.hdfs.namenode.file_blocks(jobconf.input_path))
         splits = input_format.get_splits(self.hdfs, jobconf, self.cost)
-        split_phase_s = input_format.split_phase_cost(self.hdfs, jobconf, self.cost, len(block_ids))
-        covered = {block_id for split in splits for block_id in split.block_ids}
-        skipped = tuple(block_id for block_id in block_ids if block_id not in covered)
-        skipped_bytes = sum(namenode.logical_block(b).text_size_bytes for b in skipped)
-        return SplitPlan(splits, len(block_ids), split_phase_s, skipped, skipped_bytes)
+        split_phase_s = input_format.split_phase_cost(self.hdfs, jobconf, self.cost, num_blocks)
+        return SplitPlan(splits, num_blocks, split_phase_s)

@@ -21,23 +21,22 @@ in-flight jobs** over the slot pool — the service side of HAIL's "aggressive e
 story, where indexing piggybacks on heavy multi-tenant traffic.  A serial job is the
 one-job, ``max_concurrent_jobs=1`` case: it is admitted at time 0 (``TENANT_JOBS_ADMITTED``
 = 1, ``SCHED_QUEUE_WAIT_SECONDS`` = 0.0), nothing competes with it, and a job with no map
-tasks at all (every split zone-pruned) simply finishes at admission.
+tasks at all (an empty input file) simply finishes at admission.
 
 Each turn of the loop takes the earliest-free slot and passes five decision points, each one
 :class:`_MapPhase` method (a mechanism that is switched off costs one test at its own site;
 all default off, so the pinned Figure 6/7/8 goldens stay bit-identical):
 
 - **admit** — :meth:`~_MapPhase.admit` lets arrived jobs past the :class:`ConcurrencyPolicy`
-  admission gate (``max_concurrent_jobs``, ``tenant_admission_limit``), earliest deadline
-  first; with ``preemption``, :meth:`~_MapPhase.tenant_allowance` then re-divides the pool
-  into weighted per-tenant entitlements and :meth:`~_MapPhase.preempt` revokes the newest
-  attempts of a tenant above its share (kill + requeue, at most ``max_preemptions_per_job``
-  per job);
+  admission gate (``max_concurrent_jobs``), earliest deadline first; with ``preemption``,
+  :meth:`~_MapPhase.tenant_allowance` then re-divides the pool into weighted per-tenant
+  entitlements and :meth:`~_MapPhase.preempt` revokes the newest attempts of a tenant above
+  its share (kill + requeue, at most :data:`MAX_PREEMPTIONS_PER_JOB` per job);
 - **pick-next** — :meth:`~_MapPhase.eligible` keeps the jobs whose tenant is not
   :meth:`~_MapPhase.at_limit` (``tenant_slot_quota`` or the preemption entitlement),
   :meth:`~_MapPhase.choose` serves one fairly (weighted by ``tenant_weights``, ties earliest
-  deadline first) or FIFO, and :meth:`~_MapPhase.pick_task` takes its index-local, then
-  data-local, then head-of-queue task;
+  deadline first), and :meth:`~_MapPhase.pick_task` takes its index-local, then data-local,
+  then head-of-queue task;
 - **on-finish** — :meth:`~_MapPhase.settle_until` resolves every attempt that ended by the
   slot's instant: :meth:`~_MapPhase.settle` accepts it (merging its private scratch counters
   into the job's bag, so a node-death casualty, a discarded speculative loser or a preempted
@@ -73,6 +72,10 @@ from repro.mapreduce.task_tracker import TaskTracker
 #: How many queued tasks the scheduler inspects when looking for a node-local task.
 _LOCALITY_SEARCH_WINDOW = 256
 
+#: How many running attempts preemption may kill per victim job: a safety cap that keeps a
+#: job from being revoked over and over while the entitlements settle.
+MAX_PREEMPTIONS_PER_JOB = 2
+
 
 @dataclass(frozen=True)
 class ConcurrencyPolicy:
@@ -80,15 +83,12 @@ class ConcurrencyPolicy:
 
     ``max_concurrent_jobs`` is the admission gate: at most this many jobs are *in flight*
     (queued tasks remaining, or attempts still running) at any simulated instant; the rest
-    wait in submission order.  ``tenant_admission_limit`` additionally caps how many of those
-    in-flight jobs may belong to one tenant — a saturating tenant cannot monopolize admission,
-    and later jobs from other tenants overtake its held-back ones (counted per job in
-    ``TENANT_ADMISSION_WAITS``).  ``tenant_slot_quota`` caps a tenant's *simultaneously
-    running map tasks* across all its admitted jobs; a job whose tenant is at quota defers
-    (``TENANT_QUOTA_DEFERRALS`` counts deferral episodes) until one of the tenant's attempts
-    finishes.  ``queue_policy`` picks among the eligible jobs at each free slot: ``"fair"``
-    serves the tenant with the fewest running tasks (ties: earliest deadline, least-served
-    job, then submission order), ``"fifo"`` always serves the oldest admitted job.
+    wait, earliest deadline first, then in submission order.  ``tenant_slot_quota`` caps a
+    tenant's *simultaneously running map tasks* across all its admitted jobs; a job whose
+    tenant is at quota defers (``TENANT_QUOTA_DEFERRALS`` counts deferral episodes) until one
+    of the tenant's attempts finishes.  Each free slot serves the eligible job whose tenant
+    has the fewest running tasks per unit of weight (ties: earliest deadline, least-served
+    job, then submission order).
 
     The hardening knobs (all default off):
 
@@ -99,33 +99,24 @@ class ConcurrencyPolicy:
       never land on the node already running the original.
     - ``preemption`` revokes running attempts from a tenant exceeding its weighted slot
       entitlement (``alive_slots * weight / sum(weights)`` over tenants with in-flight
-      work, capped by ``tenant_slot_quota``), at most ``max_preemptions_per_job`` kills per
-      victim job.  Without competition (one tenant in flight) nothing is ever revoked.
+      work, capped by ``tenant_slot_quota``), at most :data:`MAX_PREEMPTIONS_PER_JOB` kills
+      per victim job.  Without competition (one tenant in flight) nothing is ever revoked.
     - ``tenant_weights`` (a mapping or tuple of ``(tenant, weight)`` pairs, normalized to a
       sorted tuple so the policy stays hashable) scale both the fair queue and the
-      preemption entitlements; unlisted tenants weigh ``1.0``.
+      preemption entitlements; unlisted tenants weigh ``1.0``.  Every weight must be finite and > 0.
     """
 
     max_concurrent_jobs: int = 1
-    queue_policy: str = "fair"
     tenant_slot_quota: Optional[int] = None
-    tenant_admission_limit: Optional[int] = None
     speculative_execution: bool = False
     preemption: bool = False
-    max_preemptions_per_job: int = 2
     tenant_weights: Optional[tuple[tuple[str, float], ...]] = None
 
     def __post_init__(self) -> None:
         if self.max_concurrent_jobs < 1:
             raise ValueError("max_concurrent_jobs must be >= 1")
-        if self.queue_policy not in ("fair", "fifo"):
-            raise ValueError(f"queue_policy must be 'fair' or 'fifo', got {self.queue_policy!r}")
         if self.tenant_slot_quota is not None and self.tenant_slot_quota < 1:
             raise ValueError("tenant_slot_quota must be >= 1 when set")
-        if self.tenant_admission_limit is not None and self.tenant_admission_limit < 1:
-            raise ValueError("tenant_admission_limit must be >= 1 when set")
-        if self.max_preemptions_per_job < 0:
-            raise ValueError("max_preemptions_per_job must be non-negative")
         if self.tenant_weights is not None:
             pairs = (
                 self.tenant_weights.items()
@@ -134,8 +125,10 @@ class ConcurrencyPolicy:
             )
             normalized = tuple(sorted((str(t), float(w)) for t, w in pairs))
             for tenant, weight in normalized:
-                if weight <= 0:
-                    raise ValueError(f"tenant weight for {tenant!r} must be > 0")
+                if not 0 < weight < math.inf:
+                    raise ValueError(
+                        f"tenant_weights: tenant weight for {tenant!r} must be > 0 and finite"
+                    )
             object.__setattr__(self, "tenant_weights", normalized)
 
     def weight(self, tenant: str) -> float:
@@ -256,7 +249,6 @@ class _JobState:
     #: Accepted attempts by launch number: settled in finish order, handed back in launch
     #: order.
     scheduled: dict[int, ScheduledTask] = field(default_factory=dict)
-    admission_blocked: bool = False
     quota_deferred: bool = False
 
     def in_flight(self) -> bool:
@@ -512,13 +504,10 @@ class _MapPhase:
 
         Only jobs that have *arrived* (``submit_s <= now``) are considered, earliest
         deadline first (ties: submission order, which reproduces the old strict submission
-        order for deadline-less batches).  A job held back by its tenant's
-        ``tenant_admission_limit`` does not block later jobs from *other* tenants — they
-        overtake it (no head-of-line blocking across tenants).  Jobs that finished since the
-        last admission leave ``admitted`` here, and a job with no map tasks finishes on the
-        spot (it never holds an admission token).
+        order for deadline-less batches).  Jobs that finished since the last admission leave
+        ``admitted`` here, and a job with no map tasks finishes on the spot (it never holds
+        an admission token).
         """
-        limit = self.policy.tenant_admission_limit
         while self.pending:
             arrived = [state for state in self.pending if state.job.submit_s <= now]
             if not arrived:
@@ -526,26 +515,13 @@ class _MapPhase:
             self.admitted = [state for state in self.admitted if state.in_flight()]
             if len(self.admitted) >= self.policy.max_concurrent_jobs:
                 return
-            chosen = None
-            for state in sorted(arrived, key=lambda s: (s.deadline_key(), s.index)):
-                tenant = state.job.tenant
-                if limit is not None and (
-                    sum(1 for other in self.admitted if other.job.tenant == tenant) >= limit
-                ):
-                    state.admission_blocked = True
-                    continue
-                chosen = state
-                break
-            if chosen is None:
-                return
+            chosen = min(arrived, key=lambda s: (s.deadline_key(), s.index))
             self.pending.remove(chosen)
             chosen.admitted_s = now
             if not chosen.queue:
                 chosen.max_finish_s = now
             self.admitted.append(chosen)
             chosen.job.counters.increment(Counters.TENANT_JOBS_ADMITTED)
-            if chosen.admission_blocked:
-                chosen.job.counters.increment(Counters.TENANT_ADMISSION_WAITS)
 
     def tenant_allowance(self) -> Optional[dict[str, int]]:
         """Weighted slot entitlement per tenant with in-flight work, or ``None``.
@@ -579,7 +555,7 @@ class _MapPhase:
         before live attempts, newest launch first among those.  The surviving side of a
         race whose loser still runs is never preempted — killing it would only resurrect
         the loser, freeing nothing.  Each kill counts against the victim job's
-        ``max_preemptions_per_job``.
+        :data:`MAX_PREEMPTIONS_PER_JOB`.
         """
         if self.allowance is None:
             return
@@ -597,7 +573,7 @@ class _MapPhase:
                 if attempt.kill_s is None and attempt.rival is not None and not attempt.rival.settled:
                     continue
                 state = attempt.state
-                if state.preemptions >= self.policy.max_preemptions_per_job:
+                if state.preemptions >= MAX_PREEMPTIONS_PER_JOB:
                     continue
                 was_loser = attempt.kill_s is not None
                 state.preemptions += 1
@@ -646,8 +622,6 @@ class _MapPhase:
         if len(eligible) == 1:
             return eligible[0]
         policy = self.policy
-        if policy.queue_policy == "fifo":
-            return min(eligible, key=lambda state: state.index)
         return min(
             eligible,
             key=lambda state: (

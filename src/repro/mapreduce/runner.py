@@ -212,12 +212,6 @@ class MapReduceRunner:
         ``outcome.makespan_s`` is absolute on the batch timeline, so the returned
         ``runtime_s`` is the job's latency including queueing.
         """
-        if plan.skipped_blocks:
-            # Blocks pruned in the split phase were answered by their zone synopses: the
-            # same counters the executor's per-block skips use.
-            counters.increment(Counters.ZONE_MAP_SKIPPED_BLOCKS, len(plan.skipped_blocks))
-            counters.increment(Counters.ZONE_MAP_PRUNED_BYTES, plan.skipped_bytes)
-
         map_output: list[tuple] = []
         for attempt in outcome.scheduled:
             # Map-side combine: each attempt is one map task, so combining per attempt is

@@ -67,8 +67,9 @@ def synthetic_sample() -> list[tuple]:
 def busy_session():
     """``(session, jobs)`` of one HAIL session that exercised most of the counter table.
 
-    Everything that feeds a counter is on: adaptive indexing with multi-attribute builds, the
-    auto-tuner with per-attribute ledgers, zone maps with split pruning, two concurrent jobs.
+    Everything that feeds a counter is on: adaptive indexing, the auto-tuner with
+    per-attribute ledgers, zone maps (their block skips happen inside map tasks), two
+    concurrent jobs.
     The session ran 18 two-attribute conjunctive scans, an interleaved batch, a group-by and
     a top-k; ``jobs`` holds ``(filter attributes, result)`` per finished query, in order.
     """
@@ -79,8 +80,8 @@ def busy_session():
     config = (
         HailConfig(functional_partition_size=1, splitting_policy=False)
         .with_adaptive(True, offer_rate=0.6)
-        .with_lifecycle(auto_tune=True, multi_attribute=True, per_attribute_tune=True)
-        .with_zone_maps(True, split_pruning=True)
+        .with_lifecycle(auto_tune=True, per_attribute_tune=True)
+        .with_zone_maps(True)
         .with_concurrency(max_jobs=2)
     )
     rows = sorted(SyntheticGenerator(seed=3).generate(1200))  # clustered on f1: zones can skip

@@ -59,15 +59,12 @@ def test_config_validates_adaptive_knobs():
         HailConfig(adaptive_offer_rate=1.5)
     with pytest.raises(ValueError):
         HailConfig(adaptive_offer_rate=-0.1)
-    with pytest.raises(ValueError):
-        HailConfig(adaptive_budget_per_job=-1)
 
 
 def test_with_adaptive_copies_and_tunes():
-    config = HailConfig().with_adaptive(True, offer_rate=0.25, budget_per_job=3)
+    config = HailConfig().with_adaptive(True, offer_rate=0.25)
     assert config.adaptive_indexing
     assert config.adaptive_offer_rate == 0.25
-    assert config.adaptive_budget_per_job == 3
     assert config.with_adaptive(False).adaptive_indexing is False
 
 
@@ -93,14 +90,6 @@ def test_zero_offer_rate_never_builds():
         result = system.run_query(_query(f"q{round_number}"), _PATH)
         assert result.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) == 0
     assert system.adaptive_replica_count(_PATH) == 0
-
-
-def test_budget_per_job_limits_builds_per_query():
-    system = _system(adaptive_budget_per_job=2)
-    result = system.run_query(_query(), _PATH)
-    assert result.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) == 2
-    assert result.job.counters.value(Counters.ADAPTIVE_INDEXES_COMMITTED) == 2
-    assert system.adaptive_replica_count(_PATH) == 2
 
 
 # --------------------------------------------------------------------------- the feedback loop

@@ -92,10 +92,9 @@ def test_config_validates_lifecycle_knobs():
     with pytest.raises(ValueError):
         HailConfig().with_lifecycle(low_watermark=0.9, high_watermark=0.5)
     config = HailConfig().with_adaptive(True).with_lifecycle(
-        eviction=True, capacity_bytes=4096.0, auto_tune=True, multi_attribute=True
+        eviction=True, capacity_bytes=4096.0, auto_tune=True
     )
     assert config.adaptive_eviction and config.adaptive_auto_tune
-    assert config.adaptive_multi_attribute
     assert config.disk_pressure.capacity_bytes == 4096.0
 
 
@@ -311,7 +310,7 @@ def test_eviction_downgrades_displaced_replicas_and_keeps_replication():
 def test_eviction_never_deletes_a_blocks_last_alive_replica():
     from dataclasses import replace as dc_replace
 
-    system = _system(num_nodes=2, replication=2, adaptive_budget_per_job=None)
+    system = _system(num_nodes=2, replication=2)
     _converge(system, "f1")
     namenode = system.hdfs.namenode
     # Pick one adaptive replica and pretend it was placed as an extra copy (not displaced),
@@ -431,29 +430,8 @@ def test_lifecycle_manager_enforces_node_budget_through_jobs():
     assert check_dir_rep_consistency(system.hdfs, _PATH) == []
 
 
-# --------------------------------------------------------------------------- multi-attribute
-def test_multi_attribute_piggybacks_a_build_on_the_uncovered_attribute():
-    system = _system(index_attributes=("f1",), adaptive_multi_attribute=True)
-    conjunction = Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 2).and_(
-        Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 2)
-    )
-    query = Query(name="conj", predicate=conjunction, projection=("f1", "f3"), description="")
-    result = system.run_query(query, _PATH)
-    # The block was answered via the f1 index *and* staged a build on f3; summary() counts
-    # piggyback builds the same way describe() and the job counters do.
-    assert result.plan.summary()["index_scans"] == result.plan.num_blocks
-    assert result.plan.summary()["adaptive_index_builds"] == result.plan.num_blocks
-    assert "+build(f3)" in result.explain()
-    assert system.index_coverage(_PATH, "f3") == pytest.approx(1.0)
-
-    # Mixed workload converged: a later f3-only query runs entirely on index scans.
-    follow_up = system.run_query(_query("f3", "after"), _PATH)
-    assert follow_up.plan.summary()["index_scans"] == follow_up.plan.num_blocks
-    assert check_dir_rep_consistency(system.hdfs, _PATH) == []
-
-
-def test_multi_attribute_is_off_by_default():
-    assert HailConfig().adaptive_multi_attribute is False
+# --------------------------------------------------------------------------- conjunctions
+def test_an_index_scan_stages_no_build_on_its_other_filter_attributes():
     system = _system(index_attributes=("f1",))
     conjunction = Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 2).and_(
         Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 2)
@@ -462,19 +440,6 @@ def test_multi_attribute_is_off_by_default():
     result = system.run_query(query, _PATH)
     assert result.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) == 0
     assert system.index_coverage(_PATH, "f3") == 0.0
-
-
-def test_multi_attribute_results_match_plain_execution():
-    plain = _system(index_attributes=("f1",))
-    multi = _system(index_attributes=("f1",), adaptive_multi_attribute=True)
-    conjunction = Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 3).and_(
-        Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 3)
-    )
-    query = Query(name="conj", predicate=conjunction, projection=("f1", "f3"), description="")
-    expected = plain.run_query(query, _PATH).sorted_records()
-    assert multi.run_query(query, _PATH).sorted_records() == expected
-    # And after convergence the same query still returns the same records.
-    assert multi.run_query(query, _PATH).sorted_records() == expected
 
 
 # --------------------------------------------------------------------------- introspection

@@ -428,7 +428,6 @@ _PINNED_ACCESSORS = [
     ("placement_rebuilds", int, "PLACEMENT_REREPLICATED"),
     ("placement_migrations", int, "PLACEMENT_MIGRATED"),
     ("tenant_jobs_admitted", int, "TENANT_JOBS_ADMITTED"),
-    ("tenant_admission_waits", int, "TENANT_ADMISSION_WAITS"),
     ("tenant_quota_deferrals", int, "TENANT_QUOTA_DEFERRALS"),
     ("sched_queue_wait_seconds", float, "SCHED_QUEUE_WAIT_SECONDS"),
     ("sched_jobs_interleaved", int, "SCHED_QUEUE_JOBS_INTERLEAVED"),

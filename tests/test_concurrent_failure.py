@@ -29,7 +29,12 @@ from repro.datagen.synthetic import VALUE_RANGE, SyntheticGenerator
 from repro.hail import HailConfig
 from repro.hdfs import DataFile, HdfsClient, StandardUploadPipeline
 from repro.mapreduce import Counters, JobConf, TextInputFormat
-from repro.mapreduce.job_tracker import ConcurrencyPolicy, ConcurrentJob, JobTracker
+from repro.mapreduce.job_tracker import (
+    MAX_PREEMPTIONS_PER_JOB,
+    ConcurrencyPolicy,
+    ConcurrentJob,
+    JobTracker,
+)
 from repro.mapreduce.task import MapTask
 
 
@@ -249,7 +254,6 @@ def test_preemption_revokes_expansion_and_keeps_answers(loaded_hdfs, cost_model)
     policy = ConcurrencyPolicy(
         max_concurrent_jobs=4,
         preemption=True,
-        max_preemptions_per_job=2,
         tenant_weights={"alice": 1.0, "bob": 1.0},
     )
     outcomes = tracker.run_concurrent_map_phases(jobs, policy)
@@ -258,7 +262,7 @@ def test_preemption_revokes_expansion_and_keeps_answers(loaded_hdfs, cost_model)
     _assert_launch_audit(jobs, outcomes)
     kills = [j.counters.value(Counters.PREEMPT_ATTEMPTS_KILLED) for j in jobs]
     assert sum(kills) > 0
-    assert all(k <= policy.max_preemptions_per_job for k in kills)
+    assert all(k <= MAX_PREEMPTIONS_PER_JOB for k in kills)
     # Only the over-entitled tenant's attempts were revoked, and the waste is accounted.
     assert kills[2] == kills[3] == 0
     assert sum(

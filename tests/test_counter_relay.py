@@ -3,9 +3,8 @@
 A record reader counts each executed block into a counter bag of its own and the map task
 merges that bag into the attempt's (there is no per-counter mirror field in between).  These
 cases hold the relay to its invariants on the ``busy_session`` deployment (``conftest.py``),
-which has everything that feeds it switched on — zone maps with split pruning, adaptive
-indexing with multi-attribute builds, the auto-tuner with per-attribute ledgers — and ran
-two-attribute conjunctive filters.
+which has everything that feeds it switched on — zone maps, adaptive indexing, the auto-tuner
+with per-attribute ledgers — and ran two-attribute conjunctive filters.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for HailConfig and HailBlock."""
 
 import inspect
+import math
 from dataclasses import fields, replace
 from datetime import date
 
@@ -60,8 +61,8 @@ def test_config_toggles():
 # --------------------------------------------------------------------------- one spelling
 def test_knob_census():
     """Adding a knob is a deliberate one-line edit here, so the reviewer sees the count move."""
-    assert len(fields(HailConfig)) == 22
-    assert len(fields(ConcurrencyPolicy)) == 8
+    assert len(fields(HailConfig)) == 19
+    assert len(fields(ConcurrencyPolicy)) == 5
     assert len(fields(DiskPressurePolicy)) == 3
     assert len(fields(CostParameters)) == 12
 
@@ -153,6 +154,18 @@ def test_builders_and_constructor_agree_and_stay_hashable():
             lambda: HailConfig(concurrency=ConcurrencyPolicy(tenant_weights={"alice": 0.0})),
             lambda: HailConfig().with_concurrency(tenant_weights={"alice": 0.0}),
             "tenant weight for 'alice' must be > 0",
+        ),
+        # Non-finite values would pass the range checks: a NaN capacity never reports
+        # pressure, and a NaN or infinite weight fails the first preempting entitlement.
+        (
+            lambda: HailConfig(disk_pressure=DiskPressurePolicy(capacity_bytes=math.nan)),
+            lambda: HailConfig().with_lifecycle(capacity_bytes=math.inf),
+            "capacity_bytes must be positive and finite",
+        ),
+        (
+            lambda: HailConfig(concurrency=ConcurrencyPolicy(tenant_weights={"alice": math.inf})),
+            lambda: HailConfig().with_concurrency(tenant_weights={"alice": math.nan}),
+            "tenant_weights: tenant weight for 'alice' must be > 0 and finite",
         ),
     ],
 )

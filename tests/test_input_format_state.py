@@ -5,7 +5,7 @@ The paper changes Hadoop only through the InputFormat and the RecordReader (Sect
 annotation — the deployment's config, the job's adaptive-indexing context, the lifecycle
 manager — and the generic runner and JobTracker reach it only through the three
 ``InputFormat`` defaults (``index_aware_scheduling``, ``start_run``, ``finish_run``).  The
-split phase's pruning report is the JobClient's, derived from the splits themselves.
+split phase puts every block of the file into exactly one split, zone-map skips included.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _NARROW = Query(
     predicate=Predicate.comparison("f2", Operator.LT, VALUE_RANGE // 16),
     projection=None,
 )
-#: A predicate no block can satisfy: split pruning drops the whole file.
+#: A predicate no block can satisfy: every block's zone synopsis proves it empty.
 _NEVER = Query(name="never", predicate=Predicate.comparison("f2", Operator.LT, -1), projection=None)
 
 
@@ -64,16 +64,14 @@ def _hail(config: HailConfig) -> HailSystem:
     return _deploy(HailSystem(Cluster.homogeneous(3, seed=2), config=config, cost=_cost()))
 
 
-def _pruning_config() -> HailConfig:
-    return HailConfig(index_attributes=("f1",), functional_partition_size=1).with_zone_maps(
-        True, split_pruning=True
-    )
+def _zone_map_config() -> HailConfig:
+    return HailConfig(index_attributes=("f1",), functional_partition_size=1).with_zone_maps(True)
 
 
 # --------------------------------------------------------------------------- the split report
 def test_a_jobconf_submitted_twice_in_one_batch_counts_its_pruned_blocks_twice():
-    """Both runs of one reused ``JobConf`` report the blocks their split phase pruned."""
-    system = _hail(_pruning_config())
+    """Both runs of one reused ``JobConf`` report the blocks their readers skipped."""
+    system = _hail(_zone_map_config())
     jobconf = system._scan_jobconf(_NEVER, _PATH)
     results = system.runner.run_concurrent(
         [jobconf, jobconf], policy=ConcurrencyPolicy(max_concurrent_jobs=2)
@@ -87,10 +85,10 @@ def test_a_jobconf_submitted_twice_in_one_batch_counts_its_pruned_blocks_twice()
 
 @pytest.mark.parametrize(
     "deployment",
-    ["hadoop", "hadoop++", "hail", "hail-split-pruning"],
+    ["hadoop", "hadoop++", "hail", "hail-zone-maps"],
 )
 @pytest.mark.parametrize("query", [_NARROW, _NEVER], ids=["narrow", "never"])
-def test_splits_and_skipped_blocks_cover_every_block_exactly_once(deployment, query):
+def test_splits_cover_every_block_exactly_once(deployment, query):
     if deployment == "hadoop":
         system = _deploy(HadoopSystem(Cluster.homogeneous(3, seed=2), cost=_cost()))
     elif deployment == "hadoop++":
@@ -99,18 +97,14 @@ def test_splits_and_skipped_blocks_cover_every_block_exactly_once(deployment, qu
     elif deployment == "hail":
         system = _hail(HailConfig(index_attributes=("f1",), functional_partition_size=1))
     else:
-        system = _hail(_pruning_config())
+        system = _hail(_zone_map_config())
     plan = system.runner.job_client.compute_splits(system._scan_jobconf(query, _PATH))
     covered = [block_id for split in plan.splits for block_id in split.block_ids]
     blocks = system.hdfs.namenode.file_blocks(_PATH)
-    assert sorted(covered + list(plan.skipped_blocks)) == sorted(blocks)
+    # Blocks whose zone synopses prove the predicate empty still ride in a split: their
+    # readers re-check the skip against the payload.
+    assert sorted(covered) == sorted(blocks)
     assert plan.num_blocks == len(blocks)
-    # Only HAIL's zone-aware split pruning leaves blocks out of every split.
-    assert bool(plan.skipped_blocks) == (deployment == "hail-split-pruning")
-    assert plan.skipped_bytes == sum(
-        system.hdfs.namenode.logical_block(block_id).text_size_bytes
-        for block_id in plan.skipped_blocks
-    )
 
 
 # --------------------------------------------------------------------------- the format
@@ -162,7 +156,7 @@ def test_the_runner_finishes_only_measured_runs():
 def test_a_hail_job_leaves_only_the_query_annotation_in_its_properties():
     config = (
         HailConfig(index_attributes=("f1",), functional_partition_size=1)
-        .with_zone_maps(True, split_pruning=True)
+        .with_zone_maps(True)
         .with_placement(scheduling=True)
         .with_adaptive(True)
         .with_lifecycle(auto_tune=True)

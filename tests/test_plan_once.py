@@ -232,17 +232,14 @@ def test_speculative_attempts_leave_the_plan_untouched(monkeypatch):
 
 
 # ------------------------------------------------------------------ explain
-@pytest.mark.parametrize(
-    "zone_maps, split_pruning", [(False, False), (True, False), (True, True)]
-)
-def test_explain_renders_the_plan_the_split_phase_made(zone_maps, split_pruning):
+@pytest.mark.parametrize("zone_maps", [False, True])
+def test_explain_renders_the_plan_the_split_phase_made(zone_maps):
     system = HailSystem(
         Cluster.homogeneous(3, seed=2),
         config=HailConfig(
             index_attributes=("f1",),
             functional_partition_size=1,
             zone_maps=zone_maps,
-            zone_split_pruning=split_pruning,
         ),
         cost=CostModel(CostParameters(enable_variance=False, data_scale=50.0)),
     )

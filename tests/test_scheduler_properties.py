@@ -31,7 +31,12 @@ from repro.cluster.failure import ConcurrentChaos
 from repro.hdfs import DataFile, Hdfs, HdfsClient, StandardUploadPipeline
 from repro.layouts import FieldType, Schema
 from repro.mapreduce import Counters, JobConf, TextInputFormat
-from repro.mapreduce.job_tracker import ConcurrencyPolicy, ConcurrentJob, JobTracker
+from repro.mapreduce.job_tracker import (
+    MAX_PREEMPTIONS_PER_JOB,
+    ConcurrencyPolicy,
+    ConcurrentJob,
+    JobTracker,
+)
 from repro.mapreduce.task import MapTask
 
 TENANTS = ("alice", "bob")
@@ -119,10 +124,7 @@ def _assert_invariants(jobs, outcomes, policy) -> None:
             + counters.value(Counters.RESCHEDULED_MAP_TASKS)
         )
         # Preemption stays inside its per-job bound.
-        assert (
-            counters.value(Counters.PREEMPT_ATTEMPTS_KILLED)
-            <= policy.max_preemptions_per_job
-        )
+        assert counters.value(Counters.PREEMPT_ATTEMPTS_KILLED) <= MAX_PREEMPTIONS_PER_JOB
         # A job submitted later can never have launched earlier than its arrival.
         if outcome.first_launch_s is not None:
             assert outcome.first_launch_s >= job.submit_s
@@ -171,7 +173,6 @@ def test_random_schedules_preserve_invariants(
         tenant_slot_quota=quota,
         speculative_execution=speculation,
         preemption=preemption,
-        max_preemptions_per_job=2,
         tenant_weights={"alice": weight_pair[0], "bob": weight_pair[1]},
     )
     chaos = ConcurrentChaos(slow_nodes={1: straggler}) if straggler else None
@@ -205,7 +206,6 @@ def test_weighted_shares_favour_the_heavier_tenant(heavy, jobs_per_tenant):
     policy = ConcurrencyPolicy(
         max_concurrent_jobs=2 * jobs_per_tenant,
         preemption=True,
-        max_preemptions_per_job=2,
         tenant_weights={"alice": heavy, "bob": 1.0},
     )
     outcomes = tracker.run_concurrent_map_phases(jobs, policy)
@@ -248,7 +248,6 @@ def test_quota_survives_preemption_storms(quota, arrival_gap):
         max_concurrent_jobs=4,
         tenant_slot_quota=quota,
         preemption=True,
-        max_preemptions_per_job=2,
         tenant_weights={"alice": 1.0, "bob": 1.0},
     )
     outcomes = tracker.run_concurrent_map_phases(jobs, policy)

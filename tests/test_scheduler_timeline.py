@@ -9,10 +9,9 @@ full counter bag.  The digest of all rows is pinned, so a refactor of the loop t
 *which* slot runs *which* attempt *when* — even one that keeps every answer and invariant —
 fails here.  The matrix is also checked to be non-vacuous: every mechanism it covers fires.
 
-A second digest covers only the rows whose policy keeps the fair queue and no per-tenant
-admission limit, keyed by the values of the five other policy fields rather than by
-``repr(policy)``, so it still holds when a policy field with a single surviving value is
-removed.
+Each batch row is keyed by the values of the policy's fields rather than by ``repr(policy)``.
+The digest was first pinned while the policy still had a FIFO queue and a per-tenant admission
+limit, over the rows that kept the fair queue and no limit; it held unedited when both went.
 """
 
 from __future__ import annotations
@@ -34,11 +33,7 @@ from repro.mapreduce.job_tracker import ConcurrencyPolicy, ConcurrentJob, JobTra
 from repro.mapreduce.task import MapTask
 from repro.workloads.query import Query
 
-#: Digest of every row below, captured before the loop was restructured.
-EXPECTED_DIGEST = "f04a93bd53e4940a"
-EXPECTED_ROWS = 642
-
-#: Digest of the fair-queue, no-admission-limit rows (plus the serial-kill and HAIL rows).
+#: Digest of every row below: 32 policies times 5 fault plans, plus the serial-kill and HAIL rows.
 SURVIVING_DIGEST = "9791ce37ea6da1cc"
 SURVIVING_ROWS = 162
 
@@ -105,23 +100,20 @@ _FAULTS = {
 
 
 def _policies():
-    for jobs, queue, quota, spec, preempt, weights, admission in itertools.product(
-        (1, 3), ("fair", "fifo"), (None, 2), (False, True), (False, True),
-        (None, {"a": 2}), (None, 1),
+    for jobs, quota, spec, preempt, weights in itertools.product(
+        (1, 3), (None, 2), (False, True), (False, True), (None, {"a": 2})
     ):
         yield ConcurrencyPolicy(
             max_concurrent_jobs=jobs,
-            queue_policy=queue,
             tenant_slot_quota=quota,
             speculative_execution=spec,
             preemption=preempt,
             tenant_weights=weights,
-            tenant_admission_limit=admission,
         )
 
 
 def _key(policy: ConcurrencyPolicy) -> tuple:
-    """The policy's surviving fields by value."""
+    """The policy's fields by value."""
     return (
         policy.max_concurrent_jobs,
         policy.tenant_slot_quota,
@@ -129,10 +121,6 @@ def _key(policy: ConcurrencyPolicy) -> tuple:
         policy.preemption,
         policy.tenant_weights,
     )
-
-
-def _survives(policy: ConcurrencyPolicy) -> bool:
-    return policy.queue_policy == "fair" and policy.tenant_admission_limit is None
 
 
 def _attempts(outcome) -> tuple:
@@ -211,16 +199,9 @@ def _digest(rows: list[tuple]) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-def test_timeline_fingerprint_is_unchanged(matrix):
-    batch, single, _ = matrix
-    rows = [(repr(policy),) + row for policy, row in batch] + single
-    assert len(rows) == EXPECTED_ROWS
-    assert _digest(rows) == EXPECTED_DIGEST
-
-
 def test_surviving_timeline_fingerprint_is_unchanged(matrix):
     batch, single, _ = matrix
-    rows = [(_key(policy),) + row for policy, row in batch if _survives(policy)] + single
+    rows = [(_key(policy),) + row for policy, row in batch] + single
     assert len(rows) == SURVIVING_ROWS
     assert _digest(rows) == SURVIVING_DIGEST
 
@@ -231,7 +212,6 @@ def test_surviving_timeline_fingerprint_is_unchanged(matrix):
         Counters.PREEMPT_ATTEMPTS_KILLED,
         Counters.SPEC_ATTEMPTS_LAUNCHED,
         Counters.RESCHEDULED_MAP_TASKS,
-        Counters.TENANT_ADMISSION_WAITS,
         Counters.TENANT_QUOTA_DEFERRALS,
         Counters.DEADLINE_JOBS_MISSED,
         Counters.SCHED_INDEX_LOCAL,

@@ -243,6 +243,39 @@ def test_skip_telemetry_and_explain(zone_deployments):
     assert executed == {AccessPath.ZONE_MAP_SKIP}
 
 
+def test_skipped_blocks_still_ride_in_the_splits(zone_deployments, monkeypatch):
+    """One planner pass cuts the splits, and every block it plans as a skip still gets a task.
+
+    A block is never dropped on its registered synopsis alone: its reader re-checks the skip
+    against the payload inside the map task.
+    """
+    system = zone_deployments["zm_on"]
+    query = _query(Predicate.between("f2", -100, -1), name="zm-splits")
+    jobconf = system._scan_jobconf(query, _PATH)
+    calls = []
+    plan_query = PhysicalPlanner.plan_query
+    monkeypatch.setattr(
+        PhysicalPlanner,
+        "plan_query",
+        lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_query(self, *args, **kwargs),
+    )
+    splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
+    assert calls == [True]
+    blocks = system.hdfs.namenode.file_blocks(_PATH)
+    assert jobconf.input_format.plan.count(AccessPath.ZONE_MAP_SKIP) == len(blocks)
+    assert sorted(block_id for split in splits for block_id in split.block_ids) == sorted(blocks)
+    result = system.run_query(query, _PATH)
+    assert result.records == [] and result.job.num_map_tasks > 0
+    assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == len(blocks)
+
+
+def test_unfiltered_scans_are_never_skipped(zone_deployments):
+    """No predicate: no synopsis can prove anything, so every row comes back."""
+    result = zone_deployments["zm_on"].run_query(_query(None, name="zm-scan"), _PATH)
+    assert len(result.records) == 360
+    assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == 0
+
+
 def test_zone_maps_off_never_skips(zone_deployments):
     system = zone_deployments["zm_off"]
     query = _query(Predicate.between("f2", -100, -1), name="zm-off-impossible")
