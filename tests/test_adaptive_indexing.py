@@ -92,6 +92,17 @@ def test_zero_offer_rate_never_builds():
     assert system.adaptive_replica_count(_PATH) == 0
 
 
+def test_budget_per_job_limits_builds_per_query():
+    """Builds per job are unlimited unless the auto-tuner has sized a budget; then it binds."""
+    system = _system(adaptive_auto_tune=True)
+    assert system.lifecycle.tuner.budget is None
+    system.lifecycle.tuner.budget = 2
+    result = system.run_query(_query(), _PATH)
+    assert result.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) == 2
+    assert result.job.counters.value(Counters.ADAPTIVE_INDEXES_COMMITTED) == 2
+    assert system.adaptive_replica_count(_PATH) == 2
+
+
 # --------------------------------------------------------------------------- the feedback loop
 def test_full_scans_pay_forward_and_upgrade_to_index_scans():
     system = _system()

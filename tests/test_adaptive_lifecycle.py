@@ -1,4 +1,4 @@
-"""Lifecycle tests: eviction invariants, the knob tuner, and multi-attribute convergence."""
+"""Lifecycle tests: eviction invariants, the knob tuner, and conjunctive queries."""
 
 from __future__ import annotations
 
@@ -440,6 +440,31 @@ def test_an_index_scan_stages_no_build_on_its_other_filter_attributes():
     result = system.run_query(query, _PATH)
     assert result.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) == 0
     assert system.index_coverage(_PATH, "f3") == 0.0
+
+
+def test_conjunction_results_match_plain_execution():
+    """A conjunction answers the same with adaptive indexing off, while converging, and after."""
+    plain = HailSystem(
+        Cluster.homogeneous(4, seed=7),
+        config=HailConfig(functional_partition_size=1, splitting_policy=False),
+        cost=_cost(),
+    )
+    plain.upload(_PATH, SyntheticGenerator(seed=3).generate(800), SYNTHETIC_SCHEMA, rows_per_block=100)
+    adaptive = _system()
+    conjunction = Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 3).and_(
+        Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 3)
+    )
+    query = Query(name="conj", predicate=conjunction, projection=("f1", "f3"), description="")
+    expected = plain.run_query(query, _PATH).sorted_records()
+    assert expected, "degenerate test: the conjunction matched nothing"
+    first = adaptive.run_query(query, _PATH)
+    assert first.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) > 0
+    assert first.sorted_records() == expected
+    # After convergence the same query runs on index scans and still returns the same records.
+    second = adaptive.run_query(query, _PATH)
+    assert second.plan.summary()["index_scans"] == second.plan.num_blocks
+    assert second.sorted_records() == expected
+    assert check_dir_rep_consistency(adaptive.hdfs, _PATH) == []
 
 
 # --------------------------------------------------------------------------- introspection

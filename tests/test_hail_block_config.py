@@ -187,6 +187,49 @@ def test_flat_mirrors_are_gone_not_aliased():
     assert not hasattr(HailConfig(), "max_concurrent_jobs")
 
 
+@pytest.mark.parametrize(
+    "by_constructor, by_builder",
+    [
+        pytest.param(
+            lambda: HailConfig(adaptive_budget_per_job=2),
+            lambda: HailConfig().with_adaptive(True, budget_per_job=2),
+            id="adaptive_budget_per_job",
+        ),
+        pytest.param(
+            lambda: HailConfig(adaptive_multi_attribute=True),
+            lambda: HailConfig().with_lifecycle(multi_attribute=True),
+            id="adaptive_multi_attribute",
+        ),
+        pytest.param(
+            lambda: HailConfig(zone_maps=True, zone_split_pruning=True),
+            lambda: HailConfig().with_zone_maps(True, split_pruning=True),
+            id="zone_split_pruning",
+        ),
+        pytest.param(
+            lambda: ConcurrencyPolicy(queue_policy="fifo"),
+            lambda: HailConfig().with_concurrency(queue_policy="fifo"),
+            id="queue_policy",
+        ),
+        pytest.param(
+            lambda: ConcurrencyPolicy(tenant_admission_limit=1),
+            lambda: HailConfig().with_concurrency(tenant_admission_limit=1),
+            id="tenant_admission_limit",
+        ),
+        pytest.param(
+            lambda: ConcurrencyPolicy(max_preemptions_per_job=3),
+            lambda: HailConfig().with_concurrency(max_preemptions_per_job=3),
+            id="max_preemptions_per_job",
+        ),
+    ],
+)
+def test_switches_made_constant_are_refused_not_ignored(by_constructor, by_builder):
+    """A switch that became a constant is an unknown keyword, never a silently dropped one."""
+    with pytest.raises(TypeError):
+        by_constructor()
+    with pytest.raises(TypeError):
+        by_builder()
+
+
 def test_from_config_hands_over_the_configs_own_pressure_policy():
     config = (
         HailConfig()

@@ -76,8 +76,9 @@ def _peak_concurrency(outcomes, tenant: str) -> int:
 
 
 # --------------------------------------------------------------------------- job tracker
-def test_concurrent_results_identical_to_serial(loaded_hdfs, cost_model):
-    """Interleaving changes the timeline, never the answers."""
+@pytest.mark.parametrize("tenant_weights", [None, {"alice": 3.0}], ids=["fair", "weighted"])
+def test_concurrent_results_identical_to_serial(loaded_hdfs, cost_model, tenant_weights):
+    """Interleaving changes the timeline, never the answers — with or without tenant weights."""
     tracker = JobTracker(loaded_hdfs.cluster, loaded_hdfs, cost_model)
     serial = [
         _sorted_output(tracker.run_map_phase(_make_job(loaded_hdfs, cost_model, f"j{i}", "t").tasks, Counters()))
@@ -88,7 +89,7 @@ def test_concurrent_results_identical_to_serial(loaded_hdfs, cost_model):
         for i, tenant in enumerate(["alice", "bob", "alice"])
     ]
     outcomes = tracker.run_concurrent_map_phases(
-        jobs, ConcurrencyPolicy(max_concurrent_jobs=3)
+        jobs, ConcurrencyPolicy(max_concurrent_jobs=3, tenant_weights=tenant_weights)
     )
     assert [_sorted_output(outcome.outcome) for outcome in outcomes] == serial
     assert all(outcome.interleaved for outcome in outcomes)
@@ -379,6 +380,30 @@ def test_task_less_batch_drains_through_the_session_layer():
             assert result.job.num_map_tasks == 0
             assert result.job.counters.value(Counters.TENANT_JOBS_ADMITTED) == 1
             assert result.job.counters.value(Counters.LAUNCHED_MAP_TASKS) == 0
+    assert alice.pending == () and bob.pending == ()
+
+
+def test_all_pruned_batch_drains_through_the_session_layer():
+    """A concurrent drain whose every block is zone-skipped inside its task returns empty results."""
+    config = (
+        HailConfig.for_attributes(("f1",), functional_partition_size=1)
+        .with_zone_maps(True)
+        .with_concurrency(max_jobs=2)
+    )
+    alice = Session.deploy(nodes=4, hail_config=config, tenant="alice")
+    generator = SyntheticGenerator(seed=7)
+    alice.upload(_PATH, generator.generate(800), generator.schema, rows_per_block=100)
+    bob = alice.attach("bob")
+    for i, session in enumerate((alice, bob, alice, bob)):
+        session.dataset(_PATH).where(col("f2") < -1).named(f"never-{i}").submit()
+    batches = run_multi_tenant_batch([alice, bob])
+    num_blocks = len(alice.system("HAIL").hdfs.namenode.file_blocks(_PATH))
+    for tenant in ("alice", "bob"):
+        assert len(batches[tenant]) == 2
+        for result in batches[tenant]:
+            assert result.records == []
+            assert result.job.num_map_tasks > 0
+            assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == num_blocks
     assert alice.pending == () and bob.pending == ()
 
 

@@ -285,6 +285,94 @@ def test_zone_maps_off_never_skips(zone_deployments):
     assert result.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == 0
 
 
+# --------------------------------------------------------------------------- in-task skips
+_SORTED_PATH = "/zonemaps/sorted"
+_SORTED_RECORDS = 320  # 8 blocks of 40 rows
+
+_NEVER = Predicate.comparison("f2", Operator.LT, -1)
+_NARROW = Predicate.comparison("f2", Operator.LT, VALUE_RANGE // 16)
+
+
+def _sorted_hail(zone_maps: bool, max_jobs: int = 1) -> HailSystem:
+    """Data sorted on f2, so per-block f2 zones are disjoint and range predicates skip cleanly."""
+    config = HailConfig(
+        index_attributes=("f1",), functional_partition_size=1, zone_maps=zone_maps
+    ).with_concurrency(max_jobs=max_jobs)
+    system = HailSystem(Cluster.homogeneous(3, seed=2), config=config, cost=_cost())
+    records = sorted(
+        SyntheticGenerator(seed=11).generate(_SORTED_RECORDS),
+        key=lambda record: record[SYNTHETIC_SCHEMA.index_of("f2")],
+    )
+    system.upload(_SORTED_PATH, records, SYNTHETIC_SCHEMA, rows_per_block=40)
+    return system
+
+
+@pytest.fixture(scope="module")
+def sorted_deployments():
+    return {zone_maps: _sorted_hail(zone_maps) for zone_maps in (False, True)}
+
+
+@pytest.mark.parametrize("predicate", [_NEVER, _NARROW, None], ids=["never", "narrow", "scan"])
+def test_zone_maps_never_change_the_map_task_count(sorted_deployments, predicate):
+    """Skips happen inside map tasks: the job schedules the same tasks with zone maps on or off."""
+    query = _query(predicate, name="zm-tasks", projection=None)
+    skipping = sorted_deployments[True].run_query(query, _SORTED_PATH)
+    control = sorted_deployments[False].run_query(query, _SORTED_PATH)
+    assert skipping.sorted_records() == control.sorted_records()
+    assert skipping.job.num_map_tasks == control.job.num_map_tasks > 0
+    launched = Counters.LAUNCHED_MAP_TASKS
+    assert skipping.job.counters.value(launched) == control.job.counters.value(launched)
+    assert control.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == 0
+
+
+def test_selective_range_skips_most_blocks_and_answers_exactly(sorted_deployments):
+    """On f2-sorted data a narrow f2 range touches few blocks; the others are skipped in-task."""
+    query = _query(_NARROW, name="zm-narrow", projection=None)
+    skipping = sorted_deployments[True].run_query(query, _SORTED_PATH)
+    control = sorted_deployments[False].run_query(query, _SORTED_PATH)
+    assert skipping.records, "degenerate test: the range matched nothing"
+    assert skipping.sorted_records() == control.sorted_records()
+    num_blocks = len(sorted_deployments[True].hdfs.namenode.file_blocks(_SORTED_PATH))
+    skipped = skipping.job.counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS)
+    assert num_blocks // 2 < skipped < num_blocks
+    assert skipping.record_reader_s < control.record_reader_s
+
+
+@pytest.mark.parametrize("zone_maps", [False, True])
+def test_get_splits_plans_the_file_once(sorted_deployments, monkeypatch, zone_maps):
+    """One planner pass supplies the splits, and every block lands in exactly one of them."""
+    system = sorted_deployments[zone_maps]
+    jobconf = system._scan_jobconf(_query(_NARROW, name="zm-plan-once"), _SORTED_PATH)
+    calls = []
+    plan_query = PhysicalPlanner.plan_query
+    monkeypatch.setattr(
+        PhysicalPlanner,
+        "plan_query",
+        lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_query(self, *args, **kwargs),
+    )
+    splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
+    assert calls == [zone_maps]
+    blocks = system.hdfs.namenode.file_blocks(_SORTED_PATH)
+    assert sorted(block_id for split in splits for block_id in split.block_ids) == sorted(blocks)
+    planned_skips = jobconf.input_format.plan.count(AccessPath.ZONE_MAP_SKIP)
+    assert (planned_skips > 0) == zone_maps
+
+
+def test_all_pruned_concurrent_batch_returns_empty_results():
+    """Two interleaved jobs whose every block is skipped in its task both come back empty."""
+    system = _sorted_hail(zone_maps=True, max_jobs=2)
+    never = _query(_NEVER, name="zm-never", projection=None)
+    results = system.run_queries([(never, _SORTED_PATH), (never, _SORTED_PATH)])
+    num_blocks = len(system.hdfs.namenode.file_blocks(_SORTED_PATH))
+    assert len(results) == 2
+    for result in results:
+        counters = result.job.counters
+        assert result.records == []
+        assert counters.value(Counters.LAUNCHED_MAP_TASKS) == result.job.num_map_tasks > 0
+        assert counters.value(Counters.ZONE_MAP_SKIPPED_BLOCKS) == num_blocks
+        assert counters.value(Counters.ZONE_MAP_PRUNED_BYTES) > 0
+
+
 def test_session_stats_surface_zone_counters():
     session = Session(_hail(zone_maps=True))
     data = session.upload(_PATH, SyntheticGenerator(seed=19).generate(200),
