@@ -11,6 +11,7 @@ from __future__ import annotations
 #: Run first under ``-x``, most fundamental first.
 SMOKE_FIRST = (
     # Call-count guards and the kernel wall-clock floor: fail as a count before any stopwatch.
+    "tests/test_text_mapper.py",
     "benchmarks/test_engine_filter.py",
     "tests/test_engine_kernels.py",
     "tests/test_block_leftovers.py",

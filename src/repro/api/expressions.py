@@ -30,17 +30,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Sequence, Union
 
-from repro.hail.predicate import AttributeRef, Comparison, Operator
+from repro.hail.predicate import AttributeRef, Comparison, Operator, UnsupportedExpressionError
 from repro.layouts.schema import Schema
-
-
-class UnsupportedExpressionError(ValueError):
-    """The expression is valid DSL but has no equivalent conjunctive ``Predicate``.
-
-    Raised by the normalizer for residual disjunctions (ranges over one attribute whose union
-    is not contiguous, or ``|`` across different attributes) and for negated equalities —
-    HAIL's predicate language has conjunction, ranges and equality only.
-    """
 
 
 class Expr(abc.ABC):

@@ -8,6 +8,7 @@ i.e. the "MAP FUNCTION FOR HADOOP MAPREDUCE" pseudo-code of Section 4.1.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 
 from repro.engine.executor import TextScanResult
@@ -69,11 +70,17 @@ def make_line_parser(query, schema: Schema):
 def make_block_parser(query, schema: Schema, parse_line):
     """The block form of ``parse_line`` (:func:`make_line_parser`): one text block's rows.
 
-    Column at a time: split the lines of the right arity, then per clause parse that one
-    column of the surviving rows and keep the ones the kernels' scan table selects
-    (:func:`~repro.engine.kernels.clause_positions`), then parse each projected column of the
-    survivors and ``zip`` the columns into tuples.  A token that does not parse (or compare)
-    raises out of whichever column pass met it; the whole block then goes through
+    Filter first, column at a time.  Every line is split only through the first clause's
+    column; that column is parsed and the kernels' scan table
+    (:func:`~repro.engine.kernels.clause_positions`) keeps the qualifying lines.  Each later
+    clause does the same over the survivors only.  Only the lines that pass every clause are
+    arity-checked and split on through the last column the query reads, from the tail the
+    earlier splits left (never re-splitting a head), before each projected column is parsed
+    and the columns are ``zip``-ped into tuples.
+
+    A wrong-arity line that fails the filter is dropped as ``parse_line`` drops it; one that
+    passes is dropped by the survivors' arity check.  A token that does not parse, compare
+    or exist raises out of whichever pass met it; the whole block then goes through
     ``parse_line`` line by line, which drops exactly the rows it always dropped.
     """
     clause_info, projection_info = _scan_columns(query, schema)
@@ -87,24 +94,61 @@ def make_block_parser(query, schema: Schema, parse_line):
     )
 
     def parse(scan: TextScanResult) -> list:
-        rows = [
-            line.split(delimiter, last_read + 1)
-            for line in scan.lines
-            if line.count(delimiter) == expected_delimiters
-        ]
+        lines = scan.lines
+        # ``(first column, pieces per surviving line)``: each split runs on from the last
+        # piece of the one before, the unsplit tail past column ``reach``.
+        segments: list[tuple] = []
+        reach = -1
         try:
             for clause, index, field in clause_info:
-                values = list(map(field.ftype.parse_value, map(itemgetter(index), rows)))
-                rows = gatherer(clause_positions(clause, values))(rows)
+                reach = _split_through(segments, reach, index, lines, delimiter)
+                values = list(map(field.ftype.parse_value, _tokens(segments, index)))
+                keep = gatherer(clause_positions(clause, values))
+                lines = keep(lines)
+                segments = [(first, keep(pieces)) for first, pieces in segments]
+                if not lines:
+                    return []
+            counts = list(map(str.count, lines, repeat(delimiter)))
+            if counts.count(expected_delimiters) != len(counts):
+                keep = gatherer([p for p, n in enumerate(counts) if n == expected_delimiters])
+                lines = keep(lines)
+                segments = [(first, keep(pieces)) for first, pieces in segments]
+            _split_through(segments, reach, last_read, lines, delimiter)
             columns = [
-                map(field.ftype.parse_value, map(itemgetter(index), rows))
+                map(field.ftype.parse_value, _tokens(segments, index))
                 for index, field in projection_info
             ]
-            return list(zip(*columns)) if columns else [()] * len(rows)
-        except (ValueError, TypeError):
+            return list(zip(*columns)) if columns else [()] * len(lines)
+        except (ValueError, TypeError, IndexError):
             return [row for row in map(parse_line, scan.lines) if row is not None]
 
     return parse
+
+
+def _split_through(segments: list, reach: int, column: int, lines, delimiter: str) -> int:
+    """Split the surviving lines on through ``column``; the new reach.
+
+    The first split cuts each line (C-level ``str.split`` with a ``maxsplit``); a later one
+    cuts only the tail the last segment left past ``reach``.  A line too short to have that
+    tail raises ``IndexError``.
+    """
+    if column <= reach:
+        return reach
+    if segments:
+        first, last = segments[-1]
+        tails = map(itemgetter(reach + 1 - first), last)
+    else:
+        tails = lines
+    cuts = repeat(column - reach)
+    segments.append((reach + 1, list(map(str.split, tails, repeat(delimiter), cuts))))
+    return column
+
+
+def _tokens(segments: list, column: int):
+    """Column ``column``'s tokens of the surviving lines, out of the segment that holds it."""
+    for first, pieces in reversed(segments):
+        if column >= first:
+            return map(itemgetter(column - first), pieces)
 
 
 def _scan_columns(query, schema: Schema) -> tuple[list, list]:

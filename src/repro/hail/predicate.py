@@ -15,14 +15,37 @@ every zone-map check derive from :meth:`Comparison.value_range`.
 from __future__ import annotations
 
 import enum
+import numbers
 import operator
 import re
 from dataclasses import dataclass
+from datetime import date, datetime
 from typing import Any, Optional, Sequence, Union
 
-from repro.layouts.schema import Field, Schema
+from repro.layouts.schema import Field, FieldType, Schema
 
 AttributeRef = Union[str, int]
+
+
+class UnsupportedExpressionError(ValueError):
+    """The query is valid DSL but has no predicate the engine can evaluate.
+
+    Raised by the normalizer for residual disjunctions (ranges over one attribute whose union
+    is not contiguous, or ``|`` across different attributes) and for negated equalities —
+    HAIL's predicate language has conjunction, ranges and equality only — and, before any
+    job runs, for a clause whose operand cannot be compared with its column's values
+    (:meth:`Predicate.check_operands`).
+    """
+
+
+def _operand_fits(ftype: FieldType, operand: Any) -> bool:
+    """Does ``operand`` compare with the values a column of ``ftype`` parses to?"""
+    if ftype is FieldType.STRING:
+        return isinstance(operand, str)
+    if ftype is FieldType.DATE:
+        # A datetime is a date, yet refuses to be compared with one.
+        return isinstance(operand, date) and not isinstance(operand, datetime)
+    return isinstance(operand, numbers.Real)
 
 
 class Operator(enum.Enum):
@@ -151,6 +174,23 @@ class Predicate:
             if clause.attribute_name(schema) == attribute:
                 return clause
         return None
+
+    def check_operands(self, schema: Schema) -> None:
+        """Refuse a clause whose operand cannot be compared with its column's values.
+
+        Numbers compare with numeric columns, ``str`` with STRING and ``datetime.date`` with
+        DATE columns; anything else would raise a bare ``TypeError`` inside a map task, so it
+        raises :class:`UnsupportedExpressionError` naming the column, its type and the
+        operand's type before any job runs.
+        """
+        for clause in self.clauses:
+            field = schema.fields[clause.attribute_index(schema)]
+            for operand in clause.operands:
+                if not _operand_fits(field.ftype, operand):
+                    raise UnsupportedExpressionError(
+                        f"cannot compare column {field.name!r} ({field.ftype.value}) with "
+                        f"{operand!r} ({type(operand).__name__})"
+                    )
 
     # ------------------------------------------------------------------ evaluation
     def matches(self, record: Sequence[Any], schema: Schema) -> bool:

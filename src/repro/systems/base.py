@@ -267,7 +267,12 @@ class BaseSystem(abc.ABC):
                 _deliver(position, self.run_query(query, path))
             return results
 
-        lowered = [(query, self._lower(query, path)) for query, path in items]
+        lowered = []
+        for position, (query, path) in enumerate(items):
+            try:  # a refused item stops the batch before any of its jobs is submitted
+                lowered.append((query, self._lower(query, path)))
+            except Exception as exc:
+                raise ConcurrentBatchError(position, exc) from exc
         scan_jobs: list[list] = [[None] * len(lowering.scans) for _, lowering in lowered]
         # One (item position, scan number) per job of the batch, in submission order.
         slots = [(p, k) for p, jobs in enumerate(scan_jobs) for k in range(len(jobs))]
@@ -323,15 +328,26 @@ class BaseSystem(abc.ABC):
 
     def _lower(self, query, path: str) -> Lowering:
         """The scans ``query`` needs plus the finish step over their jobs: an operator kind
-        brings its own; a plain ``Query`` is one undecorated scan whose job is the answer."""
+        brings its own; a plain ``Query`` is one undecorated scan whose job is the answer.
+
+        Raises :class:`~repro.hail.predicate.UnsupportedExpressionError` when a scan's
+        predicate compares a column with an operand of another type.
+        """
         from repro.engine.operators import LOWERINGS  # local: the operators import us back
 
         if type(query) in LOWERINGS:
-            return LOWERINGS[type(query)](self, query, path)
-        return Lowering(
-            [(query, path)],
-            lambda jobs, _: (jobs[0].records, jobs[0], self._executed_plan(query, path, jobs[0])),
-        )
+            lowering = LOWERINGS[type(query)](self, query, path)
+        else:
+            def finish(jobs, _scans_s):
+                return jobs[0].records, jobs[0], self._executed_plan(query, path, jobs[0])
+
+            lowering = Lowering([(query, path)], finish)
+        # Each scan meets its file's schema here, before any job is submitted; a scan-less
+        # lowering (a block-wise top-k) runs the query's own predicate over ``path``.
+        for scan_query, scan_path, *_ in lowering.scans or [(query, path)]:
+            if scan_query.predicate is not None:
+                scan_query.predicate.check_operands(self.schema_of(scan_path))
+        return lowering
 
     def _finish(self, query, lowering: Lowering, jobs: list, scans_s: float) -> QueryResult:
         """Run the finish step of ``query`` over its scans' jobs; wrap the answer as ours."""
