@@ -97,10 +97,9 @@ def test_kernels_and_pruning_beat_row_at_a_time(block, full_lookup):
         return vectorized_filter(block.pax, _PREDICATE, _SCHEMA, full_lookup)
 
     def pruned_then_kernel() -> list[int]:
-        windows = clustered.zone_map.prune_ranges(
-            _PREDICATE, _SCHEMA, 0, clustered.num_records
-        )
-        return kernels.filter_ranges(clustered.pax, _PREDICATE, _SCHEMA, windows)
+        rows = clustered.num_records
+        pruned = clustered.zone_map.pruned_rows(_PREDICATE, _SCHEMA, 0, rows, kernels.zone_flags)
+        return kernels.filter_ranges(clustered.pax, _PREDICATE, _SCHEMA, 0, rows, pruned)
 
     for candidate, scanned in ((kernel_alone, block), (pruned_then_kernel, clustered)):
         assert candidate() == _row_at_a_time(scanned, _PREDICATE, full_lookup)

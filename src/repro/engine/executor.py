@@ -11,7 +11,7 @@ reference backend built on per-operator comprehension tables and an optional num
 reading :data:`repro.hail.predicate.COMPARE`); :func:`vectorized_filter` is the executor's
 entry point into them and is shared with :meth:`repro.hail.hail_block.HailBlock.filter_rows`,
 so the block-level API and the engine cannot drift apart.  With zone maps enabled the executor
-additionally prunes candidate partitions against the payload's min-max synopsis and executes
+additionally flags the candidate rows whose partitions its min-max synopsis rules out, and executes
 planner-ordered ``ZONE_MAP_SKIP`` blocks — after re-verifying the synopsis against the payload,
 failing closed to a full scan on any mismatch.
 
@@ -39,7 +39,6 @@ from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.filesystem import Hdfs
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import Schema
-from repro.layouts.zonemap import pruned_row_count
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports us back
     from repro.engine.adaptive import AdaptiveJobContext
@@ -175,26 +174,26 @@ class VectorizedExecutor:
             lookup = payload.whole_block_lookup()
             used_index = False
 
-        windows = [(lookup.start_row, lookup.end_row)]
+        pruned: Optional[bytes] = None
         zone_pruned_rows = 0
         zone_pruned_bytes = 0.0
         if pruning_allowed and predicate is not None and payload.num_records:
             zone_map = payload.zone_map
             # Fail-closed staleness guard: a synopsis sized for different data is ignored.
             if zone_map.matches(payload.num_records):
-                windows = zone_map.prune_ranges(
-                    predicate, schema, lookup.start_row, lookup.end_row
+                pruned = zone_map.pruned_rows(
+                    predicate, schema, lookup.start_row, lookup.end_row, kernels.zone_flags
                 )
-                zone_pruned_rows = pruned_row_count(
-                    windows, lookup.start_row, lookup.end_row
-                )
-                if zone_pruned_rows:
+                if pruned is not None:
+                    zone_pruned_rows = pruned.count(1)
                     column_bytes = pax.indexed_size_bytes(read_indexes)
                     zone_pruned_bytes = (
                         zone_pruned_rows / max(1, payload.num_records)
                     ) * column_bytes
 
-        matching_rows = kernels.filter_ranges(pax, predicate, schema, windows)
+        matching_rows = kernels.filter_ranges(
+            pax, predicate, schema, lookup.start_row, lookup.end_row, pruned
+        )
         projected = pax.project(matching_rows, bound.projection_indexes)
 
         seconds, read_bytes = self._charge_block(

@@ -25,8 +25,16 @@ Which kernel runs is decided by the window, not by a setting: numpy pays a fixed
 about ten microseconds per clause per call, which the reference backend's scan beats on
 narrow windows — and the windows an index scan hands over are narrow (a clustered index keeps
 a few partitions of a block).  So on the numpy backend a window (or, for
-:func:`filter_ranges`, the hull of its windows) narrower than :data:`_NUMPY_MIN_ROWS` runs the
-reference backend; "numpy" means "numpy where it wins".
+:func:`filter_ranges`, the hull of its unpruned rows) narrower than :data:`_NUMPY_MIN_ROWS`
+runs the reference backend; "numpy" means "numpy where it wins".
+
+Zone pruning reaches the kernels as a per-row flag string:
+:meth:`~repro.layouts.zonemap.ZoneMap.pruned_rows` flags the rows of the lookup window whose
+partitions cannot match, and :func:`filter_ranges` takes the window and its flags in one call
+— numpy seeds its clause mask with the inverted flags, the reference backend compresses the
+window by them.  At partition size 1 the flags themselves are a comparison of the column
+against the clause bounds, which :func:`zone_flags` runs in numpy under the same window rule
+and the same exactness guards as the filter.
 
 The Hadoop baseline's text block parser filters its parsed columns through the same scan
 table (:func:`clause_positions`).  Both backends are bit-for-bit equivalent by construction
@@ -39,6 +47,7 @@ available.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.hail.predicate import COMPARE, Operator
@@ -130,33 +139,61 @@ def filter_ranges(
     pax: "PaxBlock",
     predicate: Optional["Predicate"],
     schema: "Schema",
-    windows: Sequence[tuple[int, int]],
+    start: int,
+    end: int,
+    pruned: Optional[bytes] = None,
 ) -> list[int]:
-    """Row ids satisfying ``predicate`` across several disjoint ascending row windows.
+    """Row ids in ``[start, end)`` satisfying ``predicate`` that zone pruning kept.
 
-    The zone-map pruning entry point: the executor hands over only the windows whose
-    partitions may match, and the concatenation of per-window results is in ascending row
-    order because the windows are.
+    The zone-map pruning entry point, one call per block: ``pruned`` is
+    :meth:`~repro.layouts.zonemap.ZoneMap.pruned_rows`' flag string over the window (one byte
+    per row, 1 = pruned), or ``None`` when nothing is pruned — then this is
+    :func:`filter_range`.  A pruned row is never returned whatever its values, so a stale
+    synopsis cannot leak it back in.
 
-    On the numpy backend a multi-window block whose hull ``[windows[0].start,
-    windows[-1].end)`` spans at least :data:`_NUMPY_MIN_ROWS` rows is **one** kernel call
-    (:func:`_filter_ranges_numpy`).  Whenever that call declines — or the hull is narrower,
-    or the python backend is active — the per-window loop over :func:`filter_range` runs
-    instead and is the reference the hull path is tested against.
+    The predicate runs only over the hull of the unpruned rows, so a block clustered on the
+    clause attribute is not scanned in full.  On the numpy backend a hull of at least
+    :data:`_NUMPY_MIN_ROWS` rows is one numpy call whose clause mask is seeded with the
+    inverted flags; otherwise — or when numpy declines — the reference backend compresses the
+    hull by the flags and refines the survivors clause by clause (:data:`_REFINE`).
     """
-    if (
-        len(windows) > 1
-        and predicate is not None
-        and _backend == "numpy"
-        and windows[-1][1] - windows[0][0] >= _NUMPY_MIN_ROWS
-    ):
-        result = _filter_ranges_numpy(pax, predicate, schema, windows)
+    if pruned is None:
+        return filter_range(pax, predicate, schema, start, end)
+    first = pruned.find(0)
+    if first < 0:
+        return []
+    last = pruned.rfind(0) + 1
+    flags = pruned[first:last]
+    start, end = start + first, start + last
+    if predicate is not None and _backend == "numpy" and end - start >= _NUMPY_MIN_ROWS:
+        keep = _np.frombuffer(flags, dtype=_np.uint8) == 0
+        result = _filter_range_numpy(pax, predicate, schema, start, end, keep)
         if result is not None:
             return result
-    matching: list[int] = []
-    for start, end in windows:
-        matching.extend(filter_range(pax, predicate, schema, start, end))
-    return matching
+    positions = list(compress(range(start, end), flags.translate(_KEPT)))
+    if predicate is not None:
+        for clause in predicate.clauses:
+            if not positions:
+                break
+            column = pax.columns[clause.attribute_index(schema)]
+            positions = _REFINE[clause.op](column, positions, *clause.operands)
+    return positions
+
+
+def zone_flags(
+    pax: "PaxBlock", index: int, low, high, start: int, end: int
+) -> Optional[bytes]:
+    """One clause's pruning flags over one-row zones, in numpy, or ``None`` to decline.
+
+    The numeric backend :meth:`~repro.layouts.zonemap.ZoneMap.pruned_rows` takes at partition
+    size 1, where row ``v``'s zone is ``(v, v)``: the flag is ``v > high or v < low`` over
+    column ``index`` of ``[start, end)``.  It runs only on the numpy backend and only on
+    windows of at least :data:`_NUMPY_MIN_ROWS` rows (:func:`_zone_flags_numpy`); the caller's
+    comprehension is the reference everywhere else.
+    """
+    if _backend == "numpy" and end - start >= _NUMPY_MIN_ROWS:
+        return _zone_flags_numpy(pax, index, low, high, start, end)
+    return None
 
 
 # --------------------------------------------------------------------------- python backend
@@ -185,6 +222,10 @@ _REFINE = {
         i for i in rows if low <= column[i] <= high
     ],
 }
+
+
+#: Flag bytes to keep bytes: 0 (kept by zone pruning) -> 1, 1 (pruned) -> 0, for ``compress``.
+_KEPT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def clause_positions(clause: "Comparison", values: Sequence) -> list[int]:
@@ -224,8 +265,25 @@ def _operand_exact(operand, typecode: str) -> bool:
         # Float column: the int operand is converted to float64 — exact only below 2**53.
         return -_EXACT_FLOAT_INT <= operand <= _EXACT_FLOAT_INT
     # Float operand against an int64 column: numpy converts the *column* to float64, which
-    # rounds values past 2**53; the caller separately bounds the column (see below).
+    # rounds values past 2**53; :func:`_numpy_column` separately bounds the column.
     return True
+
+
+def _numpy_column(pax: "PaxBlock", index: int, operands: Sequence):
+    """Column ``index`` as a zero-copy numpy array, or ``None`` when comparing it with any of
+    ``operands`` might not agree exactly with Python."""
+    typed = pax.typed_column_at(index)
+    if typed is None:
+        return None  # non-numeric (or overflowing) column
+    typecode = typed.typecode
+    if not all(_operand_exact(operand, typecode) for operand in operands):
+        return None
+    if typecode == "q" and any(isinstance(operand, float) for operand in operands):
+        # int64 column compared against a float operand promotes the column to float64;
+        # only exact when every column value fits in 2**53 (PaxBlock tracks the bound).
+        if not pax.int_column_fits_float(index):
+            return None
+    return _np.frombuffer(typed, dtype=_np.int64 if typecode == "q" else _np.float64)
 
 
 def _filter_range_numpy(
@@ -241,23 +299,13 @@ def _filter_range_numpy(
     ``keep`` (a boolean array over ``[start, end)``) seeds the mask the clauses AND into:
     rows where it is False are never returned.
     """
-    np = _np
     mask = keep
     for clause in predicate.clauses:
-        typed = pax.typed_column_at(clause.attribute_index(schema))
-        if typed is None:
-            return None  # non-numeric (or overflowing) column: whole predicate falls back
-        typecode = typed.typecode
         operands = clause.operands
-        if not all(_operand_exact(operand, typecode) for operand in operands):
-            return None
-        if typecode == "q" and any(isinstance(operand, float) for operand in operands):
-            # int64 column compared against a float operand promotes the column to float64;
-            # only exact when every column value fits in 2**53 (PaxBlock tracks the bound).
-            if not pax.int_column_fits_float(clause.attribute_index(schema)):
-                return None
-        dtype = np.int64 if typecode == "q" else np.float64
-        column = np.frombuffer(typed, dtype=dtype)[start:end]
+        column = _numpy_column(pax, clause.attribute_index(schema), operands)
+        if column is None:
+            return None  # one inexact clause: the whole predicate falls back
+        column = column[start:end]
         if clause.op is Operator.BETWEEN:
             low, high = operands
             bits = (column >= low) & (column <= high)
@@ -266,23 +314,26 @@ def _filter_range_numpy(
         mask = bits if mask is None else (mask & bits)
         if not mask.any():
             return []
-    return (np.flatnonzero(mask) + start).tolist()
+    return (_np.flatnonzero(mask) + start).tolist()
 
 
-def _filter_ranges_numpy(
-    pax: "PaxBlock",
-    predicate: "Predicate",
-    schema: "Schema",
-    windows: Sequence[tuple[int, int]],
-) -> Optional[list[int]]:
-    """The numpy hull path of :func:`filter_ranges`, or ``None`` when numpy declines.
+def _zone_flags_numpy(
+    pax: "PaxBlock", index: int, low, high, start: int, end: int
+) -> Optional[bytes]:
+    """The numpy form of :func:`zone_flags`, or ``None`` when exactness is not guaranteed.
 
-    The predicate runs over the hull of ``windows`` with the windows as a boolean keep-mask
-    seeded into the clause masks, so a row in a gap is never reported whatever its values (a
-    stale synopsis cannot leak a pruned row back in).
+    ``(column > high) | (column < low)`` over ``[start, end)``, an open (``None``) bound
+    dropping its half; the guards are :func:`_filter_range_numpy`'s, applied to the bounds.
     """
-    hull_start, hull_end = windows[0][0], windows[-1][1]
-    keep = _np.zeros(hull_end - hull_start, dtype=bool)
-    for start, end in windows:
-        keep[start - hull_start : end - hull_start] = True
-    return _filter_range_numpy(pax, predicate, schema, hull_start, hull_end, keep)
+    bounds = [bound for bound in (low, high) if bound is not None]
+    column = _numpy_column(pax, index, bounds) if bounds else None
+    if column is None:
+        return None
+    column = column[start:end]
+    if low is None:
+        bits = column > high
+    elif high is None:
+        bits = column < low
+    else:
+        bits = (column > high) | (column < low)
+    return bits.tobytes()

@@ -7,8 +7,9 @@ range is provably disjoint from a zone cannot match any row inside it, so
 - the **planner** consults the block-level ranges registered in ``Dir_rep``
   (``HailBlockReplicaInfo.zone_ranges``) to skip whole blocks before any payload is opened
   (the ``ZONE_MAP_SKIP`` access path), and
-- the **executor** consults the payload's own per-partition zone map to prune the candidate
-  window down to the partitions that may match.
+- the **executor** consults the payload's own per-partition zone map to flag the rows of the
+  candidate window whose partitions cannot match (:meth:`ZoneMap.pruned_rows`: one byte per
+  row, handed to the filter kernel as is).
 
 Every block-level decision (the planner's skip, the executor's re-verification of it, top-k's
 early termination) is one test, :func:`disjoint_attribute` over :func:`ranges_disjoint`.
@@ -20,10 +21,13 @@ against the payload's own (freshly derivable) synopsis, so a stale ``Dir_rep`` e
 to a full scan rather than a wrong answer.
 
 Both granularities cost what a query names.  Per-partition zones are computed one attribute
-at a time, the first time a clause filters on it; block-level zones are computed once per
-*row set* and carried by :meth:`PaxBlock.reorder`, so every differently-sorted replica of a
-block shares them — except FLOAT/DOUBLE columns, whose ``min``/``max`` depend on the row
-order (NaN, ``-0.0`` vs ``0.0``) and are recomputed for every block.
+at a time, the first time a clause filters on it — except at partition size 1, where a zone
+is ``(v, v)`` and the flags are read off the column itself, so no pairs are built at all (a
+caller may pass a numeric backend for that comparison; this module imports nothing from the
+engine).  Block-level zones are computed once per *row set* and carried by
+:meth:`PaxBlock.reorder`, so every differently-sorted replica of a block shares them —
+except FLOAT/DOUBLE columns, whose ``min``/``max`` depend on the row order (NaN, ``-0.0`` vs
+``0.0``) and are recomputed for every block.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ if TYPE_CHECKING:
 
 #: ``Dir_rep`` zone ranges: one ``(attribute, min, max)`` triple per attribute with data.
 ZoneRanges = tuple[tuple[str, Any, Any], ...]
+
+#: A numeric backend for one clause's one-row-zone flags: ``(pax, index, low, high, start,
+#: end) -> flags``, or ``None`` when it declines (see :meth:`ZoneMap.pruned_rows`).
+ColumnFlags = Callable[["PaxBlock", int, Any, Any, int, int], Optional[bytes]]
 
 #: Types whose ``min``/``max`` may differ between two orders of the same values.
 _ORDER_DEPENDENT = (FieldType.FLOAT, FieldType.DOUBLE)
@@ -135,8 +143,9 @@ class ZoneMap:
 
     :meth:`build` records the payload and computes nothing; the first clause naming an
     attribute fills that attribute's zones — its ``(min, max)`` pair per partition for
-    :meth:`prune_ranges`, its block-level pair for :meth:`may_match` — and the map keeps them,
-    so a query pays for the columns it filters on, not for every column of the schema.
+    :meth:`pruned_rows` (none at partition size 1, where the column is the zones), its
+    block-level pair for :meth:`may_match` — and the map keeps them, so a query pays for the
+    columns it filters on, not for every column of the schema.
     Derived from the payload itself (``HailBlock.zone_map``), the synopsis is consistent with
     the data by construction, and a ``PaxBlock``'s tuple columns cannot change under it.
     :meth:`matches` is the staleness guard executors check before trusting a map (one
@@ -199,16 +208,12 @@ class ZoneMap:
             if index is not None:
                 column = self.pax.columns[index]
                 size = self.partition_size
-                if size == 1:
-                    zones = tuple(zip(column, column))
-                else:
-                    zones = tuple(
-                        (min(window), max(window))
-                        for window in (
-                            column[start : start + size] for start in range(0, len(column), size)
-                        )
+                zones = self.partition_zones[name] = tuple(
+                    (min(window), max(window))
+                    for window in (
+                        column[start : start + size] for start in range(0, len(column), size)
                     )
-                self.partition_zones[name] = zones
+                )
         return zones
 
     # ------------------------------------------------------------------ block-level checks
@@ -218,55 +223,81 @@ class ZoneMap:
         return predicate is None or disjoint_attribute(self._block_zone, predicate, schema) is None
 
     # ------------------------------------------------------------------ partition pruning
-    def prune_ranges(
-        self, predicate: Optional["Predicate"], schema: "Schema", start: int, end: int
-    ) -> list[tuple[int, int]]:
-        """Row windows within ``[start, end)`` whose partitions may match ``predicate``.
+    def pruned_rows(
+        self,
+        predicate: Optional["Predicate"],
+        schema: "Schema",
+        start: int,
+        end: int,
+        column_flags: Optional[ColumnFlags] = None,
+    ) -> Optional[bytes]:
+        """Per-row pruning flags over ``[start, end)``: one byte per row, 1 = pruned.
 
-        Partitions where any clause is provably disjoint from the zone are dropped; the
-        surviving partitions are clipped to the candidate window and merged into maximal
-        contiguous row ranges (so downstream kernels see few, wide windows).  With no
-        predicate — or no prunable partition — the single original window comes back.
+        A row is pruned when some clause is provably disjoint from its partition's zone.
+        ``None`` means nothing is pruned: no predicate, an empty window, or no clause proves
+        any partition empty.  At partition size 1 a zone is ``(v, v)``, so a map derived from
+        its own block reads the flags straight off the column and builds no pairs — through
+        ``column_flags(pax, index, low, high, start, end)`` when it is given and does not
+        decline (``None``), through a comprehension otherwise.  Zones the map was given
+        (``partition_zones``) are always read as given.
         """
-        if start >= end:
-            return []
-        if predicate is None:
-            return [(start, end)]
+        if predicate is None or start >= end:
+            return None
         size = self.partition_size
         first = start // size
-        last = (end - 1) // size
-        count = last - first + 1
-        # One pass per *clause* over its zone slice, OR-ed into one byte per partition (1 =
-        # some clause proves the partition empty).  Fail-closed: a clause on an unknown
-        # attribute or without a zone column prunes nothing, and a zone tuple shorter than
-        # the partition count prunes nothing beyond its end (the slice is padded with 0).
-        dropped = bytes(count)
+        count = (end - 1) // size - first + 1
+        # One pass per *clause*, OR-ed into one byte per partition (1 = some clause proves the
+        # partition empty).  Fail-closed: a clause on an unknown attribute or without zones
+        # prunes nothing, and a zone tuple shorter than the partition count prunes nothing
+        # beyond its end (the flags are padded with 0).  Every byte is 0 or 1, so the bytewise
+        # OR is one big-integer OR.
+        dropped = 0
         for clause in predicate.clauses:
             try:
                 name = schema.fields[clause.attribute_index(schema)].name
             except (KeyError, IndexError):
                 continue
-            zones = self._partition_zones(name)
-            if zones is None:
-                continue
             low, high = clause.value_range()
-            hits = bytes(_disjoint_flags(low, high, zones[first : last + 1])).ljust(count, b"\0")
-            # Every byte is 0 or 1, so the bytewise OR is one big-integer OR.
-            merged = int.from_bytes(dropped, "big") | int.from_bytes(hits, "big")
-            dropped = merged.to_bytes(count, "big")
-        # Maximal runs of surviving partitions become the windows; only the first and the
-        # last partition can stick out of ``[start, end)``, so clipping the run is enough.
-        windows: list[tuple[int, int]] = []
-        run = dropped.find(0)
-        while run >= 0:
-            run_end = dropped.find(1, run)
-            if run_end < 0:
-                run_end = count
-            windows.append(
-                (max(start, (first + run) * size), min(end, (first + run_end) * size))
-            )
-            run = dropped.find(0, run_end)
-        return windows
+            if size == 1 and name not in self.partition_zones:
+                hits = self._column_flags(name, low, high, start, end, column_flags)
+            else:
+                zones = self._partition_zones(name)
+                hits = None if zones is None else bytes(
+                    _disjoint_flags(low, high, zones[first : first + count])
+                )
+            if hits:
+                dropped |= int.from_bytes(hits.ljust(count, b"\0"), "big")
+        if not dropped:
+            return None
+        flags = dropped.to_bytes(count, "big")
+        if size == 1:
+            return flags
+        # Expand partitions to rows; only the first and the last partition can stick out of
+        # ``[start, end)``, so one slice clips them.
+        pruned, kept = b"\1" * size, bytes(size)
+        offset = start - first * size
+        rows = b"".join([pruned if flag else kept for flag in flags])
+        return rows[offset : offset + end - start]
+
+    def _column_flags(
+        self,
+        name: str,
+        low: Any,
+        high: Any,
+        start: int,
+        end: int,
+        column_flags: Optional[ColumnFlags],
+    ) -> Optional[bytes]:
+        """One clause's flags over one-row zones, read off ``name``'s column in the block."""
+        index = self._source_index(name)
+        if index is None:
+            return None
+        flags = None
+        if column_flags is not None:
+            flags = column_flags(self.pax, index, low, high, start, end)
+        if flags is None:
+            flags = bytes(_disjoint_values(low, high, self.pax.columns[index][start:end]))
+        return flags
 
 
 def _disjoint_flags(
@@ -292,7 +323,15 @@ def _disjoint_flags(
         return [ranges_disjoint(clause_low, clause_high, *zone) for zone in zones]
 
 
-def pruned_row_count(windows: Sequence[tuple[int, int]], start: int, end: int) -> int:
-    """Rows of the original ``[start, end)`` window that pruning removed."""
-    kept = sum(window_end - window_start for window_start, window_end in windows)
-    return max(0, (end - start) - kept)
+def _disjoint_values(clause_low: Any, clause_high: Any, values: Sequence) -> list[bool]:
+    """:func:`_disjoint_flags` over the one-row zones ``(v, v)`` of ``values``, without pairs."""
+    try:
+        if clause_low is None:
+            if clause_high is None:
+                return []
+            return [clause_high < value for value in values]
+        if clause_high is None:
+            return [clause_low > value for value in values]
+        return [clause_high < value or clause_low > value for value in values]
+    except TypeError:
+        return [ranges_disjoint(clause_low, clause_high, value, value) for value in values]

@@ -5,10 +5,11 @@ the same block handled record by record gave:
 
 - **call-count guards** — the work really is per block (no ``HailRecord`` per row, one numpy
   kernel call per zone-pruned block, no per-line text mapper on a well-formed block);
-- **differential, piece by piece** — ``ZoneMap.prune_ranges`` against the per-partition loop
-  it replaced (kept verbatim below), ``kernels.filter_ranges`` against the concatenation of
-  per-window ``filter_range`` calls, ``PaxBlock.project`` and the group-by regroup against
-  their row-at-a-time forms, under both kernel backends;
+- **differential, piece by piece** — ``ZoneMap.pruned_rows`` against the per-partition loop
+  it replaced (kept verbatim below; its windows are the rows the flags keep),
+  ``kernels.filter_ranges`` over the flags against the concatenation of per-window
+  ``filter_range`` calls, ``PaxBlock.project`` and the group-by regroup against their
+  row-at-a-time forms, under both kernel backends;
 - **differential, end to end** — the same jobs on two identical deployments, one running the
   systems' ``map_batch`` and one with it cleared (the public per-record ``mapper`` contract),
   must agree on output *order*, counter bags, every ``MapTaskResult`` field (so the join's
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -298,12 +300,12 @@ def test_a_zone_pruned_block_is_one_numpy_kernel_call(monkeypatch):
         partition_size=4,
     )
     predicate = Predicate.comparison("k", Operator.LT, 60)
-    windows = block.zone_map.prune_ranges(predicate, schema, 0, block.num_records)
-    assert len(windows) > 5
+    pruned = block.zone_map.pruned_rows(predicate, schema, 0, block.num_records)
+    assert len(_kept_windows(pruned, 0)) > 5
     calls = _Calls(kernels._filter_range_numpy)
     monkeypatch.setattr(kernels, "_filter_range_numpy", calls)
     with kernels.use_backend("numpy"):
-        rows = kernels.filter_ranges(block.pax, predicate, schema, windows)
+        rows = kernels.filter_ranges(block.pax, predicate, schema, 0, block.num_records, pruned)
     assert calls.count == 1
     assert rows == [row for row in range(400) if block.pax.column("k")[row] < 60]
 
@@ -325,7 +327,26 @@ def test_the_per_line_text_mapper_is_not_called_on_a_well_formed_block(monkeypat
     assert [mapper.count for mapper in mappers] == [0]
 
 
-# --------------------------------------------------------------------------- prune_ranges
+# --------------------------------------------------------------------------- pruned_rows
+def _pruned_outside(windows, start: int, end: int):
+    """The flags that keep exactly ``windows`` of ``[start, end)``: 1 on every row outside
+    them, ``None`` when there is none (``ZoneMap.pruned_rows``' form)."""
+    flags = bytearray(b"\1" * max(0, end - start))
+    for window_start, window_end in windows:
+        flags[window_start - start : window_end - start] = bytes(window_end - window_start)
+    return bytes(flags) if 1 in flags else None
+
+
+def _kept_windows(pruned: bytes, start: int) -> list[tuple[int, int]]:
+    """The maximal row windows whose flags are 0, numbered from ``start``."""
+    windows, row = [], start
+    for run in pruned.split(b"\1"):
+        if run:
+            windows.append((row, row + len(run)))
+        row += len(run) + 1
+    return windows
+
+
 def _reference_prune_ranges(zone_map: ZoneMap, predicate, schema, start: int, end: int):
     """``ZoneMap.prune_ranges`` as it stood before the per-clause rewrite, verbatim."""
     self = zone_map
@@ -400,8 +421,8 @@ def test_prune_ranges_equals_the_per_partition_reference(
         num_rows=num_rows, partition_size=size, block_zones={}, partition_zones=partition_zones
     )
     start, end = window
-    assert zone_map.prune_ranges(predicate, _ZONE_SCHEMA, start, end) == _reference_prune_ranges(
-        zone_map, predicate, _ZONE_SCHEMA, start, end
+    assert zone_map.pruned_rows(predicate, _ZONE_SCHEMA, start, end) == _pruned_outside(
+        _reference_prune_ranges(zone_map, predicate, _ZONE_SCHEMA, start, end), start, end
     )
 
 
@@ -412,9 +433,9 @@ _KERNEL_SCHEMA = Schema.of(
 
 
 @st.composite
-def _windows(draw, num_rows: int):
-    """Disjoint ascending windows over ``[0, num_rows]`` (empty ones and touching ones too)."""
-    cuts = sorted(draw(st.lists(st.integers(0, num_rows), max_size=12)))
+def _windows(draw, start: int, end: int):
+    """Disjoint ascending windows over ``[start, end]`` (empty ones and touching ones too)."""
+    cuts = sorted(draw(st.lists(st.integers(start, end), max_size=12)))
     return [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts) - 1, 2)]
 
 
@@ -439,43 +460,54 @@ def _kernel_case(draw):
             op = draw(st.sampled_from(list(Operator)[:5]))
             clause = Predicate.comparison(attribute, op, operand)
         predicate = clause if predicate is None else predicate.and_(clause)
-    return PaxBlock.from_records(_KERNEL_SCHEMA, records), predicate, draw(_windows(num_rows))
+    start = draw(st.integers(0, num_rows))
+    end = draw(st.integers(start, num_rows))
+    pax = PaxBlock.from_records(_KERNEL_SCHEMA, records)
+    return pax, predicate, (start, end), draw(_windows(start, end))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_kernel_case())
 def test_filter_ranges_equals_per_window_filter_range(case):
-    pax, predicate, windows = case
+    pax, predicate, (start, end), windows = case
+    pruned = _pruned_outside(windows, start, end)
     for backend in _BACKENDS:
         with kernels.use_backend(backend):
             want = [
                 row
-                for start, end in windows
-                for row in kernels.filter_range(pax, predicate, _KERNEL_SCHEMA, start, end)
+                for window_start, window_end in windows
+                for row in kernels.filter_range(
+                    pax, predicate, _KERNEL_SCHEMA, window_start, window_end
+                )
             ]
-            assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, windows) == want, backend
-    # Hulls this narrow run the reference backend even on numpy: check the hull path directly.
-    if kernels.HAVE_NUMPY and predicate is not None and len(windows) > 1:
-        fast = kernels._filter_ranges_numpy(pax, predicate, _KERNEL_SCHEMA, windows)
-        assert fast is None or fast == want
+            got = kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, start, end, pruned)
+            assert got == want, backend
+    # Hulls this narrow run the reference backend even on numpy: run numpy on them too.
+    if kernels.HAVE_NUMPY:
+        with kernels.use_backend("numpy"), mock.patch.object(kernels, "_NUMPY_MIN_ROWS", 0):
+            assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, start, end, pruned) == want
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
-def test_a_matching_row_in_a_gap_is_never_reported(backend):
-    """A stale synopsis hands over windows that miss matching rows: they stay missed."""
+def test_a_matching_row_in_a_gap_is_never_reported(backend, monkeypatch):
+    """A stale synopsis flags rows that match: they stay missed."""
     pax = PaxBlock.from_records(_KERNEL_SCHEMA, [(1, 0.0, "a")] * 12)  # every row matches
     predicate = Predicate.comparison("k", Operator.EQ, 1).and_(
         Predicate.comparison("v", Operator.LE, 0.0)
     )
-    windows = [(1, 3), (6, 7), (9, 12)]
+    pruned = _pruned_outside([(1, 3), (6, 7), (9, 12)], 0, 12)
     with kernels.use_backend(backend):
-        assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, windows) == [
+        assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, 0, 12, pruned) == [
             1, 2, 6, 9, 10, 11,
         ]
-        if backend == "numpy":  # the hull path itself; this hull is below its minimum
-            assert kernels._filter_ranges_numpy(pax, predicate, _KERNEL_SCHEMA, windows) == [
+        if backend == "numpy":  # the numpy kernel itself; this hull is below its minimum
+            monkeypatch.setattr(kernels, "_NUMPY_MIN_ROWS", 0)
+            calls = _Calls(kernels._filter_range_numpy)
+            monkeypatch.setattr(kernels, "_filter_range_numpy", calls)
+            assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, 0, 12, pruned) == [
                 1, 2, 6, 9, 10, 11,
             ]
+            assert calls.count == 1
 
 
 # --------------------------------------------------------------------------- row rebuilds

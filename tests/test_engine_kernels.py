@@ -3,19 +3,25 @@
 The python reference backend and the optional numpy fast path must agree bit-for-bit with
 each other and with row-at-a-time predicate evaluation — on randomized numeric blocks, on
 mixed-type blocks the numpy backend must refuse, and at the exactness boundaries (int64
-limits, 2**53 int/float cross-comparisons) where float64 rounding could flip a bound.
+limits, 2**53 int/float cross-comparisons) where float64 rounding could flip a bound.  The
+numpy zone-pruning flags (``kernels._zone_flags_numpy``) are held to the same standard against
+the zone map's own comprehension.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import kernels
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import FieldType, Schema
+from repro.layouts.zonemap import ZoneMap, ranges_disjoint
 
 _SCHEMA = Schema.of(
     ("k", FieldType.INT),
@@ -57,6 +63,15 @@ def _brute_force(pax: PaxBlock, predicate: Predicate, start: int, end: int) -> l
     ]
 
 
+def _pruned_outside(windows, start: int, end: int):
+    """The zone-pruning flags that keep exactly ``windows`` of ``[start, end)``: 1 on every
+    row outside them, ``None`` when there is none."""
+    flags = bytearray(b"\1" * (end - start))
+    for window_start, window_end in windows:
+        flags[window_start - start : window_end - start] = bytes(window_end - window_start)
+    return bytes(flags) if 1 in flags else None
+
+
 # --------------------------------------------------------------------------- backend agreement
 def test_python_backend_matches_row_at_a_time():
     rng = random.Random(601)
@@ -72,12 +87,21 @@ def test_python_backend_matches_row_at_a_time():
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
-def test_numpy_backend_bit_identical_to_python():
-    """The numpy kernels themselves, called directly: on windows this narrow the dispatcher
-    runs the reference backend, so ``use_backend("numpy")`` alone would compare it with
-    itself.  Covers the single-window kernel and the multi-window hull path (gaps included)."""
+def test_numpy_backend_bit_identical_to_python(monkeypatch):
+    """The numpy kernels themselves: on windows this narrow the dispatcher runs the reference
+    backend, so ``use_backend("numpy")`` alone would compare it with itself.  Covers the
+    single-window kernel, called directly, and the hull of a flagged window (gaps included),
+    with the dispatch minimum lowered to 0 and the numpy calls that answered counted."""
     rng = random.Random(602)
     compared = hulls = 0
+    numpy_kernel = kernels._filter_range_numpy
+    answered = []
+
+    def counting(*args):
+        result = numpy_kernel(*args)
+        answered.append(result is not None)
+        return result
+
     for _ in range(80):
         pax = _random_block(rng, rng.randrange(0, 120))
         predicate = _random_predicate(rng)
@@ -91,12 +115,22 @@ def test_numpy_backend_bit_identical_to_python():
             assert fast == reference
         cuts = sorted(rng.randrange(0, pax.num_rows + 1) for _ in range(2 * rng.randrange(2, 6)))
         windows = list(zip(cuts[::2], cuts[1::2]))
+        pruned = _pruned_outside(windows, 0, pax.num_rows)
         with kernels.use_backend("python"):
-            reference = kernels.filter_ranges(pax, predicate, _SCHEMA, windows)
-        fast = kernels._filter_ranges_numpy(pax, predicate, _SCHEMA, windows)
-        if fast is not None:
-            hulls += 1
-            assert fast == reference
+            reference = [
+                row
+                for start, end in windows
+                for row in kernels.filter_range(pax, predicate, _SCHEMA, start, end)
+            ]
+            got = kernels.filter_ranges(pax, predicate, _SCHEMA, 0, pax.num_rows, pruned)
+            assert got == reference
+        with kernels.use_backend("numpy"), monkeypatch.context() as patch:
+            patch.setattr(kernels, "_NUMPY_MIN_ROWS", 0)
+            patch.setattr(kernels, "_filter_range_numpy", counting)
+            answered.clear()
+            fast = kernels.filter_ranges(pax, predicate, _SCHEMA, 0, pax.num_rows, pruned)
+        assert fast == reference
+        hulls += answered == [True]
     assert compared > 40 and hulls > 40
 
 
@@ -122,7 +156,8 @@ def test_numpy_runs_only_from_its_minimum_window(monkeypatch, ranges):
             start = pax.num_rows - width
             if ranges:  # two windows whose hull is [start, num_rows)
                 windows = [(start, start + 1), (pax.num_rows - 1, pax.num_rows)]
-                result = kernels.filter_ranges(pax, predicate, _SCHEMA, windows)
+                pruned = _pruned_outside(windows, start, pax.num_rows)
+                result = kernels.filter_ranges(pax, predicate, _SCHEMA, start, pax.num_rows, pruned)
                 expected = [r for a, b in windows for r in _brute_force(pax, predicate, a, b)]
             else:
                 result = kernels.filter_range(pax, predicate, _SCHEMA, start, pax.num_rows)
@@ -178,8 +213,117 @@ def test_filter_ranges_concatenates_windows_in_order():
     predicate = Predicate.comparison("k", Operator.GE, 0)
     windows = [(0, 30), (45, 60), (60, 90)]
     expected = [row for start, end in windows for row in _brute_force(pax, predicate, start, end)]
-    assert kernels.filter_ranges(pax, predicate, _SCHEMA, windows) == expected
-    assert kernels.filter_ranges(pax, None, _SCHEMA, [(5, 8)]) == [5, 6, 7]
+    pruned = _pruned_outside(windows, 0, 90)
+    assert kernels.filter_ranges(pax, predicate, _SCHEMA, 0, 90, pruned) == expected
+    assert kernels.filter_ranges(pax, None, _SCHEMA, 5, 8) == [5, 6, 7]
+    assert kernels.filter_ranges(pax, None, _SCHEMA, 5, 8, b"\0\1\0") == [5, 7]
+
+
+# --------------------------------------------------------------------------- zone flags
+_EDGES = Schema.of(
+    ("i", FieldType.INT), ("b", FieldType.BIGINT), ("d", FieldType.DOUBLE), name="edges"
+)
+_INT_EDGES = (
+    0, -1, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, -(2**53), -(2**53) + 1,
+    2**63 - 1, -(2**63),
+)
+_FLOAT_EDGES = (
+    math.nan, 0.0, -0.0, math.inf, -math.inf, 2.0**53, 2.0**53 + 2, -(2.0**53), 2.0**63,
+    -(2.0**63),
+)
+_ints = st.one_of(st.integers(-30, 30), st.sampled_from(_INT_EDGES))
+_floats = st.one_of(st.floats(-30, 30), st.sampled_from(_FLOAT_EDGES))
+#: Every operand kind a clause may carry, numpy-inexact ones included: past int64, bool, str.
+_zone_operand = st.one_of(
+    _ints, _floats, st.sampled_from((2**63, -(2**63) - 1, True, False, "m", None))
+)
+
+
+@st.composite
+def _zone_predicates(draw, rows):
+    """1-3 clauses; an operand is often a value of the block, so zone edges are hit."""
+    values = [value for row in rows for value in row]
+    operand = st.one_of(_zone_operand, st.sampled_from(values))
+    clauses = []
+    for _ in range(draw(st.integers(1, 3))):
+        # "zz" is not in the schema and position 9 is outside it: both prune nothing.
+        attribute = draw(st.sampled_from(["i", "b", "d", "d", "zz", 9]))
+        op = draw(st.sampled_from(list(Operator)))
+        arity = 2 if op is Operator.BETWEEN else 1
+        clauses.append(Comparison(attribute, op, tuple(draw(operand) for _ in range(arity))))
+    return Predicate(clauses)
+
+
+@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
+@settings(max_examples=120, deadline=None)
+@given(
+    distinct=st.lists(st.tuples(_ints, _ints, _floats), min_size=1, max_size=40),
+    extra=st.integers(0, 32),
+    shuffle=st.randoms(use_true_random=False),
+    margins=st.tuples(st.integers(0, 16), st.integers(0, 16)),
+    data=st.data(),
+)
+def test_numpy_zone_flags_equal_the_comprehension(distinct, extra, shuffle, margins, data):
+    """The numpy flags of one-row zones, called directly, are the comprehension's flags
+    whenever numpy does not decline — per clause against :func:`ranges_disjoint` on ``(v, v)``,
+    and OR-ed over the predicate by ``ZoneMap.pruned_rows`` with numpy as its column backend.
+    A block is at least ``_NUMPY_MIN_ROWS`` rows: a few drawn rows, repeated and shuffled."""
+    rows = [distinct[i % len(distinct)] for i in range(kernels._NUMPY_MIN_ROWS + extra)]
+    shuffle.shuffle(rows)
+    predicate = data.draw(_zone_predicates(distinct))
+    pax = PaxBlock.from_records(_EDGES, rows)
+    start, end = margins[0], len(rows) - margins[1]
+    for clause in predicate.clauses:
+        try:
+            index = clause.attribute_index(_EDGES)
+        except (KeyError, IndexError):
+            continue
+        low, high = clause.value_range()
+        fast = kernels._zone_flags_numpy(pax, index, low, high, start, end)
+        column = pax.columns[index][start:end]
+        assert fast is None or fast == bytes(
+            ranges_disjoint(low, high, value, value) for value in column
+        )
+    zone_map = ZoneMap.build(pax, 1)
+    assert zone_map.pruned_rows(
+        predicate, _EDGES, start, end, kernels._zone_flags_numpy
+    ) == zone_map.pruned_rows(predicate, _EDGES, start, end)
+    assert zone_map.partition_zones == {}  # one-row zones are read off the column, never paired
+
+
+@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
+def test_numpy_zone_flags_decline_only_where_inexact():
+    """Exact cases answer; every inexact operand or column declines; and the dispatcher
+    :func:`kernels.zone_flags` runs numpy only on the numpy backend, from its minimum window."""
+    rows = [(value, value, float(value)) for value in range(-150, 150)]
+    rows[7] = (rows[7][0], 2**53 + 1, rows[7][2])  # "b" no longer fits a float64 exactly
+    pax = PaxBlock.from_records(_EDGES, rows)
+    want = bytes(not -10 <= value <= 10 for value in range(-150, 150))
+    for index in (0, 1, 2):
+        assert kernels._zone_flags_numpy(pax, index, -10, 10, 0, 300) == (
+            want if index != 1 else bytes(
+                not -10 <= value <= 10 for value in pax.columns[1]
+            )
+        )
+    assert kernels._zone_flags_numpy(pax, 0, -10.5, 10.5, 0, 300) == want
+    assert kernels._zone_flags_numpy(pax, 2, None, 10, 0, 300) == bytes(
+        value > 10 for value in range(-150, 150)
+    )
+    for index, low, high in [
+        (0, None, None),  # no bound: nothing to compare
+        (0, "m", None),  # str operand
+        (0, True, None),  # bool operand
+        (0, None, 2**63),  # past int64
+        (2, 2**53 + 1, None),  # int past 2**53 against a float column
+        (1, 1.5, None),  # float against an int column past 2**53
+    ]:
+        assert kernels._zone_flags_numpy(pax, index, low, high, 0, 300) is None, (index, low)
+    with kernels.use_backend("numpy"):
+        assert kernels.zone_flags(pax, 0, -10, 10, 0, 300) == want
+        narrow = kernels._NUMPY_MIN_ROWS - 1
+        assert kernels.zone_flags(pax, 0, -10, 10, 0, narrow) is None
+    with kernels.use_backend("python"):
+        assert kernels.zone_flags(pax, 0, -10, 10, 0, 300) is None
 
 
 # --------------------------------------------------------------------------- backend control

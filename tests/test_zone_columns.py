@@ -1,7 +1,8 @@
 """Zone synopses cost what a query names: per attribute on first use, per row set for ``Dir_rep``.
 
-``ZoneMap.build`` records its block and computes nothing; ``prune_ranges`` and ``may_match``
-fill the zones of the attributes their clauses name, once.  ``block_zone_ranges`` computes a
+``ZoneMap.build`` records its block and computes nothing; ``pruned_rows`` and ``may_match``
+fill the zones of the attributes their clauses name, once (``pruned_rows`` none at partition
+size 1, where it reads the column itself).  ``block_zone_ranges`` computes a
 column's block-level triple once per row set and ``PaxBlock.reorder`` carries it, except for
 FLOAT/DOUBLE columns, whose ``min``/``max`` depend on the row order.
 
@@ -10,7 +11,10 @@ FLOAT/DOUBLE columns, whose ``min``/``max`` depend on the row order.
   reorder: the guard is a count, not a stopwatch;
 - **differential** — the lazy map against the eager build it replaced (kept verbatim below) on
   real ``PaxBlock``s of INT, DOUBLE (NaN, ``±0.0``, ``±inf``), STRING and DATE columns, over a
-  sequence of queries on one map, so the order the zones fill in cannot matter;
+  sequence of queries on one map, so the order the zones fill in cannot matter, on both kernel
+  backends;
+- **injected zones are read as given** — a one-row-partition map carrying zones that disagree
+  with its block prunes by those zones, never by the column;
 - **exactness** — a carried block range equals, by ``repr``, what a fresh block of the same
   rows computes, through every replica-creation path;
 - **pruning stays on** — a lazily empty cache must not read as "no zones": the pruned-bytes
@@ -23,6 +27,7 @@ import math
 import random
 from datetime import date
 from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +36,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.datagen.uservisits import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.engine import kernels
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
 from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
 from repro.hail.hail_block import HailBlock
@@ -47,8 +53,7 @@ from repro.workloads.query import Query
 @pytest.fixture
 def min_max_calls(monkeypatch):
     """A one-element list counting, while it is live, every ``min``/``max`` pass over values
-    the zone-map module makes (a one-argument call; ``prune_ranges`` clipping a window to
-    ``[start, end)`` with two scalars is not a pass)."""
+    the zone-map module makes (a one-argument call; a two-scalar call is not a pass)."""
     calls = [0]
 
     def counting(builtin):
@@ -70,12 +75,12 @@ _PARTITIONS = _ROWS // _PARTITION_SIZE
 _ONE_ATTRIBUTE = 2 * (_PARTITIONS + 1)
 
 
-def _scan(block: HailBlock, predicate: Predicate) -> list[tuple[int, int]]:
+def _scan(block: HailBlock, predicate: Predicate):
     """What the executor asks of a payload's synopsis: the skip re-check, then pruning."""
     zone_map = block.zone_map
     assert zone_map.matches(block.num_records)
     zone_map.may_match(predicate, block.schema)
-    return zone_map.prune_ranges(predicate, block.schema, 0, block.num_records)
+    return zone_map.pruned_rows(predicate, block.schema, 0, block.num_records)
 
 
 def test_a_query_computes_the_zones_of_the_attributes_it_names(min_max_calls):
@@ -87,12 +92,12 @@ def test_a_query_computes_the_zones_of_the_attributes_it_names(min_max_calls):
     )
     on_f1 = Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 3)
     min_max_calls[0] = 0
-    windows = _scan(block, on_f1)
+    pruned = _scan(block, on_f1)
     # The eager build paid 2 * 19 * (P + 1) here, for eighteen columns nobody filters on.
     assert min_max_calls[0] <= _ONE_ATTRIBUTE
-    assert windows  # a third of the values qualify: something survives
+    assert pruned is None or 0 in pruned  # a third of the values qualify: something survives
     min_max_calls[0] = 0
-    assert _scan(block, on_f1) == windows
+    assert _scan(block, on_f1) == pruned
     assert min_max_calls[0] == 0
     _scan(block, Predicate.between("f3", 0, VALUE_RANGE // 10))
     assert min_max_calls[0] <= _ONE_ATTRIBUTE
@@ -261,6 +266,8 @@ def _eager_may_match(zone_map: ZoneMap, predicate, schema) -> bool:
     return may_match_ranges(_eager_ranges(zone_map), predicate, schema)
 
 
+_BACKENDS = ["python"] + (["numpy"] if kernels.HAVE_NUMPY else [])
+
 _MIXED = Schema.of(
     ("i", FieldType.INT),
     ("d", FieldType.DOUBLE),
@@ -318,15 +325,19 @@ def _scenarios(draw):
 @settings(max_examples=250, deadline=None)
 @given(scenario=_scenarios())
 def test_lazy_zones_answer_like_the_eager_build(scenario):
+    """At partition size 1 the lazy map reads its flags off the column — through numpy, too,
+    with the kernels' dispatch minimum lowered to 0 — and the eager map reads its pairs."""
     rows, permutation, size, queries = scenario
     source = PaxBlock.from_records(_MIXED, rows)
     block_zone_ranges(source)  # fill the memo the reorder hands on
     pax = source.reorder(permutation)
     lazy, eager = ZoneMap.build(pax, size), _eager_build(pax, size)
     for predicate, start, end in queries:
-        assert lazy.prune_ranges(predicate, _MIXED, start, end) == eager.prune_ranges(
-            predicate, _MIXED, start, end
-        )
+        want = eager.pruned_rows(predicate, _MIXED, start, end)
+        for backend in _BACKENDS:
+            with kernels.use_backend(backend), mock.patch.object(kernels, "_NUMPY_MIN_ROWS", 0):
+                got = lazy.pruned_rows(predicate, _MIXED, start, end, kernels.zone_flags)
+            assert got == want, backend
         assert lazy.may_match(predicate, _MIXED) == _eager_may_match(eager, predicate, _MIXED)
     # Whatever was filled in is the eager build's zone, to the last NaN and signed zero.
     for name, zones in lazy.partition_zones.items():
@@ -334,3 +345,25 @@ def test_lazy_zones_answer_like_the_eager_build(scenario):
     for name, zone in lazy.block_zones.items():
         assert repr(zone) == repr(eager.block_zones[name])
     assert repr(block_zone_ranges(pax)) == repr(_eager_ranges(eager))
+
+
+# --------------------------------------------------------------------------- injected zones
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_injected_one_row_zones_are_read_as_given(backend):
+    """Only zones a map derived from its own block are read off the column: a size-1 map that
+    was handed ``partition_zones`` prunes by them even where they contradict the block."""
+    schema = Schema.of(("k", FieldType.INT), name="injected")
+    rows = 300  # past the numpy dispatch minimum: the numpy backend would read the column
+    pax = PaxBlock.from_records(schema, [(value,) for value in range(rows)])
+    # The injected zones claim the block is reversed: row r holds rows - 1 - r.
+    zones = tuple((rows - 1 - row, rows - 1 - row) for row in range(rows))
+    zone_map = ZoneMap(num_rows=rows, partition_size=1, partition_zones={"k": zones}, pax=pax)
+    predicate = Predicate.comparison("k", Operator.LT, 50)
+    with kernels.use_backend(backend):
+        pruned = zone_map.pruned_rows(predicate, schema, 0, rows, kernels.zone_flags)
+        kept = kernels.filter_ranges(pax, predicate, schema, 0, rows, pruned)
+    # By the zones, rows 249.. may hold k <= 50 (a bound on the zone edge is kept); by the
+    # column it is rows ..49.
+    assert pruned == bytes(rows - 1 - row > 50 for row in range(rows))
+    assert kept == []  # the rows that match were pruned: the synopsis is trusted as given
+    assert zone_map.partition_zones == {"k": zones}

@@ -172,18 +172,15 @@ def test_zone_map_partition_pruning_matches_brute_force():
         predicate = Predicate.between("k", low, low + rng.randrange(25))
         start = rng.randrange(0, pax.num_rows + 1)
         end = rng.randrange(start, pax.num_rows + 1)
-        windows = zone_map.prune_ranges(predicate, schema, start, end)
-        # Windows are disjoint, ascending, within [start, end) ...
-        previous_end = start
-        for window_start, window_end in windows:
-            assert start <= window_start < window_end <= end
-            assert window_start >= previous_end
-            previous_end = window_end
+        pruned = zone_map.pruned_rows(predicate, schema, start, end)
+        # One 0/1 flag per row of [start, end), or None when nothing is pruned ...
+        if pruned is not None:
+            assert len(pruned) == end - start
+            assert set(pruned) <= {0, 1} and 1 in pruned
         # ... and pruning loses no matching row.
-        kept = {row for window in windows for row in range(*window)}
         for row in range(start, end):
             if predicate.matches(pax.record(row), schema):
-                assert row in kept
+                assert pruned is None or pruned[row - start] == 0
 
 
 # --------------------------------------------------------------------------- identity property
