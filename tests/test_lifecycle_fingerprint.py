@@ -18,6 +18,10 @@ tombstones; the journaled control state closes scenario (a).  The digest of all 
 pinned, so a refactor of the lifecycle pass that changes *what* it decides, *in which order*,
 or *what it writes back* fails here, even when every answer still matches.  The scenarios
 are also checked to be non-vacuous: every lifecycle counter and both eviction modes fire.
+
+A second digest covers the same four scenarios with per-attribute tuning off in (a) and (d).
+Its rows leave out the per-attribute rates, and its journal row leaves out the tuner's
+``per_attribute`` / ``ledgers`` keys, so it still holds once per-attribute tuning is gone.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ from repro.workloads.query import Query
 #: Digest of every row below, captured before the lifecycle pass was restructured.
 EXPECTED_DIGEST = "04b2e1f9f14af090"
 EXPECTED_ROWS = 35
+
+#: Digest of the rows with per-attribute tuning off, rates and ledger keys left out.
+SURVIVING_DIGEST = "b874d345c53a3f71"
 
 _PATH = "/fingerprint/synthetic"
 
@@ -91,14 +98,15 @@ def _directory(system: HailSystem) -> tuple:
     return tuple(rows)
 
 
-def _lifecycle(system: HailSystem) -> tuple:
-    """The learned control state: tuner knobs and rates, balancer demand, tenant tally."""
+def _lifecycle(system: HailSystem, rates: bool) -> tuple:
+    """The learned control state: tuner knobs (and rates), balancer demand, tenant tally."""
     lifecycle = system.lifecycle
     tuner, balancer = lifecycle.tuner, lifecycle.balancer
     knobs = None
     if tuner is not None:
-        rates = tuple((name, repr(rate)) for name, rate in tuner.attribute_rates().items())
-        knobs = (repr(tuner.offer_rate), tuner.budget, rates)
+        knobs = (repr(tuner.offer_rate), tuner.budget)
+        if rates:
+            knobs += (tuple((name, repr(rate)) for name, rate in tuner.attribute_rates().items()),)
     demand = None if balancer is None else tuple(sorted(balancer.demand.items()))
     return knobs, demand, tuple(sorted(lifecycle.tenant_jobs.items()))
 
@@ -106,7 +114,8 @@ def _lifecycle(system: HailSystem) -> tuple:
 class _Recorder:
     """Collects the fingerprint rows and every job's counter bag."""
 
-    def __init__(self) -> None:
+    def __init__(self, per_attribute: bool) -> None:
+        self.per_attribute = per_attribute
         self.rows: list[tuple] = []
         self.bags: list[Counters] = []
 
@@ -114,7 +123,8 @@ class _Recorder:
         counters = result.job.counters
         self.bags.append(counters)
         self.rows.append((
-            label, repr(result.runtime_s), _counters(counters), _lifecycle(system),
+            label, repr(result.runtime_s), _counters(counters),
+            _lifecycle(system, self.per_attribute),
             _directory(system),
         ))
 
@@ -137,7 +147,7 @@ def _plain(value):
 
 
 def _eviction_tuning(record: _Recorder, directory: str) -> None:
-    """(a) Eviction + per-attribute auto-tune + SQLite journal, three attributes cycling."""
+    """(a) Eviction + auto-tune + SQLite journal, three attributes cycling."""
     system = _system(
         adaptive_offer_rate=1.0,
         adaptive_eviction=True,
@@ -145,13 +155,19 @@ def _eviction_tuning(record: _Recorder, directory: str) -> None:
             capacity_bytes=15_000.0, high_watermark=0.9, low_watermark=0.6
         ),
         adaptive_auto_tune=True,
-        adaptive_per_attribute_tune=True,
+        adaptive_per_attribute_tune=record.per_attribute,
         persistence_dir=directory,
     )
     for number, attribute in enumerate(("f1", "f2", "f3") * 4):
         label = f"a-{number}"
         record.job(label, system, system.run_query(_query(attribute, label), _PATH))
-    record.rows.append(("a-journal", _plain(system.hdfs.persist.load_state()["control"])))
+    control = system.hdfs.persist.load_state()["control"]
+    if not record.per_attribute:
+        control["tuner"] = {
+            key: value for key, value in control["tuner"].items()
+            if key not in ("per_attribute", "ledgers")
+        }
+    record.rows.append(("a-journal", _plain(control)))
     system.hdfs.persist.close()
 
 
@@ -200,7 +216,7 @@ def _two_tenants(record: _Recorder) -> None:
         splitting_policy=False,
         adaptive_indexing=True,
         adaptive_auto_tune=True,
-        adaptive_per_attribute_tune=True,
+        adaptive_per_attribute_tune=record.per_attribute,
     ).with_concurrency(max_jobs=2)
     alice = Session.deploy(nodes=4, hail_config=config, tenant="alice")
     generator = SyntheticGenerator(seed=7)
@@ -219,21 +235,38 @@ def _two_tenants(record: _Recorder) -> None:
             record.job(f"d-{tenant}-{number}", system, result)
 
 
-@pytest.fixture(scope="module")
-def recorded(tmp_path_factory) -> _Recorder:
+def _record(directory: str, per_attribute: bool) -> _Recorder:
     """Every row of the fingerprint, scenario by scenario, and the jobs' counter bags."""
-    record = _Recorder()
-    _eviction_tuning(record, str(tmp_path_factory.mktemp("lifecycle-fingerprint")))
+    record = _Recorder(per_attribute)
+    _eviction_tuning(record, directory)
     _storm_recovery(record)
     _skew_migration(record)
     _two_tenants(record)
     return record
 
 
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory) -> _Recorder:
+    return _record(str(tmp_path_factory.mktemp("lifecycle-fingerprint")), per_attribute=True)
+
+
+@pytest.fixture(scope="module")
+def surviving(tmp_path_factory) -> _Recorder:
+    return _record(str(tmp_path_factory.mktemp("lifecycle-surviving")), per_attribute=False)
+
+
+def _digest(rows: list[tuple]) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
 def test_lifecycle_fingerprint_is_unchanged(recorded):
     assert len(recorded.rows) == EXPECTED_ROWS
-    digest = hashlib.sha256(repr(recorded.rows).encode()).hexdigest()[:16]
-    assert digest == EXPECTED_DIGEST
+    assert _digest(recorded.rows) == EXPECTED_DIGEST
+
+
+def test_surviving_lifecycle_fingerprint_is_unchanged(surviving):
+    assert len(surviving.rows) == EXPECTED_ROWS
+    assert _digest(surviving.rows) == SURVIVING_DIGEST
 
 
 @pytest.mark.parametrize(
