@@ -48,6 +48,8 @@ SMOKE_FIRST = (
     "tests/test_persist_recovery.py",
     "tests/test_adaptive_failure.py",
     "tests/test_adaptive_lifecycle.py",
+    # The tuner's law as a sub-second trajectory, before the fingerprint's four scenarios.
+    "tests/test_tuner_trajectory.py",
     "tests/test_lifecycle_fingerprint.py",
     "tests/test_placement_balancer.py",
     # The extension experiments' acceptance floors.

@@ -362,9 +362,6 @@ class SessionStats:
     #: Live auto-tuner knobs, when the system runs the feedback controller.
     tuner_offer_rate: Optional[float] = None
     tuner_budget: Optional[int] = None
-    #: Live per-attribute offer rates (the split tuner ledgers), when the system tunes per
-    #: attribute; ``None`` for global-ledger or untuned deployments.
-    tuner_attribute_rates: Optional[dict[str, float]] = None
     #: The tenant this session submits jobs as (``"default"`` unless the session was opened
     #: with a tenant name or via :meth:`Session.attach`).
     tenant: str = "default"
@@ -526,10 +523,10 @@ class Session:
         ``hail_config`` must carry the ``persistence_dir`` the dead deployment journaled
         into (``HailConfig.with_persistence(...)``); a fresh deployment
         of the same shape is built and every journaled dataset, replica (adaptive index
-        pool included), zone-map synopsis, LRU statistic, eviction tombstone, tuner ledger
-        and the adaptive salt are put back, so convergence *resumes* — the first query after
-        a restore runs at warm steady-state, not cold full-scan
-        (``benchmarks/test_recovery_curve.py`` pins this).  See ``docs/persistence.md`` for
+        pool included), zone-map synopsis, LRU statistic, eviction tombstone and the adaptive
+        salt are put back, and the tuner's ledger too when ``hail_config`` auto-tunes, so
+        convergence *resumes* — the first query after a restore runs at warm steady-state,
+        not cold full-scan (``benchmarks/test_recovery_curve.py`` pins this).  See ``docs/persistence.md`` for
         the walkthrough.
         """
         from repro.persist import restore_system
@@ -732,13 +729,10 @@ class Session:
                 adaptive_bytes[uploaded] = target.adaptive_replica_bytes(uploaded)
         tuner_offer_rate: Optional[float] = None
         tuner_budget: Optional[int] = None
-        tuner_attribute_rates: Optional[dict[str, float]] = None
         tuner = getattr(getattr(target, "lifecycle", None), "tuner", None)
         if tuner is not None:
             tuner_offer_rate = tuner.offer_rate
             tuner_budget = tuner.budget
-            if tuner.per_attribute:
-                tuner_attribute_rates = tuner.attribute_rates()
         return SessionStats(
             system=name,
             queries_run=self._queries_run[name],
@@ -748,7 +742,6 @@ class Session:
             adaptive_bytes=adaptive_bytes,
             tuner_offer_rate=tuner_offer_rate,
             tuner_budget=tuner_budget,
-            tuner_attribute_rates=tuner_attribute_rates,
             tenant=self.tenant,
         )
 

@@ -65,10 +65,6 @@ class AdaptiveJobContext:
     budget: Optional[int] = None
     salt: int = 0
     builds_offered: int = 0
-    #: Per-attribute offer rates (the split tuner ledgers' live knobs): when the deployment
-    #: tunes per attribute, :meth:`offers` looks the build attribute up here and falls back
-    #: to the scalar ``offer_rate`` only for attributes the tuner has no ledger for yet.
-    attribute_offer_rates: dict = field(default_factory=dict)
     #: Measure counterfactual scan savings for adaptive-index scans (the lifecycle tuner's
     #: benefit ledger).  Off unless the deployment auto-tunes: the measurement costs a second
     #: cost-model evaluation per adaptive-index scan, wasted when nothing consumes it.
@@ -128,11 +124,10 @@ class AdaptiveJobContext:
         key = (block_id, attribute)
         if key in self.decisions:
             return self.decisions[key]
-        rate = self.attribute_offer_rates.get(attribute, self.offer_rate)
         decision = True
         if self.budget is not None and self.builds_offered >= self.budget:
             decision = False
-        elif offer_draw(self.salt, block_id, attribute) >= rate:
+        elif offer_draw(self.salt, block_id, attribute) >= self.offer_rate:
             decision = False
         if decision:
             self.builds_offered += 1

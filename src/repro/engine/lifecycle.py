@@ -8,9 +8,8 @@ once per measured job (``HailInputFormat.finish_run``), after the failure-safe c
 builds, and it runs one pass in this order:
 
 1. build the job's :class:`JobObservation` from its counters;
-2. :class:`AdaptiveTuner` folds it into its payback ledger (one global ledger, plus one
-   :class:`AttributeLedger` per filter attribute when tuning per attribute) and moves the
-   offer rate and the per-job build budget;
+2. :class:`AdaptiveTuner` folds it into its one payback ledger and moves the offer rate and
+   the per-job build budget;
 3. :func:`evict_under_pressure` drops least-recently-used adaptive replicas from every node
    over its :class:`~repro.cluster.disk.DiskPressurePolicy` budget;
 4. :class:`PlacementBalancer` re-creates index coverage that eviction or a dead node took from
@@ -38,14 +37,19 @@ if TYPE_CHECKING:  # only for annotations: keep this module import-light
     from repro.hdfs.filesystem import Hdfs
 
 # --------------------------------------------------------------------------- observations
-#: ``(total field, per-attribute field, counter, type)``: what :class:`JobObservation` reads
-#: from a job's counters.  The per-attribute field holds the ``COUNTER[attr]`` slices.
+#: ``(field, counter, type)``: what :class:`JobObservation` reads from a job's counters.
 _OBSERVED = (
-    ("builds_committed", "builds_by_attribute", Counters.ADAPTIVE_INDEXES_COMMITTED, int),
-    ("build_seconds", "build_seconds_by_attribute", Counters.ADAPTIVE_BUILD_SECONDS, float),
-    ("adaptive_uses", "uses_by_attribute", Counters.ADAPTIVE_INDEX_USES, int),
-    ("saved_seconds", "saved_seconds_by_attribute", Counters.ADAPTIVE_SAVED_SECONDS, float),
-    ("fallback_blocks", "fallbacks_by_attribute", Counters.SCAN_FALLBACK_BLOCKS, int),
+    ("builds_committed", Counters.ADAPTIVE_INDEXES_COMMITTED, int),
+    ("build_seconds", Counters.ADAPTIVE_BUILD_SECONDS, float),
+    ("adaptive_uses", Counters.ADAPTIVE_INDEX_USES, int),
+    ("saved_seconds", Counters.ADAPTIVE_SAVED_SECONDS, float),
+    ("fallback_blocks", Counters.SCAN_FALLBACK_BLOCKS, int),
+)
+#: The counters whose ``COUNTER[attr]`` slices name the attributes a job touched adaptively.
+_ACTIVE = (
+    Counters.ADAPTIVE_INDEXES_COMMITTED,
+    Counters.ADAPTIVE_INDEX_USES,
+    Counters.SCAN_FALLBACK_BLOCKS,
 )
 
 
@@ -70,11 +74,9 @@ class JobObservation:
         The job's *useful* RecordReader seconds: the runner passes total RecordReader time
         minus every staged build's seconds (committed or not — dropped builds spent their
         time too), and this sizes the build budget.
-    builds_by_attribute / build_seconds_by_attribute / uses_by_attribute /
-    saved_seconds_by_attribute / fallbacks_by_attribute:
-        Per-attribute slices of the five quantities above (from the ``COUNTER[attr]``
-        counters) — what the per-attribute tuner ledgers and the placement balancer's demand
-        tracking consume.  Empty dicts for jobs that predate the per-attribute counters.
+    active_attributes:
+        Attributes the job touched adaptively (built, used an index, or fell back), from the
+        ``COUNTER[attr]`` slices — what the placement balancer's demand tracking consumes.
     tenant:
         The tenant whose job produced this observation (``None`` for serial, single-tenant
         runs).  A tuner shared by several sessions of one deployment records it per report,
@@ -87,11 +89,7 @@ class JobObservation:
     saved_seconds: float = 0.0
     fallback_blocks: int = 0
     record_reader_seconds: float = 0.0
-    builds_by_attribute: dict = field(default_factory=dict)
-    build_seconds_by_attribute: dict = field(default_factory=dict)
-    uses_by_attribute: dict = field(default_factory=dict)
-    saved_seconds_by_attribute: dict = field(default_factory=dict)
-    fallbacks_by_attribute: dict = field(default_factory=dict)
+    active_attributes: frozenset = frozenset()
     tenant: Optional[str] = None
 
     @classmethod
@@ -107,61 +105,23 @@ class JobObservation:
         the staged builds' seconds from the surviving attempts' RecordReader time.  It is
         clamped at zero here.
         """
-        fields: dict = {
-            "tenant": tenant,
-            "record_reader_seconds": max(0.0, useful_reader_seconds),
-        }
-        for total, sliced, counter, kind in _OBSERVED:
-            fields[total] = kind(counters.value(counter))
-            fields[sliced] = {
-                attr: kind(value) for attr, value in counters.by_attribute(counter).items()
-            }
-        return cls(**fields)
-
-    def for_attribute(self, attribute: str) -> "JobObservation":
-        """This job as one attribute's ledger sees it: its five slices as the totals."""
-        return JobObservation(**{
-            total: getattr(self, sliced).get(attribute, kind())
-            for total, sliced, _, kind in _OBSERVED
-        })
-
-    @property
-    def active_attributes(self) -> set:
-        """Attributes this job touched adaptively (built, used an index, or fell back)."""
-        return (
-            set(self.builds_by_attribute)
-            | set(self.uses_by_attribute)
-            | set(self.fallbacks_by_attribute)
+        return cls(
+            **{name: kind(counters.value(counter)) for name, counter, kind in _OBSERVED},
+            record_reader_seconds=max(0.0, useful_reader_seconds),
+            active_attributes=frozenset().union(
+                *(counters.by_attribute(counter) for counter in _ACTIVE)
+            ),
+            tenant=tenant,
         )
 
 
 # --------------------------------------------------------------------------- the tuner
 @dataclass
-class AttributeLedger:
-    """One attribute's slice of the tuner state: its own offer rate and payback ledger.
-
-    With per-attribute tuning enabled, every filter attribute the workload touches gets one of
-    these, fed the ``COUNTER[attr]`` slices of each :class:`JobObservation` — so an attribute
-    whose adaptive indexes save scan seconds converges at full speed while a hostile
-    attribute's rate decays to zero without dragging the profitable one down with it.  The
-    five fields carry the names of the tuner's own ledger fields: one law serves both.
-    """
-
-    offer_rate: float = 0.5
-    jobs_observed: int = 0
-    jobs_since_build: int = 0
-    total_build_seconds: float = 0.0
-    total_saved_seconds: float = 0.0
-
-
-@dataclass
 class AdaptiveTuner:
     """Feedback controller for ``adaptive_offer_rate`` and the per-job build budget.
 
-    One law, two kinds of ledger: :meth:`_apply_law` folds each :class:`JobObservation` into
-    the tuner's own five ledger fields (the global rate) and, with ``per_attribute``, each
-    attribute's slice of it into that attribute's :class:`AttributeLedger` — one method, so
-    the global and per-attribute rates cannot drift apart.  The law, per job and ledger:
+    :meth:`_apply_law` folds each :class:`JobObservation` into the tuner's payback ledger
+    and moves the offer rate.  The law, per job:
 
     - **raise** — when the job's measured savings exceed its build cost (adaptive indexes are
       paying for themselves), the offer rate grows multiplicatively toward 1.0 so convergence
@@ -202,22 +162,16 @@ class AdaptiveTuner:
     #: can ancient debt outlaw probing forever).
     ledger_decay: float = 0.9
 
-    #: Split the payback ledger per filter attribute (:class:`AttributeLedger`): offers are
-    #: then steered per attribute via ``AdaptiveJobContext.attribute_offer_rates`` while the
-    #: global rate keeps serving as the starting point for attributes never seen before.
-    per_attribute: bool = False
-
     jobs_observed: int = 0
     jobs_since_build: int = 0
     total_build_seconds: float = 0.0
     total_saved_seconds: float = 0.0
     build_cost_ema: Optional[float] = None
     reader_seconds_ema: Optional[float] = None
-    ledgers: dict = field(default_factory=dict)
 
     def observe(self, observation: JobObservation) -> None:
-        """Fold one finished job into the ledger(s) and update both knobs."""
-        self._apply_law(self, observation)
+        """Fold one finished job into the ledger and update both knobs."""
+        self._apply_law(observation)
         if observation.builds_committed:
             per_build = observation.build_seconds / observation.builds_committed
             self.build_cost_ema = self._blend(self.build_cost_ema, per_build)
@@ -226,18 +180,6 @@ class AdaptiveTuner:
                 self.reader_seconds_ema, observation.record_reader_seconds
             )
         self._update_budget()
-        if self.per_attribute:
-            # An attribute the job did not touch at all counts as *idle* for its ledger (its
-            # rate decays), which is what retargets the offer budget after a workload shift:
-            # the old attribute's rate sinks while the newly filtered attribute's rate climbs
-            # on its own savings.  Attributes never seen before start from the global rate.
-            for attribute in sorted(observation.active_attributes | set(self.ledgers)):
-                ledger = self.ledgers.setdefault(attribute, AttributeLedger(self.offer_rate))
-                self._apply_law(ledger, observation.for_attribute(attribute))
-
-    def attribute_rates(self) -> dict[str, float]:
-        """The live per-attribute offer rates (empty unless ``per_attribute`` tuning is on)."""
-        return {attribute: ledger.offer_rate for attribute, ledger in sorted(self.ledgers.items())}
 
     # ------------------------------------------------------------------ internals
     def _blend(self, ema: Optional[float], sample: float) -> float:
@@ -245,50 +187,42 @@ class AdaptiveTuner:
             return sample
         return (1.0 - self.ema_alpha) * ema + self.ema_alpha * sample
 
-    def _paid_back(self, ledger: "AdaptiveTuner | AttributeLedger") -> bool:
+    def _paid_back(self) -> bool:
         """True while recent savings keep up with recent build cost (decayed-window totals)."""
-        if ledger.total_build_seconds <= 0.0:
+        if self.total_build_seconds <= 0.0:
             return True
-        return ledger.total_saved_seconds >= self.payback_fraction * ledger.total_build_seconds
+        return self.total_saved_seconds >= self.payback_fraction * self.total_build_seconds
 
-    def _apply_law(self, ledger: "AdaptiveTuner | AttributeLedger", job: JobObservation) -> None:
-        """Fold one job into ``ledger`` and move its offer rate: raise, decay or probe.
-
-        ``ledger`` is the tuner itself (global rate; ``job`` is the whole observation) or an
-        :class:`AttributeLedger` (``job`` is its :meth:`JobObservation.for_attribute` slice).
-        """
-        ledger.jobs_observed += 1
-        ledger.jobs_since_build = 0 if job.builds_committed else ledger.jobs_since_build + 1
-        ledger.total_build_seconds = (
-            self.ledger_decay * ledger.total_build_seconds + job.build_seconds
-        )
-        ledger.total_saved_seconds = (
-            self.ledger_decay * ledger.total_saved_seconds + job.saved_seconds
-        )
+    def _apply_law(self, job: JobObservation) -> None:
+        """Fold one job into the ledger and move the offer rate: raise, decay or probe."""
+        self.jobs_observed += 1
+        self.jobs_since_build = 0 if job.builds_committed else self.jobs_since_build + 1
+        self.total_build_seconds = self.ledger_decay * self.total_build_seconds + job.build_seconds
+        self.total_saved_seconds = self.ledger_decay * self.total_saved_seconds + job.saved_seconds
         idle = job.builds_committed == 0 and job.adaptive_uses == 0 and job.fallback_blocks == 0
         unpaid = (
             job.builds_committed > 0
-            and not self._paid_back(ledger)
-            and ledger.jobs_observed > self.grace_jobs
+            and not self._paid_back()
+            and self.jobs_observed > self.grace_jobs
         )
         if job.saved_seconds > job.build_seconds and job.saved_seconds > 0:
-            ledger.offer_rate = min(
-                1.0, max(ledger.offer_rate, self.min_offer_rate) * self.increase_factor
+            self.offer_rate = min(
+                1.0, max(self.offer_rate, self.min_offer_rate) * self.increase_factor
             )
         elif idle or unpaid:
-            ledger.offer_rate *= self.decay_factor
-            if ledger.offer_rate < self.offer_floor:
-                ledger.offer_rate = 0.0
+            self.offer_rate *= self.decay_factor
+            if self.offer_rate < self.offer_floor:
+                self.offer_rate = 0.0
         elif (
             job.fallback_blocks > 0
-            and ledger.offer_rate < self.min_offer_rate
-            and (self._paid_back(ledger) or ledger.jobs_since_build >= self.probe_cooldown)
+            and self.offer_rate < self.min_offer_rate
+            and (self._paid_back() or self.jobs_since_build >= self.probe_cooldown)
         ):
             # Scans reappeared: probe cheaply.  An unpaid ledger delays the probe by
             # ``probe_cooldown`` build-free jobs but never blocks it forever — with the rate
             # at zero no builds ever run, so the debt would otherwise be frozen stale and
             # the controller stuck in an absorbing state.
-            ledger.offer_rate = self.min_offer_rate
+            self.offer_rate = self.min_offer_rate
 
     def _update_budget(self) -> None:
         if self.build_cost_ema is None or self.build_cost_ema <= 0.0:
@@ -840,15 +774,14 @@ class PlacementBalancer:
 class LifecycleReport:
     """One post-job pass: the observation it acted on, its actions, the knobs it left.
 
-    ``offer_rate`` / ``budget`` / ``attribute_offer_rates`` are the tuner's knobs after the
-    pass, what the next job runs with (``0.0`` / ``None`` / ``{}`` without a tuner).
+    ``offer_rate`` / ``budget`` are the tuner's knobs after the pass, what the next job runs
+    with (``0.0`` / ``None`` without a tuner).
     """
 
     observation: JobObservation
     actions: list[LifecycleAction] = field(default_factory=list)
     offer_rate: float = 0.0
     budget: Optional[int] = None
-    attribute_offer_rates: dict = field(default_factory=dict)
 
 
 class AdaptiveLifecycleManager:
@@ -897,10 +830,7 @@ class AdaptiveLifecycleManager:
             pressure = replace(pressure, capacity_bytes=None)
         tuner = None
         if config.adaptive_auto_tune:
-            tuner = AdaptiveTuner(
-                offer_rate=config.adaptive_offer_rate,
-                per_attribute=config.adaptive_per_attribute_tune,
-            )
+            tuner = AdaptiveTuner(offer_rate=config.adaptive_offer_rate)
         balancer = None
         if config.placement_balancer:
             # The balancer shares the eviction budget, so its placements and the evictor's
@@ -946,10 +876,9 @@ class AdaptiveLifecycleManager:
         report = LifecycleReport(observation, actions)
         if tuner is not None:
             report.offer_rate, report.budget = tuner.offer_rate, tuner.budget
-            report.attribute_offer_rates = tuner.attribute_rates()
         self.reports.append(report)
         if hdfs.persist is not None:
-            # Journal what the pass just learned — tuner ledgers and balancer demand — so a
+            # Journal what the pass just learned — tuner ledger and balancer demand — so a
             # restored deployment's feedback loops resume instead of re-learning.  Local
             # import: repro.persist imports this module for the tuner dataclasses.
             from repro.persist.state import capture_lifecycle_control

@@ -10,7 +10,8 @@ path HAIL settings take into the MapReduce layer.
 
 The other fields are switches.  A switch with a single value in use does not stay a field: it
 becomes a constant where it is enforced (the JobTracker's ``MAX_PREEMPTIONS_PER_JOB``), or the
-code for its other value goes.
+code for its other value goes (the auto-tuner keeps one payback ledger, never one per
+attribute).
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ class HailConfig:
     nothing is evicted.  ``adaptive_auto_tune`` replaces the static offer rate with the
     feedback controller (:class:`~repro.engine.lifecycle.AdaptiveTuner`; the static rate
     becomes its starting point), which also sizes a per-job build budget from its
-    measurements, and ``adaptive_per_attribute_tune`` splits its ledger per filter attribute
-    (requires ``adaptive_auto_tune``).
+    measurements.
 
     **Placement.**  ``index_aware_scheduling`` makes a free slot prefer a task with an
     *indexed* local replica, then a data-local one, then the queue head (the job's input
@@ -104,7 +104,6 @@ class HailConfig:
     adaptive_eviction: bool = False
     disk_pressure: DiskPressurePolicy = DiskPressurePolicy()
     adaptive_auto_tune: bool = False
-    adaptive_per_attribute_tune: bool = False
     index_aware_scheduling: bool = False
     placement_balancer: bool = False
     placement_rebuilds_per_job: int = 2
@@ -126,11 +125,6 @@ class HailConfig:
             )
         if not 0.0 <= self.adaptive_offer_rate <= 1.0:
             raise ValueError("adaptive_offer_rate must lie in [0, 1]")
-        if self.adaptive_per_attribute_tune and not self.adaptive_auto_tune:
-            raise ValueError(
-                "adaptive_per_attribute_tune splits the auto-tuner's ledger; "
-                "enable adaptive_auto_tune as well"
-            )
         if self.placement_rebuilds_per_job < 0:
             raise ValueError("placement_rebuilds_per_job must be non-negative")
         if self.persistence_dir == "":
@@ -188,7 +182,6 @@ class HailConfig:
         high_watermark: Optional[float] = None,
         low_watermark: Optional[float] = None,
         auto_tune: Optional[bool] = None,
-        per_attribute_tune: Optional[bool] = None,
     ) -> "HailConfig":
         """Copy of this configuration with adaptive-lifecycle knobs toggled/tuned.
 
@@ -208,7 +201,6 @@ class HailConfig:
             adaptive_eviction=eviction,
             disk_pressure=replace(self.disk_pressure, **pressure),
             adaptive_auto_tune=auto_tune,
-            adaptive_per_attribute_tune=per_attribute_tune,
         )
 
     def with_placement(

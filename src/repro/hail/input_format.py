@@ -103,7 +103,7 @@ class HailInputFormat(InputFormat):
         scheduled = outcome.scheduled
         if any(attempt.result.adaptive_builds for attempt in scheduled):
             for build in commit_adaptive_builds(hdfs, scheduled).committed:
-                # Sliced per attribute: what the split tuner ledgers steer the offer rates by.
+                # Sliced per attribute: the placement balancer's demand and session stats.
                 counters.increment(Counters.ADAPTIVE_INDEXES_COMMITTED, attribute=build.attribute)
                 counters.increment(
                     Counters.ADAPTIVE_BUILD_SECONDS, build.build_seconds, build.attribute

@@ -98,8 +98,8 @@ class HailRecordReader(RecordReader):
         bound = self.plan.bound
         attributes = bound.filter_attributes
         # Fallbacks are attributed to the query's *first* filter attribute — the same
-        # attribute an adaptive build of the block would target.  The slices feed the split
-        # tuner ledgers and the placement balancer's demand tracking.
+        # attribute an adaptive build of the block would target.  The slices feed the
+        # placement balancer's demand tracking.
         fallback_attribute = attributes[0] if attributes else None
         for block_id in self.split.block_ids:
             plan = self._carried(block_id)
@@ -131,7 +131,7 @@ class HailRecordReader(RecordReader):
                 self.used_index = True
             elif scan.zone_map_skipped:
                 # A verified skip is neither an index scan nor a fallback: no data was read,
-                # so it must not count as a full scan nor feed the adaptive tuner's ledgers.
+                # so it must not count as a full scan nor feed the adaptive tuner's ledger.
                 counters.increment(Counters.ZONE_MAP_SKIPPED_BLOCKS)
             else:
                 counters.increment(Counters.SCAN_FALLBACK_BLOCKS, attribute=fallback_attribute)

@@ -100,10 +100,6 @@ class HailSystem(BaseSystem):
             context.offer_rate = tuner.offer_rate
             context.budget = tuner.budget
             context.measure_savings = True
-            if tuner.per_attribute:
-                # Snapshot of the split ledgers' live per-attribute rates; unseen attributes
-                # keep falling back to the scalar rate above.
-                context.attribute_offer_rates = tuner.attribute_rates()
         self._adaptive_salt += 1
         if self.hdfs.persist is not None:
             # The salt decides which blocks future jobs offer builds on; journaling it per

@@ -144,7 +144,7 @@ class Counters:
         The adaptive counters with per-attribute breakdowns (builds, build seconds, uses,
         saved seconds, fallbacks) are incremented twice (``increment(..., attribute=...)``):
         once under ``base`` (the job total the existing consumers read) and once under this
-        per-attribute name, which is what feeds the per-attribute tuner ledgers and
+        per-attribute name, which is what feeds the placement balancer's demand and
         ``session.stats()``.
         """
         return f"{base}[{attribute}]"

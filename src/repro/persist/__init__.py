@@ -1,7 +1,7 @@
 """Per-node persistence: the SQLite journal, crash injection, checkpoint/restore.
 
 Everything PRs 2–6 taught a deployment to learn — adaptive replicas, ``Dir_rep`` entries,
-zone-map synopses, tuner ledgers, eviction tombstones — used to live only in process
+zone-map synopses, the tuner's ledger, eviction tombstones — used to live only in process
 memory; this package makes that state durable so a killed deployment can be reopened with
 its learned index pool intact and convergence *resumes* instead of restarting from zero.
 

@@ -4,8 +4,7 @@ The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payloa
 
 - **JSON-friendly metadata** — replica infos (:class:`~repro.hail.replica_info.HailBlockReplicaInfo`),
   zone-map synopses (:data:`~repro.layouts.zonemap.ZoneRanges`), schemas, tuner state
-  (:class:`~repro.engine.lifecycle.AdaptiveTuner` and its per-attribute
-  :class:`~repro.engine.lifecycle.AttributeLedger` entries).  These travel as plain dict/list
+  (:class:`~repro.engine.lifecycle.AdaptiveTuner`).  These travel as plain dict/list
   structures produced by the ``encode_*`` functions here, ready for ``json.dumps``; dates
   (the one non-JSON scalar the schemas allow) are wrapped in a ``{"__date__": "YYYY-MM-DD"}``
   tag so round-trips are type-exact.
@@ -15,8 +14,11 @@ The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payloa
 
 Every ``encode_*`` has a matching ``decode_*`` and the pair is a structural identity — the
 property suite (``tests/test_property_persist.py``) drives randomized values through each
-round-trip.  The tuner/ledger codecs enumerate ``dataclasses.fields()`` so a new knob added to
-either dataclass persists automatically instead of silently defaulting after a restore.
+round-trip.  The tuner codec enumerates ``dataclasses.fields()`` so a new knob added to the
+tuner persists automatically instead of silently defaulting after a restore.  A tuner payload
+journaled before the tuner lost its per-attribute ledgers still decodes when it never used
+them (``"per_attribute": false, "ledgers": {}``); one that did, or one with any other key the
+tuner does not have, raises :class:`JournalCorruptError` naming the key.
 """
 
 from __future__ import annotations
@@ -25,11 +27,16 @@ import dataclasses
 from datetime import date
 from typing import Any, Optional, Sequence
 
-from repro.engine.lifecycle import AdaptiveTuner, AttributeLedger
+from repro.engine.lifecycle import AdaptiveTuner
 from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import Field, FieldType, Schema
 from repro.layouts.zonemap import ZoneRanges
+
+
+class JournalCorruptError(RuntimeError):
+    """A journaled payload is missing, does not decode or cannot restore exactly; names it."""
+
 
 # --------------------------------------------------------------------------- scalar values
 #: JSON-native scalar types that pass through the codec unchanged.
@@ -105,42 +112,42 @@ def decode_schema(encoded: dict) -> Schema:
 
 
 # --------------------------------------------------------------------------- tuner state
-def encode_ledger(ledger: AttributeLedger) -> dict:
-    """One per-attribute tuner ledger → JSON dict of all of its dataclass fields."""
-    return {spec.name: getattr(ledger, spec.name) for spec in dataclasses.fields(AttributeLedger)}
-
-
-def decode_ledger(encoded: dict) -> AttributeLedger:
-    """Inverse of :func:`encode_ledger`."""
-    return AttributeLedger(**encoded)
+#: Keys of a tuner payload journaled while the tuner could split its ledger per attribute,
+#: with the values that payload holds when it never did (its global state is then exact).
+_RETIRED_TUNER_KEYS = {"per_attribute": False, "ledgers": {}}
 
 
 def encode_tuner(tuner: Optional[AdaptiveTuner]) -> Optional[dict]:
     """The auto-tuner's full feedback state → JSON dict (``None`` when not tuning).
 
-    Every non-ledger field of the dataclass is a JSON-native scalar; the per-attribute
-    ledgers nest as a ``{attribute: ledger}`` map via :func:`encode_ledger`.
+    Every field of the dataclass is a JSON-native scalar.
     """
     if tuner is None:
         return None
-    encoded = {}
-    for spec in dataclasses.fields(AdaptiveTuner):
-        if spec.name == "ledgers":
-            continue
-        encoded[spec.name] = getattr(tuner, spec.name)
-    encoded["ledgers"] = {attr: encode_ledger(ledger) for attr, ledger in tuner.ledgers.items()}
-    return encoded
+    return {spec.name: getattr(tuner, spec.name) for spec in dataclasses.fields(AdaptiveTuner)}
 
 
 def decode_tuner(encoded: Optional[dict]) -> Optional[AdaptiveTuner]:
-    """Inverse of :func:`encode_tuner`."""
+    """Inverse of :func:`encode_tuner`; also reads the per-attribute era's global payloads.
+
+    Raises :class:`JournalCorruptError` naming the key for a payload that used per-attribute
+    ledgers or holds a key that is no tuner field: neither can be restored exactly.
+    """
     if encoded is None:
         return None
-    kwargs = dict(encoded)
-    ledgers = kwargs.pop("ledgers", {})
-    tuner = AdaptiveTuner(**kwargs)
-    tuner.ledgers = {attr: decode_ledger(ledger) for attr, ledger in ledgers.items()}
-    return tuner
+    names = {spec.name for spec in dataclasses.fields(AdaptiveTuner)}
+    kwargs = {}
+    for key, value in encoded.items():
+        if key in names:
+            kwargs[key] = value
+        elif key not in _RETIRED_TUNER_KEYS:
+            raise JournalCorruptError(f"journaled tuner: unknown key {key!r}")
+        elif value != _RETIRED_TUNER_KEYS[key]:
+            raise JournalCorruptError(
+                f"journaled tuner: {key!r} is {value!r}; per-attribute tuner ledgers are no"
+                " longer supported, so this state cannot be restored exactly"
+            )
+    return AdaptiveTuner(**kwargs)
 
 
 # --------------------------------------------------------------------------- column data

@@ -28,9 +28,13 @@ payloads come back by re-running the shared sort-and-index entry point
 (:meth:`~repro.hail.hail_block.HailBlock.build`) over the journaled — already sorted — PAX
 bytes: the sort permutation is stable, so an already-sorted column yields the identity
 permutation and the restored replica is byte-identical to the one that was journaled.
-That, plus restoring the usage clock, allocation counter, adaptive salt, and tuner ledgers
-verbatim, is what makes post-restore query answers bit-identical to an uninterrupted run
-(``tests/test_persist_recovery.py``).
+That, plus restoring the usage clock, allocation counter, adaptive salt, and the tuner's
+ledger verbatim, is what makes post-restore query answers bit-identical to an uninterrupted run
+(``tests/test_persist_recovery.py``).  Control state follows the *restoring* configuration:
+a journaled tuner comes back only into a deployment that auto-tunes (a tuning deployment over
+a journal without one keeps its fresh tuner), and balancer demand only into one that
+balances.  A tuner journaled with per-attribute ledgers is refused with
+:class:`JournalCorruptError` (see :func:`~repro.persist.codec.decode_tuner`).
 """
 
 from __future__ import annotations
@@ -39,14 +43,11 @@ import struct
 from typing import TYPE_CHECKING, Mapping
 
 from repro.persist import codec
+from repro.persist.codec import JournalCorruptError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hdfs.filesystem import Hdfs
     from repro.hdfs.namenode import NameNode
-
-
-class JournalCorruptError(RuntimeError):
-    """The journal references a payload that is missing or does not decode; names it."""
 
 
 def empty_state() -> dict:
@@ -252,9 +253,11 @@ def restore_system(system, state: dict) -> None:
     if hasattr(system, "_adaptive_salt"):
         system._adaptive_salt = control.get("adaptive_salt", 0)
     lifecycle = getattr(system, "lifecycle", None)
-    if lifecycle is not None:
+    if lifecycle is None:
+        return
+    if lifecycle.tuner is not None:
         tuner = codec.decode_tuner(control.get("tuner"))
         if tuner is not None:
             lifecycle.tuner = tuner
-        if lifecycle.balancer is not None and control.get("demand"):
-            lifecycle.balancer.demand.update(control["demand"])
+    if lifecycle.balancer is not None and control.get("demand"):
+        lifecycle.balancer.demand.update(control["demand"])

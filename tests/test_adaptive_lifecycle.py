@@ -170,7 +170,7 @@ def test_tuner_zero_rate_with_unpaid_ledger_is_not_an_absorbing_state():
                  record_reader_seconds=10.0)
         )
     assert tuner.offer_rate == 0.0
-    assert not tuner._paid_back(tuner)
+    assert not tuner._paid_back()
     for _ in range(tuner.probe_cooldown):
         tuner.observe(_obs(fallback_blocks=6, record_reader_seconds=10.0))
     assert tuner.offer_rate == pytest.approx(tuner.min_offer_rate)

@@ -4,7 +4,7 @@ A record reader counts each executed block into a counter bag of its own and the
 merges that bag into the attempt's (there is no per-counter mirror field in between).  These
 cases hold the relay to its invariants on the ``busy_session`` deployment (``conftest.py``),
 which has everything that feeds it switched on — zone maps, adaptive indexing, the auto-tuner
-with per-attribute ledgers — and ran two-attribute conjunctive filters.
+— and ran two-attribute conjunctive filters.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def test_a_hand_driven_reader_counts_exactly_what_its_block_plans_say(busy_sessi
     blocks = tuple(namenode.file_blocks(_PATH))
     query = (
         session.dataset(_PATH)
-        .where((col("f1") < VALUE_RANGE // 2) & (col("f2") < VALUE_RANGE // 2))
+        .where((col("f1") < VALUE_RANGE * 3 // 4) & (col("f2") < VALUE_RANGE // 2))
         .select("f1")
         .to_query()
     )

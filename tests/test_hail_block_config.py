@@ -61,7 +61,7 @@ def test_config_toggles():
 # --------------------------------------------------------------------------- one spelling
 def test_knob_census():
     """Adding a knob is a deliberate one-line edit here, so the reviewer sees the count move."""
-    assert len(fields(HailConfig)) == 19
+    assert len(fields(HailConfig)) == 18
     assert len(fields(ConcurrencyPolicy)) == 5
     assert len(fields(DiskPressurePolicy)) == 3
     assert len(fields(CostParameters)) == 12
@@ -199,6 +199,11 @@ def test_flat_mirrors_are_gone_not_aliased():
             lambda: HailConfig(adaptive_multi_attribute=True),
             lambda: HailConfig().with_lifecycle(multi_attribute=True),
             id="adaptive_multi_attribute",
+        ),
+        pytest.param(
+            lambda: HailConfig(adaptive_auto_tune=True, adaptive_per_attribute_tune=True),
+            lambda: HailConfig().with_lifecycle(auto_tune=True, per_attribute_tune=True),
+            id="adaptive_per_attribute_tune",
         ),
         pytest.param(
             lambda: HailConfig(zone_maps=True, zone_split_pruning=True),

@@ -2,8 +2,8 @@
 
 Four scenarios drive the lifecycle manager through real jobs:
 
-- **(a)** eviction under a tight per-node budget plus per-attribute auto-tuning, journaled to
-  SQLite, while the workload cycles over three filter attributes;
+- **(a)** eviction under a tight per-node budget plus auto-tuning, journaled to SQLite, while
+  the workload cycles over three filter attributes;
 - **(b)** convergence, the heaviest node killed, an eviction storm, recovery by the placement
   balancer's re-replication (four rebuilds per job, scan builds frozen), then a second storm
   that deletes the rebuilt extra copies;
@@ -11,17 +11,17 @@ Four scenarios drive the lifecycle manager through real jobs:
   migrating adaptive replicas onto it;
 - **(d)** two tenants sharing one deployment's tuner through a ``max_jobs=2`` batch.
 
-After every job a row records the job's runtime and nonzero counters, the tuner's knobs and
-per-attribute rates, the balancer's demand, the tenant tally, and the ``Dir_rep`` state of
-every replica (origin, index, displacement flag, size, index usage) with the eviction
-tombstones; the journaled control state closes scenario (a).  The digest of all rows is
+After every job a row records the job's runtime and nonzero counters, the tuner's knobs, the
+balancer's demand, the tenant tally, and the ``Dir_rep`` state of every replica (origin,
+index, displacement flag, size, index usage) with the eviction tombstones; the journaled
+control state closes scenario (a).  The digest of all rows is
 pinned, so a refactor of the lifecycle pass that changes *what* it decides, *in which order*,
 or *what it writes back* fails here, even when every answer still matches.  The scenarios
 are also checked to be non-vacuous: every lifecycle counter and both eviction modes fire.
 
-A second digest covers the same four scenarios with per-attribute tuning off in (a) and (d).
-Its rows leave out the per-attribute rates, and its journal row leaves out the tuner's
-``per_attribute`` / ``ledgers`` keys, so it still holds once per-attribute tuning is gone.
+The digest was first pinned while the tuner could also keep one ledger per filter attribute,
+over these scenarios with that switch off, without per-attribute rates in the rows and without
+the tuner's ``per_attribute`` / ``ledgers`` journal keys; it held unedited when they went.
 """
 
 from __future__ import annotations
@@ -40,12 +40,9 @@ from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
 from repro.workloads.query import Query
 
-#: Digest of every row below, captured before the lifecycle pass was restructured.
-EXPECTED_DIGEST = "04b2e1f9f14af090"
-EXPECTED_ROWS = 35
-
-#: Digest of the rows with per-attribute tuning off, rates and ledger keys left out.
+#: Digest of every row below.
 SURVIVING_DIGEST = "b874d345c53a3f71"
+EXPECTED_ROWS = 35
 
 _PATH = "/fingerprint/synthetic"
 
@@ -98,15 +95,11 @@ def _directory(system: HailSystem) -> tuple:
     return tuple(rows)
 
 
-def _lifecycle(system: HailSystem, rates: bool) -> tuple:
-    """The learned control state: tuner knobs (and rates), balancer demand, tenant tally."""
+def _lifecycle(system: HailSystem) -> tuple:
+    """The learned control state: tuner knobs, balancer demand, tenant tally."""
     lifecycle = system.lifecycle
     tuner, balancer = lifecycle.tuner, lifecycle.balancer
-    knobs = None
-    if tuner is not None:
-        knobs = (repr(tuner.offer_rate), tuner.budget)
-        if rates:
-            knobs += (tuple((name, repr(rate)) for name, rate in tuner.attribute_rates().items()),)
+    knobs = None if tuner is None else (repr(tuner.offer_rate), tuner.budget)
     demand = None if balancer is None else tuple(sorted(balancer.demand.items()))
     return knobs, demand, tuple(sorted(lifecycle.tenant_jobs.items()))
 
@@ -114,8 +107,7 @@ def _lifecycle(system: HailSystem, rates: bool) -> tuple:
 class _Recorder:
     """Collects the fingerprint rows and every job's counter bag."""
 
-    def __init__(self, per_attribute: bool) -> None:
-        self.per_attribute = per_attribute
+    def __init__(self) -> None:
         self.rows: list[tuple] = []
         self.bags: list[Counters] = []
 
@@ -123,8 +115,7 @@ class _Recorder:
         counters = result.job.counters
         self.bags.append(counters)
         self.rows.append((
-            label, repr(result.runtime_s), _counters(counters),
-            _lifecycle(system, self.per_attribute),
+            label, repr(result.runtime_s), _counters(counters), _lifecycle(system),
             _directory(system),
         ))
 
@@ -155,19 +146,12 @@ def _eviction_tuning(record: _Recorder, directory: str) -> None:
             capacity_bytes=15_000.0, high_watermark=0.9, low_watermark=0.6
         ),
         adaptive_auto_tune=True,
-        adaptive_per_attribute_tune=record.per_attribute,
         persistence_dir=directory,
     )
     for number, attribute in enumerate(("f1", "f2", "f3") * 4):
         label = f"a-{number}"
         record.job(label, system, system.run_query(_query(attribute, label), _PATH))
-    control = system.hdfs.persist.load_state()["control"]
-    if not record.per_attribute:
-        control["tuner"] = {
-            key: value for key, value in control["tuner"].items()
-            if key not in ("per_attribute", "ledgers")
-        }
-    record.rows.append(("a-journal", _plain(control)))
+    record.rows.append(("a-journal", _plain(system.hdfs.persist.load_state()["control"])))
     system.hdfs.persist.close()
 
 
@@ -216,7 +200,6 @@ def _two_tenants(record: _Recorder) -> None:
         splitting_policy=False,
         adaptive_indexing=True,
         adaptive_auto_tune=True,
-        adaptive_per_attribute_tune=record.per_attribute,
     ).with_concurrency(max_jobs=2)
     alice = Session.deploy(nodes=4, hail_config=config, tenant="alice")
     generator = SyntheticGenerator(seed=7)
@@ -235,38 +218,21 @@ def _two_tenants(record: _Recorder) -> None:
             record.job(f"d-{tenant}-{number}", system, result)
 
 
-def _record(directory: str, per_attribute: bool) -> _Recorder:
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory) -> _Recorder:
     """Every row of the fingerprint, scenario by scenario, and the jobs' counter bags."""
-    record = _Recorder(per_attribute)
-    _eviction_tuning(record, directory)
+    record = _Recorder()
+    _eviction_tuning(record, str(tmp_path_factory.mktemp("lifecycle-fingerprint")))
     _storm_recovery(record)
     _skew_migration(record)
     _two_tenants(record)
     return record
 
 
-@pytest.fixture(scope="module")
-def recorded(tmp_path_factory) -> _Recorder:
-    return _record(str(tmp_path_factory.mktemp("lifecycle-fingerprint")), per_attribute=True)
-
-
-@pytest.fixture(scope="module")
-def surviving(tmp_path_factory) -> _Recorder:
-    return _record(str(tmp_path_factory.mktemp("lifecycle-surviving")), per_attribute=False)
-
-
-def _digest(rows: list[tuple]) -> str:
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-
-
-def test_lifecycle_fingerprint_is_unchanged(recorded):
+def test_surviving_lifecycle_fingerprint_is_unchanged(recorded):
     assert len(recorded.rows) == EXPECTED_ROWS
-    assert _digest(recorded.rows) == EXPECTED_DIGEST
-
-
-def test_surviving_lifecycle_fingerprint_is_unchanged(surviving):
-    assert len(surviving.rows) == EXPECTED_ROWS
-    assert _digest(surviving.rows) == SURVIVING_DIGEST
+    digest = hashlib.sha256(repr(recorded.rows).encode()).hexdigest()[:16]
+    assert digest == SURVIVING_DIGEST
 
 
 @pytest.mark.parametrize(

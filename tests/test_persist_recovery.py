@@ -14,9 +14,11 @@ import pytest
 from repro.api import Session
 from repro.cluster import Cluster
 from repro.datagen.uservisits import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.engine.lifecycle import AdaptiveTuner
 from repro.hail import HailSystem
 from repro.hail.config import HailConfig
-from repro.persist import SqliteBackend
+from repro.persist import JournalCorruptError, SqliteBackend
+from repro.persist.codec import encode_tuner
 from repro.workloads.bob import bob_logical_queries
 
 _PATH = "/data/uservisits"
@@ -110,6 +112,98 @@ def test_restored_replicas_carry_their_pre_crash_sizes(backend, tmp_path):
         for block_id in datanode.block_ids():
             payload = datanode.replica(block_id).payload
             assert payload.data_size_bytes() == len(payload.pax.to_bytes())
+
+
+# --------------------------------------------------------------------------- tuner state
+def _lifecycle_config(directory, auto_tune: bool) -> HailConfig:
+    """Eviction on (so the deployment has a lifecycle manager), auto-tune as given."""
+    return (
+        HailConfig.for_attributes((), functional_partition_size=1)
+        .with_adaptive(True, offer_rate=0.5)
+        .with_lifecycle(eviction=True, auto_tune=auto_tune)
+        .with_persistence("sqlite", directory=str(directory))
+    )
+
+
+def _tuned_run(session: Session, queries) -> list[tuple]:
+    """Each query's records and runtime, and the tuner state it left for the next job."""
+    return [
+        _run_workload(session, [query])[0] + (encode_tuner(session.system().lifecycle.tuner),)
+        for query in queries
+    ]
+
+
+def _journal_first_half(directory, auto_tune: bool, tuner_payload=None) -> dict:
+    """Run the first half, checkpoint, kill; returns the tuner state the journal holds.
+
+    ``tuner_payload`` maps the journaled tuner payload to the one left in the journal (what
+    an older version of the journal wrote for the same state)."""
+    session = Session.deploy(nodes=4, hail_config=_lifecycle_config(directory, auto_tune))
+    session.upload(_PATH, _records(), USERVISITS_SCHEMA, rows_per_block=100)
+    _run_workload(session, bob_logical_queries()[:_SPLIT])
+    session.checkpoint()
+    persist = session.system().hdfs.persist
+    if tuner_payload is not None:
+        persist.sync_control({"tuner": tuner_payload(persist.load_state()["control"]["tuner"])})
+    journaled = persist.load_state()["control"]["tuner"]
+    persist.close()
+    return journaled
+
+
+def test_a_restore_without_auto_tune_installs_no_journaled_tuner(tmp_path):
+    journaled = _journal_first_half(tmp_path, auto_tune=True)
+    assert journaled["budget"] is not None  # the tuner sized a budget before the kill
+
+    restored = Session.restore(_lifecycle_config(tmp_path, auto_tune=False), nodes=4)
+    system = restored.system()
+    assert system.lifecycle is not None and system.lifecycle.tuner is None
+    assert restored.stats().tuner_offer_rate is None
+    # The next job runs the config's static rate, unbudgeted, without measuring savings.
+    jobconf = system._scan_jobconf(bob_logical_queries()[_SPLIT].compile(), _PATH)
+    context = jobconf.input_format.adaptive
+    assert (context.offer_rate, context.budget, context.measure_savings) == (0.5, None, False)
+
+
+def test_a_restore_with_auto_tune_over_a_tunerless_journal_starts_a_fresh_tuner(tmp_path):
+    assert _journal_first_half(tmp_path, auto_tune=False) is None
+    restored = Session.restore(_lifecycle_config(tmp_path, auto_tune=True), nodes=4)
+    assert restored.system().lifecycle.tuner == AdaptiveTuner(offer_rate=0.5)
+
+
+def test_a_journal_from_before_the_ledger_split_went_restores_and_tunes_exactly(tmp_path):
+    queries = bob_logical_queries()
+    reference = Session.deploy(
+        nodes=4, hail_config=_lifecycle_config(tmp_path / "reference", auto_tune=True)
+    )
+    reference.upload(_PATH, _records(), USERVISITS_SCHEMA, rows_per_block=100)
+    expected = _tuned_run(reference, queries)
+    reference.system().hdfs.persist.close()
+
+    journaled = _journal_first_half(
+        tmp_path / "interrupted",
+        auto_tune=True,
+        tuner_payload=lambda payload: {**payload, "per_attribute": False, "ledgers": {}},
+    )
+    assert journaled["per_attribute"] is False and journaled["ledgers"] == {}
+    restored = Session.restore(
+        _lifecycle_config(tmp_path / "interrupted", auto_tune=True), nodes=4
+    )
+    assert encode_tuner(restored.system().lifecycle.tuner) == expected[_SPLIT - 1][2]
+    assert _tuned_run(restored, queries[_SPLIT:]) == expected[_SPLIT:]
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("per_attribute", {"per_attribute": True, "ledgers": {}}),
+        ("ledgers", {"per_attribute": False, "ledgers": {"sourceIP": {"offer_rate": 0.5}}}),
+        ("adaptive_budget", {"adaptive_budget": 4}),
+    ],
+)
+def test_a_journaled_tuner_that_cannot_restore_exactly_is_refused_by_name(tmp_path, key, edit):
+    _journal_first_half(tmp_path, auto_tune=True, tuner_payload=lambda p: {**p, **edit})
+    with pytest.raises(JournalCorruptError, match=repr(key)):
+        Session.restore(_lifecycle_config(tmp_path, auto_tune=True), nodes=4)
 
 
 def test_with_persistence_accepts_sqlite_with_a_directory_and_off(tmp_path):

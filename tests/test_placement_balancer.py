@@ -1,4 +1,4 @@
-"""Placement layer tests: scheduling tiers, balancer invariants, per-attribute tuner ledgers.
+"""Placement layer tests: scheduling tiers, balancer invariants, the tuner's knobs.
 
 The balancer invariants pinned here are the ones the operator documentation promises
 (`docs/scheduling.md`): placements never lift a node past the disk budget's low watermark,
@@ -16,7 +16,6 @@ from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.lifecycle import (
     AdaptiveLifecycleManager,
-    AdaptiveTuner,
     JobObservation,
     PlacementBalancer,
     evict_under_pressure,
@@ -220,71 +219,37 @@ def test_migration_requires_strict_improvement():
     assert adaptive_placement_by_node(system.hdfs) == settled
 
 
-# --------------------------------------------------------------------------- per-attribute tuner
-def _attr_observation(attribute: str, saving: bool) -> JobObservation:
-    if saving:
-        return JobObservation(
-            builds_committed=1,
-            build_seconds=1.0,
-            adaptive_uses=2,
-            saved_seconds=5.0,
-            builds_by_attribute={attribute: 1},
-            build_seconds_by_attribute={attribute: 1.0},
-            uses_by_attribute={attribute: 2},
-            saved_seconds_by_attribute={attribute: 5.0},
-        )
-    return JobObservation(
-        fallback_blocks=2, fallbacks_by_attribute={attribute: 2}
-    )
-
-
-def test_per_attribute_ledgers_diverge():
-    tuner = AdaptiveTuner(offer_rate=0.4, per_attribute=True)
-    for _ in range(4):
-        # "a" keeps saving; "b" went idle after the workload shifted away from it.
-        tuner.observe(_attr_observation("a", saving=True))
-    rates = tuner.attribute_rates()
-    assert rates["a"] > 0.4
-    tuner.ledgers["b"] = type(tuner.ledgers["a"])(offer_rate=0.4)
-    for _ in range(6):
-        tuner.observe(_attr_observation("a", saving=True))
-    rates = tuner.attribute_rates()
-    assert rates["a"] == 1.0
-    assert rates["b"] == 0.0  # idle decay snapped the abandoned attribute to zero
-
-
-def test_per_attribute_tuning_leaves_the_global_law_unchanged():
-    observations = [
-        _attr_observation("a", saving=True),
-        _attr_observation("b", saving=False),
-        JobObservation(),  # fully idle job
-        _attr_observation("a", saving=True),
-    ]
-    flat = AdaptiveTuner(offer_rate=0.3)
-    split = AdaptiveTuner(offer_rate=0.3, per_attribute=True)
-    for observation in observations:
-        flat.observe(observation)
-        split.observe(observation)
-    assert split.offer_rate == flat.offer_rate
-    assert split.budget == flat.budget
-    assert flat.attribute_rates() == {}
-
-
-def test_per_attribute_rates_reach_the_offer_policy():
-    system = _system(
-        adaptive_offer_rate=0.5,
-        adaptive_auto_tune=True,
-        adaptive_per_attribute_tune=True,
-    )
+# --------------------------------------------------------------------------- tuner + demand
+def test_tuner_knobs_reach_the_offer_policy():
+    system = _system(adaptive_offer_rate=0.5, adaptive_auto_tune=True)
     for _ in range(3):
         system.run_query(_query("f1"), _PATH)
-    rates = system.lifecycle.tuner.attribute_rates()
-    assert "f1" in rates
-    # The f1 ledger saw savings and out-raised the starting rate.
-    assert rates["f1"] > 0.5
-    # The next job's context carries the per-attribute snapshot.
-    jobconf = system._scan_jobconf(_query("f1"), _PATH)
-    assert jobconf.input_format.adaptive.attribute_offer_rates == rates
+    tuner = system.lifecycle.tuner
+    # The ledger saw savings and out-raised the starting rate.
+    assert tuner.offer_rate > 0.5
+    # The next job's context carries the tuner's knobs and measures savings for it.
+    adaptive = system._scan_jobconf(_query("f1"), _PATH).input_format.adaptive
+    assert (adaptive.offer_rate, adaptive.budget) == (tuner.offer_rate, tuner.budget)
+    assert adaptive.measure_savings
+
+
+def test_demand_follows_the_attributes_a_job_touched():
+    counters = Counters()
+    counters.increment(Counters.ADAPTIVE_INDEXES_COMMITTED, attribute="a")
+    counters.increment(Counters.ADAPTIVE_INDEX_USES, 2, attribute="b")
+    counters.increment(Counters.SCAN_FALLBACK_BLOCKS, 3, attribute="c")
+    counters.increment(Counters.ADAPTIVE_BUILD_SECONDS, 1.0, attribute="d")
+    observation = JobObservation.from_counters(counters, useful_reader_seconds=-1.0)
+    assert observation.active_attributes == {"a", "b", "c"}
+    assert (observation.builds_committed, observation.adaptive_uses) == (1, 2)
+    assert (observation.fallback_blocks, observation.build_seconds) == (3, 1.0)
+    assert observation.record_reader_seconds == 0.0
+    balancer = PlacementBalancer(demand_window=2)
+    balancer.observe(observation)
+    assert balancer.demand == {"a": 2, "b": 2, "c": 2}
+    balancer.observe(JobObservation())
+    balancer.observe(JobObservation())
+    assert balancer.demand == {}
 
 
 # --------------------------------------------------------------------------- session surface
@@ -294,7 +259,7 @@ def test_session_stats_surface_scheduling_and_tuner_ledgers():
     config = (
         HailConfig(functional_partition_size=1, splitting_policy=False)
         .with_adaptive(True, offer_rate=0.5)
-        .with_lifecycle(auto_tune=True, per_attribute_tune=True)
+        .with_lifecycle(auto_tune=True)
         .with_placement(scheduling=True, balancer=True)
     )
     session = Session.deploy(nodes=4, systems=("HAIL",), hail_config=config)
@@ -307,7 +272,7 @@ def test_session_stats_surface_scheduling_and_tuner_ledgers():
         stats.counter(Counters.LAUNCHED_MAP_TASKS)
     )
     assert 0.0 < stats.index_local_task_fraction <= 1.0
-    assert stats.tuner_attribute_rates is not None and "f1" in stats.tuner_attribute_rates
+    assert stats.tuner_offer_rate == session.system().lifecycle.tuner.offer_rate
     assert stats.counter_by_attribute(Counters.ADAPTIVE_INDEXES_COMMITTED).get("f1", 0) > 0
     # No disruption happened, so the balancer had nothing to repair.
     assert stats.placement_rebuilds == 0 and stats.placement_migrations == 0
@@ -321,16 +286,14 @@ def test_config_validates_placement_knobs():
         PlacementBalancer(skew_low=0.5)
     with pytest.raises(ValueError):
         HailConfig(placement_rebuilds_per_job=-1)
-    with pytest.raises(ValueError):
-        HailConfig(adaptive_per_attribute_tune=True)  # requires auto_tune
     config = (
         HailConfig()
         .with_adaptive(True)
-        .with_lifecycle(auto_tune=True, per_attribute_tune=True)
+        .with_lifecycle(auto_tune=True)
         .with_placement(scheduling=True, balancer=True)
     )
     assert config.index_aware_scheduling and config.placement_balancer
-    assert config.adaptive_per_attribute_tune
+    assert config.adaptive_auto_tune
 
 
 def test_manager_created_for_balancer_alone():

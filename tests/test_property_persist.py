@@ -14,7 +14,7 @@ from datetime import date, timedelta
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.lifecycle import AdaptiveTuner, AttributeLedger
+from repro.engine.lifecycle import AdaptiveTuner
 from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.layouts import FieldType, Schema
 from repro.persist import codec
@@ -59,25 +59,15 @@ _replica_info = st.builds(
     displaced_plain_replica=st.booleans(),
     zone_ranges=_zone_ranges,
 )
-_ledger = st.builds(
-    AttributeLedger,
-    offer_rate=st.floats(0.0, 1.0, allow_nan=False),
-    jobs_observed=st.integers(0, 10**4),
-    jobs_since_build=st.integers(0, 10**4),
-    total_build_seconds=st.floats(0.0, 1e6, allow_nan=False),
-    total_saved_seconds=st.floats(0.0, 1e6, allow_nan=False),
-)
 _tuner = st.builds(
     AdaptiveTuner,
     offer_rate=st.floats(0.0, 1.0, allow_nan=False),
     budget=st.one_of(st.none(), st.integers(0, 64)),
-    per_attribute=st.booleans(),
     jobs_observed=st.integers(0, 10**4),
     total_build_seconds=st.floats(0.0, 1e6, allow_nan=False),
     total_saved_seconds=st.floats(0.0, 1e6, allow_nan=False),
     build_cost_ema=st.one_of(st.none(), st.floats(0.0, 1e3, allow_nan=False)),
     reader_seconds_ema=st.one_of(st.none(), st.floats(0.0, 1e3, allow_nan=False)),
-    ledgers=st.dictionaries(_attribute, _ledger, max_size=4),
 )
 _record = st.tuples(
     st.integers(min_value=-(2**31), max_value=2**31 - 1),
@@ -109,17 +99,19 @@ def test_replica_info_round_trip(info):
     assert decoded == info
 
 
-@given(ledger=_ledger)
-@settings(max_examples=100, deadline=None)
-def test_attribute_ledger_round_trip(ledger):
-    assert codec.decode_ledger(_through_json(codec.encode_ledger(ledger))) == ledger
-
-
 @given(tuner=st.one_of(st.none(), _tuner))
 @settings(max_examples=100, deadline=None)
-def test_tuner_round_trip_including_nested_ledgers(tuner):
+def test_tuner_round_trip(tuner):
     decoded = codec.decode_tuner(_through_json(codec.encode_tuner(tuner)))
     assert decoded == tuner
+
+
+@given(tuner=_tuner)
+@settings(max_examples=100, deadline=None)
+def test_tuner_payload_from_before_the_ledger_split_went_restores_exactly(tuner):
+    """A journal written while per-attribute ledgers existed holds two more keys."""
+    old = {**codec.encode_tuner(tuner), "per_attribute": False, "ledgers": {}}
+    assert codec.decode_tuner(_through_json(old)) == tuner
 
 
 @given(
