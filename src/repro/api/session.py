@@ -127,7 +127,10 @@ class Dataset:
         return self._scan(description=description)
 
     def with_selectivity(self, selectivity: float) -> "Dataset":
-        """Attach the paper's stated selectivity (reporting only)."""
+        """Attach the paper's stated selectivity (reporting only).
+
+        Census keep list (``tests/test_census.py``): user API.
+        """
         return self._scan(selectivity=selectivity)
 
     # ------------------------------------------------------------------ operator builders
@@ -371,7 +374,10 @@ class SessionStats:
         return self.counters.get(name, 0.0)
 
     def counter_by_attribute(self, name: str) -> dict[str, float]:
-        """Per-attribute slices of one adaptive counter (``name`` is the base counter)."""
+        """Per-attribute slices of one adaptive counter (``name`` is the base counter).
+
+        Census keep list (``tests/test_census.py``): user API.
+        """
         from repro.mapreduce.counters import attribute_slices
 
         return attribute_slices(self.counters, name)
@@ -588,7 +594,10 @@ class Session:
     # ------------------------------------------------------------------ introspection
     @property
     def system_names(self) -> tuple[str, ...]:
-        """The session's systems, default first."""
+        """The session's systems, default first.
+
+        Census keep list (``tests/test_census.py``): user API.
+        """
         names = list(self._systems)
         names.remove(self._default)
         return (self._default, *names)

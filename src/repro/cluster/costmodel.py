@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cluster.cpu import CpuModel, CpuRates
 from repro.cluster.disk import DiskModel
@@ -69,12 +69,6 @@ class CostParameters:
     #: Enable sampling of I/O variance (EC2 experiments); deterministic given the seed.
     enable_variance: bool = True
     variance_seed: int = 1234
-
-    def with_scale(self, data_scale: float) -> "CostParameters":
-        """Return a copy with a different ``data_scale``."""
-        if data_scale <= 0:
-            raise ValueError("data_scale must be positive")
-        return replace(self, data_scale=data_scale)
 
 
 class CostModel:
@@ -170,11 +164,6 @@ class CostModel:
         return self.params.record_reader_setup_s
 
     # ------------------------------------------------------------------ calibration
-    def replace_params(self, **overrides) -> "CostModel":
-        """Return a new :class:`CostModel` with some parameters overridden."""
-        new_params = replace(self.params, **overrides)
-        return CostModel(params=new_params, cpu_rates=self._cpu_rates)
-
     def describe(self) -> dict:
         """Expose the calibration (used by experiment reports and EXPERIMENTS.md)."""
         return {

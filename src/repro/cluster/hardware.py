@@ -148,11 +148,6 @@ class HardwareProfile:
 
     # ------------------------------------------------------------------ derived quantities
     @property
-    def aggregate_cpu(self) -> float:
-        """Total relative CPU capability of the node (cores x per-core speed)."""
-        return self.cores * self.core_speed
-
-    @property
     def aggregate_disk_read_mb_s(self) -> float:
         """Aggregate read bandwidth when several streams hit different disks."""
         return self.disk_read_mb_s * min(self.disks, 2)

@@ -106,18 +106,6 @@ class TransferLedger:
             return 0.0
         return max(self.node_time(node_id, apply_variance) for node_id in self._usage)
 
-    def per_node_times(self, apply_variance: bool = True) -> Dict[int, float]:
-        """Busy time of every node that participated."""
-        return {node_id: self.node_time(node_id, apply_variance) for node_id in self._usage}
-
-    def total_bytes_written(self) -> float:
-        """Total functional bytes written to disk across the cluster."""
-        return sum(record.disk_write_bytes for record in self._usage.values())
-
-    def total_bytes_read(self) -> float:
-        """Total functional bytes read from disk across the cluster."""
-        return sum(record.disk_read_bytes for record in self._usage.values())
-
     # ------------------------------------------------------------------ internals
     def _disk_seconds(self, node: Node, record: NodeUsage) -> float:
         read_bytes = self._cost.scale_bytes(record.disk_read_bytes)

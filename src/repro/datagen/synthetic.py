@@ -46,13 +46,3 @@ class SyntheticGenerator:
             tuple(rng.randrange(bound) for _ in range(NUM_ATTRIBUTES))
             for _ in range(num_records)
         ]
-
-    def generate_lines(self, num_records: int) -> list[str]:
-        """Generate the text-row form of the records."""
-        return [SYNTHETIC_SCHEMA.format_record(record) for record in self.generate(num_records)]
-
-    def selectivity_bound(self, selectivity: float) -> int:
-        """Value ``v`` such that ``f < v`` selects approximately ``selectivity`` of the rows."""
-        if not 0.0 <= selectivity <= 1.0:
-            raise ValueError("selectivity must lie in [0, 1]")
-        return int(round(selectivity * self.value_range))

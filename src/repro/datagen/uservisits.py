@@ -84,10 +84,6 @@ class UserVisitsGenerator:
             records.append(self._record(rng))
         return records
 
-    def generate_lines(self, num_records: int) -> list[str]:
-        """Generate the text-row form of the records (what sits in the source log file)."""
-        return [USERVISITS_SCHEMA.format_record(record) for record in self.generate(num_records)]
-
     # ------------------------------------------------------------------ internals
     def _record(self, rng: random.Random) -> tuple:
         probe = rng.random() < self.probe_ip_rate

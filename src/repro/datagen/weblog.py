@@ -31,7 +31,10 @@ _PATHS = ["/index.html", "/search", "/cart", "/api/v1/items", "/login", "/static
 
 @dataclass
 class WebLogGenerator:
-    """Deterministic generator of raw web-log lines, some of them malformed."""
+    """Deterministic generator of raw web-log lines, some of them malformed.
+
+    Census keep list (``tests/test_census.py``): the only generator of bad lines.
+    """
 
     seed: int = 11
     bad_record_rate: float = 0.01

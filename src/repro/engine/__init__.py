@@ -65,9 +65,8 @@ from repro.engine.operators import (
     JoinQuery,
     OperatorQuery,
     TopKQuery,
-    explain_operator,
 )
-from repro.engine.planner import PhysicalPlanner, QueryPlan, choose_indexed_host
+from repro.engine.planner import PhysicalPlanner, QueryPlan
 
 __all__ = [
     "AggregateSpec",
@@ -75,7 +74,6 @@ __all__ = [
     "JoinQuery",
     "OperatorQuery",
     "TopKQuery",
-    "explain_operator",
     "AccessPath",
     "AdaptiveCommitReport",
     "AdaptiveJobContext",
@@ -95,5 +93,4 @@ __all__ = [
     "vectorized_filter",
     "PhysicalPlanner",
     "QueryPlan",
-    "choose_indexed_host",
 ]

@@ -165,16 +165,6 @@ class AdaptiveCommitReport:
     skipped_already_indexed: int = 0
     skipped_no_placement: int = 0
 
-    @property
-    def num_committed(self) -> int:
-        """Number of adaptive indexes registered with the namenode."""
-        return len(self.committed)
-
-    @property
-    def total_bytes_written(self) -> float:
-        """Replica bytes the committed builds flushed (disk-pressure bookkeeping)."""
-        return sum(build.bytes_written for build in self.committed)
-
 
 def commit_adaptive_builds(hdfs: "Hdfs", attempts: Iterable[Any]) -> AdaptiveCommitReport:
     """Register the adaptive indexes built by the *surviving* map-task attempts of one job.

@@ -9,11 +9,10 @@ the readers charged before the refactor — the "RecordReader time" of Figures 6
 The predicate kernels live in :mod:`repro.engine.kernels` (a dispatch module with a pure-Python
 reference backend built on per-operator comprehension tables and an optional numpy fast path
 reading :data:`repro.hail.predicate.COMPARE`); :func:`vectorized_filter` is the executor's
-entry point into them and is shared with :meth:`repro.hail.hail_block.HailBlock.filter_rows`,
-so the block-level API and the engine cannot drift apart.  With zone maps enabled the executor
-additionally flags the candidate rows whose partitions its min-max synopsis rules out, and executes
-planner-ordered ``ZONE_MAP_SKIP`` blocks — after re-verifying the synopsis against the payload,
-failing closed to a full scan on any mismatch.
+entry point into them.  With zone maps enabled the executor additionally flags the candidate
+rows whose partitions its min-max synopsis rules out, and executes planner-ordered
+``ZONE_MAP_SKIP`` blocks — after re-verifying the synopsis against the payload, failing closed
+to a full scan on any mismatch.
 
 The record reader hands the executor the query its plan carries: a
 :class:`~repro.engine.planner.BoundQuery`, bound once per job.  Per block the executor reads

@@ -90,6 +90,8 @@ def set_backend(name: str) -> None:
 
     Requesting numpy without numpy installed raises — silent degradation would make benchmark
     numbers lie about what they measured.
+
+    Census keep list (``tests/test_census.py``): user API.
     """
     global _backend
     if name not in ("python", "numpy"):
@@ -101,7 +103,11 @@ def set_backend(name: str) -> None:
 
 @contextmanager
 def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the kernel backend (the differential tests' entry point)."""
+    """Temporarily switch the kernel backend (the differential tests' entry point).
+
+    Census keep list (``tests/test_census.py``): ground truth for tests (the Python backend is the
+    numpy one's reference).
+    """
     previous = _backend
     set_backend(name)
     try:

@@ -272,7 +272,7 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Lifec
     """Evict least-recently-used adaptive replicas from every node over its high watermark.
 
     Pressure is measured against each node's **adaptive footprint** — the on-disk bytes of the
-    adaptive replicas ``Dir_rep`` registers on it (:meth:`NameNode.adaptive_bytes_on`).  The
+    adaptive replicas ``Dir_rep`` registers on it (:meth:`NameNode.adaptive_bytes_by_node`).  The
     policy's capacity is thus a per-node budget for opportunistic storage: primary, upload-time
     replicas can never create (nor be consumed by) adaptive-index pressure.
 
@@ -392,9 +392,8 @@ def _adaptive_replicas_on(hdfs: "Hdfs", node_id: int) -> list[tuple]:
 def adaptive_placement_stats(hdfs: "Hdfs") -> dict[int, dict]:
     """Per alive node: adaptive byte footprint, index-use total, and the replicas behind them.
 
-    What both the balancer's skew repair and the reporting helper
-    :func:`repro.hail.scheduler.adaptive_placement_by_node` are built on; each node's
-    ``"replicas"`` list is its :func:`_adaptive_replicas_on` walk.
+    What the balancer's skew repair is built on; each node's ``"replicas"`` list is its
+    :func:`_adaptive_replicas_on` walk.
     """
     stats: dict[int, dict] = {}
     for node in hdfs.cluster.alive_nodes:

@@ -58,7 +58,6 @@ __all__ = [
     "choose_strategy",
     "co_partitioned",
     "execute",
-    "explain_operator",
 ]
 
 
@@ -66,7 +65,3 @@ def execute(system: "BaseSystem", query: OperatorQuery, path: str) -> "QueryResu
     """Run any compiled query on ``system`` against the dataset at ``path``, in one call."""
     return system.run_query(query, path)
 
-
-def explain_operator(system: "BaseSystem", query: OperatorQuery, path: str) -> str:
-    """``EXPLAIN`` rendering of any compiled query without executing it."""
-    return system.explain(query, path)

@@ -125,7 +125,11 @@ class GroupByQuery:
 
 # --------------------------------------------------------------------------- partials
 def _initial_partial(spec: AggregateSpec, value: Any) -> Any:
-    """The partial aggregate of a single input value."""
+    """The partial aggregate of a single input value.
+
+    Census keep list (``tests/test_census.py``): ground truth for tests (the per-value form of the
+    regroup's partial columns).
+    """
     if spec.func == "count":
         return 1
     if spec.func == "avg":

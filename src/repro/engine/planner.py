@@ -7,9 +7,9 @@ answered from the namenode's directories (``Dir_block`` for replica placement, `
 per-replica sort order and index, Section 3.3 of the paper), never by opening block payloads.
 
 The planner absorbs the ``getHostsWithIndex`` logic of Section 4.3: one walk per block over the
-query's filter attributes yields both the replica choice (:func:`choose_indexed_host`) and
-every alive indexed host (``BlockPlan.index_hosts``, which HAIL's split phase turns into
-``InputSplit.index_locations``).  HAIL plans each block once, in
+query's filter attributes yields both the replica choice (the first attribute with an alive
+indexed host) and every alive indexed host (``BlockPlan.index_hosts``, which HAIL's split
+phase turns into ``InputSplit.index_locations``).  HAIL plans each block once, in
 the split phase; its record readers execute that plan (:meth:`PhysicalPlanner.for_execution`)
 and re-plan only a block whose pinned replica died or changed since.
 
@@ -57,26 +57,6 @@ def _pick(
         if hosts:
             return (prefer_node if prefer_node in hosts else hosts[0]), attribute
     return None
-
-
-def choose_indexed_host(
-    namenode: NameNode,
-    block_id: int,
-    attributes: Sequence[str],
-    prefer_node: Optional[int] = None,
-) -> Optional[tuple[int, str]]:
-    """Pick a datanode whose replica of ``block_id`` is indexed on one of ``attributes``.
-
-    Attributes are tried in the given order (the order of the predicate's clauses), so a
-    conjunction like Bob-Q3 (``sourceIP = ... AND visitDate = ...``) uses the first filter
-    attribute for which an index exists.  Among candidate datanodes, ``prefer_node`` wins when
-    it is one of them (data locality), otherwise the namenode's first entry is used.
-
-    Returns ``(datanode_id, attribute)`` or ``None`` when no alive replica has a matching index
-    — in which case HAIL falls back to standard scanning and scheduling.
-    """
-    hosts = namenode.block_datanodes(block_id, alive_only=True)
-    return _pick(_index_walk(namenode, block_id, attributes, hosts), prefer_node)
 
 
 @dataclass(frozen=True)
@@ -243,7 +223,7 @@ class PhysicalPlanner:
     1. the split's *preferred* replica, when it is still alive (set by the input format's split
        computation so tasks land on the replica the JobTracker scheduled them close to);
     2. an alive replica whose clustered index matches one of the query's filter attributes
-       (:func:`choose_indexed_host`, preferring the executing node);
+       (attributes tried in clause order, preferring the executing node);
     3. the executing node's local replica;
     4. any alive replica (the namenode's first entry).
 
@@ -465,8 +445,8 @@ class PhysicalPlanner:
     ) -> None:
         """Upgrade an index-less scan to an :attr:`ADAPTIVE_INDEX_BUILD` when the policy offers.
 
-        The build targets the first filter attribute — the same preference order
-        :func:`choose_indexed_host` uses — so repeated queries converge on the attribute the
+        The build targets the first filter attribute — the same preference order the replica
+        choice uses — so repeated queries converge on the attribute the
         workload actually filters by.
         """
         if plan.access_path not in (AccessPath.FULL_SCAN, AccessPath.PAX_PROJECTION_SCAN):

@@ -54,20 +54,6 @@ def fig9(config: Optional[ExperimentConfig] = None) -> dict[str, FigureResult]:
     return {"a": bob, "b": synthetic, "c": total}
 
 
-def fig9a(config: Optional[ExperimentConfig] = None) -> FigureResult:
-    """Figure 9(a) only (Bob's workload with HailSplitting)."""
-    return _splitting_experiment(
-        config or ExperimentConfig.small(), "uservisits", "Figure 9(a)", "Bob's queries with HailSplitting"
-    )
-
-
-def fig9b(config: Optional[ExperimentConfig] = None) -> FigureResult:
-    """Figure 9(b) only (Synthetic workload with HailSplitting)."""
-    return _splitting_experiment(
-        config or ExperimentConfig.small(), "synthetic", "Figure 9(b)", "Synthetic queries with HailSplitting"
-    )
-
-
 def _splitting_experiment(
     config: ExperimentConfig, dataset: str, figure: str, description: str
 ) -> FigureResult:

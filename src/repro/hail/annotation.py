@@ -63,7 +63,10 @@ def hail_query(
     filter: Optional[Union[Predicate, str]] = None,
     projection: Optional[Sequence[AttributeRef]] = None,
 ) -> Callable:
-    """Decorator attaching a :class:`HailQuery` annotation to a map function."""
+    """Decorator attaching a :class:`HailQuery` annotation to a map function.
+
+    Census keep list (``tests/test_census.py``): paper Section 4.1, the map function's API.
+    """
 
     annotation = HailQuery(
         filter=filter,

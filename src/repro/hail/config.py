@@ -161,10 +161,6 @@ class HailConfig:
         replication = overrides.pop("replication", max(3, len(attributes)))
         return cls(index_attributes=attributes, replication=replication, **overrides)
 
-    def with_splitting(self, enabled: bool) -> "HailConfig":
-        """Copy of this configuration with HailSplitting toggled."""
-        return replace(self, splitting_policy=enabled)
-
     def _with(self, **given) -> "HailConfig":
         """Copy of this configuration with every argument that is not ``None`` replaced."""
         return replace(self, **_given(given))
@@ -267,7 +263,3 @@ class HailConfig:
         if directory is None:
             raise ValueError("the sqlite journal needs a directory")
         return replace(self, persistence_dir=directory)
-
-    def with_replication(self, replication: int) -> "HailConfig":
-        """Copy of this configuration with a different replication factor."""
-        return replace(self, replication=replication)

@@ -199,22 +199,6 @@ class HailBlock(BlockPayload):
             "index": self.index.describe() if self.index is not None else None,
         }
 
-    # ------------------------------------------------------------------ block metadata
-    def block_metadata(self) -> dict:
-        """The Block Metadata header created by the HAIL client (Section 3.1)."""
-        return {
-            "schema": self.schema.field_names,
-            "num_records": self.num_records,
-            "num_bad_records": len(self.bad_lines),
-            "data_size_bytes": self.data_size_bytes(),
-        }
-
-    def index_metadata(self) -> Optional[dict]:
-        """The Index Metadata header added by the datanode (Section 3.2), if indexed."""
-        if self.index is None:
-            return None
-        return self.index.describe()
-
     # ------------------------------------------------------------------ zone maps
     @property
     def zone_map(self) -> ZoneMap:
@@ -259,23 +243,6 @@ class HailBlock(BlockPayload):
             end_row=self.num_records,
         )
 
-    def filter_rows(self, predicate: Optional[Predicate], lookup: IndexLookup) -> list[int]:
-        """Row ids inside ``lookup`` that satisfy the (full) predicate.
-
-        Delegates to the engine's columnar kernel (:func:`repro.engine.executor.vectorized_filter`)
-        so the block-level API and the vectorized executor cannot diverge.
-        """
-        from repro.engine.executor import vectorized_filter
-
-        return vectorized_filter(self.pax, predicate, self.schema, lookup)
-
-    def project_rows(self, rows: Sequence[int], attribute_names: Optional[Sequence[str]]) -> list[tuple]:
-        """Reconstruct the projected attributes of ``rows`` (all attributes when ``None``)."""
-        if attribute_names is None:
-            attribute_names = self.schema.field_names
-        indexes = [self.schema.index_of(name) for name in attribute_names]
-        return self.pax.project(rows, indexes)
-
     # ------------------------------------------------------------------ variable-size access
     @property
     def variable_offsets(self) -> dict[str, list[int]]:
@@ -285,6 +252,9 @@ class HailBlock(BlockPayload):
         to the block, which matters when miniature functional blocks stand in for 64 MB
         logical blocks.  They depend on the row order, so each replica walks its own columns —
         on the first read, not at construction.
+
+        Census keep list (``tests/test_census.py``): paper Section 3.5; tests hold the size
+        accounting to it.
         """
         if self._variable_offsets is None:
             self._variable_offsets = {

@@ -168,10 +168,6 @@ class HailIndex:
         end_row = min((last + 1) * self.partition_size, self.num_values)
         return IndexLookup(first, last, start_row, end_row)
 
-    def lookup_equal(self, value: Any) -> IndexLookup:
-        """Partitions that may contain ``value`` (an equality probe)."""
-        return self.lookup_range(value, value)
-
     def describe(self) -> dict:
         """Index metadata stored in the block header and in the namenode's Dir_rep."""
         return {
@@ -205,6 +201,9 @@ def multilevel_pays_off(
     fixed-size attributes): a second index level saves directory-read time but costs an extra
     seek, so it only pays off once the single-level directory itself takes longer to read than
     one seek — which happens for HDFS blocks of roughly 5 GB and beyond.
+
+    Census keep list (``tests/test_census.py``): paper Section 3.5's case against a multi-level
+    index.
     """
     bytes_per_attribute = block_size_bytes / max(num_attributes, 1)
     pages = bytes_per_attribute / page_size_bytes

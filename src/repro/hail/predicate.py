@@ -154,10 +154,6 @@ class Predicate:
         """``attribute BETWEEN low AND high`` (inclusive)."""
         return cls.comparison(attribute, Operator.BETWEEN, low, high)
 
-    def and_(self, other: "Predicate") -> "Predicate":
-        """Conjunction of this predicate with another one."""
-        return Predicate(self.clauses + other.clauses)
-
     # ------------------------------------------------------------------ introspection
     def attributes(self, schema: Schema) -> list[str]:
         """Filter attribute names, in clause order (duplicates removed)."""

@@ -51,23 +51,38 @@ class HailRecord:
         return self._values[slot]
 
     def get_by_name(self, name: str) -> Any:
-        """Value of the attribute called ``name``."""
-        return self.get(self.schema.position_of(name))
+        """Value of the attribute called ``name``.
+
+        Census keep list (``tests/test_census.py``): paper Section 4.1, the map function's API.
+        """
+        return self.get(self.schema.index_of(name) + 1)
 
     def get_int(self, position: int) -> int:
-        """Integer attribute getter (``v.getInt(1)`` in the paper's example)."""
+        """Integer attribute getter (``v.getInt(1)`` in the paper's example).
+
+        Census keep list (``tests/test_census.py``): paper Section 4.1, the map function's API.
+        """
         return int(self.get(position))
 
     def get_float(self, position: int) -> float:
-        """Floating-point attribute getter."""
+        """Floating-point attribute getter.
+
+        Census keep list (``tests/test_census.py``): paper Section 4.1, the map function's API.
+        """
         return float(self.get(position))
 
     def get_string(self, position: int) -> str:
-        """String attribute getter."""
+        """String attribute getter.
+
+        Census keep list (``tests/test_census.py``): paper Section 4.1, the map function's API.
+        """
         return str(self.get(position))
 
     def get_date(self, position: int) -> date:
-        """Date attribute getter."""
+        """Date attribute getter.
+
+        Census keep list (``tests/test_census.py``): paper Section 4.1, the map function's API.
+        """
         value = self.get(position)
         if not isinstance(value, date):
             raise TypeError(f"attribute @{position} is not a date: {value!r}")

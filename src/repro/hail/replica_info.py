@@ -48,11 +48,6 @@ class HailBlockReplicaInfo:
     zone_ranges: Optional[ZoneRanges] = None
 
     @property
-    def has_index(self) -> bool:
-        """True when this replica carries a usable clustered index."""
-        return self.indexed_attribute is not None
-
-    @property
     def is_adaptive(self) -> bool:
         """True when this replica was created by adaptive (lazy) indexing."""
         return self.origin == "adaptive"
@@ -68,10 +63,6 @@ class HailBlockReplicaInfo:
         from repro.hdfs.checksum import checksum_file_size
 
         return self.block_size_bytes + checksum_file_size(self.block_size_bytes)
-
-    def covers(self, attribute: str) -> bool:
-        """True when this replica's clustered index is on ``attribute``."""
-        return self.indexed_attribute == attribute
 
     def describe(self) -> dict:
         """Dictionary form used by reports."""

@@ -5,10 +5,9 @@ HAIL changes two decisions that stock Hadoop makes purely on data locality and a
 - which datanode a map task should be scheduled *close to* (the JobTracker's decision), and
 - which replica the record reader should actually *open* (the HDFS client's decision).
 
-Both decisions live in the unified engine — see
-:func:`repro.engine.planner.choose_indexed_host` and
-:class:`repro.engine.planner.PhysicalPlanner` — and so does the registration of the indexed
-replicas that scans stage as a by-product (:func:`repro.engine.adaptive.commit_adaptive_builds`).
+Both decisions live in the unified engine (:class:`repro.engine.planner.PhysicalPlanner`), and so
+does the registration of the indexed replicas that scans stage as a by-product
+(:func:`repro.engine.adaptive.commit_adaptive_builds`).
 This module keeps the namenode-level reporting helpers used by experiments and tests:
 coverage, replica and adaptive-replica statistics, the index-local task fraction, and
 :func:`check_dir_rep_consistency`, which lets tests assert that no failure leaves ``Dir_rep``
@@ -27,7 +26,6 @@ __all__ = [
     "replica_distribution",
     "adaptive_replica_count",
     "adaptive_replica_bytes",
-    "adaptive_placement_by_node",
     "index_local_task_fraction",
     "check_dir_rep_consistency",
 ]
@@ -84,26 +82,6 @@ def adaptive_replica_bytes(namenode: NameNode, path: str) -> int:
             if info is not None and info.is_adaptive:
                 total += info.size_on_disk_bytes
     return total
-
-
-def adaptive_placement_by_node(hdfs: Hdfs) -> dict[int, dict]:
-    """Per alive node: adaptive replica count, byte footprint, and index-use total.
-
-    This is the namenode-side placement statistic the :class:`~repro.engine.lifecycle.PlacementBalancer`
-    rebalances on — the same walk (:func:`repro.engine.lifecycle.adaptive_placement_stats`)
-    summarised for experiments and dashboards: a healthy deployment shows the adaptive bytes
-    and uses spread across nodes, a skewed one shows them piling up on a few.
-    """
-    from repro.engine.lifecycle import adaptive_placement_stats
-
-    return {
-        node_id: {
-            "replicas": len(entry["replicas"]),
-            "bytes": int(entry["bytes"]),
-            "uses": int(entry["uses"]),
-        }
-        for node_id, entry in adaptive_placement_stats(hdfs).items()
-    }
 
 
 def index_local_task_fraction(counters) -> float:

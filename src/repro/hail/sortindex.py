@@ -30,14 +30,3 @@ def sort_permutation(values: Sequence[Any]) -> list[int]:
 
     return sorted(range(len(values)), key=key)
 
-
-def apply_permutation(values: Sequence[Any], permutation: Sequence[int]) -> list[Any]:
-    """Reorder ``values`` according to ``permutation`` (row ``i`` comes from ``permutation[i]``)."""
-    if len(values) != len(permutation):
-        raise ValueError("permutation length must match the number of values")
-    return [values[i] for i in permutation]
-
-
-def is_sorted(values: Sequence[Any]) -> bool:
-    """True when ``values`` is non-decreasing (invariant checked by tests)."""
-    return all(values[i] <= values[i + 1] for i in range(len(values) - 1))

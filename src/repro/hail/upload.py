@@ -55,13 +55,6 @@ class HailBlockUploadResult:
         """Number of replicas written."""
         return len(self.pipeline)
 
-    @property
-    def binary_ratio(self) -> float:
-        """PAX bytes over text bytes — the compression HAIL gets from binary conversion."""
-        if self.text_bytes == 0:
-            return 0.0
-        return self.pax_bytes / self.text_bytes
-
 
 class HailUploadPipeline:
     """Uploads blocks the HAIL way: per-replica sort orders and clustered indexes."""

@@ -1,17 +1,17 @@
 """A functional HDFS substrate.
 
 This package reimplements, at laptop scale, the parts of HDFS that HAIL modifies: the central
-namenode with its block directory, datanodes storing physical replicas, the chunk/packet/
-checksum machinery, and the pipelined upload path with its ACK chain (Section 3.2 of the paper
+namenode with its block directory, datanodes storing physical replicas, chunk checksums and
+packet counts, and the pipelined upload path with its ACK chain (Section 3.2 of the paper
 describes both the stock pipeline and the HAIL changes in detail).
 
 The stock upload pipeline lives in :mod:`repro.hdfs.pipeline`; the HAIL upload pipeline builds
-on the same namenode/datanode/packet primitives from :mod:`repro.hail.upload`.
+on the same namenode/datanode/checksum primitives from :mod:`repro.hail.upload`.
 """
 
 from repro.hdfs.errors import HdfsError, BlockNotFoundError, ReplicaNotFoundError, ChecksumError
 from repro.hdfs.checksum import chunk_checksums, verify_chunk_checksums
-from repro.hdfs.chunk import Packet, packetize, CHUNK_SIZE, PACKET_SIZE
+from repro.hdfs.chunk import CHUNK_SIZE, PACKET_SIZE
 from repro.hdfs.block import (
     BlockLocation,
     LogicalBlock,
@@ -32,8 +32,6 @@ __all__ = [
     "ChecksumError",
     "chunk_checksums",
     "verify_chunk_checksums",
-    "Packet",
-    "packetize",
     "CHUNK_SIZE",
     "PACKET_SIZE",
     "BlockLocation",

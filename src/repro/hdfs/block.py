@@ -108,11 +108,6 @@ class Replica:
         """Physical size of the replica's data file."""
         return self.payload.size_bytes()
 
-    @property
-    def has_index(self) -> bool:
-        """True when this replica carries a clustered index."""
-        return self.indexed_attribute is not None
-
     def describe(self) -> dict:
         """Summary including layout and index information."""
         info = dict(self.payload.describe())

@@ -27,7 +27,11 @@ def chunk_checksums(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> lis
 def verify_chunk_checksums(
     payload: bytes, checksums: Sequence[int], chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> bool:
-    """True when ``payload`` matches the per-chunk ``checksums``."""
+    """True when ``payload`` matches the per-chunk ``checksums``.
+
+    Census keep list (``tests/test_census.py``): restore's payload checksum check will call it
+    (ROADMAP item 2(b)).
+    """
     return list(checksums) == chunk_checksums(payload, chunk_size)
 
 

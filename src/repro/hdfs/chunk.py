@@ -2,84 +2,18 @@
 
 While a block travels through the upload pipeline it is cut into *chunks* of 512 bytes; chunks
 plus their checksums are grouped into *packets* of up to 64 KB, and the client streams packets
-so that round-trip latencies are hidden (Section 3.2).  The functional simulation materialises
-packets for small blocks (tests and checksum verification); the cost model only needs packet
-counts and byte volumes.
+so that round-trip latencies are hidden (Section 3.2).  The simulation never builds a packet:
+the cost model needs only packet counts (:func:`num_packets`) and byte volumes, and the
+per-chunk checksums come from :mod:`repro.hdfs.checksum`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-from repro.hdfs.checksum import chunk_checksums
 
 CHUNK_SIZE = 512
 PACKET_SIZE = 64 * 1024
 #: Bytes of chunk data per packet (the rest of the 64 KB is checksums and packet metadata).
 _CHUNKS_PER_PACKET = PACKET_SIZE // (CHUNK_SIZE + 4)
 PACKET_DATA_SIZE = _CHUNKS_PER_PACKET * CHUNK_SIZE
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One packet of the upload pipeline: a run of chunks plus one checksum per chunk."""
-
-    sequence_number: int
-    data: bytes
-    checksums: tuple[int, ...]
-    last_in_block: bool = False
-
-    @property
-    def num_chunks(self) -> int:
-        """Number of chunks carried by this packet."""
-        return len(self.checksums)
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire: chunk data plus 4 bytes of CRC per chunk plus a small header."""
-        return len(self.data) + 4 * len(self.checksums) + 25
-
-
-def packetize(payload: bytes, chunk_size: int = CHUNK_SIZE, packet_data_size: int = PACKET_DATA_SIZE) -> list[Packet]:
-    """Cut a block payload into packets, computing per-chunk checksums.
-
-    The last packet of a block is flagged ``last_in_block``; in HAIL its ACK additionally means
-    "sorted, indexed, and flushed" on every datanode of the chain.
-    """
-    if chunk_size <= 0 or packet_data_size <= 0:
-        raise ValueError("chunk_size and packet_data_size must be positive")
-    if packet_data_size % chunk_size != 0:
-        raise ValueError("packet_data_size must be a multiple of chunk_size")
-    packets: list[Packet] = []
-    if not payload:
-        return [Packet(sequence_number=0, data=b"", checksums=(), last_in_block=True)]
-    for seq, offset in enumerate(range(0, len(payload), packet_data_size)):
-        data = payload[offset : offset + packet_data_size]
-        checksums = tuple(chunk_checksums(data, chunk_size))
-        packets.append(
-            Packet(
-                sequence_number=seq,
-                data=data,
-                checksums=checksums,
-                last_in_block=offset + packet_data_size >= len(payload),
-            )
-        )
-    return packets
-
-
-def reassemble(packets: Sequence[Packet]) -> bytes:
-    """Reassemble a block payload from its packets (what HAIL datanodes do in memory)."""
-    ordered = sorted(packets, key=lambda packet: packet.sequence_number)
-    if not ordered:
-        raise ValueError("cannot reassemble a block from zero packets")
-    expected = list(range(len(ordered)))
-    actual = [packet.sequence_number for packet in ordered]
-    if actual != expected:
-        raise ValueError(f"missing or duplicate packets: have sequence numbers {actual}")
-    if not ordered[-1].last_in_block:
-        raise ValueError("incomplete block: the final packet is missing")
-    return b"".join(packet.data for packet in ordered)
 
 
 def num_packets(payload_size: int, packet_data_size: int = PACKET_DATA_SIZE) -> int:

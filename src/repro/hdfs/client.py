@@ -45,12 +45,6 @@ class UploadReport:
     duration_s: Optional[float] = None
     block_results: list = field(default_factory=list)
 
-    @property
-    def blowup(self) -> float:
-        """Stored bytes divided by source bytes (disk-space cost of replication + indexing)."""
-        if self.source_text_bytes == 0:
-            return 0.0
-        return self.stored_bytes / self.source_text_bytes
 
 
 class HdfsClient:

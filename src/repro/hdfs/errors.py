@@ -24,7 +24,11 @@ class ReplicaNotFoundError(HdfsError):
 
 
 class ChecksumError(HdfsError):
-    """Chunk checksum verification failed in the upload pipeline or on read."""
+    """Chunk checksum verification failed in the upload pipeline or on read.
+
+    Census keep list (``tests/test_census.py``): restore's payload checksum check will raise it
+    (ROADMAP item 2(b)).
+    """
 
 
 class UploadFailedError(HdfsError):

@@ -42,12 +42,6 @@ class DataFile:
         """Number of typed records in the file."""
         return len(self.records)
 
-    def text_lines(self) -> list[str]:
-        """The text rows of the file (what a stock HDFS upload would store)."""
-        if self.raw_lines is not None:
-            return list(self.raw_lines)
-        return [self.schema.format_record(record) for record in self.records]
-
     def partition_records(self, rows_per_block: int) -> list[list[tuple]]:
         """Split the typed records into block-sized groups, never splitting a row."""
         if rows_per_block <= 0:
@@ -163,7 +157,10 @@ class Hdfs:
         return [self.namenode.logical_block(bid) for bid in self.namenode.file_blocks(path)]
 
     def file_records(self, path: str) -> list[tuple]:
-        """All typed records of a file, in block order (ground truth for tests)."""
+        """All typed records of a file, in block order (ground truth for tests).
+
+        Census keep list (``tests/test_census.py``): ground truth for tests.
+        """
         records: list[tuple] = []
         for block in self.file_blocks(path):
             records.extend(block.records)

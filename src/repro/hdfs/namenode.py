@@ -66,21 +66,6 @@ class NameNode:
         """All file paths, sorted."""
         return sorted(self._files)
 
-    def delete_file(self, path: str) -> list[int]:
-        """Remove a file and all its block metadata; returns the freed block ids."""
-        block_ids = self._files.pop(path, None)
-        if block_ids is None:
-            raise FileNotFoundInHdfsError(f"no such file: {path!r}")
-        for block_id in block_ids:
-            datanodes = self._dir_block.pop(block_id, [])
-            self._blocks.pop(block_id, None)
-            for datanode_id in datanodes:
-                self._dir_rep.pop((block_id, datanode_id), None)
-                self._index_usage.pop((block_id, datanode_id), None)
-            for key in [key for key in self._evictions if key[0] == block_id]:
-                self._evictions.pop(key, None)
-        return block_ids
-
     def file_blocks(self, path: str) -> list[int]:
         """Ordered block ids of a file."""
         try:
@@ -188,12 +173,6 @@ class NameNode:
         return locations
 
     # ------------------------------------------------------------------ HAIL extensions (Dir_rep)
-    def register_replica_info(self, block_id: int, datanode_id: int, replica_info: Any) -> None:
-        """Store/replace the ``HAILBlockReplicaInfo`` of one replica."""
-        if block_id not in self._dir_block:
-            raise BlockNotFoundError(f"unknown block id {block_id}")
-        self._dir_rep[(block_id, datanode_id)] = replica_info
-
     def replica_info(self, block_id: int, datanode_id: int) -> Optional[Any]:
         """The ``HAILBlockReplicaInfo`` of one replica, or ``None`` for unindexed replicas."""
         return self._dir_rep.get((block_id, datanode_id))
@@ -285,10 +264,6 @@ class NameNode:
             if getattr(info, "is_adaptive", False):
                 totals[owner] = totals.get(owner, 0) + info.size_on_disk_bytes
         return totals
-
-    def adaptive_bytes_on(self, datanode_id: int) -> int:
-        """On-disk bytes of the adaptive replicas on one datanode (see :meth:`adaptive_bytes_by_node`)."""
-        return self.adaptive_bytes_by_node().get(datanode_id, 0)
 
     def record_index_eviction(self, block_id: int, attribute: str, datanode_id: int) -> None:
         """Remember that the adaptive index of ``(block, attribute)`` was evicted from a node.

@@ -114,11 +114,6 @@ class PaxBlock:
         columns = list(zip(*records)) or [()] * num_fields
         return cls(schema, columns, len(records))
 
-    @classmethod
-    def empty(cls, schema: Schema) -> "PaxBlock":
-        """An empty PAX block (used for blocks that contain only bad records)."""
-        return cls(schema, [()] * len(schema.fields), 0)
-
     # ------------------------------------------------------------------ access
     def __len__(self) -> int:
         return self.num_rows
@@ -126,10 +121,6 @@ class PaxBlock:
     def column(self, name: str) -> tuple:
         """The full column (minipage) for attribute ``name``."""
         return self.columns[self.schema.index_of(name)]
-
-    def column_at(self, index: int) -> tuple:
-        """The full column at a 0-based attribute index."""
-        return self.columns[index]
 
     def record(self, row: int) -> tuple:
         """Reconstruct one full record (all attributes) from the columns."""
@@ -226,7 +217,10 @@ class PaxBlock:
         return size
 
     def column_size_bytes(self, name: str) -> int:
-        """Binary size of one column's minipage (measured once, then carried)."""
+        """Binary size of one column's minipage (measured once, then carried).
+
+        Census keep list (``tests/test_census.py``): ``bench/trace.py`` traces it.
+        """
         return self._column_size_at(self.schema.index_of(name))
 
     def size_bytes(self) -> int:
@@ -234,7 +228,10 @@ class PaxBlock:
         return sum(map(self._column_size_at, range(len(self.columns))))
 
     def projected_size_bytes(self, attribute_names: Sequence[str]) -> int:
-        """Binary size of just the named columns (what a projection must read)."""
+        """Binary size of just the named columns (what a projection must read).
+
+        Census keep list (``tests/test_census.py``): ``bench/trace.py`` traces it.
+        """
         return self.indexed_size_bytes(map(self.schema.index_of, attribute_names))
 
     def indexed_size_bytes(self, indexes: Iterable[int]) -> int:
@@ -297,6 +294,9 @@ class PaxBlock:
         The offsets depend on the row order, so every ``HailBlock`` that reads them walks its
         own; the walk ends on the column's byte size, which is recorded so nothing measures it
         again.
+
+        Census keep list (``tests/test_census.py``): paper Section 3.5; tests hold the size
+        accounting to it.
         """
         index = self.schema.index_of(name)
         offsets, self._column_sizes[index] = serialization.variable_offsets_and_size(

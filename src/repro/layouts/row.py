@@ -23,10 +23,6 @@ class TextRowCodec:
         """Format records as newline-separated text (the payload of a stock HDFS block)."""
         return "\n".join(self.schema.format_record(record) for record in records)
 
-    def encode_lines(self, records: Iterable[Sequence]) -> list[str]:
-        """Format records as a list of text lines."""
-        return [self.schema.format_record(record) for record in records]
-
     def decode(self, text: str) -> list[tuple]:
         """Parse newline-separated text into typed records; bad rows raise.
 

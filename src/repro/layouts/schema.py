@@ -119,7 +119,11 @@ class Field:
             ) from exc
 
     def format(self, value: Any) -> str:
-        """Format a typed value back to its text token."""
+        """Format a typed value back to its text token.
+
+        Census keep list (``tests/test_census.py``): ground truth for tests (the per-value
+        formatter ``format_record`` must agree with).
+        """
         if self.ftype == FieldType.DATE:
             if isinstance(value, date):
                 return value.isoformat()
@@ -130,7 +134,11 @@ class Field:
         return str(value)
 
     def binary_size(self, value: Any) -> int:
-        """Binary size of ``value`` in this field (strings: bytes + terminating zero)."""
+        """Binary size of ``value`` in this field (strings: bytes + terminating zero).
+
+        Census keep list (``tests/test_census.py``): ground truth for tests (the per-value size the
+        column sizes must sum to).
+        """
         fixed = self.ftype.fixed_size
         if fixed is not None:
             return fixed
@@ -142,7 +150,7 @@ class Schema:
 
     Attribute positions are 1-based in the paper's ``@HailQuery`` annotations (``@1`` is the
     first attribute); this class exposes both 0-based indexing (:meth:`index_of`) and the
-    1-based convention (:meth:`position_of`, :meth:`field_at_position`).
+    1-based convention (:meth:`field_at_position`).
     """
 
     def __init__(self, fields: Sequence[Field], name: str = "schema", delimiter: str = "|") -> None:
@@ -186,10 +194,6 @@ class Schema:
         except KeyError:
             raise KeyError(f"schema {self.name!r} has no field {name!r}; fields: {self.field_names}") from None
 
-    def position_of(self, name: str) -> int:
-        """1-based attribute position as used by ``@HailQuery`` annotations."""
-        return self.index_of(name) + 1
-
     def field_at_position(self, position: int) -> Field:
         """Field at a 1-based attribute position."""
         if not 1 <= position <= len(self.fields):
@@ -228,34 +232,27 @@ class Schema:
             )
         return self.delimiter.join([fmt(value) for fmt, value in zip(self._formatters, record)])
 
-    def validate(self, record: Sequence[Any]) -> bool:
-        """Light-weight structural validation: arity only (types are trusted)."""
-        return len(record) == len(self.fields)
-
     # ------------------------------------------------------------------ size accounting
     def text_size(self, record: Sequence[Any]) -> int:
         """Bytes of the text-row representation (including the newline)."""
         return len(self.format_record(record).encode("utf-8")) + 1
 
     def binary_size(self, record: Sequence[Any]) -> int:
-        """Bytes of the binary representation of one record."""
+        """Bytes of the binary representation of one record.
+
+        Census keep list (``tests/test_census.py``): ground truth for tests (the per-record size
+        the column sizes must sum to).
+        """
         return sum(f.binary_size(value) for f, value in zip(self.fields, record))
-
-    @property
-    def fixed_binary_size(self) -> int:
-        """Bytes contributed by the fixed-size fields of one record."""
-        return sum(f.ftype.fixed_size or 0 for f in self.fields)
-
-    @property
-    def has_variable_fields(self) -> bool:
-        """True if any field has a variable-size type."""
-        return any(not f.ftype.is_fixed for f in self.fields)
 
     def string_byte_fraction(self, records: Iterable[Sequence[Any]]) -> float:
         """Fraction of the text bytes that belongs to string (variable-size) fields.
 
         Used by the cost model to split parsing work between the expensive string path and the
         cheaper numeric-conversion path; computed over a sample of records.
+
+        Census keep list (``tests/test_census.py``): ground truth for tests
+        (``PaxBlock.sample_string_share`` must equal it).
         """
         string_bytes = 0
         total_bytes = 0

@@ -114,11 +114,6 @@ def decode_column_at(
     return values, offset + struct.calcsize(fmt)
 
 
-def decode_column(field: Field, payload: bytes, count: int) -> tuple[Any, ...]:
-    """Decode ``count`` values of one column from ``payload``."""
-    return decode_column_at(field, payload, count, 0)[0]
-
-
 def date_to_days(value: Any) -> int:
     """Convert a date (or pre-converted int) to days since the Unix epoch."""
     if isinstance(value, date):
@@ -129,16 +124,6 @@ def date_to_days(value: Any) -> int:
 def days_to_date(days: int) -> date:
     """Convert days since the Unix epoch back to a :class:`datetime.date`."""
     return date.fromordinal(_EPOCH.toordinal() + int(days))
-
-
-def variable_offsets(field: Field, values: Sequence[Any], partition_size: int) -> list[int]:
-    """Offsets of every ``partition_size``-th value within an encoded variable-size column.
-
-    HAIL stores one offset per logical index partition for variable-size attributes so that a
-    qualifying partition can be located without scanning the whole column (Section 3.5,
-    "Accessing Variable-size Attributes").
-    """
-    return variable_offsets_and_size(field, values, partition_size)[0]
 
 
 def variable_offsets_and_size(

@@ -130,6 +130,9 @@ def may_match_ranges(
     ``True`` (may match → must scan) is the fail-closed default: missing synopsis or missing
     predicate answer ``True``.  Only a clause whose value range is provably disjoint from the
     recorded zone justifies a skip (:func:`disjoint_attribute`).
+
+    Census keep list (``tests/test_census.py``): ground truth for tests (``ZoneMap.may_match`` must
+    agree with it).
     """
     if not ranges or predicate is None:
         return True

@@ -61,11 +61,6 @@ class JobConf:
     input_format: Any = None
     properties: dict = field(default_factory=dict)
 
-    def with_property(self, key: str, value: Any) -> "JobConf":
-        """Set a configuration property and return ``self`` (chaining helper)."""
-        self.properties[key] = value
-        return self
-
 
 @dataclass
 class JobResult:

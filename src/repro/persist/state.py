@@ -161,7 +161,11 @@ def capture_system(system) -> tuple[dict, dict]:
 
 
 def checkpoint_state(system) -> dict:
-    """A full capture of one system's durable state (the ``checkpoint()`` payload)."""
+    """A full capture of one system's durable state (the ``checkpoint()`` payload).
+
+    Census keep list (``tests/test_census.py``): ground truth for tests (the incremental journal
+    must equal this full capture).
+    """
     return capture_system(system)[0]
 
 

@@ -52,12 +52,7 @@ class SystemUploadReport:
         """End-to-end time until the data is queryable (upload plus any index-creation jobs)."""
         return self.upload_s + self.post_processing_s
 
-    @property
-    def blowup(self) -> float:
-        """Stored bytes over source bytes (disk-space footprint)."""
-        if self.source_text_bytes == 0:
-            return 0.0
-        return self.stored_bytes / self.source_text_bytes
+
 
 
 @dataclass

@@ -46,12 +46,12 @@ class Query:
     def filter_attributes(self, unique: bool = False) -> tuple[str, ...]:
         """Names (or ``@position`` strings) the predicate filters on, in clause order.
 
-        This is a planning input, not a display helper: the physical planner and the scheduler
-        (``choose_indexed_host``) try these attributes **in order** when picking the replica
-        whose clustered index to use, so predicate clause order doubles as the attribute
-        preference order.  Queries compiled by :mod:`repro.api` get a deterministic,
-        selectivity-ranked order from the normalizer; hand-built predicates should put the
-        most selective (or most likely indexed) clause first.
+        This is a planning input, not a display helper: the physical planner tries these
+        attributes **in order** when picking the replica whose clustered index to use, so
+        predicate clause order doubles as the attribute preference order.  Queries compiled by
+        :mod:`repro.api` get a deterministic, selectivity-ranked order from the normalizer;
+        hand-built predicates should put the most selective (or most likely indexed) clause
+        first.
 
         With ``unique=False`` (default) duplicated attributes are kept as written — the raw
         clause order.  ``unique=True`` drops repeats while preserving first-occurrence order,
@@ -99,7 +99,8 @@ def _clause_sql(clause: Comparison) -> str:
 
 
 def _sql_literal(value: Any) -> str:
-    """Numbers render bare; everything else (strings, dates) single-quoted, SQL style."""
+    """Numbers render bare; everything else (strings, dates) single-quoted, SQL style, with
+    each ``'`` inside doubled so the label stays one literal."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return f"'{value}'"
+        return "'" + str(value).replace("'", "''") + "'"
     return str(value)

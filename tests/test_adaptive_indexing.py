@@ -265,7 +265,7 @@ def test_commit_deduplicates_speculative_builds():
     report = commit_adaptive_builds(
         hdfs, [_FakeAttempt(_FakeResult([build])) for build in builds]
     )
-    assert report.num_committed == 1
+    assert len(report.committed) == 1
     assert report.skipped_duplicate + report.skipped_already_indexed == 1
     assert len(hdfs.namenode.hosts_with_index(block_id, "f1")) == 1
 
@@ -290,7 +290,7 @@ def test_commit_skips_builds_targeting_dead_nodes():
         report = commit_adaptive_builds(
             hdfs, [_FakeAttempt(_FakeResult([scan.pending_build]))]
         )
-        assert report.num_committed == 0
+        assert report.committed == []
         assert report.skipped_dead_node == 1
         assert hdfs.namenode.hosts_with_index(block_id, "f1", alive_only=False) == []
     finally:

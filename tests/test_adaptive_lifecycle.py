@@ -322,9 +322,12 @@ def test_eviction_never_deletes_a_blocks_last_alive_replica():
         if info.is_adaptive
     )
     info = namenode.replica_info(block_id, victim_node)
-    namenode.register_replica_info(
-        block_id, victim_node, dc_replace(info, displaced_plain_replica=False)
-    )
+    replica = system.hdfs.datanode(victim_node).replica(block_id)
+    with system.hdfs.mutating(block_id, "forged_dir_rep"):
+        system.hdfs.install_replica(
+            block_id, victim_node, replica.payload,
+            info=dc_replace(info, displaced_plain_replica=False), checksums=replica.checksums,
+        )
     for datanode_id in namenode.block_datanodes(block_id, alive_only=True):
         if datanode_id != victim_node:
             system.cluster.node(datanode_id).kill()
@@ -359,7 +362,7 @@ def test_eviction_is_least_recently_used_first():
 
     namenode = system.hdfs.namenode
     footprints = [
-        namenode.adaptive_bytes_on(node.node_id) for node in system.cluster.nodes
+        namenode.adaptive_bytes_by_node().get(node.node_id, 0) for node in system.cluster.nodes
     ]
     policy = DiskPressurePolicy(
         capacity_bytes=max(footprints), high_watermark=0.9, low_watermark=0.8
@@ -413,7 +416,8 @@ def test_lifecycle_manager_enforces_node_budget_through_jobs():
     probe = _system()
     _converge(probe, "f1")
     budget = max(
-        probe.hdfs.namenode.adaptive_bytes_on(node.node_id) for node in probe.cluster.nodes
+        probe.hdfs.namenode.adaptive_bytes_by_node().get(node.node_id, 0)
+        for node in probe.cluster.nodes
     )
     system = _system(
         adaptive_eviction=True,
@@ -426,15 +430,16 @@ def test_lifecycle_manager_enforces_node_budget_through_jobs():
         assert result.records is not None
         namenode = system.hdfs.namenode
         for node in system.cluster.nodes:
-            assert namenode.adaptive_bytes_on(node.node_id) <= budget * 1.2
+            assert namenode.adaptive_bytes_by_node().get(node.node_id, 0) <= budget * 1.2
     assert check_dir_rep_consistency(system.hdfs, _PATH) == []
 
 
 # --------------------------------------------------------------------------- conjunctions
 def test_an_index_scan_stages_no_build_on_its_other_filter_attributes():
     system = _system(index_attributes=("f1",))
-    conjunction = Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 2).and_(
-        Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 2)
+    conjunction = Predicate(
+        Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 2).clauses
+        + Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 2).clauses
     )
     query = Query(name="conj", predicate=conjunction, projection=("f1", "f3"), description="")
     result = system.run_query(query, _PATH)
@@ -451,8 +456,9 @@ def test_conjunction_results_match_plain_execution():
     )
     plain.upload(_PATH, SyntheticGenerator(seed=3).generate(800), SYNTHETIC_SCHEMA, rows_per_block=100)
     adaptive = _system()
-    conjunction = Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 3).and_(
-        Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 3)
+    conjunction = Predicate(
+        Predicate.comparison("f1", Operator.LT, VALUE_RANGE // 3).clauses
+        + Predicate.comparison("f3", Operator.LT, VALUE_RANGE // 3).clauses
     )
     query = Query(name="conj", predicate=conjunction, projection=("f1", "f3"), description="")
     expected = plain.run_query(query, _PATH).sorted_records()
@@ -472,5 +478,5 @@ def test_adaptive_replica_bytes_matches_per_node_footprints():
     system = _system()
     _converge(system, "f1")
     namenode = system.hdfs.namenode
-    total = sum(namenode.adaptive_bytes_on(node.node_id) for node in system.cluster.nodes)
+    total = sum(namenode.adaptive_bytes_by_node().values())
     assert system.adaptive_replica_bytes(_PATH) == total > 0

@@ -8,6 +8,8 @@ deterministic — two spellings of the same conjunction produce identical plans.
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
 from datetime import date
 
 import pytest
@@ -225,8 +227,9 @@ def test_dsl_compiles_bob_queries_identically_to_hand_built():
     legacy = [
         Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1)),
         Predicate.equals("sourceIP", "172.101.11.46"),
-        Predicate.equals("sourceIP", "172.101.11.46").and_(
-            Predicate.equals("visitDate", date(1992, 12, 22))
+        Predicate(
+            Predicate.equals("sourceIP", "172.101.11.46").clauses
+            + Predicate.equals("visitDate", date(1992, 12, 22)).clauses
         ),
         Predicate.between("adRevenue", 1.0, 10.0),
         Predicate.between("adRevenue", 1.0, 100.0),
@@ -247,6 +250,21 @@ def test_query_auto_renders_sql_description():
         name="eq", predicate=Predicate.equals("name", "x"), projection=("name",)
     )
     assert strings.description == "SELECT name WHERE name = 'x'"
+
+
+@pytest.mark.parametrize(
+    "name, literal", [("O'Brien", "'O''Brien'"), ("'", "''''"), ("a''b", "'a''''b'")]
+)
+def test_quote_in_a_string_operand_renders_sql_that_sqlite_runs(name, literal):
+    """The label is SQL an engine can execute: a ``'`` inside a string operand is doubled."""
+    query = LogicalQuery(name="q", where=col("name") == name, select=("name",)).compile()
+    assert query.description == f"SELECT name WHERE name = {literal}"
+    select, where = query.description.split(" WHERE ")
+    with closing(sqlite3.connect(":memory:")) as connection:
+        connection.execute("CREATE TABLE t (name TEXT)")
+        connection.executemany("INSERT INTO t VALUES (?)", [(name,), ("OBrien",)])
+        rows = connection.execute(f"{select} FROM t WHERE {where}").fetchall()
+    assert rows == [(name,)]
 
 
 def test_explicit_description_wins_over_auto_render():

@@ -88,8 +88,9 @@ def _legacy_and_dsl(session: Session):
         (
             Query(
                 name="legacy-q3",
-                predicate=Predicate.equals("sourceIP", _PROBE).and_(
-                    Predicate.between("adRevenue", 0.0, 500.0)
+                predicate=Predicate(
+                    Predicate.equals("sourceIP", _PROBE).clauses
+                    + Predicate.between("adRevenue", 0.0, 500.0).clauses
                 ),
                 projection=("searchWord",),
             ),

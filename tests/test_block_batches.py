@@ -63,7 +63,8 @@ def _lines(num_rows: int = 480, seed: int = 23) -> list[str]:
     The salt sits in the head of the file so that the later blocks of every client's share
     stay well-formed: the text mapper's column path and its whole-block fallback both run.
     """
-    lines = SyntheticGenerator(seed=seed).generate_lines(num_rows)
+    records = SyntheticGenerator(seed=seed).generate(num_rows)
+    lines = [SYNTHETIC_SCHEMA.format_record(record) for record in records]
     width = len(SYNTHETIC_SCHEMA.fields)
     low = ["1"] * width  # f1 = 1 passes every ``f1 < bound`` filter used below
 
@@ -459,7 +460,7 @@ def _kernel_case(draw):
         else:
             op = draw(st.sampled_from(list(Operator)[:5]))
             clause = Predicate.comparison(attribute, op, operand)
-        predicate = clause if predicate is None else predicate.and_(clause)
+        predicate = clause if predicate is None else Predicate(predicate.clauses + clause.clauses)
     start = draw(st.integers(0, num_rows))
     end = draw(st.integers(start, num_rows))
     pax = PaxBlock.from_records(_KERNEL_SCHEMA, records)
@@ -492,8 +493,9 @@ def test_filter_ranges_equals_per_window_filter_range(case):
 def test_a_matching_row_in_a_gap_is_never_reported(backend, monkeypatch):
     """A stale synopsis flags rows that match: they stay missed."""
     pax = PaxBlock.from_records(_KERNEL_SCHEMA, [(1, 0.0, "a")] * 12)  # every row matches
-    predicate = Predicate.comparison("k", Operator.EQ, 1).and_(
-        Predicate.comparison("v", Operator.LE, 0.0)
+    predicate = Predicate(
+        Predicate.comparison("k", Operator.EQ, 1).clauses
+        + Predicate.comparison("v", Operator.LE, 0.0).clauses
     )
     pruned = _pruned_outside([(1, 3), (6, 7), (9, 12)], 0, 12)
     with kernels.use_backend(backend):

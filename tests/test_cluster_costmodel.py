@@ -12,13 +12,8 @@ def test_default_parameters_follow_hadoop_defaults():
     assert params.map_slots_per_node == 2
 
 
-def test_with_scale_and_with_replication():
+def test_replication_is_not_a_cost_parameter():
     params = CostParameters()
-    scaled = params.with_scale(1000.0)
-    assert scaled.data_scale == pytest.approx(1000.0)
-    assert params.data_scale == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        params.with_scale(0)
     # Replication is declared by the system/Hdfs that stores the replicas, nowhere else.
     assert not hasattr(params, "with_replication")
     with pytest.raises(TypeError):
@@ -69,13 +64,6 @@ def test_split_phase_cost_only_for_header_reading_formats():
     assert cost.split_phase(100, reads_block_headers=True) == pytest.approx(
         100 * cost.params.split_header_read_s
     )
-
-
-def test_replace_params_returns_new_model():
-    cost = CostModel()
-    bigger = cost.replace_params(map_slots_per_node=4)
-    assert bigger.params.map_slots_per_node == 4
-    assert cost.params.map_slots_per_node == 2
 
 
 def test_describe_exposes_key_calibration():

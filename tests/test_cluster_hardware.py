@@ -30,12 +30,15 @@ def test_by_name_unknown_raises():
         HardwareProfile.by_name("mainframe")
 
 
-def test_aggregate_cpu_orders_profiles_by_compute_power():
+def test_cores_times_speed_orders_profiles_by_compute_power():
     """The scale-up experiment relies on the CPU ordering large < xlarge < quad <= physical-ish."""
-    large = HardwareProfile.ec2_large().aggregate_cpu
-    xlarge = HardwareProfile.ec2_xlarge().aggregate_cpu
-    quad = HardwareProfile.ec2_cluster_quad().aggregate_cpu
-    physical = HardwareProfile.physical().aggregate_cpu
+    large, xlarge, quad, physical = (
+        profile.cores * profile.core_speed
+        for profile in (
+            HardwareProfile.ec2_large(), HardwareProfile.ec2_xlarge(),
+            HardwareProfile.ec2_cluster_quad(), HardwareProfile.physical(),
+        )
+    )
     assert large < xlarge < quad
     assert large < physical
 

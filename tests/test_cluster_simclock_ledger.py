@@ -30,8 +30,10 @@ def test_ledger_disk_reads_and_writes_accumulate(ledger_setup):
     ledger.record_disk_read(0, 10 * _MB)
     ledger.record_disk_write(0, 20 * _MB)
     ledger.record_disk_write(1, 5 * _MB)
-    assert ledger.total_bytes_read() == pytest.approx(10 * _MB)
-    assert ledger.total_bytes_written() == pytest.approx(25 * _MB)
+    assert ledger.usage(0).disk_read_bytes == pytest.approx(10 * _MB)
+    assert ledger.usage(0).disk_write_bytes + ledger.usage(1).disk_write_bytes == pytest.approx(
+        25 * _MB
+    )
     assert ledger.node_time(0) > ledger.node_time(1) > 0.0
 
 
@@ -63,8 +65,7 @@ def test_ledger_makespan_is_max_over_nodes(ledger_setup):
     _, _, ledger = ledger_setup
     ledger.record_disk_write(0, 10 * _MB)
     ledger.record_disk_write(1, 200 * _MB)
-    times = ledger.per_node_times()
-    assert ledger.makespan() == pytest.approx(max(times.values()))
+    assert ledger.makespan() == pytest.approx(max(ledger.node_time(0), ledger.node_time(1)))
 
 
 def test_ledger_network_uses_slowest_direction(ledger_setup):

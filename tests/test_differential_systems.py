@@ -46,9 +46,10 @@ def _random_query(rng: random.Random, index: int) -> Query:
     else:
         # A conjunction: range on the primary attribute AND-ed with a second clause.
         other = rng.choice([name for name in _FILTERABLE if name != attribute])
-        predicate = Predicate.comparison(
-            attribute, Operator.LT, rng.randrange(VALUE_RANGE)
-        ).and_(Predicate.comparison(other, Operator.GE, rng.randrange(VALUE_RANGE // 2)))
+        predicate = Predicate(
+            Predicate.comparison(attribute, Operator.LT, rng.randrange(VALUE_RANGE)).clauses
+            + Predicate.comparison(other, Operator.GE, rng.randrange(VALUE_RANGE // 2)).clauses
+        )
     if rng.random() < 0.3:
         projection = None
     else:

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.executor import vectorized_filter
 from repro.engine.kernels import clause_positions
 from repro.hail.hail_block import HailBlock
-from repro.hail.index import IndexLookup
 from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts import FieldType, Schema
 
@@ -57,14 +56,19 @@ _PROJECTIONS = st.one_of(
 )
 
 
+def _indexes(projection) -> list[int]:
+    return [_SCHEMA.index_of(name) for name in (projection or _SCHEMA.field_names)]
+
+
 def _brute_force(block: HailBlock, predicate, projection):
     """Row-at-a-time full scan over every record of the block (the reference semantics)."""
-    rows = []
+    rows, projected = [], []
     for row in range(block.num_records):
         record = block.pax.record(row)
         if predicate is None or predicate.matches(record, block.schema):
             rows.append(row)
-    return rows, block.project_rows(rows, projection)
+            projected.append(tuple(record[i] for i in _indexes(projection)))
+    return rows, projected
 
 
 @given(
@@ -86,26 +90,12 @@ def test_planned_scan_equals_brute_force_full_scan(
     else:
         lookup = block.whole_block_lookup()
     rows = vectorized_filter(block.pax, predicate, block.schema, lookup)
-    projected = block.project_rows(rows, projection)
+    projected = block.pax.project(rows, _indexes(projection))
 
     expected_rows, expected_projected = _brute_force(block, predicate, projection)
     assert rows == expected_rows
     # Byte-identical, not merely ==: 1 != True-style coercions would slip through ==.
     assert pickle.dumps(projected) == pickle.dumps(expected_projected)
-
-
-@given(records=_RECORDS, predicate=_PREDICATES, projection=_PROJECTIONS)
-@settings(max_examples=100, deadline=None)
-def test_filter_rows_matches_vectorized_kernel(records, predicate, projection):
-    """HailBlock.filter_rows (the public API) and the kernel agree on every input."""
-    block = HailBlock.build(_SCHEMA, records, sort_attribute="key", partition_size=4)
-    if predicate is not None:
-        lookup, _ = block.candidate_rows(predicate)
-    else:
-        lookup = IndexLookup(0, 0, 0, block.num_records)
-    assert block.filter_rows(predicate, lookup) == vectorized_filter(
-        block.pax, predicate, block.schema, lookup
-    )
 
 
 @given(clause=_CLAUSES, values=st.lists(st.one_of(_KEYS, _WORDS), min_size=0, max_size=60))
@@ -123,7 +113,7 @@ def test_empty_block_yields_no_rows():
     lookup, used_index = block.candidate_rows(predicate)
     assert used_index
     assert vectorized_filter(block.pax, predicate, block.schema, lookup) == []
-    assert block.project_rows([], None) == []
+    assert block.pax.project([], _indexes(None)) == []
 
 
 def test_empty_candidate_range_short_circuits():

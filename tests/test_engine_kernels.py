@@ -51,7 +51,7 @@ def _random_predicate(rng: random.Random, attributes=("k", "v")) -> Predicate:
         else:
             operand = rng.randrange(-50, 50) if rng.random() < 0.5 else rng.uniform(-50, 50)
             clause = Predicate.comparison(attribute, rng.choice(_OPS), operand)
-        predicate = clause if predicate is None else predicate.and_(clause)
+        predicate = clause if predicate is None else Predicate(predicate.clauses + clause.clauses)
     return predicate
 
 

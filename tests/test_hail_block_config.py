@@ -9,13 +9,13 @@ import pytest
 
 from repro.cluster import CostParameters, DiskPressurePolicy
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.engine.executor import vectorized_filter
 from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.engine.planner import BoundQuery
 from repro.hail import HailBlock, HailConfig
 from repro.mapreduce.job_tracker import ConcurrencyPolicy
 from repro.hail.annotation import HailQuery
 from repro.hail.predicate import Predicate
-from repro.hail.sortindex import is_sorted
 
 
 # --------------------------------------------------------------------------- config
@@ -51,10 +51,7 @@ def test_config_attribute_for_replica():
     assert config.attribute_for_replica(-1) is None
 
 
-def test_config_toggles():
-    config = HailConfig.for_attributes(["a"]).with_splitting(False).with_replication(4)
-    assert config.splitting_policy is False
-    assert config.replication == 4
+def test_config_functional_partition_size():
     assert HailConfig(functional_partition_size=4).effective_functional_partition_size == 4
 
 
@@ -70,8 +67,6 @@ def test_knob_census():
 #: Per builder: the policy whose own field names its keywords are (if it sets one), and the
 #: prefix under which its remaining keywords are ``HailConfig`` fields.
 _BUILDER_TARGETS = {
-    "with_splitting": (None, ""),
-    "with_replication": (None, ""),
     "with_adaptive": (None, "adaptive_"),
     "with_lifecycle": (DiskPressurePolicy, "adaptive_"),
     "with_placement": (None, "placement_"),
@@ -265,7 +260,8 @@ def uservisits_block(uservisits_sample):
 
 def test_build_sorts_by_sort_attribute(uservisits_block, uservisits_sample):
     assert uservisits_block.sort_attribute == "visitDate"
-    assert is_sorted(uservisits_block.pax.column("visitDate"))
+    column = uservisits_block.pax.column("visitDate")
+    assert list(column) == sorted(column)
     # The block still contains exactly the same records, just reordered.
     assert sorted(map(repr, uservisits_block.pax.records())) == sorted(
         map(repr, uservisits_sample[:200])
@@ -278,7 +274,6 @@ def test_build_sorts_by_sort_attribute(uservisits_block, uservisits_sample):
 def test_build_without_sort_attribute(uservisits_sample):
     block = HailBlock.build(USERVISITS_SCHEMA, uservisits_sample[:50], sort_attribute=None)
     assert block.index is None
-    assert block.index_metadata() is None
     assert block.pax.records() == uservisits_sample[:50]
     assert block.index_size_bytes() == 0
 
@@ -327,10 +322,7 @@ def test_block_requires_consistent_index_and_sort_attribute(uservisits_sample):
         HailBlock(pax, "visitDate", None)
 
 
-def test_block_metadata_and_size_accounting(uservisits_block):
-    metadata = uservisits_block.block_metadata()
-    assert metadata["num_records"] == 200
-    assert metadata["schema"] == USERVISITS_SCHEMA.field_names
+def test_describe_and_size_accounting(uservisits_block):
     assert uservisits_block.size_bytes() > uservisits_block.data_size_bytes()
     described = uservisits_block.describe()
     assert described["layout"] == "pax+index(visitDate)"
@@ -342,7 +334,7 @@ def test_candidate_rows_uses_index_for_matching_attribute(uservisits_block):
     lookup, used_index = uservisits_block.candidate_rows(predicate)
     assert used_index
     assert lookup.num_rows < uservisits_block.num_records
-    matching = uservisits_block.filter_rows(predicate, lookup)
+    matching = vectorized_filter(uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup)
     expected = [r for r in uservisits_block.pax.records() if predicate.matches(r, USERVISITS_SCHEMA)]
     assert len(matching) == len(expected)
 
@@ -354,14 +346,12 @@ def test_candidate_rows_falls_back_to_scan_for_other_attributes(uservisits_block
     assert lookup.num_rows == uservisits_block.num_records
 
 
-def test_project_rows_and_columns_to_read(uservisits_block):
+def test_projection_and_columns_to_read(uservisits_block):
     predicate = Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1))
     lookup, _ = uservisits_block.candidate_rows(predicate)
-    rows = uservisits_block.filter_rows(predicate, lookup)
-    projected = uservisits_block.project_rows(rows, ["sourceIP"])
-    assert all(len(p) == 1 for p in projected)
-    all_attrs = uservisits_block.project_rows(rows[:1], None)
-    assert len(all_attrs[0]) == len(USERVISITS_SCHEMA)
+    rows = vectorized_filter(uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup)
+    projected = uservisits_block.pax.project(rows, [USERVISITS_SCHEMA.index_of("sourceIP")])
+    assert projected and all(len(p) == 1 for p in projected)
     columns = _columns_to_read(uservisits_block, predicate, ["sourceIP"])
     assert columns == ["visitDate", "sourceIP"]
     assert _columns_to_read(uservisits_block, None, None) == USERVISITS_SCHEMA.field_names

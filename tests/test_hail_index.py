@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hail.index import HailIndex, logical_index_size_bytes, multilevel_pays_off
-from repro.hail.sortindex import is_sorted, sort_permutation, apply_permutation
+from repro.hail.sortindex import sort_permutation
 
 
 def _brute_force(values, low, high):
@@ -57,10 +57,10 @@ def test_range_lookup_empty_cases(sorted_values):
     assert index.lookup_range(max(sorted_values) + 1, None).num_rows <= 32
 
 
-def test_lookup_equal_probe(sorted_values):
+def test_point_lookup_probe(sorted_values):
     index = HailIndex.build("a", sorted_values, partition_size=16)
     target = sorted_values[123]
-    lookup = index.lookup_equal(target)
+    lookup = index.lookup_range(target, target)
     rows = range(lookup.start_row, lookup.end_row)
     assert all(sorted_values[r] == target for r in rows if sorted_values[r] == target)
     assert any(sorted_values[r] == target for r in rows)
@@ -105,7 +105,7 @@ def test_multilevel_index_only_pays_off_for_huge_blocks():
 def test_sort_permutation_sorts_and_is_stable():
     values = [5, 1, 3, 1, 2]
     permutation = sort_permutation(values)
-    assert apply_permutation(values, permutation) == sorted(values)
+    assert [values[i] for i in permutation] == sorted(values)
     # Stability: the two equal values keep their original relative order.
     first_one, second_one = [i for i in permutation if values[i] == 1]
     assert first_one < second_one
@@ -114,15 +114,5 @@ def test_sort_permutation_sorts_and_is_stable():
 def test_sort_permutation_handles_none_first():
     values = [3, None, 1]
     permutation = sort_permutation(values)
-    assert apply_permutation(values, permutation) == [None, 1, 3]
+    assert [values[i] for i in permutation] == [None, 1, 3]
 
-
-def test_apply_permutation_validates_length():
-    with pytest.raises(ValueError):
-        apply_permutation([1, 2, 3], [0, 1])
-
-
-def test_is_sorted_helper():
-    assert is_sorted([1, 1, 2, 3])
-    assert not is_sorted([2, 1])
-    assert is_sorted([])

@@ -71,8 +71,9 @@ def test_predicate_requires_clauses():
 
 
 def test_predicate_conjunction_and_matching(schema, uservisits_sample):
-    predicate = Predicate.equals("sourceIP", "172.101.11.46").and_(
-        Predicate.between("adRevenue", 0.0, 1000.0)
+    predicate = Predicate(
+        Predicate.equals("sourceIP", "172.101.11.46").clauses
+        + Predicate.between("adRevenue", 0.0, 1000.0).clauses
     )
     assert len(predicate.clauses) == 2
     assert predicate.attributes(schema) == ["sourceIP", "adRevenue"]

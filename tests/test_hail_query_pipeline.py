@@ -1,5 +1,6 @@
 """Tests for the HAIL query pipeline: input format (HailSplitting), record reader, scheduling."""
 
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -28,7 +29,7 @@ def hail_system():
 
 
 def _annotated_jobconf(system, predicate, projection, splitting=True):
-    config = system.config.with_splitting(splitting)
+    config = replace(system.config, splitting_policy=splitting)
     conf = JobConf(
         name="q",
         input_path="/uv",

@@ -4,11 +4,13 @@ import pytest
 
 from repro.cluster import Cluster, CostModel, CostParameters, TransferLedger
 from repro.datagen import USERVISITS_SCHEMA, WebLogGenerator
-from repro.engine.planner import choose_indexed_host
+from repro.engine.access_path import AccessPath
+from repro.engine.planner import PhysicalPlanner
 from repro.hail import HailConfig
+from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
+from repro.hail.predicate import Predicate
 from repro.hail.scheduler import index_coverage, replica_distribution
-from repro.hail.sortindex import is_sorted
 from repro.hail.upload import HailUploadPipeline
 from repro.hdfs import Hdfs
 
@@ -38,7 +40,8 @@ def test_upload_block_creates_divergent_replicas(hail_setup, uservisits_sample):
         payload = replica.payload
         assert isinstance(payload, HailBlock)
         payloads[datanode_id] = payload
-        assert is_sorted(payload.pax.column(payload.sort_attribute))
+        column = payload.pax.column(payload.sort_attribute)
+        assert list(column) == sorted(column)
         # All replicas hold the same logical records despite different sort orders.
         assert sorted(map(repr, payload.pax.records())) == sorted(
             map(repr, uservisits_sample[:120])
@@ -59,7 +62,7 @@ def test_upload_registers_replica_info_in_dir_rep(hail_setup, uservisits_sample)
         "adRevenue",
     }
     for info in infos.values():
-        assert info.has_index
+        assert info.indexed_attribute is not None
         assert info.block_size_bytes > 0
         assert info.index_size_bytes > 0
 
@@ -84,7 +87,7 @@ def test_upload_charges_cpu_on_every_datanode(hail_setup, uservisits_sample):
         assert ledger.usage(datanode_id).cpu_seconds > 0
         assert ledger.usage(datanode_id).disk_write_bytes > 0
     assert ledger.usage(0).disk_read_bytes > 0  # client read of the source data
-    assert result.binary_ratio > 0
+    assert result.pax_bytes > 0 and result.text_bytes > 0
 
 
 def test_upload_separates_bad_records(hail_setup):
@@ -120,18 +123,24 @@ def test_upload_respects_num_indexes_zero(uservisits_sample):
 
 
 # --------------------------------------------------------------------------- scheduler helpers
-def test_choose_indexed_host_prefers_local_and_falls_back(hail_setup, uservisits_sample):
+def test_indexed_host_choice_prefers_local_and_falls_back(hail_setup, uservisits_sample):
     hdfs, cost, config, pipeline = hail_setup
     ledger = TransferLedger(hdfs.cluster, cost)
     result = pipeline.upload_block("/uv", uservisits_sample[:60], USERVISITS_SCHEMA, 0, ledger)
     block_id = result.block_id
+    planner = PhysicalPlanner(hdfs)
     visit_host = hdfs.namenode.hosts_with_index(block_id, "visitDate")[0]
-    choice = choose_indexed_host(hdfs.namenode, block_id, ["visitDate"], prefer_node=visit_host)
-    assert choice == (visit_host, "visitDate")
+    visits = Predicate.equals("visitDate", uservisits_sample[0][2])
+    plan = planner.plan_block(block_id, HailQuery(filter=visits), prefer_node=visit_host)
+    assert (plan.datanode_id, plan.attribute) == (visit_host, "visitDate")
     # Conjunction: the first attribute with an index wins.
-    choice = choose_indexed_host(hdfs.namenode, block_id, ["searchWord", "sourceIP"])
-    assert choice is not None and choice[1] == "sourceIP"
-    assert choose_indexed_host(hdfs.namenode, block_id, ["searchWord"]) is None
+    words = Predicate.equals("searchWord", "x")
+    conjunction = Predicate(words.clauses + Predicate.equals("sourceIP", "1.2.3.4").clauses)
+    plan = planner.plan_block(block_id, HailQuery(filter=conjunction))
+    assert plan.access_path is AccessPath.INDEX_SCAN and plan.attribute == "sourceIP"
+    assert plan.datanode_id in hdfs.namenode.hosts_with_index(block_id, "sourceIP")
+    plan = planner.plan_block(block_id, HailQuery(filter=words))
+    assert plan.access_path is not AccessPath.INDEX_SCAN
 
 
 def test_index_coverage_and_distribution(hail_setup, uservisits_sample):

@@ -1,10 +1,10 @@
-"""Tests for chunk checksums and the packet machinery."""
+"""Tests for chunk checksums and packet counts."""
 
 import pytest
 
-from repro.hdfs import CHUNK_SIZE, PACKET_SIZE, chunk_checksums, packetize, verify_chunk_checksums
+from repro.hdfs import CHUNK_SIZE, PACKET_SIZE, chunk_checksums, verify_chunk_checksums
 from repro.hdfs.checksum import checksum_file_size
-from repro.hdfs.chunk import PACKET_DATA_SIZE, num_packets, reassemble
+from repro.hdfs.chunk import PACKET_DATA_SIZE, num_packets
 
 
 def test_chunk_checksums_count():
@@ -31,44 +31,8 @@ def test_checksum_file_size_four_bytes_per_chunk():
     assert checksum_file_size(CHUNK_SIZE + 1) == 8
 
 
-def test_packetize_and_reassemble_round_trip():
-    payload = bytes([i % 251 for i in range(3 * PACKET_DATA_SIZE + 777)])
-    packets = packetize(payload)
-    assert packets[-1].last_in_block
-    assert all(not packet.last_in_block for packet in packets[:-1])
-    assert reassemble(packets) == payload
-    assert reassemble(list(reversed(packets))) == payload
-
-
-def test_packetize_empty_payload_yields_single_last_packet():
-    packets = packetize(b"")
-    assert len(packets) == 1
-    assert packets[0].last_in_block
-    assert packets[0].num_chunks == 0
-
-
-def test_packetize_validates_sizes():
-    with pytest.raises(ValueError):
-        packetize(b"abc", chunk_size=0)
-    with pytest.raises(ValueError):
-        packetize(b"abc", chunk_size=512, packet_data_size=1000)
-
-
-def test_packet_wire_size_includes_checksums():
-    payload = b"y" * PACKET_DATA_SIZE
-    packet = packetize(payload)[0]
-    assert packet.wire_size > len(packet.data)
-    assert packet.wire_size <= PACKET_SIZE + 64
-
-
-def test_reassemble_detects_missing_packets():
-    payload = b"z" * (2 * PACKET_DATA_SIZE)
-    packets = packetize(payload)
-    with pytest.raises(ValueError):
-        reassemble(packets[:1])
-
-
-def test_num_packets_matches_packetize():
-    for size in (0, 1, PACKET_DATA_SIZE, PACKET_DATA_SIZE + 1, 5 * PACKET_DATA_SIZE):
-        payload = b"a" * size
-        assert num_packets(size) == len(packetize(payload))
+def test_num_packets_rounds_up_and_a_full_packet_fits_in_64_kb():
+    sizes = (0, 1, PACKET_DATA_SIZE, PACKET_DATA_SIZE + 1, 5 * PACKET_DATA_SIZE)
+    assert [num_packets(size) for size in sizes] == [1, 1, 1, 2, 5]
+    # Chunk data plus one 4-byte CRC per chunk stays within the 64 KB packet.
+    assert PACKET_DATA_SIZE + 4 * (PACKET_DATA_SIZE // CHUNK_SIZE) <= PACKET_SIZE

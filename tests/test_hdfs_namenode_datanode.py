@@ -23,18 +23,16 @@ def namenode(small_cluster):
     return NameNode(small_cluster, replication=3)
 
 
-def test_namespace_create_and_delete(namenode):
+def test_namespace_create(namenode):
+    assert not namenode.file_exists("/a")
+    with pytest.raises(FileNotFoundInHdfsError):
+        namenode.file_blocks("/a")
     namenode.create_file("/a")
     assert namenode.file_exists("/a")
     assert namenode.list_files() == ["/a"]
+    assert namenode.file_blocks("/a") == []
     with pytest.raises(FileAlreadyExistsError):
         namenode.create_file("/a")
-    namenode.delete_file("/a")
-    assert not namenode.file_exists("/a")
-    with pytest.raises(FileNotFoundInHdfsError):
-        namenode.delete_file("/a")
-    with pytest.raises(FileNotFoundInHdfsError):
-        namenode.file_blocks("/a")
 
 
 def test_allocate_block_requires_file(namenode, simple_schema, simple_records):
@@ -100,17 +98,6 @@ def test_dir_rep_and_hosts_with_index(namenode, simple_schema, simple_records):
     infos = namenode.replica_infos(block_id)
     assert set(infos) == {pipeline[0], pipeline[1]}
     assert namenode.describe()["dir_rep_entries"] == 2
-
-
-def test_delete_file_clears_dir_rep(namenode, simple_schema, simple_records):
-    namenode.create_file("/f")
-    block_id, pipeline = namenode.allocate_block(
-        "/f", _block(simple_schema, simple_records), client_node=0
-    )
-    info = HailBlockReplicaInfo(pipeline[0], "id", "id")
-    namenode.register_replica(block_id, pipeline[0], replica_info=info)
-    namenode.delete_file("/f")
-    assert namenode.describe()["dir_rep_entries"] == 0
 
 
 def test_namenode_replication_validation(small_cluster):
@@ -311,11 +298,13 @@ def test_a_mutation_scope_without_a_journal_touches_no_backend(
 
 
 def test_only_hdfs_and_the_journal_mutate_replicas_or_sync_them():
-    """Replica removal and journal syncs go through ``Hdfs`` (``remove_replica``, ``mutating``).
+    """Replica changes and journal syncs go through ``Hdfs`` (``install_replica``,
+    ``remove_replica``, ``mutating``).
 
-    Anything else pairing ``unregister_replica`` with ``delete_replica``, or syncing a block
-    itself, could change a replica's bytes and its ``Dir_rep`` entry apart, or journal half a
-    mutation.
+    Anything else registering or unregistering a replica itself, deleting its bytes, or syncing
+    a block could change a replica's bytes and its ``Dir_rep`` entry apart, or journal half a
+    mutation.  Inside the namenode, only ``register_replica`` and ``unregister_replica`` write
+    a ``Dir_rep`` entry or take a host out of ``Dir_block``.
     """
     import ast
     from pathlib import Path
@@ -323,7 +312,16 @@ def test_only_hdfs_and_the_journal_mutate_replicas_or_sync_them():
     import repro
 
     package = Path(repro.__file__).parent
-    edges = {"unregister_replica", "delete_replica", "sync_block"}
+    namenode = ast.parse((package / "hdfs" / "namenode.py").read_text(encoding="utf-8"))
+    writers = {
+        method.name
+        for cls in namenode.body if isinstance(cls, ast.ClassDef)
+        for method in cls.body if isinstance(method, ast.FunctionDef)
+        if _writes_directory(method)
+    }
+    assert writers == {"register_replica", "unregister_replica"}
+
+    edges = {"register_replica", "unregister_replica", "delete_replica", "sync_block"}
     owners = {package / "hdfs", package / "persist"}
     sources = [path for path in sorted(package.rglob("*.py")) if path.parent not in owners]
     assert len(sources) > 50
@@ -336,3 +334,35 @@ def test_only_hdfs_and_the_journal_mutate_replicas_or_sync_them():
         and node.func.attr in edges
     ]
     assert calls == []
+
+
+
+def _writes_directory(method) -> bool:
+    """True when ``method`` assigns into, deletes from or pops ``self._dir_rep``, or takes
+    anything out of ``self._dir_block`` (directly or through a local bound to it)."""
+    import ast
+
+    def names(node) -> set[str]:
+        return {
+            child.attr if isinstance(child, ast.Attribute) else child.id
+            for child in ast.walk(node)
+            if isinstance(child, ast.Name)
+            or isinstance(child, ast.Attribute) and getattr(child.value, "id", None) == "self"
+        }
+
+    nodes = list(ast.walk(method))
+    removable = {"_dir_rep", "_dir_block"} | {
+        target.id
+        for node in nodes if isinstance(node, ast.Assign) and "_dir_block" in names(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    return any(
+        isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Subscript) and "_dir_rep" in names(t.value) for t in node.targets)
+        or isinstance(node, ast.Delete) and any(names(t) & removable for t in node.targets)
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("pop", "popitem", "remove", "clear")
+        and bool(names(node.func.value) & removable)
+        for node in nodes
+    )

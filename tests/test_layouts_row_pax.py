@@ -14,7 +14,7 @@ def test_text_codec_round_trip(simple_schema, simple_records):
 
 def test_text_codec_lenient_separates_bad_rows(simple_schema, simple_records):
     codec = TextRowCodec(simple_schema)
-    lines = codec.encode_lines(simple_records[:5])
+    lines = codec.encode(simple_records[:5]).split("\n")
     lines.insert(2, "this|is|not-a-valid-row-at-all|x")
     lines.insert(4, "garbage without delimiters")
     records, bad = codec.decode_lenient("\n".join(lines))
@@ -35,7 +35,7 @@ def test_pax_from_records_and_reconstruct(simple_schema, simple_records):
     assert block.records() == simple_records
     assert block.record(3) == simple_records[3]
     assert block.column("id") == tuple(r[0] for r in simple_records)
-    assert block.column_at(1) == tuple(r[1] for r in simple_records)
+    assert block.columns[1] == tuple(r[1] for r in simple_records)
 
 
 def test_pax_projection(simple_schema, simple_records):
@@ -80,7 +80,7 @@ def test_pax_rejects_inconsistent_input(simple_schema, simple_records):
 
 
 def test_pax_empty_block(simple_schema):
-    block = PaxBlock.empty(simple_schema)
+    block = PaxBlock.from_records(simple_schema, [])
     assert len(block) == 0
     assert block.size_bytes() == 0
     assert block.records() == []

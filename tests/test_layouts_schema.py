@@ -53,7 +53,6 @@ def test_schema_rejects_duplicates_and_empty():
 
 def test_schema_lookup_by_name_and_position(schema):
     assert schema.index_of("amount") == 2
-    assert schema.position_of("amount") == 3
     assert schema.field_at_position(1).name == "id"
     assert schema.has_field("label")
     assert not schema.has_field("missing")
@@ -94,8 +93,6 @@ def test_text_and_binary_sizes(schema):
     assert schema.text_size(record) == len(line.encode("utf-8")) + 1
     # 4 (int) + 4 (date) + 8 (double) + len("abc")+1
     assert schema.binary_size(record) == 4 + 4 + 8 + 4
-    assert schema.fixed_binary_size == 16
-    assert schema.has_variable_fields
 
 
 def test_string_byte_fraction(schema):
@@ -106,7 +103,3 @@ def test_string_byte_fraction(schema):
     assert all_fixed.string_byte_fraction([(1, 2)]) == 0.0
     assert schema.string_byte_fraction([]) == 0.0
 
-
-def test_validate_checks_arity_only(schema):
-    assert schema.validate((1, date(2000, 1, 1), 1.0, "x"))
-    assert not schema.validate((1, 2))

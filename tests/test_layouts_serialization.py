@@ -73,14 +73,16 @@ def test_column_round_trip():
     f = Field("name", FieldType.STRING)
     values = ["a", "bb", "ccc", ""]
     payload = serialization.encode_column(f, values)
-    assert serialization.decode_column(f, payload, len(values)) == tuple(values)
+    decoded = serialization.decode_column_at(f, payload, len(values), 0)
+    assert decoded == (tuple(values), len(payload))
 
 
 def test_variable_offsets_every_nth_value():
     f = Field("name", FieldType.STRING)
     values = ["aa", "b", "cccc", "dd", "e"]
-    offsets = serialization.variable_offsets(f, values, partition_size=2)
+    offsets, size = serialization.variable_offsets_and_size(f, values, partition_size=2)
     # offsets at value 0, 2, 4
     assert offsets == [0, 3 + 2, 3 + 2 + 5 + 3]
+    assert size == len(serialization.encode_column(f, values))
     with pytest.raises(ValueError):
-        serialization.variable_offsets(f, values, partition_size=0)
+        serialization.variable_offsets_and_size(f, values, partition_size=0)

@@ -81,9 +81,9 @@ def test_every_counter_a_busy_session_produced_is_declared(busy_session):
 
 
 # --------------------------------------------------------------------------- job conf
-def test_jobconf_properties_chainable():
-    conf = JobConf(name="j", input_path="/p").with_property("a", 1).with_property("b", 2)
-    assert conf.properties == {"a": 1, "b": 2}
+def test_jobconf_defaults():
+    conf = JobConf(name="j", input_path="/p")
+    assert conf.properties == {}
     assert conf.mapper is identity_mapper
 
 

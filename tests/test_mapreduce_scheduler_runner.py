@@ -1,8 +1,10 @@
 """Tests for the JobTracker scheduling simulation, shuffle/reduce and the end-to-end runner."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cluster import FailureInjector
+from repro.cluster import CostModel, FailureInjector
 from repro.hdfs import DataFile, HdfsClient, StandardUploadPipeline
 from repro.mapreduce import Counters, JobConf, MapReduceRunner, TextInputFormat
 from repro.mapreduce.job_tracker import JobTracker
@@ -72,8 +74,14 @@ def test_map_phase_makespan_scales_with_slots(loaded_hdfs, cost_model):
     conf = _scan_job()
     splits = conf.input_format.get_splits(loaded_hdfs, conf, cost_model)
     tasks = [MapTask(i, split, conf) for i, split in enumerate(splits)]
-    narrow = JobTracker(loaded_hdfs.cluster, loaded_hdfs, cost_model.replace_params(map_slots_per_node=1))
-    wide = JobTracker(loaded_hdfs.cluster, loaded_hdfs, cost_model.replace_params(map_slots_per_node=4))
+    narrow, wide = (
+        JobTracker(
+            loaded_hdfs.cluster,
+            loaded_hdfs,
+            CostModel(replace(cost_model.params, map_slots_per_node=slots)),
+        )
+        for slots in (1, 4)
+    )
     narrow_makespan = narrow.run_map_phase(tasks, Counters()).makespan_s
     wide_makespan = wide.run_map_phase(tasks, Counters()).makespan_s
     assert wide_makespan < narrow_makespan

@@ -24,7 +24,6 @@ from repro.engine.operators import (
     TopKQuery,
     choose_strategy,
     execute,
-    explain_operator,
 )
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
@@ -235,10 +234,10 @@ def test_join_explain_names_strategy(deployments):
         left=Query(name="l", predicate=None, projection=("f1", "f2")),
         right=Query(name="r", predicate=None, projection=("f1", "f3")),
     )
-    hail = explain_operator(systems["HAIL"], query, _LEFT)
+    hail = systems["HAIL"].explain(query, _LEFT)
     assert "strategy: merge" in hail and "left side:" in hail and "right side:" in hail
     assert "JOIN" in hail  # the SQL rendering
-    hadoop = explain_operator(systems["Hadoop"], query, _LEFT)
+    hadoop = systems["Hadoop"].explain(query, _LEFT)
     assert "strategy: hash" in hadoop
 
 
@@ -300,6 +299,6 @@ def test_top_k_explain_shows_bounds(deployments):
     """explain() reports zone-range bound coverage and the threshold pushdown clause."""
     systems, _, _ = deployments
     query = TopKQuery(name="t-exp", order_by="f2", k=5, descending=True)
-    text = explain_operator(systems["HAIL"], query, _LEFT)
+    text = systems["HAIL"].explain(query, _LEFT)
     assert "ORDER BY f2 DESC LIMIT 5" in text
     assert "zone-range bounds:" in text and "threshold pushdown" in text

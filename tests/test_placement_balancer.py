@@ -18,15 +18,12 @@ from repro.engine.lifecycle import (
     AdaptiveLifecycleManager,
     JobObservation,
     PlacementBalancer,
+    adaptive_placement_stats,
     evict_under_pressure,
 )
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
-from repro.hail.scheduler import (
-    adaptive_placement_by_node,
-    check_dir_rep_consistency,
-    index_local_task_fraction,
-)
+from repro.hail.scheduler import check_dir_rep_consistency, index_local_task_fraction
 from repro.mapreduce.counters import Counters
 from repro.workloads.query import Query
 
@@ -177,7 +174,7 @@ def _skewed_system() -> HailSystem:
 def test_migration_reduces_byte_skew_and_converges():
     system = _skewed_system()
     before = {
-        node_id: entry["bytes"] for node_id, entry in adaptive_placement_by_node(system.hdfs).items()
+        node_id: entry["bytes"] for node_id, entry in adaptive_placement_stats(system.hdfs).items()
     }
     assert before[0] == 0 and max(before.values()) > 0
     replicas_before = _alive_replica_counts(system)
@@ -192,7 +189,7 @@ def test_migration_reduces_byte_skew_and_converges():
     assert not actions, "balancer did not converge within 20 passes"
 
     after = {
-        node_id: entry["bytes"] for node_id, entry in adaptive_placement_by_node(system.hdfs).items()
+        node_id: entry["bytes"] for node_id, entry in adaptive_placement_stats(system.hdfs).items()
     }
     # Skew strictly improved, the revived node got replicas, and no data was lost.
     assert max(after.values()) < max(before.values())
@@ -210,13 +207,13 @@ def test_migration_requires_strict_improvement():
     system = _system(num_records=200, num_nodes=4)
     for _ in range(2):
         system.run_query(_query(), _PATH)
-    stats = adaptive_placement_by_node(system.hdfs)
+    stats = adaptive_placement_stats(system.hdfs)
     balancer = PlacementBalancer(skew_high=1.0, skew_low=1.0, migrations_per_pass=8)
     balancer.run(system.hdfs)
     # Whatever happened, re-running from the reached state is a no-op fixpoint.
-    settled = adaptive_placement_by_node(system.hdfs)
+    settled = adaptive_placement_stats(system.hdfs)
     assert balancer.run(system.hdfs) == []
-    assert adaptive_placement_by_node(system.hdfs) == settled
+    assert adaptive_placement_stats(system.hdfs) == settled
 
 
 # --------------------------------------------------------------------------- tuner + demand

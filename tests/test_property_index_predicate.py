@@ -2,10 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.executor import vectorized_filter
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import HailIndex
 from repro.hail.predicate import Comparison, Operator, Predicate
-from repro.hail.sortindex import apply_permutation, is_sorted, sort_permutation
+from repro.hail.sortindex import sort_permutation
 from repro.layouts import FieldType, Schema
 
 _INTS = st.integers(min_value=-10_000, max_value=10_000)
@@ -54,7 +55,7 @@ def test_index_candidate_range_is_tight(values, partition_size, low, high):
 def test_index_equality_probe_is_complete(values, probe):
     sorted_values = sorted(values)
     index = HailIndex.build("attr", sorted_values, partition_size=16)
-    lookup = index.lookup_equal(probe)
+    lookup = index.lookup_range(probe, probe)
     for row, value in enumerate(sorted_values):
         if value == probe:
             assert lookup.start_row <= row < lookup.end_row
@@ -105,8 +106,9 @@ def _predicates(draw):
     if kind == 1:
         low, high = draw(_INTS), draw(_INTS)
         return Predicate.between("a", min(low, high), max(low, high))
-    return Predicate.comparison("a", draw(_RANGE_OPS), draw(_INTS)).and_(
-        Predicate.comparison("b", draw(_RANGE_OPS), draw(_INTS))
+    return Predicate(
+        Predicate.comparison("a", draw(_RANGE_OPS), draw(_INTS)).clauses
+        + Predicate.comparison("b", draw(_RANGE_OPS), draw(_INTS)).clauses
     )
 
 
@@ -137,8 +139,8 @@ def test_adaptively_built_block_is_scan_equivalent_for_arbitrary_predicates(
     for block in (adaptive_block, upload_block):
         lookup, used_index = block.candidate_rows(predicate)
         assert used_index  # every generated predicate has a clause on the sort attribute
-        rows = block.filter_rows(predicate, lookup)
-        assert sorted(block.project_rows(rows, None)) == brute_force
+        rows = vectorized_filter(block.pax, predicate, _SCHEMA, lookup)
+        assert sorted(block.pax.records(rows)) == brute_force
 
 
 # --------------------------------------------------------------------------- sort permutation
@@ -147,14 +149,14 @@ def test_adaptively_built_block_is_scan_equivalent_for_arbitrary_predicates(
 def test_sort_permutation_is_a_permutation_and_sorts(values):
     permutation = sort_permutation(values)
     assert sorted(permutation) == list(range(len(values)))
-    assert is_sorted(apply_permutation(values, permutation))
+    assert [values[i] for i in permutation] == sorted(values)
 
 
 @given(values=st.lists(st.text(max_size=8), min_size=0, max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_sort_permutation_works_for_strings(values):
     permutation = sort_permutation(values)
-    assert apply_permutation(values, permutation) == sorted(values)
+    assert [values[i] for i in permutation] == sorted(values)
 
 
 def _keyed_reference(values):
@@ -189,7 +191,8 @@ def test_sort_permutation_still_sorts_none_first(values):
     assert permutation == _keyed_reference(values)
     nones = values.count(None)
     assert all(values[i] is None for i in permutation[:nones])
-    assert is_sorted(apply_permutation(values, permutation)[nones:])
+    rest = [values[i] for i in permutation[nones:]]
+    assert rest == sorted(rest)
 
 
 # --------------------------------------------------------------------------- predicates
@@ -200,8 +203,9 @@ _SCHEMA = Schema.of(("a", FieldType.INT), ("b", FieldType.INT))
 @settings(max_examples=200, deadline=None)
 def test_between_equivalent_to_ge_and_le(value, low, high):
     between = Predicate.between("a", low, high)
-    conjunction = Predicate.comparison("a", Operator.GE, low).and_(
-        Predicate.comparison("a", Operator.LE, high)
+    conjunction = Predicate(
+        Predicate.comparison("a", Operator.GE, low).clauses
+        + Predicate.comparison("a", Operator.LE, high).clauses
     )
     record = (value, 0)
     assert between.matches(record, _SCHEMA) == conjunction.matches(record, _SCHEMA)

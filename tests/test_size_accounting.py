@@ -146,9 +146,9 @@ def test_offsets_built_on_read_are_the_eager_offsets(measurements, partition_siz
     assert block.variable_offsets is offsets and measurements[0] - before == len(_STRING_COLUMNS)
     assert list(offsets) == [f.name for f in _STRING_COLUMNS]
     for f in _STRING_COLUMNS:
-        assert offsets[f.name] == serialization.variable_offsets(
+        assert offsets[f.name] == serialization.variable_offsets_and_size(
             f, block.pax.column(f.name), partition_size
-        )
+        )[0]
         assert len(offsets[f.name]) == expected_partitions
     # The counted size is the size the eager offsets gave.
     assert size == block.size_bytes() == (

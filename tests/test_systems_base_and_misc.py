@@ -37,9 +37,6 @@ def test_system_upload_report_derived_metrics():
         num_indexes=3,
     )
     assert report.total_s == pytest.approx(12.5)
-    assert report.blowup == pytest.approx(2.9)
-    empty = SystemUploadReport("Hadoop", "/p", 0, 0, 0, 0, 0, 0, 3)
-    assert empty.blowup == 0.0
 
 
 def test_query_result_accessors():
@@ -69,7 +66,7 @@ def test_query_result_accessors():
 
 
 # --------------------------------------------------------------------------- replica info
-def test_replica_info_covers_and_describe():
+def test_replica_info_describe():
     info = HailBlockReplicaInfo(
         datanode_id=2,
         sort_attribute="visitDate",
@@ -78,13 +75,7 @@ def test_replica_info_covers_and_describe():
         block_size_bytes=4096,
         num_records=100,
     )
-    assert info.has_index
-    assert info.covers("visitDate")
-    assert not info.covers("sourceIP")
     assert info.describe()["datanode"] == 2
-    unindexed = HailBlockReplicaInfo(datanode_id=1, sort_attribute=None, indexed_attribute=None)
-    assert not unindexed.has_index
-    assert not unindexed.covers("visitDate")
 
 
 # --------------------------------------------------------------------------- upload with explicit clients

@@ -100,8 +100,8 @@ def test_hail_results_identical_with_and_without_splitting(uservisits_deployment
     with_splitting = systems["HAIL"].run_query(query, "/uv").sorted_records()
 
     no_split_config = HailConfig.for_attributes(
-        ["visitDate", "sourceIP", "adRevenue"], functional_partition_size=2
-    ).with_splitting(False)
+        ["visitDate", "sourceIP", "adRevenue"], functional_partition_size=2, splitting_policy=False
+    )
     no_split = HailSystem(Cluster.homogeneous(4, seed=3), config=no_split_config, cost=_cost())
     no_split.upload("/uv", rows, USERVISITS_SCHEMA, rows_per_block=150)
     without_splitting = no_split.run_query(query, "/uv").sorted_records()

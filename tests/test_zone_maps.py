@@ -101,7 +101,7 @@ def test_zone_consumers_agree_past_an_uncovered_clause(first):
     instead of answering "may match" there; a conjunction needs only one disjoint clause.
     """
     schema = Schema.of(("f1", FieldType.INT), ("f2", FieldType.INT), name="zm")
-    predicate = first.and_(Predicate.equals("f2", 20))
+    predicate = Predicate(first.clauses + Predicate.equals("f2", 20).clauses)
     ranges = (("f2", 5, 9),)
     info = SimpleNamespace(zone_ranges=ranges)
     hdfs = SimpleNamespace(namenode=SimpleNamespace(replica_info=lambda block, node: info))
@@ -383,6 +383,18 @@ def test_session_stats_surface_zone_counters():
 
 
 # --------------------------------------------------------------------------- fail-closed
+def _forge_dir_rep(system: HailSystem, block_id: int, datanode_id: int, **changes) -> None:
+    """Re-register one stored replica, unchanged, under an edited ``Dir_rep`` entry."""
+    hdfs = system.hdfs
+    info = hdfs.namenode.replica_info(block_id, datanode_id)
+    replica = hdfs.datanode(datanode_id).replica(block_id)
+    with hdfs.mutating(block_id, "forged_dir_rep"):
+        hdfs.install_replica(
+            block_id, datanode_id, replica.payload,
+            info=dc_replace(info, **changes), checksums=replica.checksums,
+        )
+
+
 def _forge_dir_rep_zone_ranges(system: HailSystem, path: str, attribute: str) -> int:
     """Overwrite every replica's registered synopsis to claim ``attribute`` is huge."""
     namenode = system.hdfs.namenode
@@ -393,9 +405,7 @@ def _forge_dir_rep_zone_ranges(system: HailSystem, path: str, attribute: str) ->
                 (name, 10**9, 10**9 + 1) if name == attribute else (name, low, high)
                 for name, low, high in (info.zone_ranges or ())
             )
-            namenode.register_replica_info(
-                block_id, datanode_id, dc_replace(info, zone_ranges=forged)
-            )
+            _forge_dir_rep(system, block_id, datanode_id, zone_ranges=forged)
         forged_blocks += 1
     return forged_blocks
 
@@ -436,9 +446,7 @@ def test_forged_dir_rep_entry_is_reported_by_the_consistency_invariant():
     namenode = system.hdfs.namenode
     block_id = namenode.file_blocks(_PATH)[0]
     datanode_id, info = next(iter(namenode.replica_infos(block_id).items()))
-    namenode.register_replica_info(
-        block_id, datanode_id, dc_replace(info, num_records=info.num_records + 1)
-    )
+    _forge_dir_rep(system, block_id, datanode_id, num_records=info.num_records + 1)
     violations = check_dir_rep_consistency(system.hdfs, _PATH)
     assert sum("zone_ranges" in violation for violation in violations) == sum(
         len(namenode.replica_infos(b)) for b in namenode.file_blocks(_PATH)
