@@ -76,6 +76,7 @@ class WebLogGenerator:
         if rng.random() < 0.5:
             return "corrupted-entry-without-delimiters"
         record = self._record(rng)
-        return WEBLOG_SCHEMA.format_record(record).replace("|GET|", "|G T|", 1).replace(
-            str(record[4]), "not-a-number", 1
-        )
+        tokens = WEBLOG_SCHEMA.format_record(record).replace("|GET|", "|G T|", 1).split("|")
+        # The status code's own token: its digits may also occur inside the IP or timestamp.
+        tokens[WEBLOG_SCHEMA.index_of("statusCode")] = "not-a-number"
+        return "|".join(tokens)

@@ -13,6 +13,7 @@ from repro.datagen import (
     WebLogGenerator,
 )
 from repro.datagen.uservisits import PROBE_SOURCE_IP, PROBE_VISIT_DATE
+from repro.layouts.schema import BadRecordError
 from repro.workloads import Workload, bob_queries, bob_workload, synthetic_queries, synthetic_workload
 
 
@@ -82,6 +83,17 @@ def test_weblog_generator_produces_bad_records():
     assert all(WEBLOG_SCHEMA.parse_line(WEBLOG_SCHEMA.format_record(r)) == r for r in clean)
 
 
+def test_every_bad_weblog_line_fails_to_parse():
+    # Seed 5 draws status codes whose digits also occur earlier in the IP or the timestamp.
+    lines = WebLogGenerator(seed=5, bad_record_rate=1.0).generate_lines(2000)
+    status = WEBLOG_SCHEMA.index_of("statusCode")
+    for line in lines:
+        with pytest.raises(BadRecordError):
+            WEBLOG_SCHEMA.parse_line(line)
+        tokens = line.split(WEBLOG_SCHEMA.delimiter)
+        assert len(tokens) == 1 or tokens[status] == "not-a-number"
+
+
 # --------------------------------------------------------------------------- workloads
 def test_bob_queries_match_paper_definitions():
     queries = bob_queries()
@@ -105,6 +117,14 @@ def test_synthetic_queries_match_table_1():
     assert [q.selectivity for q in queries] == [0.10, 0.10, 0.10, 0.01, 0.01, 0.01]
     # All Synthetic queries filter on the same attribute (the point of the workload).
     assert {q.filter_attributes() for q in queries} == {("f1",)}
+
+
+def test_synthetic_queries_realise_their_selectivity_on_generated_rows():
+    rows = SyntheticGenerator(seed=2).generate(20000)
+    for query in synthetic_queries():
+        measured = sum(query.predicate.matches(row, SYNTHETIC_SCHEMA) for row in rows) / len(rows)
+        # 20 000 uniform rows: within about four standard deviations of the stated selectivity.
+        assert measured == pytest.approx(query.selectivity, rel=0.2), query.name
 
 
 def test_workload_definitions():

@@ -1,6 +1,7 @@
 """Tests for chunk checksums and packet counts."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hdfs import CHUNK_SIZE, PACKET_SIZE, chunk_checksums, verify_chunk_checksums
 from repro.hdfs.checksum import checksum_file_size
@@ -22,6 +23,27 @@ def test_verify_chunk_checksums_detects_corruption():
     assert verify_chunk_checksums(payload, checksums)
     corrupted = b"X" + payload[1:]
     assert not verify_chunk_checksums(corrupted, checksums)
+
+
+@given(payload=st.binary(min_size=1, max_size=3 * CHUNK_SIZE + 7), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_change_to_any_byte_is_detected(payload, data):
+    checksums = chunk_checksums(payload)
+    position = data.draw(st.integers(0, len(payload) - 1))
+    flip = data.draw(st.integers(1, 255))
+    corrupted = payload[:position] + bytes([payload[position] ^ flip]) + payload[position + 1 :]
+    assert verify_chunk_checksums(payload, checksums)
+    assert not verify_chunk_checksums(corrupted, checksums)
+    # A dropped trailing byte changes the last chunk (or drops it), so it is caught too.
+    assert not verify_chunk_checksums(payload[:-1], checksums)
+
+
+@given(size=st.integers(0, 5 * CHUNK_SIZE), chunk_size=st.sampled_from([1, 7, 64, CHUNK_SIZE]))
+@settings(max_examples=100, deadline=None)
+def test_the_checksum_file_holds_four_bytes_per_chunk_checksum(size, chunk_size):
+    checksums = chunk_checksums(bytes(size), chunk_size=chunk_size)
+    assert len(checksums) == -(-size // chunk_size)
+    assert checksum_file_size(size, chunk_size=chunk_size) == 4 * len(checksums)
 
 
 def test_checksum_file_size_four_bytes_per_chunk():

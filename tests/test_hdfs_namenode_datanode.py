@@ -100,6 +100,53 @@ def test_dir_rep_and_hosts_with_index(namenode, simple_schema, simple_records):
     assert namenode.describe()["dir_rep_entries"] == 2
 
 
+def test_unregister_replica_clears_its_directory_entries(namenode, simple_schema, simple_records):
+    namenode.create_file("/f")
+    block_id, pipeline = namenode.allocate_block(
+        "/f", _block(simple_schema, simple_records), client_node=0
+    )
+    for datanode_id in pipeline[:2]:
+        info = HailBlockReplicaInfo(datanode_id, "id", "id")
+        namenode.register_replica(block_id, datanode_id, replica_info=info)
+        namenode.touch_index_usage(block_id, datanode_id)
+
+    namenode.unregister_replica(block_id, pipeline[0])
+    assert namenode.block_datanodes(block_id, alive_only=False) == [pipeline[1]]
+    assert namenode.replica_info(block_id, pipeline[0]) is None
+    assert namenode.index_usage(block_id, pipeline[0]) == (0, 0)
+    assert namenode.index_usage(block_id, pipeline[1]) != (0, 0)
+    assert namenode.describe()["dir_rep_entries"] == 1
+
+    namenode.unregister_replica(block_id, pipeline[1])
+    namenode.unregister_replica(block_id, pipeline[1])  # a second time: already gone
+    assert namenode.block_datanodes(block_id, alive_only=False) == []
+    assert namenode.describe()["dir_rep_entries"] == 0
+    assert namenode.file_blocks("/f") == [block_id]  # the block itself stays in the namespace
+
+
+def test_an_indexed_registration_clears_the_eviction_tombstone(
+    namenode, simple_schema, simple_records
+):
+    namenode.create_file("/f")
+    block_id, pipeline = namenode.allocate_block(
+        "/f", _block(simple_schema, simple_records), client_node=0
+    )
+    namenode.record_index_eviction(block_id, "id", pipeline[0])
+    namenode.record_index_eviction(block_id, "name", pipeline[0])
+
+    namenode.register_replica(block_id, pipeline[1])  # no replica info: a stock replica
+    namenode.register_replica(
+        block_id, pipeline[2], replica_info=HailBlockReplicaInfo(pipeline[2], "id", None)
+    )
+    assert namenode.block_eviction_tombstones(block_id) == {"id": pipeline[0], "name": pipeline[0]}
+
+    namenode.register_replica(
+        block_id, pipeline[1], replica_info=HailBlockReplicaInfo(pipeline[1], "id", "id")
+    )
+    assert namenode.index_eviction(block_id, "id") is None
+    assert namenode.block_eviction_tombstones(block_id) == {"name": pipeline[0]}
+
+
 def test_namenode_replication_validation(small_cluster):
     with pytest.raises(ValueError):
         NameNode(small_cluster, replication=0)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import TransferLedger
 from repro.hdfs import DataFile, Hdfs, HdfsClient, StandardUploadPipeline, TextBlockPayload
-from repro.hdfs.checksum import verify_chunk_checksums
+from repro.hdfs.checksum import checksum_file_size, verify_chunk_checksums
+from repro.hdfs.chunk import PACKET_DATA_SIZE, num_packets
 from repro.hdfs.errors import ReplicaNotFoundError
 
 
@@ -43,6 +44,20 @@ def test_upload_block_checksums_match_payload(hdfs, cost_model, pipeline, simple
     assert verify_chunk_checksums(replica.payload.to_bytes(), replica.checksums)
 
 
+def test_upload_result_counts_the_packets_and_chunks_of_its_payload(
+    hdfs, cost_model, pipeline, simple_schema
+):
+    records = [(i, f"name-{i:06d}-" + "x" * 40, float(i)) for i in range(3000)]
+    hdfs.namenode.create_file("/f")
+    ledger = TransferLedger(hdfs.cluster, cost_model)
+    result = pipeline.upload_block("/f", records, simple_schema, 0, ledger)
+    replica = hdfs.read_replica(result.block_id, result.pipeline[0])
+    payload = replica.payload.to_bytes()
+    assert result.payload_bytes == len(payload) > 2 * PACKET_DATA_SIZE
+    assert result.num_packets == num_packets(len(payload)) == -(-len(payload) // PACKET_DATA_SIZE)
+    assert 4 * len(replica.checksums) == checksum_file_size(len(payload))
+
+
 def test_upload_charges_every_pipeline_stage(hdfs, cost_model, pipeline, simple_schema, simple_records):
     hdfs.namenode.create_file("/f")
     ledger = TransferLedger(hdfs.cluster, cost_model)
@@ -79,6 +94,22 @@ def test_datafile_partitioning_never_splits_rows(simple_schema, simple_records):
     assert all(len(p) <= 7 for p in parts)
     with pytest.raises(ValueError):
         datafile.partition_records(0)
+
+
+def test_raw_lines_upload_stores_the_lines_and_parses_the_records(
+    client, hdfs, simple_schema, simple_records
+):
+    lines = [simple_schema.format_record(record) for record in simple_records]
+    datafile = DataFile("/data/raw", simple_schema, [], raw_lines=lines)
+    client.upload(datafile, rows_per_block=25)
+    assert hdfs.file_records("/data/raw") == simple_records
+    assert all(not block.bad_lines for block in hdfs.file_blocks("/data/raw"))
+    stored = [
+        line
+        for block_id in hdfs.namenode.file_blocks("/data/raw")
+        for line in hdfs.any_replica(block_id).payload.lines
+    ]
+    assert stored == lines
 
 
 def test_hdfs_facade_replica_access(client, hdfs, simple_schema, simple_records):
