@@ -1,8 +1,11 @@
 """CPU cost model: parsing, binary conversion, sorting, index construction and checksums.
 
 Rates are expressed for one reference core (the physical cluster's 2.66 GHz Xeon core,
-``core_speed == 1.0``) and scale linearly with a node's ``core_speed`` and with the number of
-cores assigned to the work.  Two kinds of terms appear:
+``core_speed == 1.0``) and scale linearly with a node's ``core_speed``.  Upload-side work also
+scales with the number of cores assigned to it (its methods take ``cores``); query-side work is
+per-core, because a map task is single-threaded, so its methods take no ``cores`` and the model
+binds their divisors (each rate times the one-core speed) once, at construction.  Two kinds of
+terms appear:
 
 - *per-byte* terms (MB/s throughputs) for streaming work such as checksumming, moving PAX
   minipages or scanning text, and
@@ -25,6 +28,20 @@ from dataclasses import dataclass
 from repro.cluster.hardware import HardwareProfile
 
 _MB = 1024.0 * 1024.0
+
+
+def _bytes_seconds(num_bytes: float, bytes_per_s: float) -> float:
+    """Seconds to stream ``num_bytes`` at ``bytes_per_s`` (nothing to do costs nothing)."""
+    if num_bytes <= 0:
+        return 0.0
+    return num_bytes / bytes_per_s
+
+
+def _rows_seconds(num_rows: float, seconds_per_row: float, speed: float) -> float:
+    """Seconds for ``num_rows`` of per-record work on cores of total ``speed``."""
+    if num_rows <= 0:
+        return 0.0
+    return num_rows * seconds_per_row / speed
 
 
 @dataclass(frozen=True)
@@ -72,19 +89,28 @@ class CpuModel:
     hardware: HardwareProfile
     rates: CpuRates = CpuRates()
 
+    def __post_init__(self) -> None:
+        # The query side's per-core constants, bound once per model: the one-core speed and
+        # each query-side rate's byte divisor, multiplied in ``_per_bytes``'s order.
+        speed = self._speed(1)
+        rates = self.rates
+        for name, value in (
+            ("_core_speed", speed),
+            ("_text_scan_bytes_s", rates.text_scan_mb_s * speed * _MB),
+            ("_predicate_eval_bytes_s", rates.predicate_eval_mb_s * speed * _MB),
+            ("_reconstruction_bytes_s", rates.tuple_reconstruction_mb_s * speed * _MB),
+        ):
+            object.__setattr__(self, name, value)
+
     # ------------------------------------------------------------------ helpers
     def _speed(self, cores: int) -> float:
         return self.hardware.core_speed * max(1, min(cores, self.hardware.cores))
 
     def _per_bytes(self, num_bytes: float, rate_mb_s: float, cores: int = 1) -> float:
-        if num_bytes <= 0:
-            return 0.0
-        return num_bytes / (rate_mb_s * self._speed(cores) * _MB)
+        return _bytes_seconds(num_bytes, rate_mb_s * self._speed(cores) * _MB)
 
     def _per_rows(self, num_rows: float, seconds_per_row: float, cores: int = 1) -> float:
-        if num_rows <= 0:
-            return 0.0
-        return num_rows * seconds_per_row / self._speed(cores)
+        return _rows_seconds(num_rows, seconds_per_row, self._speed(cores))
 
     # ------------------------------------------------------------------ upload-side work
     def parse_to_binary(self, num_bytes: float, cores: int = 1, string_fraction: float = 0.5) -> float:
@@ -114,9 +140,8 @@ class CpuModel:
         """Sort a block of ``num_values`` records in memory and permute all its columns."""
         if num_values <= 0:
             return 0.0
-        speed = self._speed(cores)
         comparisons = num_values * math.log2(max(num_values, 2))
-        compare_seconds = comparisons * self.rates.sort_seconds_per_value / speed
+        compare_seconds = self._per_rows(comparisons, self.rates.sort_seconds_per_value, cores)
         move_seconds = self._per_bytes(value_bytes, self.rates.pax_build_mb_s, cores)
         return compare_seconds + move_seconds
 
@@ -127,30 +152,31 @@ class CpuModel:
         return self._per_bytes(num_values * entry_bytes, self.rates.index_build_mb_s, cores)
 
     # ------------------------------------------------------------------ query-side work
-    def scan_text(self, num_bytes: float, num_rows: float, cores: int = 1) -> float:
+    # One core each (a map task is single-threaded), at the divisors bound in __post_init__.
+    def scan_text(self, num_bytes: float, num_rows: float) -> float:
         """Stock-Hadoop record reader work: find lines, split attributes, build row objects."""
-        return self._per_bytes(num_bytes, self.rates.text_scan_mb_s, cores) + self._per_rows(
-            num_rows, self.rates.text_row_seconds, cores
+        return _bytes_seconds(num_bytes, self._text_scan_bytes_s) + _rows_seconds(
+            num_rows, self.rates.text_row_seconds, self._core_speed
         )
 
-    def scan_binary_rows(self, num_bytes: float, num_rows: float, cores: int = 1) -> float:
+    def scan_binary_rows(self, num_bytes: float, num_rows: float) -> float:
         """Full scan over binary rows (Hadoop++ trojan blocks without a usable index)."""
-        return self._per_bytes(num_bytes, self.rates.predicate_eval_mb_s, cores) + self._per_rows(
-            num_rows, self.rates.binary_row_seconds, cores
+        return _bytes_seconds(num_bytes, self._predicate_eval_bytes_s) + _rows_seconds(
+            num_rows, self.rates.binary_row_seconds, self._core_speed
         )
 
-    def post_filter(self, num_bytes: float, num_rows: float, cores: int = 1) -> float:
+    def post_filter(self, num_bytes: float, num_rows: float) -> float:
         """Apply the selection predicate to the candidate rows of an index lookup."""
-        return self._per_bytes(num_bytes, self.rates.predicate_eval_mb_s, cores) + self._per_rows(
-            num_rows, self.rates.candidate_row_seconds, cores
+        return _bytes_seconds(num_bytes, self._predicate_eval_bytes_s) + _rows_seconds(
+            num_rows, self.rates.candidate_row_seconds, self._core_speed
         )
 
-    def reconstruct_tuples(self, num_bytes: float, num_rows: float, cores: int = 1) -> float:
+    def reconstruct_tuples(self, num_bytes: float, num_rows: float) -> float:
         """Reconstruct the projected attributes of the qualifying rows (PAX to row form)."""
-        return self._per_bytes(
-            num_bytes, self.rates.tuple_reconstruction_mb_s, cores
-        ) + self._per_rows(num_rows, self.rates.qualifying_row_seconds, cores)
+        return _bytes_seconds(num_bytes, self._reconstruction_bytes_s) + _rows_seconds(
+            num_rows, self.rates.qualifying_row_seconds, self._core_speed
+        )
 
-    def evaluate_predicate(self, num_bytes: float, cores: int = 1) -> float:
+    def evaluate_predicate(self, num_bytes: float) -> float:
         """Per-byte predicate evaluation (no per-row term); used for coarse charges."""
-        return self._per_bytes(num_bytes, self.rates.predicate_eval_mb_s, cores)
+        return _bytes_seconds(num_bytes, self._predicate_eval_bytes_s)

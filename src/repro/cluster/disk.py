@@ -85,13 +85,21 @@ class DiskModel:
     hardware: HardwareProfile
     contention: float = 0.35
 
+    def __post_init__(self) -> None:
+        # The read path's constants, bound once per model: one seek, one stream's bytes/s.
+        object.__setattr__(self, "_seek_s", self.hardware.disk_seek_ms / 1000.0)
+        object.__setattr__(self, "_read_bytes_s", self.hardware.disk_read_mb_s * _MB)
+
     # ------------------------------------------------------------------ sequential access
     def sequential_read(self, num_bytes: float, streams: int = 1) -> float:
         """Seconds to read ``num_bytes`` sequentially with ``streams`` concurrent readers."""
         if num_bytes <= 0:
             return 0.0
-        bandwidth = self._effective_bandwidth(self.hardware.disk_read_mb_s, streams)
-        return self.seek() + num_bytes / (bandwidth * _MB)
+        if streams <= 1:
+            bytes_per_s = self._read_bytes_s
+        else:
+            bytes_per_s = self._effective_bandwidth(self.hardware.disk_read_mb_s, streams) * _MB
+        return self._seek_s + num_bytes / bytes_per_s
 
     def sequential_write(self, num_bytes: float, streams: int = 1) -> float:
         """Seconds to write ``num_bytes`` sequentially with ``streams`` concurrent writers."""
@@ -117,14 +125,14 @@ class DiskModel:
     # ------------------------------------------------------------------ random access
     def seek(self) -> float:
         """Seconds for one average seek."""
-        return self.hardware.disk_seek_ms / 1000.0
+        return self._seek_s
 
     def random_read(self, num_bytes: float, num_seeks: int = 1) -> float:
         """Seconds for a random access: ``num_seeks`` seeks plus the data transfer."""
         if num_bytes <= 0 and num_seeks <= 0:
             return 0.0
-        transfer = max(num_bytes, 0.0) / (self.hardware.disk_read_mb_s * _MB)
-        return max(num_seeks, 0) * self.seek() + transfer
+        transfer = max(num_bytes, 0.0) / self._read_bytes_s
+        return max(num_seeks, 0) * self._seek_s + transfer
 
     # ------------------------------------------------------------------ helpers
     def _effective_bandwidth(self, single_stream_mb_s: float, streams: int) -> float:

@@ -18,32 +18,36 @@ The record reader hands the executor the query its plan carries: a
 :class:`~repro.engine.planner.BoundQuery`, bound once per job.  Per block the executor reads
 its predicate, projection and column indexes and sums the opened payload's carried column
 sizes over them; it trusts those fields only while the payload's schema is the very object
-they were bound to, and rebinds from the annotation otherwise (fail closed).  The executing
-node's disk and CPU models are resolved once per executor.
+they were bound to, and rebinds from the annotation otherwise (fail closed).
+
+The block charge binds what is constant where it is constant.  Once per executor: the
+executing node's disk and CPU models (which bind their one-core query-side divisors and the
+disk's seek and read rate when the cost model first builds them for a hardware profile), the
+data scale and the RecordReader setup seconds.  Once per block: the read columns' byte sum,
+shared by zone pruning, the zone-map skip and both charges (the scan and the adaptive-savings
+counterfactual).  Every charged second keeps its float operation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.cluster.costmodel import CostModel
 from repro.engine import kernels
 from repro.engine.access_path import AccessPath, BlockPlan
-from repro.engine.adaptive import PendingIndexBuild
+from repro.engine.adaptive import AdaptiveJobContext, PendingIndexBuild
 from repro.engine.planner import BoundQuery
+from repro.hail.annotation import HailQuery
+from repro.hail.hail_block import HailBlock
+from repro.hail.index import IndexLookup, logical_index_size_bytes
+from repro.hail.predicate import Predicate
 from repro.hdfs.block import Replica, TextBlockPayload
-from repro.hdfs.checksum import checksum_file_size
+from repro.hdfs.checksum import checksum_file_size, chunk_checksums
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.filesystem import Hdfs
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import Schema
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports us back
-    from repro.engine.adaptive import AdaptiveJobContext
-    from repro.hail.annotation import HailQuery
-    from repro.hail.index import IndexLookup
-    from repro.hail.predicate import Predicate
 
 
 # --------------------------------------------------------------------------- predicate kernels
@@ -117,10 +121,13 @@ class VectorizedExecutor:
         #: When True, candidate windows are pruned against the payload's per-partition zone
         #: map and planner-ordered ZONE_MAP_SKIP plans are executed (after verification).
         self.zone_maps = zone_maps
-        # The executing node and its cost models, resolved once per executor.
+        # The executing node and its cost models, resolved once per executor, and the block
+        # charge's per-job constants: the data scale and the RecordReader setup seconds.
         self._node = hdfs.cluster.node(node_id)
         self._disk = cost.disk(self._node)
         self._cpu = cost.cpu(self._node)
+        self._scale = cost.params.data_scale
+        self._setup_s = cost.reader_setup()
 
     # ------------------------------------------------------------------ PAX / HAIL blocks
     def execute(
@@ -139,8 +146,6 @@ class VectorizedExecutor:
         budget slot.  The *decision* to build was already made by the planner via the plan's
         access path.
         """
-        from repro.hail.hail_block import HailBlock  # local: hail_block imports our kernels
-
         replica = self._open(plan)
         payload = replica.payload
         if not isinstance(payload, HailBlock):
@@ -153,10 +158,13 @@ class VectorizedExecutor:
         predicate = bound.predicate
         pax = payload.pax
         read_indexes = bound.read_indexes(payload.pax_layout)
+        # The read columns' bytes, summed once per block: zone pruning, the skip and both
+        # charges below size their reads with it.
+        column_bytes = pax.indexed_size_bytes(read_indexes)
 
         pruning_allowed = self.zone_maps
         if plan.access_path is AccessPath.ZONE_MAP_SKIP:
-            skip = self._execute_zone_map_skip(plan, replica, payload, bound, read_indexes)
+            skip = self._execute_zone_map_skip(plan, replica, payload, bound, column_bytes)
             if skip is not None:
                 return skip
             # Verification failed: the Dir_rep synopsis was stale.  Fail closed — run the
@@ -185,7 +193,6 @@ class VectorizedExecutor:
                 )
                 if pruned is not None:
                     zone_pruned_rows = pruned.count(1)
-                    column_bytes = pax.indexed_size_bytes(read_indexes)
                     zone_pruned_bytes = (
                         zone_pruned_rows / max(1, payload.num_records)
                     ) * column_bytes
@@ -202,6 +209,7 @@ class VectorizedExecutor:
             len(matching_rows),
             bound,
             read_indexes,
+            column_bytes,
             used_index,
             num_candidate_rows=lookup.num_rows - zone_pruned_rows,
         )
@@ -222,6 +230,7 @@ class VectorizedExecutor:
                     len(matching_rows),
                     bound,
                     read_indexes,
+                    column_bytes,
                     used_index=False,
                 )
                 saved_seconds = max(0.0, scan_seconds - seconds)
@@ -265,7 +274,7 @@ class VectorizedExecutor:
         replica: Replica,
         payload,
         bound: BoundQuery,
-        read_indexes: Sequence[int],
+        column_bytes: int,
     ) -> Optional[BlockScanResult]:
         """Execute a planner-ordered skip, or ``None`` when verification fails (fail closed).
 
@@ -286,8 +295,8 @@ class VectorizedExecutor:
         if not confirmed:
             return None
         bad_bytes = payload.bad_records_size_bytes()
-        seconds = self.cost.reader_setup() + self._charge_transfer(replica, bad_bytes)
-        pruned_bytes = float(payload.pax.indexed_size_bytes(read_indexes))
+        seconds = self._setup_s + self._charge_transfer(replica, bad_bytes)
+        pruned_bytes = float(column_bytes)
         plan.estimated_rows = 0
         plan.estimated_bytes = bad_bytes
         return BlockScanResult(
@@ -314,12 +323,12 @@ class VectorizedExecutor:
                 f"TextRecordReader expects text replicas, found {payload.layout!r}"
             )
         block_bytes = payload.size_bytes()
-        seconds = self.cost.reader_setup()
+        seconds = self._setup_s
         seconds += self._charge_transfer(replica, block_bytes)
         # Finding line boundaries, splitting attributes and building per-row objects is the
         # CPU side of the full scan.
         seconds += self._cpu.scan_text(
-            self.cost.scale_bytes(block_bytes), self.cost.scale_count(len(payload.lines))
+            block_bytes * self._scale, len(payload.lines) * self._scale
         )
         plan.estimated_rows = len(payload.lines)
         plan.estimated_bytes = block_bytes
@@ -358,8 +367,6 @@ class VectorizedExecutor:
         plan.build_seconds = seconds
         checksums: tuple[int, ...] = ()
         if adaptive is not None and adaptive.verify_checksums:
-            from repro.hdfs.checksum import chunk_checksums
-
             checksums = tuple(chunk_checksums(block.pax.to_bytes()))
         replica = Replica(
             block_id=plan.block_id,
@@ -394,19 +401,20 @@ class VectorizedExecutor:
         all cores of a datanode.
         """
         cpu = self._cpu
+        scale = self._scale
         seconds = 0.0
         if remaining_bytes:
             seconds += self._charge_transfer(replica, remaining_bytes)
 
-        logical_values = int(self.cost.scale_count(payload.num_records))
+        logical_values = int(payload.num_records * scale)
         pax_bytes = payload.data_size_bytes()
-        seconds += cpu.sort_block(logical_values, self.cost.scale_bytes(pax_bytes))
+        seconds += cpu.sort_block(logical_values, pax_bytes * scale)
         seconds += cpu.build_index(logical_values)
-        seconds += cpu.checksum(self.cost.scale_bytes(pax_bytes))
+        seconds += cpu.checksum(pax_bytes * scale)
 
         replica_bytes = new_block.size_bytes()
         write_bytes = replica_bytes + checksum_file_size(replica_bytes)
-        seconds += self._disk.sequential_write(self.cost.scale_bytes(write_bytes))
+        seconds += self._disk.sequential_write(write_bytes * scale)
         return seconds, float(write_bytes)
 
     @staticmethod
@@ -428,13 +436,13 @@ class VectorizedExecutor:
         num_matching: int,
         bound: BoundQuery,
         read_indexes: Sequence[int],
+        column_bytes: int,
         used_index: bool,
         num_candidate_rows: Optional[int] = None,
     ) -> tuple[float, float]:
-        from repro.hail.index import logical_index_size_bytes
-
         disk = self._disk
         cpu = self._cpu
+        scale = self._scale
         pax = payload.pax
         predicate = bound.predicate
         num_records = max(1, payload.num_records)
@@ -443,16 +451,15 @@ class VectorizedExecutor:
         effective_rows = lookup.num_rows if num_candidate_rows is None else num_candidate_rows
         candidate_fraction = min(1.0, max(0, effective_rows) / num_records)
         qualifying_fraction = min(1.0, num_matching / num_records)
-        logical_rows = self.cost.scale_count(payload.num_records)
+        logical_rows = payload.num_records * scale
         candidate_rows = candidate_fraction * logical_rows
         qualifying_rows = qualifying_fraction * logical_rows
 
-        column_bytes = pax.indexed_size_bytes(read_indexes)
         candidate_bytes = candidate_fraction * column_bytes
         bad_bytes = payload.bad_records_size_bytes()
         read_bytes = candidate_bytes + bad_bytes
 
-        seconds = self.cost.reader_setup()
+        seconds = self._setup_s
         if used_index:
             # Read the index directory entirely into main memory (one seek + a few KB).
             logical_index_bytes = logical_index_size_bytes(
@@ -462,32 +469,32 @@ class VectorizedExecutor:
             # Read only the qualifying partitions: one seek per column minipage in PAX layout,
             # a single contiguous range in row layout (the Hadoop++ trojan blocks).
             data_seeks = len(read_indexes) if payload.pax_layout else 1
-            seconds += disk.random_read(self.cost.scale_bytes(read_bytes), num_seeks=data_seeks)
+            seconds += disk.random_read(read_bytes * scale, num_seeks=data_seeks)
             # Post-filter only the candidate partitions.
             if predicate is not None:
                 filter_bytes = candidate_fraction * pax.indexed_size_bytes(bound.filter_indexes)
-                seconds += cpu.post_filter(self.cost.scale_bytes(filter_bytes), candidate_rows)
+                seconds += cpu.post_filter(filter_bytes * scale, candidate_rows)
         else:
             # Scan fallback: the needed columns (or whole rows) are read sequentially in full
             # and every record is examined.
-            seconds += disk.sequential_read(self.cost.scale_bytes(read_bytes))
+            seconds += disk.sequential_read(read_bytes * scale)
             if payload.pax_layout:
                 filter_bytes = candidate_bytes if predicate is None else (
                     candidate_fraction * pax.indexed_size_bytes(bound.filter_indexes)
                 )
-                seconds += cpu.post_filter(self.cost.scale_bytes(filter_bytes), candidate_rows)
+                seconds += cpu.post_filter(filter_bytes * scale, candidate_rows)
             else:
-                seconds += cpu.scan_binary_rows(self.cost.scale_bytes(read_bytes), candidate_rows)
+                seconds += cpu.scan_binary_rows(read_bytes * scale, candidate_rows)
 
         if replica.datanode_id != self.node_id:
-            seconds += self._network_seconds(replica, self.cost.scale_bytes(read_bytes))
+            seconds += self._network_seconds(replica, read_bytes * scale)
 
         # Reconstruct the projected attributes of the qualifying tuples (PAX to row layout).
         if payload.pax_layout:
             projected_bytes = qualifying_fraction * pax.indexed_size_bytes(
                 bound.projection_indexes
             )
-            seconds += cpu.reconstruct_tuples(self.cost.scale_bytes(projected_bytes), qualifying_rows)
+            seconds += cpu.reconstruct_tuples(projected_bytes * scale, qualifying_rows)
         else:
             # Row layout: qualifying tuples are already contiguous rows; only the per-record
             # object creation cost remains.
@@ -497,7 +504,7 @@ class VectorizedExecutor:
 
     def _charge_transfer(self, replica: Replica, num_bytes: float) -> float:
         """Charge a sequential read of ``num_bytes`` from ``replica`` (remote adds network)."""
-        scaled = self.cost.scale_bytes(num_bytes)
+        scaled = num_bytes * self._scale
         seconds = self._disk.sequential_read(scaled)
         if replica.datanode_id != self.node_id:
             seconds += self._network_seconds(replica, scaled)

@@ -1,10 +1,12 @@
 """Tests for the disk, network and CPU cost models."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cpu import CpuModel, CpuRates
 from repro.cluster.disk import DiskModel
-from repro.cluster.hardware import HardwareProfile
+from repro.cluster.hardware import SCALE_UP_PROFILES, HardwareProfile
 from repro.cluster.network import NetworkModel
 
 _MB = 1024.0 * 1024.0
@@ -128,3 +130,68 @@ def test_zero_work_costs_nothing(cpu):
     assert cpu.sort_block(0, 0) == 0.0
     assert cpu.build_index(0) == 0.0
     assert cpu.post_filter(0, 0) == 0.0
+
+
+# ------------------------------------------------------------------ bound query-side divisors
+#: Every hardware profile the repository defines (physical and the three EC2 types).
+_PROFILES = [HardwareProfile.by_name(name) for name in SCALE_UP_PROFILES]
+_AMOUNTS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+#: Each bound CPU method, its byte rate and its per-row rate.
+_CPU_TERMS = [
+    ("scan_text", "text_scan_mb_s", "text_row_seconds"),
+    ("scan_binary_rows", "predicate_eval_mb_s", "binary_row_seconds"),
+    ("post_filter", "predicate_eval_mb_s", "candidate_row_seconds"),
+    ("reconstruct_tuples", "tuple_reconstruction_mb_s", "qualifying_row_seconds"),
+]
+
+
+def test_the_profiles_differ_in_core_speed_and_cores():
+    assert len({profile.core_speed for profile in _PROFILES}) == len(_PROFILES)
+    assert len({profile.cores for profile in _PROFILES}) > 1
+
+
+@pytest.mark.parametrize("profile", _PROFILES, ids=lambda profile: profile.name)
+@settings(max_examples=60, deadline=None)
+@given(num_bytes=_AMOUNTS, num_rows=_AMOUNTS)
+@example(num_bytes=0.0, num_rows=0.0)
+@example(num_bytes=-1.0, num_rows=-5.0)
+@example(num_bytes=1e300, num_rows=1e300)
+@example(num_bytes=64 * _MB, num_rows=1.5e6)
+def test_bound_cpu_charges_equal_the_one_core_formula(profile, num_bytes, num_rows):
+    """The query side's bound divisors give bit for bit what ``_per_bytes``/``_per_rows``
+    give at one core, on every profile."""
+    cpu = CpuModel(hardware=profile)
+    rates = cpu.rates
+    for method, byte_rate, row_rate in _CPU_TERMS:
+        expected = cpu._per_bytes(num_bytes, getattr(rates, byte_rate)) + cpu._per_rows(
+            num_rows, getattr(rates, row_rate)
+        )
+        assert getattr(cpu, method)(num_bytes, num_rows) == expected, method
+    assert cpu.evaluate_predicate(num_bytes) == cpu._per_bytes(
+        num_bytes, rates.predicate_eval_mb_s
+    )
+
+
+@pytest.mark.parametrize("profile", _PROFILES, ids=lambda profile: profile.name)
+@settings(max_examples=60, deadline=None)
+@given(num_bytes=_AMOUNTS, num_seeks=st.integers(min_value=-3, max_value=1_000))
+@example(num_bytes=0.0, num_seeks=0)
+@example(num_bytes=-1.0, num_seeks=-1)
+@example(num_bytes=1e300, num_seeks=1)
+def test_bound_disk_reads_equal_the_hardware_formula(profile, num_bytes, num_seeks):
+    """``random_read`` and the one-stream ``sequential_read`` equal the formula written out
+    from the profile's seek time and read bandwidth, bit for bit."""
+    disk = DiskModel(hardware=profile)
+    seek_s = profile.disk_seek_ms / 1000.0
+    transfer_s = max(num_bytes, 0.0) / (profile.disk_read_mb_s * _MB)
+    expected_random = (
+        0.0 if num_bytes <= 0 and num_seeks <= 0 else max(num_seeks, 0) * seek_s + transfer_s
+    )
+    assert disk.random_read(num_bytes, num_seeks=num_seeks) == expected_random
+    expected_sequential = 0.0 if num_bytes <= 0 else seek_s + num_bytes / (
+        disk._effective_bandwidth(profile.disk_read_mb_s, 1) * _MB
+    )
+    assert disk.sequential_read(num_bytes) == expected_sequential
+    assert disk.sequential_read(num_bytes, streams=1) == expected_sequential
+    assert disk.seek() == seek_s
