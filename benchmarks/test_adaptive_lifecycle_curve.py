@@ -23,7 +23,7 @@ from repro.datagen.synthetic import VALUE_RANGE
 from repro.experiments.deployments import deploy_hail
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 from repro.workloads.workload import synthetic_workload
 
 #: The workload's two phases, the rounds of each, and the offer rate of both deployments.

@@ -17,7 +17,7 @@ from repro.engine.operators import (
 )
 from repro.hail import HailConfig, HailSystem
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 #: Join key (indexed on upload, so both sides are co-partitioned), group key and rank
 #: attribute (both files are uploaded sorted on it, so top-k can stop early).

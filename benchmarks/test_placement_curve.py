@@ -19,7 +19,7 @@ from repro.engine.lifecycle import evict_under_pressure
 from repro.experiments.deployments import deploy_hail
 from repro.hail.predicate import Operator, Predicate
 from repro.hail.scheduler import index_local_task_fraction
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 from repro.workloads.workload import synthetic_workload
 
 

@@ -16,7 +16,7 @@ from repro.baselines import HadoopPlusPlusSystem
 from repro.cluster import Cluster
 from repro.datagen import UserVisitsGenerator
 from repro.hail import HailSystem, Predicate
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 
 def _session_queries() -> list[Query]:

@@ -51,7 +51,7 @@ from repro.api import (
     col,
     run_multi_tenant_batch,
 )
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 __all__ = [
     "__version__",

@@ -11,7 +11,7 @@ planner.
   comparison operators, ``&``/``|``/``~`` composition, and direct row evaluation (the
   reference semantics the compiler is tested against);
 - :mod:`repro.api.logical` — the :class:`LogicalQuery` IR and the normalizer that compiles
-  expression trees into the engine's :class:`~repro.workloads.query.Query` (flattening
+  expression trees into the engine's :class:`~repro.hail.predicate.Query` (flattening
   conjunctions, merging per-attribute ranges, ordering clauses by estimated selectivity),
   plus the relational-operator IR nodes (:class:`LogicalAggregate`, :class:`LogicalJoin`,
   :class:`LogicalTopK`) lowering ``group_by``/``join``/``order_by``+``limit`` trees to the
@@ -25,7 +25,7 @@ planner.
   failures (:class:`BatchExecutionError`) and per-session adaptive statistics
   (:meth:`Session.stats`).
 
-The compiled :class:`~repro.workloads.query.Query` and ``system.run_query(query, path)``
+The compiled :class:`~repro.hail.predicate.Query` and ``system.run_query(query, path)``
 remain the stable low-level form — everything this package produces can be inspected as, and
 mixed with, hand-built queries.
 """

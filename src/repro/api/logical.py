@@ -21,14 +21,14 @@ clause-order footgun.  The normalizer removes it:
    same clause order and therefore the same physical plan.
 
 The resulting clause tuple feeds :class:`LogicalQuery.compile`, which emits the stable
-:class:`~repro.workloads.query.Query` dataclass every system executes.
+:class:`~repro.hail.predicate.Query` dataclass every system executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import gt, lt
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.api.expressions import (
     AndExpr,
@@ -39,10 +39,8 @@ from repro.api.expressions import (
     OrExpr,
     UnsupportedExpressionError,
 )
-from repro.hail.predicate import AttributeRef, Comparison, Operator, Predicate
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.workloads' __init__ imports us back
-    from repro.workloads.query import Query
+from repro.engine.operators import AggregateSpec, GroupByQuery, JoinQuery, TopKQuery
+from repro.hail.predicate import AttributeRef, Comparison, Operator, Predicate, Query
 
 #: Operator rank used as the leading selectivity estimate: an equality is assumed the most
 #: selective clause, a closed range next, and half-open ranges last.  This is a *static*
@@ -106,7 +104,7 @@ class LogicalQuery:
 
     This is the IR between the DSL and the engine: :class:`~repro.api.session.Dataset`
     produces one per ``collect``/``submit``, the workload definitions declare them directly,
-    and :meth:`compile` lowers them to the frozen :class:`~repro.workloads.query.Query` that
+    and :meth:`compile` lowers them to the frozen :class:`~repro.hail.predicate.Query` that
     ``system.run_query`` executes.
 
     Attributes
@@ -148,10 +146,8 @@ class LogicalQuery:
             return None
         return Predicate(clauses)
 
-    def compile(self) -> "Query":
+    def compile(self) -> Query:
         """Lower to the stable compiled form all three systems execute."""
-        from repro.workloads.query import Query
-
         return Query(
             name=self.name,
             predicate=self.predicate(),
@@ -188,8 +184,6 @@ class LogicalAggregate:
 
     def compile(self):
         """Lower to the engine's :class:`~repro.engine.operators.GroupByQuery`."""
-        from repro.engine.operators import AggregateSpec, GroupByQuery
-
         if not self.keys:
             raise UnsupportedExpressionError(
                 "agg(...) without group_by(...): global aggregates are not expressible; "
@@ -237,8 +231,6 @@ class LogicalJoin:
 
     def compile(self):
         """Lower to the engine's :class:`~repro.engine.operators.JoinQuery`."""
-        from repro.engine.operators import JoinQuery
-
         return JoinQuery(
             name=self.name,
             key=self.key,
@@ -267,8 +259,6 @@ class LogicalTopK:
 
     def compile(self):
         """Lower to the engine's :class:`~repro.engine.operators.TopKQuery`."""
-        from repro.engine.operators import TopKQuery
-
         if self.order_by is None:
             raise UnsupportedExpressionError(
                 "limit(...) without order_by(...): an unranked LIMIT has no deterministic "

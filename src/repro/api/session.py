@@ -18,7 +18,7 @@ express.  The session therefore:
 
 :class:`Dataset` is the lazy builder bound to an uploaded path: ``where(...)`` conjoins DSL
 expressions, ``select(...)`` sets the projection, and ``collect()`` / ``explain()`` /
-``submit()`` compile to the stable :class:`~repro.workloads.query.Query` form and hand it to
+``submit()`` compile to the stable :class:`~repro.hail.predicate.Query` form and hand it to
 the engine.
 
 Sessions are also the tenancy boundary of a shared deployment: :meth:`Session.attach` opens
@@ -49,11 +49,13 @@ from repro.engine.operators import (  # noqa: F401 - execute_operator is pinned 
     execute as execute_operator,
 )
 from repro.hail import HailConfig, HailSystem
+from repro.hail.predicate import Query
+from repro.hail.scheduler import index_local_task_fraction
 from repro.layouts.schema import Schema
-from repro.mapreduce.counters import DECLARED as DECLARED_COUNTERS, Counters
+from repro.mapreduce.counters import DECLARED as DECLARED_COUNTERS, Counters, attribute_slices
 from repro.mapreduce.runner import ConcurrentBatchError
+from repro.persist import restore_system
 from repro.systems.base import BaseSystem, QueryResult, SystemUploadReport
-from repro.workloads.query import Query
 
 #: The IR nodes (lowered by ``compile()`` to the compiled forms below).
 _LOGICAL_IR = (LogicalQuery, LogicalAggregate, LogicalJoin, LogicalTopK)
@@ -378,8 +380,6 @@ class SessionStats:
 
         Census keep list (``tests/test_census.py``): user API.
         """
-        from repro.mapreduce.counters import attribute_slices
-
         return attribute_slices(self.counters, name)
 
     @property
@@ -390,8 +390,6 @@ class SessionStats:
         classifies launches only when the policy is installed.  Delegates to
         :func:`repro.hail.scheduler.index_local_task_fraction` on the session counter totals.
         """
-        from repro.hail.scheduler import index_local_task_fraction
-
         return index_local_task_fraction(self.counters)
 
     def __getattr__(self, name: str) -> Union[int, float]:
@@ -535,8 +533,6 @@ class Session:
         not cold full-scan (``benchmarks/test_recovery_curve.py`` pins this).  See ``docs/persistence.md`` for
         the walkthrough.
         """
-        from repro.persist import restore_system
-
         if hail_config.persistence_dir is None:
             raise ValueError(
                 "Session.restore needs a persistence-enabled HailConfig "
@@ -676,7 +672,7 @@ class Session:
 
         ``item`` may be a :class:`Dataset`, a :class:`QueryHandle`, any ``Logical*`` IR node
         (:mod:`repro.api.logical`), or a compiled form — a
-        :class:`~repro.workloads.query.Query` or an operator query (``GroupByQuery``,
+        :class:`~repro.hail.predicate.Query` or an operator query (``GroupByQuery``,
         ``JoinQuery``, ``TopKQuery``).  IR and compiled forms need ``path`` (or a single
         uploaded path to default to), except a join, which carries both of its paths.
         """

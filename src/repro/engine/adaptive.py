@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import Any, Iterable, Optional
 
-if TYPE_CHECKING:  # only for annotations: keep this module import-light
-    from repro.hdfs.filesystem import Hdfs
+from repro.hdfs.filesystem import Hdfs
+
 
 def offer_draw(salt: int, block_id: int, attribute: str) -> float:
     """Deterministic uniform draw in ``[0, 1)`` for one ``(job, block, attribute)`` offer.
@@ -166,7 +166,7 @@ class AdaptiveCommitReport:
     skipped_no_placement: int = 0
 
 
-def commit_adaptive_builds(hdfs: "Hdfs", attempts: Iterable[Any]) -> AdaptiveCommitReport:
+def commit_adaptive_builds(hdfs: Hdfs, attempts: Iterable[Any]) -> AdaptiveCommitReport:
     """Register the adaptive indexes built by the *surviving* map-task attempts of one job.
 
     Failure safety comes from three properties:
@@ -234,7 +234,7 @@ def commit_adaptive_builds(hdfs: "Hdfs", attempts: Iterable[Any]) -> AdaptiveCom
     return report
 
 
-def _drop_stale_adaptive_replicas(hdfs: "Hdfs", block_id: int, attribute: str) -> None:
+def _drop_stale_adaptive_replicas(hdfs: Hdfs, block_id: int, attribute: str) -> None:
     """Garbage-collect *dead* adaptive replicas of ``(block, attribute)`` before a rebuild.
 
     Only adaptive entries are dropped: an upload-time indexed replica on a dead node comes back
@@ -252,7 +252,7 @@ def _drop_stale_adaptive_replicas(hdfs: "Hdfs", block_id: int, attribute: str) -
             hdfs.remove_replica(block_id, datanode_id)
 
 
-def placement_candidates(hdfs: "Hdfs", block_id: int) -> tuple[list[int], list[int]]:
+def placement_candidates(hdfs: Hdfs, block_id: int) -> tuple[list[int], list[int]]:
     """Where an adaptive replica of ``block_id`` may land without evicting an index.
 
     The one placement rule of commit and rebuild: ``(fresh, plain)``, the alive nodes holding
@@ -274,7 +274,7 @@ def placement_candidates(hdfs: "Hdfs", block_id: int) -> tuple[list[int], list[i
     return fresh, plain
 
 
-def _placement(hdfs: "Hdfs", build: PendingIndexBuild) -> Optional[int]:
+def _placement(hdfs: Hdfs, build: PendingIndexBuild) -> Optional[int]:
     """The datanode a committed build lands on, ``None`` when every placement evicts an index.
 
     The executing node is preferred (the build was flushed there), then a plain holder, then

@@ -48,14 +48,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import compress
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from repro.hail.predicate import COMPARE, Operator
-
-if TYPE_CHECKING:
-    from repro.hail.predicate import Comparison, Predicate
-    from repro.layouts.pax import PaxBlock
-    from repro.layouts.schema import Schema
+from repro.hail.predicate import COMPARE, Comparison, Operator, Predicate
+from repro.layouts.pax import PaxBlock
+from repro.layouts.schema import Schema
 
 try:  # pragma: no cover - exercised indirectly via the backend tests
     import numpy as _np
@@ -118,9 +115,9 @@ def use_backend(name: str) -> Iterator[None]:
 
 # --------------------------------------------------------------------------- dispatch
 def filter_range(
-    pax: "PaxBlock",
-    predicate: Optional["Predicate"],
-    schema: "Schema",
+    pax: PaxBlock,
+    predicate: Optional[Predicate],
+    schema: Schema,
     start: int,
     end: int,
 ) -> list[int]:
@@ -142,9 +139,9 @@ def filter_range(
 
 
 def filter_ranges(
-    pax: "PaxBlock",
-    predicate: Optional["Predicate"],
-    schema: "Schema",
+    pax: PaxBlock,
+    predicate: Optional[Predicate],
+    schema: Schema,
     start: int,
     end: int,
     pruned: Optional[bytes] = None,
@@ -187,7 +184,7 @@ def filter_ranges(
 
 
 def zone_flags(
-    pax: "PaxBlock", index: int, low, high, start: int, end: int
+    pax: PaxBlock, index: int, low, high, start: int, end: int
 ) -> Optional[bytes]:
     """One clause's pruning flags over one-row zones, in numpy, or ``None`` to decline.
 
@@ -234,13 +231,13 @@ _REFINE = {
 _KEPT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def clause_positions(clause: "Comparison", values: Sequence) -> list[int]:
+def clause_positions(clause: Comparison, values: Sequence) -> list[int]:
     """Positions in ``values`` that satisfy ``clause`` (the scan table over a whole column)."""
     return _SCAN[clause.op](values, 0, *clause.operands)
 
 
 def _filter_range_python(
-    pax: "PaxBlock", predicate: "Predicate", schema: "Schema", start: int, end: int
+    pax: PaxBlock, predicate: Predicate, schema: Schema, start: int, end: int
 ) -> list[int]:
     """Reference backend: survivor-position refinement, one table lookup per clause.
 
@@ -275,7 +272,7 @@ def _operand_exact(operand, typecode: str) -> bool:
     return True
 
 
-def _numpy_column(pax: "PaxBlock", index: int, operands: Sequence):
+def _numpy_column(pax: PaxBlock, index: int, operands: Sequence):
     """Column ``index`` as a zero-copy numpy array, or ``None`` when comparing it with any of
     ``operands`` might not agree exactly with Python."""
     typed = pax.typed_column_at(index)
@@ -293,9 +290,9 @@ def _numpy_column(pax: "PaxBlock", index: int, operands: Sequence):
 
 
 def _filter_range_numpy(
-    pax: "PaxBlock",
-    predicate: "Predicate",
-    schema: "Schema",
+    pax: PaxBlock,
+    predicate: Predicate,
+    schema: Schema,
     start: int,
     end: int,
     keep=None,
@@ -324,7 +321,7 @@ def _filter_range_numpy(
 
 
 def _zone_flags_numpy(
-    pax: "PaxBlock", index: int, low, high, start: int, end: int
+    pax: PaxBlock, index: int, low, high, start: int, end: int
 ) -> Optional[bytes]:
     """The numpy form of :func:`zone_flags`, or ``None`` when exactness is not guaranteed.
 

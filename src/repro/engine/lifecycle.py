@@ -15,8 +15,9 @@ builds, and it runs one pass in this order:
 4. :class:`PlacementBalancer` re-creates index coverage that eviction or a dead node took from
    a demanded attribute, then migrates adaptive replicas off skewed nodes;
 5. every replica the pass evicted, downgraded, rebuilt or migrated is one
-   :class:`LifecycleAction`, written into the job's counters from one kind → counters table;
-   the learned control state is journaled once.
+   :class:`LifecycleAction`, written into the job's counters from one kind → counters table.
+
+The input format then journals the learned control state once.
 
 All of this is opt-in: without the :class:`~repro.hail.config.HailConfig` lifecycle knobs the
 manager is never created and behaviour is bit-identical to plain adaptive indexing.
@@ -26,15 +27,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from repro.cluster.costmodel import CostModel
 from repro.cluster.disk import DiskPressurePolicy
 from repro.engine.adaptive import _drop_stale_adaptive_replicas, placement_candidates
+from repro.hdfs.checksum import checksum_file_size, chunk_checksums
+from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-
-if TYPE_CHECKING:  # only for annotations: keep this module import-light
-    from repro.cluster.costmodel import CostModel
-    from repro.hdfs.filesystem import Hdfs
 
 # --------------------------------------------------------------------------- observations
 #: ``(field, counter, type)``: what :class:`JobObservation` reads from a job's counters.
@@ -268,7 +268,7 @@ _ACTION_COUNTERS = {
 
 
 # --------------------------------------------------------------------------- eviction
-def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[LifecycleAction]:
+def evict_under_pressure(hdfs: Hdfs, policy: DiskPressurePolicy) -> list[LifecycleAction]:
     """Evict least-recently-used adaptive replicas from every node over its high watermark.
 
     Pressure is measured against each node's **adaptive footprint** — the on-disk bytes of the
@@ -345,7 +345,7 @@ def evict_under_pressure(hdfs: "Hdfs", policy: DiskPressurePolicy) -> list[Lifec
     return actions
 
 
-def _downgrade_replica(hdfs: "Hdfs", datanode_id: int, block_id: int) -> None:
+def _downgrade_replica(hdfs: Hdfs, datanode_id: int, block_id: int) -> None:
     """Strip the adaptive index off a replica, leaving a plain copy of the block's data.
 
     The replica's PAX data is kept (it displaced the node's plain replica at commit time, so
@@ -365,12 +365,10 @@ def _derived_checksums(source, block) -> tuple[int, ...]:
     """Chunk checksums for ``block``, derived from replica ``source``, iff ``source`` has them."""
     if not source.checksums:
         return ()
-    from repro.hdfs.checksum import chunk_checksums
-
     return tuple(chunk_checksums(block.pax.to_bytes()))
 
 
-def _adaptive_replicas_on(hdfs: "Hdfs", node_id: int) -> list[tuple]:
+def _adaptive_replicas_on(hdfs: Hdfs, node_id: int) -> list[tuple]:
     """One node's adaptive replicas as ``(last_used_tick, use_count, block_id, info)``.
 
     What counts as "adaptive" (``Dir_rep`` ``origin="adaptive"``) is decided here exactly
@@ -389,7 +387,7 @@ def _adaptive_replicas_on(hdfs: "Hdfs", node_id: int) -> list[tuple]:
 
 
 # --------------------------------------------------------------------------- placement
-def adaptive_placement_stats(hdfs: "Hdfs") -> dict[int, dict]:
+def adaptive_placement_stats(hdfs: Hdfs) -> dict[int, dict]:
     """Per alive node: adaptive byte footprint, index-use total, and the replicas behind them.
 
     What the balancer's skew repair is built on; each node's ``"replicas"`` list is its
@@ -460,14 +458,14 @@ class PlacementBalancer:
             self.demand[attribute] = self.demand_window
 
     # ------------------------------------------------------------------ the per-job pass
-    def run(self, hdfs: "Hdfs", cost: Optional["CostModel"] = None) -> list[LifecycleAction]:
+    def run(self, hdfs: Hdfs, cost: Optional[CostModel] = None) -> list[LifecycleAction]:
         """One bounded balancing pass: re-replicate lost coverage, then repair skew."""
         actions = self._re_replicate(hdfs, cost)
         actions.extend(self._repair_skew(hdfs, cost))
         return actions
 
     # ------------------------------------------------------------------ re-replication
-    def _re_replicate(self, hdfs: "Hdfs", cost: Optional["CostModel"]) -> list[LifecycleAction]:
+    def _re_replicate(self, hdfs: Hdfs, cost: Optional[CostModel]) -> list[LifecycleAction]:
         actions: list[LifecycleAction] = []
         if not self.demand:
             return actions
@@ -501,8 +499,8 @@ class PlacementBalancer:
 
     def _rebuild(
         self,
-        hdfs: "Hdfs",
-        cost: Optional["CostModel"],
+        hdfs: Hdfs,
+        cost: Optional[CostModel],
         block_id: int,
         attribute: str,
         footprints: dict[int, float],
@@ -560,7 +558,7 @@ class PlacementBalancer:
         )
 
     @staticmethod
-    def _source_payload(hdfs: "Hdfs", block_id: int):
+    def _source_payload(hdfs: Hdfs, block_id: int):
         """An alive HAIL payload of ``block_id`` to rebuild from (``(None, None)`` if none)."""
         for host in hdfs.namenode.block_datanodes(block_id, alive_only=True):
             payload = hdfs.datanode(host).replica(block_id).payload
@@ -589,7 +587,7 @@ class PlacementBalancer:
         return projected_bytes <= self.pressure.low_watermark * self.pressure.capacity_bytes
 
     # ------------------------------------------------------------------ skew repair
-    def _repair_skew(self, hdfs: "Hdfs", cost: Optional["CostModel"]) -> list[LifecycleAction]:
+    def _repair_skew(self, hdfs: Hdfs, cost: Optional[CostModel]) -> list[LifecycleAction]:
         """Drain skewed nodes: triggered above ``skew_high × mean``, drained to ``skew_low``.
 
         The watermark pair is real hysteresis: crossing the *high* mark starts a node's
@@ -648,8 +646,8 @@ class PlacementBalancer:
 
     def _one_migration(
         self,
-        hdfs: "Hdfs",
-        cost: Optional["CostModel"],
+        hdfs: Hdfs,
+        cost: Optional[CostModel],
         metric: str,
         hot_id: int,
         stats: dict[int, dict],
@@ -700,8 +698,8 @@ class PlacementBalancer:
 
     def _migrate(
         self,
-        hdfs: "Hdfs",
-        cost: Optional["CostModel"],
+        hdfs: Hdfs,
+        cost: Optional[CostModel],
         block_id: int,
         source_id: int,
         target_id: int,
@@ -727,8 +725,8 @@ class PlacementBalancer:
 
     @staticmethod
     def _charge_copy(
-        hdfs: "Hdfs",
-        cost: Optional["CostModel"],
+        hdfs: Hdfs,
+        cost: Optional[CostModel],
         source_id: int,
         target_id: int,
         payload,
@@ -743,8 +741,6 @@ class PlacementBalancer:
         """
         if cost is None:
             return 0.0
-        from repro.hdfs.checksum import checksum_file_size
-
         source_node = hdfs.cluster.node(source_id)
         target_node = hdfs.cluster.node(target_id)
         data_bytes = cost.scale_bytes(float(payload.data_size_bytes()))
@@ -842,18 +838,18 @@ class AdaptiveLifecycleManager:
     # ------------------------------------------------------------------ the per-job pass
     def after_job(
         self,
-        hdfs: "Hdfs",
+        hdfs: Hdfs,
         counters: Counters,
         useful_reader_seconds: float,
         tenant: Optional[str] = None,
-        cost: Optional["CostModel"] = None,
+        cost: Optional[CostModel] = None,
     ) -> LifecycleReport:
         """Run the post-job lifecycle pass over one finished job's ``counters``.
 
         Observe the job, tune, evict under disk pressure, rebalance, write every action into
-        ``counters``, journal the control state.  The balancer runs *after* eviction on
-        purpose: it sees the holes eviction just tore (and the tombstones it left) and
-        repairs within the same job boundary, so coverage gaps live for at most one job.
+        ``counters``.  The balancer runs *after* eviction on purpose: it sees the holes
+        eviction just tore (and the tombstones it left) and repairs within the same job
+        boundary, so coverage gaps live for at most one job.
         ``useful_reader_seconds`` is the job's build-free RecordReader time (it sizes the
         tuner's budget), ``tenant`` tags the observation, and ``cost`` (the runner's cost
         model) only prices the balancer's background I/O; it never changes what it does.
@@ -876,11 +872,4 @@ class AdaptiveLifecycleManager:
         if tuner is not None:
             report.offer_rate, report.budget = tuner.offer_rate, tuner.budget
         self.reports.append(report)
-        if hdfs.persist is not None:
-            # Journal what the pass just learned — tuner ledger and balancer demand — so a
-            # restored deployment's feedback loops resume instead of re-learning.  Local
-            # import: repro.persist imports this module for the tuner dataclasses.
-            from repro.persist.state import capture_lifecycle_control
-
-            hdfs.persist.sync_control(capture_lifecycle_control(self))
         return report

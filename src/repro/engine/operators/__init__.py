@@ -32,7 +32,7 @@ from repro.engine.operators.join import (
 )
 from repro.engine.operators.topk import TopKQuery, explain_top_k, lower_top_k
 
-if TYPE_CHECKING:  # only for annotations: systems import the engine back
+if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
     from repro.systems.base import BaseSystem, QueryResult
 
 #: Any compiled relational-operator query.

@@ -22,9 +22,11 @@ from itertools import repeat
 from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional
 
-if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
-    from repro.systems.base import BaseSystem, Lowering
-    from repro.workloads.query import Query
+from repro.hail.predicate import Query, render_sql
+from repro.mapreduce.job import Lowering
+
+if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
+    from repro.systems.base import BaseSystem
 
 #: Aggregate functions the operator supports (the classic SQL five).
 SUPPORTED_FUNCTIONS = ("count", "sum", "min", "max", "avg")
@@ -97,8 +99,6 @@ class GroupByQuery:
     description: str = ""
 
     def __post_init__(self) -> None:
-        from repro.workloads.query import render_sql  # lazy: workloads imports us back
-
         if not self.keys:
             raise ValueError("group_by needs at least one key attribute")
         if not self.aggregates:
@@ -110,10 +110,8 @@ class GroupByQuery:
                 self, "description", f"{base} GROUP BY {', '.join(self.keys)}"
             )
 
-    def base_query(self) -> "Query":
+    def base_query(self) -> Query:
         """The selection/projection scan feeding the aggregation (keys + aggregated columns)."""
-        from repro.workloads.query import Query  # lazy: workloads imports us back
-
         needed = list(self.keys)
         for spec in self.aggregates:
             if spec.attribute is not None and spec.attribute not in needed:
@@ -218,7 +216,7 @@ def make_reducer(aggregates: tuple[AggregateSpec, ...]):
 
 
 # --------------------------------------------------------------------------- lowering
-def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Lowering":
+def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> Lowering:
     """A grouped aggregation as one decorated scan: map-side combine → shuffle → reduce.
 
     The scan half is the system's own jobconf (map function, input format, annotations), so an
@@ -227,8 +225,6 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> "Low
     the decoration adds the combiner and reducer.  The finish step puts the groups in
     canonical order.
     """
-    from repro.systems.base import Lowering
-
     base = query.base_query()
     regroup = _make_regroup(query, base.projection)
 

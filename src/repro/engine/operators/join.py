@@ -24,13 +24,13 @@ from operator import itemgetter
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
+from repro.hail.predicate import Query, _clause_sql
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, JobResult, unkeyed
+from repro.mapreduce.job import JobConf, JobResult, Lowering, unkeyed
 from repro.mapreduce.shuffle import key_runs, numbered, run_reduce_phase
 
-if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
-    from repro.systems.base import BaseSystem, Lowering
-    from repro.workloads.query import Query
+if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
+    from repro.systems.base import BaseSystem
 
 #: The two join strategies (``JoinQuery.strategy=None`` lets the planner choose).
 STRATEGIES = ("merge", "hash")
@@ -58,7 +58,7 @@ class JoinQuery:
     left_path / right_path:
         The two uploaded datasets.
     left / right:
-        Per-side selection/projection scans (compiled :class:`~repro.workloads.query.Query`
+        Per-side selection/projection scans (compiled :class:`~repro.hail.predicate.Query`
         objects; their projections need not include the key — it is added internally).
     strategy:
         ``None`` (planner-chosen), ``"merge"`` or ``"hash"``.
@@ -84,8 +84,6 @@ class JoinQuery:
             object.__setattr__(self, "description", self._render_sql())
 
     def _render_sql(self) -> str:
-        from repro.workloads.query import _clause_sql  # lazy: workloads imports us back
-
         columns = [self.key]
         for side in (self.left, self.right):
             for column in side.projection or ():
@@ -103,10 +101,8 @@ class JoinQuery:
             sql += " WHERE " + " AND ".join(clauses)
         return sql
 
-    def side_query(self, side: str, schema) -> "Query":
+    def side_query(self, side: str, schema) -> Query:
         """The effective scan of one side: its query with the join key leading the projection."""
-        from repro.workloads.query import Query  # lazy: workloads imports us back
-
         base = self.left if side == "left" else self.right
         declared = base.projection if base.projection is not None else tuple(schema.field_names)
         projection = (self.key,) + tuple(c for c in declared if c != self.key)
@@ -143,7 +139,7 @@ def choose_strategy(system: "BaseSystem", query: JoinQuery) -> str:
 
 
 # --------------------------------------------------------------------------- lowering
-def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
+def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
     """An equi-join as two scans — one per side — finished by a merge or a shuffle-hash step.
 
     The strategy is chosen here, from ``Dir_rep`` as it stands before either scan runs.
@@ -151,8 +147,6 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> "Lowering":
     side is carried by the query itself).  The finish step's :class:`JobResult` adds the two
     scan jobs up and books the join step's seconds as the reduce phase.
     """
-    from repro.systems.base import Lowering
-
     if path != query.left_path:
         raise ValueError(
             f"join {query.name!r} was compiled for left path {query.left_path!r}, "

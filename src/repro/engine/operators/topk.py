@@ -22,17 +22,18 @@ from dataclasses import dataclass
 from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import BoundQuery
 from repro.hail.annotation import HailQuery
-from repro.hail.predicate import Comparison, Operator, Predicate
+from repro.hail.hail_block import HailBlock
+from repro.hail.predicate import Comparison, Operator, Predicate, Query, render_sql
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.layouts.zonemap import ranges_disjoint
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobResult, unkeyed
+from repro.mapreduce.job import JobResult, Lowering, unkeyed
 
-if TYPE_CHECKING:  # only for annotations: systems and workloads import the engine back
-    from repro.systems.base import BaseSystem, Lowering
-    from repro.workloads.query import Query
+if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
+    from repro.systems.base import BaseSystem
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,12 @@ class TopKQuery:
     description: str = ""
 
     def __post_init__(self) -> None:
-        from repro.workloads.query import render_sql  # lazy: workloads imports us back
-
         if isinstance(self.k, bool) or not isinstance(self.k, int):
             raise ValueError(f"top-k needs an integer k >= 1, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"top-k needs k >= 1, got {self.k}")
+        if self.projection is not None and not self.projection:
+            raise ValueError("a projection needs at least one attribute (None projects all)")
         if not self.description:
             base = render_sql(self.predicate, self.projection)
             direction = " DESC" if self.descending else ""
@@ -86,10 +87,8 @@ class TopKQuery:
                 f"{base} ORDER BY {self.order_by}{direction} LIMIT {self.k}",
             )
 
-    def scan_query(self) -> "Query":
+    def scan_query(self) -> Query:
         """The unranked full scan used by the text fallback (full rows; ranked client-side)."""
-        from repro.workloads.query import Query  # lazy: workloads imports us back
-
         return Query(name=f"{self.name}-scan", predicate=self.predicate, projection=None)
 
 
@@ -153,7 +152,7 @@ def _threshold_clause(query: TopKQuery, kth_value: Any) -> Comparison:
 
 
 # --------------------------------------------------------------------------- lowering
-def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "Lowering":
+def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
     """A ranked top-k as one unranked scan (text payloads) or as no scan at all (columnar).
 
     The first block's payload decides — an upload never mixes layouts.  Text blocks (stock
@@ -162,9 +161,6 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> "Lowering"
     compares early termination against (``TOPK_BLOCKS_READ`` counts them all).  Columnar
     blocks go to :func:`_ranked_probe`, the whole finish step of a scan-less lowering.
     """
-    from repro.hail.hail_block import HailBlock  # local: hail_block imports our kernels
-    from repro.systems.base import Lowering
-
     block_ids = system.hdfs.namenode.file_blocks(path)
     if not block_ids or isinstance(system.hdfs.any_replica(block_ids[0]).payload, HailBlock):
         return Lowering([], lambda _jobs, _scans_s: _ranked_probe(system, query, path))
@@ -194,8 +190,6 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     maps all apply per block).  The reported job is what a sequential driver costs: the job
     startup plus the sum of the per-block probe seconds — one wave, no reduce phase.
     """
-    from repro.engine.executor import VectorizedExecutor
-
     schema = system.schema_of(path)
     order_index = schema.index_of(query.order_by)
     block_ids = system.hdfs.namenode.file_blocks(path)

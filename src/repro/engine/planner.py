@@ -24,18 +24,16 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext
+from repro.hail.annotation import HailQuery
+from repro.hail.predicate import Predicate
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
 from repro.layouts.schema import Schema
 from repro.layouts.zonemap import disjoint_attribute
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.hail's __init__ imports us back
-    from repro.hail.annotation import HailQuery
-    from repro.hail.predicate import Predicate
 
 
 def _index_walk(

@@ -19,6 +19,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
+from repro.hail.sortindex import sort_permutation
 from repro.layouts.pax import gatherer
 
 #: Bytes per directory entry: one key (up to 4–8 B for fixed types) plus bookkeeping.
@@ -113,8 +114,6 @@ class HailIndex:
         """
         if partition_size < 1:
             raise ValueError("partition_size must be at least 1")
-        from repro.hail.sortindex import sort_permutation
-
         permutation = sort_permutation(values)
         index = cls(attribute, (), partition_size)
         index.num_values = len(values)

@@ -29,7 +29,8 @@ policy, index-aware scheduling), the job's
 :class:`~repro.engine.adaptive.AdaptiveJobContext` (handed to every record reader) and the
 deployment's :class:`~repro.engine.lifecycle.AdaptiveLifecycleManager`.  The runner starts
 each run (:meth:`HailInputFormat.start_run`) and finishes each measured one
-(:meth:`HailInputFormat.finish_run`: commit the staged builds, then the lifecycle pass).
+(:meth:`HailInputFormat.finish_run`: commit the staged builds, run the lifecycle pass and
+journal the control state it learned).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from repro.mapreduce.job import JobConf
 from repro.mapreduce.job_tracker import ScheduleOutcome
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
+from repro.persist.state import capture_lifecycle_control
 
 
 class HailInputFormat(InputFormat):
@@ -116,6 +118,10 @@ class HailInputFormat(InputFormat):
             staged_build_s = sum(build.build_seconds for build in staged)
             reader_s = sum(attempt.result.record_reader_s for attempt in scheduled)
             self.lifecycle.after_job(hdfs, counters, reader_s - staged_build_s, tenant, cost)
+            if hdfs.persist is not None:
+                # Journal what the pass learned — tuner ledger and balancer demand — so a
+                # restored deployment's feedback loops resume instead of re-learning.
+                hdfs.persist.sync_control(capture_lifecycle_control(self.lifecycle))
 
     # ------------------------------------------------------------------ splits
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:

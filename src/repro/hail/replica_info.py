@@ -8,9 +8,10 @@ offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from repro.hdfs.checksum import checksum_file_size
 from repro.layouts.zonemap import ZoneRanges
 
 
@@ -60,8 +61,6 @@ class HailBlockReplicaInfo:
         uses it to decide how many LRU candidates it must drop to satisfy a
         :class:`~repro.cluster.disk.DiskPressurePolicy`.
         """
-        from repro.hdfs.checksum import checksum_file_size
-
         return self.block_size_bytes + checksum_file_size(self.block_size_bytes)
 
     def describe(self) -> dict:

@@ -22,6 +22,7 @@ from repro.hail.upload import HailUploadPipeline
 from repro.engine.planner import PhysicalPlanner
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf
+from repro.persist import SqliteBackend
 from repro.systems.base import BaseSystem, scan_job
 
 
@@ -64,8 +65,6 @@ class HailSystem(BaseSystem):
             AdaptiveLifecycleManager.from_config(config)
         )
         if config.persistence_dir is not None:
-            from repro.persist import SqliteBackend
-
             # Attached on the Hdfs facade so every mutation-point hook (upload, adaptive
             # commit, eviction, balancer) can reach the journal without new plumbing.
             self.hdfs.persist = SqliteBackend(config.persistence_dir)

@@ -15,7 +15,7 @@ Costs are charged to a :class:`~repro.cluster.ledger.TransferLedger`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
@@ -25,6 +25,7 @@ from repro.hdfs.checksum import checksum_file_size, chunk_checksums
 from repro.hdfs.chunk import num_packets
 from repro.hdfs.errors import UploadFailedError
 from repro.hdfs.filesystem import Hdfs
+from repro.layouts.row import TextRowCodec
 
 
 @dataclass
@@ -69,8 +70,6 @@ class StandardUploadPipeline:
             if not records:
                 # Stock HDFS stores the text verbatim; the logical-block record list (used as
                 # ground truth by tests and reports) is the best-effort parse of those lines.
-                from repro.layouts.row import TextRowCodec
-
                 records, bad_lines = TextRowCodec(schema).decode_lenient("\n".join(lines))
         else:
             lines = tuple(map(schema.format_record, records))

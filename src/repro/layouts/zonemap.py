@@ -33,27 +33,24 @@ except FLOAT/DOUBLE columns, whose ``min``/``max`` depend on the row order (NaN,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from repro.layouts.schema import FieldType
-
-if TYPE_CHECKING:
-    from repro.hail.predicate import Predicate
-    from repro.layouts.pax import PaxBlock
-    from repro.layouts.schema import Schema
+from repro.hail.predicate import Predicate
+from repro.layouts.pax import PaxBlock
+from repro.layouts.schema import FieldType, Schema
 
 #: ``Dir_rep`` zone ranges: one ``(attribute, min, max)`` triple per attribute with data.
 ZoneRanges = tuple[tuple[str, Any, Any], ...]
 
 #: A numeric backend for one clause's one-row-zone flags: ``(pax, index, low, high, start,
 #: end) -> flags``, or ``None`` when it declines (see :meth:`ZoneMap.pruned_rows`).
-ColumnFlags = Callable[["PaxBlock", int, Any, Any, int, int], Optional[bytes]]
+ColumnFlags = Callable[[PaxBlock, int, Any, Any, int, int], Optional[bytes]]
 
 #: Types whose ``min``/``max`` may differ between two orders of the same values.
 _ORDER_DEPENDENT = (FieldType.FLOAT, FieldType.DOUBLE)
 
 
-def _column_zone(pax: "PaxBlock", index: int) -> tuple[str, Any, Any]:
+def _column_zone(pax: PaxBlock, index: int) -> tuple[str, Any, Any]:
     """One column's ``(name, min, max)``, from the block's per-row-set memo when it may be."""
     triple = pax._zone_triples[index]
     if triple is None:
@@ -65,7 +62,7 @@ def _column_zone(pax: "PaxBlock", index: int) -> tuple[str, Any, Any]:
     return triple
 
 
-def block_zone_ranges(pax: "PaxBlock") -> ZoneRanges:
+def block_zone_ranges(pax: PaxBlock) -> ZoneRanges:
     """Block-level min/max per attribute, in the ``Dir_rep`` triple form.
 
     This is the cheap synopsis registered with the namenode at replica-creation time (upload,
@@ -99,8 +96,8 @@ def ranges_disjoint(
 
 def disjoint_attribute(
     zone_of: Callable[[str], Optional[tuple[Any, Any]]],
-    predicate: "Predicate",
-    schema: "Schema",
+    predicate: Predicate,
+    schema: Schema,
 ) -> Optional[str]:
     """The attribute of the first clause whose value range is provably outside its zone.
 
@@ -123,7 +120,7 @@ def disjoint_attribute(
 
 
 def may_match_ranges(
-    ranges: Optional[ZoneRanges], predicate: Optional["Predicate"], schema: "Schema"
+    ranges: Optional[ZoneRanges], predicate: Optional[Predicate], schema: Schema
 ) -> bool:
     """Whether a block with ``Dir_rep`` zone ``ranges`` may hold rows matching ``predicate``.
 
@@ -167,10 +164,10 @@ class ZoneMap:
     #: first use.
     partition_zones: dict[str, tuple[tuple[Any, Any], ...]] = field(default_factory=dict)
     #: The block the zones are computed from.
-    pax: Optional["PaxBlock"] = field(default=None, repr=False, compare=False)
+    pax: Optional[PaxBlock] = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def build(cls, pax: "PaxBlock", partition_size: int) -> "ZoneMap":
+    def build(cls, pax: PaxBlock, partition_size: int) -> "ZoneMap":
         """The synopsis of ``pax`` at ``partition_size``-row granularity (zones filled on use)."""
         if partition_size <= 0:
             raise ValueError("partition_size must be positive")
@@ -220,7 +217,7 @@ class ZoneMap:
         return zones
 
     # ------------------------------------------------------------------ block-level checks
-    def may_match(self, predicate: Optional["Predicate"], schema: "Schema") -> bool:
+    def may_match(self, predicate: Optional[Predicate], schema: Schema) -> bool:
         """Whether any row of the block may satisfy ``predicate`` (block-level zones of the
         clause attributes only, computed up to the first disjoint clause)."""
         return predicate is None or disjoint_attribute(self._block_zone, predicate, schema) is None
@@ -228,8 +225,8 @@ class ZoneMap:
     # ------------------------------------------------------------------ partition pruning
     def pruned_rows(
         self,
-        predicate: Optional["Predicate"],
-        schema: "Schema",
+        predicate: Optional[Predicate],
+        schema: Schema,
         start: int,
         end: int,
         column_flags: Optional[ColumnFlags] = None,

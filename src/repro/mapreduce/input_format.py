@@ -12,17 +12,15 @@ JobTracker only ever call the three defaults below, which stock formats leave al
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
+from repro.mapreduce.job_tracker import ScheduleOutcome
 from repro.mapreduce.record_reader import RecordReader, TextRecordReader
 from repro.mapreduce.split import InputSplit
-
-if TYPE_CHECKING:  # only for annotations: the JobTracker imports the tasks, which import us
-    from repro.mapreduce.job_tracker import ScheduleOutcome
 
 
 class InputFormat(abc.ABC):
@@ -79,7 +77,7 @@ class InputFormat(abc.ABC):
         """
 
     def finish_run(
-        self, hdfs: Hdfs, cost: CostModel, outcome: "ScheduleOutcome", counters: Counters,
+        self, hdfs: Hdfs, cost: CostModel, outcome: ScheduleOutcome, counters: Counters,
         tenant: Optional[str],
     ) -> None:
         """Called after the reduce phase of a *measured* run, with its accepted attempts.

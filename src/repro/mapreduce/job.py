@@ -107,3 +107,22 @@ class JobResult:
             "avg_rr_ms": round(self.avg_record_reader_s * 1000.0, 3),
             "output_records": len(self.output),
         }
+
+
+@dataclass
+class Lowering:
+    """A compiled query as ordinary MapReduce work: the scans it needs plus a finish step.
+
+    ``scans`` are ``(Query, path[, emit[, decorate]])`` entries, each run as the system's own
+    scan job for that query.  ``emit(rows) -> pairs`` is what the scan's map function hands its
+    rows to (:func:`~repro.mapreduce.job.unkeyed` when omitted; group-by's regroup, a join
+    side's keying), and ``decorate(jobconf)`` adjusts the job in place right after it is built
+    (group-by installs its combiner, reducer and reduce-task count there).
+    ``finish(jobs, scans_s)`` turns the scans' :class:`JobResult` s, aligned with ``scans``,
+    into the answer — ``(records, job)`` plus, for a plain scan, the executed plan;
+    ``scans_s`` is what the scans took end to end: back-to-back the sum of their runtimes,
+    on an interleaved batch the latest finish.
+    """
+
+    scans: list[tuple]
+    finish: Callable[[list[JobResult], float], tuple]

@@ -40,14 +40,16 @@ balances.  A tuner journaled with per-attribute ledgers is refused with
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
+from repro.hail.hail_block import HailBlock
+from repro.hdfs.block import LogicalBlock
+from repro.hdfs.checksum import chunk_checksums
+from repro.hdfs.filesystem import Hdfs
+from repro.hdfs.namenode import NameNode
+from repro.layouts.pax import PaxBlock
 from repro.persist import codec
 from repro.persist.codec import JournalCorruptError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hdfs.filesystem import Hdfs
-    from repro.hdfs.namenode import NameNode
 
 
 def empty_state() -> dict:
@@ -64,7 +66,7 @@ def apply_path(state: dict, path: str, schema) -> None:
     }
 
 
-def capture_block(hdfs: "Hdfs", block_id: int, committed: Mapping) -> tuple[dict, dict]:
+def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, dict]:
     """One block's journal entry and its blob sources, read from the in-memory state.
 
     Covers the logical block (records as PAX bytes, bad lines), the ``Dir_block`` host list
@@ -119,7 +121,7 @@ def capture_block(hdfs: "Hdfs", block_id: int, committed: Mapping) -> tuple[dict
     return entry, sources
 
 
-def capture_namenode_control(namenode: "NameNode") -> dict:
+def capture_namenode_control(namenode: NameNode) -> dict:
     """The namenode-owned control scalars journaled alongside every block sync."""
     return {"next_block_id": namenode.next_block_id, "usage_tick": namenode.usage_tick}
 
@@ -127,8 +129,8 @@ def capture_namenode_control(namenode: "NameNode") -> dict:
 def capture_lifecycle_control(lifecycle) -> dict:
     """The lifecycle manager's learned control state: tuner feedback and balancer demand.
 
-    Journaled after every post-job lifecycle pass and by every full capture; the last block
-    of :func:`restore_system` is its inverse.
+    Journaled by ``HailInputFormat.finish_run`` after every post-job lifecycle pass and by
+    every full capture; the last block of :func:`restore_system` is its inverse.
     """
     control: dict = {"tuner": codec.encode_tuner(lifecycle.tuner)}
     if lifecycle.balancer is not None:
@@ -187,11 +189,6 @@ def restore_system(system, state: dict) -> None:
     ``register_replica`` clears tombstones for freshly indexed attributes — journal entries
     captured from a live system never contain both, so restore must not re-trigger that rule.
     """
-    from repro.hail.hail_block import HailBlock
-    from repro.hdfs.block import LogicalBlock
-    from repro.hdfs.checksum import chunk_checksums
-    from repro.layouts.pax import PaxBlock
-
     hdfs = system.hdfs
     namenode = hdfs.namenode
     ordered_paths = sorted(state["paths"], key=lambda p: state["paths"][p]["position"])

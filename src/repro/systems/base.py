@@ -17,18 +17,20 @@ post-upload index-creation jobs.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.failure import FailureEvent
 from repro.cluster.ledger import TransferLedger
 from repro.cluster.topology import Cluster
+from repro.engine.operators import EXPLAINS, LOWERINGS
 from repro.engine.planner import PhysicalPlanner, QueryPlan
+from repro.hail.annotation import HailQuery
 from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
 from repro.layouts.schema import Schema
-from repro.mapreduce.job import JobConf, JobResult, unkeyed
+from repro.mapreduce.job import JobConf, JobResult, Lowering, unkeyed
 from repro.mapreduce.runner import ConcurrentBatchError, MapReduceRunner
 
 
@@ -51,8 +53,6 @@ class SystemUploadReport:
     def total_s(self) -> float:
         """End-to-end time until the data is queryable (upload plus any index-creation jobs)."""
         return self.upload_s + self.post_processing_s
-
-
 
 
 @dataclass
@@ -91,25 +91,6 @@ class QueryResult:
         if self.plan is None:
             return f"QueryPlan for {self.query_name!r}: not captured"
         return self.plan.explain()
-
-
-@dataclass
-class Lowering:
-    """A compiled query as ordinary MapReduce work: the scans it needs plus a finish step.
-
-    ``scans`` are ``(Query, path[, emit[, decorate]])`` entries, each run as the system's own
-    scan job for that query.  ``emit(rows) -> pairs`` is what the scan's map function hands its
-    rows to (:func:`~repro.mapreduce.job.unkeyed` when omitted; group-by's regroup, a join
-    side's keying), and ``decorate(jobconf)`` adjusts the job in place right after it is built
-    (group-by installs its combiner, reducer and reduce-task count there).
-    ``finish(jobs, scans_s)`` turns the scans' :class:`JobResult` s, aligned with ``scans``,
-    into the answer — ``(records, job)`` plus, for a plain scan, the executed plan;
-    ``scans_s`` is what the scans took end to end: back-to-back the sum of their runtimes,
-    on an interleaved batch the latest finish.
-    """
-
-    scans: list[tuple]
-    finish: Callable[[list[JobResult], float], tuple]
 
 
 class BaseSystem(abc.ABC):
@@ -315,8 +296,6 @@ class BaseSystem(abc.ABC):
     def explain(self, query, path: str) -> str:
         """``EXPLAIN``-style rendering of any compiled query, executing nothing: a scan
         renders :meth:`plan_query`, an operator renders itself above its scans' plans."""
-        from repro.engine.operators import EXPLAINS  # local: the operators import us back
-
         if type(query) in EXPLAINS:
             return EXPLAINS[type(query)](self, query, path)
         return self.plan_query(query, path).explain()
@@ -328,8 +307,6 @@ class BaseSystem(abc.ABC):
         Raises :class:`~repro.hail.predicate.UnsupportedExpressionError` when a scan's
         predicate compares a column with an operand of another type.
         """
-        from repro.engine.operators import LOWERINGS  # local: the operators import us back
-
         if type(query) in LOWERINGS:
             lowering = LOWERINGS[type(query)](self, query, path)
         else:
@@ -377,9 +354,6 @@ class BaseSystem(abc.ABC):
     @staticmethod
     def _annotation_for(query):
         """The query's selection/projection as a ``HailQuery`` annotation (planner input)."""
-        # Local import: repro.hail's package __init__ imports this module back via hail.system.
-        from repro.hail.annotation import HailQuery
-
         return HailQuery(
             filter=query.predicate,
             projection=tuple(query.projection) if query.projection is not None else None,

@@ -6,7 +6,6 @@
   number of projected attributes while always filtering on the same attribute.
 """
 
-from repro.workloads.query import Query, render_sql
 from repro.workloads.bob import bob_logical_queries, bob_queries, BOB_INDEX_ATTRIBUTES
 from repro.workloads.synthetic_queries import (
     synthetic_logical_queries,
@@ -16,8 +15,6 @@ from repro.workloads.synthetic_queries import (
 from repro.workloads.workload import Workload, bob_workload, synthetic_workload
 
 __all__ = [
-    "Query",
-    "render_sql",
     "bob_queries",
     "bob_logical_queries",
     "BOB_INDEX_ATTRIBUTES",

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.datagen.synthetic import SyntheticGenerator
 from repro.datagen.uservisits import UserVisitsGenerator
+from repro.hail.predicate import Query
 from repro.layouts.schema import Schema
 from repro.workloads.bob import BOB_INDEX_ATTRIBUTES, BOB_TROJAN_ATTRIBUTE, bob_queries
-from repro.workloads.query import Query
 from repro.workloads.synthetic_queries import SYNTHETIC_FILTER_ATTRIBUTE, synthetic_queries
 
 

@@ -17,7 +17,7 @@ from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGene
 from repro.engine import AccessPath, PhysicalPlanner
 from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
 from repro.hail.predicate import Operator, Predicate
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/fail/synthetic"
 

@@ -17,7 +17,7 @@ from repro.engine.adaptive import (
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/adaptive/synthetic"
 

@@ -18,11 +18,12 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.api.expressions import UnsupportedExpressionError, col
 from repro.api.logical import LogicalQuery, estimated_selectivity_rank, normalize
 from repro.cluster import Cluster, CostModel, CostParameters
+from repro.engine.operators import TopKQuery
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.layouts import FieldType, Schema
 from repro.workloads import bob_queries
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 SCHEMA = Schema.of(
     ("a", FieldType.INT), ("b", FieldType.INT), ("c", FieldType.INT), name="abc"
@@ -273,6 +274,16 @@ def test_explicit_description_wins_over_auto_render():
     )
     assert query.description == "CUSTOM"
     assert all(q.description.startswith("SELECT") for q in bob_queries())
+
+
+def test_an_empty_projection_is_refused_at_construction():
+    """``()`` would run a zero-column scan under a ``SELECT *`` label; ``None`` projects all."""
+    with pytest.raises(ValueError, match="at least one attribute"):
+        Query(name="q", predicate=None, projection=())
+    with pytest.raises(ValueError, match="at least one attribute"):
+        TopKQuery(name="t", order_by="a", k=1, projection=())
+    assert Query(name="q", predicate=None, projection=None).description == "SELECT *"
+    assert TopKQuery(name="t", order_by="a", k=1).description == "SELECT * ORDER BY a LIMIT 1"
 
 
 def test_filter_attributes_unique_path():

@@ -21,7 +21,7 @@ from repro.datagen import UserVisitsGenerator
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Predicate
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/logs/uservisits"
 _PROBE = "172.101.11.46"

@@ -30,7 +30,7 @@ from repro.layouts.pax import PaxBlock
 from repro.mapreduce import job_tracker
 from repro.mapreduce.counters import Counters
 from repro.workloads import bob_queries
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/uv"
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")

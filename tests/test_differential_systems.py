@@ -20,7 +20,7 @@ from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGene
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/diff/synthetic"
 _NUM_RECORDS = 240

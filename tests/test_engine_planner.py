@@ -11,7 +11,7 @@ from repro.engine.access_path import BlockPlan
 from repro.hail import HailConfig, HailQuery, HailSystem
 from repro.hail.predicate import Predicate
 from repro.workloads import bob_queries
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 
 def _cost():

@@ -110,7 +110,7 @@ def test_index_scan_returns_correct_records(hail_system):
 
 def test_scan_fallback_returns_correct_records(hail_system):
     system, rows = hail_system
-    from repro.workloads.query import Query
+    from repro.hail.predicate import Query
 
     query = Query(
         name="unindexed",
@@ -140,7 +140,7 @@ def test_conjunction_uses_index_on_first_indexed_attribute(hail_system):
 def test_index_scan_reads_fewer_bytes_than_scan_fallback(hail_system):
     system, _ = hail_system
     indexed = system.run_query(bob_queries()[1], "/uv")  # sourceIP equality via index
-    from repro.workloads.query import Query
+    from repro.hail.predicate import Query
 
     scan = system.run_query(
         Query(

@@ -8,7 +8,7 @@ from repro.hail import HailConfig, HailQuery, HailInputFormat, HailSystem
 from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce import JobConf
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 
 def _cost():

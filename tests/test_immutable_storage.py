@@ -26,7 +26,7 @@ from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.hdfs import TextBlockPayload
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/immutable/synthetic"
 

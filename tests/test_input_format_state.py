@@ -27,7 +27,7 @@ from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce import TextInputFormat
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job_tracker import ConcurrencyPolicy
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/state/synthetic"
 _NUM_RECORDS = 360  # 9 blocks of 40 rows

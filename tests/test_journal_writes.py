@@ -42,7 +42,7 @@ from repro.persist import (
     restore_system,
 )
 from repro.persist.state import capture_block
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/journal/synthetic"
 #: The journal's one backend, named in every test id.
@@ -270,6 +270,46 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     assert probe.encodes == 0 and probe.rows("replicas") == 0
     assert _plain(restored.hdfs.persist.load_state()) == _plain(checkpoint_state(restored))
     restored.hdfs.persist.close()
+
+
+# --------------------------------------------------------------------------- control state
+def test_the_lifecycle_pass_writes_nothing_and_its_job_journals_control_once(
+    tmp_path, monkeypatch
+):
+    """The lifecycle pass only decides; ``HailInputFormat.finish_run`` journals what it
+    learned, once per job, right after the pass returns."""
+    system = _fresh(_config("sqlite", tmp_path, placement_balancer=True))
+    _upload(system)
+    persist, lifecycle = system.hdfs.persist, system.lifecycle
+    probe = WriteProbe(monkeypatch)
+    probe.watch(persist)
+    calls: list[str] = []
+
+    def recorded(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for name in ("sync_path", "sync_block", "sync_control"):
+        recorded(persist, name)
+    recorded(lifecycle, "after_job")
+
+    lifecycle.after_job(system.hdfs, Counters(), 0.0)
+    assert calls == ["after_job"] and probe.statements == []
+
+    del calls[:]
+    system.run_query(_query(), _PATH)
+    # Before it the job journaled its salt and its commits; after the pass, one write.
+    assert calls.count("after_job") == 1
+    assert calls[calls.index("after_job"):] == ["after_job", "sync_control"]
+    control = _plain(persist.load_state())["control"]
+    assert control["demand"] == _plain(dict(lifecycle.balancer.demand))
+    assert control["demand"]  # the job's pass observed demand, and it reached the journal
+    persist.close()
 
 
 # --------------------------------------------------------------------------- crash

@@ -1,0 +1,192 @@
+"""One module DAG: every ``repro`` import in ``src/repro`` is module-level and points down.
+
+Three static checks over the AST of every module under ``src/repro``:
+
+- no ``repro`` import sits in a function or class body (none dodges a cycle at runtime);
+- an ``if TYPE_CHECKING:`` block imports from ``repro`` only what :data:`ALLOWED_TYPE_CHECKING`
+  lists, each entry with its reason;
+- the module import graph has no cycle.  Every ``repro`` import of a module is an edge, wherever
+  it sits, except the allowed annotation imports; ``from pkg import mod`` points at ``mod`` and
+  a package ``__init__`` is a module of its own.
+
+What only running the imports shows — a package ``__init__`` re-entering a module that is still
+loading — is ``tools/import_each.py``'s job, run in CI.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: ``(importing module, imported module) -> (names, reason)``: the only ``TYPE_CHECKING``
+#: imports from ``repro`` allowed, and only for annotations.
+_OPERATORS_REASON = (
+    "repro.systems.base dispatches every query kind to the operators (LOWERINGS/EXPLAINS); "
+    "the operators only annotate with the system types, and bench/ pins them under engine/"
+)
+ALLOWED_TYPE_CHECKING = {
+    ("repro.engine.operators", "repro.systems.base"): (
+        {"BaseSystem", "QueryResult"}, _OPERATORS_REASON
+    ),
+    ("repro.engine.operators.aggregate", "repro.systems.base"): ({"BaseSystem"}, _OPERATORS_REASON),
+    ("repro.engine.operators.join", "repro.systems.base"): ({"BaseSystem"}, _OPERATORS_REASON),
+    ("repro.engine.operators.topk", "repro.systems.base"): ({"BaseSystem"}, _OPERATORS_REASON),
+}
+
+
+def _modules() -> dict[str, Path]:
+    """Every module under ``src/repro`` by dotted name (a package by its ``__init__``'s)."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
+
+
+MODULES = _modules()
+
+
+def _is_type_checking(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and any(
+        isinstance(sub, (ast.Name, ast.Attribute))
+        and "TYPE_CHECKING" in (getattr(sub, "id", None), getattr(sub, "attr", None))
+        for sub in ast.walk(node.test)
+    )
+
+
+def _imports(name: str) -> list[tuple[str, str, set, int]]:
+    """``(where, target module, names, line)`` per ``repro`` import of module ``name``.
+
+    ``where`` is ``"module"`` (top level, or under a top-level ``if``/``try``),
+    ``"type_checking"`` or ``"nested"`` (in a function or class body).  The target of
+    ``from pkg import mod`` is ``pkg.mod`` when that is a module, else ``pkg``.
+    """
+    path = MODULES[name]
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found = []
+
+    def targets_of(node) -> dict[str, set]:
+        if isinstance(node, ast.Import):
+            return {alias.name: set() for alias in node.names}
+        module = node.module or ""
+        if node.level:
+            base = package.split(".")[: len(package.split(".")) - node.level + 1]
+            module = ".".join(base + ([module] if module else []))
+        targets: dict[str, set] = {}
+        for alias in node.names:
+            sub = f"{module}.{alias.name}"
+            if sub in MODULES:
+                targets[sub] = set()
+            else:
+                targets.setdefault(module, set()).add(alias.name)
+        return targets
+
+    def visit(statements, where: str) -> None:
+        for node in statements:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for target, names in targets_of(node).items():
+                    if target.partition(".")[0] == "repro":
+                        found.append((where, target, names, node.lineno))
+            elif _is_type_checking(node) and where == "module":
+                visit(node.body, "type_checking")
+                visit(node.orelse, "module")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(node.body, "nested")
+            elif isinstance(node, (ast.stmt, ast.excepthandler)):
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(node, field, []), where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")).body, "module")
+    return found
+
+
+IMPORTS = {name: _imports(name) for name in MODULES}
+
+
+def _allowed(name: str, target: str, names: set) -> bool:
+    entry = ALLOWED_TYPE_CHECKING.get((name, target))
+    return entry is not None and bool(names) and names <= entry[0]
+
+
+def test_the_scan_sees_the_whole_tree():
+    assert len(MODULES) > 90
+    assert sum(len(found) for found in IMPORTS.values()) > 300
+    assert "repro.engine.operators" in MODULES and "repro.hail" in MODULES
+
+
+def test_no_repro_import_sits_in_a_function_or_class():
+    nested = [
+        f"{MODULES[name].relative_to(SRC)}:{line} imports {target}"
+        for name, found in IMPORTS.items()
+        for where, target, _names, line in found
+        if where == "nested"
+    ]
+    assert not nested, "\n".join(nested)
+
+
+def test_type_checking_imports_are_only_the_listed_annotations():
+    unlisted = [
+        f"{MODULES[name].relative_to(SRC)}:{line} imports {sorted(names) or target} from {target}"
+        for name, found in IMPORTS.items()
+        for where, target, names, line in found
+        if where == "type_checking" and not _allowed(name, target, names)
+    ]
+    assert not unlisted, "\n".join(unlisted)
+    used = {
+        (name, target)
+        for name, found in IMPORTS.items()
+        for where, target, _names, _line in found
+        if where == "type_checking"
+    }
+    assert used == set(ALLOWED_TYPE_CHECKING), "drop the entries no module needs any more"
+
+
+def _graph() -> dict[str, set]:
+    return {
+        name: {
+            target
+            for where, target, names, _line in found
+            if target in MODULES
+            and not (where == "type_checking" and _allowed(name, target, names))
+        }
+        for name, found in IMPORTS.items()
+    }
+
+
+def _find_cycle(graph: dict[str, set]) -> list[str]:
+    """One cycle of ``graph`` as a closed path of nodes, or ``[]`` when it is a DAG."""
+    state: dict[str, int] = {}  # 1: on the current path, 2: finished
+    path: list[str] = []
+
+    def visit(node: str) -> list[str]:
+        state[node] = 1
+        path.append(node)
+        for successor in sorted(graph.get(node, ())):
+            if state.get(successor) == 1:
+                return path[path.index(successor):] + [successor]
+            if successor not in state:
+                cycle = visit(successor)
+                if cycle:
+                    return cycle
+        path.pop()
+        state[node] = 2
+        return []
+
+    for node in sorted(graph):
+        if node not in state:
+            cycle = visit(node)
+            if cycle:
+                return cycle
+    return []
+
+
+def test_the_cycle_finder_finds_a_cycle():
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
+    assert _find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def test_the_module_import_graph_is_acyclic():
+    cycle = _find_cycle(_graph())
+    assert not cycle, " -> ".join(cycle)

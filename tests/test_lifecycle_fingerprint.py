@@ -38,7 +38,7 @@ from repro.engine.lifecycle import evict_under_pressure
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 #: Digest of every row below.
 SURVIVING_DIGEST = "b874d345c53a3f71"

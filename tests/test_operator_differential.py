@@ -28,7 +28,7 @@ from repro.engine.operators import (
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _LEFT = "/diff/left"
 _RIGHT = "/diff/right"

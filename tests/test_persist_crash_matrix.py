@@ -33,7 +33,7 @@ from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.hail.scheduler import check_dir_rep_consistency
 from repro.persist import CrashInjected, CrashPoint, restore_system
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/crash/synthetic"
 

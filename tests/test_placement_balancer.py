@@ -25,7 +25,7 @@ from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.hail.scheduler import check_dir_rep_consistency, index_local_task_fraction
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/placement/synthetic"
 

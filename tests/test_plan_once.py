@@ -27,7 +27,7 @@ from repro.hail.predicate import Operator, Predicate
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.counters import Counters
 from repro.workloads import bob_queries
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/uv"
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")

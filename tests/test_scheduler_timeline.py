@@ -31,7 +31,7 @@ from repro.layouts import FieldType, Schema
 from repro.mapreduce import Counters, JobConf, TextInputFormat
 from repro.mapreduce.job_tracker import ConcurrencyPolicy, ConcurrentJob, JobTracker
 from repro.mapreduce.task import MapTask
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 #: Digest of every row below: 32 policies times 5 fault plans, plus the serial-kill and HAIL rows.
 SURVIVING_DIGEST = "9791ce37ea6da1cc"

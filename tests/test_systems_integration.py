@@ -15,7 +15,7 @@ from repro.datagen import SYNTHETIC_SCHEMA, USERVISITS_SCHEMA, SyntheticGenerato
 from repro.hail import HailConfig, HailSystem
 from repro.mapreduce.counters import Counters
 from repro.workloads import bob_queries, synthetic_queries
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 
 def _cost():

@@ -27,7 +27,7 @@ from repro.datagen.synthetic import VALUE_RANGE
 from repro.datagen.uservisits import USERVISITS_SCHEMA
 from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.schema import FieldType, Schema
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 #: A schema whose delimiter is neither ``|`` nor one character long.
 _COLONS_SCHEMA = Schema.of(

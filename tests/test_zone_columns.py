@@ -46,7 +46,7 @@ from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import FieldType, Schema
 from repro.layouts.zonemap import ZoneMap, block_zone_ranges, may_match_ranges
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 
 # --------------------------------------------------------------------------- call counts

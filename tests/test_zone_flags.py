@@ -17,7 +17,7 @@ from repro.engine import kernels
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/flags/scan"
 _ROWS_PER_BLOCK = 500

@@ -42,7 +42,7 @@ from repro.layouts.zonemap import (
     ranges_disjoint,
 )
 from repro.mapreduce.counters import Counters
-from repro.workloads.query import Query
+from repro.hail.predicate import Query
 
 _PATH = "/zonemaps/synthetic"
 
