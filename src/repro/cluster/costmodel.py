@@ -17,9 +17,8 @@ preserved because every system is scaled identically.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.cpu import CpuModel, CpuRates
 from repro.cluster.disk import DiskModel

@@ -15,7 +15,7 @@ reproduction exhibits the same ordering and comparable factors; they are not ven
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

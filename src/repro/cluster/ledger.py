@@ -15,8 +15,8 @@ HAIL can hide its sorting and indexing work behind that I/O (Section 3 of the pa
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.node import Node

@@ -8,7 +8,7 @@ run co-located with datanodes).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.hardware import HardwareProfile
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.cluster.hardware import HardwareProfile
-from repro.cluster.node import Node, NodeState
+from repro.cluster.node import Node
 
 
 class Cluster:

@@ -10,7 +10,7 @@ preserved because every system is scaled identically; the benchmark suite uses t
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.cluster.costmodel import CostModel, CostParameters

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster.failure import FailureEvent, FailureInjector
+from repro.cluster.failure import FailureInjector
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.deployments import build_deployment
 from repro.experiments.report import FigureResult

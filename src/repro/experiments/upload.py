@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.deployments import build_deployment

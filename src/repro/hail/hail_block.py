@@ -12,8 +12,7 @@ A HAIL block (Figure 1, right-hand side) consists of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.hail.index import HailIndex, IndexLookup
 from repro.hail.predicate import Predicate

@@ -9,7 +9,6 @@ are passed through with ``bad = True`` and carry the raw line instead of typed v
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from typing import Any, Optional, Sequence
 

@@ -29,8 +29,8 @@ def verify_chunk_checksums(
 ) -> bool:
     """True when ``payload`` matches the per-chunk ``checksums``.
 
-    Census keep list (``tests/test_census.py``): restore's payload checksum check will call it
-    (ROADMAP item 2(b)).
+    Restore checks every journaled payload with it against the CRCs its ``Dir_rep`` row
+    journals (:func:`repro.persist.state.restore_system`).
     """
     return list(checksums) == chunk_checksums(payload, chunk_size)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 from repro.cluster.node import Node
 from repro.hdfs.block import Replica

@@ -26,8 +26,9 @@ class ReplicaNotFoundError(HdfsError):
 class ChecksumError(HdfsError):
     """Chunk checksum verification failed in the upload pipeline or on read.
 
-    Census keep list (``tests/test_census.py``): restore's payload checksum check will raise it
-    (ROADMAP item 2(b)).
+    Census keep list (``tests/test_census.py``): the error of HDFS's checksum check (Section
+    3.2), which no simulated read performs.  Journal restore checks payload checksums too, but
+    refuses with ``JournalCorruptError``, which names the journal file.
     """
 
 

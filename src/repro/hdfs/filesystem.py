@@ -12,8 +12,8 @@ the MapReduce substrate.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster

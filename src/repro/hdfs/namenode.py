@@ -10,7 +10,7 @@ matching index.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.topology import Cluster
 from repro.hdfs.block import BlockLocation, LogicalBlock

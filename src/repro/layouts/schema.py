@@ -8,7 +8,7 @@ block and handed to the map function unchanged at query time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import Any, Callable, Iterable, Sequence
 

@@ -9,7 +9,6 @@ scheduling overhead (Figure 9).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass(frozen=True)

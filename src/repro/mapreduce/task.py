@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.hdfs.filesystem import Hdfs

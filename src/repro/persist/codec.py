@@ -11,6 +11,8 @@ The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payloa
 - **Column data** — logical block records and replica payloads, which reuse the existing PAX
   wire format (:meth:`~repro.layouts.pax.PaxBlock.to_bytes`), so a persisted block is
   byte-identical to what the simulated datanodes already account for.
+- **Chunk CRCs** — a replica payload's per-chunk CRC32s (:mod:`repro.hdfs.checksum`), packed
+  at 4 little-endian bytes each.
 
 Every ``encode_*`` has a matching ``decode_*`` and the pair is a structural identity — the
 property suite (``tests/test_property_persist.py``) drives randomized values through each
@@ -24,6 +26,7 @@ tuner does not have, raises :class:`JournalCorruptError` naming the key.
 from __future__ import annotations
 
 import dataclasses
+import struct
 from datetime import date
 from typing import Any, Optional, Sequence
 
@@ -161,3 +164,14 @@ def decode_records(schema: Schema, payload: bytes, num_records: int) -> list[tup
     if num_records == 0:
         return []
     return PaxBlock.from_bytes(schema, payload, num_records).records()
+
+
+# --------------------------------------------------------------------------- chunk CRCs
+def encode_crcs(checksums: Sequence[int]) -> bytes:
+    """Per-chunk CRC32s → 4 little-endian bytes each (what a ``Dir_rep`` row journals)."""
+    return struct.pack(f"<{len(checksums)}I", *checksums)
+
+
+def decode_crcs(blob: bytes) -> tuple[int, ...]:
+    """Inverse of :func:`encode_crcs` (``struct.error`` on a blob of no whole number of CRCs)."""
+    return struct.unpack(f"<{len(blob) // 4}I", blob)

@@ -13,41 +13,59 @@ Layout under ``persistence_dir``:
 
 - ``namenode.db`` — the directory state: paths + schemas, logical blocks (records as PAX
   byte blobs), ``Dir_block`` host order, ``Dir_rep`` infos plus each replica's physical
-  metadata, LRU usage statistics, eviction tombstones, and a key/value ``control`` table
-  (allocation counter, usage clock, adaptive salt, tuner state, balancer demand).
+  metadata and payload chunk CRCs, LRU usage statistics, eviction tombstones, and a
+  key/value ``control`` table (allocation counter, usage clock, adaptive salt, tuner state,
+  balancer demand).
 - ``node_<id>.db`` — one database per datanode holding that node's replica payload bytes,
-  mirroring HAIL's one-journal-per-datanode deployment shape.
+  mirroring HAIL's one-journal-per-datanode deployment shape.  A payload row is keyed by its
+  block id and the CRC32 of its chunk CRCs, which the directory row also holds.
 
 Every database runs ``journal_mode=WAL`` (readers never block the journal writer, and a
 torn process leaves a WAL SQLite replays on next open) with ``foreign_keys=ON`` so a
 block's dependent rows (hosts, infos, usage, tombstones) can never outlive the block row,
-and SQLite's default ``synchronous`` level.
+``synchronous=NORMAL`` (a commit is a WAL append; the fsync happens at WAL checkpoints), a
+``busy_timeout`` and ``auto_vacuum=INCREMENTAL`` (``checkpoint()`` hands free pages back).
+Each database carries ``PRAGMA user_version`` = :data:`JOURNAL_VERSION`; opening one of any
+other version raises :class:`~repro.persist.state.JournalCorruptError` naming the file.
 
-**Commit ordering is the crash-safety contract**: a ``sync_block`` first upserts payload
-bytes into the holding nodes' databases (one commit per node, upsert-only — rows for
-replicas that disappeared are left behind as orphans), *then* replaces the block's
-directory rows in ``namenode.db`` in a single transaction.  A crash between the two (where
+**Durability.**  A killed process loses nothing it committed: every commit is in the WAL,
+which the next open replays.  After an OS crash or power loss, each database keeps a prefix
+of its commits, and the databases may have lost different suffixes.  The namenode's prefix is
+a consistent directory; a node database that disagrees with it lacks a referenced payload
+row, and restore refuses it by name instead of serving it: ``load_state`` raises on a
+missing file or row, and :func:`~repro.persist.state.restore_system` checks every payload
+against the chunk CRCs its ``Dir_rep`` row journals.
+
+**Commit ordering is the crash-safety contract**: a ``sync_block`` first inserts new payload
+bytes into the holding nodes' databases (one commit per node), in rows beside the ones the
+directory still references, *then* replaces the block's directory rows in ``namenode.db`` in
+a single transaction.  A crash between the two (where
 :class:`~repro.persist.backend.CrashPoint` fires) leaves node databases strictly ahead of
 the directory; restore drives entirely off ``namenode.db`` and ignores payload rows it does
-not reference, so any interrupted mutation atomically either happened or did not.
+not reference, so any interrupted mutation atomically either happened or did not.  Rows the
+directory commit stopped referencing (a replaced, moved or dropped replica) are deleted in
+their node's next payload transaction.
 
 **Only changed blobs are written** (delta syncs).  An instance remembers, per block, the
 *blob sources* of the entry it last committed (:func:`repro.persist.state.capture_block`:
-the replicas' ``PaxBlock`` objects and the ``LogicalBlock``, never bytes).  Blocks are
+the replicas' ``PaxBlock`` objects with their chunk-CRC blobs, and the ``LogicalBlock``;
+never payload bytes).  Blocks are
 immutable, so a node whose replica is still the committed object gets no transaction, and
 the ``blocks`` row stays while the ``LogicalBlock`` is the committed one: an adaptive commit
 writes one payload, not four blobs.  The record is updated only after the namenode commit,
 starts empty in every new instance and is re-seeded by ``checkpoint()``.  The directory
 then points at rows an earlier sync wrote, so :meth:`load_state` raises a
 :class:`~repro.persist.state.JournalCorruptError` naming the replica when one is missing.
-Orphans are garbage-collected by the next ``checkpoint()``, which rewrites every database
-from a full capture and then truncates every WAL.  See ``docs/persistence.md``.
+Orphans a crash or a new instance left behind are garbage-collected by the next
+``checkpoint()``, which rewrites every database from a full capture, hands its free pages
+back and then truncates every WAL.  See ``docs/persistence.md``.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+import zlib
 from pathlib import Path
 from typing import Optional
 
@@ -79,6 +97,7 @@ CREATE TABLE IF NOT EXISTS dir_rep (
     datanode_id INTEGER NOT NULL,
     info_json TEXT,
     meta_json TEXT NOT NULL,
+    crcs_blob BLOB NOT NULL,
     PRIMARY KEY (block_id, datanode_id)
 );
 CREATE TABLE IF NOT EXISTS usage (
@@ -102,10 +121,33 @@ CREATE TABLE IF NOT EXISTS control (
 
 _NODE_SCHEMA = """
 CREATE TABLE IF NOT EXISTS replicas (
-    block_id INTEGER PRIMARY KEY,
-    payload_blob BLOB NOT NULL
+    block_id INTEGER NOT NULL,
+    payload_crc INTEGER NOT NULL,
+    payload_blob BLOB NOT NULL,
+    PRIMARY KEY (block_id, payload_crc)
 );
 """
+
+
+#: The journal layout this module writes and the only one it reads (``PRAGMA user_version``).
+JOURNAL_VERSION = 1
+
+#: Set on every connection: free pages a checkpoint can return (takes effect only on a new
+#: database, so it comes first), WAL, one fsync per WAL checkpoint instead of per commit,
+#: enforced foreign keys, and a wait (in ms) on a locked database instead of an error.
+_PRAGMAS = (
+    "auto_vacuum=INCREMENTAL",
+    "journal_mode=WAL",
+    "synchronous=NORMAL",
+    "foreign_keys=ON",
+    "busy_timeout=5000",
+)
+
+
+def _payload_crc(crcs_blob: bytes) -> int:
+    """The key of a payload row beside its block id: the CRC32 of the payload's chunk CRCs,
+    so a new payload never overwrites the row the directory still references."""
+    return zlib.crc32(crcs_blob)
 
 
 class SqliteBackend(Checkpointing):
@@ -120,6 +162,9 @@ class SqliteBackend(Checkpointing):
         self.crash_point: Optional[CrashPoint] = None
         #: ``{block_id: blob sources}`` of the entries this instance committed (module doc).
         self._committed: dict[int, dict] = {}
+        #: ``{datanode_id: [(block_id, payload_crc)]}``: payload rows a directory commit
+        #: stopped referencing, deleted in that node's next payload transaction.
+        self._superseded: dict[int, list[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------ crash injection
     def _maybe_crash(self, site: str) -> None:
@@ -135,17 +180,30 @@ class SqliteBackend(Checkpointing):
     # ------------------------------------------------------------------ connections
     @staticmethod
     def _open(path: Path, schema: str) -> sqlite3.Connection:
+        """Open ``path``, creating the schema in a new database; refuse another version."""
         conn = sqlite3.connect(str(path))
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA foreign_keys=ON")
-        conn.executescript(schema)
-        conn.commit()
+        for pragma in _PRAGMAS:
+            conn.execute(f"PRAGMA {pragma}")
+        (version,) = conn.execute("PRAGMA user_version").fetchone()
+        (tables,) = conn.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()
+        if version == 0 and tables == 0:  # a new database
+            conn.executescript(
+                f"BEGIN; {schema} PRAGMA user_version = {JOURNAL_VERSION}; COMMIT;"
+            )
+        elif version != JOURNAL_VERSION:
+            conn.close()
+            raise state_mod.JournalCorruptError(
+                f"{path} is journal version {version}; this build reads version"
+                f" {JOURNAL_VERSION} only"
+            )
         return conn
 
     def _node(self, datanode_id: int) -> sqlite3.Connection:
         conn = self._nodes.get(datanode_id)
         if conn is None:
-            conn = self._open(self.directory / f"node_{datanode_id}.db", _NODE_SCHEMA)
+            conn = self._open(
+                self.directory / state_mod.node_db_name(datanode_id), _NODE_SCHEMA
+            )
             self._nodes[datanode_id] = conn
         return conn
 
@@ -169,20 +227,22 @@ class SqliteBackend(Checkpointing):
 
     def sync_block(self, hdfs, block_id: int, site: str) -> None:
         """Journal one block: node payload commits first, namenode directory commit last."""
-        entry, sources = state_mod.capture_block(
-            hdfs, block_id, self._committed.get(block_id, {})
-        )
+        committed = self._committed.get(block_id, {})
+        entry, sources = state_mod.capture_block(hdfs, block_id, committed)
         control = state_mod.capture_namenode_control(hdfs.namenode)
-        # Payload bytes first, one commit per node whose payload is not committed yet.
-        # Upsert-only: rows for replicas that moved or died stay behind as orphans the
-        # directory no longer references.
+        # Payload bytes first, one commit per node whose payload is not committed yet, in
+        # a new row beside the one the directory still references.
         for datanode_id, stored in entry["replicas"].items():
             if "payload_blob" in stored:
                 with self._node(datanode_id) as conn:
+                    conn.executemany(
+                        "DELETE FROM replicas WHERE block_id = ? AND payload_crc = ?",
+                        self._superseded.pop(datanode_id, ()),
+                    )
                     conn.execute(
-                        "INSERT OR REPLACE INTO replicas (block_id, payload_blob)"
-                        " VALUES (?, ?)",
-                        (block_id, stored["payload_blob"]),
+                        "INSERT OR REPLACE INTO replicas (block_id, payload_crc, payload_blob)"
+                        " VALUES (?, ?, ?)",
+                        (block_id, _payload_crc(stored["crcs_blob"]), stored["payload_blob"]),
                     )
         # The crash window: payloads are on disk, the directory commit has not happened.
         self._maybe_crash(site)
@@ -191,6 +251,14 @@ class SqliteBackend(Checkpointing):
             self._write_block_entry(conn, block_id, entry)
             self._write_control(conn, control)
         self._committed[block_id] = sources
+        # Rows of replicas that were replaced, moved or dropped are unreferenced now.
+        for datanode_id, source in committed.items():
+            if datanode_id is None:
+                continue
+            old = _payload_crc(source[1])
+            new = sources.get(datanode_id)
+            if new is None or _payload_crc(new[1]) != old:
+                self._superseded.setdefault(datanode_id, []).append((block_id, old))
 
     def sync_control(self, control: dict) -> None:
         """Upsert the control scalars into the namenode DB in one transaction."""
@@ -238,9 +306,15 @@ class SqliteBackend(Checkpointing):
         for datanode_id, stored in entry["replicas"].items():
             info_json = None if stored["info"] is None else json.dumps(stored["info"])
             conn.execute(
-                "INSERT INTO dir_rep (block_id, datanode_id, info_json, meta_json)"
-                " VALUES (?, ?, ?, ?)",
-                (block_id, datanode_id, info_json, json.dumps(stored["meta"])),
+                "INSERT INTO dir_rep (block_id, datanode_id, info_json, meta_json, crcs_blob)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (
+                    block_id,
+                    datanode_id,
+                    info_json,
+                    json.dumps(stored["meta"]),
+                    stored["crcs_blob"],
+                ),
             )
         for datanode_id, (use_count, last_tick) in entry["usage"].items():
             conn.execute(
@@ -257,18 +331,21 @@ class SqliteBackend(Checkpointing):
     # ------------------------------------------------------------------ checkpoint/restore
     def _store_state(self, state: dict) -> None:
         """Rewrite every database from a full capture: orphans go, WALs are truncated."""
-        per_node: dict[int, list[tuple[int, bytes]]] = {}
+        per_node: dict[int, list[tuple[int, int, bytes]]] = {}
         for block_id, entry in state["blocks"].items():
             for datanode_id, stored in entry["replicas"].items():
                 per_node.setdefault(datanode_id, []).append(
-                    (block_id, stored["payload_blob"])
+                    (block_id, _payload_crc(stored["crcs_blob"]), stored["payload_blob"])
                 )
         for datanode_id, rows in per_node.items():
             with self._node(datanode_id) as conn:
                 conn.execute("DELETE FROM replicas")
                 conn.executemany(
-                    "INSERT INTO replicas (block_id, payload_blob) VALUES (?, ?)", rows
+                    "INSERT INTO replicas (block_id, payload_crc, payload_blob)"
+                    " VALUES (?, ?, ?)",
+                    rows,
                 )
+        self._superseded.clear()
         with self._namenode as conn:
             for table in ("evictions", "usage", "dir_rep", "dir_block", "blocks", "paths"):
                 conn.execute(f"DELETE FROM {table}")
@@ -281,8 +358,10 @@ class SqliteBackend(Checkpointing):
             for block_id, entry in state["blocks"].items():
                 self._write_block_entry(conn, block_id, entry)
             self._write_control(conn, state["control"])
-        # Compact: fold every write-ahead log into its database and cut it to zero bytes.
+        # Compact: return free pages, fold every write-ahead log into its database and cut it
+        # to zero bytes.  (``executescript`` steps the vacuum to the end; one step frees one page.)
         for conn in (self._namenode, *self._nodes.values()):
+            conn.executescript("PRAGMA incremental_vacuum;")
             conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def load_state(self) -> dict:
@@ -290,6 +369,8 @@ class SqliteBackend(Checkpointing):
 
         Driven entirely off ``namenode.db``; node databases are consulted only for payload
         bytes of replicas the directory references, so crash-window orphans never surface.
+        A referenced node database that does not exist, or lacks the payload row, raises
+        :class:`~repro.persist.state.JournalCorruptError` naming the replica and the file.
         """
         state = state_mod.empty_state()
         conn = self._namenode
@@ -317,21 +398,26 @@ class SqliteBackend(Checkpointing):
             "SELECT block_id, datanode_id FROM dir_block ORDER BY block_id, position"
         ):
             state["blocks"][block_id]["dir_block"].append(datanode_id)
-        for block_id, datanode_id, info_json, meta_json in conn.execute(
-            "SELECT block_id, datanode_id, info_json, meta_json FROM dir_rep"
+        for block_id, datanode_id, info_json, meta_json, crcs_blob in conn.execute(
+            "SELECT block_id, datanode_id, info_json, meta_json, crcs_blob FROM dir_rep"
         ):
+            node_path = self.directory / state_mod.node_db_name(datanode_id)
+            missing = (
+                f"namenode.db references a replica of block {block_id} on datanode"
+                f" {datanode_id}, but {node_path}"
+            )
+            if datanode_id not in self._nodes and not node_path.exists():
+                raise state_mod.JournalCorruptError(f"{missing} does not exist")
             payload_row = self._node(datanode_id).execute(
-                "SELECT payload_blob FROM replicas WHERE block_id = ?", (block_id,)
+                "SELECT payload_blob FROM replicas WHERE block_id = ? AND payload_crc = ?",
+                (block_id, _payload_crc(crcs_blob)),
             ).fetchone()
             if payload_row is None:
-                raise state_mod.JournalCorruptError(
-                    f"namenode.db references a replica of block {block_id} on datanode"
-                    f" {datanode_id}, but {self.directory / f'node_{datanode_id}.db'}"
-                    " holds no payload row for it"
-                )
+                raise state_mod.JournalCorruptError(f"{missing} holds no payload row for it")
             state["blocks"][block_id]["replicas"][datanode_id] = {
                 "info": None if info_json is None else json.loads(info_json),
                 "payload_blob": payload_row[0],
+                "crcs_blob": crcs_blob,
                 "meta": json.loads(meta_json),
             }
         for block_id, datanode_id, use_count, last_tick in conn.execute(

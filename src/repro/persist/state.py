@@ -8,7 +8,8 @@ deployment needs to come back with its learned index pool intact::
       "paths":   {path: {"schema": ..., "position": n}},
       "blocks":  {block_id: {"path", "num_records", "records_blob", "bad_lines",
                              "text_size_bytes", "dir_block": [datanode ids, in order],
-                             "replicas": {datanode_id: {"info", "payload_blob", "meta"}},
+                             "replicas": {datanode_id: {"info", "payload_blob",
+                                                         "crcs_blob", "meta"}},
                              "usage": {datanode_id: [use_count, last_tick]},
                              "evictions": {attribute: datanode_id}}},
       "control": {"next_block_id", "usage_tick", "adaptive_salt", "tuner", "demand"},
@@ -23,7 +24,18 @@ LogicalBlock}`` — and leaves out every blob whose source is still the object t
 committed.  Blocks are immutable (``layouts/pax.py``): same object, same bytes; an equal
 copy merely costs a redundant write.  :func:`checkpoint_state` is the full capture.
 
-Restore (:func:`restore_system`) rebuilds a **fresh** deployment from that state.  Replica
+The directory is the **checksum authority**: every replica entry carries its payload's chunk
+CRCs (``crcs_blob``, 4 bytes per 512-byte chunk), journaled in the namenode's ``Dir_rep`` row,
+never beside the payload, so a node database that rolled back together with a stale payload
+cannot vouch for it.  They are the replica's own ``checksums`` when it has them; otherwise they
+are computed once, from the bytes the journal is about to write.  A payload that is still
+the committed object carries its committed CRCs forward (the blob source is the pair
+``(PaxBlock, crcs_blob)``), so a sync that writes no payload computes no CRC.
+
+Restore (:func:`restore_system`) rebuilds a **fresh** deployment from that state.  It
+checks every payload against its journaled CRCs before decoding it and refuses a mismatch with
+:class:`JournalCorruptError` naming the block, the datanode and the database file; a
+checksummed replica gets the journaled CRCs back as its checksums, recomputing none.  Replica
 payloads come back by re-running the shared sort-and-index entry point
 (:meth:`~repro.hail.hail_block.HailBlock.build`) over the journaled — already sorted — PAX
 bytes: the sort permutation is stable, so an already-sorted column yields the identity
@@ -44,12 +56,17 @@ from typing import Mapping
 
 from repro.hail.hail_block import HailBlock
 from repro.hdfs.block import LogicalBlock
-from repro.hdfs.checksum import chunk_checksums
+from repro.hdfs.checksum import chunk_checksums, verify_chunk_checksums
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
 from repro.layouts.pax import PaxBlock
 from repro.persist import codec
 from repro.persist.codec import JournalCorruptError
+
+
+def node_db_name(datanode_id: int) -> str:
+    """File name of one datanode's payload database in the journal directory."""
+    return f"node_{datanode_id}.db"
 
 
 def empty_state() -> dict:
@@ -70,11 +87,12 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
     """One block's journal entry and its blob sources, read from the in-memory state.
 
     Covers the logical block (records as PAX bytes, bad lines), the ``Dir_block`` host list
-    in registration order, every replica's payload bytes + physical metadata + ``Dir_rep``
-    info (zone-map synopsis included), the per-replica LRU statistics, and the block's
-    eviction tombstones.  ``committed`` is the sources of the entry the caller last
+    in registration order, every replica's payload bytes + chunk CRCs + physical metadata +
+    ``Dir_rep`` info (zone-map synopsis included), the per-replica LRU statistics, and the
+    block's eviction tombstones.  ``committed`` is the sources of the entry the caller last
     committed for this block (``{}`` for none): a ``records_blob`` / ``payload_blob`` whose
-    source is still that object is left out — the committed bytes stand.
+    source is still that object is left out — the committed bytes stand, and so do their
+    committed CRCs.
     """
     namenode = hdfs.namenode
     logical = namenode.logical_block(block_id)
@@ -87,8 +105,7 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
         replica = datanode.replica(block_id)
         payload = replica.payload
         info = namenode.replica_info(block_id, datanode_id)
-        sources[datanode_id] = payload.pax
-        replicas[datanode_id] = {
+        stored = replicas[datanode_id] = {
             "info": codec.encode_replica_info(info) if info is not None else None,
             "meta": {
                 "num_rows": payload.pax.num_rows,
@@ -101,8 +118,16 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
                 "checksummed": bool(replica.checksums),
             },
         }
-        if committed.get(datanode_id) is not payload.pax:
-            replicas[datanode_id]["payload_blob"] = payload.pax.to_bytes()
+        source = committed.get(datanode_id)
+        if source is not None and source[0] is payload.pax:
+            crcs_blob = source[1]
+        else:
+            stored["payload_blob"] = payload.pax.to_bytes()
+            crcs_blob = codec.encode_crcs(
+                replica.checksums or chunk_checksums(stored["payload_blob"])
+            )
+        stored["crcs_blob"] = crcs_blob
+        sources[datanode_id] = (payload.pax, crcs_blob)
         use_count, last_tick = namenode.index_usage(block_id, datanode_id)
         if (use_count, last_tick) != (0, 0):
             usage[datanode_id] = [use_count, last_tick]
@@ -214,6 +239,7 @@ def restore_system(system, state: dict) -> None:
         for datanode_id in entry["dir_block"]:
             stored = entry["replicas"][datanode_id]
             meta = stored["meta"]
+            crcs = _verified_crcs(block_id, datanode_id, stored)
             try:
                 pax = PaxBlock.from_bytes(schema, stored["payload_blob"], meta["num_rows"])
             except (struct.error, ValueError) as exc:
@@ -233,9 +259,7 @@ def restore_system(system, state: dict) -> None:
                 logical_partition_size=meta["logical_partition_size"],
             )
             block.pax_layout = meta["pax_layout"]
-            checksums: tuple[int, ...] = ()
-            if meta["checksummed"]:
-                checksums = tuple(chunk_checksums(block.pax.to_bytes()))
+            checksums = crcs if meta["checksummed"] else ()
             info = (
                 codec.decode_replica_info(stored["info"])
                 if stored["info"] is not None
@@ -262,3 +286,19 @@ def restore_system(system, state: dict) -> None:
             lifecycle.tuner = tuner
     if lifecycle.balancer is not None and control.get("demand"):
         lifecycle.balancer.demand.update(control["demand"])
+
+
+def _verified_crcs(block_id: int, datanode_id: int, stored: dict) -> tuple[int, ...]:
+    """A replica's journaled chunk CRCs, once its journaled payload matches every one."""
+    try:
+        crcs = codec.decode_crcs(stored["crcs_blob"])
+        intact = verify_chunk_checksums(stored["payload_blob"], crcs)
+    except struct.error:
+        intact = False
+    if not intact:
+        raise JournalCorruptError(
+            f"replica of block {block_id} on datanode {datanode_id}: the payload in"
+            f" {node_db_name(datanode_id)} does not match the chunk CRCs namenode.db"
+            " journals for it"
+        )
+    return crcs

@@ -14,9 +14,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Why each stays is in its docstring: user API, the paper's design (Sections 3.5 and 4.1),
-#: ground truth tests compare against, the bad-line generator, a future caller, or a
-#: ``bench/trace.py`` span target.
+#: Why each stays is in its docstring: user API, the paper's design (Sections 3.2, 3.5 and
+#: 4.1), ground truth tests compare against, the bad-line generator, or a ``bench/trace.py``
+#: span target.
 KEEP = [
     "repro.api.session.Dataset.with_selectivity",
     "repro.api.session.Session.system_names",
@@ -33,7 +33,6 @@ KEEP = [
     "repro.hail.record.HailRecord.get_float",
     "repro.hail.record.HailRecord.get_int",
     "repro.hail.record.HailRecord.get_string",
-    "repro.hdfs.checksum.verify_chunk_checksums",
     "repro.hdfs.errors.ChecksumError",
     "repro.hdfs.filesystem.Hdfs.file_records",
     "repro.layouts.pax.PaxBlock.column_size_bytes",

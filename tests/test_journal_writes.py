@@ -41,6 +41,7 @@ from repro.persist import (
     checkpoint_state,
     restore_system,
 )
+from repro.persist.codec import decode_crcs
 from repro.persist.state import capture_block
 from repro.hail.predicate import Query
 
@@ -445,11 +446,13 @@ def test_downgrades_and_rebuilds_carry_checksums_iff_their_source_does(verify, t
         system.run_query(_query(), _PATH)
     assert _count(system, "rebuild") > 0
 
-    for block_id, entry in checkpoint_state(system)["blocks"].items():
+    # The journal's rows: each Dir_rep row carries its payload's chunk CRCs.
+    for block_id, entry in system.hdfs.persist.load_state()["blocks"].items():
         for datanode_id, stored in entry["replicas"].items():
             replica = system.hdfs.read_replica(block_id, datanode_id)
             assert stored["meta"]["checksummed"] is verify, (block_id, datanode_id)
             assert bool(replica.checksums) is verify
             if verify:
                 assert verify_chunk_checksums(stored["payload_blob"], replica.checksums)
+            assert verify_chunk_checksums(stored["payload_blob"], decode_crcs(stored["crcs_blob"]))
     system.hdfs.persist.close()

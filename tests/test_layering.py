@@ -1,13 +1,15 @@
 """One module DAG: every ``repro`` import in ``src/repro`` is module-level and points down.
 
-Three static checks over the AST of every module under ``src/repro``:
+Four static checks over the AST of every module under ``src/repro``:
 
 - no ``repro`` import sits in a function or class body (none dodges a cycle at runtime);
 - an ``if TYPE_CHECKING:`` block imports from ``repro`` only what :data:`ALLOWED_TYPE_CHECKING`
   lists, each entry with its reason;
 - the module import graph has no cycle.  Every ``repro`` import of a module is an edge, wherever
   it sits, except the allowed annotation imports; ``from pkg import mod`` points at ``mod`` and
-  a package ``__init__`` is a module of its own.
+  a package ``__init__`` is a module of its own;
+- every module-level import binds a name the module reads (string annotations and ``__all__``
+  count), except what :data:`ALLOWED_UNUSED_IMPORTS` lists.
 
 What only running the imports shows — a package ``__init__`` re-entering a module that is still
 loading — is ``tools/import_each.py``'s job, run in CI.
@@ -190,3 +192,90 @@ def test_the_cycle_finder_finds_a_cycle():
 def test_the_module_import_graph_is_acyclic():
     cycle = _find_cycle(_graph())
     assert not cycle, " -> ".join(cycle)
+
+
+#: ``(module, name) -> reason``: the only module-level imports in ``src/repro`` whose name the
+#: module itself never reads.
+ALLOWED_UNUSED_IMPORTS = {
+    ("repro.api.session", "execute_operator"): (
+        "bench/test_trace.py pins that tracing repro.engine.operators.execute rebinds it here"
+    ),
+}
+
+
+def _module_imports(statements) -> dict[str, int]:
+    """``{bound name: line}`` of every module-level import, top-level ``if``/``try`` included."""
+    bound: dict[str, int] = {}
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, (ast.If, ast.Try)):
+            for handler in getattr(node, "handlers", []):
+                bound.update(_module_imports(handler.body))
+            for field in ("body", "orelse", "finalbody"):
+                bound.update(_module_imports(getattr(node, field, [])))
+    return bound
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module's code reads, string annotations and ``__all__`` included."""
+    read = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(element.value for element in node.value.elts)
+    for annotation in annotations:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                read.update(
+                    name.id
+                    for name in ast.walk(ast.parse(sub.value, mode="eval"))
+                    if isinstance(name, ast.Name)
+                )
+    return read
+
+
+def _unused_imports() -> dict[tuple[str, str], int]:
+    unused = {}
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _read_names(tree)
+        for bound, line in _module_imports(tree.body).items():
+            if bound not in read:
+                unused[(name, bound)] = line
+    return unused
+
+
+def test_the_unused_import_rule_sees_string_annotations_and_all():
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING, Optional\n"
+        "import os, sys\n"
+        "if TYPE_CHECKING:\n"
+        "    from x import Late\n"
+        "__all__ = ['sys']\n"
+        "def f(a: 'Optional[Late]') -> None:\n"
+        "    pass\n"
+    )
+    assert set(_module_imports(tree.body)) - _read_names(tree) == {"os"}
+
+
+def test_every_module_level_import_is_read():
+    unused = _unused_imports()
+    unlisted = [
+        f"{MODULES[name].relative_to(SRC)}:{line} imports {bound}, which it never reads"
+        for (name, bound), line in sorted(unused.items())
+        if (name, bound) not in ALLOWED_UNUSED_IMPORTS
+    ]
+    assert not unlisted, "\n".join(unlisted)
+    assert set(unused) == set(ALLOWED_UNUSED_IMPORTS), "drop the entries no module needs any more"

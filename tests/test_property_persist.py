@@ -144,3 +144,11 @@ def test_records_round_trip_through_pax_bytes(records):
 @settings(max_examples=100, deadline=None)
 def test_scalar_round_trip(value):
     assert codec.decode_value(_through_json(codec.encode_value(value))) == value
+
+
+@given(checksums=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_chunk_crcs_round_trip_at_four_bytes_each(checksums):
+    blob = codec.encode_crcs(checksums)
+    assert len(blob) == 4 * len(checksums)
+    assert codec.decode_crcs(blob) == tuple(checksums)
