@@ -74,9 +74,6 @@ class AdaptiveJobContext:
     #: effects are discarded — otherwise every use would be double-counted by the probe+measured
     #: pair.
     record_usage: bool = True
-    #: Functionally compute chunk checksums for staged replicas (mirrors the upload pipeline's
-    #: ``HailConfig.verify_checksums``; the checksum *cost* is charged either way).
-    verify_checksums: bool = False
     #: Memoized per-run decisions, keyed by ``(block_id, attribute)``: a rescheduled or
     #: speculative attempt that re-plans a block gets the original answer back instead of
     #: charging the budget a second time.
@@ -90,11 +87,7 @@ class AdaptiveJobContext:
     @classmethod
     def from_config(cls, config: Any, salt: int = 0) -> "AdaptiveJobContext":
         """Context snapshotting the adaptivity knobs of a ``HailConfig``."""
-        return cls(
-            offer_rate=config.adaptive_offer_rate,
-            salt=salt,
-            verify_checksums=config.verify_checksums,
-        )
+        return cls(offer_rate=config.adaptive_offer_rate, salt=salt)
 
     def begin_run(self) -> None:
         """Reset the per-run budget and decisions (the input format calls this at job start)."""
@@ -226,7 +219,6 @@ def commit_adaptive_builds(hdfs: Hdfs, attempts: Iterable[Any]) -> AdaptiveCommi
                     target,
                     build.replica.payload,
                     replace(build.info, datanode_id=target, displaced_plain_replica=displaced),
-                    checksums=build.replica.checksums,
                     touch=True,
                 )
             committed_keys.add(key)

@@ -43,7 +43,7 @@ from repro.hail.hail_block import HailBlock
 from repro.hail.index import IndexLookup, logical_index_size_bytes
 from repro.hail.predicate import Predicate
 from repro.hdfs.block import Replica, TextBlockPayload
-from repro.hdfs.checksum import checksum_file_size, chunk_checksums
+from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.filesystem import Hdfs
 from repro.layouts.pax import PaxBlock
@@ -245,7 +245,7 @@ class VectorizedExecutor:
                     adaptive.refund(plan.block_id, plan.build_attribute)
                 plan.build_attribute = None
             else:
-                pending_build = self._build_adaptive(plan, replica, payload, read_indexes, adaptive)
+                pending_build = self._build_adaptive(plan, replica, payload, read_indexes)
                 seconds += plan.build_seconds
                 # The build fetched the columns the scan skipped: account those reads so
                 # BYTES_READ stays consistent with the charged I/O time.
@@ -343,7 +343,6 @@ class VectorizedExecutor:
         replica: Replica,
         payload,
         read_indexes: Sequence[int],
-        adaptive: Optional[AdaptiveJobContext],
     ) -> PendingIndexBuild:
         """Stage an indexed replica of the just-scanned block (LIAH's piggybacked build).
 
@@ -365,14 +364,10 @@ class VectorizedExecutor:
             replica, payload, block, remaining_bytes
         )
         plan.build_seconds = seconds
-        checksums: tuple[int, ...] = ()
-        if adaptive is not None and adaptive.verify_checksums:
-            checksums = tuple(chunk_checksums(block.pax.to_bytes()))
         replica = Replica(
             block_id=plan.block_id,
             datanode_id=self.node_id,
             payload=block,
-            checksums=checksums,
             sort_attribute=attribute,
             indexed_attribute=attribute,
         )

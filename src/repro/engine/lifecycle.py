@@ -32,7 +32,7 @@ from typing import Optional
 from repro.cluster.costmodel import CostModel
 from repro.cluster.disk import DiskPressurePolicy
 from repro.engine.adaptive import _drop_stale_adaptive_replicas, placement_candidates
-from repro.hdfs.checksum import checksum_file_size, chunk_checksums
+from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
 
@@ -354,18 +354,9 @@ def _downgrade_replica(hdfs: Hdfs, datanode_id: int, block_id: int) -> None:
     the replica no longer counts against (or can be reclaimed from) the adaptive byte budget.
     """
     hdfs.namenode.reset_index_usage(block_id, datanode_id)
-    replica = hdfs.read_replica(block_id, datanode_id)
-    plain_block = replica.payload.resorted(None)
+    plain_block = hdfs.read_replica(block_id, datanode_id).payload.resorted(None)
     info = plain_block.replica_info(datanode_id, origin="evicted")
-    checksums = _derived_checksums(replica, plain_block)
-    hdfs.install_replica(block_id, datanode_id, plain_block, info, checksums)
-
-
-def _derived_checksums(source, block) -> tuple[int, ...]:
-    """Chunk checksums for ``block``, derived from replica ``source``, iff ``source`` has them."""
-    if not source.checksums:
-        return ()
-    return tuple(chunk_checksums(block.pax.to_bytes()))
+    hdfs.install_replica(block_id, datanode_id, plain_block, info)
 
 
 def _adaptive_replicas_on(hdfs: Hdfs, node_id: int) -> list[tuple]:
@@ -541,7 +532,6 @@ class PlacementBalancer:
                 target_id,
                 block,
                 replace(info, datanode_id=target_id, displaced_plain_replica=displaced),
-                _derived_checksums(hdfs.read_replica(block_id, source_id), block),
                 touch=True,
             )
         footprints[target_id] = footprints.get(target_id, 0.0) + replica_bytes
@@ -711,11 +701,7 @@ class PlacementBalancer:
         # journal at the pre-migration state, never half-moved.
         with hdfs.mutating(block_id, "mid_rebalance"):
             hdfs.install_replica(
-                block_id,
-                target_id,
-                replica.payload,
-                replace(info, datanode_id=target_id),
-                checksums=replica.checksums,
+                block_id, target_id, replica.payload, replace(info, datanode_id=target_id)
             )
             hdfs.namenode.transfer_index_usage(block_id, source_id, target_id)
             hdfs.remove_replica(block_id, source_id)

@@ -31,7 +31,6 @@ class ExperimentConfig:
     replication: int = 3
     logical_block_mb: int = 64
     seed: int = 7
-    verify_checksums: bool = False
 
     # ------------------------------------------------------------------ presets
     @classmethod
@@ -99,5 +98,4 @@ class ExperimentConfig:
             replication=replication if replication is not None else self.replication,
             functional_partition_size=1,
             splitting_policy=splitting,
-            verify_checksums=self.verify_checksums,
         )

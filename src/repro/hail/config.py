@@ -47,9 +47,11 @@ class HailConfig:
     the cost model uses to size index reads; ``functional_partition_size`` is the leaf size of
     the in-memory miniature index — experiments emulating 64 MB blocks with a few hundred
     rows set it to 1 for realistic lookup precision, ``None`` reuses ``partition_size``.
-    ``convert_to_pax`` (Section 3.1; off is an ablation), ``splitting_policy`` (HailSplitting;
-    off in Section 6.4, on in 6.5) and ``verify_checksums`` (skip only the Python-level CRC
-    work, costs are charged either way) are the paper's switches.
+    ``convert_to_pax`` (Section 3.1; off is an ablation) and ``splitting_policy``
+    (HailSplitting; off in Section 6.4, on in 6.5) are the paper's switches.  There is no
+    checksum switch: the cost model charges every replica's checksum pass, and the chunk CRCs
+    themselves are computed only where the persistence journal writes a payload
+    (:mod:`repro.persist.state`).
 
     **Adaptive indexing** (LIAH-style).  With ``adaptive_indexing`` a query that falls back
     to scanning a block may sort what it read, build a clustered index on the filter
@@ -98,7 +100,6 @@ class HailConfig:
     functional_partition_size: Optional[int] = None
     convert_to_pax: bool = True
     splitting_policy: bool = True
-    verify_checksums: bool = True
     adaptive_indexing: bool = False
     adaptive_offer_rate: float = 1.0
     adaptive_eviction: bool = False

@@ -30,7 +30,7 @@ from repro.cluster.ledger import TransferLedger
 from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
 from repro.hdfs.block import LogicalBlock
-from repro.hdfs.checksum import checksum_file_size, chunk_checksums
+from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.chunk import num_packets
 from repro.hdfs.errors import UploadFailedError
 from repro.hdfs.filesystem import Hdfs
@@ -121,10 +121,9 @@ class HailUploadPipeline:
 
         # 3. Network hops and per-datanode sort/index/flush: each datanode reorders the block it
         #    received by its own attribute (an unsorted position keeps the client's minipages).
-        #    Replicas sorted alike hold equal bytes, so they share one encode and one checksum
-        #    list; each datanode is still charged for its own checksum pass.
+        #    Each datanode is charged for its own checksum pass; the functional chunk CRCs are
+        #    computed only where the journal writes a payload (``repro.persist.state``).
         indexes_created: list[str] = []
-        checksums_by_order: dict[Optional[str], tuple[int, ...]] = {}
         wire_bytes = pax_bytes + checksum_file_size(pax_bytes)
         # Steps 3 and 4 are one journaled mutation: the block is synced once, fully registered
         # (all replicas + Dir_rep infos), so a crash loses it wholesale, never partially.
@@ -134,15 +133,9 @@ class HailUploadPipeline:
                 ledger.record_transfer(previous, datanode_id, wire_bytes)
                 sort_attribute = self.config.attribute_for_replica(position)
                 block = client_block.resorted(sort_attribute)
-                checksums: tuple[int, ...] = ()
-                if self.config.verify_checksums:
-                    if sort_attribute not in checksums_by_order:
-                        encoded = block.pax.to_bytes()
-                        checksums_by_order[sort_attribute] = tuple(chunk_checksums(encoded))
-                    checksums = checksums_by_order[sort_attribute]
                 self._charge_datanode(datanode_id, block, pax_bytes, ledger)
                 self.hdfs.install_replica(
-                    block_id, datanode_id, block, block.replica_info(datanode_id), checksums
+                    block_id, datanode_id, block, block.replica_info(datanode_id)
                 )
                 if sort_attribute is not None:
                     indexes_created.append(sort_attribute)

@@ -9,7 +9,7 @@ The stock upload pipeline lives in :mod:`repro.hdfs.pipeline`; the HAIL upload p
 on the same namenode/datanode/checksum primitives from :mod:`repro.hail.upload`.
 """
 
-from repro.hdfs.errors import HdfsError, BlockNotFoundError, ReplicaNotFoundError, ChecksumError
+from repro.hdfs.errors import HdfsError, BlockNotFoundError, ReplicaNotFoundError
 from repro.hdfs.checksum import chunk_checksums, verify_chunk_checksums
 from repro.hdfs.chunk import CHUNK_SIZE, PACKET_SIZE
 from repro.hdfs.block import (
@@ -29,7 +29,6 @@ __all__ = [
     "HdfsError",
     "BlockNotFoundError",
     "ReplicaNotFoundError",
-    "ChecksumError",
     "chunk_checksums",
     "verify_chunk_checksums",
     "CHUNK_SIZE",

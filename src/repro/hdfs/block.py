@@ -99,7 +99,6 @@ class Replica:
     block_id: int
     datanode_id: int
     payload: BlockPayload
-    checksums: tuple[int, ...] = ()
     sort_attribute: Optional[str] = None
     indexed_attribute: Optional[str] = None
 

@@ -4,6 +4,12 @@ HDFS splits each block into 512-byte chunks and keeps a CRC per chunk in a separ
 file next to each replica.  The checksums are re-used whenever the data travels over the
 network; the last datanode of the upload pipeline verifies them on behalf of the whole chain
 (Section 3.2).  HAIL must *recompute* them per replica because every replica is re-sorted.
+
+The cost model charges every one of those passes (``CpuModel.checksum``), and
+:func:`checksum_file_size` sizes the checksum file each replica writes.  The CRCs themselves
+are computed only where the persistence journal writes a payload
+(:func:`repro.persist.state.capture_block`), and restore checks them with
+:func:`verify_chunk_checksums`; no replica holds them in memory.
 """
 
 from __future__ import annotations

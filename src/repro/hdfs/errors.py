@@ -23,14 +23,5 @@ class ReplicaNotFoundError(HdfsError):
     """A datanode does not hold a replica of the requested block."""
 
 
-class ChecksumError(HdfsError):
-    """Chunk checksum verification failed in the upload pipeline or on read.
-
-    Census keep list (``tests/test_census.py``): the error of HDFS's checksum check (Section
-    3.2), which no simulated read performs.  Journal restore checks payload checksums too, but
-    refuses with ``JournalCorruptError``, which names the journal file.
-    """
-
-
 class UploadFailedError(HdfsError):
     """The upload pipeline failed (e.g. ACKs arrived out of order or a datanode died)."""

@@ -102,7 +102,6 @@ class Hdfs:
         datanode_id: int,
         payload: BlockPayload,
         info: Optional[Any] = None,
-        checksums: tuple[int, ...] = (),
         touch: bool = False,
     ) -> None:
         """Store ``payload`` as ``datanode_id``'s replica of ``block_id`` and register it.
@@ -119,7 +118,6 @@ class Hdfs:
                 block_id=block_id,
                 datanode_id=datanode_id,
                 payload=payload,
-                checksums=checksums,
                 sort_attribute=getattr(info, "sort_attribute", None),
                 indexed_attribute=getattr(info, "indexed_attribute", None),
             )

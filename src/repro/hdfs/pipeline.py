@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from repro.cluster.costmodel import CostModel
 from repro.cluster.ledger import TransferLedger
 from repro.hdfs.block import LogicalBlock, TextBlockPayload
-from repro.hdfs.checksum import checksum_file_size, chunk_checksums
+from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.chunk import num_packets
 from repro.hdfs.errors import UploadFailedError
 from repro.hdfs.filesystem import Hdfs
@@ -36,7 +36,6 @@ class BlockUploadResult:
     pipeline: tuple[int, ...]
     payload_bytes: int
     num_packets: int
-    checksums_verified: bool
 
     @property
     def replication(self) -> int:
@@ -47,10 +46,9 @@ class BlockUploadResult:
 class StandardUploadPipeline:
     """Uploads blocks the way stock HDFS does: byte-identical text replicas."""
 
-    def __init__(self, hdfs: Hdfs, cost: CostModel, verify_checksums: bool = True) -> None:
+    def __init__(self, hdfs: Hdfs, cost: CostModel) -> None:
         self.hdfs = hdfs
         self.cost = cost
-        self.verify_checksums = verify_checksums
 
     def upload_block(
         self,
@@ -90,24 +88,16 @@ class StandardUploadPipeline:
         if not pipeline:
             raise UploadFailedError("namenode returned an empty pipeline")
 
-        checksums: tuple[int, ...] = ()
-        verified = False
-        if self.verify_checksums:
-            payload_bytes = payload.to_bytes()
-            checksums = tuple(chunk_checksums(payload_bytes))
-            verified = True
-
         self._charge_costs(payload_size, client_node, pipeline, ledger)
 
         for datanode_id in pipeline:
-            self.hdfs.install_replica(block_id, datanode_id, payload, checksums=checksums)
+            self.hdfs.install_replica(block_id, datanode_id, payload)
 
         return BlockUploadResult(
             block_id=block_id,
             pipeline=tuple(pipeline),
             payload_bytes=payload_size,
             num_packets=num_packets(payload_size),
-            checksums_verified=verified,
         )
 
     # ------------------------------------------------------------------ cost accounting

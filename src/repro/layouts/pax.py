@@ -308,9 +308,10 @@ class PaxBlock:
     def to_bytes(self) -> bytes:
         """Serialize all minipages (column after column) to bytes, one codec call per column.
 
-        This is the block's wire and journal form: upload and adaptive commits checksum it,
-        the persistence journal stores it, restore decodes and re-checksums it.  Nothing is
-        cached — a block holds its columns, never a second copy of them as bytes.
+        This is the block's journal form: the persistence journal stores it and computes its
+        chunk CRCs from it, restore checks it against those CRCs and decodes it.  Nothing else
+        encodes a block, and nothing is cached — a block holds its columns, never a second
+        copy of them as bytes.
         """
         return b"".join(map(serialization.encode_column, self.schema.fields, self.columns))
 

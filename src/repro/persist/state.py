@@ -27,15 +27,17 @@ copy merely costs a redundant write.  :func:`checkpoint_state` is the full captu
 The directory is the **checksum authority**: every replica entry carries its payload's chunk
 CRCs (``crcs_blob``, 4 bytes per 512-byte chunk), journaled in the namenode's ``Dir_rep`` row,
 never beside the payload, so a node database that rolled back together with a stale payload
-cannot vouch for it.  They are the replica's own ``checksums`` when it has them; otherwise they
-are computed once, from the bytes the journal is about to write.  A payload that is still
-the committed object carries its committed CRCs forward (the blob source is the pair
-``(PaxBlock, crcs_blob)``), so a sync that writes no payload computes no CRC.
+cannot vouch for it.  This module is the only place chunk CRCs are computed: no replica holds
+them in memory, and the cost model charges every replica's checksum pass regardless.
+:func:`capture_block` computes them from the bytes it is about to write, once per distinct
+``PaxBlock`` object — replicas sorted alike share one object, hence one encode and one CRC
+blob.  A payload object the block already committed, on any node, reuses its committed CRCs
+(the blob source is the pair ``(PaxBlock, crcs_blob)``), so a sync that writes no new payload
+object — an eviction's downgrade, a migration — computes no CRC.
 
 Restore (:func:`restore_system`) rebuilds a **fresh** deployment from that state.  It
 checks every payload against its journaled CRCs before decoding it and refuses a mismatch with
-:class:`JournalCorruptError` naming the block, the datanode and the database file; a
-checksummed replica gets the journaled CRCs back as its checksums, recomputing none.  Replica
+:class:`JournalCorruptError` naming the block, the datanode and the database file.  Replica
 payloads come back by re-running the shared sort-and-index entry point
 (:meth:`~repro.hail.hail_block.HailBlock.build`) over the journaled — already sorted — PAX
 bytes: the sort permutation is stable, so an already-sorted column yields the identity
@@ -91,8 +93,8 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
     ``Dir_rep`` info (zone-map synopsis included), the per-replica LRU statistics, and the
     block's eviction tombstones.  ``committed`` is the sources of the entry the caller last
     committed for this block (``{}`` for none): a ``records_blob`` / ``payload_blob`` whose
-    source is still that object is left out — the committed bytes stand, and so do their
-    committed CRCs.
+    source is still that object is left out — the committed bytes stand.  CRCs are computed
+    once per payload object the block has not committed on any node (module doc).
     """
     namenode = hdfs.namenode
     logical = namenode.logical_block(block_id)
@@ -100,34 +102,37 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
     sources: dict = {None: logical}
     replicas: dict[int, dict] = {}
     usage: dict[int, list[int]] = {}
+    # Keyed by payload object id: every object stays alive for the whole capture (held by
+    # ``committed`` or by a replica), so no two of them share an id.
+    crcs_by_pax = {
+        id(source[0]): source[1] for key, source in committed.items() if key is not None
+    }
+    bytes_by_pax: dict[int, bytes] = {}
     for datanode_id in hosts:
-        datanode = hdfs.datanode(datanode_id)
-        replica = datanode.replica(block_id)
-        payload = replica.payload
+        payload = hdfs.datanode(datanode_id).replica(block_id).payload
+        pax = payload.pax
         info = namenode.replica_info(block_id, datanode_id)
         stored = replicas[datanode_id] = {
             "info": codec.encode_replica_info(info) if info is not None else None,
             "meta": {
-                "num_rows": payload.pax.num_rows,
+                "num_rows": pax.num_rows,
                 "sort_attribute": payload.sort_attribute,
                 "indexed": payload.index is not None,
                 "bad_lines": list(payload.bad_lines),
                 "partition_size": payload.partition_size,
                 "logical_partition_size": payload.logical_partition_size,
                 "pax_layout": payload.pax_layout,
-                "checksummed": bool(replica.checksums),
             },
         }
-        source = committed.get(datanode_id)
-        if source is not None and source[0] is payload.pax:
-            crcs_blob = source[1]
-        else:
-            stored["payload_blob"] = payload.pax.to_bytes()
-            crcs_blob = codec.encode_crcs(
-                replica.checksums or chunk_checksums(stored["payload_blob"])
-            )
-        stored["crcs_blob"] = crcs_blob
-        sources[datanode_id] = (payload.pax, crcs_blob)
+        key = id(pax)
+        if committed.get(datanode_id, (None,))[0] is not pax:
+            if key not in bytes_by_pax:
+                bytes_by_pax[key] = pax.to_bytes()
+            stored["payload_blob"] = bytes_by_pax[key]
+        if key not in crcs_by_pax:
+            crcs_by_pax[key] = codec.encode_crcs(chunk_checksums(stored["payload_blob"]))
+        stored["crcs_blob"] = crcs_by_pax[key]
+        sources[datanode_id] = (pax, stored["crcs_blob"])
         use_count, last_tick = namenode.index_usage(block_id, datanode_id)
         if (use_count, last_tick) != (0, 0):
             usage[datanode_id] = [use_count, last_tick]
@@ -239,7 +244,7 @@ def restore_system(system, state: dict) -> None:
         for datanode_id in entry["dir_block"]:
             stored = entry["replicas"][datanode_id]
             meta = stored["meta"]
-            crcs = _verified_crcs(block_id, datanode_id, stored)
+            _verify_payload(block_id, datanode_id, stored)
             try:
                 pax = PaxBlock.from_bytes(schema, stored["payload_blob"], meta["num_rows"])
             except (struct.error, ValueError) as exc:
@@ -259,13 +264,12 @@ def restore_system(system, state: dict) -> None:
                 logical_partition_size=meta["logical_partition_size"],
             )
             block.pax_layout = meta["pax_layout"]
-            checksums = crcs if meta["checksummed"] else ()
             info = (
                 codec.decode_replica_info(stored["info"])
                 if stored["info"] is not None
                 else None
             )
-            hdfs.install_replica(block_id, datanode_id, block, info, checksums)
+            hdfs.install_replica(block_id, datanode_id, block, info)
         for datanode_id, (use_count, last_tick) in entry["usage"].items():
             namenode.set_index_usage(block_id, int(datanode_id), use_count, last_tick)
         for attribute, datanode_id in entry["evictions"].items():
@@ -288,11 +292,12 @@ def restore_system(system, state: dict) -> None:
         lifecycle.balancer.demand.update(control["demand"])
 
 
-def _verified_crcs(block_id: int, datanode_id: int, stored: dict) -> tuple[int, ...]:
-    """A replica's journaled chunk CRCs, once its journaled payload matches every one."""
+def _verify_payload(block_id: int, datanode_id: int, stored: dict) -> None:
+    """Refuse a replica whose journaled payload does not match its journaled chunk CRCs."""
     try:
-        crcs = codec.decode_crcs(stored["crcs_blob"])
-        intact = verify_chunk_checksums(stored["payload_blob"], crcs)
+        intact = verify_chunk_checksums(
+            stored["payload_blob"], codec.decode_crcs(stored["crcs_blob"])
+        )
     except struct.error:
         intact = False
     if not intact:
@@ -301,4 +306,3 @@ def _verified_crcs(block_id: int, datanode_id: int, stored: dict) -> tuple[int, 
             f" {node_db_name(datanode_id)} does not match the chunk CRCs namenode.db"
             " journals for it"
         )
-    return crcs

@@ -158,15 +158,14 @@ def test_scan_jobs_without_predicate_never_build():
     )
 
 
-def test_adaptive_build_preserves_row_layout_ablation_and_checksums():
+def test_adaptive_build_preserves_row_layout_ablation():
     """Adaptive replicas inherit the source layout (no silent PAX conversion under the
-    "no PAX conversion" ablation) and carry functional checksums when configured."""
+    "no PAX conversion" ablation)."""
     config = HailConfig(
         index_attributes=(),
         functional_partition_size=1,
         splitting_policy=False,
         convert_to_pax=False,
-        verify_checksums=True,
         adaptive_indexing=True,
     )
     system = HailSystem(Cluster.homogeneous(4, seed=7), config=config, cost=_cost())
@@ -184,7 +183,6 @@ def test_adaptive_build_preserves_row_layout_ablation_and_checksums():
             assert info.pax_layout is False
             replica = system.hdfs.datanode(datanode_id).replica(block_id)
             assert replica.payload.pax_layout is False
-            assert replica.checksums  # verify_checksums=True propagates to staged replicas
             checked += 1
     assert checked > 0
 

@@ -326,7 +326,7 @@ def test_eviction_never_deletes_a_blocks_last_alive_replica():
     with system.hdfs.mutating(block_id, "forged_dir_rep"):
         system.hdfs.install_replica(
             block_id, victim_node, replica.payload,
-            info=dc_replace(info, displaced_plain_replica=False), checksums=replica.checksums,
+            info=dc_replace(info, displaced_plain_replica=False)
         )
     for datanode_id in namenode.block_datanodes(block_id, alive_only=True):
         if datanode_id != victim_node:

@@ -13,6 +13,9 @@ from repro.hail.predicate import Predicate
 from repro.hail.scheduler import index_coverage, replica_distribution
 from repro.hail.upload import HailUploadPipeline
 from repro.hdfs import Hdfs
+from repro.hdfs.checksum import verify_chunk_checksums
+from repro.persist import SqliteBackend
+from repro.persist.codec import decode_crcs
 
 
 @pytest.fixture
@@ -67,16 +70,19 @@ def test_upload_registers_replica_info_in_dir_rep(hail_setup, uservisits_sample)
         assert info.index_size_bytes > 0
 
 
-def test_upload_checksums_differ_across_replicas(hail_setup, uservisits_sample):
+def test_upload_checksums_differ_across_replicas(hail_setup, uservisits_sample, tmp_path):
     hdfs, cost, config, pipeline = hail_setup
+    hdfs.persist = SqliteBackend(str(tmp_path))
+    hdfs.persist.sync_path("/uv", USERVISITS_SCHEMA)
     ledger = TransferLedger(hdfs.cluster, cost)
     result = pipeline.upload_block("/uv", uservisits_sample[:50], USERVISITS_SCHEMA, 0, ledger)
-    checksums = [
-        hdfs.read_replica(result.block_id, datanode_id).checksums
-        for datanode_id in result.pipeline
-    ]
-    assert all(checksums)
-    assert len({tuple(c) for c in checksums}) == 3  # each replica re-computes its own
+    replicas = hdfs.persist.load_state()["blocks"][result.block_id]["replicas"]
+    assert sorted(replicas) == sorted(result.pipeline)
+    for stored in replicas.values():
+        assert verify_chunk_checksums(stored["payload_blob"], decode_crcs(stored["crcs_blob"]))
+    # Each replica is sorted differently, so the journal computed a CRC list for each.
+    assert len({stored["crcs_blob"] for stored in replicas.values()}) == 3
+    hdfs.persist.close()
 
 
 def test_upload_charges_cpu_on_every_datanode(hail_setup, uservisits_sample):

@@ -229,7 +229,7 @@ def _text_block(hdfs, schema, records) -> tuple[int, list[int]]:
     )
     text = TextBlockPayload([schema.format_record(r) for r in records])
     for datanode_id in pipeline:
-        hdfs.install_replica(block_id, datanode_id, text, checksums=(1, 2))
+        hdfs.install_replica(block_id, datanode_id, text)
     return block_id, pipeline
 
 
@@ -270,7 +270,6 @@ def test_install_replica_over_an_existing_one_leaks_no_disk_charge(
     assert hdfs.namenode.block_datanodes(block_id) == pipeline  # Dir_block order unchanged
     stored = hdfs.read_replica(block_id, target)
     assert stored.payload is indexed and stored.indexed_attribute == "id"
-    assert stored.checksums == ()
     assert hdfs.namenode.hosts_with_index(block_id, "id") == [target]
     assert hdfs.namenode.index_usage(block_id, target) == (1, 1)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import TransferLedger
 from repro.hdfs import DataFile, Hdfs, HdfsClient, StandardUploadPipeline, TextBlockPayload
-from repro.hdfs.checksum import checksum_file_size, verify_chunk_checksums
+from repro.hdfs.checksum import checksum_file_size, chunk_checksums
 from repro.hdfs.chunk import PACKET_DATA_SIZE, num_packets
 from repro.hdfs.errors import ReplicaNotFoundError
 
@@ -33,15 +33,18 @@ def test_upload_block_creates_identical_replicas(hdfs, cost_model, pipeline, sim
     assert len({id(p) for p in payloads}) >= 1
     byte_forms = {p.to_bytes() for p in payloads}
     assert len(byte_forms) == 1  # byte-identical replicas
-    assert result.checksums_verified
 
 
-def test_upload_block_checksums_match_payload(hdfs, cost_model, pipeline, simple_schema, simple_records):
+def test_upload_block_writes_a_checksum_file_beside_every_replica(
+    hdfs, cost_model, pipeline, simple_schema, simple_records
+):
     hdfs.namenode.create_file("/f")
     ledger = TransferLedger(hdfs.cluster, cost_model)
     result = pipeline.upload_block("/f", simple_records[:10], simple_schema, 0, ledger)
-    replica = hdfs.read_replica(result.block_id, result.pipeline[-1])
-    assert verify_chunk_checksums(replica.payload.to_bytes(), replica.checksums)
+    payload = hdfs.read_replica(result.block_id, result.pipeline[-1]).payload.to_bytes()
+    # Data file plus 4 bytes per 512-byte chunk, on every node of the chain.
+    expected = len(payload) + 4 * len(chunk_checksums(payload))
+    assert [ledger.usage(dn).disk_write_bytes for dn in result.pipeline] == [expected] * 3
 
 
 def test_upload_result_counts_the_packets_and_chunks_of_its_payload(
@@ -55,7 +58,7 @@ def test_upload_result_counts_the_packets_and_chunks_of_its_payload(
     payload = replica.payload.to_bytes()
     assert result.payload_bytes == len(payload) > 2 * PACKET_DATA_SIZE
     assert result.num_packets == num_packets(len(payload)) == -(-len(payload) // PACKET_DATA_SIZE)
-    assert 4 * len(replica.checksums) == checksum_file_size(len(payload))
+    assert 4 * len(chunk_checksums(payload)) == checksum_file_size(len(payload))
 
 
 def test_upload_charges_every_pipeline_stage(hdfs, cost_model, pipeline, simple_schema, simple_records):

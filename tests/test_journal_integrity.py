@@ -10,14 +10,16 @@ here:
   journal of another ``user_version`` each raise :class:`JournalCorruptError` naming the
   damaged object;
 - **call counts** — every connection runs ``synchronous=NORMAL`` with a ``busy_timeout`` at
-  ``user_version`` 1; a sync that writes no new payload computes no CRC, and one that writes a
-  payload computes at most one list per payload, and none when the replica has its own;
+  ``user_version`` 1; a sync computes one CRC list per payload object the block has not
+  committed on any node, so replicas sorted alike cost one, and a migration or a downgrade
+  none;
 - **footprint** — a payload row a directory commit stopped referencing goes with its node's
   next payload write, and ``checkpoint()`` leaves no free page in any database.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import shutil
 import sqlite3
@@ -26,7 +28,7 @@ import pytest
 
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
-from repro.engine.lifecycle import evict_under_pressure
+from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate, Query
 from repro.hdfs import checksum
@@ -156,6 +158,42 @@ def test_a_journal_of_another_version_refuses_by_name(database, version, tmp_pat
     assert database in message and f"version {version}" in message
 
 
+# --------------------------------------------------------------------------- old journals
+def test_a_journal_with_checksummed_flags_restores_and_answers_as_an_uninterrupted_run(
+    tmp_path,
+):
+    """Journals once carried a ``checksummed`` flag in every ``Dir_rep`` row's metadata; the
+    CRCs beside it were always journaled, so restore ignores the flag, whichever its value."""
+    config = _config(tmp_path)
+    system = _fresh(config)
+    _upload(system)
+    system.run_query(_query(), _PATH)
+    system.hdfs.persist.close()
+    system.hdfs.persist = None  # the original lives on unjournaled, as the reference
+    with sqlite3.connect(str(tmp_path / "namenode.db")) as conn:
+        rows = conn.execute(
+            "SELECT block_id, datanode_id, meta_json FROM dir_rep ORDER BY block_id, datanode_id"
+        ).fetchall()
+        for number, (block_id, datanode_id, meta_json) in enumerate(rows):
+            meta = {**json.loads(meta_json), "checksummed": number % 2 == 0}
+            conn.execute(
+                "UPDATE dir_rep SET meta_json = ? WHERE block_id = ? AND datanode_id = ?",
+                (json.dumps(meta), block_id, datanode_id),
+            )
+    conn.close()
+    assert len(rows) == 8 * 3
+    assert any(json.loads(meta_json)["indexed"] for *_, meta_json in rows)  # adaptive builds
+
+    restored = _restore(config)
+    assert state_mod.checkpoint_state(restored) == state_mod.checkpoint_state(system)
+    for attribute in ("f1", "f2"):
+        expected = system.run_query(_query(attribute), _PATH)
+        result = restored.run_query(_query(attribute), _PATH)
+        assert result.sorted_records() == expected.sorted_records()
+        assert result.runtime_s == expected.runtime_s
+    restored.hdfs.persist.close()
+
+
 # --------------------------------------------------------------------------- call counts
 def test_every_connection_syncs_normal_with_a_busy_timeout_at_the_journal_version(tmp_path):
     config = _config(tmp_path)
@@ -179,7 +217,7 @@ class ChecksumProbe:
     """Counts ``chunk_checksums`` calls made inside each ``sync_block``, by site."""
 
     def __init__(self, monkeypatch, backend) -> None:
-        self.per_sync: list[tuple[str, int, int]] = []  # (site, calls, new payloads)
+        self.per_sync: list[tuple[str, int, int]] = []  # (site, calls, new payload objects)
         self.calls = 0
         real_checksums, real_sync = checksum.chunk_checksums, backend.sync_block
 
@@ -189,14 +227,10 @@ class ChecksumProbe:
 
         def counting_sync(hdfs, block_id, site):
             before = self.calls
-            committed = backend._committed.get(block_id, {})
+            committed = _payload_objects(backend._committed.get(block_id, {}))
             real_sync(hdfs, block_id, site=site)
-            new = sum(
-                source[0] is not committed.get(datanode_id, (None,))[0]
-                for datanode_id, source in backend._committed[block_id].items()
-                if datanode_id is not None
-            )
-            self.per_sync.append((site, self.calls - before, new))
+            new = _payload_objects(backend._committed[block_id]) - committed
+            self.per_sync.append((site, self.calls - before, len(new)))
 
         for module in (checksum, state_mod):
             monkeypatch.setattr(module, "chunk_checksums", counting_checksums)
@@ -206,28 +240,36 @@ class ChecksumProbe:
         return [(calls, new) for where, calls, new in self.per_sync if where == site]
 
 
-@pytest.mark.parametrize("verify", (True, False))
-def test_crcs_are_computed_once_per_new_payload_and_only_without_checksums(
-    verify, tmp_path, monkeypatch
-):
-    system = _fresh(_config(tmp_path, verify_checksums=verify))
+def _payload_objects(sources: dict) -> set[int]:
+    """Ids of the ``PaxBlock`` objects in one block's blob sources (the logical block aside)."""
+    return {id(source[0]) for key, source in sources.items() if key is not None}
+
+
+def test_crcs_are_computed_once_per_new_payload_object(tmp_path, monkeypatch):
+    system = _fresh(_config(tmp_path))
     probe = ChecksumProbe(monkeypatch, system.hdfs.persist)
     _upload(system)
-    uploads = probe.syncs("mid_upload")
-    assert len(uploads) == 8 and all(new == 3 for _, new in uploads)
-    # Upload checksums every replica when verifying; otherwise the journal does, once each.
-    assert all(calls == (0 if verify else 3) for calls, _ in uploads)
+    # Three unsorted replicas share the client's PaxBlock: one encode, one CRC list.
+    assert probe.syncs("mid_upload") == [(1, 1)] * 8
 
-    system.run_query(_query(), _PATH)
+    # Converge with one node dead, then revive it: the balancer migrates adaptive replicas.
+    system.cluster.kill_node(0)
+    for _ in range(3):
+        system.run_query(_query(), _PATH)
     commits = probe.syncs("mid_adaptive_commit")
-    assert commits and all(new == 1 for _, new in commits)
-    assert all(calls == (0 if verify else 1) for calls, _ in commits)
+    assert commits and all(counts == (1, 1) for counts in commits)
+    system.cluster.node(0).revive()
+    moves = PlacementBalancer(skew_high=1.2, skew_low=1.05, migrations_per_pass=4).run(
+        system.hdfs
+    )
+    migrations = probe.syncs("mid_rebalance")
+    assert [action.kind for action in moves].count("migrate") == len(migrations) > 0
+    assert all(counts == (0, 0) for counts in migrations)
 
+    # A downgrade keeps its replica's PaxBlock, so it computes no CRC either.
     evicted = evict_under_pressure(system.hdfs, _STORM)
-    assert evicted
-    evictions = probe.syncs("mid_eviction")
-    assert len(evictions) == len(evicted)
-    assert all(calls == 0 for calls, _ in evictions)
+    assert any(record.kind == "downgrade" for record in evicted)
+    assert probe.syncs("mid_eviction") == [(0, 0)] * len(evicted)
     system.hdfs.persist.close()
 
 

@@ -227,24 +227,25 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     probe = WriteProbe(monkeypatch)
     probe.watch(persist)
 
-    # Adaptive commits: checksums + the journal's copy of the one new replica (parent: 5
-    # encodes, 3 payload rows and the logical-records row per commit).
+    # Adaptive commits: one encode per commit, the journal's copy of the one new replica, which
+    # its CRCs are computed from (not the 5 encodes, 3 payload rows and logical-records row
+    # of a whole-block write).
     result = system.run_query(_query(), _PATH)
     commits = int(result.job.counters.value(Counters.ADAPTIVE_INDEXES_COMMITTED))
     assert commits > 0
-    assert commits <= probe.encodes <= 2 * commits
+    assert probe.encodes == commits
     assert probe.rows("replicas") == commits
     assert probe.rows("blocks") == 0
     assert probe.rows("dir_rep") == 3 * commits  # the directory is still wholesale
 
-    # Eviction downgrades: at most the same (a downgrade strips the index and keeps the
-    # replica's PaxBlock, so today only its checksums are re-derived and no payload moves).
+    # Eviction downgrades: nothing (a downgrade strips the index and keeps the replica's
+    # PaxBlock, so no payload moves and its committed CRCs stand).
     probe.reset()
     evicted = evict_under_pressure(system.hdfs, _STORM)
     downgrades = sum(record.kind == "downgrade" for record in evicted)
     assert downgrades > 0
-    assert probe.encodes <= 2 * downgrades
-    assert probe.rows("replicas") <= downgrades
+    assert probe.encodes == 0
+    assert probe.rows("replicas") == 0
     assert probe.rows("blocks") == 0
     assert probe.rows("evictions") == downgrades
 
@@ -423,12 +424,10 @@ def test_short_payload_refuses_by_name(backend, tmp_path):
 
 
 # --------------------------------------------------------------------------- checksums
-@pytest.mark.parametrize("verify", (True, False))
-def test_downgrades_and_rebuilds_carry_checksums_iff_their_source_does(verify, tmp_path):
+def test_downgrades_and_rebuilds_journal_crcs_their_payloads_match(tmp_path):
     config = _config(
         "sqlite",
         tmp_path,
-        verify_checksums=verify,
         index_aware_scheduling=True,
         placement_balancer=True,
         placement_rebuilds_per_job=4,
@@ -447,12 +446,7 @@ def test_downgrades_and_rebuilds_carry_checksums_iff_their_source_does(verify, t
     assert _count(system, "rebuild") > 0
 
     # The journal's rows: each Dir_rep row carries its payload's chunk CRCs.
-    for block_id, entry in system.hdfs.persist.load_state()["blocks"].items():
-        for datanode_id, stored in entry["replicas"].items():
-            replica = system.hdfs.read_replica(block_id, datanode_id)
-            assert stored["meta"]["checksummed"] is verify, (block_id, datanode_id)
-            assert bool(replica.checksums) is verify
-            if verify:
-                assert verify_chunk_checksums(stored["payload_blob"], replica.checksums)
+    for entry in system.hdfs.persist.load_state()["blocks"].values():
+        for stored in entry["replicas"].values():
             assert verify_chunk_checksums(stored["payload_blob"], decode_crcs(stored["crcs_blob"]))
     system.hdfs.persist.close()

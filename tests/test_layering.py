@@ -1,6 +1,6 @@
 """One module DAG: every ``repro`` import in ``src/repro`` is module-level and points down.
 
-Four static checks over the AST of every module under ``src/repro``:
+Five static checks over the AST of every module under ``src/repro``:
 
 - no ``repro`` import sits in a function or class body (none dodges a cycle at runtime);
 - an ``if TYPE_CHECKING:`` block imports from ``repro`` only what :data:`ALLOWED_TYPE_CHECKING`
@@ -9,7 +9,10 @@ Four static checks over the AST of every module under ``src/repro``:
   it sits, except the allowed annotation imports; ``from pkg import mod`` points at ``mod`` and
   a package ``__init__`` is a module of its own;
 - every module-level import binds a name the module reads (string annotations and ``__all__``
-  count), except what :data:`ALLOWED_UNUSED_IMPORTS` lists.
+  count), except what :data:`ALLOWED_UNUSED_IMPORTS` lists;
+- chunk CRCs are computed in one place: outside ``repro.hdfs.checksum``, which defines
+  ``chunk_checksums``, only ``repro.persist.state`` calls it (where the journal writes a
+  payload).
 
 What only running the imports shows — a package ``__init__`` re-entering a module that is still
 loading — is ``tools/import_each.py``'s job, run in CI.
@@ -279,3 +282,34 @@ def test_every_module_level_import_is_read():
     ]
     assert not unlisted, "\n".join(unlisted)
     assert set(unused) == set(ALLOWED_UNUSED_IMPORTS), "drop the entries no module needs any more"
+
+
+#: The modules that call ``chunk_checksums``: where it is defined (``verify_chunk_checksums``
+#: recomputes to compare) and the journal's capture, the one place CRCs come into being.
+CHUNK_CHECKSUM_CALLERS = {"repro.hdfs.checksum", "repro.persist.state"}
+
+
+def _calls_of(tree: ast.Module, function: str) -> list[int]:
+    """Lines of every call of ``function``, by bare name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and function in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_the_journal_capture_computes_chunk_checksums():
+    callers = {
+        name: lines
+        for name, path in MODULES.items()
+        if (lines := _calls_of(ast.parse(path.read_text(encoding="utf-8")), "chunk_checksums"))
+    }
+    stray = [
+        f"{MODULES[name].relative_to(SRC)}:{line} calls chunk_checksums"
+        for name, lines in sorted(callers.items())
+        if name not in CHUNK_CHECKSUM_CALLERS
+        for line in lines
+    ]
+    assert not stray, "\n".join(stray)
+    assert set(callers) == CHUNK_CHECKSUM_CALLERS

@@ -174,9 +174,7 @@ def test_replaced_dir_rep_entry_re_plans_the_block(monkeypatch):
     info = dataclasses.replace(hdfs.namenode.replica_info(block_id, donor), datanode_id=pinned)
     with hdfs.mutating(block_id, site="test"):
         hdfs.remove_replica(block_id, pinned)
-        hdfs.install_replica(
-            block_id, pinned, replica.payload, info=info, checksums=replica.checksums
-        )
+        hdfs.install_replica(block_id, pinned, replica.payload, info=info)
 
     executed, rows = _read_splits(system, jobconf, splits, monkeypatch)
     plans = [plan for _, plan in executed]

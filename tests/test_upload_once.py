@@ -9,13 +9,18 @@ way ``test_size_accounting.py`` does — a count cannot pass on a fast machine b
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import pytest
 
 from repro.baselines import HadoopSystem
-from repro.cluster import Cluster, CostModel, CostParameters, TransferLedger
+from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy, TransferLedger
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator, WebLogGenerator
+from repro.engine.lifecycle import evict_under_pressure
 from repro.hail import HailConfig, HailSystem
 from repro.hail.hail_block import HailBlock
+from repro.hail.predicate import Operator, Predicate, Query
 from repro.hail.scheduler import check_dir_rep_consistency
 from repro.hail.upload import HailUploadPipeline
 from repro.hdfs import DataFile, HdfsClient, StandardUploadPipeline
@@ -25,6 +30,13 @@ from repro.layouts.schema import Field
 
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")
 _CLIENT = 0
+_STORM = DiskPressurePolicy(capacity_bytes=1.0, high_watermark=0.9, low_watermark=0.5)
+_REVENUE_QUERY = Query(
+    name="revenue",
+    predicate=Predicate.comparison("adRevenue", Operator.LT, 100.0),
+    projection=None,
+    description="",
+)
 
 
 def _rows(count: int, seed: int = 13) -> list[tuple]:
@@ -88,7 +100,6 @@ def _assert_upload_is_what_the_row_wise_path_stored(system: HailSystem, path: st
             assert stored.data_size_bytes() == pax_bytes
             assert stored.replica_info(datanode_id) == expected.replica_info(datanode_id)
             assert namenode.replica_info(block_id, datanode_id) == expected.replica_info(datanode_id)
-            assert replica.checksums == tuple(chunk_checksums(expected.pax.to_bytes()))
             ledger.record_transfer(previous, datanode_id, pax_bytes + checksum_file_size(pax_bytes))
             pipeline._charge_datanode(datanode_id, expected, pax_bytes, ledger)
             previous = datanode_id
@@ -219,21 +230,50 @@ def test_a_hail_upload_formats_each_column_once(monkeypatch):
     assert formatted[0] == len(rows) * len(USERVISITS_SCHEMA.fields)
 
 
-def test_replicas_sorted_alike_share_one_encode_and_one_checksum_list(monkeypatch):
-    system = _hail(HailConfig.for_attributes(["sourceIP"]), nodes=4)
-    assert system.config.replication == 3
+def _count_chunk_checksums(monkeypatch) -> list[int]:
+    """Count ``chunk_checksums`` calls through every ``repro`` module that binds it."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return chunk_checksums(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "chunk_checksums", None)
+        if name.startswith("repro") and bound is chunk_checksums:
+            monkeypatch.setattr(module, "chunk_checksums", counting)
+    return calls
+
+
+def test_an_unjournaled_deployment_never_encodes_or_checksums_a_payload(monkeypatch):
+    # Chunk CRCs come into being only where the journal writes a payload; the cost model
+    # charges every replica's checksum pass either way.
+    config = (
+        HailConfig.for_attributes(["sourceIP"], functional_partition_size=4)
+        .with_adaptive(True, offer_rate=1.0)
+        .with_placement(scheduling=True, balancer=True, rebuilds_per_job=4)
+    )
+    system = _hail(config, nodes=4)
     encodes = _counted(monkeypatch, PaxBlock, "to_bytes")
-    report = system.upload("/uv", _rows(400), USERVISITS_SCHEMA, rows_per_block=100)
-    assert encodes[0] == 2 * report.num_blocks  # the sourceIP order and the upload order
-    for block_id in system.hdfs.namenode.file_blocks("/uv"):
-        replicas = [
-            system.hdfs.read_replica(block_id, datanode_id)
-            for datanode_id in system.hdfs.namenode.block_datanodes(block_id)
-        ]
-        unsorted = [r for r in replicas if r.payload.sort_attribute is None]
-        assert len(unsorted) == 2
-        expected = tuple(chunk_checksums(unsorted[0].payload.pax.to_bytes()))
-        assert unsorted[0].checksums == unsorted[1].checksums == expected
+    crcs = _count_chunk_checksums(monkeypatch)
+    system.upload("/uv", _rows(400), USERVISITS_SCHEMA, rows_per_block=100)
+    for _ in range(2):
+        system.run_query(_REVENUE_QUERY, "/uv")
+    assert system.adaptive_replica_count("/uv") > 0
+    evicted = evict_under_pressure(system.hdfs, _STORM)
+    assert any(record.kind == "downgrade" for record in evicted)
+    system.config = dataclasses.replace(system.config, adaptive_offer_rate=0.0)
+    system.cluster.kill_node(1)
+    for _ in range(4):
+        system.run_query(_REVENUE_QUERY, "/uv")
+    rebuilds = [
+        action
+        for report in system.lifecycle.reports
+        for action in report.actions
+        if action.kind == "rebuild"
+    ]
+    assert rebuilds
+    assert (encodes[0], crcs[0]) == (0, 0)
 
 
 def test_a_stock_upload_formats_each_record_once(monkeypatch):

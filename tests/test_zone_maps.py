@@ -390,8 +390,7 @@ def _forge_dir_rep(system: HailSystem, block_id: int, datanode_id: int, **change
     replica = hdfs.datanode(datanode_id).replica(block_id)
     with hdfs.mutating(block_id, "forged_dir_rep"):
         hdfs.install_replica(
-            block_id, datanode_id, replica.payload,
-            info=dc_replace(info, **changes), checksums=replica.checksums,
+            block_id, datanode_id, replica.payload, info=dc_replace(info, **changes)
         )
 
 
