@@ -26,6 +26,7 @@ SMOKE_FIRST = (
     "tests/test_join_containers.py",
     "tests/test_plan_once.py",
     "tests/test_bind_once.py",
+    "tests/test_restore_from_replicas.py",
     # The one map-phase loop every workload runs through, and the goldens pinned on it.
     "tests/test_golden_figures.py",
     "tests/test_mapreduce_scheduler_runner.py",

@@ -69,32 +69,26 @@ class HailIndex:
     # ------------------------------------------------------------------ construction
     @classmethod
     def build(
-        cls,
-        attribute: str,
-        sorted_values: Sequence[Any],
-        partition_size: int = 1024,
-        assume_sorted: bool = False,
+        cls, attribute: str, sorted_values: Sequence[Any], partition_size: int = 1024
     ) -> "HailIndex":
-        """Build the index over an already sorted column.
+        """Build the index over an already sorted column, checking that it is sorted.
 
-        ``assume_sorted=True`` skips the sortedness validation entirely — the fast path used by
-        the upload pipeline, which always sorts the column immediately before indexing it.
-        Validation itself pairs each value with its successor (``zip(values, values[1:])``),
-        letting the interpreter run one fused comparison loop instead of indexing the sequence
-        twice per position.
+        Restore uses it on a journaled replica's sort column (the upload and adaptive paths
+        sort and index in one step, :meth:`from_unsorted`).  Validation pairs each value with
+        its successor (``zip(values, values[1:])``), letting the interpreter run one fused
+        comparison loop instead of indexing the sequence twice per position.
 
         Raises
         ------
         ValueError
             If the column is not sorted (the clustered index requires it).
         """
-        if not assume_sorted:
-            for i, (value, successor) in enumerate(zip(sorted_values, sorted_values[1:])):
-                if value > successor:
-                    raise ValueError(
-                        f"column {attribute!r} is not sorted at position {i}; "
-                        "a clustered index requires sorted data"
-                    )
+        for i, (value, successor) in enumerate(zip(sorted_values, sorted_values[1:])):
+            if value > successor:
+                raise ValueError(
+                    f"column {attribute!r} is not sorted at position {i}; "
+                    "a clustered index requires sorted data"
+                )
         return cls(attribute, sorted_values, partition_size)
 
     @classmethod
@@ -112,10 +106,8 @@ class HailIndex:
         sampled through the permutation directly and no sorted copy of the column is
         materialized (the caller's ``reorder`` is the one pass that produces sorted data).
         """
-        if partition_size < 1:
-            raise ValueError("partition_size must be at least 1")
+        index = cls(attribute, (), partition_size)  # refuses a partition size below 1
         permutation = sort_permutation(values)
-        index = cls(attribute, (), partition_size)
         index.num_values = len(values)
         index.partition_keys = gatherer(permutation[::partition_size])(values)
         return index, permutation

@@ -1,6 +1,7 @@
 """Serialization codec for every record the persistence journal holds.
 
-The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payload:
+The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payload beside the
+replicas' own PAX bytes (:meth:`~repro.layouts.pax.PaxBlock.to_bytes`):
 
 - **JSON-friendly metadata** — replica infos (:class:`~repro.hail.replica_info.HailBlockReplicaInfo`),
   zone-map synopses (:data:`~repro.layouts.zonemap.ZoneRanges`), schemas, tuner state
@@ -8,9 +9,6 @@ The journal (see :mod:`repro.persist.sqlite_backend`) stores two kinds of payloa
   structures produced by the ``encode_*`` functions here, ready for ``json.dumps``; dates
   (the one non-JSON scalar the schemas allow) are wrapped in a ``{"__date__": "YYYY-MM-DD"}``
   tag so round-trips are type-exact.
-- **Column data** — logical block records and replica payloads, which reuse the existing PAX
-  wire format (:meth:`~repro.layouts.pax.PaxBlock.to_bytes`), so a persisted block is
-  byte-identical to what the simulated datanodes already account for.
 - **Chunk CRCs** — a replica payload's per-chunk CRC32s (:mod:`repro.hdfs.checksum`), packed
   at 4 little-endian bytes each.
 
@@ -32,7 +30,6 @@ from typing import Any, Optional, Sequence
 
 from repro.engine.lifecycle import AdaptiveTuner
 from repro.hail.replica_info import HailBlockReplicaInfo
-from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import Field, FieldType, Schema
 from repro.layouts.zonemap import ZoneRanges
 
@@ -151,19 +148,6 @@ def decode_tuner(encoded: Optional[dict]) -> Optional[AdaptiveTuner]:
                 " longer supported, so this state cannot be restored exactly"
             )
     return AdaptiveTuner(**kwargs)
-
-
-# --------------------------------------------------------------------------- column data
-def encode_records(schema: Schema, records: Sequence[tuple]) -> bytes:
-    """Typed records → the PAX wire format (the datanodes' own byte representation)."""
-    return PaxBlock.from_records(schema, records).to_bytes()
-
-
-def decode_records(schema: Schema, payload: bytes, num_records: int) -> list[tuple]:
-    """Inverse of :func:`encode_records`."""
-    if num_records == 0:
-        return []
-    return PaxBlock.from_bytes(schema, payload, num_records).records()
 
 
 # --------------------------------------------------------------------------- chunk CRCs

@@ -11,9 +11,10 @@ balancer demand).  Each call is a crash site (:mod:`repro.persist.backend`).
 
 Layout under ``persistence_dir``:
 
-- ``namenode.db`` — the directory state: paths + schemas, logical blocks (records as PAX
-  byte blobs), ``Dir_block`` host order, ``Dir_rep`` infos plus each replica's physical
-  metadata and payload chunk CRCs, LRU usage statistics, eviction tombstones, and a
+- ``namenode.db`` — the directory state: paths + schemas, logical blocks (row count, bad
+  lines, text size: the rows themselves are restored from a CRC-checked replica, since every
+  replica holds all of them), ``Dir_block`` host order, ``Dir_rep`` infos plus each replica's
+  physical metadata and payload chunk CRCs, LRU usage statistics, eviction tombstones, and a
   key/value ``control`` table (allocation counter, usage clock, adaptive salt, tuner state,
   balancer demand).
 - ``node_<id>.db`` — one database per datanode holding that node's replica payload bytes,
@@ -52,7 +53,7 @@ the replicas' ``PaxBlock`` objects with their chunk-CRC blobs, and the ``Logical
 never payload bytes).  Blocks are
 immutable, so a node whose replica is still the committed object gets no transaction, and
 the ``blocks`` row stays while the ``LogicalBlock`` is the committed one: an adaptive commit
-writes one payload, not four blobs.  The record is updated only after the namenode commit,
+writes one payload, not three.  The record is updated only after the namenode commit,
 starts empty in every new instance and is re-seeded by ``checkpoint()``.  The directory
 then points at rows an earlier sync wrote, so :meth:`load_state` raises a
 :class:`~repro.persist.state.JournalCorruptError` naming the replica when one is missing.
@@ -82,7 +83,6 @@ CREATE TABLE IF NOT EXISTS blocks (
     block_id INTEGER PRIMARY KEY,
     path TEXT NOT NULL REFERENCES paths(path) ON DELETE CASCADE,
     num_records INTEGER NOT NULL,
-    records_blob BLOB NOT NULL,
     bad_lines_json TEXT NOT NULL,
     text_size_bytes INTEGER NOT NULL
 );
@@ -130,7 +130,7 @@ CREATE TABLE IF NOT EXISTS replicas (
 
 
 #: The journal layout this module writes and the only one it reads (``PRAGMA user_version``).
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: Set on every connection: free pages a checkpoint can return (takes effect only on a new
 #: database, so it comes first), WAL, one fsync per WAL checkpoint instead of per commit,
@@ -248,7 +248,7 @@ class SqliteBackend(Checkpointing):
         self._maybe_crash(site)
         # Directory last, in one transaction — the block either fully appears or does not.
         with self._namenode as conn:
-            self._write_block_entry(conn, block_id, entry)
+            self._write_block_entry(conn, block_id, entry, committed.get(None) is not sources[None])
             self._write_control(conn, control)
         self._committed[block_id] = sources
         # Rows of replicas that were replaced, moved or dropped are unreferenced now.
@@ -276,24 +276,23 @@ class SqliteBackend(Checkpointing):
             )
 
     @staticmethod
-    def _write_block_entry(conn: sqlite3.Connection, block_id: int, entry: dict) -> None:
-        # Dependent rows are replaced wholesale and explicitly; the ``blocks`` row (the
-        # logical records) is upserted in place, and only when the entry carries the blob.
+    def _write_block_entry(conn: sqlite3.Connection, block_id: int, entry: dict, new: bool) -> None:
+        # Dependent rows are replaced wholesale and explicitly; the ``blocks`` row is upserted
+        # in place, and only for a ``LogicalBlock`` this instance has not committed.
         for table in ("evictions", "usage", "dir_rep", "dir_block"):
             conn.execute(f"DELETE FROM {table} WHERE block_id = ?", (block_id,))
-        if "records_blob" in entry:
+        if new:
             conn.execute(
-                "INSERT INTO blocks (block_id, path, num_records, records_blob,"
-                " bad_lines_json, text_size_bytes) VALUES (?, ?, ?, ?, ?, ?)"
+                "INSERT INTO blocks (block_id, path, num_records, bad_lines_json,"
+                " text_size_bytes) VALUES (?, ?, ?, ?, ?)"
                 " ON CONFLICT (block_id) DO UPDATE SET path = excluded.path,"
-                " num_records = excluded.num_records, records_blob = excluded.records_blob,"
+                " num_records = excluded.num_records,"
                 " bad_lines_json = excluded.bad_lines_json,"
                 " text_size_bytes = excluded.text_size_bytes",
                 (
                     block_id,
                     entry["path"],
                     entry["num_records"],
-                    entry["records_blob"],
                     json.dumps(entry["bad_lines"]),
                     entry["text_size_bytes"],
                 ),
@@ -356,7 +355,7 @@ class SqliteBackend(Checkpointing):
                     (path, json.dumps(meta["schema"]), meta["position"]),
                 )
             for block_id, entry in state["blocks"].items():
-                self._write_block_entry(conn, block_id, entry)
+                self._write_block_entry(conn, block_id, entry, new=True)
             self._write_control(conn, state["control"])
         # Compact: return free pages, fold every write-ahead log into its database and cut it
         # to zero bytes.  (``executescript`` steps the vacuum to the end; one step frees one page.)
@@ -379,14 +378,12 @@ class SqliteBackend(Checkpointing):
         ):
             state["paths"][path] = {"schema": json.loads(schema_json), "position": position}
         for row in conn.execute(
-            "SELECT block_id, path, num_records, records_blob, bad_lines_json,"
-            " text_size_bytes FROM blocks"
+            "SELECT block_id, path, num_records, bad_lines_json, text_size_bytes FROM blocks"
         ):
-            block_id, path, num_records, records_blob, bad_lines_json, text_size = row
+            block_id, path, num_records, bad_lines_json, text_size = row
             state["blocks"][block_id] = {
                 "path": path,
                 "num_records": num_records,
-                "records_blob": records_blob,
                 "bad_lines": json.loads(bad_lines_json),
                 "text_size_bytes": text_size,
                 "dir_block": [],

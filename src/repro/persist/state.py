@@ -6,8 +6,8 @@ deployment needs to come back with its learned index pool intact::
 
     {
       "paths":   {path: {"schema": ..., "position": n}},
-      "blocks":  {block_id: {"path", "num_records", "records_blob", "bad_lines",
-                             "text_size_bytes", "dir_block": [datanode ids, in order],
+      "blocks":  {block_id: {"path", "num_records", "bad_lines", "text_size_bytes",
+                             "dir_block": [datanode ids, in order],
                              "replicas": {datanode_id: {"info", "payload_blob",
                                                          "crcs_blob", "meta"}},
                              "usage": {datanode_id: [use_count, last_tick]},
@@ -20,9 +20,12 @@ infos, metas, zone synopses, usage, tombstones) is captured wholesale: every jou
 replaces it with whatever the in-memory directories currently say, so the journal can never
 drift from the authority it mirrors.  Its *blobs* go by identity: :func:`capture_block` also
 returns the block's *blob sources* — ``{datanode_id: the replica's PaxBlock, None: the
-LogicalBlock}`` — and leaves out every blob whose source is still the object the caller last
-committed.  Blocks are immutable (``layouts/pax.py``): same object, same bytes; an equal
-copy merely costs a redundant write.  :func:`checkpoint_state` is the full capture.
+LogicalBlock}`` — and leaves out every payload blob whose source is still the object the
+caller last committed (the backend likewise writes a block's ``blocks`` row only for a
+``LogicalBlock`` it has not committed).  Blocks are immutable (``layouts/pax.py``): same
+object, same bytes; an equal copy merely costs a redundant write.  The block's rows are not
+journaled apart from its replicas: every replica holds all of them, sorted its own way.
+:func:`checkpoint_state` is the full capture.
 
 The directory is the **checksum authority**: every replica entry carries its payload's chunk
 CRCs (``crcs_blob``, 4 bytes per 512-byte chunk), journaled in the namenode's ``Dir_rep`` row,
@@ -37,13 +40,19 @@ object — an eviction's downgrade, a migration — computes no CRC.
 
 Restore (:func:`restore_system`) rebuilds a **fresh** deployment from that state.  It
 checks every payload against its journaled CRCs before decoding it and refuses a mismatch with
-:class:`JournalCorruptError` naming the block, the datanode and the database file.  Replica
-payloads come back by re-running the shared sort-and-index entry point
-(:meth:`~repro.hail.hail_block.HailBlock.build`) over the journaled — already sorted — PAX
-bytes: the sort permutation is stable, so an already-sorted column yields the identity
-permutation and the restored replica is byte-identical to the one that was journaled.
-That, plus restoring the usage clock, allocation counter, adaptive salt, and the tuner's
-ledger verbatim, is what makes post-restore query answers bit-identical to an uninterrupted run
+:class:`JournalCorruptError` naming the block, the datanode and the database file.  Each
+distinct payload of a block (rows whose ``crcs_blob`` and ``payload_blob`` are equal, as
+replicas that shared one ``PaxBlock`` journal them) is decoded once and installed as it
+stands: its sort column is already sorted, so only the sparse index is rebuilt over it
+(:meth:`~repro.hail.index.HailIndex.build`, which refuses an unsorted column), and the
+restored replica is byte-identical to the journaled one.  The ``LogicalBlock`` takes its rows
+from the block's first ``Dir_block`` replica — CRC-checked bytes, in that replica's order,
+which nothing observable depends on: after upload a HAIL deployment reads a logical block's
+rows only to count them, and tests compare them sorted.  A replica whose row count is not the
+block's, whose sort column is not sorted, or a block with no replica at all is refused with
+:class:`JournalCorruptError` naming the block (and the datanode).  That, plus restoring the
+usage clock, allocation counter, adaptive salt, and the tuner's ledger verbatim, is what makes
+post-restore query answers bit-identical to an uninterrupted run
 (``tests/test_persist_recovery.py``).  Control state follows the *restoring* configuration:
 a journaled tuner comes back only into a deployment that auto-tunes (a tuning deployment over
 a journal without one keeps its fresh tuner), and balancer demand only into one that
@@ -57,6 +66,7 @@ import struct
 from typing import Mapping
 
 from repro.hail.hail_block import HailBlock
+from repro.hail.index import HailIndex
 from repro.hdfs.block import LogicalBlock
 from repro.hdfs.checksum import chunk_checksums, verify_chunk_checksums
 from repro.hdfs.filesystem import Hdfs
@@ -88,13 +98,13 @@ def apply_path(state: dict, path: str, schema) -> None:
 def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, dict]:
     """One block's journal entry and its blob sources, read from the in-memory state.
 
-    Covers the logical block (records as PAX bytes, bad lines), the ``Dir_block`` host list
+    Covers the logical block (row count, bad lines, text size), the ``Dir_block`` host list
     in registration order, every replica's payload bytes + chunk CRCs + physical metadata +
     ``Dir_rep`` info (zone-map synopsis included), the per-replica LRU statistics, and the
     block's eviction tombstones.  ``committed`` is the sources of the entry the caller last
-    committed for this block (``{}`` for none): a ``records_blob`` / ``payload_blob`` whose
-    source is still that object is left out — the committed bytes stand.  CRCs are computed
-    once per payload object the block has not committed on any node (module doc).
+    committed for this block (``{}`` for none): a ``payload_blob`` whose source is still that
+    object is left out — the committed bytes stand.  CRCs are computed once per payload
+    object the block has not committed on any node (module doc).
     """
     namenode = hdfs.namenode
     logical = namenode.logical_block(block_id)
@@ -146,8 +156,6 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
         "usage": usage,
         "evictions": namenode.block_eviction_tombstones(block_id),
     }
-    if committed.get(None) is not logical:
-        entry["records_blob"] = codec.encode_records(logical.schema, logical.records)
     return entry, sources
 
 
@@ -231,44 +239,23 @@ def restore_system(system, state: dict) -> None:
     for block_id in sorted(state["blocks"]):
         entry = state["blocks"][block_id]
         schema = schemas[entry["path"]]
-        records = codec.decode_records(schema, entry["records_blob"], entry["num_records"])
+        if not entry["dir_block"]:
+            raise JournalCorruptError(f"block {block_id}: no journaled replica holds its rows")
+        decoded: dict[tuple[bytes, bytes], PaxBlock] = {}
+        replicas = {
+            datanode_id: _restore_replica(block_id, datanode_id, schema, entry, decoded)
+            for datanode_id in entry["dir_block"]
+        }
         logical = LogicalBlock(
             block_id=block_id,
             path=entry["path"],
-            records=records,
+            records=replicas[entry["dir_block"][0]][0].pax.records(),
             schema=schema,
             bad_lines=list(entry["bad_lines"]),
             text_size_bytes=entry["text_size_bytes"],
         )
         namenode.adopt_block(entry["path"], logical, block_id)
-        for datanode_id in entry["dir_block"]:
-            stored = entry["replicas"][datanode_id]
-            meta = stored["meta"]
-            _verify_payload(block_id, datanode_id, stored)
-            try:
-                pax = PaxBlock.from_bytes(schema, stored["payload_blob"], meta["num_rows"])
-            except (struct.error, ValueError) as exc:
-                raise JournalCorruptError(
-                    f"replica of block {block_id} on datanode {datanode_id}: the journaled"
-                    f" payload does not decode as {meta['num_rows']} rows"
-                ) from exc
-            # Re-run the shared sort-and-index path over the already-sorted rows: the
-            # stable sort yields the identity permutation, so the rebuilt replica is
-            # byte-identical to the journaled one, index included.
-            block = HailBlock.build(
-                schema,
-                pax.records(),
-                meta["sort_attribute"] if meta["indexed"] else None,
-                partition_size=meta["partition_size"],
-                bad_lines=meta["bad_lines"],
-                logical_partition_size=meta["logical_partition_size"],
-            )
-            block.pax_layout = meta["pax_layout"]
-            info = (
-                codec.decode_replica_info(stored["info"])
-                if stored["info"] is not None
-                else None
-            )
+        for datanode_id, (block, info) in replicas.items():
             hdfs.install_replica(block_id, datanode_id, block, info)
         for datanode_id, (use_count, last_tick) in entry["usage"].items():
             namenode.set_index_usage(block_id, int(datanode_id), use_count, last_tick)
@@ -290,6 +277,45 @@ def restore_system(system, state: dict) -> None:
             lifecycle.tuner = tuner
     if lifecycle.balancer is not None and control.get("demand"):
         lifecycle.balancer.demand.update(control["demand"])
+
+
+def _restore_replica(block_id: int, datanode_id: int, schema, entry: dict, decoded: dict):
+    """One journaled replica as ``(payload, Dir_rep entry)``, ready to install.
+
+    ``decoded`` maps the block's already decoded ``(crcs_blob, payload_blob)`` pairs to their
+    ``PaxBlock``: equal rows are checked and decoded once and share the block, as they did
+    before the kill.
+    """
+    stored = entry["replicas"][datanode_id]
+    meta = stored["meta"]
+    attribute = meta["sort_attribute"] if meta["indexed"] else None
+    key = (stored["crcs_blob"], stored["payload_blob"])
+    index = None
+    try:
+        if meta["num_rows"] != entry["num_records"]:
+            raise ValueError(f"{meta['num_rows']} rows where the block has {entry['num_records']}")
+        if key not in decoded:
+            _verify_payload(block_id, datanode_id, stored)
+            decoded[key] = PaxBlock.from_bytes(schema, stored["payload_blob"], meta["num_rows"])
+        pax = decoded[key]
+        if attribute is not None:
+            index = HailIndex.build(attribute, pax.column(attribute), meta["partition_size"])
+    except (struct.error, ValueError) as exc:
+        raise JournalCorruptError(
+            f"replica of block {block_id} on datanode {datanode_id}: the journaled payload"
+            f" does not restore: {exc}"
+        ) from exc
+    block = HailBlock(
+        pax,
+        attribute,
+        index,
+        bad_lines=meta["bad_lines"],
+        partition_size=meta["partition_size"],
+        logical_partition_size=meta["logical_partition_size"],
+    )
+    block.pax_layout = meta["pax_layout"]
+    info = codec.decode_replica_info(stored["info"]) if stored["info"] is not None else None
+    return block, info
 
 
 def _verify_payload(block_id: int, datanode_id: int, stored: dict) -> None:

@@ -10,9 +10,9 @@ here:
   journal of another ``user_version`` each raise :class:`JournalCorruptError` naming the
   damaged object;
 - **call counts** — every connection runs ``synchronous=NORMAL`` with a ``busy_timeout`` at
-  ``user_version`` 1; a sync computes one CRC list per payload object the block has not
-  committed on any node, so replicas sorted alike cost one, and a migration or a downgrade
-  none;
+  the journal's ``user_version``; a sync computes one CRC list per payload object the block
+  has not committed on any node, so replicas sorted alike cost one, and a migration or a
+  downgrade none;
 - **footprint** — a payload row a directory commit stopped referencing goes with its node's
   next payload write, and ``checkpoint()`` leaves no free page in any database.
 """
@@ -143,7 +143,7 @@ def test_a_deleted_node_database_refuses_by_name_and_stays_deleted(tmp_path):
     assert not node_db.exists()
 
 
-@pytest.mark.parametrize("version", (0, JOURNAL_VERSION + 1))
+@pytest.mark.parametrize("version", (0, JOURNAL_VERSION - 1, JOURNAL_VERSION + 1))
 @pytest.mark.parametrize("database", ("namenode.db", "node_1.db"))
 def test_a_journal_of_another_version_refuses_by_name(database, version, tmp_path):
     config = _config(tmp_path)

@@ -1,8 +1,9 @@
 """What a journal write writes: delta syncs against the wholesale capture, counted.
 
-A ``sync_block`` re-captures the block's *directory* state wholesale but writes a byte blob
-(replica payload, logical records) only when its source object is not the one the backend
-last committed (`src/repro/persist/state.py`).  Four things are pinned here:
+A ``sync_block`` re-captures the block's *directory* state wholesale but writes a replica
+payload only when its source object is not the one the backend last committed, and the
+``blocks`` row only for a ``LogicalBlock`` it has not committed
+(`src/repro/persist/state.py`).  Four things are pinned here:
 
 - **differential** — after every journaled mutation (upload, adaptive commit, migration,
   eviction downgrade/delete, balancer rebuild, with node kills in between) the journal read
@@ -228,8 +229,8 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     probe.watch(persist)
 
     # Adaptive commits: one encode per commit, the journal's copy of the one new replica, which
-    # its CRCs are computed from (not the 5 encodes, 3 payload rows and logical-records row
-    # of a whole-block write).
+    # its CRCs are computed from (not the three encodes and three payload rows of a
+    # whole-block write).
     result = system.run_query(_query(), _PATH)
     commits = int(result.job.counters.value(Counters.ADAPTIVE_INDEXES_COMMITTED))
     assert commits > 0
@@ -265,7 +266,13 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     probe.watch(restored.hdfs.persist)
     probe.reset()
     restored.hdfs.persist.sync_block(restored.hdfs, block_id, site="mid_upload")
-    assert probe.encodes == 4  # three replicas + the logical records
+    # One encode per distinct payload: replicas journaled with equal bytes share one decoded
+    # PaxBlock after restore, as they shared one before the kill.
+    distinct = {
+        (stored["crcs_blob"], stored["payload_blob"])
+        for stored in before_kill["blocks"][block_id]["replicas"].values()
+    }
+    assert probe.encodes == len(distinct) == 2
     assert probe.rows("replicas") == 3 and probe.rows("blocks") == 1
     probe.reset()
     restored.hdfs.persist.sync_block(restored.hdfs, block_id, site="mid_upload")
@@ -339,8 +346,8 @@ def test_crash_inside_a_delta_sync_claims_nothing_uncommitted(backend, tmp_path,
     persist.crash_point = CrashPoint("mid_adaptive_commit", after=1)
     with pytest.raises(CrashInjected):
         system.run_query(_query(), _PATH)
-    # The killed sync encoded the one new payload; the block's other two replicas and its
-    # logical records were skipped as already committed.
+    # The killed sync encoded the one new payload; the block's other two replicas were
+    # skipped as already committed.
     assert encodes_per_sync[-2:] == [1, 1]
     # The dead backend's record is exactly what its successful syncs committed: it does not
     # name the replica whose directory commit never happened.

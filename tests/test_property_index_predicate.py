@@ -83,9 +83,7 @@ def test_adaptive_index_directory_matches_upload_time_index(values, partition_si
     adaptive_index, permutation = HailIndex.from_unsorted(
         "attr", values, partition_size=partition_size
     )
-    upload_index = HailIndex.build(
-        "attr", sorted(values), partition_size=partition_size, assume_sorted=True
-    )
+    upload_index = HailIndex.build("attr", sorted(values), partition_size=partition_size)
     assert adaptive_index.partition_keys == upload_index.partition_keys
     assert adaptive_index.num_values == upload_index.num_values
     assert [values[i] for i in permutation] == sorted(values)

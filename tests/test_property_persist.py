@@ -2,9 +2,9 @@
 
 Every ``encode_*``/``decode_*`` pair must be a structural identity *through JSON* — the
 SQLite backend stores the metadata as ``json.dumps`` output, so each property pushes the
-encoded form through a real ``dumps``/``loads`` cycle before decoding (column data is the
-exception: it travels as PAX bytes in a BLOB column, no JSON involved).  Mirrors the style
-of ``tests/test_property_layouts.py``.
+encoded form through a real ``dumps``/``loads`` cycle before decoding (chunk CRCs are the
+exception: they travel as packed bytes in a BLOB column, no JSON involved).  Mirrors the
+style of ``tests/test_property_layouts.py``.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from repro.engine.lifecycle import AdaptiveTuner
 from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.layouts import FieldType, Schema
 from repro.persist import codec
-
-_SCHEMA = Schema.of(
-    ("id", FieldType.INT),
-    ("weight", FieldType.DOUBLE),
-    ("day", FieldType.DATE),
-    ("tag", FieldType.STRING),
-    name="persist-prop",
-)
 
 # Attribute names as schemas produce them: identifier-ish, never the field delimiter.
 _attribute = st.text(
@@ -68,15 +60,6 @@ _tuner = st.builds(
     total_saved_seconds=st.floats(0.0, 1e6, allow_nan=False),
     build_cost_ema=st.one_of(st.none(), st.floats(0.0, 1e3, allow_nan=False)),
     reader_seconds_ema=st.one_of(st.none(), st.floats(0.0, 1e3, allow_nan=False)),
-)
-_record = st.tuples(
-    st.integers(min_value=-(2**31), max_value=2**31 - 1),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
-    _date,
-    st.text(
-        alphabet=st.characters(blacklist_characters="|\n\r\x00", blacklist_categories=("Cs",)),
-        max_size=12,
-    ),
 )
 
 
@@ -131,13 +114,6 @@ def test_schema_round_trip(name, delimiter, fields):
     assert decoded.name == schema.name
     assert decoded.delimiter == schema.delimiter
     assert decoded.fields == schema.fields
-
-
-@given(records=st.lists(_record, min_size=0, max_size=60))
-@settings(max_examples=100, deadline=None)
-def test_records_round_trip_through_pax_bytes(records):
-    payload = codec.encode_records(_SCHEMA, records)
-    assert codec.decode_records(_SCHEMA, payload, len(records)) == list(records)
 
 
 @given(value=_scalar)
