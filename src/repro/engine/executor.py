@@ -73,7 +73,9 @@ class BlockScanResult:
 
     plan: BlockPlan
     schema: Schema
-    rows: list[int]
+    #: Qualifying row ids, ascending: a ``range`` when they are consecutive (an index scan's
+    #: run, an unfiltered block), else a list.
+    rows: Sequence[int]
     projected: list[tuple]
     positions: tuple[int, ...]
     bad_lines: list[str]
@@ -176,6 +178,8 @@ class VectorizedExecutor:
 
         if predicate is not None:
             lookup, used_index = payload.candidate_rows(predicate)
+            if not used_index and plan.uses_index:
+                plan.fallback_reason = payload.index_refusal() or plan.fallback_reason
         else:
             # No filter: the whole block qualifies (a plain PAX scan).
             lookup = payload.whole_block_lookup()
@@ -197,9 +201,18 @@ class VectorizedExecutor:
                         zone_pruned_rows / max(1, payload.num_records)
                     ) * column_bytes
 
-        matching_rows = kernels.filter_ranges(
-            pax, predicate, schema, lookup.start_row, lookup.end_row, pruned
-        )
+        matching_rows = None
+        if used_index:
+            # The index served the clause on the sort attribute: its matches are one run of
+            # the sorted window (declined, e.g. over a None-holding column, to the kernels).
+            matching_rows = kernels.sorted_range(
+                pax, predicate, schema, payload.sort_attribute,
+                lookup.start_row, lookup.end_row, pruned,
+            )
+        if matching_rows is None:
+            matching_rows = kernels.filter_ranges(
+                pax, predicate, schema, lookup.start_row, lookup.end_row, pruned
+            )
         projected = pax.project(matching_rows, bound.projection_indexes)
 
         seconds, read_bytes = self._charge_block(

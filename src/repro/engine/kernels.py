@@ -46,6 +46,7 @@ available.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from itertools import compress
 from typing import Iterator, Optional, Sequence
@@ -120,17 +121,20 @@ def filter_range(
     schema: Schema,
     start: int,
     end: int,
-) -> list[int]:
+) -> Sequence[int]:
     """Row ids in ``[start, end)`` satisfying ``predicate``, via the active backend.
 
-    ``predicate=None`` selects the whole window.  The numpy backend evaluates only windows of
-    at least :data:`_NUMPY_MIN_ROWS` rows; a narrower one runs the reference backend, which
-    is faster there.  It also silently defers to the reference backend for windows it cannot
-    evaluate with guaranteed-identical semantics (non-numeric columns, out-of-range
-    operands); results are backend-independent either way.
+    ``predicate=None`` selects the whole window, as a ``range`` (which
+    :meth:`~repro.layouts.pax.PaxBlock.project` slices instead of gathering).  The numpy
+    backend evaluates only windows of at least :data:`_NUMPY_MIN_ROWS` rows; a narrower one
+    runs the reference backend, which is faster there.  It also silently defers to the
+    reference backend for windows it cannot evaluate with guaranteed-identical semantics
+    (non-numeric columns, out-of-range operands); results are backend-independent either way.
     """
-    if predicate is None or start >= end:
-        return list(range(start, end))
+    if predicate is None:
+        return range(start, end)
+    if start >= end:
+        return []
     if _backend == "numpy" and end - start >= _NUMPY_MIN_ROWS:
         result = _filter_range_numpy(pax, predicate, schema, start, end)
         if result is not None:
@@ -145,7 +149,7 @@ def filter_ranges(
     start: int,
     end: int,
     pruned: Optional[bytes] = None,
-) -> list[int]:
+) -> Sequence[int]:
     """Row ids in ``[start, end)`` satisfying ``predicate`` that zone pruning kept.
 
     The zone-map pruning entry point, one call per block: ``pruned`` is
@@ -181,6 +185,52 @@ def filter_ranges(
             column = pax.columns[clause.attribute_index(schema)]
             positions = _REFINE[clause.op](column, positions, *clause.operands)
     return positions
+
+
+def sorted_range(
+    pax: PaxBlock,
+    predicate: Predicate,
+    schema: Schema,
+    attribute: str,
+    start: int,
+    end: int,
+    pruned: Optional[bytes] = None,
+) -> Optional[Sequence[int]]:
+    """Row ids in ``[start, end)`` satisfying ``predicate`` over a window sorted on
+    ``attribute``, or ``None`` to decline (then :func:`filter_ranges` answers).
+
+    An index scan's post-filter (paper Figure 2, step 3).  The window holds the partitions
+    the clustered index found for the predicate's first clause on ``attribute``
+    (:meth:`~repro.hail.predicate.Predicate.clause_for`); that column is sorted, so the clause
+    holds on one run of consecutive rows, whose bounds two C-level bisects find
+    (:data:`_BOUNDS`) without testing a value in between.  The run is returned as a ``range``
+    (no position list is built) unless another clause refines it (:data:`_REFINE`).
+    ``pruned`` is :func:`filter_ranges`' zone-pruning flag string over the window: the run is
+    used only when it holds no pruned row.
+
+    Declines on an empty window, a predicate without a clause on ``attribute``, and a column
+    whose values ``<`` does not order (a NaN or a ``None``,
+    :meth:`~repro.layouts.pax.PaxBlock.unordered_value`): a bisect over those can miss
+    matches.
+    """
+    clause = predicate.clause_for(attribute, schema)
+    if start >= end or clause is None:
+        return None
+    index = schema.index_of(attribute)
+    if pax.unordered_value(index) is not None:
+        return None
+    low, high = _BOUNDS[clause.op](pax.columns[index], start, end, *clause.operands)
+    if pruned is not None and pruned.find(1, low - start, high - start) >= 0:
+        return None
+    rows: Sequence[int] = range(low, high)  # empty when BETWEEN's bounds cross (high < low)
+    for other in predicate.clauses:
+        if other is clause:
+            continue
+        if not rows:
+            return []
+        column = pax.columns[other.attribute_index(schema)]
+        rows = _REFINE[other.op](column, rows, *other.operands)
+    return rows
 
 
 def zone_flags(
@@ -224,6 +274,25 @@ _REFINE = {
     Operator.BETWEEN: lambda column, rows, low, high: [
         i for i in rows if low <= column[i] <= high
     ],
+}
+
+
+#: A clause over a sorted window ``[start, end)``: the bounds ``(low, high)`` of the run of
+#: rows satisfying it.  Under a total order ``v < x`` holds on a prefix of the window (up to
+#: ``bisect_left``), ``v <= x`` up to ``bisect_right``, and ``>``/``>=`` on the rest.
+_BOUNDS = {
+    Operator.EQ: lambda column, start, end, x: (
+        bisect_left(column, x, start, end),
+        bisect_right(column, x, start, end),
+    ),
+    Operator.LT: lambda column, start, end, x: (start, bisect_left(column, x, start, end)),
+    Operator.LE: lambda column, start, end, x: (start, bisect_right(column, x, start, end)),
+    Operator.GT: lambda column, start, end, x: (bisect_right(column, x, start, end), end),
+    Operator.GE: lambda column, start, end, x: (bisect_left(column, x, start, end), end),
+    Operator.BETWEEN: lambda column, start, end, low, high: (
+        bisect_left(column, low, start, end),
+        bisect_right(column, high, start, end),
+    ),
 }
 
 

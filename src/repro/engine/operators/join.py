@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.hail.predicate import Query, _clause_sql
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, JobResult, Lowering, unkeyed
+from repro.mapreduce.job import JobConf, JobResult, Lowering
 from repro.mapreduce.shuffle import key_runs, numbered, run_reduce_phase
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
@@ -178,8 +178,8 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
         deadlines = [job.deadline_met for job in jobs if job.deadline_met is not None]
         return records, JobResult(
             job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
-            # Built after the rows, so that no pair keeps a fresh row tracked by the collector.
-            output=unkeyed(records),
+            emitted=records,
+            keyed=False,
             runtime_s=scans_s + join_s,
             ideal_time_s=total("ideal_time_s"),
             num_map_tasks=num_map_tasks,

@@ -30,7 +30,7 @@ from repro.hail.predicate import Comparison, Operator, Predicate, Query, render_
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.layouts.zonemap import ranges_disjoint
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobResult, Lowering, unkeyed
+from repro.mapreduce.job import JobResult, Lowering
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
     from repro.systems.base import BaseSystem
@@ -173,7 +173,7 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
         _trim_top(top, schema.index_of(query.order_by), query.k, query.descending)
         records = _project(top, schema, query.projection)
         job.counters.increment(Counters.TOPK_BLOCKS_READ, len(block_ids))
-        job.output = unkeyed(records)
+        job.emitted, job.keyed = records, False
         return records, job
 
     return Lowering([(query.scan_query(), path)], finish)
@@ -239,7 +239,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     records = _project(top, schema, query.projection)
     return records, JobResult(
         job_name=f"{system.name.lower()}-{query.name}[topk]",
-        output=unkeyed(records),
+        emitted=records,
         runtime_s=system.cost.job_startup() + seconds,
         ideal_time_s=seconds,
         num_map_tasks=blocks_read,
@@ -251,6 +251,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
         reduce_phase_s=0.0,
         split_phase_s=0.0,
         counters=counters,
+        keyed=False,
     )
 
 

@@ -224,14 +224,29 @@ class HailBlock(BlockPayload):
 
         Returns ``(lookup, used_index)``: when the predicate has a clause on this replica's
         indexed attribute, the clustered index narrows the range to the qualifying partitions;
-        otherwise every row is a candidate (full scan of the block).
+        otherwise — or when the index refuses (:meth:`index_refusal`) — every row is a
+        candidate (full scan of the block).
         """
         if self.index is not None and self.sort_attribute is not None:
             clause = predicate.clause_for(self.sort_attribute, self.schema)
-            if clause is not None:
+            if clause is not None and self.index_refusal() is None:
                 low, high = clause.value_range()
                 return self.index.lookup_range(low, high), True
         return self.whole_block_lookup(), False
+
+    def index_refusal(self) -> Optional[str]:
+        """Why this replica's index serves no range lookup, or ``None`` when it can.
+
+        An index over a column holding NaN fails closed: NaN compares false with every key,
+        so the "sorted" column is out of order around it and a bisect of the directory can
+        skip partitions holding matches.
+        """
+        if self.index is None:
+            return None
+        index = self.schema.index_of(self.index.attribute)
+        if self.pax.unordered_value(index) != "NaN":
+            return None
+        return f"index column {self.index.attribute!r} holds NaN"
 
     def whole_block_lookup(self) -> IndexLookup:
         """The :class:`IndexLookup` spanning every partition and every row (a block scan)."""

@@ -5,8 +5,15 @@ contiguously on disk: the column is divided into partitions of ``partition_size`
 (1,024 in the paper) and the directory keeps, for every partition, its first key.  Child
 pointers are implicit — all leaves are contiguous, so the offset of partition ``k`` is simply
 ``k * partition_size * value_size``.  A range lookup binary-searches the directory for the first
-and the last qualifying partition in main memory, reads exactly those partitions from disk, and
-post-filters them (steps 1–3 in Figure 2).
+and the last qualifying partition in main memory (steps 1–2 in Figure 2) and reads exactly those
+partitions from disk.  Step 3 needs no per-row test of the indexed clause: the window is sorted,
+so its matches are one run of rows whose ends lie in the two boundary partitions, and the
+executor finds them by bisecting the window (:func:`repro.engine.kernels.sorted_range`); only
+the query's other clauses are tested row by row, over that run.
+
+An index over a column holding NaN serves no lookup
+(:meth:`repro.hail.hail_block.HailBlock.index_refusal`): NaN compares false with every key, so
+the sort leaves the column out of order and a bisect could skip matching partitions.
 
 The paper argues a single-level directory is optimal for block sizes below ~5 GB because a
 second level would add another disk seek; the same arithmetic is reproduced in

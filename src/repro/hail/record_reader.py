@@ -22,9 +22,9 @@ file's schema once, in the split phase (a reader handed no plan binds it once, i
 1. opens an input stream to the planned replica (the one carrying the matching clustered index;
    standard scanning when no matching index is alive),
 2. reads the index directory into main memory (a few KB) and looks up the qualifying partitions,
-3. reads exactly those partitions of the needed columns from disk, post-filters them
-   column-at-a-time with the full predicate, and reconstructs the projected attributes from PAX
-   to row layout.
+3. reads exactly those partitions of the needed columns from disk, post-filters them with the
+   full predicate (the indexed clause by bisecting the sorted window, the others
+   column-at-a-time), and reconstructs the projected attributes from PAX to row layout.
 
 The reader hands each block's result on whole (``batches()``; the systems' scans take its
 :data:`projected_rows`); only the per-record view wraps qualifying tuples as

@@ -9,7 +9,7 @@ needs to touch only that attribute's minipage, and projections read only the req
 from __future__ import annotations
 
 from array import array
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.layouts import serialization
@@ -100,6 +100,9 @@ class PaxBlock:
         # Block-level ``(name, min, max)`` per column, filled and shared the same way by
         # ``zonemap.block_zone_ranges`` (which never stores an order-dependent float column).
         self._zone_triples: list[Optional[tuple]] = [None] * len(self.columns)
+        # Per column, the value that breaks its order ("NaN", "None" or None for none),
+        # checked on first request and shared the same way (a permutation changes no value).
+        self._unordered: dict[int, Optional[str]] = {}
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -137,15 +140,24 @@ class PaxBlock:
     def project(self, rows: Iterable[int], attribute_indexes: Sequence[int]) -> list[tuple]:
         """Reconstruct only the projected attributes (0-based indexes) of the given rows.
 
-        One C-level gather per column (:func:`gatherer`), ``zip``-ped into row tuples — no
+        A ``range`` of consecutive rows (what an index scan and an unfiltered scan hand over)
+        ``zip``-s column slices, and the columns as they are when it spans the block: nothing
+        is gathered.  Any other row set takes one C-level gather per column
+        (:func:`gatherer`).  Either way the columns are ``zip``-ped into row tuples — no
         generator per row.
         """
         if not isinstance(rows, Sequence):
             rows = list(rows)
         if not attribute_indexes:
             return [()] * len(rows)
+        columns = self.columns
+        if isinstance(rows, range) and rows.step == 1:
+            start, stop = rows.start, rows.stop
+            if start == 0 and stop == self.num_rows:
+                return list(zip(*[columns[i] for i in attribute_indexes]))
+            return list(zip(*[columns[i][start:stop] for i in attribute_indexes]))
         gather = gatherer(rows)
-        return list(zip(*[gather(self.columns[i]) for i in attribute_indexes]))
+        return list(zip(*[gather(columns[i]) for i in attribute_indexes]))
 
     def reorder(self, permutation: Sequence[int]) -> "PaxBlock":
         """Return a new block whose rows follow ``permutation`` (the HAIL sort step)."""
@@ -155,6 +167,7 @@ class PaxBlock:
         block = PaxBlock(self.schema, list(map(gather, self.columns)), self.num_rows)
         block._column_sizes = self._column_sizes  # same values per column, same sizes
         block._zone_triples = self._zone_triples  # ... and the same min/max
+        block._unordered = self._unordered  # ... and the same NaN and None values
         return block
 
     # ------------------------------------------------------------------ typed column views
@@ -199,6 +212,33 @@ class PaxBlock:
             fits = -_EXACT_FLOAT_INT <= min(typed) and max(typed) <= _EXACT_FLOAT_INT
         self._int_fits_float[index] = fits
         return fits
+
+    # ------------------------------------------------------------------ value order
+    def unordered_value(self, index: int) -> Optional[str]:
+        """``"NaN"`` or ``"None"`` when column ``index`` holds a value that ``<`` does not
+        order, else ``None``.
+
+        A bisect over a sorted column finds every match only when ``<`` orders all of its
+        values: a ``None`` raises against any other value, and a NaN compares false with
+        everything, so ``sorted`` leaves a NaN-holding column out of order.  FLOAT/DOUBLE
+        columns are checked for NaN first (the one value not equal to itself), then every
+        column for ``None``.  Checked once per row set, on first request, and shared with
+        every reorder.
+        """
+        try:
+            return self._unordered[index]
+        except KeyError:
+            pass
+        column = self.columns[index]
+        found: Optional[str] = None
+        if _TYPED_CODES.get(self.schema.fields[index].ftype) == "d" and not all(
+            map(eq, column, column)
+        ):
+            found = "NaN"
+        elif None in column:
+            found = "None"
+        self._unordered[index] = found
+        return found
 
     # ------------------------------------------------------------------ size accounting
     def _column_size_at(self, index: int) -> int:

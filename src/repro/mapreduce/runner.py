@@ -212,12 +212,22 @@ class MapReduceRunner:
         ``outcome.makespan_s`` is absolute on the batch timeline, so the returned
         ``runtime_s`` is the job's latency including queueing.
         """
-        map_output: list[tuple] = []
+        # A map-only job keeps its tasks' null-keyed rows bare (``JobResult.output`` pairs
+        # them when read); a combiner or a reducer is handed the pairs.
+        bare = (
+            jobconf.combiner is None
+            and jobconf.reducer is None
+            and not any(attempt.result.keyed for attempt in outcome.scheduled)
+        )
+        map_output: list = []
         for attempt in outcome.scheduled:
             # Map-side combine: each attempt is one map task, so combining per attempt is
             # exactly Hadoop's combiner scope — partials never cross task boundaries.
+            task = attempt.result
             map_output.extend(
-                combine_map_output(attempt.result.output, jobconf, self.cost, counters)
+                combine_map_output(
+                    task.emitted if bare else task.output, jobconf, self.cost, counters
+                )
             )
 
         reduce_result = run_reduce_phase(
@@ -244,7 +254,7 @@ class MapReduceRunner:
 
         return JobResult(
             job_name=jobconf.name,
-            output=output,
+            emitted=output,
             runtime_s=runtime,
             ideal_time_s=ideal,
             num_map_tasks=num_tasks,
@@ -260,4 +270,5 @@ class MapReduceRunner:
             failure_node=outcome.failure_node,
             rescheduled_tasks=outcome.rescheduled,
             deadline_met=deadline_met,
+            keyed=not bare,
         )

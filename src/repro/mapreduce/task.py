@@ -7,17 +7,18 @@ from dataclasses import dataclass, field
 from repro.cluster.costmodel import CostModel
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf
+from repro.mapreduce.job import Emitted, JobConf
 from repro.mapreduce.split import InputSplit
 
 
 @dataclass
-class MapTaskResult:
-    """Functional output and simulated cost of one map task execution."""
+class MapTaskResult(Emitted):
+    """Functional output (see :class:`~repro.mapreduce.job.Emitted`) and simulated cost of one
+    map task execution."""
 
     task_id: int
     node_id: int
-    output: list[tuple]
+    emitted: list
     record_reader_s: float
     map_function_s: float
     records_read: int
@@ -28,6 +29,7 @@ class MapTaskResult:
     #: Adaptive index builds staged by this attempt (engine ``PendingIndexBuild`` objects);
     #: the scheduler commits them only for attempts that survive the job.
     adaptive_builds: list = field(default_factory=list)
+    keyed: bool = True
 
     @property
     def compute_seconds(self) -> float:
@@ -49,7 +51,8 @@ class MapTask:
         A jobconf with a ``map_batch`` (every job a system builds: plain scans and the scans
         under group-bys and joins) is mapped one call per block over ``reader.batches()``.
         Any other job — user code — runs ``mapper(key, value)`` per record of the reader's
-        per-record view.  Both leave the same output, in order, and the same reader state.
+        per-record view.  Both leave the same output, in order, and the same reader state; a
+        ``null_keyed`` block form leaves it as bare rows (the result's ``keyed`` is False).
 
         ``counters`` is the attempt's private scratch bag (the scheduler merges it into the
         job's only if the attempt is accepted).  The task counts what it sees itself —
@@ -59,8 +62,9 @@ class MapTask:
         reader = self.jobconf.input_format.create_record_reader(
             self.split, hdfs, self.jobconf, cost, node_id
         )
-        output: list[tuple] = []
+        output: list = []
         map_batch = self.jobconf.map_batch
+        keyed = map_batch is None or not self.jobconf.null_keyed
         if map_batch is not None:
             for batch in reader.batches():
                 output.extend(map_batch(batch))
@@ -84,7 +88,7 @@ class MapTask:
         return MapTaskResult(
             task_id=self.task_id,
             node_id=node_id,
-            output=output,
+            emitted=output,
             record_reader_s=reader.read_seconds,
             map_function_s=map_function_s,
             records_read=reader.records_emitted,
@@ -92,4 +96,5 @@ class MapTask:
             used_index=reader.used_index,
             block_plans=list(reader.block_plans),
             adaptive_builds=list(reader.adaptive_builds),
+            keyed=keyed,
         )

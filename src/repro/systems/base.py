@@ -327,8 +327,8 @@ class BaseSystem(abc.ABC):
 
     def _scan_jobconf(self, query, path: str, emit=None, decorate=None) -> JobConf:
         """The job of one lowered scan: this system's jobconf for it, its rows handed to
-        ``emit`` (:func:`~repro.mapreduce.job.unkeyed` by default), decorated when asked."""
-        jobconf = self._make_jobconf(query, path, self.schema_of(path), emit or unkeyed)
+        ``emit`` (passed on with the null key by default), decorated when asked."""
+        jobconf = self._make_jobconf(query, path, self.schema_of(path), emit)
         if decorate is not None:
             decorate(jobconf)
         return jobconf
@@ -391,25 +391,29 @@ class BaseSystem(abc.ABC):
         return f"{self.__class__.__name__}(nodes={len(self.cluster)})"
 
 
-def scan_job(name: str, path: str, input_format, rows, row, emit) -> JobConf:
+def scan_job(name: str, path: str, input_format, rows, row, emit=None) -> JobConf:
     """A system's scan job: its map function composed from the scan's row functions and the
     consumer's ``emit(rows) -> pairs``.
 
     ``rows(batch)`` is one block's qualifying rows, ``row(value)`` one record's (``None`` drops
     the record, as a bad one is dropped).  ``map_batch`` is ``emit(rows(batch))`` and ``mapper``
     its per-record twin, ``emit([row(value)])``: every ``emit`` maps row by row, so the two
-    leave the same pairs in the same order.
+    leave the same pairs in the same order.  Without an ``emit`` the rows are passed on with
+    the null key: ``map_batch`` is ``rows`` itself (``null_keyed``, no pair is built) and
+    ``mapper`` pairs each row with :func:`~repro.mapreduce.job.unkeyed`.
     """
+    pair = emit or unkeyed
 
     def mapper(_key, value):
         found = row(value)
-        return None if found is None else emit([found])
+        return None if found is None else pair([found])
 
     return JobConf(
         name=name,
         input_path=path,
         mapper=mapper,
-        map_batch=lambda batch: emit(rows(batch)),
+        map_batch=rows if emit is None else (lambda batch: emit(rows(batch))),
+        null_keyed=emit is None,
         input_format=input_format,
     )
 

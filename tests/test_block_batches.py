@@ -29,12 +29,14 @@ from hypothesis import strategies as st
 
 import repro.baselines.hadoop as hadoop_module
 import repro.hail.record_reader as hail_reader_module
+import repro.layouts.pax as pax_module
 import repro.mapreduce.job as job_module
 from repro.api import Session, col
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import SYNTHETIC_SCHEMA, SyntheticGenerator
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.engine import kernels
+from repro.engine.access_path import AccessPath
 from repro.engine.operators.aggregate import (
     AggregateSpec,
     GroupByQuery,
@@ -206,16 +208,17 @@ def test_malformed_lines_drop_exactly_the_rows_the_per_record_mapper_drops():
         .to_query()
     )
     jobconf = session.system("Hadoop")._scan_jobconf(query, _PATH)
+    assert jobconf.null_keyed  # the block form hands on bare rows, the mapper their pairs
     dropped = 0
     for lines in ([line] for line in _lines()[:80]):
         scan = _text_scan(lines)
         want = [pair for line in lines for pair in jobconf.mapper(0, line) or ()]
-        assert jobconf.map_batch(scan) == want, lines
+        assert [(None, row) for row in jobconf.map_batch(scan)] == want, lines
         dropped += not want
     assert dropped
     # The line with garbage in a column the query never reads is *kept* by both forms.
     unread = next(line for line in _lines() if line.endswith("|zz"))
-    assert jobconf.map_batch(_text_scan([unread])) == [(None, (1, 1, 1))]
+    assert jobconf.map_batch(_text_scan([unread])) == [(1, 1, 1)]
 
 
 def _text_scan(lines):
@@ -259,35 +262,56 @@ def test_a_hail_collect_builds_no_hail_record_and_never_calls_the_per_record_map
 
 
 def test_only_a_plain_scan_pairs_its_rows_with_the_null_key(monkeypatch):
-    """``unkeyed`` builds every ``(None, row)`` pair: once per block inside a plain HAIL scan's
-    map tasks, never inside a group-by's (its rows go to the regroup) or a join's (to the
-    keying); the join's finish step pairs its joined rows with it once."""
-    helper, running, calls = job_module.unkeyed, [False], []
+    """No ``(None, row)`` pair is built until ``.output`` is read.
+
+    A plain scan's map tasks hand their rows on bare and its job keeps them bare: ``unkeyed``
+    (the one builder of such pairs) runs 0 times on the query path, as it does under a
+    group-by (its rows go to the regroup) and a join (to the keying; the finish step passes
+    the joined rows as they are).  Reading ``.output`` builds the pairs a keyed result would
+    hold — ``[(None, row) for row in records]`` — task by task and for the job.
+    """
+    helper, calls = job_module.unkeyed, []
 
     def counting(rows):
-        calls.extend(running)
+        calls.append(1)
         return helper(rows)
-
-    def run(self, *args, run=MapTask.run):
-        running[0] = True
-        try:
-            return run(self, *args)
-        finally:
-            running[0] = False
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("repro") and getattr(module, "unkeyed", None) is helper:
             monkeypatch.setattr(module, "unkeyed", counting)
-    monkeypatch.setattr(MapTask, "run", run)
     session = _deploy(systems=("HAIL",), adaptive=False)
     data = session.dataset(_PATH)
     scan = data.where(col("f1") < VALUE_RANGE // 2).select("f1", "f6").collect()
-    blocks = sum(len(attempt.result.block_plans) for attempt in scan.job.task_results)
-    assert blocks > 1 and calls == [True] * blocks
-    calls.clear()
     data.where(col("f1") < VALUE_RANGE // 2).group_by("f6").agg("count(*)").collect()
     joined = data.select("f2", "f1").join(data.select("f3", "f2"), on="f2").collect()
-    assert joined.records and calls == [False]
+    assert scan.records and joined.records and calls == []
+    tasks = [attempt.result for attempt in scan.job.task_results]
+    assert len(tasks) > 1 and not any(task.keyed for task in tasks)
+    for task in tasks:
+        assert task.output == [(None, row) for row in task.emitted]
+    assert scan.job.output == [(None, row) for row in scan.records]
+    assert joined.job.output == [(None, row) for row in joined.records]
+    assert len(calls) == len(tasks) + 2  # one build per read
+
+
+def test_an_index_scan_block_takes_a_row_range_not_a_gather(monkeypatch):
+    """A single-clause index scan on the sort attribute answers each index-scanned block with
+    the sorted window's run: no ``filter_ranges`` call and no ``gatherer`` (the slice
+    projection), while a scan on another attribute still runs both."""
+    filters = _Calls(kernels.filter_ranges)
+    gathers = _Calls(pax_module.gatherer)
+    monkeypatch.setattr(kernels, "filter_ranges", filters)
+    monkeypatch.setattr(pax_module, "gatherer", gathers)
+    session = _deploy(systems=("HAIL",), adaptive=False)
+    data = session.dataset(_PATH)
+    gathers.count = 0  # the upload's reorders
+    for value in (VALUE_RANGE // 3, VALUE_RANGE // 2):
+        result = data.where(col("f2") < value).select("f1", "f2").collect()
+        assert result.records and any(plan.uses_index for plan in result.plan.block_plans)
+        assert (filters.count, gathers.count) == (0, 0)
+    other = data.where(col("f1") < VALUE_RANGE // 2).select("f1").collect()
+    scanned = [p for p in other.plan.block_plans if p.access_path is not AccessPath.ZONE_MAP_SKIP]
+    assert other.records and filters.count == gathers.count == len(scanned) > 0
 
 
 @_needs_numpy
@@ -482,11 +506,12 @@ def test_filter_ranges_equals_per_window_filter_range(case):
                 )
             ]
             got = kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, start, end, pruned)
-            assert got == want, backend
+            assert list(got) == want, backend
     # Hulls this narrow run the reference backend even on numpy: run numpy on them too.
     if kernels.HAVE_NUMPY:
         with kernels.use_backend("numpy"), mock.patch.object(kernels, "_NUMPY_MIN_ROWS", 0):
-            assert kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, start, end, pruned) == want
+            got = kernels.filter_ranges(pax, predicate, _KERNEL_SCHEMA, start, end, pruned)
+            assert list(got) == want
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)

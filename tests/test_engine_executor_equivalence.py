@@ -93,7 +93,7 @@ def test_planned_scan_equals_brute_force_full_scan(
     projected = block.pax.project(rows, _indexes(projection))
 
     expected_rows, expected_projected = _brute_force(block, predicate, projection)
-    assert rows == expected_rows
+    assert list(rows) == expected_rows  # an unfiltered block is a range
     # Byte-identical, not merely ==: 1 != True-style coercions would slip through ==.
     assert pickle.dumps(projected) == pickle.dumps(expected_projected)
 

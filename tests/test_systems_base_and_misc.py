@@ -45,7 +45,7 @@ def test_query_result_accessors():
 
     job = JobResult(
         job_name="j",
-        output=[(None, (2,)), (None, (1,))],
+        emitted=[(None, (2,)), (None, (1,))],
         runtime_s=12.0,
         ideal_time_s=2.0,
         num_map_tasks=4,
