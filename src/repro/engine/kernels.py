@@ -208,13 +208,13 @@ def sorted_range(
     ``pruned`` is :func:`filter_ranges`' zone-pruning flag string over the window: the run is
     used only when it holds no pruned row.
 
-    Declines on an empty window, a predicate without a clause on ``attribute``, and a column
-    whose values ``<`` does not order (a NaN or a ``None``,
+    Declines on an empty window, a predicate without a clause on ``attribute``, a NaN operand
+    of that clause, and a column whose values ``<`` does not order (a NaN or a ``None``,
     :meth:`~repro.layouts.pax.PaxBlock.unordered_value`): a bisect over those can miss
-    matches.
+    matches, or (a NaN operand compares false with every value) return the whole window.
     """
     clause = predicate.clause_for(attribute, schema)
-    if start >= end or clause is None:
+    if start >= end or clause is None or any(x != x for x in clause.operands):
         return None
     index = schema.index_of(attribute)
     if pax.unordered_value(index) is not None:

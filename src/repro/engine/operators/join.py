@@ -178,7 +178,7 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
         deadlines = [job.deadline_met for job in jobs if job.deadline_met is not None]
         return records, JobResult(
             job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
-            emitted=records,
+            emitted=list(records),
             keyed=False,
             runtime_s=scans_s + join_s,
             ideal_time_s=total("ideal_time_s"),

@@ -173,7 +173,7 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
         _trim_top(top, schema.index_of(query.order_by), query.k, query.descending)
         records = _project(top, schema, query.projection)
         job.counters.increment(Counters.TOPK_BLOCKS_READ, len(block_ids))
-        job.emitted, job.keyed = records, False
+        job.emitted, job.keyed = list(records), False
         return records, job
 
     return Lowering([(query.scan_query(), path)], finish)
@@ -239,7 +239,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     records = _project(top, schema, query.projection)
     return records, JobResult(
         job_name=f"{system.name.lower()}-{query.name}[topk]",
-        emitted=records,
+        emitted=list(records),
         runtime_s=system.cost.job_startup() + seconds,
         ideal_time_s=seconds,
         num_map_tasks=blocks_read,

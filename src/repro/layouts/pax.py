@@ -141,8 +141,8 @@ class PaxBlock:
         """Reconstruct only the projected attributes (0-based indexes) of the given rows.
 
         A ``range`` of consecutive rows (what an index scan and an unfiltered scan hand over)
-        ``zip``-s column slices, and the columns as they are when it spans the block: nothing
-        is gathered.  Any other row set takes one C-level gather per column
+        ``zip``-s column slices (a slice over a whole tuple column is that column, uncopied):
+        nothing is gathered.  Any other row set takes one C-level gather per column
         (:func:`gatherer`).  Either way the columns are ``zip``-ped into row tuples — no
         generator per row.
         """
@@ -153,8 +153,6 @@ class PaxBlock:
         columns = self.columns
         if isinstance(rows, range) and rows.step == 1:
             start, stop = rows.start, rows.stop
-            if start == 0 and stop == self.num_rows:
-                return list(zip(*[columns[i] for i in attribute_indexes]))
             return list(zip(*[columns[i][start:stop] for i in attribute_indexes]))
         gather = gatherer(rows)
         return list(zip(*[gather(columns[i]) for i in attribute_indexes]))

@@ -215,9 +215,10 @@ class MapReduceRunner:
         # A map-only job keeps its tasks' null-keyed rows bare (``JobResult.output`` pairs
         # them when read); a combiner or a reducer is handed the pairs.
         bare = (
-            jobconf.combiner is None
+            jobconf.null_keyed
+            and jobconf.map_batch is not None
+            and jobconf.combiner is None
             and jobconf.reducer is None
-            and not any(attempt.result.keyed for attempt in outcome.scheduled)
         )
         map_output: list = []
         for attempt in outcome.scheduled:

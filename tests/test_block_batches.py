@@ -294,6 +294,24 @@ def test_only_a_plain_scan_pairs_its_rows_with_the_null_key(monkeypatch):
     assert len(calls) == len(tasks) + 2  # one build per read
 
 
+def test_a_join_or_top_k_answer_owns_its_records():
+    """Changing an operator's answer in place leaves its job's output as it was: the finish
+    steps hand the job a copy of the rows they answer with."""
+    session = _deploy(systems=("HAIL", "Hadoop"), adaptive=False)
+    data = session.dataset(_PATH)
+    ranked = data.order_by("f1").limit(5)
+    answers = [
+        data.select("f2", "f1").join(data.select("f3", "f2"), on="f2").collect(system="HAIL"),
+        ranked.collect(system="HAIL"),  # the block-wise probe
+        ranked.collect(system="Hadoop"),  # the full scan, ranked by the finish step
+    ]
+    for answer in answers:
+        pairs = answer.job.output
+        assert pairs and pairs == [(None, row) for row in answer.records]
+        answer.records.clear()
+        assert answer.job.output == pairs
+
+
 def test_an_index_scan_block_takes_a_row_range_not_a_gather(monkeypatch):
     """A single-clause index scan on the sort attribute answers each index-scanned block with
     the sorted window's run: no ``filter_ranges`` call and no ``gatherer`` (the slice

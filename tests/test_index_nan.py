@@ -28,12 +28,12 @@ _VALUES = [5.0, nan, 1.0, 3.0, 2.0, nan, 4.0, 0.5, 6.0, 7.0]
 _ROWS = [(value, i) for i, value in enumerate(_VALUES)]
 
 
-def _session(config: HailConfig, rows, nodes: int = 1) -> Session:
+def _session(config: HailConfig, rows, nodes: int = 1, schema: Schema = _SCHEMA) -> Session:
     """HAIL and Hadoop, one replica per block; on one node, one block per 10 rows."""
     session = Session.deploy(
         nodes=nodes, systems=("HAIL", "Hadoop"), hail_config=config, replication=1
     )
-    session.upload("/nan", rows, _SCHEMA, rows_per_block=10)
+    session.upload("/nan", rows, schema, rows_per_block=10)
     return session
 
 
@@ -94,3 +94,24 @@ def test_a_top_k_threshold_on_an_index_over_nan_keeps_every_row():
     hail = ranked.collect(system="HAIL").records
     assert hail == ranked.collect(system="Hadoop").records
     assert [value for value, _ in hail] == [11.0, 7.0, 6.0, 5.0, 4.0]
+
+
+@pytest.mark.parametrize("ftype", [FieldType.INT, FieldType.DOUBLE])
+def test_a_nan_operand_on_a_clean_indexed_column_selects_nothing(ftype):
+    """NaN compares false with every value, so a clause with a NaN operand holds on no row;
+    a bisect for it would return the whole window, so the index scan's run declines to the
+    scan kernels while the index still serves the (whole-block) lookup."""
+    schema = Schema.of(("a", ftype), ("b", FieldType.INT), name="clean")
+    kind = int if ftype is FieldType.INT else float
+    rows = [(kind(value), i) for i, value in enumerate([5, 1, 3, 2, 4, 0, 6, 7, 9, 8])]
+    config = HailConfig.for_attributes(("a",), functional_partition_size=1, replication=1)
+    session = _session(config, rows, schema=schema)
+    data = session.dataset("/nan")
+    a = col("a")
+    for clause in (a >= nan, a == nan, a <= nan, a > nan, a < nan, a.between(nan, 5)):
+        query = data.where(clause).select("b")
+        assert _answers(session, query) == [[], []], clause
+        (plan,) = query.collect(system="HAIL").plan.block_plans
+        assert plan.uses_index, clause
+    query = data.where(a.between(2, nan)).select("b")
+    assert _answers(session, query) == [[], []]

@@ -7,8 +7,9 @@ BETWEEN whose bounds may cross, over sorted ints with many ties, strings, dates,
 floats and a BIGINT column compared with float operands near 2**53, its rows equal the
 reference scan's (``_SCAN``, then ``_REFINE``) and ``filter_range``'s under both kernel
 backends (numpy forced onto narrow windows); given zone-pruning flags it either declines or
-keeps exactly the rows ``filter_ranges`` keeps.  Over a column holding NaN or ``None`` it
-declines on every window.
+keeps exactly the rows ``filter_ranges`` keeps.  A NaN operand on a numeric column (no row
+satisfies it, and a bisect for it spans the window) makes it decline, as does a column
+holding NaN or ``None``, on every window.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _EDGE = 2**53
 
 #: Per column kind: its field type, a value strategy and an operand strategy.
 _KINDS = {
-    "ties": (FieldType.INT, st.integers(-3, 3), st.integers(-4, 4)),
+    "ties": (FieldType.INT, st.integers(-3, 3), st.integers(-4, 4) | st.just(math.nan)),
     "string": (FieldType.STRING, st.text("abc", max_size=2), st.text("abc", max_size=2)),
     "date": (
         FieldType.DATE,
@@ -40,12 +41,13 @@ _KINDS = {
     "float": (
         FieldType.DOUBLE,
         st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, math.inf, -math.inf]),
-        st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0, math.inf]),
+        st.floats(-3.0, 3.0, allow_nan=False)
+        | st.sampled_from([0.0, -0.0, math.inf, math.nan]),
     ),
     "bigint": (
         FieldType.BIGINT,
         st.integers(_EDGE - 3, _EDGE + 3),
-        st.sampled_from([float(_EDGE - 2), float(_EDGE), float(_EDGE + 2), _EDGE + 1]),
+        st.sampled_from([float(_EDGE - 2), float(_EDGE), float(_EDGE + 2), _EDGE + 1, math.nan]),
     ),
 }
 
@@ -87,6 +89,7 @@ def _reference(pax: PaxBlock, predicate: Predicate, schema: Schema, start: int, 
 @given(case=_cases())
 def test_the_sorted_run_is_the_scan_kernels_selection(case):
     pax, schema, predicate, flags = case
+    nan_operand = any(x != x for x in predicate.clause_for("c", schema).operands)
     windows = [(s, e) for s in range(pax.num_rows + 1) for e in range(s, pax.num_rows + 1)]
     for start, end in windows:
         got = kernels.sorted_range(pax, predicate, schema, "c", start, end)
@@ -94,7 +97,10 @@ def test_the_sorted_run_is_the_scan_kernels_selection(case):
             assert got is None  # an empty window declines
             continue
         want = _reference(pax, predicate, schema, start, end)
-        assert list(got) == want, (start, end)
+        if nan_operand:
+            assert got is None and want == [], (start, end)
+        else:
+            assert list(got) == want, (start, end)
         for backend in _BACKENDS:
             with kernels.use_backend(backend), mock.patch.object(kernels, "_NUMPY_MIN_ROWS", 0):
                 assert kernels.filter_range(pax, predicate, schema, start, end) == want
