@@ -9,9 +9,11 @@ per-replica sort order and index, Section 3.3 of the paper), never by opening bl
 The planner absorbs the ``getHostsWithIndex`` logic of Section 4.3: one walk per block over the
 query's filter attributes yields both the replica choice (the first attribute with an alive
 indexed host) and every alive indexed host (``BlockPlan.index_hosts``, which HAIL's split
-phase turns into ``InputSplit.index_locations``).  HAIL plans each block once, in
-the split phase; its record readers execute that plan (:meth:`PhysicalPlanner.for_execution`)
-and re-plan only a block whose pinned replica died or changed since.
+phase turns into ``InputSplit.index_locations``).  HAIL plans each block once per query shape
+and layout epoch, in the split phase (``HailInputFormat.get_splits`` keeps the plans in the
+deployment's ``SplitMemo``); its record readers execute that plan
+(:meth:`PhysicalPlanner.for_execution`) and re-plan only a block whose pinned replica died or
+changed since.
 
 The job's ``@HailQuery`` is bound to the file's schema once, too: :meth:`PhysicalPlanner._bind`
 turns it into one immutable :class:`BoundQuery` (typed predicate, projection names, the column
@@ -27,7 +29,7 @@ from functools import cached_property
 from typing import Any, Optional, Sequence, Union
 
 from repro.engine.access_path import AccessPath, BlockPlan
-from repro.engine.adaptive import AdaptiveJobContext
+from repro.engine.adaptive import AdaptiveJobContext, placement_candidates
 from repro.hail.annotation import HailQuery
 from repro.hail.predicate import Predicate
 from repro.hdfs.filesystem import Hdfs
@@ -247,24 +249,28 @@ class PhysicalPlanner:
         """
         return self._bind(path, annotation)[0]
 
-    def _bind(self, path: str, annotation: Optional[HailQuery]) -> tuple[QueryPlan, list[int]]:
+    def _bind(
+        self, path: str, annotation: Union[HailQuery, BoundQuery, None]
+    ) -> tuple[QueryPlan, list[int]]:
         """:meth:`query_frame` plus the block ids it was bound for.
 
-        The query is bound once, to the schema of the file's first block (a file has one).
+        The query is bound once, to the schema of the file's first block (a file has one); a
+        :class:`BoundQuery` already bound to that very schema is taken as is.
         """
         namenode = self.hdfs.namenode
         block_ids = namenode.file_blocks(path)
         schema = namenode.logical_block(block_ids[0]).schema if block_ids else None
-        return QueryPlan(path=path, bound=BoundQuery.bind(annotation, schema)), block_ids
+        return QueryPlan(path=path, bound=BoundQuery.of(annotation, schema)), block_ids
 
     def plan_query(
         self,
         path: str,
-        annotation: Optional[HailQuery] = None,
+        annotation: Union[HailQuery, BoundQuery, None] = None,
         prefer_node: Optional[int] = None,
         preferred_replicas: Optional[dict[int, int]] = None,
     ) -> QueryPlan:
-        """Plan every block of ``path`` for the query described by ``annotation``."""
+        """Plan every block of ``path`` for the query described by ``annotation`` (the
+        ``@HailQuery``, or the :class:`BoundQuery` the split phase bound it to)."""
         plan, block_ids = self._bind(path, annotation)
         preferred_replicas = preferred_replicas or {}
         for block_id in block_ids:
@@ -437,24 +443,32 @@ class PhysicalPlanner:
                 return f"indexed replica of {attribute} lost ({lost} dead)"
         return "no replica indexed on " + "/".join(attributes)
 
-    @staticmethod
     def _mark_adaptive_build(
-        plan: BlockPlan, attributes: tuple[str, ...], adaptive: AdaptiveJobContext
+        self, plan: BlockPlan, attributes: tuple[str, ...], adaptive: AdaptiveJobContext
     ) -> None:
-        """Upgrade an index-less scan to an :attr:`ADAPTIVE_INDEX_BUILD` when the policy offers.
+        """Upgrade an index-less scan to an :attr:`ADAPTIVE_INDEX_BUILD` when the policy offers
+        and the build could be placed.
 
         The build targets the first filter attribute — the same preference order the replica
         choice uses — so repeated queries converge on the attribute the
-        workload actually filters by.
+        workload actually filters by.  An offer for a block no alive node could take an
+        adaptive replica of (:func:`~repro.engine.adaptive.placement_candidates`, the commit's
+        own rule) is refunded: the commit would drop that build, so sorting the block and
+        charging its build seconds would buy nothing.  The placement is asked only after an
+        offer, so blocks the policy passes over pay nothing for it.
         """
         if plan.access_path not in (AccessPath.FULL_SCAN, AccessPath.PAX_PROJECTION_SCAN):
             return
         if not attributes:
             return
         attribute = attributes[0]
-        if adaptive.offers(plan.block_id, attribute):
-            plan.access_path = AccessPath.ADAPTIVE_INDEX_BUILD
-            plan.build_attribute = attribute
+        if not adaptive.offers(plan.block_id, attribute):
+            return
+        if placement_candidates(self.hdfs, plan.block_id) == ([], []):
+            adaptive.refund(plan.block_id, attribute)
+            return
+        plan.access_path = AccessPath.ADAPTIVE_INDEX_BUILD
+        plan.build_attribute = attribute
 
     def _classify(
         self,

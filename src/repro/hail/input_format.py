@@ -4,7 +4,7 @@ Stock Hadoop creates one input split per HDFS block, so a 200 GB input means 3,2
 each paying the framework's multi-second scheduling overhead, which dwarfs the milliseconds an
 index scan actually needs (Figures 6(c) and 7(c)).  HailSplitting instead
 
-1. plans the file once with the :class:`~repro.engine.planner.PhysicalPlanner`: per block, one
+1. plans the file with the :class:`~repro.engine.planner.PhysicalPlanner`: per block, one
    ``getHostsWithIndex`` walk names the replica whose clustered index matches the job's filter
    attribute and every alive indexed host (``InputSplit.index_locations``),
 2. clusters the blocks of the input by that datanode (locality clustering), and
@@ -14,6 +14,15 @@ index scan actually needs (Figures 6(c) and 7(c)).  HailSplitting instead
 The result is a handful of map tasks (e.g. 20 instead of 3,200) that each index-scan many
 blocks, which is what produces the Figure 9 speedups.  Jobs without a usable index keep the
 default one-split-per-block policy, so failover characteristics of scan jobs are unchanged.
+
+The file is planned once per query shape and layout epoch, not once per job: a deployment's
+:class:`SplitMemo` keeps the block plans and splits of each shape (path, schema, filter
+attributes, whether there is a projection, the predicate when zone maps are on, and the split
+settings) while the namenode's :attr:`~repro.hdfs.namenode.NameNode.epoch` and the set of alive
+nodes stay what they were.  A repeated query on an unchanged deployment gets the stored plans
+under its own bound query and asks the namenode nothing; any replica install or removal,
+eviction tombstone, upload, restore, node kill or revival starts a new memo.  The simulated
+split-phase charge (:meth:`HailInputFormat.split_phase_cost`) is the same on a hit.
 
 That plan is the one the job executes: the format keeps it (:attr:`HailInputFormat.plan`) and
 hands it to every :class:`~repro.hail.record_reader.HailRecordReader`, which re-plans a block
@@ -39,9 +48,10 @@ from collections import defaultdict
 from typing import Optional
 
 from repro.cluster.costmodel import CostModel
+from repro.engine.access_path import BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext, commit_adaptive_builds
 from repro.engine.lifecycle import AdaptiveLifecycleManager
-from repro.engine.planner import PhysicalPlanner, QueryPlan
+from repro.engine.planner import BoundQuery, PhysicalPlanner, QueryPlan
 from repro.hail.annotation import resolve_annotation
 from repro.hail.config import HailConfig
 from repro.hail.record_reader import HailRecordReader
@@ -55,12 +65,55 @@ from repro.mapreduce.split import InputSplit
 from repro.persist.state import capture_lifecycle_control
 
 
+#: Safety cap on the query shapes one layout epoch keeps.  A workload repeats a handful of
+#: shapes; the cap only bounds the memo under a stream of distinct zone-mapped predicates.
+SPLIT_MEMO_CAP = 256
+
+
+class SplitMemo:
+    """The split phase's block plans and splits per query shape, for one layout of a deployment.
+
+    ``HailSystem`` owns one and hands it to every job's :class:`HailInputFormat`.  Entries hold
+    while the namenode's layout epoch and the set of alive nodes are the ones they were stored
+    under; a change of either empties the memo.  The stored plans are shared, never executed:
+    a reader copies a plan before running it and re-plans a block whose pinned replica died or
+    changed, so a stale entry can cost a re-plan, never a row.
+    """
+
+    def __init__(self) -> None:
+        self._layout: Optional[tuple] = None
+        self._entries: dict[tuple, tuple[tuple[BlockPlan, ...], tuple[InputSplit, ...]]] = {}
+
+    def get(
+        self, hdfs: Hdfs, key: tuple
+    ) -> Optional[tuple[tuple[BlockPlan, ...], tuple[InputSplit, ...]]]:
+        """The block plans and splits stored under ``key`` on ``hdfs``'s current layout, or
+        ``None`` (the memo is emptied first when the layout changed since the last call)."""
+        namenode = hdfs.namenode
+        alive = tuple(node.node_id for node in hdfs.cluster if node.is_alive)
+        layout = (namenode, namenode.epoch, alive)
+        if layout != self._layout:
+            self._layout = layout
+            self._entries = {}
+        return self._entries.get(key)
+
+    def put(self, key: tuple, plan: QueryPlan, splits: list[InputSplit]) -> None:
+        """Keep ``plan``'s block plans and ``splits`` under ``key`` for the layout the last
+        :meth:`get` saw (planning reads the layout, never changes it); at the cap the oldest
+        shape goes."""
+        if len(self._entries) >= SPLIT_MEMO_CAP:
+            del self._entries[next(iter(self._entries))]
+        self._entries[key] = (tuple(plan.block_plans), tuple(splits))
+
+
 class HailInputFormat(InputFormat):
     """Input format routing map tasks to indexed replicas, with the HailSplitting policy.
 
     ``adaptive`` is the job's adaptive-indexing context, required exactly when
     ``config.adaptive_indexing`` is on (``HailSystem`` builds one per job, with a fresh
-    salt); ``lifecycle`` is the deployment's lifecycle manager, or ``None``.
+    salt); ``lifecycle`` is the deployment's lifecycle manager, or ``None``; ``memo`` is the
+    deployment's :class:`SplitMemo` (by default the format keeps one of its own, which only
+    its own re-runs share).
     """
 
     def __init__(
@@ -68,12 +121,14 @@ class HailInputFormat(InputFormat):
         config: Optional[HailConfig] = None,
         adaptive: Optional[AdaptiveJobContext] = None,
         lifecycle: Optional[AdaptiveLifecycleManager] = None,
+        memo: Optional[SplitMemo] = None,
     ) -> None:
         self.config = config if config is not None else HailConfig()
         if self.config.adaptive_indexing and adaptive is None:
             raise ValueError("adaptive_indexing needs the job's AdaptiveJobContext")
         self.adaptive = adaptive
         self.lifecycle = lifecycle
+        self.memo = memo if memo is not None else SplitMemo()
         self.index_aware_scheduling = self.config.index_aware_scheduling
         #: The latest :meth:`get_splits` plan, which the job's record readers execute.
         self.plan: Optional[QueryPlan] = None
@@ -125,19 +180,52 @@ class HailInputFormat(InputFormat):
 
     # ------------------------------------------------------------------ splits
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
-        """Plan the file once and cut its splits from that plan (HailSplitting or one per block).
+        """Plan the file and cut its splits from that plan (HailSplitting or one per block).
 
-        The plan is kept as :attr:`plan` and handed to every record reader of the job.  Every
-        block lands in a split, ``ZONE_MAP_SKIP`` plans included: their readers verify the
-        skip against the payload before they trust the registered synopses.
+        The query is bound once per job; the plan and splits come from the :attr:`memo` when
+        this query shape was planned on the current layout, else they are made here and
+        stored.  The plan is kept as :attr:`plan` (carrying this job's bound query) and handed
+        to every record reader of the job.  Every block lands in a split, ``ZONE_MAP_SKIP``
+        plans included: their readers verify the skip against the payload before they trust
+        the registered synopses.
         """
+        path = jobconf.input_path
         planner = PhysicalPlanner(hdfs, zone_maps=self.config.zone_maps)
-        self.plan = planner.plan_query(jobconf.input_path, resolve_annotation(jobconf))
-        locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
+        bound = planner.query_frame(path, resolve_annotation(jobconf)).bound
+        key = self._shape(path, bound, cost)
+        stored = self.memo.get(hdfs, key)
+        if stored is not None:
+            self.plan = QueryPlan(path=path, bound=bound, block_plans=list(stored[0]))
+            return list(stored[1])
+        self.plan = planner.plan_query(path, bound)
+        locations = hdfs.namenode.block_locations(path, alive_only=True)
         blocks = list(zip(locations, self.plan.block_plans))
         if self.config.splitting_policy and any(plan.index_hosts for _, plan in blocks):
-            return self._hail_splitting(jobconf, cost, blocks)
-        return self._default_splitting(jobconf, blocks)
+            splits = self._hail_splitting(jobconf, cost, blocks)
+        else:
+            splits = self._default_splitting(jobconf, blocks)
+        self.memo.put(key, self.plan, splits)
+        return splits
+
+    def _shape(self, path: str, bound: BoundQuery, cost: CostModel) -> tuple:
+        """The memo key: exactly what block planning, ``block_locations`` and the two
+        splitting policies read besides the layout.
+
+        Without zone maps a plan reads the query only through its filter attributes and
+        whether it projects, so queries differing in operands share one entry; with zone maps
+        the predicate decides the skips and joins the key.
+        """
+        zone_maps = self.config.zone_maps
+        return (
+            path,
+            bound.schema,
+            bound.filter_attributes,
+            bound.projection is None,
+            bound.predicate if zone_maps else None,
+            zone_maps,
+            self.config.splitting_policy,
+            cost.params.map_slots_per_node,
+        )
 
     def create_record_reader(
         self,

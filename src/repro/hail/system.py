@@ -10,7 +10,7 @@ from repro.engine.adaptive import AdaptiveJobContext
 from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.config import HailConfig
-from repro.hail.input_format import HailInputFormat
+from repro.hail.input_format import HailInputFormat, SplitMemo
 from repro.hail.record_reader import projected_row, projected_rows
 from repro.hail.scheduler import (
     adaptive_replica_bytes,
@@ -64,6 +64,9 @@ class HailSystem(BaseSystem):
         self.lifecycle: Optional[AdaptiveLifecycleManager] = (
             AdaptiveLifecycleManager.from_config(config)
         )
+        #: The split phase's plans and splits per query shape on the current layout, shared by
+        #: every job of this deployment (see :class:`~repro.hail.input_format.SplitMemo`).
+        self.split_memo = SplitMemo()
         if config.persistence_dir is not None:
             # Attached on the Hdfs facade so every mutation-point hook (upload, adaptive
             # commit, eviction, balancer) can reach the journal without new plumbing.
@@ -79,7 +82,10 @@ class HailSystem(BaseSystem):
     # ------------------------------------------------------------------ queries
     def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
         input_format = HailInputFormat(
-            self.config, adaptive=self._adaptive_context(), lifecycle=self.lifecycle
+            self.config,
+            adaptive=self._adaptive_context(),
+            lifecycle=self.lifecycle,
+            memo=self.split_memo,
         )
         jobconf = scan_job(
             f"hail-{query.name}", path, input_format, projected_rows, projected_row, emit

@@ -50,6 +50,11 @@ class NameNode:
         #: of "no replica indexed"; cleared as soon as a replica indexed on that attribute is
         #: registered again (the adaptive rebuild).
         self._evictions: Dict[tuple[int, str], int] = {}
+        #: The layout epoch: bumped by every method that writes ``_files``, ``Dir_block``,
+        #: ``Dir_rep`` or the eviction tombstones, i.e. by every change a block plan or a
+        #: ``BlockLocation`` could read.  Equal epochs (and equal alive sets) mean an
+        #: unchanged layout, so a split phase planned at one may be reused at the other.
+        self.epoch = 0
 
     # ------------------------------------------------------------------ namespace
     def create_file(self, path: str) -> None:
@@ -57,6 +62,7 @@ class NameNode:
         if path in self._files:
             raise FileAlreadyExistsError(f"path already exists in HDFS: {path!r}")
         self._files[path] = []
+        self.epoch += 1
 
     def file_exists(self, path: str) -> bool:
         """True if ``path`` is a file in the namespace."""
@@ -97,6 +103,7 @@ class NameNode:
         self._files[path].append(block_id)
         self._blocks[block_id] = logical_block
         self._dir_block[block_id] = []
+        self.epoch += 1
         return block_id, pipeline
 
     def register_replica(
@@ -109,6 +116,7 @@ class NameNode:
         """
         if block_id not in self._dir_block:
             raise BlockNotFoundError(f"unknown block id {block_id}")
+        self.epoch += 1
         datanodes = self._dir_block[block_id]
         if datanode_id not in datanodes:
             datanodes.append(datanode_id)
@@ -128,6 +136,7 @@ class NameNode:
         superseded by a rebuild — real HDFS drops those when the revived datanode's block
         report arrives).
         """
+        self.epoch += 1
         datanodes = self._dir_block.get(block_id)
         if datanodes is not None and datanode_id in datanodes:
             datanodes.remove(datanode_id)
@@ -273,6 +282,7 @@ class NameNode:
         indexed on ``attribute`` is registered again.
         """
         self._evictions[(block_id, attribute)] = datanode_id
+        self.epoch += 1
 
     def index_eviction(self, block_id: int, attribute: str) -> Optional[int]:
         """Datanode an adaptive index of ``(block, attribute)`` was evicted from, or ``None``."""
@@ -327,6 +337,7 @@ class NameNode:
         self._files[path].append(block_id)
         self._blocks[block_id] = logical_block
         self._dir_block[block_id] = []
+        self.epoch += 1
         self.set_next_block_id(block_id + 1)
 
     def set_index_usage(

@@ -16,6 +16,7 @@ from repro.engine.adaptive import (
 )
 from repro.hail import HailConfig, HailSystem
 from repro.hail.predicate import Operator, Predicate
+from repro.layouts.schema import FieldType, Schema
 from repro.mapreduce.counters import Counters
 from repro.hail.predicate import Query
 
@@ -225,6 +226,41 @@ def test_adaptive_build_never_evicts_an_upload_time_index():
     num_blocks = len(system.hdfs.namenode.file_blocks(_PATH))
     assert f1_result.plan.summary()["index_scans"] == num_blocks
     assert f2_result.plan.summary()["index_scans"] == num_blocks
+
+
+def test_an_offer_no_node_could_take_is_refunded():
+    """One node at replication 1, its only replica indexed on ``b``: no alive node could take
+    an adaptive ``a`` replica (the commit would drop the build as ``skipped_no_placement``), so
+    the planner refunds the offer instead of sorting the block and charging its build.  Each
+    query then runs exactly as on the same deployment without adaptive indexing."""
+    schema = Schema.of(("a", FieldType.INT), ("b", FieldType.INT), name="ab")
+    records = [(row * 37 % 100, row) for row in range(200)]
+
+    def deploy(adaptive: bool) -> HailSystem:
+        config = HailConfig(
+            index_attributes=("b",),
+            replication=1,
+            functional_partition_size=1,
+            adaptive_indexing=adaptive,
+            adaptive_offer_rate=1.0,
+        )
+        system = HailSystem(Cluster.homogeneous(1, seed=7), config=config, cost=_cost())
+        system.upload("/ab", records, schema, rows_per_block=50)
+        return system
+
+    adaptive, plain = deploy(True), deploy(False)
+    query = Query(
+        name="a", predicate=Predicate.comparison("a", Operator.LT, 10), projection=("a",),
+        description="",
+    )
+    for _ in range(3):
+        result = adaptive.run_query(query, "/ab")
+        baseline = plain.run_query(query, "/ab")
+        assert result.job.counters.value(Counters.ADAPTIVE_INDEX_BUILDS) == 0
+        assert result.plan.summary()["adaptive_index_builds"] == 0
+        assert result.runtime_s == baseline.runtime_s
+        assert sorted(result.records) == sorted(baseline.records)
+    assert adaptive.adaptive_replica_count("/ab") == 0
 
 
 # --------------------------------------------------------------------------- commit semantics

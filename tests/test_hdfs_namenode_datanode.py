@@ -383,9 +383,18 @@ def test_only_hdfs_and_the_journal_mutate_replicas_or_sync_them():
 
 
 
-def _writes_directory(method) -> bool:
+#: The namenode's layout: everything a block plan or a ``BlockLocation`` reads of it.
+_LAYOUT = frozenset({"_files", "_dir_block", "_dir_rep", "_evictions"})
+
+
+def _writes_directory(method, layout: bool = False) -> bool:
     """True when ``method`` assigns into, deletes from or pops ``self._dir_rep``, or takes
-    anything out of ``self._dir_block`` (directly or through a local bound to it)."""
+    anything out of ``self._dir_block`` (directly or through a local bound to it).
+
+    With ``layout``, True when ``method`` writes any :data:`_LAYOUT` directory in any way:
+    assigns (or augments) into, deletes from, adds to or takes out of one, directly or
+    through a local bound to it.
+    """
     import ast
 
     def names(node) -> set[str]:
@@ -397,18 +406,94 @@ def _writes_directory(method) -> bool:
         }
 
     nodes = list(ast.walk(method))
-    removable = {"_dir_rep", "_dir_block"} | {
+    sources = _LAYOUT if layout else {"_dir_block"}
+    removable = ({"_dir_rep", "_dir_block"} | sources) | {
         target.id
-        for node in nodes if isinstance(node, ast.Assign) and "_dir_block" in names(node.value)
+        for node in nodes if isinstance(node, ast.Assign) and names(node.value) & sources
         for target in node.targets if isinstance(target, ast.Name)
     }
+    assigned = removable if layout else {"_dir_rep"}
+    calls = ("pop", "popitem", "remove", "clear") + (
+        ("append", "extend", "insert", "setdefault", "update") if layout else ()
+    )
     return any(
-        isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Subscript) and "_dir_rep" in names(t.value) for t in node.targets)
+        isinstance(node, (ast.Assign, ast.AugAssign))
+        and any(
+            isinstance(t, ast.Subscript) and names(t.value) & assigned
+            for t in getattr(node, "targets", [getattr(node, "target", None)])
+        )
         or isinstance(node, ast.Delete) and any(names(t) & removable for t in node.targets)
         or isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("pop", "popitem", "remove", "clear")
+        and node.func.attr in calls
         and bool(names(node.func.value) & removable)
         for node in nodes
     )
+
+
+def _bumps_epoch(method) -> bool:
+    """True when ``method`` runs ``self.epoch += 1``."""
+    import ast
+
+    return any(
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr == "epoch"
+        and getattr(node.target.value, "id", None) == "self"
+        for node in ast.walk(method)
+    )
+
+
+def test_every_namenode_layout_write_bumps_the_epoch():
+    """A ``NameNode`` method that writes ``_files``, ``Dir_block``, ``Dir_rep`` or the eviction
+    tombstones also bumps ``epoch``, and no other module touches those directories.
+
+    HAIL's split memo (``repro.hail.input_format.SplitMemo``) trusts a stored plan only while
+    the epoch stands, so a mutator that skipped the bump would serve a stale split phase.
+    """
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    package = Path(repro.__file__).parent
+    source = package / "hdfs" / "namenode.py"
+    methods = [
+        method
+        for cls in ast.parse(source.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef) and cls.name == "NameNode"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+    ]
+    writers = {method.name for method in methods if _writes_directory(method, layout=True)}
+    assert writers == {
+        "create_file", "allocate_block", "register_replica", "unregister_replica",
+        "record_index_eviction", "adopt_block",
+    }
+    assert {method.name for method in methods if _bumps_epoch(method)} == writers
+
+    outside = [
+        f"{path.relative_to(package)}:{node.lineno} {node.attr}"
+        for path in sorted(package.rglob("*.py")) if path != source
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in _LAYOUT
+    ]
+    assert outside == []
+
+
+def test_each_layout_write_moves_the_epoch(namenode, simple_schema, simple_records):
+    epochs = [namenode.epoch]
+    namenode.create_file("/f")
+    epochs.append(namenode.epoch)
+    block_id, pipeline = namenode.allocate_block("/f", _block(simple_schema, simple_records))
+    epochs.append(namenode.epoch)
+    namenode.register_replica(block_id, pipeline[0])
+    epochs.append(namenode.epoch)
+    namenode.record_index_eviction(block_id, "a", pipeline[0])
+    epochs.append(namenode.epoch)
+    namenode.unregister_replica(block_id, pipeline[0])
+    epochs.append(namenode.epoch)
+    namenode.touch_index_usage(block_id, pipeline[1])  # LRU statistics are not the layout
+    epochs.append(namenode.epoch)
+    assert epochs == [0, 1, 2, 3, 4, 5, 5]

@@ -17,7 +17,7 @@ Three layers of guarantees pinned here:
 from __future__ import annotations
 
 import random
-from dataclasses import replace as dc_replace
+from dataclasses import astuple, replace as dc_replace
 from types import SimpleNamespace
 
 import pytest
@@ -31,6 +31,7 @@ from repro.engine.access_path import AccessPath
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
 from repro.engine.planner import PhysicalPlanner
 from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
+from repro.hail.annotation import resolve_annotation
 from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import FieldType, Schema
@@ -241,13 +242,19 @@ def test_skip_telemetry_and_explain(zone_deployments):
 
 
 def test_skipped_blocks_still_ride_in_the_splits(zone_deployments, monkeypatch):
-    """One planner pass cuts the splits, and every block it plans as a skip still gets a task.
+    """One planner pass per query shape and layout epoch cuts the splits, and every block it
+    plans as a skip still gets a task.
 
     A block is never dropped on its registered synopsis alone: its reader re-checks the skip
-    against the payload inside the map task.
+    against the payload inside the map task.  The module's deployment has run this predicate
+    on this layout already (``test_skip_telemetry_and_explain``, or the warm-up split phase
+    below when this test runs alone), so the split phase plans nothing and hands out what a
+    fresh zone-mapped planner would plan.
     """
     system = zone_deployments["zm_on"]
     query = _query(Predicate.between("f2", -100, -1), name="zm-splits")
+    warm = system._scan_jobconf(query, _PATH)
+    warm.input_format.get_splits(system.hdfs, warm, system.cost)
     jobconf = system._scan_jobconf(query, _PATH)
     calls = []
     plan_query = PhysicalPlanner.plan_query
@@ -257,7 +264,14 @@ def test_skipped_blocks_still_ride_in_the_splits(zone_deployments, monkeypatch):
         lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_query(self, *args, **kwargs),
     )
     splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
+    assert calls == []
+    fresh = PhysicalPlanner(system.hdfs, zone_maps=True).plan_query(
+        _PATH, resolve_annotation(jobconf)
+    )
     assert calls == [True]
+    assert [astuple(plan) for plan in jobconf.input_format.plan.block_plans] == [
+        astuple(plan) for plan in fresh.block_plans
+    ]
     blocks = system.hdfs.namenode.file_blocks(_PATH)
     assert jobconf.input_format.plan.count(AccessPath.ZONE_MAP_SKIP) == len(blocks)
     assert sorted(block_id for split in splits for block_id in split.block_ids) == sorted(blocks)
