@@ -1,7 +1,7 @@
 """Micro-benchmark: row-at-a-time vs. vectorized (column-at-a-time) predicate evaluation.
 
 The engine refactor replaced the readers' row-at-a-time post-filter loops with
-:func:`repro.engine.executor.vectorized_filter`, which evaluates each predicate clause over a
+:func:`repro.engine.kernels.filter_range`, which evaluates each predicate clause over a
 whole column slice at once.  This benchmark pits the two implementations against each other on
 the same block and predicate so the speedup (and any regression) is visible in CI.  Every test
 also asserts result equality, so the benchmark doubles as an equivalence check, and
@@ -17,7 +17,6 @@ import timeit
 import pytest
 
 from repro.engine import kernels
-from repro.engine.executor import vectorized_filter
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import IndexLookup
 from repro.hail.predicate import Comparison, Operator, Predicate
@@ -71,14 +70,21 @@ def _row_at_a_time(block: HailBlock, predicate: Predicate, lookup: IndexLookup) 
 
 def test_row_at_a_time_filter(benchmark, block, full_lookup):
     result = benchmark(_row_at_a_time, block, _PREDICATE, full_lookup)
-    assert result == vectorized_filter(block.pax, _PREDICATE, block.schema, full_lookup)
+    assert result == kernels.filter_range(
+        block.pax, _PREDICATE, block.schema, full_lookup.start_row, full_lookup.end_row
+    )
     benchmark.extra_info["rows"] = _NUM_ROWS
     benchmark.extra_info["matches"] = len(result)
 
 
 def test_vectorized_filter(benchmark, block, full_lookup):
     result = benchmark(
-        vectorized_filter, block.pax, _PREDICATE, block.schema, full_lookup
+        kernels.filter_range,
+        block.pax,
+        _PREDICATE,
+        block.schema,
+        full_lookup.start_row,
+        full_lookup.end_row,
     )
     assert result == _row_at_a_time(block, _PREDICATE, full_lookup)
     benchmark.extra_info["rows"] = _NUM_ROWS
@@ -94,7 +100,9 @@ def test_kernels_and_pruning_beat_row_at_a_time(block, full_lookup):
     )
 
     def kernel_alone() -> list[int]:
-        return vectorized_filter(block.pax, _PREDICATE, _SCHEMA, full_lookup)
+        return kernels.filter_range(
+            block.pax, _PREDICATE, _SCHEMA, full_lookup.start_row, full_lookup.end_row
+        )
 
     def pruned_then_kernel() -> list[int]:
         rows = clustered.num_records

@@ -28,6 +28,7 @@ from repro.hail.record_reader import HailRecordReader, projected_row, projected_
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.pipeline import StandardUploadPipeline
+from repro.layouts.row import TextRowCodec
 from repro.layouts.schema import Schema
 from repro.mapreduce.input_format import InputFormat
 from repro.mapreduce.job import JobConf
@@ -96,22 +97,25 @@ class HadoopPlusPlusSystem(BaseSystem):
         block_ids = self.hdfs.namenode.file_blocks(path)
         num_jobs = 2 if self.trojan_attribute is not None else 1
 
+        codec = TextRowCodec(schema)
         for block_id in block_ids:
-            logical = self.hdfs.namenode.logical_block(block_id)
             hosts = self.hdfs.namenode.block_datanodes(block_id, alive_only=True)
             if not hosts:
                 continue
-            # One pivot serves the cost and the replicas.  It is measured before the sort: the
-            # string share is sampled over the first rows in upload order.
+            # The conversion job reads the block's text replica and parses it the way the text
+            # pipeline did.  One pivot serves the cost and the replicas.  It is measured before
+            # the sort: the string share is sampled over the first rows in upload order.
+            lines = self.hdfs.read_replica(block_id, hosts[0]).payload.lines
+            records, bad_lines = codec.decode_lenient("\n".join(lines))
             unsorted_block = HailBlock.build(
                 schema=schema,
-                records=logical.records,
+                records=records,
                 sort_attribute=None,
                 partition_size=self.functional_partition_size,
-                bad_lines=logical.bad_lines,
+                bad_lines=bad_lines,
                 logical_partition_size=self.partition_size,
             )
-            text_bytes = logical.text_size_bytes
+            text_bytes = self.hdfs.namenode.logical_block(block_id).text_size_bytes
             binary_bytes = unsorted_block.data_size_bytes()
             string_fraction = unsorted_block.pax.sample_string_share()
             self._charge_index_jobs(

@@ -145,11 +145,11 @@ class CpuModel:
         move_seconds = self._per_bytes(value_bytes, self.rates.pax_build_mb_s, cores)
         return compare_seconds + move_seconds
 
-    def build_index(self, num_values: int, entry_bytes: float = 8.0, cores: int = 1) -> float:
-        """Build the sparse clustered index over a sorted column."""
+    def build_index(self, num_values: int, cores: int = 1) -> float:
+        """Build the sparse clustered index over a sorted column (8-byte entries)."""
         if num_values <= 0:
             return 0.0
-        return self._per_bytes(num_values * entry_bytes, self.rates.index_build_mb_s, cores)
+        return self._per_bytes(num_values * 8.0, self.rates.index_build_mb_s, cores)
 
     # ------------------------------------------------------------------ query-side work
     # One core each (a map task is single-threaded), at the divisors bound in __post_init__.

@@ -101,12 +101,11 @@ class DiskModel:
             bytes_per_s = self._effective_bandwidth(self.hardware.disk_read_mb_s, streams) * _MB
         return self._seek_s + num_bytes / bytes_per_s
 
-    def sequential_write(self, num_bytes: float, streams: int = 1) -> float:
-        """Seconds to write ``num_bytes`` sequentially with ``streams`` concurrent writers."""
+    def sequential_write(self, num_bytes: float) -> float:
+        """Seconds to write ``num_bytes`` sequentially with one writer."""
         if num_bytes <= 0:
             return 0.0
-        bandwidth = self._effective_bandwidth(self.hardware.disk_write_mb_s, streams)
-        return self.seek() + num_bytes / (bandwidth * _MB)
+        return self.seek() + num_bytes / (self.hardware.disk_write_mb_s * _MB)
 
     def mixed_read_write(self, read_bytes: float, write_bytes: float) -> float:
         """Seconds for a workload that both reads and writes on the same disks.

@@ -87,7 +87,7 @@ class TransferLedger:
         self.usage(node_id).fixed_seconds += max(seconds, 0.0)
 
     # ------------------------------------------------------------------ evaluation
-    def node_time(self, node_id: int, apply_variance: bool = True) -> float:
+    def node_time(self, node_id: int) -> float:
         """Simulated seconds the node is busy, assuming disk/network/CPU overlap."""
         record = self._usage.get(node_id)
         if record is None:
@@ -95,16 +95,14 @@ class TransferLedger:
         node = self._cluster.node(node_id)
         disk_seconds = self._disk_seconds(node, record)
         net_seconds = self._network_seconds(node, record)
-        io_seconds = max(disk_seconds, net_seconds)
-        if apply_variance:
-            io_seconds = self._cost.vary_io(node, io_seconds)
+        io_seconds = self._cost.vary_io(node, max(disk_seconds, net_seconds))
         return max(io_seconds, record.cpu_seconds) + record.fixed_seconds
 
-    def makespan(self, apply_variance: bool = True) -> float:
+    def makespan(self) -> float:
         """Duration of the whole operation: the slowest node's busy time."""
         if not self._usage:
             return 0.0
-        return max(self.node_time(node_id, apply_variance) for node_id in self._usage)
+        return max(self.node_time(node_id) for node_id in self._usage)
 
     # ------------------------------------------------------------------ internals
     def _disk_seconds(self, node: Node, record: NodeUsage) -> float:

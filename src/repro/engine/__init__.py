@@ -57,7 +57,6 @@ from repro.engine.executor import (
     BlockScanResult,
     TextScanResult,
     VectorizedExecutor,
-    vectorized_filter,
 )
 from repro.engine.operators import (
     AggregateSpec,
@@ -90,7 +89,6 @@ __all__ = [
     "VectorizedExecutor",
     "commit_adaptive_builds",
     "kernels",
-    "vectorized_filter",
     "PhysicalPlanner",
     "QueryPlan",
 ]

@@ -8,11 +8,11 @@ the readers charged before the refactor — the "RecordReader time" of Figures 6
 
 The predicate kernels live in :mod:`repro.engine.kernels` (a dispatch module with a pure-Python
 reference backend built on per-operator comprehension tables and an optional numpy fast path
-reading :data:`repro.hail.predicate.COMPARE`); :func:`vectorized_filter` is the executor's
-entry point into them.  With zone maps enabled the executor additionally flags the candidate
-rows whose partitions its min-max synopsis rules out, and executes planner-ordered
-``ZONE_MAP_SKIP`` blocks — after re-verifying the synopsis against the payload, failing closed
-to a full scan on any mismatch.
+reading :data:`repro.hail.predicate.COMPARE`); the executor enters them through
+:func:`~repro.engine.kernels.filter_ranges` and :func:`~repro.engine.kernels.sorted_range`.
+With zone maps enabled the executor additionally flags the candidate rows whose partitions its
+min-max synopsis rules out, and executes planner-ordered ``ZONE_MAP_SKIP`` blocks — after
+re-verifying the synopsis against the payload, failing closed to a full scan on any mismatch.
 
 The record reader hands the executor the query its plan carries: a
 :class:`~repro.engine.planner.BoundQuery`, bound once per job.  Per block the executor reads
@@ -41,29 +41,11 @@ from repro.engine.planner import BoundQuery
 from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import IndexLookup, logical_index_size_bytes
-from repro.hail.predicate import Predicate
 from repro.hdfs.block import Replica, TextBlockPayload
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.filesystem import Hdfs
-from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import Schema
-
-
-# --------------------------------------------------------------------------- predicate kernels
-def vectorized_filter(
-    pax: PaxBlock, predicate: Optional[Predicate], schema: Schema, lookup: IndexLookup
-) -> list[int]:
-    """Row ids inside ``lookup`` that satisfy the (full) predicate, evaluated columnar.
-
-    Equivalent to the classic row-at-a-time loop (``for row: for clause: ...``) but evaluated
-    by the active :mod:`repro.engine.kernels` backend: the pure-Python reference backend scans
-    each clause's minipage slice once and refines a surviving-position list (tracking the
-    surviving-row count as it ANDs, with no per-clause ``any(mask)`` pass), while the optional
-    numpy backend runs the same comparisons over packed 64-bit column views.  Clauses keep
-    their written order; evaluation stops early when no candidate survives.
-    """
-    return kernels.filter_range(pax, predicate, schema, lookup.start_row, lookup.end_row)
 
 
 # --------------------------------------------------------------------------- execution results

@@ -263,24 +263,14 @@ class PhysicalPlanner:
         return QueryPlan(path=path, bound=BoundQuery.of(annotation, schema)), block_ids
 
     def plan_query(
-        self,
-        path: str,
-        annotation: Union[HailQuery, BoundQuery, None] = None,
-        prefer_node: Optional[int] = None,
-        preferred_replicas: Optional[dict[int, int]] = None,
+        self, path: str, annotation: Union[HailQuery, BoundQuery, None] = None
     ) -> QueryPlan:
         """Plan every block of ``path`` for the query described by ``annotation`` (the
         ``@HailQuery``, or the :class:`BoundQuery` the split phase bound it to)."""
         plan, block_ids = self._bind(path, annotation)
-        preferred_replicas = preferred_replicas or {}
         for block_id in block_ids:
             plan.block_plans.append(
-                self._plan_block(
-                    block_id,
-                    plan.bound,
-                    preferred=preferred_replicas.get(block_id),
-                    prefer_node=prefer_node,
-                )
+                self._plan_block(block_id, plan.bound, preferred=None, prefer_node=None)
             )
         return plan
 
@@ -290,21 +280,16 @@ class PhysicalPlanner:
         annotation: Union[HailQuery, BoundQuery, None] = None,
         preferred: Optional[int] = None,
         prefer_node: Optional[int] = None,
-        adaptive: Optional[AdaptiveJobContext] = None,
     ) -> BlockPlan:
         """Plan a single block (the record readers' re-planning entry point).
 
         ``annotation`` is the job's ``@HailQuery`` (bound here, once per call) or the
         :class:`BoundQuery` its plan carries (used as is while the block's schema is the one it
-        was bound to).  ``adaptive`` is the job's adaptive-indexing policy; asking it charges
-        the job's build budget, so only a plan that will execute may pass it (see
-        :meth:`for_execution`) — the split-phase :meth:`plan_query` pass never does.
+        was bound to).  The plan carries no execution marks: a reader hands it to
+        :meth:`for_execution` before running it.
         """
         bound = BoundQuery.of(annotation, self.hdfs.namenode.logical_block(block_id).schema)
-        plan = self._plan_block(block_id, bound, preferred=preferred, prefer_node=prefer_node)
-        if adaptive is not None:
-            self._mark_execution(plan, bound, adaptive)
-        return plan
+        return self._plan_block(block_id, bound, preferred=preferred, prefer_node=prefer_node)
 
     def for_execution(
         self,
@@ -481,7 +466,7 @@ class PhysicalPlanner:
         logical = self.hdfs.namenode.logical_block(block_id)
         # Stock text replicas register no Dir_rep entry: sizes come from the logical block.
         has_info = info is not None
-        num_records = (has_info and info.num_records) or len(logical.records)
+        num_records = (has_info and info.num_records) or logical.num_records
         block_bytes = (has_info and info.block_size_bytes) or logical.text_size_bytes
         indexed_attribute = info.indexed_attribute if has_info else None
         index_type = info.index_type if has_info else None

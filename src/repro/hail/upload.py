@@ -73,11 +73,8 @@ class HailUploadPipeline:
         client_node: int,
         ledger: TransferLedger,
         raw_lines: Optional[Sequence[str]] = None,
-        replication: Optional[int] = None,
     ) -> HailBlockUploadResult:
         """Upload one block: client-side PAX conversion, per-datanode sort + index + flush."""
-        replication = replication if replication is not None else self.config.replication
-
         # 1. The HAIL client parses rows against the schema, separates bad records and converts
         #    the block to binary PAX — once; everything below measures or reorders this block.
         if raw_lines is not None:
@@ -105,13 +102,13 @@ class HailUploadPipeline:
         logical = LogicalBlock(
             block_id=-1,
             path=path,
-            records=records,
+            num_records=len(records),
             schema=schema,
             bad_lines=list(bad_lines),
             text_size_bytes=text_bytes,
         )
         block_id, pipeline = self.hdfs.namenode.allocate_block(
-            path, logical, client_node=client_node, replication=replication
+            path, logical, client_node=client_node
         )
         if not pipeline:
             raise UploadFailedError("namenode returned an empty pipeline")

@@ -5,6 +5,10 @@ An HDFS *block* is a logical horizontal partition of a file; each block is physi
 byte-identical; HAIL's whole point is that they need not be — every replica may use a different
 sort order, a different clustered index, and therefore a different size and different checksums,
 while still representing the same logical block (which is why failover is unaffected).
+
+The namenode keeps only metadata (Section 3.3): a :class:`LogicalBlock` says which file a
+block belongs to and how many rows it holds, ``Dir_block`` and ``Dir_rep`` say where its
+replicas are and how each is laid out.  The rows themselves live only in the replicas.
 """
 
 from __future__ import annotations
@@ -69,27 +73,23 @@ class TextBlockPayload(BlockPayload):
 
 @dataclass
 class LogicalBlock:
-    """A logical HDFS block: the records of one horizontal partition of a file.
+    """The namenode's metadata for one logical HDFS block of a file.
 
     The HAIL client never splits a row between two blocks (it cuts blocks at row boundaries,
-    Section 3.1), so a logical block is simply a list of typed records plus the rows that failed
-    schema validation ("bad records").
+    Section 3.1), so a block is a whole number of well-formed records plus the rows that
+    failed schema validation ("bad records").  The records themselves are held only by the
+    block's replicas; this entry keeps their count and the text size the upload measured.
     """
 
     block_id: int
     path: str
-    records: list[tuple]
+    num_records: int
     schema: Schema
     bad_lines: list[str] = field(default_factory=list)
     text_size_bytes: int = 0
 
-    @property
-    def num_records(self) -> int:
-        """Number of well-formed records in the block."""
-        return len(self.records)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LogicalBlock(id={self.block_id}, path={self.path!r}, records={len(self.records)})"
+        return f"LogicalBlock(id={self.block_id}, path={self.path!r}, records={self.num_records})"
 
 
 @dataclass

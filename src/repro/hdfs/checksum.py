@@ -30,15 +30,13 @@ def chunk_checksums(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> lis
     ]
 
 
-def verify_chunk_checksums(
-    payload: bytes, checksums: Sequence[int], chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> bool:
+def verify_chunk_checksums(payload: bytes, checksums: Sequence[int]) -> bool:
     """True when ``payload`` matches the per-chunk ``checksums``.
 
     Restore checks every journaled payload with it against the CRCs its ``Dir_rep`` row
     journals (:func:`repro.persist.state.restore_system`).
     """
-    return list(checksums) == chunk_checksums(payload, chunk_size)
+    return list(checksums) == chunk_checksums(payload)
 
 
 def checksum_file_size(payload_size: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:

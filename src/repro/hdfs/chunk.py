@@ -16,8 +16,8 @@ _CHUNKS_PER_PACKET = PACKET_SIZE // (CHUNK_SIZE + 4)
 PACKET_DATA_SIZE = _CHUNKS_PER_PACKET * CHUNK_SIZE
 
 
-def num_packets(payload_size: int, packet_data_size: int = PACKET_DATA_SIZE) -> int:
+def num_packets(payload_size: int) -> int:
     """Number of packets needed for ``payload_size`` bytes of block data."""
     if payload_size <= 0:
         return 1
-    return (payload_size + packet_data_size - 1) // packet_data_size
+    return (payload_size + PACKET_DATA_SIZE - 1) // PACKET_DATA_SIZE

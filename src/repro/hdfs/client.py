@@ -27,7 +27,6 @@ class UploadPipeline(Protocol):
         client_node: int,
         ledger: TransferLedger,
         raw_lines: Optional[Sequence[str]] = None,
-        replication: Optional[int] = None,
     ):  # pragma: no cover - protocol definition
         ...
 
@@ -67,7 +66,6 @@ class HdfsClient:
         datafile: DataFile,
         rows_per_block: int,
         ledger: Optional[TransferLedger] = None,
-        replication: Optional[int] = None,
         create_file: bool = True,
     ) -> UploadReport:
         """Upload ``datafile``, cutting it into blocks of ``rows_per_block`` rows.
@@ -97,7 +95,6 @@ class HdfsClient:
                     client_node=self.client_node,
                     ledger=ledger,
                     raw_lines=block_lines,
-                    replication=replication,
                 )
                 block_results.append(result)
                 source_bytes += sum(len(line.encode("utf-8")) + 1 for line in block_lines)
@@ -109,23 +106,19 @@ class HdfsClient:
                     schema=datafile.schema,
                     client_node=self.client_node,
                     ledger=ledger,
-                    replication=replication,
                 )
                 block_results.append(result)
                 # The pipeline measured the block's text when it registered it; no second pass.
                 source_bytes += self.hdfs.namenode.logical_block(result.block_id).text_size_bytes
 
         stored_bytes = self.hdfs.total_stored_bytes() - stored_bytes_before
-        effective_replication = (
-            replication if replication is not None else self.hdfs.namenode.replication
-        )
         report = UploadReport(
             path=datafile.path,
             num_blocks=len(block_results),
             num_records=datafile.num_records,
             source_text_bytes=source_bytes,
             stored_bytes=stored_bytes,
-            replication=effective_replication,
+            replication=self.hdfs.namenode.replication,
             block_results=block_results,
         )
         if own_ledger:

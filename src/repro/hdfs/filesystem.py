@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterator, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
-from repro.hdfs.block import BlockPayload, LogicalBlock, Replica
+from repro.hdfs.block import BlockPayload, Replica
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.namenode import NameNode
@@ -150,20 +150,6 @@ class Hdfs:
         return self.read_replica(block_id, hosts[0])
 
     # ------------------------------------------------------------------ file level helpers
-    def file_blocks(self, path: str) -> list[LogicalBlock]:
-        """The logical blocks of a file, in order."""
-        return [self.namenode.logical_block(bid) for bid in self.namenode.file_blocks(path)]
-
-    def file_records(self, path: str) -> list[tuple]:
-        """All typed records of a file, in block order (ground truth for tests).
-
-        Census keep list (``tests/test_census.py``): ground truth for tests.
-        """
-        records: list[tuple] = []
-        for block in self.file_blocks(path):
-            records.extend(block.records)
-        return records
-
     def total_stored_bytes(self) -> int:
         """Total replica bytes stored across all datanodes (the paper's disk-space argument)."""
         return sum(dn.used_bytes for dn in self.datanodes.values())

@@ -34,7 +34,7 @@ class NameNode:
         self._files: Dict[str, List[int]] = {}
         #: Dir_block: block id -> ordered list of datanode ids holding a replica
         self._dir_block: Dict[int, List[int]] = {}
-        #: block id -> logical block metadata (path, record counts)
+        #: block id -> logical block metadata (path, schema, record count, bad lines, text size)
         self._blocks: Dict[int, LogicalBlock] = {}
         #: Dir_rep: (block id, datanode id) -> HAILBlockReplicaInfo (opaque to stock HDFS)
         self._dir_rep: Dict[tuple[int, int], Any] = {}
@@ -85,7 +85,6 @@ class NameNode:
         path: str,
         logical_block: LogicalBlock,
         client_node: Optional[int] = None,
-        replication: Optional[int] = None,
     ) -> tuple[int, list[int]]:
         """Allocate a new block for ``path`` and choose the datanodes of its upload pipeline.
 
@@ -94,12 +93,11 @@ class NameNode:
         """
         if path not in self._files:
             raise FileNotFoundInHdfsError(f"no such file: {path!r} (create it before writing)")
-        replication = replication if replication is not None else self.replication
         block_id = self._next_block_id
         self._next_block_id += 1
         logical_block.block_id = block_id
         logical_block.path = path
-        pipeline = self._cluster.choose_replica_nodes(replication, client_node=client_node)
+        pipeline = self._cluster.choose_replica_nodes(self.replication, client_node=client_node)
         self._files[path].append(block_id)
         self._blocks[block_id] = logical_block
         self._dir_block[block_id] = []

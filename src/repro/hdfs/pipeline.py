@@ -58,17 +58,17 @@ class StandardUploadPipeline:
         client_node: int,
         ledger: TransferLedger,
         raw_lines: Optional[Sequence[str]] = None,
-        replication: Optional[int] = None,
     ) -> BlockUploadResult:
         """Upload one block (a group of rows) and register its replicas with the namenode."""
-        records = list(records)
+        num_records = len(records)
         bad_lines: list[str] = []
         if raw_lines is not None:
             lines = tuple(raw_lines)
             if not records:
-                # Stock HDFS stores the text verbatim; the logical-block record list (used as
-                # ground truth by tests and reports) is the best-effort parse of those lines.
-                records, bad_lines = TextRowCodec(schema).decode_lenient("\n".join(lines))
+                # Stock HDFS stores the text verbatim; the namenode registers the block's row
+                # count and bad lines from the best-effort parse of those lines.
+                parsed, bad_lines = TextRowCodec(schema).decode_lenient("\n".join(lines))
+                num_records = len(parsed)
         else:
             lines = tuple(map(schema.format_record, records))
         payload = TextBlockPayload(lines, schema=schema)
@@ -77,13 +77,13 @@ class StandardUploadPipeline:
         logical = LogicalBlock(
             block_id=-1,
             path=path,
-            records=records,
+            num_records=num_records,
             schema=schema,
             bad_lines=bad_lines,
             text_size_bytes=payload_size,
         )
         block_id, pipeline = self.hdfs.namenode.allocate_block(
-            path, logical, client_node=client_node, replication=replication
+            path, logical, client_node=client_node
         )
         if not pipeline:
             raise UploadFailedError("namenode returned an empty pipeline")

@@ -45,11 +45,10 @@ distinct payload of a block (rows whose ``crcs_blob`` and ``payload_blob`` are e
 replicas that shared one ``PaxBlock`` journal them) is decoded once and installed as it
 stands: its sort column is already sorted, so only the sparse index is rebuilt over it
 (:meth:`~repro.hail.index.HailIndex.build`, which refuses an unsorted column), and the
-restored replica is byte-identical to the journaled one.  The ``LogicalBlock`` takes its rows
-from the block's first ``Dir_block`` replica — CRC-checked bytes, in that replica's order,
-which nothing observable depends on: after upload a HAIL deployment reads a logical block's
-rows only to count them, and tests compare them sorted.  A replica whose row count is not the
-block's, whose sort column is not sorted, or a block with no replica at all is refused with
+restored replica is byte-identical to the journaled one.  The ``LogicalBlock`` is metadata
+only: its row count, bad lines and text size come from the journaled ``blocks`` row, and its
+rows live only in the replicas just restored.  A replica whose row count is not the block's,
+whose sort column is not sorted, or a block with no replica at all is refused with
 :class:`JournalCorruptError` naming the block (and the datanode).  That, plus restoring the
 usage clock, allocation counter, adaptive salt, and the tuner's ledger verbatim, is what makes
 post-restore query answers bit-identical to an uninterrupted run
@@ -249,7 +248,7 @@ def restore_system(system, state: dict) -> None:
         logical = LogicalBlock(
             block_id=block_id,
             path=entry["path"],
-            records=replicas[entry["dir_block"][0]][0].pax.records(),
+            num_records=entry["num_records"],
             schema=schema,
             bad_lines=list(entry["bad_lines"]),
             text_size_bytes=entry["text_size_bytes"],

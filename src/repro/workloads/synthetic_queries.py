@@ -28,12 +28,12 @@ _TABLE_1: tuple[tuple[str, float, int], ...] = (
 )
 
 
-def synthetic_logical_queries(value_range: int = VALUE_RANGE) -> list[LogicalQuery]:
+def synthetic_logical_queries() -> list[LogicalQuery]:
     """Syn-Q1a .. Syn-Q2c as declarative :class:`LogicalQuery` definitions (the IR form)."""
     queries = []
     all_attributes = SYNTHETIC_SCHEMA.field_names
     for suffix, selectivity, projected in _TABLE_1:
-        bound = int(round(selectivity * value_range))
+        bound = int(round(selectivity * VALUE_RANGE))
         projection = tuple(all_attributes[:projected])
         queries.append(
             LogicalQuery(
@@ -50,6 +50,6 @@ def synthetic_logical_queries(value_range: int = VALUE_RANGE) -> list[LogicalQue
     return queries
 
 
-def synthetic_queries(value_range: int = VALUE_RANGE) -> list:
+def synthetic_queries() -> list:
     """Syn-Q1a .. Syn-Q2c compiled to range predicates realising Table 1's selectivities."""
-    return [logical.compile() for logical in synthetic_logical_queries(value_range)]
+    return [logical.compile() for logical in synthetic_logical_queries()]

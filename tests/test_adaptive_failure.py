@@ -38,9 +38,12 @@ def _adaptive_system(num_nodes: int = 4) -> HailSystem:
         ),
         cost=_cost(),
     )
-    records = SyntheticGenerator(seed=5).generate(1600)
-    system.upload(_PATH, records, SYNTHETIC_SCHEMA, rows_per_block=100)
+    system.upload(_PATH, _records(), SYNTHETIC_SCHEMA, rows_per_block=100)
     return system
+
+
+def _records() -> list[tuple]:
+    return SyntheticGenerator(seed=5).generate(1600)
 
 
 def _query(name: str = "q", attribute: str = "f1") -> Query:
@@ -73,12 +76,7 @@ def test_datanode_death_leaves_no_half_registered_adaptive_index():
 
     # The query itself still answered correctly despite the mid-flight failure.
     expected = sorted(
-        (
-            (record[0],)
-            for record in system.hdfs.file_records(_PATH)
-            if record[0] < VALUE_RANGE // 10
-        ),
-        key=repr,
+        ((record[0],) for record in _records() if record[0] < VALUE_RANGE // 10), key=repr
     )
     assert result.sorted_records() == expected
 

@@ -289,8 +289,8 @@ def test_commit_deduplicates_speculative_builds():
     builds = []
     for node_id in (0, 1):  # two speculative attempts on different nodes
         planner = PhysicalPlanner(hdfs)
-        plan = planner.plan_block(
-            block_id, annotation=annotation, adaptive=Context(offer_rate=1.0)
+        plan = planner.for_execution(
+            planner.plan_block(block_id, annotation=annotation), annotation, Context(offer_rate=1.0)
         )
         scan = VectorizedExecutor(hdfs, system.cost, node_id).execute(plan, annotation)
         assert scan.pending_build is not None
@@ -315,8 +315,9 @@ def test_commit_skips_builds_targeting_dead_nodes():
     from repro.hail.annotation import HailQuery
 
     annotation = HailQuery(filter=_query().predicate, projection=("f1",))
-    plan = PhysicalPlanner(hdfs).plan_block(
-        block_id, annotation=annotation, adaptive=Context(offer_rate=1.0)
+    planner = PhysicalPlanner(hdfs)
+    plan = planner.for_execution(
+        planner.plan_block(block_id, annotation=annotation), annotation, Context(offer_rate=1.0)
     )
     scan = VectorizedExecutor(hdfs, system.cost, 0).execute(plan, annotation)
     system.cluster.kill_node(0)

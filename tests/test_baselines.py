@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
 from repro.baselines.hadoop import make_line_parser
 from repro.cluster import Cluster, CostModel, CostParameters
-from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator, WebLogGenerator
 from repro.hail.hail_block import HailBlock
 from repro.workloads import bob_queries
 
@@ -89,6 +89,50 @@ def test_hadoopplusplus_upload_replaces_replicas_with_trojan_blocks(hadooppluspl
     assert {p.sort_attribute for p in payloads} == {"sourceIP"}
     assert all(not p.pax_layout for p in payloads)
     assert hadoopplusplus.num_indexes() == 1
+
+
+def _trojan_contents(system, path: str) -> tuple[list[tuple], list[str]]:
+    """The rows and bad lines the trojan replicas of ``path`` hold (every replica alike)."""
+    namenode = system.hdfs.namenode
+    rows, bad_lines = [], []
+    for block_id in namenode.file_blocks(path):
+        payloads = [
+            system.hdfs.read_replica(block_id, dn).payload
+            for dn in namenode.block_datanodes(block_id, alive_only=False)
+        ]
+        first = payloads[0]
+        for payload in payloads:
+            assert payload.pax.records() == first.pax.records()
+            assert payload.bad_lines == first.bad_lines
+        rows.extend(first.pax.records())
+        bad_lines.extend(first.bad_lines)
+    return rows, bad_lines
+
+
+def test_hadoopplusplus_trojan_replicas_hold_exactly_the_uploaded_rows(
+    hadoopplusplus, uservisits_rows
+):
+    rows, bad_lines = _trojan_contents(hadoopplusplus, "/uv")
+    assert sorted(map(repr, rows)) == sorted(map(repr, uservisits_rows))
+    assert bad_lines == []
+
+
+def test_hadoopplusplus_converts_a_raw_upload_row_for_row():
+    generator = WebLogGenerator(seed=4)
+    records = generator.generate(150)
+    lines, bad = [], []
+    for number, record in enumerate(records):
+        if number % 20 == 0:
+            bad.append(f"broken line {number}")
+            lines.append(bad[-1])
+        lines.append(generator.schema.format_record(record))
+    system = HadoopPlusPlusSystem(
+        Cluster.homogeneous(4, seed=1), trojan_attribute="statusCode", cost=_cost()
+    )
+    system.upload("/logs", [], generator.schema, rows_per_block=40, raw_lines=lines)
+    rows, bad_lines = _trojan_contents(system, "/logs")
+    assert sorted(map(repr, rows)) == sorted(map(repr, records))
+    assert sorted(bad_lines) == sorted(bad)
 
 
 def test_hadoopplusplus_upload_is_much_slower_than_hadoop(hadoop, hadoopplusplus, uservisits_rows):

@@ -38,17 +38,19 @@ def _bob_system(num_rows: int) -> HailSystem:
         config=HailConfig.for_attributes(_BOB_INDEXES),
         cost=CostModel(CostParameters(enable_variance=False)),
     )
-    rows = UserVisitsGenerator(seed=9).generate(num_rows)
-    system.upload(_PATH, rows, USERVISITS_SCHEMA, rows_per_block=100)
+    system.upload(_PATH, _rows(num_rows), USERVISITS_SCHEMA, rows_per_block=100)
     return system
 
 
-def _brute_force(system: HailSystem, predicate, projection) -> list[tuple]:
-    """The answer straight from the uploaded records, sorted."""
-    schema = system.schema_of(_PATH)
+def _rows(num_rows: int) -> list[tuple]:
+    return UserVisitsGenerator(seed=9).generate(num_rows)
+
+
+def _brute_force(num_rows: int, predicate, projection) -> list[tuple]:
+    """The answer straight from the ``num_rows`` uploaded records, sorted."""
+    schema = USERVISITS_SCHEMA
     rows = [
-        row for row in system.hdfs.file_records(_PATH)
-        if predicate is None or predicate.matches(row, schema)
+        row for row in _rows(num_rows) if predicate is None or predicate.matches(row, schema)
     ]
     if projection is not None:
         positions = [schema.index_of(name) for name in projection]
@@ -81,7 +83,7 @@ def _per_job_counts(num_rows: int, monkeypatch) -> list[dict]:
     for query in bob_queries():
         counts.update(dict.fromkeys(counts, 0))
         result = system.run_query(query, _PATH)
-        assert sorted(result.records) == _brute_force(system, query.predicate, query.projection)
+        assert sorted(result.records) == _brute_force(num_rows, query.predicate, query.projection)
         per_job.append(dict(counts))
     monkeypatch.undo()
     return per_job
@@ -131,7 +133,7 @@ def test_a_string_filter_is_parsed_once_per_job(monkeypatch):
     schema = system.schema_of(_PATH)
     annotation = annotation_module.annotation_of(bob_map)
     expected = _brute_force(
-        system, annotation.bound_filter(schema), annotation.projection_names(schema)
+        1600, annotation.bound_filter(schema), annotation.projection_names(schema)
     )
     assert sorted(row for _, row in job.output) == expected
     assert job.num_map_tasks < len(system.hdfs.namenode.file_blocks(_PATH))
@@ -181,4 +183,4 @@ def test_a_query_bound_to_another_schema_is_rebound(foreign_schema, query_index,
             fresh.rows, fresh.projected, fresh.positions
         )
         rows.extend(scan.projected)
-    assert sorted(rows) == _brute_force(system, query.predicate, query.projection)
+    assert sorted(rows) == _brute_force(800, query.predicate, query.projection)

@@ -64,18 +64,19 @@ def _bob_system() -> HailSystem:
         config=config,
         cost=CostModel(CostParameters(enable_variance=False, data_scale=64.0)),
     )
-    rows = UserVisitsGenerator(seed=9).generate(_ROWS)
-    system.upload(_PATH, rows, USERVISITS_SCHEMA, rows_per_block=100)
+    system.upload(_PATH, _rows(), USERVISITS_SCHEMA, rows_per_block=100)
     return system
 
 
-def _brute_force(system: HailSystem, query: Query) -> list[tuple]:
-    schema = system.schema_of(_PATH)
+def _rows() -> list[tuple]:
+    return UserVisitsGenerator(seed=9).generate(_ROWS)
+
+
+def _brute_force(query: Query) -> list[tuple]:
+    schema = USERVISITS_SCHEMA
     positions = [schema.index_of(name) for name in query.projection]
     return sorted(
-        tuple(row[i] for i in positions)
-        for row in system.hdfs.file_records(_PATH)
-        if query.predicate.matches(row, schema)
+        tuple(row[i] for i in positions) for row in _rows() if query.predicate.matches(row, schema)
     )
 
 
@@ -87,7 +88,7 @@ def system() -> HailSystem:
 def _run(system: HailSystem, query: Query, path: AccessPath):
     """Run ``query``, check its answer and that every block took ``path`` or a zone-map skip."""
     result = system.run_query(query, _PATH)
-    assert sorted(result.records) == _brute_force(system, query)
+    assert sorted(result.records) == _brute_force(query)
     paths = {plan.access_path for plan in result.plan.block_plans}
     assert path in paths and paths <= {path, AccessPath.ZONE_MAP_SKIP}, paths
     assert result.plan.num_blocks == _ROWS // 100

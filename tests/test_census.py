@@ -33,7 +33,6 @@ KEEP = [
     "repro.hail.record.HailRecord.get_float",
     "repro.hail.record.HailRecord.get_int",
     "repro.hail.record.HailRecord.get_string",
-    "repro.hdfs.filesystem.Hdfs.file_records",
     "repro.layouts.pax.PaxBlock.column_size_bytes",
     "repro.layouts.pax.PaxBlock.projected_size_bytes",
     "repro.layouts.pax.PaxBlock.variable_offsets",

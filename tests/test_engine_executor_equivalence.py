@@ -1,6 +1,6 @@
 """Property-based tests: the vectorized executor is byte-identical to a brute-force full scan.
 
-The engine's columnar kernels (``clause_positions`` / ``vectorized_filter``) plus the
+The engine's columnar kernels (``clause_positions`` / ``filter_range``) plus the
 clustered-index candidate pruning must return exactly the rows and projected tuples a naive
 row-at-a-time full scan over the whole block returns, for arbitrary predicates, projections
 and block shapes — including empty blocks and empty candidate ranges.
@@ -10,8 +10,7 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.executor import vectorized_filter
-from repro.engine.kernels import clause_positions
+from repro.engine.kernels import clause_positions, filter_range
 from repro.hail.hail_block import HailBlock
 from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts import FieldType, Schema
@@ -89,7 +88,7 @@ def test_planned_scan_equals_brute_force_full_scan(
         lookup, _used_index = block.candidate_rows(predicate)
     else:
         lookup = block.whole_block_lookup()
-    rows = vectorized_filter(block.pax, predicate, block.schema, lookup)
+    rows = filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row)
     projected = block.pax.project(rows, _indexes(projection))
 
     expected_rows, expected_projected = _brute_force(block, predicate, projection)
@@ -112,7 +111,7 @@ def test_empty_block_yields_no_rows():
     predicate = Predicate.equals("key", 1)
     lookup, used_index = block.candidate_rows(predicate)
     assert used_index
-    assert vectorized_filter(block.pax, predicate, block.schema, lookup) == []
+    assert filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row) == []
     assert block.pax.project([], _indexes(None)) == []
 
 
@@ -123,4 +122,4 @@ def test_empty_candidate_range_short_circuits():
     predicate = Predicate.between("key", 10, 5)  # contradictory bounds: empty lookup
     lookup, _ = block.candidate_rows(predicate)
     assert lookup.is_empty
-    assert vectorized_filter(block.pax, predicate, block.schema, lookup) == []
+    assert filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row) == []

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import CostParameters, DiskPressurePolicy
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
-from repro.engine.executor import vectorized_filter
+from repro.engine import kernels
 from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.engine.planner import BoundQuery
 from repro.hail import HailBlock, HailConfig
@@ -334,7 +334,9 @@ def test_candidate_rows_uses_index_for_matching_attribute(uservisits_block):
     lookup, used_index = uservisits_block.candidate_rows(predicate)
     assert used_index
     assert lookup.num_rows < uservisits_block.num_records
-    matching = vectorized_filter(uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup)
+    matching = kernels.filter_range(
+        uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup.start_row, lookup.end_row
+    )
     expected = [r for r in uservisits_block.pax.records() if predicate.matches(r, USERVISITS_SCHEMA)]
     assert len(matching) == len(expected)
 
@@ -349,7 +351,9 @@ def test_candidate_rows_falls_back_to_scan_for_other_attributes(uservisits_block
 def test_projection_and_columns_to_read(uservisits_block):
     predicate = Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1))
     lookup, _ = uservisits_block.candidate_rows(predicate)
-    rows = vectorized_filter(uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup)
+    rows = kernels.filter_range(
+        uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup.start_row, lookup.end_row
+    )
     projected = uservisits_block.pax.project(rows, [USERVISITS_SCHEMA.index_of("sourceIP")])
     assert projected and all(len(p) == 1 for p in projected)
     columns = _columns_to_read(uservisits_block, predicate, ["sourceIP"])

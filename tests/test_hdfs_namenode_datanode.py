@@ -14,7 +14,7 @@ from repro.hdfs.errors import (
 
 def _block(schema, records, path="/f"):
     return LogicalBlock(
-        block_id=-1, path=path, records=list(records), schema=schema, text_size_bytes=100
+        block_id=-1, path=path, num_records=len(records), schema=schema, text_size_bytes=100
     )
 
 
@@ -51,7 +51,7 @@ def test_allocate_and_register_replicas(namenode, simple_schema, simple_records)
     for datanode_id in pipeline:
         namenode.register_replica(block_id, datanode_id)
     assert sorted(namenode.block_datanodes(block_id)) == sorted(pipeline)
-    assert namenode.logical_block(block_id).records == simple_records
+    assert namenode.logical_block(block_id).num_records == len(simple_records)
 
 
 def test_register_replica_unknown_block(namenode):

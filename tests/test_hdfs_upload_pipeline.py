@@ -77,7 +77,10 @@ def test_client_upload_partitions_into_blocks(client, hdfs, simple_schema, simpl
     assert report.duration_s is not None and report.duration_s > 0
     assert report.replication == 3
     assert report.stored_bytes / report.source_text_bytes == pytest.approx(3.0, rel=0.01)
-    assert hdfs.file_records("/data/simple") == simple_records
+    block_ids = hdfs.namenode.file_blocks("/data/simple")
+    assert [hdfs.namenode.logical_block(b).num_records for b in block_ids] == [25, 25, 10]
+    stored = [line for b in block_ids for line in hdfs.any_replica(b).payload.lines]
+    assert stored == [simple_schema.format_record(record) for record in simple_records]
 
 
 def test_client_upload_with_external_ledger_reports_no_duration(
@@ -105,13 +108,11 @@ def test_raw_lines_upload_stores_the_lines_and_parses_the_records(
     lines = [simple_schema.format_record(record) for record in simple_records]
     datafile = DataFile("/data/raw", simple_schema, [], raw_lines=lines)
     client.upload(datafile, rows_per_block=25)
-    assert hdfs.file_records("/data/raw") == simple_records
-    assert all(not block.bad_lines for block in hdfs.file_blocks("/data/raw"))
-    stored = [
-        line
-        for block_id in hdfs.namenode.file_blocks("/data/raw")
-        for line in hdfs.any_replica(block_id).payload.lines
-    ]
+    block_ids = hdfs.namenode.file_blocks("/data/raw")
+    logicals = [hdfs.namenode.logical_block(block_id) for block_id in block_ids]
+    assert [logical.num_records for logical in logicals] == [25, 25, 10]
+    assert all(not logical.bad_lines for logical in logicals)
+    stored = [line for block_id in block_ids for line in hdfs.any_replica(block_id).payload.lines]
     assert stored == lines
 
 

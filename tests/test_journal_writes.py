@@ -73,9 +73,12 @@ def _fresh(config: HailConfig) -> HailSystem:
     return HailSystem(Cluster.homogeneous(4, seed=7), config=config, cost=cost)
 
 
+def _records() -> list[tuple]:
+    return SyntheticGenerator(seed=3).generate(800)
+
+
 def _upload(system: HailSystem) -> None:
-    records = SyntheticGenerator(seed=3).generate(800)
-    system.upload(_PATH, records, SYNTHETIC_SCHEMA, rows_per_block=100)
+    system.upload(_PATH, _records(), SYNTHETIC_SCHEMA, rows_per_block=100)
 
 
 def _restore(config: HailConfig) -> HailSystem:
@@ -93,11 +96,10 @@ def _query(attribute: str = "f1") -> Query:
     )
 
 
-def _expected(system: HailSystem) -> list[tuple]:
+def _expected() -> list[tuple]:
+    """The probe answer over the uploaded records: every run here keeps all of them."""
     position = SYNTHETIC_SCHEMA.field_names.index("f1")
-    return sorted(
-        (r for r in system.hdfs.file_records(_PATH) if r[position] < VALUE_RANGE // 10), key=repr
-    )
+    return sorted((r for r in _records() if r[position] < VALUE_RANGE // 10), key=repr)
 
 
 def _plain(value):
@@ -199,7 +201,7 @@ def test_journal_equals_a_full_capture_after_every_mutation(backend, tmp_path):
     for _ in range(4):
         result = system.run_query(_query(), _PATH)
     assert _count(system, "rebuild") > 0
-    assert result.sorted_records() == _expected(system)
+    assert result.sorted_records() == _expected()
     # ... and a second storm deletes those additional replicas outright.
     evicted += evict_under_pressure(system.hdfs, _STORM)
     assert {record.kind for record in evicted} == {"downgrade", "evict"}
@@ -363,7 +365,7 @@ def test_crash_inside_a_delta_sync_claims_nothing_uncommitted(backend, tmp_path,
     restored = _restore(config)
     assert check_dir_rep_consistency(restored.hdfs, _PATH) == []
     assert 1 <= restored.adaptive_replica_count(_PATH) < len(committed)
-    assert restored.run_query(_query(), _PATH).sorted_records() == _expected(restored)
+    assert restored.run_query(_query(), _PATH).sorted_records() == _expected()
     restored.hdfs.persist.close()
 
 

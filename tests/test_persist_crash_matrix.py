@@ -34,6 +34,7 @@ from repro.hail.predicate import Operator, Predicate
 from repro.hail.scheduler import check_dir_rep_consistency
 from repro.persist import CrashInjected, CrashPoint, restore_system
 from repro.hail.predicate import Query
+from replica_rows import replica_rows
 
 _PATH = "/crash/synthetic"
 
@@ -84,13 +85,12 @@ def _query(attribute: str = "f1") -> Query:
 
 
 def _expected(system: HailSystem, attribute: str = "f1") -> list[tuple]:
-    """The probe answer over exactly the records the restored deployment holds."""
+    """The probe answer over exactly the records the restored deployment's replicas hold."""
     position = SYNTHETIC_SCHEMA.field_names.index(attribute)
     return sorted(
         (
             record
-            for block in system.hdfs.file_blocks(_PATH)
-            for record in block.records
+            for record in replica_rows(system.hdfs, _PATH)
             if record[position] < VALUE_RANGE // 10
         ),
         key=repr,

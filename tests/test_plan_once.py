@@ -44,19 +44,19 @@ def _bob_system(**concurrency) -> HailSystem:
         config=config,
         cost=CostModel(CostParameters(enable_variance=False)),
     )
-    rows = UserVisitsGenerator(seed=9).generate(1600)
-    system.upload(_PATH, rows, USERVISITS_SCHEMA, rows_per_block=100)
+    system.upload(_PATH, _rows(), USERVISITS_SCHEMA, rows_per_block=100)
     return system
 
 
-def _brute_force(system: HailSystem, query: Query) -> list[tuple]:
+def _rows() -> list[tuple]:
+    return UserVisitsGenerator(seed=9).generate(1600)
+
+
+def _brute_force(query: Query) -> list[tuple]:
     """The query's answer straight from the uploaded records, sorted."""
-    schema = system.schema_of(_PATH)
+    schema = USERVISITS_SCHEMA
     predicate = query.predicate
-    rows = [
-        row for row in system.hdfs.file_records(_PATH)
-        if predicate is None or predicate.matches(row, schema)
-    ]
+    rows = [row for row in _rows() if predicate is None or predicate.matches(row, schema)]
     if query.projection is not None:
         positions = [schema.index_of(name) for name in query.projection]
         rows = [tuple(row[i] for i in positions) for row in rows]
@@ -143,7 +143,7 @@ def test_each_block_is_planned_once_and_walked_once(monkeypatch):
         walks = num_blocks * len(result.plan.filter_attributes)
         assert (counts["plan"], counts["walk"]) in ((num_blocks, walks), (0, 0)), query.name
         planned.append(counts["plan"] // num_blocks)
-        assert sorted(result.records) == _brute_force(system, query)
+        assert sorted(result.records) == _brute_force(query)
     assert planned == [1, 1, 1, 1, 0] + [0] * 5
 
 
@@ -162,7 +162,7 @@ def test_dead_pinned_host_re_plans_the_block(monkeypatch):
         assert plans == _fresh_plans(system, jobconf, splits, executed)
         assert all(plan.datanode_id != pinned for plan in plans)
         assert any("lost" in (plan.fallback_reason or "") for plan in plans)
-        assert rows == _brute_force(system, query)
+        assert rows == _brute_force(query)
     finally:
         system.cluster.node(pinned).revive()
 
@@ -190,7 +190,7 @@ def test_replaced_dir_rep_entry_re_plans_the_block(monkeypatch):
     replanned = next(plan for plan in plans if plan.block_id == block_id)
     assert replanned.datanode_id == pinned and replanned != carried
     assert replanned.replica_info is info
-    assert rows == _brute_force(system, query)
+    assert rows == _brute_force(query)
 
 
 # ------------------------------------------------------------------ no aliasing
@@ -234,7 +234,7 @@ def test_speculative_attempts_leave_the_plan_untouched(monkeypatch):
     for input_format, snapshot in snapshots:
         assert _plan_bytes(input_format.plan) == snapshot
     for query, result in zip(queries, results):
-        assert sorted(result.records) == _brute_force(system, query)
+        assert sorted(result.records) == _brute_force(query)
 
 
 # ------------------------------------------------------------------ explain

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.executor import vectorized_filter
+from repro.engine.kernels import filter_range
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import HailIndex
 from repro.hail.predicate import Comparison, Operator, Predicate
@@ -137,7 +137,7 @@ def test_adaptively_built_block_is_scan_equivalent_for_arbitrary_predicates(
     for block in (adaptive_block, upload_block):
         lookup, used_index = block.candidate_rows(predicate)
         assert used_index  # every generated predicate has a clause on the sort attribute
-        rows = vectorized_filter(block.pax, predicate, _SCHEMA, lookup)
+        rows = filter_range(block.pax, predicate, _SCHEMA, lookup.start_row, lookup.end_row)
         assert sorted(block.pax.records(rows)) == brute_force
 
 

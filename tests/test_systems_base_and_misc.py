@@ -9,6 +9,7 @@ from repro.hail import HailSystem
 from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.systems.base import QueryResult, SystemUploadReport, _partition
 from repro.workloads import bob_queries
+from replica_rows import replica_rows
 
 
 # --------------------------------------------------------------------------- partition helper
@@ -91,7 +92,7 @@ def test_upload_with_explicit_client_nodes_and_empty_shares():
     )
     # 120 rows split over two clients (60 each), 40 rows per block -> 2 blocks per client.
     assert report.num_blocks == 4
-    assert sorted(map(repr, system.hdfs.file_records("/uv"))) == sorted(map(repr, rows))
+    assert sorted(map(repr, replica_rows(system.hdfs, "/uv"))) == sorted(map(repr, rows))
     with pytest.raises(ValueError):
         system.upload("/uv2", rows, USERVISITS_SCHEMA, client_nodes=[])
 

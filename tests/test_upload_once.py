@@ -26,7 +26,7 @@ from repro.hail.upload import HailUploadPipeline
 from repro.hdfs import DataFile, HdfsClient, StandardUploadPipeline
 from repro.hdfs.checksum import checksum_file_size, chunk_checksums
 from repro.layouts import FieldType, PaxBlock, Schema
-from repro.layouts.schema import Field
+from repro.layouts.schema import BadRecordError, Field
 
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")
 _CLIENT = 0
@@ -48,10 +48,24 @@ def _hail(config: HailConfig, nodes: int = 6) -> HailSystem:
     return HailSystem(Cluster.homogeneous(nodes, seed=2), config=config, cost=cost)
 
 
-def _assert_upload_is_what_the_row_wise_path_stored(system: HailSystem, path: str, report) -> None:
+def _row_wise(schema: Schema, lines: list[str]) -> tuple[list[tuple], list[str]]:
+    """One block's raw lines parsed line by line: its records and its bad lines."""
+    records, bad_lines = [], []
+    for line in lines:
+        try:
+            records.append(schema.parse_line(line))
+        except BadRecordError:
+            bad_lines.append(line)
+    return records, bad_lines
+
+
+def _assert_upload_is_what_the_row_wise_path_stored(
+    system: HailSystem, path: str, report, uploaded: list[tuple[list[tuple], list[str]]]
+) -> None:
     """Every replica, every reported size and the simulated upload time, recomputed row-wise.
 
-    The ledger is replayed charge for charge from ``Schema.text_size`` / ``binary_size`` /
+    ``uploaded`` is each block's records and bad lines as the client cut them.  The ledger is
+    replayed charge for charge from ``Schema.text_size`` / ``binary_size`` /
     ``string_byte_fraction`` and from blocks built independently with ``HailBlock.build``, so a
     size that differs by one byte anywhere moves ``upload_s``.
     """
@@ -60,11 +74,14 @@ def _assert_upload_is_what_the_row_wise_path_stored(system: HailSystem, path: st
     pipeline = system._upload_pipeline()
     ledger = TransferLedger(system.cluster, cost)
     source_text_bytes = 0
-    for block_id in namenode.file_blocks(path):
+    block_ids = namenode.file_blocks(path)
+    assert len(block_ids) == len(uploaded)
+    for block_id, (records, bad_lines) in zip(block_ids, uploaded):
         logical = namenode.logical_block(block_id)
-        schema, records = logical.schema, logical.records
+        schema = logical.schema
+        assert (logical.num_records, logical.bad_lines) == (len(records), bad_lines)
         text_bytes = sum(schema.text_size(record) for record in records) + sum(
-            len(line.encode("utf-8")) + 1 for line in logical.bad_lines
+            len(line.encode("utf-8")) + 1 for line in bad_lines
         )
         pax_bytes = sum(schema.binary_size(record) for record in records)
         assert logical.text_size_bytes == text_bytes
@@ -82,7 +99,7 @@ def _assert_upload_is_what_the_row_wise_path_stored(system: HailSystem, path: st
                 records,
                 attribute,
                 partition_size=config.effective_functional_partition_size,
-                bad_lines=logical.bad_lines,
+                bad_lines=bad_lines,
                 logical_partition_size=config.partition_size,
             )
             expected.pax_layout = config.convert_to_pax
@@ -95,7 +112,7 @@ def _assert_upload_is_what_the_row_wise_path_stored(system: HailSystem, path: st
                 assert stored.index.partition_keys == expected.index.partition_keys
                 assert stored.index.describe() == expected.index.describe()
             assert stored.variable_offsets == expected.variable_offsets
-            assert stored.bad_lines == expected.bad_lines == logical.bad_lines
+            assert stored.bad_lines == expected.bad_lines == bad_lines
             assert stored.size_bytes() == expected.size_bytes()
             assert stored.data_size_bytes() == pax_bytes
             assert stored.replica_info(datanode_id) == expected.replica_info(datanode_id)
@@ -125,11 +142,13 @@ def _assert_upload_is_what_the_row_wise_path_stored(system: HailSystem, path: st
 )
 def test_stored_replicas_equal_independently_built_blocks(config):
     system = _hail(config)
+    rows = _rows(230)
     report = system.upload(
-        "/uv", _rows(230), USERVISITS_SCHEMA, rows_per_block=100, client_nodes=[_CLIENT]
+        "/uv", rows, USERVISITS_SCHEMA, rows_per_block=100, client_nodes=[_CLIENT]
     )
     assert report.num_blocks == 3  # 100 + 100 + 30: fewer and more rows than the 64-row sample
-    _assert_upload_is_what_the_row_wise_path_stored(system, "/uv", report)
+    uploaded = [(rows[start : start + 100], []) for start in range(0, 230, 100)]
+    _assert_upload_is_what_the_row_wise_path_stored(system, "/uv", report, uploaded)
     for block_id in system.hdfs.namenode.file_blocks("/uv"):
         replicas = [
             system.hdfs.read_replica(block_id, datanode_id).payload
@@ -149,10 +168,11 @@ def test_raw_lines_upload_with_bad_records_is_what_the_row_wise_path_stored():
     report = system.upload(
         "/logs", [], generator.schema, rows_per_block=60, raw_lines=lines, client_nodes=[_CLIENT]
     )
-    logicals = system.hdfs.file_blocks("/logs")
-    assert sum(len(logical.bad_lines) for logical in logicals) > 0
-    assert sum(len(logical.bad_lines) + logical.num_records for logical in logicals) == 150
-    _assert_upload_is_what_the_row_wise_path_stored(system, "/logs", report)
+    uploaded = [
+        _row_wise(generator.schema, lines[start : start + 60]) for start in range(0, 150, 60)
+    ]
+    assert sum(len(bad_lines) for _, bad_lines in uploaded) > 0
+    _assert_upload_is_what_the_row_wise_path_stored(system, "/logs", report, uploaded)
 
 
 def test_block_results_carry_the_row_wise_sizes(hdfs, cost_model):
@@ -182,8 +202,9 @@ def test_raw_lines_source_bytes_count_the_raw_lines_not_the_reformatted_text(hdf
         datafile = DataFile(f"/raw{number}", schema, [], raw_lines=lines)
         report = client.upload(datafile, rows_per_block=10)
         assert report.source_text_bytes == sum(len(line.encode("utf-8")) + 1 for line in lines)
-        logical = hdfs.file_blocks(datafile.path)[0]
-        assert logical.records == [(1, 1.5), (2, 2.0)] and logical.bad_lines == ["broken"]
+        (block_id,) = hdfs.namenode.file_blocks(datafile.path)
+        logical = hdfs.namenode.logical_block(block_id)
+        assert logical.num_records == 2 and logical.bad_lines == ["broken"]
 
 
 # --------------------------------------------------------------------------- counts
