@@ -15,6 +15,7 @@ SMOKE_FIRST = (
     "benchmarks/test_engine_filter.py",
     "tests/test_engine_kernels.py",
     "tests/test_block_leftovers.py",
+    "tests/test_block_work.py",
     "tests/test_size_accounting.py",
     "tests/test_upload_once.py",
     "tests/test_block_batches.py",

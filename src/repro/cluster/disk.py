@@ -91,15 +91,11 @@ class DiskModel:
         object.__setattr__(self, "_read_bytes_s", self.hardware.disk_read_mb_s * _MB)
 
     # ------------------------------------------------------------------ sequential access
-    def sequential_read(self, num_bytes: float, streams: int = 1) -> float:
-        """Seconds to read ``num_bytes`` sequentially with ``streams`` concurrent readers."""
+    def sequential_read(self, num_bytes: float) -> float:
+        """Seconds to read ``num_bytes`` sequentially with one reader."""
         if num_bytes <= 0:
             return 0.0
-        if streams <= 1:
-            bytes_per_s = self._read_bytes_s
-        else:
-            bytes_per_s = self._effective_bandwidth(self.hardware.disk_read_mb_s, streams) * _MB
-        return self._seek_s + num_bytes / bytes_per_s
+        return self._seek_s + num_bytes / self._read_bytes_s
 
     def sequential_write(self, num_bytes: float) -> float:
         """Seconds to write ``num_bytes`` sequentially with one writer."""
@@ -132,12 +128,3 @@ class DiskModel:
             return 0.0
         transfer = max(num_bytes, 0.0) / self._read_bytes_s
         return max(num_seeks, 0) * self._seek_s + transfer
-
-    # ------------------------------------------------------------------ helpers
-    def _effective_bandwidth(self, single_stream_mb_s: float, streams: int) -> float:
-        """Per-stream bandwidth when ``streams`` sequential streams share the node's disks."""
-        streams = max(1, streams)
-        usable_disks = max(1, self.hardware.disks)
-        if streams <= usable_disks:
-            return single_stream_mb_s
-        return single_stream_mb_s * usable_disks / streams

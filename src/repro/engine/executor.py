@@ -16,16 +16,21 @@ re-verifying the synopsis against the payload, failing closed to a full scan on 
 
 The record reader hands the executor the query its plan carries: a
 :class:`~repro.engine.planner.BoundQuery`, bound once per job.  Per block the executor reads
-its predicate, projection and column indexes and sums the opened payload's carried column
-sizes over them; it trusts those fields only while the payload's schema is the very object
-they were bound to, and rebinds from the annotation otherwise (fail closed).
+its predicate, projection, column indexes and the first clause on the replica's sort
+attribute (with whether a sorted run may answer it) instead of deriving them; it trusts those
+fields only while the payload's schema is the very object they were bound to (an identity
+test, inline), and rebinds from the annotation otherwise (fail closed).
 
-The block charge binds what is constant where it is constant.  Once per executor: the
-executing node's disk and CPU models (which bind their one-core query-side divisors and the
-disk's seek and read rate when the cost model first builds them for a hardware profile), the
-data scale and the RecordReader setup seconds.  Once per block: the read columns' byte sum,
-shared by zone pruning, the zone-map skip and both charges (the scan and the adaptive-savings
-counterfactual).  Every charged second keeps its float operation order.
+Each block does only per-block work; what is constant is bound where it is constant.  Once
+per executor: the executing node's disk and CPU models (which bind their one-core query-side
+divisors and the disk's seek and read rate when the cost model first builds them for a
+hardware profile), the data scale and the RecordReader setup seconds.  Once per row set and
+index tuple: the byte sums of the read, filter and projected columns
+(:meth:`~repro.layouts.pax.PaxBlock.indexed_size_bytes`), which a block looks up; the read
+columns' sum is looked up once and shared by zone pruning, the zone-map skip and both charges
+(the scan and the adaptive-savings counterfactual).  Once per payload: the block scan's
+lookup.  Per block, the plan copy, the lookup and the result are slotted records.  Every
+charged second keeps its float operation order.
 """
 
 from __future__ import annotations
@@ -48,8 +53,15 @@ from repro.hdfs.filesystem import Hdfs
 from repro.layouts.schema import Schema
 
 
+#: What :meth:`VectorizedExecutor.execute` reads of a payload without a clause on its sort
+#: attribute: no clause, and no sorted run.
+_NO_CLAUSE = (None, False)
+#: The bad lines of a block without any, shared by every such block's result (immutable).
+_NO_BAD_LINES: tuple[str, ...] = ()
+
+
 # --------------------------------------------------------------------------- execution results
-@dataclass
+@dataclass(slots=True)
 class BlockScanResult:
     """Everything a record reader needs after one block was executed."""
 
@@ -60,7 +72,7 @@ class BlockScanResult:
     rows: Sequence[int]
     projected: list[tuple]
     positions: tuple[int, ...]
-    bad_lines: list[str]
+    bad_lines: Sequence[str]
     seconds: float
     bytes_read: float
     used_index: bool
@@ -138,12 +150,14 @@ class VectorizedExecutor:
                 "was the file uploaded with the HAIL pipeline?"
             )
         schema = payload.schema
-        bound = BoundQuery.of(annotation, schema)
+        bound = annotation
+        if type(bound) is not BoundQuery or bound.schema is not schema:
+            bound = BoundQuery.of(annotation, schema)
         predicate = bound.predicate
         pax = payload.pax
         read_indexes = bound.read_indexes(payload.pax_layout)
-        # The read columns' bytes, summed once per block: zone pruning, the skip and both
-        # charges below size their reads with it.
+        # The read columns' bytes, summed once per row set (``PaxBlock.indexed_size_bytes``):
+        # zone pruning, the skip and both charges below size their reads with it.
         column_bytes = pax.indexed_size_bytes(read_indexes)
 
         pruning_allowed = self.zone_maps
@@ -158,8 +172,11 @@ class VectorizedExecutor:
             plan.attribute = None
             plan.fallback_reason = "stale zone map synopsis"
 
+        # The query's first clause on the replica's sort attribute, and whether its sorted run
+        # may answer it: both bound once per job.
+        clause, bisectable = bound.first_clauses.get(payload.sort_attribute, _NO_CLAUSE)
         if predicate is not None:
-            lookup, used_index = payload.candidate_rows(predicate)
+            lookup, used_index = payload.candidate_rows(clause)
             if not used_index and plan.uses_index:
                 plan.fallback_reason = payload.index_refusal() or plan.fallback_reason
         else:
@@ -184,12 +201,11 @@ class VectorizedExecutor:
                     ) * column_bytes
 
         matching_rows = None
-        if used_index:
+        if used_index and bisectable:
             # The index served the clause on the sort attribute: its matches are one run of
             # the sorted window (declined, e.g. over a None-holding column, to the kernels).
             matching_rows = kernels.sorted_range(
-                pax, predicate, schema, payload.sort_attribute,
-                lookup.start_row, lookup.end_row, pruned,
+                pax, predicate, schema, clause, lookup.start_row, lookup.end_row, pruned
             )
         if matching_rows is None:
             matching_rows = kernels.filter_ranges(
@@ -247,13 +263,14 @@ class VectorizedExecutor:
                 read_bytes += pending_build.bytes_read
 
         self._reconcile(plan, payload, used_index, bound.projection, lookup, read_bytes)
+        bad_lines = payload.bad_lines
         return BlockScanResult(
             plan=plan,
             schema=schema,
             rows=matching_rows,
             projected=projected,
             positions=bound.positions,
-            bad_lines=list(payload.bad_lines),
+            bad_lines=list(bad_lines) if bad_lines else _NO_BAD_LINES,
             seconds=seconds,
             bytes_read=read_bytes,
             used_index=used_index,
@@ -294,13 +311,14 @@ class VectorizedExecutor:
         pruned_bytes = float(column_bytes)
         plan.estimated_rows = 0
         plan.estimated_bytes = bad_bytes
+        bad_lines = payload.bad_lines
         return BlockScanResult(
             plan=plan,
             schema=schema,
             rows=[],
             projected=[],
             positions=bound.positions,
-            bad_lines=list(payload.bad_lines),
+            bad_lines=list(bad_lines) if bad_lines else _NO_BAD_LINES,
             seconds=seconds,
             bytes_read=float(bad_bytes),
             used_index=False,
@@ -413,7 +431,7 @@ class VectorizedExecutor:
         already_read = set(read_indexes)
         return float(
             payload.pax.indexed_size_bytes(
-                [index for index in range(len(payload.schema)) if index not in already_read]
+                tuple(index for index in range(len(payload.schema)) if index not in already_read)
             )
         )
 

@@ -191,32 +191,32 @@ def sorted_range(
     pax: PaxBlock,
     predicate: Predicate,
     schema: Schema,
-    attribute: str,
+    clause: Comparison,
     start: int,
     end: int,
     pruned: Optional[bytes] = None,
 ) -> Optional[Sequence[int]]:
     """Row ids in ``[start, end)`` satisfying ``predicate`` over a window sorted on
-    ``attribute``, or ``None`` to decline (then :func:`filter_ranges` answers).
+    ``clause``'s attribute, or ``None`` to decline (then :func:`filter_ranges` answers).
 
-    An index scan's post-filter (paper Figure 2, step 3).  The window holds the partitions
-    the clustered index found for the predicate's first clause on ``attribute``
-    (:meth:`~repro.hail.predicate.Predicate.clause_for`); that column is sorted, so the clause
-    holds on one run of consecutive rows, whose bounds two C-level bisects find
-    (:data:`_BOUNDS`) without testing a value in between.  The run is returned as a ``range``
-    (no position list is built) unless another clause refines it (:data:`_REFINE`).
-    ``pruned`` is :func:`filter_ranges`' zone-pruning flag string over the window: the run is
-    used only when it holds no pruned row.
+    An index scan's post-filter (paper Figure 2, step 3).  ``clause`` is the predicate's first
+    clause on the attribute the window is sorted on — the one the clustered index looked up
+    to find the window's partitions — and has no NaN operand: a NaN compares false with every
+    value, so a bisect would return the whole window.  The job's
+    :class:`~repro.engine.planner.BoundQuery` finds that clause and checks its operands once
+    (``first_clauses``).  The column is sorted, so the clause holds on one run of consecutive
+    rows, whose bounds two C-level bisects find (:data:`_BOUNDS`) without testing a value in
+    between.  The run is returned as a ``range`` (no position list is built) unless another
+    clause refines it (:data:`_REFINE`).  ``pruned`` is :func:`filter_ranges`' zone-pruning
+    flag string over the window: the run is used only when it holds no pruned row.
 
-    Declines on an empty window, a predicate without a clause on ``attribute``, a NaN operand
-    of that clause, and a column whose values ``<`` does not order (a NaN or a ``None``,
-    :meth:`~repro.layouts.pax.PaxBlock.unordered_value`): a bisect over those can miss
-    matches, or (a NaN operand compares false with every value) return the whole window.
+    Declines on an empty window and on a column whose values ``<`` does not order (a NaN or a
+    ``None``, :meth:`~repro.layouts.pax.PaxBlock.unordered_value`): a bisect over those can
+    miss matches.
     """
-    clause = predicate.clause_for(attribute, schema)
-    if start >= end or clause is None or any(x != x for x in clause.operands):
+    if start >= end:
         return None
-    index = schema.index_of(attribute)
+    index = clause.attribute_index(schema)
     if pax.unordered_value(index) is not None:
         return None
     low, high = _BOUNDS[clause.op](pax.columns[index], start, end, *clause.operands)

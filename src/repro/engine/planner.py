@@ -17,13 +17,15 @@ changed since.
 
 The job's ``@HailQuery`` is bound to the file's schema once, too: :meth:`PhysicalPlanner._bind`
 turns it into one immutable :class:`BoundQuery` (typed predicate, projection names, the column
-indexes every block's reads and reconstruction use) that the :class:`QueryPlan` carries, so
-the per-block planning steps and the executor read bound fields instead of re-deriving them.
+indexes every block's reads and reconstruction use, each filter attribute's first clause and
+whether a sorted run may answer it) that the :class:`QueryPlan` carries, so the per-block
+planning steps and the executor read bound fields instead of re-deriving them, and the plan a
+finished job reports is framed from the same binding.  A reader executes a copy of the
+carried block plan (:meth:`PhysicalPlanner.for_execution`, through ``BlockPlan.__copy__``).
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional, Sequence, Union
@@ -31,7 +33,7 @@ from typing import Any, Optional, Sequence, Union
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext, placement_candidates
 from repro.hail.annotation import HailQuery
-from repro.hail.predicate import Predicate
+from repro.hail.predicate import Comparison, Predicate
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
 from repro.layouts.schema import Schema
@@ -80,6 +82,12 @@ class BoundQuery:
     positions: tuple[int, ...]
     #: Columns a scan of a PAX replica fetches (see :meth:`read_indexes`).
     pax_read_indexes: tuple[int, ...]
+    #: Every column: what a scan of a row-layout replica fetches.
+    every_index: tuple[int, ...]
+    #: Per filter attribute, its first clause — the one an index on that attribute looks up —
+    #: and whether a sorted run may answer it: not when an operand is NaN, which compares
+    #: false with every value (see :func:`~repro.engine.kernels.sorted_range`).
+    first_clauses: dict[str, tuple[Comparison, bool]] = field(compare=False, repr=False)
 
     @classmethod
     def bind(cls, annotation: Optional[HailQuery], schema: Optional[Schema]) -> BoundQuery:
@@ -90,6 +98,11 @@ class BoundQuery:
             names = annotation.projection_names(schema)
             projection = tuple(names) if names is not None else None
         attributes = tuple(predicate.attributes(schema)) if predicate is not None else ()
+        first_clauses: dict[str, tuple[Comparison, bool]] = {}
+        for clause in predicate.clauses if predicate is not None else ():
+            name = clause.attribute_name(schema)
+            if name not in first_clauses:
+                first_clauses[name] = (clause, not any(x != x for x in clause.operands))
         every_column = tuple(range(len(schema))) if schema is not None else ()
         if projection is None:
             projection_indexes = read_indexes = every_column
@@ -106,6 +119,8 @@ class BoundQuery:
             projection_indexes=projection_indexes,
             positions=tuple(index + 1 for index in projection_indexes),
             pax_read_indexes=read_indexes,
+            every_index=every_column,
+            first_clauses=first_clauses,
         )
 
     @classmethod
@@ -119,11 +134,11 @@ class BoundQuery:
             query = query.annotation
         return cls.bind(query, schema)
 
-    def read_indexes(self, pax_layout: bool) -> Sequence[int]:
+    def read_indexes(self, pax_layout: bool) -> tuple[int, ...]:
         """The columns an index or PAX scan fetches: the filter columns, then the projected ones
         (every column without a projection).  A row-layout replica stores whole rows, so a scan
         of one reads every column."""
-        return self.pax_read_indexes if pax_layout else range(len(self.schema))
+        return self.pax_read_indexes if pax_layout else self.every_index
 
 
 @dataclass
@@ -303,7 +318,7 @@ class PhysicalPlanner:
         (the split phase's) is never handed to it; the marks — index-usage touch and adaptive
         build offer — belong to one execution, not to the plan.
         """
-        plan = copy(plan)
+        plan = plan.__copy__()
         if adaptive is not None:
             schema = self.hdfs.namenode.logical_block(plan.block_id).schema
             self._mark_execution(plan, BoundQuery.of(bound, schema), adaptive)

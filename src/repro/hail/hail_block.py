@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.hail.index import HailIndex, IndexLookup
-from repro.hail.predicate import Predicate
+from repro.hail.predicate import Comparison
 from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.hdfs.block import BlockPayload
 from repro.layouts.pax import PaxBlock
@@ -66,6 +66,13 @@ class HailBlock(BlockPayload):
         # Lazily built per-partition zone map (see the ``zone_map`` property); kept as an
         # attribute so tests can inject a stale synopsis and assert the fail-closed path.
         self._zone_map: Optional[ZoneMap] = None
+        # The block scan's lookup, built once: every scanned block of every query hands it on.
+        self._whole_block = IndexLookup(
+            first_partition=0,
+            last_partition=max(0, -(-pax.num_rows // partition_size) - 1),
+            start_row=0,
+            end_row=pax.num_rows,
+        )
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -219,20 +226,19 @@ class HailBlock(BlockPayload):
         return block_zone_ranges(self.pax)
 
     # ------------------------------------------------------------------ query support
-    def candidate_rows(self, predicate: Predicate) -> tuple[IndexLookup, bool]:
-        """Row range that must be read to answer ``predicate``.
+    def candidate_rows(self, clause: Optional[Comparison]) -> tuple[IndexLookup, bool]:
+        """Row range that must be read to answer ``clause``: the query's first clause on this
+        replica's sort attribute, or ``None`` when it has none (the job's
+        :class:`~repro.engine.planner.BoundQuery` holds each filter attribute's first clause).
 
-        Returns ``(lookup, used_index)``: when the predicate has a clause on this replica's
-        indexed attribute, the clustered index narrows the range to the qualifying partitions;
-        otherwise — or when the index refuses (:meth:`index_refusal`) — every row is a
-        candidate (full scan of the block).
+        Returns ``(lookup, used_index)``: with a clause and an index, the clustered index
+        narrows the range to the qualifying partitions; otherwise — or when the index refuses
+        (:meth:`index_refusal`) — every row is a candidate (full scan of the block).
         """
-        if self.index is not None and self.sort_attribute is not None:
-            clause = predicate.clause_for(self.sort_attribute, self.schema)
-            if clause is not None and self.index_refusal() is None:
-                low, high = clause.value_range()
-                return self.index.lookup_range(low, high), True
-        return self.whole_block_lookup(), False
+        if clause is not None and self.index is not None and self.index_refusal() is None:
+            low, high = clause.value_range()
+            return self.index.lookup_range(low, high), True
+        return self._whole_block, False
 
     def index_refusal(self) -> Optional[str]:
         """Why this replica's index serves no range lookup, or ``None`` when it can.
@@ -250,12 +256,7 @@ class HailBlock(BlockPayload):
 
     def whole_block_lookup(self) -> IndexLookup:
         """The :class:`IndexLookup` spanning every partition and every row (a block scan)."""
-        return IndexLookup(
-            first_partition=0,
-            last_partition=max(0, -(-self.num_records // self.partition_size) - 1),
-            start_row=0,
-            end_row=self.num_records,
-        )
+        return self._whole_block
 
     # ------------------------------------------------------------------ variable-size access
     @property

@@ -23,8 +23,7 @@ second level would add another disk seek; the same arithmetic is reproduced in
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from repro.hail.sortindex import sort_permutation
 from repro.layouts.pax import gatherer
@@ -33,9 +32,12 @@ from repro.layouts.pax import gatherer
 _BYTES_PER_ENTRY = 8
 
 
-@dataclass(frozen=True)
-class IndexLookup:
-    """Result of a range lookup: the candidate row range covering qualifying partitions."""
+class IndexLookup(NamedTuple):
+    """Result of a range lookup: the candidate row range covering qualifying partitions.
+
+    A named tuple: immutable, and built without an instance dictionary (one per index-scanned
+    block).
+    """
 
     first_partition: int
     last_partition: int
@@ -58,6 +60,10 @@ class IndexLookup:
     def is_empty(self) -> bool:
         """True when no partition can contain qualifying rows."""
         return self.num_rows == 0
+
+
+#: The lookup of a range no partition can hold.
+_NO_ROWS = IndexLookup(0, -1, 0, 0)
 
 
 class HailIndex:
@@ -138,9 +144,9 @@ class HailIndex:
         ``high``.
         """
         if self.num_values == 0:
-            return IndexLookup(0, -1, 0, 0)
+            return _NO_ROWS
         if low is not None and high is not None and low > high:
-            return IndexLookup(0, -1, 0, 0)
+            return _NO_ROWS
 
         if low is None:
             first = 0
@@ -158,10 +164,10 @@ class HailIndex:
             if last < 0:
                 # Every partition starts above `high`; only the first partition could contain
                 # smaller values, and only if `low` is open or below its first key.
-                return IndexLookup(0, -1, 0, 0)
+                return _NO_ROWS
 
         if first > last:
-            return IndexLookup(0, -1, 0, 0)
+            return _NO_ROWS
         start_row = first * self.partition_size
         end_row = min((last + 1) * self.partition_size, self.num_values)
         return IndexLookup(first, last, start_row, end_row)

@@ -168,13 +168,6 @@ class Predicate:
                 seen.append(name)
         return seen
 
-    def clause_for(self, attribute: str, schema: Schema) -> Optional[Comparison]:
-        """The first clause over ``attribute``, or ``None``."""
-        for clause in self.clauses:
-            if clause.attribute_name(schema) == attribute:
-                return clause
-        return None
-
     def check_operands(self, schema: Schema) -> None:
         """Refuse a clause whose operand cannot be compared with its column's values.
 

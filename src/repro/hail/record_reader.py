@@ -147,10 +147,15 @@ class HailRecordReader(RecordReader):
         datanode is alive (the Figure 8 failover re-plans), and its ``Dir_rep`` entry is still
         the one the plan was classified from (a concurrent job's commit, eviction or migration
         re-plans: the one replica-mutation edge, ``Hdfs.install_replica``/``remove_replica``,
-        registers a new entry).
+        registers a new entry).  A plan that found no alive replica (``datanode_id`` -1) is
+        re-planned too: the executor then raises ``ReplicaNotFoundError`` unless one came back.
         """
         plan = self.plan.plan_for(block_id)
-        if plan is None or self.split.preferred_replicas.get(block_id) != plan.datanode_id:
+        if (
+            plan is None
+            or plan.datanode_id < 0
+            or self.split.preferred_replicas.get(block_id) != plan.datanode_id
+        ):
             return None
         namenode = self.hdfs.namenode
         if not (

@@ -19,7 +19,7 @@ from repro.hail.scheduler import (
     replica_distribution,
 )
 from repro.hail.upload import HailUploadPipeline
-from repro.engine.planner import PhysicalPlanner
+from repro.engine.planner import PhysicalPlanner, QueryPlan
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf
 from repro.persist import SqliteBackend
@@ -111,6 +111,11 @@ class HailSystem(BaseSystem):
             # job is what makes post-restore offer draws bit-identical to an uninterrupted run.
             self.hdfs.persist.sync_control({"adaptive_salt": self._adaptive_salt})
         return context
+
+    def _query_frame(self, query, path: str, jobconf: JobConf) -> QueryPlan:
+        """The job's split phase bound its query once (``HailInputFormat.plan``): the executed
+        plan carries that same :class:`~repro.engine.planner.BoundQuery`."""
+        return QueryPlan(path=path, bound=jobconf.input_format.plan.bound)
 
     def _planner(self) -> PhysicalPlanner:
         """The planner of this deployment's jobs: the one ``HailInputFormat.get_splits`` plans

@@ -17,16 +17,14 @@ from __future__ import annotations
 import zlib
 from typing import Sequence
 
-DEFAULT_CHUNK_SIZE = 512
+from repro.hdfs.chunk import CHUNK_SIZE
 
 
-def chunk_checksums(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[int]:
-    """CRC32 of every ``chunk_size``-byte chunk of ``payload`` (last chunk may be shorter)."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
+def chunk_checksums(payload: bytes) -> list[int]:
+    """CRC32 of every 512-byte chunk of ``payload`` (the last chunk may be shorter)."""
     return [
-        zlib.crc32(payload[offset : offset + chunk_size])
-        for offset in range(0, len(payload), chunk_size)
+        zlib.crc32(payload[offset : offset + CHUNK_SIZE])
+        for offset in range(0, len(payload), CHUNK_SIZE)
     ]
 
 
@@ -39,9 +37,9 @@ def verify_chunk_checksums(payload: bytes, checksums: Sequence[int]) -> bool:
     return list(checksums) == chunk_checksums(payload)
 
 
-def checksum_file_size(payload_size: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
+def checksum_file_size(payload_size: int) -> int:
     """Size in bytes of the checksum file for a replica of ``payload_size`` bytes (4 B per CRC)."""
     if payload_size <= 0:
         return 0
-    num_chunks = (payload_size + chunk_size - 1) // chunk_size
+    num_chunks = (payload_size + CHUNK_SIZE - 1) // CHUNK_SIZE
     return 4 * num_chunks

@@ -140,13 +140,11 @@ class Hdfs:
         """Fetch the replica of ``block_id`` stored on ``datanode_id``."""
         return self.datanode(datanode_id).replica(block_id)
 
-    def any_replica(self, block_id: int, prefer_node: Optional[int] = None) -> Replica:
-        """Fetch some alive replica of ``block_id``, preferring ``prefer_node`` when it has one."""
+    def any_replica(self, block_id: int) -> Replica:
+        """Fetch some alive replica of ``block_id`` (the namenode's first alive holder's)."""
         hosts = self.namenode.block_datanodes(block_id, alive_only=True)
         if not hosts:
             raise ReplicaNotFoundError(f"no alive replica of block {block_id}")
-        if prefer_node is not None and prefer_node in hosts:
-            return self.read_replica(block_id, prefer_node)
         return self.read_replica(block_id, hosts[0])
 
     # ------------------------------------------------------------------ file level helpers

@@ -4,6 +4,11 @@ PAX (Partition Attributes Across, Ailamaki et al. 2001) keeps all records of a b
 block but stores them column-wise: one "minipage" per attribute.  HAIL converts every block to
 PAX on the client during upload (Section 3.1) because a clustered index over one attribute then
 needs to touch only that attribute's minipage, and projections read only the requested columns.
+
+What a block's values determine is computed once per *row set* and shared by every reorder of
+it: column sizes, the byte sums of the column sets queries read (keyed by index tuple), the
+block-level zone ranges and the NaN/``None`` flags that decide whether a column can be
+bisected.  A block read again by a query shape already seen measures nothing.
 """
 
 from __future__ import annotations
@@ -69,10 +74,12 @@ class PaxBlock:
     :meth:`column_size_bytes` request (or the :meth:`variable_offsets` walk, which ends on the
     column's size anyway) fills one per-column table, and :meth:`reorder` hands the same table
     to the block it returns — a permutation changes no value, so every differently-sorted
-    replica of one block shares one measurement.  The table is only ever filled from the
-    block's own values or inherited from a block with the same rows; no constructor accepts
-    sizes from a caller.  Sizes are exact Python ``int`` sums, so every cost formula reading
-    them is unchanged.
+    replica of one block shares one measurement.  Sums over a set of columns
+    (:meth:`indexed_size_bytes`: what a query reads, filters and projects) are kept the same
+    way, one per row set and index tuple, so a block read again by a query shape already seen
+    adds nothing up.  The tables are only ever filled from the block's own values or inherited
+    from a block with the same rows; no constructor accepts sizes from a caller.  Sizes are
+    exact Python ``int`` sums, so every cost formula reading them is unchanged.
     """
 
     def __init__(self, schema: Schema, columns: Sequence[Sequence[Any]], num_rows: int) -> None:
@@ -97,6 +104,8 @@ class PaxBlock:
         # Byte size per column (None = not measured yet); the same list object is shared
         # with every reorder of this block, whichever of them measures a column first.
         self._column_sizes: list[Optional[int]] = [None] * len(self.columns)
+        # Byte size per tuple of column indexes summed so far, shared the same way.
+        self._index_sums: dict[tuple[int, ...], int] = {}
         # Block-level ``(name, min, max)`` per column, filled and shared the same way by
         # ``zonemap.block_zone_ranges`` (which never stores an order-dependent float column).
         self._zone_triples: list[Optional[tuple]] = [None] * len(self.columns)
@@ -144,14 +153,18 @@ class PaxBlock:
         ``zip``-s column slices (a slice over a whole tuple column is that column, uncopied):
         nothing is gathered.  Any other row set takes one C-level gather per column
         (:func:`gatherer`).  Either way the columns are ``zip``-ped into row tuples — no
-        generator per row.
+        generator per row.  The row set is told apart by its exact type (a ``range``, a list
+        or a tuple are used as they are; any other iterable is listed first): an
+        ``isinstance`` test against the ``Sequence`` ABC costs more than a small block's
+        projection.
         """
-        if not isinstance(rows, Sequence):
+        kind = type(rows)
+        if kind is not range and kind is not list and kind is not tuple:
             rows = list(rows)
         if not attribute_indexes:
             return [()] * len(rows)
         columns = self.columns
-        if isinstance(rows, range) and rows.step == 1:
+        if kind is range and rows.step == 1:
             start, stop = rows.start, rows.stop
             return list(zip(*[columns[i][start:stop] for i in attribute_indexes]))
         gather = gatherer(rows)
@@ -164,6 +177,7 @@ class PaxBlock:
         gather = gatherer(permutation)
         block = PaxBlock(self.schema, list(map(gather, self.columns)), self.num_rows)
         block._column_sizes = self._column_sizes  # same values per column, same sizes
+        block._index_sums = self._index_sums  # ... and the same sums of them
         block._zone_triples = self._zone_triples  # ... and the same min/max
         block._unordered = self._unordered  # ... and the same NaN and None values
         return block
@@ -270,11 +284,17 @@ class PaxBlock:
 
         Census keep list (``tests/test_census.py``): ``bench/trace.py`` traces it.
         """
-        return self.indexed_size_bytes(map(self.schema.index_of, attribute_names))
+        return self.indexed_size_bytes(tuple(map(self.schema.index_of, attribute_names)))
 
-    def indexed_size_bytes(self, indexes: Iterable[int]) -> int:
-        """Binary size of the columns at ``indexes`` (0-based), from their carried sizes."""
-        return sum(map(self._column_size_at, indexes))
+    def indexed_size_bytes(self, indexes: tuple[int, ...]) -> int:
+        """Binary size of the columns at ``indexes`` (0-based), from their carried sizes:
+        summed on the first request per row set and index tuple, then looked up."""
+        try:
+            return self._index_sums[indexes]
+        except KeyError:
+            pass
+        total = self._index_sums[indexes] = sum(map(self._column_size_at, indexes))
+        return total
 
     def _token_bytes(self, index: int, rows: int, sample: int) -> tuple[int, int]:
         """UTF-8 bytes of one column's first ``rows`` text tokens, and of the first ``sample``

@@ -302,7 +302,8 @@ class BaseSystem(abc.ABC):
 
     def _lower(self, query, path: str) -> Lowering:
         """The scans ``query`` needs plus the finish step over their jobs: an operator kind
-        brings its own; a plain ``Query`` is one undecorated scan whose job is the answer.
+        brings its own; a plain ``Query`` is one scan whose job is the answer, its jobconf
+        kept (the decoration) so the executed plan can take the job's bound query from it.
 
         Raises :class:`~repro.hail.predicate.UnsupportedExpressionError` when a scan's
         predicate compares a column with an operand of another type.
@@ -310,10 +311,13 @@ class BaseSystem(abc.ABC):
         if type(query) in LOWERINGS:
             lowering = LOWERINGS[type(query)](self, query, path)
         else:
-            def finish(jobs, _scans_s):
-                return jobs[0].records, jobs[0], self._executed_plan(query, path, jobs[0])
+            jobconfs: list[JobConf] = []
 
-            lowering = Lowering([(query, path)], finish)
+            def finish(jobs, _scans_s):
+                plan = self._executed_plan(query, path, jobs[0], jobconfs[-1])
+                return jobs[0].records, jobs[0], plan
+
+            lowering = Lowering([(query, path, None, jobconfs.append)], finish)
         # Each scan meets its file's schema here, before any job is submitted; a scan-less
         # lowering (a block-wise top-k) runs the query's own predicate over ``path``.
         for scan_query, scan_path, *_ in lowering.scans or [(query, path)]:
@@ -333,15 +337,20 @@ class BaseSystem(abc.ABC):
             decorate(jobconf)
         return jobconf
 
-    def _executed_plan(self, query, path: str, job: JobResult) -> QueryPlan:
+    def _executed_plan(self, query, path: str, job: JobResult, jobconf: JobConf) -> QueryPlan:
         """Assemble the executed :class:`QueryPlan` from the job's map-task results."""
         executed = {}
         for attempt in job.task_results:
             for block_plan in attempt.result.block_plans:
                 executed[block_plan.block_id] = block_plan
-        plan = self._planner().query_frame(path, self._annotation_for(query))
+        plan = self._query_frame(query, path, jobconf)
         plan.block_plans = [executed[block_id] for block_id in sorted(executed)]
         return plan
+
+    def _query_frame(self, query, path: str, jobconf: JobConf) -> QueryPlan:
+        """An empty :class:`QueryPlan` of the job ``jobconf`` ran for ``query`` over ``path``,
+        the query bound here; HAIL's takes the binding its split phase made."""
+        return self._planner().query_frame(path, self._annotation_for(query))
 
     def _planner(self) -> PhysicalPlanner:
         """The planner :meth:`plan_query`/:meth:`_executed_plan` consult.

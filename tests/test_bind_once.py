@@ -3,14 +3,16 @@
 The split phase binds the job's ``@HailQuery`` to the file's schema once
 (``PhysicalPlanner._bind`` → :class:`~repro.engine.planner.BoundQuery`, carried on the
 :class:`~repro.engine.planner.QueryPlan`); re-planning, the execution marks and the executor
-read its fields instead of re-deriving predicate, projection and column lists per block.  The
-executor trusts the bound fields only while the payload's schema is the very object they were
+read its fields instead of re-deriving predicate, projection and column lists per block, and
+the executed plan a query's result carries is framed from that same binding.  The executor trusts the bound fields only while the payload's schema is the very object they were
 bound to, and rebinds from the annotation otherwise (fail closed).
 """
 
 from __future__ import annotations
 
 import copy
+import math
+from datetime import date
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.engine.planner import BoundQuery, PhysicalPlanner
 from repro.hail import HailConfig, HailInputFormat, HailSystem, hail_query
 from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Predicate
+from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.schema import Schema
 from repro.mapreduce import JobConf
 from repro.workloads import bob_queries
@@ -95,8 +97,8 @@ def test_the_query_is_bound_per_job_not_per_block(monkeypatch):
     small = _per_job_counts(1600, monkeypatch)
     large = _per_job_counts(3200, monkeypatch)
     assert small == large
-    # The split phase's plan and the executed-plan frame: two bindings per job, no more.
-    assert all(counts["bind"] == 2 for counts in large)
+    # The split phase's binding, and no other: the executed plan carries the same one.
+    assert all(counts["bind"] == 1 for counts in large)
 
 
 def test_the_columns_a_scan_reads_have_one_definition():
@@ -109,6 +111,23 @@ def test_the_columns_a_scan_reads_have_one_definition():
     names = USERVISITS_SCHEMA.field_names
     assert [names[i] for i in bound.read_indexes(pax_layout=True)] == ["sourceIP", "adRevenue"]
     assert list(bound.read_indexes(pax_layout=False)) == list(range(len(names)))
+
+
+def test_each_filter_attribute_keeps_its_first_clause():
+    """Per filter attribute, named or positional, the bound query holds the first clause on it
+    (what an index on it looks up) and whether a sorted run may answer that clause: not when
+    an operand is NaN."""
+    first = Comparison(3, Operator.BETWEEN, (date(1999, 1, 1), date(2000, 1, 1)))  # visitDate
+    nan_operand = Comparison("adRevenue", Operator.GE, (math.nan,))
+    again = Comparison("visitDate", Operator.LE, (date(1999, 6, 1),))
+    bound = BoundQuery.bind(
+        HailQuery(filter=Predicate([first, nan_operand, again])), USERVISITS_SCHEMA
+    )
+    assert bound.filter_attributes == ("visitDate", "adRevenue")
+    assert bound.first_clauses == {
+        "visitDate": (first, True),
+        "adRevenue": (nan_operand, False),
+    }
 
 
 def test_a_string_filter_is_parsed_once_per_job(monkeypatch):

@@ -4,9 +4,10 @@ The executing node's CPU and disk models bind their query-side divisors when the
 (:class:`~repro.cluster.cpu.CpuModel`, :class:`~repro.cluster.disk.DiskModel`, both cached once
 per hardware profile by the :class:`~repro.cluster.costmodel.CostModel`), and the executor
 binds the data scale and the RecordReader setup seconds once per executor.  Per block, the
-executor sums the read columns' bytes once and hands that sum to zone pruning, the zone-map
-skip and both block charges (the scan and the adaptive-savings counterfactual).  These tests
-count the calls that used to re-derive those constants on every block.
+executor looks up the read columns' byte sum once (``PaxBlock.indexed_size_bytes``: summed
+once per row set and index tuple) and hands it to zone pruning, the zone-map skip and both
+block charges (the scan and the adaptive-savings counterfactual).  These tests count the
+calls that used to re-derive those constants on every block.
 """
 
 from __future__ import annotations
@@ -171,21 +172,29 @@ def test_execute_imports_nothing(system, query, path, monkeypatch):
     [(_INDEX_SCAN, AccessPath.INDEX_SCAN), (_PROJECTION_SCAN, AccessPath.PAX_PROJECTION_SCAN)],
     ids=["index-scan", "pax-projection-scan"],
 )
-def test_the_read_columns_are_summed_once_per_block(system, query, path, monkeypatch):
-    """With zone maps on, pruning and the charge share one sum of the read columns' bytes."""
+def test_the_read_columns_are_summed_once_per_row_set(query, path, monkeypatch):
+    """With zone maps on, pruning and the charge share one sum of the read columns' bytes, and
+    the sum is made once per row set and index tuple: the first run sums each block's read
+    columns once (a block's replicas share one row set), a second run sums nothing."""
+    system = _bob_system()  # afresh: no earlier test has read its blocks
     schema = system.schema_of(_PATH)
     annotation = HailQuery(filter=query.predicate, projection=query.projection)
-    read_indexes = tuple(BoundQuery.bind(annotation, schema).read_indexes(pax_layout=True))
+    read_indexes = BoundQuery.bind(annotation, schema).read_indexes(pax_layout=True)
     sums = []
     indexed_size_bytes = PaxBlock.indexed_size_bytes
 
     def counted(self, indexes):
-        sums.append(tuple(indexes))
+        if indexes not in self._index_sums:  # a sum, not a lookup
+            sums.append((id(self._index_sums), indexes))
         return indexed_size_bytes(self, indexes)
 
     monkeypatch.setattr(PaxBlock, "indexed_size_bytes", counted)
     result = _run(system, query, path)
-    monkeypatch.undo()
     # Zone pruning ran and needed the sum.
     assert result.job.counters.value(Counters.ZONE_MAP_PRUNED_BYTES) > 0
-    assert sums.count(read_indexes) == result.plan.num_blocks
+    read_sums = [entry for entry in sums if entry[1] == read_indexes]
+    assert len(read_sums) == len(set(read_sums)) == result.plan.num_blocks
+    sums.clear()
+    _run(system, query, path)
+    monkeypatch.undo()
+    assert sums == []

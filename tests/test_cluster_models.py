@@ -51,12 +51,6 @@ def test_mixed_read_write_monotone_in_volume(disk):
     assert disk.mixed_read_write(10 * _MB, 10 * _MB) < disk.mixed_read_write(20 * _MB, 20 * _MB)
 
 
-def test_many_streams_share_bandwidth(disk):
-    few = disk.sequential_read(64 * _MB, streams=2)
-    many = disk.sequential_read(64 * _MB, streams=24)
-    assert many > few
-
-
 # --------------------------------------------------------------------------- network
 def test_network_local_transfer_is_latency_only():
     network = NetworkModel()
@@ -190,8 +184,7 @@ def test_bound_disk_reads_equal_the_hardware_formula(profile, num_bytes, num_see
     )
     assert disk.random_read(num_bytes, num_seeks=num_seeks) == expected_random
     expected_sequential = 0.0 if num_bytes <= 0 else seek_s + num_bytes / (
-        disk._effective_bandwidth(profile.disk_read_mb_s, 1) * _MB
+        profile.disk_read_mb_s * _MB
     )
     assert disk.sequential_read(num_bytes) == expected_sequential
-    assert disk.sequential_read(num_bytes, streams=1) == expected_sequential
     assert disk.seek() == seek_s

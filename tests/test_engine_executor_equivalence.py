@@ -11,6 +11,8 @@ import pickle
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.kernels import clause_positions, filter_range
+from repro.engine.planner import BoundQuery
+from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts import FieldType, Schema
@@ -59,6 +61,13 @@ def _indexes(projection) -> list[int]:
     return [_SCHEMA.index_of(name) for name in (projection or _SCHEMA.field_names)]
 
 
+def _sort_clause(block: HailBlock, predicate: Predicate):
+    """The predicate's first clause on the block's sort attribute (``None`` without one), as
+    the job's bound query hands it to ``candidate_rows``."""
+    bound = BoundQuery.bind(HailQuery(filter=predicate), block.schema)
+    return bound.first_clauses.get(block.sort_attribute, (None, False))[0]
+
+
 def _brute_force(block: HailBlock, predicate, projection):
     """Row-at-a-time full scan over every record of the block (the reference semantics)."""
     rows, projected = [], []
@@ -85,7 +94,7 @@ def test_planned_scan_equals_brute_force_full_scan(
         _SCHEMA, records, sort_attribute=sort_attribute, partition_size=partition_size
     )
     if predicate is not None:
-        lookup, _used_index = block.candidate_rows(predicate)
+        lookup, _used_index = block.candidate_rows(_sort_clause(block, predicate))
     else:
         lookup = block.whole_block_lookup()
     rows = filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row)
@@ -109,7 +118,7 @@ def test_clause_positions_agree_with_row_at_a_time_matches(clause, values):
 def test_empty_block_yields_no_rows():
     block = HailBlock.build(_SCHEMA, [], sort_attribute="key", partition_size=4)
     predicate = Predicate.equals("key", 1)
-    lookup, used_index = block.candidate_rows(predicate)
+    lookup, used_index = block.candidate_rows(_sort_clause(block, predicate))
     assert used_index
     assert filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row) == []
     assert block.pax.project([], _indexes(None)) == []
@@ -120,6 +129,6 @@ def test_empty_candidate_range_short_circuits():
         _SCHEMA, [(i, "alpha", i % 3) for i in range(32)], sort_attribute="key", partition_size=4
     )
     predicate = Predicate.between("key", 10, 5)  # contradictory bounds: empty lookup
-    lookup, _ = block.candidate_rows(predicate)
+    lookup, _ = block.candidate_rows(_sort_clause(block, predicate))
     assert lookup.is_empty
     assert filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row) == []

@@ -331,7 +331,7 @@ def test_describe_and_size_accounting(uservisits_block):
 
 def test_candidate_rows_uses_index_for_matching_attribute(uservisits_block):
     predicate = Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1))
-    lookup, used_index = uservisits_block.candidate_rows(predicate)
+    lookup, used_index = uservisits_block.candidate_rows(_sort_clause(uservisits_block, predicate))
     assert used_index
     assert lookup.num_rows < uservisits_block.num_records
     matching = kernels.filter_range(
@@ -343,14 +343,14 @@ def test_candidate_rows_uses_index_for_matching_attribute(uservisits_block):
 
 def test_candidate_rows_falls_back_to_scan_for_other_attributes(uservisits_block):
     predicate = Predicate.between("adRevenue", 1.0, 10.0)
-    lookup, used_index = uservisits_block.candidate_rows(predicate)
+    lookup, used_index = uservisits_block.candidate_rows(_sort_clause(uservisits_block, predicate))
     assert not used_index
     assert lookup.num_rows == uservisits_block.num_records
 
 
 def test_projection_and_columns_to_read(uservisits_block):
     predicate = Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1))
-    lookup, _ = uservisits_block.candidate_rows(predicate)
+    lookup, _ = uservisits_block.candidate_rows(_sort_clause(uservisits_block, predicate))
     rows = kernels.filter_range(
         uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup.start_row, lookup.end_row
     )
@@ -366,6 +366,13 @@ def test_columns_to_read_row_layout_returns_all(uservisits_block):
     predicate = Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1))
     assert _columns_to_read(uservisits_block, predicate, ["sourceIP"]) == USERVISITS_SCHEMA.field_names
     uservisits_block.pax_layout = True
+
+
+def _sort_clause(block: HailBlock, predicate: Predicate):
+    """The predicate's first clause on the block's sort attribute (``None`` without one), as
+    the job's bound query hands it to ``candidate_rows``."""
+    bound = BoundQuery.bind(HailQuery(filter=predicate), block.schema)
+    return bound.first_clauses.get(block.sort_attribute, (None, False))[0]
 
 
 def _columns_to_read(block, predicate, projection):

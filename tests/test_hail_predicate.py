@@ -84,12 +84,6 @@ def test_predicate_conjunction_and_matching(schema, uservisits_sample):
     assert actual == expected
 
 
-def test_predicate_clause_for(schema):
-    predicate = Predicate.between("visitDate", date(1999, 1, 1), date(2000, 1, 1))
-    assert predicate.clause_for("visitDate", schema) is predicate.clauses[0]
-    assert predicate.clause_for("adRevenue", schema) is None
-
-
 def test_predicate_describe_mentions_attributes(schema):
     predicate = Predicate.between(3, date(1999, 1, 1), date(2000, 1, 1))
     text = predicate.describe(schema)

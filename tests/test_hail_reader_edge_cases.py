@@ -135,3 +135,23 @@ def test_reader_rejects_text_replicas():
     conf.properties[JOB_PROPERTY] = HailQuery(filter=Predicate.equals("sourceIP", "1.2.3.4"))
     with pytest.raises(TypeError):
         hadoop.run_job(conf)
+
+
+def test_a_block_with_no_alive_replica_fails_the_query_by_name():
+    """Every holder of a block dead: the split phase plans it on no replica (datanode -1), and
+    the reader re-plans it instead of looking node -1 up, so the job raises the HDFS error."""
+    from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
+    from repro.hdfs.errors import ReplicaNotFoundError
+    from repro.workloads import bob_queries
+
+    system = HailSystem(
+        Cluster.homogeneous(5, seed=5),
+        config=HailConfig.for_attributes(("visitDate", "sourceIP", "adRevenue")),
+        cost=_cost(),
+    )
+    system.upload("/uv", UserVisitsGenerator(seed=9).generate(400), USERVISITS_SCHEMA, 100)
+    block_id = system.hdfs.namenode.file_blocks("/uv")[0]
+    for host in system.hdfs.namenode.block_datanodes(block_id):
+        system.cluster.kill_node(host)
+    with pytest.raises(ReplicaNotFoundError, match=f"block {block_id}"):
+        system.run_query(bob_queries()[0], "/uv")

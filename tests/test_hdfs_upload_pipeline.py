@@ -120,10 +120,8 @@ def test_hdfs_facade_replica_access(client, hdfs, simple_schema, simple_records)
     client.upload(_datafile(simple_schema, simple_records), rows_per_block=20)
     block_id = hdfs.namenode.file_blocks("/data/simple")[0]
     hosts = hdfs.namenode.block_datanodes(block_id)
-    replica = hdfs.any_replica(block_id, prefer_node=hosts[0])
-    assert replica.datanode_id == hosts[0]
-    other = hdfs.any_replica(block_id, prefer_node=999)
-    assert other.block_id == block_id
+    replica = hdfs.any_replica(block_id)
+    assert (replica.block_id, replica.datanode_id) == (block_id, hosts[0])
     with pytest.raises(ReplicaNotFoundError):
         hdfs.read_replica(block_id, [n for n in range(4) if n not in hosts][0])
 

@@ -60,12 +60,13 @@ def test_an_uploaded_index_over_nan_answers_like_a_scan(partition_size):
 def test_the_index_refuses_the_lookup_and_the_sorted_range_declines():
     block = HailBlock.build(_SCHEMA, _ROWS, sort_attribute="a", partition_size=1)
     predicate = Predicate.comparison("a", Operator.BETWEEN, 4.5, 5.5)
-    lookup, used_index = block.candidate_rows(predicate)
+    (clause,) = predicate.clauses
+    lookup, used_index = block.candidate_rows(clause)
     assert not used_index and lookup == block.whole_block_lookup()
     assert block.index_refusal() == "index column 'a' holds NaN"
-    assert kernels.sorted_range(block.pax, predicate, _SCHEMA, "a", 0, 10) is None
+    assert kernels.sorted_range(block.pax, predicate, _SCHEMA, clause, 0, 10) is None
     clean = HailBlock.build(_SCHEMA, [(0.5 * i, i) for i in range(10)], "a", partition_size=1)
-    assert clean.index_refusal() is None and clean.candidate_rows(predicate)[1]
+    assert clean.index_refusal() is None and clean.candidate_rows(clause)[1]
 
 
 def test_an_adaptive_index_over_nan_answers_like_a_scan():

@@ -3,6 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.kernels import filter_range
+from repro.engine.planner import BoundQuery
+from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import HailIndex
 from repro.hail.predicate import Comparison, Operator, Predicate
@@ -95,6 +97,13 @@ _RANGE_OPS = st.sampled_from(
 )
 
 
+def _sort_clause(block: HailBlock, predicate: Predicate):
+    """The predicate's first clause on the block's sort attribute (``None`` without one), as
+    the job's bound query hands it to ``candidate_rows``."""
+    bound = BoundQuery.bind(HailQuery(filter=predicate), block.schema)
+    return bound.first_clauses.get(block.sort_attribute, (None, False))[0]
+
+
 @st.composite
 def _predicates(draw):
     """Random predicates over the (a, b) schema: single clause, between, or a conjunction."""
@@ -135,7 +144,7 @@ def test_adaptively_built_block_is_scan_equivalent_for_arbitrary_predicates(
     brute_force = sorted(record for record in records if predicate.matches(record, _SCHEMA))
 
     for block in (adaptive_block, upload_block):
-        lookup, used_index = block.candidate_rows(predicate)
+        lookup, used_index = block.candidate_rows(_sort_clause(block, predicate))
         assert used_index  # every generated predicate has a clause on the sort attribute
         rows = filter_range(block.pax, predicate, _SCHEMA, lookup.start_row, lookup.end_row)
         assert sorted(block.pax.records(rows)) == brute_force

@@ -7,9 +7,11 @@ BETWEEN whose bounds may cross, over sorted ints with many ties, strings, dates,
 floats and a BIGINT column compared with float operands near 2**53, its rows equal the
 reference scan's (``_SCAN``, then ``_REFINE``) and ``filter_range``'s under both kernel
 backends (numpy forced onto narrow windows); given zone-pruning flags it either declines or
-keeps exactly the rows ``filter_ranges`` keeps.  A NaN operand on a numeric column (no row
-satisfies it, and a bisect for it spans the window) makes it decline, as does a column
-holding NaN or ``None``, on every window.
+keeps exactly the rows ``filter_ranges`` keeps.  The clause on the sorted column is the one
+the job's bound query holds for it, and a NaN operand there (no row satisfies it, and a
+bisect for it spans the window) marks it as one no run may answer, so the executor hands the
+window to the scan kernels instead; a column holding NaN or ``None`` makes the run decline on
+every window.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import kernels
+from repro.engine.planner import BoundQuery
+from repro.hail.annotation import HailQuery
 from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import FieldType, Schema
@@ -89,26 +93,29 @@ def _reference(pax: PaxBlock, predicate: Predicate, schema: Schema, start: int, 
 @given(case=_cases())
 def test_the_sorted_run_is_the_scan_kernels_selection(case):
     pax, schema, predicate, flags = case
-    nan_operand = any(x != x for x in predicate.clause_for("c", schema).operands)
+    clause, bisectable = BoundQuery.bind(HailQuery(filter=predicate), schema).first_clauses["c"]
+    assert clause is next(c for c in predicate.clauses if c.attribute == 1)
+    nan_operand = any(isinstance(x, float) and math.isnan(x) for x in clause.operands)
+    assert bisectable is not nan_operand
     windows = [(s, e) for s in range(pax.num_rows + 1) for e in range(s, pax.num_rows + 1)]
     for start, end in windows:
-        got = kernels.sorted_range(pax, predicate, schema, "c", start, end)
         if start == end:
-            assert got is None  # an empty window declines
+            assert kernels.sorted_range(pax, predicate, schema, clause, start, end) is None
             continue
         want = _reference(pax, predicate, schema, start, end)
         if nan_operand:
-            assert got is None and want == [], (start, end)
+            assert want == [], (start, end)  # the scan kernels below answer: nothing
         else:
+            got = kernels.sorted_range(pax, predicate, schema, clause, start, end)
             assert list(got) == want, (start, end)
         for backend in _BACKENDS:
             with kernels.use_backend(backend), mock.patch.object(kernels, "_NUMPY_MIN_ROWS", 0):
                 assert kernels.filter_range(pax, predicate, schema, start, end) == want
-        if flags is not None:
+        if flags is not None and not nan_operand:
             # With pruning flags the run either declines or is exactly what the kernels keep:
             # a pruned row never comes back.
             pruned = flags[start:end]
-            got = kernels.sorted_range(pax, predicate, schema, "c", start, end, pruned)
+            got = kernels.sorted_range(pax, predicate, schema, clause, start, end, pruned)
             kept = kernels.filter_ranges(pax, predicate, schema, start, end, pruned)
             assert got is None or list(got) == list(kept), (start, end)
 
@@ -130,4 +137,6 @@ def test_the_sorted_run_declines_on_nan_and_none(values, position, hole, op):
     assert pax.unordered_value(0) == ("NaN" if hole is not None else "None")
     for start in range(len(column)):
         for end in range(start, len(column) + 1):
-            assert kernels.sorted_range(pax, predicate, schema, "c", start, end) is None
+            assert kernels.sorted_range(
+                pax, predicate, schema, predicate.clauses[0], start, end
+            ) is None

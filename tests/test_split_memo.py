@@ -161,9 +161,16 @@ def _tombstone(system: HailSystem) -> HailSystem:
 
 
 def _kill(system: HailSystem) -> HailSystem:
-    """The first block's pinned host dies (one dead node at a time: every block stays alive)."""
+    """The first block's pinned host dies (one dead node at a time: every block stays alive,
+    so not when removals left it the only alive holder of some block)."""
+    namenode = system.hdfs.namenode
     if len(system.cluster.alive_nodes) == len(system.cluster):
-        system.cluster.kill_node(_pinned(system)[1])
+        host = _pinned(system)[1]
+        if all(
+            set(namenode.block_datanodes(block_id)) - {host}
+            for block_id in namenode.file_blocks(_PATH)
+        ):
+            system.cluster.kill_node(host)
     return system
 
 
