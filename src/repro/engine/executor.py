@@ -201,11 +201,12 @@ class VectorizedExecutor:
                     ) * column_bytes
 
         matching_rows = None
-        if used_index and bisectable:
+        if used_index and bisectable and payload.sort_breaker() is None:
             # The index served the clause on the sort attribute: its matches are one run of
-            # the sorted window (declined, e.g. over a None-holding column, to the kernels).
+            # the sorted window (a None-holding sort column is left to the kernels).
             matching_rows = kernels.sorted_range(
-                pax, predicate, schema, clause, lookup.start_row, lookup.end_row, pruned
+                pax, predicate, schema, clause, lookup.start_row, lookup.end_row, pruned,
+                ordered=True,
             )
         if matching_rows is None:
             matching_rows = kernels.filter_ranges(

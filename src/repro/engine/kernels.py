@@ -195,6 +195,7 @@ def sorted_range(
     start: int,
     end: int,
     pruned: Optional[bytes] = None,
+    ordered: bool = False,
 ) -> Optional[Sequence[int]]:
     """Row ids in ``[start, end)`` satisfying ``predicate`` over a window sorted on
     ``clause``'s attribute, or ``None`` to decline (then :func:`filter_ranges` answers).
@@ -212,12 +213,14 @@ def sorted_range(
 
     Declines on an empty window and on a column whose values ``<`` does not order (a NaN or a
     ``None``, :meth:`~repro.layouts.pax.PaxBlock.unordered_value`): a bisect over those can
-    miss matches.
+    miss matches.  ``ordered=True`` says the caller has already checked that column — an
+    index-scanned payload checks its sort column once
+    (:meth:`~repro.hail.hail_block.HailBlock.sort_breaker`) — so it is not checked per window.
     """
     if start >= end:
         return None
     index = clause.attribute_index(schema)
-    if pax.unordered_value(index) is not None:
+    if not ordered and pax.unordered_value(index) is not None:
         return None
     low, high = _BOUNDS[clause.op](pax.columns[index], start, end, *clause.operands)
     if pruned is not None and pruned.find(1, low - start, high - start) >= 0:

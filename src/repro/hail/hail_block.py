@@ -8,6 +8,11 @@ A HAIL block (Figure 1, right-hand side) consists of
 - the bad records that did not match the schema, kept in a special part of the block,
 - for variable-size attributes, per-partition offset lists enabling tuple reconstruction
   without scanning whole columns (Section 3.5).
+
+A payload is immutable, so what it determines is derived once per payload, on first use:
+its size (every term is fixed at construction) is summed once, and whether its index column
+holds a value that breaks the order a lookup relies on is checked at the first lookup, so the
+upload does not pay for it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from repro.layouts.zonemap import ZoneMap, ZoneRanges, block_zone_ranges
 _BLOCK_METADATA_BYTES = 256
 #: Fixed functional size of the index-metadata header.
 _INDEX_METADATA_BYTES = 64
+#: ``HailBlock._sort_breaker`` before its one check.
+_UNCHECKED = "unchecked"
 
 
 class HailBlock(BlockPayload):
@@ -66,6 +73,11 @@ class HailBlock(BlockPayload):
         # Lazily built per-partition zone map (see the ``zone_map`` property); kept as an
         # attribute so tests can inject a stale synopsis and assert the fail-closed path.
         self._zone_map: Optional[ZoneMap] = None
+        # Set on first request and kept: every term of the replica's size is fixed at
+        # construction (``size_bytes``), and so is whether its sort column breaks the order a
+        # lookup relies on (``sort_breaker``; ``_UNCHECKED`` until asked).
+        self._size_bytes: Optional[int] = None
+        self._sort_breaker: Optional[str] = _UNCHECKED
         # The block scan's lookup, built once: every scanned block of every query hands it on.
         self._whole_block = IndexLookup(
             first_partition=0,
@@ -183,15 +195,19 @@ class HailBlock(BlockPayload):
         return self._bad_records_bytes
 
     def size_bytes(self) -> int:
-        """Physical size of the replica's data file (the offset lists counted, not built)."""
-        return (
-            _BLOCK_METADATA_BYTES
-            + _INDEX_METADATA_BYTES
-            + self.data_size_bytes()
-            + self.index_size_bytes()
-            + self.bad_records_size_bytes()
-            + self._offsets_bytes
-        )
+        """Physical size of the replica's data file (the offset lists counted, not built):
+        summed on the first request, then carried — every term is fixed at construction."""
+        size = self._size_bytes
+        if size is None:
+            size = self._size_bytes = (
+                _BLOCK_METADATA_BYTES
+                + _INDEX_METADATA_BYTES
+                + self.data_size_bytes()
+                + self.index_size_bytes()
+                + self.bad_records_size_bytes()
+                + self._offsets_bytes
+            )
+        return size
 
     def describe(self) -> dict:
         layout = "pax"
@@ -235,10 +251,23 @@ class HailBlock(BlockPayload):
         narrows the range to the qualifying partitions; otherwise — or when the index refuses
         (:meth:`index_refusal`) — every row is a candidate (full scan of the block).
         """
-        if clause is not None and self.index is not None and self.index_refusal() is None:
+        if clause is not None and self.index is not None and self.sort_breaker() != "NaN":
             low, high = clause.value_range()
             return self.index.lookup_range(low, high), True
         return self._whole_block, False
+
+    def sort_breaker(self) -> Optional[str]:
+        """``"NaN"`` or ``"None"`` when this replica's index column holds a value that ``<``
+        does not order (:meth:`PaxBlock.unordered_value`), else ``None`` (and always ``None``
+        for an unindexed replica).  Checked on first use, then kept: the upload pays nothing
+        for it, and an index-scanned block reads it without a lookup into the row set."""
+        breaker = self._sort_breaker
+        if breaker is _UNCHECKED:
+            breaker = None
+            if self.index is not None:
+                breaker = self.pax.unordered_value(self.schema.index_of(self.index.attribute))
+            self._sort_breaker = breaker
+        return breaker
 
     def index_refusal(self) -> Optional[str]:
         """Why this replica's index serves no range lookup, or ``None`` when it can.
@@ -247,10 +276,7 @@ class HailBlock(BlockPayload):
         so the "sorted" column is out of order around it and a bisect of the directory can
         skip partitions holding matches.
         """
-        if self.index is None:
-            return None
-        index = self.schema.index_of(self.index.attribute)
-        if self.pax.unordered_value(index) != "NaN":
+        if self.sort_breaker() != "NaN":
             return None
         return f"index column {self.index.attribute!r} holds NaN"
 

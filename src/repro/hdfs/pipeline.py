@@ -11,6 +11,9 @@ Costs are charged to a :class:`~repro.cluster.ledger.TransferLedger`:
 - every datanode in the chain receives the bytes, writes data + checksum files, and forwards,
 - checksum computation (client) and verification (last datanode) are CPU work,
 - a per-block fixed setup cost covers the namenode round trip and pipeline establishment.
+
+The client formats a block of typed records by the column (:meth:`Schema.format_records`: one
+formatter bound per column, one join per row), and the payload measures its bytes once.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class StandardUploadPipeline:
                 parsed, bad_lines = TextRowCodec(schema).decode_lenient("\n".join(lines))
                 num_records = len(parsed)
         else:
-            lines = tuple(map(schema.format_record, records))
+            lines = schema.format_records(records)
         payload = TextBlockPayload(lines, schema=schema)
         payload_size = payload.size_bytes()
 

@@ -6,9 +6,9 @@ PAX on the client during upload (Section 3.1) because a clustered index over one
 needs to touch only that attribute's minipage, and projections read only the requested columns.
 
 What a block's values determine is computed once per *row set* and shared by every reorder of
-it: column sizes, the byte sums of the column sets queries read (keyed by index tuple), the
-block-level zone ranges and the NaN/``None`` flags that decide whether a column can be
-bisected.  A block read again by a query shape already seen measures nothing.
+it: column sizes, the byte sums of the column sets queries read (keyed by index tuple) and of
+all columns, the block-level zone ranges and the NaN/``None`` flags that decide whether a
+column can be bisected.  A block read again by a query shape already seen measures nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ _EXACT_FLOAT_INT = 2**53
 
 #: Rows, from the top of a block, over which :meth:`PaxBlock.sample_string_share` is taken.
 _STRING_SAMPLE_ROWS = 64
+
+#: Characters (all ASCII) of ``date.isoformat()``: ``YYYY-MM-DD``, the year zero-padded.
+_ISO_DATE_BYTES = 10
+
+
+def _utf8_size(text: str) -> int:
+    """UTF-8 bytes of ``text``, with no encode when it is ASCII."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 def gatherer(rows: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
@@ -75,11 +83,15 @@ class PaxBlock:
     column's size anyway) fills one per-column table, and :meth:`reorder` hands the same table
     to the block it returns — a permutation changes no value, so every differently-sorted
     replica of one block shares one measurement.  Sums over a set of columns
-    (:meth:`indexed_size_bytes`: what a query reads, filters and projects) are kept the same
-    way, one per row set and index tuple, so a block read again by a query shape already seen
-    adds nothing up.  The tables are only ever filled from the block's own values or inherited
-    from a block with the same rows; no constructor accepts sizes from a caller.  Sizes are
-    exact Python ``int`` sums, so every cost formula reading them is unchanged.
+    (:meth:`indexed_size_bytes`: what a query reads, filters and projects; :meth:`size_bytes`:
+    every column) are kept the same way, one per row set and index tuple, so a block read
+    again by a query shape already seen adds nothing up.  The tables are only ever filled from
+    the block's own values or inherited from a block with the same rows; no constructor
+    accepts sizes from a caller.  Sizes are exact Python ``int`` sums, so every cost formula
+    reading them is unchanged.  The client's text measure reads the carried sizes too: a
+    STRING column's text is its binary form without the terminators and an exact-``date``
+    column's is 10 bytes a value, so only the other columns are formatted, each by one
+    formatter bound for the column.
     """
 
     def __init__(self, schema: Schema, columns: Sequence[Sequence[Any]], num_rows: int) -> None:
@@ -116,13 +128,13 @@ class PaxBlock:
     # ------------------------------------------------------------------ construction
     @classmethod
     def from_records(cls, schema: Schema, records: Sequence[Sequence[Any]]) -> "PaxBlock":
-        """Pivot row-wise records into a PAX block."""
+        """Pivot row-wise records into a PAX block (the arities checked in one C-level pass)."""
         num_fields = len(schema.fields)
-        for record in records:
-            if len(record) != num_fields:
-                raise ValueError(
-                    f"record arity {len(record)} does not match schema {schema.name!r}"
-                )
+        arities = set(map(len, records))
+        arities.discard(num_fields)
+        if arities:
+            arity = next(len(record) for record in records if len(record) != num_fields)
+            raise ValueError(f"record arity {arity} does not match schema {schema.name!r}")
         columns = list(zip(*records)) or [()] * num_fields
         return cls(schema, columns, len(records))
 
@@ -276,8 +288,9 @@ class PaxBlock:
         return self._column_size_at(self.schema.index_of(name))
 
     def size_bytes(self) -> int:
-        """Binary size of all minipages (the PAX payload of the block)."""
-        return sum(map(self._column_size_at, range(len(self.columns))))
+        """Binary size of all minipages (the PAX payload of the block): summed on the first
+        request per row set, then looked up (:meth:`indexed_size_bytes` over every column)."""
+        return self.indexed_size_bytes(tuple(range(len(self.columns))))
 
     def projected_size_bytes(self, attribute_names: Sequence[str]) -> int:
         """Binary size of just the named columns (what a projection must read).
@@ -296,28 +309,45 @@ class PaxBlock:
         total = self._index_sums[indexes] = sum(map(self._column_size_at, indexes))
         return total
 
-    def _token_bytes(self, index: int, rows: int, sample: int) -> tuple[int, int]:
+    def _token_bytes(
+        self, index: int, rows: int, sample: int, column_size: Optional[int]
+    ) -> tuple[int, int]:
         """UTF-8 bytes of one column's first ``rows`` text tokens, and of the first ``sample``
-        of them: one format pass over the column, one join per count, and no encode when the
-        text is ASCII (one character, one byte)."""
+        of them, formatting no more than the column's type requires:
+
+        - a STRING column's tokens are ``str(value)``, exactly the text its binary form
+          zero-terminates, so over all rows (``column_size`` given: the carried binary size)
+          its text bytes are that size less one terminator per row; only the sample is joined;
+        - a DATE column of exact ``date`` values is 10 bytes per value (``YYYY-MM-DD``);
+        - any other column is formatted once (:meth:`FieldType.format_column`), with one join
+          per count and no encode when the text is ASCII (one character, one byte).
+        """
+        ftype = self.schema.fields[index].ftype
         column = self.columns[index]
         if rows < len(column):
             column = column[:rows]
-        tokens = list(map(self.schema.fields[index].ftype.format_value, column))
+        if ftype is FieldType.STRING and column_size is not None:
+            return column_size - rows, _utf8_size("".join(ftype.format_column(column[:sample])))
+        if ftype is FieldType.DATE and ftype.holds_exactly(column):
+            return _ISO_DATE_BYTES * rows, _ISO_DATE_BYTES * sample
+        tokens = list(ftype.format_column(column))
         text = "".join(tokens)
         head = text if sample >= rows else "".join(tokens[:sample])
-        if text.isascii():
-            return len(text), len(head)
-        return len(text.encode("utf-8")), len(head.encode("utf-8"))
+        return _utf8_size(text), _utf8_size(head)
 
     def _text_measures(self, rows: int) -> tuple[int, float]:
         """Text bytes of the first ``rows`` rows and the string share of the first 64 of them,
-        from one :meth:`_token_bytes` pass per column."""
+        from one :meth:`_token_bytes` measure per column.  Over all rows, the carried column
+        sizes (one sum per row set, :meth:`size_bytes`) give the STRING columns' text bytes."""
         schema = self.schema
         sample = min(_STRING_SAMPLE_ROWS, rows)
+        whole = rows == self.num_rows
+        if whole:
+            self.size_bytes()  # every column's size carried (a lookup once the block is built)
         token_bytes = string_bytes = sample_bytes = 0
         for index, field in enumerate(schema.fields):
-            column_bytes, in_sample = self._token_bytes(index, rows, sample)
+            column_size = self._column_sizes[index] if whole else None
+            column_bytes, in_sample = self._token_bytes(index, rows, sample, column_size)
             token_bytes += column_bytes
             # As the reference counts them: every sampled token plus its one separator byte.
             in_sample += sample

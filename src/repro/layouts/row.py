@@ -21,7 +21,7 @@ class TextRowCodec:
 
     def encode(self, records: Iterable[Sequence]) -> str:
         """Format records as newline-separated text (the payload of a stock HDFS block)."""
-        return "\n".join(self.schema.format_record(record) for record in records)
+        return "\n".join(self.schema.format_records(records))
 
     def decode(self, text: str) -> list[tuple]:
         """Parse newline-separated text into typed records; bad rows raise.

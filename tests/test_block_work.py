@@ -9,6 +9,9 @@ per row set, and what is made per block is a slotted record:
 - per row set, the payload's ``PaxBlock`` keeps the byte sum of every index tuple it was
   asked for (shared by every reorder, as the column sizes are), so a block read again by a
   query shape already seen measures no column (``PaxBlock._column_size_at``);
+- per payload, whether the index column holds a value ``<`` does not order is checked once
+  (``HailBlock.sort_breaker``), so no block looks it up in its row set
+  (``PaxBlock.unordered_value``);
 - per block, the executed plan is copied by ``BlockPlan.__copy__`` (no ``copy.copy``
   dispatch), and ``BlockPlan``, ``BlockScanResult`` and ``IndexLookup`` carry no instance
   dictionary.
@@ -105,6 +108,7 @@ def second_pass():
     _count_in_map_phase(monkeypatch, counts, Comparison, "attribute_name", state)
     _count_in_map_phase(monkeypatch, counts, BoundQuery, "of", state)
     _count_in_map_phase(monkeypatch, counts, PaxBlock, "_column_size_at", state)
+    _count_in_map_phase(monkeypatch, counts, PaxBlock, "unordered_value", state)
     _count_copy_calls(monkeypatch, counts, state)
     records: dict = {"scans": [], "lookups": []}
     execute, candidate_rows = VectorizedExecutor.execute, HailBlock.candidate_rows
@@ -132,9 +136,12 @@ def second_pass():
     return counts, records
 
 
-@pytest.mark.parametrize("name", ["attribute_name", "of", "_column_size_at", "copy.copy"])
+@pytest.mark.parametrize(
+    "name", ["attribute_name", "of", "_column_size_at", "unordered_value", "copy.copy"]
+)
 def test_an_index_scanned_block_rederives_nothing(second_pass, name):
-    """No clause lookup, no rebinding, no column measured, no generic copy: per block, 0."""
+    """No clause lookup, no rebinding, no column measured or checked for order, no generic
+    copy: per block, 0."""
     counts, _ = second_pass
     assert counts[name] == 0
 

@@ -8,7 +8,6 @@ from repro.cluster import Cluster, CostModel, CostParameters, HardwareProfile
 def test_default_parameters_follow_hadoop_defaults():
     params = CostParameters()
     assert params.block_size == 64 * 1024 * 1024
-    assert params.chunk_size == 512
     assert params.map_slots_per_node == 2
 
 

@@ -61,7 +61,7 @@ def test_knob_census():
     assert len(fields(HailConfig)) == 17
     assert len(fields(ConcurrencyPolicy)) == 5
     assert len(fields(DiskPressurePolicy)) == 3
-    assert len(fields(CostParameters)) == 12
+    assert len(fields(CostParameters)) == 11
 
 
 #: Per builder: the policy whose own field names its keywords are (if it sets one), and the

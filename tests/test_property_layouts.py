@@ -2,6 +2,7 @@
 
 from datetime import date, timedelta
 
+import math
 import random
 import struct
 
@@ -301,18 +302,40 @@ _MIXED_TEXT = st.text(
     alphabet=st.characters(blacklist_characters="\n\x00", blacklist_categories=("Cs",)),
     max_size=8,
 )
-#: Well-typed values plus what the formatters also accept: ints in FLOAT/DOUBLE columns,
-#: non-``date`` values in DATE columns, non-``str`` values in STRING columns, and strings that
-#: are empty, multi-byte or contain the delimiter.
-_TEXT_VALUES = {
+#: Values of exactly their column's value type (``float``, ``date`` and ``str`` columns take a
+#: shortcut: a C-level method, or a measure without formatting; ``int`` columns keep ``str``),
+#: including those a shortcut could get wrong: dates before year 1000, multi-byte strings and
+#: strings holding the delimiter, ``-0.0``, ``nan`` and ``inf``.
+_EXACT_TEXT_VALUES = {
     FieldType.INT: _VALUES[FieldType.INT],
     FieldType.BIGINT: _VALUES[FieldType.BIGINT],
-    FieldType.FLOAT: st.one_of(_VALUES[FieldType.FLOAT], st.integers(-10**6, 10**6)),
-    FieldType.DOUBLE: st.one_of(st.floats(), st.integers(-10**12, 10**12)),
-    FieldType.DATE: st.one_of(st.dates(), st.integers(0, 20000), st.just("2011-09-17")),
+    FieldType.FLOAT: st.one_of(
+        _VALUES[FieldType.FLOAT], st.sampled_from((-0.0, math.nan, math.inf, -math.inf))
+    ),
+    FieldType.DOUBLE: st.floats(),
+    FieldType.DATE: st.dates(),
     FieldType.STRING: st.one_of(
-        st.sampled_from(("", "é", "日本語", "a|b", "x::y", "||")),
-        _MIXED_TEXT,
+        st.sampled_from(("", "é", "日本語", "a|b", "x::y", "||")), _MIXED_TEXT
+    ),
+}
+#: Plus what the formatters also accept, each breaking its column's shortcut: ``bool`` in
+#: INT/BIGINT columns, ints in FLOAT/DOUBLE columns, ``datetime`` values (a ``date`` subclass
+#: whose ``isoformat`` is longer than 10 characters) and non-``date`` values in DATE columns,
+#: and non-``str`` values in STRING columns.
+_TEXT_VALUES = {
+    FieldType.INT: st.one_of(_EXACT_TEXT_VALUES[FieldType.INT], st.booleans()),
+    FieldType.BIGINT: st.one_of(_EXACT_TEXT_VALUES[FieldType.BIGINT], st.booleans()),
+    FieldType.FLOAT: st.one_of(
+        _EXACT_TEXT_VALUES[FieldType.FLOAT], st.integers(-10**6, 10**6)
+    ),
+    FieldType.DOUBLE: st.one_of(
+        _EXACT_TEXT_VALUES[FieldType.DOUBLE], st.integers(-10**12, 10**12)
+    ),
+    FieldType.DATE: st.one_of(
+        _EXACT_TEXT_VALUES[FieldType.DATE], st.datetimes(), st.integers(0, 20000), st.just("2011-09-17")
+    ),
+    FieldType.STRING: st.one_of(
+        _EXACT_TEXT_VALUES[FieldType.STRING],
         st.integers(),
         st.floats(allow_nan=False),
         st.none(),
@@ -328,13 +351,15 @@ def _text_schema_and_rows(draw):
     schema = Schema.of(
         *((f"f{i}", ftype) for i, ftype in enumerate(ftypes)), name="text", delimiter=delimiter
     )
-    rows = draw(st.lists(st.tuples(*(_TEXT_VALUES[ftype] for ftype in ftypes)), max_size=12))
+    # Per column, only exact values (its shortcut applies) or any the formatter accepts.
+    values = [draw(st.sampled_from((_EXACT_TEXT_VALUES, _TEXT_VALUES)))[f] for f in ftypes]
+    rows = draw(st.lists(st.tuples(*values), max_size=12))
     # Fewer and more rows than the 64-row sample, from few drawn rows: the sample is positional.
     return schema, rows * draw(st.sampled_from((1, 1, 7, 30)))
 
 
 @given(schema_and_rows=_text_schema_and_rows())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_column_text_measure_is_the_row_wise_measure(schema_and_rows):
     from repro.hdfs import TextBlockPayload
 
@@ -349,8 +374,21 @@ def test_column_text_measure_is_the_row_wise_measure(schema_and_rows):
         schema.delimiter.join(f.format(value) for f, value in zip(schema.fields, row))
         for row in rows
     ]
+    assert schema.format_records(rows) == tuple(map(schema.format_record, rows))
+    assert schema.format_records(iter(rows)) == tuple(lines)
     payload = TextBlockPayload(lines)
     assert payload.size_bytes() == len(payload.to_bytes()) == text_bytes
+
+
+def test_format_records_raises_the_row_wise_arity_error():
+    good = (1, 2.5, date(2011, 9, 17), "x")
+    rows = [good, good[:3], good + ("extra",)]
+    with pytest.raises(ValueError) as by_column:
+        _SCHEMA.format_records(rows)
+    with pytest.raises(ValueError) as by_row:
+        tuple(map(_SCHEMA.format_record, rows))
+    assert str(by_column.value) == str(by_row.value)
+    assert "record has 3 values" in str(by_column.value)
 
 
 def _offsets_and_size_by_value(f, values, partition_size):

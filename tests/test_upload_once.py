@@ -234,21 +234,51 @@ def test_a_hail_block_is_pivoted_once_and_no_value_is_measured_row_wise(monkeypa
 
 
 def test_a_hail_upload_formats_each_column_once(monkeypatch):
-    # Text bytes and the 64-row string share come from one format pass over each column.
+    # Text bytes and the 64-row string share come from one measure per column.  A STRING
+    # column's text is its carried binary size less one terminator per row, and a DATE column
+    # of exact dates is 10 bytes a value, so neither formats a value; every other column is
+    # formatted once, through the formatter bound for the whole column.
     system = _hail(HailConfig.for_attributes(_BOB_INDEXES), nodes=4)
-    formatted = [0]
+    formatted = dict.fromkeys(FieldType, 0)
     for ftype in FieldType:
-        format_value = ftype.format_value
+        for name in ("format_value", "_exact_format"):
+            formatter = getattr(ftype, name)
+            if formatter is None:  # no bound method: INT/BIGINT, and STRING (its own tokens)
+                continue
 
-        def counting(value, format_value=format_value):
-            formatted[0] += 1
-            return format_value(value)
+            def counting(value, formatter=formatter, ftype=ftype):
+                formatted[ftype] += 1
+                return formatter(value)
 
-        monkeypatch.setattr(ftype, "format_value", counting)
+            monkeypatch.setattr(ftype, name, counting)
     rows = _rows(400)
     report = system.upload("/uv", rows, USERVISITS_SCHEMA, rows_per_block=100)
     assert report.num_blocks == 4
-    assert formatted[0] == len(rows) * len(USERVISITS_SCHEMA.fields)
+    per_type = dict.fromkeys(FieldType, 0)
+    for field in USERVISITS_SCHEMA.fields:
+        if field.ftype not in (FieldType.STRING, FieldType.DATE):
+            per_type[field.ftype] += len(rows)
+    assert formatted == per_type  # adRevenue and duration, each value once
+
+
+def test_a_hail_upload_sums_the_column_sizes_once_per_row_set(monkeypatch):
+    # The client's block is measured by one sum over its columns, which every replica sorted
+    # from it shares (the text measure reads the carried sizes too).
+    system = _hail(HailConfig.for_attributes(_BOB_INDEXES), nodes=4)
+    column_reads = _counted(monkeypatch, PaxBlock, "_column_size_at")
+    report = system.upload("/uv", _rows(400), USERVISITS_SCHEMA, rows_per_block=100)
+    assert report.num_blocks == 4
+    assert column_reads[0] == report.num_blocks * len(USERVISITS_SCHEMA.fields)
+
+
+def test_a_hail_upload_sums_each_payload_size_once(monkeypatch):
+    # Every term of a replica's size is fixed at construction: summed on its first request.
+    system = _hail(HailConfig.for_attributes(_BOB_INDEXES), nodes=4)
+    data_sizes = _counted(monkeypatch, HailBlock, "data_size_bytes")
+    report = system.upload("/uv", _rows(400), USERVISITS_SCHEMA, rows_per_block=100)
+    assert report.num_blocks == 4
+    # Per block, the client's PAX bytes, then one sum per replica's payload.
+    assert data_sizes[0] == report.num_blocks * (1 + system.config.replication)
 
 
 def _count_chunk_checksums(monkeypatch) -> list[int]:
@@ -298,12 +328,15 @@ def test_an_unjournaled_deployment_never_encodes_or_checksums_a_payload(monkeypa
 
 
 def test_a_stock_upload_formats_each_record_once(monkeypatch):
+    # A block's lines are formatted by the column: one ``format_records`` call per block.
     system = HadoopSystem(Cluster.homogeneous(4, seed=2))
     formatted = _counted(monkeypatch, Schema, "format_record")
+    blocks_formatted = _counted(monkeypatch, Schema, "format_records")
     value_formats = _counted(monkeypatch, Field, "format")
     rows = _rows(400)
     system.upload("/uv", rows, USERVISITS_SCHEMA, rows_per_block=100)
-    assert formatted[0] == len(rows)
+    assert blocks_formatted[0] == len(system.hdfs.namenode.file_blocks("/uv")) == 4
+    assert formatted[0] == 0
     assert value_formats[0] == 0
 
 
