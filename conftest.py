@@ -26,6 +26,7 @@ SMOKE_FIRST = (
     "tests/test_join_groups.py",
     "tests/test_join_containers.py",
     "tests/test_split_memo.py",
+    "tests/test_bookkeeping_per_change.py",
     "tests/test_plan_once.py",
     "tests/test_bind_once.py",
     "tests/test_restore_from_replicas.py",

@@ -32,15 +32,14 @@ class CostParameters:
     """Calibration knobs of the cost model.
 
     The HDFS and MapReduce constants follow Hadoop 0.20 defaults (the version the paper uses):
-    64 MB blocks, 64 KB packets, two map slots per TaskTracker (the 512 B checksum chunk is
-    ``repro.hdfs.chunk.CHUNK_SIZE``; the replication factor belongs to the system storing the
-    replicas, not to the cost model).  The scheduling overheads reproduce the paper's
+    64 MB blocks, two map slots per TaskTracker (the 64 KB packet and the 512 B checksum chunk
+    are ``repro.hdfs.chunk.PACKET_SIZE`` and ``CHUNK_SIZE``; the replication factor belongs to
+    the system storing the replicas, not to the cost model).  The scheduling overheads reproduce the paper's
     observation (Section 6.4.1) that Hadoop "spends several seconds" to schedule and start a
     single short task.
     """
 
     # ---- HDFS constants -------------------------------------------------------------
-    packet_size: int = 64 * 1024
     block_size: int = 64 * 1024 * 1024
 
     # ---- scaling --------------------------------------------------------------------

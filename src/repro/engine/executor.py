@@ -56,8 +56,6 @@ from repro.layouts.schema import Schema
 #: What :meth:`VectorizedExecutor.execute` reads of a payload without a clause on its sort
 #: attribute: no clause, and no sorted run.
 _NO_CLAUSE = (None, False)
-#: The bad lines of a block without any, shared by every such block's result (immutable).
-_NO_BAD_LINES: tuple[str, ...] = ()
 
 
 # --------------------------------------------------------------------------- execution results
@@ -264,14 +262,13 @@ class VectorizedExecutor:
                 read_bytes += pending_build.bytes_read
 
         self._reconcile(plan, payload, used_index, bound.projection, lookup, read_bytes)
-        bad_lines = payload.bad_lines
         return BlockScanResult(
             plan=plan,
             schema=schema,
             rows=matching_rows,
             projected=projected,
             positions=bound.positions,
-            bad_lines=list(bad_lines) if bad_lines else _NO_BAD_LINES,
+            bad_lines=payload.bad_lines,
             seconds=seconds,
             bytes_read=read_bytes,
             used_index=used_index,
@@ -312,14 +309,13 @@ class VectorizedExecutor:
         pruned_bytes = float(column_bytes)
         plan.estimated_rows = 0
         plan.estimated_bytes = bad_bytes
-        bad_lines = payload.bad_lines
         return BlockScanResult(
             plan=plan,
             schema=schema,
             rows=[],
             projected=[],
             positions=bound.positions,
-            bad_lines=list(bad_lines) if bad_lines else _NO_BAD_LINES,
+            bad_lines=payload.bad_lines,
             seconds=seconds,
             bytes_read=float(bad_bytes),
             used_index=False,

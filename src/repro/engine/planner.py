@@ -10,8 +10,8 @@ The planner absorbs the ``getHostsWithIndex`` logic of Section 4.3: one walk per
 query's filter attributes yields both the replica choice (the first attribute with an alive
 indexed host) and every alive indexed host (``BlockPlan.index_hosts``, which HAIL's split
 phase turns into ``InputSplit.index_locations``).  HAIL plans each block once per query shape
-and layout epoch, in the split phase (``HailInputFormat.get_splits`` keeps the plans in the
-deployment's ``SplitMemo``); its record readers execute that plan
+and layout write to that block, in the split phase (``HailInputFormat.get_splits`` keeps the
+plans in the deployment's ``SplitMemo``); its record readers execute that plan
 (:meth:`PhysicalPlanner.for_execution`) and re-plan only a block whose pinned replica died or
 changed since.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext, placement_candidates
@@ -283,11 +283,20 @@ class PhysicalPlanner:
         """Plan every block of ``path`` for the query described by ``annotation`` (the
         ``@HailQuery``, or the :class:`BoundQuery` the split phase bound it to)."""
         plan, block_ids = self._bind(path, annotation)
-        for block_id in block_ids:
-            plan.block_plans.append(
-                self._plan_block(block_id, plan.bound, preferred=None, prefer_node=None)
-            )
+        plan.block_plans.extend(self.plan_blocks(block_ids, plan.bound))
         return plan
+
+    def plan_blocks(self, block_ids: Iterable[int], bound: BoundQuery) -> list[BlockPlan]:
+        """The split-phase plans of ``block_ids``, blocks of the file ``bound`` was bound to.
+
+        What :meth:`plan_query` does per block, for a caller that keeps the plans of the
+        file's other blocks (``HailInputFormat``'s split memo re-plans only the blocks whose
+        layout changed).
+        """
+        return [
+            self._plan_block(block_id, bound, preferred=None, prefer_node=None)
+            for block_id in block_ids
+        ]
 
     def plan_block(
         self,

@@ -52,7 +52,7 @@ class HailBlock(BlockPayload):
         self.pax = pax
         self.sort_attribute = sort_attribute
         self.index = index
-        self.bad_lines: list[str] = list(bad_lines or [])
+        self.bad_lines: tuple[str, ...] = tuple(bad_lines or ())
         self._bad_records_bytes = sum(len(line.encode("utf-8")) + 1 for line in self.bad_lines)
         self.partition_size = partition_size
         #: Partition size assumed for the *logical* (paper-scale) index; the cost model sizes

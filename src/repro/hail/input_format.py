@@ -15,14 +15,18 @@ The result is a handful of map tasks (e.g. 20 instead of 3,200) that each index-
 blocks, which is what produces the Figure 9 speedups.  Jobs without a usable index keep the
 default one-split-per-block policy, so failover characteristics of scan jobs are unchanged.
 
-The file is planned once per query shape and layout epoch, not once per job: a deployment's
-:class:`SplitMemo` keeps the block plans and splits of each shape (path, schema, filter
-attributes, whether there is a projection, the predicate when zone maps are on, and the split
-settings) while the namenode's :attr:`~repro.hdfs.namenode.NameNode.epoch` and the set of alive
-nodes stay what they were.  A repeated query on an unchanged deployment gets the stored plans
-under its own bound query and asks the namenode nothing; any replica install or removal,
-eviction tombstone, upload, restore, node kill or revival starts a new memo.  The simulated
-split-phase charge (:meth:`HailInputFormat.split_phase_cost`) is the same on a hit.
+Each block is planned once per query shape and layout write to that block, not once per job:
+a deployment's :class:`SplitMemo` keeps the block plans and splits of each shape (path, schema,
+filter attributes, whether there is a projection, the predicate when zone maps are on, and the
+split settings) for one namenode and one set of alive nodes.  The namenode stamps every block
+with the :attr:`~repro.hdfs.namenode.NameNode.epoch` of its last layout write (allocation,
+replica install or removal, eviction tombstone); a block's plan reads only that block's
+``Dir_block``/``Dir_rep`` entries and tombstones and the alive set, so a kept plan holds while its
+block's stamp stands.  A repeated query on an unchanged deployment gets the stored plans under
+its own bound query and asks the namenode nothing; after an adaptive commit, an eviction or an
+upload only the blocks it wrote are planned again, and the splits are cut again from the kept
+plans.  A restore (a new namenode), a node kill or a revival starts a new memo.  The simulated
+split-phase charge (:meth:`HailInputFormat.split_phase_cost`) is the same either way.
 
 That plan is the one the job executes: the format keeps it (:attr:`HailInputFormat.plan`) and
 hands it to every :class:`~repro.hail.record_reader.HailRecordReader`, which re-plans a block
@@ -55,6 +59,7 @@ from repro.engine.planner import BoundQuery, PhysicalPlanner, QueryPlan
 from repro.hail.annotation import resolve_annotation
 from repro.hail.config import HailConfig
 from repro.hail.record_reader import HailRecordReader
+from repro.hdfs.block import BlockLocation
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.input_format import InputFormat
@@ -65,45 +70,58 @@ from repro.mapreduce.split import InputSplit
 from repro.persist.state import capture_lifecycle_control
 
 
-#: Safety cap on the query shapes one layout epoch keeps.  A workload repeats a handful of
-#: shapes; the cap only bounds the memo under a stream of distinct zone-mapped predicates.
+#: Safety cap on the query shapes one layout keeps.  A workload repeats a handful of shapes;
+#: the cap only bounds the memo under a stream of distinct zone-mapped predicates.
 SPLIT_MEMO_CAP = 256
+
+
+class SplitShape:
+    """One query shape's split phase on one layout: per block, the plan and ``BlockLocation``
+    made at the block's stamp (:meth:`~repro.hdfs.namenode.NameNode.block_epoch`), and the
+    file's plans and splits cut from them, current at namenode epoch :attr:`epoch`."""
+
+    __slots__ = ("epoch", "blocks", "block_plans", "splits")
+
+    def __init__(self) -> None:
+        self.epoch = -1
+        #: block id -> ``(stamp, location, plan)``.
+        self.blocks: dict[int, tuple[int, BlockLocation, BlockPlan]] = {}
+        self.block_plans: tuple[BlockPlan, ...] = ()
+        self.splits: tuple[InputSplit, ...] = ()
 
 
 class SplitMemo:
     """The split phase's block plans and splits per query shape, for one layout of a deployment.
 
-    ``HailSystem`` owns one and hands it to every job's :class:`HailInputFormat`.  Entries hold
-    while the namenode's layout epoch and the set of alive nodes are the ones they were stored
-    under; a change of either empties the memo.  The stored plans are shared, never executed:
-    a reader copies a plan before running it and re-plans a block whose pinned replica died or
-    changed, so a stale entry can cost a re-plan, never a row.
+    ``HailSystem`` owns one and hands it to every job's :class:`HailInputFormat`.  A shape's
+    plans hold while the namenode object and the set of alive nodes are the ones they were
+    made under; a change of either empties the memo.  Within one, a block's plan is kept while
+    the block's stamp stands: a layout write to one block re-plans that block only.  The
+    stored plans are shared, never executed: a reader copies a plan before running it and
+    re-plans a block whose pinned replica died or changed, so a stale entry can cost a
+    re-plan, never a row.  A shape keeps one plan per block of its file, so an entry a write
+    made stale is replaced when its shape is next planned.
     """
 
     def __init__(self) -> None:
         self._layout: Optional[tuple] = None
-        self._entries: dict[tuple, tuple[tuple[BlockPlan, ...], tuple[InputSplit, ...]]] = {}
+        self._shapes: dict[tuple, SplitShape] = {}
 
-    def get(
-        self, hdfs: Hdfs, key: tuple
-    ) -> Optional[tuple[tuple[BlockPlan, ...], tuple[InputSplit, ...]]]:
-        """The block plans and splits stored under ``key`` on ``hdfs``'s current layout, or
-        ``None`` (the memo is emptied first when the layout changed since the last call)."""
-        namenode = hdfs.namenode
+    def shape(self, hdfs: Hdfs, key: tuple) -> SplitShape:
+        """The split phase stored under ``key`` for ``hdfs``'s namenode and alive nodes (new
+        and empty on first use, the oldest shape making room at the cap); the memo is emptied
+        first when the namenode or the alive set changed since the last call."""
         alive = tuple(node.node_id for node in hdfs.cluster if node.is_alive)
-        layout = (namenode, namenode.epoch, alive)
+        layout = (hdfs.namenode, alive)
         if layout != self._layout:
             self._layout = layout
-            self._entries = {}
-        return self._entries.get(key)
-
-    def put(self, key: tuple, plan: QueryPlan, splits: list[InputSplit]) -> None:
-        """Keep ``plan``'s block plans and ``splits`` under ``key`` for the layout the last
-        :meth:`get` saw (planning reads the layout, never changes it); at the cap the oldest
-        shape goes."""
-        if len(self._entries) >= SPLIT_MEMO_CAP:
-            del self._entries[next(iter(self._entries))]
-        self._entries[key] = (tuple(plan.block_plans), tuple(splits))
+            self._shapes = {}
+        shape = self._shapes.get(key)
+        if shape is None:
+            if len(self._shapes) >= SPLIT_MEMO_CAP:
+                del self._shapes[next(iter(self._shapes))]
+            shape = self._shapes[key] = SplitShape()
+        return shape
 
 
 class HailInputFormat(InputFormat):
@@ -182,34 +200,46 @@ class HailInputFormat(InputFormat):
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
         """Plan the file and cut its splits from that plan (HailSplitting or one per block).
 
-        The query is bound once per job; the plan and splits come from the :attr:`memo` when
-        this query shape was planned on the current layout, else they are made here and
-        stored.  The plan is kept as :attr:`plan` (carrying this job's bound query) and handed
-        to every record reader of the job.  Every block lands in a split, ``ZONE_MAP_SKIP``
-        plans included: their readers verify the skip against the payload before they trust
-        the registered synopses.
+        The query is bound once per job.  The :attr:`memo` keeps this query shape's block
+        plans: only a block that is new to the file or whose stamp moved since its plan was
+        made is planned here (with its ``BlockLocation``), and the splits are cut again from
+        the kept plans when any was.  The plan is kept as :attr:`plan` (carrying this job's
+        bound query) and handed to every record reader of the job.  Every block lands in a
+        split, ``ZONE_MAP_SKIP`` plans included: their readers verify the skip against the
+        payload before they trust the registered synopses.
         """
         path = jobconf.input_path
         planner = PhysicalPlanner(hdfs, zone_maps=self.config.zone_maps)
         bound = planner.query_frame(path, resolve_annotation(jobconf)).bound
-        key = self._shape(path, bound, cost)
-        stored = self.memo.get(hdfs, key)
-        if stored is not None:
-            self.plan = QueryPlan(path=path, bound=bound, block_plans=list(stored[0]))
-            return list(stored[1])
-        self.plan = planner.plan_query(path, bound)
-        locations = hdfs.namenode.block_locations(path, alive_only=True)
-        blocks = list(zip(locations, self.plan.block_plans))
-        if self.config.splitting_policy and any(plan.index_hosts for _, plan in blocks):
-            splits = self._hail_splitting(jobconf, cost, blocks)
-        else:
-            splits = self._default_splitting(jobconf, blocks)
-        self.memo.put(key, self.plan, splits)
-        return splits
+        shape = self.memo.shape(hdfs, self._shape(path, bound, cost))
+        namenode = hdfs.namenode
+        if shape.epoch != namenode.epoch:
+            stamps = {
+                block_id: namenode.block_epoch(block_id)
+                for block_id in namenode.file_blocks(path)
+            }
+            kept = shape.blocks
+            stale = [
+                block_id
+                for block_id, stamp in stamps.items()
+                if block_id not in kept or kept[block_id][0] != stamp
+            ]
+            if stale:
+                for block_id, plan in zip(stale, planner.plan_blocks(stale, bound)):
+                    kept[block_id] = (stamps[block_id], namenode.block_location(block_id), plan)
+                blocks = [kept[block_id][1:] for block_id in stamps]
+                shape.block_plans = tuple(plan for _, plan in blocks)
+                if self.config.splitting_policy and any(plan.index_hosts for _, plan in blocks):
+                    shape.splits = tuple(self._hail_splitting(jobconf, cost, blocks))
+                else:
+                    shape.splits = tuple(self._default_splitting(jobconf, blocks))
+            shape.epoch = namenode.epoch
+        self.plan = QueryPlan(path=path, bound=bound, block_plans=list(shape.block_plans))
+        return list(shape.splits)
 
     def _shape(self, path: str, bound: BoundQuery, cost: CostModel) -> tuple:
-        """The memo key: exactly what block planning, ``block_locations`` and the two
-        splitting policies read besides the layout.
+        """The memo key: exactly what block planning and the two splitting policies read
+        besides the layout.
 
         Without zone maps a plan reads the query only through its filter attributes and
         whether it projects, so queries differing in operands share one entry; with zone maps

@@ -3,8 +3,8 @@
 Since the unified query-execution engine (:mod:`repro.engine`) was extracted, this reader is a
 thin shell.  It executes the plan the split phase made: the job's
 :class:`~repro.hail.input_format.HailInputFormat` plans the whole file
-(``getHostsWithIndex`` per block, Section 4.3; once per query shape and layout epoch, through
-the deployment's :class:`~repro.hail.input_format.SplitMemo`) and hands that
+(``getHostsWithIndex`` per block, Section 4.3; once per query shape and layout write to the
+block, through the deployment's :class:`~repro.hail.input_format.SplitMemo`) and hands that
 :class:`~repro.engine.planner.QueryPlan` to every reader of the job.  A block's carried
 :class:`~repro.engine.access_path.BlockPlan` runs as is when
 

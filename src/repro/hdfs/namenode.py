@@ -55,6 +55,10 @@ class NameNode:
         #: ``BlockLocation`` could read.  Equal epochs (and equal alive sets) mean an
         #: unchanged layout, so a split phase planned at one may be reused at the other.
         self.epoch = 0
+        #: block id -> the epoch of the last layout write to that block.  A block plan reads
+        #: only its own block's directories (and the alive set), so a plan made while the
+        #: block's stamp stood still holds after writes to other blocks.
+        self._block_epochs: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ namespace
     def create_file(self, path: str) -> None:
@@ -102,6 +106,7 @@ class NameNode:
         self._blocks[block_id] = logical_block
         self._dir_block[block_id] = []
         self.epoch += 1
+        self._block_epochs[block_id] = self.epoch
         return block_id, pipeline
 
     def register_replica(
@@ -115,6 +120,7 @@ class NameNode:
         if block_id not in self._dir_block:
             raise BlockNotFoundError(f"unknown block id {block_id}")
         self.epoch += 1
+        self._block_epochs[block_id] = self.epoch
         datanodes = self._dir_block[block_id]
         if datanode_id not in datanodes:
             datanodes.append(datanode_id)
@@ -135,6 +141,7 @@ class NameNode:
         report arrives).
         """
         self.epoch += 1
+        self._block_epochs[block_id] = self.epoch
         datanodes = self._dir_block.get(block_id)
         if datanodes is not None and datanode_id in datanodes:
             datanodes.remove(datanode_id)
@@ -163,21 +170,27 @@ class NameNode:
         """True when ``Dir_block[block_id]`` lists ``datanode_id`` (alive or not)."""
         return datanode_id in self._dir_block.get(block_id, ())
 
+    def block_location(self, block_id: int, alive_only: bool = True) -> BlockLocation:
+        """The ``BlockLocation`` of one block: its hosts in ``Dir_block`` order and its size."""
+        block = self.logical_block(block_id)
+        return BlockLocation(
+            block_id=block_id,
+            path=block.path,
+            hosts=tuple(self.block_datanodes(block_id, alive_only=alive_only)),
+            length_bytes=block.text_size_bytes,
+        )
+
     def block_locations(self, path: str, alive_only: bool = True) -> list[BlockLocation]:
         """``BlockLocation[]`` for every block of ``path`` (what the JobClient fetches)."""
-        locations = []
-        for block_id in self.file_blocks(path):
-            block = self._blocks[block_id]
-            hosts = tuple(self.block_datanodes(block_id, alive_only=alive_only))
-            locations.append(
-                BlockLocation(
-                    block_id=block_id,
-                    path=path,
-                    hosts=hosts,
-                    length_bytes=block.text_size_bytes,
-                )
-            )
-        return locations
+        return [
+            self.block_location(block_id, alive_only=alive_only)
+            for block_id in self.file_blocks(path)
+        ]
+
+    def block_epoch(self, block_id: int) -> int:
+        """The :attr:`epoch` of the last layout write to ``block_id`` (its allocation, a
+        replica registered or removed, an eviction tombstone)."""
+        return self._block_epochs[block_id]
 
     # ------------------------------------------------------------------ HAIL extensions (Dir_rep)
     def replica_info(self, block_id: int, datanode_id: int) -> Optional[Any]:
@@ -281,6 +294,7 @@ class NameNode:
         """
         self._evictions[(block_id, attribute)] = datanode_id
         self.epoch += 1
+        self._block_epochs[block_id] = self.epoch
 
     def index_eviction(self, block_id: int, attribute: str) -> Optional[int]:
         """Datanode an adaptive index of ``(block, attribute)`` was evicted from, or ``None``."""
@@ -336,6 +350,7 @@ class NameNode:
         self._blocks[block_id] = logical_block
         self._dir_block[block_id] = []
         self.epoch += 1
+        self._block_epochs[block_id] = self.epoch
         self.set_next_block_id(block_id + 1)
 
     def set_index_usage(

@@ -269,14 +269,11 @@ class PaxBlock:
         """The carried size of one column, measuring it on first request."""
         size = self._column_sizes[index]
         if size is None:
-            field = self.schema.fields[index]
-            fixed = field.ftype.fixed_size
+            fixed = self.schema.fields[index].ftype.fixed_size
             if fixed is not None:
                 size = fixed * self.num_rows
             else:
-                _, size = serialization.variable_offsets_and_size(
-                    field, self.columns[index], self.num_rows or 1
-                )
+                size = serialization.variable_size(self.columns[index])
             self._column_sizes[index] = size
         return size
 

@@ -126,14 +126,29 @@ def days_to_date(days: int) -> date:
     return date.fromordinal(_EPOCH.toordinal() + int(days))
 
 
+def variable_size(values: Sequence[Any]) -> int:
+    """Encoded size of a variable-size column: each value's ``str`` in UTF-8 plus one
+    terminating zero per value, equal to summing :meth:`Field.binary_size`.
+
+    The size-only twin of :func:`variable_offsets_and_size`: one join, and an encode only
+    when the text is not ASCII (where characters and bytes differ).
+    """
+    text = "".join(map(str, values))
+    return (len(text) if text.isascii() else len(text.encode())) + len(values)
+
+
 def variable_offsets_and_size(
     field: Field, values: Sequence[Any], partition_size: int
 ) -> tuple[list[int], int]:
     """:func:`variable_offsets` plus the encoded size of the whole column.
 
     The walk that places the offsets ends on the column's byte size, so a block that needs
-    both (every ``HailBlock``) visits its variable-size values once — as one C-level pass
-    (``str`` → UTF-8 → ``len`` → running sum), equal to summing :meth:`Field.binary_size`.
+    both visits its variable-size values once — as one C-level pass (``str`` → UTF-8 →
+    ``len`` → running sum), equal to summing :meth:`Field.binary_size`.  A caller that needs
+    the size only takes :func:`variable_size`.
+
+    Census keep list (``tests/test_census.py``): the offsets writer of
+    :meth:`~repro.layouts.pax.PaxBlock.variable_offsets` (paper Section 3.5).
     """
     if partition_size <= 0:
         raise ValueError("partition_size must be positive")

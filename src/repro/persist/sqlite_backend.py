@@ -5,9 +5,9 @@ zone-map synopses, usage statistics, eviction tombstones and the adaptive tuner'
 state — and is written at every mutation point (upload, adaptive commit, eviction
 downgrade, balancer rebuild/migrate) through three calls: :meth:`SqliteBackend.sync_path`
 (a new file at upload start), :meth:`SqliteBackend.sync_block` (one block changed: its
-directory state is re-captured *from the authoritative in-memory namenode* and replaced in
-one transaction) and :meth:`SqliteBackend.sync_control` (adaptive salt, tuner knobs,
-balancer demand).  Each call is a crash site (:mod:`repro.persist.backend`).
+directory state is re-captured *from the authoritative in-memory namenode*, and the rows that
+differ from the ones last committed are written in one transaction) and
+:meth:`SqliteBackend.sync_control` (adaptive salt, tuner knobs, balancer demand).  Each call is a crash site (:mod:`repro.persist.backend`).
 
 Layout under ``persistence_dir``:
 
@@ -39,21 +39,24 @@ against the chunk CRCs its ``Dir_rep`` row journals.
 
 **Commit ordering is the crash-safety contract**: a ``sync_block`` first inserts new payload
 bytes into the holding nodes' databases (one commit per node), in rows beside the ones the
-directory still references, *then* replaces the block's directory rows in ``namenode.db`` in
-a single transaction.  A crash between the two (where
+directory still references, *then* writes the block's changed directory rows in
+``namenode.db`` in a single transaction.  A crash between the two (where
 :class:`~repro.persist.backend.CrashPoint` fires) leaves node databases strictly ahead of
 the directory; restore drives entirely off ``namenode.db`` and ignores payload rows it does
 not reference, so any interrupted mutation atomically either happened or did not.  Rows the
 directory commit stopped referencing (a replaced, moved or dropped replica) are deleted in
 their node's next payload transaction.
 
-**Only changed blobs are written** (delta syncs).  An instance remembers, per block, the
-*blob sources* of the entry it last committed (:func:`repro.persist.state.capture_block`:
-the replicas' ``PaxBlock`` objects with their chunk-CRC blobs, and the ``LogicalBlock``;
-never payload bytes).  Blocks are
-immutable, so a node whose replica is still the committed object gets no transaction, and
-the ``blocks`` row stays while the ``LogicalBlock`` is the committed one: an adaptive commit
-writes one payload, not three.  The record is updated only after the namenode commit,
+**Only changed blobs and rows are written** (delta syncs).  An instance remembers, per block,
+the *sources* of the entry it last committed (:func:`repro.persist.state.capture_block`: the
+replicas' ``PaxBlock`` objects with their chunk-CRC blobs, payloads and ``Dir_rep`` entries,
+and the ``LogicalBlock``; never payload bytes) and the directory rows it committed.  Blocks
+are immutable, so a node whose replica is still the committed object gets no transaction, a
+replica whose payload and ``Dir_rep`` entry are the committed objects is not encoded, only
+directory rows that differ from the committed ones are written (all of a block's, deleted
+first, when the instance has no record of it), and the ``blocks`` row stays while the
+``LogicalBlock`` is the committed one: an adaptive commit writes one payload and one
+``dir_rep`` row, not three of each.  The record is updated only after the namenode commit,
 starts empty in every new instance and is re-seeded by ``checkpoint()``.  The directory
 then points at rows an earlier sync wrote, so :meth:`load_state` raises a
 :class:`~repro.persist.state.JournalCorruptError` naming the replica when one is missing.
@@ -128,6 +131,15 @@ CREATE TABLE IF NOT EXISTS replicas (
 );
 """
 
+#: A block's directory tables beside ``blocks``: each row is keyed by the block id and one
+#: more column, and holds the rest (``_block_rows`` builds them, ``_write_block_rows`` writes
+#: the ones that changed).
+_BLOCK_TABLES = {
+    "dir_block": ("position", ("datanode_id",)),
+    "dir_rep": ("datanode_id", ("info_json", "meta_json", "crcs_blob")),
+    "usage": ("datanode_id", ("use_count", "last_tick")),
+    "evictions": ("attribute", ("datanode_id",)),
+}
 
 #: The journal layout this module writes and the only one it reads (``PRAGMA user_version``).
 JOURNAL_VERSION = 2
@@ -142,6 +154,37 @@ _PRAGMAS = (
     "foreign_keys=ON",
     "busy_timeout=5000",
 )
+
+
+def _block_rows(entry: dict, committed: Optional[dict]) -> dict[str, dict]:
+    """A block's directory rows, ``{table: {key: row values}}``, from its journal entry.
+
+    A replica the entry leaves out (:func:`repro.persist.state.capture_block`: its payload and
+    ``Dir_rep`` entry are the committed objects) keeps its row in ``committed``, the rows last
+    committed for the block.
+    """
+    kept = committed["dir_rep"] if committed else {}
+    dir_rep = {}
+    for datanode_id in entry["dir_block"]:
+        stored = entry["replicas"].get(datanode_id)
+        if stored is None:
+            dir_rep[datanode_id] = kept[datanode_id]
+        else:
+            dir_rep[datanode_id] = (
+                None if stored["info"] is None else json.dumps(stored["info"]),
+                json.dumps(stored["meta"]),
+                stored["crcs_blob"],
+            )
+    return {
+        "dir_block": {
+            position: (datanode_id,) for position, datanode_id in enumerate(entry["dir_block"])
+        },
+        "dir_rep": dir_rep,
+        "usage": {datanode_id: tuple(counts) for datanode_id, counts in entry["usage"].items()},
+        "evictions": {
+            attribute: (datanode_id,) for attribute, datanode_id in entry["evictions"].items()
+        },
+    }
 
 
 def _payload_crc(crcs_blob: bytes) -> int:
@@ -162,6 +205,8 @@ class SqliteBackend(Checkpointing):
         self.crash_point: Optional[CrashPoint] = None
         #: ``{block_id: blob sources}`` of the entries this instance committed (module doc).
         self._committed: dict[int, dict] = {}
+        #: ``{block_id: directory rows}`` this instance committed (:func:`_block_rows`).
+        self._rows: dict[int, dict] = {}
         #: ``{datanode_id: [(block_id, payload_crc)]}``: payload rows a directory commit
         #: stopped referencing, deleted in that node's next payload transaction.
         self._superseded: dict[int, list[tuple[int, int]]] = {}
@@ -247,17 +292,22 @@ class SqliteBackend(Checkpointing):
         # The crash window: payloads are on disk, the directory commit has not happened.
         self._maybe_crash(site)
         # Directory last, in one transaction — the block either fully appears or does not.
+        before = self._rows.get(block_id)
+        rows = _block_rows(entry, before)
         with self._namenode as conn:
-            self._write_block_entry(conn, block_id, entry, committed.get(None) is not sources[None])
+            if committed.get(None) is not sources[None]:
+                self._write_logical_block(conn, block_id, entry)
+            self._write_block_rows(conn, block_id, rows, before)
             self._write_control(conn, control)
         self._committed[block_id] = sources
+        self._rows[block_id] = rows
         # Rows of replicas that were replaced, moved or dropped are unreferenced now.
         for datanode_id, source in committed.items():
             if datanode_id is None:
                 continue
-            old = _payload_crc(source[1])
+            old = _payload_crc(source.crcs_blob)
             new = sources.get(datanode_id)
-            if new is None or _payload_crc(new[1]) != old:
+            if new is None or _payload_crc(new.crcs_blob) != old:
                 self._superseded.setdefault(datanode_id, []).append((block_id, old))
 
     def sync_control(self, control: dict) -> None:
@@ -276,56 +326,52 @@ class SqliteBackend(Checkpointing):
             )
 
     @staticmethod
-    def _write_block_entry(conn: sqlite3.Connection, block_id: int, entry: dict, new: bool) -> None:
-        # Dependent rows are replaced wholesale and explicitly; the ``blocks`` row is upserted
-        # in place, and only for a ``LogicalBlock`` this instance has not committed.
-        for table in ("evictions", "usage", "dir_rep", "dir_block"):
-            conn.execute(f"DELETE FROM {table} WHERE block_id = ?", (block_id,))
-        if new:
-            conn.execute(
-                "INSERT INTO blocks (block_id, path, num_records, bad_lines_json,"
-                " text_size_bytes) VALUES (?, ?, ?, ?, ?)"
-                " ON CONFLICT (block_id) DO UPDATE SET path = excluded.path,"
-                " num_records = excluded.num_records,"
-                " bad_lines_json = excluded.bad_lines_json,"
-                " text_size_bytes = excluded.text_size_bytes",
-                (
-                    block_id,
-                    entry["path"],
-                    entry["num_records"],
-                    json.dumps(entry["bad_lines"]),
-                    entry["text_size_bytes"],
-                ),
-            )
-        for position, datanode_id in enumerate(entry["dir_block"]):
-            conn.execute(
-                "INSERT INTO dir_block (block_id, position, datanode_id) VALUES (?, ?, ?)",
-                (block_id, position, datanode_id),
-            )
-        for datanode_id, stored in entry["replicas"].items():
-            info_json = None if stored["info"] is None else json.dumps(stored["info"])
-            conn.execute(
-                "INSERT INTO dir_rep (block_id, datanode_id, info_json, meta_json, crcs_blob)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (
-                    block_id,
-                    datanode_id,
-                    info_json,
-                    json.dumps(stored["meta"]),
-                    stored["crcs_blob"],
-                ),
-            )
-        for datanode_id, (use_count, last_tick) in entry["usage"].items():
-            conn.execute(
-                "INSERT INTO usage (block_id, datanode_id, use_count, last_tick)"
-                " VALUES (?, ?, ?, ?)",
-                (block_id, datanode_id, use_count, last_tick),
-            )
-        for attribute, datanode_id in entry["evictions"].items():
-            conn.execute(
-                "INSERT INTO evictions (block_id, attribute, datanode_id) VALUES (?, ?, ?)",
-                (block_id, attribute, datanode_id),
-            )
+    def _write_logical_block(conn: sqlite3.Connection, block_id: int, entry: dict) -> None:
+        # Upserted in place: a delete would cascade to the block's dependent rows.
+        conn.execute(
+            "INSERT INTO blocks (block_id, path, num_records, bad_lines_json,"
+            " text_size_bytes) VALUES (?, ?, ?, ?, ?)"
+            " ON CONFLICT (block_id) DO UPDATE SET path = excluded.path,"
+            " num_records = excluded.num_records,"
+            " bad_lines_json = excluded.bad_lines_json,"
+            " text_size_bytes = excluded.text_size_bytes",
+            (
+                block_id,
+                entry["path"],
+                entry["num_records"],
+                json.dumps(entry["bad_lines"]),
+                entry["text_size_bytes"],
+            ),
+        )
+
+    @staticmethod
+    def _write_block_rows(
+        conn: sqlite3.Connection, block_id: int, rows: dict, committed: Optional[dict]
+    ) -> None:
+        """Write the block's directory rows that differ from ``committed``, the rows the
+        journal holds for it (``None`` when unknown: every row of the block is replaced)."""
+        if committed is None:
+            for table in _BLOCK_TABLES:
+                conn.execute(f"DELETE FROM {table} WHERE block_id = ?", (block_id,))
+            committed = {}
+        for table, (key, columns) in _BLOCK_TABLES.items():
+            before, after = committed.get(table, {}), rows[table]
+            if before == after:
+                continue
+            gone = [(block_id, name) for name in before if name not in after]
+            if gone:
+                conn.executemany(f"DELETE FROM {table} WHERE block_id = ? AND {key} = ?", gone)
+            changed = [
+                (block_id, name, *values)
+                for name, values in after.items()
+                if before.get(name) != values
+            ]
+            if changed:
+                conn.executemany(
+                    f"INSERT OR REPLACE INTO {table} (block_id, {key}, {', '.join(columns)})"
+                    f" VALUES (?, ?{', ?' * len(columns)})",
+                    changed,
+                )
 
     # ------------------------------------------------------------------ checkpoint/restore
     def _store_state(self, state: dict) -> None:
@@ -345,18 +391,21 @@ class SqliteBackend(Checkpointing):
                     rows,
                 )
         self._superseded.clear()
+        committed_rows = {}
         with self._namenode as conn:
-            for table in ("evictions", "usage", "dir_rep", "dir_block", "blocks", "paths"):
+            for table in (*_BLOCK_TABLES, "blocks", "paths", "control"):
                 conn.execute(f"DELETE FROM {table}")
-            conn.execute("DELETE FROM control")
             for path, meta in state["paths"].items():
                 conn.execute(
                     "INSERT INTO paths (path, schema_json, position) VALUES (?, ?, ?)",
                     (path, json.dumps(meta["schema"]), meta["position"]),
                 )
             for block_id, entry in state["blocks"].items():
-                self._write_block_entry(conn, block_id, entry, new=True)
+                self._write_logical_block(conn, block_id, entry)
+                rows = committed_rows[block_id] = _block_rows(entry, None)
+                self._write_block_rows(conn, block_id, rows, {})
             self._write_control(conn, state["control"])
+        self._rows = committed_rows
         # Compact: return free pages, fold every write-ahead log into its database and cut it
         # to zero bytes.  (``executescript`` steps the vacuum to the end; one step frees one page.)
         for conn in (self._namenode, *self._nodes.values()):

@@ -10,19 +10,24 @@ deployment needs to come back with its learned index pool intact::
                              "dir_block": [datanode ids, in order],
                              "replicas": {datanode_id: {"info", "payload_blob",
                                                          "crcs_blob", "meta"}},
+                             # (a delta capture leaves out the committed replicas)
                              "usage": {datanode_id: [use_count, last_tick]},
                              "evictions": {attribute: datanode_id}}},
       "control": {"next_block_id", "usage_tick", "adaptive_salt", "tuner", "demand"},
     }
 
 Capture reads only public namenode/datanode accessors.  A block's *directory* state (hosts,
-infos, metas, zone synopses, usage, tombstones) is captured wholesale: every journal write
-replaces it with whatever the in-memory directories currently say, so the journal can never
-drift from the authority it mirrors.  Its *blobs* go by identity: :func:`capture_block` also
-returns the block's *blob sources* — ``{datanode_id: the replica's PaxBlock, None: the
-LogicalBlock}`` — and leaves out every payload blob whose source is still the object the
-caller last committed (the backend likewise writes a block's ``blocks`` row only for a
-``LogicalBlock`` it has not committed).  Blocks are immutable (``layouts/pax.py``): same
+usage, tombstones, and each replica's info, meta and zone synopsis) is read from the
+in-memory directories at every journal write, so the journal can never drift from the
+authority it mirrors.  What was already committed goes by identity: :func:`capture_block`
+also returns the block's *sources* — ``{datanode_id: ReplicaSource(PaxBlock, its chunk CRCs,
+the payload, its Dir_rep entry), None: the LogicalBlock}`` — and, against the sources the
+caller last committed, leaves out every replica whose payload and ``Dir_rep`` entry are still
+the committed objects (neither is encoded; the backend keeps the committed row), and every
+payload blob whose ``PaxBlock`` is still the committed one.  The backend likewise writes a
+block's ``blocks`` row only for a ``LogicalBlock`` it has not committed, and of the other
+rows only those that differ from the ones it last committed.  Blocks and ``Dir_rep`` entries
+are immutable (``layouts/pax.py``, ``HailBlock``, the frozen ``HailBlockReplicaInfo``): same
 object, same bytes; an equal copy merely costs a redundant write.  The block's rows are not
 journaled apart from its replicas: every replica holds all of them, sorted its own way.
 :func:`checkpoint_state` is the full capture.
@@ -62,7 +67,7 @@ balances.  A tuner journaled with per-attribute ledgers is refused with
 from __future__ import annotations
 
 import struct
-from typing import Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import HailIndex
@@ -94,6 +99,17 @@ def apply_path(state: dict, path: str, schema) -> None:
     }
 
 
+class ReplicaSource(NamedTuple):
+    """What one replica's journal rows were captured from: the ``PaxBlock`` its payload row
+    holds and that block's chunk CRCs, then the payload and ``Dir_rep`` entry its ``dir_rep``
+    row describes."""
+
+    pax: PaxBlock
+    crcs_blob: bytes
+    payload: HailBlock
+    info: Any
+
+
 def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, dict]:
     """One block's journal entry and its blob sources, read from the in-memory state.
 
@@ -101,8 +117,10 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
     in registration order, every replica's payload bytes + chunk CRCs + physical metadata +
     ``Dir_rep`` info (zone-map synopsis included), the per-replica LRU statistics, and the
     block's eviction tombstones.  ``committed`` is the sources of the entry the caller last
-    committed for this block (``{}`` for none): a ``payload_blob`` whose source is still that
-    object is left out — the committed bytes stand.  CRCs are computed once per payload
+    committed for this block (``{}`` for none).  A replica whose payload and ``Dir_rep``
+    entry are still the committed objects is left out of ``replicas`` (its committed rows
+    stand, and nothing of it is encoded); of the others, a ``payload_blob`` whose
+    ``PaxBlock`` is still the committed one is left out.  CRCs are computed once per payload
     object the block has not committed on any node (module doc).
     """
     namenode = hdfs.namenode
@@ -114,34 +132,40 @@ def capture_block(hdfs: Hdfs, block_id: int, committed: Mapping) -> tuple[dict, 
     # Keyed by payload object id: every object stays alive for the whole capture (held by
     # ``committed`` or by a replica), so no two of them share an id.
     crcs_by_pax = {
-        id(source[0]): source[1] for key, source in committed.items() if key is not None
+        id(source.pax): source.crcs_blob
+        for key, source in committed.items()
+        if key is not None
     }
     bytes_by_pax: dict[int, bytes] = {}
     for datanode_id in hosts:
         payload = hdfs.datanode(datanode_id).replica(block_id).payload
-        pax = payload.pax
         info = namenode.replica_info(block_id, datanode_id)
-        stored = replicas[datanode_id] = {
-            "info": codec.encode_replica_info(info) if info is not None else None,
-            "meta": {
-                "num_rows": pax.num_rows,
-                "sort_attribute": payload.sort_attribute,
-                "indexed": payload.index is not None,
-                "bad_lines": list(payload.bad_lines),
-                "partition_size": payload.partition_size,
-                "logical_partition_size": payload.logical_partition_size,
-                "pax_layout": payload.pax_layout,
-            },
-        }
-        key = id(pax)
-        if committed.get(datanode_id, (None,))[0] is not pax:
-            if key not in bytes_by_pax:
-                bytes_by_pax[key] = pax.to_bytes()
-            stored["payload_blob"] = bytes_by_pax[key]
-        if key not in crcs_by_pax:
-            crcs_by_pax[key] = codec.encode_crcs(chunk_checksums(stored["payload_blob"]))
-        stored["crcs_blob"] = crcs_by_pax[key]
-        sources[datanode_id] = (pax, stored["crcs_blob"])
+        source = committed.get(datanode_id)
+        if source is not None and source.payload is payload and source.info is info:
+            sources[datanode_id] = source
+        else:
+            pax = payload.pax
+            stored = replicas[datanode_id] = {
+                "info": codec.encode_replica_info(info) if info is not None else None,
+                "meta": {
+                    "num_rows": pax.num_rows,
+                    "sort_attribute": payload.sort_attribute,
+                    "indexed": payload.index is not None,
+                    "bad_lines": list(payload.bad_lines),
+                    "partition_size": payload.partition_size,
+                    "logical_partition_size": payload.logical_partition_size,
+                    "pax_layout": payload.pax_layout,
+                },
+            }
+            key = id(pax)
+            if source is None or source.pax is not pax:
+                if key not in bytes_by_pax:
+                    bytes_by_pax[key] = pax.to_bytes()
+                stored["payload_blob"] = bytes_by_pax[key]
+            if key not in crcs_by_pax:
+                crcs_by_pax[key] = codec.encode_crcs(chunk_checksums(stored["payload_blob"]))
+            stored["crcs_blob"] = crcs_by_pax[key]
+            sources[datanode_id] = ReplicaSource(pax, stored["crcs_blob"], payload, info)
         use_count, last_tick = namenode.index_usage(block_id, datanode_id)
         if (use_count, last_tick) != (0, 0):
             usage[datanode_id] = [use_count, last_tick]

@@ -40,6 +40,7 @@ KEEP = [
     "repro.layouts.schema.Field.format",
     "repro.layouts.schema.Schema.binary_size",
     "repro.layouts.schema.Schema.string_byte_fraction",
+    "repro.layouts.serialization.variable_offsets_and_size",
     "repro.layouts.zonemap.may_match_ranges",
     "repro.persist.state.checkpoint_state",
 ]

@@ -61,7 +61,7 @@ def test_knob_census():
     assert len(fields(HailConfig)) == 17
     assert len(fields(ConcurrencyPolicy)) == 5
     assert len(fields(DiskPressurePolicy)) == 3
-    assert len(fields(CostParameters)) == 11
+    assert len(fields(CostParameters)) == 10
 
 
 #: Per builder: the policy whose own field names its keywords are (if it sets one), and the
@@ -279,14 +279,21 @@ def test_build_without_sort_attribute(uservisits_sample):
 
 
 @pytest.mark.parametrize("attribute", ["sourceIP", "adRevenue", "visitDate"])
-def test_resorted_equals_build_over_the_same_rows(uservisits_block, attribute):
+def test_resorted_equals_build_over_the_same_rows(uservisits_sample, attribute):
     """One sort-and-index step: re-sorting a payload is byte-identical to building it anew."""
-    uservisits_block.bad_lines.append("not|a|row")
-    uservisits_block.pax_layout = False
-    resorted = uservisits_block.resorted(attribute)
+    source = HailBlock.build(
+        USERVISITS_SCHEMA,
+        uservisits_sample[:200],
+        sort_attribute="visitDate",
+        partition_size=8,
+        bad_lines=["not|a|row"],
+        logical_partition_size=1024,
+    )
+    source.pax_layout = False
+    resorted = source.resorted(attribute)
     built = HailBlock.build(
         USERVISITS_SCHEMA,
-        uservisits_block.pax.records(),
+        source.pax.records(),
         attribute,
         partition_size=8,
         bad_lines=["not|a|row"],
@@ -297,7 +304,7 @@ def test_resorted_equals_build_over_the_same_rows(uservisits_block, attribute):
     assert resorted.index.describe() == built.index.describe()
     assert resorted.zone_ranges() == built.zone_ranges()
     assert resorted.size_bytes() == built.size_bytes()
-    assert resorted.bad_lines == ["not|a|row"]
+    assert resorted.bad_lines == ("not|a|row",)
     assert (resorted.partition_size, resorted.logical_partition_size) == (8, 1024)
     assert resorted.pax_layout is False  # carried over from the source payload
     built.pax_layout = False

@@ -445,12 +445,38 @@ def _bumps_epoch(method) -> bool:
     )
 
 
+def _stamps_block(method) -> bool:
+    """True when ``method`` runs ``self._block_epochs[block_id] = self.epoch``."""
+    import ast
+
+    def is_self(node, attr: str) -> bool:
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == attr
+            and getattr(node.value, "id", None) == "self"
+        )
+
+    return any(
+        isinstance(node, ast.Assign)
+        and is_self(node.value, "epoch")
+        and any(
+            isinstance(target, ast.Subscript)
+            and is_self(target.value, "_block_epochs")
+            and getattr(target.slice, "id", None) == "block_id"
+            for target in node.targets
+        )
+        for node in ast.walk(method)
+    )
+
+
 def test_every_namenode_layout_write_bumps_the_epoch():
     """A ``NameNode`` method that writes ``_files``, ``Dir_block``, ``Dir_rep`` or the eviction
-    tombstones also bumps ``epoch``, and no other module touches those directories.
+    tombstones also bumps ``epoch``, one that writes a block's layout stamps that block with
+    the new epoch, and no other module touches those directories.
 
-    HAIL's split memo (``repro.hail.input_format.SplitMemo``) trusts a stored plan only while
-    the epoch stands, so a mutator that skipped the bump would serve a stale split phase.
+    HAIL's split memo (``repro.hail.input_format.SplitMemo``) keeps a block's plan only while
+    the block's stamp stands and its cut splits only while the epoch does, so a mutator that
+    skipped either would serve a stale split phase.
     """
     import ast
     from pathlib import Path
@@ -472,6 +498,10 @@ def test_every_namenode_layout_write_bumps_the_epoch():
         "record_index_eviction", "adopt_block",
     }
     assert {method.name for method in methods if _bumps_epoch(method)} == writers
+    # Every writer but ``create_file`` (which adds a file without blocks) writes one block.
+    assert {method.name for method in methods if _stamps_block(method)} == writers - {
+        "create_file"
+    }
 
     outside = [
         f"{path.relative_to(package)}:{node.lineno} {node.attr}"
@@ -488,12 +518,22 @@ def test_each_layout_write_moves_the_epoch(namenode, simple_schema, simple_recor
     epochs.append(namenode.epoch)
     block_id, pipeline = namenode.allocate_block("/f", _block(simple_schema, simple_records))
     epochs.append(namenode.epoch)
+    other, _ = namenode.allocate_block("/f", _block(simple_schema, simple_records))
+    epochs.append(namenode.epoch)
+    stamps = [namenode.block_epoch(block_id)]
     namenode.register_replica(block_id, pipeline[0])
     epochs.append(namenode.epoch)
+    stamps.append(namenode.block_epoch(block_id))
     namenode.record_index_eviction(block_id, "a", pipeline[0])
     epochs.append(namenode.epoch)
+    stamps.append(namenode.block_epoch(block_id))
     namenode.unregister_replica(block_id, pipeline[0])
     epochs.append(namenode.epoch)
+    stamps.append(namenode.block_epoch(block_id))
     namenode.touch_index_usage(block_id, pipeline[1])  # LRU statistics are not the layout
     epochs.append(namenode.epoch)
-    assert epochs == [0, 1, 2, 3, 4, 5, 5]
+    stamps.append(namenode.block_epoch(block_id))
+    assert epochs == [0, 1, 2, 3, 4, 5, 6, 6]
+    # Each write stamps its own block only: the other block keeps its allocation's epoch.
+    assert stamps == [2, 4, 5, 6, 6]
+    assert namenode.block_epoch(other) == 3

@@ -1,9 +1,11 @@
-"""What a journal write writes: delta syncs against the wholesale capture, counted.
+"""What a journal write writes: delta syncs against a full capture, counted.
 
-A ``sync_block`` re-captures the block's *directory* state wholesale but writes a replica
-payload only when its source object is not the one the backend last committed, and the
-``blocks`` row only for a ``LogicalBlock`` it has not committed
-(`src/repro/persist/state.py`).  Four things are pinned here:
+A ``sync_block`` writes a replica payload only when its source object is not the one the
+backend last committed, encodes a replica's ``Dir_rep`` entry only when its payload or entry
+is not the committed object, writes only the directory rows that differ from the ones it last
+committed for the block, and the ``blocks`` row only for a ``LogicalBlock`` it has not
+committed (`src/repro/persist/state.py`, `src/repro/persist/sqlite_backend.py`).  Four things
+are pinned here:
 
 - **differential** — after every journaled mutation (upload, adaptive commit, migration,
   eviction downgrade/delete, balancer rebuild, with node kills in between) the journal read
@@ -11,7 +13,8 @@ payload only when its source object is not the one the backend last committed, a
   blob for blob and row for row, and the ``(site, block)`` sequence of those syncs is pinned
   by a digest.  ``check_dir_rep_consistency`` cannot catch a wrongly skipped write: it never
   reads the journal;
-- **counts** — one changed replica costs one encode and one payload row, not four;
+- **counts** — one changed replica costs one encode, one payload row and one ``Dir_rep`` row,
+  not three or four;
 - **crash** — a kill inside a delta sync leaves the backend's record of what it committed
   untouched, and the journal restores;
 - **compaction and refusal** — ``checkpoint()`` leaves every ``-wal`` file empty; a missing or
@@ -239,7 +242,7 @@ def test_one_changed_replica_costs_one_encode_and_one_payload_row(backend, tmp_p
     assert probe.encodes == commits
     assert probe.rows("replicas") == commits
     assert probe.rows("blocks") == 0
-    assert probe.rows("dir_rep") == 3 * commits  # the directory is still wholesale
+    assert probe.rows("dir_rep") == commits  # the replaced replica's row, not the block's
 
     # Eviction downgrades: nothing (a downgrade strips the index and keeps the replica's
     # PaxBlock, so no payload moves and its committed CRCs stand).

@@ -2,8 +2,9 @@
 
 ``PaxBlock`` carries one per-column size table, filled from the block's own values at most
 once per row set and shared with every reorder.  These tests count measurements — column walks
-(``serialization.variable_offsets_and_size`` calls, the only way a string column is measured
-now) and per-value ``Field.binary_size`` calls (the public row-wise reference, which nothing on
+(``serialization.variable_size`` calls, the only way a string column is sized now, and
+``serialization.variable_offsets_and_size`` calls, the walk that places a replica's offsets)
+and per-value ``Field.binary_size`` calls (the public row-wise reference, which nothing on
 these paths may go back to) — around the operations that used to re-measure every immutable
 block on every query and every upload.  A ``HailBlock``'s variable-size offsets are walked only
 when read: its size counts them.
@@ -28,7 +29,12 @@ def measurements(monkeypatch):
     """A one-element list counting, while it is live, every column walk and every per-value
     ``Field.binary_size`` call."""
     calls = [0]
-    walk, by_value = serialization.variable_offsets_and_size, Field.binary_size
+    size, walk = serialization.variable_size, serialization.variable_offsets_and_size
+    by_value = Field.binary_size
+
+    def counting_size(values):
+        calls[0] += 1
+        return size(values)
 
     def counting_walk(field, values, partition_size):
         calls[0] += 1
@@ -38,6 +44,7 @@ def measurements(monkeypatch):
         calls[0] += 1
         return by_value(self, value)
 
+    monkeypatch.setattr(serialization, "variable_size", counting_size)
     monkeypatch.setattr(serialization, "variable_offsets_and_size", counting_walk)
     monkeypatch.setattr(Field, "binary_size", counting_by_value)
     return calls

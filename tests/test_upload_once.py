@@ -112,7 +112,7 @@ def _assert_upload_is_what_the_row_wise_path_stored(
                 assert stored.index.partition_keys == expected.index.partition_keys
                 assert stored.index.describe() == expected.index.describe()
             assert stored.variable_offsets == expected.variable_offsets
-            assert stored.bad_lines == expected.bad_lines == bad_lines
+            assert stored.bad_lines == expected.bad_lines == tuple(bad_lines)
             assert stored.size_bytes() == expected.size_bytes()
             assert stored.data_size_bytes() == pax_bytes
             assert stored.replica_info(datanode_id) == expected.replica_info(datanode_id)

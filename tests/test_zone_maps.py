@@ -257,11 +257,11 @@ def test_skipped_blocks_still_ride_in_the_splits(zone_deployments, monkeypatch):
     warm.input_format.get_splits(system.hdfs, warm, system.cost)
     jobconf = system._scan_jobconf(query, _PATH)
     calls = []
-    plan_query = PhysicalPlanner.plan_query
+    plan_blocks = PhysicalPlanner.plan_blocks
     monkeypatch.setattr(
         PhysicalPlanner,
-        "plan_query",
-        lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_query(self, *args, **kwargs),
+        "plan_blocks",
+        lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_blocks(self, *args, **kwargs),
     )
     splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
     assert calls == []
@@ -355,11 +355,11 @@ def test_get_splits_plans_the_file_once(sorted_deployments, monkeypatch, zone_ma
     system = sorted_deployments[zone_maps]
     jobconf = system._scan_jobconf(_query(_NARROW, name="zm-plan-once"), _SORTED_PATH)
     calls = []
-    plan_query = PhysicalPlanner.plan_query
+    plan_blocks = PhysicalPlanner.plan_blocks
     monkeypatch.setattr(
         PhysicalPlanner,
-        "plan_query",
-        lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_query(self, *args, **kwargs),
+        "plan_blocks",
+        lambda self, *args, **kwargs: calls.append(self.zone_maps) or plan_blocks(self, *args, **kwargs),
     )
     splits = jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)
     assert calls == [zone_maps]
