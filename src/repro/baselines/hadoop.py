@@ -14,7 +14,7 @@ from operator import itemgetter
 from repro.engine.executor import TextScanResult
 from repro.engine.kernels import clause_positions
 from repro.hdfs.pipeline import StandardUploadPipeline
-from repro.layouts.pax import gatherer
+from repro.layouts.pax import ColumnBatch, gatherer
 from repro.layouts.schema import BadRecordError, Schema
 from repro.mapreduce.input_format import TextInputFormat
 from repro.mapreduce.job import JobConf
@@ -68,7 +68,8 @@ def make_line_parser(query, schema: Schema):
 
 
 def make_block_parser(query, schema: Schema, parse_line):
-    """The block form of ``parse_line`` (:func:`make_line_parser`): one text block's rows.
+    """The block form of ``parse_line`` (:func:`make_line_parser`): one text block's rows, as
+    a :class:`~repro.layouts.pax.ColumnBatch`.
 
     Filter first, column at a time.  Every line is split only through the first clause's
     column; that column is parsed and the kernels' scan table
@@ -76,12 +77,14 @@ def make_block_parser(query, schema: Schema, parse_line):
     clause does the same over the survivors only.  Only the lines that pass every clause are
     arity-checked and split on through the last column the query reads, from the tail the
     earlier splits left (never re-splitting a head), before each projected column is parsed
-    and the columns are ``zip``-ped into tuples.
+    into one list.  No row tuple is built: the batch's consumer zips the columns if it wants
+    rows.
 
     A wrong-arity line that fails the filter is dropped as ``parse_line`` drops it; one that
     passes is dropped by the survivors' arity check.  A token that does not parse, compare
     or exist raises out of whichever pass met it; the whole block then goes through
-    ``parse_line`` line by line, which drops exactly the rows it always dropped.
+    ``parse_line`` line by line, which drops exactly the rows it always dropped, and its rows
+    are transposed into the batch once.
     """
     clause_info, projection_info = _scan_columns(query, schema)
     delimiter = schema.delimiter
@@ -93,7 +96,9 @@ def make_block_parser(query, schema: Schema, parse_line):
         default=-1,
     )
 
-    def parse(scan: TextScanResult) -> list:
+    width = len(projection_info)
+
+    def parse(scan: TextScanResult) -> ColumnBatch:
         lines = scan.lines
         # ``(first column, pieces per surviving line)``: each split runs on from the last
         # piece of the one before, the unsplit tail past column ``reach``.
@@ -107,7 +112,7 @@ def make_block_parser(query, schema: Schema, parse_line):
                 lines = keep(lines)
                 segments = [(first, keep(pieces)) for first, pieces in segments]
                 if not lines:
-                    return []
+                    return ColumnBatch(([()] * width, 0))
             counts = list(map(str.count, lines, repeat(delimiter)))
             if counts.count(expected_delimiters) != len(counts):
                 keep = gatherer([p for p, n in enumerate(counts) if n == expected_delimiters])
@@ -115,12 +120,13 @@ def make_block_parser(query, schema: Schema, parse_line):
                 segments = [(first, keep(pieces)) for first, pieces in segments]
             _split_through(segments, reach, last_read, lines, delimiter)
             columns = [
-                map(field.ftype.parse_value, _tokens(segments, index))
+                list(map(field.ftype.parse_value, _tokens(segments, index)))
                 for index, field in projection_info
             ]
-            return list(zip(*columns)) if columns else [()] * len(lines)
+            return ColumnBatch((columns, len(lines)))
         except (ValueError, TypeError, IndexError):
-            return [row for row in map(parse_line, scan.lines) if row is not None]
+            rows = [row for row in map(parse_line, scan.lines) if row is not None]
+            return ColumnBatch.of_rows(rows, width)
 
     return parse
 

@@ -24,7 +24,7 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.ledger import TransferLedger
 from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.hail_block import HailBlock
-from repro.hail.record_reader import HailRecordReader, projected_row, projected_rows
+from repro.hail.record_reader import HailRecordReader, projected_row, projected_columns
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.pipeline import StandardUploadPipeline
@@ -185,7 +185,8 @@ class HadoopPlusPlusSystem(BaseSystem):
     # ------------------------------------------------------------------ queries
     def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
         jobconf = scan_job(
-            f"hadoop++-{query.name}", path, TrojanInputFormat(), projected_rows, projected_row, emit
+            f"hadoop++-{query.name}", path, TrojanInputFormat(),
+            projected_columns, projected_row, emit,
         )
         jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
         return jobconf

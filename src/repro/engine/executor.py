@@ -2,9 +2,10 @@
 
 Given a :class:`~repro.engine.access_path.BlockPlan` the executor opens the planned replica,
 evaluates the selection predicate *column-at-a-time* over the candidate PAX partitions (instead
-of the row-at-a-time post-filter loops the record readers used to carry), reconstructs the
-projected attributes only for qualifying positions, and charges the exact same simulated cost
-the readers charged before the refactor — the "RecordReader time" of Figures 6(b) and 7(b).
+of the row-at-a-time post-filter loops the record readers used to carry), takes the projected
+columns of the qualifying positions only (a column batch: no row is rebuilt here), and charges
+the exact same simulated cost the readers charged before the refactor — the "RecordReader
+time" of Figures 6(b) and 7(b).
 
 The predicate kernels live in :mod:`repro.engine.kernels` (a dispatch module with a pure-Python
 reference backend built on per-operator comprehension tables and an optional numpy fast path
@@ -50,6 +51,7 @@ from repro.hdfs.block import Replica, TextBlockPayload
 from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.filesystem import Hdfs
+from repro.layouts.pax import ColumnBatch
 from repro.layouts.schema import Schema
 
 
@@ -68,7 +70,9 @@ class BlockScanResult:
     #: Qualifying row ids, ascending: a ``range`` when they are consecutive (an index scan's
     #: run, an unfiltered block), else a list.
     rows: Sequence[int]
-    projected: list[tuple]
+    #: The qualifying rows' projected columns (one per projected attribute, empty ones for a
+    #: zone-map-skipped block); :meth:`~repro.layouts.pax.ColumnBatch.rows` zips them.
+    projected: ColumnBatch
     positions: tuple[int, ...]
     bad_lines: Sequence[str]
     seconds: float
@@ -210,7 +214,7 @@ class VectorizedExecutor:
             matching_rows = kernels.filter_ranges(
                 pax, predicate, schema, lookup.start_row, lookup.end_row, pruned
             )
-        projected = pax.project(matching_rows, bound.projection_indexes)
+        projected = pax.batch(matching_rows, bound.projection_indexes)
 
         seconds, read_bytes = self._charge_block(
             replica,
@@ -313,7 +317,7 @@ class VectorizedExecutor:
             plan=plan,
             schema=schema,
             rows=[],
-            projected=[],
+            projected=ColumnBatch(([()] * len(bound.projection_indexes), 0)),
             positions=bound.positions,
             bad_lines=payload.bad_lines,
             seconds=seconds,

@@ -125,7 +125,7 @@ def filter_range(
     """Row ids in ``[start, end)`` satisfying ``predicate``, via the active backend.
 
     ``predicate=None`` selects the whole window, as a ``range`` (which
-    :meth:`~repro.layouts.pax.PaxBlock.project` slices instead of gathering).  The numpy
+    :meth:`~repro.layouts.pax.PaxBlock.batch` slices instead of gathering).  The numpy
     backend evaluates only windows of at least :data:`_NUMPY_MIN_ROWS` rows; a narrower one
     runs the reference backend, which is faster there.  It also silently defers to the
     reference backend for windows it cannot evaluate with guaranteed-identical semantics

@@ -3,8 +3,9 @@
 The operator lowers a :class:`GroupByQuery` onto the owning system's *existing* scan
 machinery: the system builds its normal selection/projection job (index-aware splits, PAX
 projection, zone maps — whatever the deployment configures) and runs it like any other; this
-module only hands the scan's rows to a regroup that emits ``(group key, partial aggregate)``
-pairs and installs a merging combiner and a finalizing reducer.  The map-side
+module only hands each block's column batch to a regroup that reads the key and aggregate
+columns straight from it — a group-key column beside a partial-aggregate column, no row and no
+pair built — and installs a merging combiner and a finalizing reducer.  The map-side
 combiner (``mapreduce.shuffle.combine_map_output``) is what makes aggregation cheap on the
 substrate: one partial pair per (map task, group) crosses the shuffle instead of one pair per
 input record, observable via the ``COMBINE_*``/``SHUFFLE_BYTES_SAVED`` counters.
@@ -19,10 +20,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from textwrap import indent
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.hail.predicate import Query, render_sql
+from repro.layouts.pax import ColumnBatch
 from repro.mapreduce.job import Lowering
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
@@ -30,6 +33,8 @@ if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
 
 #: Aggregate functions the operator supports (the classic SQL five).
 SUPPORTED_FUNCTIONS = ("count", "sum", "min", "max", "avg")
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 _SPEC_RE = re.compile(r"^\s*(?P<func>[a-zA-Z]+)\s*\(\s*(?P<attr>\*|[A-Za-z_]\w*)\s*\)\s*$")
 
@@ -136,12 +141,12 @@ def _initial_partial(spec: AggregateSpec, value: Any) -> Any:
 
 
 def _make_regroup(query: GroupByQuery, projection: tuple[str, ...]):
-    """``rows -> [(group key, partials), ...]`` for scan rows laid out as ``projection``.
+    """``batch -> (group keys, partials)`` for scan column batches laid out as ``projection``.
 
-    One pair per row, in row order, built by the column: the rows are transposed once, the
-    key columns are ``zip``-ped back into key tuples, and each aggregate contributes one
-    column of :func:`_initial_partial` values whose shape is resolved here, once per
-    aggregate, not per value.
+    One key and one partial per row, in row order, read straight from the batch's columns: the
+    key columns are ``zip``-ped into key tuples, and each aggregate contributes one column of
+    :func:`_initial_partial` values whose shape is resolved here, once per aggregate, not per
+    value.  No row tuple is built.
     """
     key_positions = [projection.index(key) for key in query.keys]
     partial_columns = [
@@ -149,23 +154,21 @@ def _make_regroup(query: GroupByQuery, projection: tuple[str, ...]):
         for spec in query.aggregates
     ]
 
-    def regroup(rows: list[tuple]) -> list[tuple]:
-        if not rows:
-            return []
-        columns = list(zip(*rows))
+    def regroup(batch: ColumnBatch) -> tuple[list, list]:
+        columns = batch.columns
         partials = [
-            repeat(1) if func == "count"
+            repeat(1, batch.size) if func == "count"
             else zip(columns[position], repeat(1)) if func == "avg"
             else columns[position]
             for func, position in partial_columns
         ]
-        keys = zip(*[columns[position] for position in key_positions])
-        return list(zip(keys, zip(*partials)))
+        keys = list(zip(*[columns[position] for position in key_positions]))
+        return keys, list(zip(*partials))
 
     return regroup
 
 
-def _merge_partials(spec: AggregateSpec, partials: list) -> Any:
+def _merge_partials(spec: AggregateSpec, partials: Sequence) -> Any:
     """Merge partial aggregates (associative and commutative — the combiner contract)."""
     if spec.func == "count":
         return sum(partials)
@@ -175,9 +178,7 @@ def _merge_partials(spec: AggregateSpec, partials: list) -> Any:
         return min(partials)
     if spec.func == "max":
         return max(partials)
-    total = sum(part[0] for part in partials)
-    count = sum(part[1] for part in partials)
-    return (total, count)
+    return (sum(map(_FIRST, partials)), sum(map(_SECOND, partials)))
 
 
 def _finalize(spec: AggregateSpec, partial: Any) -> Any:
@@ -191,12 +192,12 @@ def _finalize(spec: AggregateSpec, partial: Any) -> Any:
 def make_combiner(aggregates: tuple[AggregateSpec, ...]):
     """The map-side combiner: merge partials per group, never finalize."""
 
+    getters = [itemgetter(i) for i in range(len(aggregates))]
+
     def combiner(key, values):
-        merged = tuple(
-            _merge_partials(spec, [value[i] for value in values])
-            for i, spec in enumerate(aggregates)
-        )
-        return [(key, merged)]
+        # One list per aggregate, its partials taken out of the group's values in C.
+        columns = [list(map(get, values)) for get in getters]
+        return [(key, tuple(map(_merge_partials, aggregates, columns)))]
 
     return combiner
 
@@ -204,13 +205,12 @@ def make_combiner(aggregates: tuple[AggregateSpec, ...]):
 def make_reducer(aggregates: tuple[AggregateSpec, ...]):
     """The final reducer: merge partials per group, then finalize into the output row."""
 
+    getters = [itemgetter(i) for i in range(len(aggregates))]
+
     def reducer(key, values):
-        merged = [
-            _merge_partials(spec, [value[i] for value in values])
-            for i, spec in enumerate(aggregates)
-        ]
-        finalized = tuple(_finalize(spec, part) for spec, part in zip(aggregates, merged))
-        return [(key, tuple(key) + finalized)]
+        columns = [list(map(get, values)) for get in getters]
+        merged = map(_merge_partials, aggregates, columns)
+        return [(key, tuple(key) + tuple(map(_finalize, aggregates, merged)))]
 
     return reducer
 
@@ -221,16 +221,16 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> Lowe
 
     The scan half is the system's own jobconf (map function, input format, annotations), so an
     indexed HAIL deployment aggregates over index-narrowed candidate rows exactly like a
-    plain query would; the scan hands its rows to ``regroup`` instead of pairing them, and
-    the decoration adds the combiner and reducer.  The finish step puts the groups in
-    canonical order.
+    plain query would; the scan hands its column batches to ``regroup`` instead of zipping
+    them into rows, and the decoration adds the combiner and reducer.  The finish step puts the
+    groups in canonical order.
     """
     base = query.base_query()
     regroup = _make_regroup(query, base.projection)
 
     def decorate(jobconf) -> None:
-        """Turn the system's scan job, whose rows ``regroup`` already maps to ``(group key,
-        partial)`` pairs, into the aggregation job, in place."""
+        """Turn the system's scan job, whose batches ``regroup`` already maps to a group-key
+        column and a partial column, into the aggregation job, in place."""
         jobconf.reducer = make_reducer(query.aggregates)
         if query.combiner:
             jobconf.combiner = make_combiner(query.aggregates)
@@ -240,7 +240,7 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> Lowe
         """Canonical output order: group keys sorted by ``repr``, independent of the shuffle's
         hash partitioning, so combined/uncombined and cross-system runs compare bit-identically."""
         (job,) = jobs
-        return sorted(job.records, key=repr), job
+        return sorted(job.values, key=repr), job
 
     return Lowering([(base, path, regroup, decorate)], finish)
 

@@ -5,12 +5,13 @@ HAIL's per-replica clustered indexes give the planner a free co-partitioning sig
 key, the two scans' outputs can be merged map-side without a shuffle — the paper's layout
 makes the classic sort-merge join's expensive phase a property of the storage.  When the
 signal is absent (stock Hadoop, a missing index, a dead replica), the operator falls back to
-the textbook shuffle hash join.  Either way the two side scans emit ``(join key, row)`` pairs
-and one collector (:class:`_JoinedGroups`) takes them: the hash strategy hands both scans'
-outputs to the real shuffle (:func:`repro.mapreduce.shuffle.run_reduce_phase`), which groups
-them, pays the network cost the merge join avoids and calls the collector once per key group;
-the merge strategy hands the collector both outputs at once.  The strategies differ only in
-that cost accounting.  The chosen strategy is visible in ``explain()`` and in the
+the textbook shuffle hash join.  Either way each side scan emits a join-key column beside a
+value column — the left rows, the right rests — read from its column batches, and one collector
+(:class:`_JoinedGroups`) takes them: the hash strategy hands both scans' columns to the real
+shuffle (:func:`repro.mapreduce.shuffle.run_reduce_phase`), which groups them, pays the network
+cost the merge join avoids and calls the collector once per key group; the merge strategy hands
+the collector both sides' columns at once.  Either way the right rests are ranked once per
+join, and the strategies differ only in that cost accounting.  The chosen strategy is visible in ``explain()`` and in the
 ``JOIN_MERGE_JOINS``/``JOIN_HASH_JOINS`` counters; the collector's one global emission gives
 both bit-identical output rows ``(key, *left non-key columns, *right non-key columns)`` in
 canonical order — an order it builds from sorted inputs instead of sorting the output.
@@ -19,14 +20,15 @@ canonical order — an order it builds from sorted inputs instead of sorting the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import chain, compress, groupby, repeat
+from operator import sub
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
 from repro.hail.predicate import Query, _clause_sql
+from repro.layouts.pax import ColumnBatch
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, JobResult, Lowering
+from repro.mapreduce.job import JobConf, JobResult, Lowering, key_value_columns
 from repro.mapreduce.shuffle import key_runs, numbered, run_reduce_phase
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
@@ -35,7 +37,6 @@ if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
 #: The two join strategies (``JoinQuery.strategy=None`` lets the planner choose).
 STRATEGIES = ("merge", "hash")
 
-_FIRST, _SECOND, _REST = itemgetter(0), itemgetter(1), itemgetter(slice(1, None))
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,9 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
     strategy = choose_strategy(system, query)
 
     def finish(jobs, scans_s: float) -> tuple:
-        """Join the two sides' keyed pairs; add their jobs up into the join's own ``JobResult``."""
-        left, right = (job.output for job in jobs)
+        """Join the two sides' key and value columns; add their jobs up into the join's own
+        ``JobResult``."""
+        left, right = jobs
         counters = Counters()
         for job in jobs:
             counters.merge(job.counters)
@@ -178,8 +180,8 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
         deadlines = [job.deadline_met for job in jobs if job.deadline_met is not None]
         return records, JobResult(
             job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
-            emitted=list(records),
-            keyed=False,
+            keys=None,
+            values=list(records),
             runtime_s=scans_s + join_s,
             ideal_time_s=total("ideal_time_s"),
             num_map_tasks=num_map_tasks,
@@ -203,26 +205,29 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
 def _side_scans(system: "BaseSystem", query: JoinQuery) -> list[tuple]:
     """The join's two scans, left then right, as ``(side query, path, emit)`` triples.
 
-    ``emit`` keys a scan's rows by the join key, which leads the side query's projection —
-    one pair per row, whichever form of the map function runs.
+    ``emit`` keys a scan's column batch by the join key, which leads the side query's
+    projection: its first column is the key column — one key per row, whichever form of the
+    map function runs.
     """
     return [
         (query.side_query(side, system.schema_of(side_path)), side_path, keying)
         for side, side_path, keying in (
-            ("left", query.left_path, _left_pairs),
-            ("right", query.right_path, _right_pairs),
+            ("left", query.left_path, _left_columns),
+            ("right", query.right_path, _right_columns),
         )
     ]
 
 
-def _left_pairs(rows: list) -> list:
-    """A left scan's rows as ``(join key, row)``, by the column."""
-    return list(zip(map(_FIRST, rows), rows))
+def _left_columns(batch: ColumnBatch) -> tuple:
+    """A left scan's batch as its join-key column beside its rows."""
+    return batch.columns[0], batch.rows()
 
 
-def _right_pairs(rows: list) -> list:
-    """A right scan's rows as ``(join key, row[1:])``: the left row brings the key along."""
-    return list(zip(map(_FIRST, rows), map(_REST, rows)))
+def _right_columns(batch: ColumnBatch) -> tuple:
+    """A right scan's batch as its join-key column beside its rests (``row[1:]``): the left row
+    brings the key along."""
+    key, *rest = batch.columns
+    return key, ColumnBatch((rest, batch.size)).rows()
 
 
 class _JoinedGroups:
@@ -230,15 +235,19 @@ class _JoinedGroups:
 
     The collector keeps two flat lists: every left row that has a match, and beside each the
     right rests of its key — one tuple per key, sorted by ``repr`` and shared by that key's
-    left rows.  A hash join calls it like a reducer over each shuffled group, ``(key, left
-    rows, right rests)``; a merge join hands it both sides' keyed pairs at once
-    (:meth:`extend`).  :meth:`rows` is exactly ``sorted(all joined rows, key=repr)``, for one
-    ``repr`` per input row instead of one per output row and no sort of the output, because a
-    joined row prints as its left row's text (less the closing parenthesis) followed by its
-    right rest's: rows order by left text first and right text second.  So one sort of the left
-    rows by text, each followed by its key's sorted rests, is the order — except that copies of
-    one left row (equal *text*: ``0.0 == -0.0`` are not copies) tie, and then the right text
-    decides: ``L, L x R1, R2`` is ``LR1, LR1, LR2, LR2``.
+    left rows.  A merge join hands it both sides' key and value columns at once
+    (:meth:`extend`).  A hash join calls it like a reducer over each shuffled group, ``(key,
+    left rows, right rests)``: the calls only gather the groups into flat lists, and
+    :meth:`rank_groups` ranks them — so either way the right rests are ranked by one sort per
+    join, not one per key.
+
+    :meth:`rows` is exactly ``sorted(all joined rows, key=repr)``, for one ``repr`` per input
+    row instead of one per output row and no sort of the output, because a joined row prints
+    as its left row's text (less the closing parenthesis) followed by its right rest's: rows
+    order by left text first and right text second.  So one sort of the left rows by text,
+    each followed by its key's sorted rests, is the order — except that copies of one left row
+    (equal *text*: ``0.0 == -0.0`` are not copies) tie, and then the right text decides:
+    ``L, L x R1, R2`` is ``LR1, LR1, LR2, LR2``.
     """
 
     def __init__(self) -> None:
@@ -246,25 +255,43 @@ class _JoinedGroups:
         self.lefts: list[tuple] = []
         #: Per left row, its key's right rests sorted by ``repr`` (one tuple per key).
         self.rests: list[tuple] = []
+        #: The key groups called in and not yet ranked, flat: their left rows, each group's
+        #: number of left rows, their right rests and where each group's rests end.
+        self._called: tuple[list, list, list, list] = ([], [], [], [])
 
     def __call__(self, _key, lefts: list[tuple], rights: list[tuple]) -> None:
-        """Collect one key group; emit nothing (the hash join counts :attr:`count` itself)."""
+        """Gather one key group; emit nothing (the hash join counts :attr:`count` itself)."""
         if lefts and rights:
-            self.lefts += lefts
-            self.rests += [tuple(sorted(rights, key=repr))] * len(lefts)
+            left_rows, left_counts, right_rests, ends = self._called
+            left_rows += lefts
+            left_counts.append(len(lefts))
+            right_rests += rights
+            ends.append(len(right_rests))
 
-    def extend(self, left: list[tuple], right: list[tuple]) -> None:
-        """Collect both sides' keyed pairs: ``(key, left row)`` and ``(key, right rest)``."""
-        rests = list(map(_SECOND, right))
+    def rank_groups(self) -> None:
+        """Collect the groups gathered by calls, each group's right rests ranked by ``repr``
+        with one sort over all of them (then stably by group), not one sort per group."""
+        (left_rows, left_counts, rests, ends), self._called = self._called, ([], [], [], [])
+        starts = [0, *ends[:-1]]
+        texts = list(map(repr, rests))
+        groups = list(chain.from_iterable(map(repeat, range(len(ends)), map(sub, ends, starts))))
+        order = sorted(range(len(rests)), key=texts.__getitem__)
+        order.sort(key=groups.__getitem__)
+        ranked = tuple(map(rests.__getitem__, order))
+        shared = map(ranked.__getitem__, map(slice, starts, ends))
+        self.lefts += left_rows
+        self.rests += chain.from_iterable(map(repeat, shared, left_counts))
+
+    def extend(self, left_keys, lefts: list[tuple], right_keys, rests: list[tuple]) -> None:
+        """Collect both sides' columns: join keys beside left rows, join keys beside right rests."""
         texts = list(map(repr, rests))
         order = sorted(range(len(rests)), key=texts.__getitem__)
-        keys = list(map(_FIRST, right))
-        numbers = numbered(keys)
-        starts = key_runs(keys, numbers, order)
+        numbers = numbered(right_keys)
+        starts = key_runs(right_keys, numbers, order)
         ranked = tuple(map(rests.__getitem__, order))
         by_key = dict(zip(numbers, map(ranked.__getitem__, map(slice, starts, starts[1:]))))
-        matched = list(map(by_key.get, map(_FIRST, left)))
-        self.lefts += compress(map(_SECOND, left), matched)
+        matched = list(map(by_key.get, left_keys))
+        self.lefts += compress(lefts, matched)
         self.rests += filter(None, matched)
 
     @property
@@ -285,30 +312,31 @@ class _JoinedGroups:
         return [lefts[i] + rest for run in runs for rest in rests[run[0]] for i in run]
 
 
-def _merge_join(
-    system: "BaseSystem", left: list[tuple], right: list[tuple], joined: _JoinedGroups
-) -> float:
-    """Map-side merge join: both sides' pairs straight into ``joined``, charged as a CPU-only
-    merge."""
-    joined.extend(left, right)
+def _merge_join(system: "BaseSystem", left, right, joined: _JoinedGroups) -> float:
+    """Map-side merge join: both sides' key and value columns (a scan job's, or keyed pairs
+    split once) straight into ``joined``, charged as a CPU-only merge."""
+    left_keys, lefts = key_value_columns(left)
+    right_keys, rests = key_value_columns(right)
+    joined.extend(left_keys, lefts, right_keys, rests)
     nodes = system.cluster.alive_nodes
     if not nodes:
         return 0.0
     cost = system.cost
-    merged_bytes = cost.scale_bytes((len(left) + len(right)) * 64.0)
+    merged_bytes = cost.scale_bytes((len(lefts) + len(rests)) * 64.0)
     return cost.task_overhead() + cost.cpu(nodes[0]).evaluate_predicate(merged_bytes)
 
 
 def _hash_join(
     system: "BaseSystem",
     query: JoinQuery,
-    left: list[tuple],
-    right: list[tuple],
+    left,
+    right,
     counters: Counters,
     joined: _JoinedGroups,
 ) -> float:
-    """Shuffle hash join: both sides' pairs go through the real shuffle, which calls ``joined``
-    as the reducer of every key group; the joined rows are booked as the reduce output."""
+    """Shuffle hash join: both sides' columns go through the real shuffle, which calls
+    ``joined`` as the reducer of every key group; ``joined`` then ranks the groups' right rests
+    once, and the joined rows are booked as the reduce output."""
     shuffle_conf = JobConf(
         name=f"{query.name}-shuffle",
         input_path=query.left_path,
@@ -316,6 +344,7 @@ def _hash_join(
         num_reduce_tasks=max(1, len(system.cluster.alive_nodes)),
     )
     phase = run_reduce_phase(left, shuffle_conf, system.cluster, system.cost, counters, right)
+    joined.rank_groups()
     joined_rows = joined.count
     if joined_rows:
         counters.increment(Counters.REDUCE_OUTPUT_RECORDS, joined_rows)

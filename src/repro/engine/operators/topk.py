@@ -18,7 +18,7 @@ result is bit-identical, only the blocks-read fraction differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -166,15 +166,15 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
         return Lowering([], lambda _jobs, _scans_s: _ranked_probe(system, query, path))
 
     def finish(jobs, _scans_s) -> tuple:
-        """Rank the full scan's rows client-side and project the best ``k``."""
+        """Rank the full scan's rows client-side and project the best ``k``: the answer's job is
+        a copy of the scan's with the answer as its output (the scan's own is left as it ran)."""
         (job,) = jobs
         schema = system.schema_of(path)
         top = job.records
         _trim_top(top, schema.index_of(query.order_by), query.k, query.descending)
         records = _project(top, schema, query.projection)
         job.counters.increment(Counters.TOPK_BLOCKS_READ, len(block_ids))
-        job.emitted, job.keyed = list(records), False
-        return records, job
+        return records, replace(job, keys=None, values=list(records))
 
     return Lowering([(query.scan_query(), path)], finish)
 
@@ -231,7 +231,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
             blocks_skipped += 1
             continue
         blocks_read += 1
-        top.extend(result.projected)
+        top.extend(result.projected.rows())
         _trim_top(top, order_index, query.k, query.descending)
 
     counters.increment(Counters.TOPK_BLOCKS_READ, blocks_read)
@@ -239,7 +239,8 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     records = _project(top, schema, query.projection)
     return records, JobResult(
         job_name=f"{system.name.lower()}-{query.name}[topk]",
-        emitted=list(records),
+        keys=None,
+        values=list(records),
         runtime_s=system.cost.job_startup() + seconds,
         ideal_time_s=seconds,
         num_map_tasks=blocks_read,
@@ -251,7 +252,6 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
         reduce_phase_s=0.0,
         split_phase_s=0.0,
         counters=counters,
-        keyed=False,
     )
 
 

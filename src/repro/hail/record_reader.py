@@ -25,10 +25,11 @@ file's schema once, in the split phase (a reader handed no plan binds it once, i
 2. reads the index directory into main memory (a few KB) and looks up the qualifying partitions,
 3. reads exactly those partitions of the needed columns from disk, post-filters them with the
    full predicate (the indexed clause by bisecting the sorted window, the others
-   column-at-a-time), and reconstructs the projected attributes from PAX to row layout.
+   column-at-a-time), and takes the projected attributes of the qualifying rows as columns.
 
 The reader hands each block's result on whole (``batches()``; the systems' scans take its
-:data:`projected_rows`); only the per-record view wraps qualifying tuples as
+:data:`projected_columns`, and only a consumer that wants rows zips them); only the per-record
+view rebuilds rows from PAX to row layout, wrapped as
 :class:`~repro.hail.record.HailRecord`\\ s for a user's map function, with bad records passed
 through flagged as bad.  The simulated RecordReader time
 charged by the executor is what Figures 6(b) and 7(b) report.
@@ -53,13 +54,13 @@ from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
 
 
-#: A block's rows: the reader has selected and projected them already, so passing them on
-#: (``output(v, null)``, Section 4.1) is all a HAIL or Hadoop++ scan's map function does.
-projected_rows = attrgetter("projected")
+#: A block's column batch: the reader has selected and projected it already, so handing it on
+#: is all a HAIL or Hadoop++ scan's map function does before its consumer's ``emit``.
+projected_columns = attrgetter("projected")
 
 
 def projected_row(record: HailRecord) -> Optional[tuple]:
-    """One record's row, the per-record twin of :data:`projected_rows`: ``None`` if bad."""
+    """One record's row, the per-record twin of :data:`projected_columns`: ``None`` if bad."""
     return None if record.bad else record.as_tuple()
 
 
@@ -171,7 +172,7 @@ class HailRecordReader(RecordReader):
     def records_of(batch: BlockScanResult) -> Iterator[tuple]:
         """``(row id, HailRecord)`` per qualifying row, then the block's bad records."""
         schema, positions = batch.schema, batch.positions
-        for row_id, values in zip(batch.rows, batch.projected):
+        for row_id, values in zip(batch.rows, batch.projected.rows()):
             yield row_id, HailRecord(schema, values, positions)
         # Bad records are handed to the map function unchanged, flagged as bad (Section 4.3).
         for line in batch.bad_lines:

@@ -11,7 +11,7 @@ from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.config import HailConfig
 from repro.hail.input_format import HailInputFormat, SplitMemo
-from repro.hail.record_reader import projected_row, projected_rows
+from repro.hail.record_reader import projected_row, projected_columns
 from repro.hail.scheduler import (
     adaptive_replica_bytes,
     adaptive_replica_count,
@@ -88,7 +88,7 @@ class HailSystem(BaseSystem):
             memo=self.split_memo,
         )
         jobconf = scan_job(
-            f"hail-{query.name}", path, input_format, projected_rows, projected_row, emit
+            f"hail-{query.name}", path, input_format, projected_columns, projected_row, emit
         )
         jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
         return jobconf

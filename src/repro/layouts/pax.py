@@ -61,6 +61,33 @@ def gatherer(rows: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
     return lambda column: ()
 
 
+class ColumnBatch(tuple):
+    """One block's qualifying rows as columns: what a scan hands its consumer.
+
+    A ``(columns, size)`` pair: ``columns`` are the projected columns in projection order,
+    each a sequence of ``size`` values; an empty projection has no column, so ``size`` alone
+    counts its rows.  A consumer that reads columns (a group-by's regroup, a join's keying)
+    takes them as they are; only one that wants rows zips them, once, with :meth:`rows`.
+    Built as ``ColumnBatch((columns, size))``: a bare tuple underneath, so a block pays no
+    Python-level constructor for it.
+    """
+
+    __slots__ = ()
+
+    columns = property(itemgetter(0), doc="The projected columns, in projection order.")
+    size = property(itemgetter(1), doc="The number of rows.")
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[tuple], width: int) -> "ColumnBatch":
+        """The batch of ``rows``, each ``width`` values wide: one transpose."""
+        return cls((list(zip(*rows)) if rows else [()] * width, len(rows)))
+
+    def rows(self) -> list[tuple]:
+        """The batch as row tuples, in order (``()`` per row of an empty projection)."""
+        columns = self[0]
+        return list(zip(*columns)) if columns else [()] * self[1]
+
+
 class PaxBlock:
     """A block of records stored column-wise.
 
@@ -158,29 +185,27 @@ class PaxBlock:
             rows = range(self.num_rows)
         return [self.record(row) for row in rows]
 
-    def project(self, rows: Iterable[int], attribute_indexes: Sequence[int]) -> list[tuple]:
-        """Reconstruct only the projected attributes (0-based indexes) of the given rows.
+    def batch(self, rows: Iterable[int], attribute_indexes: Sequence[int]) -> "ColumnBatch":
+        """The projected attributes (0-based indexes) of the given rows, as a column batch.
 
         A ``range`` of consecutive rows (what an index scan and an unfiltered scan hand over)
-        ``zip``-s column slices (a slice over a whole tuple column is that column, uncopied):
+        takes column slices (a slice over a whole tuple column is that column, uncopied):
         nothing is gathered.  Any other row set takes one C-level gather per column
-        (:func:`gatherer`).  Either way the columns are ``zip``-ped into row tuples — no
-        generator per row.  The row set is told apart by its exact type (a ``range``, a list
-        or a tuple are used as they are; any other iterable is listed first): an
+        (:func:`gatherer`).  No row tuple is built: :meth:`ColumnBatch.rows` does that for a
+        consumer that wants rows.  The row set is told apart by its exact type (a ``range``, a
+        list or a tuple are used as they are; any other iterable is listed first): an
         ``isinstance`` test against the ``Sequence`` ABC costs more than a small block's
         projection.
         """
         kind = type(rows)
         if kind is not range and kind is not list and kind is not tuple:
             rows = list(rows)
-        if not attribute_indexes:
-            return [()] * len(rows)
         columns = self.columns
         if kind is range and rows.step == 1:
             start, stop = rows.start, rows.stop
-            return list(zip(*[columns[i][start:stop] for i in attribute_indexes]))
+            return ColumnBatch(([columns[i][start:stop] for i in attribute_indexes], len(rows)))
         gather = gatherer(rows)
-        return list(zip(*[gather(columns[i]) for i in attribute_indexes]))
+        return ColumnBatch(([gather(columns[i]) for i in attribute_indexes], len(rows)))
 
     def reorder(self, permutation: Sequence[int]) -> "PaxBlock":
         """Return a new block whose rows follow ``permutation`` (the HAIL sort step)."""

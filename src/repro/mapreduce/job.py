@@ -4,18 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Iterable, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.mapreduce.counters import Counters
 
 #: A map function: ``mapper(key, value) -> iterable of (key, value) pairs`` (or ``None``).
 Mapper = Callable[[Any, Any], Optional[Iterable[tuple]]]
-#: The block form of a map function: ``map_batch(batch) -> list of (key, value) pairs``, where
-#: ``batch`` is one item of the job's ``RecordReader.batches()``.  It must return a list (empty,
-#: never ``None``) of exactly the pairs, in order, that ``mapper`` gives the batch's records.
-MapBatch = Callable[[Any], list]
+#: The block form of a map function: ``map_batch(batch) -> (keys, values)``, where ``batch`` is
+#: one item of the job's ``RecordReader.batches()``.  ``values`` is a list (empty, never
+#: ``None``) of exactly the values, in order, of the pairs ``mapper`` gives the batch's
+#: records, and ``keys`` is the column of their keys — or ``None`` when every key is ``None``.
+MapBatch = Callable[[Any], tuple]
 #: A reduce function: ``reducer(key, values) -> iterable of (key, value) pairs`` (or ``None``).
 Reducer = Callable[[Any, list], Optional[Iterable[tuple]]]
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 def identity_mapper(key: Any, value: Any) -> Iterable[tuple]:
@@ -23,38 +27,63 @@ def identity_mapper(key: Any, value: Any) -> Iterable[tuple]:
     return [(key, value)]
 
 
-def unkeyed(rows) -> list:
-    """``(None, row)`` per row: what a map function that only passes rows on emits (HAIL's
-    ``output(v, null)``, Section 4.1).  The one builder of such pairs: a null-keyed result
-    (:class:`Emitted`) calls it when its ``output`` is read."""
-    return list(zip(repeat(None), rows))
+def paired(keys: Optional[Sequence], values: Sequence) -> list[tuple]:
+    """``(key, value)`` per value: the pairs a key column and a value column stand for, the key
+    ``None`` throughout when ``keys`` is ``None`` (HAIL's ``output(v, null)``, Section 4.1)."""
+    return list(zip(repeat(None) if keys is None else keys, values))
 
 
+@dataclass
 class Emitted:
-    """What a map task or a job emitted: ``(key, value)`` pairs, or null-keyed bare rows.
+    """What a map task, a reduce phase or a job emitted: a key column beside a value column.
 
-    ``emitted`` holds pairs while ``keyed`` is True.  A map-only scan whose rows are passed on
-    as they are (HAIL's ``output(v, null)``) keeps them bare instead (``keyed`` False), each
-    standing for the pair ``(None, row)``: ``records`` is then a copy of the rows, and
-    ``output`` builds the pairs only when it is read — the same pairs, in the same order, a
-    keyed result would hold.  Mixed into :class:`JobResult` and ``MapTaskResult``, which
-    declare ``emitted`` and ``keyed`` as dataclass fields.
+    ``values`` holds the emitted values in order and ``keys`` their keys, one per value — or
+    ``None`` when every key is ``None``, as for a scan whose rows are passed on as they are
+    (HAIL's ``output(v, null)``) and an operator's answer.  No ``(key, value)`` pair is built
+    until ``output`` is read; ``records`` is a copy of the values.  :class:`JobResult` and
+    ``MapTaskResult`` extend it; the runner hands one to the shuffle.
     """
 
-    emitted: list
-    keyed: bool
+    keys: Optional[list]
+    values: list
 
     @property
     def output(self) -> list[tuple]:
-        """The ``(key, value)`` pairs; a null-keyed result pairs its rows here, per read."""
-        return self.emitted if self.keyed else unkeyed(self.emitted)
+        """The ``(key, value)`` pairs, built per read (:func:`paired`)."""
+        return paired(self.keys, self.values)
 
     @property
     def records(self) -> list:
         """Only the output values (the projected tuples for query-style jobs)."""
-        if self.keyed:
-            return [value for _, value in self.emitted]
-        return list(self.emitted)
+        return list(self.values)
+
+
+def key_value_columns(output) -> tuple[Optional[list], list]:
+    """``(keys, values)`` of one map output: an :class:`Emitted`'s own columns, or the two
+    columns of a list of ``(key, value)`` pairs — the form the per-record contract and
+    hand-written jobs give."""
+    if isinstance(output, Emitted):
+        return output.keys, output.values
+    return list(map(_FIRST, output)), list(map(_SECOND, output))
+
+
+def key_column(keys: Optional[list], count: int) -> list:
+    """``keys``, or ``count`` ``None`` keys where it is ``None``: a key column to group by."""
+    return [None] * count if keys is None else keys
+
+
+def concatenated(parts: Iterable[tuple]) -> tuple[Optional[list], list]:
+    """One key column and one value column out of ``(keys, values)`` parts, in order (blocks
+    of one map task, map tasks of one job); the keys are ``None`` when every part's are."""
+    keys: Optional[list] = None
+    values: list = []
+    for part_keys, part_values in parts:
+        if part_keys is not None or keys is not None:
+            if keys is None:
+                keys = [None] * len(values)
+            keys += key_column(part_keys, len(part_values))
+        values += part_values
+    return keys, values
 
 
 @dataclass
@@ -69,15 +98,11 @@ class JobConf:
 
     ``mapper`` is the map function — the public, per-record contract, and the reference.
     ``map_batch`` is an optional block form of the *same* function; the systems compose both
-    from a scan's row functions and its consumer's ``emit(rows) -> pairs``
+    from a scan's batch function and its consumer's ``emit(batch) -> (keys, values)``
     (:func:`repro.systems.base.scan_job`).  When present the map task calls it once per block
-    instead of ``mapper`` once per record, so code that replaces ``mapper`` on a system-built
-    jobconf replaces or clears ``map_batch`` as well.
-
-    A plain scan passes its rows on with the null key.  Its ``map_batch`` returns the bare
-    rows and ``null_keyed`` says so: a map-only job then keeps them unpaired
-    (:class:`Emitted`), while a job with a combiner or reducer pairs them before the shuffle.
-    ``mapper`` returns pairs either way.
+    instead of ``mapper`` once per record, and keeps what it returns as columns: a plain scan's
+    rows go on with no key column at all (``keys`` ``None``), and no pair is built.  Code that
+    replaces ``mapper`` on a system-built jobconf replaces or clears ``map_batch`` as well.
     """
 
     name: str
@@ -85,8 +110,6 @@ class JobConf:
     mapper: Mapper = identity_mapper
     #: Block form of ``mapper`` (see :data:`MapBatch`); ``None`` runs ``mapper`` per record.
     map_batch: Optional[MapBatch] = None
-    #: True when ``map_batch`` returns bare rows, each standing for the pair ``(None, row)``.
-    null_keyed: bool = False
     reducer: Optional[Reducer] = None
     #: Optional map-side combiner (same signature as the reducer): applied to every map
     #: task's output before the shuffle, so commutative/associative aggregations pay the
@@ -102,7 +125,6 @@ class JobResult(Emitted):
     """Outcome of one simulated MapReduce job (its output: see :class:`Emitted`)."""
 
     job_name: str
-    emitted: list
     runtime_s: float
     ideal_time_s: float
     num_map_tasks: int
@@ -119,7 +141,6 @@ class JobResult(Emitted):
     rescheduled_tasks: int = 0
     #: ``None`` unless the job was submitted with a ``deadline_s`` on the concurrent path.
     deadline_met: Optional[bool] = None
-    keyed: bool = True
 
     @property
     def overhead_s(self) -> float:
@@ -136,7 +157,7 @@ class JobResult(Emitted):
             "map_tasks": self.num_map_tasks,
             "waves": self.num_waves,
             "avg_rr_ms": round(self.avg_record_reader_s * 1000.0, 3),
-            "output_records": len(self.emitted),
+            "output_records": len(self.values),
         }
 
 
@@ -145,10 +166,11 @@ class Lowering:
     """A compiled query as ordinary MapReduce work: the scans it needs plus a finish step.
 
     ``scans`` are ``(Query, path[, emit[, decorate]])`` entries, each run as the system's own
-    scan job for that query.  ``emit(rows) -> pairs`` is what the scan's map function hands its
-    rows to (group-by's regroup, a join side's keying; when omitted the rows pass on with the
-    null key, unpaired), and ``decorate(jobconf)`` adjusts the job in place right after it is
-    built (group-by installs its combiner, reducer and reduce-task count there).
+    scan job for that query.  ``emit(batch) -> (keys, values)`` is what the scan's map function
+    hands each block's column batch to (group-by's regroup, a join side's keying; when omitted
+    the batch's rows pass on with the null key, no key column), and ``decorate(jobconf)``
+    adjusts the job in place right after it is built (group-by installs its combiner, reducer
+    and reduce-task count there).
     ``finish(jobs, scans_s)`` turns the scans' :class:`JobResult` s, aligned with ``scans``,
     into the answer — ``(records, job)`` plus, for a plain scan, the executed plan;
     ``scans_s`` is what the scans took end to end: back-to-back the sum of their runtimes,

@@ -30,7 +30,7 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.failure import ConcurrentChaos, FailureEvent
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, JobResult
+from repro.mapreduce.job import Emitted, JobConf, JobResult, concatenated, key_value_columns
 from repro.mapreduce.job_client import JobClient, SplitPlan
 from repro.mapreduce.job_tracker import (
     ConcurrencyPolicy,
@@ -212,29 +212,20 @@ class MapReduceRunner:
         ``outcome.makespan_s`` is absolute on the batch timeline, so the returned
         ``runtime_s`` is the job's latency including queueing.
         """
-        # A map-only job keeps its tasks' null-keyed rows bare (``JobResult.output`` pairs
-        # them when read); a combiner or a reducer is handed the pairs.
-        bare = (
-            jobconf.null_keyed
-            and jobconf.map_batch is not None
-            and jobconf.combiner is None
-            and jobconf.reducer is None
-        )
-        map_output: list = []
+        # Map-side combine: each attempt is one map task, so combining per attempt is exactly
+        # Hadoop's combiner scope — partials never cross task boundaries.  Every stage hands
+        # on a key column and a value column; a map-only scan's rows keep no key column.
+        parts = []
         for attempt in outcome.scheduled:
-            # Map-side combine: each attempt is one map task, so combining per attempt is
-            # exactly Hadoop's combiner scope — partials never cross task boundaries.
             task = attempt.result
-            map_output.extend(
-                combine_map_output(
-                    task.emitted if bare else task.output, jobconf, self.cost, counters
-                )
-            )
-
-        reduce_result = run_reduce_phase(
-            map_output, jobconf, self.hdfs.cluster, self.cost, counters
-        )
-        output = reduce_result.output if jobconf.reducer is not None else map_output
+            parts.append(combine_map_output(task.keys, task.values, jobconf, self.cost, counters))
+        keys, values = concatenated(parts)
+        reduce_s = 0.0
+        if jobconf.reducer is not None:
+            map_output = Emitted(keys, values)
+            phase = run_reduce_phase(map_output, jobconf, self.hdfs.cluster, self.cost, counters)
+            # The reducers emit pairs (the public ``Reducer`` contract): kept as columns too.
+            (keys, values), reduce_s = key_value_columns(phase.output), phase.duration_s
 
         if measured:
             jobconf.input_format.finish_run(self.hdfs, self.cost, outcome, counters, tenant)
@@ -250,12 +241,13 @@ class MapReduceRunner:
             self.cost.job_startup()
             + plan.split_phase_s
             + outcome.makespan_s
-            + reduce_result.duration_s
+            + reduce_s
         )
 
         return JobResult(
             job_name=jobconf.name,
-            emitted=output,
+            keys=keys,
+            values=values,
             runtime_s=runtime,
             ideal_time_s=ideal,
             num_map_tasks=num_tasks,
@@ -264,12 +256,11 @@ class MapReduceRunner:
             max_record_reader_s=max_rr,
             total_record_reader_s=sum(rr_times),
             map_phase_s=outcome.makespan_s,
-            reduce_phase_s=reduce_result.duration_s,
+            reduce_phase_s=reduce_s,
             split_phase_s=plan.split_phase_s,
             counters=counters,
             task_results=outcome.scheduled,
             failure_node=outcome.failure_node,
             rescheduled_tasks=outcome.rescheduled,
             deadline_met=deadline_met,
-            keyed=not bare,
         )

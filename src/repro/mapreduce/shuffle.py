@@ -4,8 +4,10 @@ The paper's evaluation queries are map-only jobs (selections with projections), 
 substrate supports a reduce phase so that general MapReduce programs — for example the
 aggregation examples shipped with this reproduction — run end to end, and so that a hash join
 can shuffle both of its scans' outputs to one set of reducers.  The reduce side groups each
-input's pairs by one stable sort of key numbers, not by a list per key: a key's group is a run
-of that order, sliced only for the reducer call that takes it.
+input's values by one stable sort of key numbers, not by a list per key: a key's group is a run
+of that order, sliced only for the reducer call that takes it.  A map output comes in as its key
+column and its value column (:class:`~repro.mapreduce.job.Emitted`), so no pair is split here;
+a list of ``(key, value)`` pairs, the form hand-written jobs give, is split into the two once.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf
+from repro.mapreduce.job import JobConf, key_column, key_value_columns, paired
 
 #: Rough per-pair byte footprint used to charge shuffle network traffic.
 _BYTES_PER_PAIR = 64.0
@@ -37,42 +39,43 @@ class ReducePhaseResult:
 
 
 def combine_map_output(
-    pairs: list[tuple],
+    keys: Optional[list],
+    values: list,
     jobconf: JobConf,
     cost: CostModel,
     counters: Counters,
-) -> list[tuple]:
-    """Apply the job's map-side combiner to one map task's output.
+) -> tuple[Optional[list], list]:
+    """Apply the job's map-side combiner to one map task's output, its key and value columns.
 
-    Mirrors Hadoop's combiner contract: the pairs of a *single* map task are grouped by key
+    Mirrors Hadoop's combiner contract: the values of a *single* map task are grouped by key
     (sorted by ``repr`` for determinism, like the reduce side) and fed through
-    ``jobconf.combiner``, whose output replaces them in the shuffle.  Because the combiner
-    must be associative and commutative, the downstream reducer observes fewer pairs but the
-    same final answer; the eliminated pairs' shuffle bytes are credited to
-    ``SHUFFLE_BYTES_SAVED`` and the reduce phase is charged on the combined pair count.
-    Pass-through when the job has no combiner or the task produced no output.
+    ``jobconf.combiner``, whose output replaces them in the shuffle.  Because the combiner must be associative and
+    commutative, the downstream reducer observes fewer pairs but the same final answer; the
+    eliminated pairs' shuffle bytes are credited to ``SHUFFLE_BYTES_SAVED`` and the reduce
+    phase is charged on the combined pair count.  Returns the ``(keys, values)`` columns as
+    they are when the job has no combiner or the task produced no output.
     """
     combiner = jobconf.combiner
-    if combiner is None or not pairs:
-        return list(pairs)
+    if combiner is None or not values:
+        return keys, values
 
     groups: dict = defaultdict(list)
-    for key, value in pairs:
+    for key, value in zip(key_column(keys, len(values)), values):
         groups[key].append(value)
 
     combined: list[tuple] = []
-    counters.increment(Counters.COMBINE_INPUT_RECORDS, len(pairs))
+    counters.increment(Counters.COMBINE_INPUT_RECORDS, len(values))
     for key in sorted(groups, key=repr):
         emitted = combiner(key, groups[key])
         if emitted:
             combined.extend(emitted)
     counters.increment(Counters.COMBINE_OUTPUT_RECORDS, len(combined))
-    saved_pairs = len(pairs) - len(combined)
+    saved_pairs = len(values) - len(combined)
     if saved_pairs > 0:
         counters.increment(
             Counters.SHUFFLE_BYTES_SAVED, cost.scale_bytes(saved_pairs * _BYTES_PER_PAIR)
         )
-    return combined
+    return list(map(_FIRST, combined)), list(map(_SECOND, combined))
 
 
 def numbered(keys: Iterable) -> dict:
@@ -95,19 +98,22 @@ def key_runs(keys: list, numbers: dict, order: list[int]) -> list[int]:
 
 
 def run_reduce_phase(
-    map_output: list[tuple],
+    map_output,
     jobconf: JobConf,
     cluster: Cluster,
     cost: CostModel,
     counters: Counters,
-    *more_outputs: list[tuple],
+    *more_outputs,
 ) -> ReducePhaseResult:
     """Group the map output by key, partition and sort the keys, apply the reducer per group.
 
-    ``more_outputs`` are further jobs' map outputs shuffled to the same reducers (a reduce-side
-    join): the reducer is called as ``reducer(key, values, *more_values)`` with one value
-    sequence per input — with none it is the plain ``reducer(key, values)``.  A job without a
-    reducer passes its one map output through and refuses further ones.
+    Each map output is an :class:`~repro.mapreduce.job.Emitted` — a job's or the runner's key
+    and value columns, taken as they are — or a list of ``(key, value)`` pairs
+    (:func:`~repro.mapreduce.job.key_value_columns`).  ``more_outputs`` are further jobs' map
+    outputs shuffled to the same reducers (a reduce-side join): the reducer is called as
+    ``reducer(key, values, *more_values)`` with one value sequence per input — with none it is
+    the plain ``reducer(key, values)``.  A job without a reducer passes its one map output
+    through and refuses further ones.
 
     The grouping is one sort per input, not one list per key (:func:`key_runs`): keys are
     numbered in first-seen order — input 0's, then those only input 1 has, ... — and each
@@ -125,17 +131,18 @@ def run_reduce_phase(
         raise ValueError(
             f"job {jobconf.name!r} has no reducer to join {1 + len(more_outputs)} map outputs"
         )
-    if reducer is None or not (map_output or any(more_outputs)):
-        return ReducePhaseResult(output=list(map_output), duration_s=0.0, num_reduce_tasks=0)
+    inputs = [key_value_columns(output) for output in (map_output, *more_outputs)]
+    if reducer is None or not any(values for _, values in inputs):
+        return ReducePhaseResult(output=paired(*inputs[0]), duration_s=0.0, num_reduce_tasks=0)
 
+    inputs = [(key_column(keys, len(values)), values) for keys, values in inputs]
     num_reducers = max(1, jobconf.num_reduce_tasks or 1)
-    inputs = (map_output, *more_outputs)
-    numbers = numbered(chain.from_iterable(map(_FIRST, pairs) for pairs in inputs))
+    numbers = numbered(chain.from_iterable(map(_FIRST, inputs)))
     runs = []  # per input: its values sorted into key runs, and where the runs start
-    for pairs in inputs:
-        order = list(range(len(pairs)))
-        starts = key_runs(list(map(_FIRST, pairs)), numbers, order)
-        runs.append((list(map(_SECOND, map(pairs.__getitem__, order))), starts))
+    for keys, values in inputs:
+        order = list(range(len(values)))
+        starts = key_runs(keys, numbers, order)
+        runs.append((list(map(values.__getitem__, order)), starts))
     distinct = list(numbers)
     texts = list(map(repr, distinct))
     partitions: list[list] = [[] for _ in range(num_reducers)]
@@ -150,7 +157,7 @@ def run_reduce_phase(
             if emitted:
                 output.extend(emitted)
 
-    num_pairs = sum(map(len, inputs))
+    num_pairs = sum(len(values) for _, values in inputs)
     counters.increment(Counters.REDUCE_INPUT_RECORDS, num_pairs)
     if output:
         counters.increment(Counters.REDUCE_OUTPUT_RECORDS, len(output))

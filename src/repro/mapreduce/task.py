@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.cluster.costmodel import CostModel
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import Emitted, JobConf
+from repro.mapreduce.job import Emitted, JobConf, concatenated, key_value_columns
 from repro.mapreduce.split import InputSplit
 
 
@@ -18,7 +18,6 @@ class MapTaskResult(Emitted):
 
     task_id: int
     node_id: int
-    emitted: list
     record_reader_s: float
     map_function_s: float
     records_read: int
@@ -29,7 +28,6 @@ class MapTaskResult(Emitted):
     #: Adaptive index builds staged by this attempt (engine ``PendingIndexBuild`` objects);
     #: the scheduler commits them only for attempts that survive the job.
     adaptive_builds: list = field(default_factory=list)
-    keyed: bool = True
 
     @property
     def compute_seconds(self) -> float:
@@ -51,8 +49,9 @@ class MapTask:
         A jobconf with a ``map_batch`` (every job a system builds: plain scans and the scans
         under group-bys and joins) is mapped one call per block over ``reader.batches()``.
         Any other job — user code — runs ``mapper(key, value)`` per record of the reader's
-        per-record view.  Both leave the same output, in order, and the same reader state; a
-        ``null_keyed`` block form leaves it as bare rows (the result's ``keyed`` is False).
+        per-record view.  Both leave the same output, in order, and the same reader state: the
+        blocks' key and value columns end to end (no key column when every block's keys are
+        ``None``), or the mapper's pairs split into the two.
 
         ``counters`` is the attempt's private scratch bag (the scheduler merges it into the
         job's only if the attempt is accepted).  The task counts what it sees itself —
@@ -62,20 +61,19 @@ class MapTask:
         reader = self.jobconf.input_format.create_record_reader(
             self.split, hdfs, self.jobconf, cost, node_id
         )
-        output: list = []
         map_batch = self.jobconf.map_batch
-        keyed = map_batch is None or not self.jobconf.null_keyed
         if map_batch is not None:
-            for batch in reader.batches():
-                output.extend(map_batch(batch))
+            keys, values = concatenated(map(map_batch, reader.batches()))
         else:
             mapper = self.jobconf.mapper
+            pairs: list = []
             for key, value in reader:
-                pairs = mapper(key, value)
-                if pairs:
-                    output.extend(pairs)
+                emitted = mapper(key, value)
+                if emitted:
+                    pairs.extend(emitted)
+            keys, values = key_value_columns(pairs)
         counters.increment(Counters.MAP_INPUT_RECORDS, reader.records_emitted)
-        counters.increment(Counters.MAP_OUTPUT_RECORDS, len(output))
+        counters.increment(Counters.MAP_OUTPUT_RECORDS, len(values))
         counters.increment(Counters.BYTES_READ, reader.bytes_read)
         counters.increment(
             Counters.INDEX_SCANS if reader.used_index else Counters.FULL_SCANS
@@ -88,7 +86,8 @@ class MapTask:
         return MapTaskResult(
             task_id=self.task_id,
             node_id=node_id,
-            emitted=output,
+            keys=keys,
+            values=values,
             record_reader_s=reader.read_seconds,
             map_function_s=map_function_s,
             records_read=reader.records_emitted,
@@ -96,5 +95,4 @@ class MapTask:
             used_index=reader.used_index,
             block_plans=list(reader.block_plans),
             adaptive_builds=list(reader.adaptive_builds),
-            keyed=keyed,
         )

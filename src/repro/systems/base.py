@@ -9,7 +9,7 @@ A system owns a simulated HDFS deployment plus a MapReduce runner and offers:
   relational operator) as MapReduce jobs and return both the functional result records and
   the simulated timing decomposition.
 
-Subclasses only provide their upload pipeline, their scan job (input format plus the row
+Subclasses only provide their upload pipeline, their scan job (input format plus the batch
 functions :func:`scan_job` composes into its map function), and (for Hadoop++) the
 post-upload index-creation jobs.
 """
@@ -29,8 +29,9 @@ from repro.engine.planner import PhysicalPlanner, QueryPlan
 from repro.hail.annotation import HailQuery
 from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
+from repro.layouts.pax import ColumnBatch
 from repro.layouts.schema import Schema
-from repro.mapreduce.job import JobConf, JobResult, Lowering, unkeyed
+from repro.mapreduce.job import JobConf, JobResult, Lowering, paired
 from repro.mapreduce.runner import ConcurrentBatchError, MapReduceRunner
 
 
@@ -330,8 +331,9 @@ class BaseSystem(abc.ABC):
         return QueryResult(self.name, query.name, *lowering.finish(jobs, scans_s))
 
     def _scan_jobconf(self, query, path: str, emit=None, decorate=None) -> JobConf:
-        """The job of one lowered scan: this system's jobconf for it, its rows handed to
-        ``emit`` (passed on with the null key by default), decorated when asked."""
+        """The job of one lowered scan: this system's jobconf for it, each block's column batch
+        handed to ``emit`` (its rows passed on with the null key by default), decorated when
+        asked."""
         jobconf = self._make_jobconf(query, path, self.schema_of(path), emit)
         if decorate is not None:
             decorate(jobconf)
@@ -400,31 +402,45 @@ class BaseSystem(abc.ABC):
         return f"{self.__class__.__name__}(nodes={len(self.cluster)})"
 
 
-def scan_job(name: str, path: str, input_format, rows, row, emit=None) -> JobConf:
-    """A system's scan job: its map function composed from the scan's row functions and the
-    consumer's ``emit(rows) -> pairs``.
+def scan_job(name: str, path: str, input_format, columns, row, emit=None) -> JobConf:
+    """A system's scan job: its map function composed from the scan's batch functions and the
+    consumer's ``emit(batch) -> (keys, values)``.
 
-    ``rows(batch)`` is one block's qualifying rows, ``row(value)`` one record's (``None`` drops
-    the record, as a bad one is dropped).  ``map_batch`` is ``emit(rows(batch))`` and ``mapper``
-    its per-record twin, ``emit([row(value)])``: every ``emit`` maps row by row, so the two
-    leave the same pairs in the same order.  Without an ``emit`` the rows are passed on with
-    the null key: ``map_batch`` is ``rows`` itself (``null_keyed``, no pair is built) and
-    ``mapper`` pairs each row with :func:`~repro.mapreduce.job.unkeyed`.
+    ``columns(batch)`` is one block's qualifying rows as a
+    :class:`~repro.layouts.pax.ColumnBatch` (the projected columns in projection order, plus
+    a row count), ``row(value)`` one record's row (``None`` drops the record, as a bad one is
+    dropped).  ``map_batch`` is ``emit(columns(batch))`` and ``mapper`` its per-record twin,
+    ``emit`` of the one-row batch, paired: every ``emit`` maps row by row, so the two leave the
+    same pairs in the same order.  Without an ``emit`` the rows are passed on with the null
+    key: the batch's columns are zipped into rows, once, and no key column is kept
+    (:func:`_pass_on`).
     """
-    pair = emit or unkeyed
+    if emit is None:
+        emit = _pass_on
+
+        def map_batch(batch):
+            # ``_pass_on`` and ``ColumnBatch.rows`` inlined: a plain scan's block is one call.
+            found, size = columns(batch)
+            return None, list(zip(*found)) if found else [()] * size
+
+    else:
+
+        def map_batch(batch):
+            return emit(columns(batch))
 
     def mapper(_key, value):
         found = row(value)
-        return None if found is None else pair([found])
+        return None if found is None else paired(*emit(ColumnBatch.of_rows([found], len(found))))
 
     return JobConf(
-        name=name,
-        input_path=path,
-        mapper=mapper,
-        map_batch=rows if emit is None else (lambda batch: emit(rows(batch))),
-        null_keyed=emit is None,
-        input_format=input_format,
+        name=name, input_path=path, mapper=mapper, map_batch=map_batch, input_format=input_format
     )
+
+
+def _pass_on(batch: ColumnBatch) -> tuple[None, list]:
+    """A plain scan's ``emit``: the batch's rows, each with the null key (HAIL's
+    ``output(v, null)``, Section 4.1) — no key column."""
+    return None, batch.rows()
 
 
 def _partition(items: list, parts: int) -> list[list]:

@@ -201,5 +201,5 @@ def test_a_query_bound_to_another_schema_is_rebound(foreign_schema, query_index,
         assert (scan.rows, scan.projected, scan.positions) == (
             fresh.rows, fresh.projected, fresh.positions
         )
-        rows.extend(scan.projected)
+        rows.extend(scan.projected.rows())
     assert sorted(rows) == _brute_force(800, query.predicate, query.projection)

@@ -4,12 +4,15 @@ Three kinds of test, all about the one promise that a block handled whole gives 
 the same block handled record by record gave:
 
 - **call-count guards** — the work really is per block (no ``HailRecord`` per row, one numpy
-  kernel call per zone-pruned block, no per-line text mapper on a well-formed block);
+  kernel call per zone-pruned block, no per-line text mapper on a well-formed block), and an
+  operator's blocks stay columns from scan to shuffle (no row zipped for a group-by, no
+  ``(key, value)`` pair read off a map output, the right rests ranked once per join);
 - **differential, piece by piece** — ``ZoneMap.pruned_rows`` against the per-partition loop
   it replaced (kept verbatim below; its windows are the rows the flags keep),
   ``kernels.filter_ranges`` over the flags against the concatenation of per-window
-  ``filter_range`` calls, ``PaxBlock.project`` and the group-by regroup against their
-  row-at-a-time forms, under both kernel backends;
+  ``filter_range`` calls, ``PaxBlock.batch`` and the group-by regroup against their
+  row-at-a-time forms, under both kernel backends, and the column-taking combine and reduce
+  against a pair-based reference;
 - **differential, end to end** — the same jobs on two identical deployments, one running the
   systems' ``map_batch`` and one with it cleared (the public per-record ``mapper`` contract),
   must agree on output *order*, counter bags, every ``MapTaskResult`` field (so the join's
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.baselines.hadoop as hadoop_module
+import repro.engine.operators.join as join_module
 import repro.hail.record_reader as hail_reader_module
 import repro.layouts.pax as pax_module
 import repro.mapreduce.job as job_module
@@ -37,20 +41,26 @@ from repro.datagen import SYNTHETIC_SCHEMA, SyntheticGenerator
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.engine import kernels
 from repro.engine.access_path import AccessPath
+from repro.engine.executor import VectorizedExecutor
 from repro.engine.operators.aggregate import (
     AggregateSpec,
     GroupByQuery,
     _initial_partial,
     _make_regroup,
 )
+from repro.engine.planner import BoundQuery
 from repro.hail import HailConfig
+from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.predicate import Operator, Predicate
-from repro.layouts.pax import PaxBlock
+from repro.layouts.pax import ColumnBatch, PaxBlock
 from repro.layouts.schema import FieldType, Schema
 from repro.layouts.zonemap import ZoneMap, ranges_disjoint
 from repro.mapreduce import JobConf, TextInputFormat
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import Emitted, concatenated, paired
 from repro.mapreduce.record_reader import TextRecordReader
+from repro.mapreduce.shuffle import combine_map_output, run_reduce_phase
 from repro.mapreduce.task import MapTask
 
 _BACKENDS = ["python"] + (["numpy"] if kernels.HAVE_NUMPY else [])
@@ -208,17 +218,66 @@ def test_malformed_lines_drop_exactly_the_rows_the_per_record_mapper_drops():
         .to_query()
     )
     jobconf = session.system("Hadoop")._scan_jobconf(query, _PATH)
-    assert jobconf.null_keyed  # the block form hands on bare rows, the mapper their pairs
+    keys, _ = jobconf.map_batch(_text_scan(_lines()[:80]))
+    assert keys is None  # the block form hands on no key column, the mapper pairs
     dropped = 0
     for lines in ([line] for line in _lines()[:80]):
         scan = _text_scan(lines)
         want = [pair for line in lines for pair in jobconf.mapper(0, line) or ()]
-        assert [(None, row) for row in jobconf.map_batch(scan)] == want, lines
+        assert [(None, row) for row in jobconf.map_batch(scan)[1]] == want, lines
         dropped += not want
     assert dropped
     # The line with garbage in a column the query never reads is *kept* by both forms.
     unread = next(line for line in _lines() if line.endswith("|zz"))
-    assert jobconf.map_batch(_text_scan([unread])) == [(1, 1, 1)]
+    assert jobconf.map_batch(_text_scan([unread])) == (None, [(1, 1, 1)])
+
+
+def test_a_zone_map_skipped_block_hands_on_one_empty_column_per_projected_attribute():
+    session = _deploy(systems=("HAIL",), adaptive=False)
+    system = session.system("HAIL")
+    query = session.dataset(_PATH).where(col("f2") < 0).select("f6", "f1", "f3").to_query()
+    annotation = HailQuery(filter=query.predicate, projection=query.projection)
+    bound = BoundQuery.bind(annotation, system.schema_of(_PATH))
+    planner = system._planner()
+    skipped = 0
+    for block_id in system.hdfs.namenode.file_blocks(_PATH):
+        plan = planner.plan_block(block_id, annotation=bound)
+        executor = VectorizedExecutor(system.hdfs, system.cost, plan.datanode_id, zone_maps=True)
+        result = executor.execute(plan, bound)
+        assert result.projected == ColumnBatch(([(), (), ()], 0)) and result.projected.rows() == []
+        skipped += result.zone_map_skipped
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("system", ["HAIL", "Hadoop++", "Hadoop"])
+def test_skipped_blocks_and_key_only_rests_agree_with_the_per_record_map(system):
+    """The column batch's two edges end to end.  A zone-map-skipped block hands on its empty
+    columns, so a group-by and a join over partly skipped files regroup and key it like any
+    other block; a right side that projects only the join key has rests of no column, ``()``
+    per row — both exactly as the per-record map has them."""
+    batch = _deploy(systems=(system,), adaptive=False)
+    reference = _per_record(_deploy(systems=(system,), adaptive=False))
+
+    def queries(session):
+        data = session.dataset(_PATH)
+        sparse = data.where(col("f1") < VALUE_RANGE // 50)
+        left, key_only = sparse.select("f2", "f1"), data.select("f2")
+        return [
+            sparse.group_by("f6").agg("count(*)", "sum(f3)"),
+            left.join(key_only, on="f2"),
+            left.join(key_only, on="f2", strategy="hash"),
+        ]
+
+    for dataset, ref_dataset in zip(queries(batch), queries(reference)):
+        got, want = dataset.collect(system=system), ref_dataset.collect(system=system)
+        assert got.records and got.records == want.records
+        assert got.job.output == want.job.output
+        assert dict(got.job.counters) == dict(want.job.counters)
+        tasks = zip(got.job.task_results, want.job.task_results)
+        assert all(task.result.output == ref.result.output for task, ref in tasks)
+    assert all(len(row) == 2 for row in got.records)  # (key, left f1): the rests are ()
+    if system == "HAIL":
+        assert batch.stats("HAIL").zone_map_skipped_blocks > 0
 
 
 def _text_scan(lines):
@@ -264,21 +323,21 @@ def test_a_hail_collect_builds_no_hail_record_and_never_calls_the_per_record_map
 def test_only_a_plain_scan_pairs_its_rows_with_the_null_key(monkeypatch):
     """No ``(None, row)`` pair is built until ``.output`` is read.
 
-    A plain scan's map tasks hand their rows on bare and its job keeps them bare: ``unkeyed``
-    (the one builder of such pairs) runs 0 times on the query path, as it does under a
-    group-by (its rows go to the regroup) and a join (to the keying; the finish step passes
-    the joined rows as they are).  Reading ``.output`` builds the pairs a keyed result would
-    hold — ``[(None, row) for row in records]`` — task by task and for the job.
+    A plain scan's map tasks hand their rows on with no key column and its job keeps none:
+    ``paired`` (the one builder of such pairs) runs 0 times on the query path, as it does
+    under a group-by (its batches go to the regroup) and a join (to the keying; the finish
+    step passes the joined rows as they are).  Reading ``.output`` builds the pairs a keyed
+    result would hold — ``[(None, row) for row in records]`` — task by task and for the job.
     """
-    helper, calls = job_module.unkeyed, []
+    helper, calls = job_module.paired, []
 
-    def counting(rows):
+    def counting(keys, values):
         calls.append(1)
-        return helper(rows)
+        return helper(keys, values)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("repro") and getattr(module, "unkeyed", None) is helper:
-            monkeypatch.setattr(module, "unkeyed", counting)
+        if module.__name__.startswith("repro") and getattr(module, "paired", None) is helper:
+            monkeypatch.setattr(module, "paired", counting)
     session = _deploy(systems=("HAIL",), adaptive=False)
     data = session.dataset(_PATH)
     scan = data.where(col("f1") < VALUE_RANGE // 2).select("f1", "f6").collect()
@@ -286,12 +345,93 @@ def test_only_a_plain_scan_pairs_its_rows_with_the_null_key(monkeypatch):
     joined = data.select("f2", "f1").join(data.select("f3", "f2"), on="f2").collect()
     assert scan.records and joined.records and calls == []
     tasks = [attempt.result for attempt in scan.job.task_results]
-    assert len(tasks) > 1 and not any(task.keyed for task in tasks)
+    assert len(tasks) > 1 and all(task.keys is None for task in tasks)
     for task in tasks:
-        assert task.output == [(None, row) for row in task.emitted]
+        assert task.output == [(None, row) for row in task.values]
     assert scan.job.output == [(None, row) for row in scan.records]
     assert joined.job.output == [(None, row) for row in joined.records]
     assert len(calls) == len(tasks) + 2  # one build per read
+
+
+def _operator_queries(data):
+    """A group-by with and without combiner, a merge join and a hash join over ``data``."""
+    grouped = data.where(col("f1") < VALUE_RANGE // 2).group_by("f6").agg("count(*)", "avg(f5)")
+    left = data.where(col("f1") < VALUE_RANGE // 4).select("f2", "f1")
+    right = data.where(col("f1") < VALUE_RANGE // 2).select("f3", "f2")
+    return {
+        "group-by": grouped,
+        "group-by, no combiner": grouped.with_combiner(False),
+        "merge join": left.join(right, on="f2"),
+        "hash join": left.join(right, on="f2", strategy="hash"),
+    }
+
+
+@pytest.mark.parametrize("system", ["HAIL", "Hadoop++", "Hadoop"])
+def test_an_operator_reads_no_pair_off_a_map_output_and_zips_no_row_for_a_group_by(
+    monkeypatch, system
+):
+    """Columns from scan to shuffle: the runner, the combiner, the shuffle and the join's
+    finish take key and value columns, so ``Emitted.output`` is read 0 times on the query path
+    (32 times per group-by and 42 per join on the ``operators`` shape when map tasks emitted
+    pairs); and a group-by's regroup reads its columns straight from the batch, so no batch is
+    zipped into rows (one ``PaxBlock.project`` per block when scans handed on rows)."""
+    session = _deploy(systems=(system,), adaptive=False)
+    reads = _Calls(job_module.Emitted.output.fget)
+    zips = _Calls(ColumnBatch.rows)
+    monkeypatch.setattr(job_module.Emitted, "output", property(reads))
+    monkeypatch.setattr(ColumnBatch, "rows", lambda batch: zips(batch))
+    for label, dataset in _operator_queries(session.dataset(_PATH)).items():
+        zips.count = 0
+        result = dataset.collect(system=system)
+        assert result.records, label
+        assert reads.count == 0, label
+        if label.startswith("group-by"):
+            assert zips.count == 0, label
+        else:  # each block of a join's two scans zips its left rows or right rests once
+            tasks = [attempt.result for attempt in result.job.task_results]
+            assert zips.count == sum(len(task.block_plans) for task in tasks) > 0, label
+    assert result.job.output == [(None, row) for row in result.records] and reads.count == 1
+
+
+@pytest.mark.parametrize("system", ["HAIL", "Hadoop"])
+def test_a_join_ranks_its_right_rests_once_whatever_the_strategy(monkeypatch, system):
+    """One sort of the right rests by ``repr`` per join and one of the left rows: a hash join
+    sorted each key group's rests (863 sorts per ``join-hash`` on the ``operators`` shape)."""
+    session = _deploy(systems=(system,), adaptive=False)
+    queries = _operator_queries(session.dataset(_PATH))
+    sorts = _Calls(sorted)
+    monkeypatch.setattr(join_module, "sorted", sorts, raising=False)
+    for label in ("merge join", "hash join"):
+        if system == "Hadoop" and label == "merge join":
+            continue  # no index, so no merge strategy
+        sorts.count = 0
+        result = queries[label].collect(system=system)
+        strategy = label.split()[0].upper()
+        assert result.job.counters.value(f"JOIN_{strategy}_JOINS") == 1, label
+        assert len(set(row[0] for row in result.records)) > 10, label  # many key groups
+        assert sorts.count == 2, label
+
+
+@pytest.mark.parametrize("per_record", [False, True], ids=["batched", "per-record"])
+def test_a_text_top_k_answers_with_a_job_of_its_own(per_record):
+    """Stock Hadoop ranks a full scan's rows in the finish step: the answer's job is a copy of
+    the scan's holding the answer, and the scan's job is left as it ran."""
+    session = _deploy(systems=("Hadoop",), adaptive=False)
+    if per_record:
+        _per_record(session)
+    system = session.system("Hadoop")
+    scans = []
+
+    def run_job(jobconf, failure=None, run=system.run_job):
+        scans.append(run(jobconf, failure))
+        return scans[-1]
+
+    system.run_job = run_job
+    result = session.dataset(_PATH).order_by("f1").limit(5).collect()
+    assert result.job.output == [(None, r) for r in result.records]
+    (scan,) = scans
+    assert scan is not result.job and len(scan.values) > len(result.records) == 5
+    assert scan.output == [(None, row) for row in scan.records]
 
 
 def test_a_join_or_top_k_answer_owns_its_records():
@@ -563,14 +703,14 @@ def test_a_matching_row_in_a_gap_is_never_reported(backend, monkeypatch):
     ),
     data=st.data(),
 )
-def test_project_equals_row_at_a_time_reconstruction(records, data):
+def test_batch_equals_row_at_a_time_reconstruction(records, data):
     pax = PaxBlock.from_records(_KERNEL_SCHEMA, records)
     row_ids = st.integers(0, max(0, len(records) - 1))
     rows = data.draw(st.lists(row_ids, max_size=25 if records else 0))
     indexes = data.draw(st.lists(st.integers(0, 2), max_size=4))
     want = [tuple(pax.columns[i][row] for i in indexes) for row in rows]
-    assert pax.project(rows, indexes) == want
-    assert pax.project(iter(rows), indexes) == want  # any iterable, as before
+    assert pax.batch(rows, indexes).rows() == want
+    assert pax.batch(iter(rows), indexes).rows() == want  # any iterable, as before
 
 
 #: ``itemgetter`` returns a bare value for one index and raises for none: the gather's edges.
@@ -582,12 +722,15 @@ _EDGE_RECORDS = [(3, 0.5, "c"), (1, -0.0, "a"), (2, 1.5, "b")]
     ids=["none", "one", "two", "two-unsorted", "duplicate", "duplicate-unsorted", "mixed"],
 )
 @pytest.mark.parametrize("indexes", [[0], [2, 0], [1, 1, 2]])
-def test_project_gathers_zero_one_two_duplicate_and_unsorted_rows(rows, indexes):
+def test_batch_gathers_zero_one_two_duplicate_and_unsorted_rows(rows, indexes):
     pax = PaxBlock.from_records(_KERNEL_SCHEMA, _EDGE_RECORDS)
     want = [tuple(_EDGE_RECORDS[row][i] for i in indexes) for row in rows]
-    assert pax.project(rows, indexes) == want
-    assert pax.project(iter(rows), indexes) == want
-    assert pax.project(rows, []) == [()] * len(rows)
+    assert pax.batch(rows, indexes).rows() == want
+    assert pax.batch(iter(rows), indexes).rows() == want
+    assert pax.batch(rows, []).rows() == [()] * len(rows)
+    # One column per index, each a tuple, however many rows: empty ones for none.
+    columns = [tuple(pax.columns[i][row] for row in rows) for i in indexes]
+    assert pax.batch(rows, indexes) == ColumnBatch((columns, len(rows)))
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 3])
@@ -630,7 +773,88 @@ def test_group_by_regroup_equals_the_per_row_loop(rows, keys, specs):
         )
         for row in rows
     ]
-    assert _make_regroup(query, projection)(rows) == want
+    assert paired(*_make_regroup(query, projection)(ColumnBatch.of_rows(rows, 3))) == want
+
+
+# --------------------------------------------------------------------------- combine and reduce
+_NAN, _OTHER_NAN = float("nan"), float("nan")
+#: Keys that are equal but print differently (``0.0``/``-0.0``, ``1``/``1.0``/``True``), print
+#: alike but are not equal (two NaN objects), or equal only themselves (one NaN object drawn
+#: twice), and ``None``: the first of equal keys names the group, groups go in ``repr`` order.
+_SHUFFLE_KEYS = st.sampled_from([_NAN, _OTHER_NAN, 0.0, -0.0, None, 1, 1.0, True, 2, "b"])
+
+
+def _reference_groups(pairs: list[tuple]) -> dict:
+    """``{key: values}`` in first-seen order, a key that several objects equal the first."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
+def _reference_combine(pairs: list[tuple], combiner) -> list[tuple]:
+    """A map task's pairs grouped per key, the groups fed to ``combiner`` in ``repr`` order."""
+    groups = _reference_groups(pairs)
+    return [pair for key in sorted(groups, key=repr) for pair in combiner(key, groups[key])]
+
+
+def _reference_reduce(pairs: list[tuple], reducer, num_reducers: int) -> list[tuple]:
+    """The pairs grouped per key, partitioned by hash, each partition's keys in ``repr`` order."""
+    groups = _reference_groups(pairs)
+    partitions: list[list] = [[] for _ in range(num_reducers)]
+    for key in groups:
+        partitions[hash(key) % num_reducers].append(key)
+    return [
+        pair
+        for partition in partitions
+        for key in sorted(partition, key=repr)
+        for pair in reducer(key, groups[key])
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tasks=st.lists(
+        st.lists(st.tuples(_SHUFFLE_KEYS, st.integers(-9, 9)), max_size=12), max_size=4
+    ),
+    num_reducers=st.integers(1, 4),
+    combine=st.booleans(),
+)
+def test_column_combine_and_reduce_equal_the_pair_based_reference(tasks, num_reducers, combine):
+    def combiner(key, values):
+        return [(key, sum(values))]
+
+    def reducer(key, values):
+        return [(key, (len(values), sum(values)))]
+
+    conf = JobConf(
+        name="columns",
+        input_path="/none",
+        reducer=reducer,
+        combiner=combiner if combine else None,
+        num_reduce_tasks=num_reducers,
+    )
+    cluster = Cluster.homogeneous(4, seed=1)
+    cost = CostModel(CostParameters(enable_variance=False))
+    parts, combined = [], []
+    for pairs in tasks:
+        keys = [key for key, _ in pairs]
+        # A task whose keys are all None hands on no key column, as a plain scan's does.
+        if all(key is None for key in keys):
+            keys = None
+        part = combine_map_output(keys, [v for _, v in pairs], conf, cost, Counters())
+        assert list(map(repr, paired(*part))) == list(
+            map(repr, _reference_combine(pairs, combiner) if combine else pairs)
+        )
+        parts.append(part)
+        combined += paired(*part)
+    phase = run_reduce_phase(Emitted(*concatenated(parts)), conf, cluster, cost, Counters())
+    want = _reference_reduce(combined, reducer, num_reducers)
+    assert list(map(repr, phase.output)) == list(map(repr, want))
+    # The same map output as pairs, the form hand-written jobs give, reduces the same.
+    assert list(map(repr, run_reduce_phase(combined, conf, cluster, cost, Counters()).output)) == (
+        list(map(repr, want))
+    )
 
 
 # --------------------------------------------------------------------------- text offsets

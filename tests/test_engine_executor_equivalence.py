@@ -98,7 +98,7 @@ def test_planned_scan_equals_brute_force_full_scan(
     else:
         lookup = block.whole_block_lookup()
     rows = filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row)
-    projected = block.pax.project(rows, _indexes(projection))
+    projected = block.pax.batch(rows, _indexes(projection)).rows()
 
     expected_rows, expected_projected = _brute_force(block, predicate, projection)
     assert list(rows) == expected_rows  # an unfiltered block is a range
@@ -121,7 +121,7 @@ def test_empty_block_yields_no_rows():
     lookup, used_index = block.candidate_rows(_sort_clause(block, predicate))
     assert used_index
     assert filter_range(block.pax, predicate, block.schema, lookup.start_row, lookup.end_row) == []
-    assert block.pax.project([], _indexes(None)) == []
+    assert block.pax.batch([], _indexes(None)).rows() == []
 
 
 def test_empty_candidate_range_short_circuits():

@@ -361,7 +361,7 @@ def test_projection_and_columns_to_read(uservisits_block):
     rows = kernels.filter_range(
         uservisits_block.pax, predicate, USERVISITS_SCHEMA, lookup.start_row, lookup.end_row
     )
-    projected = uservisits_block.pax.project(rows, [USERVISITS_SCHEMA.index_of("sourceIP")])
+    projected = uservisits_block.pax.batch(rows, [USERVISITS_SCHEMA.index_of("sourceIP")]).rows()
     assert projected and all(len(p) == 1 for p in projected)
     columns = _columns_to_read(uservisits_block, predicate, ["sourceIP"])
     assert columns == ["visitDate", "sourceIP"]

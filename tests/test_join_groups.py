@@ -9,7 +9,7 @@ shuffle it shares with every reducing job (``mapreduce/shuffle.py``):
   ``sorted(key=repr)`` it replaced (kept below as the reference), compared as lists of
   ``repr`` so that ``-0.0`` cannot pass for ``0.0``;
 - **call-shape guards** — ``repr`` is called per *input* row and key, never per joined row;
-  the hash strategy hands both scan jobs' output lists, as they are, to one
+  the hash strategy hands both scan jobs, as they are (their key and value columns), to one
   ``run_reduce_phase`` whose reducer sees each key group once and no tagged value;
 - **pins** — a reduce phase over one input returns what it returned before it could take
   several (literals captured at 984c188, before ``src/`` was edited).
@@ -225,7 +225,7 @@ def test_the_hash_join_hands_both_scan_outputs_as_they_are_to_one_cogrouping_shu
     (args,) = phases  # exactly one shuffle
     left_job, right_job = scan_jobs
     for job in (left_job, right_job):
-        assert any(arg is job.output for arg in args), "a scan's output list, by identity"
+        assert any(arg is job for arg in args), "a scan's job, its two columns as they are"
     assert sorted(key for key, _ in groups) == list(range(_KEYS))  # once per distinct key
     shuffled = [value for _, values in groups for side in values for value in side]
     assert len(shuffled) == _LEFT_ROWS + _RIGHT_ROWS
@@ -270,7 +270,7 @@ def test_a_group_by_reduce_phase_returns_what_it_did_before_it_could_cogroup(
 
     def reduce_phase(map_output, jobconf, cluster, cost, counters):
         phase = run_reduce_phase(map_output, jobconf, cluster, cost, counters)
-        phases.append((len(map_output), phase))
+        phases.append((len(map_output.values), phase))
         return phase
 
     monkeypatch.setattr(runner_module, "run_reduce_phase", reduce_phase)
@@ -278,7 +278,7 @@ def test_a_group_by_reduce_phase_returns_what_it_did_before_it_could_cogroup(
     ((pairs, phase),) = phases
     assert (pairs, repr(phase.duration_s)) == _GROUP_PHASES[combiner]
     assert phase.output == _GROUPS and phase.num_reduce_tasks == 4
-    assert result.job.output is phase.output
+    assert result.job.output == phase.output
     assert result.job.counters.value(Counters.REDUCE_INPUT_RECORDS) == pairs
     assert result.job.counters.value(Counters.REDUCE_OUTPUT_RECORDS) == len(_GROUPS)
 

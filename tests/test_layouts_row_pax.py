@@ -40,7 +40,7 @@ def test_pax_from_records_and_reconstruct(simple_schema, simple_records):
 
 def test_pax_projection(simple_schema, simple_records):
     block = PaxBlock.from_records(simple_schema, simple_records)
-    projected = block.project([0, 2, 4], [2, 0])
+    projected = block.batch([0, 2, 4], [2, 0]).rows()
     assert projected == [(simple_records[i][2], simple_records[i][0]) for i in (0, 2, 4)]
 
 

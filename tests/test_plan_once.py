@@ -81,7 +81,7 @@ def _read_splits(system, jobconf, splits, monkeypatch) -> tuple[list, list]:
             split, system.hdfs, jobconf, system.cost, node_id
         )
         for batch in reader.batches():
-            rows.extend(batch.projected)
+            rows.extend(batch.projected.rows())
     monkeypatch.setattr(VectorizedExecutor, "execute", execute)
     return executed, sorted(rows)
 

@@ -46,7 +46,8 @@ def test_query_result_accessors():
 
     job = JobResult(
         job_name="j",
-        emitted=[(None, (2,)), (None, (1,))],
+        keys=None,
+        values=[(2,), (1,)],
         runtime_s=12.0,
         ideal_time_s=2.0,
         num_map_tasks=4,

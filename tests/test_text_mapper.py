@@ -8,8 +8,8 @@ test hold it to that:
   first clause's column are exactly the qualifying rows (``str`` is shadowed inside the
   parser's module, as ``tests/test_zone_columns.py`` shadows ``min``/``max``);
 - a **differential property** — on generated blocks of well-formed, wrong-arity and
-  malformed lines, the block form returns exactly the rows (values and order) the per-line
-  reference ``make_line_parser`` keeps.
+  malformed lines, the block form's column batch holds exactly the rows (values and order) the
+  per-line reference ``make_line_parser`` keeps.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def test_only_qualifying_lines_are_arity_checked_and_split_past_the_filter_colum
 
     monkeypatch.setattr(hadoop_module, "str", _RecordingStr, raising=False)
     monkeypatch.setattr(_RecordingStr, "log", [])
-    assert block(SimpleNamespace(lines=tuple(map(_RecordingStr, lines)))) == expected
+    assert block(SimpleNamespace(lines=tuple(map(_RecordingStr, lines)))).rows() == expected
 
     counted = [entry[1] for entry in _RecordingStr.log if entry[0] == "count"]
     splits = [entry[1:] for entry in _RecordingStr.log if entry[0] == "split"]
@@ -173,4 +173,4 @@ def test_the_block_parser_keeps_exactly_the_rows_the_line_parser_keeps(data, sch
     query = data.draw(_query(schema))
     lines = data.draw(_block(schema))
     block, parse_line = _parsers(query, schema)
-    assert block(SimpleNamespace(lines=tuple(lines))) == _reference(parse_line, lines)
+    assert block(SimpleNamespace(lines=tuple(lines))).rows() == _reference(parse_line, lines)
