@@ -11,24 +11,24 @@ value column — the left rows, the right rests — read from its column batches
 shuffle (:func:`repro.mapreduce.shuffle.run_reduce_phase`), which groups them, pays the network
 cost the merge join avoids and calls the collector once per key group; the merge strategy hands
 the collector both sides' columns at once.  Either way the right rests are ranked once per
-join, and the strategies differ only in that cost accounting.  The chosen strategy is visible in ``explain()`` and in the
-``JOIN_MERGE_JOINS``/``JOIN_HASH_JOINS`` counters; the collector's one global emission gives
-both bit-identical output rows ``(key, *left non-key columns, *right non-key columns)`` in
-canonical order — an order it builds from sorted inputs instead of sorting the output.
+join, and the strategies differ only in that cost accounting.  The chosen strategy is visible
+in ``explain()`` and in the ``JOIN_MERGE_JOINS``/``JOIN_HASH_JOINS`` counters; the
+collector's one global emission gives both bit-identical output rows ``(key, *left non-key
+columns, *right non-key columns)`` in canonical order — an order it builds from sorted inputs
+instead of sorting the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, repeat
-from operator import sub
+from itertools import compress, groupby, repeat
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
 from repro.hail.predicate import Query, _clause_sql
 from repro.layouts.pax import ColumnBatch
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, JobResult, Lowering, key_value_columns
+from repro.mapreduce.job import JobConf, JobResult, Lowering, key_column, key_value_columns
 from repro.mapreduce.shuffle import key_runs, numbered, run_reduce_phase
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
@@ -237,9 +237,9 @@ class _JoinedGroups:
     right rests of its key — one tuple per key, sorted by ``repr`` and shared by that key's
     left rows.  A merge join hands it both sides' key and value columns at once
     (:meth:`extend`).  A hash join calls it like a reducer over each shuffled group, ``(key,
-    left rows, right rests)``: the calls only gather the groups into flat lists, and
-    :meth:`rank_groups` ranks them — so either way the right rests are ranked by one sort per
-    join, not one per key.
+    left rows, right rests)``: the calls only gather the groups into flat columns, numbered by
+    group, which :meth:`count` and :meth:`rows` first collect with one :meth:`extend` — so
+    either way the right rests are ranked by one sort per join, not one per key.
 
     :meth:`rows` is exactly ``sorted(all joined rows, key=repr)``, for one ``repr`` per input
     row instead of one per output row and no sort of the output, because a joined row prints
@@ -255,32 +255,30 @@ class _JoinedGroups:
         self.lefts: list[tuple] = []
         #: Per left row, its key's right rests sorted by ``repr`` (one tuple per key).
         self.rests: list[tuple] = []
-        #: The key groups called in and not yet ranked, flat: their left rows, each group's
-        #: number of left rows, their right rests and where each group's rests end.
+        #: The key groups called in and not yet collected, as :meth:`extend`'s four columns:
+        #: each group's number beside its left rows, and beside its right rests.
         self._called: tuple[list, list, list, list] = ([], [], [], [])
+        #: The number the next called group gets.
+        self._groups = 0
 
     def __call__(self, _key, lefts: list[tuple], rights: list[tuple]) -> None:
-        """Gather one key group; emit nothing (the hash join counts :attr:`count` itself)."""
+        """Gather one key group under its own number; emit nothing (the hash join counts
+        :attr:`count` itself)."""
         if lefts and rights:
-            left_rows, left_counts, right_rests, ends = self._called
+            left_keys, left_rows, right_keys, right_rests = self._called
+            group = self._groups
+            self._groups += 1
+            left_keys += repeat(group, len(lefts))
             left_rows += lefts
-            left_counts.append(len(lefts))
+            right_keys += repeat(group, len(rights))
             right_rests += rights
-            ends.append(len(right_rests))
 
-    def rank_groups(self) -> None:
-        """Collect the groups gathered by calls, each group's right rests ranked by ``repr``
-        with one sort over all of them (then stably by group), not one sort per group."""
-        (left_rows, left_counts, rests, ends), self._called = self._called, ([], [], [], [])
-        starts = [0, *ends[:-1]]
-        texts = list(map(repr, rests))
-        groups = list(chain.from_iterable(map(repeat, range(len(ends)), map(sub, ends, starts))))
-        order = sorted(range(len(rests)), key=texts.__getitem__)
-        order.sort(key=groups.__getitem__)
-        ranked = tuple(map(rests.__getitem__, order))
-        shared = map(ranked.__getitem__, map(slice, starts, ends))
-        self.lefts += left_rows
-        self.rests += chain.from_iterable(map(repeat, shared, left_counts))
+    def _collect_called(self) -> None:
+        """Collect the groups gathered by calls with one :meth:`extend`, so that their right
+        rests are ranked by one sort, not one per group."""
+        if self._called[0]:
+            called, self._called = self._called, ([], [], [], [])
+            self.extend(*called)
 
     def extend(self, left_keys, lefts: list[tuple], right_keys, rests: list[tuple]) -> None:
         """Collect both sides' columns: join keys beside left rows, join keys beside right rests."""
@@ -297,10 +295,12 @@ class _JoinedGroups:
     @property
     def count(self) -> int:
         """How many joined rows :meth:`rows` will emit."""
+        self._collect_called()
         return sum(map(len, self.rests))
 
     def rows(self) -> list[tuple]:
         """Every joined row so far, in canonical order."""
+        self._collect_called()
         lefts, rests = self.lefts, self.rests
         texts = list(map(repr, lefts))
         order = sorted(range(len(texts)), key=texts.__getitem__)
@@ -317,6 +317,8 @@ def _merge_join(system: "BaseSystem", left, right, joined: _JoinedGroups) -> flo
     split once) straight into ``joined``, charged as a CPU-only merge."""
     left_keys, lefts = key_value_columns(left)
     right_keys, rests = key_value_columns(right)
+    # A side with no block has no key column: its job's keys are ``None``, as if null-keyed.
+    left_keys, right_keys = key_column(left_keys, len(lefts)), key_column(right_keys, len(rests))
     joined.extend(left_keys, lefts, right_keys, rests)
     nodes = system.cluster.alive_nodes
     if not nodes:
@@ -335,8 +337,8 @@ def _hash_join(
     joined: _JoinedGroups,
 ) -> float:
     """Shuffle hash join: both sides' columns go through the real shuffle, which calls
-    ``joined`` as the reducer of every key group; ``joined`` then ranks the groups' right rests
-    once, and the joined rows are booked as the reduce output."""
+    ``joined`` as the reducer of every key group; the joined rows are booked as the reduce
+    output."""
     shuffle_conf = JobConf(
         name=f"{query.name}-shuffle",
         input_path=query.left_path,
@@ -344,7 +346,6 @@ def _hash_join(
         num_reduce_tasks=max(1, len(system.cluster.alive_nodes)),
     )
     phase = run_reduce_phase(left, shuffle_conf, system.cluster, system.cost, counters, right)
-    joined.rank_groups()
     joined_rows = joined.count
     if joined_rows:
         counters.increment(Counters.REDUCE_OUTPUT_RECORDS, joined_rows)

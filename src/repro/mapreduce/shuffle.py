@@ -49,10 +49,10 @@ def combine_map_output(
 
     Mirrors Hadoop's combiner contract: the values of a *single* map task are grouped by key
     (sorted by ``repr`` for determinism, like the reduce side) and fed through
-    ``jobconf.combiner``, whose output replaces them in the shuffle.  Because the combiner must be associative and
-    commutative, the downstream reducer observes fewer pairs but the same final answer; the
-    eliminated pairs' shuffle bytes are credited to ``SHUFFLE_BYTES_SAVED`` and the reduce
-    phase is charged on the combined pair count.  Returns the ``(keys, values)`` columns as
+    ``jobconf.combiner``, whose output replaces them in the shuffle.  Because the combiner
+    must be associative and commutative, the downstream reducer observes fewer pairs but the
+    same final answer; the eliminated pairs' shuffle bytes are credited to
+    ``SHUFFLE_BYTES_SAVED`` and the reduce phase is charged on the combined pair count.  Returns the ``(keys, values)`` columns as
     they are when the job has no combiner or the task produced no output.
     """
     combiner = jobconf.combiner

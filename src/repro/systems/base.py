@@ -419,9 +419,7 @@ def scan_job(name: str, path: str, input_format, columns, row, emit=None) -> Job
         emit = _pass_on
 
         def map_batch(batch):
-            # ``_pass_on`` and ``ColumnBatch.rows`` inlined: a plain scan's block is one call.
-            found, size = columns(batch)
-            return None, list(zip(*found)) if found else [()] * size
+            return None, columns(batch).rows()  # ``_pass_on``'s body: one call fewer a block
 
     else:
 

@@ -280,6 +280,24 @@ def test_skipped_blocks_and_key_only_rests_agree_with_the_per_record_map(system)
         assert batch.stats("HAIL").zone_map_skipped_blocks > 0
 
 
+@pytest.mark.parametrize("system", ["HAIL", "Hadoop"])
+def test_a_join_with_an_empty_upload_answers_no_rows_by_either_strategy(system):
+    """An upload of no rows is a file of no blocks: its scan runs no map task, so its job has
+    no key column.  Both sides empty are co-partitioned (vacuously) on any system; HAIL merges
+    a populated side indexed on the key with an empty one too."""
+    session = _deploy(systems=(system,), adaptive=False)
+    data = session.dataset(_PATH)
+    empty = session.upload("/batches/empty", [], SYNTHETIC_SCHEMA, rows_per_block=40)
+    sides = [(empty, empty), (data, empty), (empty, data)]
+    for (left, right), strategy in itertools.product(sides, (None, "hash")):
+        join = left.select("f2", "f1").join(right.select("f3", "f2"), on="f2", strategy=strategy)
+        result = join.collect(system=system)
+        assert result.records == [] and result.job.output == []
+        merged = result.job.counters.value(Counters.JOIN_MERGE_JOINS)
+        both_empty = left is right
+        assert merged == (strategy is None and (both_empty or system == "HAIL"))
+
+
 def _text_scan(lines):
     from repro.engine.executor import TextScanResult
 

@@ -279,6 +279,11 @@ def test_a_group_by_reduce_phase_returns_what_it_did_before_it_could_cogroup(
     assert (pairs, repr(phase.duration_s)) == _GROUP_PHASES[combiner]
     assert phase.output == _GROUPS and phase.num_reduce_tasks == 4
     assert result.job.output == phase.output
+    # The runner passes the reducer's output on as its key and value columns: the very objects.
+    job = result.job
+    assert len(job.keys) == len(job.values) == len(phase.output)
+    columns = zip(job.keys, job.values, phase.output)
+    assert all(k is key and v is value for k, v, (key, value) in columns)
     assert result.job.counters.value(Counters.REDUCE_INPUT_RECORDS) == pairs
     assert result.job.counters.value(Counters.REDUCE_OUTPUT_RECORDS) == len(_GROUPS)
 
