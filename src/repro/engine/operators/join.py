@@ -21,7 +21,7 @@ instead of sorting the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
@@ -237,9 +237,9 @@ class _JoinedGroups:
     right rests of its key — one tuple per key, sorted by ``repr`` and shared by that key's
     left rows.  A merge join hands it both sides' key and value columns at once
     (:meth:`extend`).  A hash join calls it like a reducer over each shuffled group, ``(key,
-    left rows, right rests)``: the calls only gather the groups into flat columns, numbered by
-    group, which :meth:`count` and :meth:`rows` first collect with one :meth:`extend` — so
-    either way the right rests are ranked by one sort per join, not one per key.
+    left rows, right rests)``: the calls only gather the groups into flat lists, which
+    :meth:`count` and :meth:`rows` first collect.  Either way :func:`_ranked_rests` ranks the
+    right rests with one sort per join, not one per key.
 
     :meth:`rows` is exactly ``sorted(all joined rows, key=repr)``, for one ``repr`` per input
     row instead of one per output row and no sort of the output, because a joined row prints
@@ -255,40 +255,31 @@ class _JoinedGroups:
         self.lefts: list[tuple] = []
         #: Per left row, its key's right rests sorted by ``repr`` (one tuple per key).
         self.rests: list[tuple] = []
-        #: The key groups called in and not yet collected, as :meth:`extend`'s four columns:
-        #: each group's number beside its left rows, and beside its right rests.
+        #: The key groups called in and not yet collected, flat: their left rows, each group's
+        #: number of left rows, and their right rests beside each one's group number.
         self._called: tuple[list, list, list, list] = ([], [], [], [])
-        #: The number the next called group gets.
-        self._groups = 0
 
     def __call__(self, _key, lefts: list[tuple], rights: list[tuple]) -> None:
-        """Gather one key group under its own number; emit nothing (the hash join counts
-        :attr:`count` itself)."""
+        """Gather one key group; emit nothing (the hash join counts :attr:`count` itself)."""
         if lefts and rights:
-            left_keys, left_rows, right_keys, right_rests = self._called
-            group = self._groups
-            self._groups += 1
-            left_keys += repeat(group, len(lefts))
+            left_rows, left_counts, groups, right_rests = self._called
             left_rows += lefts
-            right_keys += repeat(group, len(rights))
+            left_counts.append(len(lefts))
+            groups += repeat(len(left_counts), len(rights))
             right_rests += rights
 
     def _collect_called(self) -> None:
-        """Collect the groups gathered by calls with one :meth:`extend`, so that their right
-        rests are ranked by one sort, not one per group."""
+        """Collect the groups gathered by calls, their right rests ranked by one sort, not one
+        per group.  Every called group matches, so its left rows need no lookup."""
         if self._called[0]:
-            called, self._called = self._called, ([], [], [], [])
-            self.extend(*called)
+            (left_rows, left_counts, groups, rests), self._called = self._called, ([], [], [], [])
+            ranked = _ranked_rests(groups, rests).values()  # in group order: first seen
+            self.lefts += left_rows
+            self.rests += chain.from_iterable(map(repeat, ranked, left_counts))
 
     def extend(self, left_keys, lefts: list[tuple], right_keys, rests: list[tuple]) -> None:
         """Collect both sides' columns: join keys beside left rows, join keys beside right rests."""
-        texts = list(map(repr, rests))
-        order = sorted(range(len(rests)), key=texts.__getitem__)
-        numbers = numbered(right_keys)
-        starts = key_runs(right_keys, numbers, order)
-        ranked = tuple(map(rests.__getitem__, order))
-        by_key = dict(zip(numbers, map(ranked.__getitem__, map(slice, starts, starts[1:]))))
-        matched = list(map(by_key.get, left_keys))
+        matched = list(map(_ranked_rests(right_keys, rests).get, left_keys))
         self.lefts += compress(lefts, matched)
         self.rests += filter(None, matched)
 
@@ -310,6 +301,17 @@ class _JoinedGroups:
         # rests tuple, so that rows printing alike but matched apart (NaN keys) never mix.
         runs = (list(run) for _, run in groupby(order, key=lambda i: (texts[i], id(rests[i]))))
         return [lefts[i] + rest for run in runs for rest in rests[run[0]] for i in run]
+
+
+def _ranked_rests(keys: list, rests: list[tuple]) -> dict:
+    """``{key: its rests sorted by repr, as one tuple}`` for a key column beside a rest column,
+    keys in first-seen order: one sort of all the rests by text, regrouped stably by key."""
+    texts = list(map(repr, rests))
+    order = sorted(range(len(rests)), key=texts.__getitem__)
+    numbers = numbered(keys)
+    starts = key_runs(keys, numbers, order)
+    ranked = tuple(map(rests.__getitem__, order))
+    return dict(zip(numbers, map(ranked.__getitem__, map(slice, starts, starts[1:]))))
 
 
 def _merge_join(system: "BaseSystem", left, right, joined: _JoinedGroups) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -52,8 +52,9 @@ def combine_map_output(
     ``jobconf.combiner``, whose output replaces them in the shuffle.  Because the combiner
     must be associative and commutative, the downstream reducer observes fewer pairs but the
     same final answer; the eliminated pairs' shuffle bytes are credited to
-    ``SHUFFLE_BYTES_SAVED`` and the reduce phase is charged on the combined pair count.  Returns the ``(keys, values)`` columns as
-    they are when the job has no combiner or the task produced no output.
+    ``SHUFFLE_BYTES_SAVED`` and the reduce phase is charged on the combined pair count.
+    Returns the ``(keys, values)`` columns as they are when the job has no combiner or the task
+    produced no output.
     """
     combiner = jobconf.combiner
     if combiner is None or not values:
@@ -80,7 +81,7 @@ def combine_map_output(
 
 def numbered(keys: Iterable) -> dict:
     """``{key: number}`` in first-seen order; a key that several objects equal is the first."""
-    return {key: number for number, key in enumerate(dict.fromkeys(keys))}
+    return dict(zip(dict.fromkeys(keys), count()))
 
 
 def key_runs(keys: list, numbers: dict, order: list[int]) -> list[int]:
