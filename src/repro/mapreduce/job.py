@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -75,12 +75,17 @@ def key_column(keys: Optional[list], count: int) -> list:
 def concatenated(parts: Iterable[tuple]) -> tuple[Optional[list], list]:
     """One key column and one value column out of ``(keys, values)`` parts, in order (blocks
     of one map task, map tasks of one job); the keys are ``None`` when every part's are."""
-    parts = list(parts)
-    key_parts, value_parts = list(map(_FIRST, parts)), list(map(_SECOND, parts))
-    values = list(chain.from_iterable(value_parts))
-    if key_parts.count(None) == len(key_parts):
-        return None, values
-    return list(chain.from_iterable(map(key_column, key_parts, map(len, value_parts)))), values
+    keys: Optional[list] = None
+    values: list = []
+    # One part at a time, each dropped once appended: parts held to the end (for C-level
+    # joins) outlive young-generation collections, which then walk every block's list.
+    for part_keys, part_values in parts:
+        if part_keys is not None or keys is not None:
+            if keys is None:
+                keys = [None] * len(values)
+            keys += key_column(part_keys, len(part_values))
+        values += part_values
+    return keys, values
 
 
 @dataclass
