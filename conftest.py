@@ -14,6 +14,7 @@ SMOKE_FIRST = (
     "tests/test_text_mapper.py",
     "benchmarks/test_engine_filter.py",
     "tests/test_engine_kernels.py",
+    "tests/test_import_footprint.py",
     "tests/test_block_leftovers.py",
     "tests/test_block_work.py",
     "tests/test_size_accounting.py",

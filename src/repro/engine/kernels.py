@@ -40,14 +40,18 @@ The Hadoop baseline's text block parser filters its parsed columns through the s
 table (:func:`clause_positions`).  Both backends are bit-for-bit equivalent by construction
 and by test (``tests/test_engine_kernels.py`` cross-checks them against each other and
 against the row-at-a-time evaluation on randomized blocks).  Select the backend globally with
-:func:`set_backend` or temporarily with :func:`use_backend`; the default is numpy when
-available.
+:func:`set_backend` or temporarily with :func:`use_backend`; the default is numpy when it is
+installed.  numpy itself is imported at the first dispatch that runs it (:func:`_numpy`), not
+with this module, so a process whose windows all stay under :data:`_NUMPY_MIN_ROWS` never
+loads it; if that import fails, the process moves to the python backend and the dispatch
+answers in Python.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from importlib.util import find_spec
 from itertools import compress
 from typing import Iterator, Optional, Sequence
 
@@ -55,13 +59,11 @@ from repro.hail.predicate import COMPARE, Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
 from repro.layouts.schema import Schema
 
-try:  # pragma: no cover - exercised indirectly via the backend tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments (e.g. CI)
-    _np = None
+#: True when numpy is installed in this interpreter (found here, imported by :func:`_numpy`).
+HAVE_NUMPY: bool = find_spec("numpy") is not None
 
-#: True when the numpy fast path is importable in this interpreter.
-HAVE_NUMPY: bool = _np is not None
+#: The numpy module, bound by :func:`_numpy` at the first numpy dispatch.
+_np = None
 
 #: Largest integer magnitude a float64 represents exactly; int/float cross-comparisons past
 #: this bound may round differently under numpy than under Python and force the fallback.
@@ -99,9 +101,29 @@ def set_backend(name: str) -> None:
     _backend = name
 
 
+def _numpy():
+    """The numpy module, imported on the first call; ``None`` when that import fails.
+
+    A failed import moves the process to the python backend for good, as a missing numpy
+    at startup would, so the dispatch that met it answers in Python instead of raising.
+    """
+    global _np, _backend, HAVE_NUMPY
+    if _np is None:
+        try:
+            import numpy
+        except ImportError:
+            HAVE_NUMPY, _backend = False, "python"
+            return None
+        _np = numpy
+    return _np
+
+
 @contextmanager
 def use_backend(name: str) -> Iterator[None]:
     """Temporarily switch the kernel backend (the differential tests' entry point).
+
+    Restores the previous backend on exit, or python when numpy failed to import meanwhile
+    (:func:`_numpy`).
 
     Census keep list (``tests/test_census.py``): ground truth for tests (the Python backend is the
     numpy one's reference).
@@ -111,7 +133,7 @@ def use_backend(name: str) -> Iterator[None]:
     try:
         yield
     finally:
-        set_backend(previous)
+        set_backend(previous if HAVE_NUMPY else "python")
 
 
 # --------------------------------------------------------------------------- dispatch
@@ -173,8 +195,7 @@ def filter_ranges(
     flags = pruned[first:last]
     start, end = start + first, start + last
     if predicate is not None and _backend == "numpy" and end - start >= _NUMPY_MIN_ROWS:
-        keep = _np.frombuffer(flags, dtype=_np.uint8) == 0
-        result = _filter_range_numpy(pax, predicate, schema, start, end, keep)
+        result = _filter_range_numpy(pax, predicate, schema, start, end, flags)
         if result is not None:
             return result
     positions = list(compress(range(start, end), flags.translate(_KEPT)))
@@ -346,7 +367,7 @@ def _operand_exact(operand, typecode: str) -> bool:
 
 def _numpy_column(pax: PaxBlock, index: int, operands: Sequence):
     """Column ``index`` as a zero-copy numpy array, or ``None`` when comparing it with any of
-    ``operands`` might not agree exactly with Python."""
+    ``operands`` might not agree exactly with Python (or numpy failed to import)."""
     typed = pax.typed_column_at(index)
     if typed is None:
         return None  # non-numeric (or overflowing) column
@@ -358,7 +379,10 @@ def _numpy_column(pax: PaxBlock, index: int, operands: Sequence):
         # only exact when every column value fits in 2**53 (PaxBlock tracks the bound).
         if not pax.int_column_fits_float(index):
             return None
-    return _np.frombuffer(typed, dtype=_np.int64 if typecode == "q" else _np.float64)
+    np = _numpy()
+    if np is None:
+        return None
+    return np.frombuffer(typed, dtype=np.int64 if typecode == "q" else np.float64)
 
 
 def _filter_range_numpy(
@@ -367,14 +391,18 @@ def _filter_range_numpy(
     schema: Schema,
     start: int,
     end: int,
-    keep=None,
+    pruned: Optional[bytes] = None,
 ) -> Optional[list[int]]:
-    """Numpy fast path, or ``None`` when exact agreement with Python cannot be guaranteed.
+    """Numpy fast path, or ``None`` when exact agreement with Python cannot be guaranteed
+    (or numpy failed to import).
 
-    ``keep`` (a boolean array over ``[start, end)``) seeds the mask the clauses AND into:
-    rows where it is False are never returned.
+    ``pruned`` (:func:`filter_ranges`' flag string over ``[start, end)``) seeds the mask the
+    clauses AND into, inverted: a flagged row is never returned.
     """
-    mask = keep
+    np = _numpy()
+    if np is None:
+        return None
+    mask = None if pruned is None else np.frombuffer(pruned, dtype=np.uint8) == 0
     for clause in predicate.clauses:
         operands = clause.operands
         column = _numpy_column(pax, clause.attribute_index(schema), operands)
@@ -389,7 +417,7 @@ def _filter_range_numpy(
         mask = bits if mask is None else (mask & bits)
         if not mask.any():
             return []
-    return (_np.flatnonzero(mask) + start).tolist()
+    return (np.flatnonzero(mask) + start).tolist()
 
 
 def _zone_flags_numpy(

@@ -68,7 +68,6 @@ back and then truncates every WAL.  See ``docs/persistence.md``.
 from __future__ import annotations
 
 import json
-import sqlite3
 import zlib
 from pathlib import Path
 from typing import Optional
@@ -225,7 +224,13 @@ class SqliteBackend(Checkpointing):
     # ------------------------------------------------------------------ connections
     @staticmethod
     def _open(path: Path, schema: str) -> sqlite3.Connection:
-        """Open ``path``, creating the schema in a new database; refuse another version."""
+        """Open ``path``, creating the schema in a new database; refuse another version.
+
+        sqlite3 is imported here, at the first journal a process opens, so a deployment
+        without a journal never loads it.
+        """
+        import sqlite3
+
         conn = sqlite3.connect(str(path))
         for pragma in _PRAGMAS:
             conn.execute(f"PRAGMA {pragma}")

@@ -1,6 +1,6 @@
 """One module DAG: every ``repro`` import in ``src/repro`` is module-level and points down.
 
-Five static checks over the AST of every module under ``src/repro``:
+Six static checks over the AST of every module under ``src/repro``:
 
 - no ``repro`` import sits in a function or class body (none dodges a cycle at runtime);
 - an ``if TYPE_CHECKING:`` block imports from ``repro`` only what :data:`ALLOWED_TYPE_CHECKING`
@@ -10,6 +10,7 @@ Five static checks over the AST of every module under ``src/repro``:
   a package ``__init__`` is a module of its own;
 - every module-level import binds a name the module reads (string annotations and ``__all__``
   count), except what :data:`ALLOWED_UNUSED_IMPORTS` lists;
+- no module-level import loads a module :data:`LOADED_AT_FIRST_USE` names (numpy, sqlite3);
 - chunk CRCs are computed in one place: outside ``repro.hdfs.checksum``, which defines
   ``chunk_checksums``, only ``repro.persist.state`` calls it (where the journal writes a
   payload).
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -206,20 +208,26 @@ ALLOWED_UNUSED_IMPORTS = {
 }
 
 
+def _module_level_imports(statements) -> Iterator[ast.Import | ast.ImportFrom]:
+    """Every module-level import statement, top-level ``if``/``try`` included."""
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            for handler in getattr(node, "handlers", []):
+                yield from _module_level_imports(handler.body)
+            for field in ("body", "orelse", "finalbody"):
+                yield from _module_level_imports(getattr(node, field, []))
+
+
 def _module_imports(statements) -> dict[str, int]:
     """``{bound name: line}`` of every module-level import, top-level ``if``/``try`` included."""
     bound: dict[str, int] = {}
-    for node in statements:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            for alias in node.names:
-                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, (ast.If, ast.Try)):
-            for handler in getattr(node, "handlers", []):
-                bound.update(_module_imports(handler.body))
-            for field in ("body", "orelse", "finalbody"):
-                bound.update(_module_imports(getattr(node, field, [])))
+    for node in _module_level_imports(statements):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
     return bound
 
 
@@ -282,6 +290,54 @@ def test_every_module_level_import_is_read():
     ]
     assert not unlisted, "\n".join(unlisted)
     assert set(unused) == set(ALLOWED_UNUSED_IMPORTS), "drop the entries no module needs any more"
+
+
+#: Modules a process loads only when it uses them: numpy at the first numpy kernel dispatch
+#: (``repro.engine.kernels._numpy``), sqlite3 at the first journal it opens
+#: (``SqliteBackend._open``).  A module-level import of either would load it with
+#: ``import repro``; the CI legs without numpy see that only here
+#: (``tests/test_import_footprint.py`` checks the loaded modules where numpy is installed).
+LOADED_AT_FIRST_USE = {"numpy", "sqlite3"}
+
+
+def _first_use_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(module, line)`` per module-level import of a :data:`LOADED_AT_FIRST_USE` module."""
+    found = []
+    for node in _module_level_imports(tree.body):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = [node.module or ""] if node.level == 0 else []
+        found += [
+            (module, node.lineno)
+            for module in modules
+            if module.partition(".")[0] in LOADED_AT_FIRST_USE
+        ]
+    return found
+
+
+def test_the_first_use_rule_sees_every_import_form():
+    tree = ast.parse(
+        "try:\n"
+        "    import numpy as _np\n"
+        "except ImportError:\n"
+        "    _np = None\n"
+        "from sqlite3 import connect\n"
+        "import numpy.typing, json\n"
+        "from . import sqlite3\n"
+        "def f():\n"
+        "    import sqlite3\n"
+    )
+    assert _first_use_imports(tree) == [("numpy", 2), ("sqlite3", 5), ("numpy.typing", 6)]
+
+
+def test_numpy_and_sqlite3_are_not_imported_at_module_level():
+    stray = [
+        f"{path.relative_to(SRC)}:{line} imports {module} at module level"
+        for path in MODULES.values()
+        for module, line in _first_use_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not stray, "\n".join(stray)
 
 
 #: The modules that call ``chunk_checksums``: where it is defined (``verify_chunk_checksums``
