@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.ledger import TransferLedger
-from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.hail_block import HailBlock
 from repro.hail.record_reader import HailRecordReader, projected_row, projected_columns
 from repro.hdfs.checksum import checksum_file_size
@@ -49,8 +48,10 @@ class TrojanInputFormat(InputFormat):
         # The trojan blocks use the same functional structure as HAIL blocks (sorted data plus a
         # sparse clustered index), so the engine-backed HailRecordReader evaluates them directly;
         # layout differences (row-wise storage, larger index) are carried by the block and its
-        # Dir_rep entry, which makes the planner label these blocks TROJAN_INDEX_SCAN.
-        return HailRecordReader(split, hdfs, cost, node_id, jobconf)
+        # Dir_rep entry, which makes the planner label these blocks TROJAN_INDEX_SCAN.  The
+        # split phase bound the job's query (``self.plan``) and planned no block: a reader
+        # plans each of its blocks for the node it runs on.
+        return HailRecordReader(split, hdfs, cost, node_id, self.plan)
 
     def split_phase_cost(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel, num_blocks: int) -> float:
         return cost.split_phase(num_blocks, reads_block_headers=True)
@@ -184,9 +185,7 @@ class HadoopPlusPlusSystem(BaseSystem):
 
     # ------------------------------------------------------------------ queries
     def _make_jobconf(self, query, path: str, schema: Schema, emit) -> JobConf:
-        jobconf = scan_job(
+        return scan_job(
             f"hadoop++-{query.name}", path, TrojanInputFormat(),
             projected_columns, projected_row, emit,
         )
-        jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
-        return jobconf

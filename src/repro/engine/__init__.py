@@ -29,12 +29,15 @@ execute that plan (``planner.for_execution()`` copies a block's plan and adds th
 adaptive marks).  A block is re-planned (``planner.plan_block()``) only when the split did
 not pin it, when its pinned host died, or when its pinned replica's ``Dir_rep`` entry changed
 since; stock Hadoop's and Hadoop++'s readers plan every block.  The query is bound once per
-job, too: the plan carries a ``BoundQuery`` (the ``@HailQuery`` bound to the file's schema:
+job, on every system, in its input format's split phase (``planner.query_frame()``): the
+job's plan carries a ``BoundQuery`` (the ``@HailQuery`` bound to the file's schema:
 predicate, projection and the column indexes every block reads and reconstructs), and the
 reader hands that bound query to ``executor.execute()`` — per block, only per-block work
-remains (the index lookup, the qualifying partitions, the payload's own column sizes).  ``explain()`` renders the same
-split-phase plan, and every :class:`~repro.systems.base.QueryResult` carries the
-:class:`QueryPlan` that was executed.
+remains (the index lookup, the qualifying partitions, the payload's own column sizes).  No
+reader binds: a stock text block, read whole, is planned with no binding at all.
+``explain()`` renders the same split-phase plan, and the runner frames the block plans a job
+executed with that binding (``JobResult.plan``, which a scan's
+:class:`~repro.systems.base.QueryResult` carries).
 """
 
 from repro.engine.access_path import AccessPath, BlockPlan

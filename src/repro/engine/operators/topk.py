@@ -217,7 +217,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
                 HailQuery(filter=Predicate(base_clauses + (threshold,)), projection=None), schema
             )
         # adaptive=None: top-k probes must not stage index builds as a side effect.
-        plan = planner.plan_block(block_id, annotation=probe)
+        plan = planner.plan_block(block_id, probe)
         if plan.datanode_id < 0:  # the probe runs on the replica's node: there is none
             raise ReplicaNotFoundError(f"no alive replica of block {block_id}")
         executor = VectorizedExecutor(

@@ -15,13 +15,14 @@ plans in the deployment's ``SplitMemo``); its record readers execute that plan
 (:meth:`PhysicalPlanner.for_execution`) and re-plan only a block whose pinned replica died or
 changed since.
 
-The job's ``@HailQuery`` is bound to the file's schema once, too: :meth:`PhysicalPlanner._bind`
-turns it into one immutable :class:`BoundQuery` (typed predicate, projection names, the column
-indexes every block's reads and reconstruction use, each filter attribute's first clause and
-whether a sorted run may answer it) that the :class:`QueryPlan` carries, so the per-block
-planning steps and the executor read bound fields instead of re-deriving them, and the plan a
-finished job reports is framed from the same binding.  A reader executes a copy of the
-carried block plan (:meth:`PhysicalPlanner.for_execution`, through ``BlockPlan.__copy__``).
+The job's ``@HailQuery`` is bound to the file's schema once, too, in every input format's split
+phase: :meth:`PhysicalPlanner.query_frame` turns it into one immutable :class:`BoundQuery`
+(typed predicate, projection names, the column indexes every block's reads and reconstruction
+use, each filter attribute's first clause and whether a sorted run may answer it) that the
+:class:`QueryPlan` carries, so the per-block planning steps and the executor read bound fields
+instead of re-deriving them, and the plan a finished job reports (``JobResult.plan``) is framed
+from the same binding.  A reader executes a copy of the carried block plan
+(:meth:`PhysicalPlanner.for_execution`, through ``BlockPlan.__copy__``).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def _pick(
 class BoundQuery:
     """A job's ``@HailQuery`` bound to one schema: everything per-block work reads of the query.
 
-    Built once per job (:meth:`PhysicalPlanner._bind`) and carried by its :class:`QueryPlan`.
+    Built once per job, in its split phase (:meth:`PhysicalPlanner.query_frame`), and carried
+    by its :class:`QueryPlan`.
     Column indexes are 0-based; ``positions`` are the 1-based ``HailRecord`` positions of the
     projected attributes.  Without a projection every attribute is projected (and read).
     """
@@ -139,6 +141,13 @@ class BoundQuery:
         (every column without a projection).  A row-layout replica stores whole rows, so a scan
         of one reads every column."""
         return self.pax_read_indexes if pax_layout else self.every_index
+
+
+#: No query, bound to no schema: what a block read whole is planned with.  Block planning
+#: reads only the filter attributes, the predicate and the projection (all empty here), and
+#: the schema only beside a predicate, so it plans a text block as a per-block binding of no
+#: query to the block's schema would.
+UNBOUND = BoundQuery.bind(None, None)
 
 
 @dataclass
@@ -256,34 +265,28 @@ class PhysicalPlanner:
         self.zone_maps = zone_maps
 
     # ------------------------------------------------------------------ per-query planning
-    def query_frame(self, path: str, annotation: Optional[HailQuery] = None) -> QueryPlan:
-        """An empty :class:`QueryPlan` for ``path`` with filter/projection metadata bound.
-
-        Used both by :meth:`plan_query` and by callers that fill ``block_plans`` with the
-        plans a job actually executed (``BaseSystem.run_query``).
-        """
-        return self._bind(path, annotation)[0]
-
-    def _bind(
-        self, path: str, annotation: Union[HailQuery, BoundQuery, None]
-    ) -> tuple[QueryPlan, list[int]]:
-        """:meth:`query_frame` plus the block ids it was bound for.
+    def query_frame(
+        self, path: str, annotation: Union[HailQuery, BoundQuery, None] = None
+    ) -> QueryPlan:
+        """An empty :class:`QueryPlan` for ``path``, the query bound to the file's schema.
 
         The query is bound once, to the schema of the file's first block (a file has one); a
-        :class:`BoundQuery` already bound to that very schema is taken as is.
+        :class:`BoundQuery` already bound to that very schema is taken as is.  Every input
+        format frames its job's plan here in its split phase (``InputFormat.get_splits``);
+        :meth:`plan_query` fills the frame with every block's plan.
         """
         namenode = self.hdfs.namenode
         block_ids = namenode.file_blocks(path)
         schema = namenode.logical_block(block_ids[0]).schema if block_ids else None
-        return QueryPlan(path=path, bound=BoundQuery.of(annotation, schema)), block_ids
+        return QueryPlan(path=path, bound=BoundQuery.of(annotation, schema))
 
     def plan_query(
         self, path: str, annotation: Union[HailQuery, BoundQuery, None] = None
     ) -> QueryPlan:
         """Plan every block of ``path`` for the query described by ``annotation`` (the
         ``@HailQuery``, or the :class:`BoundQuery` the split phase bound it to)."""
-        plan, block_ids = self._bind(path, annotation)
-        plan.block_plans.extend(self.plan_blocks(block_ids, plan.bound))
+        plan = self.query_frame(path, annotation)
+        plan.block_plans.extend(self.plan_blocks(self.hdfs.namenode.file_blocks(path), plan.bound))
         return plan
 
     def plan_blocks(self, block_ids: Iterable[int], bound: BoundQuery) -> list[BlockPlan]:
@@ -301,18 +304,22 @@ class PhysicalPlanner:
     def plan_block(
         self,
         block_id: int,
-        annotation: Union[HailQuery, BoundQuery, None] = None,
+        bound: Optional[BoundQuery] = None,
         preferred: Optional[int] = None,
         prefer_node: Optional[int] = None,
     ) -> BlockPlan:
         """Plan a single block (the record readers' re-planning entry point).
 
-        ``annotation`` is the job's ``@HailQuery`` (bound here, once per call) or the
-        :class:`BoundQuery` its plan carries (used as is while the block's schema is the one it
-        was bound to).  The plan carries no execution marks: a reader hands it to
-        :meth:`for_execution` before running it.
+        ``bound`` is the :class:`BoundQuery` the job's plan carries (used as is while the
+        block's schema is the one it was bound to, rebound from its annotation otherwise), or
+        ``None`` for a block read whole: a stock text block, planned with no binding at all.
+        The plan carries no execution marks: a reader hands it to :meth:`for_execution`
+        before running it.
         """
-        bound = BoundQuery.of(annotation, self.hdfs.namenode.logical_block(block_id).schema)
+        if bound is None:
+            bound = UNBOUND
+        else:
+            bound = BoundQuery.of(bound, self.hdfs.namenode.logical_block(block_id).schema)
         return self._plan_block(block_id, bound, preferred=preferred, prefer_node=prefer_node)
 
     def for_execution(

@@ -148,8 +148,6 @@ class HailInputFormat(InputFormat):
         self.lifecycle = lifecycle
         self.memo = memo if memo is not None else SplitMemo()
         self.index_aware_scheduling = self.config.index_aware_scheduling
-        #: The latest :meth:`get_splits` plan, which the job's record readers execute.
-        self.plan: Optional[QueryPlan] = None
 
     # ------------------------------------------------------------------ the run
     def start_run(self, measured: bool) -> None:
@@ -267,8 +265,8 @@ class HailInputFormat(InputFormat):
     ) -> RecordReader:
         """A :class:`~repro.hail.record_reader.HailRecordReader` over ``split`` on ``node_id``."""
         return HailRecordReader(
-            split, hdfs, cost, node_id, jobconf,
-            zone_maps=self.config.zone_maps, adaptive=self.adaptive, plan=self.plan,
+            split, hdfs, cost, node_id, self.plan,
+            zone_maps=self.config.zone_maps, adaptive=self.adaptive,
         )
 
     def split_phase_cost(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel, num_blocks: int) -> float:

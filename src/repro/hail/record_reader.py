@@ -1,24 +1,25 @@
 """The HailRecordReader (Section 4.3).
 
 Since the unified query-execution engine (:mod:`repro.engine`) was extracted, this reader is a
-thin shell.  It executes the plan the split phase made: the job's
-:class:`~repro.hail.input_format.HailInputFormat` plans the whole file
+thin shell.  It executes the plan its job's split phase made and binds nothing itself: the
+job's input format binds the job's ``@HailQuery`` to the file's schema once
+(:class:`~repro.engine.planner.BoundQuery`) and keeps the job's
+:class:`~repro.engine.planner.QueryPlan`, which it hands to every reader of the job.  HAIL's
+:class:`~repro.hail.input_format.HailInputFormat` also plans the whole file there
 (``getHostsWithIndex`` per block, Section 4.3; once per query shape and layout write to the
-block, through the deployment's :class:`~repro.hail.input_format.SplitMemo`) and hands that
-:class:`~repro.engine.planner.QueryPlan` to every reader of the job.  A block's carried
+block, through the deployment's :class:`~repro.hail.input_format.SplitMemo`).  A block's carried
 :class:`~repro.engine.access_path.BlockPlan` runs as is when
 
 - the split pinned the block to the plan's replica (``InputSplit.preferred_replicas``),
 - that replica's datanode is still alive, and
 - its ``Dir_rep`` entry is still the one the plan was classified from.
 
-Every other block is re-planned by the :class:`~repro.engine.planner.PhysicalPlanner`: an
-unpinned block (default splitting without an index chooses the local replica), the Figure 8
-failover (pinned host dead), a replica a concurrent job's commit, eviction or migration
-replaced (fail closed), and every block of Hadoop++'s trojan format (no plan).  Either way a
-copy of the plan goes to the :class:`~repro.engine.executor.VectorizedExecutor`, together with
-the plan's :class:`~repro.engine.planner.BoundQuery` — the job's ``@HailQuery`` bound to the
-file's schema once, in the split phase (a reader handed no plan binds it once, itself) — which
+Every other block is re-planned by the :class:`~repro.engine.planner.PhysicalPlanner` under the
+plan's bound query: an unpinned block (default splitting without an index chooses the local
+replica), the Figure 8 failover (pinned host dead), a replica a concurrent job's commit,
+eviction or migration replaced (fail closed), and every block of Hadoop++'s trojan format (its
+split phase plans no block).  Either way a copy of the plan goes to the
+:class:`~repro.engine.executor.VectorizedExecutor`, together with the plan's bound query, which
 
 1. opens an input stream to the planned replica (the one carrying the matching clustered index;
    standard scanning when no matching index is alive),
@@ -45,11 +46,9 @@ from repro.engine.access_path import BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext
 from repro.engine.executor import BlockScanResult, VectorizedExecutor
 from repro.engine.planner import PhysicalPlanner, QueryPlan
-from repro.hail.annotation import resolve_annotation
 from repro.hail.record import HailRecord
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
 
@@ -71,27 +70,24 @@ class HailRecordReader(RecordReader):
     adaptive index uses and their measured savings, zone-map skips and pruned bytes, scan
     fallbacks — the sliced ones also under ``NAME[attribute]``.  The task merges the bag.
 
-    ``zone_maps``, ``adaptive`` and ``plan`` come from the job's input format: HAIL's passes
-    its config's zone-map switch, the job's adaptive-indexing context and its split phase's
-    :class:`~repro.engine.planner.QueryPlan`; Hadoop++'s trojan format passes none of them
-    (no synopses to skip by, nothing to build, every block planned here).
+    ``plan`` is the job's :class:`~repro.engine.planner.QueryPlan`, kept by its input format's
+    split phase (``get_splits`` runs before any reader is built): HAIL's carries every block's
+    plan, Hadoop++'s trojan format only the bound query (every block planned here).
+    ``zone_maps`` and ``adaptive`` come from the job's input format too: HAIL's passes its
+    config's zone-map switch and the job's adaptive-indexing context; the trojan format passes
+    neither (no synopses to skip by, nothing to build).
     """
 
     def __init__(
-        self, split: InputSplit, hdfs: Hdfs, cost: CostModel, node_id: int, jobconf: JobConf,
+        self, split: InputSplit, hdfs: Hdfs, cost: CostModel, node_id: int, plan: QueryPlan,
         zone_maps: bool = False, adaptive: Optional[AdaptiveJobContext] = None,
-        plan: Optional[QueryPlan] = None,
     ) -> None:
         super().__init__(split, hdfs, cost, node_id)
-        self.jobconf = jobconf
         self.planner = PhysicalPlanner(hdfs, zone_maps=zone_maps)
         self.executor = VectorizedExecutor(hdfs, cost, node_id, zone_maps=zone_maps)
         #: The job's adaptive-indexing policy; ``None`` keeps the reader purely read-only.
         self.adaptive = adaptive
-        #: The split phase's plan, or an empty frame of it (the job's query bound here) when
-        #: the format carries none.
-        if plan is None:
-            plan = self.planner.query_frame(split.path, resolve_annotation(jobconf))
+        #: The split phase's plan: the job's bound query and the block plans made there.
         self.plan = plan
 
     # ------------------------------------------------------------------ iteration
@@ -108,7 +104,7 @@ class HailRecordReader(RecordReader):
             if plan is None:
                 plan = self.planner.plan_block(
                     block_id,
-                    annotation=bound,
+                    bound,
                     preferred=self.split.preferred_replicas.get(block_id),
                     prefer_node=self.node_id,
                 )

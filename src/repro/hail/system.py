@@ -8,7 +8,6 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
 from repro.engine.adaptive import AdaptiveJobContext
 from repro.engine.lifecycle import AdaptiveLifecycleManager
-from repro.hail.annotation import JOB_PROPERTY
 from repro.hail.config import HailConfig
 from repro.hail.input_format import HailInputFormat, SplitMemo
 from repro.hail.record_reader import projected_row, projected_columns
@@ -19,7 +18,7 @@ from repro.hail.scheduler import (
     replica_distribution,
 )
 from repro.hail.upload import HailUploadPipeline
-from repro.engine.planner import PhysicalPlanner, QueryPlan
+from repro.engine.planner import PhysicalPlanner
 from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf
 from repro.persist import SqliteBackend
@@ -87,11 +86,9 @@ class HailSystem(BaseSystem):
             lifecycle=self.lifecycle,
             memo=self.split_memo,
         )
-        jobconf = scan_job(
+        return scan_job(
             f"hail-{query.name}", path, input_format, projected_columns, projected_row, emit
         )
-        jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
-        return jobconf
 
     def _adaptive_context(self) -> Optional[AdaptiveJobContext]:
         """The next job's adaptive-indexing context (``None`` without adaptive indexing)."""
@@ -111,11 +108,6 @@ class HailSystem(BaseSystem):
             # job is what makes post-restore offer draws bit-identical to an uninterrupted run.
             self.hdfs.persist.sync_control({"adaptive_salt": self._adaptive_salt})
         return context
-
-    def _query_frame(self, query, path: str, jobconf: JobConf) -> QueryPlan:
-        """The job's split phase bound its query once (``HailInputFormat.plan``): the executed
-        plan carries that same :class:`~repro.engine.planner.BoundQuery`."""
-        return QueryPlan(path=path, bound=jobconf.input_format.plan.bound)
 
     def _planner(self) -> PhysicalPlanner:
         """The planner of this deployment's jobs: the one ``HailInputFormat.get_splits`` plans

@@ -3,10 +3,14 @@
 The input format is the user-defined function (UDF) that computes input splits in the JobClient
 and creates record readers in the map tasks.  Keeping both behind a UDF is what lets HAIL change
 the splitting policy and the reader without touching the rest of Hadoop (Section 4.3).  It is
-also the one object that carries a job's HAIL state: the format holds what its readers need,
-asks the JobTracker for index-aware scheduling (:attr:`InputFormat.index_aware_scheduling`),
-and publishes what its runs leave behind (:meth:`InputFormat.finish_run`) — the runner and the
-JobTracker only ever call the three defaults below, which stock formats leave alone.
+also where a job's query is bound: every format's split phase binds the job's ``@HailQuery`` to
+the file's schema once and keeps the job's :class:`~repro.engine.planner.QueryPlan`
+(:attr:`InputFormat.plan`), which its readers execute and the runner frames the executed plan
+from (``JobResult.plan``).  And it is the one object that carries a job's HAIL state: the
+format holds what its readers need, asks the JobTracker for index-aware scheduling
+(:attr:`InputFormat.index_aware_scheduling`), and publishes what its runs leave behind
+(:meth:`InputFormat.finish_run`) — the runner and the JobTracker only ever call the three
+defaults below, which stock formats leave alone.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import abc
 from typing import Optional
 
 from repro.cluster.costmodel import CostModel
+from repro.engine.planner import PhysicalPlanner, QueryPlan
+from repro.hail.annotation import resolve_annotation
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
@@ -30,13 +36,20 @@ class InputFormat(abc.ABC):
     #: replica (``InputSplit.index_locations``) before plain data locality, and count every
     #: launch into the ``SCHED_*`` tiers.  Stock Hadoop does not.
     index_aware_scheduling: bool = False
+    #: The latest :meth:`get_splits` plan: the job's query bound once, plus the block plans the
+    #: split phase made (none here; HAIL's plans every block).  ``None`` until then, and for
+    #: a format whose split phase keeps none.
+    plan: Optional[QueryPlan] = None
 
     def get_splits(self, hdfs: Hdfs, jobconf: JobConf, cost: CostModel) -> list[InputSplit]:
         """Logical division of the job's input into per-map-task splits.
 
         One split per HDFS block, located at the block's alive replica hosts, as Hadoop's
-        ``FileInputFormat`` does; HAIL overrides it with HailSplitting.
+        ``FileInputFormat`` does; HAIL overrides it with HailSplitting.  The job's query is
+        bound here, once, into :attr:`plan`'s frame.
         """
+        planner = PhysicalPlanner(hdfs)
+        self.plan = planner.query_frame(jobconf.input_path, resolve_annotation(jobconf))
         locations = hdfs.namenode.block_locations(jobconf.input_path, alive_only=True)
         return [
             InputSplit(

@@ -143,6 +143,10 @@ class JobResult(Emitted):
     rescheduled_tasks: int = 0
     #: ``None`` unless the job was submitted with a ``deadline_s`` on the concurrent path.
     deadline_met: Optional[bool] = None
+    #: The :class:`~repro.engine.planner.QueryPlan` the job executed: its split phase's bound
+    #: query framing the block plans of the accepted attempts (truthful under failure
+    #: injection and reschedules); ``None`` for an input format that keeps no plan.
+    plan: Any = None
 
     @property
     def overhead_s(self) -> float:
@@ -174,7 +178,8 @@ class Lowering:
     adjusts the job in place right after it is built (group-by installs its combiner, reducer
     and reduce-task count there).
     ``finish(jobs, scans_s)`` turns the scans' :class:`JobResult` s, aligned with ``scans``,
-    into the answer — ``(records, job)`` plus, for a plain scan, the executed plan;
+    into the answer — ``(records, job)`` plus, for a plain scan, the plan its job executed
+    (``JobResult.plan``);
     ``scans_s`` is what the scans took end to end: back-to-back the sum of their runtimes,
     on an interleaved batch the latest finish.
     """

@@ -99,7 +99,10 @@ class TextRecordReader(RecordReader):
         self.executor = VectorizedExecutor(hdfs, cost, node_id)
 
     def batches(self) -> Iterator[TextScanResult]:
-        """One :class:`~repro.engine.executor.TextScanResult` (all lines) per block."""
+        """One :class:`~repro.engine.executor.TextScanResult` (all lines) per block.
+
+        A block read whole is planned with no binding at all (``plan_block``'s ``None``): the
+        query is the map function's, bound once in the job's split phase."""
         for block_id in self.split.block_ids:
             plan = self.planner.plan_block(
                 block_id,

@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.failure import ConcurrentChaos, FailureEvent
+from repro.engine.planner import QueryPlan
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Emitted, JobConf, JobResult, concatenated, key_value_columns
@@ -206,7 +207,8 @@ class MapReduceRunner:
         tenant: Optional[str] = None,
         deadline_met: Optional[bool] = None,
     ) -> JobResult:
-        """Everything after the map phase: reduce, the format's finish, timing decomposition.
+        """Everything after the map phase: reduce, the format's finish, timing decomposition
+        and the executed plan.
 
         Shared by :meth:`run` and :meth:`run_concurrent`; for batched jobs
         ``outcome.makespan_s`` is absolute on the batch timeline, so the returned
@@ -263,4 +265,18 @@ class MapReduceRunner:
             failure_node=outcome.failure_node,
             rescheduled_tasks=outcome.rescheduled,
             deadline_met=deadline_met,
+            plan=_executed_plan(jobconf.input_format.plan, outcome),
         )
+
+
+def _executed_plan(plan: Optional[QueryPlan], outcome: ScheduleOutcome) -> Optional[QueryPlan]:
+    """The split phase's ``plan`` framing the block plans the accepted attempts executed, in
+    block order (``None`` when the job's input format keeps no plan)."""
+    if plan is None:
+        return None
+    executed = {
+        block.block_id: block
+        for attempt in outcome.scheduled
+        for block in attempt.result.block_plans
+    }
+    return QueryPlan(plan.path, plan.bound, [executed[block_id] for block_id in sorted(executed)])

@@ -26,7 +26,7 @@ from repro.cluster.ledger import TransferLedger
 from repro.cluster.topology import Cluster
 from repro.engine.operators import EXPLAINS, LOWERINGS
 from repro.engine.planner import PhysicalPlanner, QueryPlan
-from repro.hail.annotation import HailQuery
+from repro.hail.annotation import JOB_PROPERTY, HailQuery
 from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
 from repro.layouts.pax import ColumnBatch
@@ -303,8 +303,8 @@ class BaseSystem(abc.ABC):
 
     def _lower(self, query, path: str) -> Lowering:
         """The scans ``query`` needs plus the finish step over their jobs: an operator kind
-        brings its own; a plain ``Query`` is one scan whose job is the answer, its jobconf
-        kept (the decoration) so the executed plan can take the job's bound query from it.
+        brings its own; a plain ``Query`` is one scan whose job is the answer, reported with
+        the plan the job executed (``JobResult.plan``).
 
         Raises :class:`~repro.hail.predicate.UnsupportedExpressionError` when a scan's
         predicate compares a column with an operand of another type.
@@ -312,13 +312,7 @@ class BaseSystem(abc.ABC):
         if type(query) in LOWERINGS:
             lowering = LOWERINGS[type(query)](self, query, path)
         else:
-            jobconfs: list[JobConf] = []
-
-            def finish(jobs, _scans_s):
-                plan = self._executed_plan(query, path, jobs[0], jobconfs[-1])
-                return jobs[0].records, jobs[0], plan
-
-            lowering = Lowering([(query, path, None, jobconfs.append)], finish)
+            lowering = Lowering([(query, path)], _scan_answer)
         # Each scan meets its file's schema here, before any job is submitted; a scan-less
         # lowering (a block-wise top-k) runs the query's own predicate over ``path``.
         for scan_query, scan_path, *_ in lowering.scans or [(query, path)]:
@@ -333,29 +327,16 @@ class BaseSystem(abc.ABC):
     def _scan_jobconf(self, query, path: str, emit=None, decorate=None) -> JobConf:
         """The job of one lowered scan: this system's jobconf for it, each block's column batch
         handed to ``emit`` (its rows passed on with the null key by default), decorated when
-        asked."""
+        asked.  The job carries its query as the ``hail.query`` annotation, which its input
+        format's split phase binds."""
         jobconf = self._make_jobconf(query, path, self.schema_of(path), emit)
+        jobconf.properties[JOB_PROPERTY] = self._annotation_for(query)
         if decorate is not None:
             decorate(jobconf)
         return jobconf
 
-    def _executed_plan(self, query, path: str, job: JobResult, jobconf: JobConf) -> QueryPlan:
-        """Assemble the executed :class:`QueryPlan` from the job's map-task results."""
-        executed = {}
-        for attempt in job.task_results:
-            for block_plan in attempt.result.block_plans:
-                executed[block_plan.block_id] = block_plan
-        plan = self._query_frame(query, path, jobconf)
-        plan.block_plans = [executed[block_id] for block_id in sorted(executed)]
-        return plan
-
-    def _query_frame(self, query, path: str, jobconf: JobConf) -> QueryPlan:
-        """An empty :class:`QueryPlan` of the job ``jobconf`` ran for ``query`` over ``path``,
-        the query bound here; HAIL's takes the binding its split phase made."""
-        return self._planner().query_frame(path, self._annotation_for(query))
-
     def _planner(self) -> PhysicalPlanner:
-        """The planner :meth:`plan_query`/:meth:`_executed_plan` consult.
+        """The planner :meth:`plan_query` consults.
 
         Systems with extra planner features (HAIL's zone-map skipping) override this so
         ``explain()`` reflects the same configuration their jobs execute with.
@@ -433,6 +414,12 @@ def scan_job(name: str, path: str, input_format, columns, row, emit=None) -> Job
     return JobConf(
         name=name, input_path=path, mapper=mapper, map_batch=map_batch, input_format=input_format
     )
+
+
+def _scan_answer(jobs: list[JobResult], _scans_s: float) -> tuple:
+    """A plain scan's finish step: its job's rows, the job, and the plan the job executed."""
+    job = jobs[0]
+    return job.records, job, job.plan
 
 
 def _pass_on(batch: ColumnBatch) -> tuple[None, list]:

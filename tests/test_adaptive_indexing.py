@@ -282,15 +282,16 @@ def test_commit_deduplicates_speculative_builds():
 
     from repro.engine.adaptive import AdaptiveJobContext as Context
     from repro.engine.executor import VectorizedExecutor
-    from repro.engine.planner import PhysicalPlanner
+    from repro.engine.planner import BoundQuery, PhysicalPlanner
     from repro.hail.annotation import HailQuery
 
     annotation = HailQuery(filter=_query().predicate, projection=("f1",))
+    bound = BoundQuery.bind(annotation, system.schema_of(_PATH))
     builds = []
     for node_id in (0, 1):  # two speculative attempts on different nodes
         planner = PhysicalPlanner(hdfs)
         plan = planner.for_execution(
-            planner.plan_block(block_id, annotation=annotation), annotation, Context(offer_rate=1.0)
+            planner.plan_block(block_id, bound), annotation, Context(offer_rate=1.0)
         )
         scan = VectorizedExecutor(hdfs, system.cost, node_id).execute(plan, annotation)
         assert scan.pending_build is not None
@@ -311,13 +312,15 @@ def test_commit_skips_builds_targeting_dead_nodes():
 
     from repro.engine.adaptive import AdaptiveJobContext as Context
     from repro.engine.executor import VectorizedExecutor
-    from repro.engine.planner import PhysicalPlanner
+    from repro.engine.planner import BoundQuery, PhysicalPlanner
     from repro.hail.annotation import HailQuery
 
     annotation = HailQuery(filter=_query().predicate, projection=("f1",))
     planner = PhysicalPlanner(hdfs)
     plan = planner.for_execution(
-        planner.plan_block(block_id, annotation=annotation), annotation, Context(offer_rate=1.0)
+        planner.plan_block(block_id, BoundQuery.bind(annotation, system.schema_of(_PATH))),
+        annotation,
+        Context(offer_rate=1.0),
     )
     scan = VectorizedExecutor(hdfs, system.cost, 0).execute(plan, annotation)
     system.cluster.kill_node(0)

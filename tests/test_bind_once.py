@@ -1,11 +1,14 @@
-"""HAIL binds each query once per job: per-block execution does only per-block work.
+"""Each job binds its query once, in its split phase: per-block execution does only per-block work.
 
-The split phase binds the job's ``@HailQuery`` to the file's schema once
-(``PhysicalPlanner._bind`` → :class:`~repro.engine.planner.BoundQuery`, carried on the
-:class:`~repro.engine.planner.QueryPlan`); re-planning, the execution marks and the executor
-read its fields instead of re-deriving predicate, projection and column lists per block, and
-the executed plan a query's result carries is framed from that same binding.  The executor trusts the bound fields only while the payload's schema is the very object they were
-bound to, and rebinds from the annotation otherwise (fail closed).
+Every input format's split phase binds the job's ``@HailQuery`` to the file's schema once
+(``PhysicalPlanner.query_frame`` → :class:`~repro.engine.planner.BoundQuery`, carried on the
+job's :class:`~repro.engine.planner.QueryPlan`), on HAIL, Hadoop++ and stock Hadoop alike;
+record readers bind nothing (a stock text block is planned with no binding at all), re-planning,
+the execution marks and the executor read the bound fields instead of re-deriving predicate,
+projection and column lists per block, and the executed plan a job reports (``JobResult.plan``)
+is framed from that same binding.  The executor trusts the bound fields only while the
+payload's schema is the very object they were bound to, and rebinds from the annotation
+otherwise (fail closed).
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from datetime import date
 import pytest
 
 import repro.hail.annotation as annotation_module
+from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
+from repro.engine.access_path import AccessPath
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import BoundQuery, PhysicalPlanner
 from repro.hail import HailConfig, HailInputFormat, HailSystem, hail_query
@@ -99,6 +104,79 @@ def test_the_query_is_bound_per_job_not_per_block(monkeypatch):
     assert small == large
     # The split phase's binding, and no other: the executed plan carries the same one.
     assert all(counts["bind"] == 1 for counts in large)
+
+
+# ------------------------------------------------------------------ one bind per job, every system
+def _deploy(system_name: str, num_rows: int = 1600):
+    """One of the three systems over Bob's data in 100-row blocks (``num_rows / 100`` blocks);
+    Hadoop++'s trojan index is on ``sourceIP``."""
+    cluster = Cluster.homogeneous(4, seed=5)
+    cost = CostModel(CostParameters(enable_variance=False))
+    if system_name == "HAIL":
+        return _bob_system(num_rows)
+    if system_name == "Hadoop++":
+        system = HadoopPlusPlusSystem(cluster, trojan_attribute="sourceIP", cost=cost)
+    else:
+        system = HadoopSystem(cluster, cost=cost)
+    system.upload(_PATH, _rows(num_rows), USERVISITS_SCHEMA, rows_per_block=100)
+    return system
+
+
+_SYSTEMS = ("HAIL", "Hadoop++", "Hadoop")
+
+
+@pytest.mark.parametrize("system_name", _SYSTEMS)
+def test_every_system_binds_each_job_once(system_name, monkeypatch):
+    """One ``BoundQuery.bind`` per job on all three systems, 16 blocks each: the split phase's
+    (Hadoop++ and stock Hadoop bound 17 times a job, once per reader or block and once more to
+    frame the executed plan)."""
+    system = _deploy(system_name)
+    assert len(system.hdfs.namenode.file_blocks(_PATH)) == 16
+    counts: dict = {}
+    _counting(monkeypatch, counts, BoundQuery, "bind")
+    for query in bob_queries():
+        counts["bind"] = 0
+        result = system.run_query(query, _PATH)
+        assert counts["bind"] == 1, query.name
+        assert sorted(result.records) == _brute_force(1600, query.predicate, query.projection)
+
+
+@pytest.mark.parametrize("system_name", _SYSTEMS)
+def test_a_reader_binds_nothing(system_name, monkeypatch):
+    """After the split phase, building every split's reader and running its ``batches()``
+    binds nothing: the readers take the split phase's binding, or plan a text block unbound."""
+    system = _deploy(system_name)
+    query = bob_queries()[1]
+    jobconf = system._scan_jobconf(query, _PATH)
+    input_format = jobconf.input_format
+    splits = input_format.get_splits(system.hdfs, jobconf, system.cost)
+    counts: dict = {}
+    _counting(monkeypatch, counts, BoundQuery, "bind")
+    blocks = 0
+    for split in splits:
+        reader = input_format.create_record_reader(
+            split, system.hdfs, jobconf, system.cost, split.locations[0]
+        )
+        blocks += sum(1 for _ in reader.batches())
+    assert blocks == 16
+    assert counts["bind"] == 0
+
+
+@pytest.mark.parametrize("system_name", _SYSTEMS)
+def test_the_executed_plan_keeps_the_query(system_name):
+    """Every system's executed plan is framed from the query's binding (its filter attributes
+    and projection), and a stock text block's plan, made with no binding, names no index
+    fallback."""
+    system = _deploy(system_name, num_rows=800)
+    for query in bob_queries():
+        plan = system.run_query(query, _PATH).plan
+        frame = system.plan_query(query, _PATH)
+        assert plan.filter_attributes == frame.filter_attributes != ()
+        assert plan.projection == frame.projection
+        assert plan.num_blocks == 8
+        if system_name == "Hadoop":
+            assert all(block.access_path is AccessPath.FULL_SCAN for block in plan.block_plans)
+            assert all(block.fallback_reason is None for block in plan.block_plans)
 
 
 def test_the_columns_a_scan_reads_have_one_definition():
@@ -185,10 +263,11 @@ def test_a_query_bound_to_another_schema_is_rebound(foreign_schema, query_index,
     counts: dict = {}
     _counting(monkeypatch, counts, BoundQuery, "bind")
 
+    own = BoundQuery.bind(annotation, schema)
     planner = PhysicalPlanner(system.hdfs)
     rows = []
     for block_id in system.hdfs.namenode.file_blocks(_PATH):
-        fresh_plan = planner.plan_block(block_id, annotation, prefer_node=0)
+        fresh_plan = planner.plan_block(block_id, own, prefer_node=0)
         plan = planner.plan_block(block_id, foreign, prefer_node=0)
         assert plan == fresh_plan
         executor = VectorizedExecutor(system.hdfs, system.cost, node_id=0)

@@ -241,7 +241,7 @@ def test_a_zone_map_skipped_block_hands_on_one_empty_column_per_projected_attrib
     planner = system._planner()
     skipped = 0
     for block_id in system.hdfs.namenode.file_blocks(_PATH):
-        plan = planner.plan_block(block_id, annotation=bound)
+        plan = planner.plan_block(block_id, bound)
         executor = VectorizedExecutor(system.hdfs, system.cost, plan.datanode_id, zone_maps=True)
         result = executor.execute(plan, bound)
         assert result.projected == ColumnBatch(([(), (), ()], 0)) and result.projected.rows() == []

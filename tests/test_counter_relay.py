@@ -69,6 +69,7 @@ def test_a_hand_driven_reader_counts_exactly_what_its_block_plans_say(busy_sessi
         .to_query()
     )
     jobconf = system._scan_jobconf(query, _PATH)
+    jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)  # binds the job's query
     split = InputSplit(0, _PATH, blocks, (0,))
     reader = jobconf.input_format.create_record_reader(split, system.hdfs, jobconf, system.cost, 0)
     emitted = sum(1 for _ in reader)
@@ -118,6 +119,7 @@ def test_an_unfiltered_scan_counts_fallbacks_without_a_slice(busy_session):
     blocks = tuple(system.hdfs.namenode.file_blocks(_PATH))[:2]
     query = session.dataset(_PATH).select("f4").to_query()
     jobconf = system._scan_jobconf(query, _PATH)
+    jobconf.input_format.get_splits(system.hdfs, jobconf, system.cost)  # binds the job's query
     split = InputSplit(0, _PATH, blocks, (0,))
     reader = jobconf.input_format.create_record_reader(split, system.hdfs, jobconf, system.cost, 0)
     assert sum(1 for _ in reader) == 200

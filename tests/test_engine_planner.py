@@ -8,6 +8,7 @@ from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine import AccessPath, PhysicalPlanner, QueryPlan
 from repro.engine.access_path import BlockPlan
+from repro.engine.planner import BoundQuery
 from repro.hail import HailConfig, HailQuery, HailSystem
 from repro.hail.predicate import Predicate
 from repro.workloads import bob_queries
@@ -55,7 +56,9 @@ def test_planner_preferred_replica_wins(hail_deployment):
     preferred = hosts[-1]
     plan = planner.plan_block(
         block_id,
-        annotation=HailQuery(filter=Predicate.equals("sourceIP", "1.2.3.4")),
+        BoundQuery.bind(
+            HailQuery(filter=Predicate.equals("sourceIP", "1.2.3.4")), system.schema_of("/uv")
+        ),
         preferred=preferred,
     )
     assert plan.datanode_id == preferred
@@ -68,7 +71,10 @@ def test_planner_prefers_local_indexed_replica(hail_deployment):
     local = system.hdfs.namenode.hosts_with_index(block_id, "visitDate")[0]
     plan = planner.plan_block(
         block_id,
-        annotation=HailQuery(filter=Predicate.equals("visitDate", date(1999, 1, 1))),
+        BoundQuery.bind(
+            HailQuery(filter=Predicate.equals("visitDate", date(1999, 1, 1))),
+            system.schema_of("/uv"),
+        ),
         prefer_node=local,
     )
     assert plan.datanode_id == local

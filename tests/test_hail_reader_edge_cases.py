@@ -108,8 +108,11 @@ def test_remote_index_replica_read_when_local_copy_missing(weblog_system):
     conf.properties[JOB_PROPERTY] = HailQuery(
         filter=Predicate.equals("statusCode", 404), projection=("statusCode",)
     )
+    conf.input_format.get_splits(system.hdfs, conf, system.cost)  # binds the job's query
     split = InputSplit(0, "/weblog", (block_id,), (remote_node,))
-    reader = HailRecordReader(split, system.hdfs, system.cost, remote_node, conf)
+    reader = HailRecordReader(
+        split, system.hdfs, system.cost, remote_node, conf.input_format.plan
+    )
     records = [record for _, record in reader if not record.bad]
     assert all(record.get_by_name("statusCode") == 404 for record in records)
     assert [plan.uses_index for plan in reader.block_plans] == [True]
