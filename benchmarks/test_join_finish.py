@@ -38,6 +38,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.engine.operators.join import _JoinedGroups, _merge_join
+from repro.mapreduce.job import Emitted, unpaired
 
 #: ``_merge_join`` prices the merge on the first alive node; with none it only joins.
 _NO_CLUSTER = SimpleNamespace(cluster=SimpleNamespace(alive_nodes=[]))
@@ -86,9 +87,11 @@ def _sorted_nested_loop(left_rows: list[tuple], right_rows: list[tuple]) -> list
 
 
 def _ordered_emission(left_pairs: list[tuple], right_pairs: list[tuple]) -> list[tuple]:
-    """The merge strategy's finish: collect both sides' keyed pairs, emit once in order."""
+    """The merge strategy's finish: split both sides' keyed pairs into the key and value
+    columns a scan job hands on, collect them, emit once in order."""
     joined = _JoinedGroups()
-    _merge_join(_NO_CLUSTER, left_pairs, right_pairs, joined)
+    left, right = Emitted(*unpaired(left_pairs)), Emitted(*unpaired(right_pairs))
+    _merge_join(_NO_CLUSTER, left, right, joined)
     return joined.rows()
 
 

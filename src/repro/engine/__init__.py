@@ -33,8 +33,10 @@ job, on every system, in its input format's split phase (``planner.query_frame()
 job's plan carries a ``BoundQuery`` (the ``@HailQuery`` bound to the file's schema:
 predicate, projection and the column indexes every block reads and reconstructs), and the
 reader hands that bound query to ``executor.execute()`` — per block, only per-block work
-remains (the index lookup, the qualifying partitions, the payload's own column sizes).  No
-reader binds: a stock text block, read whole, is planned with no binding at all.
+remains (the index lookup, the qualifying partitions, the payload's own column sizes).  Only
+``query_frame()`` and ``plan_query()`` take the ``@HailQuery``; ``plan_block()``,
+``for_execution()`` and ``execute()`` take the ``BoundQuery``.  No reader binds: a stock text
+block, read whole, is planned with no binding at all.
 ``explain()`` renders the same split-phase plan, and the runner frames the block plans a job
 executed with that binding (``JobResult.plan``, which a scan's
 :class:`~repro.systems.base.QueryResult` carries).

@@ -37,14 +37,13 @@ charged second keeps its float operation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.cluster.costmodel import CostModel
 from repro.engine import kernels
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext, PendingIndexBuild
 from repro.engine.planner import BoundQuery
-from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import IndexLookup, logical_index_size_bytes
 from repro.hdfs.block import Replica, TextBlockPayload
@@ -131,15 +130,15 @@ class VectorizedExecutor:
     def execute(
         self,
         plan: BlockPlan,
-        annotation: Union[HailQuery, BoundQuery, None],
+        bound: BoundQuery,
         adaptive: Optional[AdaptiveJobContext] = None,
     ) -> BlockScanResult:
         """Run one planned block: candidate lookup, vectorized filter, projection, cost.
 
-        ``annotation`` is the query: the :class:`~repro.engine.planner.BoundQuery` the job's
-        plan carries, used as is while the payload's schema is the very object it was bound
-        to and rebound from its annotation otherwise (fail closed), or a ``@HailQuery`` to
-        bind here.  ``adaptive`` carries the job's adaptive-indexing context: staged replicas
+        ``bound`` is the query: the :class:`~repro.engine.planner.BoundQuery` the job's plan
+        carries (bound once, in the split phase), used as is while the payload's schema is the
+        very object it was bound to and rebound from its annotation otherwise (fail closed).
+        ``adaptive`` carries the job's adaptive-indexing context: staged replicas
         honour its checksum option, and a cancelled build (stale ``Dir_rep``) refunds its
         budget slot.  The *decision* to build was already made by the planner via the plan's
         access path.
@@ -152,9 +151,8 @@ class VectorizedExecutor:
                 "was the file uploaded with the HAIL pipeline?"
             )
         schema = payload.schema
-        bound = annotation
-        if type(bound) is not BoundQuery or bound.schema is not schema:
-            bound = BoundQuery.of(annotation, schema)
+        if bound.schema is not schema:
+            bound = BoundQuery.of(bound, schema)
         predicate = bound.predicate
         pax = payload.pax
         read_indexes = bound.read_indexes(payload.pax_layout)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.hail.predicate import Query, _clause_sql
 from repro.layouts.pax import ColumnBatch
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, JobResult, Lowering, key_column, key_value_columns
+from repro.mapreduce.job import Emitted, JobConf, JobResult, Lowering, key_column
 from repro.mapreduce.shuffle import key_runs, numbered, run_reduce_phase
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
@@ -314,13 +314,14 @@ def _ranked_rests(keys: list, rests: list[tuple]) -> dict:
     return dict(zip(numbers, map(ranked.__getitem__, map(slice, starts, starts[1:]))))
 
 
-def _merge_join(system: "BaseSystem", left, right, joined: _JoinedGroups) -> float:
-    """Map-side merge join: both sides' key and value columns (a scan job's, or keyed pairs
-    split once) straight into ``joined``, charged as a CPU-only merge."""
-    left_keys, lefts = key_value_columns(left)
-    right_keys, rests = key_value_columns(right)
+def _merge_join(
+    system: "BaseSystem", left: Emitted, right: Emitted, joined: _JoinedGroups
+) -> float:
+    """Map-side merge join: both sides' key and value columns (each a scan job's) straight into
+    ``joined``, charged as a CPU-only merge."""
+    lefts, rests = left.values, right.values
     # A side with no block has no key column: its job's keys are ``None``, as if null-keyed.
-    left_keys, right_keys = key_column(left_keys, len(lefts)), key_column(right_keys, len(rests))
+    left_keys, right_keys = key_column(left.keys, len(lefts)), key_column(right.keys, len(rests))
     joined.extend(left_keys, lefts, right_keys, rests)
     nodes = system.cluster.alive_nodes
     if not nodes:
@@ -333,8 +334,8 @@ def _merge_join(system: "BaseSystem", left, right, joined: _JoinedGroups) -> flo
 def _hash_join(
     system: "BaseSystem",
     query: JoinQuery,
-    left,
-    right,
+    left: Emitted,
+    right: Emitted,
     counters: Counters,
     joined: _JoinedGroups,
 ) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext, placement_candidates
@@ -126,15 +126,12 @@ class BoundQuery:
         )
 
     @classmethod
-    def of(cls, query: Union[HailQuery, BoundQuery, None], schema: Schema) -> BoundQuery:
-        """``query`` bound to ``schema``: a :class:`BoundQuery` bound to this very schema object
-        as is; one bound to any other schema is rebound from its annotation (fail closed), and
-        an annotation (or ``None``) is bound now."""
-        if isinstance(query, BoundQuery):
-            if query.schema is schema:
-                return query
-            query = query.annotation
-        return cls.bind(query, schema)
+    def of(cls, bound: BoundQuery, schema: Schema) -> BoundQuery:
+        """``bound`` for ``schema``: as is when bound to this very schema object, otherwise
+        rebound from its annotation (fail closed)."""
+        if bound.schema is schema:
+            return bound
+        return cls.bind(bound.annotation, schema)
 
     def read_indexes(self, pax_layout: bool) -> tuple[int, ...]:
         """The columns an index or PAX scan fetches: the filter columns, then the projected ones
@@ -265,26 +262,23 @@ class PhysicalPlanner:
         self.zone_maps = zone_maps
 
     # ------------------------------------------------------------------ per-query planning
-    def query_frame(
-        self, path: str, annotation: Union[HailQuery, BoundQuery, None] = None
-    ) -> QueryPlan:
-        """An empty :class:`QueryPlan` for ``path``, the query bound to the file's schema.
+    def query_frame(self, path: str, annotation: Optional[HailQuery] = None) -> QueryPlan:
+        """An empty :class:`QueryPlan` for ``path``, the job's ``@HailQuery`` bound to the
+        file's schema.
 
-        The query is bound once, to the schema of the file's first block (a file has one); a
-        :class:`BoundQuery` already bound to that very schema is taken as is.  Every input
-        format frames its job's plan here in its split phase (``InputFormat.get_splits``);
-        :meth:`plan_query` fills the frame with every block's plan.
+        The query is bound once, to the schema of the file's first block (a file has one).
+        Every input format frames its job's plan here in its split phase
+        (``InputFormat.get_splits``); :meth:`plan_query` fills the frame with every block's
+        plan.  Past the split phase the query is only ever the :class:`BoundQuery` this makes.
         """
         namenode = self.hdfs.namenode
         block_ids = namenode.file_blocks(path)
         schema = namenode.logical_block(block_ids[0]).schema if block_ids else None
-        return QueryPlan(path=path, bound=BoundQuery.of(annotation, schema))
+        return QueryPlan(path=path, bound=BoundQuery.bind(annotation, schema))
 
-    def plan_query(
-        self, path: str, annotation: Union[HailQuery, BoundQuery, None] = None
-    ) -> QueryPlan:
-        """Plan every block of ``path`` for the query described by ``annotation`` (the
-        ``@HailQuery``, or the :class:`BoundQuery` the split phase bound it to)."""
+    def plan_query(self, path: str, annotation: Optional[HailQuery] = None) -> QueryPlan:
+        """Plan every block of ``path`` for the job's ``@HailQuery`` ``annotation``, bound once
+        (:meth:`query_frame`)."""
         plan = self.query_frame(path, annotation)
         plan.block_plans.extend(self.plan_blocks(self.hdfs.namenode.file_blocks(path), plan.bound))
         return plan
@@ -310,9 +304,10 @@ class PhysicalPlanner:
     ) -> BlockPlan:
         """Plan a single block (the record readers' re-planning entry point).
 
-        ``bound`` is the :class:`BoundQuery` the job's plan carries (used as is while the
-        block's schema is the one it was bound to, rebound from its annotation otherwise), or
-        ``None`` for a block read whole: a stock text block, planned with no binding at all.
+        ``bound`` is the :class:`BoundQuery` the job's plan carries, never a ``@HailQuery``:
+        used as is while the block's schema is the one it was bound to, rebound from its
+        annotation otherwise (:meth:`BoundQuery.of`).  ``None`` plans a block read whole: a
+        stock text block, planned with no binding at all.
         The plan carries no execution marks: a reader hands it to :meth:`for_execution`
         before running it.
         """

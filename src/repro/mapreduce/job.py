@@ -33,6 +33,12 @@ def paired(keys: Optional[Sequence], values: Sequence) -> list[tuple]:
     return list(zip(repeat(None) if keys is None else keys, values))
 
 
+def unpaired(pairs: Sequence[tuple]) -> tuple[list, list]:
+    """``(keys, values)``: the key column and the value column of ``pairs``, the inverse of
+    :func:`paired` — where a user function's ``(key, value)`` pairs become columns."""
+    return list(map(_FIRST, pairs)), list(map(_SECOND, pairs))
+
+
 @dataclass
 class Emitted:
     """What a map task, a reduce phase or a job emitted: a key column beside a value column.
@@ -40,8 +46,10 @@ class Emitted:
     ``values`` holds the emitted values in order and ``keys`` their keys, one per value — or
     ``None`` when every key is ``None``, as for a scan whose rows are passed on as they are
     (HAIL's ``output(v, null)``) and an operator's answer.  No ``(key, value)`` pair is built
-    until ``output`` is read; ``records`` is a copy of the values.  :class:`JobResult` and
-    ``MapTaskResult`` extend it; the runner hands one to the shuffle.
+    until ``output`` is read; ``records`` is a copy of the values.  It is the one form map
+    output takes between user functions: the pairs a mapper, combiner or reducer returns are
+    split into it once (:func:`unpaired`).  :class:`JobResult`, ``MapTaskResult`` and
+    ``ReducePhaseResult`` extend it; the runner hands one to the shuffle.
     """
 
     keys: Optional[list]
@@ -56,15 +64,6 @@ class Emitted:
     def records(self) -> list:
         """Only the output values (the projected tuples for query-style jobs)."""
         return list(self.values)
-
-
-def key_value_columns(output) -> tuple[Optional[list], list]:
-    """``(keys, values)`` of one map output: an :class:`Emitted`'s own columns, or the two
-    columns of a list of ``(key, value)`` pairs — the form the per-record contract and
-    hand-written jobs give."""
-    if isinstance(output, Emitted):
-        return output.keys, output.values
-    return list(map(_FIRST, output)), list(map(_SECOND, output))
 
 
 def key_column(keys: Optional[list], count: int) -> list:
@@ -103,8 +102,11 @@ class JobConf:
     from a scan's batch function and its consumer's ``emit(batch) -> (keys, values)``
     (:func:`repro.systems.base.scan_job`).  When present the map task calls it once per block
     instead of ``mapper`` once per record, and keeps what it returns as columns: a plain scan's
-    rows go on with no key column at all (``keys`` ``None``), and no pair is built.  Code that
-    replaces ``mapper`` on a system-built jobconf replaces or clears ``map_batch`` as well.
+    rows go on with no key column at all (``keys`` ``None``), and no pair is built.  Without
+    it, the pairs ``mapper`` returns are split into the same two columns (:func:`unpaired`);
+    the combiner's and the reducer's pairs are split the same way, so every stage after a user
+    function hands on columns.  Code that replaces ``mapper`` on a system-built jobconf
+    replaces or clears ``map_batch`` as well.
     """
 
     name: str

@@ -31,7 +31,7 @@ from repro.cluster.failure import ConcurrentChaos, FailureEvent
 from repro.engine.planner import QueryPlan
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import Emitted, JobConf, JobResult, concatenated, key_value_columns
+from repro.mapreduce.job import Emitted, JobConf, JobResult, concatenated
 from repro.mapreduce.job_client import JobClient, SplitPlan
 from repro.mapreduce.job_tracker import (
     ConcurrencyPolicy,
@@ -226,8 +226,7 @@ class MapReduceRunner:
         if jobconf.reducer is not None:
             map_output = Emitted(keys, values)
             phase = run_reduce_phase(map_output, jobconf, self.hdfs.cluster, self.cost, counters)
-            # The reducers emit pairs (the public ``Reducer`` contract): kept as columns too.
-            (keys, values), reduce_s = key_value_columns(phase.output), phase.duration_s
+            keys, values, reduce_s = phase.keys, phase.values, phase.duration_s
 
         if measured:
             jobconf.input_format.finish_run(self.hdfs, self.cost, outcome, counters, tenant)

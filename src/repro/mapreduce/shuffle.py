@@ -6,8 +6,9 @@ aggregation examples shipped with this reproduction — run end to end, and so t
 can shuffle both of its scans' outputs to one set of reducers.  The reduce side groups each
 input's values by one stable sort of key numbers, not by a list per key: a key's group is a run
 of that order, sliced only for the reducer call that takes it.  A map output comes in as its key
-column and its value column (:class:`~repro.mapreduce.job.Emitted`), so no pair is split here;
-a list of ``(key, value)`` pairs, the form hand-written jobs give, is split into the two once.
+column and its value column (:class:`~repro.mapreduce.job.Emitted`), and goes on as the same two
+columns: the pairs a combiner or a reducer returns are split into them once
+(:func:`~repro.mapreduce.job.unpaired`).
 """
 
 from __future__ import annotations
@@ -21,19 +22,19 @@ from typing import Iterable, Optional
 from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobConf, key_column, key_value_columns, paired
+from repro.mapreduce.job import Emitted, JobConf, key_column, unpaired
 
 #: Rough per-pair byte footprint used to charge shuffle network traffic.
 _BYTES_PER_PAIR = 64.0
 
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+_FIRST = itemgetter(0)
 
 
 @dataclass
-class ReducePhaseResult:
-    """Functional output and simulated duration of the shuffle + reduce phase."""
+class ReducePhaseResult(Emitted):
+    """Functional output (see :class:`~repro.mapreduce.job.Emitted`) and simulated duration of
+    the shuffle + reduce phase."""
 
-    output: list[tuple]
     duration_s: float
     num_reduce_tasks: int
 
@@ -76,7 +77,7 @@ def combine_map_output(
         counters.increment(
             Counters.SHUFFLE_BYTES_SAVED, cost.scale_bytes(saved_pairs * _BYTES_PER_PAIR)
         )
-    return list(map(_FIRST, combined)), list(map(_SECOND, combined))
+    return unpaired(combined)
 
 
 def numbered(keys: Iterable) -> dict:
@@ -99,22 +100,22 @@ def key_runs(keys: list, numbers: dict, order: list[int]) -> list[int]:
 
 
 def run_reduce_phase(
-    map_output,
+    map_output: Emitted,
     jobconf: JobConf,
     cluster: Cluster,
     cost: CostModel,
     counters: Counters,
-    *more_outputs,
+    *more_outputs: Emitted,
 ) -> ReducePhaseResult:
     """Group the map output by key, partition and sort the keys, apply the reducer per group.
 
     Each map output is an :class:`~repro.mapreduce.job.Emitted` — a job's or the runner's key
-    and value columns, taken as they are — or a list of ``(key, value)`` pairs
-    (:func:`~repro.mapreduce.job.key_value_columns`).  ``more_outputs`` are further jobs' map
-    outputs shuffled to the same reducers (a reduce-side join): the reducer is called as
+    and value columns, taken as they are.  ``more_outputs`` are further jobs' map outputs
+    shuffled to the same reducers (a reduce-side join): the reducer is called as
     ``reducer(key, values, *more_values)`` with one value sequence per input — with none it is
-    the plain ``reducer(key, values)``.  A job without a reducer passes its one map output
-    through and refuses further ones.
+    the plain ``reducer(key, values)``.  The reducers' pairs are split into the result's key
+    and value columns once, after the last call.  A job without a reducer passes its one map
+    output's columns through and refuses further ones.
 
     The grouping is one sort per input, not one list per key (:func:`key_runs`): keys are
     numbered in first-seen order — input 0's, then those only input 1 has, ... — and each
@@ -132,11 +133,13 @@ def run_reduce_phase(
         raise ValueError(
             f"job {jobconf.name!r} has no reducer to join {1 + len(more_outputs)} map outputs"
         )
-    inputs = [key_value_columns(output) for output in (map_output, *more_outputs)]
-    if reducer is None or not any(values for _, values in inputs):
-        return ReducePhaseResult(output=paired(*inputs[0]), duration_s=0.0, num_reduce_tasks=0)
+    outputs = (map_output, *more_outputs)
+    if reducer is None or not any(output.values for output in outputs):
+        return ReducePhaseResult(
+            map_output.keys, map_output.values, duration_s=0.0, num_reduce_tasks=0
+        )
 
-    inputs = [(key_column(keys, len(values)), values) for keys, values in inputs]
+    inputs = [(key_column(output.keys, len(output.values)), output.values) for output in outputs]
     num_reducers = max(1, jobconf.num_reduce_tasks or 1)
     numbers = numbered(chain.from_iterable(map(_FIRST, inputs)))
     runs = []  # per input: its values sorted into key runs, and where the runs start
@@ -163,7 +166,7 @@ def run_reduce_phase(
     if output:
         counters.increment(Counters.REDUCE_OUTPUT_RECORDS, len(output))
     duration = _reduce_phase_seconds(num_pairs, num_reducers, cluster, cost)
-    return ReducePhaseResult(output=output, duration_s=duration, num_reduce_tasks=num_reducers)
+    return ReducePhaseResult(*unpaired(output), duration_s=duration, num_reduce_tasks=num_reducers)
 
 
 def _reduce_phase_seconds(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.cluster.costmodel import CostModel
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import Emitted, JobConf, concatenated, key_value_columns
+from repro.mapreduce.job import Emitted, JobConf, concatenated, unpaired
 from repro.mapreduce.split import InputSplit
 
 
@@ -51,7 +51,8 @@ class MapTask:
         Any other job — user code — runs ``mapper(key, value)`` per record of the reader's
         per-record view.  Both leave the same output, in order, and the same reader state: the
         blocks' key and value columns end to end (no key column when every block's keys are
-        ``None``), or the mapper's pairs split into the two.
+        ``None``), or the mapper's pairs split into the two once
+        (:func:`~repro.mapreduce.job.unpaired`), after the last record.
 
         ``counters`` is the attempt's private scratch bag (the scheduler merges it into the
         job's only if the attempt is accepted).  The task counts what it sees itself —
@@ -71,7 +72,7 @@ class MapTask:
                 emitted = mapper(key, value)
                 if emitted:
                     pairs.extend(emitted)
-            keys, values = key_value_columns(pairs)
+            keys, values = unpaired(pairs)
         counters.increment(Counters.MAP_INPUT_RECORDS, reader.records_emitted)
         counters.increment(Counters.MAP_OUTPUT_RECORDS, len(values))
         counters.increment(Counters.BYTES_READ, reader.bytes_read)

@@ -395,6 +395,11 @@ def scan_job(name: str, path: str, input_format, columns, row, emit=None) -> Job
     same pairs in the same order.  Without an ``emit`` the rows are passed on with the null
     key: the batch's columns are zipped into rows, once, and no key column is kept
     (:func:`_pass_on`).
+
+    The map task always runs ``map_batch``; ``mapper`` is the per-record reference that
+    ``tests/test_block_batches.py`` (``_per_record``) and the ``per-record`` runs of
+    ``tests/test_map_output_fingerprint.py`` execute in its place, to hold the block form to
+    the public per-record contract.
     """
     if emit is None:
         emit = _pass_on

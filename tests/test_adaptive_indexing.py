@@ -291,9 +291,9 @@ def test_commit_deduplicates_speculative_builds():
     for node_id in (0, 1):  # two speculative attempts on different nodes
         planner = PhysicalPlanner(hdfs)
         plan = planner.for_execution(
-            planner.plan_block(block_id, bound), annotation, Context(offer_rate=1.0)
+            planner.plan_block(block_id, bound), bound, Context(offer_rate=1.0)
         )
-        scan = VectorizedExecutor(hdfs, system.cost, node_id).execute(plan, annotation)
+        scan = VectorizedExecutor(hdfs, system.cost, node_id).execute(plan, bound)
         assert scan.pending_build is not None
         builds.append(scan.pending_build)
 
@@ -316,13 +316,12 @@ def test_commit_skips_builds_targeting_dead_nodes():
     from repro.hail.annotation import HailQuery
 
     annotation = HailQuery(filter=_query().predicate, projection=("f1",))
+    bound = BoundQuery.bind(annotation, system.schema_of(_PATH))
     planner = PhysicalPlanner(hdfs)
     plan = planner.for_execution(
-        planner.plan_block(block_id, BoundQuery.bind(annotation, system.schema_of(_PATH))),
-        annotation,
-        Context(offer_rate=1.0),
+        planner.plan_block(block_id, bound), bound, Context(offer_rate=1.0)
     )
-    scan = VectorizedExecutor(hdfs, system.cost, 0).execute(plan, annotation)
+    scan = VectorizedExecutor(hdfs, system.cost, 0).execute(plan, bound)
     system.cluster.kill_node(0)
     try:
         report = commit_adaptive_builds(

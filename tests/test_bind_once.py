@@ -271,7 +271,7 @@ def test_a_query_bound_to_another_schema_is_rebound(foreign_schema, query_index,
         plan = planner.plan_block(block_id, foreign, prefer_node=0)
         assert plan == fresh_plan
         executor = VectorizedExecutor(system.hdfs, system.cost, node_id=0)
-        fresh = executor.execute(copy.copy(fresh_plan), annotation)
+        fresh = executor.execute(copy.copy(fresh_plan), own)
         counts["bind"] = 0
         scan = executor.execute(plan, foreign)
         assert counts["bind"] == 1  # rebound, from the annotation, for this payload

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters, TransferLedger
 from repro.datagen import USERVISITS_SCHEMA, WebLogGenerator
 from repro.engine.access_path import AccessPath
-from repro.engine.planner import PhysicalPlanner
+from repro.engine.planner import BoundQuery, PhysicalPlanner
 from repro.hail import HailConfig
 from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
@@ -135,17 +135,23 @@ def test_indexed_host_choice_prefers_local_and_falls_back(hail_setup, uservisits
     result = pipeline.upload_block("/uv", uservisits_sample[:60], USERVISITS_SCHEMA, 0, ledger)
     block_id = result.block_id
     planner = PhysicalPlanner(hdfs)
+
+    def bound(predicate: Predicate) -> BoundQuery:
+        """The filter bound to the block's schema, as a job's split phase binds it."""
+        schema = hdfs.namenode.logical_block(block_id).schema
+        return BoundQuery.bind(HailQuery(filter=predicate), schema)
+
     visit_host = hdfs.namenode.hosts_with_index(block_id, "visitDate")[0]
     visits = Predicate.equals("visitDate", uservisits_sample[0][2])
-    plan = planner.plan_block(block_id, HailQuery(filter=visits), prefer_node=visit_host)
+    plan = planner.plan_block(block_id, bound(visits), prefer_node=visit_host)
     assert (plan.datanode_id, plan.attribute) == (visit_host, "visitDate")
     # Conjunction: the first attribute with an index wins.
     words = Predicate.equals("searchWord", "x")
     conjunction = Predicate(words.clauses + Predicate.equals("sourceIP", "1.2.3.4").clauses)
-    plan = planner.plan_block(block_id, HailQuery(filter=conjunction))
+    plan = planner.plan_block(block_id, bound(conjunction))
     assert plan.access_path is AccessPath.INDEX_SCAN and plan.attribute == "sourceIP"
     assert plan.datanode_id in hdfs.namenode.hosts_with_index(block_id, "sourceIP")
-    plan = planner.plan_block(block_id, HailQuery(filter=words))
+    plan = planner.plan_block(block_id, bound(words))
     assert plan.access_path is not AccessPath.INDEX_SCAN
 
 

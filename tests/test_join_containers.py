@@ -24,6 +24,9 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.engine.operators.join import _hash_join, _JoinedGroups, _merge_join
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import Emitted
+
+from emitted import emitted
 
 _KEY_COUNTS = (1_000, 4_000)
 #: Reducer calls between two samples of the hash join's peak.
@@ -35,14 +38,14 @@ def _live_lists() -> int:
     return sum(type(obj) is list for obj in gc.get_objects(generation=0))
 
 
-def _keyed_sides(keys: int) -> tuple[list[tuple], list[tuple]]:
+def _keyed_sides(keys: int) -> tuple[Emitted, Emitted]:
     """8 left rows and 2 right rows per key, shuffled, keyed as the join's scans emit them."""
     rng = random.Random(keys)
     left = [(i % keys, (i % keys, rng.randrange(1_000_000))) for i in range(keys * 8)]
     right = [(i % keys, (rng.randrange(1_000_000),)) for i in range(keys * 2)]
     rng.shuffle(left)
     rng.shuffle(right)
-    return left, right
+    return emitted(left), emitted(right)
 
 
 class _PeakGroups(_JoinedGroups):

@@ -35,7 +35,10 @@ from repro.hail import HailConfig
 from repro.layouts.schema import FieldType, Schema
 from repro.mapreduce import JobConf
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import Emitted
 from repro.mapreduce.shuffle import run_reduce_phase
+
+from emitted import emitted
 
 _SYSTEMS = ("HAIL", "Hadoop++", "Hadoop")
 
@@ -87,11 +90,11 @@ def _reference_join(left_rows: list[tuple], right_rows: list[tuple]) -> list[tup
 
 
 def _emit(strategy: str, left_rows: list[tuple], right_rows: list[tuple]):
-    """``(rows, seconds, counters)`` of one strategy's finish over the side scans' pairs."""
+    """``(rows, seconds, counters)`` of one strategy's finish over the side scans' columns."""
     cluster, cost = _cluster_and_cost()
     system = SimpleNamespace(cluster=cluster, cost=cost)
-    left = [(row[0], row) for row in left_rows]
-    right = [(row[0], row[1:]) for row in right_rows]
+    left = emitted([(row[0], row) for row in left_rows])
+    right = emitted([(row[0], row[1:]) for row in right_rows])
     joined, counters = join_module._JoinedGroups(), Counters()
     if strategy == "merge":
         seconds = join_module._merge_join(system, left, right, joined)
@@ -288,6 +291,22 @@ def test_a_group_by_reduce_phase_returns_what_it_did_before_it_could_cogroup(
     assert result.job.counters.value(Counters.REDUCE_OUTPUT_RECORDS) == len(_GROUPS)
 
 
+def test_the_runner_takes_the_reduce_phases_columns_as_they_are(monkeypatch, grouped):
+    """The reduce phase splits its reducers' pairs into columns once, and the runner keeps those
+    very columns as the job's: it reads no pairs back (``phase.output``) to split again."""
+    phases = []
+
+    def reduce_phase(*args, run=run_reduce_phase):
+        phases.append(run(*args))
+        return phases[-1]
+
+    monkeypatch.setattr(runner_module, "run_reduce_phase", reduce_phase)
+    job = grouped.collect(system="HAIL").job
+    (phase,) = phases
+    assert isinstance(phase, Emitted)
+    assert job.keys is phase.keys and job.values is phase.values
+
+
 def test_a_user_reducer_over_one_input_sees_the_groups_in_the_order_it_always_did():
     def reducer(key, values):
         return None if key % 3 == 0 else [(key, sum(values)), (-key, len(values))]
@@ -296,7 +315,7 @@ def test_a_user_reducer_over_one_input_sees_the_groups_in_the_order_it_always_di
     conf = JobConf(name="user", input_path="/none", reducer=reducer, num_reduce_tasks=3)
     counters = Counters()
     pairs = [((i * 7) % 11 - 4, i) for i in range(40)]  # keys -4..6, negative hashes included
-    phase = run_reduce_phase(pairs, conf, cluster, cost, counters)
+    phase = run_reduce_phase(emitted(pairs), conf, cluster, cost, counters)
     assert phase.output == [
         (-1, 74), (1, 4), (-2, 86), (2, 4), (1, 54), (-1, 3), (4, 60),
         (-4, 3), (-4, 66), (4, 4), (2, 82), (-2, 4), (5, 90), (-5, 4),
@@ -310,7 +329,7 @@ def test_a_user_reducer_over_one_input_sees_the_groups_in_the_order_it_always_di
         name="wc", input_path="/none", reducer=lambda k, v: [(k, sum(v))], num_reduce_tasks=4
     )
     counters = Counters()
-    phase = run_reduce_phase([(word, 1) for word in words], conf, cluster, cost, counters)
+    phase = run_reduce_phase(emitted([(word, 1) for word in words]), conf, cluster, cost, counters)
     assert sorted(phase.output) == [
         ("brown", 1), ("dog", 1), ("fox", 2), ("jumps", 1),
         ("lazy", 1), ("over", 1), ("quick", 1), ("the", 3),
@@ -323,12 +342,13 @@ def test_a_job_without_a_reducer_or_without_pairs_pays_no_reduce_phase():
     cluster, cost = _cluster_and_cost()
     counters = Counters()
     pairs = [(1, "a"), (2, "b")]
-    mapped = run_reduce_phase(pairs, JobConf(name="m", input_path="/none"), cluster, cost, counters)
+    mapping = JobConf(name="m", input_path="/none")
+    mapped = run_reduce_phase(emitted(pairs), mapping, cluster, cost, counters)
     assert mapped.output == pairs and mapped.output is not pairs
     reducing = JobConf(name="r", input_path="/none", reducer=lambda k, *v: [(k, v)])
-    empty = run_reduce_phase([], reducing, cluster, cost, counters, [])
+    empty = run_reduce_phase(emitted([]), reducing, cluster, cost, counters, emitted([]))
     assert (mapped.duration_s, empty.duration_s, empty.output) == (0.0, 0.0, [])
     assert counters.as_dict() == {}
     # A further input alone is a phase; the input without the key contributes no values.
-    phase = run_reduce_phase([], reducing, cluster, cost, counters, [(7, "x")])
+    phase = run_reduce_phase(emitted([]), reducing, cluster, cost, counters, emitted([(7, "x")]))
     assert phase.output == [(7, ((), ["x"]))] and phase.duration_s > 0.0

@@ -1,6 +1,6 @@
 """One module DAG: every ``repro`` import in ``src/repro`` is module-level and points down.
 
-Six static checks over the AST of every module under ``src/repro``:
+Seven static checks over the AST of every module under ``src/repro``:
 
 - no ``repro`` import sits in a function or class body (none dodges a cycle at runtime);
 - an ``if TYPE_CHECKING:`` block imports from ``repro`` only what :data:`ALLOWED_TYPE_CHECKING`
@@ -13,7 +13,10 @@ Six static checks over the AST of every module under ``src/repro``:
 - no module-level import loads a module :data:`LOADED_AT_FIRST_USE` names (numpy, sqlite3);
 - chunk CRCs are computed in one place: outside ``repro.hdfs.checksum``, which defines
   ``chunk_checksums``, only ``repro.persist.state`` calls it (where the journal writes a
-  payload).
+  payload);
+- one input form per function: no ``isinstance(..., Emitted)`` test (map output is columns
+  past the user function that emitted it) and no parameter annotated with a union of
+  ``HailQuery`` and ``BoundQuery`` (a query is bound once, in its split phase).
 
 What only running the imports shows — a package ``__init__`` re-entering a module that is still
 loading — is ``tools/import_each.py``'s job, run in CI.
@@ -369,3 +372,80 @@ def test_only_the_journal_capture_computes_chunk_checksums():
     ]
     assert not stray, "\n".join(stray)
     assert set(callers) == CHUNK_CHECKSUM_CALLERS
+
+
+#: Past the map function a map output is columns (``Emitted``), and past the split phase a
+#: query is a ``BoundQuery``: no program function takes the other form beside it.
+_QUERY_FORMS = {"HailQuery", "BoundQuery"}
+
+
+def _dotted_name(node: ast.AST) -> str | None:
+    """``Name`` -> its id, ``a.b.Name`` -> ``Name``; anything else -> ``None``."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _union_members(node: ast.AST) -> set[str] | None:
+    """The names a ``Union[...]``, ``Optional[...]`` or ``X | Y`` annotation node holds, nested
+    unions flattened; ``None`` when ``node`` is no union."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        members = [node.left, node.right]
+    elif isinstance(node, ast.Subscript) and _dotted_name(node.value) in ("Union", "Optional"):
+        members = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    else:
+        return None
+    names = set()
+    for member in members:
+        nested = _union_members(member)
+        names |= nested if nested is not None else {_dotted_name(member)}
+    return names
+
+
+def _second_forms(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, what)`` per ``isinstance(..., Emitted)`` test and per parameter annotated with a
+    union of ``HailQuery`` and ``BoundQuery`` (string annotations parsed)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted_name(node.func) == "isinstance":
+            kinds = node.args[1:]
+            if kinds and isinstance(kinds[0], ast.Tuple):
+                kinds = kinds[0].elts
+            if any(_dotted_name(kind) == "Emitted" for kind in kinds):
+                found.append((node.lineno, "isinstance(..., Emitted)"))
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotation = node.annotation
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                annotation = ast.parse(annotation.value, mode="eval").body
+            for sub in ast.walk(annotation):
+                members = _union_members(sub)
+                if members is not None and _QUERY_FORMS <= members:
+                    found.append((node.lineno, f"parameter {node.arg} takes both query forms"))
+                    break
+    return sorted(found)
+
+
+def test_the_second_form_rule_sees_every_spelling():
+    tree = ast.parse(
+        "def f(a: Union[HailQuery, BoundQuery, None], b: 'HailQuery | planner.BoundQuery'):\n"
+        "    return isinstance(a, Emitted) or isinstance(b, (list, job.Emitted))\n"
+        "def g(c: Optional[Union[BoundQuery, HailQuery]], *d: Optional[BoundQuery | HailQuery]):\n"
+        "    pass\n"
+        "def h(e: Optional[BoundQuery], f: HailQuery, g: tuple[HailQuery, BoundQuery]):\n"
+        "    return isinstance(e, BoundQuery) or isinstance(f, Emitted.__class__)\n"
+    )
+    assert _second_forms(tree) == [
+        (1, "parameter a takes both query forms"),
+        (1, "parameter b takes both query forms"),
+        (2, "isinstance(..., Emitted)"),
+        (2, "isinstance(..., Emitted)"),
+        (3, "parameter c takes both query forms"),
+        (3, "parameter d takes both query forms"),
+    ]
+
+
+def test_no_program_function_takes_a_second_input_form():
+    stray = [
+        f"{path.relative_to(SRC)}:{line} {what}"
+        for path in MODULES.values()
+        for line, what in _second_forms(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not stray, "\n".join(stray)

@@ -11,6 +11,8 @@ from repro.mapreduce.job_tracker import JobTracker
 from repro.mapreduce.shuffle import run_reduce_phase
 from repro.mapreduce.task import MapTask
 
+from emitted import emitted
+
 
 @pytest.fixture
 def loaded_hdfs(hdfs, cost_model, simple_schema, simple_records):
@@ -130,7 +132,7 @@ def test_reduce_phase_groups_and_sorts(loaded_hdfs, cost_model):
         return [(key, sum(values))]
 
     conf = JobConf(name="agg", input_path="/data/simple", reducer=reducer, num_reduce_tasks=2)
-    map_output = [("a", 1), ("b", 1), ("a", 2), ("c", 5)]
+    map_output = emitted([("a", 1), ("b", 1), ("a", 2), ("c", 5)])
     counters = Counters()
     result = run_reduce_phase(map_output, conf, loaded_hdfs.cluster, cost_model, counters)
     assert dict(result.output) == {"a": 3, "b": 1, "c": 5}
@@ -142,7 +144,8 @@ def test_reduce_phase_groups_and_sorts(loaded_hdfs, cost_model):
 
 def test_reduce_phase_noop_without_reducer(loaded_hdfs, cost_model):
     conf = JobConf(name="maponly", input_path="/data/simple")
-    result = run_reduce_phase([("a", 1)], conf, loaded_hdfs.cluster, cost_model, Counters())
+    map_output = emitted([("a", 1)])
+    result = run_reduce_phase(map_output, conf, loaded_hdfs.cluster, cost_model, Counters())
     assert result.output == [("a", 1)]
     assert result.duration_s == 0.0
 
@@ -154,7 +157,9 @@ def test_reduce_phase_without_reducer_refuses_further_map_outputs(loaded_hdfs, c
     counters = Counters()
     for more in ([("b", 2)], []):
         with pytest.raises(ValueError, match="no reducer"):
-            run_reduce_phase([("a", 1)], conf, loaded_hdfs.cluster, cost_model, counters, more)
+            run_reduce_phase(
+                emitted([("a", 1)]), conf, loaded_hdfs.cluster, cost_model, counters, emitted(more)
+            )
     assert counters.as_dict() == {}
 
 
@@ -165,12 +170,12 @@ def test_reduce_phase_hands_each_key_one_run_per_input(loaded_hdfs, cost_model):
 
     def reducer(key, *values):
         calls.append((repr(key), values))
-        return [key]
+        return [(key, len(values))]
 
     conf = JobConf(name="join", input_path="/data/simple", reducer=reducer, num_reduce_tasks=1)
-    first = [(2, "a"), (0.0, "b"), (2, "c")]
-    second = [(-0.0, "x"), (3, "y"), (2, "z"), (0.0, "w")]
-    third = [(3, "q")]
+    first = emitted([(2, "a"), (0.0, "b"), (2, "c")])
+    second = emitted([(-0.0, "x"), (3, "y"), (2, "z"), (0.0, "w")])
+    third = emitted([(3, "q")])
     counters = Counters()
     result = run_reduce_phase(
         first, conf, loaded_hdfs.cluster, cost_model, counters, second, third
@@ -180,7 +185,7 @@ def test_reduce_phase_hands_each_key_one_run_per_input(loaded_hdfs, cost_model):
         ("2", (["a", "c"], ["z"], ())),
         ("3", ((), ["y"], ["q"])),
     ]
-    assert result.output == [0.0, 2, 3]
+    assert result.keys == [0.0, 2, 3]
     assert counters.as_dict() == {"REDUCE_INPUT_RECORDS": 8, "REDUCE_OUTPUT_RECORDS": 3}
 
 

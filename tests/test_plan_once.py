@@ -22,7 +22,7 @@ from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.access_path import AccessPath
 from repro.engine.executor import VectorizedExecutor
-from repro.engine.planner import PhysicalPlanner
+from repro.engine.planner import BoundQuery, PhysicalPlanner
 from repro.hail import HailConfig, HailInputFormat, HailSystem
 from repro.hail.annotation import resolve_annotation
 from repro.hail.predicate import Operator, Predicate
@@ -89,13 +89,14 @@ def _read_splits(system, jobconf, splits, monkeypatch) -> tuple[list, list]:
 def _fresh_plans(system, jobconf, splits, executed) -> list:
     """What ``plan_block`` plans now for each executed block, on the node that executed it."""
     planner = PhysicalPlanner(system.hdfs, zone_maps=system.config.zone_maps)
+    bound = BoundQuery.bind(resolve_annotation(jobconf), system.schema_of(jobconf.input_path))
     preferred = {}
     for split in splits:
         preferred.update(split.preferred_replicas)
     return [
         planner.plan_block(
             plan.block_id,
-            resolve_annotation(jobconf),
+            bound,
             preferred=preferred.get(plan.block_id),
             prefer_node=node_id,
         )
