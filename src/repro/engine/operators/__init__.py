@@ -4,6 +4,8 @@ Each operator compiles to a frozen query object (:class:`GroupByQuery`, :class:`
 :class:`TopKQuery`) that any system — stock Hadoop, Hadoop++ or HAIL — runs like a scan: the
 operator *lowers* the query to the scans it needs plus a finish step over their job results
 (:data:`LOWERINGS`), and the system alone runs that, serially or inside an interleaved batch.
+The same lowering renders the operator's ``EXPLAIN`` above one plan per scan, from the
+decisions it made, so a result's plan is the plans its scans executed under that header.
 The operators push work into the layers below instead of post-processing scan output:
 aggregation rides the map/reduce shuffle with a map-side combiner, joins pick a shuffle-free
 merge strategy when ``Dir_rep`` proves both sides co-partitioned, and top-k terminates early
@@ -19,7 +21,6 @@ from repro.engine.operators.aggregate import (
     SUPPORTED_FUNCTIONS,
     AggregateSpec,
     GroupByQuery,
-    explain_group_by,
     lower_group_by,
 )
 from repro.engine.operators.join import (
@@ -27,10 +28,9 @@ from repro.engine.operators.join import (
     JoinQuery,
     choose_strategy,
     co_partitioned,
-    explain_join,
     lower_join,
 )
-from repro.engine.operators.topk import TopKQuery, explain_top_k, lower_top_k
+from repro.engine.operators.topk import TopKQuery, lower_top_k
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
     from repro.systems.base import BaseSystem, QueryResult
@@ -39,17 +39,15 @@ if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
 OperatorQuery = Union[GroupByQuery, JoinQuery, TopKQuery]
 
 
-#: The one dispatch from query kind to its :class:`~repro.systems.base.Lowering` and the one
-#: to its ``EXPLAIN`` rendering, both ``(system, query, path) -> ...``.  ``BaseSystem`` consults
-#: them for every query it runs or explains; a kind that is not listed is a plain scan.
+#: The one dispatch from query kind to its :class:`~repro.mapreduce.job.Lowering`,
+#: ``(system, query, path) -> Lowering``.  ``BaseSystem`` consults it for every query it runs
+#: or explains; a kind that is not listed is a plain scan.
 LOWERINGS = {GroupByQuery: lower_group_by, JoinQuery: lower_join, TopKQuery: lower_top_k}
-EXPLAINS = {GroupByQuery: explain_group_by, JoinQuery: explain_join, TopKQuery: explain_top_k}
 
 __all__ = [
     "SUPPORTED_FUNCTIONS",
     "STRATEGIES",
     "LOWERINGS",
-    "EXPLAINS",
     "AggregateSpec",
     "GroupByQuery",
     "JoinQuery",

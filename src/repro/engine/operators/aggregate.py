@@ -170,9 +170,7 @@ def _make_regroup(query: GroupByQuery, projection: tuple[str, ...]):
 
 def _merge_partials(spec: AggregateSpec, partials: Sequence) -> Any:
     """Merge partial aggregates (associative and commutative — the combiner contract)."""
-    if spec.func == "count":
-        return sum(partials)
-    if spec.func == "sum":
+    if spec.func in ("count", "sum"):
         return sum(partials)
     if spec.func == "min":
         return min(partials)
@@ -203,13 +201,13 @@ def make_combiner(aggregates: tuple[AggregateSpec, ...]):
 
 
 def make_reducer(aggregates: tuple[AggregateSpec, ...]):
-    """The final reducer: merge partials per group, then finalize into the output row."""
+    """The final reducer: merge partials per group (the combiner), then finalize into the
+    output row."""
 
-    getters = [itemgetter(i) for i in range(len(aggregates))]
+    combine = make_combiner(aggregates)
 
     def reducer(key, values):
-        columns = [list(map(get, values)) for get in getters]
-        merged = map(_merge_partials, aggregates, columns)
+        ((_, merged),) = combine(key, values)
         return [(key, tuple(key) + tuple(map(_finalize, aggregates, merged)))]
 
     return reducer
@@ -223,10 +221,11 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> Lowe
     indexed HAIL deployment aggregates over index-narrowed candidate rows exactly like a
     plain query would; the scan hands its column batches to ``regroup`` instead of zipping
     them into rows, and the decoration adds the combiner and reducer.  The finish step puts the
-    groups in canonical order.
+    groups in canonical order.  ``EXPLAIN`` renders the aggregation above the scan's plan.
     """
     base = query.base_query()
     regroup = _make_regroup(query, base.projection)
+    reduce_tasks = max(1, len(system.cluster.alive_nodes))
 
     def decorate(jobconf) -> None:
         """Turn the system's scan job, whose batches ``regroup`` already maps to a group-key
@@ -234,7 +233,7 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> Lowe
         jobconf.reducer = make_reducer(query.aggregates)
         if query.combiner:
             jobconf.combiner = make_combiner(query.aggregates)
-        jobconf.num_reduce_tasks = max(1, len(system.cluster.alive_nodes))
+        jobconf.num_reduce_tasks = reduce_tasks
 
     def finish(jobs, _scans_s) -> tuple:
         """Canonical output order: group keys sorted by ``repr``, independent of the shuffle's
@@ -242,17 +241,15 @@ def lower_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> Lowe
         (job,) = jobs
         return sorted(job.values, key=repr), job
 
-    return Lowering([(base, path, regroup, decorate)], finish)
+    def explain(plans) -> str:
+        """The aggregation above the scan's plan."""
+        header = [
+            f"GroupByAggregate {query.name!r}: {query.description}",
+            f"  keys: {', '.join(query.keys)}",
+            f"  aggregates: {', '.join(spec.sql() for spec in query.aggregates)}",
+            f"  map-side combiner: {'on' if query.combiner else 'off'}",
+            f"  reduce tasks: {reduce_tasks}",
+        ]
+        return "\n".join(header + [indent(plans[0].explain(), "  ")])
 
-
-def explain_group_by(system: "BaseSystem", query: GroupByQuery, path: str) -> str:
-    """``EXPLAIN`` rendering: the aggregation operator on top of the scan's physical plan."""
-    base = query.base_query()
-    header = [
-        f"GroupByAggregate {query.name!r}: {query.description}",
-        f"  keys: {', '.join(query.keys)}",
-        f"  aggregates: {', '.join(spec.sql() for spec in query.aggregates)}",
-        f"  map-side combiner: {'on' if query.combiner else 'off'}",
-        f"  reduce tasks: {max(1, len(system.cluster.alive_nodes))}",
-    ]
-    return "\n".join(header + [indent(system.plan_query(base, path).explain(), "  ")])
+    return Lowering([(base, path, regroup, decorate)], finish, explain)

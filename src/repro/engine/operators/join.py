@@ -36,6 +36,11 @@ if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
 
 #: The two join strategies (``JoinQuery.strategy=None`` lets the planner choose).
 STRATEGIES = ("merge", "hash")
+#: The ``JobResult`` fields a join's own job adds up over its two scan jobs.
+_SUMMED = (
+    "ideal_time_s", "num_map_tasks", "num_waves", "total_record_reader_s", "map_phase_s",
+    "split_phase_s", "rescheduled_tasks",
+)
 
 
 
@@ -117,43 +122,53 @@ def co_partitioned(system: "BaseSystem", query: JoinQuery) -> bool:
     """Can both sides be merged map-side: every block of both paths has an alive replica
     indexed (sorted) on the join key?  A pure ``Dir_rep`` metadata check, like the planner."""
     namenode = system.hdfs.namenode
-    for path in (query.left_path, query.right_path):
-        for block_id in namenode.file_blocks(path):
-            if not namenode.hosts_with_index(block_id, query.key, alive_only=True):
-                return False
-    return True
+    return all(
+        namenode.hosts_with_index(block_id, query.key, alive_only=True)
+        for path in (query.left_path, query.right_path)
+        for block_id in namenode.file_blocks(path)
+    )
 
 
 def choose_strategy(system: "BaseSystem", query: JoinQuery) -> str:
     """The strategy the join will execute with (honouring a forced ``query.strategy``)."""
-    eligible = co_partitioned(system, query)
-    if query.strategy == "merge":
-        if not eligible:
-            raise ValueError(
-                f"join {query.name!r}: strategy='merge' forced but the sides are not "
-                f"co-partitioned on {query.key!r} (a block lacks an alive indexed replica)"
-            )
-        return "merge"
-    if query.strategy == "hash":
-        return "hash"
-    return "merge" if eligible else "hash"
+    return _strategy(query, co_partitioned(system, query))
+
+
+def _strategy(query: JoinQuery, eligible: bool) -> str:
+    """The forced strategy or the planner's choice, for sides that are (or are not)
+    merge-eligible; a forced merge on sides that are not raises ``ValueError``."""
+    if query.strategy == "merge" and not eligible:
+        raise ValueError(
+            f"join {query.name!r}: strategy='merge' forced but the sides are not "
+            f"co-partitioned on {query.key!r} (a block lacks an alive indexed replica)"
+        )
+    return query.strategy or ("merge" if eligible else "hash")
 
 
 # --------------------------------------------------------------------------- lowering
 def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
     """An equi-join as two scans — one per side — finished by a merge or a shuffle-hash step.
 
-    The strategy is chosen here, from ``Dir_rep`` as it stands before either scan runs.
-    ``path`` must match ``query.left_path`` (a query resolves against one path; the right
-    side is carried by the query itself).  The finish step's :class:`JobResult` adds the two
-    scan jobs up and books the join step's seconds as the reduce phase.
+    The strategy is chosen here, from one walk of ``Dir_rep`` as it stands before either scan
+    runs, and ``EXPLAIN`` renders it with its reason above both sides' plans; a forced merge on
+    sides that are not co-partitioned is the lowering's refusal.  ``path`` must match
+    ``query.left_path`` (a query resolves against one path; the right side is carried by the
+    query itself).  The finish step's :class:`JobResult` adds the two scan jobs up and books
+    the join step's seconds as the reduce phase.
     """
     if path != query.left_path:
         raise ValueError(
             f"join {query.name!r} was compiled for left path {query.left_path!r}, "
             f"got {path!r}"
         )
-    strategy = choose_strategy(system, query)
+    eligible = co_partitioned(system, query)
+    try:
+        strategy = _strategy(query, eligible)
+    except ValueError as error:
+        refusal = str(error)
+        return Lowering(
+            [], None, lambda _plans: f"Join {query.name!r}: UNPLANNABLE — {refusal}", refusal
+        )
 
     def finish(jobs, scans_s: float) -> tuple:
         """Join the two sides' key and value columns; add their jobs up into the join's own
@@ -172,50 +187,54 @@ def lower_join(system: "BaseSystem", query: JoinQuery, path: str) -> Lowering:
         records = joined.rows()
         counters.increment(Counters.JOIN_OUTPUT_RECORDS, len(records))
 
-        def total(field: str):
-            """One ``JobResult`` field summed over both scan jobs."""
-            return sum(getattr(job, field) for job in jobs)
-
-        num_map_tasks, reader_s = total("num_map_tasks"), total("total_record_reader_s")
+        summed = {field: getattr(left, field) + getattr(right, field) for field in _SUMMED}
+        num_map_tasks, reader_s = summed["num_map_tasks"], summed["total_record_reader_s"]
         deadlines = [job.deadline_met for job in jobs if job.deadline_met is not None]
         return records, JobResult(
             job_name=f"{system.name.lower()}-{query.name}[{strategy}]",
             keys=None,
             values=list(records),
             runtime_s=scans_s + join_s,
-            ideal_time_s=total("ideal_time_s"),
-            num_map_tasks=num_map_tasks,
-            num_waves=total("num_waves"),
             avg_record_reader_s=reader_s / num_map_tasks if num_map_tasks else 0.0,
-            max_record_reader_s=max(job.max_record_reader_s for job in jobs),
-            total_record_reader_s=reader_s,
-            map_phase_s=total("map_phase_s"),
+            max_record_reader_s=max(left.max_record_reader_s, right.max_record_reader_s),
             reduce_phase_s=join_s,
-            split_phase_s=total("split_phase_s"),
             counters=counters,
-            task_results=[attempt for job in jobs for attempt in job.task_results],
-            failure_node=jobs[0].failure_node,
-            rescheduled_tasks=total("rescheduled_tasks"),
+            task_results=left.task_results + right.task_results,
+            failure_node=left.failure_node,
             deadline_met=all(deadlines) if deadlines else None,
+            **summed,
         )
 
-    return Lowering(_side_scans(system, query), finish)
+    def explain(plans) -> str:
+        """The strategy and its reason above both sides' plans, left then right."""
+        if strategy == "merge":
+            reason = (
+                f"co-partitioned: every block of both sides has an alive replica "
+                f"indexed on {query.key!r} (no shuffle)"
+            )
+        elif eligible:
+            reason = "forced by strategy='hash' (sides are merge-eligible)"
+        else:
+            reason = (
+                f"fallback: at least one block lacks an alive replica indexed on "
+                f"{query.key!r} (both sides' keyed pairs shuffle to "
+                f"{max(1, len(system.cluster.alive_nodes))} reducers, which group them)"
+            )
+        lines = [f"Join {query.name!r}: {query.description}", f"  strategy: {strategy} ({reason})"]
+        for side, plan in zip(("left", "right"), plans):
+            lines += [f"  {side} side:", indent(plan.explain(), "    ")]
+        return "\n".join(lines)
 
-
-def _side_scans(system: "BaseSystem", query: JoinQuery) -> list[tuple]:
-    """The join's two scans, left then right, as ``(side query, path, emit)`` triples.
-
-    ``emit`` keys a scan's column batch by the join key, which leads the side query's
-    projection: its first column is the key column — one key per row, whichever form of the
-    map function runs.
-    """
-    return [
+    # Each side scan hands its column batches to a keying ``emit``: the join key leads the side
+    # query's projection, so a batch's first column is its key column.
+    scans = [
         (query.side_query(side, system.schema_of(side_path)), side_path, keying)
         for side, side_path, keying in (
             ("left", query.left_path, _left_columns),
             ("right", query.right_path, _right_columns),
         )
     ]
+    return Lowering(scans, finish, explain)
 
 
 def _left_columns(batch: ColumnBatch) -> tuple:
@@ -353,28 +372,3 @@ def _hash_join(
     if joined_rows:
         counters.increment(Counters.REDUCE_OUTPUT_RECORDS, joined_rows)
     return phase.duration_s
-
-
-def explain_join(system: "BaseSystem", query: JoinQuery, path: str) -> str:
-    """``EXPLAIN`` rendering: chosen strategy, the reason, and both sides' physical plans."""
-    try:
-        strategy = choose_strategy(system, query)
-    except ValueError as error:
-        return f"Join {query.name!r}: UNPLANNABLE — {error}"
-    if strategy == "merge":
-        reason = (
-            f"co-partitioned: every block of both sides has an alive replica "
-            f"indexed on {query.key!r} (no shuffle)"
-        )
-    elif co_partitioned(system, query):
-        reason = "forced by strategy='hash' (sides are merge-eligible)"
-    else:
-        reason = (
-            f"fallback: at least one block lacks an alive replica indexed on "
-            f"{query.key!r} (both sides' keyed pairs shuffle to "
-            f"{max(1, len(system.cluster.alive_nodes))} reducers, which group them)"
-        )
-    lines = [f"Join {query.name!r}: {query.description}", f"  strategy: {strategy} ({reason})"]
-    for side, (scan, side_path, _) in zip(("left", "right"), _side_scans(system, query)):
-        lines += [f"  {side} side:", indent(system.plan_query(scan, side_path).explain(), "    ")]
-    return "\n".join(lines)

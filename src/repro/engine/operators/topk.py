@@ -23,7 +23,7 @@ from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.engine.executor import VectorizedExecutor
-from repro.engine.planner import BoundQuery
+from repro.engine.planner import BoundQuery, QueryPlan
 from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.predicate import Comparison, Operator, Predicate, Query, render_sql
@@ -160,10 +160,31 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
     finish step ranks and projects its rows, which is exactly the baseline the benchmark
     compares early termination against (``TOPK_BLOCKS_READ`` counts them all).  Columnar
     blocks go to :func:`_ranked_probe`, the whole finish step of a scan-less lowering.
+    ``EXPLAIN`` renders the ranking and the blocks' zone-range bounds above the plan of the
+    unranked scan: its job's, or, with no job, the probe's blocks (planned by the probe's base
+    query before a run, the ones it probed after).
     """
     block_ids = system.hdfs.namenode.file_blocks(path)
+    bounds = {bid: _block_bound(system, bid, query.order_by) for bid in block_ids}
+
+    def explain(plans) -> str:
+        """The ranking and the zone-range bounds above the unranked scan's plan."""
+        bounded = sum(1 for bound in bounds.values() if bound is not None)
+        header = [
+            f"TopK {query.name!r}: {query.description}",
+            f"  order by: {query.order_by} {'DESC' if query.descending else 'ASC'}, k={query.k}",
+            f"  zone-range bounds: {bounded}/{len(block_ids)} blocks "
+            f"({'early termination possible' if bounded else 'full scan-and-sort'})",
+            f"  threshold pushdown: {query.order_by} "
+            f"{'>=' if query.descending else '<='} <running k-th value>",
+        ]
+        (plan,) = plans or [system.plan_query(query.scan_query(), path)]
+        return "\n".join(header + [indent(plan.explain(), "  ")])
+
     if not block_ids or isinstance(system.hdfs.any_replica(block_ids[0]).payload, HailBlock):
-        return Lowering([], lambda _jobs, _scans_s: _ranked_probe(system, query, path))
+        return Lowering(
+            [], lambda _jobs, _scans_s: _ranked_probe(system, query, path, bounds), explain
+        )
 
     def finish(jobs, _scans_s) -> tuple:
         """Rank the full scan's rows client-side and project the best ``k``: the answer's job is
@@ -176,10 +197,10 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
         job.counters.increment(Counters.TOPK_BLOCKS_READ, len(block_ids))
         return records, replace(job, keys=None, values=list(records))
 
-    return Lowering([(query.scan_query(), path)], finish)
+    return Lowering([(query.scan_query(), path)], finish, explain)
 
 
-def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
+def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str, bounds: dict) -> tuple:
     """Best-first block visits with zone-range early termination — a driver, not a job.
 
     This is the one operator step that runs blocks itself instead of handing scans to the
@@ -187,19 +208,20 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
     decides whether the *next* block is read at all and which clause is pushed into it, so
     the visits cannot be declared up front as the splits of a job.  Every block is executed
     through the system's own planner/executor pair (sorted replicas, PAX projection and zone
-    maps all apply per block).  The reported job is what a sequential driver costs: the job
-    startup plus the sum of the per-block probe seconds — one wave, no reduce phase.
+    maps all apply per block), visited in the order of its zone-range ``bounds``.  The reported
+    job is what a sequential driver costs: the job startup plus the sum of the per-block probe
+    seconds — one wave, no reduce phase.  Its ``plan`` frames the block plans the probe
+    executed, in visit order; a block the threshold skipped unread has none.
     """
     schema = system.schema_of(path)
     order_index = schema.index_of(query.order_by)
-    block_ids = system.hdfs.namenode.file_blocks(path)
-    bounds = {bid: _block_bound(system, bid, query.order_by) for bid in block_ids}
 
     planner = system._planner()
     # Bound once: a block probed without a threshold clause reuses it as is.
     base_query = BoundQuery.bind(HailQuery(filter=query.predicate, projection=None), schema)
     base_clauses = tuple(query.predicate.clauses) if query.predicate is not None else ()
     counters = Counters()
+    probed = []
     top: list[tuple] = []
     seconds = slowest = 0.0
     blocks_read = 0
@@ -224,6 +246,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
             system.hdfs, system.cost, node_id=plan.datanode_id, zone_maps=planner.zone_maps
         )
         result = executor.execute(plan, probe)
+        probed.append(result.plan)
         seconds += result.seconds
         slowest = max(slowest, result.seconds)
         counters.increment(Counters.BYTES_READ, result.bytes_read)
@@ -252,6 +275,7 @@ def _ranked_probe(system: "BaseSystem", query: TopKQuery, path: str) -> tuple:
         reduce_phase_s=0.0,
         split_phase_s=0.0,
         counters=counters,
+        plan=QueryPlan(path, base_query, probed),
     )
 
 
@@ -263,21 +287,3 @@ def _project(
         return list(rows)
     positions = [schema.index_of(name) for name in projection]
     return [tuple(row[position] for position in positions) for row in rows]
-
-
-def explain_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> str:
-    """``EXPLAIN`` rendering: ranking spec, per-block bound coverage, and the scan plan."""
-    block_ids = system.hdfs.namenode.file_blocks(path)
-    bounded = sum(
-        1 for bid in block_ids if _block_bound(system, bid, query.order_by) is not None
-    )
-    header = [
-        f"TopK {query.name!r}: {query.description}",
-        f"  order by: {query.order_by} {'DESC' if query.descending else 'ASC'}, k={query.k}",
-        f"  zone-range bounds: {bounded}/{len(block_ids)} blocks "
-        f"({'early termination possible' if bounded else 'full scan-and-sort'})",
-        f"  threshold pushdown: {query.order_by} "
-        f"{'>=' if query.descending else '<='} <running k-th value>",
-    ]
-    plan = system.plan_query(query.scan_query(), path).explain()
-    return "\n".join(header + [indent(plan, "  ")])

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.mapreduce.counters import Counters
 
@@ -169,9 +169,24 @@ class JobResult(Emitted):
         }
 
 
+class OperatorPlan(NamedTuple):
+    """What an operator executed: one :class:`~repro.engine.planner.QueryPlan` per scan (the
+    block plans a scan-less top-k probed, framed as one), under the operator's ``EXPLAIN``
+    header.  ``explain()`` renders ``render(plans)``; nothing is rendered before it is called.
+    """
+
+    plans: list
+    render: Callable[[list], str]
+
+    def explain(self) -> str:
+        """The operator's header above its plans, each rendered as ``QueryPlan.explain``."""
+        return self.render(self.plans)
+
+
 @dataclass
 class Lowering:
-    """A compiled query as ordinary MapReduce work: the scans it needs plus a finish step.
+    """A compiled query as ordinary MapReduce work: the scans it needs plus a finish step, and
+    how it renders itself over its scans' plans.
 
     ``scans`` are ``(Query, path[, emit[, decorate]])`` entries, each run as the system's own
     scan job for that query.  ``emit(batch) -> (keys, values)`` is what the scan's map function
@@ -179,12 +194,26 @@ class Lowering:
     the batch's rows pass on with the null key, no key column), and ``decorate(jobconf)``
     adjusts the job in place right after it is built (group-by installs its combiner, reducer
     and reduce-task count there).
-    ``finish(jobs, scans_s)`` turns the scans' :class:`JobResult` s, aligned with ``scans``,
-    into the answer — ``(records, job)`` plus, for a plain scan, the plan its job executed
-    (``JobResult.plan``);
-    ``scans_s`` is what the scans took end to end: back-to-back the sum of their runtimes,
-    on an interleaved batch the latest finish.
+    ``finish(jobs, scans_s) -> (records, job)`` turns the scans' :class:`JobResult` s, aligned
+    with ``scans``, into the answer and the job that reports it; ``scans_s`` is what the scans
+    took end to end: back-to-back the sum of their runtimes, on an interleaved batch the latest
+    finish.
+    ``explain(plans)`` renders the operator's ``EXPLAIN`` over one plan per scan, from the
+    decisions the lowering made (a join's strategy, group-by's reduce tasks, top-k's block
+    bounds); ``None`` for a plain scan, whose one plan renders itself (:meth:`frame`).  The
+    plans are the split phase's before a run (``system.explain``) and the executed ones
+    (``JobResult.plan``) after it (``QueryResult.plan``).
+    ``refusal`` names why the query cannot run as asked (a forced merge join on sides that are
+    not co-partitioned): running it raises ``ValueError(refusal)`` before any job, and
+    ``explain`` renders the refusal instead.
     """
 
     scans: list[tuple]
-    finish: Callable[[list[JobResult], float], tuple]
+    finish: Optional[Callable[[list[JobResult], float], tuple]]
+    explain: Optional[Callable[[list], str]] = None
+    refusal: Optional[str] = None
+
+    def frame(self, plans: list):
+        """What ``EXPLAIN`` renders over ``plans``: a plain scan's one plan as it is, an
+        operator's plans under its header (:class:`OperatorPlan`)."""
+        return plans[0] if self.explain is None else OperatorPlan(plans, self.explain)

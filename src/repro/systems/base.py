@@ -9,6 +9,11 @@ A system owns a simulated HDFS deployment plus a MapReduce runner and offers:
   relational operator) as MapReduce jobs and return both the functional result records and
   the simulated timing decomposition.
 
+Every query kind goes through one table, :data:`~repro.engine.operators.LOWERINGS`: a kind
+that is not listed is a plain scan.  Its :class:`Lowering` is what the system runs (its scans,
+then its finish step) and what it explains (its rendering over one plan per scan: the split
+phase's before a run, the executed ones in the :class:`QueryResult`).
+
 Subclasses only provide their upload pipeline, their scan job (input format plus the batch
 functions :func:`scan_job` composes into its map function), and (for Hadoop++) the
 post-upload index-creation jobs.
@@ -18,20 +23,20 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.cluster.costmodel import CostModel
 from repro.cluster.failure import FailureEvent
 from repro.cluster.ledger import TransferLedger
 from repro.cluster.topology import Cluster
-from repro.engine.operators import EXPLAINS, LOWERINGS
+from repro.engine.operators import LOWERINGS
 from repro.engine.planner import PhysicalPlanner, QueryPlan
 from repro.hail.annotation import JOB_PROPERTY, HailQuery
 from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
 from repro.layouts.pax import ColumnBatch
 from repro.layouts.schema import Schema
-from repro.mapreduce.job import JobConf, JobResult, Lowering, paired
+from repro.mapreduce.job import JobConf, JobResult, Lowering, OperatorPlan, paired
 from repro.mapreduce.runner import ConcurrentBatchError, MapReduceRunner
 
 
@@ -58,15 +63,18 @@ class SystemUploadReport:
 
 @dataclass
 class QueryResult:
-    """Result of running one query on one system."""
+    """Result of running one query on one system: its answer, the job that reports it, and the
+    plan it executed."""
 
     system: str
     query_name: str
     records: list[tuple]
     job: JobResult
-    #: The physical plan the job executed: the per-block access paths and replicas of the
-    #: surviving map-task attempts (truthful under failure injection and reschedules).
-    plan: Optional[QueryPlan] = None
+    #: The plan the query executed: a scan's is its job's :class:`QueryPlan` (the per-block
+    #: access paths and replicas of the surviving map-task attempts, truthful under failure
+    #: injection and reschedules); an operator's is an :class:`OperatorPlan` over its scan
+    #: jobs' plans, or over the block plans a scan-less top-k probed.
+    plan: Union[QueryPlan, OperatorPlan, None] = None
 
     @property
     def runtime_s(self) -> float:
@@ -88,9 +96,8 @@ class QueryResult:
         return sorted(self.records, key=repr)
 
     def explain(self) -> str:
-        """Rendering of the physical plan (access path and chosen replica per block)."""
-        if self.plan is None:
-            return f"QueryPlan for {self.query_name!r}: not captured"
+        """Rendering of the executed plan: access path and chosen replica per block, under the
+        operator's header for an operator."""
         return self.plan.explain()
 
 
@@ -184,10 +191,10 @@ class BaseSystem(abc.ABC):
         The scans of the query's :class:`Lowering` run back-to-back, each ``JobConf`` built
         immediately before its job (a HAIL jobconf reads the tuner's live knobs and takes the
         next adaptive salt), and the finish step turns their results into the answer.
-        ``failure`` strikes every scan job at the same progress fraction.  A scan's
-        :class:`QueryResult` carries the plan the job *executed*, assembled from the
-        per-block plans of the surviving map-task attempts — so under failure injection it
-        reflects the fallbacks that actually happened, not a re-plan of a healthy cluster.
+        ``failure`` strikes every scan job at the same progress fraction.  The
+        :class:`QueryResult` carries the plans its scan jobs *executed*, assembled from the
+        per-block plans of the surviving map-task attempts — so under failure injection they
+        reflect the fallbacks that actually happened, not a re-plan of a healthy cluster.
         """
         lowering = self._lower(query, path)
         if failure is not None and not lowering.scans:
@@ -295,24 +302,27 @@ class BaseSystem(abc.ABC):
         return self._planner().plan_query(path, self._annotation_for(query))
 
     def explain(self, query, path: str) -> str:
-        """``EXPLAIN``-style rendering of any compiled query, executing nothing: a scan
-        renders :meth:`plan_query`, an operator renders itself above its scans' plans."""
-        if type(query) in EXPLAINS:
-            return EXPLAINS[type(query)](self, query, path)
-        return self.plan_query(query, path).explain()
+        """``EXPLAIN``-style rendering of any compiled query, executing nothing: its
+        :class:`Lowering` rendered over :meth:`plan_query` of each of its scans.  Operands are
+        not checked against their columns: only running a query does that."""
+        lowering = self._lowering(query, path)
+        return lowering.frame([self.plan_query(*scan[:2]) for scan in lowering.scans]).explain()
+
+    def _lowering(self, query, path: str) -> Lowering:
+        """The scans ``query`` needs, the finish step over their jobs and its rendering over
+        their plans: an operator kind brings its own; a plain ``Query`` is one scan whose job
+        is the answer and whose plan is the rendering."""
+        lower = LOWERINGS.get(type(query))
+        return lower(self, query, path) if lower else Lowering([(query, path)], _scan_answer)
 
     def _lower(self, query, path: str) -> Lowering:
-        """The scans ``query`` needs plus the finish step over their jobs: an operator kind
-        brings its own; a plain ``Query`` is one scan whose job is the answer, reported with
-        the plan the job executed (``JobResult.plan``).
-
-        Raises :class:`~repro.hail.predicate.UnsupportedExpressionError` when a scan's
-        predicate compares a column with an operand of another type.
+        """:meth:`_lowering`, checked to run: raises ``ValueError`` with the lowering's refusal,
+        and :class:`~repro.hail.predicate.UnsupportedExpressionError` when a scan's predicate
+        compares a column with an operand of another type.
         """
-        if type(query) in LOWERINGS:
-            lowering = LOWERINGS[type(query)](self, query, path)
-        else:
-            lowering = Lowering([(query, path)], _scan_answer)
+        lowering = self._lowering(query, path)
+        if lowering.refusal is not None:
+            raise ValueError(lowering.refusal)
         # Each scan meets its file's schema here, before any job is submitted; a scan-less
         # lowering (a block-wise top-k) runs the query's own predicate over ``path``.
         for scan_query, scan_path, *_ in lowering.scans or [(query, path)]:
@@ -321,8 +331,12 @@ class BaseSystem(abc.ABC):
         return lowering
 
     def _finish(self, query, lowering: Lowering, jobs: list, scans_s: float) -> QueryResult:
-        """Run the finish step of ``query`` over its scans' jobs; wrap the answer as ours."""
-        return QueryResult(self.name, query.name, *lowering.finish(jobs, scans_s))
+        """Run the finish step of ``query`` over its scans' jobs; wrap the answer as ours, with
+        the plans its scans executed (a scan-less lowering's job carries its own) framed by
+        the lowering."""
+        records, job = lowering.finish(jobs, scans_s)
+        plan = lowering.frame([scan.plan for scan in jobs or [job]])
+        return QueryResult(self.name, query.name, records, job, plan)
 
     def _scan_jobconf(self, query, path: str, emit=None, decorate=None) -> JobConf:
         """The job of one lowered scan: this system's jobconf for it, each block's column batch
@@ -422,9 +436,8 @@ def scan_job(name: str, path: str, input_format, columns, row, emit=None) -> Job
 
 
 def _scan_answer(jobs: list[JobResult], _scans_s: float) -> tuple:
-    """A plain scan's finish step: its job's rows, the job, and the plan the job executed."""
-    job = jobs[0]
-    return job.records, job, job.plan
+    """A plain scan's finish step: its job's rows and the job."""
+    return jobs[0].records, jobs[0]
 
 
 def _pass_on(batch: ColumnBatch) -> tuple[None, list]:

@@ -33,7 +33,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: ``(importing module, imported module) -> (names, reason)``: the only ``TYPE_CHECKING``
 #: imports from ``repro`` allowed, and only for annotations.
 _OPERATORS_REASON = (
-    "repro.systems.base dispatches every query kind to the operators (LOWERINGS/EXPLAINS); "
+    "repro.systems.base dispatches every query kind to the operators (LOWERINGS); "
     "the operators only annotate with the system types, and bench/ pins them under engine/"
 )
 ALLOWED_TYPE_CHECKING = {
