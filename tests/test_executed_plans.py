@@ -108,7 +108,8 @@ def test_a_join_lowering_walks_co_partitioned_once_explained_or_run(monkeypatch)
         return walk(system, query)
 
     monkeypatch.setattr(join_module, "co_partitioned", counting)
-    for name, system in _systems().items():
+    systems = _systems()
+    for name, system in systems.items():
         strategies = (None, "hash", "merge") if name != "Hadoop" else (None, "hash")
         for strategy in strategies:
             query = _join(strategy)
@@ -117,7 +118,7 @@ def test_a_join_lowering_walks_co_partitioned_once_explained_or_run(monkeypatch)
                 step(query, _LEFT)
                 assert walks == [query.name], (name, strategy, step.__name__)
     # A refused merge is one walk too, explained (UNPLANNABLE) or run (refused before any job).
-    hadoop = _systems()["Hadoop"]
+    hadoop = systems["Hadoop"]
     walks.clear()
     assert "UNPLANNABLE" in hadoop.explain(_join("merge"), _LEFT)
     with pytest.raises(ValueError, match="co-partitioned"):
