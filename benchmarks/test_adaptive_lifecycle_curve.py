@@ -21,9 +21,8 @@ fully-indexed baseline after at least ten rounds.
 
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.experiments.deployments import deploy_hail
-from repro.hail.predicate import Operator, Predicate
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 from repro.workloads.workload import synthetic_workload
 
 #: The workload's two phases, the rounds of each, and the offer rate of both deployments.

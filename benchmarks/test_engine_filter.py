@@ -19,8 +19,8 @@ import pytest
 from repro.engine import kernels
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import IndexLookup
-from repro.hail.predicate import Comparison, Operator, Predicate
-from repro.layouts import FieldType, Schema
+from repro.query.predicate import Comparison, Operator, Predicate
+from repro.query.schema import FieldType, Schema
 
 _SCHEMA = Schema.of(
     ("key", FieldType.INT),

@@ -15,9 +15,10 @@ from repro.datagen.synthetic import SYNTHETIC_SCHEMA, SyntheticGenerator
 from repro.engine.operators import (
     AggregateSpec, GroupByQuery, JoinQuery, TopKQuery, choose_strategy, execute,
 )
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Query
 
 #: Join key (indexed on upload, so both sides are co-partitioned), group key and rank
 #: attribute (both files are uploaded sorted on it, so top-k can stop early).

@@ -17,9 +17,8 @@ from repro.cluster.disk import DiskPressurePolicy
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.engine.lifecycle import evict_under_pressure
 from repro.experiments.deployments import deploy_hail
-from repro.hail.predicate import Operator, Predicate
 from repro.hail.scheduler import index_local_task_fraction
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 from repro.workloads.workload import synthetic_workload
 
 

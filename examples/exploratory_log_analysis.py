@@ -15,8 +15,8 @@ from datetime import date
 from repro.baselines import HadoopPlusPlusSystem
 from repro.cluster import Cluster
 from repro.datagen import UserVisitsGenerator
-from repro.hail import HailSystem, Predicate
-from repro.hail.predicate import Query
+from repro.hail.system import HailSystem
+from repro.query.predicate import Predicate, Query
 
 
 def _session_queries() -> list[Query]:

@@ -51,7 +51,7 @@ from repro.api import (
     col,
     run_multi_tenant_batch,
 )
-from repro.hail.predicate import Query
+from repro.query.predicate import Query
 
 __all__ = [
     "__version__",

@@ -14,7 +14,7 @@ An expression is a plain tree (:class:`ComparisonExpr` leaves under :class:`AndE
 
 - :meth:`Expr.evaluate` — direct row evaluation, the *reference semantics*; and
 - :func:`repro.api.logical.normalize` — compilation into the engine's conjunctive
-  :class:`~repro.hail.predicate.Predicate`.
+  :class:`~repro.query.predicate.Predicate`.
 
 The property-based suite (``tests/test_api_expressions.py``) pins the two against each other:
 whatever the normalizer emits must match exactly the rows the tree itself accepts.
@@ -30,8 +30,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Sequence, Union
 
-from repro.hail.predicate import AttributeRef, Comparison, Operator, UnsupportedExpressionError
-from repro.layouts.schema import Schema
+from repro.query.predicate import AttributeRef, Comparison, Operator, UnsupportedExpressionError
+from repro.query.schema import Schema
 
 
 class Expr(abc.ABC):

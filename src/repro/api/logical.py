@@ -1,6 +1,6 @@
 """The ``LogicalQuery`` IR and the normalizer compiling DSL trees to engine predicates.
 
-The engine's :class:`~repro.hail.predicate.Predicate` is a *conjunction* of range/equality
+The engine's :class:`~repro.query.predicate.Predicate` is a *conjunction* of range/equality
 clauses whose **clause order is a planning input**: the physical planner and the scheduler try
 filter attributes in clause order when picking the replica whose clustered index to use.
 Before this layer existed, callers had to hand-order clauses to please the planner — the
@@ -21,7 +21,7 @@ clause-order footgun.  The normalizer removes it:
    same clause order and therefore the same physical plan.
 
 The resulting clause tuple feeds :class:`LogicalQuery.compile`, which emits the stable
-:class:`~repro.hail.predicate.Query` dataclass every system executes.
+:class:`~repro.query.predicate.Query` dataclass every system executes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.api.expressions import (
     UnsupportedExpressionError,
 )
 from repro.engine.operators import AggregateSpec, GroupByQuery, JoinQuery, TopKQuery
-from repro.hail.predicate import AttributeRef, Comparison, Operator, Predicate, Query
+from repro.query.predicate import AttributeRef, Comparison, Operator, Predicate, Query
 
 #: Operator rank used as the leading selectivity estimate: an equality is assumed the most
 #: selective clause, a closed range next, and half-open ranges last.  This is a *static*
@@ -104,7 +104,7 @@ class LogicalQuery:
 
     This is the IR between the DSL and the engine: :class:`~repro.api.session.Dataset`
     produces one per ``collect``/``submit``, the workload definitions declare them directly,
-    and :meth:`compile` lowers them to the frozen :class:`~repro.hail.predicate.Query` that
+    and :meth:`compile` lowers them to the frozen :class:`~repro.query.predicate.Query` that
     ``system.run_query`` executes.
 
     Attributes

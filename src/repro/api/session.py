@@ -18,7 +18,7 @@ express.  The session therefore:
 
 :class:`Dataset` is the lazy builder bound to an uploaded path: ``where(...)`` conjoins DSL
 expressions, ``select(...)`` sets the projection, and ``collect()`` / ``explain()`` /
-``submit()`` compile to the stable :class:`~repro.hail.predicate.Query` form and hand it to
+``submit()`` compile to the stable :class:`~repro.query.predicate.Query` form and hand it to
 the engine.
 
 Sessions are also the tenancy boundary of a shared deployment: :meth:`Session.attach` opens
@@ -48,13 +48,14 @@ from repro.engine.operators import (  # noqa: F401 - execute_operator is pinned 
     TopKQuery,
     execute as execute_operator,
 )
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Query
+from repro.hail.config import HailConfig
 from repro.hail.scheduler import index_local_task_fraction
-from repro.layouts.schema import Schema
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import DECLARED as DECLARED_COUNTERS, Counters, attribute_slices
 from repro.mapreduce.runner import ConcurrentBatchError
 from repro.persist import restore_system
+from repro.query.predicate import Query
+from repro.query.schema import Schema
 from repro.systems.base import BaseSystem, QueryResult, SystemUploadReport
 
 #: The IR nodes (lowered by ``compile()`` to the compiled forms below).
@@ -409,6 +410,43 @@ class SessionStats:
         return [*super().__dir__(), *map(str.lower, DECLARED_COUNTERS), *STATS_ALIASES]
 
 
+# --------------------------------------------------------------------------- the systems
+#: Each system's constructor by name, from ``(cluster, cost, replication, hail_config,
+#: trojan_attribute)``.  HAIL takes its replication from ``hail_config``; Hadoop++'s in-memory
+#: Trojan index holds one value per leaf, as the deployed HAIL configurations' indexes do.
+SYSTEMS = {
+    "HAIL": lambda cluster, cost, _replication, hail_config, _trojan: HailSystem(
+        cluster, config=hail_config, cost=cost
+    ),
+    "Hadoop++": lambda cluster, cost, replication, _hail_config, trojan: HadoopPlusPlusSystem(
+        cluster,
+        trojan_attribute=trojan,
+        cost=cost,
+        replication=replication,
+        functional_partition_size=1,
+    ),
+    "Hadoop": lambda cluster, cost, replication, _hail_config, _trojan: HadoopSystem(
+        cluster, cost=cost, replication=replication
+    ),
+}
+
+
+def build_system(
+    name: str,
+    cluster: Cluster,
+    cost: CostModel,
+    replication: int,
+    hail_config: Optional[HailConfig],
+    trojan_attribute: Optional[str],
+) -> BaseSystem:
+    """The system ``name`` names in :data:`SYSTEMS`, on a cluster and cost model of its own:
+    what :meth:`Session.deploy` and the experiment deployments both build.  Raises
+    ``KeyError`` for any other name."""
+    if name not in SYSTEMS:
+        raise KeyError(f"unknown system {name!r}; known: {', '.join(SYSTEMS)}")
+    return SYSTEMS[name](cluster, cost, replication, hail_config, trojan_attribute)
+
+
 # --------------------------------------------------------------------------- the session
 class Session:
     """The client context: a deployment of one or more systems plus per-session state.
@@ -483,33 +521,23 @@ class Session:
         (adaptive knobs, splitting policy, ...).
         """
         profile = HardwareProfile.by_name(hardware)
-        built: list[BaseSystem] = []
-        for name in systems:
-            cluster = Cluster.homogeneous(nodes, profile)
-            cost = CostModel(CostParameters(data_scale=data_scale))
-            if name == "HAIL":
-                config = hail_config
-                if config is None:
-                    config = HailConfig.for_attributes(
-                        tuple(index_attributes),
-                        functional_partition_size=1,
-                        replication=max(replication, len(index_attributes)),
-                    )
-                built.append(HailSystem(cluster, config=config, cost=cost))
-            elif name == "Hadoop++":
-                built.append(
-                    HadoopPlusPlusSystem(
-                        cluster,
-                        trojan_attribute=trojan_attribute,
-                        cost=cost,
-                        replication=replication,
-                        functional_partition_size=1,
-                    )
-                )
-            elif name == "Hadoop":
-                built.append(HadoopSystem(cluster, cost=cost, replication=replication))
-            else:
-                raise KeyError(f"unknown system {name!r}; known: HAIL, Hadoop++, Hadoop")
+        if hail_config is None and "HAIL" in systems:
+            hail_config = HailConfig.for_attributes(
+                tuple(index_attributes),
+                functional_partition_size=1,
+                replication=max(replication, len(index_attributes)),
+            )
+        built = [
+            build_system(
+                name,
+                Cluster.homogeneous(nodes, profile),
+                CostModel(CostParameters(data_scale=data_scale)),
+                replication,
+                hail_config,
+                trojan_attribute,
+            )
+            for name in systems
+        ]
         return cls(built, default=default, tenant=tenant)
 
     @classmethod
@@ -672,7 +700,7 @@ class Session:
 
         ``item`` may be a :class:`Dataset`, a :class:`QueryHandle`, any ``Logical*`` IR node
         (:mod:`repro.api.logical`), or a compiled form — a
-        :class:`~repro.hail.predicate.Query` or an operator query (``GroupByQuery``,
+        :class:`~repro.query.predicate.Query` or an operator query (``GroupByQuery``,
         ``JoinQuery``, ``TopKQuery``).  IR and compiled forms need ``path`` (or a single
         uploaded path to default to), except a join, which carries both of its paths.
         """

@@ -15,9 +15,9 @@ from repro.engine.executor import TextScanResult
 from repro.engine.kernels import clause_positions
 from repro.hdfs.pipeline import StandardUploadPipeline
 from repro.layouts.pax import ColumnBatch, gatherer
-from repro.layouts.schema import BadRecordError, Schema
 from repro.mapreduce.input_format import TextInputFormat
 from repro.mapreduce.job import JobConf
+from repro.query.schema import BadRecordError, Schema
 from repro.systems.base import BaseSystem, scan_job
 
 

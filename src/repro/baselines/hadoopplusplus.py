@@ -28,11 +28,11 @@ from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.pipeline import StandardUploadPipeline
 from repro.layouts.row import TextRowCodec
-from repro.layouts.schema import Schema
 from repro.mapreduce.input_format import InputFormat
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
+from repro.query.schema import Schema
 from repro.systems.base import BaseSystem, scan_job
 
 #: Values per trojan-index partition; much denser than HAIL's 1,024, hence the larger index.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.layouts.schema import Field, FieldType, Schema
+from repro.query.schema import Field, FieldType, Schema
 
 #: Number of integer attributes in the Synthetic dataset.
 NUM_ATTRIBUTES = 19

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from repro.layouts.schema import FieldType, Schema
+from repro.query.schema import FieldType, Schema
 
 #: The UserVisits schema; attribute positions (@1, @3, ...) match Bob's annotations.
 USERVISITS_SCHEMA = Schema.of(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.layouts.schema import FieldType, Schema
+from repro.query.schema import FieldType, Schema
 
 WEBLOG_SCHEMA = Schema.of(
     ("clientIP", FieldType.STRING),

@@ -9,7 +9,7 @@ time" of Figures 6(b) and 7(b).
 
 The predicate kernels live in :mod:`repro.engine.kernels` (a dispatch module with a pure-Python
 reference backend built on per-operator comprehension tables and an optional numpy fast path
-reading :data:`repro.hail.predicate.COMPARE`); the executor enters them through
+reading :data:`repro.query.predicate.COMPARE`); the executor enters them through
 :func:`~repro.engine.kernels.filter_ranges` and :func:`~repro.engine.kernels.sorted_range`.
 With zone maps enabled the executor additionally flags the candidate rows whose partitions its
 min-max synopsis rules out, and executes planner-ordered ``ZONE_MAP_SKIP`` blocks — after
@@ -51,7 +51,7 @@ from repro.hdfs.checksum import checksum_file_size
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.filesystem import Hdfs
 from repro.layouts.pax import ColumnBatch
-from repro.layouts.schema import Schema
+from repro.query.schema import Schema
 
 
 #: What :meth:`VectorizedExecutor.execute` reads of a payload without a clause on its sort

@@ -15,7 +15,7 @@ module replaces that pipeline with two interchangeable backends behind one dispa
 - **numpy** — an optional fast path used when numpy is importable and every filter column of
   the block has a typed ``array`` representation (:meth:`repro.layouts.pax.PaxBlock.typed_column_at`).
   Columns are wrapped zero-copy via ``numpy.frombuffer`` over the array's ``memoryview``,
-  clauses become vectorized comparisons (:data:`repro.hail.predicate.COMPARE` applied to the
+  clauses become vectorized comparisons (:data:`repro.query.predicate.COMPARE` applied to the
   whole column), and masks are AND-ed as boolean arrays.  The backend refuses (falls back to
   the reference backend) whenever exact agreement with Python comparison semantics is not
   guaranteed — non-numeric columns, operands outside the int64 range, or int/float
@@ -55,9 +55,9 @@ from importlib.util import find_spec
 from itertools import compress
 from typing import Iterator, Optional, Sequence
 
-from repro.hail.predicate import COMPARE, Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
-from repro.layouts.schema import Schema
+from repro.query.predicate import COMPARE, Comparison, Operator, Predicate
+from repro.query.schema import Schema
 
 #: True when numpy is installed in this interpreter (found here, imported by :func:`_numpy`).
 HAVE_NUMPY: bool = find_spec("numpy") is not None
@@ -276,7 +276,7 @@ def zone_flags(
 # --------------------------------------------------------------------------- python backend
 #: Clause one over a window: the row ids (numbered from ``start``) whose value satisfies the
 #: operator.  One comprehension per operator with its comparison inline: mapping
-#: :data:`~repro.hail.predicate.COMPARE`'s function over the column is slower on int columns.
+#: :data:`~repro.query.predicate.COMPARE`'s function over the column is slower on int columns.
 _SCAN = {
     Operator.EQ: lambda window, start, x: [i for i, v in enumerate(window, start) if v == x],
     Operator.LT: lambda window, start, x: [i for i, v in enumerate(window, start) if v < x],

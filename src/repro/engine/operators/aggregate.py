@@ -24,9 +24,9 @@ from operator import itemgetter
 from textwrap import indent
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.hail.predicate import Query, render_sql
 from repro.layouts.pax import ColumnBatch
 from repro.mapreduce.job import Lowering
+from repro.query.predicate import Query, render_sql
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
     from repro.systems.base import BaseSystem

@@ -25,11 +25,11 @@ from itertools import chain, compress, groupby, repeat
 from textwrap import indent
 from typing import TYPE_CHECKING, Optional
 
-from repro.hail.predicate import Query, _clause_sql
 from repro.layouts.pax import ColumnBatch
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Emitted, JobConf, JobResult, Lowering, key_column
 from repro.mapreduce.shuffle import key_runs, numbered, run_reduce_phase
+from repro.query.predicate import Query, _clause_sql
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
     from repro.systems.base import BaseSystem
@@ -64,7 +64,7 @@ class JoinQuery:
     left_path / right_path:
         The two uploaded datasets.
     left / right:
-        Per-side selection/projection scans (compiled :class:`~repro.hail.predicate.Query`
+        Per-side selection/projection scans (compiled :class:`~repro.query.predicate.Query`
         objects; their projections need not include the key — it is added internally).
     strategy:
         ``None`` (planner-chosen), ``"merge"`` or ``"hash"``.

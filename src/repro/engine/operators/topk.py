@@ -24,13 +24,13 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import BoundQuery, QueryPlan
-from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Comparison, Operator, Predicate, Query, render_sql
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.layouts.zonemap import ranges_disjoint
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobResult, Lowering
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Comparison, Operator, Predicate, Query, render_sql
 
 if TYPE_CHECKING:  # annotations only: repro.systems.base imports the operators
     from repro.systems.base import BaseSystem
@@ -162,14 +162,21 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
     blocks go to :func:`_ranked_probe`, the whole finish step of a scan-less lowering.
     ``EXPLAIN`` renders the ranking and the blocks' zone-range bounds above the plan of the
     unranked scan: its job's, or, with no job, the probe's blocks (planned by the probe's base
-    query before a run, the ones it probed after).
+    query before a run, the ones it probed after).  The probe reads the bounds, so a columnar
+    lowering looks them up once, up front; a text one looks them up only when it renders.
     """
     block_ids = system.hdfs.namenode.file_blocks(path)
-    bounds = {bid: _block_bound(system, bid, query.order_by) for bid in block_ids}
+    columnar = not block_ids or isinstance(system.hdfs.any_replica(block_ids[0]).payload, HailBlock)
+
+    def block_bounds() -> dict:
+        return {bid: _block_bound(system, bid, query.order_by) for bid in block_ids}
+
+    bounds = block_bounds() if columnar else None
 
     def explain(plans) -> str:
         """The ranking and the zone-range bounds above the unranked scan's plan."""
-        bounded = sum(1 for bound in bounds.values() if bound is not None)
+        read = bounds if columnar else block_bounds()
+        bounded = sum(1 for bound in read.values() if bound is not None)
         header = [
             f"TopK {query.name!r}: {query.description}",
             f"  order by: {query.order_by} {'DESC' if query.descending else 'ASC'}, k={query.k}",
@@ -181,7 +188,7 @@ def lower_top_k(system: "BaseSystem", query: TopKQuery, path: str) -> Lowering:
         (plan,) = plans or [system.plan_query(query.scan_query(), path)]
         return "\n".join(header + [indent(plan.explain(), "  ")])
 
-    if not block_ids or isinstance(system.hdfs.any_replica(block_ids[0]).payload, HailBlock):
+    if columnar:
         return Lowering(
             [], lambda _jobs, _scans_s: _ranked_probe(system, query, path, bounds), explain
         )

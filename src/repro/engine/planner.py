@@ -33,12 +33,12 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext, placement_candidates
-from repro.hail.annotation import HailQuery
-from repro.hail.predicate import Comparison, Predicate
 from repro.hdfs.filesystem import Hdfs
 from repro.hdfs.namenode import NameNode
-from repro.layouts.schema import Schema
 from repro.layouts.zonemap import disjoint_attribute
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Comparison, Predicate
+from repro.query.schema import Schema
 
 
 def _index_walk(

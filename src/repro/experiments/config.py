@@ -17,7 +17,7 @@ from repro.cluster.costmodel import CostModel, CostParameters
 from repro.cluster.hardware import HardwareProfile
 from repro.cluster.topology import Cluster
 from repro.hail.config import HailConfig
-from repro.layouts.schema import Schema
+from repro.query.schema import Schema
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
+from repro.api.session import build_system
 from repro.experiments.config import ExperimentConfig
-from repro.hail import HailConfig, HailSystem
-from repro.layouts.schema import Schema
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
+from repro.query.schema import Schema
 from repro.systems.base import BaseSystem, SystemUploadReport
 from repro.workloads.workload import Workload, bob_workload, synthetic_workload
 
@@ -110,7 +111,8 @@ def build_deployment(
     if hail_config is None:
         hail_config = config.hail_config(hail_attributes, splitting, replication)
     for name in systems:
-        system = _build_system(name, config, scale, hail_config, trojan)
+        cluster, cost = config.cluster(), config.cost_model(scale)
+        system = build_system(name, cluster, cost, config.replication, hail_config, trojan)
         deployment.systems[name] = system
         if upload:
             deployment.upload_reports[name] = system.upload(
@@ -147,26 +149,3 @@ def _hail_attributes(
             preferred.append(name)
     return tuple(preferred[: min(num_indexes, replication)])
 
-
-def _build_system(
-    name: str,
-    config: ExperimentConfig,
-    scale: float,
-    hail_config: HailConfig,
-    trojan_attribute: Optional[str],
-) -> BaseSystem:
-    if name == "Hadoop":
-        return HadoopSystem(
-            config.cluster(), cost=config.cost_model(scale), replication=config.replication
-        )
-    if name == "Hadoop++":
-        return HadoopPlusPlusSystem(
-            config.cluster(),
-            trojan_attribute=trojan_attribute,
-            cost=config.cost_model(scale),
-            replication=config.replication,
-            functional_partition_size=1,
-        )
-    if name == "HAIL":
-        return HailSystem(config.cluster(), config=hail_config, cost=config.cost_model(scale))
-    raise KeyError(f"unknown system {name!r}; known: {SYSTEM_NAMES}")

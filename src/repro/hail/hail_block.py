@@ -20,12 +20,12 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.hail.index import HailIndex, IndexLookup
-from repro.hail.predicate import Comparison
 from repro.hail.replica_info import HailBlockReplicaInfo
 from repro.hdfs.block import BlockPayload
 from repro.layouts.pax import PaxBlock
-from repro.layouts.schema import Schema
 from repro.layouts.zonemap import ZoneMap, ZoneRanges, block_zone_ranges
+from repro.query.predicate import Comparison
+from repro.query.schema import Schema
 
 #: Fixed functional size of the block-metadata header (schema, counters, flags).
 _BLOCK_METADATA_BYTES = 256

@@ -56,7 +56,6 @@ from repro.engine.access_path import BlockPlan
 from repro.engine.adaptive import AdaptiveJobContext, commit_adaptive_builds
 from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.engine.planner import BoundQuery, PhysicalPlanner, QueryPlan
-from repro.hail.annotation import resolve_annotation
 from repro.hail.config import HailConfig
 from repro.hail.record_reader import HailRecordReader
 from repro.hdfs.block import BlockLocation
@@ -68,6 +67,7 @@ from repro.mapreduce.job_tracker import ScheduleOutcome
 from repro.mapreduce.record_reader import RecordReader
 from repro.mapreduce.split import InputSplit
 from repro.persist.state import capture_lifecycle_control
+from repro.query.annotation import resolve_annotation
 
 
 #: Safety cap on the query shapes one layout keeps.  A workload repeats a handful of shapes;

@@ -12,7 +12,7 @@ from __future__ import annotations
 from datetime import date
 from typing import Any, Optional, Sequence
 
-from repro.layouts.schema import Schema
+from repro.query.schema import Schema
 
 
 class HailRecord:

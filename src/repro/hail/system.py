@@ -8,6 +8,7 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import Cluster
 from repro.engine.adaptive import AdaptiveJobContext
 from repro.engine.lifecycle import AdaptiveLifecycleManager
+from repro.engine.planner import PhysicalPlanner
 from repro.hail.config import HailConfig
 from repro.hail.input_format import HailInputFormat, SplitMemo
 from repro.hail.record_reader import projected_row, projected_columns
@@ -18,10 +19,9 @@ from repro.hail.scheduler import (
     replica_distribution,
 )
 from repro.hail.upload import HailUploadPipeline
-from repro.engine.planner import PhysicalPlanner
-from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf
 from repro.persist import SqliteBackend
+from repro.query.schema import Schema
 from repro.systems.base import BaseSystem, scan_job
 
 

@@ -35,7 +35,7 @@ from repro.hdfs.chunk import num_packets
 from repro.hdfs.errors import UploadFailedError
 from repro.hdfs.filesystem import Hdfs
 from repro.layouts.row import TextRowCodec
-from repro.layouts.schema import Schema
+from repro.query.schema import Schema
 
 
 @dataclass

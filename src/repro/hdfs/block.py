@@ -17,7 +17,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.layouts.schema import Schema
+from repro.query.schema import Schema
 
 
 class BlockPayload(abc.ABC):

@@ -21,7 +21,7 @@ from repro.hdfs.block import BlockPayload, Replica
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.errors import ReplicaNotFoundError
 from repro.hdfs.namenode import NameNode
-from repro.layouts.schema import Schema
+from repro.query.schema import Schema
 
 
 @dataclass

@@ -1,25 +1,9 @@
-"""Record schemas and physical data layouts (text row, PAX).
+"""Physical data layouts (text row, PAX) and the zone maps over them.
 
 HAIL converts each HDFS block from the uploaded text representation to a binary PAX layout
 (Ailamaki et al., VLDB 2001) on the client, before the block enters the upload pipeline.  This
-package provides the schema machinery, the text row codec of stock uploads, the binary value
-and column serialization, and the PAX block used by HAIL and by the Trojan-index baseline.
+package provides the text row codec of stock uploads (:mod:`repro.layouts.row`), the binary
+value and column serialization (:mod:`repro.layouts.serialization`), the PAX block used by HAIL
+and by the Trojan-index baseline (:mod:`repro.layouts.pax`) and its per-column min/max synopses
+(:mod:`repro.layouts.zonemap`).  The schemas they encode live in :mod:`repro.query.schema`.
 """
-
-from repro.layouts.schema import Field, FieldType, Schema, BadRecordError
-from repro.layouts.row import TextRowCodec
-from repro.layouts.pax import PaxBlock
-from repro.layouts.zonemap import ZoneMap, block_zone_ranges
-from repro.layouts import serialization
-
-__all__ = [
-    "Field",
-    "FieldType",
-    "Schema",
-    "BadRecordError",
-    "TextRowCodec",
-    "PaxBlock",
-    "ZoneMap",
-    "block_zone_ranges",
-    "serialization",
-]

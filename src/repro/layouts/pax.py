@@ -18,7 +18,7 @@ from operator import eq, itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.layouts import serialization
-from repro.layouts.schema import FieldType, Schema
+from repro.query.schema import FieldType, Schema
 
 #: Array typecodes backing the numeric fast path: 64-bit ints and doubles cover every fixed
 #: numeric field type exactly (INT/FLOAT values widen losslessly into them).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.layouts.schema import BadRecordError, Schema
+from repro.query.schema import BadRecordError, Schema
 
 
 class TextRowCodec:

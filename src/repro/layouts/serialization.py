@@ -20,7 +20,7 @@ from itertools import accumulate, repeat
 from operator import sub
 from typing import Any, Iterable, Sequence
 
-from repro.layouts.schema import Field, FieldType
+from repro.query.schema import Field, FieldType
 
 _EPOCH = date(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()

@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.hail.predicate import Predicate
 from repro.layouts.pax import PaxBlock
-from repro.layouts.schema import FieldType, Schema
+from repro.query.predicate import Predicate
+from repro.query.schema import FieldType, Schema
 
 #: ``Dir_rep`` zone ranges: one ``(attribute, min, max)`` triple per attribute with data.
 ZoneRanges = tuple[tuple[str, Any, Any], ...]

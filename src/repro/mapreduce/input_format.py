@@ -20,13 +20,13 @@ from typing import Optional
 
 from repro.cluster.costmodel import CostModel
 from repro.engine.planner import PhysicalPlanner, QueryPlan
-from repro.hail.annotation import resolve_annotation
 from repro.hdfs.filesystem import Hdfs
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.job_tracker import ScheduleOutcome
 from repro.mapreduce.record_reader import RecordReader, TextRecordReader
 from repro.mapreduce.split import InputSplit
+from repro.query.annotation import resolve_annotation
 
 
 class InputFormat(abc.ABC):

@@ -30,8 +30,8 @@ from typing import Any, Optional, Sequence
 
 from repro.engine.lifecycle import AdaptiveTuner
 from repro.hail.replica_info import HailBlockReplicaInfo
-from repro.layouts.schema import Field, FieldType, Schema
 from repro.layouts.zonemap import ZoneRanges
+from repro.query.schema import Field, FieldType, Schema
 
 
 class JournalCorruptError(RuntimeError):

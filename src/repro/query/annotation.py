@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from repro.hail.predicate import Predicate, parse_predicate
-from repro.layouts.schema import Schema
+from repro.query.predicate import Predicate, parse_predicate
+from repro.query.schema import Schema
 
 #: Key under which an annotation may be stored in ``JobConf.properties``.
 JOB_PROPERTY = "hail.query"
@@ -33,7 +33,7 @@ AttributeRef = Union[str, int]
 class HailQuery:
     """A parsed-or-parseable ``@HailQuery`` annotation.
 
-    ``filter`` may be a :class:`~repro.hail.predicate.Predicate` or the annotation string form;
+    ``filter`` may be a :class:`~repro.query.predicate.Predicate` or the annotation string form;
     ``projection`` lists attribute references (names, 1-based positions, or ``"@k"`` strings).
     ``None`` for either field means "not specified" (no filtering / project all attributes).
     """

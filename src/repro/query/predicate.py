@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Any, Optional, Sequence, Union
 
-from repro.layouts.schema import Field, FieldType, Schema
+from repro.query.schema import Field, FieldType, Schema
 
 AttributeRef = Union[str, int]
 

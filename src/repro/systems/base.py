@@ -31,13 +31,13 @@ from repro.cluster.ledger import TransferLedger
 from repro.cluster.topology import Cluster
 from repro.engine.operators import LOWERINGS
 from repro.engine.planner import PhysicalPlanner, QueryPlan
-from repro.hail.annotation import JOB_PROPERTY, HailQuery
 from repro.hdfs.client import HdfsClient
 from repro.hdfs.filesystem import DataFile, Hdfs
 from repro.layouts.pax import ColumnBatch
-from repro.layouts.schema import Schema
 from repro.mapreduce.job import JobConf, JobResult, Lowering, OperatorPlan, paired
 from repro.mapreduce.runner import ConcurrentBatchError, MapReduceRunner
+from repro.query.annotation import JOB_PROPERTY, HailQuery
+from repro.query.schema import Schema
 
 
 @dataclass
@@ -317,7 +317,7 @@ class BaseSystem(abc.ABC):
 
     def _lower(self, query, path: str) -> Lowering:
         """:meth:`_lowering`, checked to run: raises ``ValueError`` with the lowering's refusal,
-        and :class:`~repro.hail.predicate.UnsupportedExpressionError` when a scan's predicate
+        and :class:`~repro.query.predicate.UnsupportedExpressionError` when a scan's predicate
         compares a column with an operand of another type.
         """
         lowering = self._lowering(query, path)

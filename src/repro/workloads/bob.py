@@ -6,7 +6,7 @@ replication factor of three, HAIL indexes all three attributes — one per repli
 Hadoop++ can only ever index one of them.
 
 The queries are declared through the typed expression DSL (:mod:`repro.api`) and compiled to
-the stable :class:`~repro.hail.predicate.Query` form; the explicit ``description`` strings
+the stable :class:`~repro.query.predicate.Query` form; the explicit ``description`` strings
 keep the paper's exact figure labels (auto-rendered labels would carry the same content in a
 slightly different spelling).
 """
@@ -83,5 +83,5 @@ def bob_logical_queries() -> list[LogicalQuery]:
 
 
 def bob_queries() -> list:
-    """Bob-Q1 .. Bob-Q5 compiled to the stable :class:`~repro.hail.predicate.Query` form."""
+    """Bob-Q1 .. Bob-Q5 compiled to the stable :class:`~repro.query.predicate.Query` form."""
     return [logical.compile() for logical in bob_logical_queries()]

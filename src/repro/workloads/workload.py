@@ -7,8 +7,8 @@ from typing import Callable
 
 from repro.datagen.synthetic import SyntheticGenerator
 from repro.datagen.uservisits import UserVisitsGenerator
-from repro.hail.predicate import Query
-from repro.layouts.schema import Schema
+from repro.query.predicate import Query
+from repro.query.schema import Schema
 from repro.workloads.bob import BOB_INDEX_ATTRIBUTES, BOB_TROJAN_ATTRIBUTE, bob_queries
 from repro.workloads.synthetic_queries import SYNTHETIC_FILTER_ATTRIBUTE, synthetic_queries
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters, HardwareProfile
 from repro.datagen import SyntheticGenerator, UserVisitsGenerator
 from repro.hdfs import Hdfs
-from repro.layouts import FieldType, Schema
+from repro.query.schema import FieldType, Schema
 
 
 @pytest.fixture
@@ -74,7 +74,8 @@ def busy_session():
     """
     from repro.api import Session, col
     from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE
-    from repro.hail import HailConfig, HailSystem
+    from repro.hail.config import HailConfig
+    from repro.hail.system import HailSystem
 
     config = (
         HailConfig(functional_partition_size=1, splitting_policy=False)

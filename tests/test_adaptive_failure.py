@@ -15,9 +15,10 @@ from repro.cluster import Cluster, CostModel, CostParameters
 from repro.cluster.failure import FailureEvent
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine import AccessPath, PhysicalPlanner
-from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
-from repro.hail.predicate import Operator, Predicate
-from repro.hail.predicate import Query
+from repro.hail.config import HailConfig
+from repro.hail.scheduler import check_dir_rep_consistency
+from repro.hail.system import HailSystem
+from repro.query.predicate import Operator, Predicate, Query
 
 _PATH = "/fail/synthetic"
 

@@ -14,11 +14,11 @@ from repro.engine.adaptive import (
     commit_adaptive_builds,
     offer_draw,
 )
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
-from repro.layouts.schema import FieldType, Schema
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
+from repro.query.schema import FieldType, Schema
 
 _PATH = "/adaptive/synthetic"
 
@@ -283,7 +283,7 @@ def test_commit_deduplicates_speculative_builds():
     from repro.engine.adaptive import AdaptiveJobContext as Context
     from repro.engine.executor import VectorizedExecutor
     from repro.engine.planner import BoundQuery, PhysicalPlanner
-    from repro.hail.annotation import HailQuery
+    from repro.query.annotation import HailQuery
 
     annotation = HailQuery(filter=_query().predicate, projection=("f1",))
     bound = BoundQuery.bind(annotation, system.schema_of(_PATH))
@@ -313,7 +313,7 @@ def test_commit_skips_builds_targeting_dead_nodes():
     from repro.engine.adaptive import AdaptiveJobContext as Context
     from repro.engine.executor import VectorizedExecutor
     from repro.engine.planner import BoundQuery, PhysicalPlanner
-    from repro.hail.annotation import HailQuery
+    from repro.query.annotation import HailQuery
 
     annotation = HailQuery(filter=_query().predicate, projection=("f1",))
     bound = BoundQuery.bind(annotation, system.schema_of(_PATH))

@@ -14,11 +14,11 @@ from repro.engine.lifecycle import (
     JobObservation,
     evict_under_pressure,
 )
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
 from repro.hail.scheduler import check_dir_rep_consistency
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 
 _PATH = "/lifecycle/synthetic"
 

@@ -19,11 +19,11 @@ from repro.api.expressions import UnsupportedExpressionError, col
 from repro.api.logical import LogicalQuery, estimated_selectivity_rank, normalize
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.engine.operators import TopKQuery
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
-from repro.layouts import FieldType, Schema
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
+from repro.query.predicate import Operator, Predicate, Query
+from repro.query.schema import FieldType, Schema
 from repro.workloads import bob_queries
-from repro.hail.predicate import Query
 
 SCHEMA = Schema.of(
     ("a", FieldType.INT), ("b", FieldType.INT), ("c", FieldType.INT), name="abc"

@@ -19,9 +19,9 @@ from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import UserVisitsGenerator
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Predicate
-from repro.hail.predicate import Query
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
+from repro.query.predicate import Predicate, Query
 
 _PATH = "/logs/uservisits"
 _PROBE = "172.101.11.46"

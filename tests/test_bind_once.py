@@ -19,19 +19,21 @@ from datetime import date
 
 import pytest
 
-import repro.hail.annotation as annotation_module
+import repro.query.annotation as annotation_module
 from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine.access_path import AccessPath
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import BoundQuery, PhysicalPlanner
-from repro.hail import HailConfig, HailInputFormat, HailSystem, hail_query
-from repro.hail.annotation import HailQuery
+from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Comparison, Operator, Predicate
-from repro.layouts.schema import Schema
+from repro.hail.input_format import HailInputFormat
+from repro.hail.system import HailSystem
 from repro.mapreduce import JobConf
+from repro.query.annotation import HailQuery, hail_query
+from repro.query.predicate import Comparison, Operator, Predicate
+from repro.query.schema import Schema
 from repro.workloads import bob_queries
 
 _PATH = "/uv"

@@ -49,12 +49,9 @@ from repro.engine.operators.aggregate import (
     _make_regroup,
 )
 from repro.engine.planner import BoundQuery
-from repro.hail import HailConfig
-from repro.hail.annotation import HailQuery
+from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Operator, Predicate
 from repro.layouts.pax import ColumnBatch, PaxBlock
-from repro.layouts.schema import FieldType, Schema
 from repro.layouts.zonemap import ZoneMap, ranges_disjoint
 from repro.mapreduce import JobConf, TextInputFormat
 from repro.mapreduce.counters import Counters
@@ -62,6 +59,9 @@ from repro.mapreduce.job import Emitted, concatenated, paired
 from repro.mapreduce.record_reader import TextRecordReader
 from repro.mapreduce.shuffle import combine_map_output, run_reduce_phase
 from repro.mapreduce.task import MapTask
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Operator, Predicate
+from repro.query.schema import FieldType, Schema
 
 from emitted import emitted
 

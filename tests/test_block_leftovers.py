@@ -18,7 +18,8 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine.access_path import BlockPlan
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.hdfs.namenode import NameNode
 from repro.workloads import bob_queries
 

@@ -33,11 +33,12 @@ from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine.access_path import AccessPath, BlockPlan
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import BoundQuery
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Comparison
+from repro.hail.system import HailSystem
 from repro.layouts.pax import PaxBlock
 from repro.mapreduce import job_tracker
+from repro.query.predicate import Comparison
 from repro.workloads import bob_queries
 
 _PATH = "/uv"

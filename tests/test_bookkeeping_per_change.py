@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.counters import Counters
 from repro.persist import codec

@@ -24,14 +24,14 @@ from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine.access_path import AccessPath
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import BoundQuery
-from repro.hail import HailConfig, HailSystem
-from repro.hail.annotation import HailQuery
-from repro.hail.predicate import Predicate
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.layouts.pax import PaxBlock
 from repro.mapreduce import job_tracker
 from repro.mapreduce.counters import Counters
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Predicate, Query
 from repro.workloads import bob_queries
-from repro.hail.predicate import Query
 
 _PATH = "/uv"
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")

@@ -25,7 +25,6 @@ KEEP = [
     "repro.engine.kernels.set_backend",
     "repro.engine.kernels.use_backend",
     "repro.engine.operators.aggregate._initial_partial",
-    "repro.hail.annotation.hail_query",
     "repro.hail.hail_block.HailBlock.variable_offsets",
     "repro.hail.index.multilevel_pays_off",
     "repro.hail.record.HailRecord.get_by_name",
@@ -36,13 +35,14 @@ KEEP = [
     "repro.layouts.pax.PaxBlock.column_size_bytes",
     "repro.layouts.pax.PaxBlock.projected_size_bytes",
     "repro.layouts.pax.PaxBlock.variable_offsets",
-    "repro.layouts.schema.Field.binary_size",
-    "repro.layouts.schema.Field.format",
-    "repro.layouts.schema.Schema.binary_size",
-    "repro.layouts.schema.Schema.string_byte_fraction",
     "repro.layouts.serialization.variable_offsets_and_size",
     "repro.layouts.zonemap.may_match_ranges",
     "repro.persist.state.checkpoint_state",
+    "repro.query.annotation.hail_query",
+    "repro.query.schema.Field.binary_size",
+    "repro.query.schema.Field.format",
+    "repro.query.schema.Schema.binary_size",
+    "repro.query.schema.Schema.string_byte_fraction",
 ]
 
 

@@ -26,7 +26,7 @@ import pytest
 from repro.api import Session, col, run_multi_tenant_batch
 from repro.cluster.failure import ConcurrentChaos, FailureEvent, TaskFailureSpec
 from repro.datagen.synthetic import VALUE_RANGE, SyntheticGenerator
-from repro.hail import HailConfig
+from repro.hail.config import HailConfig
 from repro.hdfs import DataFile, HdfsClient, StandardUploadPipeline
 from repro.mapreduce import Counters, JobConf, TextInputFormat
 from repro.mapreduce.job_tracker import (

@@ -13,7 +13,7 @@ from repro.datagen import (
     WebLogGenerator,
 )
 from repro.datagen.uservisits import PROBE_SOURCE_IP, PROBE_VISIT_DATE
-from repro.layouts.schema import BadRecordError
+from repro.query.schema import BadRecordError
 from repro.workloads import Workload, bob_queries, bob_workload, synthetic_queries, synthetic_workload
 
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.kernels import clause_positions, filter_range
 from repro.engine.planner import BoundQuery
-from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Comparison, Operator, Predicate
-from repro.layouts import FieldType, Schema
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Comparison, Operator, Predicate
+from repro.query.schema import FieldType, Schema
 
 _SCHEMA = Schema.of(
     ("key", FieldType.INT),

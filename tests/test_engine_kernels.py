@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import kernels
-from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
-from repro.layouts.schema import FieldType, Schema
 from repro.layouts.zonemap import ZoneMap, ranges_disjoint
+from repro.query.predicate import Comparison, Operator, Predicate
+from repro.query.schema import FieldType, Schema
 
 _SCHEMA = Schema.of(
     ("k", FieldType.INT),

@@ -9,10 +9,11 @@ from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine import AccessPath, PhysicalPlanner, QueryPlan
 from repro.engine.access_path import BlockPlan
 from repro.engine.planner import BoundQuery
-from repro.hail import HailConfig, HailQuery, HailSystem
-from repro.hail.predicate import Predicate
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Predicate, Query
 from repro.workloads import bob_queries
-from repro.hail.predicate import Query
 
 
 def _cost():

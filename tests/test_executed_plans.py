@@ -27,9 +27,10 @@ from repro.cluster.failure import FailureEvent
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, SyntheticGenerator
 from repro.engine.operators import AggregateSpec, GroupByQuery, JoinQuery, TopKQuery
 from repro.engine.planner import PhysicalPlanner, QueryPlan
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate, Query
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
+from repro.query.predicate import Operator, Predicate, Query
 
 _LEFT = "/plans/left"
 _RIGHT = "/plans/right"

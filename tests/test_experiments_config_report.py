@@ -9,7 +9,7 @@ import repro
 import repro.experiments
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.experiments import DatasetSpec, ExperimentConfig, FigureResult, build_deployment
-from repro.hail import HailSystem
+from repro.hail.system import HailSystem
 
 
 # --------------------------------------------------------------------------- config

@@ -20,8 +20,9 @@ from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.operators import AggregateSpec, GroupByQuery, JoinQuery, TopKQuery
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate, Query
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
+from repro.query.predicate import Operator, Predicate, Query
 
 #: Digest of every row below.
 EXPECTED_DIGEST = "dd93dd46fb575ff5"

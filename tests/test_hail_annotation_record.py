@@ -5,10 +5,16 @@ from datetime import date
 import pytest
 
 from repro.datagen import USERVISITS_SCHEMA
-from repro.hail import HailQuery, HailRecord, hail_query
-from repro.hail.annotation import JOB_PROPERTY, annotation_of, resolve_annotation
-from repro.hail.predicate import Predicate
+from repro.hail.record import HailRecord
 from repro.mapreduce import JobConf
+from repro.query.annotation import (
+    JOB_PROPERTY,
+    HailQuery,
+    annotation_of,
+    hail_query,
+    resolve_annotation,
+)
+from repro.query.predicate import Predicate
 
 
 # --------------------------------------------------------------------------- annotation

@@ -12,10 +12,11 @@ from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine import kernels
 from repro.engine.lifecycle import AdaptiveLifecycleManager
 from repro.engine.planner import BoundQuery
-from repro.hail import HailBlock, HailConfig
+from repro.hail.config import HailConfig
+from repro.hail.hail_block import HailBlock
 from repro.mapreduce.job_tracker import ConcurrencyPolicy
-from repro.hail.annotation import HailQuery
-from repro.hail.predicate import Predicate
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Predicate
 
 
 # --------------------------------------------------------------------------- config

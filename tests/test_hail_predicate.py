@@ -5,8 +5,8 @@ from datetime import date
 import pytest
 
 from repro.datagen import USERVISITS_SCHEMA
-from repro.hail.predicate import COMPARE, Comparison, Operator, Predicate, parse_predicate
-from repro.layouts import FieldType, Schema
+from repro.query.predicate import COMPARE, Comparison, Operator, Predicate, parse_predicate
+from repro.query.schema import FieldType, Schema
 
 
 @pytest.fixture

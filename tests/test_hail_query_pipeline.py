@@ -7,10 +7,12 @@ import pytest
 
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
-from repro.hail import HailConfig, HailInputFormat, HailQuery, HailSystem
-from repro.hail.annotation import JOB_PROPERTY
-from repro.hail.predicate import Predicate
+from repro.hail.config import HailConfig
+from repro.hail.input_format import HailInputFormat
+from repro.hail.system import HailSystem
 from repro.mapreduce import JobConf
+from repro.query.annotation import JOB_PROPERTY, HailQuery
+from repro.query.predicate import Predicate
 from repro.workloads import bob_queries
 
 
@@ -110,7 +112,7 @@ def test_index_scan_returns_correct_records(hail_system):
 
 def test_scan_fallback_returns_correct_records(hail_system):
     system, rows = hail_system
-    from repro.hail.predicate import Query
+    from repro.query.predicate import Query
 
     query = Query(
         name="unindexed",
@@ -140,7 +142,7 @@ def test_conjunction_uses_index_on_first_indexed_attribute(hail_system):
 def test_index_scan_reads_fewer_bytes_than_scan_fallback(hail_system):
     system, _ = hail_system
     indexed = system.run_query(bob_queries()[1], "/uv")  # sourceIP equality via index
-    from repro.hail.predicate import Query
+    from repro.query.predicate import Query
 
     scan = system.run_query(
         Query(

@@ -4,11 +4,12 @@ import pytest
 
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import WebLogGenerator
-from repro.hail import HailConfig, HailQuery, HailInputFormat, HailSystem
-from repro.hail.annotation import JOB_PROPERTY
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.input_format import HailInputFormat
+from repro.hail.system import HailSystem
 from repro.mapreduce import JobConf
-from repro.hail.predicate import Query
+from repro.query.annotation import JOB_PROPERTY, HailQuery
+from repro.query.predicate import Operator, Predicate, Query
 
 
 def _cost():

@@ -6,16 +6,16 @@ from repro.cluster import Cluster, CostModel, CostParameters, TransferLedger
 from repro.datagen import USERVISITS_SCHEMA, WebLogGenerator
 from repro.engine.access_path import AccessPath
 from repro.engine.planner import BoundQuery, PhysicalPlanner
-from repro.hail import HailConfig
-from repro.hail.annotation import HailQuery
+from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Predicate
 from repro.hail.scheduler import index_coverage, replica_distribution
 from repro.hail.upload import HailUploadPipeline
 from repro.hdfs import Hdfs
 from repro.hdfs.checksum import verify_chunk_checksums
 from repro.persist import SqliteBackend
 from repro.persist.codec import decode_crcs
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Predicate
 
 
 @pytest.fixture

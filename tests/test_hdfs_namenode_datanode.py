@@ -235,7 +235,7 @@ def _text_block(hdfs, schema, records) -> tuple[int, list[int]]:
 
 def _indexed(hdfs, block_id, target, schema, records):
     """Replace ``target``'s replica with one indexed on ``id``, its first index use recorded."""
-    from repro.hail import HailBlock
+    from repro.hail.hail_block import HailBlock
 
     indexed = HailBlock.build(schema, records, "id", partition_size=8)
     hdfs.install_replica(block_id, target, indexed, indexed.replica_info(target), touch=True)

@@ -22,11 +22,11 @@ from repro.baselines import HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.lifecycle import evict_under_pressure
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.hdfs import TextBlockPayload
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 
 _PATH = "/immutable/synthetic"
 

@@ -19,8 +19,8 @@ from repro.api import Session, col
 from repro.engine import kernels
 from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Operator, Predicate
-from repro.layouts.schema import FieldType, Schema
+from repro.query.predicate import Operator, Predicate
+from repro.query.schema import FieldType, Schema
 
 nan = math.nan
 _SCHEMA = Schema.of(("a", FieldType.DOUBLE), ("b", FieldType.INT), name="nan")

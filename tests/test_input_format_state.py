@@ -21,13 +21,14 @@ from repro.cluster import Cluster, CostModel, CostParameters
 from repro.cluster.failure import FailureEvent
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.adaptive import AdaptiveJobContext
-from repro.hail import HailConfig, HailInputFormat, HailSystem
-from repro.hail.annotation import JOB_PROPERTY
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.input_format import HailInputFormat
+from repro.hail.system import HailSystem
 from repro.mapreduce import TextInputFormat
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job_tracker import ConcurrencyPolicy
-from repro.hail.predicate import Query
+from repro.query.annotation import JOB_PROPERTY
+from repro.query.predicate import Operator, Predicate, Query
 
 _PATH = "/state/synthetic"
 _NUM_RECORDS = 360  # 9 blocks of 40 rows

@@ -31,12 +31,12 @@ import repro.mapreduce.shuffle as shuffle_module
 from repro.api import Session, col
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
-from repro.hail import HailConfig
-from repro.layouts.schema import FieldType, Schema
+from repro.hail.config import HailConfig
 from repro.mapreduce import JobConf
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Emitted
 from repro.mapreduce.shuffle import run_reduce_phase
+from repro.query.schema import FieldType, Schema
 
 from emitted import emitted
 

@@ -29,12 +29,12 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate, Query
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.hdfs import checksum
-from repro.persist import JournalCorruptError, restore_system
-from repro.persist import state as state_mod
+from repro.persist import JournalCorruptError, restore_system, state as state_mod
 from repro.persist.sqlite_backend import JOURNAL_VERSION
+from repro.query.predicate import Operator, Predicate, Query
 
 _PATH = "/integrity/synthetic"
 _STORM = DiskPressurePolicy(capacity_bytes=1.0, high_watermark=0.9, low_watermark=0.5)

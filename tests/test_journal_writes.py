@@ -32,9 +32,9 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
 from repro.hail.scheduler import check_dir_rep_consistency
+from repro.hail.system import HailSystem
 from repro.hdfs.checksum import verify_chunk_checksums
 from repro.layouts.pax import PaxBlock
 from repro.mapreduce.counters import Counters
@@ -47,7 +47,7 @@ from repro.persist import (
 )
 from repro.persist.codec import decode_crcs
 from repro.persist.state import capture_block
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 
 _PATH = "/journal/synthetic"
 #: The journal's one backend, named in every test id.

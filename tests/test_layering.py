@@ -1,6 +1,6 @@
 """One module DAG: every ``repro`` import in ``src/repro`` is module-level and points down.
 
-Seven static checks over the AST of every module under ``src/repro``:
+Eight static checks over the AST of every module under ``src/repro``:
 
 - no ``repro`` import sits in a function or class body (none dodges a cycle at runtime);
 - an ``if TYPE_CHECKING:`` block imports from ``repro`` only what :data:`ALLOWED_TYPE_CHECKING`
@@ -8,6 +8,9 @@ Seven static checks over the AST of every module under ``src/repro``:
 - the module import graph has no cycle.  Every ``repro`` import of a module is an edge, wherever
   it sits, except the allowed annotation imports; ``from pkg import mod`` points at ``mod`` and
   a package ``__init__`` is a module of its own;
+- packages import downwards: each sits in one layer of :data:`LAYERS` and imports only from its
+  own layer and the ones below; the packages that still import each other form exactly one
+  cycle, :data:`PACKAGE_CYCLE`, which is one layer;
 - every module-level import binds a name the module reads (string annotations and ``__all__``
   count), except what :data:`ALLOWED_UNUSED_IMPORTS` lists;
 - no module-level import loads a module :data:`LOADED_AT_FIRST_USE` names (numpy, sqlite3);
@@ -200,6 +203,105 @@ def test_the_cycle_finder_finds_a_cycle():
 def test_the_module_import_graph_is_acyclic():
     cycle = _find_cycle(_graph())
     assert not cycle, " -> ".join(cycle)
+
+
+#: The packages that still import each other: the one package cycle left, one layer of its own.
+PACKAGE_CYCLE = {"engine", "hail", "mapreduce", "persist", "systems"}
+
+#: The packages of ``src/repro``, bottom layer first.  A module imports from its own layer and
+#: from the layers below, never from one above.  ``repro`` is the root package with its own
+#: top-level modules (``repro._version``).
+LAYERS = [
+    {"cluster", "query"},
+    {"layouts"},
+    {"datagen", "hdfs"},
+    PACKAGE_CYCLE,
+    {"baselines"},
+    {"api"},
+    {"workloads"},
+    {"experiments"},
+    {"repro"},
+]
+
+
+def _package_of(module: str, packages: set) -> str:
+    """The package of ``src/repro`` that ``module`` sits in (``repro`` for the root's own)."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 and parts[1] in packages else "repro"
+
+
+def _upward_edges(graph: dict[str, set], layers: list[set]) -> list[str]:
+    """``"module -> target"`` per edge of ``graph`` into a higher layer of ``layers``."""
+    rank = {package: level for level, layer in enumerate(layers) for package in layer}
+    return [
+        f"{name} -> {target}"
+        for name, targets in sorted(graph.items())
+        for target in sorted(targets)
+        if rank[_package_of(target, set(rank))] > rank[_package_of(name, set(rank))]
+    ]
+
+
+def _package_graph(graph: dict[str, set], packages: set) -> dict[str, set]:
+    """Which package imports which, edges inside one package dropped."""
+    edges: dict[str, set] = {package: set() for package in packages}
+    for name, targets in graph.items():
+        source = _package_of(name, packages)
+        edges[source] |= {_package_of(target, packages) for target in targets} - {source}
+    return edges
+
+
+def _package_cycles(edges: dict[str, set]) -> list[set]:
+    """The sets of packages that reach each other (the cycles), largest first."""
+
+    def reach(start: str) -> set:
+        seen, todo = set(), [start]
+        while todo:
+            for successor in edges[todo.pop()] - seen:
+                seen.add(successor)
+                todo.append(successor)
+        return seen
+
+    reached = {package: reach(package) for package in edges}
+    cycles = {
+        frozenset(other for other in reached[package] if package in reached[other])
+        for package in edges
+        if package in reached[package]
+    }
+    return sorted((set(cycle) for cycle in cycles), key=len, reverse=True)
+
+
+def test_the_layer_rule_catches_an_upward_edge():
+    layers = [{"low"}, {"mid", "peer"}, {"repro"}]
+    graph = {
+        "repro.low.a": {"repro.low.b"},
+        "repro.low.b": {"repro.mid.c"},
+        "repro.mid.c": {"repro.low.a", "repro.peer"},
+        "repro.peer": {"repro.mid.c", "repro"},
+        "repro": {"repro.mid.c"},
+        "repro._version": set(),
+    }
+    assert _upward_edges(graph, layers) == ["repro.low.b -> repro.mid.c", "repro.peer -> repro"]
+    edges = _package_graph(graph, {"low", "mid", "peer", "repro"})
+    assert edges == {"low": {"mid"}, "mid": {"low", "peer"}, "peer": {"mid", "repro"},
+                     "repro": {"mid"}}
+    assert _package_cycles(edges) == [{"low", "mid", "peer", "repro"}]
+    assert _package_cycles({"low": {"mid"}, "mid": set()}) == []
+
+
+def test_every_package_has_a_layer():
+    packages = {path.parent.name for path in (SRC / "repro").glob("*/__init__.py")} | {"repro"}
+    declared = [package for layer in LAYERS for package in layer]
+    assert sorted(declared) == sorted(packages)
+
+
+def test_no_import_points_into_a_higher_layer():
+    upward = _upward_edges(_graph(), LAYERS)
+    assert not upward, "\n".join(upward)
+
+
+def test_the_one_package_cycle_is_its_own_layer():
+    packages = set().union(*LAYERS)
+    assert _package_cycles(_package_graph(_graph(), packages)) == [PACKAGE_CYCLE]
 
 
 #: ``(module, name) -> reason``: the only module-level imports in ``src/repro`` whose name the
@@ -449,3 +551,8 @@ def test_no_program_function_takes_a_second_input_form():
         for line, what in _second_forms(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not stray, "\n".join(stray)
+
+
+def test_the_bottom_layer_imports_no_other_package():
+    edges = _package_graph(_graph(), set().union(*LAYERS))
+    assert {package: edges[package] for package in LAYERS[0]} == {"cluster": set(), "query": set()}

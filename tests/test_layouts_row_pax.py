@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.layouts import PaxBlock, TextRowCodec
+from repro.layouts.pax import PaxBlock
+from repro.layouts.row import TextRowCodec
 
 
 # --------------------------------------------------------------------------- text codec

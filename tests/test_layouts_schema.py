@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from repro.layouts import BadRecordError, Field, FieldType, Schema
+from repro.query.schema import BadRecordError, Field, FieldType, Schema
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ from datetime import date
 
 import pytest
 
-from repro.layouts import FieldType, Schema, serialization
-from repro.layouts.schema import Field
+from repro.layouts import serialization
+from repro.query.schema import Field, FieldType, Schema
 
 
 @pytest.fixture

@@ -35,10 +35,10 @@ from repro.api import Session, col, run_multi_tenant_batch
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.lifecycle import evict_under_pressure
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 
 #: Digest of every row below.
 SURVIVING_DIGEST = "b874d345c53a3f71"

@@ -14,9 +14,9 @@ from datetime import date, datetime
 import pytest
 
 from repro.api import BatchExecutionError, Session, UnsupportedExpressionError, col
-from repro.hail import HailConfig
-from repro.layouts.schema import FieldType, Schema
+from repro.hail.config import HailConfig
 from repro.mapreduce.task import MapTask
+from repro.query.schema import FieldType, Schema
 
 _SCHEMA = Schema.of(
     ("k", FieldType.INT),

@@ -13,7 +13,7 @@ import pytest
 from repro.api import Session, UnsupportedExpressionError, col
 from repro.datagen.synthetic import SyntheticGenerator
 from repro.engine.operators import GroupByQuery, JoinQuery, TopKQuery
-from repro.hail import HailConfig
+from repro.hail.config import HailConfig
 
 _PATH = "/api/operators"
 

@@ -25,10 +25,10 @@ from repro.engine.operators import (
     choose_strategy,
     execute,
 )
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 
 _LEFT = "/diff/left"
 _RIGHT = "/diff/right"

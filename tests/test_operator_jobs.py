@@ -20,7 +20,7 @@ import pytest
 from repro.api import Session, col, run_multi_tenant_batch
 from repro.cluster.failure import ConcurrentChaos, FailureEvent
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
-from repro.hail import HailConfig
+from repro.hail.config import HailConfig
 from repro.mapreduce.counters import Counters
 
 _LEFT = "/jobs/left"
@@ -284,3 +284,24 @@ def test_type_error_inside_a_columnar_probe_surfaces(monkeypatch):
     with pytest.raises(TypeError, match="unorderable zone bound"):
         _operator(_deploy(_indexed()), "top-k").collect()
     assert len(calls) == 1  # no silent full-scan retry behind the error
+
+
+def test_a_text_top_k_looks_up_no_block_bound_until_it_explains(monkeypatch):
+    """Text replicas register no zone ranges: a Hadoop top-k runs without one ``_block_bound``
+    lookup, and only its ``EXPLAIN`` header reads them (one per block, every one ``None``)."""
+    from repro.engine.operators import topk
+
+    calls = []
+    block_bound = topk._block_bound
+
+    def counted(*args):
+        calls.append(args)
+        return block_bound(*args)
+
+    monkeypatch.setattr(topk, "_block_bound", counted)
+    session = _deploy(_indexed(), systems=("Hadoop",))
+    result = _operator(session, "top-k").collect()
+    assert calls == [] and len(result.records) == 7
+    blocks = len(session.system().hdfs.namenode.file_blocks(_LEFT))
+    assert f"zone-range bounds: 0/{blocks} blocks (full scan-and-sort)" in result.explain()
+    assert len(calls) == blocks

@@ -29,11 +29,11 @@ from repro.api.session import BatchExecutionError
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.lifecycle import evict_under_pressure
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
 from repro.hail.scheduler import check_dir_rep_consistency
+from repro.hail.system import HailSystem
 from repro.persist import CrashInjected, CrashPoint, restore_system
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 from replica_rows import replica_rows
 
 _PATH = "/crash/synthetic"

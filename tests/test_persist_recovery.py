@@ -15,8 +15,8 @@ from repro.api import Session
 from repro.cluster import Cluster
 from repro.datagen.uservisits import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine.lifecycle import AdaptiveTuner
-from repro.hail import HailSystem
 from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.persist import JournalCorruptError, SqliteBackend
 from repro.persist.codec import encode_tuner
 from repro.workloads.bob import bob_logical_queries

@@ -21,11 +21,11 @@ from repro.engine.lifecycle import (
     adaptive_placement_stats,
     evict_under_pressure,
 )
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
 from repro.hail.scheduler import check_dir_rep_consistency, index_local_task_fraction
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
 
 _PATH = "/placement/synthetic"
 

@@ -23,13 +23,14 @@ from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGene
 from repro.engine.access_path import AccessPath
 from repro.engine.executor import VectorizedExecutor
 from repro.engine.planner import BoundQuery, PhysicalPlanner
-from repro.hail import HailConfig, HailInputFormat, HailSystem
-from repro.hail.annotation import resolve_annotation
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.input_format import HailInputFormat
+from repro.hail.system import HailSystem
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.counters import Counters
+from repro.query.annotation import resolve_annotation
+from repro.query.predicate import Operator, Predicate, Query
 from repro.workloads import bob_queries
-from repro.hail.predicate import Query
 
 _PATH = "/uv"
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")

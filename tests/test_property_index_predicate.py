@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.kernels import filter_range
 from repro.engine.planner import BoundQuery
-from repro.hail.annotation import HailQuery
 from repro.hail.hail_block import HailBlock
 from repro.hail.index import HailIndex
-from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.hail.sortindex import sort_permutation
-from repro.layouts import FieldType, Schema
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Comparison, Operator, Predicate
+from repro.query.schema import FieldType, Schema
 
 _INTS = st.integers(min_value=-10_000, max_value=10_000)
 

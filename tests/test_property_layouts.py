@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hail.hail_block import HailBlock
-from repro.layouts import FieldType, PaxBlock, Schema, TextRowCodec, serialization
-from repro.layouts.schema import Field
+from repro.layouts import serialization
+from repro.layouts.pax import PaxBlock
+from repro.layouts.row import TextRowCodec
+from repro.query.schema import Field, FieldType, Schema
 
 _SCHEMA = Schema.of(
     ("id", FieldType.INT),
@@ -436,7 +438,7 @@ def test_offsets_walk_on_an_empty_and_on_a_multi_byte_column():
 def test_upload_still_raises_the_row_wise_measures_error(system_name, bad_record, error):
     from repro.baselines import HadoopSystem
     from repro.cluster import Cluster
-    from repro.hail import HailSystem
+    from repro.hail.system import HailSystem
 
     schema = Schema.of(
         ("id", FieldType.INT), ("name", FieldType.STRING), ("score", FieldType.DOUBLE), name="s"

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.lifecycle import AdaptiveTuner
 from repro.hail.replica_info import HailBlockReplicaInfo
-from repro.layouts import FieldType, Schema
 from repro.persist import codec
+from repro.query.schema import FieldType, Schema
 
 # Attribute names as schemas produce them: identifier-ish, never the field delimiter.
 _attribute = st.text(

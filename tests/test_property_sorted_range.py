@@ -25,10 +25,10 @@ from hypothesis import strategies as st
 
 from repro.engine import kernels
 from repro.engine.planner import BoundQuery
-from repro.hail.annotation import HailQuery
-from repro.hail.predicate import Comparison, Operator, Predicate
 from repro.layouts.pax import PaxBlock
-from repro.layouts.schema import FieldType, Schema
+from repro.query.annotation import HailQuery
+from repro.query.predicate import Comparison, Operator, Predicate
+from repro.query.schema import FieldType, Schema
 
 _BACKENDS = ["python"] + (["numpy"] if kernels.HAVE_NUMPY else [])
 _EDGE = 2**53

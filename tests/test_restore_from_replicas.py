@@ -20,11 +20,12 @@ import pytest
 
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Operator, Predicate, Query
+from repro.hail.system import HailSystem
 from repro.layouts.pax import PaxBlock
 from repro.persist import JournalCorruptError, restore_system
+from repro.query.predicate import Operator, Predicate, Query
 from replica_rows import replica_rows
 
 _PATH = "/restore/synthetic"

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, CostModel, CostParameters, HardwareProfile
 from repro.cluster.failure import ConcurrentChaos
 from repro.hdfs import DataFile, Hdfs, HdfsClient, StandardUploadPipeline
-from repro.layouts import FieldType, Schema
 from repro.mapreduce import Counters, JobConf, TextInputFormat
 from repro.mapreduce.job_tracker import (
     MAX_PREEMPTIONS_PER_JOB,
@@ -38,6 +37,7 @@ from repro.mapreduce.job_tracker import (
     JobTracker,
 )
 from repro.mapreduce.task import MapTask
+from repro.query.schema import FieldType, Schema
 
 TENANTS = ("alice", "bob")
 

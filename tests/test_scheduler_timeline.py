@@ -24,14 +24,14 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters, HardwareProfile
 from repro.cluster.failure import ConcurrentChaos, FailureEvent, TaskFailureSpec
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
-from repro.hail import HailConfig, HailSystem
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.hdfs import DataFile, Hdfs, HdfsClient, StandardUploadPipeline
-from repro.layouts import FieldType, Schema
 from repro.mapreduce import Counters, JobConf, TextInputFormat
 from repro.mapreduce.job_tracker import ConcurrencyPolicy, ConcurrentJob, JobTracker
 from repro.mapreduce.task import MapTask
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
+from repro.query.schema import FieldType, Schema
 
 #: Digest of every row below: 32 policies times 5 fault plans, plus the serial-kill and HAIL rows.
 SURVIVING_DIGEST = "9791ce37ea6da1cc"

@@ -18,7 +18,9 @@ from repro.api import Session
 from repro.datagen.uservisits import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.hail import hail_block
 from repro.hail.hail_block import HailBlock
-from repro.layouts import Field, PaxBlock, serialization
+from repro.layouts import serialization
+from repro.layouts.pax import PaxBlock
+from repro.query.schema import Field
 from repro.workloads.bob import bob_logical_queries
 
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")

@@ -37,10 +37,11 @@ from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGenerator
 from repro.engine.access_path import AccessPath
 from repro.engine.planner import PhysicalPlanner
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
 from repro.hail.input_format import SplitMemo
-from repro.hail.predicate import Operator, Predicate, Query
+from repro.hail.system import HailSystem
 from repro.hdfs.namenode import NameNode
+from repro.query.predicate import Operator, Predicate, Query
 from repro.workloads import bob_queries
 
 from test_plan_once import _plan_bytes

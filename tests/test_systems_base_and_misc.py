@@ -5,8 +5,8 @@ import pytest
 from repro.cluster import Cluster, CostModel, CostParameters
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.experiments import ExperimentConfig, scaleout
-from repro.hail import HailSystem
 from repro.hail.replica_info import HailBlockReplicaInfo
+from repro.hail.system import HailSystem
 from repro.systems.base import QueryResult, SystemUploadReport, _partition
 from repro.workloads import bob_queries
 from replica_rows import replica_rows
@@ -100,7 +100,7 @@ def test_upload_with_explicit_client_nodes_and_empty_shares():
 
 def test_system_without_a_cost_model_gets_a_default_one():
     """No ``cost=``: system, HDFS and runner share one fresh default model, at replication 2."""
-    from repro.hail import HailConfig
+    from repro.hail.config import HailConfig
 
     system = HailSystem(
         Cluster.homogeneous(4, seed=2),

@@ -12,10 +12,11 @@ import pytest
 from repro.baselines import HadoopPlusPlusSystem, HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters, FailureEvent, FailureInjector
 from repro.datagen import SYNTHETIC_SCHEMA, USERVISITS_SCHEMA, SyntheticGenerator, UserVisitsGenerator
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
+from repro.hail.system import HailSystem
 from repro.mapreduce.counters import Counters
+from repro.query.predicate import Query
 from repro.workloads import bob_queries, synthetic_queries
-from repro.hail.predicate import Query
 
 
 def _cost():

@@ -25,9 +25,8 @@ import repro.baselines.hadoop as hadoop_module
 from repro.datagen import SYNTHETIC_SCHEMA, SyntheticGenerator
 from repro.datagen.synthetic import VALUE_RANGE
 from repro.datagen.uservisits import USERVISITS_SCHEMA
-from repro.hail.predicate import Comparison, Operator, Predicate
-from repro.layouts.schema import FieldType, Schema
-from repro.hail.predicate import Query
+from repro.query.predicate import Comparison, Operator, Predicate, Query
+from repro.query.schema import FieldType, Schema
 
 #: A schema whose delimiter is neither ``|`` nor one character long.
 _COLONS_SCHEMA = Schema.of(

@@ -18,15 +18,16 @@ from repro.baselines import HadoopSystem
 from repro.cluster import Cluster, CostModel, CostParameters, DiskPressurePolicy, TransferLedger
 from repro.datagen import USERVISITS_SCHEMA, UserVisitsGenerator, WebLogGenerator
 from repro.engine.lifecycle import evict_under_pressure
-from repro.hail import HailConfig, HailSystem
+from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Operator, Predicate, Query
 from repro.hail.scheduler import check_dir_rep_consistency
+from repro.hail.system import HailSystem
 from repro.hail.upload import HailUploadPipeline
 from repro.hdfs import DataFile, HdfsClient, StandardUploadPipeline
 from repro.hdfs.checksum import checksum_file_size, chunk_checksums
-from repro.layouts import FieldType, PaxBlock, Schema
-from repro.layouts.schema import BadRecordError, Field
+from repro.layouts.pax import PaxBlock
+from repro.query.predicate import Operator, Predicate, Query
+from repro.query.schema import BadRecordError, Field, FieldType, Schema
 
 _BOB_INDEXES = ("visitDate", "sourceIP", "adRevenue")
 _CLIENT = 0

@@ -38,15 +38,16 @@ from repro.datagen.synthetic import SYNTHETIC_SCHEMA, VALUE_RANGE, SyntheticGene
 from repro.datagen.uservisits import USERVISITS_SCHEMA, UserVisitsGenerator
 from repro.engine import kernels
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
-from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
+from repro.hail.config import HailConfig
 from repro.hail.hail_block import HailBlock
-from repro.hail.predicate import Operator, Predicate
+from repro.hail.scheduler import check_dir_rep_consistency
+from repro.hail.system import HailSystem
 from repro.layouts import zonemap
 from repro.layouts.pax import PaxBlock
-from repro.layouts.schema import FieldType, Schema
 from repro.layouts.zonemap import ZoneMap, block_zone_ranges, may_match_ranges
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.predicate import Operator, Predicate, Query
+from repro.query.schema import FieldType, Schema
 
 
 # --------------------------------------------------------------------------- call counts

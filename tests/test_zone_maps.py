@@ -30,11 +30,10 @@ from repro.engine import kernels
 from repro.engine.access_path import AccessPath
 from repro.engine.lifecycle import PlacementBalancer, evict_under_pressure
 from repro.engine.planner import PhysicalPlanner
-from repro.hail import HailConfig, HailSystem, check_dir_rep_consistency
-from repro.hail.annotation import resolve_annotation
-from repro.hail.predicate import Comparison, Operator, Predicate
+from repro.hail.config import HailConfig
+from repro.hail.scheduler import check_dir_rep_consistency
+from repro.hail.system import HailSystem
 from repro.layouts.pax import PaxBlock
-from repro.layouts.schema import FieldType, Schema
 from repro.layouts.zonemap import (
     ZoneMap,
     block_zone_ranges,
@@ -43,7 +42,9 @@ from repro.layouts.zonemap import (
     ranges_disjoint,
 )
 from repro.mapreduce.counters import Counters
-from repro.hail.predicate import Query
+from repro.query.annotation import resolve_annotation
+from repro.query.predicate import Comparison, Operator, Predicate, Query
+from repro.query.schema import FieldType, Schema
 
 _PATH = "/zonemaps/synthetic"
 

@@ -44,6 +44,8 @@ DOCSTRING_FLOORS: dict[str, float] = {
     # The persistence layer is operator-facing through docs/persistence.md and defines the
     # crash-safety contract the recovery tests rely on: it must stay documented.
     "src/repro/persist": 0.95,
+    # The query IR and the schema are the bottom layer every other package reads.
+    "src/repro/query": 0.95,
 }
 
 #: Markdown documents whose relative links are checked.
